@@ -1,23 +1,23 @@
-"""Benchmark: sharded query cache vs the single-shard engine, CI-gated.
+"""Benchmark: sharded query cache vs the single-shard engine, identity-gated.
 
-End-to-end batch throughput of :class:`ShardedIGQ` on a churny cache-heavy
-Zipf stream, in three configurations over the *same* query stream:
+:class:`ShardedIGQ` on a churny cache-heavy Zipf stream, in three
+configurations over the *same* query stream:
 
-* ``shards=1`` — the A/B baseline (exactly the legacy engine: full shadow
-  rebuild of both component indexes at every window flush);
+* ``shards=1`` — the reference engine (its window flush evicts and inserts
+  on the one live index pair);
 * ``shards=N`` with the ``inline`` backend — in-process replicas fed by the
-  delta log, so a window flush costs one increment per windowed/evicted
-  entry instead of a full-capacity rebuild;
+  delta log, applying the same per-entry increments per partition;
 * ``shards=N`` with the ``process`` backend (only when the machine has more
   than one usable CPU) — one long-lived worker process per shard replaying
   the log and probing its partition concurrently.
 
-The run **fails** if any sharded configuration diverges from the baseline
+The run **fails** if any sharded configuration diverges from the reference
 anywhere — answers, per-query accounting, containment-test statistics,
-final cache contents or replacement metadata — or if the best sharded
-configuration's throughput falls below the gate (default 1.2x).  The
-maintenance gain is pure CPU work, so the gate holds even on single-core
-runners; multi-core runners add the parallel-probe gain on top.
+final cache contents or replacement metadata.  Throughput is reported per
+configuration but not gated: every configuration maintains its indexes
+incrementally, so on one core sharding buys nothing by itself (what it
+buys is concurrent probing on multi-core runners).  Performance claims are
+judged by ``python3 -m bench_e2e`` (see ``bench_e2e/README.md``).
 
 Run directly::
 
@@ -133,8 +133,6 @@ def run_benchmark(args) -> dict:
         configs.append(run_config(database, stream, args, args.shards, "process"))
 
     identical = all(c["fingerprint"] == baseline["fingerprint"] for c in configs)
-    best = max(configs, key=lambda c: c["queries_per_second"])
-    speedup = best["queries_per_second"] / baseline["queries_per_second"]
 
     def public(config: dict) -> dict:
         return {k: v for k, v in config.items() if k != "fingerprint"}
@@ -147,11 +145,8 @@ def run_benchmark(args) -> dict:
         "window_size": args.window_size,
         "alpha": args.alpha,
         "effective_cpus": cpus,
-        "min_speedup_gate": args.min_speedup,
         "baseline": public(baseline),
         "sharded": [public(config) for config in configs],
-        "best_backend": best["backend"],
-        "sharded_speedup": round(speedup, 3),
         "answers_identical": identical,
     }
 
@@ -168,7 +163,6 @@ def main(argv=None) -> int:
     parser.add_argument("--shards", type=int, default=4)
     parser.add_argument("--alpha", type=float, default=1.1)
     parser.add_argument("--seed", type=int, default=23)
-    parser.add_argument("--min-speedup", type=float, default=1.2)
     parser.add_argument("--output", default=None, help="write the JSON result here too")
     args = parser.parse_args(argv)
 
@@ -179,21 +173,13 @@ def main(argv=None) -> int:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
 
-    failed = False
     if not result["answers_identical"]:
         print(
             "FAIL: a sharded configuration diverges from the single-shard engine",
             file=sys.stderr,
         )
-        failed = True
-    if result["sharded_speedup"] < args.min_speedup:
-        print(
-            f"FAIL: sharded speedup {result['sharded_speedup']}x is below the "
-            f"{args.min_speedup}x gate",
-            file=sys.stderr,
-        )
-        failed = True
-    return 1 if failed else 0
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -82,8 +82,8 @@ class CacheEntry:
         compiled objects bounded by the cache capacity.  Every path an entry
         can leave service by funnels through these helpers — cache eviction
         (:meth:`QueryCache.remove`), per-index removal
-        (:meth:`~repro.core.containment.ContainmentIndex.remove`), shadow
-        rebuilds that drop stale entries, and shard-replica evictions
+        (:meth:`~repro.core.containment.ContainmentIndex.remove`) and
+        shard-replica evictions
         (:meth:`~repro.core.shard.QueryIndexShard.apply`) — so a released
         payload can never leak and releasing twice is a no-op.
         """

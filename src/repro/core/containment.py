@@ -10,7 +10,7 @@ factors out everything the two directions share:
 * **lifecycle** — a :class:`~repro.features.trie.FeatureTrie` over the cached
   queries' features, the entry store, and dense bit positions
   (:class:`~repro.graphs.bitset.DensePositions`) for candidate bitmasks,
-  with ``add`` / ``remove`` / ``rebuild`` maintained in one place;
+  with ``add`` / ``remove`` maintained in one place;
 * **compilation on insertion** — the whole point of the iGQ cache is that a
   cached query is containment-tested against *every* new query until it is
   evicted, so the per-entry side of the compiled kernel
@@ -20,7 +20,7 @@ factors out everything the two directions share:
   it as a :class:`CompiledQueryPlan` (the cached query is the pattern, run
   against the new query compiled once per lookup as the target).  The
   compiled objects live on the :class:`~repro.core.cache.CacheEntry` itself,
-  so shadow rebuilds re-use them and eviction releases them;
+  so they survive every window flush untouched and eviction releases them;
 * **verification dispatch** — one loop over the surviving candidates that
   applies the size pre-checks and routes each pair through the compiled
   bitset kernel (with its signature pre-reject) or, when the verifier is
@@ -36,14 +36,18 @@ tallying for ``Isuper``) and ``Isuper``'s ``NF[g_i]`` bookkeeping.
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 from ..features.trie import FeatureTrie
 from ..graphs.bitset import DensePositions
 from ..graphs.graph import LabeledGraph
 from ..isomorphism.compiled import compile_query_plan, compile_target
 from ..isomorphism.verifier import Verifier
-from .cache import CacheEntry, QueryCache
+from .cache import CacheEntry
 
 __all__ = ["ContainmentIndex"]
+
+_ENTRY_ID = attrgetter("entry_id")
 
 
 class ContainmentIndex:
@@ -92,8 +96,8 @@ class ContainmentIndex:
         #: monotonic, so masks keyed by them would grow without bound)
         self._slots = DensePositions()
         #: feature keys inserted per entry, so removal walks only the
-        #: entry's own keys instead of the whole trie — this is what makes
-        #: delta-applied (incremental) maintenance cheaper than a rebuild
+        #: entry's own keys instead of the whole trie — this is what keeps
+        #: a window flush proportional to the window, not the cache
         self._feature_keys: dict[int, tuple] = {}
 
     # ------------------------------------------------------------------
@@ -104,8 +108,8 @@ class ContainmentIndex:
 
         Compilation happens here — on insertion — because the entry will be
         containment-tested against every incoming query until it is evicted;
-        an entry that already carries compiled state (a shadow rebuild
-        re-adding surviving entries) keeps it.
+        an entry that already carries compiled state (a warm restart or a
+        shard delta shipping the parent's payloads) keeps it.
         """
         self._entries[entry.entry_id] = entry
         self._slots.add(entry.entry_id)
@@ -130,35 +134,6 @@ class ContainmentIndex:
         self._release_entry(entry)
         self._entry_removed(entry_id)
 
-    def rebuild(self, cache: QueryCache) -> None:
-        """Rebuild from scratch over the current contents of ``cache``.
-
-        This is the "shadow index" construction of §5.2: the caller builds a
-        fresh index and swaps it in, so queries keep being served while the
-        rebuild is in progress.  Entries surviving the rebuild keep their
-        compiled state (it depends only on the entry's immutable graph).
-
-        Entries that were indexed here but are no longer in ``cache`` are
-        dropped by the rebuild; their compiled state for *this* direction is
-        released explicitly — entries evicted through
-        :meth:`~repro.core.cache.QueryCache.remove` were already released
-        (releasing again is a no-op), but a rebuild against a cache that
-        dropped entries some other way must not strand compiled payloads on
-        the unreachable entry objects.
-        """
-        dropped = [
-            entry for entry_id, entry in self._entries.items() if entry_id not in cache
-        ]
-        self._trie = FeatureTrie()
-        self._entries = {}
-        self._slots.reset()
-        self._feature_keys = {}
-        self._store_reset()
-        for entry in cache.entries():
-            self.add(entry)
-        for entry in dropped:
-            self._release_entry(entry)
-
     # ------------------------------------------------------------------
     # Direction-specific hooks
     # ------------------------------------------------------------------
@@ -167,9 +142,6 @@ class ContainmentIndex:
 
     def _entry_removed(self, entry_id: int) -> None:
         """Undo a subclass's extra per-entry bookkeeping (default: none)."""
-
-    def _store_reset(self) -> None:
-        """Reset a subclass's extra stores for a shadow rebuild."""
 
     # ------------------------------------------------------------------
     # Compiled-state lifecycle
@@ -210,7 +182,11 @@ class ContainmentIndex:
         and shared by the whole lookup; a caller probing several same-
         direction indexes for one query (the sharded runtime) passes a
         ``query_side_cache`` dict so the compile happens once across all of
-        them.  (The dataset verification stage compiles the same query's
+        them.  Hits come back in ascending ``entry_id`` — cache insertion
+        order — whatever slots the entries occupy: recycled slots make
+        position order meaningless, and exact-repeat detection, the §5.1
+        credits and the sharded merge all depend on the sequence.
+        (The dataset verification stage compiles the same query's
         plan again in its own layer; that duplicate is one O(|query|)
         compile per query — microseconds — and threading the object across
         the method interface is not worth the coupling.)
@@ -266,6 +242,7 @@ class ContainmentIndex:
                 matched = verifier.is_subgraph(graph, query)
             if matched:
                 results.append(entry)
+        results.sort(key=_ENTRY_ID)
         return results
 
     def _full_mask(self) -> int:

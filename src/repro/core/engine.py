@@ -271,8 +271,8 @@ class IGQ:
         )
         self.database: GraphDatabase | None = None
         self._id_space: GraphIdSpace | None = None
-        #: memoised ``entry_id -> answer bitmask`` for the cached entries;
-        #: invalidated whenever a window flush changes the cache contents
+        #: memoised ``entry_id -> answer bitmask`` for the cached entries
+        #: (answers are immutable per entry; a flush drops its victims' masks)
         self._answer_masks: dict[int, int] = {}
         #: ``id(query) -> (query, features)`` — repeat-heavy streams reuse
         #: the same graph objects (workload pools, batch inputs), and
@@ -360,7 +360,7 @@ class IGQ:
         }
 
     def apply_persist_state(self, entries, state: dict) -> None:
-        """Rebuild the cache and component indexes from recovered state.
+        """Restore the cache and component indexes from recovered state.
 
         ``entries`` is the recovered live set — ``(kind, shard_entry,
         targets, meta)`` tuples in ascending id order; ``state`` is the
@@ -369,9 +369,10 @@ class IGQ:
         """
         cache = self.cache
         stats = state.get("entry_stats", {})
+        indexes = [index for index in (self.isub, self.isuper) if index is not None]
         for _kind, shard_entry, _targets, meta in entries:
             hits, removed, cost = stats.get(shard_entry.entry_id, (0, 0, 0.0))
-            cache.restore_entry(
+            entry = cache.restore_entry(
                 shard_entry.entry_id,
                 shard_entry.graph,
                 shard_entry.features,
@@ -384,12 +385,10 @@ class IGQ:
                 compiled_target=shard_entry.compiled_target,
                 compiled_plan=shard_entry.compiled_plan,
             )
+            for index in indexes:
+                index.add(entry)
         cache.query_counter = state.get("query_counter", 0)
         cache.reserve_ids(state.get("next_id", 0))
-        if self.isub is not None:
-            self.isub.rebuild(cache)
-        if self.isuper is not None:
-            self.isuper.rebuild(cache)
 
     @classmethod
     def from_config(
@@ -791,16 +790,16 @@ class IGQ:
         if not window_full:
             return None
         report = self._flush_window()
-        # The flush evicted and inserted entries; drop the memoised masks.
-        self._answer_masks.clear()
+        for entry_id in report.evicted_entry_ids:
+            self._answer_masks.pop(entry_id, None)
         return report
 
     def _flush_window(self) -> MaintenanceReport:
         """Apply a full query window to the cache and the component indexes.
 
-        The single-shard engine performs the §5.2 shadow rebuild through
-        :class:`IndexMaintenance`; the sharded engine overrides this to emit
-        ordered :class:`~repro.core.shard.CacheDelta` records instead.
+        The single-shard engine evicts and inserts on its live indexes
+        through :class:`IndexMaintenance`; the sharded engine overrides this
+        to emit ordered :class:`~repro.core.shard.CacheDelta` records instead.
         Either way the flush boundary is where the durable store commits —
         crash recovery always lands on a state some flush produced.
         """

@@ -86,12 +86,11 @@ class SubgraphQueryIndex(ContainmentIndex):
                 return []
             return self._verified_hits(query, candidate_mask, query_side_cache)
         # Candidate bookkeeping as an integer bitmask over dense entry
-        # positions (the allocation order of the current index generation,
-        # which matches insertion order until a removed slot is recycled).
+        # positions (recycled on removal, so position order is arbitrary).
         slots = self._slots
         candidate_mask: int | None = None
         for key, required in features.counts.items():
-            postings = self._trie.get(key)
+            postings = self._trie.postings(key)
             matching = 0
             for entry_id, count in postings.items():
                 if count >= required:

@@ -56,9 +56,6 @@ class SupergraphQueryIndex(ContainmentIndex):
     def _entry_removed(self, entry_id: int) -> None:
         del self._num_features[entry_id]
 
-    def _store_reset(self) -> None:
-        self._num_features = {}
-
     # ------------------------------------------------------------------
     # Query (Algorithm 2)
     # ------------------------------------------------------------------
@@ -71,7 +68,7 @@ class SupergraphQueryIndex(ContainmentIndex):
         """
         tally: Counter = Counter()
         for key, available in features.counts.items():
-            postings = self._trie.get(key)
+            postings = self._trie.postings(key)
             for entry_id, occurrences in postings.items():
                 if occurrences <= available:
                     tally[entry_id] += 1

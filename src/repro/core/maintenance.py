@@ -6,21 +6,26 @@ window fills up the maintenance step
 
 1. consults the metadata to find the lowest-utility cached graphs (only as
    many as needed to respect the cache capacity ``C``),
-2. removes them from the graph store and inserts the windowed queries,
-3. rebuilds a *shadow* index over the new contents and swaps it in,
+2. removes them from the graph store and the two component indexes, and
+3. inserts the windowed queries into both,
 
-so that query processing is never blocked by index updates.  In this
-single-process reproduction the "swap" is simply a rebuild of the two
-component indexes after the cache contents have been updated; the structure
-of the algorithm (windowing, batched eviction, full rebuild) is preserved.
+so index updates stay batched per window and never interleave with a query.
+The paper builds a *shadow* index and swaps it in so that concurrent readers
+are never blocked; here :meth:`IndexMaintenance.flush` applies the same
+window as an in-place delta — ``remove`` per victim, ``add`` per windowed
+query, the primitives the sharded replicas already use — so a flush costs
+O(``W`` x entry features), not O(``C``).  That is equivalent to the swap
+because planning, completion and the flush all run on the one driver thread:
+no lookup can observe a half-applied window (the pipelined planner re-plans
+its speculative query after a flush), and the resulting index contents are
+exactly those a rebuild over the updated cache would produce.
 
-Compiled-state lifecycle: evicting through
-:meth:`~repro.core.cache.QueryCache.remove` releases the victim entries'
-compiled representations (``CompiledTarget`` / ``CompiledQueryPlan``), while
-the shadow rebuild re-adds the surviving entries *with* their compiled state
-intact — so across any number of window flushes each cached query is
-compiled at most once per direction, and the number of live compiled objects
-stays bounded by the cache capacity.
+Compiled-state lifecycle: an entry's compiled representations
+(``CompiledTarget`` / ``CompiledQueryPlan``) are built when the flush adds it
+to the indexes, kept untouched while it survives later flushes, and released
+when it is evicted — so each cached query is compiled at most once per
+direction, and the number of live compiled objects stays bounded by the
+cache capacity.
 """
 
 from __future__ import annotations
@@ -93,7 +98,7 @@ class IndexMaintenance:
 
         Used by flush implementations that apply the window themselves —
         the sharded engine turns it into delta-log records instead of the
-        in-place rebuild below.
+        in-place apply below.
         """
         window = self._window
         self._window = []
@@ -117,7 +122,7 @@ class IndexMaintenance:
         isub: SubgraphQueryIndex | None,
         isuper: SupergraphQueryIndex | None,
     ) -> MaintenanceReport:
-        """Apply the windowed queries to the cache and rebuild the indexes.
+        """Apply the windowed queries to the cache and the live indexes.
 
         Evicts exactly as many lowest-utility entries as needed to keep the
         cache within its capacity after the insertions (during warm-up, when
@@ -128,23 +133,23 @@ class IndexMaintenance:
             report.cache_size_after = len(cache)
             return report
         window = self.drain_window()
+        indexes = [index for index in (isub, isuper) if index is not None]
         victims = self.select_evictions(cache, len(window))
         for entry_id in victims:
+            for index in indexes:
+                index.remove(entry_id)
             cache.remove(entry_id)
         report.evicted = len(victims)
         report.evicted_entry_ids = victims
         for pending in window:
-            cache.add(
+            entry = cache.add(
                 pending.graph,
                 pending.features,
                 pending.answer,
                 tags=pending.tags,
             )
-            report.inserted += 1
-        # Shadow-index rebuild over the updated graph store, then swap.
-        if isub is not None:
-            isub.rebuild(cache)
-        if isuper is not None:
-            isuper.rebuild(cache)
+            for index in indexes:
+                index.add(entry)
+        report.inserted = len(window)
         report.cache_size_after = len(cache)
         return report

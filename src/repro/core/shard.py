@@ -43,10 +43,11 @@ architecture:
 
 * **Execution** — :class:`ShardedIGQ` is a drop-in :class:`IGQ` engine.
   With ``shards=1`` it *is* today's engine (the A/B baseline: same code
-  paths, no delta log).  With ``shards>1`` the window flush emits deltas and
-  applies them incrementally (no shadow rebuild of the full cache — flush
-  cost is proportional to the window, not the capacity), and every probe
-  fans out across the shards: in-process replicas under the ``inline``
+  paths, no delta log; its window flush evicts and inserts on the one live
+  index pair).  With ``shards>1`` the window flush emits deltas that the
+  replicas apply with the same ``add``/``remove`` primitives — either way
+  flush cost is proportional to the window, not the capacity — and every
+  probe fans out across the shards: in-process replicas under the ``inline``
   backend, or one long-lived single-worker process per shard under the
   ``process`` backend, where each worker subscribes to the delta log —
   pending records ride along with the next probe — and doubles as a
@@ -1408,8 +1409,7 @@ class ShardedIGQ(IGQ):
 
     Whatever the configuration, answers, per-query accounting, cache
     contents and replacement metadata are byte-identical to ``shards=1``;
-    the test suite asserts it and the ``bench_sharded`` CI gate enforces it
-    alongside the throughput floor.
+    the test suite asserts it and the ``bench_sharded`` CI gate enforces it.
     """
 
     def __init__(
@@ -1760,7 +1760,7 @@ class ShardedIGQ(IGQ):
         return directives
 
     # ------------------------------------------------------------------
-    # Delta-emitting window flush (§5.2, replacing the shadow rebuild)
+    # Delta-emitting window flush (§5.2)
     # ------------------------------------------------------------------
     def _flush_window(self) -> MaintenanceReport:
         if self.num_shards == 1:

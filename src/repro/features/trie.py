@@ -12,9 +12,12 @@ single-element tuples wrapping a canonical code for tree/cycle features.
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterator, Sequence
+from collections.abc import Hashable, Iterator, Mapping, Sequence
+from types import MappingProxyType
 
 __all__ = ["TrieNode", "FeatureTrie"]
+
+_NO_POSTINGS: Mapping = MappingProxyType({})
 
 
 class TrieNode:
@@ -51,7 +54,10 @@ class FeatureTrie:
             raise ValueError("occurrences must be positive")
         node = self._root
         for element in key:
-            node = node.children.setdefault(element, TrieNode())
+            child = node.children.get(element)
+            if child is None:
+                child = node.children[element] = TrieNode()
+            node = child
         if not node.postings:
             self._num_features += 1
         node.postings[graph_id] = occurrences
@@ -80,22 +86,23 @@ class FeatureTrie:
         """Remove the single ``(key, graph_id)`` posting, pruning its branch.
 
         Cost is proportional to ``len(key)`` instead of the trie size, which
-        is what makes incremental index maintenance (delta-applied shard
-        replicas, as opposed to full shadow rebuilds) cheap.  Unknown keys
-        and absent postings are ignored.
+        is what makes incremental index maintenance (window flushes and
+        delta-applied shard replicas) cheap.  Unknown keys and absent
+        postings are ignored.
         """
+        node = self._find(key)
+        if node is None or node.postings.pop(graph_id, None) is None or node.postings:
+            return
+        self._num_features -= 1
+        if node.children:
+            return
+        # The key's last posting went and nothing hangs below it: walk the
+        # path again to cut the now-empty branch back to its last live node.
         path: list[tuple[TrieNode, Hashable]] = []
         node = self._root
         for element in key:
-            child = node.children.get(element)
-            if child is None:
-                return
             path.append((node, element))
-            node = child
-        if graph_id in node.postings:
-            del node.postings[graph_id]
-            if not node.postings:
-                self._num_features -= 1
+            node = node.children[element]
         for parent, element in reversed(path):
             child = parent.children[element]
             if child.postings or child.children:
@@ -106,9 +113,18 @@ class FeatureTrie:
     # Lookups
     # ------------------------------------------------------------------
     def get(self, key: Sequence[Hashable]) -> dict[Hashable, int]:
-        """Return the postings of ``key`` (empty dict if absent)."""
+        """Return a copy of the postings of ``key`` (empty dict if absent)."""
+        return dict(self.postings(key))
+
+    def postings(self, key: Sequence[Hashable]) -> Mapping[Hashable, int]:
+        """The live postings of ``key``, uncopied — for read-only iteration.
+
+        The probe path of the component indexes walks one posting list per
+        query feature per lookup; the mapping returned here is the trie's
+        own, so callers must not mutate it or hold it across an update.
+        """
         node = self._find(key)
-        return dict(node.postings) if node is not None else {}
+        return node.postings if node is not None else _NO_POSTINGS
 
     def __contains__(self, key: Sequence[Hashable]) -> bool:
         node = self._find(key)

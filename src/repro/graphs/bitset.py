@@ -54,8 +54,8 @@ class DensePositions:
     freed positions before growing, so a churny add/remove stream keeps the
     allocator's footprint proportional to the number of *live* keys.  The
     trade-off is that position order equals insertion order only until the
-    first reuse; the engine's maintenance path always rebuilds through
-    :meth:`reset`, so its iteration order is unaffected.
+    first reuse, so callers that need a key order sort by key themselves
+    (the containment indexes return hits in ascending entry id).
     """
 
     __slots__ = ("_positions", "_order", "_free")
@@ -82,12 +82,6 @@ class DensePositions:
         self._order[position] = None
         self._free.append(position)
 
-    def reset(self) -> None:
-        """Drop all assignments (start of a shadow rebuild)."""
-        self._positions = {}
-        self._order = []
-        self._free = []
-
     def bit(self, key: Hashable) -> int:
         """Single-bit mask of ``key``."""
         return 1 << self._positions[key]
@@ -101,8 +95,7 @@ class DensePositions:
 
         Position order equals insertion order only until a freed position
         is recycled by :meth:`add`; after that, a recycled key sorts where
-        its predecessor did.  Callers needing strict insertion order must
-        rebuild through :meth:`reset` (as the engine's maintenance does).
+        its predecessor did.
         """
         order = self._order
         return (order[position] for position in iter_bits(mask))

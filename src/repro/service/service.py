@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import itertools
 import threading
+import time
 from collections import deque
 from collections.abc import Iterable, Iterator
 from concurrent.futures import Future, InvalidStateError
@@ -260,8 +261,11 @@ class _Task:
     session: SessionStats | None
     #: tenant queue this task is scheduled under (session name or "default")
     tenant: str = DEFAULT_TENANT
-    #: effective deadline in seconds (None = never expires)
+    #: effective timeout in seconds (None = never expires)
     timeout: float | None = None
+    #: ``time.monotonic()`` instant the timeout elapses, fixed at submit and
+    #: enforced at completion — the timer thread alone may run too late
+    deadline: float | None = None
     #: expiry timer, armed before the task enters the scheduler
     timer: threading.Timer | None = None
     #: slot-release latch, owned by :meth:`FairScheduler.finish`
@@ -522,6 +526,7 @@ class GraphQueryService:
         # admission waiting too: a submission stuck behind its tenant's
         # quota can expire while still blocked here.
         if effective_timeout is not None:
+            task.deadline = time.monotonic() + effective_timeout
             task.timer = threading.Timer(effective_timeout, self._expire, (task,))
             task.timer.daemon = True
             task.timer.start()
@@ -755,9 +760,10 @@ class GraphQueryService:
                 return
             try:
                 started = task.future.set_running_or_notify_cancel()
-            except InvalidStateError:
+            except RuntimeError:
                 # The expiry timer beat the dispatch; the future already
-                # carries QueryTimeout.
+                # carries QueryTimeout (a finished future makes
+                # set_running_or_notify_cancel raise a plain RuntimeError).
                 started = False
             if not started:
                 # Cancelled or expired before execution; hand its slot back.
@@ -777,7 +783,12 @@ class GraphQueryService:
                 task.session.record(result, supergraph)
         self._finalize(task)
         try:
-            task.future.set_result(result)
+            if task.deadline is not None and time.monotonic() >= task.deadline:
+                # Finished past its deadline before the expiry timer thread
+                # got to run: a result is never delivered late.
+                task.future.set_exception(self._timeout_error(task))
+            else:
+                task.future.set_result(result)
         except InvalidStateError:
             # Expired mid-execution: the engine state advanced (and was
             # accounted above), but the caller already saw QueryTimeout.
@@ -795,15 +806,17 @@ class GraphQueryService:
             task.timer.cancel()
         self._scheduler.finish(task)
 
+    @staticmethod
+    def _timeout_error(task: _Task) -> QueryTimeout:
+        return QueryTimeout(
+            f"query {task.query.name!r} timed out after {task.timeout}s"
+        )
+
     def _expire(self, task: _Task) -> None:
         """Timer callback: the task's deadline passed."""
         removed = self._scheduler.discard(task)
         try:
-            task.future.set_exception(
-                QueryTimeout(
-                    f"query {task.query.name!r} timed out after {task.timeout}s"
-                )
-            )
+            task.future.set_exception(self._timeout_error(task))
         except InvalidStateError:
             # Resolved or cancelled concurrently — nothing expired.
             pass

@@ -75,6 +75,31 @@ def random_labeled_graph(
     return graph
 
 
+def index_state(index) -> dict:
+    """Observable contents of a component index (order-free, comparable)."""
+    return {
+        "trie": sorted(index._trie.items(), key=repr),
+        "nf": dict(getattr(index, "_num_features", {})),
+        "entries": sorted(index._entries),
+        "slots": len(index._slots),
+    }
+
+
+def oracle_index(live, cache):
+    """A fresh index of ``live``'s kind ``add``-ed from ``cache.entries()``.
+
+    The reference for the incremental window flush: whatever sequence of
+    ``add``/``remove`` calls produced ``live``, its :func:`index_state` must
+    equal that of an index built from scratch over the current cache.  The
+    oracle shares ``live``'s ``compiled`` setting so it never compiles state
+    onto entries the engine under test runs uncompiled.
+    """
+    oracle = type(live)(live.verifier, compiled=live.compiled)
+    for entry in cache.entries():
+        oracle.add(entry)
+    return oracle
+
+
 @pytest.fixture
 def triangle() -> LabeledGraph:
     return make_cycle_graph("ABC", name="triangle")

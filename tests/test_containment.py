@@ -8,8 +8,9 @@ Three contracts:
   (``compiled=False``), at the index level and end-to-end through the
   engine.
 * **Compile-on-insertion** — cached entries carry their ``CompiledTarget`` /
-  ``CompiledQueryPlan`` from the moment they are indexed, shadow rebuilds
-  reuse (never recompile) them, and eviction releases them.
+  ``CompiledQueryPlan`` from the moment they are indexed, window flushes
+  leave the survivors' objects alone (never recompile), and eviction
+  releases them.
 * **Bounded lifecycle** — a long churny insert/evict stream keeps the number
   of live compiled objects and the dense-slot allocator's footprint at a
   steady state instead of growing without bound.
@@ -22,7 +23,14 @@ import random
 
 import pytest
 
-from repro.core import IGQ, QueryCache, SubgraphQueryIndex, SupergraphQueryIndex
+from repro.core import (
+    IGQ,
+    IndexMaintenance,
+    PendingQuery,
+    QueryCache,
+    SubgraphQueryIndex,
+    SupergraphQueryIndex,
+)
 from repro.datasets.registry import load_dataset
 from repro.features import FeatureExtractor
 from repro.isomorphism import CompiledQueryPlan, CompiledTarget, Verifier
@@ -30,7 +38,13 @@ from repro.methods import create_method
 from repro.workloads.generator import QueryGenerator, WorkloadSpec
 from repro.workloads.zipf import create_sampler
 
-from .conftest import make_cycle_graph, make_path_graph, random_labeled_graph
+from .conftest import (
+    index_state,
+    make_cycle_graph,
+    make_path_graph,
+    oracle_index,
+    random_labeled_graph,
+)
 
 EXTRACTOR = FeatureExtractor(max_path_length=3)
 
@@ -160,14 +174,24 @@ class TestCompileOnInsertion:
         entry = next(cache.entries())
         assert entry.compiled_target is None and entry.compiled_plan is None
 
-    def test_rebuild_reuses_compiled_state(self):
+    def test_flush_reuses_survivors_compiled_state(self):
         cache, isub, isuper = build_indexes([make_cycle_graph("ABCD")], True)
         entry = next(cache.entries())
         target, plan = entry.compiled_target, entry.compiled_plan
-        isub.rebuild(cache)
-        isuper.rebuild(cache)
+        maintenance = IndexMaintenance(cache_size=4, window_size=1)
+        for labels in ("AB", "BC"):
+            graph = make_path_graph(labels)
+            maintenance.submit(
+                PendingQuery(graph, EXTRACTOR.extract(graph), frozenset())
+            )
+            maintenance.flush(cache, isub, isuper)
         assert entry.compiled_target is target  # same object — not recompiled
         assert entry.compiled_plan is plan
+        # Re-adding an entry that already carries compiled state (warm
+        # restart, shard deltas) keeps it too.
+        fresh = oracle_index(isub, cache)
+        assert entry.compiled_target is target
+        assert index_state(fresh) == index_state(isub)
 
     def test_cache_eviction_releases_compiled_state(self):
         cache, isub, isuper = build_indexes([make_cycle_graph("ABC")], True)
@@ -183,30 +207,34 @@ class TestCompileOnInsertion:
         isuper.remove(entry.entry_id)
         assert entry.compiled_plan is None
 
-    def test_rebuild_releases_entries_dropped_from_the_cache(self):
-        """A shadow rebuild that drops entries must not strand payloads.
+    def test_flush_releases_evicted_entries_in_both_directions(self):
+        """An evicting flush must not strand payloads on the victims.
 
-        ``QueryCache.remove`` releases on eviction, but an index rebuilt
-        against a cache that no longer holds one of its entries (the entry
-        left through some other door) must release the dropped entry's
-        compiled state for its own direction.
+        Each index releases its own direction on ``remove`` and
+        ``QueryCache.remove`` releases both, so a victim leaves a flush with
+        no compiled state even when only one component index is enabled.
         """
-        cache, isub, isuper = build_indexes(
-            [make_cycle_graph("ABCD"), make_path_graph("AB")], True
-        )
-        dropped, kept = list(cache.entries())
-        # Simulate an exit that bypasses QueryCache.remove (no release).
-        del cache._entries[dropped.entry_id]
-        assert dropped.compiled_target is not None
-        assert dropped.compiled_plan is not None
-        isub.rebuild(cache)
-        assert dropped.compiled_target is None  # Isub's direction released
-        assert dropped.compiled_plan is not None  # Isuper still holds it
-        isuper.rebuild(cache)
-        assert dropped.compiled_plan is None
-        # The surviving entry keeps its compiled state through both rebuilds.
-        assert kept.compiled_target is not None
-        assert kept.compiled_plan is not None
+        for enabled in ((True, True), (True, False), (False, True)):
+            cache, isub, isuper = build_indexes(
+                [make_cycle_graph("ABCD"), make_path_graph("AB")], True
+            )
+            victim, kept = list(cache.entries())
+            kept.alleviated_cost = 100.0  # the policy evicts ``victim``
+            cache.query_counter = 10
+            maintenance = IndexMaintenance(cache_size=2, window_size=1)
+            graph = make_path_graph("BC")
+            maintenance.submit(
+                PendingQuery(graph, EXTRACTOR.extract(graph), frozenset())
+            )
+            report = maintenance.flush(
+                cache, isub if enabled[0] else None, isuper if enabled[1] else None
+            )
+            assert report.evicted_entry_ids == [victim.entry_id]
+            assert victim.compiled_target is None
+            assert victim.compiled_plan is None
+            # The surviving entry keeps its compiled state through the flush.
+            assert kept.compiled_target is not None
+            assert kept.compiled_plan is not None
 
 
 def live_compiled_counts() -> tuple[int, int]:

@@ -11,10 +11,12 @@ from repro.features import FeatureExtractor
 from repro.isomorphism import is_subgraph_isomorphic
 
 from .conftest import (
+    index_state,
     labeled_graphs,
     make_cycle_graph,
     make_path_graph,
     make_star_graph,
+    oracle_index,
     random_labeled_graph,
 )
 
@@ -99,11 +101,15 @@ class TestMaintenance:
         index.remove(999)
         assert len(index) == 1
 
-    def test_rebuild_reflects_cache_contents(self):
+    def test_incremental_updates_match_fresh_index(self):
         cache, index = build_index([make_path_graph("AB"), make_path_graph("ABC")])
-        cache.remove(cache.entry_ids()[0])
-        index.rebuild(cache)
-        assert len(index) == 1
+        victim = cache.entry_ids()[0]
+        index.remove(victim)
+        cache.remove(victim)
+        graph = make_cycle_graph("ABC")
+        index.add(cache.add(graph, EXTRACTOR.extract(graph), frozenset()))
+        assert len(index) == 2
+        assert index_state(index) == index_state(oracle_index(index, cache))
 
     def test_size_estimate(self):
         cache, index = build_index([make_path_graph("ABCD")])

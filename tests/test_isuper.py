@@ -11,11 +11,13 @@ from repro.features import FeatureExtractor
 from repro.isomorphism import is_subgraph_isomorphic
 
 from .conftest import (
+    index_state,
     labeled_graphs,
     make_clique,
     make_cycle_graph,
     make_path_graph,
     make_star_graph,
+    oracle_index,
     random_labeled_graph,
 )
 
@@ -117,11 +119,16 @@ class TestMaintenance:
         index.remove(42)
         assert len(index) == 1
 
-    def test_rebuild(self):
-        cache, index = build_index([make_path_graph("AB")])
-        cache.add(make_cycle_graph("ABC"), EXTRACTOR.extract(make_cycle_graph("ABC")), frozenset())
-        index.rebuild(cache)
+    def test_incremental_updates_match_fresh_index(self):
+        cache, index = build_index([make_path_graph("AB"), make_path_graph("ABC")])
+        victim = cache.entry_ids()[0]
+        index.remove(victim)
+        cache.remove(victim)
+        graph = make_cycle_graph("ABC")
+        index.add(cache.add(graph, EXTRACTOR.extract(graph), frozenset()))
         assert len(index) == 2
+        # NF bookkeeping (Algorithm 1) follows the entries in and out.
+        assert index_state(index) == index_state(oracle_index(index, cache))
 
     def test_size_estimate(self):
         cache, index = build_index([make_path_graph("ABCD")])

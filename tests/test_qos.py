@@ -351,3 +351,21 @@ class TestServiceQoS:
                 service.submit(query_pool[0], timeout=0.000001).result(timeout=120)
             result = service.query(query_pool[1])
             assert result.query_name == query_pool[1].name
+
+    def test_microsecond_timeout_never_delivers_a_late_result(
+        self, database, query_pool
+    ):
+        """The deadline is enforced at completion, not only by the timer.
+
+        A 1 µs timer thread routinely loses the race against the driver;
+        before the completion check that delivered a result after its
+        deadline roughly one run in four.
+        """
+        with qos_service(database) as service:
+            for index in range(200):
+                future = service.submit(
+                    query_pool[index % len(query_pool)], timeout=0.000001
+                )
+                with pytest.raises(QueryTimeout):
+                    future.result(timeout=120)
+            assert service.query(query_pool[0]).query_name == query_pool[0].name
