@@ -16,8 +16,8 @@ The run **fails** if any configuration diverges from the single-shard
 fingerprint anywhere — answers, per-query accounting, containment-test
 statistics, final cache contents or replacement metadata — or if the hot
 configuration's throughput falls below the gate (default 1.2x) over static
-sharding.  The pruning gain is pure CPU work (skipped trie walks and
-tallies), so the gate holds on single-core runners; multi-core runners get
+sharding.  The pruning gain is pure CPU work (skipped filter reads and
+containment tests), so the gate holds on single-core runners; multi-core runners get
 the skipped worker round-trips on top.
 
 Run directly::

@@ -12,7 +12,7 @@ Public API overview
 * :mod:`repro.isomorphism` — VF2 / Ullmann subgraph isomorphism and the
   cost model used by iGQ's replacement policy.
 * :mod:`repro.features` — path / tree / cycle feature extraction and the
-  feature trie.
+  threshold-bitmap feature index.
 * :mod:`repro.methods` — the filter-then-verify base methods: GraphGrepSX,
   Grapes, CT-Index (plus a scan baseline).
 * :mod:`repro.core` — iGQ itself: the query cache, the Isub and Isuper

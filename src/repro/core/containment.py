@@ -3,12 +3,11 @@
 The two component indexes — ``Isub`` (:mod:`repro.core.isub`) and ``Isuper``
 (:mod:`repro.core.isuper`) — answer mirror-image containment questions over
 the *same* store of cached query graphs, and before this layer existed they
-were near-duplicate trie-plus-verify loops that rebuilt dict-based VF2 state
+were near-duplicate filter-plus-verify loops that rebuilt dict-based VF2 state
 for every ``(new query, cached query)`` pair.  :class:`ContainmentIndex`
 factors out everything the two directions share:
 
-* **lifecycle** — a :class:`~repro.features.trie.FeatureTrie` over the cached
-  queries' features, the entry store, and dense bit positions
+* **lifecycle** — the entry store and dense bit positions
   (:class:`~repro.graphs.bitset.DensePositions`) for candidate bitmasks,
   with ``add`` / ``remove`` maintained in one place;
 * **compilation on insertion** — the whole point of the iGQ cache is that a
@@ -30,15 +29,16 @@ factors out everything the two directions share:
   path-independent.
 
 The subclasses only keep what is genuinely direction-specific: the candidate
-*filtering* rule (feature-dominance for ``Isub``; Algorithm 2's occurrence
-tallying for ``Isuper``) and ``Isuper``'s ``NF[g_i]`` bookkeeping.
+*filtering* rule — ``Isub`` asks a threshold-bitmap index which entries
+dominate the query's feature counts, ``Isuper`` checks Algorithm 2's
+condition per entry with an early exit.
 """
 
 from __future__ import annotations
 
+import sys
 from operator import attrgetter
 
-from ..features.trie import FeatureTrie
 from ..graphs.bitset import DensePositions
 from ..graphs.graph import LabeledGraph
 from ..isomorphism.compiled import compile_query_plan, compile_target
@@ -65,15 +65,6 @@ class ContainmentIndex:
         effective dispatch also requires the verifier to admit the kernel
         (``verifier.supports_compiled()``), so ``compiled=False`` here or
         ``Verifier(compiled=False)`` both restore the dict-based matcher.
-    lite:
-        Skip the feature trie.  A lite index stores entries and compiled
-        state but no posting lists, so ``add``/``remove`` are O(1) instead
-        of O(features) — and every lookup runs the per-entry dominance
-        check (equivalent to the trie filter, see the ``restrict_ids``
-        paths of the subclasses) over all entries.  Right for small stores
-        whose lookups are always restricted anyway, such as the sharded
-        runtime's replica stores: a replicate record then installs in
-        constant time.
     """
 
     #: does the cached entry play the *target* role in this direction
@@ -85,20 +76,15 @@ class ContainmentIndex:
         self,
         verifier: Verifier | None = None,
         compiled: bool = True,
-        lite: bool = False,
     ) -> None:
         self.verifier = verifier if verifier is not None else Verifier()
         self.compiled = compiled
-        self.lite = lite
-        self._trie = FeatureTrie()
         self._entries: dict[int, CacheEntry] = {}
         #: dense bit positions for candidate bitmasks (raw entry ids are
         #: monotonic, so masks keyed by them would grow without bound)
         self._slots = DensePositions()
-        #: feature keys inserted per entry, so removal walks only the
-        #: entry's own keys instead of the whole trie — this is what keeps
-        #: a window flush proportional to the window, not the cache
-        self._feature_keys: dict[int, tuple] = {}
+        #: mask covering the slot of every indexed entry
+        self._live_mask = 0
 
     # ------------------------------------------------------------------
     # Maintenance
@@ -112,36 +98,31 @@ class ContainmentIndex:
         shard delta shipping the parent's payloads) keeps it.
         """
         self._entries[entry.entry_id] = entry
-        self._slots.add(entry.entry_id)
-        if not self.lite:
-            keys = tuple(entry.features.counts)
-            self._feature_keys[entry.entry_id] = keys
-            counts = entry.features.counts
-            for key in keys:
-                self._trie.insert(key, entry.entry_id, counts[key])
+        bit = 1 << self._slots.add(entry.entry_id)
+        self._live_mask |= bit
         if self.use_compiled():
             self._compile_entry(entry)
-        self._entry_added(entry)
+        self._entry_added(entry, bit)
 
     def remove(self, entry_id: int) -> None:
         """Remove a cached query entry, releasing its compiled state."""
         entry = self._entries.pop(entry_id, None)
         if entry is None:
             return
+        bit = self._slots.bit(entry_id)
         self._slots.remove(entry_id)
-        for key in self._feature_keys.pop(entry_id, ()):
-            self._trie.remove_posting(key, entry_id)
+        self._live_mask &= ~bit
         self._release_entry(entry)
-        self._entry_removed(entry_id)
+        self._entry_removed(entry, bit)
 
     # ------------------------------------------------------------------
     # Direction-specific hooks
     # ------------------------------------------------------------------
-    def _entry_added(self, entry: CacheEntry) -> None:
-        """Extra per-entry bookkeeping of a subclass (default: none)."""
+    def _entry_added(self, entry: CacheEntry, bit: int) -> None:
+        """Index the entry now occupying slot ``bit`` (default: nothing)."""
 
-    def _entry_removed(self, entry_id: int) -> None:
-        """Undo a subclass's extra per-entry bookkeeping (default: none)."""
+    def _entry_removed(self, entry: CacheEntry, bit: int) -> None:
+        """Undo :meth:`_entry_added` for the entry leaving slot ``bit``."""
 
     # ------------------------------------------------------------------
     # Compiled-state lifecycle
@@ -245,26 +226,21 @@ class ContainmentIndex:
         results.sort(key=_ENTRY_ID)
         return results
 
-    def _full_mask(self) -> int:
-        """Mask covering every indexed entry."""
-        slots = self._slots
-        mask = 0
-        for entry_id in self._entries:
-            mask |= slots.bit(entry_id)
-        return mask
-
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return len(self._entries)
 
     def estimated_size_bytes(self) -> int:
-        """Approximate in-memory size of the index structure (Figure 18).
+        """In-memory size of the index structure (Figure 18).
 
-        The compiled per-entry state is a performance cache, excluded here
-        for parity with the dataset-side compiled caches (which Figure 18's
+        Here the entry store; a direction adds what its candidate filter
+        keeps.  The cached graphs and their feature tables are accounted for
+        with the cache (:meth:`repro.core.engine.IGQ.index_size_bytes`), and
+        the compiled per-entry state is a performance cache, excluded for
+        parity with the dataset-side compiled caches (which Figure 18's
         index-size comparison also excludes).
         """
-        return self._trie.estimated_size_bytes()
+        return sys.getsizeof(self._entries)
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} entries={len(self._entries)} compiled={self.use_compiled()}>"

@@ -22,13 +22,14 @@ candidate set from above.
 from __future__ import annotations
 
 import os
+import sys
 import tempfile
 import time
 import warnings
 from dataclasses import dataclass, field, replace
 
 from ..features.extractor import GraphFeatures
-from ..graphs.bitset import CandidateBitmap, GraphIdSpace
+from ..graphs.bitset import CandidateBitmap, GraphIdSpace, iter_bits
 from ..graphs.database import GraphDatabase
 from ..graphs.graph import LabeledGraph
 from ..isomorphism.cost import isomorphism_test_cost
@@ -271,6 +272,9 @@ class IGQ:
         )
         self.database: GraphDatabase | None = None
         self._id_space: GraphIdSpace | None = None
+        #: vertex count of every dataset graph, by ``_id_space`` position
+        #: (what the §5.1 cost model reads per credited graph)
+        self._target_sizes: list[int] = []
         #: memoised ``entry_id -> answer bitmask`` for the cached entries
         #: (answers are immutable per entry; a flush drops its victims' masks)
         self._answer_masks: dict[int, int] = {}
@@ -429,8 +433,7 @@ class IGQ:
     def build_index(self, database: GraphDatabase) -> None:
         """Build the base method's dataset index; the query index starts empty."""
         self.method.build_index(database)
-        self.database = database
-        self._id_space = self.method.id_space
+        self._attach(database)
 
     def attach_prebuilt(self, database: GraphDatabase | None = None) -> None:
         """Use a base method whose dataset index has already been built.
@@ -442,8 +445,14 @@ class IGQ:
             database = self.method.database
         if database is None or self.method.id_space is None:
             raise RuntimeError("the base method has no built index to attach")
+        self._attach(database)
+
+    def _attach(self, database: GraphDatabase) -> None:
         self.database = database
-        self._id_space = self.method.id_space
+        space = self._id_space = self.method.id_space
+        self._target_sizes = [
+            database.get(graph_id).num_vertices for graph_id in space.to_ids(space.full_mask)
+        ]
 
     # ------------------------------------------------------------------
     # Query processing
@@ -739,26 +748,33 @@ class IGQ:
     ) -> None:
         """Update H, R and C for every cache entry that was hit."""
         num_labels = max(self.database.num_labels, 1)
-        space = self._id_space
-        per_graph_cost: dict = {}
+        target_sizes = self._target_sizes
+        query_size = query.num_vertices
+        cost_by_size: dict[int, float] = {}
+        cost_by_mask: dict[int, float] = {}
 
         def cost_of(mask: int) -> float:
+            # Hits of one query mostly free the same few candidate sets.
+            total = cost_by_mask.get(mask)
+            if total is not None:
+                return total
+            # Summed in position order: H/R/C are floats, and the
+            # replacement policy and the WAL compare them bit for bit.
             total = 0.0
-            for graph_id in space.to_ids(mask):
-                cost = per_graph_cost.get(graph_id)
+            for position in iter_bits(mask):
+                target_size = target_sizes[position]
+                cost = cost_by_size.get(target_size)
                 if cost is None:
-                    target = self.database.get(graph_id)
                     if supergraph:
                         # For supergraph queries the test is candidate ⊆ query.
                         cost = isomorphism_test_cost(
-                            target.num_vertices, max(query.num_vertices, 1), num_labels
+                            target_size, max(query_size, 1), num_labels
                         )
                     else:
-                        cost = isomorphism_test_cost(
-                            query.num_vertices, target.num_vertices, num_labels
-                        )
-                    per_graph_cost[graph_id] = cost
+                        cost = isomorphism_test_cost(query_size, target_size, num_labels)
+                    cost_by_size[target_size] = cost
                 total += cost
+            cost_by_mask[mask] = total
             return total
 
         guaranteed_hits = super_hits if supergraph else sub_hits
@@ -909,10 +925,15 @@ class IGQ:
             total += self.isub.estimated_size_bytes()
         if self.isuper is not None:
             total += self.isuper.estimated_size_bytes()
+        getsizeof = sys.getsizeof
         for entry in self.cache.entries():
             graph = entry.graph
             total += 80 + 56 * graph.num_vertices + 48 * graph.num_edges
             total += 40 + 8 * len(entry.answer)
+            # Algorithm 1's {feature, occurrences} pairs, kept per entry:
+            # what Isuper filters on and what Isub's index is built from.
+            counts = entry.features.counts
+            total += getsizeof(counts) + sum(map(getsizeof, counts))
         return total
 
     def __repr__(self) -> str:

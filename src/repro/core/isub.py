@@ -4,10 +4,11 @@
 supergraphs of the new query g?*  As §6.1 observes, this is "a microcosm of
 the original problem" — a subgraph query posed against the collection of
 cached query graphs instead of the dataset graphs — so any subgraph index
-works.  Following the paper we reuse the path-trie filtering of the base
+works.  Following the paper we reuse the path filtering of the base
 methods: cached query features are kept in a
-:class:`~repro.features.trie.FeatureTrie`, a new query is filtered by
-occurrence-count dominance and the surviving cached graphs are verified with
+:class:`~repro.features.bitmaps.ThresholdBitmapIndex` over the entries'
+slots, a new query is filtered by occurrence-count dominance (one AND per
+query feature) and the surviving cached graphs are verified with
 a (cheap — query graphs are small) subgraph isomorphism test, which makes
 formula (1) hold: every reported entry is a true supergraph of ``g``.
 
@@ -19,6 +20,7 @@ on the compiled kernel (the new query's plan is compiled once per lookup).
 
 from __future__ import annotations
 
+from ..features.bitmaps import ThresholdBitmapIndex
 from ..features.extractor import GraphFeatures
 from ..graphs.graph import LabeledGraph
 from .cache import CacheEntry
@@ -36,6 +38,16 @@ class SubgraphQueryIndex(ContainmentIndex):
     """
 
     entry_is_target = True
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._index = ThresholdBitmapIndex()
+
+    def _entry_added(self, entry: CacheEntry, bit: int) -> None:
+        self._index.add(bit, entry.features.counts)
+
+    def _entry_removed(self, entry: CacheEntry, bit: int) -> None:
+        self._index.remove(bit, entry.features.counts)
 
     # ------------------------------------------------------------------
     # Query
@@ -60,46 +72,19 @@ class SubgraphQueryIndex(ContainmentIndex):
         """
         if not self._entries:
             return []
-        if restrict_ids is None and self.lite:
-            # A lite index has no trie to filter with; the per-entry
-            # dominance check below is its (equivalent) filtering path.
-            restrict_ids = tuple(self._entries)
-        if restrict_ids is not None:
-            # Small explicit candidate set: test the dominance condition
-            # per entry against its own feature counts (the same counts the
-            # trie postings hold) instead of walking every posting list —
-            # O(|restrict_ids| x query features), so a covering probe for a
-            # handful of replicas costs almost nothing.
-            slots = self._slots
-            candidate_mask = 0
+        if restrict_ids is None:
+            universe = self._live_mask
+        else:
+            entries, bit = self._entries, self._slots.bit
+            universe = 0
             for entry_id in restrict_ids:
-                entry = self._entries.get(entry_id)
-                if entry is None:
-                    continue
-                counts = entry.features.counts
-                for key, required in features.counts.items():
-                    if counts.get(key, 0) < required:
-                        break
-                else:
-                    candidate_mask |= slots.bit(entry_id)
-            if not candidate_mask:
-                return []
-            return self._verified_hits(query, candidate_mask, query_side_cache)
-        # Candidate bookkeeping as an integer bitmask over dense entry
-        # positions (recycled on removal, so position order is arbitrary).
-        slots = self._slots
-        candidate_mask: int | None = None
-        for key, required in features.counts.items():
-            postings = self._trie.postings(key)
-            matching = 0
-            for entry_id, count in postings.items():
-                if count >= required:
-                    matching |= slots.bit(entry_id)
-            candidate_mask = (
-                matching if candidate_mask is None else candidate_mask & matching
-            )
-            if not candidate_mask:
-                return []
-        if candidate_mask is None:
-            candidate_mask = self._full_mask()
+                if entry_id in entries:
+                    universe |= bit(entry_id)
+        candidate_mask = self._index.at_least(features.counts, universe)
+        if not candidate_mask:
+            return []
         return self._verified_hits(query, candidate_mask, query_side_cache)
+
+    def estimated_size_bytes(self) -> int:
+        """Entry store plus the threshold-bitmap index (Figure 18)."""
+        return super().estimated_size_bytes() + self._index.size_bytes()

@@ -17,6 +17,15 @@ instead of reusing a general supergraph-query method:
 The candidate generation cannot miss a true subgraph (no false negatives) and
 the final verification removes all false positives, establishing formula (2).
 
+The tally reaches ``NF[g_i]`` exactly when every feature of ``g_i`` occurs in
+``g`` at least as often, and that is how the condition is evaluated here: per
+cached query, from the feature counts stored with the entry (Algorithm 1's
+``{g_i, o}`` pairs, kept by entry instead of by feature), stopping at the
+first feature ``g`` lacks.  Most cached queries fail on their first or second
+feature, which makes this cheaper than tallying every posting of every query
+feature — and cheaper than the threshold-bitmap ``at_most`` read, which has
+to visit the whole cached vocabulary.
+
 The lifecycle and verification machinery is shared with ``Isub`` through
 :class:`~repro.core.containment.ContainmentIndex`: here the cached queries
 play the *pattern* role, so each entry carries a ``CompiledQueryPlan``
@@ -25,8 +34,6 @@ target.
 """
 
 from __future__ import annotations
-
-from collections import Counter
 
 from ..features.extractor import GraphFeatures
 from ..graphs.graph import LabeledGraph
@@ -41,24 +48,33 @@ class SupergraphQueryIndex(ContainmentIndex):
 
     entry_is_target = False
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        #: NF[g_i] — number of distinct features of each indexed query
-        self._num_features: dict[int, int] = {}
-
-    # ------------------------------------------------------------------
-    # Maintenance (Algorithm 1) — extra NF bookkeeping on top of the shared
-    # ContainmentIndex lifecycle
-    # ------------------------------------------------------------------
-    def _entry_added(self, entry: CacheEntry) -> None:
-        self._num_features[entry.entry_id] = entry.features.num_distinct
-
-    def _entry_removed(self, entry_id: int) -> None:
-        del self._num_features[entry_id]
-
     # ------------------------------------------------------------------
     # Query (Algorithm 2)
     # ------------------------------------------------------------------
+    def candidate_mask(self, features: GraphFeatures, restrict_ids=None) -> int:
+        """Slots of the entries whose every feature ``features`` holds at
+        least as often — Algorithm 2's candidates, before verification."""
+        entries = self._entries
+        if restrict_ids is None:
+            considered = entries.values()
+        else:
+            considered = [entries[entry_id] for entry_id in restrict_ids if entry_id in entries]
+        available = features.counts
+        have = available.get
+        num_available = len(available)
+        bit = self._slots.bit
+        mask = 0
+        for entry in considered:
+            counts = entry.features.counts
+            if len(counts) > num_available:
+                continue  # NF[g_i] exceeds g's distinct features: some key is missing
+            for key, occurrences in counts.items():
+                if have(key, 0) < occurrences:
+                    break
+            else:
+                mask |= bit(entry.entry_id)
+        return mask
+
     def candidate_subgraphs(self, features: GraphFeatures) -> list[int]:
         """Candidate cached-entry ids that may be subgraphs of the new query.
 
@@ -66,24 +82,7 @@ class SupergraphQueryIndex(ContainmentIndex):
         separately so that its no-false-negative property can be tested in
         isolation.
         """
-        tally: Counter = Counter()
-        for key, available in features.counts.items():
-            postings = self._trie.postings(key)
-            for entry_id, occurrences in postings.items():
-                if occurrences <= available:
-                    tally[entry_id] += 1
-        return [
-            entry_id
-            for entry_id, count in tally.items()
-            if count == self._num_features[entry_id]
-        ]
-
-    def candidate_mask(self, features: GraphFeatures) -> int:
-        """Bitmask (over dense entry positions) of :meth:`candidate_subgraphs`."""
-        mask = 0
-        for entry_id in self.candidate_subgraphs(features):
-            mask |= self._slots.bit(entry_id)
-        return mask
+        return list(self._slots.keys_of(self.candidate_mask(features)))
 
     def find_subgraphs(
         self,
@@ -101,39 +100,12 @@ class SupergraphQueryIndex(ContainmentIndex):
         """
         if not self._entries:
             return []
-        if restrict_ids is None and self.lite:
-            # A lite index has no trie for Algorithm 2's tallying; the
-            # per-entry check below is its (equivalent) filtering path.
-            restrict_ids = tuple(self._entries)
-        if restrict_ids is not None:
-            # Small explicit candidate set: Algorithm 2's tally condition
-            # (``tally == NF[g_i]``) holds exactly when every feature of the
-            # cached query occurs in ``g`` at least as often, which is
-            # checkable per entry from its own feature counts — no posting
-            # walk, O(|restrict_ids| x entry features).
-            available = features.counts
-            slots = self._slots
-            mask = 0
-            for entry_id in restrict_ids:
-                entry = self._entries.get(entry_id)
-                if entry is None:
-                    continue
-                for key, occurrences in entry.features.counts.items():
-                    if available.get(key, 0) < occurrences:
-                        break
-                else:
-                    mask |= slots.bit(entry_id)
-            if not mask:
-                return []
-            return self._verified_hits(query, mask, query_side_cache)
-        mask = self.candidate_mask(features)
+        mask = self.candidate_mask(features, restrict_ids)
+        if not mask:
+            return []
         return self._verified_hits(query, mask, query_side_cache)
 
     # ------------------------------------------------------------------
     def num_features(self, entry_id: int) -> int:
         """``NF[g_i]`` — distinct feature count of an indexed entry."""
-        return self._num_features[entry_id]
-
-    def estimated_size_bytes(self) -> int:
-        """Approximate in-memory size of the index structure (Figure 18)."""
-        return super().estimated_size_bytes() + 40 * len(self._num_features)
+        return self._entries[entry_id].features.num_distinct

@@ -469,8 +469,8 @@ class ReplicaGroup:
 
     Replicated entries are by definition identical on every holder, so
     co-resident shards (the inline backend) would otherwise maintain
-    ``num_shards`` copies of every hot entry's postings — and pay
-    ``num_shards`` trie insertions per replicate record.  Shards attached
+    ``num_shards`` copies of every hot entry's index state — and pay
+    ``num_shards`` index insertions per replicate record.  Shards attached
     to a group bind their replica store and index pair to the group's;
     :meth:`QueryIndexShard.apply` installs a replicate record only for the
     first member that sees it and removal is already lenient, so replay
@@ -487,12 +487,12 @@ class ReplicaGroup:
     ) -> None:
         self.replicas: dict[int, ShardEntry] = {}
         self.isub = (
-            SubgraphQueryIndex(verifier, compiled=compiled, lite=True)
+            SubgraphQueryIndex(verifier, compiled=compiled)
             if enable_isub
             else None
         )
         self.isuper = (
-            SupergraphQueryIndex(verifier, compiled=compiled, lite=True)
+            SupergraphQueryIndex(verifier, compiled=compiled)
             if enable_isuper
             else None
         )
@@ -568,16 +568,13 @@ class QueryIndexShard:
             self.replica_isuper = group.isuper
             return
         self._replicas = {}
-        # Replica lookups are always restricted (to the probe's cover
-        # assignment, or to the whole store), so the replica indexes are
-        # lite: no posting lists, constant-time replicate installs.
         self.replica_isub = (
-            SubgraphQueryIndex(self.verifier, compiled=self.compiled, lite=True)
+            SubgraphQueryIndex(self.verifier, compiled=self.compiled)
             if self.enable_isub
             else None
         )
         self.replica_isuper = (
-            SupergraphQueryIndex(self.verifier, compiled=self.compiled, lite=True)
+            SupergraphQueryIndex(self.verifier, compiled=self.compiled)
             if self.enable_isuper
             else None
         )
@@ -1958,7 +1955,7 @@ class ShardedIGQ(IGQ):
     def index_size_bytes(self) -> int:
         """Estimated bytes of the query index including shard structures."""
         # With shards>1 the inherited isub/isuper are None, so the parent
-        # implementation contributes exactly the cached-graph/answer bytes;
+        # implementation contributes exactly the cache-entry payload bytes;
         # the shard structures are added on top.
         total = super().index_size_bytes()
         if self.num_shards > 1:

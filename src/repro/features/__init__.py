@@ -1,9 +1,11 @@
-"""Feature extraction: paths, trees, cycles, canonical codes and the trie."""
+"""Feature extraction: paths, trees, cycles, canonical codes and the threshold index."""
 
+from .bitmaps import ThresholdBitmapIndex
 from .canonical import (
     canonical_cycle_code,
     canonical_graph_key,
     canonical_path_code,
+    canonical_path_key,
     canonical_tree_code,
     exact_graph_signature,
     tree_code_of_subtree,
@@ -18,18 +20,17 @@ from .trees import (
     tree_feature_codes,
     tree_feature_counts,
 )
-from .trie import FeatureTrie, TrieNode
 
 __all__ = [
     "FeatureExtractor",
     "FeatureKey",
     "GraphFeatures",
-    "FeatureTrie",
-    "TrieNode",
+    "ThresholdBitmapIndex",
     "PathOccurrences",
     "canonical_cycle_code",
     "canonical_graph_key",
     "canonical_path_code",
+    "canonical_path_key",
     "canonical_tree_code",
     "exact_graph_signature",
     "tree_code_of_subtree",

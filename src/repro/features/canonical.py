@@ -24,6 +24,7 @@ from collections.abc import Hashable, Sequence
 from ..graphs.graph import GraphError, LabeledGraph
 
 __all__ = [
+    "canonical_path_key",
     "canonical_path_code",
     "canonical_cycle_code",
     "canonical_tree_code",
@@ -39,11 +40,19 @@ def _join(labels: Sequence[Hashable]) -> str:
     return _SEPARATOR.join(str(label) for label in labels)
 
 
+def canonical_path_key(labels: Sequence[Hashable]) -> tuple[str, ...]:
+    """Canonical key of a label path: min(sequence, reversed sequence).
+
+    This tuple of label strings is the feature key the path extractor emits.
+    """
+    forward = tuple([str(label) for label in labels])
+    backward = forward[::-1]
+    return forward if forward <= backward else backward
+
+
 def canonical_path_code(labels: Sequence[Hashable]) -> str:
-    """Canonical code of a label path: min(sequence, reversed sequence)."""
-    forward = [str(label) for label in labels]
-    backward = list(reversed(forward))
-    return _join(min(forward, backward))
+    """:func:`canonical_path_key` joined into one string."""
+    return _SEPARATOR.join(canonical_path_key(labels))
 
 
 def canonical_cycle_code(labels: Sequence[Hashable]) -> str:

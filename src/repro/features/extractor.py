@@ -11,7 +11,7 @@ Two feature families are provided, matching the reproduced methods:
 
 ``paths``
     Every simple path up to ``max_path_length`` edges (GGSX, Grapes, and the
-    default for the iGQ ``Isuper`` trie).
+    default for the iGQ ``Isub``/``Isuper`` indexes).
 
 ``trees_cycles``
     Every tree subgraph up to ``tree_max_size`` vertices and every simple
@@ -123,8 +123,7 @@ class FeatureExtractor:
     # ------------------------------------------------------------------
     def _extract_paths(self, graph: LabeledGraph) -> GraphFeatures:
         features = GraphFeatures()
-        for code, info in path_features(graph, self.max_path_length).items():
-            key = tuple(code.split("\x1f"))
+        for key, info in path_features(graph, self.max_path_length).items():
             features.counts[key] = info.count
             features.locations[key] = frozenset(info.vertices)
         return features

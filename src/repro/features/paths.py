@@ -2,13 +2,13 @@
 
 GraphGrepSX and Grapes index *all* simple paths of the dataset graphs up to a
 maximum length (number of edges; 4 in the paper's experiments).  The same
-enumeration is reused by the iGQ ``Isuper`` index, whose Algorithm 1 inserts
-the features of every previously executed query into a trie together with
-their number of occurrences.
+enumeration is reused by the iGQ ``Isuper`` index, whose Algorithm 1 records
+the features of every previously executed query together with their number
+of occurrences.
 
 Every undirected path is counted exactly once (a path and its reverse are the
-same occurrence); the canonical label code of the path (see
-:func:`repro.features.canonical.canonical_path_code`) is the feature key.
+same occurrence); the canonical label tuple of the path (see
+:func:`repro.features.canonical.canonical_path_key`) is the feature key.
 Location information — the set of vertices participating in at least one
 occurrence of the feature — is kept as well, because Grapes uses it to
 restrict verification to the relevant region of a candidate graph.
@@ -20,7 +20,7 @@ from collections.abc import Hashable, Iterator
 from dataclasses import dataclass, field
 
 from ..graphs.graph import LabeledGraph
-from .canonical import canonical_path_code
+from .canonical import canonical_path_key
 
 __all__ = ["PathOccurrences", "enumerate_simple_paths", "path_features"]
 
@@ -89,15 +89,20 @@ def path_features(
     graph: LabeledGraph,
     max_length: int,
     min_length: int = 0,
-) -> dict[str, PathOccurrences]:
+) -> dict[tuple[str, ...], PathOccurrences]:
     """Return the path features of ``graph``.
 
-    The result maps the canonical label code of each path feature to a
+    The result maps the canonical label tuple of each path feature (the
+    value of :func:`~repro.features.canonical.canonical_path_key`) to a
     :class:`PathOccurrences` record with the occurrence count and the set of
     vertices covered by its occurrences.
     """
-    features: dict[str, PathOccurrences] = {}
+    text = {vertex: str(graph.label(vertex)) for vertex in graph.vertices()}
+    features: dict[tuple[str, ...], PathOccurrences] = {}
     for path in enumerate_simple_paths(graph, max_length, min_length=min_length):
-        code = canonical_path_code([graph.label(vertex) for vertex in path])
-        features.setdefault(code, PathOccurrences()).record(path)
+        key = canonical_path_key([text[vertex] for vertex in path])
+        occurrences = features.get(key)
+        if occurrences is None:
+            occurrences = features[key] = PathOccurrences()
+        occurrences.record(path)
     return features

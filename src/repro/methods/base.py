@@ -27,35 +27,29 @@ from abc import ABC, abstractmethod
 from collections.abc import Hashable, Iterable
 from dataclasses import dataclass, field
 
+from ..features.bitmaps import ThresholdBitmapIndex
 from ..features.extractor import FeatureExtractor, GraphFeatures
 from ..graphs.bitset import CandidateBitmap, GraphIdSpace
 from ..graphs.database import GraphDatabase
 from ..graphs.graph import LabeledGraph
 from ..isomorphism.verifier import Verifier
 
-__all__ = ["QueryResult", "SubgraphQueryMethod", "dominance_candidate_mask"]
+__all__ = ["QueryResult", "SubgraphQueryMethod"]
 
 
-def dominance_candidate_mask(trie, features: GraphFeatures, space: GraphIdSpace) -> CandidateBitmap:
-    """Occurrence-count dominance filter over a feature trie, as a bitmap.
+def _at_most_masks(sized_bits: Iterable[tuple[int, int]]) -> list[int]:
+    """``masks[n]`` = union of the bits whose size is at most ``n``.
 
-    A graph survives only if it contains every feature of ``features`` at
-    least as often (the published GGSX/Grapes filtering condition).  A query
-    with no features matches every graph.
+    Covers sizes ``0..max``; a larger ``n`` means the last mask.
     """
-    mask: int | None = None
-    for key, required in features.counts.items():
-        postings = trie.get(key)
-        matching = 0
-        for graph_id, count in postings.items():
-            if count >= required:
-                matching |= space.bit(graph_id)
-        mask = matching if mask is None else mask & matching
-        if not mask:
-            return CandidateBitmap(space, 0)
-    if mask is None:
-        mask = space.full_mask
-    return CandidateBitmap(space, mask)
+    by_size: dict[int, int] = {}
+    for size, bit in sized_bits:
+        by_size[size] = by_size.get(size, 0) | bit
+    masks, reached = [], 0
+    for size in range(max(by_size, default=0) + 1):
+        reached |= by_size.get(size, 0)
+        masks.append(reached)
+    return masks
 
 
 @dataclass
@@ -111,6 +105,13 @@ class SubgraphQueryMethod(ABC):
         #: sets produced by this method are bitmaps over this space
         self.id_space: GraphIdSpace | None = None
         self._graph_features: dict[Hashable, GraphFeatures] = {}
+        #: occurrence thresholds of the per-graph feature tables over
+        #: ``id_space`` positions — what both filtering directions read;
+        #: ``None`` until built (lazily for the scan baseline and snapshots)
+        self._feature_index: ThresholdBitmapIndex | None = None
+        #: graphs with at most n vertices / edges, indexed by n
+        self._vertices_at_most: list[int] = [0]
+        self._edges_at_most: list[int] = [0]
         #: mode -> [SharedSnapshot, refcount] of published worker snapshots
         self._shared_payloads: dict[str, list] = {}
 
@@ -121,19 +122,51 @@ class SubgraphQueryMethod(ABC):
         """Index every graph of ``database``."""
         self.database = database
         self.id_space = GraphIdSpace(database.ids())
+        bit = self.id_space.bit
+        self._vertices_at_most = _at_most_masks(
+            (graph.num_vertices, bit(graph_id)) for graph_id, graph in database.items()
+        )
+        self._edges_at_most = _at_most_masks(
+            (graph.num_edges, bit(graph_id)) for graph_id, graph in database.items()
+        )
         self._graph_features = {}
+        self._feature_index = None
         if not self.needs_graph_features:
             return
         for graph_id, graph in database.items():
             features = self.extractor.extract(graph)
             self._graph_features[graph_id] = features
             self._index_graph(graph_id, graph, features)
+        self._build_feature_index()
 
-    @abstractmethod
     def _index_graph(
         self, graph_id: Hashable, graph: LabeledGraph, features: GraphFeatures
     ) -> None:
-        """Insert one graph's features into the method's index structure."""
+        """Insert one graph into a method-specific structure (default: none;
+        the shared threshold index is maintained by :meth:`build_index`)."""
+
+    @property
+    def feature_index(self) -> ThresholdBitmapIndex:
+        """The threshold index over the dataset's feature tables.
+
+        Built on first use when :meth:`build_index` did not build it (the
+        scan baseline, worker snapshots).
+        """
+        if self._feature_index is None:
+            self._require_index()
+            self._build_feature_index()
+        return self._feature_index
+
+    def _build_feature_index(self) -> None:
+        if not self._graph_features:
+            self._graph_features = {
+                graph_id: self.extractor.extract(graph)
+                for graph_id, graph in self.database.items()
+            }
+        index = self._feature_index = ThresholdBitmapIndex()
+        bit = self.id_space.bit
+        for graph_id, features in self._graph_features.items():
+            index.add(bit(graph_id), features.counts)
 
     @abstractmethod
     def index_size_bytes(self) -> int:
@@ -156,35 +189,35 @@ class SubgraphQueryMethod(ABC):
         avoid re-extraction (the iGQ engine shares them across components).
         """
 
+    def _dominating_graphs(self, features: GraphFeatures) -> CandidateBitmap:
+        """Graphs holding every feature of ``features`` at least as often —
+        the published GGSX/Grapes condition; no features keeps every graph."""
+        space = self.id_space
+        return CandidateBitmap(
+            space, self.feature_index.at_least(features.counts, space.full_mask)
+        )
+
     def filter_supergraph_candidates(
         self, query: LabeledGraph, features: GraphFeatures | None = None
     ) -> set:
         """Candidate set for a *supergraph* query: dataset graphs that may be
         contained in ``query``.
 
-        A dataset graph survives only if every one of its features occurs in
-        the query at least as often — the mirror image of subgraph filtering,
-        computed from the per-graph feature tables kept at indexing time.
+        A dataset graph survives only if it is no larger than the query and
+        every one of its features occurs in the query at least as often —
+        the mirror image of subgraph filtering, read from the same index.
         """
         self._require_index()
         if features is None:
             features = self.extract_query_features(query)
-        if not self._graph_features:
-            # Lazily build the per-graph feature tables (scan baseline).
-            self._graph_features = {
-                graph_id: self.extractor.extract(graph)
-                for graph_id, graph in self.database.items()
-            }
-        mask = 0
-        for graph_id, graph_features in self._graph_features.items():
-            graph = self.database.get(graph_id)
-            if graph.num_vertices > query.num_vertices:
-                continue
-            if graph.num_edges > query.num_edges:
-                continue
-            if features.covers_counts_of(graph_features):
-                mask |= self.id_space.bit(graph_id)
-        return CandidateBitmap(self.id_space, mask)
+        vertices, edges = self._vertices_at_most, self._edges_at_most
+        fitting = (
+            vertices[min(query.num_vertices, len(vertices) - 1)]
+            & edges[min(query.num_edges, len(edges) - 1)]
+        )
+        if fitting:
+            fitting = self.feature_index.at_most(features.counts, fitting)
+        return CandidateBitmap(self.id_space, fitting)
 
     # ------------------------------------------------------------------
     # Verification stage
@@ -380,6 +413,7 @@ class SubgraphQueryMethod(ABC):
             )
         clone = copy.copy(self)
         clone._graph_features = {}
+        clone._feature_index = None
         # Published segments belong to the parent: the clone must neither
         # pickle their OS handles nor share the refcounts.
         clone._shared_payloads = {}

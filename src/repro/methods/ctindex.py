@@ -7,9 +7,11 @@ subgraph query with a single bitwise check: a candidate must have every bit
 of the query's bitmap set (supergraphs contain all features of their
 subgraphs, and the hash is feature-deterministic).  Verification uses VF2.
 
-The bitmap is held as a Python integer, so the filtering check is a pair of
-bitwise operations per dataset graph; the false-positive rate depends on the
-bitmap width exactly as in the original fingerprint design.
+The fingerprints are held as Python integers and, for filtering, transposed:
+one mask of dataset graphs per fingerprint bit, so the check is one bitwise
+AND per set bit of the query's fingerprint and touches no graph; the
+false-positive rate depends on the bitmap width exactly as in the original
+fingerprint design.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ import zlib
 from collections.abc import Hashable
 
 from ..features.extractor import FeatureExtractor, GraphFeatures
-from ..graphs.bitset import CandidateBitmap
+from ..graphs.bitset import CandidateBitmap, iter_bits
+from ..graphs.database import GraphDatabase
 from ..graphs.graph import LabeledGraph
 from ..isomorphism.verifier import Verifier
 from .base import SubgraphQueryMethod
@@ -52,6 +55,8 @@ class CTIndexMethod(SubgraphQueryMethod):
         self.cycle_max_length = extractor.cycle_max_length
         self.bitmap_bits = bitmap_bits
         self._bitmaps: dict[Hashable, int] = {}
+        #: fingerprint bit -> mask (over ``id_space``) of the graphs that set it
+        self._graphs_with_bit: dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # Fingerprinting
@@ -72,11 +77,24 @@ class CTIndexMethod(SubgraphQueryMethod):
     def _index_graph(
         self, graph_id: Hashable, graph: LabeledGraph, features: GraphFeatures
     ) -> None:
-        self._bitmaps[graph_id] = self.fingerprint(features)
+        bitmap = self._bitmaps[graph_id] = self.fingerprint(features)
+        graph_bit = self.id_space.bit(graph_id)
+        graphs_with_bit = self._graphs_with_bit
+        for position in iter_bits(bitmap):
+            graphs_with_bit[position] = graphs_with_bit.get(position, 0) | graph_bit
+
+    def build_index(self, database: GraphDatabase) -> None:
+        """Index every graph of ``database`` (fingerprints start afresh)."""
+        self._bitmaps = {}
+        self._graphs_with_bit = {}
+        super().build_index(database)
 
     def index_size_bytes(self) -> int:
-        # One fixed-width bitmap per graph plus a small per-entry overhead.
-        return len(self._bitmaps) * (self.bitmap_bits // 8 + 48)
+        # One fixed-width bitmap per graph and its transpose, one graph mask
+        # per used bit, each plus a small per-entry overhead.
+        return len(self._bitmaps) * (self.bitmap_bits // 8 + 48) + len(
+            self._graphs_with_bit
+        ) * (len(self._bitmaps) // 8 + 48)
 
     # ------------------------------------------------------------------
     def filter_candidates(
@@ -86,12 +104,13 @@ class CTIndexMethod(SubgraphQueryMethod):
         self._require_index()
         if features is None:
             features = self.extract_query_features(query)
-        query_bitmap = self.fingerprint(features)
         space = self.id_space
-        mask = 0
-        for graph_id, bitmap in self._bitmaps.items():
-            if bitmap & query_bitmap == query_bitmap:
-                mask |= space.bit(graph_id)
+        graphs_with_bit = self._graphs_with_bit
+        mask = space.full_mask
+        for position in iter_bits(self.fingerprint(features)):
+            mask &= graphs_with_bit.get(position, 0)
+            if not mask:
+                break
         return CandidateBitmap(space, mask)
 
     def verification_snapshot(
@@ -100,6 +119,7 @@ class CTIndexMethod(SubgraphQueryMethod):
         """Worker-side copy without the fingerprint table."""
         clone = super().verification_snapshot(supergraph=supergraph, mode=mode)
         clone._bitmaps = {}
+        clone._graphs_with_bit = {}
         return clone
 
     def graph_bitmap(self, graph_id: Hashable) -> int:

@@ -7,26 +7,24 @@ every query path occurs in a candidate at least as many times as in the
 query; verification uses VF2.
 
 This implementation stores canonical undirected path features in a
-:class:`~repro.features.trie.FeatureTrie`; the occurrence-count dominance
-check is exactly the published filtering condition.
+:class:`~repro.features.bitmaps.ThresholdBitmapIndex` (one graph mask per
+occurrence threshold of each path); the occurrence-count dominance check is
+exactly the published filtering condition.
 """
 
 from __future__ import annotations
 
-from collections.abc import Hashable
-
 from ..features.extractor import FeatureExtractor, GraphFeatures
-from ..features.trie import FeatureTrie
 from ..graphs.bitset import CandidateBitmap
 from ..graphs.graph import LabeledGraph
 from ..isomorphism.verifier import Verifier
-from .base import SubgraphQueryMethod, dominance_candidate_mask
+from .base import SubgraphQueryMethod
 
 __all__ = ["GGSXMethod"]
 
 
 class GGSXMethod(SubgraphQueryMethod):
-    """GraphGrepSX: path-trie index with occurrence-count filtering."""
+    """GraphGrepSX: path index with occurrence-count filtering."""
 
     name = "ggsx"
 
@@ -42,17 +40,9 @@ class GGSXMethod(SubgraphQueryMethod):
             )
         super().__init__(extractor, verifier)
         self.max_path_length = extractor.max_path_length
-        self._trie = FeatureTrie()
-
-    # ------------------------------------------------------------------
-    def _index_graph(
-        self, graph_id: Hashable, graph: LabeledGraph, features: GraphFeatures
-    ) -> None:
-        for key, count in features.counts.items():
-            self._trie.insert(key, graph_id, count)
 
     def index_size_bytes(self) -> int:
-        return self._trie.estimated_size_bytes()
+        return self.feature_index.size_bytes()
 
     # ------------------------------------------------------------------
     def filter_candidates(
@@ -62,17 +52,4 @@ class GGSXMethod(SubgraphQueryMethod):
         self._require_index()
         if features is None:
             features = self.extract_query_features(query)
-        return dominance_candidate_mask(self._trie, features, self.id_space)
-
-    def verification_snapshot(
-        self, supergraph: bool = False, mode: str | None = None
-    ) -> "GGSXMethod":
-        """Worker-side copy without the path trie (verify never reads it)."""
-        clone = super().verification_snapshot(supergraph=supergraph, mode=mode)
-        clone._trie = FeatureTrie()
-        return clone
-
-    @property
-    def trie(self) -> FeatureTrie:
-        """The underlying path trie (exposed for index-size reporting)."""
-        return self._trie
+        return self._dominating_graphs(features)

@@ -19,19 +19,18 @@ from __future__ import annotations
 from collections.abc import Hashable
 
 from ..features.extractor import FeatureExtractor, GraphFeatures
-from ..features.trie import FeatureTrie
 from ..graphs.bitset import CandidateBitmap
 from ..graphs.graph import LabeledGraph
 from ..graphs.traversal import connected_components, is_connected
 from ..isomorphism.compiled import masked_components, masked_edge_count
 from ..isomorphism.verifier import Verifier
-from .base import SubgraphQueryMethod, dominance_candidate_mask
+from .base import SubgraphQueryMethod
 
 __all__ = ["GrapesMethod"]
 
 
 class GrapesMethod(SubgraphQueryMethod):
-    """Grapes: path trie + location info + component-restricted verification."""
+    """Grapes: path index + location info + component-restricted verification."""
 
     name = "grapes"
 
@@ -53,22 +52,14 @@ class GrapesMethod(SubgraphQueryMethod):
         self.num_workers = num_workers
         if num_workers > 1:
             self.name = f"grapes{num_workers}"
-        self._trie = FeatureTrie()
 
     # ------------------------------------------------------------------
-    def _index_graph(
-        self, graph_id: Hashable, graph: LabeledGraph, features: GraphFeatures
-    ) -> None:
-        for key, count in features.counts.items():
-            self._trie.insert(key, graph_id, count)
-
     def index_size_bytes(self) -> int:
-        trie_bytes = self._trie.estimated_size_bytes()
         location_bytes = 0
         for features in self._graph_features.values():
             for vertices in features.locations.values():
                 location_bytes += 40 + 8 * len(vertices)
-        return trie_bytes + location_bytes
+        return self.feature_index.size_bytes() + location_bytes
 
     # ------------------------------------------------------------------
     def filter_candidates(
@@ -78,7 +69,7 @@ class GrapesMethod(SubgraphQueryMethod):
         self._require_index()
         if features is None:
             features = self.extract_query_features(query)
-        return dominance_candidate_mask(self._trie, features, self.id_space)
+        return self._dominating_graphs(features)
 
     # ------------------------------------------------------------------
     def candidate_regions(self, query_features: GraphFeatures, graph_id: Hashable) -> set:
@@ -184,7 +175,7 @@ class GrapesMethod(SubgraphQueryMethod):
     def verification_snapshot(
         self, supergraph: bool = False, mode: str | None = None
     ) -> "GrapesMethod":
-        """Worker-side copy without the trie, keeping the location tables —
+        """Worker-side copy without the path index, keeping the location tables —
         component-restricted verification reads them.  The base snapshot
         precompiles and ships the compiled representation the direction
         consumes (whole-graph bitset targets for subgraph verification —
@@ -192,10 +183,4 @@ class GrapesMethod(SubgraphQueryMethod):
         plans for the supergraph direction)."""
         clone = super().verification_snapshot(supergraph=supergraph, mode=mode)
         clone._graph_features = self._graph_features
-        clone._trie = FeatureTrie()
         return clone
-
-    @property
-    def trie(self) -> FeatureTrie:
-        """The underlying path trie (exposed for index-size reporting)."""
-        return self._trie

@@ -9,8 +9,6 @@ iGQ) must coincide with the answers of :class:`ScanMethod`.
 
 from __future__ import annotations
 
-from collections.abc import Hashable
-
 from ..features.extractor import FeatureExtractor, GraphFeatures
 from ..graphs.bitset import CandidateBitmap
 from ..graphs.graph import LabeledGraph
@@ -37,12 +35,6 @@ class ScanMethod(SubgraphQueryMethod):
             extractor if extractor is not None else FeatureExtractor(max_path_length=2),
             verifier,
         )
-
-    def _index_graph(
-        self, graph_id: Hashable, graph: LabeledGraph, features: GraphFeatures
-    ) -> None:
-        # No index structure: nothing to do.
-        return
 
     def index_size_bytes(self) -> int:
         return 0

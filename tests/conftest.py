@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import strategies as st
@@ -76,12 +77,86 @@ def random_labeled_graph(
 
 
 def index_state(index) -> dict:
-    """Observable contents of a component index (order-free, comparable)."""
+    """Observable contents of a component index (order-free, comparable).
+
+    The threshold masks of ``Isub`` are decoded back into ``{key: {entry id:
+    occurrences}}`` so an index whose slots were recycled compares equal to
+    one built from scratch.
+    """
+    postings = {}
+    thresholds = getattr(index, "_index", None)
+    if thresholds is not None:
+        for key, levels in thresholds._levels.items():
+            assert levels and levels[-1], "trailing empty threshold not trimmed"
+            per_entry = postings[key] = {}
+            for mask in levels:
+                for entry_id in index._slots.keys_of(mask):
+                    per_entry[entry_id] = per_entry.get(entry_id, 0) + 1
     return {
-        "trie": sorted(index._trie.items(), key=repr),
-        "nf": dict(getattr(index, "_num_features", {})),
+        "postings": postings,
         "entries": sorted(index._entries),
+        "live": sorted(index._slots.keys_of(index._live_mask)),
         "slots": len(index._slots),
+    }
+
+
+# ----------------------------------------------------------------------
+# Filtering oracles: the posting walks the threshold-bitmap index replaced
+# ----------------------------------------------------------------------
+
+
+def posting_lists(feature_tables) -> dict:
+    """``{key: {member: occurrences}}`` of ``{member: GraphFeatures}``."""
+    postings: dict = {}
+    for member, features in feature_tables.items():
+        for key, count in features.counts.items():
+            postings.setdefault(key, {})[member] = count
+    return postings
+
+
+def oracle_at_least(postings, members, counts) -> set:
+    """Members holding every key of ``counts`` at least as often, by walking
+    one posting list per query feature (the former trie filter)."""
+    surviving = None
+    for key, required in counts.items():
+        matching = {
+            member for member, count in postings.get(key, {}).items() if count >= required
+        }
+        surviving = matching if surviving is None else surviving & matching
+    return set(members) if surviving is None else surviving
+
+
+def oracle_tally(postings, feature_tables, counts) -> set:
+    """Algorithm 2 of the paper as written: tally a member once per query
+    feature it holds no more often, keep those tallied ``NF`` times.  (A
+    member without features is vacuously a candidate; no posting names it.)"""
+    tally: Counter = Counter()
+    for key, available in counts.items():
+        for member, occurrences in postings.get(key, {}).items():
+            if occurrences <= available:
+                tally[member] += 1
+    return {
+        member
+        for member, features in feature_tables.items()
+        if tally[member] == features.num_distinct
+    }
+
+
+def oracle_subgraph_candidates(method, features) -> set:
+    """Subgraph-query candidates of a path method, by posting walk."""
+    return oracle_at_least(
+        posting_lists(method._graph_features), method.database.ids(), features.counts
+    )
+
+
+def oracle_supergraph_candidates(method, query, features) -> set:
+    """Supergraph-query candidates, by testing every dataset graph."""
+    return {
+        graph_id
+        for graph_id, graph in method.database.items()
+        if graph.num_vertices <= query.num_vertices
+        and graph.num_edges <= query.num_edges
+        and features.covers_counts_of(method.graph_features(graph_id))
     }
 
 

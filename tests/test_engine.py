@@ -9,6 +9,7 @@ import pytest
 from repro.core import IGQ
 from repro.graphs import GraphDatabase
 from repro.isomorphism import is_subgraph_isomorphic
+from repro.isomorphism.cost import isomorphism_test_cost
 from repro.methods import CTIndexMethod, GGSXMethod, GrapesMethod, ScanMethod
 
 from .conftest import make_cycle_graph, make_path_graph, make_star_graph, random_labeled_graph
@@ -197,6 +198,48 @@ class TestComponentsAndMetadata:
         hit_entries = [entry for entry in engine.cache.entries() if entry.hits > 0]
         assert hit_entries
         assert all(entry.alleviated_cost >= 0 for entry in hit_entries)
+
+    @pytest.mark.parametrize("supergraph", [False, True])
+    def test_credits_equal_the_per_graph_cost_sum(self, supergraph):
+        """H, R and C bit for bit as summing ``isomorphism_test_cost`` graph
+        by graph in id order gives (the policy and the WAL compare floats)."""
+        database = build_database()
+        mode = "supergraph" if supergraph else "subgraph"
+        engine = IGQ(GGSXMethod(max_path_length=3), mode=mode, cache_size=12, window_size=2)
+        engine.build_index(database)
+        num_labels = max(database.num_labels, 1)
+        credited = 0
+        for query in make_queries(count=40) * 2:
+            plan = engine.plan_query(query, supergraph=supergraph, credit=False)
+            candidates = set(engine.method.id_space.to_ids(plan.candidate_mask))
+            expected = {}
+            guaranteed, restricting = plan.sub_hits, plan.super_hits
+            if supergraph:
+                guaranteed, restricting = restricting, guaranteed
+            roles = [(entry, True) for entry in guaranteed]
+            roles += [(entry, False) for entry in restricting]
+            for entry, guarantees in roles:
+                answer = set(entry.answer)
+                freed = candidates & answer if guarantees else candidates - answer
+                cost = 0.0
+                for graph_id in database.ids():
+                    if graph_id in freed:
+                        size = database.get(graph_id).num_vertices
+                        if supergraph:
+                            cost += isomorphism_test_cost(size, query.num_vertices, num_labels)
+                        else:
+                            cost += isomorphism_test_cost(query.num_vertices, size, num_labels)
+                hits, removed, total = expected.get(
+                    entry.entry_id, (entry.hits, entry.removed, entry.alleviated_cost)
+                )
+                expected[entry.entry_id] = (hits + 1, removed + len(freed), total + cost)
+            engine.apply_plan_credits(plan)
+            for entry_id, triple in expected.items():
+                entry = engine.cache.get(entry_id)
+                assert (entry.hits, entry.removed, entry.alleviated_cost) == triple
+                credited += triple[1] > 0
+            engine.complete_query(plan, engine.verify_plan(plan), 0.0)
+        assert credited
 
     def test_cache_respects_capacity(self):
         database = build_database()

@@ -12,7 +12,8 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 
-from repro.features import FeatureExtractor
+from repro.datasets.registry import load_dataset
+from repro.features import FeatureExtractor, canonical_path_code, enumerate_simple_paths
 
 from .conftest import graph_and_subgraph, make_cycle_graph, make_path_graph, make_star_graph
 
@@ -57,6 +58,24 @@ class TestPathFeatures:
         extractor = FeatureExtractor(max_path_length=1)
         features = extractor.extract(make_path_graph("AB"))
         assert features.keys() == {("A",), ("B",), ("A", "B")}
+
+    @pytest.mark.parametrize("dataset", ["aids", "pdbs"])
+    def test_keys_equal_the_string_code_round_trip(self, dataset):
+        """The tuple keys are what splitting ``canonical_path_code`` gave:
+        same keys, counts and locations, in the same insertion order."""
+        extractor = FeatureExtractor(max_path_length=3)
+        for _, graph in list(load_dataset(dataset, scale=0.05).items())[:6]:
+            counts, locations = {}, {}
+            for path in enumerate_simple_paths(graph, extractor.max_path_length):
+                code = canonical_path_code([graph.label(vertex) for vertex in path])
+                key = tuple(code.split("\x1f"))
+                counts[key] = counts.get(key, 0) + 1
+                locations.setdefault(key, set()).update(path)
+            features = extractor.extract(graph)
+            assert list(features.counts.items()) == list(counts.items())
+            assert list(features.locations.items()) == [
+                (key, frozenset(vertices)) for key, vertices in locations.items()
+            ]
 
 
 class TestTreeCycleFeatures:

@@ -78,6 +78,18 @@ class TestFindSupergraphs:
             }
             assert found == expected
 
+    def test_restrict_ids_limits_the_lookup(self):
+        cache, index = build_index(
+            [make_cycle_graph("ABCD"), make_path_graph("ABC"), make_path_graph("ABCD")]
+        )
+        query = make_path_graph("ABC")
+        features = EXTRACTOR.extract(query)
+        ids = [entry.entry_id for entry in index.find_supergraphs(query, features)]
+        assert ids == cache.entry_ids()
+        for subset in ([], ids[:1], ids[1:], [ids[2], 999]):
+            hits = index.find_supergraphs(query, features, restrict_ids=subset)
+            assert [entry.entry_id for entry in hits] == [i for i in ids if i in subset]
+
     @settings(max_examples=25, deadline=None)
     @given(labeled_graphs(max_vertices=5), labeled_graphs(max_vertices=6))
     def test_agrees_with_direct_isomorphism(self, query, cached_graph):

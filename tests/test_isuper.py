@@ -69,6 +69,18 @@ class TestAlgorithm2:
         features = EXTRACTOR.extract(query)
         assert index.candidate_subgraphs(features) == []
 
+    def test_restrict_ids_limits_the_lookup(self):
+        cache, index = build_index(
+            [make_path_graph("AB"), make_path_graph("ABC"), make_path_graph("BC")]
+        )
+        query = make_cycle_graph("ABCD")
+        features = EXTRACTOR.extract(query)
+        ids = [entry.entry_id for entry in index.find_subgraphs(query, features)]
+        assert ids == cache.entry_ids()
+        for subset in ([], ids[:1], ids[1:], [ids[2], 999]):
+            hits = index.find_subgraphs(query, features, restrict_ids=subset)
+            assert [entry.entry_id for entry in hits] == [i for i in ids if i in subset]
+
     def test_find_subgraphs_verifies_candidates(self):
         cache, index = build_index(
             [make_path_graph("AB"), make_cycle_graph("ABC"), make_clique("ABCD")]
@@ -127,7 +139,6 @@ class TestMaintenance:
         graph = make_cycle_graph("ABC")
         index.add(cache.add(graph, EXTRACTOR.extract(graph), frozenset()))
         assert len(index) == 2
-        # NF bookkeeping (Algorithm 1) follows the entries in and out.
         assert index_state(index) == index_state(oracle_index(index, cache))
 
     def test_size_estimate(self):

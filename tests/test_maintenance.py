@@ -23,7 +23,15 @@ from repro.features import FeatureExtractor
 from repro.graphs import GraphDatabase
 from repro.methods import GGSXMethod
 
-from .conftest import index_state, make_path_graph, oracle_index, random_labeled_graph
+from .conftest import (
+    index_state,
+    make_path_graph,
+    oracle_at_least,
+    oracle_index,
+    oracle_tally,
+    posting_lists,
+    random_labeled_graph,
+)
 
 EXTRACTOR = FeatureExtractor(max_path_length=2)
 
@@ -189,8 +197,19 @@ class TestIncrementalFlushProperties:
                 assert seen[evicted].compiled_plan is None
             assert sum(e.compiled_target is not None for e in seen.values()) <= capacity
             assert sum(e.compiled_plan is not None for e in seen.values()) <= capacity
+            tables = {entry.entry_id: entry.features for entry in engine.cache.entries()}
+            postings = posting_lists(tables)
+            isub = engine.isub
             for probe in pool:
                 features = engine.method.extract_query_features(probe)
+                # The candidate filters against the posting walks they replaced.
+                dominating = isub._index.at_least(features.counts, isub._live_mask)
+                assert set(isub._slots.keys_of(dominating)) == oracle_at_least(
+                    postings, tables, features.counts
+                )
+                assert set(engine.isuper.candidate_subgraphs(features)) == oracle_tally(
+                    postings, tables, features.counts
+                )
                 for hits, oracle_hits in (
                     (
                         engine.isub.find_supergraphs(probe, features),
@@ -207,7 +226,7 @@ class TestIncrementalFlushProperties:
         assert flushes == scenario["length"] // scenario["window_size"]
 
     def test_steady_state_across_1k_flushes(self):
-        """Recycled slots and pruned branches: nothing grows with history."""
+        """Recycled slots and trimmed thresholds: nothing grows with history."""
         capacity, window = 8, 2
         rng = random.Random(7)
         maintenance = IndexMaintenance(cache_size=capacity, window_size=window)
@@ -227,6 +246,5 @@ class TestIncrementalFlushProperties:
                 assert len(index._slots._order) <= capacity
                 if flush % 100 == 99:
                     oracle = oracle_index(index, cache)
-                    assert index._trie.num_nodes() == oracle._trie.num_nodes()
                     assert index_state(index) == index_state(oracle)
         assert len(cache) == len(isub) == len(isuper) == capacity

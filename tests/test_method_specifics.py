@@ -1,4 +1,4 @@
-"""Method-specific behaviour: GGSX trie, Grapes locations, CT-Index bitmaps."""
+"""Method-specific behaviour: GGSX path index, Grapes locations, CT-Index bitmaps."""
 
 from __future__ import annotations
 
@@ -42,10 +42,10 @@ class TestGGSX:
         method.build_index(database)
         assert method.filter_candidates(LabeledGraph()) == set(database.ids())
 
-    def test_trie_is_exposed(self):
+    def test_feature_index_is_exposed(self):
         method = GGSXMethod(max_path_length=2)
         method.build_index(containment_database())
-        assert method.trie.num_features > 0
+        assert len(method.feature_index) > 0
         assert method.index_size_bytes() > 0
 
     def test_custom_extractor(self):

@@ -16,7 +16,14 @@ from repro.graphs import GraphDatabase
 from repro.isomorphism import is_subgraph_isomorphic
 from repro.methods import available_methods, create_method
 
-from .conftest import make_cycle_graph, make_path_graph, make_star_graph, random_labeled_graph
+from .conftest import (
+    make_cycle_graph,
+    make_path_graph,
+    make_star_graph,
+    oracle_subgraph_candidates,
+    oracle_supergraph_candidates,
+    random_labeled_graph,
+)
 
 METHOD_NAMES = ("scan", "ggsx", "grapes", "grapes6", "ctindex")
 
@@ -123,3 +130,43 @@ class TestSupergraphQueries:
             truth = brute_force_supergraph_answers(database, query)
             result = built_method.supergraph_query(query)
             assert result.answers == truth, built_method.name
+
+
+class TestFiltersMatchOracles:
+    """The bitmap filters keep exactly the graphs the posting walk and the
+    per-graph loops they replaced kept — equality, not just completeness."""
+
+    @staticmethod
+    def probes(database):
+        rng = random.Random(11)
+        larger = [
+            random_labeled_graph(rng, rng.randint(6, 12), 0.3, labels="ABC") for _ in range(8)
+        ]
+        return small_queries() + larger + [graph for _, graph in database.items()]
+
+    def test_subgraph_candidates(self, built_method, database):
+        for query in self.probes(database):
+            features = built_method.extract_query_features(query)
+            candidates = built_method.filter_candidates(query, features=features)
+            if built_method.name == "scan":
+                continue
+            if built_method.name == "ctindex":
+                wanted = built_method.fingerprint(features)
+                expected = {
+                    graph_id
+                    for graph_id in database.ids()
+                    if built_method.graph_bitmap(graph_id) & wanted == wanted
+                }
+            else:
+                expected = oracle_subgraph_candidates(built_method, features)
+            assert set(candidates) == expected, built_method.name
+
+    def test_supergraph_candidates(self, built_method, database):
+        nonempty = 0
+        for query in self.probes(database):
+            features = built_method.extract_query_features(query)
+            candidates = built_method.filter_supergraph_candidates(query, features=features)
+            expected = oracle_supergraph_candidates(built_method, query, features)
+            assert set(candidates) == expected, built_method.name
+            nonempty += bool(expected)
+        assert nonempty

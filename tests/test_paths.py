@@ -66,26 +66,20 @@ class TestEnumeration:
 class TestPathFeatures:
     def test_counts_on_known_graph(self):
         features = path_features(make_path_graph("ABA"), max_length=2)
-        by_code = {code: info.count for code, info in features.items()}
+        by_key = {key: info.count for key, info in features.items()}
         # Features: single labels A (x2), B (x1); edges A-B (x2); path A-B-A (x1).
-        sep = "\x1f"
-        assert by_code[f"A"] == 2
-        assert by_code[f"B"] == 1
-        assert by_code[f"A{sep}B"] == 2
-        assert by_code[f"A{sep}B{sep}A"] == 1
+        assert by_key == {("A",): 2, ("B",): 1, ("A", "B"): 2, ("A", "B", "A"): 1}
 
     def test_locations_cover_occurrence_vertices(self):
         features = path_features(make_star_graph("A", "BB"), max_length=1)
-        sep = "\x1f"
-        info = features[f"A{sep}B"]
+        info = features[("A", "B")]
         assert info.count == 2
         assert info.vertices == {0, 1, 2}
 
     def test_clique_feature_counts(self):
         features = path_features(make_clique("AAA"), max_length=1)
-        sep = "\x1f"
-        assert features["A"].count == 3
-        assert features[f"A{sep}A"].count == 3
+        assert features[("A",)].count == 3
+        assert features[("A", "A")].count == 3
 
     @settings(max_examples=25, deadline=None)
     @given(labeled_graphs(max_vertices=6))
