@@ -234,11 +234,12 @@ class ContainmentIndex:
         """In-memory size of the index structure (Figure 18).
 
         Here the entry store; a direction adds what its candidate filter
-        keeps.  The cached graphs and their feature tables are accounted for
-        with the cache (:meth:`repro.core.engine.IGQ.index_size_bytes`), and
-        the compiled per-entry state is a performance cache, excluded for
-        parity with the dataset-side compiled caches (which Figure 18's
-        index-size comparison also excludes).
+        keeps.  The cached graphs and answers are accounted for with the
+        cache (:meth:`repro.core.engine.IGQ.index_size_bytes`); the feature
+        tables the entries carry are not counted (they never were), and the
+        compiled per-entry state is a performance cache, excluded for parity
+        with the dataset-side compiled caches (which Figure 18's index-size
+        comparison also excludes).
         """
         return sys.getsizeof(self._entries)
 

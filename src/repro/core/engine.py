@@ -22,7 +22,6 @@ candidate set from above.
 from __future__ import annotations
 
 import os
-import sys
 import tempfile
 import time
 import warnings
@@ -925,15 +924,10 @@ class IGQ:
             total += self.isub.estimated_size_bytes()
         if self.isuper is not None:
             total += self.isuper.estimated_size_bytes()
-        getsizeof = sys.getsizeof
         for entry in self.cache.entries():
             graph = entry.graph
             total += 80 + 56 * graph.num_vertices + 48 * graph.num_edges
             total += 40 + 8 * len(entry.answer)
-            # Algorithm 1's {feature, occurrences} pairs, kept per entry:
-            # what Isuper filters on and what Isub's index is built from.
-            counts = entry.features.counts
-            total += getsizeof(counts) + sum(map(getsizeof, counts))
         return total
 
     def __repr__(self) -> str:

@@ -1955,7 +1955,7 @@ class ShardedIGQ(IGQ):
     def index_size_bytes(self) -> int:
         """Estimated bytes of the query index including shard structures."""
         # With shards>1 the inherited isub/isuper are None, so the parent
-        # implementation contributes exactly the cache-entry payload bytes;
+        # implementation contributes exactly the cached-graph/answer bytes;
         # the shard structures are added on top.
         total = super().index_size_bytes()
         if self.num_shards > 1:

@@ -131,19 +131,8 @@ class SubgraphQueryMethod(ABC):
         )
         self._graph_features = {}
         self._feature_index = None
-        if not self.needs_graph_features:
-            return
-        for graph_id, graph in database.items():
-            features = self.extractor.extract(graph)
-            self._graph_features[graph_id] = features
-            self._index_graph(graph_id, graph, features)
-        self._build_feature_index()
-
-    def _index_graph(
-        self, graph_id: Hashable, graph: LabeledGraph, features: GraphFeatures
-    ) -> None:
-        """Insert one graph into a method-specific structure (default: none;
-        the shared threshold index is maintained by :meth:`build_index`)."""
+        if self.needs_graph_features:
+            self._build_feature_index()
 
     @property
     def feature_index(self) -> ThresholdBitmapIndex:

@@ -54,7 +54,6 @@ class CTIndexMethod(SubgraphQueryMethod):
         self.tree_max_size = extractor.tree_max_size
         self.cycle_max_length = extractor.cycle_max_length
         self.bitmap_bits = bitmap_bits
-        self._bitmaps: dict[Hashable, int] = {}
         #: fingerprint bit -> mask (over ``id_space``) of the graphs that set it
         self._graphs_with_bit: dict[int, int] = {}
 
@@ -74,27 +73,21 @@ class CTIndexMethod(SubgraphQueryMethod):
         return bitmap
 
     # ------------------------------------------------------------------
-    def _index_graph(
-        self, graph_id: Hashable, graph: LabeledGraph, features: GraphFeatures
-    ) -> None:
-        bitmap = self._bitmaps[graph_id] = self.fingerprint(features)
-        graph_bit = self.id_space.bit(graph_id)
-        graphs_with_bit = self._graphs_with_bit
-        for position in iter_bits(bitmap):
-            graphs_with_bit[position] = graphs_with_bit.get(position, 0) | graph_bit
-
     def build_index(self, database: GraphDatabase) -> None:
-        """Index every graph of ``database`` (fingerprints start afresh)."""
-        self._bitmaps = {}
-        self._graphs_with_bit = {}
+        """Index every graph of ``database`` and transpose the fingerprints."""
         super().build_index(database)
+        graph_bit = self.id_space.bit
+        graphs_with_bit: dict[int, int] = {}
+        for graph_id, features in self._graph_features.items():
+            bit = graph_bit(graph_id)
+            for position in iter_bits(self.fingerprint(features)):
+                graphs_with_bit[position] = graphs_with_bit.get(position, 0) | bit
+        self._graphs_with_bit = graphs_with_bit
 
     def index_size_bytes(self) -> int:
-        # One fixed-width bitmap per graph and its transpose, one graph mask
-        # per used bit, each plus a small per-entry overhead.
-        return len(self._bitmaps) * (self.bitmap_bits // 8 + 48) + len(
-            self._graphs_with_bit
-        ) * (len(self._bitmaps) // 8 + 48)
+        # One mask of dataset graphs per used fingerprint bit, plus a small
+        # per-entry overhead.
+        return len(self._graphs_with_bit) * (len(self._graph_features) // 8 + 48)
 
     # ------------------------------------------------------------------
     def filter_candidates(
@@ -118,11 +111,10 @@ class CTIndexMethod(SubgraphQueryMethod):
     ) -> "CTIndexMethod":
         """Worker-side copy without the fingerprint table."""
         clone = super().verification_snapshot(supergraph=supergraph, mode=mode)
-        clone._bitmaps = {}
         clone._graphs_with_bit = {}
         return clone
 
     def graph_bitmap(self, graph_id: Hashable) -> int:
-        """The stored fingerprint of an indexed graph."""
+        """The fingerprint of an indexed graph."""
         self._require_index()
-        return self._bitmaps[graph_id]
+        return self.fingerprint(self._graph_features[graph_id])
