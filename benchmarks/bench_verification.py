@@ -3,34 +3,26 @@
 Two measurements over the same synthetic Zipf workload:
 
 1. **Verification stage** — each query is filtered once; its candidate set
-   is then verified against fresh verifiers on up to five paths: the PR-1
+   is then verified against fresh verifiers on up to four paths: the PR-1
    baseline (``Verifier(compiled=False, precheck=False)`` — a dict-based
    ``VF2Matcher`` per pair, no early-fail check), the compiled bigint
    kernel (``kernel="bigint"``: query plan compiled once, database-cached
    bitset targets, signature pre-check), the native C kernel
-   (``kernel="native"``, when the shared library compiles/loads), the
-   production path (``kernel="auto"``: batched ``DatasetSignatures``
-   pre-reject plus whatever per-pair backend ``resolve_kernel`` picks in
-   this process — native when loadable, else the PR-6 cost model) and —
-   when numpy >= 2.0 is importable — the forced array kernel
-   (``kernel="numpy"``, *informational only*: per-pair numpy dispatch
-   loses to CPython's C-loop bigint bitops on real workload sizes — see
-   ``docs/performance.md``).  All answers must be byte-identical; the
-   run **fails** on divergence, if the bigint speedup falls below the
+   (``kernel="native"``: one call per query, when the shared library
+   compiles/loads) and the production path (``kernel="auto"``: the
+   native kernel when loadable, else the bigint loop behind the batched
+   ``DatasetSignatures`` pre-reject).  All answers must be byte-identical;
+   the run **fails** on divergence, if the bigint speedup falls below the
    gate (default 1.5x), or if the production path's speedup over the
    uncompiled baseline falls below its own gate (default 2.0x, skipped
    when the path degenerates to bigint).  Pure-CPU comparisons, so the
    gates hold on any machine.
 
    When the native kernel is loadable a third gate compares it against
-   the bigint kernel it replaces *at kernel granularity*: every unique
-   ``(plan, target)`` pair of the corpus is swept through
-   ``compiled_has_embedding`` under both backends (answers must agree
-   pair by pair) and the native kernel must win by at least 2.0x.  The
-   end-to-end per-path verify times above are reported alongside but not
-   gated on the native/bigint ratio — at a few microseconds per pair the
-   shared Python dispatch floors that ratio and scheduler noise swamps
-   it, while the kernel-to-kernel sweep is stable on a loaded machine.
+   the bigint kernel it replaces *at kernel granularity*: the corpus'
+   unique ``(plan, target)`` pairs are swept through ``match_pairs``, one
+   batch per plan, under both backends (answers must agree pair by pair)
+   and the native kernel must win by at least 2.0x.
 
 2. **Pipelined planner** — the full query stream is run through
    ``IGQ.run_batch`` with the worker pool, once with ``pipeline=False`` and
@@ -66,8 +58,9 @@ from repro.core import (  # noqa: E402
 from repro.datasets.registry import load_dataset  # noqa: E402
 from repro.isomorphism import (  # noqa: E402
     Verifier,
+    match_pairs,
     native_kernel_available,
-    numpy_kernel_available,
+    numpy_available,
 )
 from repro.methods import create_method  # noqa: E402
 from repro.workloads.generator import QueryGenerator, WorkloadSpec  # noqa: E402
@@ -109,14 +102,10 @@ def bench_verification_stage(database, stream, method_name: str, repeats: int = 
         methods["native"] = build_method(
             database, method_name, Verifier(kernel="native")
         )
-    if native_kernel_available() or numpy_kernel_available():
-        # "auto" is the production path: batched prereject + whatever
-        # per-pair backend resolve_kernel picks here (native > cost model).
+    if native_kernel_available() or numpy_available():
+        # "auto" is the production path: the native kernel, or the bigint
+        # loop behind the batched prereject.
         methods["auto"] = build_method(database, method_name, Verifier(kernel="auto"))
-    if numpy_kernel_available():
-        # "numpy" forces the array kernel per pair and is reported for the
-        # record, not gated.
-        methods["numpy"] = build_method(database, method_name, Verifier(kernel="numpy"))
     database.precompile()
 
     # One untimed sweep over the distinct queries per path: plan memos,
@@ -156,7 +145,7 @@ def bench_verification_stage(database, stream, method_name: str, repeats: int = 
     baseline_seconds = seconds["baseline"]
     result = {
         "verification_tests": tests,
-        "numpy_kernel_available": numpy_kernel_available(),
+        "numpy_available": numpy_available(),
         "native_kernel_available": native_kernel_available(),
         "baseline_verify_seconds": round(baseline_seconds, 4),
         "compiled_verify_seconds": round(seconds["bigint"], 4),
@@ -175,16 +164,11 @@ def bench_verification_stage(database, stream, method_name: str, repeats: int = 
         )
     if "auto" in seconds:
         result["auto_resolved_kernel"] = (
-            "native" if native_kernel_available() else "cost-model"
+            "native" if native_kernel_available() else "bigint"
         )
         result["auto_verify_seconds"] = round(seconds["auto"], 4)
         result["auto_verification_speedup"] = round(
             baseline_seconds / max(seconds["auto"], 1e-9), 3
-        )
-    if "numpy" in seconds:
-        result["numpy_forced_verify_seconds"] = round(seconds["numpy"], 4)
-        result["numpy_forced_speedup"] = round(
-            baseline_seconds / max(seconds["numpy"], 1e-9), 3
         )
     return result
 
@@ -192,22 +176,18 @@ def bench_verification_stage(database, stream, method_name: str, repeats: int = 
 def bench_native_kernel(method, database, stream, candidate_lists, repeats: int) -> dict:
     """Kernel-granularity comparison: native vs bigint over the corpus pairs.
 
-    Sweeps every unique ``(plan, target)`` pair through
-    ``compiled_has_embedding`` with each backend forced (pre-check skipped,
-    so the measured work is exactly the search the backends implement),
+    Sweeps every unique ``(plan, target)`` pair through ``match_pairs`` —
+    one batch per plan, as production verifies — with each backend forced,
     keeping the minimum over ``repeats`` timed multi-pass sweeps.  Both
     backends must agree on every pair.
     """
-    from repro.isomorphism.compiled import compiled_has_embedding
-
-    pairs = []
-    seen = set()
+    batches = {}
     for query, candidates in zip(stream, candidate_lists):
         plan = method.verifier.compile_pattern(query)
-        for graph_id in candidates:
-            if (id(plan), graph_id) not in seen:
-                seen.add((id(plan), graph_id))
-                pairs.append((plan, database.compiled_target(graph_id)))
+        batches.setdefault(id(plan), (plan, {}))[1].update(
+            (graph_id, database.compiled_target(graph_id)) for graph_id in candidates
+        )
+    batches = [(plan, list(targets.values())) for plan, targets in batches.values()]
 
     passes = 5
     seconds = {}
@@ -218,14 +198,13 @@ def bench_native_kernel(method, database, stream, candidate_lists, repeats: int)
             start = time.perf_counter()
             for _ in range(passes):
                 answers = [
-                    compiled_has_embedding(plan, target, kernel=kernel, prechecked=True)
-                    for plan, target in pairs
+                    match_pairs(plan, targets, kernel=kernel)[0] for plan, targets in batches
                 ]
             best = min(best or float("inf"), time.perf_counter() - start)
         seconds[kernel] = best
         verdicts[kernel] = answers
     return {
-        "kernel_sweep_pairs": len(pairs),
+        "kernel_sweep_pairs": sum(len(targets) for _, targets in batches),
         "kernel_bigint_seconds": round(seconds["bigint"], 4),
         "kernel_native_seconds": round(seconds["native"], 4),
         "native_kernel_speedup": round(
@@ -325,13 +304,11 @@ def main(argv=None) -> int:
     parser.add_argument("--min-speedup", type=float, default=1.5)
     parser.add_argument(
         "--min-auto-speedup",
-        "--min-numpy-speedup",
-        dest="min_auto_speedup",
         type=float,
         default=2.0,
         help="gate on the kernel='auto' production path vs the uncompiled "
-        "baseline (skipped when neither the native library nor numpy >= 2.0 "
-        "is available)",
+        "baseline (skipped when neither the native library nor numpy is "
+        "available)",
     )
     parser.add_argument(
         "--min-native-speedup",
@@ -371,7 +348,7 @@ def main(argv=None) -> int:
             failed = True
     else:
         print(
-            "note: neither native library nor numpy >= 2.0 available; "
+            "note: neither native library nor numpy available; "
             "kernel='auto' leg skipped",
             file=sys.stderr,
         )
@@ -388,8 +365,6 @@ def main(argv=None) -> int:
             failed = True
     else:
         print("note: native library unavailable; native-kernel leg skipped", file=sys.stderr)
-    if "numpy_forced_speedup" not in result:
-        print("note: numpy >= 2.0 unavailable; forced numpy leg skipped", file=sys.stderr)
     if not result["pipeline_answers_identical"] or not result["pipeline_cache_state_identical"]:
         print("FAIL: pipelined planner diverges from the non-pipelined run", file=sys.stderr)
         failed = True

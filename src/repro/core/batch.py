@@ -256,34 +256,29 @@ def _run_verify_chunk(
     candidate_ids: list,
     supergraph: bool,
     features: GraphFeatures | None,
-) -> tuple[list, int, int, list[float], str]:
+) -> tuple[list, int, int, float, str]:
     """Verify one chunk against ``method``.
 
-    Returns the answers plus the verifier-stat deltas the chunk produced:
-    positives, negatives and the per-test timing samples (whose length is
-    the test count and whose sum is the time delta — the parent folds them
-    back so the :class:`VerifierStats` invariants hold after a batch).  The
-    final element names the kernel backend this worker process actually
-    resolved — answers are backend-independent, but a worker that fell back
-    to ``"bigint"`` (native library unloadable in the fresh process) must
-    be *visible* in the folded statistics, not silently slower.
+    Returns the answers plus the verifier-stat deltas the chunk produced —
+    positives, negatives (their sum is the test count) and seconds — which
+    the parent folds back so the :class:`VerifierStats` invariants hold
+    after a batch.  The final element names the kernel backend this worker
+    process actually resolved — answers are backend-independent, but a
+    worker that fell back to ``"bigint"`` (native library unloadable in the
+    fresh process) must be *visible* in the folded statistics, not silently
+    slower.
     """
     stats = method.verifier.stats
-    positives, negatives = stats.positives, stats.negatives
-    samples_before = len(stats.per_test_seconds)
+    positives, negatives, seconds = stats.positives, stats.negatives, stats.total_seconds
     if supergraph:
         answers = method.verify_supergraph(query, candidate_ids, features=features)
     else:
         answers = method.verify(query, candidate_ids, features=features)
-    samples = stats.per_test_seconds[samples_before:]
-    # Keep the long-lived worker's sample list from growing without bound;
-    # the parent re-appends the samples to its own stats.
-    del stats.per_test_seconds[samples_before:]
     return (
         list(answers),
         stats.positives - positives,
         stats.negatives - negatives,
-        samples,
+        stats.total_seconds - seconds,
         method.verifier.resolved_kernel_name(),
     )
 
@@ -293,7 +288,7 @@ def _process_verify_chunk(
     candidate_ids: list,
     supergraph: bool,
     features: GraphFeatures | None,
-) -> tuple[list, int, int, list[float], str]:
+) -> tuple[list, int, int, float, str]:
     """Process-pool entry point: verify against the worker's method snapshot."""
     return _run_verify_chunk(_WORKER_METHOD, query, candidate_ids, supergraph, features)
 
@@ -304,7 +299,7 @@ def _thread_verify_chunk(
     candidate_ids: list,
     supergraph: bool,
     features: GraphFeatures | None,
-) -> tuple[list, int, int, list[float], str]:
+) -> tuple[list, int, int, float, str]:
     """Thread-pool entry point.
 
     Threads share the index structures (read-only during querying) but each
@@ -317,16 +312,6 @@ def _thread_verify_chunk(
     clone = copy.copy(method)
     clone.verifier = method.verifier.fresh_clone()
     return _run_verify_chunk(clone, query, candidate_ids, supergraph, features)
-
-
-@dataclass
-class _ChunkOutcome:
-    """Merged result of all verification chunks of one query."""
-
-    answers: set = field(default_factory=set)
-    positives: int = 0
-    negatives: int = 0
-    per_test_seconds: list[float] = field(default_factory=list)
 
 
 @dataclass
@@ -355,7 +340,6 @@ class _VerifierStatsMark:
     positives: int
     negatives: int
     total_seconds: float
-    num_samples: int
 
     @classmethod
     def capture(cls, stats) -> "_VerifierStatsMark":
@@ -364,7 +348,6 @@ class _VerifierStatsMark:
             positives=stats.positives,
             negatives=stats.negatives,
             total_seconds=stats.total_seconds,
-            num_samples=len(stats.per_test_seconds),
         )
 
     def rollback(self, stats) -> None:
@@ -372,7 +355,6 @@ class _VerifierStatsMark:
         stats.positives = self.positives
         stats.negatives = self.negatives
         stats.total_seconds = self.total_seconds
-        del stats.per_test_seconds[self.num_samples:]
 
 
 class BatchExecutor:
@@ -811,22 +793,21 @@ class BatchExecutor:
 
     def _collect_chunks(self, futures: list) -> set:
         """Merge chunk results and fold the worker stats into the parent."""
-        outcome = _ChunkOutcome()
+        merged: set = set()
         worker_kernels = self.stats.worker_kernels
-        for future in futures:
-            answers, positives, negatives, per_test_seconds, kernel = future.result()
-            outcome.answers.update(answers)
-            outcome.positives += positives
-            outcome.negatives += negatives
-            outcome.per_test_seconds.extend(per_test_seconds)
-            worker_kernels[kernel] = worker_kernels.get(kernel, 0) + 1
         stats = self.method.verifier.stats
-        stats.tests += len(outcome.per_test_seconds)
-        stats.positives += outcome.positives
-        stats.negatives += outcome.negatives
-        stats.total_seconds += sum(outcome.per_test_seconds)
-        stats.per_test_seconds.extend(outcome.per_test_seconds)
-        return outcome.answers
+        # collect everything first: a failed chunk must not leave the
+        # statistics half-folded
+        for answers, positives, negatives, seconds, kernel in [
+            future.result() for future in futures
+        ]:
+            merged.update(answers)
+            stats.tests += positives + negatives
+            stats.positives += positives
+            stats.negatives += negatives
+            stats.total_seconds += seconds
+            worker_kernels[kernel] = worker_kernels.get(kernel, 0) + 1
+        return merged
 
 
 def default_num_workers() -> int:

@@ -76,7 +76,7 @@ def validate_query_mode(mode: str) -> str:
     return mode
 
 _ALGORITHMS = ("vf2", "ullmann")
-_KERNELS = ("auto", "bigint", "numpy", "native")
+_KERNELS = ("auto", "bigint", "native")
 _POLICIES = ("utility", "hit_rate", "fifo")
 _BATCH_BACKENDS = ("auto", "sequential", "thread", "process")
 _SHARD_BACKENDS = ("auto", "inline", "process")
@@ -176,13 +176,11 @@ class VerifierConfig:
     #: compiled containment layer of the two component indexes (query-vs-query
     #: containment on the bitset kernel; ``False`` restores the dict matcher)
     igq_compiled: bool = True
-    #: compiled-kernel backend (``"auto"`` | ``"bigint"`` | ``"numpy"`` |
-    #: ``"native"``): ``"bigint"`` is the pure-Python bitmask loop,
-    #: ``"numpy"`` the vectorised uint64 word-array kernel (bigint fallback
-    #: when numpy is absent), ``"native"`` the C inner loop (bigint fallback
-    #: when the shared library cannot be built or loaded), ``"auto"`` native
-    #: when loadable and a per-target cost model otherwise; answers are
-    #: identical under every choice
+    #: compiled-kernel backend (``"auto"`` | ``"bigint"`` | ``"native"``):
+    #: ``"bigint"`` is the pure-Python bitmask loop, ``"native"`` the C
+    #: kernel, one call per query (bigint fallback when the shared library
+    #: cannot be built or loaded), ``"auto"`` native when loadable and
+    #: bigint otherwise; answers are identical under every choice
     kernel: str = "auto"
 
     def __post_init__(self) -> None:

@@ -20,13 +20,13 @@ factors out everything the two directions share:
   against the new query compiled once per lookup as the target).  The
   compiled objects live on the :class:`~repro.core.cache.CacheEntry` itself,
   so they survive every window flush untouched and eviction releases them;
-* **verification dispatch** — one loop over the surviving candidates that
-  applies the size pre-checks and routes each pair through the compiled
-  bitset kernel (with its signature pre-reject) or, when the verifier is
-  configured for the dict-based path (``compiled=False`` — the A/B
-  baseline), through :meth:`Verifier.is_subgraph` exactly as before.  Both
-  routes count one test per pair, so the paper's metrics are
-  path-independent.
+* **verification dispatch** — the size pre-checks pick the surviving
+  candidates, and all of them go through the compiled bitset kernel in one
+  :meth:`Verifier.verify_pairs` call (signature pre-reject, then search,
+  per pair) or, when the verifier is configured for the dict-based path
+  (``compiled=False`` — the A/B baseline), through
+  :meth:`Verifier.is_subgraph` pair by pair exactly as before.  Both routes
+  count one test per pair, so the paper's metrics are path-independent.
 
 The subclasses only keep what is genuinely direction-specific: the candidate
 *filtering* rule — ``Isub`` asks a threshold-bitmap index which entries
@@ -37,6 +37,7 @@ condition per entry with an early exit.
 from __future__ import annotations
 
 import sys
+from itertools import compress
 from operator import attrgetter
 
 from ..graphs.bitset import DensePositions
@@ -157,13 +158,13 @@ class ContainmentIndex:
 
         Applies the direction's size pre-checks (not counted as tests, as
         before), then one counted containment test per surviving pair —
-        through the compiled kernel when enabled, through the graph-based
-        matcher otherwise.  The query-side compiled representation (plan for
-        ``Isub``, target for ``Isuper``) is built lazily on the first pair
-        and shared by the whole lookup; a caller probing several same-
-        direction indexes for one query (the sharded runtime) passes a
-        ``query_side_cache`` dict so the compile happens once across all of
-        them.  Hits come back in ascending ``entry_id`` — cache insertion
+        all pairs in one kernel call when the compiled path is enabled, pair
+        by pair through the graph-based matcher otherwise.  The query-side
+        compiled representation (plan for ``Isub``, target for ``Isuper``)
+        is built only when a pair survives and shared by the whole lookup;
+        a caller probing several same-direction indexes for one query (the
+        sharded runtime) passes a ``query_side_cache`` dict so the compile
+        happens once across all of them.  Hits come back in ascending ``entry_id`` — cache insertion
         order — whatever slots the entries occupy: recycled slots make
         position order meaningless, and exact-repeat detection, the §5.1
         credits and the sharded merge all depend on the sequence.
@@ -173,56 +174,43 @@ class ContainmentIndex:
         the method interface is not worth the coupling.)
         """
         verifier = self.verifier
-        compiled = self.use_compiled()
         query_num_vertices = query.num_vertices
         query_num_edges = query.num_edges
         entry_is_target = self.entry_is_target
-        query_side = (
-            query_side_cache.get("query_side") if query_side_cache is not None else None
-        )
-        results = []
+        survivors = []
         for entry_id in self._slots.keys_of(candidate_mask):
             entry = self._entries[entry_id]
             graph = entry.graph
             if entry_is_target:
-                if graph.num_vertices < query_num_vertices:
+                if graph.num_vertices < query_num_vertices or graph.num_edges < query_num_edges:
                     continue
-                if graph.num_edges < query_num_edges:
-                    continue
-            else:
-                if graph.num_vertices > query_num_vertices:
-                    continue
-                if graph.num_edges > query_num_edges:
-                    continue
-            if compiled:
-                if entry_is_target:
-                    if query_side is None:
-                        query_side = compile_query_plan(query)
-                        if query_side_cache is not None:
-                            query_side_cache["query_side"] = query_side
-                    target = entry.compiled_target
-                    if target is None:
-                        # Entry indexed while the compiled path was off (an
-                        # A/B toggle mid-stream); compile-and-cache now.
-                        target = compile_target(graph)
-                        entry.compiled_target = target
-                    matched = verifier.is_subgraph_compiled(query_side, target)
-                else:
-                    if query_side is None:
-                        query_side = compile_target(query)
-                        if query_side_cache is not None:
-                            query_side_cache["query_side"] = query_side
-                    plan = entry.compiled_plan
-                    if plan is None:
-                        plan = compile_query_plan(graph)
-                        entry.compiled_plan = plan
-                    matched = verifier.is_subgraph_compiled(plan, query_side)
-            elif entry_is_target:
-                matched = verifier.is_subgraph(query, graph)
-            else:
-                matched = verifier.is_subgraph(graph, query)
-            if matched:
-                results.append(entry)
+            elif graph.num_vertices > query_num_vertices or graph.num_edges > query_num_edges:
+                continue
+            survivors.append(entry)
+        if not survivors:
+            return []
+        if self.use_compiled():
+            query_side = (
+                query_side_cache.get("query_side") if query_side_cache is not None else None
+            )
+            if query_side is None:
+                query_side = (compile_query_plan if entry_is_target else compile_target)(query)
+                if query_side_cache is not None:
+                    query_side_cache["query_side"] = query_side
+            compiled_side = attrgetter("compiled_target" if entry_is_target else "compiled_plan")
+            compiled = list(map(compiled_side, survivors))
+            if None in compiled:
+                # Entries indexed while the compiled path was off (an A/B
+                # toggle mid-stream) are compiled and cached now.
+                for entry in survivors:
+                    self._compile_entry(entry)
+                compiled = list(map(compiled_side, survivors))
+            matched = verifier.verify_pairs(query_side, compiled)
+        elif entry_is_target:
+            matched = [verifier.is_subgraph(query, entry.graph) for entry in survivors]
+        else:
+            matched = [verifier.is_subgraph(entry.graph, query) for entry in survivors]
+        results = list(compress(survivors, matched))
         results.sort(key=_ENTRY_ID)
         return results
 

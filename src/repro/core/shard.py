@@ -859,14 +859,14 @@ def _shard_probe(
     home_super: bool = True,
     cover_sub=None,
     cover_super=None,
-) -> tuple[list[int], list[int], int, int, list[float], int, str]:
+) -> tuple[list[int], list[int], int, int, float, int, str]:
     """Worker entry point: catch up on the log tail, then probe.
 
     ``home_*`` / ``cover_*`` carry the parent's probe directive (pruning
     flags and replica assignment; see :meth:`QueryIndexShard` probes) — the
     defaults reproduce the unpruned full probe.  Returns the two hit-id
     lists plus the verifier-stat deltas of the probe (positives, negatives,
-    per-test samples — folded back by the parent so the §4 containment-test
+    seconds — folded back by the parent so the §4 containment-test
     accounting stays byte-identical to the inline path), the replica's
     applied version, and the kernel backend this worker process resolved
     (kernel resolution is per process: a shard worker that cannot load the
@@ -879,8 +879,7 @@ def _shard_probe(
     for delta in deltas:
         shard.apply(delta)
     stats = shard.verifier.stats
-    positives, negatives = stats.positives, stats.negatives
-    samples_before = len(stats.per_test_seconds)
+    positives, negatives, seconds = stats.positives, stats.negatives, stats.total_seconds
     sub_ids = (
         shard.find_supergraph_ids(query, features, home=home_sub, cover=cover_sub)
         if want_sub and (home_sub or cover_sub is not None)
@@ -891,14 +890,12 @@ def _shard_probe(
         if want_super and (home_super or cover_super is not None)
         else []
     )
-    samples = stats.per_test_seconds[samples_before:]
-    del stats.per_test_seconds[samples_before:]
     return (
         sub_ids,
         super_ids,
         stats.positives - positives,
         stats.negatives - negatives,
-        samples,
+        stats.total_seconds - seconds,
         shard.applied_version,
         shard.verifier.resolved_kernel_name(),
     )
@@ -1283,17 +1280,16 @@ class _ProcessShardRuntime:
                     shard_super,
                     positives,
                     negatives,
-                    samples,
+                    seconds,
                     _,
                     kernel,
                 ) = future.result()
                 sub_ids.extend(shard_sub)
                 super_ids.extend(shard_super)
-                stats.tests += len(samples)
+                stats.tests += positives + negatives
                 stats.positives += positives
                 stats.negatives += negatives
-                stats.total_seconds += sum(samples)
-                stats.per_test_seconds.extend(samples)
+                stats.total_seconds += seconds
                 self._worker_kernels[shard_id] = kernel
         except BaseException:
             # The deltas were optimistically marked shipped at submit time;

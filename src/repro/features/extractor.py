@@ -1,7 +1,7 @@
 """Feature-extraction facade shared by the indexing methods and by iGQ.
 
 A :class:`FeatureExtractor` turns a graph into a :class:`GraphFeatures`
-record: a multiset of feature keys plus (for path features) the location
+record: a multiset of feature keys plus, on request, the location
 information Grapes stores.  The same extractor object must be used for the
 dataset graphs and for the queries of a given index, which is why the
 methods expose their extractor and iGQ simply reuses it (the framework of
@@ -38,10 +38,17 @@ FeatureKey = tuple
 
 @dataclass
 class GraphFeatures:
-    """Features of one graph: occurrence counts and (optional) locations."""
+    """Features of one graph: occurrence counts and (optional) locations.
+
+    ``locations`` maps a feature to the vertices its occurrences cover, as a
+    bitmask over the positions of ``graph.vertices()`` — the dense vertex id
+    space :func:`~repro.isomorphism.compiled.compile_target` assigns, so a
+    union of locations is directly a region mask of the compiled target.
+    Empty unless the extraction asked for locations.
+    """
 
     counts: dict[FeatureKey, int] = field(default_factory=dict)
-    locations: dict[FeatureKey, frozenset] = field(default_factory=dict)
+    locations: dict[FeatureKey, int] = field(default_factory=dict)
 
     @property
     def num_distinct(self) -> int:
@@ -104,11 +111,15 @@ class FeatureExtractor:
         self.cycle_max_length = cycle_max_length
 
     # ------------------------------------------------------------------
-    def extract(self, graph: LabeledGraph) -> GraphFeatures:
-        """Return the features of ``graph`` under this extractor's config."""
+    def extract(self, graph: LabeledGraph, locations: bool = False) -> GraphFeatures:
+        """Return the features of ``graph`` under this extractor's config.
+
+        ``locations=True`` also records where each feature occurs (only
+        Grapes' dataset-side index reads that; queries never need it).
+        """
         if self.kind == self.PATHS:
-            return self._extract_paths(graph)
-        return self._extract_trees_cycles(graph)
+            return self._extract_paths(graph, locations)
+        return self._extract_trees_cycles(graph, locations)
 
     def describe(self) -> dict[str, Hashable]:
         """A JSON-friendly description of the configuration."""
@@ -121,23 +132,34 @@ class FeatureExtractor:
         }
 
     # ------------------------------------------------------------------
-    def _extract_paths(self, graph: LabeledGraph) -> GraphFeatures:
-        features = GraphFeatures()
-        for key, info in path_features(graph, self.max_path_length).items():
-            features.counts[key] = info.count
-            features.locations[key] = frozenset(info.vertices)
+    def _extract_paths(self, graph: LabeledGraph, locations: bool) -> GraphFeatures:
+        occurrences = path_features(graph, self.max_path_length, locations=locations)
+        features = GraphFeatures({key: info.count for key, info in occurrences.items()})
+        if locations:
+            bit_of = _vertex_bits(graph).__getitem__
+            # distinct single bits: their sum is their union
+            features.locations = {
+                key: sum(map(bit_of, info.vertices)) for key, info in occurrences.items()
+            }
         return features
 
-    def _extract_trees_cycles(self, graph: LabeledGraph) -> GraphFeatures:
+    def _extract_trees_cycles(self, graph: LabeledGraph, locations: bool) -> GraphFeatures:
         features = GraphFeatures()
+        counts, covered = features.counts, features.locations
+        bit_of = _vertex_bits(graph).__getitem__ if locations else None
+
+        def record(key: FeatureKey, vertices) -> None:
+            counts[key] = counts.get(key, 0) + 1
+            if locations:
+                covered[key] = covered.get(key, 0) | sum(map(bit_of, vertices))
+
         for tree in enumerate_tree_subgraphs(graph, self.tree_max_size):
-            key = (canonical_tree_code(tree),)
-            features.counts[key] = features.counts.get(key, 0) + 1
-            existing = features.locations.get(key, frozenset())
-            features.locations[key] = existing | frozenset(tree.vertices())
+            record((canonical_tree_code(tree),), tree.vertices())
         for cycle in enumerate_simple_cycles(graph, self.cycle_max_length):
-            key = (canonical_cycle_code([graph.label(vertex) for vertex in cycle]),)
-            features.counts[key] = features.counts.get(key, 0) + 1
-            existing = features.locations.get(key, frozenset())
-            features.locations[key] = existing | frozenset(cycle)
+            record((canonical_cycle_code([graph.label(vertex) for vertex in cycle]),), cycle)
         return features
+
+
+def _vertex_bits(graph: LabeledGraph) -> dict[Hashable, int]:
+    """Single-bit mask per vertex, by position in ``graph.vertices()``."""
+    return {vertex: 1 << position for position, vertex in enumerate(graph.vertices())}

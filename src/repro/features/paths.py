@@ -61,6 +61,8 @@ def enumerate_simple_paths(
     if max_length == 0:
         return
 
+    reprs = {vertex: repr(vertex) for vertex in graph.vertices()}
+
     def extend(path: list[Hashable], on_path: set) -> Iterator[tuple[Hashable, ...]]:
         last = path[-1]
         for neighbor in graph.neighbors(last):
@@ -68,7 +70,7 @@ def enumerate_simple_paths(
                 continue
             path.append(neighbor)
             on_path.add(neighbor)
-            if len(path) - 1 >= max(min_length, 1) and _is_canonical_direction(path):
+            if len(path) - 1 >= max(min_length, 1) and _is_canonical_direction(path, reprs):
                 yield tuple(path)
             if len(path) - 1 < max_length:
                 yield from extend(path, on_path)
@@ -79,23 +81,32 @@ def enumerate_simple_paths(
         yield from extend([vertex], {vertex})
 
 
-def _is_canonical_direction(path: list[Hashable]) -> bool:
-    """True if the path's vertex sequence is not larger than its reverse."""
-    forward = tuple(repr(vertex) for vertex in path)
-    return forward <= tuple(reversed(forward))
+def _is_canonical_direction(path: list[Hashable], reprs: dict[Hashable, str]) -> bool:
+    """True if the path's vertex-repr sequence is not larger than its reverse.
+
+    The two sequences start with the reprs of the path's two (distinct)
+    endpoints, so those decide unless two vertices share a repr.
+    """
+    first, last = reprs[path[0]], reprs[path[-1]]
+    if first != last:
+        return first < last
+    forward = [reprs[vertex] for vertex in path]
+    return forward <= forward[::-1]
 
 
 def path_features(
     graph: LabeledGraph,
     max_length: int,
     min_length: int = 0,
+    locations: bool = True,
 ) -> dict[tuple[str, ...], PathOccurrences]:
     """Return the path features of ``graph``.
 
     The result maps the canonical label tuple of each path feature (the
     value of :func:`~repro.features.canonical.canonical_path_key`) to a
     :class:`PathOccurrences` record with the occurrence count and the set of
-    vertices covered by its occurrences.
+    vertices covered by its occurrences (left empty with
+    ``locations=False`` — only Grapes' dataset index reads it).
     """
     text = {vertex: str(graph.label(vertex)) for vertex in graph.vertices()}
     features: dict[tuple[str, ...], PathOccurrences] = {}
@@ -104,5 +115,8 @@ def path_features(
         occurrences = features.get(key)
         if occurrences is None:
             occurrences = features[key] = PathOccurrences()
-        occurrences.record(path)
+        if locations:
+            occurrences.record(path)
+        else:
+            occurrences.count += 1
     return features

@@ -100,21 +100,23 @@ class GraphDatabase:
         per worker.  Subgraph verification consumes ``targets``; supergraph
         verification (dataset graphs as patterns) consumes ``plans``.
 
-        When the native C kernel is loadable the per-target word buffers it
+        When the native C kernel is loadable the word buffers and structs it
         consumes are built here too: they are derived data (never pickled —
         workers rebuild lazily), so eager construction only moves the same
         one-time cost out of the first verification call.
         """
         from ..isomorphism._ckernel_loader import native_kernel_available
 
-        build_native = targets and native_kernel_available()
+        build_native = native_kernel_available()
         for graph_id in self._graphs:
+            compiled = []
             if targets:
-                target = self.compiled_target(graph_id)
-                if build_native:
-                    target.native()
+                compiled.append(self.compiled_target(graph_id))
             if plans:
-                self.compiled_plan(graph_id)
+                compiled.append(self.compiled_plan(graph_id))
+            if build_native:
+                for side in compiled:
+                    side.native()
         if targets:
             # the batched pre-reject's stacked arrays are derived data too
             # (None when numpy is unavailable)
@@ -126,11 +128,11 @@ class GraphDatabase:
         Returns the database-wide
         :class:`~repro.isomorphism.compiled.DatasetSignatures` (built lazily
         on first request, invalidated when a graph is added) or ``None``
-        when the numpy kernel backend is unavailable on this host.
+        when numpy is unavailable on this host.
         """
-        from ..isomorphism.compiled import DatasetSignatures, numpy_kernel_available
+        from ..isomorphism.compiled import DatasetSignatures, numpy_available
 
-        if not numpy_kernel_available():
+        if not numpy_available():
             return None
         if self._signatures is None:
             self._signatures = DatasetSignatures(self._graphs)

@@ -103,7 +103,7 @@ def connected_components(graph: LabeledGraph) -> list[set]:
         component = set(bfs_order(graph, source))
         components.append(component)
         remaining -= component
-    components.sort(key=lambda comp: (-len(comp), repr(sorted(map(repr, comp))[:1])))
+    components.sort(key=lambda comp: (-len(comp), min(map(repr, comp))))
     return components
 
 

@@ -8,10 +8,11 @@ from .compiled import (
     compile_query_plan,
     compile_target,
     compiled_has_embedding,
+    match_pairs,
     masked_components,
     masked_edge_count,
     native_kernel_available,
-    numpy_kernel_available,
+    numpy_available,
     resolve_kernel,
     signature_prereject,
 )
@@ -39,10 +40,11 @@ __all__ = [
     "compile_query_plan",
     "compile_target",
     "compiled_has_embedding",
+    "match_pairs",
     "masked_components",
     "masked_edge_count",
     "native_kernel_available",
-    "numpy_kernel_available",
+    "numpy_available",
     "resolve_kernel",
     "signature_prereject",
     "VF2Matcher",

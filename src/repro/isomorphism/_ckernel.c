@@ -1,12 +1,27 @@
-/* Native inner loop of the compiled VF2 kernel.
+/* Native verification kernel: one call per query.
  *
- * This file is a line-for-line transliteration of `_bigint_has_embedding`
- * (src/repro/isomorphism/compiled.py) from Python bigint bitmasks onto
- * uint64 word arrays: identical matching order, identical ascending
- * candidate order, identical degree / look-ahead / region predicates
- * evaluated against the identical `used` state — so the boolean it returns
- * is byte-identical to the bigint kernel on every (plan, target, mask)
- * triple, which is what the repository's A/B contract requires.
+ * `ck_verify_many` answers every (pattern, target) pair of one query in a
+ * single ctypes call, in candidate order, with the interpreter lock
+ * released once.  Per pair it runs what the Python fallback
+ * (`match_pairs` in src/repro/isomorphism/compiled.py) runs per pair:
+ *
+ *   1. the signature prereject — vertex/edge counts, label histogram and
+ *      per-label degree dominance, the same boolean as
+ *      `CompiledQueryPlan.prereject`;
+ *   2. the VF2 depth-first search, a line-for-line transliteration of
+ *      `_bigint_has_embedding` from Python bigint bitmasks onto uint64 word
+ *      arrays: identical matching order, identical ascending candidate
+ *      order, identical degree / look-ahead / region predicates evaluated
+ *      against the identical `used` state;
+ *   3. with `by_component`, Grapes' component-restricted verification:
+ *      region -> connected components -> (-size, rank) order -> size and
+ *      edge-count pre-checks -> one counted test per surviving component ->
+ *      stop at the first match (`masked_components` / `masked_edge_count`
+ *      and the loop in `_match_by_component` are the Python oracle).
+ *
+ * Flags and per-pair test counts are therefore byte-identical to the
+ * bigint path on every input, which is what the repository's accounting
+ * contract (the paper's Figs. 7-11 count isomorphism tests) requires.
  *
  * The file is deliberately dependency-free C99 so it can be built two ways:
  *
@@ -16,21 +31,34 @@
  *      but `cc -O3 -shared -fPIC` — no Python headers required; all entry
  *      points use a plain C ABI consumed through ctypes.
  *
- * Data layout (built once per target / per plan on the Python side, see
- * `NativeTarget` / the plan's `native_steps()` in compiled.py):
+ * Data layout, ABI 2 (built once per target / per plan on the Python side,
+ * see `NativeTarget` / `CompiledQueryPlan.native` in compiled.py):
  *
  *   - adjacency:      n x num_words row-major uint64 neighbour bitsets;
  *   - label_members:  num_labels x num_words uint64 bitsets (the vertices
  *                     carrying each label — the unanchored candidate base);
  *   - ladj_*:         CSR label-partitioned adjacency: for vertex v the
  *                     entries [ladj_indptr[v], ladj_indptr[v+1]) name the
- *                     distinct labels of v's neighbourhood (ascending label
- *                     id) and each entry carries a num_words bitset of v's
- *                     neighbours with that label (the anchored candidate
- *                     base: candidates = AND of the anchors' rows);
- *   - step_labels:    the plan's per-step label mapped into the target's
- *                     label-id space (-1 when the target lacks the label);
- *   - region:         optional num_words vertex mask (NULL = unmasked).
+ *                     distinct labels of v's neighbourhood (ascending local
+ *                     label row) and each entry carries a num_words bitset
+ *                     of v's neighbours with that label (the anchored
+ *                     candidate base: candidates = AND of the anchors' rows);
+ *   - label_map:      labels are interned once per process (append-only
+ *                     ids); label_map[id] is the target's local label row,
+ *                     -1 when the target lacks the label, and an id at or
+ *                     beyond label_map_len is a label interned after the
+ *                     target was marshalled, which it therefore lacks too;
+ *   - ranks:          per vertex, its rank in the repr order of the vertex
+ *                     ids — components of equal size are visited by
+ *                     ascending smallest rank;
+ *   - sig_*:          per local label row the descending degree list of its
+ *                     vertices (the row length is the label's histogram
+ *                     count); on the plan the same lists keyed by interned
+ *                     label id;
+ *   - step_labels:    the plan's per-step interned label id (the plan owns
+ *                     them: nothing is marshalled per pair);
+ *   - regions:        optional vertex masks, one row of the pair's target
+ *                     width per pair, back to back (NULL = unmasked).
  *
  * Bits at positions >= n in the last word are never set by any of the
  * above, so word-wise AND chains never need a trailing-word trim.
@@ -43,7 +71,7 @@
 /* The ABI version is checked by the loader after dlopen so a stale build
  * of an older layout can never be driven with new-layout pointers.  Bump
  * it whenever a struct or signature below changes. */
-#define CK_ABI_VERSION 1
+#define CK_ABI_VERSION 2
 
 #if defined(_WIN32)
 #define CK_EXPORT __declspec(dllexport)
@@ -71,23 +99,51 @@ typedef struct {
     int64_t n;              /* number of target vertices                  */
     int64_t num_words;      /* uint64 words per bitset row                */
     int64_t num_labels;     /* size of the target's label universe        */
+    int64_t num_edges;
+    int64_t label_map_len;
     const uint64_t *adjacency;     /* n * num_words                       */
-    const int64_t *degrees;        /* n                                   */
     const uint64_t *label_members; /* num_labels * num_words              */
-    const int64_t *ladj_indptr;    /* n + 1 (entry offsets)               */
-    const int64_t *ladj_labels;    /* ladj_indptr[n] label ids            */
     const uint64_t *ladj_words;    /* ladj_indptr[n] * num_words bitsets  */
+    const int64_t *degrees;        /* n                                   */
+    const int64_t *ladj_indptr;    /* n + 1 (entry offsets)               */
+    const int64_t *ladj_labels;    /* ladj_indptr[n] local label rows     */
+    const int64_t *label_map;      /* label_map_len: interned id -> row   */
+    const int64_t *ranks;          /* n                                   */
+    const int64_t *sig_indptr;     /* num_labels + 1                      */
+    const int64_t *sig_degrees;    /* n: descending degrees per label row */
 } ck_target;
 
 typedef struct {
     int64_t num_steps;
+    int64_t num_edges;
+    int64_t num_sig_labels;        /* distinct labels of the pattern      */
     const int64_t *min_degrees;    /* num_steps                           */
     const int64_t *lookaheads;     /* num_steps                           */
+    const int64_t *step_labels;    /* num_steps interned label ids        */
     const int64_t *anchor_indptr;  /* num_steps + 1                       */
     const int64_t *anchors;        /* anchor_indptr[num_steps] positions  */
+    const int64_t *sig_labels;     /* num_sig_labels interned label ids   */
+    const int64_t *sig_indptr;     /* num_sig_labels + 1                  */
+    const int64_t *sig_degrees;    /* num_steps: descending per label     */
 } ck_plan;
 
 CK_EXPORT int64_t ck_abi_version(void) { return CK_ABI_VERSION; }
+
+/* The target's local row of an interned label id, -1 when it lacks it. */
+static inline int64_t
+ck_local_label(const ck_target *t, int64_t label)
+{
+    return label < t->label_map_len ? t->label_map[label] : -1;
+}
+
+static inline int64_t
+ck_popcount_row(const uint64_t *row, int64_t W)
+{
+    int64_t count = 0;
+    for (int64_t w = 0; w < W; ++w)
+        count += ck_popcount64(row[w]);
+    return count;
+}
 
 /* Row of v's label-partitioned adjacency for `label`, or NULL when no
  * neighbour of v carries the label (the bigint `.get(label, 0)`). */
@@ -106,15 +162,34 @@ ck_label_row(const ck_target *t, int64_t vertex, int64_t label)
     return NULL;
 }
 
-/* True iff the plan's pattern embeds into the target (image inside
- * `region` when region is non-NULL).  Returns 1 / 0, or -1 on allocation
- * failure (the Python wrapper raises MemoryError and never treats -1 as
- * an answer). */
-CK_EXPORT int64_t
-ck_has_embedding(const ck_target *t,
-                 const ck_plan *p,
-                 const int64_t *step_labels,
-                 const uint64_t *region)
+/* `CompiledQueryPlan.prereject`: 1 when cheap invariants already prove the
+ * pattern cannot embed into the (whole) target. */
+static int
+ck_prereject(const ck_target *t, const ck_plan *p)
+{
+    if (p->num_steps > t->n || p->num_edges > t->num_edges)
+        return 1;
+    for (int64_t j = 0; j < p->num_sig_labels; ++j) {
+        const int64_t row = ck_local_label(t, p->sig_labels[j]);
+        if (row < 0)
+            return 1;
+        const int64_t *wanted = p->sig_degrees + p->sig_indptr[j];
+        const int64_t needed = p->sig_indptr[j + 1] - p->sig_indptr[j];
+        const int64_t *have = t->sig_degrees + t->sig_indptr[row];
+        if (t->sig_indptr[row + 1] - t->sig_indptr[row] < needed)
+            return 1;
+        for (int64_t k = 0; k < needed; ++k)
+            if (wanted[k] > have[k])
+                return 1;
+    }
+    return 0;
+}
+
+/* True iff the plan's pattern (at least one step) embeds into the target
+ * (image inside `region` when region is non-NULL).  Returns 1 / 0, or -1
+ * on allocation failure. */
+static int64_t
+ck_has_embedding(const ck_target *t, const ck_plan *p, const uint64_t *region)
 {
     const int64_t W = t->num_words;
     const int64_t depth_count = p->num_steps;
@@ -127,7 +202,7 @@ ck_has_embedding(const ck_target *t,
     uint64_t *words = stack_words;
     int64_t *meta = stack_meta;
     int64_t want_words = (depth_count + 1) * W;
-    int64_t want_meta = 3 * depth_count;
+    int64_t want_meta = 4 * depth_count;
     if (want_words > (int64_t)(sizeof(stack_words) / sizeof(uint64_t))) {
         words = (uint64_t *)malloc((size_t)want_words * sizeof(uint64_t));
         if (words == NULL)
@@ -146,14 +221,17 @@ ck_has_embedding(const ck_target *t,
     int64_t *images = meta;                        /* depth_count     */
     int64_t *image_words = meta + depth_count;     /* word index      */
     int64_t *image_bits = meta + 2 * depth_count;  /* bit index       */
+    int64_t *labels = meta + 3 * depth_count;      /* local label row */
     memset(used, 0, (size_t)W * sizeof(uint64_t));
+    for (int64_t d = 0; d < depth_count; ++d)
+        labels[d] = ck_local_label(t, p->step_labels[d]);
 
     int64_t depth = 0;
     int advancing = 1;
     int64_t result = 0;
 
     for (;;) {
-        const int64_t label = step_labels[depth];
+        const int64_t label = labels[depth];
         const int64_t min_degree = p->min_degrees[depth];
         const int64_t lookahead = p->lookaheads[depth];
         uint64_t *candidates = pending + depth * W;
@@ -259,6 +337,194 @@ done:
     if (meta != stack_meta)
         free(meta);
     return result;
+}
+
+/* One counted test (`_match_one` in compiled.py): the empty pattern always
+ * matches, a region smaller than the pattern or a prerejected pair never
+ * does, everything else is searched.  `prerejected` is the pair's
+ * whole-target prereject verdict, computed once by the caller. */
+static int64_t
+ck_match_one(const ck_target *t, const ck_plan *p, const uint64_t *region,
+             int prerejected)
+{
+    if (p->num_steps == 0)
+        return 1;
+    if (region != NULL && ck_popcount_row(region, t->num_words) < p->num_steps)
+        return 0;
+    if (prerejected)
+        return 0;
+    return ck_has_embedding(t, p, region);
+}
+
+/* Grow-only scratch shared by every pair of one ck_verify_many call. */
+typedef struct {
+    uint64_t *words;
+    int64_t capacity;
+} ck_scratch;
+
+static uint64_t *
+ck_reserve(ck_scratch *scratch, int64_t want)
+{
+    if (want > scratch->capacity) {
+        free(scratch->words);
+        scratch->words = (uint64_t *)malloc((size_t)want * sizeof(uint64_t));
+        scratch->capacity = scratch->words == NULL ? 0 : want;
+    }
+    return scratch->words;
+}
+
+/* Component-restricted verification of one pair (`_match_by_component`).
+ * Components smaller than the pattern are dropped as they are found — the
+ * oracle skips them without a test, and dropping them keeps the relative
+ * order of the rest.  Writes the number of counted tests to *tests and
+ * returns the match flag, or -1 on allocation failure. */
+static int64_t
+ck_match_by_component(const ck_target *t, const ck_plan *p,
+                      const uint64_t *region, int prerejected,
+                      ck_scratch *scratch, int64_t *tests)
+{
+    const int64_t W = t->num_words;
+    const int64_t steps = p->num_steps;
+    const int64_t region_size = ck_popcount_row(region, W);
+    *tests = 0;
+    if (region_size < steps)
+        return 0;
+
+    /* remaining, frontier, reached (W each), then per component slot its
+     * mask (W), size and smallest rank.  Kept components are disjoint and
+     * hold >= steps region vertices each, so at most region_size / steps
+     * are kept; one more slot takes the component being explored. */
+    const int64_t slots = region_size / (steps > 0 ? steps : 1) + 1;
+    uint64_t *words = ck_reserve(scratch, 3 * W + slots * (W + 2));
+    if (words == NULL)
+        return -1;
+    uint64_t *remaining = words;
+    uint64_t *frontier = words + W;
+    uint64_t *reached = words + 2 * W;
+    uint64_t *masks = words + 3 * W;
+    int64_t *sizes = (int64_t *)(masks + slots * W);
+    int64_t *min_ranks = sizes + slots;
+    int64_t kept = 0;
+
+    memcpy(remaining, region, (size_t)W * sizeof(uint64_t));
+    for (int64_t seed_word = 0; seed_word < W; ++seed_word) {
+        while (remaining[seed_word]) {
+            uint64_t *component = masks + kept * W;
+            memset(component, 0, (size_t)W * sizeof(uint64_t));
+            memset(frontier, 0, (size_t)W * sizeof(uint64_t));
+            frontier[seed_word] =
+                remaining[seed_word] & (~remaining[seed_word] + 1);
+            int64_t size = 0;
+            int64_t min_rank = INT64_MAX;
+            for (;;) {
+                memset(reached, 0, (size_t)W * sizeof(uint64_t));
+                int any = 0;
+                for (int64_t w = 0; w < W; ++w) {
+                    uint64_t bits = frontier[w];
+                    component[w] |= bits;
+                    while (bits) {
+                        const int64_t vertex = (w << 6) + ck_ctz64(bits);
+                        bits &= bits - 1;
+                        ++size;
+                        if (t->ranks[vertex] < min_rank)
+                            min_rank = t->ranks[vertex];
+                        const uint64_t *adj_row = t->adjacency + vertex * W;
+                        for (int64_t v = 0; v < W; ++v)
+                            reached[v] |= adj_row[v];
+                    }
+                }
+                for (int64_t w = 0; w < W; ++w) {
+                    frontier[w] = reached[w] & region[w] & ~component[w];
+                    any |= frontier[w] != 0;
+                }
+                if (!any)
+                    break;
+            }
+            for (int64_t w = 0; w < W; ++w)
+                remaining[w] &= ~component[w];
+            if (size >= steps) {
+                sizes[kept] = size;
+                min_ranks[kept] = min_rank;
+                ++kept;
+            }
+        }
+    }
+
+    /* Visit by decreasing size, ties by ascending smallest rank: selection
+     * of the next-best component per round (kept is small). */
+    for (int64_t round = 0; round < kept; ++round) {
+        int64_t best = -1;
+        for (int64_t c = 0; c < kept; ++c) {
+            if (sizes[c] < 0)
+                continue;
+            if (best < 0 || sizes[c] > sizes[best] ||
+                (sizes[c] == sizes[best] && min_ranks[c] < min_ranks[best]))
+                best = c;
+        }
+        const uint64_t *component = masks + best * W;
+        sizes[best] = -1;  /* visited */
+        int64_t endpoints = 0;
+        for (int64_t w = 0; w < W; ++w) {
+            uint64_t bits = component[w];
+            while (bits) {
+                const uint64_t *adj_row =
+                    t->adjacency + ((w << 6) + ck_ctz64(bits)) * W;
+                bits &= bits - 1;
+                for (int64_t v = 0; v < W; ++v)
+                    endpoints += ck_popcount64(adj_row[v] & component[v]);
+            }
+        }
+        if (endpoints / 2 < p->num_edges)
+            continue;
+        ++*tests;
+        const int64_t matched = ck_match_one(t, p, component, prerejected);
+        if (matched != 0)
+            return matched;  /* first match, or -1 */
+    }
+    return 0;
+}
+
+/* Verify n = max(num_targets, num_plans) pairs in order; a side given as a
+ * single element is shared by every pair (one plan against many targets
+ * for subgraph verification and Isub, many plans against one target for
+ * supergraph verification and Isuper).  `regions` (optional) holds pair
+ * i's vertex mask as the next targets[i]->num_words words; with
+ * `by_component` each region is decomposed and tested component by
+ * component, otherwise it restricts one test.  Writes per pair the match
+ * flag and the number of counted tests; returns 0, or -1 on allocation
+ * failure (the Python wrapper raises MemoryError and never reads the
+ * outputs). */
+CK_EXPORT int64_t
+ck_verify_many(const ck_target *const *targets, int64_t num_targets,
+               const ck_plan *const *plans, int64_t num_plans,
+               const uint64_t *regions, int64_t by_component,
+               uint8_t *out_matched, int64_t *out_tests)
+{
+    const int64_t n = num_targets > num_plans ? num_targets : num_plans;
+    ck_scratch scratch = {NULL, 0};
+    int64_t status = 0;
+    for (int64_t i = 0; i < n; ++i) {
+        const ck_target *t = targets[num_targets == 1 ? 0 : i];
+        const ck_plan *p = plans[num_plans == 1 ? 0 : i];
+        const int prerejected = ck_prereject(t, p);
+        int64_t matched;
+        int64_t tests = 1;
+        if (regions != NULL && by_component)
+            matched = ck_match_by_component(t, p, regions, prerejected,
+                                            &scratch, &tests);
+        else
+            matched = ck_match_one(t, p, regions, prerejected);
+        if (matched < 0) {
+            status = -1;
+            break;
+        }
+        out_matched[i] = (uint8_t)matched;
+        out_tests[i] = tests;
+        if (regions != NULL)
+            regions += t->num_words;
+    }
+    free(scratch.words);
+    return status;
 }
 
 #ifdef CKERNEL_PYMODULE

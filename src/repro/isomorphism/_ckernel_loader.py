@@ -14,12 +14,14 @@ reports plain unavailability (``None``) when every link fails:
    imported).
 2. **Runtime compile cache** — under the legacy editable install (or a
    plain checkout) no extension is ever built, so the loader compiles the
-   C source itself with ``cc -O3 -shared -fPIC`` into a per-user cache
+   C source itself with ``cc -O3 -shared -fPIC`` (plus any ``CFLAGS``,
+   which is how CI builds the ASan/UBSan variant) into a per-user cache
    directory.  The artifact name is keyed on a hash of the C source, the
-   platform and the ABI version, so editing ``_ckernel.c`` (or upgrading
-   the repo) can never pick up a stale binary, and concurrent builders
-   (e.g. a freshly spawned worker pool) race benignly through an atomic
-   rename.
+   platform, the ABI version and the extra flags, so editing
+   ``_ckernel.c`` (or upgrading the repo) can never pick up a stale
+   binary, a sanitised build never collides with the ``-O3`` one, and
+   concurrent builders (e.g. a freshly spawned worker pool) race benignly
+   through an atomic rename.
 3. **Fallback** — anything failing above (no compiler, read-only home,
    unloadable artifact, ABI mismatch) disables the backend for this
    process; callers then resolve ``kernel="native"`` to ``"bigint"``.
@@ -50,7 +52,7 @@ __all__ = [
 ]
 
 #: must match CK_ABI_VERSION in _ckernel.c; the loader refuses mismatches
-ABI_VERSION = 1
+ABI_VERSION = 2
 
 _SOURCE = Path(__file__).with_name("_ckernel.c")
 
@@ -80,12 +82,18 @@ def _cache_dir() -> Path:
     return Path(base) / "repro-ckernel"
 
 
+def _extra_cflags() -> list[str]:
+    """Flags from ``CFLAGS``, appended after the defaults (so they win)."""
+    return os.environ.get("CFLAGS", "").split()
+
+
 def _source_key(source: bytes) -> str:
     """Cache key covering everything that can invalidate a built artifact."""
     digest = hashlib.blake2b(digest_size=16)
     digest.update(source)
     digest.update(sysconfig.get_platform().encode())
     digest.update(str(ABI_VERSION).encode())
+    digest.update("\0".join(_extra_cflags()).encode())
     return digest.hexdigest()
 
 
@@ -106,7 +114,8 @@ def _compile_cached() -> Path:
     scratch = out.with_name(f"{out.stem}.{os.getpid()}.tmp")
     try:
         subprocess.run(
-            [compiler, "-O3", "-shared", "-fPIC", "-o", str(scratch), str(_SOURCE)],
+            [compiler, "-O3", "-shared", "-fPIC", *_extra_cflags(),
+             "-o", str(scratch), str(_SOURCE)],
             check=True,
             capture_output=True,
             timeout=120,
@@ -127,12 +136,14 @@ def _configure(library: ctypes.CDLL) -> ctypes.CDLL | None:
     library.ck_abi_version.argtypes = ()
     if library.ck_abi_version() != ABI_VERSION:
         return None
-    fn = library.ck_has_embedding
+    fn = library.ck_verify_many
     fn.restype = ctypes.c_int64
-    # (ck_target*, ck_plan*, step_labels*, region*) — passed as raw
+    # (ck_target**, num_targets, ck_plan**, num_plans, regions*,
+    # by_component, out_matched*, out_tests*) — pointers passed as raw
     # addresses; the Python-side structures live in
-    # repro.isomorphism.compiled (NativeTarget / native plan arrays).
-    fn.argtypes = (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p)
+    # repro.isomorphism.compiled (NativeTarget / CompiledQueryPlan.native).
+    pointer, integer = ctypes.c_void_p, ctypes.c_int64
+    fn.argtypes = (pointer, integer, pointer, integer, pointer, integer, pointer, pointer)
     return library
 
 

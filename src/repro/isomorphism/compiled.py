@@ -35,67 +35,69 @@ it rejects most non-matching candidates before any search starts and is
 also applied by the :class:`~repro.isomorphism.verifier.Verifier` on the
 non-compiled path.
 
-**Region-masked matching** — :func:`compiled_has_embedding` optionally takes
-a ``vertex_mask`` (an ``int`` bitmask over the target's
-:class:`VertexIdSpace`) restricting candidate generation to the masked
-vertices.  A masked run answers "does the pattern embed with its image
-entirely inside the mask?", which for a vertex-induced region is exactly the
-question of matching against the materialised region subgraph — Grapes'
-component-restricted verification uses it to test query regions against the
-*whole-graph* compiled target instead of building a subgraph per candidate
-pair.  :func:`masked_components` and :func:`masked_edge_count` supply the
-component decomposition and edge counts of a masked region without ever
-materialising it.
+**Batch entry point** — :func:`match_pairs` verifies every pair of one query
+in one go: a shared plan against many targets (subgraph verification,
+``Isub``) or many plans against a shared target (supergraph verification,
+``Isuper``).  Natively that is **one** ``ck_verify_many`` call per query
+(signature pre-reject and search per pair, in candidate order, interpreter
+lock released once); without the native library it is the per-pair bigint
+loop.  :func:`compiled_has_embedding` is its ``n = 1`` case.
 
-**Kernel backends** — the kernel exists in two interchangeable
-implementations selected by the ``kernel`` argument (threaded through
+**Region-masked matching** — a pair may carry a region (an ``int`` bitmask
+over the target's :class:`VertexIdSpace`) restricting candidate generation
+to the masked vertices.  A masked run answers "does the pattern embed with
+its image entirely inside the mask?", which for a vertex-induced region is
+exactly the question of matching against the materialised region subgraph.
+With ``by_component`` the region is decomposed first — Grapes'
+component-restricted verification: connected components in decreasing
+size (ties by the smallest vertex ``repr``, precomputed per target as
+:meth:`CompiledTarget.vertex_ranks`), size and edge-count pre-checks, one
+counted test per surviving component, stop at the first match — all
+against the *whole-graph* compiled target, no subgraph is materialised.
+:func:`masked_components` and :func:`masked_edge_count` are the Python form
+(the bigint fallback and the oracle the C kernel is tested against).
+
+**Kernel backends** — two interchangeable implementations selected by the
+``kernel`` argument (threaded through
 :class:`~repro.core.config.VerifierConfig.kernel`):
 
-* ``"bigint"`` — the original pure-Python arbitrary-precision ``int``
-  bitmask loop above; always available.
-* ``"numpy"`` — the same search over ``uint64`` word arrays
-  (:class:`TargetArrays`, built lazily per target and cached), with
-  candidate generation, degree filtering and look-ahead popcounts done as
-  vectorised array operations per depth instead of per candidate.  Requires
-  numpy (import-guarded) on a little-endian platform; forcing it when
-  unavailable silently falls back to ``"bigint"``.
+* ``"bigint"`` — the pure-Python arbitrary-precision ``int`` bitmask loop;
+  always available.
 * ``"native"`` — the same search compiled to machine code: a hand-written
-  C inner loop (``_ckernel.c``) over the ``uint64`` word-array layout,
-  driven through ctypes (:class:`NativeTarget` marshals the target once,
-  the plan marshals once, each call passes two struct pointers).  Built as
-  an *optional* setuptools extension or compiled on demand into a user
-  cache by :mod:`repro.isomorphism._ckernel_loader`; falls back to
-  ``"bigint"`` when neither works (no compiler, ``REPRO_DISABLE_NATIVE``).
-* ``"auto"`` (default) — prefers ``"native"`` whenever the C kernel is
-  loadable.  Otherwise a small cost model: per-pair search runs
-  ``"numpy"`` only for targets with at least
-  :data:`NUMPY_KERNEL_MIN_VERTICES` vertices and ``"bigint"`` below it,
-  while the *batch-level* vectorisation (the
-  :class:`DatasetSignatures` pre-reject) is always enabled.  Measured on
-  CPython, the per-pair numpy crossover lies beyond every graph size we
-  can construct — CPython's bigint bitops already run at C loops over
-  words, and the VF2 step granularity is too fine to amortise array-op
-  dispatch — so without the C kernel the default threshold effectively
-  keeps per-pair matching on ``"bigint"`` and the batched pre-reject is
-  where the arrays pay (see docs/performance.md).
+  C kernel (``_ckernel.c``) over ``uint64`` word arrays, driven through
+  ctypes.  :class:`NativeTarget` marshals a target once and
+  :meth:`CompiledQueryPlan.native` a plan once; a call passes two pointer
+  arrays.  Labels are interned once per process (append-only ids), so a
+  plan's step labels belong to the plan and each target maps interned id →
+  local label row.  Built as an *optional* setuptools extension or compiled
+  on demand into a user cache by :mod:`repro.isomorphism._ckernel_loader`;
+  falls back to ``"bigint"`` when neither works (no compiler,
+  ``REPRO_DISABLE_NATIVE``).
+* ``"auto"`` (default) — ``"native"`` whenever the C kernel is loadable,
+  else ``"bigint"``.
 
-All backends explore the *identical* DFS tree (same matching order, same
+(A third, numpy ``uint64`` backend was measured at 0.5–0.7x of bigint at
+every graph size and deleted; see docs/performance.md.)
+
+Both backends explore the *identical* DFS tree (same matching order, same
 ascending candidate order, same feasibility predicates evaluated against
-the same ``used`` state), so answers — and therefore every downstream
-accounting and cache decision — are byte-identical by construction.  The
-test suite cross-validates them against each other and against networkx.
+the same ``used`` state) and count the identical tests, so answers — and
+therefore every downstream accounting and cache decision — are
+byte-identical by construction.  The test suite cross-validates them
+against each other and against networkx.
 
-:class:`DatasetSignatures` is the batched form of the signature pre-check:
-the per-graph invariants of a whole dataset stacked into aligned arrays so
-one vectorised pass rejects every non-matching candidate of a query before
-any per-pair matching starts (both query directions).
+:class:`DatasetSignatures` is the batched form of the signature pre-check
+for the bigint fallback: the per-graph invariants of a whole dataset
+stacked into aligned numpy arrays so one vectorised pass rejects every
+non-matching candidate of a query before any per-pair matching starts
+(both query directions).  The native kernel runs its own pre-reject per
+pair instead.
 """
 
 from __future__ import annotations
 
 import ctypes
-import sys
-import weakref
+import threading
 from array import array
 from collections.abc import Hashable, Sequence
 
@@ -104,7 +106,7 @@ from ..graphs.graph import LabeledGraph
 from . import _ckernel_loader
 from ._ckernel_loader import native_kernel_available
 
-try:  # pragma: no cover - exercised indirectly via numpy_kernel_available()
+try:  # pragma: no cover - numpy is optional (batched pre-reject only)
     import numpy as _np
 except ImportError:  # pragma: no cover - numpy is present in CI images
     _np = None
@@ -114,87 +116,72 @@ __all__ = [
     "CompiledQueryPlan",
     "DatasetSignatures",
     "NativeTarget",
-    "TargetArrays",
     "KERNELS",
-    "NUMPY_KERNEL_MIN_VERTICES",
     "compile_target",
     "compile_query_plan",
     "compiled_has_embedding",
+    "match_pairs",
     "masked_components",
     "masked_edge_count",
     "native_kernel_available",
-    "numpy_kernel_available",
+    "numpy_available",
     "resolve_kernel",
     "signature_prereject",
     "degree_signature_dominates",
 ]
 
 #: accepted values of the ``kernel`` flag, in documentation order
-KERNELS = ("auto", "bigint", "numpy", "native")
-
-#: ``"auto"`` cost-model crossover: targets with at least this many vertices
-#: run the per-pair numpy kernel.  Benchmarked on CPython (sparse and dense
-#: random graphs, 40 to 20 000 vertices, positive and exhaustive-negative
-#: searches) the bigint kernel won at every size — its big-int bitops are
-#: C loops over words with none of numpy's per-call dispatch overhead — so
-#: the default threshold is set beyond realistic dataset graphs and
-#: ``"auto"`` keeps per-pair matching on ``"bigint"``.  The vectorised win
-#: "auto" *does* enable is the batched :class:`DatasetSignatures`
-#: pre-reject; ``kernel="numpy"`` still forces the array kernel per pair
-#: (A/B validation, alternative interpreters).
-NUMPY_KERNEL_MIN_VERTICES = 1 << 20
+KERNELS = ("auto", "bigint", "native")
 
 
-def numpy_kernel_available() -> bool:
-    """True if the numpy ``uint64`` kernel backend can run on this host.
-
-    Requires numpy with ``bitwise_count`` (numpy >= 2.0) on a little-endian
-    platform — the word arrays are built by viewing the little-endian byte
-    serialisation of the Python bigint masks, so bit ``i`` of the bitmask is
-    bit ``i % 64`` of word ``i // 64`` only when the native byte order is
-    little-endian.  When this returns ``False`` every ``kernel=`` request
-    resolves to ``"bigint"``.
-    """
-    return _np is not None and sys.byteorder == "little" and hasattr(_np, "bitwise_count")
+def numpy_available() -> bool:
+    """True if numpy can be imported (:class:`DatasetSignatures` needs it)."""
+    return _np is not None
 
 
-def resolve_kernel(kernel: str, target: "CompiledTarget | None" = None) -> str:
-    """Resolve a ``kernel`` request to the backend actually run for ``target``.
+def resolve_kernel(kernel: str) -> str:
+    """Resolve a ``kernel`` request to the backend actually run.
 
-    ``"bigint"`` always resolves to itself; ``"native"`` resolves to the C
-    kernel when :func:`native_kernel_available` (bigint fallback otherwise);
-    ``"numpy"`` resolves to the numpy backend when
-    :func:`numpy_kernel_available` (bigint fallback otherwise); ``"auto"``
-    prefers the native kernel whenever it is loadable and otherwise applies
-    the :data:`NUMPY_KERNEL_MIN_VERTICES` cost model per target graph.
-
-    Resolution is per *process* (a worker without a C compiler resolves
-    ``"native"`` to ``"bigint"`` locally, regardless of its parent) and, for
-    the ``"auto"`` cost model, per target.  ``target`` may be omitted for
-    reporting purposes — the omitted-target answer equals the per-target
-    answer for every sub-threshold (i.e. realistic) target.
-
-    Hot-path callers go through :meth:`CompiledTarget.resolved_kernel`,
-    which memoises this answer per target; call this directly only off the
-    per-pair path.
+    ``"bigint"`` always resolves to itself; ``"native"`` and ``"auto"``
+    resolve to the C kernel when :func:`native_kernel_available` and to
+    ``"bigint"`` otherwise.  Resolution is per *process*: a worker without
+    a C compiler resolves ``"native"`` to ``"bigint"`` locally, regardless
+    of its parent.
     """
     if kernel == "bigint":
         return "bigint"
-    if kernel == "native":
-        return "native" if native_kernel_available() else "bigint"
-    if kernel == "numpy":
-        return "numpy" if numpy_kernel_available() else "bigint"
-    if kernel != "auto":
+    if kernel not in KERNELS:
         raise ValueError(f"unknown kernel {kernel!r}; expected one of {KERNELS}")
-    if native_kernel_available():
-        return "native"
-    if (
-        target is not None
-        and numpy_kernel_available()
-        and target.num_vertices >= NUMPY_KERNEL_MIN_VERTICES
-    ):
-        return "numpy"
-    return "bigint"
+    return "native" if native_kernel_available() else "bigint"
+
+
+#: process-wide label interner: label -> append-only dense id.  Ids are
+#: never pickled (the native structs that hold them are per-process caches)
+_LABEL_IDS: dict[Hashable, int] = {}
+_LABEL_IDS_LOCK = threading.Lock()
+
+
+def _intern_label(label: Hashable) -> int:
+    """The process-wide id of ``label``, assigned on first sight."""
+    label_id = _LABEL_IDS.get(label)
+    if label_id is None:
+        with _LABEL_IDS_LOCK:
+            label_id = _LABEL_IDS.setdefault(label, len(_LABEL_IDS))
+    return label_id
+
+
+def _packed(*columns: Sequence[int]) -> tuple[array, list[int]]:
+    """The int64 ``columns`` back to back in one buffer, plus the address of
+    each column (one allocation per marshalled object instead of one per
+    field).  The caller keeps the array alive as long as the addresses."""
+    flat: list[int] = []
+    starts = []
+    for column in columns:
+        starts.append(len(flat))
+        flat += column
+    buffer = array("q", flat)
+    base = buffer.buffer_info()[0]
+    return buffer, [base + 8 * start for start in starts]
 
 
 def degree_signature_dominates(
@@ -273,19 +260,14 @@ class CompiledTarget:
         "label_masks",
         "label_histogram",
         "label_degrees",
-        "_arrays",
+        "_ranks",
         "_native",
-        "_kernel_cache",
     )
-
-    #: slots never pickled: per-process caches, rebuilt lazily after unpickling
-    _TRANSIENT_SLOTS = ("_arrays", "_native", "_kernel_cache")
 
     def __init__(self, graph: LabeledGraph) -> None:
         self.graph = graph
-        self._arrays = None
+        self._ranks = None
         self._native = None
-        self._kernel_cache = {}
         space = VertexIdSpace(graph.vertices())
         self.space = space
         n = len(space)
@@ -324,30 +306,34 @@ class CompiledTarget:
         self.label_histogram = label_histogram
         self.label_degrees = label_degrees
 
-    def arrays(self) -> "TargetArrays":
-        """The numpy ``uint64`` word-array form of this target.
+    def vertex_ranks(self) -> list[int]:
+        """Per dense vertex position, the vertex's rank in ``repr`` order.
 
-        Built lazily on first request by the numpy kernel backend and cached
-        for every later verification against this target; callers must first
-        check :func:`numpy_kernel_available`.  The cache is dropped when the
-        target is pickled (snapshots ship the compact bigint form; workers
-        rebuild arrays on demand).
+        The order :func:`repro.graphs.traversal.connected_components` breaks
+        size ties by (the ``repr`` of a component's smallest vertex),
+        reconciled once per target so component ordering — in
+        :func:`masked_components` and in the C kernel — compares ints
+        instead of recomputing ``repr`` per component per candidate.  Built
+        on first request and cached.
         """
-        arrays = self._arrays
-        if arrays is None:
-            arrays = TargetArrays(self)
-            self._arrays = arrays
-        return arrays
+        ranks = self._ranks
+        if ranks is None:
+            id_at = self.space.id_at
+            reprs = [repr(id_at(position)) for position in range(self.num_vertices)]
+            ranks = [0] * self.num_vertices
+            for rank, position in enumerate(sorted(range(len(reprs)), key=reprs.__getitem__)):
+                ranks[position] = rank
+            self._ranks = ranks
+        return ranks
 
     def native(self) -> "NativeTarget":
         """The ctypes word-array form of this target for the C kernel.
 
         Built lazily on first request by the native backend and cached for
         every later verification against this target; callers must first
-        check :func:`native_kernel_available`.  Like :meth:`arrays`, the
-        cache is dropped when the target is pickled (ctypes buffers hold
-        raw addresses that are meaningless in another process; workers
-        rebuild on demand).
+        check :func:`native_kernel_available`.  The cache is dropped when
+        the target is pickled (ctypes buffers hold raw addresses that are
+        meaningless in another process; workers rebuild on demand).
         """
         native = self._native
         if native is None:
@@ -355,38 +341,15 @@ class CompiledTarget:
             self._native = native
         return native
 
-    def resolved_kernel(self, kernel: str) -> str:
-        """Memoised :func:`resolve_kernel` for this target.
-
-        Kernel resolution is invariant per ``(process, target, kernel)``
-        triple — availability of the native/numpy backends never changes
-        within a process, and the ``"auto"`` cost model depends only on the
-        target — so the hot per-pair path reduces dispatch to one dict hit.
-        The memo is dropped on pickling together with the other per-process
-        caches: a worker re-resolves locally, because the native library
-        present in the parent may be unloadable in a fresh process.
-        """
-        cache = self._kernel_cache
-        resolved = cache.get(kernel)
-        if resolved is None:
-            resolved = resolve_kernel(kernel, self)
-            cache[kernel] = resolved
-        return resolved
-
     def __getstate__(self):
-        """Pickle every slot except the per-process caches."""
-        transient = self._TRANSIENT_SLOTS
-        return {
-            slot: getattr(self, slot) for slot in self.__slots__ if slot not in transient
-        }
+        """Pickle every slot except the per-process native form."""
+        return {slot: getattr(self, slot) for slot in self.__slots__ if slot != "_native"}
 
     def __setstate__(self, state) -> None:
-        """Restore pickled slots; array/native forms are rebuilt lazily."""
+        """Restore pickled slots; the native form is rebuilt lazily."""
         for slot, value in state.items():
             setattr(self, slot, value)
-        self._arrays = None
         self._native = None
-        self._kernel_cache = {}
 
     def __repr__(self) -> str:
         return (
@@ -419,9 +382,6 @@ class CompiledQueryPlan:
         "label_histogram",
         "label_degrees",
         "_native",
-        # weak-referenceable so NativeTarget's per-plan step-label memo can
-        # drop entries automatically when a plan dies
-        "__weakref__",
     )
 
     def __init__(self, pattern: LabeledGraph) -> None:
@@ -502,56 +462,47 @@ class CompiledQueryPlan:
                 return True
         return not degree_signature_dominates(self.label_degrees, target.label_degrees)
 
-    def native(self):
-        """The plan's ``ck_plan`` struct for the C kernel (built once, cached).
+    def native(self) -> int:
+        """Address of the plan's ``ck_plan`` struct for the C kernel.
 
-        Flattens the per-step degrees, look-aheads and anchor positions into
-        contiguous int64 arrays and returns the ctypes struct pointing at
-        them; the backing buffers are kept alive alongside the struct.  Like
-        the target-side caches the result is dropped on pickling (raw
-        addresses do not survive a process hop).
+        Built once and cached: the per-step degrees, look-aheads, interned
+        step labels and anchor positions plus the pre-reject signature
+        (distinct interned labels with their descending degree lists) in
+        one contiguous int64 buffer, and the ctypes struct pointing into
+        it; the buffer is kept alive alongside the struct.  Like the
+        target-side cache the result is dropped on pickling (raw addresses
+        and interned ids do not survive a process hop).
         """
         native = self._native
         if native is None:
             steps = self.steps
-            min_degrees = array("q", [step[1] for step in steps])
-            lookaheads = array("q", [step[3] for step in steps])
             flat_anchors: list[int] = []
-            offsets = [0]
+            anchor_indptr = [0]
             for _, _, anchors, _ in steps:
                 flat_anchors.extend(anchors)
-                offsets.append(len(flat_anchors))
-            anchor_indptr = array("q", offsets)
-            anchor_flat = array("q", flat_anchors)
-            struct = _CkPlan(
-                len(steps),
-                min_degrees.buffer_info()[0],
-                lookaheads.buffer_info()[0],
-                anchor_indptr.buffer_info()[0],
-                anchor_flat.buffer_info()[0],
+                anchor_indptr.append(len(flat_anchors))
+            sig_degrees: list[int] = []
+            sig_indptr = [0]
+            for degrees in self.label_degrees.values():
+                sig_degrees.extend(degrees)
+                sig_indptr.append(len(sig_degrees))
+            buffer, addresses = _packed(
+                [step[1] for step in steps],
+                [step[3] for step in steps],
+                [_intern_label(step[0]) for step in steps],
+                anchor_indptr,
+                flat_anchors,
+                [_intern_label(label) for label in self.label_degrees],
+                sig_indptr,
+                sig_degrees,
             )
-            native = (
-                struct,
-                ctypes.byref(struct),
-                (min_degrees, lookaheads, anchor_indptr, anchor_flat),
-            )
-            self._native = native
+            struct = _CkPlan(len(steps), self.num_edges, len(self.label_degrees), *addresses)
+            native = self._native = (ctypes.addressof(struct), struct, buffer)
         return native[0]
-
-    def native_ref(self):
-        """Reusable ``byref`` argument object for :meth:`native`'s struct."""
-        native = self._native
-        if native is None:
-            self.native()
-            native = self._native
-        return native[1]
 
     def __getstate__(self):
         """Pickle every slot except the per-process native struct cache."""
-        transient = ("_native", "__weakref__")
-        return {
-            slot: getattr(self, slot) for slot in self.__slots__ if slot not in transient
-        }
+        return {slot: getattr(self, slot) for slot in self.__slots__ if slot != "_native"}
 
     def __setstate__(self, state) -> None:
         """Restore pickled slots; the native struct is rebuilt lazily."""
@@ -580,7 +531,8 @@ def masked_components(target: CompiledTarget, vertex_mask: int) -> list[int]:
     vertex id space.  The components are ordered exactly like
     :func:`repro.graphs.traversal.connected_components` orders them on the
     materialised induced subgraph — decreasing size, ties broken by the
-    ``repr`` of the smallest vertex — so a caller replacing a
+    ``repr`` of the smallest vertex (read from the target's precomputed
+    :meth:`~CompiledTarget.vertex_ranks`) — so a caller replacing a
     subgraph-then-decompose loop keeps visiting the same components in the
     same order (Grapes relies on this for byte-identical test accounting).
     """
@@ -599,15 +551,13 @@ def masked_components(target: CompiledTarget, vertex_mask: int) -> list[int]:
         components.append(component)
         remaining &= ~component
     if len(components) > 1:
-        space = target.space
-
-        def sort_key(component: int):
-            smallest = min(repr(space.id_at(position)) for position in iter_bits(component))
-            # Mirror connected_components' `repr(sorted(map(repr, comp))[:1])`
-            # tie-break key exactly: sorted(...)[:1] == [min(...)].
-            return (-component.bit_count(), repr([smallest]))
-
-        components.sort(key=sort_key)
+        rank_of = target.vertex_ranks().__getitem__
+        components.sort(
+            key=lambda component: (
+                -component.bit_count(),
+                min(map(rank_of, iter_bits(component))),
+            )
+        )
     return components
 
 
@@ -624,45 +574,107 @@ def masked_edge_count(target: CompiledTarget, vertex_mask: int) -> int:
     return total // 2
 
 
+def match_pairs(
+    query_side: "CompiledQueryPlan | CompiledTarget",
+    candidates: Sequence,
+    regions: Sequence[int] | None = None,
+    *,
+    by_component: bool = False,
+    kernel: str = "auto",
+    prerejected: Sequence[bool] | None = None,
+) -> tuple[list[bool], list[int]]:
+    """Verify every pair of one query; return match flags and test counts.
+
+    ``query_side`` is the side all pairs share: a :class:`CompiledQueryPlan`
+    tested against each :class:`CompiledTarget` of ``candidates``, or a
+    :class:`CompiledTarget` each :class:`CompiledQueryPlan` of ``candidates``
+    is tested against.  Per pair the semantics are identical to
+    ``VF2Matcher(pattern, target).has_match()``.
+
+    ``regions`` (optional, one mask over the target's vertex positions per
+    pair) restricts pair ``i``'s embedding to the masked target vertices —
+    equivalently, to the vertex-induced subgraph the mask denotes; the
+    whole-graph signature
+    pre-reject stays sound (the region's invariants are dominated by the
+    full target's).  With ``by_component`` the region is decomposed and
+    tested component by component (see the module docstring), which may
+    count zero or several tests for the pair; otherwise every pair counts
+    exactly one.
+
+    ``kernel`` selects the backend (:data:`KERNELS` / :func:`resolve_kernel`):
+    one C call for the whole list, or the per-pair bigint loop — flags and
+    counts never depend on the choice.  ``prerejected`` carries the pairs'
+    verdicts from a batched :class:`DatasetSignatures` pass so the bigint
+    loop skips its scalar check; the C kernel always runs its own.
+    """
+    shared_plan = isinstance(query_side, CompiledQueryPlan)
+    if resolve_kernel(kernel) == "native":
+        return _native_match_pairs(query_side, candidates, regions, by_component, shared_plan)
+    matched: list[bool] = []
+    tests: list[int] = []
+    for index, candidate in enumerate(candidates):
+        plan, target = (query_side, candidate) if shared_plan else (candidate, query_side)
+        region = None if regions is None else regions[index]
+        rejected = plan.prereject(target) if prerejected is None else prerejected[index]
+        if by_component and region is not None:
+            flag, count = _match_by_component(plan, target, region, rejected)
+        else:
+            flag, count = _match_one(plan, target, region, rejected), 1
+        matched.append(flag)
+        tests.append(count)
+    return matched, tests
+
+
 def compiled_has_embedding(
     plan: CompiledQueryPlan,
     target: CompiledTarget,
     vertex_mask: int | None = None,
     *,
     kernel: str = "auto",
-    prechecked: bool = False,
 ) -> bool:
-    """True if the plan's pattern has a (non-induced) embedding in ``target``.
+    """True if the plan's pattern has a (non-induced) embedding in ``target``
+    — inside ``vertex_mask`` when one is given.  The ``n = 1`` case of
+    :func:`match_pairs`."""
+    regions = None if vertex_mask is None else [vertex_mask]
+    return match_pairs(plan, [target], regions, kernel=kernel)[0][0]
 
-    Semantics are identical to ``VF2Matcher(pattern, target).has_match()``;
-    the search differs only in representation.  ``kernel`` selects the
-    backend (see :data:`KERNELS` / :func:`resolve_kernel`); both backends
-    explore the identical DFS tree, so the answer never depends on the
-    choice.  ``prechecked=True`` skips the scalar signature pre-reject —
-    callers pass it when a batched :class:`DatasetSignatures` pass has
-    already cleared this pair (re-running the scalar check would only
-    duplicate work; it can never flip the answer).
 
-    With a ``vertex_mask``, candidate generation is additionally restricted
-    to the masked target vertices, so the kernel answers whether an embedding
-    exists whose image lies entirely inside the mask — equivalently, whether
-    the pattern embeds in the vertex-induced subgraph the mask denotes.  The
-    whole-graph signature pre-reject stays sound (the region's invariants are
-    dominated by the full target's), and look-ahead feasibility counts only
-    the masked neighbours.
-    """
+def _match_one(
+    plan: CompiledQueryPlan, target: CompiledTarget, region: int | None, rejected
+) -> bool:
+    """One counted test on the bigint backend; ``rejected`` is the pair's
+    whole-target signature pre-reject verdict."""
     if plan.num_vertices == 0:
         return True
-    if vertex_mask is not None and vertex_mask.bit_count() < plan.num_vertices:
+    if region is not None and region.bit_count() < plan.num_vertices:
         return False
-    if not prechecked and plan.prereject(target):
+    if rejected:
         return False
-    resolved = target.resolved_kernel(kernel)
-    if resolved == "native":
-        return _native_has_embedding(plan, target, vertex_mask)
-    if resolved == "numpy":
-        return _numpy_has_embedding(plan, target, vertex_mask)
-    return _bigint_has_embedding(plan, target, vertex_mask)
+    return _bigint_has_embedding(plan, target, region)
+
+
+def _match_by_component(
+    plan: CompiledQueryPlan, target: CompiledTarget, region: int, rejected
+) -> tuple[bool, int]:
+    """Component-restricted verification of one pair: ``(matched, tests)``.
+
+    Components of the region in :func:`masked_components` order; one too
+    small (vertices or edges) to host the pattern is skipped without a
+    test, every other one is one counted test, and the first match ends
+    the pair.
+    """
+    tests = 0
+    if region.bit_count() < plan.num_vertices:
+        return False, tests
+    for component in masked_components(target, region):
+        if component.bit_count() < plan.num_vertices:
+            continue
+        if masked_edge_count(target, component) < plan.num_edges:
+            continue
+        tests += 1
+        if _match_one(plan, target, component, rejected):
+            return True, tests
+    return False, tests
 
 
 def _bigint_has_embedding(
@@ -739,202 +751,50 @@ def _bigint_has_embedding(
 
 
 # ----------------------------------------------------------------------
-# numpy uint64 kernel backend
-# ----------------------------------------------------------------------
-
-if _np is not None:  # pragma: no branch
-    #: single-bit uint64 constants, indexed by bit position within a word
-    _BIT_WORDS = _np.uint64(1) << _np.arange(64, dtype=_np.uint64)
-    _EMPTY_INDICES = _np.empty(0, dtype=_np.uint64)
-
-
-def _mask_words(mask: int, num_words: int):
-    """A Python bigint bitmask as a read-only ``(num_words,)`` uint64 array.
-
-    Bit ``i`` of the mask becomes bit ``i % 64`` of word ``i // 64`` — exact
-    on little-endian hosts, which :func:`numpy_kernel_available` guarantees.
-    """
-    return _np.frombuffer(mask.to_bytes(num_words * 8, "little"), dtype=_np.uint64)
-
-
-class TargetArrays:
-    """numpy array form of a :class:`CompiledTarget`.
-
-    Carries what the vectorised kernel gathers per depth: ``adjacency`` is
-    the ``(n, W)`` uint64 word matrix (row ``i`` = neighbour bitset of dense
-    vertex ``i``, used for bit-test gathers and look-ahead popcounts),
-    ``degrees`` the ``(n,)`` int64 degree array, ``label_members`` each
-    label's ascending member-index array (unanchored candidate base), and
-    ``label_csr`` each label's CSR-sliced adjacency — ``(indptr, flat)``
-    where ``flat[indptr[v]:indptr[v + 1]]`` lists ``v``'s neighbours of that
-    label in ascending order (anchored candidate base).  Built once per
-    target via :meth:`CompiledTarget.arrays` and reused by every
-    verification against it.
-    """
-
-    __slots__ = (
-        "num_words",
-        "degrees",
-        "adjacency",
-        "label_members",
-        "label_csr",
-    )
-
-    def __init__(self, target: CompiledTarget) -> None:
-        n = target.num_vertices
-        num_words = max(1, (n + 63) // 64)
-        self.num_words = num_words
-        self.degrees = _np.asarray(target.degrees, dtype=_np.int64)
-        adjacency = _np.empty((n, num_words), dtype=_np.uint64)
-        for index, mask in enumerate(target.adjacency_masks):
-            adjacency[index] = _mask_words(mask, num_words)
-        self.adjacency = adjacency
-        self.label_members = {
-            label: _np.fromiter(iter_bits(mask), _np.int64).astype(_np.uint64)
-            for label, mask in target.label_masks.items()
-        }
-        label_csr: dict[Hashable, tuple] = {}
-        for label in target.label_masks:
-            indptr = _np.zeros(n + 1, dtype=_np.int64)
-            rows = []
-            for index, by_label in enumerate(target.label_adjacency_masks):
-                mask = by_label.get(label, 0)
-                row = list(iter_bits(mask)) if mask else ()
-                rows.append(row)
-                indptr[index + 1] = indptr[index] + len(row)
-            flat = _np.fromiter(
-                (bit for row in rows for bit in row), _np.int64, count=int(indptr[-1])
-            ).astype(_np.uint64)
-            label_csr[label] = (indptr, flat)
-        self.label_csr = label_csr
-
-
-if _np is not None:  # pragma: no branch
-    _U1 = _np.uint64(1)
-    _U6 = _np.uint64(6)
-    _U63 = _np.uint64(63)
-
-
-def _numpy_has_embedding(
-    plan: CompiledQueryPlan, target: CompiledTarget, vertex_mask: int | None
-) -> bool:
-    """The vectorised index-gather kernel backend.
-
-    Explores the same DFS tree as :func:`_bigint_has_embedding` — identical
-    matching order, identical ascending candidate order, identical degree
-    and look-ahead predicates — but computes each depth's *entire* feasible
-    candidate list in one vectorised pass on entry: the anchored (CSR slice)
-    or label-member base list is narrowed by bit-test gathers into the
-    adjacency/region/used word arrays, then by the degree array and the
-    look-ahead popcount, all as whole-array operations over the candidate
-    list (never over all ``n`` vertices).  Eager filtering is sound because
-    the ``used`` set at depth ``d`` is invariant across every re-entry of
-    that depth (deeper assignments are unwound first), so it sees exactly
-    the state the bigint kernel's lazy per-candidate checks would see.
-    """
-    arrays = target.arrays()
-    region = None if vertex_mask is None else _mask_words(vertex_mask, arrays.num_words)
-    degrees = arrays.degrees
-    adjacency = arrays.adjacency
-    label_members = arrays.label_members
-    label_csr = arrays.label_csr
-
-    steps = plan.steps
-    depth_count = len(steps)
-    images = [0] * depth_count
-    #: feasible candidate index array at each depth, and the try cursor
-    pending: list = [None] * depth_count
-    cursors = [0] * depth_count
-    used = _np.zeros(arrays.num_words, dtype=_np.uint64)
-    depth = 0
-    advancing = True
-
-    while True:
-        label, min_degree, anchors, lookahead = steps[depth]
-        if advancing:
-            if anchors:
-                csr = label_csr.get(label)
-                if csr is None:
-                    candidates = _EMPTY_INDICES
-                else:
-                    indptr, flat = csr
-                    first = images[anchors[0]]
-                    candidates = flat[indptr[first] : indptr[first + 1]]
-                    for anchor in anchors[1:]:
-                        if not candidates.size:
-                            break
-                        row = adjacency[images[anchor]]
-                        hits = (row[candidates >> _U6] >> (candidates & _U63)) & _U1
-                        candidates = candidates[hits != 0]
-            else:
-                candidates = label_members.get(label, _EMPTY_INDICES)
-            if candidates.size and region is not None:
-                hits = (region[candidates >> _U6] >> (candidates & _U63)) & _U1
-                candidates = candidates[hits != 0]
-            if candidates.size:
-                hits = (used[candidates >> _U6] >> (candidates & _U63)) & _U1
-                candidates = candidates[hits == 0]
-            if min_degree and candidates.size:
-                candidates = candidates[degrees[candidates] >= min_degree]
-            if lookahead and candidates.size:
-                # High bits of ~used beyond vertex n are harmless: adjacency
-                # rows never set them, so the AND masks them out.
-                free = ~used if region is None else region & ~used
-                free_neighbors = _np.bitwise_count(adjacency[candidates] & free)
-                candidates = candidates[free_neighbors.sum(axis=1) >= lookahead]
-            pending[depth] = candidates
-            cursors[depth] = 0
-        else:
-            candidates = pending[depth]
-        cursor = cursors[depth]
-        if cursor < candidates.size:
-            vertex = int(candidates[cursor])
-            cursors[depth] = cursor + 1
-            images[depth] = vertex
-            used[vertex >> 6] |= _BIT_WORDS[vertex & 63]
-            depth += 1
-            if depth == depth_count:
-                return True
-            advancing = True
-        else:
-            depth -= 1
-            if depth < 0:
-                return False
-            vertex = images[depth]
-            used[vertex >> 6] ^= _BIT_WORDS[vertex & 63]
-            advancing = False
-
-
-# ----------------------------------------------------------------------
 # native C kernel backend
 # ----------------------------------------------------------------------
 
 
 class _CkTarget(ctypes.Structure):
-    """ctypes mirror of ``ck_target`` in ``_ckernel.c`` (ABI v1)."""
+    """ctypes mirror of ``ck_target`` in ``_ckernel.c`` (ABI v2)."""
 
     _fields_ = [
-        ("n", ctypes.c_int64),
-        ("num_words", ctypes.c_int64),
-        ("num_labels", ctypes.c_int64),
-        ("adjacency", ctypes.c_void_p),
-        ("degrees", ctypes.c_void_p),
-        ("label_members", ctypes.c_void_p),
-        ("ladj_indptr", ctypes.c_void_p),
-        ("ladj_labels", ctypes.c_void_p),
-        ("ladj_words", ctypes.c_void_p),
+        (name, ctypes.c_int64)
+        for name in ("n", "num_words", "num_labels", "num_edges", "label_map_len")
+    ] + [
+        (name, ctypes.c_void_p)
+        for name in (
+            "adjacency",
+            "label_members",
+            "ladj_words",
+            "degrees",
+            "ladj_indptr",
+            "ladj_labels",
+            "label_map",
+            "ranks",
+            "sig_indptr",
+            "sig_degrees",
+        )
     ]
 
 
 class _CkPlan(ctypes.Structure):
-    """ctypes mirror of ``ck_plan`` in ``_ckernel.c`` (ABI v1)."""
+    """ctypes mirror of ``ck_plan`` in ``_ckernel.c`` (ABI v2)."""
 
     _fields_ = [
-        ("num_steps", ctypes.c_int64),
-        ("min_degrees", ctypes.c_void_p),
-        ("lookaheads", ctypes.c_void_p),
-        ("anchor_indptr", ctypes.c_void_p),
-        ("anchors", ctypes.c_void_p),
+        (name, ctypes.c_int64) for name in ("num_steps", "num_edges", "num_sig_labels")
+    ] + [
+        (name, ctypes.c_void_p)
+        for name in (
+            "min_degrees",
+            "lookaheads",
+            "step_labels",
+            "anchor_indptr",
+            "anchors",
+            "sig_labels",
+            "sig_indptr",
+            "sig_degrees",
+        )
     ]
 
 
@@ -942,150 +802,139 @@ class NativeTarget:
     """ctypes word-array form of a :class:`CompiledTarget` for the C kernel.
 
     Serialises every bigint bitmask of the target into little-endian
-    ``uint64`` word buffers once — ``adjacency`` as an ``(n, W)`` row-major
-    block, ``label_members`` as one ``W``-word row per label id, and the
+    ``uint64`` words once — ``adjacency`` as an ``(n, W)`` row-major block,
+    ``label_members`` as one ``W``-word row per local label row, and the
     label-partitioned adjacency as a CSR block whose entries per vertex are
-    sorted by ascending label id (the order ``ck_label_row`` linear-scans).
-    Labels are arbitrary hashables on the Python side, so ``label_ids``
-    assigns them dense ints; per call the plan's step labels are mapped
-    through it (``-1`` marks a label the target lacks — an empty candidate
-    base, exactly the bigint kernel's ``.get(label, 0)``).
+    sorted by ascending label row (the order ``ck_label_row`` linear-scans)
+    — and the integer columns back to back in one int64 buffer: degrees, the
+    CSR offsets and label rows, ``label_map`` (interned label id → local
+    label row, ``-1`` for a label the target lacks; a plan's label interned
+    after this target was marshalled lies beyond the map and is absent by
+    definition — exactly the bigint kernel's ``.get(label, 0)``), the
+    :meth:`~CompiledTarget.vertex_ranks`, and the pre-reject signature (per
+    label row, the descending degrees of its vertices).
 
-    ``struct`` is the ready-to-pass ``ck_target`` pointer block; the
-    backing :mod:`array` buffers are pinned in ``_buffers`` for the
-    lifetime of this object.  Built via :meth:`CompiledTarget.native` and
-    cached there; never pickled.
+    ``address`` is the ready-to-pass ``ck_target`` pointer; the backing
+    buffers are pinned in ``_buffers`` for the lifetime of this object.
+    Built via :meth:`CompiledTarget.native` and cached there; never pickled.
     """
 
-    __slots__ = (
-        "num_words",
-        "full_mask",
-        "label_ids",
-        "struct",
-        "struct_ref",
-        "_buffers",
-        "_step_labels",
-    )
+    __slots__ = ("row_bytes", "full_mask", "address", "_buffers")
 
     def __init__(self, target: CompiledTarget) -> None:
         n = target.num_vertices
         num_words = max(1, (n + 63) // 64)
-        row_bytes = num_words * 8
-        self.num_words = num_words
+        row_bytes = self.row_bytes = num_words * 8
         self.full_mask = (1 << n) - 1
-        label_ids = {label: index for index, label in enumerate(target.label_masks)}
-        self.label_ids = label_ids
-
-        adjacency = array("Q")
-        adjacency.frombytes(
-            b"".join(
-                mask.to_bytes(row_bytes, "little") for mask in target.adjacency_masks
-            )
-        )
-        degrees = array("q", target.degrees)
-        members = array("Q")
-        members.frombytes(
-            b"".join(
-                target.label_masks[label].to_bytes(row_bytes, "little")
-                for label in label_ids
-            )
-        )
+        rows = {label: row for row, label in enumerate(target.label_masks)}
 
         offsets = [0] * (n + 1)
         entry_labels: list[int] = []
-        entry_chunks: list[bytes] = []
+        entry_masks: list[int] = []
         for position, by_label in enumerate(target.label_adjacency_masks):
-            entries = sorted(
-                (label_ids[label], mask) for label, mask in by_label.items()
-            )
+            entries = [(rows[label], mask) for label, mask in by_label.items()]
+            entries.sort()
             offsets[position + 1] = offsets[position] + len(entries)
-            for label_id, mask in entries:
-                entry_labels.append(label_id)
-                entry_chunks.append(mask.to_bytes(row_bytes, "little"))
-        ladj_indptr = array("q", offsets)
-        ladj_labels = array("q", entry_labels)
-        ladj_words = array("Q")
-        ladj_words.frombytes(b"".join(entry_chunks))
-
-        # plan -> (step-label array, base address); weak keys so entries die
-        # with their plan instead of pinning every plan ever verified here
-        self._step_labels = weakref.WeakKeyDictionary()
-        self._buffers = (
-            adjacency,
-            degrees,
-            members,
-            ladj_indptr,
-            ladj_labels,
-            ladj_words,
+            for row, mask in entries:
+                entry_labels.append(row)
+                entry_masks.append(mask)
+        words = array("Q")
+        words.frombytes(
+            b"".join(
+                [
+                    mask.to_bytes(row_bytes, "little")
+                    for masks in (
+                        target.adjacency_masks,
+                        target.label_masks.values(),
+                        entry_masks,
+                    )
+                    for mask in masks
+                ]
+            )
         )
-        self.struct = _CkTarget(
+        adjacency = words.buffer_info()[0]
+        members = adjacency + n * row_bytes
+        ladj_words = members + len(rows) * row_bytes
+
+        interned = {_intern_label(label): row for label, row in rows.items()}
+        label_map = [-1] * (max(interned, default=-1) + 1)
+        for label_id, row in interned.items():
+            label_map[label_id] = row
+        sig_degrees: list[int] = []
+        sig_indptr = [0]
+        for label in rows:
+            sig_degrees.extend(target.label_degrees[label])
+            sig_indptr.append(len(sig_degrees))
+        integers, addresses = _packed(
+            target.degrees,
+            offsets,
+            entry_labels,
+            label_map,
+            target.vertex_ranks(),
+            sig_indptr,
+            sig_degrees,
+        )
+        struct = _CkTarget(
             n,
             num_words,
-            len(label_ids),
-            adjacency.buffer_info()[0],
-            degrees.buffer_info()[0],
-            members.buffer_info()[0],
-            ladj_indptr.buffer_info()[0],
-            ladj_labels.buffer_info()[0],
-            ladj_words.buffer_info()[0],
+            len(rows),
+            target.num_edges,
+            len(label_map),
+            adjacency,
+            members,
+            ladj_words,
+            *addresses,
         )
-        # byref argument objects are reusable; building one per call would
-        # be measurable next to a microsecond-scale kernel entry
-        self.struct_ref = ctypes.byref(self.struct)
-
-    def step_labels_address(self, plan: "CompiledQueryPlan") -> int:
-        """Base address of ``plan``'s step labels mapped into this target's
-        label id space (``-1`` for labels the target lacks).
-
-        The mapping is invariant per ``(plan, target)`` pair, so it is
-        memoised — on the hot path (one query verified against many cached
-        candidates, each candidate hit repeatedly across the batch) the
-        per-call marshalling cost collapses to one dict hit.
-        """
-        cached = self._step_labels.get(plan)
-        if cached is None:
-            get = self.label_ids.get
-            labels = array("q", [get(step[0], -1) for step in plan.steps])
-            cached = (labels, labels.buffer_info()[0])
-            self._step_labels[plan] = cached
-        return cached[1]
+        self.address = ctypes.addressof(struct)
+        self._buffers = (struct, words, integers)
 
 
-def _native_has_embedding(
-    plan: CompiledQueryPlan, target: CompiledTarget, vertex_mask: int | None
-) -> bool:
-    """The C kernel backend (``_ckernel.c`` driven through ctypes).
+def _native_match_pairs(query_side, candidates, regions, by_component, shared_plan):
+    """:func:`match_pairs` on the C kernel: one ``ck_verify_many`` call.
 
-    The target and plan structs are prebuilt and cached (see
-    :meth:`CompiledTarget.native` / :meth:`CompiledQueryPlan.native`), and
-    the plan's step labels mapped into the target's label id space are
-    memoised per pair (:meth:`NativeTarget.step_labels_address`); the only
-    per-call marshalling left is serialising the region mask on masked
-    runs.  Callers guarantee the library loaded (``resolved_kernel``
-    returned ``"native"``).
+    Both sides are marshalled once per object (see
+    :meth:`CompiledTarget.native` / :meth:`CompiledQueryPlan.native`); per
+    call only the two pointer arrays, the region rows and the output
+    buffers are built.  Callers guarantee the library loaded
+    (``resolve_kernel`` returned ``"native"``).
     """
-    library = _ckernel_loader.kernel()
-    native_target = target.native()
-    plan_ref = plan.native_ref()
-    step_labels_address = native_target.step_labels_address(plan)
-    region_address = None
-    if vertex_mask is not None:
-        region = array("Q")
-        region.frombytes(
-            (vertex_mask & native_target.full_mask).to_bytes(
-                native_target.num_words * 8, "little"
-            )
+    count = len(candidates)
+    if not count:
+        return [], []
+    if shared_plan:
+        natives = [target.native() for target in candidates]
+        targets = array("Q", [native.address for native in natives])
+        plans = array("Q", (query_side.native(),))
+    else:
+        natives = [query_side.native()] * count
+        targets = array("Q", (natives[0].address,))
+        plans = array("Q", [plan.native() for plan in candidates])
+    regions_address = None
+    if regions is not None:
+        # the kernel reads pair i's region as the next row of its target's
+        # width, and walks its set bits as vertices: drop bits beyond n
+        region_rows = b"".join(
+            [
+                (region & native.full_mask).to_bytes(native.row_bytes, "little")
+                for region, native in zip(regions, natives)
+            ]
         )
-        region_address = region.buffer_info()[0]
-    result = library.ck_has_embedding(
-        native_target.struct_ref,
-        plan_ref,
-        step_labels_address,
-        region_address,
+        regions_address = ctypes.cast(region_rows, ctypes.c_void_p)
+    matched = array("B", bytes(count))
+    tests = array("q", bytes(8 * count))
+    status = _ckernel_loader.kernel().ck_verify_many(
+        targets.buffer_info()[0],
+        len(targets),
+        plans.buffer_info()[0],
+        len(plans),
+        regions_address,
+        by_component,
+        matched.buffer_info()[0],
+        tests.buffer_info()[0],
     )
-    if result < 0:  # pragma: no cover - allocation failure inside the kernel
+    if status < 0:  # pragma: no cover - allocation failure inside the kernel
         raise MemoryError("native kernel scratch allocation failed")
-    return bool(result)
+    return list(map(bool, matched)), tests.tolist()
 
 
 # ----------------------------------------------------------------------

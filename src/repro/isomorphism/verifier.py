@@ -7,12 +7,14 @@ Every filter-then-verify method performs its verification stage through a
   or Ullmann (baseline for the verifier ablation benchmark);
 * fast-path dispatch — when the configured algorithm admits it (VF2,
   non-induced), callers holding precompiled representations
-  (:mod:`repro.isomorphism.compiled`) verify through the bitset kernel via
-  :meth:`Verifier.is_subgraph_compiled`; the graph-based entry points keep
-  working unchanged and apply the same early-fail signature pre-check;
+  (:mod:`repro.isomorphism.compiled`) verify all pairs of a query through
+  the bitset kernel with one :meth:`Verifier.verify_pairs` call
+  (:meth:`Verifier.is_subgraph_compiled` is its one-pair form); the
+  graph-based entry points keep working unchanged and apply the same
+  early-fail signature pre-check;
 * instrumentation — the number of subgraph isomorphism tests and the time
   spent in them is the primary metric of the paper's evaluation (Figures 1,
-  7–11), so the verifier counts every call and accumulates wall-clock time.
+  7–11), so the verifier counts every test and accumulates wall-clock time.
   A test resolved by the pre-check or the compiled kernel is still one test:
   the counters only depend on how many candidate pairs were checked, never
   on which internal path checked them.
@@ -21,7 +23,8 @@ Every filter-then-verify method performs its verification stage through a
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 from ..graphs.graph import LabeledGraph
 from .compiled import (
@@ -30,8 +33,8 @@ from .compiled import (
     CompiledTarget,
     compile_query_plan,
     compile_target,
-    compiled_has_embedding,
-    numpy_kernel_available,
+    match_pairs,
+    numpy_available,
     resolve_kernel,
     signature_prereject,
 )
@@ -55,7 +58,6 @@ class VerifierStats:
     positives: int = 0
     negatives: int = 0
     total_seconds: float = 0.0
-    per_test_seconds: list[float] = field(default_factory=list)
 
     def reset(self) -> None:
         """Zero all counters."""
@@ -63,7 +65,6 @@ class VerifierStats:
         self.positives = 0
         self.negatives = 0
         self.total_seconds = 0.0
-        self.per_test_seconds.clear()
 
 
 class Verifier:
@@ -86,12 +87,11 @@ class Verifier:
         reproduces the pre-optimisation behaviour exactly.
     kernel:
         Compiled-kernel backend: ``"bigint"`` (pure-Python bitmask loop),
-        ``"numpy"`` (vectorised uint64 word arrays, bigint fallback when
-        numpy is unavailable), ``"native"`` (hand-written C inner loop,
-        bigint fallback when the shared library cannot be loaded) or
-        ``"auto"`` (default; native when loadable, else per-target cost
-        model).  All backends explore the identical search tree, so
-        answers and accounting never depend on the choice.
+        ``"native"`` (hand-written C kernel, one call per query; bigint
+        fallback when the shared library cannot be loaded) or ``"auto"``
+        (default; native when loadable, else bigint).  Both backends
+        explore the identical search tree, so answers and accounting never
+        depend on the choice.
     """
 
     def __init__(
@@ -179,11 +179,17 @@ class Verifier:
         """True if callers should run the vectorised batched pre-reject.
 
         The batched pass computes exactly the scalar per-pair signature
-        check, so it is sound under any configuration; it is skipped for
-        ``kernel="bigint"`` (the pure-Python A/B baseline must not touch
-        numpy) and when numpy is unavailable.
+        check, so it is sound under any configuration.  It serves the
+        bigint loop when that is a *fallback*: it is skipped when the C
+        kernel runs (which pre-rejects per pair itself), for a forced
+        ``kernel="bigint"`` (the pure-Python baseline must not touch numpy)
+        and when numpy is unavailable.
         """
-        return self.kernel != "bigint" and numpy_kernel_available()
+        return (
+            self.kernel != "bigint"
+            and resolve_kernel(self.kernel) == "bigint"
+            and numpy_available()
+        )
 
     def resolved_kernel_name(self) -> str:
         """The kernel backend this verifier runs *in this process*.
@@ -201,43 +207,59 @@ class Verifier:
             return "uncompiled"
         return resolve_kernel(self.kernel)
 
+    def verify_pairs(
+        self,
+        query_side: CompiledQueryPlan | CompiledTarget,
+        candidates: Sequence,
+        regions: Sequence[int] | None = None,
+        by_component: bool = False,
+        prerejected: Sequence[bool] | None = None,
+    ) -> list[bool]:
+        """Test every pair of one query through the bitset kernel.
+
+        The batch form of :meth:`is_subgraph`: ``query_side`` is the
+        compiled side the pairs share — the query's plan against each
+        candidate :class:`CompiledTarget` (subgraph verification, ``Isub``)
+        or the query's target against each candidate
+        :class:`CompiledQueryPlan` (supergraph verification, ``Isuper``) —
+        obtained from :meth:`compile_pattern` / :meth:`compile_target` or
+        the database caches.  ``regions`` / ``by_component`` /
+        ``prerejected`` are passed to
+        :func:`~repro.isomorphism.compiled.match_pairs`.  Returns the match
+        flag per candidate and folds the batch into the statistics once:
+        one test per pair — a region-restricted run is still one counted
+        test, exactly like the region-subgraph test it replaces — or, with
+        ``by_component``, one per component actually tested.  Batching
+        moves work around but never changes how much verification is
+        accounted.
+        """
+        start = time.perf_counter()
+        matched, tests = match_pairs(
+            query_side,
+            candidates,
+            regions,
+            by_component=by_component,
+            kernel=self.kernel,
+            prerejected=prerejected,
+        )
+        stats = self.stats
+        tested, positives = sum(tests), sum(matched)
+        stats.tests += tested
+        stats.positives += positives
+        stats.negatives += tested - positives
+        stats.total_seconds += time.perf_counter() - start
+        return matched
+
     def is_subgraph_compiled(
         self,
         plan: CompiledQueryPlan,
         target: CompiledTarget,
         vertex_mask: int | None = None,
-        prerejected: bool | None = None,
     ) -> bool:
-        """Test ``plan.pattern ⊆ target.graph`` through the bitset kernel.
-
-        Counts and times exactly like :meth:`is_subgraph`; callers obtain
-        ``plan`` and ``target`` from :meth:`compile_pattern` /
-        :meth:`compile_target` or from the database caches.  A ``vertex_mask``
-        restricts the embedding's image to the masked target vertices
-        (region-restricted verification); a masked run is still one counted
-        test, exactly like the region-subgraph test it replaces.
-
-        ``prerejected`` carries the pair's verdict from a batched
-        :class:`~repro.isomorphism.compiled.DatasetSignatures` pass:
-        ``True`` records the (certain) negative without entering the
-        kernel, ``False`` enters the kernel with the scalar pre-check
-        skipped, ``None`` (default) runs the scalar pre-check inside the
-        kernel.  Either way the pair is one counted test — batching moves
-        work around but never changes how much verification is accounted.
-        """
-        start = time.perf_counter()
-        if prerejected:
-            result = False
-        else:
-            result = compiled_has_embedding(
-                plan,
-                target,
-                vertex_mask,
-                kernel=self.kernel,
-                prechecked=prerejected is not None,
-            )
-        self._record(result, time.perf_counter() - start)
-        return result
+        """Test ``plan.pattern ⊆ target.graph`` — inside ``vertex_mask`` when
+        one is given: :meth:`verify_pairs` for a single pair."""
+        regions = None if vertex_mask is None else [vertex_mask]
+        return self.verify_pairs(plan, [target], regions)[0]
 
     # ------------------------------------------------------------------
     # Graph-based path
@@ -265,7 +287,6 @@ class Verifier:
     def _record(self, result: bool, elapsed: float) -> None:
         self.stats.tests += 1
         self.stats.total_seconds += elapsed
-        self.stats.per_test_seconds.append(elapsed)
         if result:
             self.stats.positives += 1
         else:

@@ -26,6 +26,7 @@ import time
 from abc import ABC, abstractmethod
 from collections.abc import Hashable, Iterable
 from dataclasses import dataclass, field
+from itertools import compress
 
 from ..features.bitmaps import ThresholdBitmapIndex
 from ..features.extractor import FeatureExtractor, GraphFeatures
@@ -97,6 +98,10 @@ class SubgraphQueryMethod(ABC):
     #: indexing time; the tables are then built lazily if ever needed.
     needs_graph_features: bool = True
 
+    #: methods whose verification reads *where* features occur in the
+    #: dataset graphs (Grapes) set this so indexing extracts the locations
+    needs_feature_locations: bool = False
+
     def __init__(self, extractor: FeatureExtractor, verifier: Verifier | None = None) -> None:
         self.extractor = extractor
         self.verifier = verifier if verifier is not None else Verifier()
@@ -149,7 +154,7 @@ class SubgraphQueryMethod(ABC):
     def _build_feature_index(self) -> None:
         if not self._graph_features:
             self._graph_features = {
-                graph_id: self.extractor.extract(graph)
+                graph_id: self.extractor.extract(graph, locations=self.needs_feature_locations)
                 for graph_id, graph in self.database.items()
             }
         index = self._feature_index = ThresholdBitmapIndex()
@@ -226,35 +231,28 @@ class SubgraphQueryMethod(ABC):
 
         When the verifier admits the compiled fast path the query is
         compiled into a matching plan *once* and tested against the
-        database's cached :class:`CompiledTarget` of each candidate; a
-        vectorised batched pre-reject (when enabled by the verifier's
-        ``kernel``) settles every certain negative in one array pass first.
-        Otherwise every candidate pair goes through the graph-based matcher
-        exactly as before.
+        database's cached :class:`CompiledTarget` of every candidate in one
+        :meth:`Verifier.verify_pairs` call (one C call on the native
+        kernel; on the bigint fallback a vectorised batched pre-reject
+        settles every certain negative in one array pass first).  Otherwise
+        every candidate pair goes through the graph-based matcher exactly
+        as before.
         """
         self._require_index()
         verifier = self.verifier
-        answers = set()
         plan = verifier.compile_pattern(query)
-        if plan is not None:
-            compiled_target = self.database.compiled_target
-            candidates = list(candidate_ids)
-            rejected = self._batched_prereject(candidates, plan=plan)
-            if rejected is None:
-                for graph_id in candidates:
-                    if verifier.is_subgraph_compiled(plan, compiled_target(graph_id)):
-                        answers.add(graph_id)
-            else:
-                for graph_id, reject in zip(candidates, rejected):
-                    if verifier.is_subgraph_compiled(
-                        plan, compiled_target(graph_id), prerejected=bool(reject)
-                    ):
-                        answers.add(graph_id)
-        else:
-            for graph_id in candidate_ids:
-                if verifier.is_subgraph(query, self.database.get(graph_id)):
-                    answers.add(graph_id)
-        return answers
+        if plan is None:
+            get = self.database.get
+            return {
+                graph_id for graph_id in candidate_ids if verifier.is_subgraph(query, get(graph_id))
+            }
+        candidates = list(candidate_ids)
+        matched = verifier.verify_pairs(
+            plan,
+            list(map(self.database.compiled_target, candidates)),
+            prerejected=self._batched_prereject(candidates, plan=plan),
+        )
+        return set(compress(candidates, matched))
 
     def verify_supergraph(
         self,
@@ -272,37 +270,28 @@ class SubgraphQueryMethod(ABC):
         """
         self._require_index()
         verifier = self.verifier
-        answers = set()
         target = verifier.compile_target(query)
-        if target is not None:
-            compiled_plan = self.database.compiled_plan
-            candidates = list(candidate_ids)
-            rejected = self._batched_prereject(candidates, target=target)
-            if rejected is None:
-                for graph_id in candidates:
-                    if verifier.is_subgraph_compiled(compiled_plan(graph_id), target):
-                        answers.add(graph_id)
-            else:
-                for graph_id, reject in zip(candidates, rejected):
-                    if verifier.is_subgraph_compiled(
-                        compiled_plan(graph_id), target, prerejected=bool(reject)
-                    ):
-                        answers.add(graph_id)
-        else:
-            for graph_id in candidate_ids:
-                if verifier.is_subgraph(self.database.get(graph_id), query):
-                    answers.add(graph_id)
-        return answers
+        if target is None:
+            get = self.database.get
+            return {
+                graph_id for graph_id in candidate_ids if verifier.is_subgraph(get(graph_id), query)
+            }
+        candidates = list(candidate_ids)
+        matched = verifier.verify_pairs(
+            target,
+            list(map(self.database.compiled_plan, candidates)),
+            prerejected=self._batched_prereject(candidates, target=target),
+        )
+        return set(compress(candidates, matched))
 
     def _batched_prereject(self, candidates, plan=None, target=None):
         """One vectorised signature pass over all candidates of a query.
 
         Returns a boolean reject array aligned with ``candidates`` (entry
         ``i`` is exactly the scalar pre-reject verdict of pair ``i``), or
-        ``None`` when batching is disabled (``kernel="bigint"``), numpy is
-        unavailable, or the batch is too small to benefit.  Passing the
-        verdict into :meth:`Verifier.is_subgraph_compiled` keeps per-pair
-        accounting identical to the scalar path.
+        ``None`` when batching is off — the C kernel runs (it pre-rejects
+        per pair itself), ``kernel="bigint"`` is forced, numpy is
+        unavailable, or the batch is too small to benefit.
         """
         if len(candidates) < 2 or not self.verifier.batched_prereject_enabled():
             return None
@@ -387,11 +376,10 @@ class SubgraphQueryMethod(ABC):
         ``"mixed"``) supersedes the legacy boolean ``supergraph`` flag.
 
         The snapshot gets a fresh verifier with the parent's configuration:
-        workers report statistic *deltas*, so shipping the parent's
-        accumulated counters (in particular the unbounded per-test timing
-        list) would only bloat the pickle — while the configuration must
-        ride along so an A/B run (``compiled=False`` / ``precheck=False``)
-        keeps its meaning on the pool.
+        workers report statistic *deltas*, so the parent's accumulated
+        counters stay behind — while the configuration must ride along so
+        an A/B run (``compiled=False`` / ``precheck=False``) keeps its
+        meaning on the pool.
         """
         if mode is None:
             mode = "supergraph" if supergraph else "subgraph"

@@ -16,13 +16,14 @@ DESIGN.md, substitutions).
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Hashable
+from itertools import compress
 
 from ..features.extractor import FeatureExtractor, GraphFeatures
-from ..graphs.bitset import CandidateBitmap
+from ..graphs.bitset import CandidateBitmap, iter_bits
 from ..graphs.graph import LabeledGraph
 from ..graphs.traversal import connected_components, is_connected
-from ..isomorphism.compiled import masked_components, masked_edge_count
 from ..isomorphism.verifier import Verifier
 from .base import SubgraphQueryMethod
 
@@ -33,6 +34,7 @@ class GrapesMethod(SubgraphQueryMethod):
     """Grapes: path index + location info + component-restricted verification."""
 
     name = "grapes"
+    needs_feature_locations = True
 
     def __init__(
         self,
@@ -55,10 +57,11 @@ class GrapesMethod(SubgraphQueryMethod):
 
     # ------------------------------------------------------------------
     def index_size_bytes(self) -> int:
-        location_bytes = 0
-        for features in self._graph_features.values():
-            for vertices in features.locations.values():
-                location_bytes += 40 + 8 * len(vertices)
+        location_bytes = sum(
+            sys.getsizeof(mask)
+            for features in self._graph_features.values()
+            for mask in features.locations.values()
+        )
         return self.feature_index.size_bytes() + location_bytes
 
     # ------------------------------------------------------------------
@@ -72,19 +75,25 @@ class GrapesMethod(SubgraphQueryMethod):
         return self._dominating_graphs(features)
 
     # ------------------------------------------------------------------
-    def candidate_regions(self, query_features: GraphFeatures, graph_id: Hashable) -> set:
-        """Vertices of ``graph_id`` covered by occurrences of query features.
+    def region_mask(self, query_features: GraphFeatures, graph_id: Hashable) -> int:
+        """Vertices of ``graph_id`` covered by occurrences of query features,
+        as a bitmask over the graph's compiled vertex positions.
 
         Any embedding of the query must lie entirely inside this region: each
         query vertex belongs to some query path feature, and the image of
         that path is an occurrence of the same feature in the dataset graph,
         whose vertices were recorded in the location table.
         """
-        graph_features = self._graph_features[graph_id]
-        region: set = set()
+        located = self._graph_features[graph_id].locations.get
+        region = 0
         for key in query_features.counts:
-            region.update(graph_features.locations.get(key, ()))
+            region |= located(key, 0)
         return region
+
+    def candidate_regions(self, query_features: GraphFeatures, graph_id: Hashable) -> set:
+        """:meth:`region_mask` decoded to the vertex set (dict-based path)."""
+        vertices = list(self.database.get(graph_id).vertices())
+        return {vertices[position] for position in iter_bits(self.region_mask(query_features, graph_id))}
 
     def verify(self, query: LabeledGraph, candidate_ids, features: GraphFeatures | None = None) -> set:
         """Component-restricted verification.
@@ -94,13 +103,15 @@ class GrapesMethod(SubgraphQueryMethod):
         Falls back to whole-graph testing for disconnected queries (the
         region argument only bounds connected embeddings).
 
-        On the compiled path the query plan is compiled once and each
-        component test runs against the candidate's database-cached
-        whole-graph :class:`CompiledTarget` restricted by the component's
-        vertex bitmask — no region subgraph is ever materialised.  Component
-        order, the size/edge pre-checks and the one-test-per-component
-        accounting replicate the dict-based path exactly
-        (``Verifier(compiled=False)`` restores it for A/B runs).
+        On the compiled path the query plan is compiled once and all
+        candidates go through one :meth:`Verifier.verify_pairs` call: each
+        candidate's database-cached whole-graph :class:`CompiledTarget`
+        with its region mask, decomposed and tested component by component
+        inside the kernel — no region subgraph is ever materialised.
+        Component order, the size/edge pre-checks and the
+        one-test-per-component accounting replicate the dict-based path
+        below exactly (``Verifier(compiled=False)`` selects it; it is the
+        oracle the compiled path is tested against).
         """
         self._require_index()
         if features is None:
@@ -108,7 +119,7 @@ class GrapesMethod(SubgraphQueryMethod):
         query_connected = is_connected(query)
         plan = self.verifier.compile_pattern(query)
         if plan is not None:
-            return self._verify_compiled(query, candidate_ids, features, query_connected, plan)
+            return self._verify_compiled(list(candidate_ids), features, query_connected, plan)
         answers = set()
         for graph_id in candidate_ids:
             graph = self.database.get(graph_id)
@@ -134,43 +145,18 @@ class GrapesMethod(SubgraphQueryMethod):
                 answers.add(graph_id)
         return answers
 
-    def _verify_compiled(
-        self,
-        query: LabeledGraph,
-        candidate_ids,
-        features: GraphFeatures,
-        query_connected: bool,
-        plan,
-    ) -> set:
-        """Region-masked verification on the compiled bitset kernel."""
-        verifier = self.verifier
-        compiled_target = self.database.compiled_target
-        answers = set()
-        for graph_id in candidate_ids:
-            target = compiled_target(graph_id)
-            if not query_connected:
-                if verifier.is_subgraph_compiled(plan, target):
-                    answers.add(graph_id)
-                continue
-            region = self.candidate_regions(features, graph_id)
-            if len(region) < query.num_vertices:
-                continue
-            position = target.space.position
-            region_mask = 0
-            for vertex in region:
-                region_mask |= 1 << position(vertex)
-            matched = False
-            for component_mask in masked_components(target, region_mask):
-                if component_mask.bit_count() < query.num_vertices:
-                    continue
-                if masked_edge_count(target, component_mask) < query.num_edges:
-                    continue
-                if verifier.is_subgraph_compiled(plan, target, vertex_mask=component_mask):
-                    matched = True
-                    break
-            if matched:
-                answers.add(graph_id)
-        return answers
+    def _verify_compiled(self, candidates: list, features, query_connected: bool, plan) -> set:
+        """Region-decomposed verification of all candidates in one kernel call."""
+        regions = None
+        if query_connected:
+            regions = [self.region_mask(features, graph_id) for graph_id in candidates]
+        matched = self.verifier.verify_pairs(
+            plan,
+            list(map(self.database.compiled_target, candidates)),
+            regions,
+            by_component=True,
+        )
+        return set(compress(candidates, matched))
 
     def verification_snapshot(
         self, supergraph: bool = False, mode: str | None = None

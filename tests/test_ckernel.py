@@ -1,21 +1,23 @@
 """Tests for the native C kernel backend (``kernel="native"``).
 
-The contract is the repository-wide byte-identity guarantee extended to a
-third backend: the C inner loop (``_ckernel.c``, loaded through
+The contract is the repository-wide byte-identity guarantee extended to the
+second backend: the C kernel (``_ckernel.c``, loaded through
 :mod:`repro.isomorphism._ckernel_loader`) must return the same boolean as
 the bigint kernel on every (plan, target, mask) triple — cross-validated on
-the same four corpora the numpy backend is held to (random pairs, the
-supergraph direction, multi-word targets past 64 vertices, region-masked
-runs) — and the engine built on top must produce identical answers,
-accounting and cache state in every configuration, including shards=4
-process replicas.  The backend must also *degrade*: with the extension
-force-disabled (``REPRO_DISABLE_NATIVE=1``) everything falls back to
-bigint with no behaviour change beyond speed, and the fallback is visible
-in the folded worker statistics rather than silent.
+four corpora (random pairs, the supergraph direction, multi-word targets
+past 64 vertices, region-masked runs; ``test_verify_pairs.py`` adds the
+batch and component-decomposition property) — and the engine built on top
+must produce identical answers, accounting and cache state in every
+configuration, including shards=4 process replicas.  The backend must
+also *degrade*: with the extension force-disabled
+(``REPRO_DISABLE_NATIVE=1``) everything falls back to bigint with no
+behaviour change beyond speed, and the fallback is visible in the folded
+worker statistics rather than silent.
 """
 
 from __future__ import annotations
 
+import ctypes
 import pickle
 import random
 
@@ -88,6 +90,22 @@ class TestLoader:
     @needs_native
     def test_resolution_is_cached(self):
         assert _ckernel_loader.kernel() is _ckernel_loader.kernel()
+
+    @needs_native
+    def test_stale_abi_rejected(self, monkeypatch):
+        """An artifact built for another struct layout must never be driven."""
+        assert _ckernel_loader.ABI_VERSION == 2
+        library = ctypes.CDLL(str(_ckernel_loader.native_kernel_path()))
+        assert _ckernel_loader._configure(library) is library
+        monkeypatch.setattr(_ckernel_loader, "ABI_VERSION", 1)
+        assert _ckernel_loader._configure(library) is None
+
+    def test_cflags_are_part_of_the_cache_key(self, monkeypatch):
+        """A sanitised build must not collide with the ``-O3`` artifact."""
+        monkeypatch.delenv("CFLAGS", raising=False)
+        plain = _ckernel_loader._source_key(b"source")
+        monkeypatch.setenv("CFLAGS", "-O1 -g -fsanitize=address,undefined")
+        assert _ckernel_loader._source_key(b"source") != plain
 
 
 # ----------------------------------------------------------------------
@@ -185,22 +203,12 @@ class TestNativeKernelParity:
 @needs_native
 class TestKernelResolution:
     def test_native_and_auto_resolve_to_native(self):
-        target = compile_target(make_cycle_graph("ABC"))
-        assert resolve_kernel("native", target) == "native"
-        assert resolve_kernel("auto", target) == "native"
-        assert resolve_kernel("bigint", target) == "bigint"
-        # target-independent form (worker telemetry)
+        assert KERNELS == ("auto", "bigint", "native")
         assert resolve_kernel("native") == "native"
         assert resolve_kernel("auto") == "native"
-
-    def test_resolution_memoised_on_target(self):
-        target = compile_target(make_cycle_graph("ABC"))
-        assert target._kernel_cache == {}
-        assert target.resolved_kernel("auto") == "native"
-        assert target._kernel_cache == {"auto": "native"}
-        assert target.resolved_kernel("bigint") == "bigint"
-        # the memo is what the per-pair hot path consults
-        assert target._kernel_cache == {"auto": "native", "bigint": "bigint"}
+        assert resolve_kernel("bigint") == "bigint"
+        with pytest.raises(ValueError, match="kernel"):
+            resolve_kernel("numpy")
 
     def test_verifier_reports_resolved_name(self):
         assert Verifier(kernel="native").resolved_kernel_name() == "native"
@@ -226,10 +234,8 @@ class TestPickling:
         assert target._native is None
         native = target.native()
         assert target.native() is native  # cached
-        assert target.resolved_kernel("native") == "native"
         clone = pickle.loads(pickle.dumps(target))
         assert clone._native is None  # raw addresses never cross processes
-        assert clone._kernel_cache == {}  # workers re-resolve locally
         assert compiled_has_embedding(
             compile_query_plan(make_cycle_graph("ABC")), clone, kernel="native"
         )
@@ -268,7 +274,6 @@ class TestForcedFallback:
             assert resolve_kernel("native") == "bigint"
             assert resolve_kernel("auto") == "bigint"
             target = compile_target(make_cycle_graph("ABC"))
-            assert target.resolved_kernel("native") == "bigint"
             # a forced-native verifier still answers correctly (on bigint)
             verifier = Verifier(kernel="native")
             plan = verifier.compile_pattern(make_path_graph("AB"))

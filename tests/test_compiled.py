@@ -28,7 +28,7 @@ from repro.isomorphism import (
     compiled_has_embedding,
     masked_components,
     masked_edge_count,
-    numpy_kernel_available,
+    numpy_available,
     signature_prereject,
 )
 from repro.methods import ScanMethod
@@ -238,6 +238,17 @@ class TestVerifierDispatch:
         assert Verifier(algorithm="ullmann").compile_pattern(query) is None
         assert Verifier(induced=True).compile_pattern(query) is None
 
+    def test_unknown_kernel_rejected(self):
+        for kernel in ("simd", "numpy"):  # the numpy backend is gone
+            with pytest.raises(ValueError, match="kernel"):
+                compiled_has_embedding(
+                    compile_query_plan(make_path_graph("AB")),
+                    compile_target(make_path_graph("AB")),
+                    kernel=kernel,
+                )
+            with pytest.raises(ValueError, match="kernel"):
+                Verifier(kernel=kernel)
+
     def test_compiled_and_plain_paths_count_identically(self, tiny_database):
         query = make_path_graph("ABC")
         fast = Verifier()
@@ -251,7 +262,7 @@ class TestVerifierDispatch:
         assert fast.stats.tests == slow.stats.tests == len(tiny_database)
         assert fast.stats.positives == slow.stats.positives
         assert fast.stats.negatives == slow.stats.negatives
-        assert len(fast.stats.per_test_seconds) == fast.stats.tests
+        assert fast.stats.total_seconds > 0.0
 
     def test_precheck_does_not_change_answers(self):
         rng = random.Random(404)
@@ -390,116 +401,7 @@ class TestRegionMaskedKernel:
         assert verifier.stats.positives == 1 and verifier.stats.negatives == 1
 
 
-needs_numpy = pytest.mark.skipif(
-    not numpy_kernel_available(), reason="numpy >= 2.0 little-endian kernel unavailable"
-)
-
-
-@needs_numpy
-class TestNumpyKernel:
-    """``kernel="numpy"`` must be observationally identical to the bigint
-    loop — same boolean on every (plan, target, mask) triple, since the
-    engine's byte-identity guarantee rides on the two kernels agreeing."""
-
-    def both_kernels(self, plan, target, mask=None) -> bool:
-        bigint = compiled_has_embedding(plan, target, mask, kernel="bigint")
-        vectorised = compiled_has_embedding(plan, target, mask, kernel="numpy")
-        assert vectorised == bigint
-        return bigint
-
-    def test_known_cases_agree(self):
-        cases = [
-            (make_path_graph("ABC"), make_cycle_graph("ABC")),
-            (make_cycle_graph("ABC"), make_path_graph("ABC")),
-            (make_cycle_graph("AAA"), make_clique("AAAA")),
-            (make_star_graph("A", "BBB"), make_path_graph("BAB")),
-            (LabeledGraph(), make_path_graph("AB")),
-        ]
-        for pattern, target_graph in cases:
-            self.both_kernels(compile_query_plan(pattern), compile_target(target_graph))
-
-    def test_random_pairs_subgraph_direction(self):
-        rng = random.Random(171)  # the TestCrossValidation corpus
-        positives = 0
-        for _ in range(400):
-            pattern, target_graph = random_pair(rng)
-            positives += self.both_kernels(
-                compile_query_plan(pattern), compile_target(target_graph)
-            )
-        assert positives > 20  # both outcomes exercised
-
-    def test_random_pairs_supergraph_direction(self):
-        rng = random.Random(733)
-        for _ in range(200):
-            query = random_labeled_graph(rng, rng.randint(3, 10), 0.4)
-            compiled_query = compile_target(query)
-            dataset_graph = random_labeled_graph(rng, rng.randint(1, 6), 0.5)
-            self.both_kernels(compile_query_plan(dataset_graph), compiled_query)
-
-    def test_multi_word_targets(self):
-        """Targets past 64 vertices span several uint64 words — the word
-        arithmetic (shift-by-6 gathers, cross-word lookahead) must agree."""
-        rng = random.Random(65)
-        for _ in range(40):
-            target_graph = random_labeled_graph(rng, rng.randint(65, 150), 0.05)
-            target = compile_target(target_graph)
-            for _ in range(5):
-                pattern = random_labeled_graph(rng, rng.randint(2, 6), 0.5)
-                self.both_kernels(compile_query_plan(pattern), target)
-
-    def test_masked_regions_agree(self):
-        rng = random.Random(4242)  # the TestRegionMaskedKernel corpus
-        for _ in range(200):
-            target_graph = random_labeled_graph(
-                rng, rng.randint(2, 10), rng.random() * 0.6, connected=rng.random() < 0.6
-            )
-            pattern = random_labeled_graph(
-                rng, rng.randint(1, 4), rng.random() * 0.8, connected=rng.random() < 0.8
-            )
-            target = compile_target(target_graph)
-            vertices = [vertex for vertex in target_graph.vertices() if rng.random() < 0.6]
-            self.both_kernels(
-                compile_query_plan(pattern), target, mask_of_vertices(target, vertices)
-            )
-
-    def test_verifier_accounting_identical_across_kernels(self, tiny_database):
-        query = make_path_graph("ABC")
-        verifiers = {name: Verifier(kernel=name) for name in ("bigint", "numpy", "auto")}
-        answers = {}
-        for name, verifier in verifiers.items():
-            plan = verifier.compile_pattern(query)
-            answers[name] = [
-                verifier.is_subgraph_compiled(plan, compile_target(tiny_database.get(gid)))
-                for gid in tiny_database.ids()
-            ]
-        assert answers["bigint"] == answers["numpy"] == answers["auto"]
-        reference = verifiers["bigint"].stats
-        for name in ("numpy", "auto"):
-            stats = verifiers[name].stats
-            assert stats.tests == reference.tests
-            assert stats.positives == reference.positives
-            assert stats.negatives == reference.negatives
-
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(ValueError, match="kernel"):
-            compiled_has_embedding(
-                compile_query_plan(make_path_graph("AB")),
-                compile_target(make_path_graph("AB")),
-                kernel="simd",
-            )
-        with pytest.raises(ValueError, match="kernel"):
-            Verifier(kernel="simd")
-
-    def test_arrays_are_lazy_and_excluded_from_pickles(self):
-        target = compile_target(make_clique("ABCD"))
-        assert target._arrays is None
-        arrays = target.arrays()
-        assert target.arrays() is arrays  # cached
-        clone = pickle.loads(pickle.dumps(target))
-        assert clone._arrays is None  # snapshots ship the compact form
-        assert compiled_has_embedding(
-            compile_query_plan(make_cycle_graph("ABC")), clone, kernel="numpy"
-        )
+needs_numpy = pytest.mark.skipif(not numpy_available(), reason="numpy unavailable")
 
 
 @needs_numpy

@@ -46,13 +46,23 @@ class TestConfiguration:
 class TestPathFeatures:
     def test_counts_and_locations(self):
         extractor = FeatureExtractor(max_path_length=2)
-        features = extractor.extract(make_star_graph("A", "BB"))
+        graph = make_star_graph("A", "BB")
+        features = extractor.extract(graph, locations=True)
         assert features.counts[("A",)] == 1
         assert features.counts[("B",)] == 2
         assert features.counts[("A", "B")] == 2
         assert features.counts[("B", "A", "B")] == 1
-        assert features.locations[("A", "B")] == frozenset({0, 1, 2})
+        # a bitmask over the positions of graph.vertices()
+        assert list(graph.vertices()) == [0, 1, 2]
+        assert features.locations[("A", "B")] == 0b111
+        assert features.locations[("A",)] == 0b001
         assert features.num_distinct == 4
+
+    def test_locations_only_on_request(self):
+        extractor = FeatureExtractor(max_path_length=2)
+        graph = make_star_graph("A", "BB")
+        assert extractor.extract(graph).locations == {}
+        assert extractor.extract(graph).counts == extractor.extract(graph, locations=True).counts
 
     def test_keys_helper(self):
         extractor = FeatureExtractor(max_path_length=1)
@@ -62,20 +72,24 @@ class TestPathFeatures:
     @pytest.mark.parametrize("dataset", ["aids", "pdbs"])
     def test_keys_equal_the_string_code_round_trip(self, dataset):
         """The tuple keys are what splitting ``canonical_path_code`` gave:
-        same keys, counts and locations, in the same insertion order."""
+        same keys, counts and locations, in the same insertion order — and
+        every path is enumerated in the direction whose full vertex-repr
+        sequence is the smaller one (the endpoint shortcut decides the same)."""
         extractor = FeatureExtractor(max_path_length=3)
         for _, graph in list(load_dataset(dataset, scale=0.05).items())[:6]:
+            position = {vertex: index for index, vertex in enumerate(graph.vertices())}
             counts, locations = {}, {}
             for path in enumerate_simple_paths(graph, extractor.max_path_length):
+                reprs = tuple(map(repr, path))
+                assert reprs <= reprs[::-1]
                 code = canonical_path_code([graph.label(vertex) for vertex in path])
                 key = tuple(code.split("\x1f"))
                 counts[key] = counts.get(key, 0) + 1
-                locations.setdefault(key, set()).update(path)
-            features = extractor.extract(graph)
+                locations[key] = locations.get(key, 0) | sum(1 << position[v] for v in path)
+            features = extractor.extract(graph, locations=True)
             assert list(features.counts.items()) == list(counts.items())
-            assert list(features.locations.items()) == [
-                (key, frozenset(vertices)) for key, vertices in locations.items()
-            ]
+            assert list(features.locations.items()) == list(locations.items())
+            assert list(extractor.extract(graph).counts.items()) == list(counts.items())
 
 
 class TestTreeCycleFeatures:
@@ -93,9 +107,10 @@ class TestTreeCycleFeatures:
 
     def test_locations_populated(self):
         extractor = FeatureExtractor(kind=FeatureExtractor.TREES_CYCLES, tree_max_size=2)
-        features = extractor.extract(make_path_graph("AB"))
-        for vertices in features.locations.values():
-            assert vertices <= {0, 1}
+        features = extractor.extract(make_path_graph("AB"), locations=True)
+        assert set(features.locations) == set(features.counts)
+        for mask in features.locations.values():
+            assert 0 < mask <= 0b11
 
 
 class TestContainmentHelpers:

@@ -11,8 +11,8 @@ Three contracts:
   points return ``None`` and the pools initialise from the classic pickled
   ``initargs`` payload, with identical answers.
 * **Byte-identity** — process pools fed through shared memory (batch
-  executor workers and per-shard replicas, including ``kernel="numpy"``)
-  produce the same answers, accounting and cache state as the inline run.
+  executor workers and per-shard replicas) produce the same answers,
+  accounting and cache state as the inline run.
 """
 
 from __future__ import annotations
@@ -22,10 +22,9 @@ import random
 
 import pytest
 
-from repro.core import IGQ, ShardedIGQ
+from repro.core import IGQ
 from repro.core import shm
 from repro.core.batch import BatchExecutor
-from repro.isomorphism import Verifier
 from repro.methods import ScanMethod, create_method
 
 from .conftest import make_path_graph, random_labeled_graph
@@ -230,18 +229,3 @@ class TestProcessPoolIntegration:
         engine.close()
         assert sharded == baseline
         assert set(leaked_segments()) <= before
-
-    def test_numpy_kernel_process_shards_byte_identical(self, small_db, queries):
-        """shards=4, process backend, kernel="numpy": the full acceptance
-        configuration must match the inline bigint single-shard run."""
-        _, baseline = run_engine(small_db, queries, engine_cls=IGQ)
-        verifier = Verifier(kernel="numpy")
-        method = create_method("ggsx", max_path_length=3, verifier=verifier)
-        engine = ShardedIGQ(
-            method, shards=4, shard_backend="process", cache_size=10, window_size=3
-        )
-        engine.build_index(small_db)
-        results = [engine.query(query) for query in queries]
-        fingerprint = engine_fingerprint(engine, results)
-        engine.close()
-        assert fingerprint == baseline

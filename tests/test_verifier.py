@@ -18,8 +18,7 @@ class TestVerifier:
         assert stats.tests == 2
         assert stats.positives == 1
         assert stats.negatives == 1
-        assert stats.total_seconds >= 0.0
-        assert len(stats.per_test_seconds) == 2
+        assert stats.total_seconds > 0.0
 
     def test_is_supergraph_swaps_arguments(self):
         verifier = Verifier()
@@ -31,7 +30,7 @@ class TestVerifier:
         verifier.is_subgraph(make_path_graph("AB"), make_path_graph("AB"))
         verifier.reset()
         assert verifier.stats.tests == 0
-        assert verifier.stats.per_test_seconds == []
+        assert verifier.stats.total_seconds == 0.0
 
     def test_ullmann_backend(self):
         verifier = Verifier(algorithm="ullmann")
