@@ -10,9 +10,8 @@ load two of those stages dominate and neither needs to be sequential:
   are pure-Python CPU work);
 * **feature extraction** — real workloads repeat query fragments heavily
   (that is the premise of the paper), so extraction is memoised across the
-  batch: a repeated query is canonicalised and hashed once, and the memo is
-  keyed by an exact *canonical form*, so isomorphic (relabeled) repeats hit
-  it too;
+  batch under the query's exact signature: a structural copy of an earlier
+  query (what a decoded wire repeat is) skips the extraction;
 * **planning** — while query *i*'s candidates verify on the pool, the
   executor already plans query *i+1* (base-method filtering plus the two iGQ
   component lookups).  Planning's only state mutation — the §5.1 metadata
@@ -40,7 +39,7 @@ from collections.abc import Hashable, Iterable, Iterator
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-from ..features.canonical import canonical_graph_key, exact_graph_signature
+from ..features.canonical import exact_graph_signature
 from ..features.extractor import GraphFeatures
 from ..graphs.graph import LabeledGraph
 from ..methods.base import QueryResult, SubgraphQueryMethod
@@ -146,6 +145,11 @@ def effective_cpu_count() -> int:
 #: than it saves, so the executor verifies in-process
 _MIN_PARALLEL_CANDIDATES = 4
 
+#: a service keeps one executor (and its feature memo) for its lifetime;
+#: the memo is cleared when it reaches this many distinct queries — the
+#: rule ``IGQ._feature_memo`` and ``ShardedIGQ._shard_memo`` use
+_FEATURE_MEMO_CAPACITY = 8192
+
 
 def graph_signature(graph: LabeledGraph) -> tuple:
     """A hashable, exact signature of a labeled graph.
@@ -153,8 +157,7 @@ def graph_signature(graph: LabeledGraph) -> tuple:
     Two graphs with the same vertex ids, labels and edges share the
     signature; workload generators emit repeated queries as structural
     copies, which is precisely what the batch feature memo needs to catch.
-    Delegates to :func:`repro.features.canonical.exact_graph_signature`
-    (kept as an alias here because it predates the canonical-key work).
+    Delegates to :func:`repro.features.canonical.exact_graph_signature`.
     """
     return exact_graph_signature(graph)
 
@@ -185,46 +188,35 @@ class BatchStats:
 class FeatureMemo:
     """Batch-wide memo of extracted query features.
 
-    Two-level lookup: the exact graph signature catches structural copies
-    (what workload generators emit for repeated queries) without paying for
-    canonicalisation, and the canonical-form key from
-    :func:`repro.features.canonical.canonical_graph_key` additionally
-    catches *isomorphic* (relabeled) repeats — feature counts are
-    isomorphism-invariant, so the memoised record is exact for every member
-    of the isomorphism class.
+    Keyed by the exact graph signature, which catches structural copies —
+    what workload generators emit for repeated queries and what the wire
+    decoder produces for a repeat.  An isomorphic but relabelled repeat is
+    simply extracted again: recognising it needs a canonical labelling that
+    costs several extractions (docs/performance.md, "Query preparation").
     """
 
     def __init__(self, extractor) -> None:
         self._extractor = extractor
         self._features: dict[tuple, GraphFeatures] = {}
-        self._canonical: dict[tuple, GraphFeatures] = {}
         self.hits = 0
         self.misses = 0
-        #: subset of ``hits`` found only through the canonical-form key
-        #: (an isomorphic relabeling of an earlier query, not an exact copy)
-        self.canonical_hits = 0
 
     def extract(self, query: LabeledGraph) -> GraphFeatures:
         """Return (possibly memoised) features of ``query``."""
         key = graph_signature(query)
         features = self._features.get(key)
         if features is None:
-            canonical_key = canonical_graph_key(query)
-            features = self._canonical.get(canonical_key)
-            if features is None:
-                features = self._extractor.extract(query)
-                self._canonical[canonical_key] = features
-                self.misses += 1
-            else:
-                self.hits += 1
-                self.canonical_hits += 1
+            features = self._extractor.extract(query)
+            if len(self._features) >= _FEATURE_MEMO_CAPACITY:
+                self._features.clear()
             self._features[key] = features
+            self.misses += 1
         else:
             self.hits += 1
         return features
 
     def __len__(self) -> int:
-        return len(self._canonical)
+        return len(self._features)
 
 
 # ----------------------------------------------------------------------

@@ -44,14 +44,15 @@ class CacheEntry:
     alleviated_cost: float = 0.0
     #: free-form annotations (e.g. the query's workload group)
     tags: dict = field(default_factory=dict)
-    #: compiled (bitset) target representation of :attr:`graph`, built by
-    #: the ``Isub`` component on insertion — the cached query plays the
-    #: *target* role there ("is the new query a subgraph of this entry?")
-    #: — and reused until the entry is evicted
+    #: compiled (bitset) target representation of :attr:`graph`, read by
+    #: the ``Isub`` component — the cached query plays the *target* role
+    #: there ("is the new query a subgraph of this entry?").  Inherited
+    #: from the query's own processing when a stage compiled it, otherwise
+    #: built on insertion; reused until the entry is evicted
     compiled_target: object | None = field(default=None, repr=False, compare=False)
-    #: compiled matching plan of :attr:`graph`, built by the ``Isuper``
-    #: component on insertion — the cached query plays the *pattern* role
-    #: there ("is this entry a subgraph of the new query?")
+    #: compiled matching plan of :attr:`graph`, read by the ``Isuper``
+    #: component — the cached query plays the *pattern* role there ("is
+    #: this entry a subgraph of the new query?"); same lifecycle
     compiled_plan: object | None = field(default=None, repr=False, compare=False)
 
     def queries_since_added(self, current_counter: int) -> int:
@@ -107,8 +108,16 @@ class QueryCache:
         features: GraphFeatures,
         answer: frozenset | set,
         tags: dict | None = None,
+        *,
+        compiled_target: object | None = None,
+        compiled_plan: object | None = None,
     ) -> CacheEntry:
-        """Insert a new entry and return it."""
+        """Insert a new entry and return it.
+
+        ``compiled_target`` / ``compiled_plan`` are the forms of ``graph``
+        the query's own processing already compiled, if any; the component
+        indexes compile whichever is missing when the entry reaches them.
+        """
         entry = CacheEntry(
             entry_id=self._next_id,
             graph=graph,
@@ -116,6 +125,8 @@ class QueryCache:
             answer=frozenset(answer),
             added_at=self.query_counter,
             tags=dict(tags or {}),
+            compiled_target=compiled_target,
+            compiled_plan=compiled_plan,
         )
         self._entries[entry.entry_id] = entry
         self._next_id += 1

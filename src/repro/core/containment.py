@@ -10,16 +10,18 @@ factors out everything the two directions share:
 * **lifecycle** — the entry store and dense bit positions
   (:class:`~repro.graphs.bitset.DensePositions`) for candidate bitmasks,
   with ``add`` / ``remove`` maintained in one place;
-* **compilation on insertion** — the whole point of the iGQ cache is that a
+* **compilation at most once** — the whole point of the iGQ cache is that a
   cached query is containment-tested against *every* new query until it is
   evicted, so the per-entry side of the compiled kernel
-  (:mod:`repro.isomorphism.compiled`) is built exactly once, when the entry
-  enters an index: ``Isub`` compiles the cached graph as a
-  :class:`CompiledTarget` (the new query is the pattern), ``Isuper`` compiles
-  it as a :class:`CompiledQueryPlan` (the cached query is the pattern, run
-  against the new query compiled once per lookup as the target).  The
-  compiled objects live on the :class:`~repro.core.cache.CacheEntry` itself,
-  so they survive every window flush untouched and eviction releases them;
+  (:mod:`repro.isomorphism.compiled`) is kept on the entry: ``Isub`` needs
+  the cached graph as a :class:`CompiledTarget` (the new query is the
+  pattern), ``Isuper`` as a :class:`CompiledQueryPlan` (the cached query is
+  the pattern, run against the new query's target).  An entry usually
+  arrives with both — the forms its query was probed and verified with
+  (:class:`~repro.isomorphism.compiled.CompiledQuery`) — and an index
+  compiles only what is missing when the entry enters it.  The compiled
+  objects live on the :class:`~repro.core.cache.CacheEntry` itself, so they
+  survive every window flush untouched and eviction releases them;
 * **verification dispatch** — the size pre-checks pick the surviving
   candidates, and all of them go through the compiled bitset kernel in one
   :meth:`Verifier.verify_pairs` call (signature pre-reject, then search,
@@ -42,7 +44,7 @@ from operator import attrgetter
 
 from ..graphs.bitset import DensePositions
 from ..graphs.graph import LabeledGraph
-from ..isomorphism.compiled import compile_query_plan, compile_target
+from ..isomorphism.compiled import CompiledQuery, compile_query_plan, compile_target
 from ..isomorphism.verifier import Verifier
 from .cache import CacheEntry
 
@@ -152,7 +154,7 @@ class ContainmentIndex:
         self,
         query: LabeledGraph,
         candidate_mask: int,
-        query_side_cache: dict | None = None,
+        compiled: CompiledQuery | None = None,
     ) -> list[CacheEntry]:
         """Verify the candidates of ``candidate_mask`` against ``query``.
 
@@ -161,17 +163,15 @@ class ContainmentIndex:
         all pairs in one kernel call when the compiled path is enabled, pair
         by pair through the graph-based matcher otherwise.  The query-side
         compiled representation (plan for ``Isub``, target for ``Isuper``)
-        is built only when a pair survives and shared by the whole lookup;
-        a caller probing several same-direction indexes for one query (the
-        sharded runtime) passes a ``query_side_cache`` dict so the compile
-        happens once across all of them.  Hits come back in ascending ``entry_id`` — cache insertion
+        is built only when a pair survives, and taken from ``compiled`` —
+        the query's shared :class:`CompiledQuery` — when the caller carries
+        one: the engine passes the same object to both probes, every shard
+        partition, the dataset verification and the cache entry the query
+        becomes, so each form is compiled once per query.  Hits come back
+        in ascending ``entry_id`` — cache insertion
         order — whatever slots the entries occupy: recycled slots make
         position order meaningless, and exact-repeat detection, the §5.1
         credits and the sharded merge all depend on the sequence.
-        (The dataset verification stage compiles the same query's
-        plan again in its own layer; that duplicate is one O(|query|)
-        compile per query — microseconds — and threading the object across
-        the method interface is not worth the coupling.)
         """
         verifier = self.verifier
         query_num_vertices = query.num_vertices
@@ -190,22 +190,20 @@ class ContainmentIndex:
         if not survivors:
             return []
         if self.use_compiled():
+            if compiled is None:
+                compiled = CompiledQuery(query)
             query_side = (
-                query_side_cache.get("query_side") if query_side_cache is not None else None
+                compiled.compiled_plan() if entry_is_target else compiled.compiled_target()
             )
-            if query_side is None:
-                query_side = (compile_query_plan if entry_is_target else compile_target)(query)
-                if query_side_cache is not None:
-                    query_side_cache["query_side"] = query_side
             compiled_side = attrgetter("compiled_target" if entry_is_target else "compiled_plan")
-            compiled = list(map(compiled_side, survivors))
-            if None in compiled:
+            entry_sides = list(map(compiled_side, survivors))
+            if None in entry_sides:
                 # Entries indexed while the compiled path was off (an A/B
                 # toggle mid-stream) are compiled and cached now.
                 for entry in survivors:
                     self._compile_entry(entry)
-                compiled = list(map(compiled_side, survivors))
-            matched = verifier.verify_pairs(query_side, compiled)
+                entry_sides = list(map(compiled_side, survivors))
+            matched = verifier.verify_pairs(query_side, entry_sides)
         elif entry_is_target:
             matched = [verifier.is_subgraph(query, entry.graph) for entry in survivors]
         else:

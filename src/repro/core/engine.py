@@ -31,6 +31,7 @@ from ..features.extractor import GraphFeatures
 from ..graphs.bitset import CandidateBitmap, GraphIdSpace, iter_bits
 from ..graphs.database import GraphDatabase
 from ..graphs.graph import LabeledGraph
+from ..isomorphism.compiled import CompiledQuery
 from ..isomorphism.cost import isomorphism_test_cost
 from ..isomorphism.verifier import Verifier
 from ..methods.base import QueryResult, SubgraphQueryMethod
@@ -160,6 +161,9 @@ class QueryPlan:
 
     query: LabeledGraph
     features: GraphFeatures
+    #: the query's compiled plan / target, shared by the component probes,
+    #: the dataset verification and the cache entry the query becomes
+    compiled: CompiledQuery
     supergraph: bool
     space: GraphIdSpace
     candidate_mask: int
@@ -282,7 +286,7 @@ class IGQ:
         #: feature extraction is a pure function of the graph, so repeats
         #: skip the path enumeration.  The graph reference pins the object
         #: alive, keeping the id stable (same scheme as the sharded
-        #: engine's routing memo and the batch executor's feature memo).
+        #: engine's routing memo).
         self._feature_memo: dict[int, tuple[LabeledGraph, GraphFeatures]] = {}
         #: durable WAL/snapshot store (:mod:`repro.persist`), attached when
         #: ``config.persist.dir`` is set; the sharded subclass defers the
@@ -552,7 +556,8 @@ class IGQ:
 
         # Stage 2 — the two iGQ components (Figure 6, threads 2 and 3).
         start = time.perf_counter()
-        sub_hits, super_hits = self._component_hits(query, features)
+        compiled = CompiledQuery(query)
+        sub_hits, super_hits = self._component_hits(query, features, compiled)
         if self.mode == MIXED_MODE:
             # A mixed-mode cache holds subgraph- and supergraph-typed answer
             # sets side by side; a hit only carries meaning for a query of
@@ -588,6 +593,7 @@ class IGQ:
         return QueryPlan(
             query=query,
             features=features,
+            compiled=compiled,
             supergraph=supergraph,
             space=space,
             candidate_mask=candidate_mask,
@@ -605,20 +611,25 @@ class IGQ:
         )
 
     def _component_hits(
-        self, query: LabeledGraph, features: GraphFeatures
+        self, query: LabeledGraph, features: GraphFeatures, compiled: CompiledQuery
     ) -> tuple[list[CacheEntry], list[CacheEntry]]:
         """Stage-2 component lookups: ``(Isub(g), Isuper(g))`` hit lists.
 
         The single-shard engine consults its two in-process indexes; the
         sharded engine (:class:`repro.core.shard.ShardedIGQ`) overrides this
         to fan the probe out across its shard replicas and merge the hits
-        back into the global insertion order.
+        back into the global insertion order.  ``compiled`` is where the
+        probes leave the query's plan and target for the later stages.
         """
         sub_hits = (
-            self.isub.find_supergraphs(query, features) if self.isub is not None else []
+            self.isub.find_supergraphs(query, features, compiled)
+            if self.isub is not None
+            else []
         )
         super_hits = (
-            self.isuper.find_subgraphs(query, features) if self.isuper is not None else []
+            self.isuper.find_subgraphs(query, features, compiled)
+            if self.isuper is not None
+            else []
         )
         return sub_hits, super_hits
 
@@ -636,11 +647,10 @@ class IGQ:
 
     def verify_plan(self, plan: QueryPlan) -> set:
         """Stage 3 — verify the plan's surviving candidates in-process."""
-        if plan.supergraph:
-            return self.method.verify_supergraph(
-                plan.query, plan.remaining, features=plan.features
-            )
-        return self.method.verify(plan.query, plan.remaining, features=plan.features)
+        verify = self.method.verify_supergraph if plan.supergraph else self.method.verify
+        return verify(
+            plan.query, plan.remaining, features=plan.features, compiled=plan.compiled
+        )
 
     def complete_query(
         self, plan: QueryPlan, verified, verify_seconds: float
@@ -655,9 +665,7 @@ class IGQ:
         answers = CandidateBitmap(
             space, space.mask_of(verified) | plan.cache_answer_mask
         )
-        report = self._record_query(
-            plan.query, plan.features, answers, supergraph=plan.supergraph
-        )
+        report = self._record_query(plan, answers)
         return IGQQueryResult(
             query_name=plan.query.name,
             answers=answers,
@@ -785,21 +793,21 @@ class IGQ:
             removable = candidate_mask & ~self._answer_mask(entry)
             entry.record_hit(removable.bit_count(), cost_of(removable))
 
-    def _record_query(
-        self, query: LabeledGraph, features, answers, supergraph: bool = False
-    ) -> MaintenanceReport | None:
+    def _record_query(self, plan: QueryPlan, answers) -> MaintenanceReport | None:
         """Add the processed query to the window; flush it when full."""
         self.cache.note_query_processed()
         # The entry is tagged with the *query's* type, not the engine's —
         # identical for fixed-mode engines, and what lets a mixed-mode cache
         # tell its two answer-set flavours apart.
-        mode = SUPERGRAPH_MODE if supergraph else SUBGRAPH_MODE
+        mode = SUPERGRAPH_MODE if plan.supergraph else SUBGRAPH_MODE
         window_full = self.maintenance.submit(
             PendingQuery(
-                graph=query,
-                features=features,
+                graph=plan.query,
+                features=plan.features,
                 answer=frozenset(answers),
                 tags={"mode": mode},
+                compiled_target=plan.compiled.target,
+                compiled_plan=plan.compiled.plan,
             )
         )
         if not window_full:

@@ -14,8 +14,8 @@ formula (1) hold: every reported entry is a true supergraph of ``g``.
 
 The lifecycle and verification machinery is shared with ``Isuper`` through
 :class:`~repro.core.containment.ContainmentIndex`: cached graphs are
-compiled into bitset targets on insertion and every containment test runs
-on the compiled kernel (the new query's plan is compiled once per lookup).
+kept as bitset targets and every containment test runs on the compiled
+kernel (against the new query's plan, compiled once per query).
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from __future__ import annotations
 from ..features.bitmaps import ThresholdBitmapIndex
 from ..features.extractor import GraphFeatures
 from ..graphs.graph import LabeledGraph
+from ..isomorphism.compiled import CompiledQuery
 from .cache import CacheEntry
 from .containment import ContainmentIndex
 
@@ -56,7 +57,7 @@ class SubgraphQueryIndex(ContainmentIndex):
         self,
         query: LabeledGraph,
         features: GraphFeatures,
-        query_side_cache: dict | None = None,
+        compiled: CompiledQuery | None = None,
         restrict_ids=None,
     ) -> list[CacheEntry]:
         """Return the cached entries ``G`` with ``query ⊆ G`` (``Isub(g)``).
@@ -65,8 +66,8 @@ class SubgraphQueryIndex(ContainmentIndex):
         contains every feature of ``query`` at least as often (the exact
         dual of the dataset-side filtering).  Each surviving candidate is
         verified with a subgraph isomorphism test, so no false positives are
-        possible (formula (1)).  ``query_side_cache`` lets a sharded probe
-        share the query's compiled plan across several index partitions;
+        possible (formula (1)).  ``compiled`` carries the query's shared
+        compiled state (its plan is built here if a candidate survives);
         ``restrict_ids`` limits the lookup to a subset of the indexed
         entries (the sharded runtime's per-probe replica assignment).
         """
@@ -83,7 +84,7 @@ class SubgraphQueryIndex(ContainmentIndex):
         candidate_mask = self._index.at_least(features.counts, universe)
         if not candidate_mask:
             return []
-        return self._verified_hits(query, candidate_mask, query_side_cache)
+        return self._verified_hits(query, candidate_mask, compiled)
 
     def estimated_size_bytes(self) -> int:
         """Entry store plus the threshold-bitmap index (Figure 18)."""

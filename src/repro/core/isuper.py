@@ -30,15 +30,15 @@ this loop either way — see ``docs/performance.md``.)
 
 The lifecycle and verification machinery is shared with ``Isub`` through
 :class:`~repro.core.containment.ContainmentIndex`: here the cached queries
-play the *pattern* role, so each entry carries a ``CompiledQueryPlan``
-compiled on insertion and the new query is compiled once per lookup as the
-target.
+play the *pattern* role, so each entry carries a ``CompiledQueryPlan`` and
+the new query is compiled once as the target.
 """
 
 from __future__ import annotations
 
 from ..features.extractor import GraphFeatures
 from ..graphs.graph import LabeledGraph
+from ..isomorphism.compiled import CompiledQuery
 from .cache import CacheEntry
 from .containment import ContainmentIndex
 
@@ -90,13 +90,13 @@ class SupergraphQueryIndex(ContainmentIndex):
         self,
         query: LabeledGraph,
         features: GraphFeatures,
-        query_side_cache: dict | None = None,
+        compiled: CompiledQuery | None = None,
         restrict_ids=None,
     ) -> list[CacheEntry]:
         """Return the cached entries ``G`` with ``G ⊆ query`` (``Isuper(g)``).
 
-        ``query_side_cache`` lets a sharded probe share the query's compiled
-        target across several index partitions; ``restrict_ids`` limits the
+        ``compiled`` carries the query's shared compiled state (its target
+        is built here if a candidate survives); ``restrict_ids`` limits the
         lookup to a subset of the indexed entries (the sharded runtime's
         per-probe replica assignment).
         """
@@ -105,7 +105,7 @@ class SupergraphQueryIndex(ContainmentIndex):
         mask = self.candidate_mask(features, restrict_ids)
         if not mask:
             return []
-        return self._verified_hits(query, mask, query_side_cache)
+        return self._verified_hits(query, mask, compiled)
 
     # ------------------------------------------------------------------
     def num_features(self, entry_id: int) -> int:

@@ -21,11 +21,13 @@ its speculative query after a flush), and the resulting index contents are
 exactly those a rebuild over the updated cache would produce.
 
 Compiled-state lifecycle: an entry's compiled representations
-(``CompiledTarget`` / ``CompiledQueryPlan``) are built when the flush adds it
-to the indexes, kept untouched while it survives later flushes, and released
-when it is evicted — so each cached query is compiled at most once per
-direction, and the number of live compiled objects stays bounded by the
-cache capacity.
+(``CompiledTarget`` / ``CompiledQueryPlan``) are the ones its query was
+probed and verified with, carried through the window on the
+:class:`PendingQuery`; a form no stage needed is built when the flush adds
+the entry to the indexes.  They are kept untouched while the entry survives
+later flushes and released when it is evicted — so each query is compiled at
+most once per direction, and the number of live compiled objects stays
+bounded by the cache capacity plus one window.
 """
 
 from __future__ import annotations
@@ -50,6 +52,22 @@ class PendingQuery:
     features: GraphFeatures
     answer: frozenset
     tags: dict = field(default_factory=dict)
+    #: the compiled forms the query's own probes and verification built (or
+    #: ``None``); the cache entry inherits them, so the flush compiles only
+    #: what no stage needed
+    compiled_target: object | None = None
+    compiled_plan: object | None = None
+
+    def add_to(self, cache: QueryCache):
+        """Insert this query into ``cache``; returns the new entry."""
+        return cache.add(
+            self.graph,
+            self.features,
+            self.answer,
+            tags=self.tags,
+            compiled_target=self.compiled_target,
+            compiled_plan=self.compiled_plan,
+        )
 
 
 @dataclass
@@ -142,12 +160,7 @@ class IndexMaintenance:
         report.evicted = len(victims)
         report.evicted_entry_ids = victims
         for pending in window:
-            entry = cache.add(
-                pending.graph,
-                pending.features,
-                pending.answer,
-                tags=pending.tags,
-            )
+            entry = pending.add_to(cache)
             for index in indexes:
                 index.add(entry)
         report.inserted = len(window)

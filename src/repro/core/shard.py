@@ -69,7 +69,7 @@ from dataclasses import dataclass, replace as dataclass_replace
 from ..features.canonical import canonical_graph_key
 from ..features.extractor import GraphFeatures
 from ..graphs.graph import LabeledGraph
-from ..isomorphism.compiled import compile_query_plan, compile_target
+from ..isomorphism.compiled import CompiledQuery, compile_query_plan, compile_target
 from ..isomorphism.verifier import Verifier
 from .batch import _init_worker, _init_worker_shared, effective_cpu_count
 from .cache import CacheEntry
@@ -723,16 +723,18 @@ class QueryIndexShard:
         self,
         query: LabeledGraph,
         features: GraphFeatures,
-        query_side_cache: dict | None = None,
+        compiled: CompiledQuery | None = None,
         home: bool = True,
         cover=None,
     ) -> list[int]:
         """Entry ids of this shard's ``Isub`` hits (local order).
 
-        ``home`` gates the home-partition lookup (a pruned probe skips it);
-        ``cover`` asks for the replicated entries this shard answers for on
-        this probe — ``True`` for all of them, a sequence of entry ids for
-        a subset, ``None`` for none.
+        ``compiled`` is the query's shared compiled state (one plan across
+        the home and replica lookups of every shard); ``home`` gates the
+        home-partition lookup (a pruned probe skips it); ``cover`` asks for
+        the replicated entries this shard answers for on this probe —
+        ``True`` for all of them, a sequence of entry ids for a subset,
+        ``None`` for none.
         """
         if self.isub is None:
             return []
@@ -740,7 +742,7 @@ class QueryIndexShard:
         if home and self._entries:
             ids.extend(
                 entry.entry_id
-                for entry in self.isub.find_supergraphs(query, features, query_side_cache)
+                for entry in self.isub.find_supergraphs(query, features, compiled)
             )
         if cover is not None and self._replicas:
             ids.extend(
@@ -748,7 +750,7 @@ class QueryIndexShard:
                 for entry in self.replica_isub.find_supergraphs(
                     query,
                     features,
-                    query_side_cache,
+                    compiled,
                     restrict_ids=None if cover is True else cover,
                 )
             )
@@ -758,13 +760,14 @@ class QueryIndexShard:
         self,
         query: LabeledGraph,
         features: GraphFeatures,
-        query_side_cache: dict | None = None,
+        compiled: CompiledQuery | None = None,
         home: bool = True,
         cover=None,
     ) -> list[int]:
         """Entry ids of this shard's ``Isuper`` hits (local order).
 
-        ``home`` and ``cover`` behave as in :meth:`find_supergraph_ids`.
+        ``compiled``, ``home`` and ``cover`` behave as in
+        :meth:`find_supergraph_ids`.
         """
         if self.isuper is None:
             return []
@@ -772,7 +775,7 @@ class QueryIndexShard:
         if home and self._entries:
             ids.extend(
                 entry.entry_id
-                for entry in self.isuper.find_subgraphs(query, features, query_side_cache)
+                for entry in self.isuper.find_subgraphs(query, features, compiled)
             )
         if cover is not None and self._replicas:
             ids.extend(
@@ -780,7 +783,7 @@ class QueryIndexShard:
                 for entry in self.replica_isuper.find_subgraphs(
                     query,
                     features,
-                    query_side_cache,
+                    compiled,
                     restrict_ids=None if cover is True else cover,
                 )
             )
@@ -880,13 +883,14 @@ def _shard_probe(
         shard.apply(delta)
     stats = shard.verifier.stats
     positives, negatives, seconds = stats.positives, stats.negatives, stats.total_seconds
+    compiled = CompiledQuery(query)  # the parent's does not cross the pipe
     sub_ids = (
-        shard.find_supergraph_ids(query, features, home=home_sub, cover=cover_sub)
+        shard.find_supergraph_ids(query, features, compiled, home=home_sub, cover=cover_sub)
         if want_sub and (home_sub or cover_sub is not None)
         else []
     )
     super_ids = (
-        shard.find_subgraph_ids(query, features, home=home_super, cover=cover_super)
+        shard.find_subgraph_ids(query, features, compiled, home=home_super, cover=cover_super)
         if want_super and (home_super or cover_super is not None)
         else []
     )
@@ -1089,15 +1093,16 @@ class _InlineShardRuntime:
         want_sub: bool,
         want_super: bool,
         directives=None,
+        compiled: CompiledQuery | None = None,
     ) -> tuple[list[int], list[int]]:
         sub_ids: list[int] = []
         super_ids: list[int] = []
         # The query-side compiled form (plan for Isub, target for Isuper) is
         # shared across the partitions: compiled lazily by the first shard
-        # that needs it, reused by the rest — exactly one compile per
-        # direction per probe, like the single-shard lookup.
-        sub_side: dict = {}
-        super_side: dict = {}
+        # that needs it, reused by the rest and by the engine's later
+        # stages — one compile per direction per query.
+        if compiled is None:
+            compiled = CompiledQuery(query)
         for shard in self.shards:
             if directives is None:
                 home_sub = home_super = True
@@ -1110,13 +1115,13 @@ class _InlineShardRuntime:
             if want_sub and (home_sub or cover_sub is not None):
                 sub_ids.extend(
                     shard.find_supergraph_ids(
-                        query, features, sub_side, home=home_sub, cover=cover_sub
+                        query, features, compiled, home=home_sub, cover=cover_sub
                     )
                 )
             if want_super and (home_super or cover_super is not None):
                 super_ids.extend(
                     shard.find_subgraph_ids(
-                        query, features, super_side, home=home_super, cover=cover_super
+                        query, features, compiled, home=home_super, cover=cover_super
                     )
                 )
         return sub_ids, super_ids
@@ -1221,7 +1226,10 @@ class _ProcessShardRuntime:
         want_sub: bool,
         want_super: bool,
         directives=None,
+        compiled: CompiledQuery | None = None,
     ) -> tuple[list[int], list[int]]:
+        # ``compiled`` stays in the parent: each worker compiles the query
+        # for its own partition (compiled forms do not cross the pipe).
         pools = self._ensure_pools()
         log = self._engine.delta_log
         futures = []
@@ -1623,12 +1631,12 @@ class ShardedIGQ(IGQ):
     # ------------------------------------------------------------------
     # Probe fan-out (stage 2)
     # ------------------------------------------------------------------
-    def _component_hits(self, query, features):
+    def _component_hits(self, query, features, compiled):
         if self.num_shards == 1:
-            return super()._component_hits(query, features)
+            return super()._component_hits(query, features, compiled)
         directives = self._probe_directives(query, features) if self._hot else None
         sub_ids, super_ids = self.shard_runtime.probe(
-            query, features, self.probe_isub, self.probe_isuper, directives
+            query, features, self.probe_isub, self.probe_isuper, directives, compiled
         )
         # Shards return their hits in local slot order; the single-shard
         # engine reports hits in cache insertion order, which (ids being
@@ -1789,9 +1797,7 @@ class ShardedIGQ(IGQ):
         report.evicted = len(victims)
         report.evicted_entry_ids = victims
         for pending in window:
-            entry = self.cache.add(
-                pending.graph, pending.features, pending.answer, tags=pending.tags
-            )
+            entry = pending.add_to(self.cache)
             shard_id = self.shard_of(pending.graph)
             self._entry_shard[entry.entry_id] = shard_id
             if self._hot and self._hot_graphs.get(id(pending.graph)) is pending.graph:

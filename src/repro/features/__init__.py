@@ -12,7 +12,12 @@ from .canonical import (
 )
 from .cycles import cycle_feature_codes, cycle_feature_counts, enumerate_simple_cycles
 from .extractor import FeatureExtractor, FeatureKey, GraphFeatures
-from .paths import PathOccurrences, enumerate_simple_paths, path_features
+from .paths import (
+    PathOccurrences,
+    enumerate_simple_paths,
+    native_path_features,
+    path_features,
+)
 from .trees import (
     enumerate_connected_subsets,
     enumerate_spanning_trees,
@@ -41,6 +46,7 @@ __all__ = [
     "enumerate_connected_subsets",
     "enumerate_spanning_trees",
     "enumerate_tree_subgraphs",
+    "native_path_features",
     "path_features",
     "tree_feature_codes",
     "tree_feature_counts",

@@ -101,7 +101,7 @@ def tree_code_of_subtree(graph: LabeledGraph, vertices: Sequence[Hashable]) -> s
 
 
 # ----------------------------------------------------------------------
-# Whole-graph canonical form (batch feature-memo key)
+# Whole-graph canonical form (shard-placement key)
 # ----------------------------------------------------------------------
 
 #: above this vertex count (or refinement-leaf budget) the canonical search
@@ -124,7 +124,7 @@ def canonical_graph_key(graph: LabeledGraph) -> tuple:
     taking the lexicographically smallest certificate over all branches.
     Highly symmetric graphs beyond the leaf budget — and graphs above
     ``_CANON_MAX_VERTICES`` — fall back to an exact vertex-id key: such
-    twins simply miss the memo instead of ever colliding.  The fallback is
+    twins simply get different keys instead of ever colliding.  The fallback is
     itself isomorphism-invariant in *when* it triggers (the search tree
     shape only depends on the isomorphism class), so two isomorphic graphs
     always agree on which kind of key they produce.
@@ -150,7 +150,7 @@ def exact_graph_signature(graph: LabeledGraph) -> tuple:
     """A hashable, exact (vertex-id sensitive) signature of a labeled graph.
 
     Two graphs with the same vertex ids, labels and edges share the
-    signature — the batch feature memo's first-level key, and the fallback
+    signature — the batch feature memo's key, and the fallback
     of :func:`canonical_graph_key`.  ``repr`` keys keep mixed-type vertex
     ids sortable.
     """

@@ -11,7 +11,10 @@ Two feature families are provided, matching the reproduced methods:
 
 ``paths``
     Every simple path up to ``max_path_length`` edges (GGSX, Grapes, and the
-    default for the iGQ ``Isub``/``Isuper`` indexes).
+    default for the iGQ ``Isub``/``Isuper`` indexes).  Extracted by the C
+    kernel when it is loadable (:func:`~repro.features.paths.native_path_features`),
+    by the Python enumeration otherwise; the two agree key for key, in the
+    same (ascending) key order.
 
 ``trees_cycles``
     Every tree subgraph up to ``tree_max_size`` vertices and every simple
@@ -26,7 +29,7 @@ from dataclasses import dataclass, field
 from ..graphs.graph import LabeledGraph
 from .canonical import canonical_cycle_code, canonical_tree_code
 from .cycles import enumerate_simple_cycles
-from .paths import path_features
+from .paths import native_path_features, path_features
 from .trees import enumerate_tree_subgraphs
 
 __all__ = ["FeatureKey", "GraphFeatures", "FeatureExtractor"]
@@ -133,13 +136,19 @@ class FeatureExtractor:
 
     # ------------------------------------------------------------------
     def _extract_paths(self, graph: LabeledGraph, locations: bool) -> GraphFeatures:
+        """Path features, keys ascending: one kernel call, or (kernel
+        unavailable, codes wider than 64 bits) the Python enumeration."""
+        native = native_path_features(graph, self.max_path_length, locations)
+        if native is not None:
+            return GraphFeatures(*native)
         occurrences = path_features(graph, self.max_path_length, locations=locations)
-        features = GraphFeatures({key: info.count for key, info in occurrences.items()})
+        keys = sorted(occurrences)
+        features = GraphFeatures({key: occurrences[key].count for key in keys})
         if locations:
             bit_of = _vertex_bits(graph).__getitem__
             # distinct single bits: their sum is their union
             features.locations = {
-                key: sum(map(bit_of, info.vertices)) for key, info in occurrences.items()
+                key: sum(map(bit_of, occurrences[key].vertices)) for key in keys
             }
         return features
 

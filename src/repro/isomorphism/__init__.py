@@ -2,6 +2,7 @@
 
 from .compiled import (
     KERNELS,
+    CompiledQuery,
     CompiledQueryPlan,
     CompiledTarget,
     DatasetSignatures,
@@ -34,6 +35,7 @@ from .vf2 import (
 
 __all__ = [
     "KERNELS",
+    "CompiledQuery",
     "CompiledQueryPlan",
     "CompiledTarget",
     "DatasetSignatures",

@@ -1,4 +1,5 @@
-/* Native verification kernel: one call per query.
+/* Native kernel: verification (one call per query) and path-feature
+ * extraction (one call per graph).
  *
  * `ck_verify_many` answers every (pattern, target) pair of one query in a
  * single ctypes call, in candidate order, with the interpreter lock
@@ -23,6 +24,13 @@
  * bigint path on every input, which is what the repository's accounting
  * contract (the paper's Figs. 7-11 count isomorphism tests) requires.
  *
+ * `ck_path_features` enumerates the simple paths of one graph (the GGSX /
+ * Grapes / Isub / Isuper feature class) and returns the distinct canonical
+ * label sequences with their occurrence counts and, on request, the vertex
+ * positions their occurrences cover.  `path_features` in
+ * src/repro/features/paths.py is the Python oracle it is tested against
+ * and the fallback when this library is unavailable.
+ *
  * The file is deliberately dependency-free C99 so it can be built two ways:
  *
  *   1. by setuptools as an optional extension module (setup.py defines
@@ -31,7 +39,7 @@
  *      but `cc -O3 -shared -fPIC` — no Python headers required; all entry
  *      points use a plain C ABI consumed through ctypes.
  *
- * Data layout, ABI 2 (built once per target / per plan on the Python side,
+ * Data layout, ABI 3 (built once per target / per plan on the Python side,
  * see `NativeTarget` / `CompiledQueryPlan.native` in compiled.py):
  *
  *   - adjacency:      n x num_words row-major uint64 neighbour bitsets;
@@ -62,6 +70,26 @@
  *
  * Bits at positions >= n in the last word are never set by any of the
  * above, so word-wise AND chains never need a trailing-word trim.
+ *
+ * `ck_path_features` (new in ABI 3; marshalled per graph by
+ * `native_path_features` in src/repro/features/paths.py):
+ *
+ *   - offsets / neighbours: CSR adjacency over the vertex positions of
+ *                     `graph.vertices()` (offsets has n + 1 entries);
+ *   - ranks:          per vertex, the rank of `str(label)` among the
+ *                     graph's distinct label strings in ascending order;
+ *                     the caller guarantees fewer than 256 of them and
+ *                     max_length <= 7, and falls back to Python otherwise;
+ *   - path code:      one uint64 per canonical label sequence: element i
+ *                     is stored as rank + 1 in byte i counted from the most
+ *                     significant end, unused bytes are 0, so comparing two
+ *                     codes as integers compares the label-string tuples
+ *                     they stand for (a prefix sorts before its extensions);
+ *   - result block:   malloc'd, released with `ck_free`: word 0 holds the
+ *                     number of distinct codes D, then D codes ascending,
+ *                     then D occurrence counts, then (want_locations)
+ *                     D rows of ceil(n / 64) mask words over the vertex
+ *                     positions.
  */
 
 #include <stdint.h>
@@ -71,7 +99,7 @@
 /* The ABI version is checked by the loader after dlopen so a stale build
  * of an older layout can never be driven with new-layout pointers.  Bump
  * it whenever a struct or signature below changes. */
-#define CK_ABI_VERSION 2
+#define CK_ABI_VERSION 3
 
 #if defined(_WIN32)
 #define CK_EXPORT __declspec(dllexport)
@@ -527,6 +555,188 @@ ck_verify_many(const ck_target *const *targets, int64_t num_targets,
     return status;
 }
 
+/* ---------------------------------------------------------------------
+ * Path-feature extraction
+ * ------------------------------------------------------------------- */
+
+/* A path code spends one byte per vertex. */
+#define CK_MAX_PATH_VERTICES 8
+
+/* Grow-only list of path codes; graphs of query size never leave the
+ * inline buffer. */
+typedef struct {
+    uint64_t *items;
+    int64_t size;
+    int64_t capacity;
+    uint64_t inline_items[1024];
+} ck_code_list;
+
+static int
+ck_push_code(ck_code_list *list, uint64_t code)
+{
+    if (list->size == list->capacity) {
+        const int64_t capacity = 2 * list->capacity;
+        uint64_t *grown = (uint64_t *)malloc((size_t)capacity * sizeof(uint64_t));
+        if (grown == NULL)
+            return -1;
+        memcpy(grown, list->items, (size_t)list->size * sizeof(uint64_t));
+        if (list->items != list->inline_items)
+            free(list->items);
+        list->items = grown;
+        list->capacity = capacity;
+    }
+    list->items[list->size++] = code;
+    return 0;
+}
+
+static int
+ck_compare_codes(const void *left, const void *right)
+{
+    const uint64_t a = *(const uint64_t *)left;
+    const uint64_t b = *(const uint64_t *)right;
+    return (a > b) - (a < b);
+}
+
+/* Where ck_walk_paths reports an occurrence.  First pass (`masks` NULL):
+ * its code is appended to `found`.  Second pass: its vertices are OR-ed
+ * into the mask row of its code, located by bisection in the ascending
+ * distinct `codes` (every reported code is among them). */
+typedef struct {
+    ck_code_list *found;
+    const uint64_t *codes;
+    int64_t num_codes;
+    uint64_t *masks;
+    int64_t num_words;
+} ck_path_sink;
+
+static inline int
+ck_report_path(const ck_path_sink *sink, uint64_t code, const int64_t *path,
+               int64_t num_vertices)
+{
+    if (sink->masks == NULL)
+        return ck_push_code(sink->found, code);
+    int64_t lo = 0, hi = sink->num_codes - 1;
+    while (lo < hi) {
+        const int64_t mid = lo + (hi - lo) / 2;
+        if (sink->codes[mid] < code)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    uint64_t *row = sink->masks + lo * sink->num_words;
+    for (int64_t i = 0; i < num_vertices; ++i)
+        row[path[i] >> 6] |= (uint64_t)1 << (path[i] & 63);
+    return 0;
+}
+
+/* Depth-first enumeration of every simple path of 0..max_length edges
+ * (`enumerate_simple_paths` is the Python oracle).  Both directions of an
+ * undirected path are walked; the occurrence is the one whose code is
+ * smaller — on a palindrome, the one starting at the smaller vertex — so
+ * each path is reported once, under its canonical label sequence.  Returns
+ * 0, or -1 on allocation failure (first pass only). */
+static int
+ck_walk_paths(int64_t n, const int64_t *offsets, const int64_t *neighbours,
+              const int64_t *ranks, int64_t max_length,
+              const ck_path_sink *sink)
+{
+    int64_t path[CK_MAX_PATH_VERTICES];
+    int64_t cursor[CK_MAX_PATH_VERTICES];    /* next neighbour to try    */
+    uint64_t forward[CK_MAX_PATH_VERTICES];  /* code of path[0..depth]   */
+    uint64_t backward[CK_MAX_PATH_VERTICES]; /* code of path[depth..0]   */
+
+    for (int64_t start = 0; start < n; ++start) {
+        path[0] = start;
+        cursor[0] = offsets[start];
+        forward[0] = backward[0] = (uint64_t)(ranks[start] + 1) << 56;
+        if (ck_report_path(sink, forward[0], path, 1) < 0)
+            return -1;
+        int64_t depth = max_length > 0 ? 0 : -1;
+        while (depth >= 0) {
+            const int64_t vertex = path[depth];
+            if (cursor[depth] == offsets[vertex + 1]) {
+                --depth;
+                continue;
+            }
+            const int64_t next = neighbours[cursor[depth]++];
+            int on_path = 0;
+            for (int64_t i = 0; i <= depth; ++i)
+                on_path |= path[i] == next;
+            if (on_path)
+                continue;
+            const int64_t deeper = depth + 1;
+            const uint64_t slot = (uint64_t)(ranks[next] + 1);
+            const uint64_t ahead = forward[depth] | slot << (56 - 8 * deeper);
+            const uint64_t behind = backward[depth] >> 8 | slot << 56;
+            path[deeper] = next;
+            if ((ahead < behind || (ahead == behind && start < next)) &&
+                ck_report_path(sink, ahead, path, deeper + 1) < 0)
+                return -1;
+            if (deeper < max_length) {
+                cursor[deeper] = offsets[next];
+                forward[deeper] = ahead;
+                backward[deeper] = behind;
+                depth = deeper;
+            }
+        }
+    }
+    return 0;
+}
+
+/* Path features of one graph (see the header for the argument and result
+ * layout).  Returns the malloc'd result block, to be released with
+ * `ck_free`, or NULL on allocation failure. */
+CK_EXPORT uint64_t *
+ck_path_features(int64_t n, const int64_t *offsets, const int64_t *neighbours,
+                 const int64_t *ranks, int64_t max_length,
+                 int64_t want_locations)
+{
+    ck_code_list found;
+    found.items = found.inline_items;
+    found.size = 0;
+    found.capacity = (int64_t)(sizeof(found.inline_items) / sizeof(uint64_t));
+    ck_path_sink sink = {&found, NULL, 0, NULL, 0};
+    uint64_t *block = NULL;
+
+    if (ck_walk_paths(n, offsets, neighbours, ranks, max_length, &sink) == 0) {
+        qsort(found.items, (size_t)found.size, sizeof(uint64_t), ck_compare_codes);
+        int64_t distinct = 0;
+        for (int64_t i = 0; i < found.size; ++i)
+            distinct += i == 0 || found.items[i] != found.items[i - 1];
+        const int64_t num_words = (n + 63) / 64;
+        const int64_t mask_words = want_locations ? distinct * num_words : 0;
+        block = (uint64_t *)calloc((size_t)(1 + 2 * distinct + mask_words),
+                                   sizeof(uint64_t));
+        if (block != NULL) {
+            uint64_t *codes = block + 1;
+            uint64_t *counts = codes + distinct;
+            int64_t row = -1;
+            block[0] = (uint64_t)distinct;
+            for (int64_t i = 0; i < found.size; ++i) {
+                if (i == 0 || found.items[i] != found.items[i - 1])
+                    codes[++row] = found.items[i];
+                ++counts[row];
+            }
+            if (mask_words) {
+                sink.codes = codes;
+                sink.num_codes = distinct;
+                sink.masks = counts + distinct;
+                sink.num_words = num_words;
+                ck_walk_paths(n, offsets, neighbours, ranks, max_length, &sink);
+            }
+        }
+    }
+    if (found.items != found.inline_items)
+        free(found.items);
+    return block;
+}
+
+CK_EXPORT void
+ck_free(void *block)
+{
+    free(block);
+}
+
 #ifdef CKERNEL_PYMODULE
 /* Minimal module object so setuptools can build this file as an importable
  * extension (`repro.isomorphism._ckernel`).  The kernel is still driven
@@ -539,7 +749,7 @@ ck_verify_many(const ck_target *const *targets, int64_t num_targets,
 static struct PyModuleDef ck_module = {
     PyModuleDef_HEAD_INIT,
     "_ckernel",
-    "Native VF2 inner loop (symbols consumed via ctypes; see _ckernel_loader).",
+    "Native VF2 and path-feature kernels (symbols consumed via ctypes; see _ckernel_loader).",
     -1,
     NULL,
 };

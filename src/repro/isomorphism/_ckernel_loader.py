@@ -1,4 +1,4 @@
-"""Locate, build and load the native VF2 kernel (`_ckernel.c`).
+"""Locate, build and load the native kernel (`_ckernel.c`).
 
 The native backend must never be a hard dependency: the engine has to keep
 working on hosts with no C compiler, no prebuilt extension and no writable
@@ -52,7 +52,7 @@ __all__ = [
 ]
 
 #: must match CK_ABI_VERSION in _ckernel.c; the loader refuses mismatches
-ABI_VERSION = 2
+ABI_VERSION = 3
 
 _SOURCE = Path(__file__).with_name("_ckernel.c")
 
@@ -144,6 +144,14 @@ def _configure(library: ctypes.CDLL) -> ctypes.CDLL | None:
     # repro.isomorphism.compiled (NativeTarget / CompiledQueryPlan.native).
     pointer, integer = ctypes.c_void_p, ctypes.c_int64
     fn.argtypes = (pointer, integer, pointer, integer, pointer, integer, pointer, pointer)
+    fn = library.ck_path_features
+    # (n, offsets*, neighbours*, ranks*, max_length, want_locations) ->
+    # malloc'd result block (NULL on allocation failure), released with
+    # ck_free; marshalled by repro.features.paths.
+    fn.restype = pointer
+    fn.argtypes = (integer, pointer, pointer, pointer, integer, integer)
+    library.ck_free.restype = None
+    library.ck_free.argtypes = (pointer,)
     return library
 
 

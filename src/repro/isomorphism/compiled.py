@@ -113,6 +113,7 @@ except ImportError:  # pragma: no cover - numpy is present in CI images
 
 __all__ = [
     "CompiledTarget",
+    "CompiledQuery",
     "CompiledQueryPlan",
     "DatasetSignatures",
     "NativeTarget",
@@ -522,6 +523,39 @@ def compile_target(graph: LabeledGraph) -> CompiledTarget:
 def compile_query_plan(pattern: LabeledGraph) -> CompiledQueryPlan:
     """Compile ``pattern`` into a reusable matching plan."""
     return CompiledQueryPlan(pattern)
+
+
+class CompiledQuery:
+    """The compiled forms of one query graph, each built at most once.
+
+    A query is compiled as a *plan* for the ``Isub`` probe and for dataset
+    verification, and as a *target* for the ``Isuper`` probe and supergraph
+    verification; when the window flush caches it, ``Isuper`` wants the
+    plan and ``Isub`` the target again.  The engine creates one of these
+    per query and hands it to every stage, so whichever stage needs a form
+    first builds it and the rest — including the cache entry the query
+    becomes — share the object (and, through it, its native marshalling).
+    ``plan`` / ``target`` stay ``None`` until a stage asks.
+    """
+
+    __slots__ = ("graph", "plan", "target")
+
+    def __init__(self, graph: LabeledGraph) -> None:
+        self.graph = graph
+        self.plan: CompiledQueryPlan | None = None
+        self.target: CompiledTarget | None = None
+
+    def compiled_plan(self) -> CompiledQueryPlan:
+        """The query's matching plan (compiled on first request)."""
+        if self.plan is None:
+            self.plan = compile_query_plan(self.graph)
+        return self.plan
+
+    def compiled_target(self) -> CompiledTarget:
+        """The query's bitset target form (compiled on first request)."""
+        if self.target is None:
+            self.target = compile_target(self.graph)
+        return self.target
 
 
 def masked_components(target: CompiledTarget, vertex_mask: int) -> list[int]:

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from ..graphs.graph import LabeledGraph
 from .compiled import (
     KERNELS,
+    CompiledQuery,
     CompiledQueryPlan,
     CompiledTarget,
     compile_query_plan,
@@ -152,27 +153,39 @@ class Verifier:
         memo[id(graph)] = (graph, graph.num_vertices, graph.num_edges, compiled)
         return compiled
 
-    def compile_pattern(self, pattern: LabeledGraph) -> CompiledQueryPlan | None:
+    def compile_pattern(
+        self, pattern: LabeledGraph, compiled: CompiledQuery | None = None
+    ) -> CompiledQueryPlan | None:
         """Compile ``pattern`` into a reusable plan, or ``None`` when the
         configured algorithm requires the graph-based path.
 
-        Memoised per graph object: a repeated query re-uses its plan
-        instead of recomputing the matching order (plans are immutable and
-        deterministic, so sharing never changes answers or accounting).
+        ``compiled`` is the query's shared :class:`CompiledQuery` when the
+        caller (the iGQ engine) carries one: its plan is used, and built
+        there if no earlier stage needed it.  Otherwise memoised per graph
+        object: a repeated query re-uses its plan instead of recomputing
+        the matching order (plans are immutable and deterministic, so
+        sharing never changes answers or accounting).
         """
         if not self.supports_compiled():
             return None
+        if compiled is not None:
+            return compiled.compiled_plan()
         return self._memoised(self._plan_memo, pattern, compile_query_plan)
 
-    def compile_target(self, target: LabeledGraph) -> CompiledTarget | None:
+    def compile_target(
+        self, target: LabeledGraph, compiled: CompiledQuery | None = None
+    ) -> CompiledTarget | None:
         """Compile ``target`` for repeated verification, or ``None`` when the
         configured algorithm requires the graph-based path.
 
-        Memoised like :meth:`compile_pattern` (supergraph streams repeat
-        query graphs in the target role the same way).
+        Shared through ``compiled`` or memoised like :meth:`compile_pattern`
+        (supergraph streams repeat query graphs in the target role the same
+        way).
         """
         if not self.supports_compiled():
             return None
+        if compiled is not None:
+            return compiled.compiled_target()
         return self._memoised(self._target_memo, target, compile_target)
 
     def batched_prereject_enabled(self) -> bool:

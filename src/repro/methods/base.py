@@ -33,6 +33,7 @@ from ..features.extractor import FeatureExtractor, GraphFeatures
 from ..graphs.bitset import CandidateBitmap, GraphIdSpace
 from ..graphs.database import GraphDatabase
 from ..graphs.graph import LabeledGraph
+from ..isomorphism.compiled import CompiledQuery
 from ..isomorphism.verifier import Verifier
 
 __all__ = ["QueryResult", "SubgraphQueryMethod"]
@@ -221,13 +222,16 @@ class SubgraphQueryMethod(ABC):
         query: LabeledGraph,
         candidate_ids: Iterable[Hashable],
         features: GraphFeatures | None = None,
+        compiled: CompiledQuery | None = None,
     ) -> set:
         """Verify candidates for a subgraph query; return the answer ids.
 
         ``features`` (the query's extracted features) is accepted so that
         methods using location information during verification — Grapes —
         can share the extraction done at filtering time; the base
-        implementation ignores it.
+        implementation ignores it.  ``compiled`` is the query's shared
+        compiled state when the caller carries one (the iGQ engine: its
+        ``Isub`` probe usually compiled the plan already).
 
         When the verifier admits the compiled fast path the query is
         compiled into a matching plan *once* and tested against the
@@ -240,7 +244,7 @@ class SubgraphQueryMethod(ABC):
         """
         self._require_index()
         verifier = self.verifier
-        plan = verifier.compile_pattern(query)
+        plan = verifier.compile_pattern(query, compiled)
         if plan is None:
             get = self.database.get
             return {
@@ -259,6 +263,7 @@ class SubgraphQueryMethod(ABC):
         query: LabeledGraph,
         candidate_ids: Iterable[Hashable],
         features: GraphFeatures | None = None,
+        compiled: CompiledQuery | None = None,
     ) -> set:
         """Verify candidates for a supergraph query (``G_i ⊆ query``).
 
@@ -270,7 +275,7 @@ class SubgraphQueryMethod(ABC):
         """
         self._require_index()
         verifier = self.verifier
-        target = verifier.compile_target(query)
+        target = verifier.compile_target(query, compiled)
         if target is None:
             get = self.database.get
             return {

@@ -24,6 +24,7 @@ from ..features.extractor import FeatureExtractor, GraphFeatures
 from ..graphs.bitset import CandidateBitmap, iter_bits
 from ..graphs.graph import LabeledGraph
 from ..graphs.traversal import connected_components, is_connected
+from ..isomorphism.compiled import CompiledQuery
 from ..isomorphism.verifier import Verifier
 from .base import SubgraphQueryMethod
 
@@ -95,7 +96,13 @@ class GrapesMethod(SubgraphQueryMethod):
         vertices = list(self.database.get(graph_id).vertices())
         return {vertices[position] for position in iter_bits(self.region_mask(query_features, graph_id))}
 
-    def verify(self, query: LabeledGraph, candidate_ids, features: GraphFeatures | None = None) -> set:
+    def verify(
+        self,
+        query: LabeledGraph,
+        candidate_ids,
+        features: GraphFeatures | None = None,
+        compiled: CompiledQuery | None = None,
+    ) -> set:
         """Component-restricted verification.
 
         For each candidate, the query is tested against the connected
@@ -117,7 +124,7 @@ class GrapesMethod(SubgraphQueryMethod):
         if features is None:
             features = self.extract_query_features(query)
         query_connected = is_connected(query)
-        plan = self.verifier.compile_pattern(query)
+        plan = self.verifier.compile_pattern(query, compiled)
         if plan is not None:
             return self._verify_compiled(list(candidate_ids), features, query_connected, plan)
         answers = set()

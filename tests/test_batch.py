@@ -265,9 +265,10 @@ class TestFeatureMemo:
         assert first is second
         assert memo.hits == 1 and memo.misses == 1
 
-    def test_canonical_key_catches_isomorphic_relabelings(self):
+    def test_isomorphic_relabeling_is_reextracted_to_equal_features(self):
         """A relabeled (isomorphic, different vertex ids) repeat misses the
-        exact-signature level but hits the canonical level (ROADMAP item)."""
+        exact-signature memo and is extracted again — cheaper than
+        recognising it — to features equal to the original's."""
         method = GGSXMethod(max_path_length=3)
         memo = FeatureMemo(method.extractor)
         query = make_path_graph("ABCA", name="orig")
@@ -280,8 +281,32 @@ class TestFeatureMemo:
         assert graph_signature(query) != graph_signature(remapped)
         first = memo.extract(query)
         second = memo.extract(remapped)
-        assert first is second
-        assert memo.hits == 1 and memo.canonical_hits == 1 and memo.misses == 1
+        assert first is not second
+        assert first.counts == second.counts
+        assert list(first.counts) == list(second.counts)
+        assert memo.hits == 0 and memo.misses == 2 and len(memo) == 2
+
+    def test_memo_stays_bounded_on_a_stream_of_distinct_queries(self):
+        """A service keeps one executor for its lifetime: the memo must not
+        gain one key per distinct query forever."""
+
+        class CountingExtractor:
+            calls = 0
+
+            def extract(self, graph):
+                self.calls += 1
+                return self.calls
+
+        extractor = CountingExtractor()
+        memo = FeatureMemo(extractor)
+        total = 8192 + 500
+        for vertex in range(total):
+            memo.extract(LabeledGraph.from_edges({vertex: "A"}, []))
+            assert len(memo) <= 8192
+        assert memo.misses == total and extractor.calls == total
+        # still a memo after the clear: the latest query hits
+        assert memo.extract(LabeledGraph.from_edges({total - 1: "A"}, [])) == total
+        assert memo.hits == 1
 
     def test_canonical_twins_do_not_collide_with_distinct_graphs(self):
         method = GGSXMethod(max_path_length=3)

@@ -11,6 +11,9 @@ Three contracts:
   ``CompiledQueryPlan`` from the moment they are indexed, window flushes
   leave the survivors' objects alone (never recompile), and eviction
   releases them.
+* **Compile once per query** — the plan and target a query is probed and
+  verified with are the ones its cache entry keeps: the engine builds at
+  most one of each per query, single-shard or sharded.
 * **Bounded lifecycle** — a long churny insert/evict stream keeps the number
   of live compiled objects and the dense-slot allocator's footprint at a
   steady state instead of growing without bound.
@@ -31,9 +34,11 @@ from repro.core import (
     SubgraphQueryIndex,
     SupergraphQueryIndex,
 )
+from repro.core.config import CacheConfig, EngineConfig, ShardConfig
 from repro.datasets.registry import load_dataset
 from repro.features import FeatureExtractor
 from repro.isomorphism import CompiledQueryPlan, CompiledTarget, Verifier
+from repro.isomorphism.compiled import NativeTarget
 from repro.methods import create_method
 from repro.workloads.generator import QueryGenerator, WorkloadSpec
 from repro.workloads.zipf import create_sampler
@@ -235,6 +240,53 @@ class TestCompileOnInsertion:
             # The surviving entry keeps its compiled state through the flush.
             assert kept.compiled_target is not None
             assert kept.compiled_plan is not None
+
+
+class TestCompileOncePerQuery:
+    @pytest.mark.parametrize("shards", [1, 4])
+    @pytest.mark.parametrize("method_name", ["ggsx", "grapes"])
+    def test_at_most_one_plan_target_and_native_target(self, shards, method_name, monkeypatch):
+        """A query is probed by ``Isub`` (plan) and ``Isuper`` (target),
+        verified (plan) and, at the flush, indexed by both (target, plan):
+        five uses, one plan and one target — and so one ``NativeTarget``."""
+        built = {"plan": [], "target": [], "native": []}
+        for cls, kind in (
+            (CompiledQueryPlan, "plan"),
+            (CompiledTarget, "target"),
+            (NativeTarget, "native"),
+        ):
+
+            def counting(self, subject, _init=cls.__init__, _kind=kind):
+                graph = getattr(subject, "graph", subject)  # NativeTarget wraps a target
+                built[_kind].append(graph.name)
+                _init(self, subject)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+
+        database = load_dataset("synthetic", scale=0.03)
+        method = create_method(method_name, max_path_length=3)
+        config = EngineConfig(
+            cache=CacheConfig(size=12, window=4),
+            shard=ShardConfig(shards=shards, backend="inline"),
+        )
+        rng = random.Random(5)
+        pool = random_query_pool(rng, 15)
+        for index, query in enumerate(pool):
+            query.name = f"query{index}"
+        stream = [pool[min(int(rng.expovariate(0.3)), len(pool) - 1)] for _ in range(60)]
+        with IGQ.from_config(method, config) as engine:
+            engine.build_index(database)
+            database.precompile()
+            for query in stream:
+                engine.query(query)
+            assert len(engine.cache) == 12  # flushes inserted and evicted
+        for kind, names in built.items():
+            for_queries = [name for name in names if name.startswith("query")]
+            assert len(for_queries) <= len(stream), kind
+        # the plan at least is needed by every query (dataset verification)
+        assert sum(name.startswith("query") for name in built["plan"]) == len(stream)
+        # subgraph mode never compiles a dataset graph as a plan
+        assert all(name.startswith("query") for name in built["plan"])
 
 
 def live_compiled_counts() -> tuple[int, int]:

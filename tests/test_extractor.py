@@ -14,6 +14,8 @@ from hypothesis import given, settings
 
 from repro.datasets.registry import load_dataset
 from repro.features import FeatureExtractor, canonical_path_code, enumerate_simple_paths
+from repro.features import extractor as extractor_module
+from repro.isomorphism import native_kernel_available
 
 from .conftest import graph_and_subgraph, make_cycle_graph, make_path_graph, make_star_graph
 
@@ -72,9 +74,10 @@ class TestPathFeatures:
     @pytest.mark.parametrize("dataset", ["aids", "pdbs"])
     def test_keys_equal_the_string_code_round_trip(self, dataset):
         """The tuple keys are what splitting ``canonical_path_code`` gave:
-        same keys, counts and locations, in the same insertion order — and
-        every path is enumerated in the direction whose full vertex-repr
-        sequence is the smaller one (the endpoint shortcut decides the same)."""
+        same keys, counts and locations, in ascending key order — and the
+        Python enumeration walks every path in the direction whose full
+        vertex-repr sequence is the smaller one (the endpoint shortcut
+        decides the same)."""
         extractor = FeatureExtractor(max_path_length=3)
         for _, graph in list(load_dataset(dataset, scale=0.05).items())[:6]:
             position = {vertex: index for index, vertex in enumerate(graph.vertices())}
@@ -87,9 +90,28 @@ class TestPathFeatures:
                 counts[key] = counts.get(key, 0) + 1
                 locations[key] = locations.get(key, 0) | sum(1 << position[v] for v in path)
             features = extractor.extract(graph, locations=True)
-            assert list(features.counts.items()) == list(counts.items())
-            assert list(features.locations.items()) == list(locations.items())
-            assert list(extractor.extract(graph).counts.items()) == list(counts.items())
+            assert list(features.counts.items()) == sorted(counts.items())
+            assert list(features.locations.items()) == sorted(locations.items())
+            assert list(extractor.extract(graph).counts.items()) == sorted(counts.items())
+
+    @pytest.mark.parametrize("locations", [False, True])
+    def test_key_order_does_not_depend_on_the_extractor(self, locations, monkeypatch):
+        """WAL records, snapshots, shard deltas and answer digests iterate
+        the feature dicts: the native and the Python extractor must return
+        the same keys in the same (ascending) order."""
+        if not native_kernel_available():
+            pytest.skip("native kernel unavailable: only one extractor to compare")
+        extractor = FeatureExtractor(max_path_length=4)
+        graphs = [graph for _, graph in load_dataset("aids", scale=0.05).items()][:8]
+        graphs.append(make_star_graph("B", "ACA"))
+        native = [extractor.extract(graph, locations=locations) for graph in graphs]
+        monkeypatch.setattr(extractor_module, "native_path_features", lambda *args: None)
+        for graph, fast in zip(graphs, native):
+            slow = extractor.extract(graph, locations=locations)
+            assert list(fast.counts.items()) == list(slow.counts.items())
+            assert list(fast.counts) == sorted(fast.counts)
+            assert list(fast.locations.items()) == list(slow.locations.items())
+            assert list(fast.locations) == (sorted(fast.counts) if locations else [])
 
 
 class TestTreeCycleFeatures:
