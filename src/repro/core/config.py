@@ -1,15 +1,10 @@
-"""Typed engine configuration: one validated object instead of flat kwargs.
+"""Typed engine configuration: the one way to configure an engine.
 
-Four generations of performance machinery (batch executor, compiled
-verification, unified containment, sharded cache) each bolted new flat
-kwargs onto :class:`~repro.core.engine.IGQ` and ``run_batch``
-(``igq_compiled=``, ``pipeline=``, ``shards=``, ``shard_backend=``,
-``num_workers=``, ``batch_backend=``, …).  This module replaces that
-accretion with a small tree of frozen dataclasses:
+A small tree of frozen dataclasses:
 
 * :class:`CacheConfig` — the query cache (``C``, ``W``, replacement policy);
-* :class:`VerifierConfig` — the isomorphism verifier and the compiled
-  fast-path / containment-layer A/B flags;
+* :class:`VerifierConfig` — the isomorphism verifier (algorithm, semantics,
+  compiled-kernel backend);
 * :class:`BatchConfig` — the batch executor (workers, backend, pipelining);
 * :class:`ShardConfig` — the sharded query index;
 * :class:`ServiceConfig` / :class:`TenantConfig` — the service front door:
@@ -28,7 +23,7 @@ construction with actionable errors (:class:`ConfigError` names the field,
 the offending value and the accepted ones), and round-trips losslessly
 through :meth:`EngineConfig.to_dict` / :meth:`EngineConfig.from_dict` — the
 dict form is JSON-serialisable, so process shards, worker snapshots and
-experiment grids can ship one config object instead of re-threading kwargs.
+experiment grids can ship one config object.
 """
 
 from __future__ import annotations
@@ -87,6 +82,31 @@ class ConfigError(ValueError):
     """An engine configuration value is invalid (message says how to fix it)."""
 
 
+#: flat names repro 1.x accepted -> their 2.0 home (unknown-key hints)
+_MOVED_IN_2_0 = {
+    "cache_size": "EngineConfig.cache.size",
+    "window_size": "EngineConfig.cache.window",
+    "policy": "EngineConfig.cache.policy",
+    "shards": "EngineConfig.shard.shards",
+    "shard_backend": "EngineConfig.shard.backend",
+    "compact_threshold": "EngineConfig.shard.compact_threshold",
+    "num_workers": "EngineConfig.batch.num_workers",
+}
+
+
+def _removed_hint(key: str) -> str | None:
+    """What to write instead of a name repro 2.0 removed (``None`` = never valid)."""
+    if key == "precheck" or key.endswith("compiled"):
+        # the verifier A/B switches: ``compiled`` and its ``igq_`` twin
+        return (
+            f"{key}: inject Verifier(compiled=False) via igq_verifier= / "
+            "create_method(verifier=)"
+        )
+    if key in _MOVED_IN_2_0:
+        return f"{key}: use {_MOVED_IN_2_0[key]}"
+    return None
+
+
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ConfigError(message)
@@ -132,9 +152,11 @@ def _from_dict(cls, data: Any, section: str):
     )
     known = {f.name for f in fields(cls)}
     unknown = sorted(set(data) - known)
+    removed = list(filter(None, map(_removed_hint, unknown)))
     _require(
         not unknown,
-        f"{section} has unknown key(s) {unknown}; valid keys are {sorted(known)}",
+        f"{section} has unknown key(s) {unknown}; valid keys are {sorted(known)}"
+        + (f" (removed in 2.0 — {'; '.join(removed)})" if removed else ""),
     )
     return cls(**data)
 
@@ -163,19 +185,17 @@ class CacheConfig:
 
 @dataclass(frozen=True)
 class VerifierConfig:
-    """The isomorphism verifier and its fast-path A/B switches."""
+    """The isomorphism verifier: algorithm, semantics and kernel backend.
+
+    The compiled bitset kernel runs whenever the algorithm admits it
+    (``"vf2"``, non-induced); ``"ullmann"`` and ``induced=True`` run on the
+    dict-based matcher.
+    """
 
     #: matching algorithm (``"vf2"`` | ``"ullmann"``)
     algorithm: str = "vf2"
     #: induced-subgraph semantics (not used by the paper's setup)
     induced: bool = False
-    #: allow the compiled bitset kernel on verification paths
-    compiled: bool = True
-    #: label-histogram / degree-signature early-fail check
-    precheck: bool = True
-    #: compiled containment layer of the two component indexes (query-vs-query
-    #: containment on the bitset kernel; ``False`` restores the dict matcher)
-    igq_compiled: bool = True
     #: compiled-kernel backend (``"auto"`` | ``"bigint"`` | ``"native"``):
     #: ``"bigint"`` is the pure-Python bitmask loop, ``"native"`` the C
     #: kernel, one call per query (bigint fallback when the shared library
@@ -186,8 +206,7 @@ class VerifierConfig:
     def __post_init__(self) -> None:
         _require_choice("verifier", "algorithm", self.algorithm, _ALGORITHMS)
         _require_choice("verifier", "kernel", self.kernel, _KERNELS)
-        for name in ("induced", "compiled", "precheck", "igq_compiled"):
-            _require_bool("verifier", name, getattr(self, name))
+        _require_bool("verifier", "induced", self.induced)
 
     def build(self):
         """Instantiate the configured :class:`~repro.isomorphism.verifier.Verifier`."""
@@ -196,8 +215,6 @@ class VerifierConfig:
         return Verifier(
             algorithm=self.algorithm,
             induced=self.induced,
-            compiled=self.compiled,
-            precheck=self.precheck,
             kernel=self.kernel,
         )
 

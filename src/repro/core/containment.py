@@ -25,10 +25,11 @@ factors out everything the two directions share:
 * **verification dispatch** — the size pre-checks pick the surviving
   candidates, and all of them go through the compiled bitset kernel in one
   :meth:`Verifier.verify_pairs` call (signature pre-reject, then search,
-  per pair) or, when the verifier is configured for the dict-based path
-  (``compiled=False`` — the A/B baseline), through
-  :meth:`Verifier.is_subgraph` pair by pair exactly as before.  Both routes
-  count one test per pair, so the paper's metrics are path-independent.
+  per pair) or, when the verifier does not admit the kernel (``"ullmann"``,
+  induced semantics, or the ``Verifier(compiled=False)`` reference the
+  tests inject), through :meth:`Verifier.is_subgraph` pair by pair.  Both
+  routes count one test per pair, so the paper's metrics are
+  path-independent.
 
 The subclasses only keep what is genuinely direction-specific: the candidate
 *filtering* rule — ``Isub`` asks a threshold-bitmap index which entries
@@ -62,12 +63,9 @@ class ContainmentIndex:
         The verifier used for the (small) query-vs-query containment tests;
         kept separate from the base method's verifier so the paper's "number
         of subgraph isomorphism tests" metric (tests against dataset graphs)
-        is not polluted.
-    compiled:
-        A/B flag for the compiled containment path (default on).  The
-        effective dispatch also requires the verifier to admit the kernel
-        (``verifier.supports_compiled()``), so ``compiled=False`` here or
-        ``Verifier(compiled=False)`` both restore the dict-based matcher.
+        is not polluted.  It alone decides the dispatch: the compiled
+        kernel when ``verifier.supports_compiled()``, the dict-based matcher
+        otherwise.
     """
 
     #: does the cached entry play the *target* role in this direction
@@ -75,13 +73,8 @@ class ContainmentIndex:
     #: (``Isuper``: cached graph ⊆ new query)?
     entry_is_target: bool = True
 
-    def __init__(
-        self,
-        verifier: Verifier | None = None,
-        compiled: bool = True,
-    ) -> None:
+    def __init__(self, verifier: Verifier | None = None) -> None:
         self.verifier = verifier if verifier is not None else Verifier()
-        self.compiled = compiled
         self._entries: dict[int, CacheEntry] = {}
         #: dense bit positions for candidate bitmasks (raw entry ids are
         #: monotonic, so masks keyed by them would grow without bound)
@@ -103,7 +96,7 @@ class ContainmentIndex:
         self._entries[entry.entry_id] = entry
         bit = 1 << self._slots.add(entry.entry_id)
         self._live_mask |= bit
-        if self.use_compiled():
+        if self.verifier.supports_compiled():
             self._compile_entry(entry)
         self._entry_added(entry, bit)
 
@@ -130,10 +123,6 @@ class ContainmentIndex:
     # ------------------------------------------------------------------
     # Compiled-state lifecycle
     # ------------------------------------------------------------------
-    def use_compiled(self) -> bool:
-        """True when containment tests dispatch to the compiled kernel."""
-        return self.compiled and self.verifier.supports_compiled()
-
     def _compile_entry(self, entry: CacheEntry) -> None:
         if self.entry_is_target:
             if entry.compiled_target is None:
@@ -189,21 +178,14 @@ class ContainmentIndex:
             survivors.append(entry)
         if not survivors:
             return []
-        if self.use_compiled():
+        if verifier.supports_compiled():
             if compiled is None:
                 compiled = CompiledQuery(query)
             query_side = (
                 compiled.compiled_plan() if entry_is_target else compiled.compiled_target()
             )
             compiled_side = attrgetter("compiled_target" if entry_is_target else "compiled_plan")
-            entry_sides = list(map(compiled_side, survivors))
-            if None in entry_sides:
-                # Entries indexed while the compiled path was off (an A/B
-                # toggle mid-stream) are compiled and cached now.
-                for entry in survivors:
-                    self._compile_entry(entry)
-                entry_sides = list(map(compiled_side, survivors))
-            matched = verifier.verify_pairs(query_side, entry_sides)
+            matched = verifier.verify_pairs(query_side, list(map(compiled_side, survivors)))
         elif entry_is_target:
             matched = [verifier.is_subgraph(query, entry.graph) for entry in survivors]
         else:
@@ -230,4 +212,4 @@ class ContainmentIndex:
         return sys.getsizeof(self._entries)
 
     def __repr__(self) -> str:
-        return f"<{type(self).__name__} entries={len(self._entries)} compiled={self.use_compiled()}>"
+        return f"<{type(self).__name__} entries={len(self._entries)} compiled={self.verifier.supports_compiled()}>"

@@ -24,7 +24,6 @@ from __future__ import annotations
 import os
 import tempfile
 import time
-import warnings
 from dataclasses import dataclass, field, replace
 
 from ..features.extractor import GraphFeatures
@@ -40,85 +39,16 @@ from .config import (
     MIXED_MODE,
     SUBGRAPH_MODE,
     SUPERGRAPH_MODE,
-    CacheConfig,
     ConfigError,
     EngineConfig,
-    VerifierConfig,
     validate_query_mode,
 )
 from .isub import SubgraphQueryIndex
 from .isuper import SupergraphQueryIndex
 from .maintenance import IndexMaintenance, MaintenanceReport, PendingQuery
-from .replacement import ReplacementPolicy, create_policy
+from .replacement import create_policy
 
 __all__ = ["IGQQueryResult", "QueryPlan", "IGQ"]
-
-#: sentinel distinguishing "kwarg not passed" from every real value
-_UNSET = object()
-
-#: legacy flat kwarg -> its EngineConfig home (drives shims and warnings)
-_LEGACY_ENGINE_KWARGS = {
-    "mode": "EngineConfig.mode",
-    "enable_isub": "EngineConfig.enable_isub",
-    "enable_isuper": "EngineConfig.enable_isuper",
-    "cache_size": "EngineConfig.cache.size",
-    "window_size": "EngineConfig.cache.window",
-    "policy": "EngineConfig.cache.policy",
-    "igq_compiled": "EngineConfig.verifier.igq_compiled",
-}
-
-
-def _warn_legacy(kwargs: dict, stacklevel: int = 4) -> None:
-    """Emit one DeprecationWarning naming each kwarg's config equivalent."""
-    mapping = ", ".join(
-        f"{name}= -> {_LEGACY_ENGINE_KWARGS.get(name, name)}" for name in sorted(kwargs)
-    )
-    warnings.warn(
-        f"flat engine kwargs are deprecated and will be removed in "
-        f"repro 2.0; build an EngineConfig instead ({mapping})",
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )
-
-
-def _legacy_engine_config(
-    kwargs: dict, stacklevel: int = 4
-) -> tuple[EngineConfig, "ReplacementPolicy | None"]:
-    """Build an :class:`EngineConfig` from legacy flat kwargs (shim path).
-
-    Returns the config plus the replacement-policy *instance* when one was
-    passed directly (instances cannot ride in a JSON-serialisable config, so
-    the engine keeps using the object while the config records its name).
-    """
-    unknown = sorted(set(kwargs) - set(_LEGACY_ENGINE_KWARGS))
-    if unknown:
-        raise TypeError(f"unexpected engine kwarg(s) {unknown}")
-    if kwargs:
-        _warn_legacy(kwargs, stacklevel=stacklevel)
-    policy_instance: ReplacementPolicy | None = None
-    policy = kwargs.get("policy", "utility")
-    if isinstance(policy, ReplacementPolicy):
-        policy_instance = policy
-        # The config records the registered name when there is one; custom
-        # policy objects keep working but serialise as the default name.
-        policy = getattr(policy, "name", "utility")
-        if policy not in ("utility", "hit_rate", "fifo"):
-            policy = "utility"
-    cache = CacheConfig(
-        size=kwargs.get("cache_size", 500),
-        window=kwargs.get("window_size", 100),
-        policy=policy,
-    )
-    verifier = VerifierConfig(igq_compiled=kwargs.get("igq_compiled", True))
-    config = EngineConfig(
-        mode=kwargs.get("mode", SUBGRAPH_MODE),
-        enable_isub=kwargs.get("enable_isub", True),
-        enable_isuper=kwargs.get("enable_isuper", True),
-        cache=cache,
-        verifier=verifier,
-    )
-    return config, policy_instance
-
 
 @dataclass
 class IGQQueryResult(QueryResult):
@@ -204,18 +134,13 @@ class IGQ:
         configure the engine.  ``config.mode`` selects the query type
         (``"subgraph"``, ``"supergraph"`` or ``"mixed"``: per-call dispatch),
         ``config.cache`` sizes the query cache, ``config.verifier`` picks
-        the containment verifier and A/B flags, ``config.batch`` supplies
-        :meth:`run_batch` defaults.  Prefer :meth:`from_config`, which also
+        the containment verifier, ``config.batch`` drives :meth:`run_batch`.
+        ``None`` means all defaults.  Prefer :meth:`from_config`, which also
         routes sharded configs to :class:`~repro.core.shard.ShardedIGQ`.
     igq_verifier:
-        Injection point for a pre-configured containment verifier (tests,
-        A/B baselines); overrides ``config.verifier``'s constructed one.
-
-    The historical flat kwargs (``cache_size=``, ``window_size=``,
-    ``policy=``, ``mode=``, ``enable_isub=``, ``enable_isuper=``,
-    ``igq_compiled=``) still work as deprecation shims: they build the same
-    :class:`EngineConfig` and emit a :class:`DeprecationWarning` naming the
-    config field to move to.
+        Injection point for a pre-configured containment verifier — tests
+        pass ``Verifier(compiled=False)`` to run the dict-based matcher as
+        the reference; overrides ``config.verifier``'s constructed one.
     """
 
     def __init__(
@@ -224,21 +149,13 @@ class IGQ:
         config: EngineConfig | None = None,
         *,
         igq_verifier: Verifier | None = None,
-        _policy_instance: ReplacementPolicy | None = None,
-        **legacy_kwargs,
     ) -> None:
-        policy_instance = _policy_instance
         if config is None:
-            config, policy_instance = _legacy_engine_config(legacy_kwargs)
-        elif legacy_kwargs:
-            raise ConfigError(
-                f"pass either config= or legacy kwargs, not both "
-                f"(got {sorted(legacy_kwargs)} alongside an EngineConfig)"
-            )
+            config = EngineConfig()
         elif not isinstance(config, EngineConfig):
             raise ConfigError(
                 f"config must be an EngineConfig, got {type(config).__name__} "
-                "(legacy positional cache_size is no longer accepted)"
+                "(e.g. a cache size goes in EngineConfig.cache.size)"
             )
         if config.shard.shards > 1 and type(self) is IGQ:
             raise ConfigError(
@@ -250,28 +167,18 @@ class IGQ:
         self.method = method
         self.mode = config.mode
         self.name = f"igq_{method.name}"
-        policy = (
-            policy_instance
-            if policy_instance is not None
-            else create_policy(config.cache.policy)
-        )
         self._igq_verifier = (
             igq_verifier if igq_verifier is not None else config.verifier.build()
         )
-        self.igq_compiled = config.verifier.igq_compiled
         self.cache = QueryCache()
-        self.isub = (
-            SubgraphQueryIndex(self._igq_verifier, compiled=self.igq_compiled)
-            if config.enable_isub
-            else None
-        )
+        self.isub = SubgraphQueryIndex(self._igq_verifier) if config.enable_isub else None
         self.isuper = (
-            SupergraphQueryIndex(self._igq_verifier, compiled=self.igq_compiled)
-            if config.enable_isuper
-            else None
+            SupergraphQueryIndex(self._igq_verifier) if config.enable_isuper else None
         )
         self.maintenance = IndexMaintenance(
-            cache_size=config.cache.size, window_size=config.cache.window, policy=policy
+            cache_size=config.cache.size,
+            window_size=config.cache.window,
+            policy=create_policy(config.cache.policy),
         )
         self.database: GraphDatabase | None = None
         self._id_space: GraphIdSpace | None = None
@@ -833,14 +740,7 @@ class IGQ:
     # ------------------------------------------------------------------
     # Batched execution
     # ------------------------------------------------------------------
-    def run_batch(
-        self,
-        queries: list[LabeledGraph],
-        num_workers=_UNSET,
-        backend=_UNSET,
-        chunk_size=_UNSET,
-        pipeline=_UNSET,
-    ) -> list[IGQQueryResult]:
+    def run_batch(self, queries: list[LabeledGraph]) -> list[IGQQueryResult]:
         """Process a batch of queries, optionally verifying in parallel.
 
         The execution parameters come from ``self.config.batch`` — with the
@@ -850,37 +750,12 @@ class IGQ:
         verification stage of each query fans out to a
         :mod:`concurrent.futures` pool and (unless pipelining is off) the
         next query is planned while the pool works.  Answers, cache contents
-        and replacement metadata are identical in every configuration.  The
-        flat ``num_workers=`` / ``backend=`` / ``chunk_size=`` /
-        ``pipeline=`` kwargs are deprecated shims over
-        ``EngineConfig.batch``.  See :class:`repro.core.batch.BatchExecutor`
-        for the streaming API.
+        and replacement metadata are identical in every configuration.  See
+        :class:`repro.core.batch.BatchExecutor` for the streaming API.
         """
         from .batch import BatchExecutor
 
-        overrides = {
-            name: value
-            for name, value in (
-                ("num_workers", num_workers),
-                ("backend", backend),
-                ("chunk_size", chunk_size),
-                ("pipeline", pipeline),
-            )
-            if value is not _UNSET
-        }
-        batch = self.config.batch
-        if overrides:
-            mapping = ", ".join(
-                f"{name}= -> EngineConfig.batch.{name}" for name in sorted(overrides)
-            )
-            warnings.warn(
-                f"run_batch kwargs are deprecated and will be removed in repro 2.0; "
-                f"configure EngineConfig.batch instead ({mapping})",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            batch = replace(batch, **overrides)
-        with BatchExecutor(self, config=batch) as executor:
+        with BatchExecutor(self, config=self.config.batch) as executor:
             return executor.run_batch(queries)
 
     # ------------------------------------------------------------------

@@ -61,7 +61,6 @@ from __future__ import annotations
 import hashlib
 import pickle
 import threading
-import warnings
 from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace as dataclass_replace
@@ -73,8 +72,8 @@ from ..isomorphism.compiled import CompiledQuery, compile_query_plan, compile_ta
 from ..isomorphism.verifier import Verifier
 from .batch import _init_worker, _init_worker_shared, effective_cpu_count
 from .cache import CacheEntry
-from .config import ConfigError, EngineConfig, ShardConfig
-from .engine import _UNSET, IGQ, _legacy_engine_config
+from .config import EngineConfig
+from .engine import IGQ
 from .isub import SubgraphQueryIndex
 from .isuper import SupergraphQueryIndex
 from .maintenance import MaintenanceReport
@@ -481,21 +480,12 @@ class ReplicaGroup:
     def __init__(
         self,
         verifier: Verifier,
-        compiled: bool = True,
         enable_isub: bool = True,
         enable_isuper: bool = True,
     ) -> None:
         self.replicas: dict[int, ShardEntry] = {}
-        self.isub = (
-            SubgraphQueryIndex(verifier, compiled=compiled)
-            if enable_isub
-            else None
-        )
-        self.isuper = (
-            SupergraphQueryIndex(verifier, compiled=compiled)
-            if enable_isuper
-            else None
-        )
+        self.isub = SubgraphQueryIndex(verifier) if enable_isub else None
+        self.isuper = SupergraphQueryIndex(verifier) if enable_isuper else None
         #: the member that accounts for the shared structures (sizes)
         self.owner: int | None = None
 
@@ -532,14 +522,12 @@ class QueryIndexShard:
         self,
         shard_id: int,
         verifier: Verifier | None = None,
-        compiled: bool = True,
         enable_isub: bool = True,
         enable_isuper: bool = True,
         replica_group: ReplicaGroup | None = None,
     ) -> None:
         self.shard_id = shard_id
         self.verifier = verifier if verifier is not None else Verifier()
-        self.compiled = compiled
         self.enable_isub = enable_isub
         self.enable_isuper = enable_isuper
         self.applied_version = 0
@@ -551,16 +539,8 @@ class QueryIndexShard:
         self._make_indexes()
 
     def _make_indexes(self) -> None:
-        self.isub = (
-            SubgraphQueryIndex(self.verifier, compiled=self.compiled)
-            if self.enable_isub
-            else None
-        )
-        self.isuper = (
-            SupergraphQueryIndex(self.verifier, compiled=self.compiled)
-            if self.enable_isuper
-            else None
-        )
+        self.isub = SubgraphQueryIndex(self.verifier) if self.enable_isub else None
+        self.isuper = SupergraphQueryIndex(self.verifier) if self.enable_isuper else None
         group = self._replica_group
         if group is not None:
             self._replicas = group.replicas
@@ -568,15 +548,9 @@ class QueryIndexShard:
             self.replica_isuper = group.isuper
             return
         self._replicas = {}
-        self.replica_isub = (
-            SubgraphQueryIndex(self.verifier, compiled=self.compiled)
-            if self.enable_isub
-            else None
-        )
+        self.replica_isub = SubgraphQueryIndex(self.verifier) if self.enable_isub else None
         self.replica_isuper = (
-            SupergraphQueryIndex(self.verifier, compiled=self.compiled)
-            if self.enable_isuper
-            else None
+            SupergraphQueryIndex(self.verifier) if self.enable_isuper else None
         )
 
     # ------------------------------------------------------------------
@@ -837,7 +811,6 @@ def _init_shard_worker(payload: bytes) -> None:
     _WORKER_SHARD = QueryIndexShard(
         config["shard_id"],
         verifier=config["verifier"],
-        compiled=config["compiled"],
         enable_isub=config["enable_isub"],
         enable_isuper=config["enable_isuper"],
     )
@@ -1070,7 +1043,6 @@ class _InlineShardRuntime:
         # ``num_shards`` of them.
         group = ReplicaGroup(
             engine.igq_verifier,
-            compiled=engine.igq_compiled,
             enable_isub=engine.probe_isub,
             enable_isuper=engine.probe_isuper,
         )
@@ -1078,7 +1050,6 @@ class _InlineShardRuntime:
             QueryIndexShard(
                 shard_id,
                 verifier=engine.igq_verifier,
-                compiled=engine.igq_compiled,
                 enable_isub=engine.probe_isub,
                 enable_isuper=engine.probe_isuper,
                 replica_group=group,
@@ -1202,7 +1173,6 @@ class _ProcessShardRuntime:
                     {
                         "shard_id": shard_id,
                         "verifier": verifier,
-                        "compiled": engine.igq_compiled,
                         "enable_isub": engine.probe_isub,
                         "enable_isuper": engine.probe_isuper,
                         "method_payload": method_payload,
@@ -1401,16 +1371,14 @@ class ShardedIGQ(IGQ):
     and (uncounted) pre-checks apply, so the counted-test accounting,
     answers and cache state stay byte-identical to ``shards=1``.
 
-    The historical flat kwargs (``shards=``, ``shard_backend=``,
-    ``compact_threshold=``, plus :class:`IGQ`'s) remain as deprecation
-    shims building the same config.  Process-backed shard pools are
-    long-lived: call :meth:`close` (or use the engine as a context manager,
-    or let :class:`~repro.service.GraphQueryService` own it) to terminate
-    the workers deterministically.
+    Process-backed shard pools are long-lived: call :meth:`close` (or use
+    the engine as a context manager, or let
+    :class:`~repro.service.GraphQueryService` own it) to terminate the
+    workers deterministically.
 
     Whatever the configuration, answers, per-query accounting, cache
     contents and replacement metadata are byte-identical to ``shards=1``;
-    the test suite asserts it and the ``bench_sharded`` CI gate enforces it.
+    ``tests/test_shard.py::TestShardedEngineEquivalence`` asserts it.
     """
 
     def __init__(
@@ -1419,51 +1387,9 @@ class ShardedIGQ(IGQ):
         config: EngineConfig | None = None,
         *,
         igq_verifier: Verifier | None = None,
-        shards=_UNSET,
-        shard_backend=_UNSET,
-        compact_threshold=_UNSET,
-        **legacy_kwargs,
     ) -> None:
-        shard_overrides = {
-            name: value
-            for name, value in (
-                ("shards", shards),
-                ("backend", shard_backend),
-                ("compact_threshold", compact_threshold),
-            )
-            if value is not _UNSET
-        }
-        policy_instance = None
-        if config is None:
-            if shard_overrides:
-                mapping = ", ".join(
-                    f"{legacy}= -> EngineConfig.shard.{field_name}"
-                    for legacy, field_name in (
-                        ("shards", "shards"),
-                        ("shard_backend", "backend"),
-                        ("compact_threshold", "compact_threshold"),
-                    )
-                    if field_name in shard_overrides
-                )
-                warnings.warn(
-                    f"flat shard kwargs are deprecated and will be removed in "
-                    f"repro 2.0; build an EngineConfig instead ({mapping})",
-                    DeprecationWarning,
-                    stacklevel=2,
-                )
-            base_config, policy_instance = _legacy_engine_config(
-                legacy_kwargs, stacklevel=4
-            )
-            config = base_config.replace(shard=ShardConfig(**shard_overrides))
-        elif shard_overrides or legacy_kwargs:
-            raise ConfigError(
-                "pass either config= or legacy kwargs, not both (got "
-                f"{sorted(shard_overrides) + sorted(legacy_kwargs)} alongside "
-                "an EngineConfig)"
-            )
-        super().__init__(
-            method, config, igq_verifier=igq_verifier, _policy_instance=policy_instance
-        )
+        super().__init__(method, config, igq_verifier=igq_verifier)
+        config = self.config
         self.num_shards = config.shard.shards
         self.compact_threshold = config.shard.compact_threshold
         self.hot_threshold = config.shard.hot_threshold
@@ -1938,7 +1864,7 @@ class ShardedIGQ(IGQ):
         future query.  The compiled objects are stored on the cache entry
         too (released on eviction), so no shard ever recompiles them.
         """
-        if self.igq_compiled and self.igq_verifier.supports_compiled():
+        if self.igq_verifier.supports_compiled():
             if self.probe_isub and entry.compiled_target is None:
                 entry.compiled_target = compile_target(entry.graph)
             if self.probe_isuper and entry.compiled_plan is None:

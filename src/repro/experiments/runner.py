@@ -115,10 +115,8 @@ class ExperimentConfig:
     def engine_config(self) -> EngineConfig:
         """The :class:`EngineConfig` this experiment's iGQ engine runs under.
 
-        One typed object carries everything that used to be re-threaded as
-        flat kwargs into ``IGQ(...)`` and ``BatchExecutor(...)``; the batch
-        section also drives the *base* stream, so both sides of a speedup
-        comparison share one execution configuration.
+        The batch section also drives the *base* stream, so both sides of a
+        speedup comparison share one execution configuration.
         """
         resolved = self.resolved()
         return EngineConfig(

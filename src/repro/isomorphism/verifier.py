@@ -80,7 +80,7 @@ class Verifier:
     compiled:
         Allow the compiled bitset kernel when callers provide precompiled
         representations (default).  ``False`` restores the pure dict-based
-        matcher on every path — the benchmark baseline.
+        matcher on every path — the reference the tests compare against.
     precheck:
         Apply the label-histogram / degree-signature early-fail check before
         running a matcher on the graph-based path (default).  The check is a

@@ -8,7 +8,13 @@ from collections import Counter
 import pytest
 from hypothesis import strategies as st
 
+from repro.core import CacheConfig, EngineConfig
 from repro.graphs import GraphDatabase, LabeledGraph
+
+
+def engine_config(size: int = 500, window: int = 100, **engine_fields) -> EngineConfig:
+    """An ``EngineConfig`` with the cache's ``C``/``W`` (what most tests set)."""
+    return EngineConfig(cache=CacheConfig(size=size, window=window), **engine_fields)
 
 # ----------------------------------------------------------------------
 # Deterministic example graphs
@@ -166,10 +172,10 @@ def oracle_index(live, cache):
     The reference for the incremental window flush: whatever sequence of
     ``add``/``remove`` calls produced ``live``, its :func:`index_state` must
     equal that of an index built from scratch over the current cache.  The
-    oracle shares ``live``'s ``compiled`` setting so it never compiles state
-    onto entries the engine under test runs uncompiled.
+    oracle shares ``live``'s verifier so it never compiles state onto
+    entries the engine under test runs uncompiled.
     """
-    oracle = type(live)(live.verifier, compiled=live.compiled)
+    oracle = type(live)(live.verifier)
     for entry in cache.entries():
         oracle.add(entry)
     return oracle

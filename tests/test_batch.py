@@ -13,12 +13,12 @@ import random
 
 import pytest
 
-from repro.core import IGQ, BatchExecutor
+from repro.core import IGQ, BatchConfig, BatchExecutor
 from repro.core.batch import FeatureMemo, graph_signature
 from repro.graphs import GraphDatabase, LabeledGraph
 from repro.methods import GGSXMethod, GrapesMethod, ScanMethod
 
-from .conftest import make_cycle_graph, make_path_graph, random_labeled_graph
+from .conftest import engine_config, make_cycle_graph, make_path_graph, random_labeled_graph
 
 
 def build_database(seed=29, count=16) -> GraphDatabase:
@@ -43,9 +43,9 @@ def make_stream(seed=5, distinct=12, total=30):
     ]
 
 
-def fresh_engine(database, method_factory=None) -> IGQ:
+def fresh_engine(database, method_factory=None, **batch_fields) -> IGQ:
     method = method_factory() if method_factory else GGSXMethod(max_path_length=3)
-    engine = IGQ(method, cache_size=8, window_size=3)
+    engine = IGQ(method, engine_config(8, 3, batch=BatchConfig(**batch_fields)))
     engine.build_index(database)
     return engine
 
@@ -106,8 +106,8 @@ class TestSequentialEquivalence:
         loop_engine = fresh_engine(database)
         expected = [loop_engine.query(query) for query in stream]
 
-        batch_engine = fresh_engine(database)
-        results = batch_engine.run_batch(stream, num_workers=2, backend=backend)
+        batch_engine = fresh_engine(database, num_workers=2, backend=backend)
+        results = batch_engine.run_batch(stream)
 
         assert len(results) == len(expected)
         for got, want in zip(results, expected):
@@ -124,14 +124,14 @@ class TestSequentialEquivalence:
         the counters stay consistent and equal the sequential run's."""
         database = build_database()
         stream = make_stream(total=20)
-        engine = fresh_engine(database)
-        results = engine.run_batch(stream, num_workers=2, backend=backend)
+        engine = fresh_engine(database, num_workers=2, backend=backend)
+        results = engine.run_batch(stream)
         stats = engine.method.verifier.stats
         assert stats.tests == sum(result.num_isomorphism_tests for result in results) > 0
         assert stats.positives + stats.negatives == stats.tests
         assert stats.total_seconds > 0.0
         sequential = fresh_engine(database)
-        sequential.run_batch(stream, num_workers=1)
+        sequential.run_batch(stream)
         want = sequential.method.verifier.stats
         assert (stats.tests, stats.positives) == (want.tests, want.positives)
 
@@ -142,8 +142,10 @@ class TestSequentialEquivalence:
         stream = make_stream(total=15)
         loop_engine = fresh_engine(database, lambda: GrapesMethod(max_path_length=3))
         expected = [loop_engine.query(query) for query in stream]
-        batch_engine = fresh_engine(database, lambda: GrapesMethod(max_path_length=3))
-        results = batch_engine.run_batch(stream, num_workers=2, backend="process")
+        batch_engine = fresh_engine(
+            database, lambda: GrapesMethod(max_path_length=3), num_workers=2, backend="process"
+        )
+        results = batch_engine.run_batch(stream)
         for got, want in zip(results, expected):
             assert set(got.answers) == set(want.answers), got.query_name
             assert got.num_isomorphism_tests == want.num_isomorphism_tests

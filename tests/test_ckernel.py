@@ -47,6 +47,7 @@ from repro.methods import create_method
 from repro.service import GraphQueryService
 
 from .conftest import (
+    engine_config,
     make_clique,
     make_cycle_graph,
     make_path_graph,
@@ -311,7 +312,7 @@ class TestForcedFallback:
 class TestEngineByteIdentity:
     def bigint_baseline(self, small_db, queries):
         method = create_method("ggsx", max_path_length=3, verifier=Verifier(kernel="bigint"))
-        engine = IGQ(method, cache_size=10, window_size=3)
+        engine = IGQ(method, engine_config(10, 3))
         engine.build_index(small_db)
         results = [engine.query(query) for query in queries]
         fingerprint = engine_fingerprint(engine, results)
@@ -321,7 +322,7 @@ class TestEngineByteIdentity:
     def test_sequential_engine_matches_bigint(self, small_db, queries):
         baseline = self.bigint_baseline(small_db, queries)
         method = create_method("ggsx", max_path_length=3, verifier=Verifier(kernel="native"))
-        engine = IGQ(method, cache_size=10, window_size=3)
+        engine = IGQ(method, engine_config(10, 3))
         engine.build_index(small_db)
         results = [engine.query(query) for query in queries]
         fingerprint = engine_fingerprint(engine, results)
@@ -331,7 +332,7 @@ class TestEngineByteIdentity:
     def test_process_pool_matches_bigint(self, small_db, queries):
         baseline = self.bigint_baseline(small_db, queries)
         method = create_method("ggsx", max_path_length=3, verifier=Verifier(kernel="native"))
-        engine = IGQ(method, cache_size=10, window_size=3)
+        engine = IGQ(method, engine_config(10, 3))
         engine.build_index(small_db)
         with BatchExecutor(engine, num_workers=2, backend="process") as executor:
             results = executor.run_batch(queries)
@@ -350,7 +351,7 @@ class TestEngineByteIdentity:
         verifier = Verifier(kernel="native")
         method = create_method("ggsx", max_path_length=3, verifier=verifier)
         engine = ShardedIGQ(
-            method, shards=4, shard_backend="process", cache_size=10, window_size=3
+            method, engine_config(10, 3, shard=ShardConfig(shards=4, backend="process"))
         )
         engine.build_index(small_db)
         results = [engine.query(query) for query in queries]

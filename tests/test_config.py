@@ -7,11 +7,9 @@ Three contracts:
 * **Validation** — invalid values (negative cache size, unknown backend,
   unknown keys, W > C, both components off) raise :class:`ConfigError`
   with a message naming the field and the accepted values.
-* **Equivalence + shims** — an engine built from a config is byte-identical
-  (answers, accounting, cache and replacement state) to one built from the
-  legacy flat kwargs; the flat kwargs still work but emit a
-  ``DeprecationWarning`` pointing at the config field, and the new API
-  itself emits none (this module runs with DeprecationWarning as error).
+* **One construction path** — engines take an ``EngineConfig`` and nothing
+  else: the 1.x flat kwargs are rejected, and names 2.0 removed fail with
+  a message saying what to write instead.
 """
 
 from __future__ import annotations
@@ -34,52 +32,10 @@ from repro.datasets.registry import load_dataset
 from repro.methods import create_method
 from repro.workloads.generator import QueryGenerator, WorkloadSpec
 
-pytestmark = pytest.mark.filterwarnings("error::DeprecationWarning")
-
 
 @pytest.fixture(scope="module")
 def database():
     return load_dataset("synthetic", scale=0.12)
-
-
-@pytest.fixture(scope="module")
-def stream(database):
-    spec = WorkloadSpec(
-        name="zipf", graph_distribution="zipf", node_distribution="zipf",
-        alpha=1.3, seed=11,
-    )
-    pool = QueryGenerator(database, spec).generate(10)
-    # Repeats give the query index something to hit.
-    return (pool + pool[:6] + pool[3:8])[:24]
-
-
-def engine_fingerprint(engine, results):
-    """Answers, accounting, cache contents and replacement state as a tuple."""
-    answers = [tuple(sorted(map(repr, result.answers))) for result in results]
-    accounting = [
-        (
-            result.num_isomorphism_tests,
-            result.num_sub_hits,
-            result.num_super_hits,
-            result.exact_hit,
-            result.verification_skipped,
-        )
-        for result in results
-    ]
-    cache_state = sorted(
-        (
-            entry.entry_id,
-            entry.graph.name,
-            tuple(sorted(map(repr, entry.answer))),
-            entry.hits,
-            entry.removed,
-            round(entry.alleviated_cost, 9),
-            entry.added_at,
-            entry.tags.get("mode"),
-        )
-        for entry in engine.cache.entries()
-    )
-    return (answers, accounting, cache_state)
 
 
 # ----------------------------------------------------------------------
@@ -95,7 +51,7 @@ class TestRoundTrip:
             mode="mixed",
             enable_isuper=False,
             cache=CacheConfig(size=64, window=16, policy="hit_rate"),
-            verifier=VerifierConfig(algorithm="ullmann", compiled=False, precheck=False),
+            verifier=VerifierConfig(algorithm="ullmann", induced=True, kernel="bigint"),
             batch=BatchConfig(num_workers=4, backend="thread", chunk_size=8,
                               pipeline=False, memoize_features=False),
             shard=ShardConfig(shards=4, backend="inline", compact_threshold=None),
@@ -232,8 +188,46 @@ class TestValidation:
 
     def test_config_plus_legacy_kwargs_rejected(self):
         method = create_method("ggsx", max_path_length=3)
-        with pytest.raises(ConfigError, match=r"not both"):
+        with pytest.raises(TypeError, match=r"cache_size"):
             IGQ(method, EngineConfig(), cache_size=10)
+        with pytest.raises(TypeError, match=r"shards"):
+            ShardedIGQ(method, EngineConfig(), shards=2)
+        with pytest.raises(TypeError, match=r"num_workers"):
+            IGQ(method).run_batch([], num_workers=1)
+
+    def test_positional_cache_size_names_the_config_field(self):
+        method = create_method("ggsx", max_path_length=3)
+        with pytest.raises(ConfigError, match=r"EngineConfig\.cache\.size"):
+            IGQ(method, 20)
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"verifier": {"igq_compiled": False}},
+            {"verifier": {"compiled": False}},
+            {"verifier": {"precheck": False}},
+        ],
+    )
+    def test_removed_verifier_switch_says_inject_a_verifier(self, data):
+        with pytest.raises(
+            ConfigError,
+            match=r"removed in 2\.0.*Verifier\(compiled=False\).*igq_verifier=.*"
+            r"create_method\(verifier=\)",
+        ):
+            EngineConfig.from_dict(data)
+
+    @pytest.mark.parametrize(
+        "key, home",
+        [
+            ("cache_size", "EngineConfig.cache.size"),
+            ("window_size", "EngineConfig.cache.window"),
+            ("shard_backend", "EngineConfig.shard.backend"),
+            ("num_workers", "EngineConfig.batch.num_workers"),
+        ],
+    )
+    def test_flat_name_says_where_it_moved(self, key, home):
+        with pytest.raises(ConfigError, match=rf"removed in 2\.0.*{key}: use {home}"):
+            EngineConfig.from_dict({key: 1})
 
     def test_unknown_legacy_kwarg_rejected(self):
         method = create_method("ggsx", max_path_length=3)
@@ -269,13 +263,12 @@ class TestFromConfig:
 
     def test_verifier_config_applied(self, database):
         method = create_method("ggsx", max_path_length=3)
-        config = EngineConfig(
-            verifier=VerifierConfig(compiled=False, precheck=False, igq_compiled=False)
-        )
+        config = EngineConfig(verifier=VerifierConfig(algorithm="ullmann", kernel="bigint"))
         engine = IGQ.from_config(method, config)
-        assert engine.igq_compiled is False
-        assert engine.igq_verifier.compiled is False
-        assert engine.igq_verifier.precheck is False
+        assert engine.igq_verifier.algorithm == "ullmann"
+        assert engine.igq_verifier.kernel == "bigint"
+        # ullmann runs on the dict-based matcher: nothing compiles
+        assert not engine.igq_verifier.supports_compiled()
 
     def test_run_batch_defaults_come_from_config(self, database):
         method = create_method("ggsx", max_path_length=3)
@@ -291,76 +284,11 @@ class TestFromConfig:
         assert len(results) == 6
 
 
-# ----------------------------------------------------------------------
-# Deprecation shims and config/kwarg equivalence
-# ----------------------------------------------------------------------
 class TestLegacyShims:
-    def test_flat_kwargs_warn_and_name_the_config_field(self):
-        method = create_method("ggsx", max_path_length=3)
-        with pytest.warns(DeprecationWarning, match=r"cache_size= -> EngineConfig\.cache\.size"):
-            engine = IGQ(method, cache_size=20, window_size=5)
-        assert engine.config.cache == CacheConfig(size=20, window=5)
+    """The 1.x flat-kwarg shims are gone; the bare call stays silent."""
 
-    def test_no_kwargs_means_no_warning(self):
+    def test_no_kwargs_means_no_warning(self, recwarn):
         method = create_method("ggsx", max_path_length=3)
-        engine = IGQ(method)  # must not warn (module errors on DeprecationWarning)
+        engine = IGQ(method)
         assert engine.config == EngineConfig()
-
-    def test_shard_kwargs_warn(self):
-        method = create_method("ggsx", max_path_length=3)
-        with pytest.warns(DeprecationWarning, match=r"shards= -> EngineConfig\.shard\.shards"):
-            engine = ShardedIGQ(method, shards=2, shard_backend="inline")
-        assert engine.config.shard == ShardConfig(shards=2, backend="inline")
-
-    def test_run_batch_kwargs_warn(self, database):
-        method = create_method("ggsx", max_path_length=3)
-        engine = IGQ.from_config(method, EngineConfig(cache=CacheConfig(size=8, window=4)))
-        engine.build_index(database)
-        queries = QueryGenerator(database, WorkloadSpec(name="uni", seed=4)).generate(3)
-        with pytest.warns(DeprecationWarning, match=r"EngineConfig\.batch\.num_workers"):
-            engine.run_batch(queries, num_workers=1)
-
-    def test_config_built_equals_kwarg_built(self, database, stream):
-        """Config-built and kwarg-built engines are byte-identical on a
-        workload with repeats, including supergraph mode."""
-        for mode in ("subgraph", "supergraph"):
-            fingerprints = []
-            for build in ("config", "kwargs"):
-                method = create_method("ggsx", max_path_length=3)
-                if build == "config":
-                    config = EngineConfig(
-                        mode=mode, cache=CacheConfig(size=8, window=3, policy="utility")
-                    )
-                    engine = IGQ.from_config(method, config)
-                else:
-                    with pytest.warns(DeprecationWarning):
-                        engine = IGQ(
-                            method, cache_size=8, window_size=3,
-                            policy="utility", mode=mode,
-                        )
-                engine.build_index(database)
-                results = [engine.query(query) for query in stream]
-                fingerprints.append(engine_fingerprint(engine, results))
-            assert fingerprints[0] == fingerprints[1]
-
-    def test_sharded_config_equals_kwarg_built(self, database, stream):
-        fingerprints = []
-        for build in ("config", "kwargs"):
-            method = create_method("ggsx", max_path_length=3)
-            if build == "config":
-                config = EngineConfig(
-                    cache=CacheConfig(size=8, window=3),
-                    shard=ShardConfig(shards=3, backend="inline"),
-                )
-                engine = ShardedIGQ.from_config(method, config)
-            else:
-                with pytest.warns(DeprecationWarning):
-                    engine = ShardedIGQ(
-                        method, shards=3, shard_backend="inline",
-                        cache_size=8, window_size=3,
-                    )
-            engine.build_index(database)
-            with engine:
-                results = [engine.query(query) for query in stream]
-                fingerprints.append(engine_fingerprint(engine, results))
-        assert fingerprints[0] == fingerprints[1]
+        assert not recwarn.list

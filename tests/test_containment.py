@@ -5,8 +5,8 @@ Three contracts:
 * **Equivalence** — with the compiled path on (the default), the two
   component indexes and Grapes' region-masked verification return exactly
   the answers, hit lists and verifier accounting of the dict-based path
-  (``compiled=False``), at the index level and end-to-end through the
-  engine.
+  (an injected ``Verifier(compiled=False)``), at the index level and
+  end-to-end through the engine.
 * **Compile-on-insertion** — cached entries carry their ``CompiledTarget`` /
   ``CompiledQueryPlan`` from the moment they are indexed, window flushes
   leave the survivors' objects alone (never recompile), and eviction
@@ -44,6 +44,7 @@ from repro.workloads.generator import QueryGenerator, WorkloadSpec
 from repro.workloads.zipf import create_sampler
 
 from .conftest import (
+    engine_config,
     index_state,
     make_cycle_graph,
     make_path_graph,
@@ -59,10 +60,10 @@ def small_synthetic():
     return load_dataset("synthetic", scale=0.15)
 
 
-def build_indexes(graphs, compiled: bool, verifier: Verifier | None = None):
+def build_indexes(graphs, verifier: Verifier | None = None):
     cache = QueryCache()
-    isub = SubgraphQueryIndex(verifier, compiled=compiled)
-    isuper = SupergraphQueryIndex(verifier, compiled=compiled)
+    isub = SubgraphQueryIndex(verifier)
+    isuper = SupergraphQueryIndex(verifier)
     for graph in graphs:
         entry = cache.add(graph, EXTRACTOR.extract(graph), frozenset())
         isub.add(entry)
@@ -83,8 +84,8 @@ class TestCompiledDictEquivalence:
         cached = random_query_pool(rng, 25)
         fast_verifier = Verifier()
         slow_verifier = Verifier(compiled=False)
-        _, fast_isub, fast_isuper = build_indexes(cached, True, fast_verifier)
-        _, slow_isub, slow_isuper = build_indexes(cached, False, slow_verifier)
+        _, fast_isub, fast_isuper = build_indexes(cached, fast_verifier)
+        _, slow_isub, slow_isuper = build_indexes(cached, slow_verifier)
         for _ in range(40):
             query = random_labeled_graph(rng, rng.randint(2, 8), 0.4)
             features = EXTRACTOR.extract(query)
@@ -119,11 +120,7 @@ class TestCompiledDictEquivalence:
                 verifier=Verifier(compiled=compiled),
             )
             engine = IGQ(
-                method,
-                cache_size=12,
-                window_size=4,
-                igq_compiled=compiled,
-                igq_verifier=Verifier(compiled=compiled),
+                method, engine_config(12, 4), igq_verifier=Verifier(compiled=compiled)
             )
             engine.build_index(database)
             results = [engine.query(query) for query in stream]
@@ -169,18 +166,18 @@ class TestCompiledDictEquivalence:
 class TestCompileOnInsertion:
     def test_entries_carry_compiled_state(self):
         cached = [make_cycle_graph("ABCD"), make_path_graph("AB")]
-        cache, isub, isuper = build_indexes(cached, True)
+        cache, isub, isuper = build_indexes(cached)
         for entry in cache.entries():
             assert isinstance(entry.compiled_target, CompiledTarget)
             assert isinstance(entry.compiled_plan, CompiledQueryPlan)
 
     def test_dict_mode_compiles_nothing(self):
-        cache, isub, isuper = build_indexes([make_cycle_graph("ABC")], False)
+        cache, isub, isuper = build_indexes([make_cycle_graph("ABC")], Verifier(compiled=False))
         entry = next(cache.entries())
         assert entry.compiled_target is None and entry.compiled_plan is None
 
     def test_flush_reuses_survivors_compiled_state(self):
-        cache, isub, isuper = build_indexes([make_cycle_graph("ABCD")], True)
+        cache, isub, isuper = build_indexes([make_cycle_graph("ABCD")])
         entry = next(cache.entries())
         target, plan = entry.compiled_target, entry.compiled_plan
         maintenance = IndexMaintenance(cache_size=4, window_size=1)
@@ -199,12 +196,12 @@ class TestCompileOnInsertion:
         assert index_state(fresh) == index_state(isub)
 
     def test_cache_eviction_releases_compiled_state(self):
-        cache, isub, isuper = build_indexes([make_cycle_graph("ABC")], True)
+        cache, isub, isuper = build_indexes([make_cycle_graph("ABC")])
         entry = cache.remove(next(cache.entries()).entry_id)
         assert entry.compiled_target is None and entry.compiled_plan is None
 
     def test_index_remove_releases_its_direction(self):
-        cache, isub, isuper = build_indexes([make_cycle_graph("ABC")], True)
+        cache, isub, isuper = build_indexes([make_cycle_graph("ABC")])
         entry = next(cache.entries())
         isub.remove(entry.entry_id)
         assert entry.compiled_target is None
@@ -221,7 +218,7 @@ class TestCompileOnInsertion:
         """
         for enabled in ((True, True), (True, False), (False, True)):
             cache, isub, isuper = build_indexes(
-                [make_cycle_graph("ABCD"), make_path_graph("AB")], True
+                [make_cycle_graph("ABCD"), make_path_graph("AB")]
             )
             victim, kept = list(cache.entries())
             kept.alleviated_cost = 100.0  # the policy evicts ``victim``
@@ -405,7 +402,7 @@ class TestLifecycleRegression:
         rng = random.Random(4)
         targets_before, _ = live_compiled_counts()
         method = create_method("ggsx", max_path_length=3)
-        engine = IGQ(method, cache_size=6, window_size=2)
+        engine = IGQ(method, engine_config(6, 2))
         engine.build_index(database)
         for _ in range(60):
             engine.query(rng.choice(pool))

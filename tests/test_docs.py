@@ -108,6 +108,18 @@ class TestPublicSurface:
         )
 
 
+class TestPackageVersion:
+    def test_pyproject_takes_its_version_from_the_package(self):
+        """One version, stated once: ``repro.__version__``."""
+        import repro
+
+        pyproject = (REPO_ROOT / "pyproject.toml").read_text(encoding="utf-8")
+        assert 'dynamic = ["version"]' in pyproject
+        assert 'version = {attr = "repro.__version__"}' in pyproject
+        assert not re.search(r'^version\s*=\s*"', pyproject, re.MULTILINE)
+        assert re.fullmatch(r"\d+\.\d+\.\d+", repro.__version__)
+
+
 class TestHandbookStructure:
     PAGES = (
         "architecture.md",

@@ -6,13 +6,19 @@ import random
 
 import pytest
 
-from repro.core import IGQ
+from repro.core import IGQ, EngineConfig
 from repro.graphs import GraphDatabase
 from repro.isomorphism import is_subgraph_isomorphic
 from repro.isomorphism.cost import isomorphism_test_cost
 from repro.methods import CTIndexMethod, GGSXMethod, GrapesMethod, ScanMethod
 
-from .conftest import make_cycle_graph, make_path_graph, make_star_graph, random_labeled_graph
+from .conftest import (
+    engine_config,
+    make_cycle_graph,
+    make_path_graph,
+    make_star_graph,
+    random_labeled_graph,
+)
 
 
 def build_database(seed=21, count=14) -> GraphDatabase:
@@ -49,11 +55,11 @@ def supergraph_truth(database, query):
 class TestConstruction:
     def test_requires_a_component(self):
         with pytest.raises(ValueError):
-            IGQ(GGSXMethod(max_path_length=2), enable_isub=False, enable_isuper=False)
+            IGQ(GGSXMethod(max_path_length=2), EngineConfig(enable_isub=False, enable_isuper=False))
 
     def test_invalid_mode(self):
         with pytest.raises(ValueError):
-            IGQ(GGSXMethod(max_path_length=2), mode="bidirectional")
+            IGQ(GGSXMethod(max_path_length=2), EngineConfig(mode="bidirectional"))
 
     def test_query_before_index(self):
         engine = IGQ(GGSXMethod(max_path_length=2))
@@ -61,7 +67,7 @@ class TestConstruction:
             engine.query(make_path_graph("AB"))
 
     def test_mode_guards(self):
-        engine = IGQ(GGSXMethod(max_path_length=2), mode="subgraph")
+        engine = IGQ(GGSXMethod(max_path_length=2), EngineConfig(mode="subgraph"))
         engine.build_index(build_database())
         with pytest.raises(RuntimeError):
             engine.supergraph_query(make_path_graph("AB"))
@@ -91,7 +97,7 @@ class TestCorrectness:
     def test_answers_always_match_brute_force(self, method_factory):
         database = build_database()
         method = method_factory()
-        engine = IGQ(method, cache_size=10, window_size=3)
+        engine = IGQ(method, engine_config(10, 3))
         engine.build_index(database)
         for query in make_queries(count=35):
             result = engine.query(query)
@@ -102,7 +108,7 @@ class TestCorrectness:
         the same queries recur and the cache is heavily reused."""
         database = build_database()
         method = method_factory()
-        engine = IGQ(method, cache_size=8, window_size=2)
+        engine = IGQ(method, engine_config(8, 2))
         engine.build_index(database)
         queries = make_queries(count=12)
         for _ in range(3):  # replay the same queries: exact-hit path exercised
@@ -115,7 +121,7 @@ class TestCorrectness:
 class TestOptimalCases:
     def test_exact_repeat_skips_verification(self):
         database = build_database()
-        engine = IGQ(GGSXMethod(max_path_length=3), cache_size=10, window_size=1)
+        engine = IGQ(GGSXMethod(max_path_length=3), engine_config(10, 1))
         engine.build_index(database)
         query = make_path_graph("ABC", name="repeat")
         first = engine.query(query)
@@ -126,7 +132,7 @@ class TestOptimalCases:
 
     def test_empty_answer_subquery_short_circuits(self):
         database = build_database()
-        engine = IGQ(GGSXMethod(max_path_length=3), cache_size=10, window_size=1)
+        engine = IGQ(GGSXMethod(max_path_length=3), engine_config(10, 1))
         engine.build_index(database)
         # A query with a label that exists nowhere: empty answer, cached.
         impossible = make_path_graph("AZ", name="impossible")
@@ -142,7 +148,7 @@ class TestOptimalCases:
 
     def test_subgraph_of_cached_query_reuses_answers(self):
         database = build_database()
-        engine = IGQ(GGSXMethod(max_path_length=3), cache_size=10, window_size=1)
+        engine = IGQ(GGSXMethod(max_path_length=3), engine_config(10, 1))
         engine.build_index(database)
         big_query = make_path_graph("ABC", name="big")
         engine.query(big_query)
@@ -156,7 +162,7 @@ class TestOptimalCases:
 class TestSupergraphMode:
     def test_supergraph_answers_match_brute_force(self):
         database = build_database()
-        engine = IGQ(GGSXMethod(max_path_length=3), cache_size=8, window_size=2, mode="supergraph")
+        engine = IGQ(GGSXMethod(max_path_length=3), engine_config(8, 2, mode="supergraph"))
         engine.build_index(database)
         rng = random.Random(17)
         for index in range(25):
@@ -168,7 +174,7 @@ class TestSupergraphMode:
 
     def test_generic_query_dispatches_by_mode(self):
         database = build_database()
-        engine = IGQ(GGSXMethod(max_path_length=3), mode="supergraph")
+        engine = IGQ(GGSXMethod(max_path_length=3), EngineConfig(mode="supergraph"))
         engine.build_index(database)
         query = make_star_graph("A", "BBC")
         assert engine.query(query).answers == supergraph_truth(database, query)
@@ -180,10 +186,7 @@ class TestComponentsAndMetadata:
         for flags in ((True, False), (False, True)):
             engine = IGQ(
                 GGSXMethod(max_path_length=3),
-                cache_size=8,
-                window_size=2,
-                enable_isub=flags[0],
-                enable_isuper=flags[1],
+                engine_config(8, 2, enable_isub=flags[0], enable_isuper=flags[1]),
             )
             engine.build_index(database)
             for query in make_queries(count=20):
@@ -191,7 +194,7 @@ class TestComponentsAndMetadata:
 
     def test_hits_update_metadata(self):
         database = build_database()
-        engine = IGQ(GGSXMethod(max_path_length=3), cache_size=10, window_size=1)
+        engine = IGQ(GGSXMethod(max_path_length=3), engine_config(10, 1))
         engine.build_index(database)
         engine.query(make_path_graph("ABC", name="seed"))
         engine.query(make_path_graph("AB", name="child"))
@@ -205,7 +208,7 @@ class TestComponentsAndMetadata:
         by graph in id order gives (the policy and the WAL compare floats)."""
         database = build_database()
         mode = "supergraph" if supergraph else "subgraph"
-        engine = IGQ(GGSXMethod(max_path_length=3), mode=mode, cache_size=12, window_size=2)
+        engine = IGQ(GGSXMethod(max_path_length=3), engine_config(12, 2, mode=mode))
         engine.build_index(database)
         num_labels = max(database.num_labels, 1)
         credited = 0
@@ -243,7 +246,7 @@ class TestComponentsAndMetadata:
 
     def test_cache_respects_capacity(self):
         database = build_database()
-        engine = IGQ(GGSXMethod(max_path_length=3), cache_size=5, window_size=2)
+        engine = IGQ(GGSXMethod(max_path_length=3), engine_config(5, 2))
         engine.build_index(database)
         for query in make_queries(count=30):
             engine.query(query)
@@ -251,7 +254,7 @@ class TestComponentsAndMetadata:
 
     def test_maintenance_report_returned_on_flush(self):
         database = build_database()
-        engine = IGQ(GGSXMethod(max_path_length=3), cache_size=6, window_size=2)
+        engine = IGQ(GGSXMethod(max_path_length=3), engine_config(6, 2))
         engine.build_index(database)
         first = engine.query(make_path_graph("AB", name="one"))
         second = engine.query(make_path_graph("BC", name="two"))
@@ -261,7 +264,7 @@ class TestComponentsAndMetadata:
 
     def test_index_size_grows_with_cached_queries(self):
         database = build_database()
-        engine = IGQ(GGSXMethod(max_path_length=3), cache_size=10, window_size=1)
+        engine = IGQ(GGSXMethod(max_path_length=3), engine_config(10, 1))
         engine.build_index(database)
         empty_size = engine.index_size_bytes()
         for query in make_queries(count=6):
@@ -270,7 +273,7 @@ class TestComponentsAndMetadata:
 
     def test_warm_up_helper(self):
         database = build_database()
-        engine = IGQ(GGSXMethod(max_path_length=3), cache_size=10, window_size=2)
+        engine = IGQ(GGSXMethod(max_path_length=3), engine_config(10, 2))
         engine.build_index(database)
         results = engine.warm_up(make_queries(count=4))
         assert len(results) == 4

@@ -17,7 +17,7 @@ from repro.graphs import GraphDatabase
 from repro.isomorphism import is_subgraph_isomorphic
 from repro.methods import GGSXMethod, GrapesMethod
 
-from .conftest import labeled_graphs
+from .conftest import engine_config, labeled_graphs
 
 
 @st.composite
@@ -47,7 +47,7 @@ class TestSubgraphTheorems:
     @given(database_and_queries())
     def test_igq_ggsx_answers_equal_brute_force(self, payload):
         database, queries = payload
-        engine = IGQ(GGSXMethod(max_path_length=2), cache_size=4, window_size=2)
+        engine = IGQ(GGSXMethod(max_path_length=2), engine_config(4, 2))
         engine.build_index(database)
         for query in queries:
             result = engine.query(query)
@@ -61,7 +61,7 @@ class TestSubgraphTheorems:
     @given(database_and_queries())
     def test_igq_grapes_answers_equal_brute_force(self, payload):
         database, queries = payload
-        engine = IGQ(GrapesMethod(max_path_length=2), cache_size=4, window_size=2)
+        engine = IGQ(GrapesMethod(max_path_length=2), engine_config(4, 2))
         engine.build_index(database)
         for query in queries:
             assert engine.query(query).answers == brute_force(database, query)
@@ -71,7 +71,7 @@ class TestSubgraphTheorems:
     def test_guaranteed_answers_are_true_answers(self, payload):
         """The graphs iGQ adds without verification (formula (4)) are correct."""
         database, queries = payload
-        engine = IGQ(GGSXMethod(max_path_length=2), cache_size=4, window_size=1)
+        engine = IGQ(GGSXMethod(max_path_length=2), engine_config(4, 1))
         engine.build_index(database)
         for query in queries:
             result = engine.query(query)
@@ -84,9 +84,7 @@ class TestSupergraphTheorems:
     @given(database_and_queries())
     def test_supergraph_mode_equals_brute_force(self, payload):
         database, queries = payload
-        engine = IGQ(
-            GGSXMethod(max_path_length=2), cache_size=4, window_size=2, mode="supergraph"
-        )
+        engine = IGQ(GGSXMethod(max_path_length=2), engine_config(4, 2, mode="supergraph"))
         engine.build_index(database)
         for query in queries:
             assert engine.query(query).answers == brute_force_super(database, query)

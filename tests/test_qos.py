@@ -32,8 +32,6 @@ from repro.service import (
 from repro.service.scheduler import CLOSED, SchedulerClosed
 from repro.workloads.generator import QueryGenerator, WorkloadSpec
 
-pytestmark = pytest.mark.filterwarnings("error::DeprecationWarning")
-
 
 class FakeClock:
     def __init__(self) -> None:

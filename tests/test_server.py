@@ -39,8 +39,6 @@ from .test_service import (
     sequential_baseline,
 )
 
-pytestmark = pytest.mark.filterwarnings("error::DeprecationWarning")
-
 
 def serve_mixed(database, **service_kwargs):  # noqa: F811 - fixture name
     config = mixed_config(service=ServiceConfig(**service_kwargs))

@@ -44,7 +44,7 @@ from repro.methods import create_method
 from repro.workloads.generator import QueryGenerator, WorkloadSpec
 from repro.workloads.zipf import create_sampler
 
-from .conftest import make_path_graph, random_labeled_graph
+from .conftest import engine_config, make_path_graph, random_labeled_graph
 
 EXTRACTOR = FeatureExtractor(max_path_length=3)
 
@@ -102,9 +102,14 @@ def engine_fingerprint(engine, results):
     )
 
 
-def run_engine(database, stream, engine_cls=ShardedIGQ, **engine_kwargs):
+def config(**shard_fields) -> EngineConfig:
+    """The suite's engine config (C=10, W=3) with the given shard section."""
+    return engine_config(10, 3, shard=ShardConfig(**shard_fields))
+
+
+def run_engine(database, stream, engine_cls=ShardedIGQ, **shard_fields):
     method = create_method("ggsx", max_path_length=3)
-    engine = engine_cls(method, cache_size=10, window_size=3, **engine_kwargs)
+    engine = engine_cls(method, config(**shard_fields))
     engine.build_index(database)
     results = [engine.query(query) for query in stream]
     fingerprint = engine_fingerprint(engine, results)
@@ -143,7 +148,7 @@ class TestRouting:
 
     def test_routing_stable_under_churn(self, small_synthetic, zipf_stream):
         engine, _ = run_engine(
-            small_synthetic, zipf_stream, shards=3, shard_backend="inline"
+            small_synthetic, zipf_stream, shards=3, backend="inline"
         )
         # After arbitrary insert/evict churn, every live entry sits exactly
         # where re-running the router would put it, and the replicas hold
@@ -323,9 +328,7 @@ class TestReplication:
         self, small_synthetic, zipf_stream
     ):
         method = create_method("ggsx", max_path_length=3)
-        engine = ShardedIGQ(
-            method, shards=2, shard_backend="inline", cache_size=10, window_size=3
-        )
+        engine = ShardedIGQ(method, config(shards=2, backend="inline"))
         engine.build_index(small_synthetic)
         half = len(zipf_stream) // 2
         for query in zipf_stream[:half]:
@@ -359,9 +362,7 @@ class TestReplication:
         self, small_synthetic, zipf_stream
     ):
         method = create_method("ggsx", max_path_length=3)
-        engine = ShardedIGQ(
-            method, shards=2, shard_backend="inline", cache_size=10, window_size=3
-        )
+        engine = ShardedIGQ(method, config(shards=2, backend="inline"))
         engine.build_index(small_synthetic)
         half = len(zipf_stream) // 2
         for query in zipf_stream[:half]:
@@ -384,9 +385,7 @@ class TestReplication:
     def test_deltas_ship_compiled_payloads_never_recompiled(
         self, small_synthetic, zipf_stream
     ):
-        engine, _ = run_engine(
-            small_synthetic, zipf_stream, shards=2, shard_backend="inline"
-        )
+        engine, _ = run_engine(small_synthetic, zipf_stream, shards=2, backend="inline")
         inserts = [
             record
             for record in engine.delta_log.since(0)
@@ -405,12 +404,7 @@ class TestReplication:
     def test_auto_compaction_keeps_log_bounded(self, small_synthetic, zipf_stream):
         method = create_method("ggsx", max_path_length=3)
         engine = ShardedIGQ(
-            method,
-            shards=2,
-            shard_backend="inline",
-            compact_threshold=8,
-            cache_size=10,
-            window_size=3,
+            method, config(shards=2, backend="inline", compact_threshold=8)
         )
         engine.build_index(small_synthetic)
         for query in zipf_stream:
@@ -425,21 +419,6 @@ class TestReplication:
 # ----------------------------------------------------------------------
 # Hot-key replication and adaptive rebalancing
 # ----------------------------------------------------------------------
-def run_hot_engine(database, stream, **shard_fields):
-    """Run a stream through a config-built sharded engine (hot knobs on)."""
-    method = create_method("ggsx", max_path_length=3)
-    engine = ShardedIGQ(
-        method,
-        EngineConfig(
-            cache=CacheConfig(size=10, window=3),
-            shard=ShardConfig(**shard_fields),
-        ),
-    )
-    engine.build_index(database)
-    results = [engine.query(query) for query in stream]
-    return engine, engine_fingerprint(engine, results)
-
-
 class TestHotReplication:
     @pytest.mark.parametrize(
         "shard_fields",
@@ -454,7 +433,7 @@ class TestHotReplication:
         self, shard_fields, small_synthetic, zipf_stream
     ):
         _, baseline = run_engine(small_synthetic, zipf_stream, shards=1)
-        engine, sharded = run_hot_engine(
+        engine, sharded = run_engine(
             small_synthetic, zipf_stream, backend="inline", **shard_fields
         )
         assert sharded == baseline
@@ -503,7 +482,7 @@ class TestHotReplication:
     def test_replication_factor_limits_holder_group(
         self, small_synthetic, zipf_stream
     ):
-        engine, _ = run_hot_engine(
+        engine, _ = run_engine(
             small_synthetic,
             zipf_stream,
             shards=3,
@@ -539,7 +518,7 @@ class TestHotReplication:
         — no home insert/retire round-trip — which is exactly the record
         shape the compaction test pins down as bootstrap-valid.
         """
-        engine, _ = run_hot_engine(
+        engine, _ = run_engine(
             small_synthetic, zipf_stream, shards=3, backend="inline", hot_threshold=1
         )
         records = engine.delta_log.since(0)
@@ -599,7 +578,7 @@ class TestHotReplication:
     def test_reset_stats_clears_counters_not_placement(
         self, small_synthetic, zipf_stream
     ):
-        engine, _ = run_hot_engine(
+        engine, _ = run_engine(
             small_synthetic,
             zipf_stream,
             shards=3,
@@ -643,7 +622,7 @@ class TestShardedEngineEquivalence:
     ):
         _, baseline = run_engine(small_synthetic, zipf_stream, shards=1)
         engine, sharded = run_engine(
-            small_synthetic, zipf_stream, shards=shards, shard_backend="inline"
+            small_synthetic, zipf_stream, shards=shards, backend="inline"
         )
         assert sharded == baseline
         engine.close()
@@ -651,9 +630,7 @@ class TestShardedEngineEquivalence:
     def test_process_shards_match_single_shard(self, small_synthetic, zipf_stream):
         stream = zipf_stream[:30]
         _, baseline = run_engine(small_synthetic, stream, shards=1)
-        engine, sharded = run_engine(
-            small_synthetic, stream, shards=2, shard_backend="process"
-        )
+        engine, sharded = run_engine(small_synthetic, stream, shards=2, backend="process")
         assert sharded == baseline
         engine.close()
 
@@ -663,12 +640,7 @@ class TestShardedEngineEquivalence:
         def run(shards):
             method = create_method("ggsx", max_path_length=3)
             engine = ShardedIGQ(
-                method,
-                shards=shards,
-                shard_backend="inline",
-                cache_size=10,
-                window_size=3,
-                mode="supergraph",
+                method, config(shards=shards, backend="inline").replace(mode="supergraph")
             )
             engine.build_index(small_synthetic)
             results = [engine.query(query) for query in stream]
@@ -682,9 +654,7 @@ class TestShardedEngineEquivalence:
         stream = zipf_stream[:24]
         _, baseline = run_engine(small_synthetic, stream, shards=1)
         method = create_method("ggsx", max_path_length=3)
-        engine = ShardedIGQ(
-            method, shards=2, shard_backend="inline", cache_size=10, window_size=3
-        )
+        engine = ShardedIGQ(method, config(shards=2, backend="inline"))
         engine.build_index(small_synthetic)
         results = engine.run_batch(list(stream))
         assert engine_fingerprint(engine, results) == baseline
@@ -705,9 +675,7 @@ class TestShardedEngineEquivalence:
         stream = zipf_stream[:24]
         _, baseline = run_engine(small_synthetic, stream, shards=1)
         method = create_method("ggsx", max_path_length=3)
-        engine = ShardedIGQ(
-            method, shards=2, shard_backend="process", cache_size=10, window_size=3
-        )
+        engine = ShardedIGQ(method, config(shards=2, backend="process"))
         engine.build_index(small_synthetic)
         with BatchExecutor(engine, num_workers=2, backend="process") as executor:
             results = executor.run_batch(stream)
@@ -722,12 +690,7 @@ class TestShardedEngineEquivalence:
             def run(shards):
                 method = create_method("ggsx", max_path_length=3)
                 engine = ShardedIGQ(
-                    method,
-                    shards=shards,
-                    shard_backend="inline",
-                    cache_size=10,
-                    window_size=3,
-                    **flags,
+                    method, config(shards=shards, backend="inline").replace(**flags)
                 )
                 engine.build_index(small_synthetic)
                 results = [engine.query(query) for query in stream]
@@ -746,17 +709,13 @@ class TestShardedEngineEquivalence:
             )
             engine = ShardedIGQ(
                 method,
-                shards=shards,
-                shard_backend="inline",
-                cache_size=10,
-                window_size=3,
-                igq_compiled=False,
+                config(shards=shards, backend="inline"),
                 igq_verifier=Verifier(compiled=False),
             )
             engine.build_index(small_synthetic)
             results = [engine.query(query) for query in stream]
             fingerprint = engine_fingerprint(engine, results)
-            # The dict-path A/B flag must hold on the shards too.
+            # The injected dict-path verifier must hold on the shards too.
             if engine.delta_log is not None:
                 for record in engine.delta_log.since(0):
                     if record.op == "insert":
@@ -770,14 +729,13 @@ class TestShardedEngineEquivalence:
 
 class TestValidation:
     def test_rejects_bad_configuration(self):
-        method = create_method("ggsx", max_path_length=3)
         with pytest.raises(ValueError):
-            ShardedIGQ(method, shards=0)
+            config(shards=0)
         with pytest.raises(ValueError):
-            ShardedIGQ(method, shards=2, shard_backend="threads")
+            config(shards=2, backend="threads")
 
     def test_context_manager_closes_runtime(self, small_synthetic):
         method = create_method("ggsx", max_path_length=3)
-        with ShardedIGQ(method, shards=2, shard_backend="inline") as engine:
+        with ShardedIGQ(method, config(shards=2, backend="inline")) as engine:
             engine.build_index(small_synthetic)
         engine.close()  # idempotent

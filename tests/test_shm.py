@@ -27,7 +27,7 @@ from repro.core import shm
 from repro.core.batch import BatchExecutor
 from repro.methods import ScanMethod, create_method
 
-from .conftest import make_path_graph, random_labeled_graph
+from .conftest import engine_config, make_path_graph, random_labeled_graph
 from .test_shard import engine_fingerprint, run_engine
 
 needs_shm = pytest.mark.skipif(
@@ -172,7 +172,7 @@ def queries():
 
 def run_batch_engine(database, stream, **batch_kwargs):
     method = create_method("ggsx", max_path_length=3)
-    engine = IGQ(method, cache_size=8, window_size=3)
+    engine = IGQ(method, engine_config(8, 3))
     engine.build_index(database)
     with BatchExecutor(engine, **batch_kwargs) as executor:
         results = executor.run_batch(stream)
@@ -197,7 +197,7 @@ class TestProcessPoolIntegration:
 
     def test_executor_close_releases_segment(self, small_db, queries):
         method = create_method("ggsx", max_path_length=3)
-        engine = IGQ(method, cache_size=8, window_size=3)
+        engine = IGQ(method, engine_config(8, 3))
         engine.build_index(small_db)
         executor = BatchExecutor(engine, num_workers=2, backend="process")
         executor.run_batch(queries[:4])
@@ -210,7 +210,7 @@ class TestProcessPoolIntegration:
 
     def test_engine_close_is_a_safety_net(self, small_db):
         method = create_method("ggsx", max_path_length=3)
-        engine = IGQ(method, cache_size=8, window_size=3)
+        engine = IGQ(method, engine_config(8, 3))
         engine.build_index(small_db)
         handle = method.acquire_shared_payload(mode="subgraph")
         assert handle is not None
@@ -222,9 +222,7 @@ class TestProcessPoolIntegration:
     def test_process_shards_attach_shared_snapshot(self, small_db, queries):
         _, baseline = run_engine(small_db, queries, engine_cls=IGQ)
         before = set(leaked_segments())
-        engine, sharded = run_engine(
-            small_db, queries, shards=2, shard_backend="process"
-        )
+        engine, sharded = run_engine(small_db, queries, shards=2, backend="process")
         assert engine.shard_runtime._acquired_mode == "subgraph"
         engine.close()
         assert sharded == baseline
