@@ -10,8 +10,9 @@ load two of those stages dominate and neither needs to be sequential:
   are pure-Python CPU work);
 * **feature extraction** — real workloads repeat query fragments heavily
   (that is the premise of the paper), so extraction is memoised across the
-  batch under the query's exact signature: a structural copy of an earlier
-  query (what a decoded wire repeat is) skips the extraction;
+  batch under the query's exact, insertion-ordered key: a copy of an earlier
+  query built the same way (what a decoded wire repeat is) skips the
+  extraction;
 * **planning** — while query *i*'s candidates verify on the pool, the
   executor already plans query *i+1* (base-method filtering plus the two iGQ
   component lookups).  Planning's only state mutation — the §5.1 metadata
@@ -39,7 +40,6 @@ from collections.abc import Hashable, Iterable, Iterator
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-from ..features.canonical import exact_graph_signature
 from ..features.extractor import GraphFeatures
 from ..graphs.graph import LabeledGraph
 from ..methods.base import QueryResult, SubgraphQueryMethod
@@ -61,7 +61,6 @@ __all__ = [
     "BatchExecutor",
     "default_num_workers",
     "effective_cpu_count",
-    "graph_signature",
 ]
 
 
@@ -151,17 +150,6 @@ _MIN_PARALLEL_CANDIDATES = 4
 _FEATURE_MEMO_CAPACITY = 8192
 
 
-def graph_signature(graph: LabeledGraph) -> tuple:
-    """A hashable, exact signature of a labeled graph.
-
-    Two graphs with the same vertex ids, labels and edges share the
-    signature; workload generators emit repeated queries as structural
-    copies, which is precisely what the batch feature memo needs to catch.
-    Delegates to :func:`repro.features.canonical.exact_graph_signature`.
-    """
-    return exact_graph_signature(graph)
-
-
 @dataclass
 class BatchStats:
     """Counters accumulated by one :class:`BatchExecutor`."""
@@ -188,11 +176,13 @@ class BatchStats:
 class FeatureMemo:
     """Batch-wide memo of extracted query features.
 
-    Keyed by the exact graph signature, which catches structural copies —
-    what workload generators emit for repeated queries and what the wire
-    decoder produces for a repeat.  An isomorphic but relabelled repeat is
-    simply extracted again: recognising it needs a canonical labelling that
-    costs several extractions (docs/performance.md, "Query preparation").
+    Keyed by :meth:`LabeledGraph.ordered_key`, which catches copies built in
+    the same order — repeats of one query object, and what the wire decoder
+    produces for a repeated payload.  A copy built in another order, or an
+    isomorphic but relabelled repeat, is simply extracted again: an
+    order-free signature costs a third of an extraction on every query, a
+    canonical labelling several extractions (docs/performance.md, "Query
+    preparation").
     """
 
     def __init__(self, extractor) -> None:
@@ -203,7 +193,7 @@ class FeatureMemo:
 
     def extract(self, query: LabeledGraph) -> GraphFeatures:
         """Return (possibly memoised) features of ``query``."""
-        key = graph_signature(query)
+        key = query.ordered_key()
         features = self._features.get(key)
         if features is None:
             features = self._extractor.extract(query)

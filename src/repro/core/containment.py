@@ -22,16 +22,28 @@ factors out everything the two directions share:
   compiles only what is missing when the entry enters it.  The compiled
   objects live on the :class:`~repro.core.cache.CacheEntry` itself, so they
   survive every window flush untouched and eviction releases them;
-* **verification dispatch** — the size pre-checks pick the surviving
-  candidates, and all of them go through the compiled bitset kernel in one
-  :meth:`Verifier.verify_pairs` call (signature pre-reject, then search,
-  per pair) or, when the verifier does not admit the kernel (``"ullmann"``,
-  induced semantics, or the ``Verifier(compiled=False)`` reference the
-  tests inject), through :meth:`Verifier.is_subgraph` pair by pair.  Both
-  routes count one test per pair, so the paper's metrics are
-  path-independent.
+* **the probe** — candidate filter, size pre-checks (not counted as tests)
+  and one counted containment test per survivor, hits in ascending entry
+  id.  With the native kernel resolved, all of it runs in the kernel over a
+  slot-aligned table of the entries' feature codes, sizes and compiled
+  addresses (:class:`~repro.core.probe.ProbeTable`): ``add`` writes the
+  slot's row, ``remove`` clears it, and a probe is one filter call plus —
+  only when something survives, which is when the query's compiled side is
+  built — one containment call.  The table *is* the index then; nothing
+  else is maintained per direction.
+* **the fallback and oracle** — without the kernel (``REPRO_DISABLE_NATIVE``,
+  ``kernel="bigint"``), with a verifier that does not admit it
+  (``"ullmann"``, induced semantics, the ``Verifier(compiled=False)``
+  reference the tests inject) or with features that do not pack into codes
+  (CT-Index's trees and cycles, a full process-wide label table — the index
+  then leaves the table for good, re-adding its entries to the Python
+  filter), the direction's Python filter picks the candidates and
+  :meth:`ContainmentIndex._verified_hits` verifies them: one
+  :meth:`Verifier.verify_pairs` call, or :meth:`Verifier.is_subgraph` pair
+  by pair.  Every route counts one test per surviving pair, so the paper's
+  metrics are path-independent.
 
-The subclasses only keep what is genuinely direction-specific: the candidate
+The subclasses only keep what is genuinely direction-specific: the Python
 *filtering* rule — ``Isub`` asks a threshold-bitmap index which entries
 dominate the query's feature counts, ``Isuper`` checks Algorithm 2's
 condition per entry with an early exit.
@@ -40,14 +52,18 @@ condition per entry with an early exit.
 from __future__ import annotations
 
 import sys
+import time
 from itertools import compress
 from operator import attrgetter
 
+from ..features.extractor import GraphFeatures
 from ..graphs.bitset import DensePositions
 from ..graphs.graph import LabeledGraph
+from ..isomorphism import _ckernel_loader
 from ..isomorphism.compiled import CompiledQuery, compile_query_plan, compile_target
 from ..isomorphism.verifier import Verifier
 from .cache import CacheEntry
+from .probe import ProbeTable
 
 __all__ = ["ContainmentIndex"]
 
@@ -81,6 +97,11 @@ class ContainmentIndex:
         self._slots = DensePositions()
         #: mask covering the slot of every indexed entry
         self._live_mask = 0
+        #: the kernel-side rows, one per live slot, while the probe runs
+        #: natively; ``None`` on the Python filter (see :meth:`_leave_table`)
+        self._table: ProbeTable | None = None
+        if self.verifier.resolved_kernel_name() == "native":
+            self._table = ProbeTable(_ckernel_loader.kernel(), self.entry_is_target)
 
     # ------------------------------------------------------------------
     # Maintenance
@@ -91,34 +112,75 @@ class ContainmentIndex:
         Compilation happens here — on insertion — because the entry will be
         containment-tested against every incoming query until it is evicted;
         an entry that already carries compiled state (a warm restart or a
-        shard delta shipping the parent's payloads) keeps it.
+        shard delta shipping the parent's payloads) keeps it.  Its row of
+        the native table is written here too; an entry restored from the
+        WAL or shipped in a shard delta re-encodes its feature codes from
+        its keys first (:meth:`GraphFeatures.feature_codes`).
         """
+        codes = None
+        if self._table is not None:
+            codes = entry.features.feature_codes()
+            if codes is None:
+                self._leave_table()
         self._entries[entry.entry_id] = entry
-        bit = 1 << self._slots.add(entry.entry_id)
-        self._live_mask |= bit
+        slot = self._slots.add(entry.entry_id)
+        self._live_mask |= 1 << slot
         if self.verifier.supports_compiled():
             self._compile_entry(entry)
-        self._entry_added(entry, bit)
+        if codes is None:
+            self._entry_added(entry, 1 << slot)
+            return
+        graph = entry.graph
+        if self.entry_is_target:
+            owner = entry.compiled_target.native()
+            address = owner.address
+        else:
+            owner = entry.compiled_plan
+            address = owner.native()
+        self._table.set(
+            slot, entry.entry_id, codes, graph.num_vertices, graph.num_edges, address, owner
+        )
 
     def remove(self, entry_id: int) -> None:
-        """Remove a cached query entry, releasing its compiled state."""
+        """Remove a cached query entry, releasing its compiled state (its
+        table row goes first: the row holds the compiled form's address)."""
         entry = self._entries.pop(entry_id, None)
         if entry is None:
             return
         bit = self._slots.bit(entry_id)
         self._slots.remove(entry_id)
         self._live_mask &= ~bit
+        if self._table is not None:
+            self._table.clear(bit.bit_length() - 1)
+        else:
+            self._entry_removed(entry, bit)
         self._release_entry(entry)
-        self._entry_removed(entry, bit)
+
+    def _leave_table(self) -> None:
+        """Switch to the Python filter, for good: something this index must
+        hold or answer does not pack into feature codes.  The rows are
+        freed and every indexed entry goes through :meth:`_entry_added`."""
+        self._table.close()
+        self._table = None
+        bit = self._slots.bit
+        for entry in self._entries.values():
+            self._entry_added(entry, bit(entry.entry_id))
 
     # ------------------------------------------------------------------
     # Direction-specific hooks
     # ------------------------------------------------------------------
     def _entry_added(self, entry: CacheEntry, bit: int) -> None:
-        """Index the entry now occupying slot ``bit`` (default: nothing)."""
+        """Python filter: index the entry now occupying slot ``bit``
+        (default: nothing)."""
 
     def _entry_removed(self, entry: CacheEntry, bit: int) -> None:
         """Undo :meth:`_entry_added` for the entry leaving slot ``bit``."""
+
+    def candidate_mask(self, features: GraphFeatures, universe: int | None = None) -> int:
+        """Python filter: the slots of ``universe`` (default: every live
+        slot) whose entries pass the direction's feature condition against
+        ``features``."""
+        raise NotImplementedError
 
     # ------------------------------------------------------------------
     # Compiled-state lifecycle
@@ -137,15 +199,100 @@ class ContainmentIndex:
             entry.release_compiled_plan()
 
     # ------------------------------------------------------------------
-    # Verification dispatch
+    # The probe
     # ------------------------------------------------------------------
+    def _universe(self, restrict_ids) -> int:
+        """Slots of the indexed entries among ``restrict_ids`` (all live
+        slots for ``None``)."""
+        if restrict_ids is None:
+            return self._live_mask
+        entries, bit = self._entries, self._slots.bit
+        universe = 0
+        for entry_id in restrict_ids:
+            if entry_id in entries:
+                universe |= bit(entry_id)
+        return universe
+
+    def candidate_ids(self, features: GraphFeatures) -> list[int]:
+        """Entry ids passing the direction's feature filter alone.
+
+        No size pre-check and no isomorphism test: exposed so the filter's
+        no-false-negative property can be tested in isolation, on whichever
+        of the two paths the index is on.
+        """
+        if self._table is not None:
+            codes = features.feature_codes()
+            if codes is not None:
+                # a size every row passes the direction's pre-check against
+                any_size = 0 if self.entry_is_target else 1 << 62
+                slots, count = self._table.filter(codes, any_size, any_size)
+                return [self._slots.key_at(slot) for slot in slots[:count]]
+            self._leave_table()
+        return list(self._slots.keys_of(self.candidate_mask(features)))
+
+    def _hits(
+        self,
+        query: LabeledGraph,
+        features: GraphFeatures,
+        compiled: CompiledQuery | None,
+        restrict_ids,
+    ) -> list[CacheEntry]:
+        """The verified hits of ``query``, in ascending ``entry_id``."""
+        if not self._entries:
+            return []
+        universe = self._universe(restrict_ids)
+        if not universe:
+            return []
+        if self._table is not None:
+            codes = features.feature_codes()
+            if codes is not None:
+                return self._table_hits(
+                    query, codes, compiled, None if restrict_ids is None else universe
+                )
+            self._leave_table()
+        candidate_mask = self.candidate_mask(features, universe)
+        if not candidate_mask:
+            return []
+        return self._verified_hits(query, candidate_mask, compiled)
+
+    def _table_hits(
+        self,
+        query: LabeledGraph,
+        codes,
+        compiled: CompiledQuery | None,
+        universe: int | None,
+    ) -> list[CacheEntry]:
+        """The probe in the kernel: filter and size pre-checks in one call,
+        the containment tests of the survivors in a second.  The query's
+        compiled side is built between the two, so a query nothing survives
+        for never pays for it; the tests are folded into the verifier's
+        statistics as :meth:`Verifier.verify_pairs` folds them."""
+        table = self._table
+        slots, count = table.filter(codes, query.num_vertices, query.num_edges, universe)
+        if not count:
+            return []
+        if compiled is None:
+            compiled = CompiledQuery(query)
+        if self.entry_is_target:
+            plan = compiled.compiled_plan()
+            start = time.perf_counter()
+            query_side = plan.native()
+        else:
+            target = compiled.compiled_target()
+            start = time.perf_counter()
+            query_side = target.native().address
+        hit_ids = table.verify(query_side, slots, count)
+        self.verifier.record_batch(count, len(hit_ids), time.perf_counter() - start)
+        return list(map(self._entries.__getitem__, hit_ids))
+
     def _verified_hits(
         self,
         query: LabeledGraph,
         candidate_mask: int,
         compiled: CompiledQuery | None = None,
     ) -> list[CacheEntry]:
-        """Verify the candidates of ``candidate_mask`` against ``query``.
+        """Verify the candidates of ``candidate_mask`` against ``query`` —
+        the Python form of the probe's second half.
 
         Applies the direction's size pre-checks (not counted as tests, as
         before), then one counted containment test per surviving pair —
@@ -201,15 +348,21 @@ class ContainmentIndex:
     def estimated_size_bytes(self) -> int:
         """In-memory size of the index structure (Figure 18).
 
-        Here the entry store; a direction adds what its candidate filter
-        keeps.  The cached graphs and answers are accounted for with the
+        Here the entry store and the native table's rows; a direction adds
+        what its Python filter keeps.  The cached graphs and answers are accounted for with the
         cache (:meth:`repro.core.engine.IGQ.index_size_bytes`); the feature
         tables the entries carry are not counted (they never were), and the
         compiled per-entry state is a performance cache, excluded for parity
         with the dataset-side compiled caches (which Figure 18's index-size
         comparison also excludes).
         """
-        return sys.getsizeof(self._entries)
+        total = sys.getsizeof(self._entries)
+        if self._table is not None:
+            total += self._table.size_bytes()
+        return total
 
     def __repr__(self) -> str:
-        return f"<{type(self).__name__} entries={len(self._entries)} compiled={self.verifier.supports_compiled()}>"
+        return (
+            f"<{type(self).__name__} entries={len(self._entries)} "
+            f"compiled={self.verifier.supports_compiled()} native={self._table is not None}>"
+        )

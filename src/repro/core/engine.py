@@ -24,10 +24,11 @@ from __future__ import annotations
 import os
 import tempfile
 import time
+from array import array
 from dataclasses import dataclass, field, replace
 
 from ..features.extractor import GraphFeatures
-from ..graphs.bitset import CandidateBitmap, GraphIdSpace, iter_bits
+from ..graphs.bitset import CandidateBitmap, GraphIdSpace
 from ..graphs.database import GraphDatabase
 from ..graphs.graph import LabeledGraph
 from ..isomorphism.compiled import CompiledQuery
@@ -46,6 +47,7 @@ from .config import (
 from .isub import SubgraphQueryIndex
 from .isuper import SupergraphQueryIndex
 from .maintenance import IndexMaintenance, MaintenanceReport, PendingQuery
+from .probe import mask_sums
 from .replacement import create_policy
 
 __all__ = ["IGQQueryResult", "QueryPlan", "IGQ"]
@@ -185,6 +187,10 @@ class IGQ:
         #: vertex count of every dataset graph, by ``_id_space`` position
         #: (what the §5.1 cost model reads per credited graph)
         self._target_sizes: list[int] = []
+        #: ``(query |V|, supergraph) -> array("d")`` of the §5.1 cost of one
+        #: test against each dataset graph, by ``_id_space`` position (the
+        #: model is a pure function of the two sizes and the label count)
+        self._cost_vectors: dict[tuple[int, bool], array] = {}
         #: memoised ``entry_id -> answer bitmask`` for the cached entries
         #: (answers are immutable per entry; a flush drops its victims' masks)
         self._answer_masks: dict[int, int] = {}
@@ -363,6 +369,7 @@ class IGQ:
         self._target_sizes = [
             database.get(graph_id).num_vertices for graph_id in space.to_ids(space.full_mask)
         ]
+        self._cost_vectors = {}
 
     # ------------------------------------------------------------------
     # Query processing
@@ -661,44 +668,40 @@ class IGQ:
         supergraph: bool,
     ) -> None:
         """Update H, R and C for every cache entry that was hit."""
-        num_labels = max(self.database.num_labels, 1)
-        target_sizes = self._target_sizes
-        query_size = query.num_vertices
-        cost_by_size: dict[int, float] = {}
-        cost_by_mask: dict[int, float] = {}
-
-        def cost_of(mask: int) -> float:
-            # Hits of one query mostly free the same few candidate sets.
-            total = cost_by_mask.get(mask)
-            if total is not None:
-                return total
-            # Summed in position order: H/R/C are floats, and the
-            # replacement policy and the WAL compare them bit for bit.
-            total = 0.0
-            for position in iter_bits(mask):
-                target_size = target_sizes[position]
-                cost = cost_by_size.get(target_size)
-                if cost is None:
-                    if supergraph:
-                        # For supergraph queries the test is candidate ⊆ query.
-                        cost = isomorphism_test_cost(
-                            target_size, max(query_size, 1), num_labels
-                        )
-                    else:
-                        cost = isomorphism_test_cost(query_size, target_size, num_labels)
-                    cost_by_size[target_size] = cost
-                total += cost
-            cost_by_mask[mask] = total
-            return total
-
         guaranteed_hits = super_hits if supergraph else sub_hits
         restricting_hits = sub_hits if supergraph else super_hits
-        for entry in guaranteed_hits:
-            removable = self._answer_mask(entry) & candidate_mask
-            entry.record_hit(removable.bit_count(), cost_of(removable))
-        for entry in restricting_hits:
-            removable = candidate_mask & ~self._answer_mask(entry)
-            entry.record_hit(removable.bit_count(), cost_of(removable))
+        if not (guaranteed_hits or restricting_hits):
+            return
+        answer_mask = self._answer_mask
+        removable = [answer_mask(entry) & candidate_mask for entry in guaranteed_hits]
+        removable += [candidate_mask & ~answer_mask(entry) for entry in restricting_hits]
+        # Hits of one query mostly free the same few candidate sets.
+        distinct = list(dict.fromkeys(removable))
+        cost_of = dict(
+            zip(distinct, mask_sums(self._cost_vector(query.num_vertices, supergraph), distinct))
+        )
+        for entry, mask in zip(guaranteed_hits + restricting_hits, removable):
+            entry.record_hit(mask.bit_count(), cost_of[mask])
+
+    def _cost_vector(self, query_size: int, supergraph: bool) -> array:
+        """Estimated cost of testing a query of ``query_size`` vertices
+        against each dataset graph, by position (memoised until the next
+        :meth:`_attach`)."""
+        costs = self._cost_vectors.get((query_size, supergraph))
+        if costs is None:
+            num_labels = max(self.database.num_labels, 1)
+            by_size = {}
+            for size in set(self._target_sizes):
+                # The model needs a target of at least one vertex; for
+                # supergraph queries the test is candidate ⊆ query.
+                if supergraph:
+                    cost = isomorphism_test_cost(size, max(query_size, 1), num_labels)
+                else:
+                    cost = isomorphism_test_cost(query_size, max(size, 1), num_labels)
+                by_size[size] = cost
+            costs = array("d", map(by_size.__getitem__, self._target_sizes))
+            self._cost_vectors[query_size, supergraph] = costs
+        return costs
 
     def _record_query(self, plan: QueryPlan, answers) -> MaintenanceReport | None:
         """Add the processed query to the window; flush it when full."""

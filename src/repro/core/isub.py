@@ -5,17 +5,20 @@ supergraphs of the new query g?*  As §6.1 observes, this is "a microcosm of
 the original problem" — a subgraph query posed against the collection of
 cached query graphs instead of the dataset graphs — so any subgraph index
 works.  Following the paper we reuse the path filtering of the base
-methods: cached query features are kept in a
-:class:`~repro.features.bitmaps.ThresholdBitmapIndex` over the entries'
-slots, a new query is filtered by occurrence-count dominance (one AND per
-query feature) and the surviving cached graphs are verified with
+methods: a cached query can only contain ``g`` if it holds every feature of
+``g`` at least as often, and the surviving cached graphs are verified with
 a (cheap — query graphs are small) subgraph isomorphism test, which makes
 formula (1) hold: every reported entry is a true supergraph of ``g``.
 
-The lifecycle and verification machinery is shared with ``Isuper`` through
-:class:`~repro.core.containment.ContainmentIndex`: cached graphs are
-kept as bitset targets and every containment test runs on the compiled
-kernel (against the new query's plan, compiled once per query).
+The lifecycle, the probe and the verification machinery are shared with
+``Isuper`` through :class:`~repro.core.containment.ContainmentIndex`:
+cached graphs are kept as bitset targets and every containment test runs on
+the compiled kernel (against the new query's plan, compiled once per
+query).  With the native kernel the dominance filter is a sorted merge over
+the entries' feature codes inside the kernel; what lives here is its Python
+form — a :class:`~repro.features.bitmaps.ThresholdBitmapIndex` over the
+entries' slots, one AND per query feature — which the index maintains only
+while it is off the native table.
 """
 
 from __future__ import annotations
@@ -41,14 +44,24 @@ class SubgraphQueryIndex(ContainmentIndex):
     entry_is_target = True
 
     def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
+        #: the Python filter's structure; stays empty on the native table
         self._index = ThresholdBitmapIndex()
+        super().__init__(*args, **kwargs)
 
     def _entry_added(self, entry: CacheEntry, bit: int) -> None:
         self._index.add(bit, entry.features.counts)
 
     def _entry_removed(self, entry: CacheEntry, bit: int) -> None:
         self._index.remove(bit, entry.features.counts)
+
+    def candidate_mask(self, features: GraphFeatures, universe: int | None = None) -> int:
+        """The dominance filter by threshold bitmaps: the slots of
+        ``universe`` whose entries hold every feature of ``features`` at
+        least as often.  (Off the native table only: on it the bitmaps are
+        not maintained.)"""
+        return self._index.at_least(
+            features.counts, self._live_mask if universe is None else universe
+        )
 
     # ------------------------------------------------------------------
     # Query
@@ -71,21 +84,12 @@ class SubgraphQueryIndex(ContainmentIndex):
         ``restrict_ids`` limits the lookup to a subset of the indexed
         entries (the sharded runtime's per-probe replica assignment).
         """
-        if not self._entries:
-            return []
-        if restrict_ids is None:
-            universe = self._live_mask
-        else:
-            entries, bit = self._entries, self._slots.bit
-            universe = 0
-            for entry_id in restrict_ids:
-                if entry_id in entries:
-                    universe |= bit(entry_id)
-        candidate_mask = self._index.at_least(features.counts, universe)
-        if not candidate_mask:
-            return []
-        return self._verified_hits(query, candidate_mask, compiled)
+        return self._hits(query, features, compiled, restrict_ids)
 
     def estimated_size_bytes(self) -> int:
-        """Entry store plus the threshold-bitmap index (Figure 18)."""
-        return super().estimated_size_bytes() + self._index.size_bytes()
+        """Entry store, native rows and — off the native table — the
+        threshold-bitmap index (Figure 18)."""
+        total = super().estimated_size_bytes()
+        if self._table is None:
+            total += self._index.size_bytes()
+        return total

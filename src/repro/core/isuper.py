@@ -18,20 +18,25 @@ The candidate generation cannot miss a true subgraph (no false negatives) and
 the final verification removes all false positives, establishing formula (2).
 
 The tally reaches ``NF[g_i]`` exactly when every feature of ``g_i`` occurs in
-``g`` at least as often, and that is how the condition is evaluated here: per
+``g`` at least as often, and that is how the condition is evaluated: per
 cached query, from the feature counts stored with the entry (Algorithm 1's
 ``{g_i, o}`` pairs, kept by entry instead of by feature), stopping at the
-first feature ``g`` lacks.  Most cached queries fail on their first or second
-feature, which makes this cheaper than tallying every posting of every query
-feature, and it needs no structure of its own to maintain on insertion and
-eviction.  (The threshold-bitmap ``at_most`` read over the cached vocabulary
-is the alternative; measured on the benchmark caches it is within 0.07 ms of
-this loop either way — see ``docs/performance.md``.)
+first feature ``g`` lacks — most cached queries fail on their first or
+second feature.  With the native kernel the walk is a sorted merge over the
+entry's and the query's feature codes, inside the kernel, over the rows
+:class:`~repro.core.containment.ContainmentIndex` keeps in its native table
+(42 µs a query as the Python loop below against 5 µs as the kernel call, on
+the 100-entry cache of the benchmark's ``cold_filter`` — see
+``docs/performance.md``, "The cache-side probe").
+:meth:`SupergraphQueryIndex.candidate_mask` is the Python form: the fallback
+when the table is unavailable and the oracle it is tested against.  It
+reads the entries' own feature tables, so it has nothing to maintain on
+insertion and eviction.
 
-The lifecycle and verification machinery is shared with ``Isub`` through
-:class:`~repro.core.containment.ContainmentIndex`: here the cached queries
-play the *pattern* role, so each entry carries a ``CompiledQueryPlan`` and
-the new query is compiled once as the target.
+The lifecycle, the probe and the verification machinery are shared with
+``Isub`` through :class:`~repro.core.containment.ContainmentIndex`: here
+the cached queries play the *pattern* role, so each entry carries a
+``CompiledQueryPlan`` and the new query is compiled once as the target.
 """
 
 from __future__ import annotations
@@ -53,14 +58,15 @@ class SupergraphQueryIndex(ContainmentIndex):
     # ------------------------------------------------------------------
     # Query (Algorithm 2)
     # ------------------------------------------------------------------
-    def candidate_mask(self, features: GraphFeatures, restrict_ids=None) -> int:
-        """Slots of the entries whose every feature ``features`` holds at
-        least as often — Algorithm 2's candidates, before verification."""
+    def candidate_mask(self, features: GraphFeatures, universe: int | None = None) -> int:
+        """Algorithm 2's candidates by the Python loop: the slots of
+        ``universe`` whose entries hold no feature more often than
+        ``features`` does."""
         entries = self._entries
-        if restrict_ids is None:
+        if universe is None or universe == self._live_mask:
             considered = entries.values()
         else:
-            considered = [entries[entry_id] for entry_id in restrict_ids if entry_id in entries]
+            considered = map(entries.__getitem__, self._slots.keys_of(universe))
         available = features.counts
         have = available.get
         num_available = len(available)
@@ -78,13 +84,10 @@ class SupergraphQueryIndex(ContainmentIndex):
         return mask
 
     def candidate_subgraphs(self, features: GraphFeatures) -> list[int]:
-        """Candidate cached-entry ids that may be subgraphs of the new query.
-
-        Pure filtering step of Algorithm 2 (no isomorphism testing), exposed
-        separately so that its no-false-negative property can be tested in
-        isolation.
-        """
-        return list(self._slots.keys_of(self.candidate_mask(features)))
+        """Candidate cached-entry ids that may be subgraphs of the new query:
+        :meth:`~ContainmentIndex.candidate_ids`, the pure filtering step of
+        Algorithm 2."""
+        return self.candidate_ids(features)
 
     def find_subgraphs(
         self,
@@ -100,12 +103,7 @@ class SupergraphQueryIndex(ContainmentIndex):
         lookup to a subset of the indexed entries (the sharded runtime's
         per-probe replica assignment).
         """
-        if not self._entries:
-            return []
-        mask = self.candidate_mask(features, restrict_ids)
-        if not mask:
-            return []
-        return self._verified_hits(query, mask, compiled)
+        return self._hits(query, features, compiled, restrict_ids)
 
     # ------------------------------------------------------------------
     def num_features(self, entry_id: int) -> int:

@@ -23,13 +23,14 @@ Two feature families are provided, matching the reproduced methods:
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Hashable
 from dataclasses import dataclass, field
 
 from ..graphs.graph import LabeledGraph
 from .canonical import canonical_cycle_code, canonical_tree_code
 from .cycles import enumerate_simple_cycles
-from .paths import native_path_features, path_features
+from .paths import encode_path_keys, native_path_features, path_features
 from .trees import enumerate_tree_subgraphs
 
 __all__ = ["FeatureKey", "GraphFeatures", "FeatureExtractor"]
@@ -48,10 +49,32 @@ class GraphFeatures:
     space :func:`~repro.isomorphism.compiled.compile_target` assigns, so a
     union of locations is directly a region mask of the compiled target.
     Empty unless the extraction asked for locations.
+
+    ``codes`` is ``counts`` once more, as the ``(code, count)`` pairs the
+    native probe table filters on (:func:`~repro.features.paths.encode_path_keys`)
+    — read it through :meth:`feature_codes`.  Codes are spelt with a
+    per-process label table, so they are never pickled: a copy that crossed
+    a pipe or the WAL rebuilds them from its keys on first request, which
+    ``path_keys`` — "the keys are label paths" — permits.
     """
 
     counts: dict[FeatureKey, int] = field(default_factory=dict)
     locations: dict[FeatureKey, int] = field(default_factory=dict)
+    codes: array | None = field(default=None, repr=False, compare=False)
+    path_keys: bool = field(default=False, repr=False, compare=False)
+
+    def feature_codes(self) -> array | None:
+        """The features as ``(code, count)`` pairs, or ``None`` when they do
+        not pack (tree/cycle features, long paths, label table full)."""
+        codes = self.codes
+        if codes is None and self.path_keys:
+            codes = self.codes = encode_path_keys(self.counts)
+            self.path_keys = codes is not None  # the table only fills up
+        return codes
+
+    def __getstate__(self) -> dict:
+        """Pickle everything but the per-process codes."""
+        return {**self.__dict__, "codes": None}
 
     @property
     def num_distinct(self) -> int:
@@ -140,10 +163,10 @@ class FeatureExtractor:
         unavailable, codes wider than 64 bits) the Python enumeration."""
         native = native_path_features(graph, self.max_path_length, locations)
         if native is not None:
-            return GraphFeatures(*native)
+            return GraphFeatures(*native, path_keys=True)
         occurrences = path_features(graph, self.max_path_length, locations=locations)
         keys = sorted(occurrences)
-        features = GraphFeatures({key: occurrences[key].count for key in keys})
+        features = GraphFeatures({key: occurrences[key].count for key in keys}, path_keys=True)
         if locations:
             bit_of = _vertex_bits(graph).__getitem__
             # distinct single bits: their sum is their union

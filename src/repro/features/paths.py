@@ -20,14 +20,25 @@ distinct path codes it returns; :func:`path_features` over
 :func:`enumerate_simple_paths` is the pure-Python form — the fallback when
 the kernel is unavailable or a graph's codes do not fit 64 bits, and the
 oracle the native one is tested against.
+
+**Feature codes.**  The kernel also returns the features as ``(code,
+count)`` pairs whose codes compare *across graphs*: a path's canonical label
+sequence spelt with one process-wide byte per label text, most significant
+byte first, so two graphs share a code exactly when they share the key.
+That is the form the iGQ component indexes' native probe table
+(:mod:`repro.core.probe`) filters on.  The byte table is append-only and per
+process, so codes are never pickled; :func:`encode_path_keys` rebuilds them
+from the keys for a feature table that crossed a pipe or the WAL.
 """
 
 from __future__ import annotations
 
 import ctypes
+import threading
 from array import array
-from collections.abc import Hashable, Iterator
+from collections.abc import Hashable, Iterator, Mapping
 from dataclasses import dataclass, field
+from itertools import chain
 
 from ..graphs.graph import LabeledGraph
 from ..isomorphism import _ckernel_loader
@@ -36,6 +47,7 @@ from .canonical import canonical_path_key
 
 __all__ = [
     "PathOccurrences",
+    "encode_path_keys",
     "enumerate_simple_paths",
     "native_path_features",
     "path_features",
@@ -45,6 +57,52 @@ __all__ = [
 #: a native path code spends one byte per vertex on ``rank + 1``
 _MAX_CODE_LABELS = 255
 _MAX_CODE_LENGTH = 7
+
+#: process-wide label text -> byte of the cross-graph feature codes, assigned
+#: on first sight from 1 (0 marks the end of a path); append-only, so a code
+#: stays valid for the life of the process
+_LABEL_BYTES: dict[str, int] = {}
+_LABEL_BYTES_LOCK = threading.Lock()
+_MAX_LABEL_BYTES = 254
+
+
+def _label_bytes(texts: list[str]) -> list[int] | None:
+    """The process-wide byte of each of ``texts``; ``None`` once they no
+    longer all fit the table (none of them is assigned then, so one
+    wide-alphabet graph cannot use up the table for everybody else)."""
+    table = _LABEL_BYTES
+    try:
+        return [table[text] for text in texts]
+    except KeyError:
+        pass
+    with _LABEL_BYTES_LOCK:
+        unseen = {text for text in texts if text not in table}
+        if len(table) + len(unseen) > _MAX_LABEL_BYTES:
+            return None
+        for text in sorted(unseen):
+            table[text] = len(table) + 1
+    return [table[text] for text in texts]
+
+
+def encode_path_keys(counts: Mapping[tuple[str, ...], int]) -> array | None:
+    """``counts`` as the ``(code, count)`` pairs the kernel returns.
+
+    One ``array("Q")`` holding the pairs back to back, code ascending; equal
+    to the third element of :func:`native_path_features` for the graph the
+    keys came from.  ``None`` when a key is longer than a code or the label
+    table is full.  A Python loop over the features: for tables that lost
+    their codes to pickling, not for the query path.
+    """
+    texts = sorted({text for key in counts for text in key})
+    if _label_bytes(texts) is None or any(len(key) > _MAX_CODE_LENGTH + 1 for key in counts):
+        return None
+    byte_of = _LABEL_BYTES.__getitem__
+    # a code reads its key's bytes from the most significant end down
+    # (little-endian host, as everywhere in the native binding)
+    codes = array("Q")
+    codes.frombytes(b"".join([bytes(map(byte_of, key)).ljust(8, b"\0") for key in counts]))
+    codes.byteswap()
+    return array("Q", chain.from_iterable(sorted(zip(codes, counts.values()))))
 
 
 @dataclass
@@ -146,12 +204,15 @@ def path_features(
 
 def native_path_features(
     graph: LabeledGraph, max_length: int, locations: bool = False
-) -> tuple[dict[tuple[str, ...], int], dict[tuple[str, ...], int]] | None:
+) -> tuple[dict[tuple[str, ...], int], dict[tuple[str, ...], int], array | None] | None:
     """:func:`path_features` of ``graph`` computed by the C kernel.
 
-    Returns ``(counts, location masks)`` keyed like :func:`path_features`,
-    keys in ascending order; a mask covers the positions of
-    ``graph.vertices()`` (empty dict unless ``locations``).  ``None`` when
+    Returns ``(counts, location masks, codes)``: the first two keyed like
+    :func:`path_features`, keys in ascending order; a mask covers the
+    positions of ``graph.vertices()`` (empty dict unless ``locations``);
+    ``codes`` is the cross-graph form of ``counts`` (see
+    :func:`encode_path_keys`), ``None`` once the process-wide label table
+    is full.  The whole result is ``None`` when
     the kernel is unavailable in this process, or when a path's label
     sequence does not pack into one 64-bit code (a byte per vertex: more
     than 255 distinct label strings in the graph, or ``max_length`` above
@@ -175,17 +236,30 @@ def native_path_features(
     for vertex in vertices:
         flat += [position_of[neighbor] for neighbor in graph.neighbors(vertex)]
         offsets.append(len(flat))
-    # ``buffer`` owns the three columns for the duration of the call
-    buffer, addresses = _packed(offsets, flat, [rank_of[text] for text in texts])
-    block = library.ck_path_features(len(vertices), *addresses, max_length, locations)
+    label_bytes = _label_bytes(names)
+    # ``buffer`` owns the columns for the duration of the call
+    buffer, (*csr, bytes_address) = _packed(
+        offsets, flat, [rank_of[text] for text in texts], label_bytes or ()
+    )
+    block = library.ck_path_features(
+        len(vertices), *csr, max_length, locations,
+        None if label_bytes is None else bytes_address,
+    )
     if not block:  # pragma: no cover - allocation failure inside the kernel
         raise MemoryError("native path extraction could not allocate its result")
     try:
         distinct = ctypes.c_uint64.from_address(block).value
         row_bytes = 8 * ((len(vertices) + 63) // 64) if locations else 0
-        payload = ctypes.string_at(block + 8, distinct * (16 + row_bytes))
+        pairs_start = distinct * (16 + row_bytes)
+        payload = ctypes.string_at(
+            block + 8, pairs_start + (16 * distinct if label_bytes is not None else 0)
+        )
     finally:
         library.ck_free(block)
+    pairs = None
+    if label_bytes is not None:
+        pairs = array("Q")
+        pairs.frombytes(payload[pairs_start:])
     words = array("Q")
     words.frombytes(payload[: 16 * distinct])
     # A code holds rank + 1 per path vertex from its most significant byte
@@ -203,9 +277,9 @@ def native_path_features(
     counts = dict(zip(keys, words[distinct:]))
     masks = {}
     if row_bytes:
-        rows = range(16 * distinct, len(payload), row_bytes)
+        rows = range(16 * distinct, pairs_start, row_bytes)
         masks = {
             key: int.from_bytes(payload[start : start + row_bytes], "little")
             for key, start in zip(keys, rows)
         }
-    return counts, masks
+    return counts, masks, pairs

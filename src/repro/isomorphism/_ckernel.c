@@ -1,5 +1,6 @@
-/* Native kernel: verification (one call per query) and path-feature
- * extraction (one call per graph).
+/* Native kernel: verification (one call per query), path-feature
+ * extraction (one call per graph) and the cache-side probe (one filter call
+ * and at most one containment call per query and direction).
  *
  * `ck_verify_many` answers every (pattern, target) pair of one query in a
  * single ctypes call, in candidate order, with the interpreter lock
@@ -39,7 +40,17 @@
  *      but `cc -O3 -shared -fPIC` — no Python headers required; all entry
  *      points use a plain C ABI consumed through ctypes.
  *
- * Data layout, ABI 3 (built once per target / per plan on the Python side,
+ * `ck_table_*` / `ck_probe_filter` / `ck_probe_verify` are the iGQ component
+ * indexes' probe: a slot-aligned table of the cached queries' feature codes,
+ * sizes and compiled forms, filtered by sorted-merge dominance and verified
+ * with the same prereject + search as every other pair.  `ck_mask_sums` adds
+ * up the section 5.1 credits of one query's hits.  The Python loops they
+ * replace (`candidate_mask` in src/repro/core/isuper.py,
+ * `ThresholdBitmapIndex.at_least`, `_verified_hits` in
+ * src/repro/core/containment.py, `mask_sums` in src/repro/core/probe.py)
+ * stay as the fallback and as the oracle of tests/test_native_probe.py.
+ *
+ * Data layout, ABI 4 (built once per target / per plan on the Python side,
  * see `NativeTarget` / `CompiledQueryPlan.native` in compiled.py):
  *
  *   - adjacency:      n x num_words row-major uint64 neighbour bitsets;
@@ -71,7 +82,7 @@
  * Bits at positions >= n in the last word are never set by any of the
  * above, so word-wise AND chains never need a trailing-word trim.
  *
- * `ck_path_features` (new in ABI 3; marshalled per graph by
+ * `ck_path_features` (marshalled per graph by
  * `native_path_features` in src/repro/features/paths.py):
  *
  *   - offsets / neighbours: CSR adjacency over the vertex positions of
@@ -85,11 +96,35 @@
  *                     significant end, unused bytes are 0, so comparing two
  *                     codes as integers compares the label-string tuples
  *                     they stand for (a prefix sorts before its extensions);
+ *   - global_bytes:   optional, per rank the label's *process-wide* byte
+ *                     (1..254, assigned by `_label_bytes` in paths.py): the
+ *                     same features spelt so that codes of different graphs
+ *                     compare.  The canonical direction of a path is decided
+ *                     on the graph's own ranks (label-text order, so the
+ *                     keys stay those of `canonical_path_key`); the chosen
+ *                     sequence is then re-spelt byte by byte and the result
+ *                     sorted again, by global code;
  *   - result block:   malloc'd, released with `ck_free`: word 0 holds the
  *                     number of distinct codes D, then D codes ascending,
  *                     then D occurrence counts, then (want_locations)
  *                     D rows of ceil(n / 64) mask words over the vertex
- *                     positions.
+ *                     positions, then (global_bytes) D (global code, count)
+ *                     pairs, global code ascending.
+ *
+ * The probe table (new in ABI 4; driven by `ProbeTable` in
+ * src/repro/core/probe.py):
+ *
+ *   - one row per slot of the owning index's `DensePositions`: the entry's
+ *     id, vertex and edge counts, its (global code, count) pairs — a
+ *     malloc'd copy, code ascending — and the address of its compiled form:
+ *     a `ck_target` when the entries play the target role (`Isub`), a
+ *     `ck_plan` when they play the pattern role (`Isuper`).  The compiled
+ *     form belongs to Python, which keeps it alive until the row is cleared;
+ *   - `universe` (optional) is a bitmap over the slots, `universe_words`
+ *     words long; slots beyond it are outside the universe;
+ *   - a probe reads the table and writes only its caller's output buffers,
+ *     so it needs no scratch of its own; `set` / `clear` / probe of one
+ *     table are serialised by the caller (they are driver-thread operations).
  */
 
 #include <stdint.h>
@@ -99,7 +134,7 @@
 /* The ABI version is checked by the loader after dlopen so a stale build
  * of an older layout can never be driven with new-layout pointers.  Bump
  * it whenever a struct or signature below changes. */
-#define CK_ABI_VERSION 3
+#define CK_ABI_VERSION 4
 
 #if defined(_WIN32)
 #define CK_EXPORT __declspec(dllexport)
@@ -686,10 +721,24 @@ ck_walk_paths(int64_t n, const int64_t *offsets, const int64_t *neighbours,
 /* Path features of one graph (see the header for the argument and result
  * layout).  Returns the malloc'd result block, to be released with
  * `ck_free`, or NULL on allocation failure. */
+/* A graph-local path code re-spelt with the process-wide label bytes. */
+static uint64_t
+ck_global_code(uint64_t code, const int64_t *global_bytes)
+{
+    uint64_t spelt = 0;
+    for (int shift = 56; shift >= 0; shift -= 8) {
+        const uint64_t slot = code >> shift & 0xff;
+        if (!slot)
+            break;
+        spelt |= (uint64_t)global_bytes[slot - 1] << shift;
+    }
+    return spelt;
+}
+
 CK_EXPORT uint64_t *
 ck_path_features(int64_t n, const int64_t *offsets, const int64_t *neighbours,
                  const int64_t *ranks, int64_t max_length,
-                 int64_t want_locations)
+                 int64_t want_locations, const int64_t *global_bytes)
 {
     ck_code_list found;
     found.items = found.inline_items;
@@ -705,8 +754,10 @@ ck_path_features(int64_t n, const int64_t *offsets, const int64_t *neighbours,
             distinct += i == 0 || found.items[i] != found.items[i - 1];
         const int64_t num_words = (n + 63) / 64;
         const int64_t mask_words = want_locations ? distinct * num_words : 0;
-        block = (uint64_t *)calloc((size_t)(1 + 2 * distinct + mask_words),
-                                   sizeof(uint64_t));
+        const int64_t pair_words = global_bytes != NULL ? 2 * distinct : 0;
+        block = (uint64_t *)calloc(
+            (size_t)(1 + 2 * distinct + mask_words + pair_words),
+            sizeof(uint64_t));
         if (block != NULL) {
             uint64_t *codes = block + 1;
             uint64_t *counts = codes + distinct;
@@ -724,6 +775,17 @@ ck_path_features(int64_t n, const int64_t *offsets, const int64_t *neighbours,
                 sink.num_words = num_words;
                 ck_walk_paths(n, offsets, neighbours, ranks, max_length, &sink);
             }
+            if (pair_words) {
+                /* re-spelling is injective, so the pairs stay distinct; a
+                 * pair sorts by its leading word, the code */
+                uint64_t *pairs = counts + distinct + mask_words;
+                for (int64_t i = 0; i < distinct; ++i) {
+                    pairs[2 * i] = ck_global_code(codes[i], global_bytes);
+                    pairs[2 * i + 1] = counts[i];
+                }
+                qsort(pairs, (size_t)distinct, 2 * sizeof(uint64_t),
+                      ck_compare_codes);
+            }
         }
     }
     if (found.items != found.inline_items)
@@ -735,6 +797,253 @@ CK_EXPORT void
 ck_free(void *block)
 {
     free(block);
+}
+
+/* ---------------------------------------------------------------------
+ * Cache-side probe
+ * ------------------------------------------------------------------- */
+
+typedef struct {
+    int64_t num_features;  /* -1: the slot is empty                        */
+    int64_t num_vertices;
+    int64_t num_edges;
+    int64_t entry_id;
+    const void *compiled;  /* ck_target / ck_plan of the entry, not owned  */
+    uint64_t *features;    /* num_features (code, count) pairs, owned      */
+} ck_row;
+
+typedef struct {
+    int64_t entries_are_targets;  /* Isub: 1, Isuper: 0                    */
+    int64_t num_slots;
+    int64_t feature_words;        /* over the live rows (size accounting)  */
+    ck_row *rows;
+} ck_table;
+
+CK_EXPORT ck_table *
+ck_table_new(int64_t entries_are_targets)
+{
+    ck_table *table = (ck_table *)calloc(1, sizeof(ck_table));
+    if (table != NULL)
+        table->entries_are_targets = entries_are_targets;
+    return table;
+}
+
+CK_EXPORT void
+ck_table_clear(ck_table *table, int64_t slot)
+{
+    if (slot < 0 || slot >= table->num_slots)
+        return;
+    ck_row *row = table->rows + slot;
+    if (row->num_features < 0)
+        return;
+    table->feature_words -= 2 * row->num_features;
+    free(row->features);
+    row->features = NULL;
+    row->compiled = NULL;
+    row->num_features = -1;
+}
+
+CK_EXPORT void
+ck_table_free(ck_table *table)
+{
+    if (table == NULL)
+        return;
+    for (int64_t slot = 0; slot < table->num_slots; ++slot)
+        free(table->rows[slot].features);
+    free(table->rows);
+    free(table);
+}
+
+/* Write the row of `slot` (replacing a live one), growing the table to
+ * reach it.  `pairs` is copied.  Returns 0, or -1 on allocation failure,
+ * which leaves the table as it was. */
+CK_EXPORT int64_t
+ck_table_set(ck_table *table, int64_t slot, int64_t entry_id,
+             const uint64_t *pairs, int64_t num_pairs, int64_t num_vertices,
+             int64_t num_edges, const void *compiled)
+{
+    uint64_t *features = NULL;
+    if (num_pairs > 0) {
+        features = (uint64_t *)malloc((size_t)num_pairs * 2 * sizeof(uint64_t));
+        if (features == NULL)
+            return -1;
+        memcpy(features, pairs, (size_t)num_pairs * 2 * sizeof(uint64_t));
+    }
+    if (slot >= table->num_slots) {
+        int64_t num_slots = 2 * table->num_slots;
+        if (num_slots <= slot)
+            num_slots = slot + 1;
+        ck_row *rows = (ck_row *)realloc(table->rows,
+                                         (size_t)num_slots * sizeof(ck_row));
+        if (rows == NULL) {
+            free(features);
+            return -1;
+        }
+        for (int64_t fresh = table->num_slots; fresh < num_slots; ++fresh) {
+            rows[fresh].num_features = -1;
+            rows[fresh].features = NULL;
+            rows[fresh].compiled = NULL;
+        }
+        table->rows = rows;
+        table->num_slots = num_slots;
+    }
+    ck_table_clear(table, slot);
+    ck_row *row = table->rows + slot;
+    row->num_features = num_pairs;
+    row->num_vertices = num_vertices;
+    row->num_edges = num_edges;
+    row->entry_id = entry_id;
+    row->compiled = compiled;
+    row->features = features;
+    table->feature_words += 2 * num_pairs;
+    return 0;
+}
+
+/* Heap bytes held by the table (the Figure 18 quantity). */
+CK_EXPORT int64_t
+ck_table_bytes(const ck_table *table)
+{
+    return (int64_t)sizeof(ck_table) +
+           table->num_slots * (int64_t)sizeof(ck_row) +
+           table->feature_words * (int64_t)sizeof(uint64_t);
+}
+
+/* Read a row back (tests, diagnostics): header receives num_features (-1
+ * for an empty or unknown slot), num_vertices, num_edges, entry_id and the
+ * address of the pairs. */
+CK_EXPORT void
+ck_table_row(const ck_table *table, int64_t slot, int64_t *header)
+{
+    header[0] = -1;
+    if (slot < 0 || slot >= table->num_slots)
+        return;
+    const ck_row *row = table->rows + slot;
+    header[0] = row->num_features;
+    header[1] = row->num_vertices;
+    header[2] = row->num_edges;
+    header[3] = row->entry_id;
+    header[4] = (int64_t)(intptr_t)row->features;
+}
+
+/* True iff every (code, count) pair of `needed` has its code in `have`
+ * with at least that count; both ascending by code. */
+static int
+ck_pairs_dominate(const uint64_t *have, int64_t num_have,
+                  const uint64_t *needed, int64_t num_needed)
+{
+    int64_t h = 0;
+    for (int64_t i = 0; i < num_needed; ++i) {
+        if (num_have - h < num_needed - i)
+            return 0;  /* fewer codes left than still needed */
+        const uint64_t code = needed[2 * i];
+        while (h < num_have && have[2 * h] < code)
+            ++h;
+        if (h == num_have || have[2 * h] != code ||
+            have[2 * h + 1] < needed[2 * i + 1])
+            return 0;
+        ++h;
+    }
+    return 1;
+}
+
+/* The candidate filter of one direction plus the size pre-checks.  Target
+ * rows (`Isub`) survive when they hold every pair of the query at least as
+ * often and are no smaller than (num_vertices, num_edges); pattern rows
+ * (`Isuper`, Algorithm 2's condition) when the query holds every pair of
+ * theirs at least as often and they are no larger.  Considers the live
+ * slots of `universe` (all live slots when NULL); writes the surviving
+ * slots ascending to `out_slots` (room for num_slots) and returns how many. */
+CK_EXPORT int64_t
+ck_probe_filter(const ck_table *table, const uint64_t *pairs,
+                int64_t num_pairs, int64_t num_vertices, int64_t num_edges,
+                const uint64_t *universe, int64_t universe_words,
+                int64_t *out_slots)
+{
+    const int64_t table_words = (table->num_slots + 63) / 64;
+    const int64_t words = universe != NULL && universe_words < table_words
+                              ? universe_words : table_words;
+    int64_t found = 0;
+    for (int64_t w = 0; w < words; ++w) {
+        uint64_t bits = universe != NULL ? universe[w] : ~(uint64_t)0;
+        while (bits) {
+            const int64_t slot = (w << 6) + ck_ctz64(bits);
+            bits &= bits - 1;
+            if (slot >= table->num_slots)
+                break;
+            const ck_row *row = table->rows + slot;
+            if (row->num_features < 0)
+                continue;
+            if (table->entries_are_targets) {
+                if (row->num_vertices < num_vertices ||
+                    row->num_edges < num_edges ||
+                    !ck_pairs_dominate(row->features, row->num_features,
+                                       pairs, num_pairs))
+                    continue;
+            } else if (row->num_vertices > num_vertices ||
+                       row->num_edges > num_edges ||
+                       !ck_pairs_dominate(pairs, num_pairs, row->features,
+                                          row->num_features)) {
+                continue;
+            }
+            out_slots[found++] = slot;
+        }
+    }
+    return found;
+}
+
+/* One counted containment test per slot of `slots` (live rows, as returned
+ * by ck_probe_filter) against the query's compiled side — its ck_plan when
+ * the rows are targets, its ck_target when they are patterns: prereject,
+ * then search, exactly as ck_verify_many runs a pair.  Writes the entry ids
+ * of the rows that matched to `out_hit_ids` in ascending order (room for
+ * num_slots) and returns how many, or -1 on allocation failure. */
+CK_EXPORT int64_t
+ck_probe_verify(const ck_table *table, const void *query_side,
+                const int64_t *slots, int64_t num_slots, int64_t *out_hit_ids)
+{
+    int64_t hits = 0;
+    for (int64_t i = 0; i < num_slots; ++i) {
+        const ck_row *row = table->rows + slots[i];
+        const ck_target *t = (const ck_target *)(
+            table->entries_are_targets ? row->compiled : query_side);
+        const ck_plan *p = (const ck_plan *)(
+            table->entries_are_targets ? query_side : row->compiled);
+        const int64_t matched = ck_match_one(t, p, NULL, ck_prereject(t, p));
+        if (matched < 0)
+            return -1;
+        if (!matched)
+            continue;
+        /* recycled slots make slot order meaningless: insert by entry id */
+        int64_t at = hits++;
+        for (; at > 0 && out_hit_ids[at - 1] > row->entry_id; --at)
+            out_hit_ids[at] = out_hit_ids[at - 1];
+        out_hit_ids[at] = row->entry_id;
+    }
+    return hits;
+}
+
+/* Per mask (mask_words words each, back to back) the sum of `costs` over
+ * its set bits, added in ascending position order from 0.0 — the order of
+ * the Python loop it replaces, so the totals are the same doubles. */
+CK_EXPORT void
+ck_mask_sums(const double *costs, int64_t num_positions,
+             const uint64_t *masks, int64_t num_masks, int64_t mask_words,
+             double *out_totals)
+{
+    for (int64_t m = 0; m < num_masks; ++m) {
+        const uint64_t *mask = masks + m * mask_words;
+        double total = 0.0;
+        for (int64_t w = 0; w < mask_words; ++w) {
+            uint64_t bits = mask[w];
+            while (bits) {
+                const int64_t position = (w << 6) + ck_ctz64(bits);
+                bits &= bits - 1;
+                if (position < num_positions)
+                    total += costs[position];
+            }
+        }
+        out_totals[m] = total;
+    }
 }
 
 #ifdef CKERNEL_PYMODULE

@@ -52,7 +52,7 @@ __all__ = [
 ]
 
 #: must match CK_ABI_VERSION in _ckernel.c; the loader refuses mismatches
-ABI_VERSION = 3
+ABI_VERSION = 4
 
 _SOURCE = Path(__file__).with_name("_ckernel.c")
 
@@ -145,13 +145,44 @@ def _configure(library: ctypes.CDLL) -> ctypes.CDLL | None:
     pointer, integer = ctypes.c_void_p, ctypes.c_int64
     fn.argtypes = (pointer, integer, pointer, integer, pointer, integer, pointer, pointer)
     fn = library.ck_path_features
-    # (n, offsets*, neighbours*, ranks*, max_length, want_locations) ->
-    # malloc'd result block (NULL on allocation failure), released with
-    # ck_free; marshalled by repro.features.paths.
+    # (n, offsets*, neighbours*, ranks*, max_length, want_locations,
+    # global_bytes*) -> malloc'd result block (NULL on allocation failure),
+    # released with ck_free; marshalled by repro.features.paths.
     fn.restype = pointer
-    fn.argtypes = (integer, pointer, pointer, pointer, integer, integer)
+    fn.argtypes = (integer, pointer, pointer, pointer, integer, integer, pointer)
     library.ck_free.restype = None
     library.ck_free.argtypes = (pointer,)
+    # The cache-side probe table and the credit sums; driven by
+    # repro.core.probe.  (entries_are_targets) -> ck_table*
+    library.ck_table_new.restype = pointer
+    library.ck_table_new.argtypes = (integer,)
+    library.ck_table_free.restype = None
+    library.ck_table_free.argtypes = (pointer,)
+    # (table*, slot, entry_id, pairs*, num_pairs, num_vertices, num_edges,
+    # compiled*) -> 0 / -1
+    library.ck_table_set.restype = integer
+    library.ck_table_set.argtypes = (
+        pointer, integer, integer, pointer, integer, integer, integer, pointer
+    )
+    library.ck_table_clear.restype = None
+    library.ck_table_clear.argtypes = (pointer, integer)
+    library.ck_table_bytes.restype = integer
+    library.ck_table_bytes.argtypes = (pointer,)
+    # (table*, slot, header[5]*)
+    library.ck_table_row.restype = None
+    library.ck_table_row.argtypes = (pointer, integer, pointer)
+    # (table*, pairs*, num_pairs, num_vertices, num_edges, universe*,
+    # universe_words, out_slots*) -> number of surviving slots
+    library.ck_probe_filter.restype = integer
+    library.ck_probe_filter.argtypes = (
+        pointer, pointer, integer, integer, integer, pointer, integer, pointer
+    )
+    # (table*, query_side*, slots*, num_slots, out_hit_ids*) -> hits / -1
+    library.ck_probe_verify.restype = integer
+    library.ck_probe_verify.argtypes = (pointer, pointer, pointer, integer, pointer)
+    # (costs*, num_positions, masks*, num_masks, mask_words, out_totals*)
+    library.ck_mask_sums.restype = None
+    library.ck_mask_sums.argtypes = (pointer, integer, pointer, integer, integer, pointer)
     return library
 
 

@@ -790,7 +790,7 @@ def _bigint_has_embedding(
 
 
 class _CkTarget(ctypes.Structure):
-    """ctypes mirror of ``ck_target`` in ``_ckernel.c`` (ABI v2)."""
+    """ctypes mirror of ``ck_target`` in ``_ckernel.c``."""
 
     _fields_ = [
         (name, ctypes.c_int64)
@@ -813,7 +813,7 @@ class _CkTarget(ctypes.Structure):
 
 
 class _CkPlan(ctypes.Structure):
-    """ctypes mirror of ``ck_plan`` in ``_ckernel.c`` (ABI v2)."""
+    """ctypes mirror of ``ck_plan`` in ``_ckernel.c``."""
 
     _fields_ = [
         (name, ctypes.c_int64) for name in ("num_steps", "num_edges", "num_sig_labels")

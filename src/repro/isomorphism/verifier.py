@@ -255,13 +255,18 @@ class Verifier:
             kernel=self.kernel,
             prerejected=prerejected,
         )
+        self.record_batch(sum(tests), sum(matched), time.perf_counter() - start)
+        return matched
+
+    def record_batch(self, tested: int, positives: int, seconds: float) -> None:
+        """Fold ``tested`` tests, ``positives`` of them matches, run in
+        ``seconds`` into the statistics — how every batched route accounts
+        (:meth:`verify_pairs`, the containment indexes' native probe)."""
         stats = self.stats
-        tested, positives = sum(tests), sum(matched)
         stats.tests += tested
         stats.positives += positives
         stats.negatives += tested - positives
-        stats.total_seconds += time.perf_counter() - start
-        return matched
+        stats.total_seconds += seconds
 
     def is_subgraph_compiled(
         self,

@@ -154,10 +154,11 @@ class SubgraphQueryMethod(ABC):
 
     def _build_feature_index(self) -> None:
         if not self._graph_features:
-            self._graph_features = {
-                graph_id: self.extractor.extract(graph, locations=self.needs_feature_locations)
-                for graph_id, graph in self.database.items()
-            }
+            for graph_id, graph in self.database.items():
+                features = self.extractor.extract(graph, locations=self.needs_feature_locations)
+                # only cached *queries* are probed by code (16 bytes a feature)
+                features.codes = None
+                self._graph_features[graph_id] = features
         index = self._feature_index = ThresholdBitmapIndex()
         bit = self.id_space.bit
         for graph_id, features in self._graph_features.items():

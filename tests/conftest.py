@@ -86,8 +86,10 @@ def index_state(index) -> dict:
     """Observable contents of a component index (order-free, comparable).
 
     The threshold masks of ``Isub`` are decoded back into ``{key: {entry id:
-    occurrences}}`` so an index whose slots were recycled compares equal to
-    one built from scratch.
+    occurrences}}`` and the native table's rows are read back by entry id,
+    so an index whose slots were recycled compares equal to one built from
+    scratch.  On the native table the thresholds must be empty; off it
+    there are no rows.
     """
     postings = {}
     thresholds = getattr(index, "_index", None)
@@ -98,8 +100,19 @@ def index_state(index) -> dict:
             for mask in levels:
                 for entry_id in index._slots.keys_of(mask):
                     per_entry[entry_id] = per_entry.get(entry_id, 0) + 1
+    rows = {}
+    if index._table is not None:
+        assert not postings, "thresholds maintained next to the native table"
+        for slot, entry_id in enumerate(index._slots._order):
+            row = index._table.row(slot)
+            if entry_id is None:
+                assert row is None, "row of a freed slot not cleared"
+                continue
+            assert row[0] == entry_id
+            rows[entry_id] = (row[1], row[2], row[3].tolist())
     return {
         "postings": postings,
+        "rows": rows,
         "entries": sorted(index._entries),
         "live": sorted(index._slots.keys_of(index._live_mask)),
         "slots": len(index._slots),

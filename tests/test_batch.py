@@ -14,7 +14,7 @@ import random
 import pytest
 
 from repro.core import IGQ, BatchConfig, BatchExecutor
-from repro.core.batch import FeatureMemo, graph_signature
+from repro.core.batch import FeatureMemo
 from repro.graphs import GraphDatabase, LabeledGraph
 from repro.methods import GGSXMethod, GrapesMethod, ScanMethod
 
@@ -255,8 +255,18 @@ class TestFeatureMemo:
         a = make_path_graph("ABC", name="one")
         b = make_path_graph("ABC", name="two")
         c = make_path_graph("ACB", name="three")
-        assert graph_signature(a) == graph_signature(b)
-        assert graph_signature(a) != graph_signature(c)
+        assert a.ordered_key() == b.ordered_key()
+        assert a.ordered_key() != c.ordered_key()
+
+    def test_a_copy_built_in_another_order_misses_safely(self):
+        """The memo key is insertion-ordered: the same graph assembled in
+        another order is extracted again, to the same features."""
+        forward = LabeledGraph.from_edges({0: "A", 1: "B", 2: "C"}, [(0, 1), (1, 2)])
+        backward = LabeledGraph.from_edges({2: "C", 1: "B", 0: "A"}, [(1, 2), (0, 1)])
+        assert forward == backward and forward.ordered_key() != backward.ordered_key()
+        memo = FeatureMemo(GGSXMethod(max_path_length=3).extractor)
+        assert memo.extract(forward) == memo.extract(backward)
+        assert memo.hits == 0 and memo.misses == 2
 
     def test_memo_hits_on_repeats(self):
         method = GGSXMethod(max_path_length=3)
@@ -280,7 +290,7 @@ class TestFeatureMemo:
             remapped.add_vertex(vertex + 100, twin.label(vertex))
         for u, v in twin.edges():
             remapped.add_edge(u + 100, v + 100)
-        assert graph_signature(query) != graph_signature(remapped)
+        assert query.ordered_key() != remapped.ordered_key()
         first = memo.extract(query)
         second = memo.extract(remapped)
         assert first is not second

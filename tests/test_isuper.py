@@ -8,7 +8,7 @@ from hypothesis import given, settings
 
 from repro.core import QueryCache, SupergraphQueryIndex
 from repro.features import FeatureExtractor
-from repro.isomorphism import is_subgraph_isomorphic
+from repro.isomorphism import Verifier, is_subgraph_isomorphic
 
 from .conftest import (
     index_state,
@@ -24,9 +24,9 @@ from .conftest import (
 EXTRACTOR = FeatureExtractor(max_path_length=3)
 
 
-def build_index(graphs):
+def build_index(graphs, verifier=None):
     cache = QueryCache()
-    index = SupergraphQueryIndex()
+    index = SupergraphQueryIndex(verifier)
     for graph in graphs:
         entry = cache.add(graph, EXTRACTOR.extract(graph), frozenset())
         index.add(entry)
@@ -47,11 +47,21 @@ class TestAlgorithm1:
 
 class TestAlgorithm2:
     def test_candidate_generation_no_false_negatives(self):
+        """The filter the default verifier selects: the kernel's sorted
+        merge over the native table when the C kernel loads."""
+        self.assert_no_false_negatives(None)
+
+    def test_candidate_generation_no_false_negatives_on_the_python_loop(self):
+        self.assert_no_false_negatives(Verifier(kernel="bigint"))
+
+    @staticmethod
+    def assert_no_false_negatives(verifier):
         rng = random.Random(5)
         cached = [
             random_labeled_graph(rng, rng.randint(2, 5), 0.3, name=f"c{i}") for i in range(15)
         ]
-        cache, index = build_index(cached)
+        cache, index = build_index(cached, verifier)
+        assert verifier is None or index._table is None
         entries = {entry.entry_id: entry for entry in cache.entries()}
         for _ in range(10):
             query = random_labeled_graph(rng, rng.randint(4, 8), 0.3)

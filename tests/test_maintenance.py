@@ -203,8 +203,7 @@ class TestIncrementalFlushProperties:
             for probe in pool:
                 features = engine.method.extract_query_features(probe)
                 # The candidate filters against the posting walks they replaced.
-                dominating = isub._index.at_least(features.counts, isub._live_mask)
-                assert set(isub._slots.keys_of(dominating)) == oracle_at_least(
+                assert set(isub.candidate_ids(features)) == oracle_at_least(
                     postings, tables, features.counts
                 )
                 assert set(engine.isuper.candidate_subgraphs(features)) == oracle_tally(

@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 import sys
 import threading
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +23,8 @@ from hypothesis import strategies as st
 from repro.datasets.registry import load_dataset
 from repro.features import FeatureExtractor, path_features
 from repro.features import extractor as extractor_module
-from repro.features.paths import native_path_features
+from repro.features import paths as paths_module
+from repro.features.paths import encode_path_keys, native_path_features
 from repro.graphs import LabeledGraph
 from repro.isomorphism import native_kernel_available
 from repro.methods import GGSXMethod, GrapesMethod
@@ -60,6 +62,8 @@ def assert_native_equals_oracle(graph: LabeledGraph, max_length: int) -> None:
     without = native_path_features(graph, max_length)
     assert list(without[0].items()) == list(counts.items())
     assert without[1] == {}
+    # the cross-graph codes are the keys, spelt with the process-wide bytes
+    assert with_masks[2] == without[2] == encode_path_keys(counts)
 
 
 def _vertex_id(rng: random.Random, index: int):
@@ -145,11 +149,11 @@ class TestDifferential:
             assert_native_equals_oracle(graph, max_length)
 
     def test_empty_graph(self):
-        assert native_path_features(LabeledGraph(), 4, locations=True) == ({}, {})
+        assert native_path_features(LabeledGraph(), 4, locations=True) == ({}, {}, array("Q"))
 
     def test_colliding_label_strings_share_a_key(self):
         graph = LabeledGraph.from_edges({0: 1, 1: "1", 2: "A"}, [(0, 1), (1, 2)])
-        counts, masks = native_path_features(graph, 2, locations=True)
+        counts, masks, _ = native_path_features(graph, 2, locations=True)
         assert counts[("1",)] == 2 and counts[("1", "1")] == 1
         assert masks[("1",)] == 0b011
         assert_native_equals_oracle(graph, 2)
@@ -173,8 +177,18 @@ class TestCodeOverflowFallback:
             graph.add_edge(vertex, vertex + 1)
         return graph
 
-    def test_255_labels_fit(self):
-        assert_native_equals_oracle(self.wide_alphabet_graph(255), 3)
+    def test_255_labels_fit(self, monkeypatch):
+        """255 labels fit a graph's own codes but not the process-wide table
+        (254 bytes): the features are native, the cross-graph codes absent —
+        and none of the labels is left behind in the table."""
+        table: dict = {}
+        monkeypatch.setattr(paths_module, "_LABEL_BYTES", table)
+        graph = self.wide_alphabet_graph(255)
+        assert_native_equals_oracle(graph, 3)
+        assert native_path_features(graph, 3)[2] is None and not table
+        assert FeatureExtractor(max_path_length=3).extract(graph).feature_codes() is None
+        assert_native_equals_oracle(self.wide_alphabet_graph(254), 3)
+        assert len(table) == 254
 
     def test_256_labels_fall_back(self):
         graph = self.wide_alphabet_graph(256)
