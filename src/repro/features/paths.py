@@ -224,32 +224,26 @@ def native_path_features(
     library = _ckernel_loader.kernel()
     if library is None:
         return None
-    vertices = list(graph.vertices())
-    texts = [str(graph.label(vertex)) for vertex in vertices]
+    num_vertices = graph.num_vertices
+    texts = [str(graph.label(vertex)) for vertex in graph.vertices()]
     names = sorted(set(texts))
     if len(names) > _MAX_CODE_LABELS or max_length > _MAX_CODE_LENGTH:
         return None
     rank_of = {text: rank for rank, text in enumerate(names)}
-    position_of = {vertex: position for position, vertex in enumerate(vertices)}
-    offsets = [0]
-    flat: list[int] = []
-    for vertex in vertices:
-        flat += [position_of[neighbor] for neighbor in graph.neighbors(vertex)]
-        offsets.append(len(flat))
     label_bytes = _label_bytes(names)
     # ``buffer`` owns the columns for the duration of the call
     buffer, (*csr, bytes_address) = _packed(
-        offsets, flat, [rank_of[text] for text in texts], label_bytes or ()
+        *graph.csr(), [rank_of[text] for text in texts], label_bytes or ()
     )
     block = library.ck_path_features(
-        len(vertices), *csr, max_length, locations,
+        num_vertices, *csr, max_length, locations,
         None if label_bytes is None else bytes_address,
     )
     if not block:  # pragma: no cover - allocation failure inside the kernel
         raise MemoryError("native path extraction could not allocate its result")
     try:
         distinct = ctypes.c_uint64.from_address(block).value
-        row_bytes = 8 * ((len(vertices) + 63) // 64) if locations else 0
+        row_bytes = 8 * ((num_vertices + 63) // 64) if locations else 0
         pairs_start = distinct * (16 + row_bytes)
         payload = ctypes.string_at(
             block + 8, pairs_start + (16 * distinct if label_bytes is not None else 0)

@@ -20,12 +20,12 @@ class GraphDatabase:
 
     Besides the raw graphs the database caches their *compiled* verification
     representations (:mod:`repro.isomorphism.compiled`): a
-    :meth:`compiled_target` per graph (bitset adjacency for the common
-    "dataset graph as target" role) and a :meth:`compiled_plan` per graph
-    (matching plan for the supergraph-query role, where dataset graphs play
-    the pattern).  Both are built lazily on first use and then shared by
-    every query that verifies against the graph; stored graphs are treated
-    as immutable once added.
+    :meth:`compiled_target` per graph (the common "dataset graph as target"
+    role) and a :meth:`compiled_plan` per graph (matching plan for the
+    supergraph-query role, where dataset graphs play the pattern).  Both are
+    created lazily on first use and then shared by every query that
+    verifies against the graph; stored graphs are treated as immutable once
+    added.
     """
 
     def __init__(self, name: str | None = None) -> None:
@@ -66,10 +66,11 @@ class GraphDatabase:
     # Compiled verification representations
     # ------------------------------------------------------------------
     def compiled_target(self, graph_id: Hashable):
-        """Compiled (bitset) target representation of one stored graph.
+        """Compiled target representation of one stored graph.
 
-        Built on first request and cached; the compilation cost is amortised
-        over every verification the graph ever participates in.  Under the
+        Created on first request and cached; the compilation cost (paid on
+        the form's first use, or by :meth:`precompile`) is amortised over
+        every verification the graph ever participates in.  Under the
         thread backend concurrent first requests may compile twice — both
         results are identical and the last write wins, so the race is benign.
         """
@@ -95,31 +96,35 @@ class GraphDatabase:
     def precompile(self, targets: bool = True, plans: bool = False) -> None:
         """Eagerly compile the chosen representation of every stored graph.
 
-        Called before a verification snapshot is pickled to worker processes
-        so the (one-time) compilation happens in the parent instead of once
-        per worker.  Subgraph verification consumes ``targets``; supergraph
-        verification (dataset graphs as patterns) consumes ``plans``.
+        Moves the one-time compilation out of the first verification call
+        and into set-up.  Subgraph verification consumes ``targets``;
+        supergraph verification (dataset graphs as patterns) consumes
+        ``plans``.
 
-        When the native C kernel is loadable the word buffers and structs it
-        consumes are built here too: they are derived data (never pickled —
-        workers rebuild lazily), so eager construction only moves the same
-        one-time cost out of the first verification call.
+        Only what the kernel resolved in this process reads is built.  With
+        the native C kernel loadable that is each form's ``native()`` block
+        — the bigint state of a dataset graph is then never allocated.
+        Otherwise it is the bigint state, plus (for ``targets``) the batched
+        pre-reject's stacked arrays.  Neither crosses a pickle on the native
+        path: a form pickles as its graph there, and a worker process
+        compiles each graph on arrival.
         """
         from ..isomorphism._ckernel_loader import native_kernel_available
 
-        build_native = native_kernel_available()
+        native = native_kernel_available()
         for graph_id in self._graphs:
             compiled = []
             if targets:
                 compiled.append(self.compiled_target(graph_id))
             if plans:
                 compiled.append(self.compiled_plan(graph_id))
-            if build_native:
-                for side in compiled:
+            for side in compiled:
+                if native:
                     side.native()
-        if targets:
-            # the batched pre-reject's stacked arrays are derived data too
-            # (None when numpy is unavailable)
+                else:
+                    side.build_state()
+        if targets and not native:
+            # derived data too (None when numpy is unavailable)
             self.dataset_signatures()
 
     def dataset_signatures(self):

@@ -207,6 +207,23 @@ class LabeledGraph:
         except KeyError:
             raise GraphError(f"unknown vertex {vertex!r}") from None
 
+    def csr(self) -> tuple[list[int], list[int]]:
+        """The adjacency flattened for the native kernel: ``(offsets, neighbours)``.
+
+        Vertices are numbered by their position in :meth:`vertices`; the
+        neighbours of position ``p``, in :meth:`neighbors` order, are
+        ``neighbours[offsets[p]:offsets[p + 1]]``.  Every array handed to
+        the kernel (path extraction, graph compilation) follows this one
+        convention.
+        """
+        position_of = {vertex: position for position, vertex in enumerate(self._labels)}
+        offsets = [0]
+        neighbours: list[int] = []
+        for nbrs in self._adjacency.values():
+            neighbours += map(position_of.__getitem__, nbrs)
+            offsets.append(len(neighbours))
+        return offsets, neighbours
+
     def vertices_with_label(self, label: Hashable) -> frozenset:
         """Return the (possibly empty) set of vertices carrying ``label``."""
         return frozenset(self._label_index.get(label, ()))

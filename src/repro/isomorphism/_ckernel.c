@@ -1,6 +1,7 @@
-/* Native kernel: verification (one call per query), path-feature
- * extraction (one call per graph) and the cache-side probe (one filter call
- * and at most one containment call per query and direction).
+/* Native kernel: graph compilation (one call per graph and role),
+ * verification (one call per query), path-feature extraction (one call per
+ * graph) and the cache-side probe (one filter call and at most one
+ * containment call per query and direction).
  *
  * `ck_verify_many` answers every (pattern, target) pair of one query in a
  * single ctypes call, in candidate order, with the interpreter lock
@@ -50,8 +51,16 @@
  * src/repro/core/containment.py, `mask_sums` in src/repro/core/probe.py)
  * stay as the fallback and as the oracle of tests/test_native_probe.py.
  *
- * Data layout, ABI 4 (built once per target / per plan on the Python side,
- * see `NativeTarget` / `CompiledQueryPlan.native` in compiled.py):
+ * Data layout, ABI 5.  A `ck_target` / `ck_plan` is built once per graph
+ * and role by `ck_compile_target` / `ck_compile_plan` (new in ABI 5) from
+ * the graph's CSR — vertex positions in `graph.vertices()` order, neighbours
+ * in `neighbors()` order, per vertex its interned label id and its rank in
+ * the repr order of the vertex ids; `FlatGraph` in compiled.py — as one
+ * malloc'd block that Python owns and releases with `ck_free`.
+ * `_marshal_target` / `_marshal_plan` in compiled.py build the same structs
+ * from the Python compiled forms: the fallback for graphs whose vertex reprs
+ * collide, and the oracle the two entry points are tested against.
+ *
  *
  *   - adjacency:      n x num_words row-major uint64 neighbour bitsets;
  *   - label_members:  num_labels x num_words uint64 bitsets (the vertices
@@ -63,10 +72,11 @@
  *                     of v's neighbours with that label (the anchored
  *                     candidate base: candidates = AND of the anchors' rows);
  *   - label_map:      labels are interned once per process (append-only
- *                     ids); label_map[id] is the target's local label row,
- *                     -1 when the target lacks the label, and an id at or
- *                     beyond label_map_len is a label interned after the
- *                     target was marshalled, which it therefore lacks too;
+ *                     ids) and a target numbers its own by first appearance
+ *                     over the vertex positions; label_map[id] is that
+ *                     local label row, -1 when the target lacks the label,
+ *                     and an id at or beyond label_map_len (the target's
+ *                     largest id + 1) is one it lacks too;
  *   - ranks:          per vertex, its rank in the repr order of the vertex
  *                     ids — components of equal size are visited by
  *                     ascending smallest rank;
@@ -134,7 +144,7 @@
 /* The ABI version is checked by the loader after dlopen so a stale build
  * of an older layout can never be driven with new-layout pointers.  Bump
  * it whenever a struct or signature below changes. */
-#define CK_ABI_VERSION 4
+#define CK_ABI_VERSION 5
 
 #if defined(_WIN32)
 #define CK_EXPORT __declspec(dllexport)
@@ -797,6 +807,313 @@ CK_EXPORT void
 ck_free(void *block)
 {
     free(block);
+}
+
+/* ---------------------------------------------------------------------
+ * Graph compilation
+ * ------------------------------------------------------------------- */
+
+static int
+ck_compare_int64(const void *left, const void *right)
+{
+    const int64_t a = *(const int64_t *)left;
+    const int64_t b = *(const int64_t *)right;
+    return (a > b) - (a < b);
+}
+
+static int
+ck_compare_int64_descending(const void *left, const void *right)
+{
+    return ck_compare_int64(right, left);
+}
+
+/* One past the largest interned label id of the graph (0 when it is empty):
+ * the length of a `label_map` covering every label it carries. */
+static int64_t
+ck_label_map_len(int64_t n, const int64_t *label_ids)
+{
+    int64_t len = 0;
+    for (int64_t v = 0; v < n; ++v)
+        if (label_ids[v] >= len)
+            len = label_ids[v] + 1;
+    return len;
+}
+
+/* Number the graph's labels by first appearance over the vertex positions.
+ * Writes interned id -> local row (-1: not in the graph) to `label_map`
+ * (map_len entries), each vertex's row to `vertex_rows` and, when
+ * `row_labels` is not NULL, each row's interned id; returns the number of
+ * rows. */
+static int64_t
+ck_label_rows(int64_t n, const int64_t *label_ids, int64_t map_len,
+              int64_t *label_map, int64_t *vertex_rows, int64_t *row_labels)
+{
+    int64_t num_rows = 0;
+    for (int64_t id = 0; id < map_len; ++id)
+        label_map[id] = -1;
+    for (int64_t v = 0; v < n; ++v) {
+        const int64_t id = label_ids[v];
+        if (label_map[id] < 0) {
+            if (row_labels != NULL)
+                row_labels[num_rows] = id;
+            label_map[id] = num_rows++;
+        }
+        vertex_rows[v] = label_map[id];
+    }
+    return num_rows;
+}
+
+/* The prereject signature: per label row the degrees of its vertices,
+ * descending, as `sig_indptr` (num_rows + 1) and `sig_degrees` (n). */
+static void
+ck_degree_signature(int64_t n, const int64_t *offsets,
+                    const int64_t *vertex_rows, int64_t num_rows,
+                    int64_t *sig_indptr, int64_t *sig_degrees)
+{
+    memset(sig_indptr, 0, (size_t)(num_rows + 1) * sizeof(int64_t));
+    for (int64_t v = 0; v < n; ++v)
+        ++sig_indptr[vertex_rows[v] + 1];
+    for (int64_t row = 0; row < num_rows; ++row)
+        sig_indptr[row + 1] += sig_indptr[row];
+    /* fill with each row's start as its cursor, then shift the starts back */
+    for (int64_t v = 0; v < n; ++v)
+        sig_degrees[sig_indptr[vertex_rows[v]]++] = offsets[v + 1] - offsets[v];
+    for (int64_t row = num_rows; row > 0; --row)
+        sig_indptr[row] = sig_indptr[row - 1];
+    sig_indptr[0] = 0;
+    for (int64_t row = 0; row < num_rows; ++row) {
+        const int64_t size = sig_indptr[row + 1] - sig_indptr[row];
+        if (size > 1)
+            qsort(sig_degrees + sig_indptr[row], (size_t)size,
+                  sizeof(int64_t), ck_compare_int64_descending);
+    }
+}
+
+/* Compile a graph, given as the CSR of `FlatGraph` in compiled.py, into the
+ * `ck_target` the search runs against: one malloc'd block, the struct first
+ * and its arrays behind it, released with `ck_free`; NULL on allocation
+ * failure.  Field for field what `_marshal_target` builds from the Python
+ * state of a `CompiledTarget` (the oracle of tests/test_native_compile.py). */
+CK_EXPORT ck_target *
+ck_compile_target(int64_t n, const int64_t *offsets, const int64_t *neighbours,
+                  const int64_t *label_ids, const int64_t *ranks)
+{
+    const int64_t W = n > 0 ? (n + 63) / 64 : 1;
+    const int64_t map_len = ck_label_map_len(n, label_ids);
+    /* label_map, then per vertex its row, then per row the vertex that last
+     * saw it among its neighbours and the row's entry in that vertex's list */
+    int64_t *scratch =
+        (int64_t *)malloc((size_t)(map_len + 3 * n + 1) * sizeof(int64_t));
+    if (scratch == NULL)
+        return NULL;
+    int64_t *label_map = scratch;
+    int64_t *vertex_rows = label_map + map_len;
+    int64_t *seen_by = vertex_rows + n;
+    int64_t *entry_of = seen_by + n;
+    const int64_t num_rows =
+        ck_label_rows(n, label_ids, map_len, label_map, vertex_rows, NULL);
+
+    int64_t entries = 0;
+    for (int64_t row = 0; row < num_rows; ++row)
+        seen_by[row] = -1;
+    for (int64_t v = 0; v < n; ++v)
+        for (int64_t k = offsets[v]; k < offsets[v + 1]; ++k) {
+            const int64_t row = vertex_rows[neighbours[k]];
+            entries += seen_by[row] != v;
+            seen_by[row] = v;
+        }
+
+    const int64_t num_words = (n + num_rows + entries) * W;
+    const int64_t num_ints = 4 * n + 2 + entries + map_len + num_rows;
+    ck_target *t = (ck_target *)calloc(
+        1, sizeof(ck_target) + (size_t)(num_words + num_ints) * 8);
+    if (t == NULL) {
+        free(scratch);
+        return NULL;
+    }
+    uint64_t *adjacency = (uint64_t *)(t + 1);
+    uint64_t *members = adjacency + n * W;
+    uint64_t *ladj_words = members + num_rows * W;
+    int64_t *degrees = (int64_t *)(ladj_words + entries * W);
+    int64_t *ladj_indptr = degrees + n;
+    int64_t *ladj_labels = ladj_indptr + n + 1;
+    int64_t *block_map = ladj_labels + entries;
+    int64_t *block_ranks = block_map + map_len;
+    int64_t *sig_indptr = block_ranks + n;
+    int64_t *sig_degrees = sig_indptr + num_rows + 1;
+
+    for (int64_t row = 0; row < num_rows; ++row)
+        seen_by[row] = -1;
+    for (int64_t v = 0; v < n; ++v) {
+        const int64_t lo = offsets[v], hi = offsets[v + 1];
+        const int64_t start = ladj_indptr[v];
+        int64_t count = 0;
+        degrees[v] = hi - lo;
+        members[vertex_rows[v] * W + (v >> 6)] |= (uint64_t)1 << (v & 63);
+        /* the distinct rows of v's neighbourhood, ascending (insertion
+         * sort: a vertex sees a handful of labels) */
+        for (int64_t k = lo; k < hi; ++k) {
+            const int64_t u = neighbours[k];
+            const int64_t row = vertex_rows[u];
+            adjacency[v * W + (u >> 6)] |= (uint64_t)1 << (u & 63);
+            if (seen_by[row] == v)
+                continue;
+            seen_by[row] = v;
+            int64_t at = start + count++;
+            for (; at > start && ladj_labels[at - 1] > row; --at)
+                ladj_labels[at] = ladj_labels[at - 1];
+            ladj_labels[at] = row;
+        }
+        ladj_indptr[v + 1] = start + count;
+        for (int64_t e = start; e < start + count; ++e)
+            entry_of[ladj_labels[e]] = e;
+        for (int64_t k = lo; k < hi; ++k) {
+            const int64_t u = neighbours[k];
+            ladj_words[entry_of[vertex_rows[u]] * W + (u >> 6)] |=
+                (uint64_t)1 << (u & 63);
+        }
+    }
+    memcpy(block_map, label_map, (size_t)map_len * sizeof(int64_t));
+    memcpy(block_ranks, ranks, (size_t)n * sizeof(int64_t));
+    ck_degree_signature(n, offsets, vertex_rows, num_rows, sig_indptr,
+                        sig_degrees);
+    free(scratch);
+
+    t->n = n;
+    t->num_words = W;
+    t->num_labels = num_rows;
+    t->num_edges = offsets[n] / 2;
+    t->label_map_len = map_len;
+    t->adjacency = adjacency;
+    t->label_members = members;
+    t->ladj_words = ladj_words;
+    t->degrees = degrees;
+    t->ladj_indptr = ladj_indptr;
+    t->ladj_labels = ladj_labels;
+    t->label_map = block_map;
+    t->ranks = block_ranks;
+    t->sig_indptr = sig_indptr;
+    t->sig_degrees = sig_degrees;
+    return t;
+}
+
+/* Compile the same CSR into the `ck_plan` of the graph as a pattern: one
+ * block like ck_compile_target's; NULL on allocation failure.  The matching
+ * order is `CompiledQueryPlan._matching_order`: a component starts at its
+ * vertex of highest degree, then the frontier vertex with most placed
+ * neighbours, then highest degree, is placed next; every tie goes to the
+ * smaller rank.  `ranks` is a permutation of 0..n-1 (distinct reprs; the
+ * caller compiles in Python otherwise), so the order is the one Python
+ * finds and `_marshal_plan` the oracle, field for field. */
+CK_EXPORT ck_plan *
+ck_compile_plan(int64_t n, const int64_t *offsets, const int64_t *neighbours,
+                const int64_t *label_ids, const int64_t *ranks)
+{
+    const int64_t map_len = ck_label_map_len(n, label_ids);
+    const int64_t num_edges = offsets[n] / 2;
+    int64_t *scratch =
+        (int64_t *)malloc((size_t)(map_len + 7 * n + 1) * sizeof(int64_t));
+    if (scratch == NULL)
+        return NULL;
+    int64_t *label_map = scratch;
+    int64_t *vertex_rows = label_map + map_len;
+    int64_t *row_labels = vertex_rows + n;
+    int64_t *starts = row_labels + n;        /* (-degree, rank) ascending  */
+    int64_t *by_rank = starts + n;
+    int64_t *placed_neighbours = by_rank + n;
+    int64_t *position = placed_neighbours + n;  /* in the order; -1: not yet */
+    int64_t *frontier = position + n;
+    const int64_t num_rows = ck_label_rows(n, label_ids, map_len, label_map,
+                                           vertex_rows, row_labels);
+
+    const int64_t num_ints = 5 * n + 2 + num_edges + 2 * num_rows;
+    ck_plan *p = (ck_plan *)calloc(
+        1, sizeof(ck_plan) + (size_t)num_ints * sizeof(int64_t));
+    if (p == NULL) {
+        free(scratch);
+        return NULL;
+    }
+    int64_t *min_degrees = (int64_t *)(p + 1);
+    int64_t *lookaheads = min_degrees + n;
+    int64_t *step_labels = lookaheads + n;
+    int64_t *anchor_indptr = step_labels + n;
+    int64_t *anchors = anchor_indptr + n + 1;
+    int64_t *sig_labels = anchors + num_edges;
+    int64_t *sig_indptr = sig_labels + num_rows;
+    int64_t *sig_degrees = sig_indptr + num_rows + 1;
+    int64_t *order = sig_degrees;  /* free until the signature is written */
+
+    for (int64_t v = 0; v < n; ++v) {
+        starts[v] = (n - 1 - (offsets[v + 1] - offsets[v])) * n + ranks[v];
+        by_rank[ranks[v]] = v;
+        placed_neighbours[v] = 0;
+        position[v] = -1;
+    }
+    qsort(starts, (size_t)n, sizeof(int64_t), ck_compare_int64);
+    int64_t next_start = 0;
+    int64_t frontier_size = 0;
+    for (int64_t placed = 0; placed < n; ++placed) {
+        int64_t vertex;
+        if (frontier_size == 0) {
+            do
+                vertex = by_rank[starts[next_start++] % n];
+            while (position[vertex] >= 0);
+        } else {
+            int64_t best = 0;
+            for (int64_t f = 1; f < frontier_size; ++f) {
+                const int64_t a = frontier[f], b = frontier[best];
+                const int64_t degree_a = offsets[a + 1] - offsets[a];
+                const int64_t degree_b = offsets[b + 1] - offsets[b];
+                if (placed_neighbours[a] != placed_neighbours[b]
+                        ? placed_neighbours[a] > placed_neighbours[b]
+                        : degree_a != degree_b ? degree_a > degree_b
+                                               : ranks[a] < ranks[b])
+                    best = f;
+            }
+            vertex = frontier[best];
+            frontier[best] = frontier[--frontier_size];
+        }
+        order[placed] = vertex;
+        position[vertex] = placed;
+        for (int64_t k = offsets[vertex]; k < offsets[vertex + 1]; ++k) {
+            const int64_t u = neighbours[k];
+            if (position[u] < 0 && placed_neighbours[u]++ == 0)
+                frontier[frontier_size++] = u;
+        }
+    }
+
+    int64_t num_anchors = 0;
+    for (int64_t step = 0; step < n; ++step) {
+        const int64_t vertex = order[step];
+        const int64_t lo = offsets[vertex], hi = offsets[vertex + 1];
+        min_degrees[step] = hi - lo;
+        step_labels[step] = label_ids[vertex];
+        for (int64_t k = lo; k < hi; ++k) {
+            const int64_t at = position[neighbours[k]];
+            if (at < step)
+                anchors[num_anchors++] = at;
+            else
+                ++lookaheads[step];
+        }
+        anchor_indptr[step + 1] = num_anchors;
+    }
+    memcpy(sig_labels, row_labels, (size_t)num_rows * sizeof(int64_t));
+    ck_degree_signature(n, offsets, vertex_rows, num_rows, sig_indptr,
+                        sig_degrees);
+    free(scratch);
+
+    p->num_steps = n;
+    p->num_edges = num_edges;
+    p->num_sig_labels = num_rows;
+    p->min_degrees = min_degrees;
+    p->lookaheads = lookaheads;
+    p->step_labels = step_labels;
+    p->anchor_indptr = anchor_indptr;
+    p->anchors = anchors;
+    p->sig_labels = sig_labels;
+    p->sig_indptr = sig_indptr;
+    p->sig_degrees = sig_degrees;
+    return p;
 }
 
 /* ---------------------------------------------------------------------

@@ -52,7 +52,7 @@ __all__ = [
 ]
 
 #: must match CK_ABI_VERSION in _ckernel.c; the loader refuses mismatches
-ABI_VERSION = 4
+ABI_VERSION = 5
 
 _SOURCE = Path(__file__).with_name("_ckernel.c")
 
@@ -140,10 +140,16 @@ def _configure(library: ctypes.CDLL) -> ctypes.CDLL | None:
     fn.restype = ctypes.c_int64
     # (ck_target**, num_targets, ck_plan**, num_plans, regions*,
     # by_component, out_matched*, out_tests*) — pointers passed as raw
-    # addresses; the Python-side structures live in
-    # repro.isomorphism.compiled (NativeTarget / CompiledQueryPlan.native).
+    # addresses; the structs are compiled by the two entry points below.
     pointer, integer = ctypes.c_void_p, ctypes.c_int64
     fn.argtypes = (pointer, integer, pointer, integer, pointer, integer, pointer, pointer)
+    # (n, offsets*, neighbours*, label_ids*, ranks*) -> malloc'd ck_target /
+    # ck_plan block (NULL on allocation failure), released with ck_free;
+    # driven by repro.isomorphism.compiled (FlatGraph, NativeTarget,
+    # CompiledQueryPlan.native).
+    for fn in (library.ck_compile_target, library.ck_compile_plan):
+        fn.restype = pointer
+        fn.argtypes = (integer, pointer, pointer, pointer, pointer)
     fn = library.ck_path_features
     # (n, offsets*, neighbours*, ranks*, max_length, want_locations,
     # global_bytes*) -> malloc'd result block (NULL on allocation failure),

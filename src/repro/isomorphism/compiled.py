@@ -65,19 +65,34 @@ against the *whole-graph* compiled target, no subgraph is materialised.
   always available.
 * ``"native"`` — the same search compiled to machine code: a hand-written
   C kernel (``_ckernel.c``) over ``uint64`` word arrays, driven through
-  ctypes.  :class:`NativeTarget` marshals a target once and
-  :meth:`CompiledQueryPlan.native` a plan once; a call passes two pointer
-  arrays.  Labels are interned once per process (append-only ids), so a
-  plan's step labels belong to the plan and each target maps interned id →
-  local label row.  Built as an *optional* setuptools extension or compiled
-  on demand into a user cache by :mod:`repro.isomorphism._ckernel_loader`;
-  falls back to ``"bigint"`` when neither works (no compiler,
-  ``REPRO_DISABLE_NATIVE``).
+  ctypes.  The kernel also *compiles* the graphs: :meth:`CompiledTarget.native`
+  and :meth:`CompiledQueryPlan.native` flatten the graph once
+  (:class:`FlatGraph`) and get back a ``ck_target`` / ``ck_plan`` block from
+  ``ck_compile_target`` / ``ck_compile_plan``; a verification call passes
+  two pointer arrays.  Labels are interned once per process (append-only
+  ids), so a plan's step labels belong to the plan and each target maps
+  interned id → local label row.  Built as an *optional* setuptools
+  extension or compiled on demand into a user cache by
+  :mod:`repro.isomorphism._ckernel_loader`; falls back to ``"bigint"`` when
+  neither works (no compiler, ``REPRO_DISABLE_NATIVE``).
 * ``"auto"`` (default) — ``"native"`` whenever the C kernel is loadable,
   else ``"bigint"``.
 
 (A third, numpy ``uint64`` backend was measured at 0.5–0.7x of bigint at
 every graph size and deleted; see docs/performance.md.)
+
+**Two forms, each built when first read** — constructing a
+:class:`CompiledTarget` / :class:`CompiledQueryPlan` records the graph and
+its size and nothing else.  The *bigint state* (the bitmask lists, ``steps``,
+histograms and degree lists described above) is built on the first read of
+any of its attributes — by the bigint kernel, :class:`DatasetSignatures`,
+the tests — and the *native form* on the first :meth:`native` call; on the
+native path the bigint state of a graph is therefore never built, and a form
+whose bigint state was never built pickles as its graph alone.  The kernel's
+structs are field for field what :func:`_marshal_target` /
+:func:`_marshal_plan` build from the bigint state; those two stay as the
+route for graphs with two vertices of one ``repr`` (the matching order breaks
+ties by ``repr``) and as the oracle of ``tests/test_native_compile.py``.
 
 Both backends explore the *identical* DFS tree (same matching order, same
 ascending candidate order, same feasibility predicates evaluated against
@@ -116,6 +131,7 @@ __all__ = [
     "CompiledQuery",
     "CompiledQueryPlan",
     "DatasetSignatures",
+    "FlatGraph",
     "NativeTarget",
     "KERNELS",
     "compile_target",
@@ -239,21 +255,156 @@ def signature_prereject(pattern: LabeledGraph, target: LabeledGraph) -> bool:
     )
 
 
-class CompiledTarget:
-    """Precompiled verification-side representation of one graph.
+def _repr_ranks(graph: LabeledGraph) -> tuple[list[int], bool]:
+    """Per vertex position of ``graph``, the vertex's rank in ``repr`` order,
+    and whether every ``repr`` is distinct (equal ones rank by
+    position, which is an order but not the one the matching order's
+    ``repr`` tie-break finds)."""
+    reprs = list(map(repr, graph.vertices()))
+    ranks = [0] * len(reprs)
+    for rank, position in enumerate(sorted(range(len(reprs)), key=reprs.__getitem__)):
+        ranks[position] = rank
+    return ranks, len(set(reprs)) == len(reprs)
 
-    All per-vertex state lives in arrays indexed by a dense vertex id
-    (assigned by a frozen :class:`GraphIdSpace` over the vertex ids), and all
-    neighbourhood state is stored as ``int`` bitmasks over that id space.
-    The source graph is kept for fallback paths (Ullmann, induced semantics)
-    and must not be mutated after compilation.
+
+class FlatGraph:
+    """One graph as the arrays the kernel compiles it from.
+
+    The CSR of :meth:`LabeledGraph.csr <repro.graphs.graph.LabeledGraph.csr>`
+    plus, per vertex position, the interned id of its label and its rank in
+    ``repr`` order (what :meth:`CompiledTarget.vertex_ranks` returns), back
+    to back in one int64 buffer.  Flattened on the first
+    :meth:`arguments` call, so a :class:`CompiledQuery` can hand one of
+    these to both of its forms and pay once, whichever asks first — and
+    nothing when neither does.
     """
 
-    __slots__ = (
-        "graph",
+    __slots__ = ("graph", "_arguments", "_buffer")
+
+    def __init__(self, graph: LabeledGraph) -> None:
+        self.graph = graph
+        self._arguments: tuple | None | bool = False  # False: not flattened yet
+
+    def arguments(self) -> tuple | None:
+        """``(n, offsets, neighbours, label_ids, ranks)`` — the vertex count
+        and four addresses into the buffer this object keeps alive — as
+        ``ck_compile_target`` / ``ck_compile_plan`` take them; ``None`` when
+        two vertices share a ``repr`` (the graph compiles in Python then)."""
+        arguments = self._arguments
+        if arguments is False:
+            graph = self.graph
+            ranks, distinct = _repr_ranks(graph)
+            arguments = None
+            if distinct:
+                label_ids = list(map(_intern_label, map(graph.label, graph.vertices())))
+                self._buffer, addresses = _packed(*graph.csr(), label_ids, ranks)
+                arguments = (graph.num_vertices, *addresses)
+            self._arguments = arguments
+        return arguments
+
+
+class _KernelBlock:
+    """A block the kernel malloc'd (``ck_compile_*``), released with
+    ``ck_free`` when the last reference to this object goes (``__del__``
+    rather than a ``weakref.finalize``: two of these are made per query)."""
+
+    __slots__ = ("address", "_library")
+
+    def __init__(self, library: ctypes.CDLL, address: int) -> None:
+        self.address = address
+        self._library = library
+
+    def __del__(self) -> None:
+        self._library.ck_free(self.address)
+
+
+def _native_form(entry_point: str, flat: FlatGraph, marshal, compiled) -> tuple[int, object]:
+    """``(address, owner)`` of the kernel struct of ``compiled``: compiled by
+    the kernel's ``entry_point`` from ``flat``, or — two vertices
+    share a ``repr`` — marshalled by ``marshal`` from the bigint state.  The address
+    is valid while ``owner`` is referenced.  Callers guarantee the library
+    loaded."""
+    arguments = flat.arguments()
+    if arguments is None:
+        return marshal(compiled)
+    library = _ckernel_loader.kernel()
+    address = getattr(library, entry_point)(*arguments)
+    if not address:  # pragma: no cover - allocation failure inside the kernel
+        raise MemoryError("native graph compilation could not allocate its result")
+    return address, _KernelBlock(library, address)
+
+
+class _LazyForm:
+    """What the two compiled forms of a graph share.
+
+    Constructing one is O(1): the graph and its size.  The *native form*
+    is compiled on the first ``native()`` call; the *bigint state* — the
+    slots named by ``STATE`` — on the first read of one of them, or by
+    :meth:`build_state`.  A form pickles as its graph, plus the bigint
+    state if that was built; the native form is per process.
+    """
+
+    __slots__ = ("num_vertices", "num_edges", "_built", "_native", "_flat")
+
+    #: the slot holding the source graph, and the slots of the bigint state
+    SOURCE = ""
+    STATE: tuple[str, ...] = ()
+
+    def __init__(self, graph: LabeledGraph, flat: FlatGraph | None = None) -> None:
+        setattr(self, self.SOURCE, graph)
+        self.num_vertices = graph.num_vertices
+        self.num_edges = graph.num_edges
+        self._built = False
+        self._native = None
+        #: the flattened graph to compile from, when a second form shares it
+        self._flat = flat
+
+    def __getattr__(self, name: str):
+        """Build the bigint state on the first read of one of its slots."""
+        if name in self.STATE and not self._built:
+            self.build_state()
+            return getattr(self, name)
+        raise AttributeError(name)
+
+    def build_state(self) -> None:
+        """Build the bigint state now, unless it exists."""
+        if not self._built:
+            self._build_state()
+            self._built = True
+
+    def _flattened(self) -> FlatGraph:
+        """The flattened graph to compile natively from, handed over once."""
+        flat, self._flat = self._flat, None
+        return flat or FlatGraph(getattr(self, self.SOURCE))
+
+    def __getstate__(self):
+        """Pickle the graph, and the bigint state only if it was built."""
+        slots = (self.SOURCE, *self.STATE) if self._built else (self.SOURCE,)
+        return {slot: getattr(self, slot) for slot in slots}
+
+    def __setstate__(self, state) -> None:
+        """Restore a pickle of this layout or of the eager one before it
+        (every slot but the native form); both forms are rebuilt on demand."""
+        self.__init__(state[self.SOURCE])
+        for slot, value in state.items():
+            setattr(self, slot, value)
+        self._built = self.STATE[0] in state
+
+
+class CompiledTarget(_LazyForm):
+    """Precompiled verification-side representation of one graph.
+
+    The native form (:meth:`native`) is what the C kernel reads.  The bigint
+    state (built on first read, see :class:`_LazyForm`) is per-vertex arrays
+    indexed by a dense vertex id (assigned by a frozen :class:`GraphIdSpace`
+    over the vertex ids) and neighbourhood state stored as ``int`` bitmasks
+    over that id space.  The source graph is kept for fallback paths
+    (Ullmann, induced semantics) and must not be mutated after compilation.
+    """
+
+    SOURCE = "graph"
+    STATE = (
         "space",
-        "num_vertices",
-        "num_edges",
         "labels",
         "degrees",
         "adjacency_masks",
@@ -261,19 +412,19 @@ class CompiledTarget:
         "label_masks",
         "label_histogram",
         "label_degrees",
-        "_ranks",
-        "_native",
     )
 
-    def __init__(self, graph: LabeledGraph) -> None:
-        self.graph = graph
+    __slots__ = ("graph", *STATE, "_ranks")
+
+    def __init__(self, graph: LabeledGraph, flat: FlatGraph | None = None) -> None:
+        super().__init__(graph, flat)
         self._ranks = None
-        self._native = None
+
+    def _build_state(self) -> None:
+        graph = self.graph
         space = VertexIdSpace(graph.vertices())
         self.space = space
         n = len(space)
-        self.num_vertices = n
-        self.num_edges = graph.num_edges
         labels = [graph.label(space.id_at(index)) for index in range(n)]
         self.labels = labels
 
@@ -319,48 +470,36 @@ class CompiledTarget:
         """
         ranks = self._ranks
         if ranks is None:
-            id_at = self.space.id_at
-            reprs = [repr(id_at(position)) for position in range(self.num_vertices)]
-            ranks = [0] * self.num_vertices
-            for rank, position in enumerate(sorted(range(len(reprs)), key=reprs.__getitem__)):
-                ranks[position] = rank
-            self._ranks = ranks
+            ranks = self._ranks = _repr_ranks(self.graph)[0]
         return ranks
 
     def native(self) -> "NativeTarget":
-        """The ctypes word-array form of this target for the C kernel.
+        """The ``ck_target`` form of this target for the C kernel.
 
-        Built lazily on first request by the native backend and cached for
+        Compiled on first request by the native backend and cached for
         every later verification against this target; callers must first
         check :func:`native_kernel_available`.  The cache is dropped when
-        the target is pickled (ctypes buffers hold raw addresses that are
-        meaningless in another process; workers rebuild on demand).
+        the target is pickled (raw addresses are meaningless in another
+        process; workers compile on demand).
         """
         native = self._native
         if native is None:
-            native = NativeTarget(self)
-            self._native = native
+            native = self._native = NativeTarget(self, self._flattened())
         return native
-
-    def __getstate__(self):
-        """Pickle every slot except the per-process native form."""
-        return {slot: getattr(self, slot) for slot in self.__slots__ if slot != "_native"}
-
-    def __setstate__(self, state) -> None:
-        """Restore pickled slots; the native form is rebuilt lazily."""
-        for slot, value in state.items():
-            setattr(self, slot, value)
-        self._native = None
 
     def __repr__(self) -> str:
         return (
             f"<CompiledTarget |V|={self.num_vertices} |E|={self.num_edges} "
-            f"labels={len(self.label_masks)}>"
+            f"labels={len(self.graph.labels())}>"
         )
 
 
-class CompiledQueryPlan:
+class CompiledQueryPlan(_LazyForm):
     """Precompiled pattern-side matching plan, reusable across candidates.
+
+    :meth:`native` is the ``ck_plan`` the C kernel reads; ``steps`` and the
+    two signature tables are the bigint state (built on first read, see
+    :class:`_LazyForm`).
 
     ``steps`` holds one ``(label, degree, anchors, lookahead)`` tuple per
     matching-order position: ``anchors`` are the order positions of the
@@ -375,21 +514,13 @@ class CompiledQueryPlan:
     supergraph query it is ever verified against.
     """
 
-    __slots__ = (
-        "pattern",
-        "num_vertices",
-        "num_edges",
-        "steps",
-        "label_histogram",
-        "label_degrees",
-        "_native",
-    )
+    SOURCE = "pattern"
+    STATE = ("steps", "label_histogram", "label_degrees")
 
-    def __init__(self, pattern: LabeledGraph) -> None:
-        self.pattern = pattern
-        self._native = None
-        self.num_vertices = pattern.num_vertices
-        self.num_edges = pattern.num_edges
+    __slots__ = ("pattern", *STATE)
+
+    def _build_state(self) -> None:
+        pattern = self.pattern
         self.label_histogram = dict(pattern.label_histogram())
         self.label_degrees = _label_degree_lists(pattern)
 
@@ -466,50 +597,17 @@ class CompiledQueryPlan:
     def native(self) -> int:
         """Address of the plan's ``ck_plan`` struct for the C kernel.
 
-        Built once and cached: the per-step degrees, look-aheads, interned
-        step labels and anchor positions plus the pre-reject signature
-        (distinct interned labels with their descending degree lists) in
-        one contiguous int64 buffer, and the ctypes struct pointing into
-        it; the buffer is kept alive alongside the struct.  Like the
-        target-side cache the result is dropped on pickling (raw addresses
-        and interned ids do not survive a process hop).
+        Compiled once and cached, like the target-side form; the block is
+        kept alive alongside the address (pin the plan to pin the address).
+        The cache is dropped on pickling (raw addresses and interned ids do
+        not survive a process hop).
         """
         native = self._native
         if native is None:
-            steps = self.steps
-            flat_anchors: list[int] = []
-            anchor_indptr = [0]
-            for _, _, anchors, _ in steps:
-                flat_anchors.extend(anchors)
-                anchor_indptr.append(len(flat_anchors))
-            sig_degrees: list[int] = []
-            sig_indptr = [0]
-            for degrees in self.label_degrees.values():
-                sig_degrees.extend(degrees)
-                sig_indptr.append(len(sig_degrees))
-            buffer, addresses = _packed(
-                [step[1] for step in steps],
-                [step[3] for step in steps],
-                [_intern_label(step[0]) for step in steps],
-                anchor_indptr,
-                flat_anchors,
-                [_intern_label(label) for label in self.label_degrees],
-                sig_indptr,
-                sig_degrees,
+            native = self._native = _native_form(
+                "ck_compile_plan", self._flattened(), _marshal_plan, self
             )
-            struct = _CkPlan(len(steps), self.num_edges, len(self.label_degrees), *addresses)
-            native = self._native = (ctypes.addressof(struct), struct, buffer)
         return native[0]
-
-    def __getstate__(self):
-        """Pickle every slot except the per-process native struct cache."""
-        return {slot: getattr(self, slot) for slot in self.__slots__ if slot != "_native"}
-
-    def __setstate__(self, state) -> None:
-        """Restore pickled slots; the native struct is rebuilt lazily."""
-        for slot, value in state.items():
-            setattr(self, slot, value)
-        self._native = None
 
     def __repr__(self) -> str:
         return f"<CompiledQueryPlan |V|={self.num_vertices} |E|={self.num_edges}>"
@@ -534,27 +632,30 @@ class CompiledQuery:
     plan and ``Isub`` the target again.  The engine creates one of these
     per query and hands it to every stage, so whichever stage needs a form
     first builds it and the rest — including the cache entry the query
-    becomes — share the object (and, through it, its native marshalling).
-    ``plan`` / ``target`` stay ``None`` until a stage asks.
+    becomes — share the object (and, through it, its native form).  The
+    two forms also share one :class:`FlatGraph`, so the query is flattened
+    once for both kernel compiles.  ``plan`` / ``target`` stay ``None``
+    until a stage asks.
     """
 
-    __slots__ = ("graph", "plan", "target")
+    __slots__ = ("graph", "plan", "target", "_flat")
 
     def __init__(self, graph: LabeledGraph) -> None:
         self.graph = graph
         self.plan: CompiledQueryPlan | None = None
         self.target: CompiledTarget | None = None
+        self._flat = FlatGraph(graph)
 
     def compiled_plan(self) -> CompiledQueryPlan:
-        """The query's matching plan (compiled on first request)."""
+        """The query's matching plan (created on first request)."""
         if self.plan is None:
-            self.plan = compile_query_plan(self.graph)
+            self.plan = CompiledQueryPlan(self.graph, self._flat)
         return self.plan
 
     def compiled_target(self) -> CompiledTarget:
-        """The query's bitset target form (compiled on first request)."""
+        """The query's target form (created on first request)."""
         if self.target is None:
-            self.target = compile_target(self.graph)
+            self.target = CompiledTarget(self.graph, self._flat)
         return self.target
 
 
@@ -833,100 +934,148 @@ class _CkPlan(ctypes.Structure):
 
 
 class NativeTarget:
-    """ctypes word-array form of a :class:`CompiledTarget` for the C kernel.
+    """The ``ck_target`` of a :class:`CompiledTarget` for the C kernel.
 
-    Serialises every bigint bitmask of the target into little-endian
-    ``uint64`` words once — ``adjacency`` as an ``(n, W)`` row-major block,
-    ``label_members`` as one ``W``-word row per local label row, and the
-    label-partitioned adjacency as a CSR block whose entries per vertex are
-    sorted by ascending label row (the order ``ck_label_row`` linear-scans)
-    — and the integer columns back to back in one int64 buffer: degrees, the
-    CSR offsets and label rows, ``label_map`` (interned label id → local
-    label row, ``-1`` for a label the target lacks; a plan's label interned
-    after this target was marshalled lies beyond the map and is absent by
-    definition — exactly the bigint kernel's ``.get(label, 0)``), the
-    :meth:`~CompiledTarget.vertex_ranks`, and the pre-reject signature (per
-    label row, the descending degrees of its vertices).
-
-    ``address`` is the ready-to-pass ``ck_target`` pointer; the backing
-    buffers are pinned in ``_buffers`` for the lifetime of this object.
+    ``address`` is the ready-to-pass ``ck_target`` pointer — compiled by
+    ``ck_compile_target`` from the flattened graph, or marshalled from the
+    bigint state (:func:`_marshal_target`) when two vertices share a ``repr`` —
+    and what backs it is pinned in ``_buffers`` for the lifetime of this
+    object.  ``row_bytes`` / ``full_mask`` size a region row of this target.
     Built via :meth:`CompiledTarget.native` and cached there; never pickled.
     """
 
     __slots__ = ("row_bytes", "full_mask", "address", "_buffers")
 
-    def __init__(self, target: CompiledTarget) -> None:
+    def __init__(self, target: CompiledTarget, flat: FlatGraph) -> None:
         n = target.num_vertices
-        num_words = max(1, (n + 63) // 64)
-        row_bytes = self.row_bytes = num_words * 8
+        self.row_bytes = 8 * max(1, (n + 63) // 64)
         self.full_mask = (1 << n) - 1
-        rows = {label: row for row, label in enumerate(target.label_masks)}
+        self.address, self._buffers = _native_form(
+            "ck_compile_target", flat, _marshal_target, target
+        )
 
-        offsets = [0] * (n + 1)
-        entry_labels: list[int] = []
-        entry_masks: list[int] = []
-        for position, by_label in enumerate(target.label_adjacency_masks):
-            entries = [(rows[label], mask) for label, mask in by_label.items()]
-            entries.sort()
-            offsets[position + 1] = offsets[position] + len(entries)
-            for row, mask in entries:
-                entry_labels.append(row)
-                entry_masks.append(mask)
-        words = array("Q")
-        words.frombytes(
-            b"".join(
-                [
-                    mask.to_bytes(row_bytes, "little")
-                    for masks in (
-                        target.adjacency_masks,
-                        target.label_masks.values(),
-                        entry_masks,
-                    )
-                    for mask in masks
-                ]
-            )
-        )
-        adjacency = words.buffer_info()[0]
-        members = adjacency + n * row_bytes
-        ladj_words = members + len(rows) * row_bytes
 
-        interned = {_intern_label(label): row for label, row in rows.items()}
-        label_map = [-1] * (max(interned, default=-1) + 1)
-        for label_id, row in interned.items():
-            label_map[label_id] = row
-        sig_degrees: list[int] = []
-        sig_indptr = [0]
-        for label in rows:
-            sig_degrees.extend(target.label_degrees[label])
-            sig_indptr.append(len(sig_degrees))
-        integers, addresses = _packed(
-            target.degrees,
-            offsets,
-            entry_labels,
-            label_map,
-            target.vertex_ranks(),
-            sig_indptr,
-            sig_degrees,
+def _marshal_target(target: CompiledTarget) -> tuple[int, tuple]:
+    """The ``ck_target`` of ``target`` built from its bigint state.
+
+    Serialises every bigint bitmask of the target into little-endian
+    ``uint64`` words — ``adjacency`` as an ``(n, W)`` row-major block,
+    ``label_members`` as one ``W``-word row per local label row, and the
+    label-partitioned adjacency as a CSR block whose entries per vertex are
+    sorted by ascending label row (the order ``ck_label_row`` linear-scans)
+    — and the integer columns back to back in one int64 buffer: degrees, the
+    CSR offsets and label rows, ``label_map`` (interned label id → local
+    label row, ``-1`` for a label the target lacks; a label whose id lies
+    beyond the map is absent by definition — exactly the bigint kernel's
+    ``.get(label, 0)``), the :meth:`~CompiledTarget.vertex_ranks`, and the
+    pre-reject signature (per label row, the descending degrees of its
+    vertices).  Returns the struct's address and the buffers to keep alive
+    with it: what ``ck_compile_target`` returns in one block, field for
+    field.
+    """
+    n = target.num_vertices
+    num_words = max(1, (n + 63) // 64)
+    row_bytes = num_words * 8
+    rows = {label: row for row, label in enumerate(target.label_masks)}
+
+    offsets = [0] * (n + 1)
+    entry_labels: list[int] = []
+    entry_masks: list[int] = []
+    for position, by_label in enumerate(target.label_adjacency_masks):
+        entries = [(rows[label], mask) for label, mask in by_label.items()]
+        entries.sort()
+        offsets[position + 1] = offsets[position] + len(entries)
+        for row, mask in entries:
+            entry_labels.append(row)
+            entry_masks.append(mask)
+    words = array("Q")
+    words.frombytes(
+        b"".join(
+            [
+                mask.to_bytes(row_bytes, "little")
+                for masks in (
+                    target.adjacency_masks,
+                    target.label_masks.values(),
+                    entry_masks,
+                )
+                for mask in masks
+            ]
         )
-        struct = _CkTarget(
-            n,
-            num_words,
-            len(rows),
-            target.num_edges,
-            len(label_map),
-            adjacency,
-            members,
-            ladj_words,
-            *addresses,
-        )
-        self.address = ctypes.addressof(struct)
-        self._buffers = (struct, words, integers)
+    )
+    adjacency = words.buffer_info()[0]
+    members = adjacency + n * row_bytes
+    ladj_words = members + len(rows) * row_bytes
+
+    interned = {_intern_label(label): row for label, row in rows.items()}
+    label_map = [-1] * (max(interned, default=-1) + 1)
+    for label_id, row in interned.items():
+        label_map[label_id] = row
+    sig_degrees: list[int] = []
+    sig_indptr = [0]
+    for label in rows:
+        sig_degrees.extend(target.label_degrees[label])
+        sig_indptr.append(len(sig_degrees))
+    integers, addresses = _packed(
+        target.degrees,
+        offsets,
+        entry_labels,
+        label_map,
+        target.vertex_ranks(),
+        sig_indptr,
+        sig_degrees,
+    )
+    struct = _CkTarget(
+        n,
+        num_words,
+        len(rows),
+        target.num_edges,
+        len(label_map),
+        adjacency,
+        members,
+        ladj_words,
+        *addresses,
+    )
+    return ctypes.addressof(struct), (struct, words, integers)
+
+
+def _marshal_plan(plan: CompiledQueryPlan) -> tuple[int, tuple]:
+    """The ``ck_plan`` of ``plan`` built from its bigint state: the per-step
+    degrees, look-aheads, interned step labels and anchor positions plus
+    the pre-reject signature (distinct interned labels with their
+    descending degree lists) in one contiguous int64 buffer, and the ctypes
+    struct pointing into it.  Returns the struct's address and the buffers
+    to keep alive with it: what ``ck_compile_plan`` returns in one block,
+    field for field.
+    """
+    steps = plan.steps
+    flat_anchors: list[int] = []
+    anchor_indptr = [0]
+    for _, _, anchors, _ in steps:
+        flat_anchors.extend(anchors)
+        anchor_indptr.append(len(flat_anchors))
+    sig_degrees: list[int] = []
+    sig_indptr = [0]
+    for degrees in plan.label_degrees.values():
+        sig_degrees.extend(degrees)
+        sig_indptr.append(len(sig_degrees))
+    buffer, addresses = _packed(
+        [step[1] for step in steps],
+        [step[3] for step in steps],
+        [_intern_label(step[0]) for step in steps],
+        anchor_indptr,
+        flat_anchors,
+        [_intern_label(label) for label in plan.label_degrees],
+        sig_indptr,
+        sig_degrees,
+    )
+    struct = _CkPlan(len(steps), plan.num_edges, len(plan.label_degrees), *addresses)
+    return ctypes.addressof(struct), (struct, buffer)
 
 
 def _native_match_pairs(query_side, candidates, regions, by_component, shared_plan):
     """:func:`match_pairs` on the C kernel: one ``ck_verify_many`` call.
 
-    Both sides are marshalled once per object (see
+    Both sides are compiled once per object (see
     :meth:`CompiledTarget.native` / :meth:`CompiledQueryPlan.native`); per
     call only the two pointer arrays, the region rows and the output
     buffers are built.  Callers guarantee the library loaded
@@ -990,7 +1139,7 @@ class DatasetSignatures:
 
     Built lazily (and invalidated on insert) by
     :meth:`repro.graphs.database.GraphDatabase.dataset_signatures`; requires
-    :func:`numpy_kernel_available`.
+    :func:`numpy_available`.
     """
 
     __slots__ = ("_row", "_num_vertices", "_num_edges", "_labels", "_hist", "_degrees")
