@@ -54,7 +54,6 @@ from .core.config import (
     VerifierConfig,
 )
 from .core.engine import IGQ, IGQQueryResult
-from .core.shard import ShardedIGQ
 from .datasets.registry import available_datasets, load_dataset
 from .graphs.database import GraphDatabase
 from .graphs.graph import GraphError, LabeledGraph
@@ -75,12 +74,11 @@ from .service.client import ServiceClient, connect
 from .service.server import ServiceServer, serve
 from .workloads.generator import QueryGenerator, WorkloadSpec, standard_workloads
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "IGQ",
     "IGQQueryResult",
-    "ShardedIGQ",
     "EngineConfig",
     "CacheConfig",
     "VerifierConfig",

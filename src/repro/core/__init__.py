@@ -35,7 +35,6 @@ from .shard import (
     DeltaLog,
     DeltaLogTruncated,
     QueryIndexShard,
-    ShardedIGQ,
     ShardEntry,
     shard_of_key,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "ServiceConfig",
     "TenantConfig",
     "ConfigError",
-    "ShardedIGQ",
     "CacheDelta",
     "DeltaLog",
     "DeltaLogTruncated",

@@ -146,7 +146,7 @@ _MIN_PARALLEL_CANDIDATES = 4
 
 #: a service keeps one executor (and its feature memo) for its lifetime;
 #: the memo is cleared when it reaches this many distinct queries — the
-#: rule ``IGQ._feature_memo`` and ``ShardedIGQ._shard_memo`` use
+#: rule ``IGQ._feature_memo`` and ``Placement._shard_memo`` use
 _FEATURE_MEMO_CAPACITY = 8192
 
 
@@ -431,7 +431,8 @@ class BatchExecutor:
                 # one long-lived worker per shard, each initialised with the
                 # method snapshot and subscribed to the cache delta log —
                 # verification chunks ride on those instead of a second pool.
-                runtime = getattr(self.engine, "shard_runtime", None)
+                engine = self.engine
+                runtime = engine.shard_runtime if engine is not None else None
                 shared = runtime.verify_pool() if runtime is not None else None
                 if shared is not None:
                     self._pool = shared

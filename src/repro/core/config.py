@@ -15,7 +15,7 @@ A small tree of frozen dataclasses:
   fsync discipline and snapshot budget consumed by :mod:`repro.persist`,
   plus the leader address for read-only followers;
 * :class:`EngineConfig` — the composition of the sections plus the query mode,
-  which is what :meth:`~repro.core.engine.IGQ.from_config`, the experiment
+  which is what :class:`~repro.core.engine.IGQ`, the experiment
   runner and :class:`~repro.service.GraphQueryService` consume.
 
 Every config is frozen (hashable, shareable), validates eagerly at
@@ -444,7 +444,7 @@ class PersistConfig:
 class EngineConfig:
     """Everything needed to construct (and drive) an iGQ engine.
 
-    Build one, pass it to :meth:`repro.core.engine.IGQ.from_config` or
+    Build one, pass it to :class:`repro.core.engine.IGQ` or
     :class:`repro.service.GraphQueryService`; ship it across processes or
     store it next to experiment results via :meth:`to_dict`.
     """

@@ -31,7 +31,7 @@ from ..features.extractor import GraphFeatures
 from ..graphs.bitset import CandidateBitmap, GraphIdSpace
 from ..graphs.database import GraphDatabase
 from ..graphs.graph import LabeledGraph
-from ..isomorphism.compiled import CompiledQuery
+from ..isomorphism.compiled import CompiledQuery, compile_query_plan, compile_target
 from ..isomorphism.cost import isomorphism_test_cost
 from ..isomorphism.verifier import Verifier
 from ..methods.base import QueryResult, SubgraphQueryMethod
@@ -47,8 +47,10 @@ from .config import (
 from .isub import SubgraphQueryIndex
 from .isuper import SupergraphQueryIndex
 from .maintenance import IndexMaintenance, MaintenanceReport, PendingQuery
+from .placement import Placement
 from .probe import mask_sums
 from .replacement import create_policy
+from .shard import DeltaLog, ShardEntry
 
 __all__ = ["IGQQueryResult", "QueryPlan", "IGQ"]
 
@@ -137,8 +139,10 @@ class IGQ:
         (``"subgraph"``, ``"supergraph"`` or ``"mixed"``: per-call dispatch),
         ``config.cache`` sizes the query cache, ``config.verifier`` picks
         the containment verifier, ``config.batch`` drives :meth:`run_batch`.
-        ``None`` means all defaults.  Prefer :meth:`from_config`, which also
-        routes sharded configs to :class:`~repro.core.shard.ShardedIGQ`.
+        ``config.shard`` partitions the query index (``shards > 1`` hands the
+        two components to delta-fed shard replicas, inline or one worker
+        process each; see :mod:`repro.core.shard_runtime`).  ``None`` means
+        all defaults.
     igq_verifier:
         Injection point for a pre-configured containment verifier — tests
         pass ``Verifier(compiled=False)`` to run the dict-based matcher as
@@ -159,12 +163,6 @@ class IGQ:
                 f"config must be an EngineConfig, got {type(config).__name__} "
                 "(e.g. a cache size goes in EngineConfig.cache.size)"
             )
-        if config.shard.shards > 1 and type(self) is IGQ:
-            raise ConfigError(
-                f"config.shard.shards={config.shard.shards} needs the sharded "
-                "engine; construct it through IGQ.from_config(method, config) "
-                "or ShardedIGQ directly"
-            )
         self.config = config
         self.method = method
         self.mode = config.mode
@@ -173,10 +171,6 @@ class IGQ:
             igq_verifier if igq_verifier is not None else config.verifier.build()
         )
         self.cache = QueryCache()
-        self.isub = SubgraphQueryIndex(self._igq_verifier) if config.enable_isub else None
-        self.isuper = (
-            SupergraphQueryIndex(self._igq_verifier) if config.enable_isuper else None
-        )
         self.maintenance = IndexMaintenance(
             cache_size=config.cache.size,
             window_size=config.cache.window,
@@ -198,19 +192,44 @@ class IGQ:
         #: the same graph objects (workload pools, batch inputs), and
         #: feature extraction is a pure function of the graph, so repeats
         #: skip the path enumeration.  The graph reference pins the object
-        #: alive, keeping the id stable (same scheme as the sharded
-        #: engine's routing memo).
+        #: alive, keeping the id stable (same scheme as the placement's
+        #: routing memo).
         self._feature_memo: dict[int, tuple[LabeledGraph, GraphFeatures]] = {}
-        #: durable WAL/snapshot store (:mod:`repro.persist`), attached when
-        #: ``config.persist.dir`` is set; the sharded subclass defers the
-        #: attach until its own state exists (warm restart needs it).
-        self.persister = None
-        if not self._defer_persist:
-            self._attach_persistence()
+        #: the ordered record of every flush; the durable store, the shard
+        #: runtime and remote followers all read ``delta_log.since(cursor)``
+        self.delta_log = DeltaLog()
+        self.compact_threshold = config.shard.compact_threshold
+        self._records_folded = 0
+        self.num_shards = config.shard.shards
+        self.placement = Placement(config.shard, config.cache.window)
+        #: which components the probes consult (the shards own the index
+        #: structures when there is more than one)
+        self.probe_isub = config.enable_isub
+        self.probe_isuper = config.enable_isuper
+        #: a single-shard engine probes its own index pair; with more shards
+        #: the runtime's replicas own the indexes (keeping a local pair as
+        #: well would double-index and double-compile every insertion)
+        self.isub = self.isuper = self.shard_runtime = None
+        if self.num_shards > 1:
+            from .shard_runtime import create_shard_runtime
 
-    #: subclasses with post-``__init__`` state of their own set this and
-    #: call :meth:`_attach_persistence` themselves once that state exists
-    _defer_persist = False
+            self.shard_runtime = create_shard_runtime(self, config.shard.backend)
+        else:
+            if config.enable_isub:
+                self.isub = SubgraphQueryIndex(self._igq_verifier)
+            if config.enable_isuper:
+                self.isuper = SupergraphQueryIndex(self._igq_verifier)
+        #: durable WAL/snapshot store (:mod:`repro.persist`), attached when
+        #: ``config.persist.dir`` is set (last: a warm restart replays into
+        #: the log, the runtime and the placement maps above)
+        self.persister = None
+        self._attach_persistence()
+
+    @property
+    def shard_backend(self) -> str:
+        """Where the shard replicas live (``"inline"`` | ``"process"``)."""
+        runtime = self.shard_runtime
+        return runtime.backend if runtime is not None else "inline"
 
     def _attach_persistence(self) -> None:
         """Attach (and possibly warm-start from) the configured persister.
@@ -235,17 +254,6 @@ class IGQ:
 
         self.persister = attach_persistence(self, persist)
 
-    def _persist_flush(self) -> None:
-        """Hand a just-completed window flush to the persister (if any)."""
-        if self.persister is not None:
-            self.persister.record_flush(self)
-
-    def _close_persister(self) -> None:
-        """Flush and close the durable store before anything else tears down."""
-        persister = getattr(self, "persister", None)
-        if persister is not None:
-            persister.close()
-
     # ------------------------------------------------------------------
     # Persistence state capture / restore (see :mod:`repro.persist.restore`)
     # ------------------------------------------------------------------
@@ -253,21 +261,22 @@ class IGQ:
         """The engine's small mutable state, captured at a flush boundary.
 
         Everything the warm restart cannot rebuild from the delta records
-        themselves: the global query counter, the id allocator, and the
-        per-entry §5.1 replacement statistics.  The sharded engine extends
-        this with its placement/replication state.
+        themselves: the global query counter, the id allocator, the
+        per-entry §5.1 replacement statistics and the placement state.  (The
+        durable store stamps its format version on top.)
         """
         cache = self.cache
         return {
-            "format": 1,
             "mode": self.mode,
-            "shards": getattr(self, "num_shards", 1),
+            "shards": self.num_shards,
             "query_counter": cache.query_counter,
             "next_id": cache.next_entry_id,
             "entry_stats": {
                 entry.entry_id: (entry.hits, entry.removed, entry.alleviated_cost)
                 for entry in cache.entries()
             },
+            **self.placement.persist_state(),
+            "records_folded": self._records_folded,
         }
 
     def persist_entry_meta(self, entry_id: int) -> dict:
@@ -280,17 +289,22 @@ class IGQ:
         }
 
     def apply_persist_state(self, entries, state: dict) -> None:
-        """Restore the cache and component indexes from recovered state.
+        """Warm-start: restore the cache, then replay it into the fresh log.
 
-        ``entries`` is the recovered live set — ``(kind, shard_entry,
-        targets, meta)`` tuples in ascending id order; ``state`` is the
-        matching :meth:`persist_state` capture.  Compiled payloads ride in
-        on the shard entries, so nothing recompiles.
+        ``entries`` is the recovered live set — ``(shard_entry, meta)``
+        pairs in ascending id order; ``state`` is the matching
+        :meth:`persist_state` capture.  Compiled payloads ride in
+        on the shard entries, so nothing recompiles.  The recovered
+        placement goes into the (empty) delta log as one bootstrap flush —
+        an ``insert`` per home entry, a ``replicate`` per hot entry — so
+        every reader ends up exactly where the persisted engine had it,
+        with freshly numbered versions consistent with the new on-disk
+        segment.
         """
         cache = self.cache
         stats = state.get("entry_stats", {})
         indexes = [index for index in (self.isub, self.isuper) if index is not None]
-        for _kind, shard_entry, _targets, meta in entries:
+        for shard_entry, meta in entries:
             hits, removed, cost = stats.get(shard_entry.entry_id, (0, 0, 0.0))
             entry = cache.restore_entry(
                 shard_entry.entry_id,
@@ -309,28 +323,21 @@ class IGQ:
                 index.add(entry)
         cache.query_counter = state.get("query_counter", 0)
         cache.reserve_ids(state.get("next_id", 0))
-
-    @classmethod
-    def from_config(
-        cls,
-        method: SubgraphQueryMethod,
-        config: EngineConfig | None = None,
-        *,
-        igq_verifier: Verifier | None = None,
-    ) -> "IGQ":
-        """Construct the engine a config describes (the one public factory).
-
-        A config with ``shard.shards > 1`` yields a
-        :class:`~repro.core.shard.ShardedIGQ`; everything else yields the
-        single-shard engine.  ``config=None`` means all defaults.
-        """
-        if config is None:
-            config = EngineConfig()
-        if cls is IGQ and config.shard.shards > 1:
-            from .shard import ShardedIGQ
-
-            return ShardedIGQ(method, config, igq_verifier=igq_verifier)
-        return cls(method, config, igq_verifier=igq_verifier)
+        self._records_folded = state.get("records_folded", 0)
+        placement, log = self.placement, self.delta_log
+        placement.restore(state, cache)
+        for entry in cache.entries():
+            payload = self._make_shard_entry(entry)
+            if entry.entry_id in placement.replica_targets:
+                log.append_replicate(
+                    payload, targets=placement.replica_targets[entry.entry_id]
+                )
+            else:
+                log.append_insert(placement.entry_shard[entry.entry_id], payload)
+        if entries:
+            log.append_flush()
+            self._sync_readers()
+        placement.rebuild_prune_state(cache)
 
     @property
     def igq_verifier(self) -> Verifier:
@@ -529,22 +536,43 @@ class IGQ:
     ) -> tuple[list[CacheEntry], list[CacheEntry]]:
         """Stage-2 component lookups: ``(Isub(g), Isuper(g))`` hit lists.
 
-        The single-shard engine consults its two in-process indexes; the
-        sharded engine (:class:`repro.core.shard.ShardedIGQ`) overrides this
-        to fan the probe out across its shard replicas and merge the hits
-        back into the global insertion order.  ``compiled`` is where the
-        probes leave the query's plan and target for the later stages.
+        A single-shard engine consults its two in-process indexes; with
+        more shards the probe fans out across the runtime's replicas.
+        ``compiled`` is where the probes leave the query's plan and target
+        for the later stages.
         """
-        sub_hits = (
-            self.isub.find_supergraphs(query, features, compiled)
-            if self.isub is not None
-            else []
+        runtime = self.shard_runtime
+        if runtime is None:
+            sub_hits = (
+                self.isub.find_supergraphs(query, features, compiled)
+                if self.isub is not None
+                else []
+            )
+            super_hits = (
+                self.isuper.find_subgraphs(query, features, compiled)
+                if self.isuper is not None
+                else []
+            )
+            return sub_hits, super_hits
+        placement = self.placement
+        want_sub, want_super = self.probe_isub, self.probe_isuper
+        directives = (
+            placement.probe_directives(query, features, want_sub, want_super)
+            if placement.hot
+            else None
         )
-        super_hits = (
-            self.isuper.find_subgraphs(query, features, compiled)
-            if self.isuper is not None
-            else []
+        sub_ids, super_ids = runtime.probe(
+            query, features, want_sub, want_super, directives, compiled
         )
+        # Shards return their hits in local slot order; the single-shard
+        # indexes report hits in cache insertion order, which (ids being
+        # monotonic) is ascending entry-id order — merge back into it so
+        # exact-repeat detection and crediting see the identical sequence.
+        cache = self.cache
+        sub_hits = [cache.get(entry_id) for entry_id in sorted(sub_ids)]
+        super_hits = [cache.get(entry_id) for entry_id in sorted(super_ids)]
+        if placement.track_hits:
+            placement.note_hits(sub_hits + super_hits)
         return sub_hits, super_hits
 
     def apply_plan_credits(self, plan: QueryPlan) -> None:
@@ -728,17 +756,91 @@ class IGQ:
         return report
 
     def _flush_window(self) -> MaintenanceReport:
-        """Apply a full query window to the cache and the component indexes.
+        """Apply a full query window (§5.2): one flush, one log, then readers.
 
-        The single-shard engine evicts and inserts on its live indexes
-        through :class:`IndexMaintenance`; the sharded engine overrides this
-        to emit ordered :class:`~repro.core.shard.CacheDelta` records instead.
-        Either way the flush boundary is where the durable store commits —
-        crash recovery always lands on a state some flush produced.
+        :class:`IndexMaintenance` picks the victims and mutates the cache
+        (and the local index pair, when this engine has one); the report it
+        returns becomes this flush's delta records; then the readers catch
+        up in a fixed order — the durable store first (the flush boundary is
+        where it commits: crash recovery always lands on a state some flush
+        produced, and it needs the raw tail, so the compaction floor never
+        passes what was just persisted), the shard replicas next, and
+        compaction last, down to the slowest replica's position.
         """
         report = self.maintenance.flush(self.cache, self.isub, self.isuper)
-        self._persist_flush()
+        if not report.inserted:
+            return report
+        log = self.delta_log
+        self._log_flush(report)
+        if self.persister is not None:
+            self.persister.record_flush(self)
+        self._sync_readers()
+        if self.compact_threshold is not None and len(log) > self.compact_threshold:
+            runtime = self.shard_runtime
+            horizon = runtime.progress() if runtime is not None else log.version
+            self._records_folded += log.compact(horizon)
+        self.placement.rebuild_prune_state(self.cache)
         return report
+
+    def _log_flush(self, report: MaintenanceReport) -> None:
+        """Turn one flush report into the delta records every reader replays.
+
+        An ``evict`` per victim and an ``insert`` per new entry, addressed
+        by the placement; under hot-key placement also a ``replicate`` per
+        entry that went (or was born) hot and a ``move`` per rebalanced
+        one; the ``flush`` marker closes the epoch.  Consumes the report's
+        entry lists (see :class:`MaintenanceReport`).
+        """
+        log, placement, cache = self.delta_log, self.placement, self.cache
+        for entry in report.evicted_entries:
+            shard_id, targets = placement.evicted(entry)
+            log.append_evict(shard_id, entry.entry_id, targets=targets)
+        for entry in report.inserted_entries:
+            shard_id = placement.inserted(entry)
+            payload = self._make_shard_entry(entry)
+            if placement.born_hot(entry):
+                log.append_replicate(payload, targets=placement.replicate(entry))
+            else:
+                log.append_insert(shard_id, payload)
+        for entry_id in placement.take_pending_hot():
+            entry = cache.get(entry_id)
+            log.append_replicate(
+                self._make_shard_entry(entry), targets=placement.replicate(entry)
+            )
+        for entry_id, src_shard, dst_shard in placement.rebalance():
+            log.append_move(
+                self._make_shard_entry(cache.get(entry_id)), src_shard, dst_shard
+            )
+        log.append_flush()
+        report.evicted_entries.clear()
+        report.inserted_entries.clear()
+
+    def _make_shard_entry(self, entry: CacheEntry) -> ShardEntry:
+        """Build an entry's log payload, compiling each direction at most once.
+
+        Compilation happens here — in the parent, when the entry enters the
+        log — because the entry will be containment-tested against every
+        future query (a single-shard engine's own indexes compiled it on
+        insertion already).  The compiled objects are stored on the cache
+        entry too (released on eviction), so no reader ever recompiles them.
+        """
+        if self.igq_verifier.supports_compiled():
+            if self.probe_isub and entry.compiled_target is None:
+                entry.compiled_target = compile_target(entry.graph)
+            if self.probe_isuper and entry.compiled_plan is None:
+                entry.compiled_plan = compile_query_plan(entry.graph)
+        return ShardEntry(
+            entry_id=entry.entry_id,
+            graph=entry.graph,
+            features=entry.features,
+            compiled_target=entry.compiled_target,
+            compiled_plan=entry.compiled_plan,
+        )
+
+    def _sync_readers(self) -> None:
+        """Let the in-process readers of the log (the shard replicas) catch up."""
+        if self.shard_runtime is not None:
+            self.shard_runtime.sync(self.delta_log)
 
     # ------------------------------------------------------------------
     # Batched execution
@@ -767,18 +869,20 @@ class IGQ:
     def close(self) -> None:
         """Release engine-owned execution resources (idempotent).
 
-        The single-shard engine owns none — verification pools belong to the
-        :class:`~repro.core.batch.BatchExecutor` driving it and shut down
-        with it — but the method is part of the engine contract so callers
-        (and :class:`~repro.service.GraphQueryService`) can close any engine
-        uniformly; :class:`~repro.core.shard.ShardedIGQ` terminates its
-        long-lived shard worker pools here.  The durable store (when
-        configured) flushes and fsyncs its WAL tail *first* — durability
-        must never race pool teardown.  Any shared-memory snapshot
-        segments the method still holds (e.g. because an executor crashed
-        before its own ``close``) are force-unlinked as a safety net.
+        Order matters: the durable store (when configured) flushes and
+        fsyncs its WAL tail *first* — a close must never lose a persisted
+        flush to teardown — then the shard runtime shuts its long-lived
+        worker pools down and releases its reference on the published
+        snapshot segment, then any shared-memory snapshot segments the
+        method still holds (e.g. because an executor crashed before its own
+        ``close``) are force-unlinked as a safety net.  Verification pools
+        belong to the :class:`~repro.core.batch.BatchExecutor` driving the
+        engine and shut down with it.
         """
-        self._close_persister()
+        if self.persister is not None:
+            self.persister.close()
+        if self.shard_runtime is not None:
+            self.shard_runtime.close()
         self.method.release_shared_payloads()
 
     def __enter__(self) -> "IGQ":
@@ -810,14 +914,41 @@ class IGQ:
             total += self.isub.estimated_size_bytes()
         if self.isuper is not None:
             total += self.isuper.estimated_size_bytes()
+        if self.shard_runtime is not None:
+            total += self.shard_runtime.estimated_size_bytes()
         for entry in self.cache.entries():
             graph = entry.graph
             total += 80 + 56 * graph.num_vertices + 48 * graph.num_edges
             total += 40 + 8 * len(entry.answer)
         return total
 
+    def shard_stats(self) -> dict:
+        """Hot-key/rebalance and delta-log health snapshot (service layer)."""
+        log, runtime = self.delta_log, self.shard_runtime
+        return {
+            **self.placement.stats(),
+            "worker_kernels": runtime.worker_kernels() if runtime is not None else {},
+            "delta_log": {
+                "length": len(log),
+                "version": log.version,
+                "floor_version": log.floor_version,
+                "records_folded": self._records_folded,
+                "bytes_reclaimed": log.compact_stats()["bytes_reclaimed"],
+            },
+        }
+
+    def reset_stats(self) -> None:
+        """Zero the hot-key counters and the folded-records count.
+
+        Placement itself is untouched (see :meth:`Placement.reset_stats
+        <repro.core.placement.Placement.reset_stats>`).
+        """
+        self.placement.reset_stats()
+        self._records_folded = 0
+
     def __repr__(self) -> str:
         return (
             f"<IGQ method={self.method.name!r} mode={self.mode!r} "
+            f"shards={self.num_shards} backend={self.shard_backend!r} "
             f"cached={len(self.cache)}>"
         )

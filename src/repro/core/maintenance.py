@@ -13,7 +13,7 @@ so index updates stay batched per window and never interleave with a query.
 The paper builds a *shadow* index and swaps it in so that concurrent readers
 are never blocked; here :meth:`IndexMaintenance.flush` applies the same
 window as an in-place delta — ``remove`` per victim, ``add`` per windowed
-query, the primitives the sharded replicas already use — so a flush costs
+query, the primitives the shard replicas use too — so a flush costs
 O(``W`` x entry features), not O(``C``).  That is equivalent to the swap
 because planning, completion and the flush all run on the one driver thread:
 no lookup can observe a half-applied window (the pipelined planner re-plans
@@ -25,9 +25,11 @@ Compiled-state lifecycle: an entry's compiled representations
 probed and verified with, carried through the window on the
 :class:`PendingQuery`; a form no stage needed is built when the flush adds
 the entry to the indexes.  They are kept untouched while the entry survives
-later flushes and released when it is evicted — so each query is compiled at
-most once per direction, and the number of live compiled objects stays
-bounded by the cache capacity plus one window.
+later flushes and released when it is evicted (the cache entry's pointers
+by :meth:`QueryCache.remove`, the delta log's payload copy by the ``evict``
+record) — so each query is compiled at most once per direction, and the
+number of live compiled objects stays bounded by the cache capacity plus
+one window.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from dataclasses import dataclass, field
 
 from ..features.extractor import GraphFeatures
 from ..graphs.graph import LabeledGraph
-from .cache import QueryCache
+from .cache import CacheEntry, QueryCache
 from .isub import SubgraphQueryIndex
 from .isuper import SupergraphQueryIndex
 from .replacement import ReplacementPolicy, UtilityReplacementPolicy
@@ -78,6 +80,14 @@ class MaintenanceReport:
     evicted: int = 0
     evicted_entry_ids: list[int] = field(default_factory=list)
     cache_size_after: int = 0
+    #: the victims (already removed, compiled state released) in eviction
+    #: order and the windowed queries as cache entries in window order: the
+    #: engine turns them into the flush's delta-log records, so nothing
+    #: downstream rediscovers what left and what arrived — and then empties
+    #: both lists, because a report lives on with its query's result and
+    #: must not keep evicted graphs, features and answer sets alive
+    evicted_entries: list[CacheEntry] = field(default_factory=list)
+    inserted_entries: list[CacheEntry] = field(default_factory=list)
 
 
 class IndexMaintenance:
@@ -111,29 +121,6 @@ class IndexMaintenance:
         self._window.append(pending)
         return len(self._window) >= self.window_size
 
-    def drain_window(self) -> list[PendingQuery]:
-        """Take (and clear) the windowed queries.
-
-        Used by flush implementations that apply the window themselves —
-        the sharded engine turns it into delta-log records instead of the
-        in-place apply below.
-        """
-        window = self._window
-        self._window = []
-        return window
-
-    def select_evictions(self, cache: QueryCache, incoming: int) -> list[int]:
-        """Victim entry ids for absorbing ``incoming`` insertions.
-
-        Exactly the capacity rule of :meth:`flush`: evict only as many
-        lowest-utility entries as needed to respect ``C`` after the
-        insertions; none while the cache is still warming up.
-        """
-        overflow = len(cache) + incoming - self.cache_size
-        if overflow <= 0:
-            return []
-        return self.policy.select_victims(cache, overflow)
-
     def flush(
         self,
         cache: QueryCache,
@@ -142,27 +129,29 @@ class IndexMaintenance:
     ) -> MaintenanceReport:
         """Apply the windowed queries to the cache and the live indexes.
 
+        The one victim-selection and cache-mutation loop of the system.
         Evicts exactly as many lowest-utility entries as needed to keep the
         cache within its capacity after the insertions (during warm-up, when
-        the cache is not yet full, nothing is evicted).
+        the cache is not yet full, nothing is evicted).  A multi-shard
+        engine passes ``None, None``: its shards own the indexes and replay
+        the records the engine derives from the returned report.
         """
         report = MaintenanceReport()
-        if not self._window:
-            report.cache_size_after = len(cache)
-            return report
-        window = self.drain_window()
+        window, self._window = self._window, []
         indexes = [index for index in (isub, isuper) if index is not None]
-        victims = self.select_evictions(cache, len(window))
-        for entry_id in victims:
-            for index in indexes:
-                index.remove(entry_id)
-            cache.remove(entry_id)
-        report.evicted = len(victims)
-        report.evicted_entry_ids = victims
+        overflow = len(cache) + len(window) - self.cache_size
+        if window and overflow > 0:
+            for entry_id in self.policy.select_victims(cache, overflow):
+                for index in indexes:
+                    index.remove(entry_id)
+                report.evicted_entries.append(cache.remove(entry_id))
+                report.evicted_entry_ids.append(entry_id)
         for pending in window:
             entry = pending.add_to(cache)
             for index in indexes:
                 index.add(entry)
+            report.inserted_entries.append(entry)
         report.inserted = len(window)
+        report.evicted = len(report.evicted_entry_ids)
         report.cache_size_after = len(cache)
         return report

@@ -301,7 +301,7 @@ def run_igq_stream(
     """Run iGQ+method over the stream (warm-up excluded from the metrics)."""
     config = config.resolved()
     engine_config = config.engine_config()
-    engine = IGQ.from_config(method, engine_config)
+    engine = IGQ(method, engine_config)
     engine.attach_prebuilt()
     metrics = StreamMetrics(label=label)
     warmup = config.window_size

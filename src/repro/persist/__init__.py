@@ -1,6 +1,6 @@
 """Durable cache persistence: WAL, snapshots, warm restart, followers.
 
-The sharded engine's :class:`~repro.core.shard.DeltaLog` is a replication
+The engine's :class:`~repro.core.shard.DeltaLog` is a replication
 WAL in all but name; this package gives it a disk-backed form so a
 restarted engine warm-starts its learned cache instead of relearning the
 workload through a cold miss storm:

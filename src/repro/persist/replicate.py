@@ -25,6 +25,8 @@ leader's — which :func:`leader_probe_ids` exists to check.
 
 from __future__ import annotations
 
+import logging
+
 from ..core.config import ConfigError, EngineConfig
 from ..core.shard import (
     BROADCAST,
@@ -40,6 +42,8 @@ from ..core.shard import (
 from ..features.extractor import FeatureExtractor
 from ..service import protocol
 from ..service.client import connect
+
+logger = logging.getLogger(__name__)
 
 __all__ = [
     "CacheFollower",
@@ -134,10 +138,8 @@ class CacheFollower:
     """A remote read-only replica of a served engine's query cache.
 
     Connects to a leader exposed with :func:`repro.service.server.serve`
-    and mirrors its delta log into a local single-shard index pair.  The
-    leader must have a log to follow: either a sharded engine (its own
-    ``delta_log``) or any engine with persistence enabled (the persister's
-    mirror log).
+    and replays its delta log into a local single-shard index pair (every
+    engine has a log to follow).
 
     >>> follower = CacheFollower(host, port)        # doctest: +SKIP
     >>> follower.poll()                             # doctest: +SKIP
@@ -197,8 +199,13 @@ class CacheFollower:
         try:
             reply = self.client.log_since(self.version)
         except protocol.ProtocolError as exc:
-            if getattr(exc, "code", None) != "log_truncated":
+            if exc.code != "log_truncated":
                 raise
+            logger.warning(
+                "follower at version %d fell below the leader's compaction "
+                "floor (%s): resetting and replaying from 0",
+                self.version, exc,
+            )
             self.shard.reset()
             self.version = 0
             self.resets += 1
@@ -268,8 +275,8 @@ def leader_probe_ids(engine, query, features=None) -> tuple[list[int], list[int]
     """
     if features is None:
         features = engine.method.extract_query_features(query)
-    runtime = getattr(engine, "shard_runtime", None)
-    if runtime is not None and getattr(engine, "num_shards", 1) > 1:
+    runtime = engine.shard_runtime
+    if runtime is not None:
         directives = [(True, True, True, True)] * engine.num_shards
         sub_ids, super_ids = runtime.probe(
             query, features, engine.probe_isub, engine.probe_isuper, directives

@@ -15,31 +15,30 @@ engine restarts exactly as if the queries after that flush were never
 submitted, which is the strongest prefix-consistency a window-flushed
 cache can offer (and what the fault-injection tests assert).
 
-Two engine shapes share the machinery:
-
-* the sharded engine already maintains an in-memory
-  :class:`~repro.core.shard.DeltaLog`; the persister serialises its tail;
-* the single-shard engine has no log, so the persister keeps a private
-  *mirror* log, diffing the cache's entry ids across flushes.  The mirror
-  doubles as the replication source for remote followers of single-shard
-  leaders (:mod:`repro.persist.replicate`).
+The persister is a plain reader of the engine's
+:class:`~repro.core.shard.DeltaLog`: each flush it serialises
+``delta_log.since(cursor)``; a snapshot is the
+:func:`~repro.core.shard.fold_deltas` net state of the whole log.
 """
 
 from __future__ import annotations
 
+import logging
 from pathlib import Path
 
 from ..core.config import ConfigError, PersistConfig
 from ..core.shard import (
+    BROADCAST,
     DELTA_EVICT,
-    DELTA_FLUSH,
     DELTA_INSERT,
-    DELTA_MOVE,
     DELTA_REPLICATE,
-    DeltaLog,
+    CacheDelta,
     ShardEntry,
+    fold_deltas,
 )
 from . import snapshot, wal
+
+logger = logging.getLogger(__name__)
 
 __all__ = ["CachePersister", "RecoveredState", "attach_persistence", "recover_dir"]
 
@@ -50,27 +49,39 @@ FORMAT_VERSION = 1
 KIND_HOME = "home"
 KIND_REPLICA = "replica"
 
-#: records the private mirror log may accumulate before it self-compacts
-_MIRROR_COMPACT_THRESHOLD = 1024
-
 
 class RecoveredState:
     """What recovery found on disk: live entries plus the committed state."""
 
     def __init__(self, live: dict, meta: dict, state: dict) -> None:
-        #: ``entry_id -> (kind, ShardEntry, targets)`` at the last commit
+        #: ``entry_id -> CacheDelta`` net state at the last commit
         self.live = live
         #: ``entry_id -> {"answer", "tags", "added_at"}``
         self.meta = meta
         #: the last committed ``state`` record (flush-boundary engine state)
         self.state = state
 
-    def entries(self) -> list[tuple[str, ShardEntry, tuple | None, dict]]:
-        """The live entries in ascending id order, joined with their meta."""
+    def entries(self) -> list[tuple[ShardEntry, dict]]:
+        """The live entries' payloads in ascending id order, with their meta."""
         return [
-            (*self.live[entry_id], self.meta[entry_id])
+            (self.live[entry_id].entry, self.meta[entry_id])
             for entry_id in sorted(self.live)
         ]
+
+
+def _live_tuple(record: CacheDelta) -> tuple[str, ShardEntry, tuple | None]:
+    """A net-state record in the snapshot's ``(kind, entry, targets)`` form."""
+    if record.op == DELTA_REPLICATE:
+        return KIND_REPLICA, record.entry, record.targets
+    return KIND_HOME, record.entry, None
+
+
+def _live_record(entry_id: int, kind: str, entry: ShardEntry, targets) -> CacheDelta:
+    """Inverse of :func:`_live_tuple` (a snapshot does not keep home shards;
+    the committed ``state`` record does)."""
+    if kind == KIND_REPLICA:
+        return CacheDelta(0, 0, DELTA_REPLICATE, BROADCAST, entry_id, entry, targets=targets)
+    return CacheDelta(0, 0, DELTA_INSERT, 0, entry_id, entry)
 
 
 def recover_dir(path: Path) -> RecoveredState | None:
@@ -88,46 +99,43 @@ def recover_dir(path: Path) -> RecoveredState | None:
     loaded = snapshot.load_latest_snapshot(path)
     if loaded is not None:
         snap_version, payload = loaded
-        live = dict(payload.get("live", {}))
+        live = {
+            entry_id: _live_record(entry_id, *fields)
+            for entry_id, fields in payload.get("live", {}).items()
+        }
         meta = dict(payload.get("meta", {}))
         state = payload.get("state")
     committed = (dict(live), dict(meta), state)
-    for start_version, segment in wal.list_segments(path):
-        if start_version < snap_version:
-            continue
+    segments = [
+        (start_version, segment)
+        for start_version, segment in wal.list_segments(path)
+        if start_version >= snap_version
+    ]
+    for index, (_, segment) in enumerate(segments):
         scan = wal.read_segment(segment, repair=True)
         for record in scan.records:
             if not (isinstance(record, tuple) and len(record) == 2):
                 continue
             kind, payload = record
             if kind == "delta":
-                _apply_delta(live, meta, payload)
+                fold_deltas(live, (payload,))
             elif kind == "meta":
                 meta.update(payload)
             elif kind == "state":
                 state = payload
                 committed = (dict(live), dict(meta), state)
         if not scan.clean:
+            discarded = [later.name for _, later in segments[index + 1 :]]
+            if discarded:
+                logger.warning(
+                    "%s is not clean (%s): discarding the %d later segment(s) %s",
+                    segment, scan.reason, len(discarded), discarded,
+                )
             break
     live, meta, state = committed
     if state is None:
         return None
-    return RecoveredState(live, meta, state)
-
-
-def _apply_delta(live: dict, meta: dict, record) -> None:
-    """Fold one replayed delta into the live-entry map."""
-    if record.op == DELTA_INSERT:
-        live[record.entry_id] = (KIND_HOME, record.entry, None)
-    elif record.op == DELTA_REPLICATE:
-        live[record.entry_id] = (KIND_REPLICA, record.entry, record.targets)
-    elif record.op == DELTA_MOVE:
-        live[record.entry_id] = (KIND_HOME, record.entry, None)
-    elif record.op == DELTA_EVICT:
-        live.pop(record.entry_id, None)
-        meta.pop(record.entry_id, None)
-    elif record.op != DELTA_FLUSH:
-        raise ValueError(f"unknown delta op {record.op!r} in WAL replay")
+    return RecoveredState(live, {entry_id: meta[entry_id] for entry_id in live}, state)
 
 
 def attach_persistence(engine, config: PersistConfig) -> "CachePersister":
@@ -160,26 +168,8 @@ class CachePersister:
             engine.apply_persist_state(entries, recovered.state)
             self.restored = bool(entries) or recovered.state.get("query_counter", 0) > 0
 
-        # Replication source: the sharded engine's own delta log, or a
-        # private mirror for engines without one.
-        self._mirror: DeltaLog | None = None
-        self._seen: set[int] = set()
-        #: the mirror's private ShardEntry copies, so an eviction can
-        #: release the copy's compiled-payload pointers (the live count of
-        #: compiled objects must stay bounded by the cache, not by the
-        #: mirror's compaction cadence)
-        self._mirror_copies: dict[int, ShardEntry] = {}
-        if getattr(engine, "delta_log", None) is None:
-            self._mirror = DeltaLog()
-            ids = engine.cache.entry_ids()
-            for entry_id in ids:
-                copy = _shard_entry_of(engine, engine.cache.get(entry_id))
-                self._mirror_copies[entry_id] = copy
-                self._mirror.append_insert(0, copy)
-            if ids:
-                self._mirror.append_flush()
-            self._seen = set(ids)
-        self._last_version = self._log(engine).version
+        #: log version of the last record on disk (this reader's cursor)
+        self._last_version = engine.delta_log.version
         # Fresh on-disk base: fold whatever we just restored (or the empty
         # state) into a snapshot and start a clean segment at its version,
         # so the rebuilt log's version numbering matches the disk layout.
@@ -190,15 +180,6 @@ class CachePersister:
         self._checkpoint(engine, wipe=True)
 
     # ------------------------------------------------------------------
-    @property
-    def replication_log(self) -> DeltaLog | None:
-        """The log remote followers replay (mirror for single-shard)."""
-        return self._mirror
-
-    def _log(self, engine) -> DeltaLog:
-        log = getattr(engine, "delta_log", None)
-        return log if log is not None else self._mirror
-
     @staticmethod
     def _check_compatible(engine, state: dict) -> None:
         if state.get("format") != FORMAT_VERSION:
@@ -207,14 +188,19 @@ class CachePersister:
                 f"this build reads format {FORMAT_VERSION} (use a fresh "
                 "directory)"
             )
-        shards = getattr(engine, "num_shards", 1)
-        if state.get("mode") != engine.mode or state.get("shards") != shards:
+        if state.get("mode") != engine.mode or state.get("shards") != engine.num_shards:
             raise ConfigError(
                 f"persist.dir was written by a mode={state.get('mode')!r} "
                 f"shards={state.get('shards')!r} engine and cannot warm-start "
-                f"a mode={engine.mode!r} shards={shards!r} one; point it at a "
-                "fresh directory (or restore with the original configuration)"
+                f"a mode={engine.mode!r} shards={engine.num_shards!r} one; point "
+                "it at a fresh directory (or restore with the original "
+                "configuration)"
             )
+
+    @staticmethod
+    def _state_record(engine) -> dict:
+        """The engine's flush-boundary state, stamped with the format version."""
+        return {"format": FORMAT_VERSION, **engine.persist_state()}
 
     # ------------------------------------------------------------------
     # Per-flush append path
@@ -223,9 +209,7 @@ class CachePersister:
         """Persist one window flush: its deltas, new-entry meta, and state."""
         if self._closed:
             return
-        if self._mirror is not None:
-            self._mirror_flush(engine)
-        log = self._log(engine)
+        log = engine.delta_log
         records = log.since(self._last_version)
         if not records:
             return
@@ -241,7 +225,7 @@ class CachePersister:
             writer.append(("delta", record), sync=always)
         if fresh_meta:
             writer.append(("meta", fresh_meta), sync=always)
-        writer.append(("state", engine.persist_state()), sync=always)
+        writer.append(("state", self._state_record(engine)), sync=always)
         if self.fsync == "flush":
             writer.sync()
         elif self.fsync == "never":
@@ -250,59 +234,25 @@ class CachePersister:
         self._records_since_snapshot += len(records) + 2
         if self._records_since_snapshot >= self.snapshot_interval:
             self._checkpoint(engine)
-        elif self._mirror is not None and len(self._mirror) > _MIRROR_COMPACT_THRESHOLD:
-            # Bound the mirror's memory; everything up to _last_version is
-            # on disk, so folding it only affects (and resets) very stale
-            # remote followers — exactly the DeltaLogTruncated contract.
-            self._mirror.compact(self._last_version)
-
-    def _mirror_flush(self, engine) -> None:
-        """Diff the cache against the last flush into mirror-log records."""
-        current = set(engine.cache.entry_ids())
-        evicted = sorted(self._seen - current)
-        inserted = sorted(current - self._seen)
-        if not evicted and not inserted:
-            return
-        for entry_id in evicted:
-            self._mirror.append_evict(0, entry_id)
-            # The victim's insert record hit the WAL (payloads included) in
-            # an earlier flush batch, and the wire feed never ships
-            # compiled state — only this private copy still pins it.
-            copy = self._mirror_copies.pop(entry_id, None)
-            if copy is not None:
-                copy.release_compiled()
-        for entry_id in inserted:
-            copy = _shard_entry_of(engine, engine.cache.get(entry_id))
-            self._mirror_copies[entry_id] = copy
-            self._mirror.append_insert(0, copy)
-        self._mirror.append_flush()
-        self._seen = current
 
     # ------------------------------------------------------------------
     # Snapshot + segment rotation
     # ------------------------------------------------------------------
     def _checkpoint(self, engine, wipe: bool = False) -> None:
-        """Fold the engine's current state into a snapshot; rotate the WAL."""
-        log = self._log(engine)
+        """Fold the log into a snapshot of its net state; rotate the WAL."""
+        log = engine.delta_log
         version = log.version
-        replica_targets = getattr(engine, "_replica_targets", None) or {}
-        live: dict = {}
-        meta: dict = {}
-        for entry_id in engine.cache.entry_ids():
-            entry = engine.cache.get(entry_id)
-            if entry_id in replica_targets:
-                kind, targets = KIND_REPLICA, replica_targets[entry_id]
-            else:
-                kind, targets = KIND_HOME, None
-            live[entry_id] = (kind, _shard_entry_of(engine, entry), targets)
-            meta[entry_id] = engine.persist_entry_meta(entry_id)
+        live = {
+            entry_id: _live_tuple(record)
+            for entry_id, record in fold_deltas({}, log.since(0)).items()
+        }
         payload = {
             "format": FORMAT_VERSION,
             "version": version,
             "epoch": log.epoch,
             "live": live,
-            "meta": meta,
-            "state": engine.persist_state(),
+            "meta": {entry_id: engine.persist_entry_meta(entry_id) for entry_id in live},
+            "state": self._state_record(engine),
         }
         snapshot.write_snapshot(self.path, version, payload, fsync=self.fsync != "never")
         if self._writer is not None:
@@ -365,22 +315,3 @@ class CachePersister:
     def __repr__(self) -> str:
         state = "closed" if self._closed else "open"
         return f"<CachePersister {state} dir={str(self.path)!r} fsync={self.fsync!r}>"
-
-
-def _shard_entry_of(engine, entry) -> ShardEntry:
-    """The replica payload of a cache entry, via the engine when sharded.
-
-    The sharded engine's builder compiles missing payloads exactly once in
-    the parent; single-shard engines compiled on index insertion already,
-    so a plain structural copy shares the same objects.
-    """
-    make = getattr(engine, "_make_shard_entry", None)
-    if make is not None:
-        return make(entry)
-    return ShardEntry(
-        entry_id=entry.entry_id,
-        graph=entry.graph,
-        features=entry.features,
-        compiled_target=entry.compiled_target,
-        compiled_plan=entry.compiled_plan,
-    )

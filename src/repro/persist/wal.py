@@ -1,6 +1,6 @@
 """Append-only write-ahead log segments for the durable query cache.
 
-The on-disk form of the sharded engine's :class:`~repro.core.shard.DeltaLog`:
+The on-disk form of the engine's :class:`~repro.core.shard.DeltaLog`:
 each segment file starts with an 8-byte magic and carries a sequence of
 length-prefixed, CRC32-checksummed pickle records.  A record is a
 ``(kind, payload)`` tuple — ``"delta"`` (one :class:`~repro.core.shard.CacheDelta`
@@ -20,12 +20,15 @@ prefix in place, restoring the append invariant for the next writer.
 
 from __future__ import annotations
 
+import logging
 import os
 import pickle
 import struct
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
+
+logger = logging.getLogger(__name__)
 
 __all__ = [
     "MAGIC",
@@ -196,6 +199,10 @@ def read_segment(path: Path, repair: bool = False) -> SegmentScan:
         scan.valid_bytes = offset
         scan.clean = scan.reason is None
     if repair and not scan.clean:
+        logger.warning(
+            "repairing %s (%s): dropping %d byte(s) after the last intact record",
+            path, scan.reason, total - scan.valid_bytes,
+        )
         with open(path, "r+b") as file:
             file.truncate(scan.valid_bytes)
             file.flush()

@@ -203,10 +203,8 @@ class ServiceServer:
     def _serve_log_since(self, request: protocol.Request) -> dict:
         """Serve a follower's delta-log tail request (``op="log_since"``).
 
-        The log is the sharded engine's own delta log, or — for a
-        single-shard leader with persistence enabled — the persister's
-        mirror log.  A cursor below the compaction floor becomes a typed
-        ``log_truncated`` error, which the follower answers with
+        A cursor below the engine's delta-log compaction floor becomes a
+        typed ``log_truncated`` error, which the follower answers with
         reset-and-replay from version 0.
         """
         from ..core.shard import DeltaLogTruncated
@@ -229,18 +227,7 @@ class ServiceServer:
                 code="invalid_request",
                 field="request.payload.version",
             )
-        engine = self.service.engine
-        log = getattr(engine, "delta_log", None)
-        if log is None:
-            persister = getattr(engine, "persister", None)
-            if persister is not None:
-                log = persister.replication_log
-        if log is None:
-            raise protocol.ProtocolError(
-                "this service has no delta log to follow; the leader needs "
-                "shards > 1 or a persist.dir",
-                code="not_followable",
-            )
+        log = self.service.engine.delta_log
         try:
             records = log.since(version)
         except DeltaLogTruncated as exc:

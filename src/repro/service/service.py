@@ -8,8 +8,8 @@ opens and closes them.  :class:`GraphQueryService` packages all of it behind
 a session object:
 
 * **Lifecycle** — ``with GraphQueryService(method, config, database=db) as
-  service:`` builds the engine :meth:`~repro.core.engine.IGQ.from_config`
-  describes (single-shard or sharded), indexes the dataset, starts the
+  service:`` builds the :class:`~repro.core.engine.IGQ` engine the config
+  describes (any ``shard.shards``), indexes the dataset, starts the
   execution driver, and on exit deterministically shuts down every worker
   pool (the batch executor's and the shard runtime's).
 
@@ -363,7 +363,7 @@ class GraphQueryService:
         if (method is None) == (engine is None):
             raise ConfigError(
                 "pass exactly one of method= (with an optional config) or "
-                "engine= (a prebuilt IGQ/ShardedIGQ)"
+                "engine= (a prebuilt IGQ)"
             )
         if max_in_flight is not None and max_in_flight < 1:
             raise ConfigError(
@@ -376,7 +376,7 @@ class GraphQueryService:
                 )
             self.engine = engine
         else:
-            self.engine = IGQ.from_config(method, config)
+            self.engine = IGQ(method, config)
         self.config = self.engine.config
         service_config = self.config.service
         if max_in_flight is not None:
@@ -647,15 +647,8 @@ class GraphQueryService:
     def stats(self) -> ServiceReport:
         """A structured snapshot of cache, executor and session state."""
         engine = self.engine
-        shard_balance = (
-            engine.shard_balance()
-            if hasattr(engine, "shard_balance")
-            else [len(engine.cache)]
-        )
         executor_stats = self._executor.stats if self._executor is not None else None
-        shard_stats = (
-            engine.shard_stats() if hasattr(engine, "shard_stats") else None
-        )
+        shard_stats = engine.shard_stats()
         with self._stats_lock:
             totals = dataclass_replace(self.totals)
             sessions = {
@@ -668,9 +661,9 @@ class GraphQueryService:
             cache_size=len(engine.cache),
             cache_capacity=engine.maintenance.cache_size,
             queries_seen=engine.cache.query_counter,
-            shards=getattr(engine, "num_shards", 1),
-            shard_backend=getattr(engine, "shard_backend", "inline"),
-            shard_balance=shard_balance,
+            shards=engine.num_shards,
+            shard_backend=engine.shard_backend,
+            shard_balance=engine.placement.shard_balance(),
             feature_memo_hits=executor_stats.feature_memo_hits if executor_stats else 0,
             feature_memo_misses=executor_stats.feature_memo_misses if executor_stats else 0,
             parallel_verifications=(
@@ -681,46 +674,27 @@ class GraphQueryService:
             ),
             pipelined_plans=executor_stats.pipelined_plans if executor_stats else 0,
             pipeline_replans=executor_stats.pipeline_replans if executor_stats else 0,
-            shard_probe_load=(
-                shard_stats["probe_load"] if shard_stats else [0] * len(shard_balance)
-            ),
-            replica_counts=(
-                shard_stats["replica_counts"]
-                if shard_stats
-                else [0] * len(shard_balance)
-            ),
-            replicas_live=shard_stats["replicas_live"] if shard_stats else 0,
-            moves_applied=shard_stats["moves_applied"] if shard_stats else 0,
-            delta_log=(
-                shard_stats["delta_log"]
-                if shard_stats
-                else {
-                    "length": 0,
-                    "version": 0,
-                    "floor_version": 0,
-                    "records_folded": 0,
-                    "bytes_reclaimed": 0,
-                }
-            ),
+            shard_probe_load=shard_stats["probe_load"],
+            replica_counts=shard_stats["replica_counts"],
+            replicas_live=shard_stats["replicas_live"],
+            moves_applied=shard_stats["moves_applied"],
+            delta_log=shard_stats["delta_log"],
             kernel_resolved={
                 "configured": self.config.verifier.kernel,
                 "parent": engine.method.verifier.resolved_kernel_name(),
                 "workers": dict(executor_stats.worker_kernels) if executor_stats else {},
-                "shards": (
-                    dict(shard_stats["worker_kernels"]) if shard_stats else {}
-                ),
+                "shards": dict(shard_stats["worker_kernels"]),
             },
         )
 
     def reset_engine_stats(self) -> None:
-        """Zero the engine's hot-key/rebalance counters (if it has any).
+        """Zero the engine's hot-key/rebalance counters.
 
         Useful at workload phase changes: replication and placement stay as
         they are, but future hotness decisions start from a clean slate.
         Session accounting is untouched — it belongs to the service layer.
         """
-        if hasattr(self.engine, "reset_stats"):
-            self.engine.reset_stats()
+        self.engine.reset_stats()
 
     # ------------------------------------------------------------------
     # Driver internals

@@ -23,7 +23,7 @@ import random
 
 import pytest
 
-from repro.core import IGQ, ShardedIGQ
+from repro.core import IGQ
 from repro.core.batch import BatchExecutor
 from repro.core.config import (
     BatchConfig,
@@ -350,7 +350,7 @@ class TestEngineByteIdentity:
         baseline = self.bigint_baseline(small_db, queries)
         verifier = Verifier(kernel="native")
         method = create_method("ggsx", max_path_length=3, verifier=verifier)
-        engine = ShardedIGQ(
+        engine = IGQ(
             method, engine_config(10, 3, shard=ShardConfig(shards=4, backend="process"))
         )
         engine.build_index(small_db)
@@ -366,7 +366,7 @@ class TestEngineByteIdentity:
         """The default configuration now runs the native kernel — its
         results must stay identical to the pre-native bigint engine."""
         baseline = self.bigint_baseline(small_db, queries)
-        _, fingerprint = run_engine(small_db, queries, engine_cls=IGQ)
+        _, fingerprint = run_engine(small_db, queries)
         assert fingerprint == baseline
 
 

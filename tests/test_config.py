@@ -25,7 +25,6 @@ from repro.core import (
     ConfigError,
     EngineConfig,
     ShardConfig,
-    ShardedIGQ,
     VerifierConfig,
 )
 from repro.datasets.registry import load_dataset
@@ -181,17 +180,20 @@ class TestValidation:
         with pytest.raises(ConfigError, match=r"batch\.pipeline=1.*expected a bool"):
             BatchConfig(pipeline=1)
 
-    def test_plain_igq_rejects_sharded_config(self, database):
+    def test_plain_igq_accepts_sharded_config(self, database):
+        """One engine class for every ``shard.shards`` (3.0)."""
         method = create_method("ggsx", max_path_length=3)
-        with pytest.raises(ConfigError, match=r"from_config"):
-            IGQ(method, EngineConfig(shard=ShardConfig(shards=4)))
+        config = EngineConfig(shard=ShardConfig(shards=4, backend="inline"))
+        with IGQ(method, config) as engine:
+            assert type(engine) is IGQ
+            assert len(engine.shard_runtime.shards) == 4
 
     def test_config_plus_legacy_kwargs_rejected(self):
         method = create_method("ggsx", max_path_length=3)
         with pytest.raises(TypeError, match=r"cache_size"):
             IGQ(method, EngineConfig(), cache_size=10)
         with pytest.raises(TypeError, match=r"shards"):
-            ShardedIGQ(method, EngineConfig(), shards=2)
+            IGQ(method, EngineConfig(), shards=2)
         with pytest.raises(TypeError, match=r"num_workers"):
             IGQ(method).run_batch([], num_workers=1)
 
@@ -241,7 +243,7 @@ class TestValidation:
 class TestFromConfig:
     def test_default_engine(self, database):
         method = create_method("ggsx", max_path_length=3)
-        engine = IGQ.from_config(method)
+        engine = IGQ(method)
         assert type(engine) is IGQ
         assert engine.config == EngineConfig()
         assert engine.maintenance.cache_size == 500
@@ -249,22 +251,22 @@ class TestFromConfig:
     def test_sharded_dispatch(self, database):
         method = create_method("ggsx", max_path_length=3)
         config = EngineConfig(shard=ShardConfig(shards=4, backend="inline"))
-        with IGQ.from_config(method, config) as engine:
-            assert isinstance(engine, ShardedIGQ)
+        with IGQ(method, config) as engine:
+            assert type(engine) is IGQ
             assert engine.num_shards == 4
             assert engine.shard_backend == "inline"
 
     def test_single_shard_stays_plain_path(self, database):
         method = create_method("ggsx", max_path_length=3)
-        engine = ShardedIGQ.from_config(method, EngineConfig())
-        assert isinstance(engine, ShardedIGQ)
+        engine = IGQ(method, EngineConfig())
         assert engine.num_shards == 1
-        assert engine.delta_log is None
+        assert engine.shard_runtime is None  # probes its own index pair
+        assert engine.isub is not None and engine.isuper is not None
 
     def test_verifier_config_applied(self, database):
         method = create_method("ggsx", max_path_length=3)
         config = EngineConfig(verifier=VerifierConfig(algorithm="ullmann", kernel="bigint"))
-        engine = IGQ.from_config(method, config)
+        engine = IGQ(method, config)
         assert engine.igq_verifier.algorithm == "ullmann"
         assert engine.igq_verifier.kernel == "bigint"
         # ullmann runs on the dict-based matcher: nothing compiles
@@ -276,7 +278,7 @@ class TestFromConfig:
             cache=CacheConfig(size=8, window=4),
             batch=BatchConfig(num_workers=2, backend="thread"),
         )
-        engine = IGQ.from_config(method, config)
+        engine = IGQ(method, config)
         engine.build_index(database)
         spec = WorkloadSpec(name="uni", seed=3)
         queries = QueryGenerator(database, spec).generate(6)

@@ -279,7 +279,7 @@ class TestCompileOncePerQuery:
         for index, query in enumerate(pool):
             query.name = f"query{index}"
         stream = [pool[min(int(rng.expovariate(0.3)), len(pool) - 1)] for _ in range(60)]
-        with IGQ.from_config(method, config) as engine:
+        with IGQ(method, config) as engine:
             engine.build_index(database)
             database.precompile()
             for query in stream:

@@ -108,6 +108,26 @@ class TestPublicSurface:
         )
 
 
+class TestErrorCodeTable:
+    def test_every_emitted_code_is_in_the_service_error_table(self):
+        """Every ``code="..."`` literal the service and persistence layers
+        raise with has a row in docs/service.md's error table."""
+        text = (DOCS / "service.md").read_text(encoding="utf-8")
+        table = re.search(r"### Error codes\n(.*?)(?=\n### )", text, re.DOTALL).group(1)
+        documented = set(re.findall(r"^\| `([a-z_]+)` \|", table, re.MULTILINE))
+        emitted = set()
+        for package in ("service", "persist"):
+            for source in (REPO_ROOT / "src" / "repro" / package).glob("*.py"):
+                emitted.update(
+                    re.findall(r'code="([a-z_]+)"', source.read_text(encoding="utf-8"))
+                )
+        assert emitted, "no code= literals found: the scan is broken"
+        missing = emitted - documented
+        assert not missing, (
+            f"error codes raised but missing from docs/service.md: {sorted(missing)}"
+        )
+
+
 class TestPackageVersion:
     def test_pyproject_takes_its_version_from_the_package(self):
         """One version, stated once: ``repro.__version__``."""

@@ -22,12 +22,16 @@ The contracts:
 
 from __future__ import annotations
 
+import base64
+import logging
 import os
+import pickle
 import random
 import signal
 import subprocess
 import sys
 import threading
+import zlib
 from pathlib import Path
 
 import pytest
@@ -41,9 +45,10 @@ from repro.core.config import (
     ShardConfig,
 )
 from repro.core.engine import IGQ
-from repro.core.shard import DeltaLog, ShardedIGQ, ShardEntry
+from repro.core.shard import DeltaLog, QueryIndexShard, ShardEntry
 from repro.datasets import load_dataset
 from repro.features.extractor import FeatureExtractor
+from repro.isomorphism import Verifier
 from repro.methods import create_method
 from repro.persist import CacheFollower, attach_persistence
 from repro.persist import inspect as persist_inspect
@@ -90,8 +95,7 @@ def persist_config(tmp_path, **overrides):
 
 
 def build_engine(database, config):
-    cls = ShardedIGQ if config.shard.shards > 1 else IGQ
-    engine = cls.from_config(create_method("ggsx", max_path_length=3), config)
+    engine = IGQ(create_method("ggsx", max_path_length=3), config)
     engine.build_index(database)
     return engine
 
@@ -153,7 +157,7 @@ class TestWal:
         assert wal.read_segment(path).records == [("a", 1), ("b", 2)]
 
     @pytest.mark.parametrize("cut", [1, 3, 7])
-    def test_torn_tail_truncated(self, tmp_path, cut):
+    def test_torn_tail_truncated(self, tmp_path, cut, caplog):
         path = tmp_path / "wal-0.seg"
         writer = wal.WalWriter(path)
         writer.append(("a", 1))
@@ -165,10 +169,17 @@ class TestWal:
         data = path.read_bytes()
         frame_one = len(wal.MAGIC) + len(wal.encode_record(("a", 1)))
         path.write_bytes(data[: frame_one + cut])
-        scan = wal.read_segment(path, repair=True)
+        with caplog.at_level(logging.WARNING, logger="repro.persist"):
+            scan = wal.read_segment(path, repair=True)
         assert not scan.clean
         assert scan.records == [("a", 1)]
         assert path.stat().st_size == frame_one < intact
+        # The repair is not silent: path, reason and bytes dropped.
+        (record,) = caplog.records
+        assert record.name == "repro.persist.wal"
+        assert str(path) in record.getMessage()
+        assert scan.reason in record.getMessage()
+        assert f"dropping {cut} byte(s)" in record.getMessage()
         # After repair the segment reads back clean.
         assert wal.read_segment(path).clean
 
@@ -277,6 +288,20 @@ class TestPersistConfig:
             build_engine(database, sharded)
 
 
+    def test_format_mismatch_rejected(self, tmp_path, database, queries, monkeypatch):
+        """One constant stamps the state and gates the restore."""
+        config = EngineConfig(cache=CACHE, persist=persist_config(tmp_path))
+        engine = build_engine(database, config)
+        for query in queries[:WINDOW]:
+            engine.query(query)
+        engine.close()
+        recovered = restore.recover_dir(tmp_path / "state")
+        assert recovered.state["format"] == restore.FORMAT_VERSION == 1
+        monkeypatch.setattr(restore, "FORMAT_VERSION", 2)
+        with pytest.raises(ConfigError, match=r"holds format 1 state.*reads format 2"):
+            build_engine(database, config)
+
+
 # ----------------------------------------------------------------------
 # Warm restart
 # ----------------------------------------------------------------------
@@ -322,20 +347,20 @@ class TestWarmRestart:
         for query in queries[:80]:
             first.query(query)
         placement = (
-            dict(first._entry_shard),
-            dict(first._replica_targets),
-            first._flush_count,
-            first._moves_applied,
-            first._replicas_created,
+            dict(first.placement.entry_shard),
+            dict(first.placement.replica_targets),
+            first.placement.flush_count,
+            first.placement.moves_applied,
+            first.placement.replicas_created,
         )
         first.close()
         reopened = build_engine(database, durable)
         assert placement == (
-            dict(reopened._entry_shard),
-            dict(reopened._replica_targets),
-            reopened._flush_count,
-            reopened._moves_applied,
-            reopened._replicas_created,
+            dict(reopened.placement.entry_shard),
+            dict(reopened.placement.replica_targets),
+            reopened.placement.flush_count,
+            reopened.placement.moves_applied,
+            reopened.placement.replicas_created,
         )
         reopened.close()
 
@@ -369,6 +394,212 @@ class TestWarmRestart:
         reopened = build_engine(database, config)
         assert cache_fingerprint(reopened) == before
         reopened.close()
+
+
+# ----------------------------------------------------------------------
+# One write path: flush report -> delta log -> every reader
+# ----------------------------------------------------------------------
+def record_key(record):
+    """A delta record's identity, comparable across a pickle round trip."""
+    return (
+        record.version, record.epoch, record.op, record.shard, record.entry_id,
+        record.src_shard, record.targets,
+        record.entry.graph.name if record.entry is not None else None,
+    )
+
+
+def wal_delta_keys(state_dir):
+    return [
+        record_key(payload)
+        for _, segment in wal.list_segments(state_dir)
+        for kind, payload in wal.read_segment(segment).records
+        if kind == "delta"
+    ]
+
+
+class TestOneWritePath:
+    @pytest.mark.parametrize("hot_threshold", [None, 2])
+    @pytest.mark.parametrize("persisted", [False, True], ids=["memory", "durable"])
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_every_reader_sees_the_flush_the_log_recorded(
+        self, tmp_path, database, queries, shards, persisted, hot_threshold
+    ):
+        config = EngineConfig(
+            cache=CACHE,
+            shard=ShardConfig(shards=shards, backend="inline", hot_threshold=hot_threshold),
+            # one segment for the whole stream: no snapshot rotation in between
+            persist=persist_config(tmp_path, fsync="never", snapshot_interval=10_000)
+            if persisted
+            else PersistConfig(),
+        )
+        engine = build_engine(database, config)
+        log = engine.delta_log
+        journaled = []
+        flushes = 0
+        for query in queries[:60]:
+            cursor = log.version
+            if engine.query(query).maintenance is None:
+                assert log.version == cursor  # only a flush writes the log
+                continue
+            flushes += 1
+            tail = log.since(cursor)
+            assert tail[-1].op == "flush" and tail[-1].epoch == flushes
+            if persisted:
+                on_disk = wal_delta_keys(tmp_path / "state")
+                assert on_disk[len(journaled):] == [record_key(r) for r in tail]
+                journaled = on_disk
+        assert flushes == 60 // WINDOW
+
+        # A fresh single-shard reader of the whole log is the whole cache.
+        extractor = FeatureExtractor(max_path_length=3)
+        reader = QueryIndexShard(0, verifier=Verifier())
+        for record in log.since(0):
+            delta = replicate.delta_from_wire(replicate.delta_to_wire(record), extractor)
+            if delta is not None:
+                reader.apply(delta)
+        held = sorted(set(reader.entry_ids()) | set(reader.replica_ids()))
+        assert held == sorted(engine.cache.entry_ids())
+        for query in queries[60:80]:
+            features = extractor.extract(query)
+            assert (
+                sorted(set(reader.find_supergraph_ids(query, features, cover=True))),
+                sorted(set(reader.find_subgraph_ids(query, features, cover=True))),
+            ) == replicate.leader_probe_ids(engine, query, features)
+        if shards > 1 and hot_threshold is not None:
+            assert engine.shard_stats()["replicas_live"] > 0  # replicate records were in play
+        engine.close()
+
+
+#: two persist directories written by the commit before every engine owned
+#: its delta log (one single-shard: its WAL came from the persister's
+#: private mirror log; one 4-shard with ``hot_threshold=2``: a ``replicate``
+#: record is in there), each a mid-stream snapshot plus a WAL tail, with the
+#: ``cache_fingerprint`` the writer had at close — pickle + zlib + base64
+PARENT_PERSIST_DIRS = """
+eNrtXGuMJNdVnu55vzZrx5FMkL2Pmaru6urqme5Zr+1sbClxEmOXmfiByC8z6Z3p3ZrJ7MxsP5wYbMkGZiaEthigA6JRfvAD
+IQUnCAEBtCI/+YFtRV3VAcGvbBD8QEhBSAgMSHAf5557bvVjZnbGr7hX6r3n3Lr33HNf55x7q+Z7ZeTr9702JP693EjXxyrr
+W9c3Sw1Oj15b3yxVBHnvl4ub3qLx78GlXKV0vfHp3//40NATjz/zhU89tZj/XSbl8t//6O1XRr9+IGUO1UfXSpvVYqN+tlza
+KW/nVrfLpVwlKJbXGvWpx4qrQekz4vlvNpxXRVPjL5TKlfXtrYb/ZH20tLO9GjT8yXpye6fB2BfWV6sslfX9ofpEaatafnFl
+nTH3scecaSzXJyvl1RVZZrk+Xi2Wr5eqlcZy7epeI8dVfOon/uPC6ajoH0vF+4+u4tXRt58/HRWfOpaK544xiv53nNNR8aeP
+peL5o6n48vDQ0B9m3mozFcvDJ1ZxOa7i2PpWpVTupeO80jFI1Kee4wU+K1glOZjmRa6XiztBo3631EZwlRxkzjxVvFraLK09
+LlhRb5mrNLJVvFFizd9curxSusT0XimubRRXS1urL3LBPt/FfmLZTy77w8v+yHLNT7zMlFuu+ElIhyEdkWmtPr6yyduqyPr1
+4acWFxt+gqf5hp/k6eWGP8zTSw1/hKdLjVp9RtZaWd9aK31F9Onir/H6B8EcTxMHwTxPkweBxdPhg8Dm6chBjem8VbuxUlq7
+zqwLEzgLkla3a1ts+urTq9ubm6XVKht4xo0/xrNLZTYGohE/Ecyx3zz7Wexn+4nabuPZRm2vcbU+ca1UrNbKTGz9XjmoKiNX
++kq1XFytbpcb9Vkxpp9TRXG2x0AB0cwuG4LgYjC3J1MbUgvSeZHOiVJz/Pm+oiyk5gVlizI2PrHxiSWeWMjPc75Wn9zcXi3K
+zr/Mltfq9hpTkq31nWI1WPlS6cVK46u1q/WPrG7f2GH2eW1FLvtG/eOyx+uV7Rvb5Z1gvXIjp8o06mceA/JnZGnodHBX8LHK
+1fosCtvZLG41gufqd6nyz9RK5Ref5rlQpT7OFGHzwYqxqkyTwzZh8WOPPHE6m/Dzx9uE1uGb0DrpJnzwnduEebkJ85fkJsw/
+AJtwCTbhpQ/NJrRim3DO2IR6G8lNyKm5fXNr6U04F9uEegv/2G7CT44PDb3h/dN5tgnz4yfehE8fbxPah29C+0SbcPzm0kMr
+pXzh8F3ojy77Y8v++LI/sexPLvtTcl+ygsv+NM+s9dqe/iikY5COQzoB1ROs7iTkTUE6zdJE163NlDW2Nve3Yms/JLc23+qj
+PGX5Y+B/x3nK8ifANEwGeX+K0w83/OnA7WYKHDAFGTAFrjAF/vRBkAVj4EljEOR4OnoQLPB07CBY5On4QZDn6YQ/eRAUODUV
+NxszxzMbDttfGfZz/WSQZanHfjn2W2C/RfbLs/zCO2NKXLatk4EbOMJksDTIs+2eTEsyyFRV9uK+ohaQyiJVQCqHVIZTUlAm
+cKuEyaNUD0pnoPmMaF4UZGTgVFW2o7MdUT+pmMUqebJAmSxlCpTJUcYTjeTFQOTFQIhUaZInA5GHgZAFFpDKIlVAKodURo5o
+nvQ9D33nBWTf87qTedqvPO1XnvYrT/uVp/3Kk34tCju+KCc4zQnszSJO5iJO5iJO5iJO5qKaTEHJKVsQYheU2AUidgGFLaCw
+BRS2gMIWUFhWCMsqYVkiLIsisigiiyKyKKIgRBSUiAIRUcCKBaxYwIo5UTGnKuZIxRwWz2FxRxQXZSQP08eeizSzK8Rk5AwL
+MRms7L1vfOjrp+VDv8Ac5/cSQ/czH/rUyX3oM8fzoanDfWjqpD704eP7UO09hTPlPnTmznyoSCelvxT+M6H9pz/T049yf5mA
+cykNkfMP4zlV+FHuL8fAzxp+9GHuR7P+FPM+08wTzUjf3M2XZsCXuuBLhQed5IG1B75U+NBp7k0XwJsKLzrF/Wke/KnwohMH
+wRJPZ07oTaUnZcaBWVfpSZPgSZm15Xuf/ZbeGW+6KJzIYuDuSWvpogV1lTsUpDLuklmgTI4yecoUKJOlDFh6Ri9hc8qcZ0CV
+DJr6DCrF3LJSKsN1rRJmiTLZqqqQx6oFpLCpmG+QTS9ggwu6wQXa4AJtcIE0uIANLmCDC9jgAjaYE8Oeg2HP6cHO0SHN0SHN
+0SHN0SHNkSHN4ZDmcEhz0K+c7k2OdiBHOpDDDuSwAznsQA474O52DYOkjkhlkVJh0xKUz+6pECahAgoZBaBWeaJVHqXmUWoe
+pQoPJqvuKyoLVEH6OGgvAz6vsAs+l7RXIO0VsJUCtrIk6yzRkV8iI7+ErfLgIMmDAlIyS0pmUeb7x71++7Tc6zeYPz13JTPD
+3OtvnPw++Vl0r1Nwn3xts1YJ0Ls++X/sH3Gwy0e7Uf4zptVv/+rcWabkN5WSIzdKTAfukOaFkSxuVb7MLDTzrJUXt5YaIlls
+/DojqsXrYqJGbrCJatQnKrWr0jlX6hPFtTU2pkU2z+mab3ELOywl5FnVgDnKYDKYqjA3zx7b8nEw2/EkBU9G40+Y9c/9N9P2
+lbOv3GLK/whHuFItVuW7nrFr2+UbXIFEp4L1MTEgFf5w9iafZ+mgWD99NuxbzHmIMCVdn5ZDysVKL30PO28mH/+U/V//mHjp
+T95gq/eCP+QPPQ4KDLGMi/GMuXjGfDzDimfY8YxULEOMAFv5la3iTpfXWCy38enptHiP9dzyp57O/09qaGj9p77/v2yw/i1F
+Xo7pQdKL7QkSy41srr9Qkh2vjwTbPLTqtnq7hHA03LvnhLFcYfHk9yHiUd9YDu89xgjdLaYjdyJ97kJ4LGdcc16GGG4RYrgH
+IIbLQwzHYrcJFgNNwj3JlLxP6Ra7zUPsZkHsZsOVaAoitzTcgjgQt2XkrccYRHvjKtqDWO+ktyDk0jRIsV+aH6vEzUgS4jlx
+M/JOxG1p4fPScHHKUnVmF2RgVVU2nNAFSbJT+4qydAFLHiMV42BpF0tnkfKQstELJ3nT4Gkt1bQgg/mqyp7X2fOqQck4lElR
+xqVMljIeZWxoZH5P6jKvwqoMGZUMjEpSZstRkaVT+4qydAE5EDLbxQJZpDykbEGpA7clgxqHDyt039Hdd2gnHdpJh3bSoZ10
+SCcdOfU8U3fNwZl11MwKykUqi5SHlJy/lFA7pcSmtFjJqNWTQskplJxCySmUnELJ6lo/o/puybGsEiZLGY8ysrtiCanaDq3t
+0NoOre2Q2vCCATW2UGMLNbZQYxXdzkO0Oo+R7DxGsqqsugqSZbNYIoslxIsInr8nU/nyQ8R+gYel7PcgFpwN7uoSC/7R0WLB
+u3gsuMx0vy8YCybh/mKGcbPBWfBkwUe5E+MXEpdZ7HgEz6Xd1hTc5Pszy/7ssn/mUC+mbiS6ebCuN/tdbib8WUjPwE1FcBG9
+W14sanFCH2ZWf4RZ+dGg5Y8x6z8ONxUTQehPsvwpuLGYZh5hhnmCWfY7E0S1IMfHpCWcGHdPKXBjXuzNXkZeSYyAg2PuK5SO
+jDmwSF5FnAFnNw2ubcafPagFn/DPBleCR0UrTNMU3Mxb4JO4nwpZGrFfWt7eo28KHgs+B3P4BHUwKXAwqSAS1o1TLlIt5TwY
+KWx5UjFWlTxpUcajjE2ZsKrk2lquLWsLOtTZIWQrt9MCk9+Ca05OpZQRb3H1WfERxbiUsaukWFhVcqx9RbWQ8pCytWxbmHGZ
+zTUEwSFkR0LDSIykSMVIJgTFR3JEUC0pL8LBQ6ZFGY8yNmW44lKUrUXJwZOthjo7hGxl812hWkoMYkJqsK+oFlIeUjZSQihv
+CGraakkIUvsPW68CyXiUkYPO9AIpoZYSUikhlRJSKaFeS5IJq9T1tPbAJ6jJTyrGrpInUAl7bWGvLey1hb1Wb6JS4FNcPY0u
+nTmXzpxLZ84lM+fqmXPJzLl65lwycy3RdkttFak9UNDZFu1fi/Svhb1qYa9a2KsW+KmWnNO0XOBYlU9RMi2XN3hXT96MeLQ9
+j7TnYSsetmLLOjbZ97be4DapbWOdUN6rhFgnIWea16kF32T+7PXl4FvMPQbfDv5YObi/qlwN/jT4jmT/krPSad1vOK37Tac1
+dnNpkX8O0t1nHf4NCLgNcUBwhbEdZsZ3JPDABczH7qDT4ABs820uN+gjyqDPwyVxGg4c9GDRy3jr04HbM27vjHXiEc5x4pce
+07Dxc4mhIWMmIEdOxjljMs51TEZ+pfRQ3wBCxw3jcoa6zAwGAd1eX5jOnr+GkC6Tz1yK21Xm7EN/bON3mNb+eODIiRSsdOdj
++u18OnYqjeBUGsKp1JFnUT67EzC7Um5SvAlIw2kyEt5anCgPm2hRfU+T6tijOOH8KA9HO8lGRuEI3iVKVvy3TwqnKBMa968R
+nPwirJRGTvxXNbL0CQ94uaUzujMZoh8wWp8M1Sdj6APfBkS70s1miD4RlVM1spQ+yEt9IvWaG9SURjEyRzKKKRdR5SKinCC5
+HcP6Qi8ceilPS9vDp0aDJCe1b/K6GRm7Qe4evgvmR0azx47ZY4gK6JCGfTd3vWNz18nmPm9s7vMdm7vQd3PrnT0m8sfl5sbN
+3O/dZKJzc4P5ZKd0trEz3O2yjc1CbLbbxoM0mOc0ROg83rZhUzuwqTOwqV3Y1JGM0OlmBnOfIF/JiN3cdxcPM5OcBnOdhhiW
+U3h/w6fJrqpsFwvYuoAdpKuEiSijLnMy0IajUi3AoQIcJYA3BmXtPRmfs2Kqjs1FVgnjUMYFATYeHmx59YI2I61viXQHM9jB
+jO5ghvYpQ/qktjmEKxFVIyJqRNC4/iQijRcj0ArXQN2q6IruLnx7ozV0sUZ/t3e7Y2fcJjvjgrEzLnTsjKXTiEEc+YHaUoN6
+M1jo8F3ZxieS0o31dl5GKMJEiiqmszo0GtFLLtpXlLqHdITAfTqfYMSxUEQLqSmUx1P5YI9eY+mygug7S4vJ+CzJHDlLF41Z
+uhi/3li6JO7oj3S9YVzMixuOk31kAVcZaAynTWMnowph73hQU+BWxuFhKNi8tLy5uMxvLmx/kvFTbDKngzAe3YAZnGALZGMH
+1koSbCL5+DAt7y1GmT3cuAnFxmEpTUH8My2W0owR9wgNhWAwmp5YWcNCCCyw8HD7qRymIoWVUowQT3hhCoZpVDOMIZA8xeBD
+j5bku34MS8qj/zDhQ1JT6M8ri8b5EhQEOnbNScNE+JQMC0iGtDwkx4tVkYdHmgH+3cgKTSlKRQxMIF5w9rpFEepiBjkQJ/XR
+5YSjQCV0QGKT6ES0vEf2Mu04cuq2m3RZMXBYdszOaj4kNbGbZnADNxqGvJRZPxWvrzwEI0BI1eRtkxdVq+p2JNynJ2azk56h
+h2fq4cX0sOVh2DZF2FpEAh8qEbYhIilO3zEVbRkoigyho6BMMf1jwZUOW7pCbOmcYUvnOmzpA0e/KibfqSmLOiFKittiw66i
+fTzpR+BDcFU81PuqWFy28kvWFgSYafkB+EPMbDC7xo6OYGwz/pS0ftMsPpxhVWZZ1TOBDa7ZkjHoLJjNhD9zIG+Ok3g/rF94
+bvwArO0oGOMxPGUqy33mAM35FESv0+aNscWvWITi6uibEHLBHjtgpsFiu0dw+BY4fEu/nOTvdEKICi1yuFSvCwXlItVCykMK
+41ULlySX9YMkkRXq9kIdn3LGooxdVbGoenMpUv3WUKub0eom8e2mpFykWkh5SOFFsVJXZCt1ZRm8NSbqZlDdpGJscVGYgcNc
+hj9WwkNQT9UN1ftbxbiUaVHGo4xNGKEjfahGItSdYqQc0pj/sPTBVQ+iYp19wriUaVHGowx1PJbpePTcq8dy+pGDSde8nPeu
+L2pDfFGrzgZqFTq4Ch29Ch2yCh26Ch29Ch268ByigCUWnmhVvxjFkpKBknAGg5tsrgmktkq1DJvKsEFGApSD4qGIkyxYQgnY
+G/qtKlklFl0lFl0lVmyVWGSVWLBKRvTxSQ+vi4Pq4qC6elBdMqguHVRXD6pLxrG1CxfVuoUWym1puS0it0XltrTcFpGLF9ta
+rqeleUSaR6V5WppHpCmPTaTZtJqtq9lYTblkkUlGW/F4dy5HW1ps6bk5pdtCXm0dYGNX6xk1gWk50XjPbvW/Z994s8Pvv6n9
+fo18XXdP59d1+WN8Vndvzb+PHxxeGR4aSuNHeRu/NMw/7NrYZcnGHvuvsrHP/vfP1/z7sfTGq+z/vmXPmZIL/SWf15J/hT/t
+L36+5l8wxS81RD1BX2ocXv2i2V7fsnNHL1sjXw8GCbYysEi/zwXnyeeC80f4XPC++Jd998czzsUzzsczjv/JYa1Wy7HVN31t
+fet6qbxTXt/iX2Y+30jz7/rcT9Lv787zj+4eScE3d6nzL/3sS4/k8+df+ixLCo826mMpvlJTDb5TdNf+BpbrbqPKen2hnu4q
+U9zkSJEPCImXHuWbgEtcTGnRklhSxKUUE2p0KDgj27nYQ3d5FwG6F2K6Lwrdu4mb6yVOhOMgTiqev3y4uPleo3C5cxRig8D6
+vtddqNVL6IO9hOZ7Kmj36u9DfYavt7hUL3EPE3FLR5yN0h5br+Ni35XWxJYc7gXbcknCtrz0kyZsy5+Pbv37e4GJcgzYljfO
+7Hz0vcBEOQZsy9sXbu++S5goyTuEbfn+337rn09HxeVjqXgM2Ja7f8v7z3cLMSIxgG0ZwLYMYFs6N+E3Vn/h9dPZhIcjRiQH
+sC0D2JYBbEsnbMvda/8anQ5sy+F/cj48gG0ZwLYMYFsGsC0D2JYBbMuPEWzL1OfDW6cD2/LsALZlANsygG0ZwLYMYFsGsC0D
+2BYJ2/Kl8b/7vdOBbXluANvSAdvSSgwN/cHVK88w5f86caewLSMfVNgW1EzMrNQsIZS5yFLe5DxLLaat7Q/z6rX6R9iy21xf
+La6oRcDCkHuWK/UpthivllaCdcjyk5X69E5pa2196/pKsF1tPM+WrGhnRZbc3C6usUz+Ed0wayhRqk+L5SgHka/R2RvbL5Qq
+K8Ud1mBJBH9nofHKymqZeeKSeL9wplxim2CtsnJte3NNlOuDRnMJ0Gj+haDR/AOj/6L482+yNfC99CFoNE/2QKMZB80GgDQD
+QJoBIM0AkGYASDMApBkA0piANADZ9mFFpQljqDRRH1SaNvy9QXgHqDQRotK0j4hKE/ZApeGINO07QqVpd0GlMWBiCCpNSFFp
+QvWdq2Q8ytiUibqj0oRVCowD2ZH6Rh58Twh2P0RUmlCj0nAgi7YCogkpKk1IUWlCAK9J6i/+BRUi5SFlfJefwkrRPgqOILst
+NGwDKk0bRjIhKIlK09bII20cPGRCyniUsSkjUHcEbWtR6u8g2gpVSGZHCgcmhkqjUWGUmQ/h76hS0HlJ2UhFHag0oUalCSkq
+Da4CyXiUiQCVJgIpkZYSUSkRlRJRKZFeS5KJDFSacA8/myeoNCFFpVGTLz+oD/cV5e3Tj+wlFfVEpTEAZMIqYTzK2JSJuqPS
+hIhKE+lsNXPiM3LZAQkbgGBHoepsSPsXkv6F2KsQexVir0JwVqH68zuxwLFqtAffr0edqDQhRaXR7XnYioetEFQaNf223uA2
+qW1jnWiXwCpF8Jfm8mFvVJrvmqg039WoNLcGqDTvHirNSsef568YqDS33ueoNG3m7CN/bKNpotI0j4JK06YAFj1QaZqdqDRt
+QKY5CipNU6PSNA1UGskJ50d5hUoj2LZRuI2oNJwV/+2TwinKRMb1chuOf22slEZO/Fc1svQxD/gIUGmaGpVG6weM1idD9ckY
++sCnD+1d6WYzRJ82lVM1spQ+yEt92ohK00bN0kplNZLtmHJtqlybKCdIgUrTNFBp1NAD6AxK28OnRoMkJ7Vv8roZ+HtymRtH
+pWnGUGlIj9UfbpMhjfpu7tc6NvdrBirNrQ8AKk37DlFp2kdEpWm/+6g07ZOi0rRPD5WmfUqoNO1OVBq1zSFcaVM12kSN9nuA
+SvPDjp3xQwOV5tZ7g0rTjqHSXOmNStPugUpzxUSlaR8LlabdBZXmivrrTDWfYMSxUJsWiqPSXOlEpVFlBdF3lvIdf1GZN1Bp
+bn1QUWmad4ZKE8WjG4pKc/NoqDTlTlSaqAsqjdZQQdBQVJqyRqU5AqqXcpiKRFSaJkWIUQ8dyiAqTdNEpWlSVJqmgUrTjKHS
+AB+RmkJ/gUqjUD4kyIdy7JqDP9TXPKDSkAxApdE5XqwKoNKQDIVKQ7MiU4pSEQMTiBecvW5RBKLSKA7ENTUqTVOj0jQpKo1q
+Xkcr5TgqTdNApWmaqDRNikrTNFBpmjFUGtpTYLGbZnCjUGmaBiqNUT8Vr09RaZoxVJpmDJUGqyIqTWSi0jRNVJqmgUpj6OHF
+9EBUmqaJStM0UGkMEbYhAlBpTBVtGSiKDPm37eX42jkkFvxihy39ooFKc+vDgEoTCYCXw1FpmhqVJuqJShMhKk3YE5Xm9lFQ
+aZqHo9JIxTUqze1OVJrmiVFpIkSSaR6GShMehkqjZd2mqDSRbi+iqDQRRaWJjoZKEyEqTfMwVJrwMFSaCFFpblNUmkij0kT0
+vWhEUWkiRKVB+Ff9rjIC9RDolaLSRBSVJtK4E5LxKGMTRuhIH6qRiHSnIkSlMf2HpQ+uehAV6+wTxqVMSBmPMtTxWKbj0XOv
+HsvpR06h0iDfB5Um6oJKEx6GSoOV9Cp09Cp06MJziAIalSbSb0cjikoTdaDShD1RaSKNShNRVJoIUWlua1SaCFBpIo1KE1FU
+GrJKLLpKLLpKrNgqscgqsWCVxFBpoipFl+mLSoNF9aC6elBdMo7hLsKoZPCi2sI7bpQbErkhlRtquSGRa6DSRN1RaTBbS/O0
+NI9IM1BpIkSluU1RaSKNShMhKk2kUGnIaCse784jQKW5jZ77dpLuPeTV1gE2drWeUROYlhON9+xW/3v2jbc6/P5b7ygqzasm
+Ks0vS8wVjqUi0FYqG1+lqDSi9MYvSnyW3mXPmZIL/SWf15K/xp/2F69QaV6lqDRfI6g0h1a/aLbXt+zc0ct2oNJgkX5fQ35A
+UGm6fw3JleHtn2Nanmc/8nXkO/E15FD3ryEnT/A1JAfbCSZPF2BHoawMsHUG2DqngK1Ty/0/BgKNtg==
+"""
+
+
+class TestParentWrittenDirectories:
+    @pytest.mark.parametrize(
+        "name, shard",
+        [
+            ("single", ShardConfig()),
+            ("sharded", ShardConfig(shards=4, backend="inline", hot_threshold=2)),
+        ],
+    )
+    def test_warm_start_reaches_the_recorded_fingerprint(self, tmp_path, database, name, shard):
+        fixture = pickle.loads(zlib.decompress(base64.b64decode(PARENT_PERSIST_DIRS)))[name]
+        state_dir = tmp_path / "state"
+        state_dir.mkdir()
+        for file_name, data in fixture["files"].items():
+            (state_dir / file_name).write_bytes(data)
+        config = EngineConfig(
+            cache=CacheConfig(size=8, window=4),
+            shard=shard,
+            persist=persist_config(tmp_path, fsync="never"),
+        )
+        engine = build_engine(database, config)
+        assert engine.persister.restored
+        assert cache_fingerprint(engine) == fixture["fingerprint"]
+        assert len(engine.delta_log) == len(engine.cache) + 1  # one bootstrap flush
+        if name == "sharded":
+            assert engine.shard_stats()["replicas_live"] == 1
+        engine.close()
 
 
 # ----------------------------------------------------------------------
@@ -552,6 +783,44 @@ class TestRecoverDir:
         assert [entry_id for entry_id in recovered.live] == [1]
 
 
+    def test_segments_after_an_unclean_one_are_discarded_loudly(self, tmp_path, caplog):
+        """A torn record invalidates every later segment — and says so."""
+        log = DeltaLog()
+        graph = make_path_graph("AB", name="g1")
+        features = FeatureExtractor().extract(graph)
+        first = wal.WalWriter(tmp_path / wal.segment_name(0))
+        first.append(("delta", log.append_insert(0, ShardEntry(1, graph, features))))
+        first.append(("meta", {1: {"answer": [], "tags": (), "added_at": 1}}))
+        first.append(("state", {"format": 1, "query_counter": 10}))
+        first.close()
+        later = wal.WalWriter(tmp_path / wal.segment_name(7))
+        later.append(("delta", log.append_evict(0, 1)))
+        later.append(("state", {"format": 1, "query_counter": 20}))
+        later.close()
+        torn = tmp_path / wal.segment_name(0)
+        torn.write_bytes(torn.read_bytes() + b"\x07\x00")  # a cut-off header
+        with caplog.at_level(logging.WARNING, logger="repro.persist"):
+            recovered = restore.recover_dir(tmp_path)
+        assert recovered.state["query_counter"] == 10  # the later commit never applied
+        assert list(recovered.live) == [1]
+        messages = [
+            record.getMessage()
+            for record in caplog.records
+            if record.name == "repro.persist.restore"
+        ]
+        assert len(messages) == 1
+        assert wal.segment_name(7) in messages[0] and "torn record header" in messages[0]
+
+    def test_unknown_op_in_wal_replay_is_a_typed_error(self, tmp_path):
+        record = DeltaLog().append_flush()
+        object.__setattr__(record, "op", "melt")
+        writer = wal.WalWriter(tmp_path / wal.segment_name(0))
+        writer.append(("delta", record))
+        writer.close()
+        with pytest.raises(ValueError, match="unknown delta op 'melt'"):
+            restore.recover_dir(tmp_path)
+
+
 # ----------------------------------------------------------------------
 # Compaction accounting (ServiceReport surface)
 # ----------------------------------------------------------------------
@@ -607,13 +876,12 @@ def follower_matches_leader(service, follower, probes):
 
 
 class TestFollower:
-    @pytest.mark.parametrize("sharded", [False, True], ids=["mirror", "sharded"])
-    def test_probe_ids_match_leader(self, tmp_path, database, queries, sharded):
+    @pytest.mark.parametrize("sharded", [False, True], ids=["single", "sharded"])
+    def test_probe_ids_match_leader(self, database, queries, sharded):
+        """Every leader has a log to follow, persisted or not."""
         kwargs = {"cache": CACHE}
         if sharded:
             kwargs["shard"] = SHARDED
-        else:
-            kwargs["persist"] = persist_config(tmp_path, fsync="never")
         service = GraphQueryService(
             create_method("ggsx", max_path_length=3), EngineConfig(**kwargs),
             database=database,
@@ -628,7 +896,7 @@ class TestFollower:
                 follower_matches_leader(service, follower, queries[60:80])
                 assert follower.resets == 0
 
-    def test_truncated_follower_resets_and_replays(self, tmp_path, database, queries):
+    def test_truncated_follower_resets_and_replays(self, database, queries, caplog):
         service = GraphQueryService(
             create_method("ggsx", max_path_length=3),
             EngineConfig(
@@ -649,25 +917,16 @@ class TestFollower:
                 # The aggressive compaction budget pushed the floor far
                 # past this follower's cursor while it slept.
                 assert service.engine.delta_log.floor_version > follower.version > 0
-                follower.poll()
-                assert follower.resets == 1
-                follower_matches_leader(service, follower, queries[60:80])
-
-    @pytest.mark.skipif(
-        bool(os.environ.get("REPRO_FORCE_PERSIST_DIR")),
-        reason="forced persistence gives every engine a followable mirror log",
-    )
-    def test_unfollowable_leader_is_a_typed_error(self, database, queries):
-        service = GraphQueryService(
-            create_method("ggsx", max_path_length=3),
-            EngineConfig(cache=CACHE),
-            database=database,
-        )
-        with service, serve(service) as server:
-            with CacheFollower(server.host, server.port) as follower:
-                with pytest.raises(ProtocolError) as excinfo:
+                stale = follower.version
+                with caplog.at_level(logging.WARNING, logger="repro.persist"):
                     follower.poll()
-                assert excinfo.value.code == "not_followable"
+                assert follower.resets == 1
+                (record,) = [
+                    r for r in caplog.records if r.name == "repro.persist.replicate"
+                ]
+                assert f"version {stale}" in record.getMessage()
+                assert "resetting" in record.getMessage()
+                follower_matches_leader(service, follower, queries[60:80])
 
     def test_from_config_needs_follow_address(self):
         with pytest.raises(ConfigError, match="persist.follow"):

@@ -31,7 +31,6 @@ from repro.core import (
     CacheConfig,
     EngineConfig,
     ShardConfig,
-    ShardedIGQ,
 )
 from repro.datasets.registry import load_dataset
 from repro.methods import create_method
@@ -107,7 +106,7 @@ def mixed_config(**overrides):
 def sequential_baseline(database, tasks):
     """The legacy path: one engine, a plain per-mode query() loop."""
     method = create_method("ggsx", max_path_length=3)
-    engine = IGQ.from_config(method, mixed_config())
+    engine = IGQ(method, mixed_config())
     engine.build_index(database)
     results = [engine.query(query, mode) for query, mode in tasks]
     return engine_fingerprint(engine, results)
@@ -173,7 +172,7 @@ class TestMixedModeSemantics:
         """The same query graph issued as both types: the second type must
         not see the first type's cached entry as a component hit."""
         method = create_method("ggsx", max_path_length=3)
-        engine = IGQ.from_config(
+        engine = IGQ(
             method, EngineConfig(mode="mixed", cache=CacheConfig(size=6, window=1))
         )
         engine.build_index(database)
@@ -196,7 +195,7 @@ class TestMixedModeSemantics:
 
     def test_fixed_mode_engine_rejects_other_mode(self, database):
         method = create_method("ggsx", max_path_length=3)
-        engine = IGQ.from_config(method, EngineConfig(cache=CACHE))
+        engine = IGQ(method, EngineConfig(cache=CACHE))
         engine.build_index(database)
         query = QueryGenerator(database, WorkloadSpec(name="uni", seed=5)).generate(1)[0]
         with pytest.raises(RuntimeError, match="configured for 'subgraph'"):
@@ -204,7 +203,7 @@ class TestMixedModeSemantics:
 
     def test_mixed_engine_requires_explicit_mode(self, database):
         method = create_method("ggsx", max_path_length=3)
-        engine = IGQ.from_config(method, mixed_config())
+        engine = IGQ(method, mixed_config())
         engine.build_index(database)
         query = QueryGenerator(database, WorkloadSpec(name="uni", seed=5)).generate(1)[0]
         with pytest.raises(ValueError, match="mixed-mode"):
@@ -244,8 +243,8 @@ class TestLifecycle:
         method = create_method("ggsx", max_path_length=3)
         config = EngineConfig(cache=CACHE, shard=ShardConfig(shards=2, backend="process"))
         queries = QueryGenerator(database, WorkloadSpec(name="uni", seed=7)).generate(6)
-        with IGQ.from_config(method, config) as engine:
-            assert isinstance(engine, ShardedIGQ)
+        with IGQ(method, config) as engine:
+            assert engine.shard_backend == "process"
             engine.build_index(database)
             for query in queries:
                 engine.query(query)
@@ -259,7 +258,7 @@ class TestLifecycle:
 
     def test_plain_engine_close_is_noop_and_idempotent(self, database):
         method = create_method("ggsx", max_path_length=3)
-        with IGQ.from_config(method) as engine:
+        with IGQ(method) as engine:
             engine.close()
         engine.close()
 
@@ -383,13 +382,14 @@ class TestSessionsAndStats:
         method = create_method("ggsx", max_path_length=3)
         with GraphQueryService(method, mixed_config(), database=database) as service:
             list(service.stream(mixed_stream[:6]))
-            service.reset_engine_stats()  # no-op on a plain engine
+            service.reset_engine_stats()  # nothing hot to reset on one shard
             report = service.stats()
         assert report.shard_probe_load == [0]
         assert report.replica_counts == [0]
         assert report.replicas_live == 0
+        # Two flushes of W=3 into an empty cache: 3 inserts + a marker each.
         assert report.delta_log == {
-            "length": 0, "version": 0, "floor_version": 0, "records_folded": 0,
+            "length": 8, "version": 8, "floor_version": 0, "records_folded": 0,
             "bytes_reclaimed": 0,
         }
 
@@ -423,7 +423,7 @@ class TestSessionsAndStats:
 
     def test_service_from_prebuilt_engine(self, database, mixed_stream):
         method = create_method("ggsx", max_path_length=3)
-        engine = IGQ.from_config(method, mixed_config())
+        engine = IGQ(method, mixed_config())
         engine.build_index(database)
         with GraphQueryService(engine=engine) as service:
             results = list(service.stream(mixed_stream[:6]))

@@ -10,9 +10,8 @@ Four contracts:
 * **Routing** — an entry's owning shard is a pure function of its graph's
   canonical form: stable across processes and insert/evict churn, and
   shared by isomorphic (relabeled) copies.
-* **Equivalence** — ``ShardedIGQ`` with ``shards=1`` is byte-identical to
-  the legacy :class:`IGQ` engine (same code paths), and ``shards>1`` —
-  inline or process-backed — is byte-identical to ``shards=1``: answers,
+* **Equivalence** — ``shards>1`` — inline or process-backed — is
+  byte-identical to ``shards=1`` (which probes its own index pair): answers,
   per-query accounting, containment-test statistics, cache contents and
   replacement metadata.
 * **Lifecycle** — compiled payloads ship through deltas (shards never
@@ -33,7 +32,6 @@ from repro.core import (
     EngineConfig,
     QueryIndexShard,
     ShardConfig,
-    ShardedIGQ,
 )
 from repro.core.shard import BROADCAST, ShardEntry, shard_of_key
 from repro.datasets.registry import load_dataset
@@ -107,9 +105,9 @@ def config(**shard_fields) -> EngineConfig:
     return engine_config(10, 3, shard=ShardConfig(**shard_fields))
 
 
-def run_engine(database, stream, engine_cls=ShardedIGQ, **shard_fields):
+def run_engine(database, stream, **shard_fields):
     method = create_method("ggsx", max_path_length=3)
-    engine = engine_cls(method, config(**shard_fields))
+    engine = IGQ(method, config(**shard_fields))
     engine.build_index(database)
     results = [engine.query(query) for query in stream]
     fingerprint = engine_fingerprint(engine, results)
@@ -154,12 +152,12 @@ class TestRouting:
         # where re-running the router would put it, and the replicas hold
         # exactly their routed entries.
         for entry in engine.cache.entries():
-            assert engine.entry_shard(entry.entry_id) == engine.shard_of(entry.graph)
+            assert engine.placement.entry_shard[entry.entry_id] == engine.placement.shard_of(entry.graph)
         for shard in engine.shard_runtime.shards:
             expected = sorted(
                 entry_id
                 for entry_id in engine.cache.entry_ids()
-                if engine.entry_shard(entry_id) == shard.shard_id
+                if engine.placement.entry_shard[entry_id] == shard.shard_id
             )
             assert shard.entry_ids() == expected
         engine.close()
@@ -328,7 +326,7 @@ class TestReplication:
         self, small_synthetic, zipf_stream
     ):
         method = create_method("ggsx", max_path_length=3)
-        engine = ShardedIGQ(method, config(shards=2, backend="inline"))
+        engine = IGQ(method, config(shards=2, backend="inline"))
         engine.build_index(small_synthetic)
         half = len(zipf_stream) // 2
         for query in zipf_stream[:half]:
@@ -362,7 +360,7 @@ class TestReplication:
         self, small_synthetic, zipf_stream
     ):
         method = create_method("ggsx", max_path_length=3)
-        engine = ShardedIGQ(method, config(shards=2, backend="inline"))
+        engine = IGQ(method, config(shards=2, backend="inline"))
         engine.build_index(small_synthetic)
         half = len(zipf_stream) // 2
         for query in zipf_stream[:half]:
@@ -403,7 +401,7 @@ class TestReplication:
 
     def test_auto_compaction_keeps_log_bounded(self, small_synthetic, zipf_stream):
         method = create_method("ggsx", max_path_length=3)
-        engine = ShardedIGQ(
+        engine = IGQ(
             method, config(shards=2, backend="inline", compact_threshold=8)
         )
         engine.build_index(small_synthetic)
@@ -457,7 +455,7 @@ class TestHotReplication:
         stream = zipf_stream[:30]
         _, baseline = run_engine(small_synthetic, stream, shards=1)
         method = create_method("ggsx", max_path_length=3)
-        engine = ShardedIGQ(
+        engine = IGQ(
             method,
             EngineConfig(
                 cache=CacheConfig(size=10, window=3),
@@ -504,9 +502,9 @@ class TestHotReplication:
         # (the inline backend's shards share one physical replica store, so
         # the holder narrowing lives in this parent-side accounting and in
         # the per-probe cover directives, not in the store itself).
-        assert sum(engine.replica_counts()) == 2 * stats["replicas_live"]
-        for entry_id, targets in engine._replica_targets.items():
-            assert engine.entry_shard(entry_id) in targets
+        assert sum(engine.placement.replica_counts()) == 2 * stats["replicas_live"]
+        for entry_id, targets in engine.placement.replica_targets.items():
+            assert engine.placement.entry_shard[entry_id] in targets
         engine.close()
 
     def test_born_hot_replacement_skips_home_install(
@@ -536,7 +534,7 @@ class TestHotReplication:
         self, small_synthetic, zipf_stream
     ):
         method = create_method("ggsx", max_path_length=3)
-        engine = ShardedIGQ(
+        engine = IGQ(
             method,
             EngineConfig(
                 cache=CacheConfig(size=10, window=3),
@@ -589,7 +587,7 @@ class TestHotReplication:
         stats = engine.shard_stats()
         assert stats["replicas_live"] > 0
         assert sum(stats["probe_load"]) > 0
-        replicas_before = engine.replica_counts()
+        replicas_before = engine.placement.replica_counts()
         engine.reset_stats()
         stats = engine.shard_stats()
         assert stats["probe_load"] == [0, 0, 0]
@@ -598,7 +596,7 @@ class TestHotReplication:
         assert stats["delta_log"]["records_folded"] == 0
         # Placement survives: replicas stay replicated, entries stay put.
         assert stats["replicas_live"] > 0
-        assert engine.replica_counts() == replicas_before
+        assert engine.placement.replica_counts() == replicas_before
         # The engine keeps serving queries (fresh hotness slate).
         result = engine.query(zipf_stream[0])
         assert result is not None
@@ -610,11 +608,16 @@ class TestHotReplication:
 # ----------------------------------------------------------------------
 class TestShardedEngineEquivalence:
     def test_shards_1_matches_legacy_engine(self, small_synthetic, zipf_stream):
-        _, legacy = run_engine(small_synthetic, zipf_stream, engine_cls=IGQ)
-        sharded_engine, sharded = run_engine(small_synthetic, zipf_stream, shards=1)
-        assert sharded == legacy
-        assert sharded_engine.delta_log is None  # truly today's path
-        assert sharded_engine.shard_runtime is None
+        """``shards=1`` is the default engine: its own index pair, no runtime
+        — and the same log every other shape writes."""
+        method = create_method("ggsx", max_path_length=3)
+        default = IGQ(method, engine_config(10, 3))
+        default.build_index(small_synthetic)
+        results = [default.query(query) for query in zipf_stream]
+        engine, explicit = run_engine(small_synthetic, zipf_stream, shards=1)
+        assert explicit == engine_fingerprint(default, results)
+        assert engine.shard_runtime is None and engine.isub is not None
+        assert engine.delta_log.epoch == len(zipf_stream) // 3  # one marker a flush
 
     @pytest.mark.parametrize("shards", [2, 4])
     def test_inline_shards_match_single_shard(
@@ -639,7 +642,7 @@ class TestShardedEngineEquivalence:
 
         def run(shards):
             method = create_method("ggsx", max_path_length=3)
-            engine = ShardedIGQ(
+            engine = IGQ(
                 method, config(shards=shards, backend="inline").replace(mode="supergraph")
             )
             engine.build_index(small_synthetic)
@@ -654,7 +657,7 @@ class TestShardedEngineEquivalence:
         stream = zipf_stream[:24]
         _, baseline = run_engine(small_synthetic, stream, shards=1)
         method = create_method("ggsx", max_path_length=3)
-        engine = ShardedIGQ(method, config(shards=2, backend="inline"))
+        engine = IGQ(method, config(shards=2, backend="inline"))
         engine.build_index(small_synthetic)
         results = engine.run_batch(list(stream))
         assert engine_fingerprint(engine, results) == baseline
@@ -675,7 +678,7 @@ class TestShardedEngineEquivalence:
         stream = zipf_stream[:24]
         _, baseline = run_engine(small_synthetic, stream, shards=1)
         method = create_method("ggsx", max_path_length=3)
-        engine = ShardedIGQ(method, config(shards=2, backend="process"))
+        engine = IGQ(method, config(shards=2, backend="process"))
         engine.build_index(small_synthetic)
         with BatchExecutor(engine, num_workers=2, backend="process") as executor:
             results = executor.run_batch(stream)
@@ -689,7 +692,7 @@ class TestShardedEngineEquivalence:
         for flags in ({"enable_isuper": False}, {"enable_isub": False}):
             def run(shards):
                 method = create_method("ggsx", max_path_length=3)
-                engine = ShardedIGQ(
+                engine = IGQ(
                     method, config(shards=shards, backend="inline").replace(**flags)
                 )
                 engine.build_index(small_synthetic)
@@ -707,7 +710,7 @@ class TestShardedEngineEquivalence:
             method = create_method(
                 "ggsx", max_path_length=3, verifier=Verifier(compiled=False)
             )
-            engine = ShardedIGQ(
+            engine = IGQ(
                 method,
                 config(shards=shards, backend="inline"),
                 igq_verifier=Verifier(compiled=False),
@@ -736,6 +739,6 @@ class TestValidation:
 
     def test_context_manager_closes_runtime(self, small_synthetic):
         method = create_method("ggsx", max_path_length=3)
-        with ShardedIGQ(method, config(shards=2, backend="inline")) as engine:
+        with IGQ(method, config(shards=2, backend="inline")) as engine:
             engine.build_index(small_synthetic)
         engine.close()  # idempotent

@@ -220,7 +220,7 @@ class TestProcessPoolIntegration:
             handle.load()
 
     def test_process_shards_attach_shared_snapshot(self, small_db, queries):
-        _, baseline = run_engine(small_db, queries, engine_cls=IGQ)
+        _, baseline = run_engine(small_db, queries)
         before = set(leaked_segments())
         engine, sharded = run_engine(small_db, queries, shards=2, backend="process")
         assert engine.shard_runtime._acquired_mode == "subgraph"
