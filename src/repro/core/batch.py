@@ -5,9 +5,11 @@ filter, prune with the iGQ components, verify, maintain the cache.  Under
 load two of those stages dominate and neither needs to be sequential:
 
 * **verification** — the surviving candidates of one query are independent
-  isomorphism tests, so :class:`BatchExecutor` fans them out to a
-  :mod:`concurrent.futures` worker pool (processes by default — the tests
-  are pure-Python CPU work);
+  isomorphism tests, so :class:`BatchExecutor` can fan them out to a
+  :mod:`concurrent.futures` worker pool (``batch.backend``: threads — the
+  native kernel releases the interpreter lock — or processes; ``"auto"``
+  picks processes only for more than one worker on more than one CPU and
+  otherwise verifies in-process, one kernel call per query);
 * **feature extraction** — real workloads repeat query fragments heavily
   (that is the premise of the paper), so extraction is memoised across the
   batch under the query's exact, insertion-ordered key: a copy of an earlier
@@ -432,8 +434,7 @@ class BatchExecutor:
                 # method snapshot and subscribed to the cache delta log —
                 # verification chunks ride on those instead of a second pool.
                 engine = self.engine
-                runtime = engine.shard_runtime if engine is not None else None
-                shared = runtime.verify_pool() if runtime is not None else None
+                shared = engine.shard_runtime.verify_pool() if engine is not None else None
                 if shared is not None:
                     self._pool = shared
                     self._owns_pool = False

@@ -247,9 +247,10 @@ class BatchConfig:
 class ShardConfig:
     """The sharded query index (delta-replicated cache partitions)."""
 
-    #: number of cache partitions (1 = the single-shard engine)
+    #: number of cache partitions (1 = one inline replica holds the index)
     shards: int = 1
-    #: shard runtime (``"auto"`` | ``"inline"`` | ``"process"``)
+    #: shard runtime (``"auto"`` | ``"inline"`` | ``"process"``); only more
+    #: than one shard forks, a single replica is always inline
     backend: str = "auto"
     #: compact the delta log above this many records (``None`` = never)
     compact_threshold: int | None = 1024

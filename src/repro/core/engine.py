@@ -44,8 +44,6 @@ from .config import (
     EngineConfig,
     validate_query_mode,
 )
-from .isub import SubgraphQueryIndex
-from .isuper import SupergraphQueryIndex
 from .maintenance import IndexMaintenance, MaintenanceReport, PendingQuery
 from .placement import Placement
 from .probe import mask_sums
@@ -139,9 +137,10 @@ class IGQ:
         (``"subgraph"``, ``"supergraph"`` or ``"mixed"``: per-call dispatch),
         ``config.cache`` sizes the query cache, ``config.verifier`` picks
         the containment verifier, ``config.batch`` drives :meth:`run_batch`.
-        ``config.shard`` partitions the query index (``shards > 1`` hands the
-        two components to delta-fed shard replicas, inline or one worker
-        process each; see :mod:`repro.core.shard_runtime`).  ``None`` means
+        ``config.shard`` partitions the query index: the two components
+        live in delta-fed shard replicas — one inline replica at
+        ``shards=1``, one per partition otherwise, inline or one worker
+        process each (see :mod:`repro.core.shard_runtime`).  ``None`` means
         all defaults.
     igq_verifier:
         Injection point for a pre-configured containment verifier — tests
@@ -202,23 +201,15 @@ class IGQ:
         self._records_folded = 0
         self.num_shards = config.shard.shards
         self.placement = Placement(config.shard, config.cache.window)
-        #: which components the probes consult (the shards own the index
-        #: structures when there is more than one)
+        #: which components the probes consult (the replicas own the index
+        #: structures)
         self.probe_isub = config.enable_isub
         self.probe_isuper = config.enable_isuper
-        #: a single-shard engine probes its own index pair; with more shards
-        #: the runtime's replicas own the indexes (keeping a local pair as
-        #: well would double-index and double-compile every insertion)
-        self.isub = self.isuper = self.shard_runtime = None
-        if self.num_shards > 1:
-            from .shard_runtime import create_shard_runtime
+        from .shard_runtime import create_shard_runtime
 
-            self.shard_runtime = create_shard_runtime(self, config.shard.backend)
-        else:
-            if config.enable_isub:
-                self.isub = SubgraphQueryIndex(self._igq_verifier)
-            if config.enable_isuper:
-                self.isuper = SupergraphQueryIndex(self._igq_verifier)
+        #: the log readers that own the component indexes — the only place
+        #: an index changes is a replica replaying the log
+        self.shard_runtime = create_shard_runtime(self, config.shard.backend)
         #: durable WAL/snapshot store (:mod:`repro.persist`), attached when
         #: ``config.persist.dir`` is set (last: a warm restart replays into
         #: the log, the runtime and the placement maps above)
@@ -228,8 +219,23 @@ class IGQ:
     @property
     def shard_backend(self) -> str:
         """Where the shard replicas live (``"inline"`` | ``"process"``)."""
-        runtime = self.shard_runtime
-        return runtime.backend if runtime is not None else "inline"
+        return self.shard_runtime.backend
+
+    @property
+    def isub(self):
+        """The ``Isub`` index of a single-shard engine's one replica.
+
+        ``None`` with more than one shard (each partition holds its own) or
+        with ``Isub`` disabled.  Read it, do not write it: the delta log is
+        the only way an index changes.
+        """
+        return self.shard_runtime.shards[0].isub if self.num_shards == 1 else None
+
+    @property
+    def isuper(self):
+        """The ``Isuper`` index of a single-shard engine's one replica
+        (``None`` otherwise; see :attr:`isub`)."""
+        return self.shard_runtime.shards[0].isuper if self.num_shards == 1 else None
 
     def _attach_persistence(self) -> None:
         """Attach (and possibly warm-start from) the configured persister.
@@ -297,16 +303,15 @@ class IGQ:
         on the shard entries, so nothing recompiles.  The recovered
         placement goes into the (empty) delta log as one bootstrap flush —
         an ``insert`` per home entry, a ``replicate`` per hot entry — so
-        every reader ends up exactly where the persisted engine had it,
-        with freshly numbered versions consistent with the new on-disk
-        segment.
+        every reader — the replicas that hold the component indexes
+        included — ends up exactly where the persisted engine had it, with
+        freshly numbered versions consistent with the new on-disk segment.
         """
         cache = self.cache
         stats = state.get("entry_stats", {})
-        indexes = [index for index in (self.isub, self.isuper) if index is not None]
         for shard_entry, meta in entries:
             hits, removed, cost = stats.get(shard_entry.entry_id, (0, 0, 0.0))
-            entry = cache.restore_entry(
+            cache.restore_entry(
                 shard_entry.entry_id,
                 shard_entry.graph,
                 shard_entry.features,
@@ -319,8 +324,6 @@ class IGQ:
                 compiled_target=shard_entry.compiled_target,
                 compiled_plan=shard_entry.compiled_plan,
             )
-            for index in indexes:
-                index.add(entry)
         cache.query_counter = state.get("query_counter", 0)
         cache.reserve_ids(state.get("next_id", 0))
         self._records_folded = state.get("records_folded", 0)
@@ -536,24 +539,10 @@ class IGQ:
     ) -> tuple[list[CacheEntry], list[CacheEntry]]:
         """Stage-2 component lookups: ``(Isub(g), Isuper(g))`` hit lists.
 
-        A single-shard engine consults its two in-process indexes; with
-        more shards the probe fans out across the runtime's replicas.
-        ``compiled`` is where the probes leave the query's plan and target
-        for the later stages.
+        The probe fans out across the runtime's replicas (one of them at
+        ``shards=1``).  ``compiled`` is where the probes leave the query's
+        plan and target for the later stages.
         """
-        runtime = self.shard_runtime
-        if runtime is None:
-            sub_hits = (
-                self.isub.find_supergraphs(query, features, compiled)
-                if self.isub is not None
-                else []
-            )
-            super_hits = (
-                self.isuper.find_subgraphs(query, features, compiled)
-                if self.isuper is not None
-                else []
-            )
-            return sub_hits, super_hits
         placement = self.placement
         want_sub, want_super = self.probe_isub, self.probe_isuper
         directives = (
@@ -561,13 +550,13 @@ class IGQ:
             if placement.hot
             else None
         )
-        sub_ids, super_ids = runtime.probe(
+        sub_ids, super_ids = self.shard_runtime.probe(
             query, features, want_sub, want_super, directives, compiled
         )
-        # Shards return their hits in local slot order; the single-shard
-        # indexes report hits in cache insertion order, which (ids being
-        # monotonic) is ascending entry-id order — merge back into it so
-        # exact-repeat detection and crediting see the identical sequence.
+        # Each index reports its hits in ascending entry id — cache
+        # insertion order, ids being monotonic; merging the partitions (and
+        # the replica stores) back into it gives exact-repeat detection and
+        # crediting the same sequence for every shard count.
         cache = self.cache
         sub_hits = [cache.get(entry_id) for entry_id in sorted(sub_ids)]
         super_hits = [cache.get(entry_id) for entry_id in sorted(super_ids)]
@@ -759,15 +748,15 @@ class IGQ:
         """Apply a full query window (§5.2): one flush, one log, then readers.
 
         :class:`IndexMaintenance` picks the victims and mutates the cache
-        (and the local index pair, when this engine has one); the report it
-        returns becomes this flush's delta records; then the readers catch
-        up in a fixed order — the durable store first (the flush boundary is
-        where it commits: crash recovery always lands on a state some flush
-        produced, and it needs the raw tail, so the compaction floor never
-        passes what was just persisted), the shard replicas next, and
+        (nothing else); the report it returns becomes this flush's delta
+        records; then the readers catch up in a fixed order — the durable
+        store first (the flush boundary is where it commits: crash recovery
+        always lands on a state some flush produced, and it needs the raw
+        tail, so the compaction floor never passes what was just persisted),
+        the shard replicas next (they own the component indexes), and
         compaction last, down to the slowest replica's position.
         """
-        report = self.maintenance.flush(self.cache, self.isub, self.isuper)
+        report = self.maintenance.flush(self.cache)
         if not report.inserted:
             return report
         log = self.delta_log
@@ -776,9 +765,7 @@ class IGQ:
             self.persister.record_flush(self)
         self._sync_readers()
         if self.compact_threshold is not None and len(log) > self.compact_threshold:
-            runtime = self.shard_runtime
-            horizon = runtime.progress() if runtime is not None else log.version
-            self._records_folded += log.compact(horizon)
+            self._records_folded += log.compact(self.shard_runtime.progress())
         self.placement.rebuild_prune_state(self.cache)
         return report
 
@@ -820,9 +807,9 @@ class IGQ:
 
         Compilation happens here — in the parent, when the entry enters the
         log — because the entry will be containment-tested against every
-        future query (a single-shard engine's own indexes compiled it on
-        insertion already).  The compiled objects are stored on the cache
-        entry too (released on eviction), so no reader ever recompiles them.
+        future query, by whichever replica holds it.  The compiled objects
+        are stored on the cache entry too (released on eviction), so no
+        reader ever recompiles them.
         """
         if self.igq_verifier.supports_compiled():
             if self.probe_isub and entry.compiled_target is None:
@@ -839,8 +826,7 @@ class IGQ:
 
     def _sync_readers(self) -> None:
         """Let the in-process readers of the log (the shard replicas) catch up."""
-        if self.shard_runtime is not None:
-            self.shard_runtime.sync(self.delta_log)
+        self.shard_runtime.sync(self.delta_log)
 
     # ------------------------------------------------------------------
     # Batched execution
@@ -881,8 +867,7 @@ class IGQ:
         """
         if self.persister is not None:
             self.persister.close()
-        if self.shard_runtime is not None:
-            self.shard_runtime.close()
+        self.shard_runtime.close()
         self.method.release_shared_payloads()
 
     def __enter__(self) -> "IGQ":
@@ -894,28 +879,13 @@ class IGQ:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def warm_up(self, queries: list[LabeledGraph]) -> list[IGQQueryResult]:
-        """Process a warm-up batch (the first ``W`` queries of a workload).
-
-        The paper uses the first window of each workload purely to populate
-        the index; the returned results let callers discard them from the
-        measured statistics.
-        """
-        return [self.query(query) for query in queries]
-
     def index_size_bytes(self) -> int:
         """Estimated size of the iGQ query index (structures + cached graphs).
 
         This is the space *overhead* iGQ adds on top of the base method's
         dataset index (compared in Figure 18).
         """
-        total = 0
-        if self.isub is not None:
-            total += self.isub.estimated_size_bytes()
-        if self.isuper is not None:
-            total += self.isuper.estimated_size_bytes()
-        if self.shard_runtime is not None:
-            total += self.shard_runtime.estimated_size_bytes()
+        total = self.shard_runtime.estimated_size_bytes()
         for entry in self.cache.entries():
             graph = entry.graph
             total += 80 + 56 * graph.num_vertices + 48 * graph.num_edges
@@ -924,10 +894,10 @@ class IGQ:
 
     def shard_stats(self) -> dict:
         """Hot-key/rebalance and delta-log health snapshot (service layer)."""
-        log, runtime = self.delta_log, self.shard_runtime
+        log = self.delta_log
         return {
             **self.placement.stats(),
-            "worker_kernels": runtime.worker_kernels() if runtime is not None else {},
+            "worker_kernels": self.shard_runtime.worker_kernels(),
             "delta_log": {
                 "length": len(log),
                 "version": log.version,

@@ -1,4 +1,4 @@
-"""Windowed maintenance of the iGQ index (§5.2 of the paper).
+"""Windowed maintenance of the iGQ cache (§5.2 of the paper).
 
 New queries are not folded into the iGQ index one by one.  They accumulate in
 a temporary store ``Itemp`` (the *query window*, of size ``W``); when the
@@ -6,30 +6,34 @@ window fills up the maintenance step
 
 1. consults the metadata to find the lowest-utility cached graphs (only as
    many as needed to respect the cache capacity ``C``),
-2. removes them from the graph store and the two component indexes, and
-3. inserts the windowed queries into both,
+2. removes them from the graph store, and
+3. inserts the windowed queries into it,
 
 so index updates stay batched per window and never interleave with a query.
-The paper builds a *shadow* index and swaps it in so that concurrent readers
-are never blocked; here :meth:`IndexMaintenance.flush` applies the same
-window as an in-place delta — ``remove`` per victim, ``add`` per windowed
-query, the primitives the shard replicas use too — so a flush costs
-O(``W`` x entry features), not O(``C``).  That is equivalent to the swap
-because planning, completion and the flush all run on the one driver thread:
-no lookup can observe a half-applied window (the pipelined planner re-plans
-its speculative query after a flush), and the resulting index contents are
-exactly those a rebuild over the updated cache would produce.
+:meth:`IndexMaintenance.flush` is that step, and it touches the
+:class:`~repro.core.cache.QueryCache` only.  Its :class:`MaintenanceReport`
+names the victims and the new entries; the engine writes them to its
+:class:`~repro.core.shard.DeltaLog`, and the two component indexes change
+only when a replica replays those records (``remove`` per victim, ``add``
+per windowed query — one inline replica at ``shards=1``).  The paper builds
+a *shadow* index and swaps it in so that concurrent readers are never
+blocked; replaying the window in place costs O(``W`` x entry features), not
+O(``C``), and is equivalent to the swap because planning, completion and the
+flush all run on the one driver thread: no lookup can observe a
+half-applied window (the pipelined planner re-plans its speculative query
+after a flush), and the resulting index contents are exactly those a
+rebuild over the updated cache would produce.
 
 Compiled-state lifecycle: an entry's compiled representations
 (``CompiledTarget`` / ``CompiledQueryPlan``) are the ones its query was
 probed and verified with, carried through the window on the
-:class:`PendingQuery`; a form no stage needed is built when the flush adds
-the entry to the indexes.  They are kept untouched while the entry survives
-later flushes and released when it is evicted (the cache entry's pointers
-by :meth:`QueryCache.remove`, the delta log's payload copy by the ``evict``
-record) — so each query is compiled at most once per direction, and the
-number of live compiled objects stays bounded by the cache capacity plus
-one window.
+:class:`PendingQuery`; a form no stage needed is built when the engine
+writes the entry to the log.  They are kept untouched while the entry
+survives later flushes and released when it is evicted (the cache entry's
+pointers by :meth:`QueryCache.remove`, the delta log's payload copy by the
+``evict`` record) — so each query is compiled at most once per direction,
+and the number of live compiled objects stays bounded by the cache capacity
+plus one window.
 """
 
 from __future__ import annotations
@@ -39,8 +43,6 @@ from dataclasses import dataclass, field
 from ..features.extractor import GraphFeatures
 from ..graphs.graph import LabeledGraph
 from .cache import CacheEntry, QueryCache
-from .isub import SubgraphQueryIndex
-from .isuper import SupergraphQueryIndex
 from .replacement import ReplacementPolicy, UtilityReplacementPolicy
 
 __all__ = ["PendingQuery", "MaintenanceReport", "IndexMaintenance"]
@@ -121,36 +123,25 @@ class IndexMaintenance:
         self._window.append(pending)
         return len(self._window) >= self.window_size
 
-    def flush(
-        self,
-        cache: QueryCache,
-        isub: SubgraphQueryIndex | None,
-        isuper: SupergraphQueryIndex | None,
-    ) -> MaintenanceReport:
-        """Apply the windowed queries to the cache and the live indexes.
+    def flush(self, cache: QueryCache) -> MaintenanceReport:
+        """Apply the windowed queries to the cache.
 
         The one victim-selection and cache-mutation loop of the system.
         Evicts exactly as many lowest-utility entries as needed to keep the
         cache within its capacity after the insertions (during warm-up, when
-        the cache is not yet full, nothing is evicted).  A multi-shard
-        engine passes ``None, None``: its shards own the indexes and replay
-        the records the engine derives from the returned report.
+        the cache is not yet full, nothing is evicted).  The indexes are not
+        touched: the engine derives the flush's delta records from the
+        returned report, and the replicas replay them.
         """
         report = MaintenanceReport()
         window, self._window = self._window, []
-        indexes = [index for index in (isub, isuper) if index is not None]
         overflow = len(cache) + len(window) - self.cache_size
         if window and overflow > 0:
             for entry_id in self.policy.select_victims(cache, overflow):
-                for index in indexes:
-                    index.remove(entry_id)
                 report.evicted_entries.append(cache.remove(entry_id))
                 report.evicted_entry_ids.append(entry_id)
         for pending in window:
-            entry = pending.add_to(cache)
-            for index in indexes:
-                index.add(entry)
-            report.inserted_entries.append(entry)
+            report.inserted_entries.append(pending.add_to(cache))
         report.inserted = len(window)
         report.evicted = len(report.evicted_entry_ids)
         report.cache_size_after = len(cache)

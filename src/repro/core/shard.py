@@ -475,15 +475,15 @@ class ReplicaGroup(_EntryStore):
 class QueryIndexShard:
     """One replica: a partition of the query index, driven by the delta log.
 
-    Holds the same two containment indexes the single-shard engine uses,
-    restricted to the entries routed to this shard, plus the replication
-    cursor (``applied_version``/``epoch``).  Replicated (hot) entries live
-    in a *second* index pair — the replica store, optionally shared with
-    co-resident shards through a :class:`ReplicaGroup` — so home-partition
-    probes never walk them and a covering probe can be restricted to
-    exactly the replicas assigned to this shard.  Lives in the parent
-    process (inline backend), inside a dedicated worker process, or on a
-    remote follower.
+    Holds the two containment indexes (``Isub``/``Isuper``) over the
+    entries routed to this shard — all of them when the engine has one
+    shard — plus the replication cursor (``applied_version``/``epoch``).
+    Replicated (hot) entries live in a *second* index pair — the replica
+    store, optionally shared with co-resident shards through a
+    :class:`ReplicaGroup` — so home-partition probes never walk them and a
+    covering probe can be restricted to exactly the replicas assigned to
+    this shard.  Lives in the parent process (inline backend), inside a
+    dedicated worker process, or on a remote follower.
     """
 
     def __init__(
@@ -595,6 +595,20 @@ class QueryIndexShard:
     # ------------------------------------------------------------------
     # Probes
     # ------------------------------------------------------------------
+    @property
+    def isub(self) -> SubgraphQueryIndex | None:
+        """The home partition's ``Isub`` index (``None`` when disabled).
+
+        The probes below look it up on every call, so a wrapper installed
+        on the instance's ``find_supergraphs`` sees every home lookup.
+        """
+        return self._home.isub
+
+    @property
+    def isuper(self) -> SupergraphQueryIndex | None:
+        """The home partition's ``Isuper`` index (``None`` when disabled)."""
+        return self._home.isuper
+
     def find_supergraph_ids(
         self,
         query: LabeledGraph,
@@ -664,12 +678,13 @@ class QueryIndexShard:
         cover_super)`` directive (see :meth:`Placement.probe_directives
         <repro.core.placement.Placement.probe_directives>`)."""
         home_sub, home_super, cover_sub, cover_super = directive
-        sub_ids = super_ids = ()
+        sub_ids: list[int] = []
+        super_ids: list[int] = []
         if want_sub and (home_sub or cover_sub is not None):
             sub_ids = self.find_supergraph_ids(query, features, compiled, home_sub, cover_sub)
         if want_super and (home_super or cover_super is not None):
             super_ids = self.find_subgraph_ids(query, features, compiled, home_super, cover_super)
-        return list(sub_ids), list(super_ids)
+        return sub_ids, super_ids
 
     def entry_ids(self) -> list[int]:
         """Ids of the home-partition entries this replica currently serves."""

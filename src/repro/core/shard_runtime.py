@@ -1,4 +1,4 @@
-"""Shard runtimes: where the replicas of a multi-shard engine live.
+"""Shard runtimes: where the replicas that hold an engine's indexes live.
 
 A runtime is a reader of the engine's :class:`~repro.core.shard.DeltaLog`
 that owns one :class:`~repro.core.shard.QueryIndexShard` per partition and
@@ -7,8 +7,9 @@ backend (:class:`_InlineShardRuntime`, caught up at the end of each flush),
 or one long-lived single-worker process per shard under the ``process``
 backend (:class:`_ProcessShardRuntime`), where the pending log tail rides
 along with the next probe and the workers double as verification workers
-for the batch executor (:class:`ShardVerifyPool`).  A single-shard engine
-has no runtime: it probes its own index pair.
+for the batch executor (:class:`ShardVerifyPool`).  Every engine has one: a
+single-shard engine's is an inline runtime over one replica, whatever
+``shard.backend`` says.
 """
 
 from __future__ import annotations
@@ -36,12 +37,13 @@ __all__ = ["ShardVerifyPool", "create_shard_runtime"]
 def create_shard_runtime(engine, backend: str):
     """The runtime a ``shard.backend`` value names (``"auto"`` resolved here).
 
+    Only more than one shard forks: a single replica is always inline.
     ``"auto"`` is ``"process"`` when the machine can actually run the shard
     workers concurrently and ``"inline"`` otherwise.
     """
     if backend == "auto":
         backend = "process" if effective_cpu_count() > 1 else "inline"
-    if backend == "process":
+    if backend == "process" and engine.num_shards > 1:
         return _ProcessShardRuntime(engine)
     return _InlineShardRuntime(engine)
 
@@ -166,7 +168,7 @@ class ShardVerifyPool:
     the single-shard process pool does not materialise here.  Results and
     accounting are unaffected; workloads that need both the overlap and
     sharded probing should give the executor its own pool
-    (``shard_backend="inline"`` plus a process-backed executor).
+    (``shard.backend="inline"`` plus a process-backed executor).
     """
 
     def __init__(
@@ -192,8 +194,8 @@ class _InlineShardRuntime:
 
     Probes run serially and count on the parent's iGQ verifier directly;
     replication is synchronous (replicas catch up at the end of each
-    flush), so this backend isolates the *incremental maintenance* gain —
-    and is the 1-CPU fallback of ``shard_backend="auto"``.
+    flush).  The runtime of every single-shard engine, and the 1-CPU
+    fallback of ``shard.backend="auto"``.
     """
 
     backend = "inline"

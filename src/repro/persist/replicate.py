@@ -275,21 +275,8 @@ def leader_probe_ids(engine, query, features=None) -> tuple[list[int], list[int]
     """
     if features is None:
         features = engine.method.extract_query_features(query)
-    runtime = engine.shard_runtime
-    if runtime is not None:
-        directives = [(True, True, True, True)] * engine.num_shards
-        sub_ids, super_ids = runtime.probe(
-            query, features, engine.probe_isub, engine.probe_isuper, directives
-        )
-        return sorted(set(sub_ids)), sorted(set(super_ids))
-    sub_ids = (
-        sorted(set(e.entry_id for e in engine.isub.find_supergraphs(query, features)))
-        if engine.isub is not None
-        else []
+    directives = [(True, True, True, True)] * engine.num_shards
+    sub_ids, super_ids = engine.shard_runtime.probe(
+        query, features, engine.probe_isub, engine.probe_isuper, directives
     )
-    super_ids = (
-        sorted(set(e.entry_id for e in engine.isuper.find_subgraphs(query, features)))
-        if engine.isuper is not None
-        else []
-    )
-    return sub_ids, super_ids
+    return sorted(set(sub_ids)), sorted(set(super_ids))

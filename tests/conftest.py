@@ -179,6 +179,17 @@ def oracle_supergraph_candidates(method, query, features) -> set:
     }
 
 
+def apply_report(report, *indexes):
+    """Apply a window flush's report to ``indexes`` the way a replica
+    replays the flush's records: the victims leave, then the window arrives."""
+    for entry in report.evicted_entries:
+        for index in indexes:
+            index.remove(entry.entry_id)
+    for entry in report.inserted_entries:
+        for index in indexes:
+            index.add(entry)
+
+
 def oracle_index(live, cache):
     """A fresh index of ``live``'s kind ``add``-ed from ``cache.entries()``.
 

@@ -260,8 +260,18 @@ class TestFromConfig:
         method = create_method("ggsx", max_path_length=3)
         engine = IGQ(method, EngineConfig())
         assert engine.num_shards == 1
-        assert engine.shard_runtime is None  # probes its own index pair
+        # one inline replica holds the index pair, whatever the backend says
+        assert engine.shard_backend == "inline"
+        (replica,) = engine.shard_runtime.shards
+        assert engine.isub is replica.isub and engine.isuper is replica.isuper
         assert engine.isub is not None and engine.isuper is not None
+
+    def test_single_shard_never_forks(self, database):
+        method = create_method("ggsx", max_path_length=3)
+        config = EngineConfig(shard=ShardConfig(backend="process"))
+        with IGQ(method, config) as engine:
+            assert engine.shard_backend == "inline"
+            assert engine.shard_runtime.verify_pool() is None
 
     def test_verifier_config_applied(self, database):
         method = create_method("ggsx", max_path_length=3)

@@ -45,6 +45,7 @@ from repro.workloads.generator import QueryGenerator, WorkloadSpec
 from repro.workloads.zipf import create_sampler
 
 from .conftest import (
+    apply_report,
     engine_config,
     index_state,
     make_cycle_graph,
@@ -187,7 +188,7 @@ class TestCompileOnInsertion:
             maintenance.submit(
                 PendingQuery(graph, EXTRACTOR.extract(graph), frozenset())
             )
-            maintenance.flush(cache, isub, isuper)
+            apply_report(maintenance.flush(cache), isub, isuper)
         assert entry.compiled_target is target  # same object — not recompiled
         assert entry.compiled_plan is plan
         # Re-adding an entry that already carries compiled state (warm
@@ -213,9 +214,10 @@ class TestCompileOnInsertion:
     def test_flush_releases_evicted_entries_in_both_directions(self):
         """An evicting flush must not strand payloads on the victims.
 
-        Each index releases its own direction on ``remove`` and
-        ``QueryCache.remove`` releases both, so a victim leaves a flush with
-        no compiled state even when only one component index is enabled.
+        The flush's ``QueryCache.remove`` releases both directions and each
+        index releases its own when the report is replayed into it, so a
+        victim ends up with no compiled state even when only one component
+        index is enabled.
         """
         for enabled in ((True, True), (True, False), (False, True)):
             cache, isub, isuper = build_indexes(
@@ -229,9 +231,8 @@ class TestCompileOnInsertion:
             maintenance.submit(
                 PendingQuery(graph, EXTRACTOR.extract(graph), frozenset())
             )
-            report = maintenance.flush(
-                cache, isub if enabled[0] else None, isuper if enabled[1] else None
-            )
+            report = maintenance.flush(cache)
+            apply_report(report, *(index for index, on in zip((isub, isuper), enabled) if on))
             assert report.evicted_entry_ids == [victim.entry_id]
             assert victim.compiled_target is None
             assert victim.compiled_plan is None

@@ -270,11 +270,3 @@ class TestComponentsAndMetadata:
         for query in make_queries(count=6):
             engine.query(query)
         assert engine.index_size_bytes() > empty_size
-
-    def test_warm_up_helper(self):
-        database = build_database()
-        engine = IGQ(GGSXMethod(max_path_length=3), engine_config(10, 2))
-        engine.build_index(database)
-        results = engine.warm_up(make_queries(count=4))
-        assert len(results) == 4
-        assert len(engine.cache) >= 2

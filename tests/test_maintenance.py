@@ -24,6 +24,7 @@ from repro.graphs import GraphDatabase
 from repro.methods import GGSXMethod
 
 from .conftest import (
+    apply_report,
     index_state,
     make_path_graph,
     oracle_at_least,
@@ -65,7 +66,7 @@ class TestWindow:
     def test_flush_empty_window_is_noop(self):
         maintenance = IndexMaintenance(cache_size=4, window_size=2)
         cache = QueryCache()
-        report = maintenance.flush(cache, None, None)
+        report = maintenance.flush(cache)
         assert report.inserted == 0
         assert report.evicted == 0
 
@@ -74,7 +75,7 @@ class TestWindow:
         cache = QueryCache()
         maintenance.submit(pending("AB"))
         maintenance.submit(pending("BC"))
-        report = maintenance.flush(cache, None, None)
+        report = maintenance.flush(cache)
         assert report.inserted == 2
         assert report.evicted == 0
         assert report.cache_size_after == 2
@@ -85,7 +86,7 @@ class TestWindow:
         cache = QueryCache()
         for labels in ("AB", "BC"):
             maintenance.submit(pending(labels))
-        report = maintenance.flush(cache, None, None)
+        report = maintenance.flush(cache)
         assert report.evicted == 0
 
     def test_eviction_when_capacity_exceeded(self):
@@ -100,7 +101,7 @@ class TestWindow:
         cache.query_counter = 10
         maintenance.submit(pending("AA"))
         maintenance.submit(pending("CC"))
-        report = maintenance.flush(cache, None, None)
+        report = maintenance.flush(cache)
         assert report.inserted == 2
         assert report.evicted == 2
         assert len(cache) == 3
@@ -112,11 +113,11 @@ class TestWindow:
         isub = SubgraphQueryIndex()
         isuper = SupergraphQueryIndex()
         maintenance.submit(pending("ABC"))
-        maintenance.flush(cache, isub, isuper)
+        apply_report(maintenance.flush(cache), isub, isuper)
         assert len(isub) == 1
         assert len(isuper) == 1
         maintenance.submit(pending("BCD"))
-        maintenance.flush(cache, isub, isuper)
+        apply_report(maintenance.flush(cache), isub, isuper)
         assert len(isub) == 2
         assert len(isuper) == 2
         for index in (isub, isuper):
@@ -128,10 +129,11 @@ class TestWindow:
         isub = SubgraphQueryIndex()
         isuper = SupergraphQueryIndex()
         maintenance.submit(pending("AB"))
-        maintenance.flush(cache, isub, isuper)
+        apply_report(maintenance.flush(cache), isub, isuper)
         cache.query_counter = 5
         maintenance.submit(pending("CD"))
-        report = maintenance.flush(cache, isub, isuper)
+        report = maintenance.flush(cache)
+        apply_report(report, isub, isuper)
         assert report.evicted == 1
         assert len(cache) == 1
         assert len(isub) == 1
@@ -239,7 +241,7 @@ class TestIncrementalFlushProperties:
                     PendingQuery(graph, EXTRACTOR.extract(graph), frozenset())
                 )
             cache.query_counter += window
-            maintenance.flush(cache, isub, isuper)
+            apply_report(maintenance.flush(cache), isub, isuper)
             for index in (isub, isuper):
                 # Victims free their slots before the window claims any.
                 assert len(index._slots._order) <= capacity

@@ -11,7 +11,7 @@ Four contracts:
   canonical form: stable across processes and insert/evict churn, and
   shared by isomorphic (relabeled) copies.
 * **Equivalence** — ``shards>1`` — inline or process-backed — is
-  byte-identical to ``shards=1`` (which probes its own index pair): answers,
+  byte-identical to ``shards=1`` (one inline replica of the same log): answers,
   per-query accounting, containment-test statistics, cache contents and
   replacement metadata.
 * **Lifecycle** — compiled payloads ship through deltas (shards never
@@ -608,15 +608,15 @@ class TestHotReplication:
 # ----------------------------------------------------------------------
 class TestShardedEngineEquivalence:
     def test_shards_1_matches_legacy_engine(self, small_synthetic, zipf_stream):
-        """``shards=1`` is the default engine: its own index pair, no runtime
-        — and the same log every other shape writes."""
+        """``shards=1`` is the default engine: one inline replica of the same
+        log every other shape writes."""
         method = create_method("ggsx", max_path_length=3)
         default = IGQ(method, engine_config(10, 3))
         default.build_index(small_synthetic)
         results = [default.query(query) for query in zipf_stream]
         engine, explicit = run_engine(small_synthetic, zipf_stream, shards=1)
         assert explicit == engine_fingerprint(default, results)
-        assert engine.shard_runtime is None and engine.isub is not None
+        assert len(engine.shard_runtime.shards) == 1 and engine.isub is not None
         assert engine.delta_log.epoch == len(zipf_stream) // 3  # one marker a flush
 
     @pytest.mark.parametrize("shards", [2, 4])
