@@ -44,6 +44,7 @@ from dataclasses import dataclass, field
 
 from ..features.extractor import GraphFeatures
 from ..graphs.graph import LabeledGraph
+from ..isomorphism.compiled import FlatGraph
 from ..methods.base import QueryResult, SubgraphQueryMethod
 from .config import (
     MIXED_MODE,
@@ -148,7 +149,7 @@ _MIN_PARALLEL_CANDIDATES = 4
 
 #: a service keeps one executor (and its feature memo) for its lifetime;
 #: the memo is cleared when it reaches this many distinct queries — the
-#: rule ``IGQ._feature_memo`` and ``Placement._shard_memo`` use
+#: rule ``IGQ._prepared`` and ``Placement._shard_memo`` use
 _FEATURE_MEMO_CAPACITY = 8192
 
 
@@ -176,7 +177,9 @@ class BatchStats:
 
 
 class FeatureMemo:
-    """Batch-wide memo of extracted query features.
+    """Batch-wide memo of prepared queries: the features and the
+    :class:`~repro.isomorphism.compiled.FlatGraph` they were extracted from
+    (which the query's compiles read too).
 
     Keyed by :meth:`LabeledGraph.ordered_key`, which catches copies built in
     the same order — repeats of one query object, and what the wire decoder
@@ -189,23 +192,26 @@ class FeatureMemo:
 
     def __init__(self, extractor) -> None:
         self._extractor = extractor
-        self._features: dict[tuple, GraphFeatures] = {}
+        self._features: dict[tuple, tuple[GraphFeatures, FlatGraph]] = {}
         self.hits = 0
         self.misses = 0
 
-    def extract(self, query: LabeledGraph) -> GraphFeatures:
-        """Return (possibly memoised) features of ``query``."""
+    def prepare(self, query: LabeledGraph) -> tuple[GraphFeatures, FlatGraph]:
+        """Return the (possibly memoised) features and flattening of
+        ``query``; equal keys mean equal vertex and neighbour orders, so a
+        memoised flattening fits the copy too."""
         key = query.ordered_key()
-        features = self._features.get(key)
-        if features is None:
-            features = self._extractor.extract(query)
+        prepared = self._features.get(key)
+        if prepared is None:
+            flat = FlatGraph(query)
+            prepared = self._extractor.extract(query, flat=flat), flat
             if len(self._features) >= _FEATURE_MEMO_CAPACITY:
                 self._features.clear()
-            self._features[key] = features
+            self._features[key] = prepared
             self.misses += 1
         else:
             self.hits += 1
-        return features
+        return prepared
 
     def __len__(self) -> int:
         return len(self._features)
@@ -587,15 +593,17 @@ class BatchExecutor:
                 continue
             self.stats.queries += 1
             start = time.perf_counter()
-            features = self._extract(query)
+            features, flat = self._prepare(query)
             extract_seconds = time.perf_counter() - start
             if pending is None:
-                plan = engine.plan_query(query, supergraph=supergraph, features=features)
+                plan = engine.plan_query(
+                    query, supergraph=supergraph, features=features, flat=flat
+                )
                 pending = self._dispatch(plan, extract_seconds)
                 continue
             mark = _VerifierStatsMark.capture(engine.igq_verifier.stats)
             plan = engine.plan_query(
-                query, supergraph=supergraph, features=features, credit=False
+                query, supergraph=supergraph, features=features, credit=False, flat=flat
             )
             self.stats.pipelined_plans += 1
             result = self._finish(pending)
@@ -603,7 +611,7 @@ class BatchExecutor:
                 mark.rollback(engine.igq_verifier.stats)
                 self.stats.pipeline_replans += 1
                 plan = engine.plan_query(
-                    query, supergraph=supergraph, features=features, credit=False
+                    query, supergraph=supergraph, features=features, credit=False, flat=flat
                 )
             engine.apply_plan_credits(plan)
             # The speculative plan captured the verifier's test counter
@@ -651,28 +659,29 @@ class BatchExecutor:
         # into filter_seconds below — the per-query accounting must match the
         # sequential path, where extraction is part of the filtering stage.
         start = time.perf_counter()
-        features = self._extract(query)
+        features, flat = self._prepare(query)
         extract_seconds = time.perf_counter() - start
         if self.engine is not None:
-            result = self._run_one_igq(query, features, supergraph)
+            result = self._run_one_igq(query, features, flat, supergraph)
         else:
             result = self._run_one_plain(query, features, supergraph)
         result.filter_seconds += extract_seconds
         return result
 
-    def _extract(self, query: LabeledGraph) -> GraphFeatures:
+    def _prepare(self, query: LabeledGraph) -> tuple[GraphFeatures, FlatGraph]:
         if self._memo is None:
-            return self.method.extract_query_features(query)
-        features = self._memo.extract(query)
+            flat = FlatGraph(query)
+            return self.method.extract_query_features(query, flat), flat
+        prepared = self._memo.prepare(query)
         self.stats.feature_memo_hits = self._memo.hits
         self.stats.feature_memo_misses = self._memo.misses
-        return features
+        return prepared
 
     def _run_one_igq(
-        self, query: LabeledGraph, features: GraphFeatures, supergraph: bool
+        self, query: LabeledGraph, features: GraphFeatures, flat: FlatGraph, supergraph: bool
     ) -> IGQQueryResult:
         engine = self.engine
-        plan = engine.plan_query(query, supergraph=supergraph, features=features)
+        plan = engine.plan_query(query, supergraph=supergraph, features=features, flat=flat)
         candidate_ids = list(plan.remaining)
         start = time.perf_counter()
         if self._use_pool(candidate_ids):

@@ -17,10 +17,11 @@ and :class:`~repro.core.isuper.SupergraphQueryIndex` are built over it.
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterator
+from collections.abc import Hashable, Iterator, Set
 from dataclasses import dataclass, field
 
 from ..features.extractor import GraphFeatures
+from ..graphs.bitset import CandidateBitmap
 from ..graphs.graph import LabeledGraph
 
 __all__ = ["CacheEntry", "QueryCache"]
@@ -33,7 +34,11 @@ class CacheEntry:
     entry_id: int
     graph: LabeledGraph
     features: GraphFeatures
-    answer: frozenset
+    #: ``Answer(g)``: a :class:`~repro.graphs.bitset.CandidateBitmap` over
+    #: the dataset-graph id space as the engine records it, a frozenset of
+    #: ids as restored from disk or added by hand (the engine turns it into
+    #: a bitmap on first use); :attr:`answer` is the frozenset view
+    answers: CandidateBitmap | frozenset
     #: value of the cache's global query counter when the entry was added
     added_at: int
     #: H(g): number of times this entry pruned (or answered) a new query
@@ -54,6 +59,26 @@ class CacheEntry:
     #: component — the cached query plays the *pattern* role there ("is
     #: this entry a subgraph of the new query?"); same lifecycle
     compiled_plan: object | None = field(default=None, repr=False, compare=False)
+    #: :attr:`answer` once decoded
+    _answer: frozenset | None = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def answer(self) -> frozenset:
+        """``Answer(g)`` as a frozenset of graph ids, decoded on first read:
+        the durable store reads it when the entry is journalled and again at
+        every snapshot, and the oracles read it; the engine reads
+        :attr:`answers`."""
+        if self._answer is None:
+            self._answer = frozenset(self.answers)
+        return self._answer
+
+    def __setstate__(self, state: dict) -> None:
+        """Restore a pickle, including one from before answers were kept as
+        bitmaps (it names the frozenset ``answer``)."""
+        if "answer" in state:
+            state = dict(state, answers=state["answer"])
+            del state["answer"]
+        self.__dict__.update(state)
 
     def queries_since_added(self, current_counter: int) -> int:
         """M(g): queries processed since this entry entered the cache."""
@@ -92,6 +117,12 @@ class CacheEntry:
         self.release_compiled_plan()
 
 
+def _stored(answer) -> CandidateBitmap | frozenset:
+    """An answer set as an entry keeps it: bitmaps as they are (immutable
+    by convention), anything else as a frozenset."""
+    return answer if isinstance(answer, CandidateBitmap) else frozenset(answer)
+
+
 class QueryCache:
     """Store of cached query graphs (``Igraphs`` + metadata in the paper)."""
 
@@ -106,7 +137,7 @@ class QueryCache:
         self,
         graph: LabeledGraph,
         features: GraphFeatures,
-        answer: frozenset | set,
+        answer: CandidateBitmap | Set,
         tags: dict | None = None,
         *,
         compiled_target: object | None = None,
@@ -114,15 +145,17 @@ class QueryCache:
     ) -> CacheEntry:
         """Insert a new entry and return it.
 
-        ``compiled_target`` / ``compiled_plan`` are the forms of ``graph``
-        the query's own processing already compiled, if any; the component
-        indexes compile whichever is missing when the entry reaches them.
+        ``answer`` is kept as it is when it is a bitmap, as a frozenset
+        otherwise.  ``compiled_target`` / ``compiled_plan`` are the forms of
+        ``graph`` the query's own processing already compiled (or will
+        compile from its one flattening), if any; the component indexes
+        compile whichever is missing when the entry reaches them.
         """
         entry = CacheEntry(
             entry_id=self._next_id,
             graph=graph,
             features=features,
-            answer=frozenset(answer),
+            answers=_stored(answer),
             added_at=self.query_counter,
             tags=dict(tags or {}),
             compiled_target=compiled_target,
@@ -137,7 +170,7 @@ class QueryCache:
         entry_id: int,
         graph: LabeledGraph,
         features: GraphFeatures,
-        answer: frozenset | set,
+        answer: Set,
         added_at: int,
         tags: dict | None = None,
         *,
@@ -162,7 +195,7 @@ class QueryCache:
             entry_id=entry_id,
             graph=graph,
             features=features,
-            answer=frozenset(answer),
+            answers=_stored(answer),
             added_at=added_at,
             hits=hits,
             removed=removed,

@@ -26,12 +26,18 @@ import tempfile
 import time
 from array import array
 from dataclasses import dataclass, field, replace
+from itertools import chain
 
 from ..features.extractor import GraphFeatures
 from ..graphs.bitset import CandidateBitmap, GraphIdSpace
 from ..graphs.database import GraphDatabase
 from ..graphs.graph import LabeledGraph
-from ..isomorphism.compiled import CompiledQuery, compile_query_plan, compile_target
+from ..isomorphism.compiled import (
+    CompiledQuery,
+    FlatGraph,
+    compile_query_plan,
+    compile_target,
+)
 from ..isomorphism.cost import isomorphism_test_cost
 from ..isomorphism.verifier import Verifier
 from ..methods.base import QueryResult, SubgraphQueryMethod
@@ -184,16 +190,13 @@ class IGQ:
         #: test against each dataset graph, by ``_id_space`` position (the
         #: model is a pure function of the two sizes and the label count)
         self._cost_vectors: dict[tuple[int, bool], array] = {}
-        #: memoised ``entry_id -> answer bitmask`` for the cached entries
-        #: (answers are immutable per entry; a flush drops its victims' masks)
-        self._answer_masks: dict[int, int] = {}
-        #: ``id(query) -> (query, features)`` — repeat-heavy streams reuse
-        #: the same graph objects (workload pools, batch inputs), and
-        #: feature extraction is a pure function of the graph, so repeats
-        #: skip the path enumeration.  The graph reference pins the object
-        #: alive, keeping the id stable (same scheme as the placement's
-        #: routing memo).
-        self._feature_memo: dict[int, tuple[LabeledGraph, GraphFeatures]] = {}
+        #: ``id(query) -> (query, features, flat)``: the prepared query —
+        #: repeat-heavy streams reuse the same graph objects (workload
+        #: pools, batch inputs), and preparation is a pure function of the
+        #: graph, so repeats skip the flattening and the path enumeration.
+        #: The graph reference pins the object alive, keeping the id stable
+        #: (same scheme as the placement's routing memo).
+        self._prepared: dict[int, tuple[LabeledGraph, GraphFeatures, FlatGraph]] = {}
         #: the ordered record of every flush; the durable store, the shard
         #: runtime and remote followers all read ``delta_log.since(cursor)``
         self.delta_log = DeltaLog()
@@ -433,18 +436,33 @@ class IGQ:
 
         return self.complete_query(plan, verified, verify_seconds)
 
+    def prepare(self, query: LabeledGraph) -> tuple[GraphFeatures, FlatGraph]:
+        """The query flattened once and its features extracted from that
+        (memoised per graph object): what every later stage reads."""
+        prepared = self._prepared.get(id(query))
+        if prepared is not None and prepared[0] is query:
+            return prepared[1], prepared[2]
+        flat = FlatGraph(query)
+        features = self.method.extract_query_features(query, flat)
+        if len(self._prepared) >= 8192:
+            self._prepared.clear()
+        self._prepared[id(query)] = (query, features, flat)
+        return features, flat
+
     def plan_query(
         self,
         query: LabeledGraph,
         supergraph: bool = False,
         features: GraphFeatures | None = None,
         credit: bool = True,
+        flat: FlatGraph | None = None,
     ) -> QueryPlan:
         """Run stages 1–2 (filtering and iGQ pruning) and return the plan.
 
-        ``features`` may carry the query's pre-extracted features (the batch
-        executor memoises extraction across repeated queries); when omitted
-        they are extracted here, exactly as the sequential path always did.
+        ``features`` may carry the query's pre-extracted features and
+        ``flat`` the arrays they were extracted from (the batch executor
+        memoises preparation across repeated queries); when ``features`` is
+        omitted the query is prepared here (:meth:`prepare`).
 
         ``credit=False`` defers the §5.1 metadata update (H/R/C of the hit
         cache entries) to a later :meth:`apply_plan_credits` call.  The
@@ -462,15 +480,7 @@ class IGQ:
         # Stage 1 — the base method's filtering (Figure 6, thread 1).
         start = time.perf_counter()
         if features is None:
-            memo = self._feature_memo
-            cached = memo.get(id(query))
-            if cached is not None and cached[0] is query:
-                features = cached[1]
-            else:
-                features = method.extract_query_features(query)
-                if len(memo) >= 8192:
-                    memo.clear()
-                memo[id(query)] = (query, features)
+            features, flat = self.prepare(query)
         if supergraph:
             candidates = method.filter_supergraph_candidates(query, features=features)
         else:
@@ -480,7 +490,7 @@ class IGQ:
 
         # Stage 2 — the two iGQ components (Figure 6, threads 2 and 3).
         start = time.perf_counter()
-        compiled = CompiledQuery(query)
+        compiled = CompiledQuery(query, flat)
         sub_hits, super_hits = self._component_hits(query, features, compiled)
         if self.mode == MIXED_MODE:
             # A mixed-mode cache holds subgraph- and supergraph-typed answer
@@ -618,12 +628,12 @@ class IGQ:
     # Candidate-set combination (formulae (3), (4), (5) and §4.4)
     # ------------------------------------------------------------------
     def _answer_mask(self, entry: CacheEntry) -> int:
-        """Answer set of a cached entry as a bitmask (memoised per entry)."""
-        mask = self._answer_masks.get(entry.entry_id)
-        if mask is None:
-            mask = self._id_space.mask_of(entry.answer)
-            self._answer_masks[entry.entry_id] = mask
-        return mask
+        """Answer set of a cached entry as a bitmask over the id space (an
+        entry restored from disk gets its bitmap on first use)."""
+        answers = entry.answers
+        if answers.__class__ is not CandidateBitmap or answers.space is not self._id_space:
+            answers = entry.answers = CandidateBitmap.from_ids(self._id_space, answers)
+        return answers.mask
 
     def _combine(
         self,
@@ -646,7 +656,8 @@ class IGQ:
         skip_all = False
         pruned_by_restriction = 0
         if restricting_hits:
-            if any(not entry.answer for entry in restricting_hits):
+            masks = list(map(self._answer_mask, restricting_hits))
+            if not all(masks):
                 # §4.3 optimal case 2 (and its §4.4 mirror): a restricting
                 # previous query had no answers, so the new query cannot
                 # have any beyond the guaranteed ones either.
@@ -655,8 +666,8 @@ class IGQ:
                 skip_all = True
             else:
                 allowed = -1
-                for entry in restricting_hits:
-                    allowed &= self._answer_mask(entry)
+                for mask in masks:
+                    allowed &= mask
                 pruned_by_restriction = remaining & ~allowed
                 remaining &= allowed
         pruned = (candidate_mask & guaranteed) | pruned_by_restriction
@@ -668,7 +679,7 @@ class IGQ:
     ) -> CacheEntry | None:
         """§4.3 optimal case 1: a containment hit of identical size is the
         same query, so its stored answer can be returned directly."""
-        for entry in list(sub_hits) + list(super_hits):
+        for entry in chain(sub_hits, super_hits):
             if entry.graph.same_size(query):
                 return entry
         return None
@@ -727,22 +738,27 @@ class IGQ:
         # identical for fixed-mode engines, and what lets a mixed-mode cache
         # tell its two answer-set flavours apart.
         mode = SUPERGRAPH_MODE if plan.supergraph else SUBGRAPH_MODE
+        compiled = plan.compiled
+        if self.igq_verifier.supports_compiled():
+            # the forms the entry will need, created (not compiled) now so
+            # that they compile from the query's one flattening
+            if self.probe_isub:
+                compiled.compiled_target()
+            if self.probe_isuper:
+                compiled.compiled_plan()
         window_full = self.maintenance.submit(
             PendingQuery(
                 graph=plan.query,
                 features=plan.features,
-                answer=frozenset(answers),
+                answer=answers,
                 tags={"mode": mode},
-                compiled_target=plan.compiled.target,
-                compiled_plan=plan.compiled.plan,
+                compiled_target=compiled.target,
+                compiled_plan=compiled.plan,
             )
         )
         if not window_full:
             return None
-        report = self._flush_window()
-        for entry_id in report.evicted_entry_ids:
-            self._answer_masks.pop(entry_id, None)
-        return report
+        return self._flush_window()
 
     def _flush_window(self) -> MaintenanceReport:
         """Apply a full query window (§5.2): one flush, one log, then readers.
@@ -889,7 +905,7 @@ class IGQ:
         for entry in self.cache.entries():
             graph = entry.graph
             total += 80 + 56 * graph.num_vertices + 48 * graph.num_edges
-            total += 40 + 8 * len(entry.answer)
+            total += 40 + 8 * self._answer_mask(entry).bit_count()
         return total
 
     def shard_stats(self) -> dict:

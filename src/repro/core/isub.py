@@ -18,7 +18,9 @@ query).  With the native kernel the dominance filter is a sorted merge over
 the entries' feature codes inside the kernel; what lives here is its Python
 form — a :class:`~repro.features.bitmaps.ThresholdBitmapIndex` over the
 entries' slots, one AND per query feature — which the index maintains only
-while it is off the native table.
+while it is off the native table.  It reads the tuple-keyed view of the
+features (:meth:`~repro.features.extractor.GraphFeatures.key_counts`), so
+coded and uncoded entries and queries compare exactly.
 """
 
 from __future__ import annotations
@@ -49,10 +51,10 @@ class SubgraphQueryIndex(ContainmentIndex):
         super().__init__(*args, **kwargs)
 
     def _entry_added(self, entry: CacheEntry, bit: int) -> None:
-        self._index.add(bit, entry.features.counts)
+        self._index.add(bit, entry.features.key_counts())
 
     def _entry_removed(self, entry: CacheEntry, bit: int) -> None:
-        self._index.remove(bit, entry.features.counts)
+        self._index.remove(bit, entry.features.key_counts())
 
     def candidate_mask(self, features: GraphFeatures, universe: int | None = None) -> int:
         """The dominance filter by threshold bitmaps: the slots of
@@ -60,7 +62,7 @@ class SubgraphQueryIndex(ContainmentIndex):
         least as often.  (Off the native table only: on it the bitmaps are
         not maintained.)"""
         return self._index.at_least(
-            features.counts, self._live_mask if universe is None else universe
+            features.key_counts(), self._live_mask if universe is None else universe
         )
 
     # ------------------------------------------------------------------

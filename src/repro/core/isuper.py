@@ -30,7 +30,8 @@ the 100-entry cache of the benchmark's ``cold_filter`` — see
 ``docs/performance.md``, "The cache-side probe").
 :meth:`SupergraphQueryIndex.candidate_mask` is the Python form: the fallback
 when the table is unavailable and the oracle it is tested against.  It
-reads the entries' own feature tables, so it has nothing to maintain on
+reads the entries' own feature tables — their tuple-keyed view, so coded
+and uncoded tables compare exactly — and has nothing to maintain on
 insertion and eviction.
 
 The lifecycle, the probe and the verification machinery are shared with
@@ -67,13 +68,13 @@ class SupergraphQueryIndex(ContainmentIndex):
             considered = entries.values()
         else:
             considered = map(entries.__getitem__, self._slots.keys_of(universe))
-        available = features.counts
+        available = features.key_counts()
         have = available.get
         num_available = len(available)
         bit = self._slots.bit
         mask = 0
         for entry in considered:
-            counts = entry.features.counts
+            counts = entry.features.key_counts()
             if len(counts) > num_available:
                 continue  # NF[g_i] exceeds g's distinct features: some key is missing
             for key, occurrences in counts.items():

@@ -38,6 +38,7 @@ plus one window.
 
 from __future__ import annotations
 
+from collections.abc import Set
 from dataclasses import dataclass, field
 
 from ..features.extractor import GraphFeatures
@@ -54,7 +55,9 @@ class PendingQuery:
 
     graph: LabeledGraph
     features: GraphFeatures
-    answer: frozenset
+    #: the answer set, as the cache entry will keep it (a bitmap from the
+    #: engine; see :attr:`CacheEntry.answers <repro.core.cache.CacheEntry.answers>`)
+    answer: Set
     tags: dict = field(default_factory=dict)
     #: the compiled forms the query's own probes and verification built (or
     #: ``None``); the cache entry inherits them, so the flush compiles only

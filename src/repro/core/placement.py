@@ -135,7 +135,10 @@ class Placement:
         self.flush_count = 0
         #: grow-only feature-key -> bit registry for the prune bitmasks;
         #: only entry-side keys get bits, so a query key missing here means
-        #: no cached entry has that feature at all
+        #: no cached entry has that feature at all.  Keyed by tuple key
+        #: (``GraphFeatures.key_counts``), the one domain coded and uncoded
+        #: features share; an entry's table is its query's, so a query
+        #: decodes once for both roles
         self._feature_bits: dict = {}
         self._entry_masks: dict[int, int] = {}
         self._home_summaries = [_EMPTY_SUMMARY] * self.num_shards
@@ -198,7 +201,7 @@ class Placement:
         bits = self._feature_bits
         query_mask = 0
         unknown = False
-        for key in features.counts:
+        for key in features.key_counts():
             bit = bits.get(key)
             if bit is None:
                 # No cached entry anywhere has this feature, so nothing can
@@ -381,7 +384,7 @@ class Placement:
         if mask is None:
             bits = self._feature_bits
             mask = 0
-            for key in entry.features.counts:
+            for key in entry.features.key_counts():
                 bit = bits.get(key)
                 if bit is None:
                     bit = 1 << len(bits)

@@ -15,20 +15,28 @@ restrict verification to the relevant region of a candidate graph.
 
 Two implementations produce the same features.  :func:`native_path_features`
 hands the graph to the C kernel (``ck_path_features`` in
-``isomorphism/_ckernel.c``) as a small CSR and decodes the few dozen
-distinct path codes it returns; :func:`path_features` over
-:func:`enumerate_simple_paths` is the pure-Python form — the fallback when
-the kernel is unavailable or a graph's codes do not fit 64 bits, and the
-oracle the native one is tested against.
+``isomorphism/_ckernel.c``) as the CSR of its
+:class:`~repro.isomorphism.compiled.FlatGraph` — the buffer the graph's
+compiles read too — and gets the distinct features back as codes;
+:func:`path_features` over :func:`enumerate_simple_paths` is the pure-Python
+form, keyed by tuple — the fallback when the kernel is unavailable or a
+graph's features do not pack into codes, and the oracle the native one is
+tested against.
 
-**Feature codes.**  The kernel also returns the features as ``(code,
-count)`` pairs whose codes compare *across graphs*: a path's canonical label
-sequence spelt with one process-wide byte per label text, most significant
-byte first, so two graphs share a code exactly when they share the key.
-That is the form the iGQ component indexes' native probe table
-(:mod:`repro.core.probe`) filters on.  The byte table is append-only and per
-process, so codes are never pickled; :func:`encode_path_keys` rebuilds them
-from the keys for a feature table that crossed a pipe or the WAL.
+**Feature codes.**  A feature's code is its canonical label sequence spelt
+with one process-wide byte per label text, most significant byte first, in
+a ``uint64``: two graphs share a code exactly when they share the key.
+Codes are the primary form — the kernel returns nothing else, and every
+index of the process (the dataset-side threshold index, Grapes' locations,
+the iGQ probe table of :mod:`repro.core.probe`) is keyed by them — so the
+query path never builds a tuple.  :func:`encode_path_codes` /
+:func:`encode_path_keys` turn tuple keys into codes (the Python extractor's
+output, a copy that crossed a pickle), :func:`decode_path_codes` turns codes
+back into keys (pickling, introspection, oracles) and
+:func:`codes_where_known` re-keys a tuple-keyed table as far as the table
+knows its labels.  The byte table is append-only and per process, holds at
+most 254 labels and never takes a graph's labels unless it can take them
+all; codes are never pickled.
 """
 
 from __future__ import annotations
@@ -36,17 +44,21 @@ from __future__ import annotations
 import ctypes
 import threading
 from array import array
-from collections.abc import Hashable, Iterator, Mapping
+from collections.abc import Collection, Hashable, Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from itertools import chain
 
 from ..graphs.graph import LabeledGraph
 from ..isomorphism import _ckernel_loader
-from ..isomorphism.compiled import _packed
+from ..isomorphism.compiled import FlatGraph, _packed
 from .canonical import canonical_path_key
 
 __all__ = [
     "PathOccurrences",
+    "code_pairs",
+    "codes_where_known",
+    "decode_path_codes",
+    "encode_path_codes",
     "encode_path_keys",
     "enumerate_simple_paths",
     "native_path_features",
@@ -84,25 +96,91 @@ def _label_bytes(texts: list[str]) -> list[int] | None:
     return [table[text] for text in texts]
 
 
-def encode_path_keys(counts: Mapping[tuple[str, ...], int]) -> array | None:
-    """``counts`` as the ``(code, count)`` pairs the kernel returns.
+def _label_texts() -> list:
+    """The inverse of the label table: ``texts[byte]`` is the label text
+    spelt with that byte (``texts[0]`` unused).  Rebuilt only after the
+    table grew (or was swapped, as tests do)."""
+    global _LABEL_TEXTS
+    table = _LABEL_BYTES
+    cached_table, texts = _LABEL_TEXTS
+    if cached_table is not table or len(texts) != len(table) + 1:
+        texts = [None] * (len(table) + 1)
+        for text, byte in list(table.items()):
+            texts[byte] = text
+        _LABEL_TEXTS = (table, texts)
+    return texts
 
-    One ``array("Q")`` holding the pairs back to back, code ascending; equal
-    to the third element of :func:`native_path_features` for the graph the
-    keys came from.  ``None`` when a key is longer than a code or the label
-    table is full.  A Python loop over the features: for tables that lost
-    their codes to pickling, not for the query path.
+
+#: ``(table, texts)``: the :func:`_label_texts` of ``table``
+_LABEL_TEXTS: tuple[dict | None, list] = (None, [])
+
+
+def encode_path_codes(keys: Collection[tuple[str, ...]]) -> array | None:
+    """The code of each of ``keys``, in order, as one ``array("Q")``.
+
+    ``None`` when a key is longer than a code or the label table cannot
+    take every label of ``keys``.  Labels not yet in the table are added.
+    A Python loop over the features: for key tables that come from the
+    Python extractor or lost their codes to pickling, not for the query
+    path.
     """
-    texts = sorted({text for key in counts for text in key})
-    if _label_bytes(texts) is None or any(len(key) > _MAX_CODE_LENGTH + 1 for key in counts):
+    texts = sorted({text for key in keys for text in key})
+    if _label_bytes(texts) is None or any(len(key) > _MAX_CODE_LENGTH + 1 for key in keys):
         return None
     byte_of = _LABEL_BYTES.__getitem__
     # a code reads its key's bytes from the most significant end down
     # (little-endian host, as everywhere in the native binding)
     codes = array("Q")
-    codes.frombytes(b"".join([bytes(map(byte_of, key)).ljust(8, b"\0") for key in counts]))
+    codes.frombytes(b"".join([bytes(map(byte_of, key)).ljust(8, b"\0") for key in keys]))
     codes.byteswap()
-    return array("Q", chain.from_iterable(sorted(zip(codes, counts.values()))))
+    return codes
+
+
+def encode_path_keys(counts: Mapping[tuple[str, ...], int]) -> array | None:
+    """``counts`` as the ``(code, count)`` pairs the kernel returns.
+
+    One ``array("Q")`` holding the pairs back to back, code ascending; equal
+    to the third element of :func:`native_path_features` for the graph the
+    keys came from.  ``None`` when :func:`encode_path_codes` is.
+    """
+    codes = encode_path_codes(counts)
+    if codes is None:
+        return None
+    return code_pairs(zip(codes, counts.values()))
+
+
+def code_pairs(items: Iterable[tuple[int, int]]) -> array:
+    """``(code, count)`` items as the flat, code-ascending pairs array the
+    probe table reads."""
+    return array("Q", chain.from_iterable(sorted(items)))
+
+
+def decode_path_codes(codes: Iterable[int]) -> list[tuple[str, ...]]:
+    """The label-path key of each of ``codes`` (the inverse of
+    :func:`encode_path_codes`): for pickling, introspection and oracles."""
+    spelt = array("Q", codes)
+    spelt.byteswap()
+    data = spelt.tobytes()
+    text_of = _label_texts().__getitem__
+    return [
+        tuple(map(text_of, data[start : start + 8].rstrip(b"\0")))
+        for start in range(0, len(data), 8)
+    ]
+
+
+def codes_where_known(counts: Mapping[tuple[str, ...], int]) -> dict:
+    """``counts`` with every key re-keyed by its code if it has one now,
+    kept as it is otherwise.  The label table is only read: a key keeps its
+    tuple exactly when one of its labels was never coded, so no coded
+    feature table can hold it either — which is what lets a tuple-keyed
+    query filter against a code-keyed index."""
+    table = _LABEL_BYTES
+    recoded = {}
+    for key, count in counts.items():
+        if len(key) <= _MAX_CODE_LENGTH + 1 and all(text in table for text in key):
+            key = int.from_bytes(bytes(map(table.__getitem__, key)).ljust(8, b"\0"), "big")
+        recoded[key] = count
+    return recoded
 
 
 @dataclass
@@ -203,20 +281,26 @@ def path_features(
 
 
 def native_path_features(
-    graph: LabeledGraph, max_length: int, locations: bool = False
-) -> tuple[dict[tuple[str, ...], int], dict[tuple[str, ...], int], array | None] | None:
-    """:func:`path_features` of ``graph`` computed by the C kernel.
+    graph: LabeledGraph, max_length: int, locations: bool = False, flat: FlatGraph | None = None
+) -> tuple[dict[int, int], dict[int, int], array] | None:
+    """:func:`path_features` of ``graph`` computed by the C kernel, keyed by
+    code.
 
-    Returns ``(counts, location masks, codes)``: the first two keyed like
-    :func:`path_features`, keys in ascending order; a mask covers the
-    positions of ``graph.vertices()`` (empty dict unless ``locations``);
-    ``codes`` is the cross-graph form of ``counts`` (see
-    :func:`encode_path_keys`), ``None`` once the process-wide label table
-    is full.  The whole result is ``None`` when
-    the kernel is unavailable in this process, or when a path's label
-    sequence does not pack into one 64-bit code (a byte per vertex: more
-    than 255 distinct label strings in the graph, or ``max_length`` above
-    7) — the caller then runs the Python enumeration.
+    Returns ``(counts, location masks, pairs)``: the first two keyed by the
+    features' cross-graph codes (:func:`encode_path_codes`), in ascending
+    order of the label-path keys — the order :func:`path_features` keys
+    sort in; a mask covers the positions of ``graph.vertices()`` (empty
+    dict unless ``locations``); ``pairs`` is ``counts`` as the flat
+    ``(code, count)`` array, code ascending (:func:`code_pairs`).  Nothing
+    is decoded: :func:`decode_path_codes` turns the codes back into keys
+    for whoever needs them.
+
+    The whole result is ``None`` when the kernel is unavailable in this
+    process, or when the features do not pack into codes — more than 255
+    distinct label strings in the graph, ``max_length`` above 7, or labels
+    the process-wide table cannot take — and the caller runs the Python
+    enumeration.  ``flat`` is the graph's :class:`FlatGraph` when the
+    caller compiles the graph from the same arrays.
 
     One call per graph, the interpreter lock released for its duration; all
     buffers are per call, so concurrent extractions do not interfere.
@@ -224,20 +308,23 @@ def native_path_features(
     library = _ckernel_loader.kernel()
     if library is None:
         return None
-    num_vertices = graph.num_vertices
-    texts = [str(graph.label(vertex)) for vertex in graph.vertices()]
+    if flat is None:
+        flat = FlatGraph(graph)
+    texts = list(map(str, flat.labels))
     names = sorted(set(texts))
     if len(names) > _MAX_CODE_LABELS or max_length > _MAX_CODE_LENGTH:
         return None
-    rank_of = {text: rank for rank, text in enumerate(names)}
     label_bytes = _label_bytes(names)
-    # ``buffer`` owns the columns for the duration of the call
-    buffer, (*csr, bytes_address) = _packed(
-        *graph.csr(), [rank_of[text] for text in texts], label_bytes or ()
+    if label_bytes is None:
+        return None
+    num_vertices = graph.num_vertices
+    rank_of = {text: rank for rank, text in enumerate(names)}
+    # ``buffer`` owns the label columns for the duration of the call
+    buffer, (ranks_address, bytes_address) = _packed(
+        [rank_of[text] for text in texts], label_bytes
     )
     block = library.ck_path_features(
-        num_vertices, *csr, max_length, locations,
-        None if label_bytes is None else bytes_address,
+        num_vertices, *flat.csr(), ranks_address, max_length, locations, bytes_address
     )
     if not block:  # pragma: no cover - allocation failure inside the kernel
         raise MemoryError("native path extraction could not allocate its result")
@@ -245,35 +332,20 @@ def native_path_features(
         distinct = ctypes.c_uint64.from_address(block).value
         row_bytes = 8 * ((num_vertices + 63) // 64) if locations else 0
         pairs_start = distinct * (16 + row_bytes)
-        payload = ctypes.string_at(
-            block + 8, pairs_start + (16 * distinct if label_bytes is not None else 0)
-        )
+        payload = ctypes.string_at(block + 8, pairs_start + 16 * distinct)
     finally:
         library.ck_free(block)
-    pairs = None
-    if label_bytes is not None:
-        pairs = array("Q")
-        pairs.frombytes(payload[pairs_start:])
     words = array("Q")
     words.frombytes(payload[: 16 * distinct])
-    # A code holds rank + 1 per path vertex from its most significant byte
-    # down (0 = past the end), so the swapped bytes of each code are the
-    # key's slots in order.  (Little-endian host, as everywhere in the
-    # native binding.)
+    pairs = array("Q")
+    pairs.frombytes(payload[pairs_start:])
     codes = words[:distinct]
-    codes.byteswap()
-    slots = codes.tobytes()
-    name_of = [None, *names].__getitem__
-    keys = [
-        tuple(map(name_of, slots[start : start + 8].rstrip(b"\0")))
-        for start in range(0, 8 * distinct, 8)
-    ]
-    counts = dict(zip(keys, words[distinct:]))
+    counts = dict(zip(codes, words[distinct:]))
     masks = {}
     if row_bytes:
         rows = range(16 * distinct, pairs_start, row_bytes)
         masks = {
-            key: int.from_bytes(payload[start : start + row_bytes], "little")
-            for key, start in zip(keys, rows)
+            code: int.from_bytes(payload[start : start + row_bytes], "little")
+            for code, start in zip(codes, rows)
         }
     return counts, masks, pairs

@@ -51,7 +51,7 @@
  * src/repro/core/containment.py, `mask_sums` in src/repro/core/probe.py)
  * stay as the fallback and as the oracle of tests/test_native_probe.py.
  *
- * Data layout, ABI 5.  A `ck_target` / `ck_plan` is built once per graph
+ * Data layout, ABI 6.  A `ck_target` / `ck_plan` is built once per graph
  * and role by `ck_compile_target` / `ck_compile_plan` (new in ABI 5) from
  * the graph's CSR — vertex positions in `graph.vertices()` order, neighbours
  * in `neighbors()` order, per vertex its interned label id and its rank in
@@ -106,20 +106,23 @@
  *                     significant end, unused bytes are 0, so comparing two
  *                     codes as integers compares the label-string tuples
  *                     they stand for (a prefix sorts before its extensions);
- *   - global_bytes:   optional, per rank the label's *process-wide* byte
- *                     (1..254, assigned by `_label_bytes` in paths.py): the
- *                     same features spelt so that codes of different graphs
+ *   - global_bytes:   per rank the label's *process-wide* byte (1..254,
+ *                     assigned by `_label_bytes` in paths.py): the same
+ *                     features spelt so that codes of different graphs
  *                     compare.  The canonical direction of a path is decided
  *                     on the graph's own ranks (label-text order, so the
  *                     keys stay those of `canonical_path_key`); the chosen
- *                     sequence is then re-spelt byte by byte and the result
- *                     sorted again, by global code;
+ *                     sequence is then re-spelt byte by byte;
  *   - result block:   malloc'd, released with `ck_free`: word 0 holds the
- *                     number of distinct codes D, then D codes ascending,
- *                     then D occurrence counts, then (want_locations)
- *                     D rows of ceil(n / 64) mask words over the vertex
- *                     positions, then (global_bytes) D (global code, count)
- *                     pairs, global code ascending.
+ *                     number of distinct codes D, then the D global codes
+ *                     in ascending order of their graph-local codes (that
+ *                     is, of the label-string tuples), then their D
+ *                     occurrence counts, then (want_locations) D rows of
+ *                     ceil(n / 64) mask words over the vertex positions,
+ *                     then the D (global code, count) pairs again, global
+ *                     code ascending (ABI 6: before it the first D words
+ *                     held the graph-local codes and the pairs were
+ *                     optional).
  *
  * The probe table (new in ABI 4; driven by `ProbeTable` in
  * src/repro/core/probe.py):
@@ -144,7 +147,7 @@
 /* The ABI version is checked by the loader after dlopen so a stale build
  * of an older layout can never be driven with new-layout pointers.  Bump
  * it whenever a struct or signature below changes. */
-#define CK_ABI_VERSION 5
+#define CK_ABI_VERSION 6
 
 #if defined(_WIN32)
 #define CK_EXPORT __declspec(dllexport)
@@ -764,10 +767,8 @@ ck_path_features(int64_t n, const int64_t *offsets, const int64_t *neighbours,
             distinct += i == 0 || found.items[i] != found.items[i - 1];
         const int64_t num_words = (n + 63) / 64;
         const int64_t mask_words = want_locations ? distinct * num_words : 0;
-        const int64_t pair_words = global_bytes != NULL ? 2 * distinct : 0;
         block = (uint64_t *)calloc(
-            (size_t)(1 + 2 * distinct + mask_words + pair_words),
-            sizeof(uint64_t));
+            (size_t)(1 + 4 * distinct + mask_words), sizeof(uint64_t));
         if (block != NULL) {
             uint64_t *codes = block + 1;
             uint64_t *counts = codes + distinct;
@@ -785,17 +786,15 @@ ck_path_features(int64_t n, const int64_t *offsets, const int64_t *neighbours,
                 sink.num_words = num_words;
                 ck_walk_paths(n, offsets, neighbours, ranks, max_length, &sink);
             }
-            if (pair_words) {
-                /* re-spelling is injective, so the pairs stay distinct; a
-                 * pair sorts by its leading word, the code */
-                uint64_t *pairs = counts + distinct + mask_words;
-                for (int64_t i = 0; i < distinct; ++i) {
-                    pairs[2 * i] = ck_global_code(codes[i], global_bytes);
-                    pairs[2 * i + 1] = counts[i];
-                }
-                qsort(pairs, (size_t)distinct, 2 * sizeof(uint64_t),
-                      ck_compare_codes);
+            /* re-spelling is injective, so the pairs stay distinct; a pair
+             * sorts by its leading word, the code */
+            uint64_t *pairs = counts + distinct + mask_words;
+            for (int64_t i = 0; i < distinct; ++i) {
+                codes[i] = ck_global_code(codes[i], global_bytes);
+                pairs[2 * i] = codes[i];
+                pairs[2 * i + 1] = counts[i];
             }
+            qsort(pairs, (size_t)distinct, 2 * sizeof(uint64_t), ck_compare_codes);
         }
     }
     if (found.items != found.inline_items)

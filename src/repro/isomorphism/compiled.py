@@ -268,26 +268,54 @@ def _repr_ranks(graph: LabeledGraph) -> tuple[list[int], bool]:
 
 
 class FlatGraph:
-    """One graph as the arrays the kernel compiles it from.
+    """One graph as the int64 arrays the kernel reads, each built once.
 
     The CSR of :meth:`LabeledGraph.csr <repro.graphs.graph.LabeledGraph.csr>`
-    plus, per vertex position, the interned id of its label and its rank in
-    ``repr`` order (what :meth:`CompiledTarget.vertex_ranks` returns), back
-    to back in one int64 buffer.  Flattened on the first
-    :meth:`arguments` call, so a :class:`CompiledQuery` can hand one of
-    these to both of its forms and pay once, whichever asks first — and
-    nothing when neither does.
+    (:meth:`csr`) and the per-vertex label columns: the labels by vertex
+    position (:attr:`labels`), and — for the compiles — the interned id of
+    each label and the vertex's rank in ``repr`` order (what
+    :meth:`CompiledTarget.vertex_ranks` returns).  Path extraction
+    (:func:`~repro.features.paths.native_path_features`) and both kernel
+    compiles read the same CSR buffer, so a query prepared once — the
+    engine hands one of these to the extractor and to its
+    :class:`CompiledQuery` — is flattened once, whichever asks first, and
+    not at all by nobody.  Read-only once built, so repeats of a query may
+    share it.
     """
 
-    __slots__ = ("graph", "_arguments", "_buffer")
+    __slots__ = ("graph", "_labels", "_csr", "_arguments", "_buffers")
 
     def __init__(self, graph: LabeledGraph) -> None:
         self.graph = graph
+        self._labels: list | None = None
+        self._csr: tuple[int, int] | None = None
         self._arguments: tuple | None | bool = False  # False: not flattened yet
+        #: the arrays behind every address handed out
+        self._buffers: list[array] = []
+
+    def _pack(self, *columns: Sequence[int]) -> list[int]:
+        """Addresses of ``columns`` packed into a buffer this object keeps
+        alive (see :func:`_packed`)."""
+        buffer, addresses = _packed(*columns)
+        self._buffers.append(buffer)
+        return addresses
+
+    @property
+    def labels(self) -> list:
+        """The vertex labels, by vertex position."""
+        if self._labels is None:
+            self._labels = list(map(self.graph.label, self.graph.vertices()))
+        return self._labels
+
+    def csr(self) -> tuple[int, int]:
+        """Addresses of the CSR ``offsets`` and ``neighbours`` columns."""
+        if self._csr is None:
+            self._csr = tuple(self._pack(*self.graph.csr()))
+        return self._csr
 
     def arguments(self) -> tuple | None:
         """``(n, offsets, neighbours, label_ids, ranks)`` — the vertex count
-        and four addresses into the buffer this object keeps alive — as
+        and four addresses into buffers this object keeps alive — as
         ``ck_compile_target`` / ``ck_compile_plan`` take them; ``None`` when
         two vertices share a ``repr`` (the graph compiles in Python then)."""
         arguments = self._arguments
@@ -296,9 +324,8 @@ class FlatGraph:
             ranks, distinct = _repr_ranks(graph)
             arguments = None
             if distinct:
-                label_ids = list(map(_intern_label, map(graph.label, graph.vertices())))
-                self._buffer, addresses = _packed(*graph.csr(), label_ids, ranks)
-                arguments = (graph.num_vertices, *addresses)
+                label_ids = list(map(_intern_label, self.labels))
+                arguments = (graph.num_vertices, *self.csr(), *self._pack(label_ids, ranks))
             self._arguments = arguments
         return arguments
 
@@ -633,18 +660,19 @@ class CompiledQuery:
     per query and hands it to every stage, so whichever stage needs a form
     first builds it and the rest — including the cache entry the query
     becomes — share the object (and, through it, its native form).  The
-    two forms also share one :class:`FlatGraph`, so the query is flattened
-    once for both kernel compiles.  ``plan`` / ``target`` stay ``None``
-    until a stage asks.
+    two forms also share one :class:`FlatGraph` — the one its features
+    were extracted from, when the caller passes it — so the query is
+    flattened once for extraction and both kernel compiles.  ``plan`` /
+    ``target`` stay ``None`` until a stage asks.
     """
 
     __slots__ = ("graph", "plan", "target", "_flat")
 
-    def __init__(self, graph: LabeledGraph) -> None:
+    def __init__(self, graph: LabeledGraph, flat: FlatGraph | None = None) -> None:
         self.graph = graph
         self.plan: CompiledQueryPlan | None = None
         self.target: CompiledTarget | None = None
-        self._flat = FlatGraph(graph)
+        self._flat = flat if flat is not None else FlatGraph(graph)
 
     def compiled_plan(self) -> CompiledQueryPlan:
         """The query's matching plan (created on first request)."""

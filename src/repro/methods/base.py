@@ -30,10 +30,11 @@ from itertools import compress
 
 from ..features.bitmaps import ThresholdBitmapIndex
 from ..features.extractor import FeatureExtractor, GraphFeatures
+from ..features.paths import codes_where_known
 from ..graphs.bitset import CandidateBitmap, GraphIdSpace
 from ..graphs.database import GraphDatabase
 from ..graphs.graph import LabeledGraph
-from ..isomorphism.compiled import CompiledQuery
+from ..isomorphism.compiled import CompiledQuery, FlatGraph
 from ..isomorphism.verifier import Verifier
 
 __all__ = ["QueryResult", "SubgraphQueryMethod"]
@@ -115,6 +116,10 @@ class SubgraphQueryMethod(ABC):
         #: ``id_space`` positions — what both filtering directions read;
         #: ``None`` until built (lazily for the scan baseline and snapshots)
         self._feature_index: ThresholdBitmapIndex | None = None
+        #: the key domain of the dataset-side tables, picked once when they
+        #: are built: feature codes when every graph's features are coded,
+        #: tuple keys otherwise (see :meth:`index_counts`)
+        self._coded = False
         #: graphs with at most n vertices / edges, indexed by n
         self._vertices_at_most: list[int] = [0]
         self._edges_at_most: list[int] = [0]
@@ -153,16 +158,42 @@ class SubgraphQueryMethod(ABC):
         return self._feature_index
 
     def _build_feature_index(self) -> None:
-        if not self._graph_features:
+        features_of = self._graph_features
+        if not features_of:
             for graph_id, graph in self.database.items():
                 features = self.extractor.extract(graph, locations=self.needs_feature_locations)
-                # only cached *queries* are probed by code (16 bytes a feature)
+                # only cached *queries* are probed by code pairs (16 bytes a
+                # feature); the dataset tables are the counts themselves
                 features.codes = None
-                self._graph_features[graph_id] = features
+                features_of[graph_id] = features
+        # one key domain for every table: codes when they all have them
+        coded = self._coded = all(features.coded for features in features_of.values())
+        if not coded:
+            for graph_id, features in features_of.items():
+                if features.coded:
+                    features_of[graph_id] = GraphFeatures(
+                        features.key_counts(), features.key_locations()
+                    )
         index = self._feature_index = ThresholdBitmapIndex()
         bit = self.id_space.bit
-        for graph_id, features in self._graph_features.items():
+        for graph_id, features in features_of.items():
             index.add(bit(graph_id), features.counts)
+
+    def index_counts(self, features: GraphFeatures) -> dict:
+        """A query's ``counts`` in the key domain of the dataset index.
+
+        Usually the counts themselves: queries and dataset graphs are coded
+        alike.  A coded query against a tuple-keyed index is decoded; a
+        tuple-keyed query (labels the process-wide table could not take)
+        against a coded index keeps the keys that have no code — keys no
+        dataset graph holds, which is exactly how the tuple-keyed filter
+        treats them in both directions.
+        """
+        if features.coded == self._coded:
+            return features.counts
+        if features.coded:
+            return features.key_counts()
+        return codes_where_known(features.counts)
 
     @abstractmethod
     def index_size_bytes(self) -> int:
@@ -171,9 +202,12 @@ class SubgraphQueryMethod(ABC):
     # ------------------------------------------------------------------
     # Filtering stage
     # ------------------------------------------------------------------
-    def extract_query_features(self, query: LabeledGraph) -> GraphFeatures:
-        """Extract the query's features with the method's extractor."""
-        return self.extractor.extract(query)
+    def extract_query_features(
+        self, query: LabeledGraph, flat: FlatGraph | None = None
+    ) -> GraphFeatures:
+        """Extract the query's features with the method's extractor
+        (``flat``: the query's flattened arrays, shared with its compiles)."""
+        return self.extractor.extract(query, flat=flat)
 
     @abstractmethod
     def filter_candidates(
@@ -189,9 +223,8 @@ class SubgraphQueryMethod(ABC):
         """Graphs holding every feature of ``features`` at least as often —
         the published GGSX/Grapes condition; no features keeps every graph."""
         space = self.id_space
-        return CandidateBitmap(
-            space, self.feature_index.at_least(features.counts, space.full_mask)
-        )
+        index = self.feature_index
+        return CandidateBitmap(space, index.at_least(self.index_counts(features), space.full_mask))
 
     def filter_supergraph_candidates(
         self, query: LabeledGraph, features: GraphFeatures | None = None
@@ -212,7 +245,8 @@ class SubgraphQueryMethod(ABC):
             & edges[min(query.num_edges, len(edges) - 1)]
         )
         if fitting:
-            fitting = self.feature_index.at_most(features.counts, fitting)
+            index = self.feature_index
+            fitting = index.at_most(self.index_counts(features), fitting)
         return CandidateBitmap(self.id_space, fitting)
 
     # ------------------------------------------------------------------

@@ -87,7 +87,7 @@ class GrapesMethod(SubgraphQueryMethod):
         """
         located = self._graph_features[graph_id].locations.get
         region = 0
-        for key in query_features.counts:
+        for key in self.index_counts(query_features):
             region |= located(key, 0)
         return region
 

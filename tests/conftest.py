@@ -124,6 +124,26 @@ def index_state(index) -> dict:
 # ----------------------------------------------------------------------
 
 
+def feature_keys(features) -> set:
+    """The distinct tuple keys of a :class:`GraphFeatures`, whatever form
+    it holds them in."""
+    return set(features.key_counts())
+
+
+def contains_all_of(have, other) -> bool:
+    """Every feature of ``other`` also appears in ``have`` (set-wise), by
+    tuple key."""
+    keys = have.key_counts()
+    return all(key in keys for key in other.key_counts())
+
+
+def covers_counts_of(have, other) -> bool:
+    """Every feature of ``other`` appears in ``have`` at least as often, by
+    tuple key: the condition both filtering directions implement."""
+    counts = have.key_counts()
+    return all(counts.get(key, 0) >= count for key, count in other.key_counts().items())
+
+
 def posting_lists(feature_tables) -> dict:
     """``{key: {member: occurrences}}`` of ``{member: GraphFeatures}``."""
     postings: dict = {}
@@ -175,7 +195,7 @@ def oracle_supergraph_candidates(method, query, features) -> set:
         for graph_id, graph in method.database.items()
         if graph.num_vertices <= query.num_vertices
         and graph.num_edges <= query.num_edges
-        and features.covers_counts_of(method.graph_features(graph_id))
+        and covers_counts_of(features, method.graph_features(graph_id))
     }
 
 

@@ -250,6 +250,11 @@ class TestStreaming:
         assert names == [query.name for query in stream]
 
 
+def features_of(memo: FeatureMemo, query: LabeledGraph):
+    """The features half of the memo's prepared query."""
+    return memo.prepare(query)[0]
+
+
 class TestFeatureMemo:
     def test_signature_detects_structural_copies(self):
         a = make_path_graph("ABC", name="one")
@@ -265,15 +270,15 @@ class TestFeatureMemo:
         backward = LabeledGraph.from_edges({2: "C", 1: "B", 0: "A"}, [(1, 2), (0, 1)])
         assert forward == backward and forward.ordered_key() != backward.ordered_key()
         memo = FeatureMemo(GGSXMethod(max_path_length=3).extractor)
-        assert memo.extract(forward) == memo.extract(backward)
+        assert features_of(memo, forward) == features_of(memo, backward)
         assert memo.hits == 0 and memo.misses == 2
 
     def test_memo_hits_on_repeats(self):
         method = GGSXMethod(max_path_length=3)
         memo = FeatureMemo(method.extractor)
         query = make_path_graph("ABCA")
-        first = memo.extract(query)
-        second = memo.extract(query.copy(name="again"))
+        first = features_of(memo, query)
+        second = features_of(memo, query.copy(name="again"))
         assert first is second
         assert memo.hits == 1 and memo.misses == 1
 
@@ -291,8 +296,8 @@ class TestFeatureMemo:
         for u, v in twin.edges():
             remapped.add_edge(u + 100, v + 100)
         assert query.ordered_key() != remapped.ordered_key()
-        first = memo.extract(query)
-        second = memo.extract(remapped)
+        first = features_of(memo, query)
+        second = features_of(memo, remapped)
         assert first is not second
         assert first.counts == second.counts
         assert list(first.counts) == list(second.counts)
@@ -305,7 +310,7 @@ class TestFeatureMemo:
         class CountingExtractor:
             calls = 0
 
-            def extract(self, graph):
+            def extract(self, graph, flat=None):
                 self.calls += 1
                 return self.calls
 
@@ -313,18 +318,18 @@ class TestFeatureMemo:
         memo = FeatureMemo(extractor)
         total = 8192 + 500
         for vertex in range(total):
-            memo.extract(LabeledGraph.from_edges({vertex: "A"}, []))
+            features_of(memo, LabeledGraph.from_edges({vertex: "A"}, []))
             assert len(memo) <= 8192
         assert memo.misses == total and extractor.calls == total
         # still a memo after the clear: the latest query hits
-        assert memo.extract(LabeledGraph.from_edges({total - 1: "A"}, [])) == total
+        assert features_of(memo, LabeledGraph.from_edges({total - 1: "A"}, [])) == total
         assert memo.hits == 1
 
     def test_canonical_twins_do_not_collide_with_distinct_graphs(self):
         method = GGSXMethod(max_path_length=3)
         memo = FeatureMemo(method.extractor)
-        memo.extract(make_path_graph("ABC"))
-        memo.extract(make_path_graph("ACB"))
+        features_of(memo, make_path_graph("ABC"))
+        features_of(memo, make_path_graph("ACB"))
         assert memo.misses == 2 and memo.hits == 0
 
     def test_executor_counts_memo_hits(self):

@@ -2,7 +2,7 @@
 
 One property carries the weight: after any stream of ``add``/``remove`` over
 recycled slots, both reads agree with the brute-force
-:meth:`GraphFeatures.covers_counts_of` test of every live member.
+:func:`~tests.conftest.covers_counts_of` test of every live member.
 """
 
 from __future__ import annotations
@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 
 from repro.features import GraphFeatures, ThresholdBitmapIndex
 from repro.graphs.bitset import DensePositions
+
+from .conftest import covers_counts_of
 
 KEYS = [("A",), ("B",), ("A", "B"), ("A", "B", "A"), ("C", "C")]
 #: never added to any member
@@ -37,9 +39,9 @@ def brute_force(members, slots, query, dominated_by_query):
     for name, counts in members.items():
         mine = GraphFeatures(counts=counts)
         if dominated_by_query:
-            covered = wanted.covers_counts_of(mine)
+            covered = covers_counts_of(wanted, mine)
         else:
-            covered = mine.covers_counts_of(wanted)
+            covered = covers_counts_of(mine, wanted)
         if covered:
             mask |= slots.bit(name)
     return mask

@@ -2,9 +2,10 @@
 
 ``ck_path_features`` (``isomorphism/_ckernel.c``, driven by
 :func:`repro.features.paths.native_path_features`) must return exactly what
-:func:`repro.features.paths.path_features` returns — same keys, same counts,
-same location masks, keys ascending — because every index, WAL record and
-candidate set downstream is built from whichever of the two ran.  The Python
+:func:`repro.features.paths.path_features` returns — same keys (spelt as
+their cross-graph codes), same counts, same location masks, keys ascending —
+because every index, WAL record and candidate set downstream is built from
+whichever of the two ran.  The Python
 enumeration is the oracle, the same arrangement ``match_pairs`` has with the
 bigint loop (``tests/test_verify_pairs.py``).
 """
@@ -21,10 +22,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.datasets.registry import load_dataset
-from repro.features import FeatureExtractor, path_features
+from repro.features import FeatureExtractor, GraphFeatures, path_features
 from repro.features import extractor as extractor_module
 from repro.features import paths as paths_module
-from repro.features.paths import encode_path_keys, native_path_features
+from repro.features.paths import (
+    decode_path_codes,
+    encode_path_codes,
+    encode_path_keys,
+    native_path_features,
+)
 from repro.graphs import LabeledGraph
 from repro.isomorphism import native_kernel_available
 from repro.methods import GGSXMethod, GrapesMethod
@@ -57,12 +63,16 @@ def assert_native_equals_oracle(graph: LabeledGraph, max_length: int) -> None:
     counts, masks = oracle(graph, max_length)
     with_masks = native_path_features(graph, max_length, locations=True)
     assert with_masks is not None
-    assert list(with_masks[0].items()) == list(counts.items())
-    assert list(with_masks[1].items()) == list(masks.items())
+    # keyed by the cross-graph codes of the oracle's keys (the keys spelt
+    # with the process-wide bytes), in the oracle's ascending key order
+    codes = list(encode_path_codes(counts))
+    assert list(with_masks[0]) == codes
+    assert decode_path_codes(codes) == list(counts)
+    assert list(with_masks[0].values()) == list(counts.values())
+    assert list(with_masks[1].items()) == list(zip(codes, masks.values()))
     without = native_path_features(graph, max_length)
-    assert list(without[0].items()) == list(counts.items())
+    assert list(without[0].items()) == list(with_masks[0].items())
     assert without[1] == {}
-    # the cross-graph codes are the keys, spelt with the process-wide bytes
     assert with_masks[2] == without[2] == encode_path_keys(counts)
 
 
@@ -153,7 +163,8 @@ class TestDifferential:
 
     def test_colliding_label_strings_share_a_key(self):
         graph = LabeledGraph.from_edges({0: 1, 1: "1", 2: "A"}, [(0, 1), (1, 2)])
-        counts, masks, _ = native_path_features(graph, 2, locations=True)
+        features = GraphFeatures(*native_path_features(graph, 2, locations=True), coded=True)
+        counts, masks = features.key_counts(), features.key_locations()
         assert counts[("1",)] == 2 and counts[("1", "1")] == 1
         assert masks[("1",)] == 0b011
         assert_native_equals_oracle(graph, 2)
@@ -178,15 +189,17 @@ class TestCodeOverflowFallback:
         return graph
 
     def test_255_labels_fit(self, monkeypatch):
-        """255 labels fit a graph's own codes but not the process-wide table
-        (254 bytes): the features are native, the cross-graph codes absent —
-        and none of the labels is left behind in the table."""
+        """255 labels fit a graph's own ranks but not the process-wide table
+        (254 bytes): no codes, so the Python enumeration runs and the
+        features stay tuple-keyed — and none of the labels is left behind in
+        the table.  254 labels are native."""
         table: dict = {}
         monkeypatch.setattr(paths_module, "_LABEL_BYTES", table)
         graph = self.wide_alphabet_graph(255)
-        assert_native_equals_oracle(graph, 3)
-        assert native_path_features(graph, 3)[2] is None and not table
-        assert FeatureExtractor(max_path_length=3).extract(graph).feature_codes() is None
+        assert native_path_features(graph, 3) is None and not table
+        features = FeatureExtractor(max_path_length=3).extract(graph)
+        assert not features.coded and features.feature_codes() is None and not table
+        assert list(features.counts.items()) == list(oracle(graph, 3)[0].items())
         assert_native_equals_oracle(self.wide_alphabet_graph(254), 3)
         assert len(table) == 254
 
@@ -264,8 +277,9 @@ class TestWhicheverExtractorRuns:
             graph = sparse_graph(seed, 10 + 6 * seed)
             counts, masks = oracle(graph, 4)
             features = extractor.extract(graph, locations=True)
-            assert list(features.counts.items()) == list(counts.items())
-            assert list(features.locations.items()) == list(masks.items())
+            assert features.coded
+            assert list(features.key_counts().items()) == list(counts.items())
+            assert list(features.key_locations().items()) == list(masks.items())
             assert extractor.extract(graph).locations == {}
 
     def test_build_index_tables_equal_oracle(self):
@@ -275,8 +289,8 @@ class TestWhicheverExtractorRuns:
         for graph_id, graph in database.items():
             counts, masks = oracle(graph, 3)
             stored = method.graph_features(graph_id)
-            assert list(stored.counts.items()) == list(counts.items())
-            assert list(stored.locations.items()) == list(masks.items())
+            assert list(stored.key_counts().items()) == list(counts.items())
+            assert list(stored.key_locations().items()) == list(masks.items())
 
 
 class TestConcurrentExtraction:
@@ -294,7 +308,8 @@ class TestConcurrentExtraction:
                 for _ in range(20):
                     for index in range(offset, len(graphs), 2):
                         features = extractor.extract(graphs[index], locations=True)
-                        if (features.counts, features.locations) != expected[index]:
+                        found = (features.key_counts(), features.key_locations())
+                        if found != expected[index]:
                             failures.append(index)
             except Exception as error:  # noqa: BLE001 - reported by the main thread
                 failures.append(error)

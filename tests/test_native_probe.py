@@ -73,9 +73,10 @@ class Pair:
             entry = cache.add(graph, EXTRACTOR.extract(graph), frozenset())
             if self.restored:
                 # what a warm restart or a process-backend shard delta adds:
-                # a copy that crossed a pickle boundary and lost its codes
+                # a copy that crossed a pickle boundary as tuple keys and
+                # was re-encoded on arrival (its pairs are rebuilt on demand)
                 entry = pickle.loads(pickle.dumps(entry))
-                assert entry.features.codes is None and entry.features.path_keys
+                assert entry.features.codes is None and entry.features.coded
             index.add(entry)
         return entry.entry_id
 
@@ -114,7 +115,7 @@ class Pair:
             entry.entry_id: (
                 entry.graph.num_vertices,
                 entry.graph.num_edges,
-                encode_path_keys(entry.features.counts).tolist(),
+                encode_path_keys(entry.features.key_counts()).tolist(),
             )
             for entry in self.caches[0].entries()
         }
@@ -352,9 +353,10 @@ def test_global_codes_are_the_keys(left, right):
         assert pairs == features.codes and len(pairs) == 2 * len(features.counts)
         codes = pairs[0::2]
         assert list(codes) == sorted(codes)
-        assert pairs == encode_path_keys(features.counts)
+        assert sorted(features.counts.items()) == list(zip(codes, pairs[1::2]))
+        assert pairs == encode_path_keys(features.key_counts())
         by_code = {}
-        for key, count in features.counts.items():
+        for key, count in features.key_counts().items():
             code = encode_path_keys({key: count})[0]
             assert code_of.setdefault(key, code) == code
             by_code[code] = count
@@ -363,8 +365,11 @@ def test_global_codes_are_the_keys(left, right):
 
 
 def test_codes_are_never_pickled():
+    """A pickle carries the tuple keys; the copy re-encodes them."""
     features = EXTRACTOR.extract(make_path_graph("ABCA"))
-    assert features.codes is not None
+    assert features.codes is not None and features.coded
+    assert features.__getstate__()["counts"] == features.key_counts()
     copy = pickle.loads(pickle.dumps(features))
-    assert copy == features and copy.codes is None and copy.path_keys
+    assert copy == features and copy.codes is None and copy.coded
+    assert copy.counts == features.counts
     assert copy.feature_codes() == features.codes
