@@ -9,9 +9,11 @@ protocol and returns a :class:`ServiceClient`:
   by envelope ``id`` (the server answers in completion order, not
   submission order);
 * :meth:`~ServiceClient.query` is the blocking convenience form, returning
-  the same :class:`~repro.core.engine.IGQQueryResult` the embedded service
-  yields — answers and accounting are byte-identical because the engine
-  behind the socket is the same code path;
+  an :class:`~repro.core.engine.IGQQueryResult` whose answers and scalar
+  counters equal the embedded service's (the engine behind the socket is
+  the same code path); the candidate-level sets (``candidates``,
+  ``guaranteed_answers``, ``pruned_candidates``) are not sent and stay
+  empty;
 * typed server errors are raised as their local exception types
   (``timeout`` → :class:`~repro.service.service.QueryTimeout`,
   ``overloaded`` → :class:`~repro.service.scheduler.AdmissionError`,

@@ -13,9 +13,12 @@ format has exactly one source of truth:
   :data:`PROTOCOL_VERSION`; :func:`decode_request` /
   :func:`decode_response` reject any other version with a typed
   :class:`ProtocolError` instead of mis-parsing a future format.
-* **Results** — :func:`result_to_dict` / :func:`result_from_dict` carry a
-  full :class:`~repro.core.engine.IGQQueryResult` (answers plus the iGQ
-  accounting the byte-identity gates compare).
+* **Results** — :func:`result_to_dict` / :func:`result_from_dict` carry
+  what the byte-identity gates compare: the answers and the scalar iGQ
+  counters of an :class:`~repro.core.engine.IGQQueryResult`.  Since
+  version 2 the candidate-level sets (``candidates``,
+  ``guaranteed_answers``, ``pruned_candidates``) are not sent; they stay
+  on the embedded result, and the service-wide totals are in ``stats``.
 * **Errors** — :func:`error_to_dict` maps service exceptions onto typed
   payloads ``{"code", "message", "field"}``, reusing the
   :class:`~repro.core.config.ConfigError` convention of naming the
@@ -33,6 +36,7 @@ from typing import Any
 
 from ..core.config import ConfigError
 from ..core.engine import IGQQueryResult
+from ..graphs.bitset import CandidateBitmap
 from ..graphs.graph import LabeledGraph
 
 __all__ = [
@@ -54,7 +58,7 @@ __all__ = [
 ]
 
 #: wire protocol version; bumped on any incompatible change to the schema
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: operations a request may carry — ``log_since`` streams the engine's
 #: delta-log tail to remote followers (:mod:`repro.persist.replicate`)
@@ -77,12 +81,6 @@ class ProtocolError(ValueError):
         self.field = field
 
 
-def _require(condition: bool, message: str, *, code: str = "protocol_error",
-             field: str | None = None) -> None:
-    if not condition:
-        raise ProtocolError(message, code=code, field=field)
-
-
 # ----------------------------------------------------------------------
 # Graphs
 # ----------------------------------------------------------------------
@@ -101,57 +99,79 @@ def graph_to_dict(graph: LabeledGraph) -> dict:
     }
 
 
+def _invalid_graph(message: str, field: str) -> ProtocolError:
+    return ProtocolError(message, code="invalid_graph", field=field)
+
+
 def graph_from_dict(data: Any, *, field: str = "graph") -> LabeledGraph:
     """Rebuild a :func:`graph_to_dict` payload into a :class:`LabeledGraph`.
 
     The reconstruction preserves vertex insertion order, so a round-tripped
     graph is structurally equal to the original *and* plans identically.
     Malformed payloads raise :class:`ProtocolError` naming the offending
-    field.
+    field; the message is only formatted once a check has failed, so a
+    valid graph pays for no ``repr`` of its vertices and edges.
     """
-    _require(isinstance(data, dict),
-             f"{field}={data!r} is not valid; expected a graph object",
-             code="invalid_graph", field=field)
+    if not isinstance(data, dict):
+        raise _invalid_graph(
+            f"{field}={data!r} is not valid; expected a graph object", field
+        )
     name = data.get("name")
-    _require(name is None or isinstance(name, str),
-             f"{field}.name={name!r} is not valid; expected a string or null",
-             code="invalid_graph", field=f"{field}.name")
+    if not (name is None or isinstance(name, str)):
+        raise _invalid_graph(
+            f"{field}.name={name!r} is not valid; expected a string or null",
+            f"{field}.name",
+        )
     vertices = data.get("vertices")
-    _require(isinstance(vertices, list),
-             f"{field}.vertices is not valid; expected a list of [id, label] pairs",
-             code="invalid_graph", field=f"{field}.vertices")
+    if not isinstance(vertices, list):
+        raise _invalid_graph(
+            f"{field}.vertices is not valid; expected a list of [id, label] pairs",
+            f"{field}.vertices",
+        )
     edges = data.get("edges")
-    _require(isinstance(edges, list),
-             f"{field}.edges is not valid; expected a list of [u, v, label] triples",
-             code="invalid_graph", field=f"{field}.edges")
+    if not isinstance(edges, list):
+        raise _invalid_graph(
+            f"{field}.edges is not valid; expected a list of [u, v, label] triples",
+            f"{field}.edges",
+        )
     unknown = sorted(set(data) - {"name", "vertices", "edges"})
-    _require(not unknown,
-             f"{field} has unknown key(s) {unknown}; valid keys are "
-             "['edges', 'name', 'vertices']",
-             code="invalid_graph", field=field)
+    if unknown:
+        raise _invalid_graph(
+            f"{field} has unknown key(s) {unknown}; valid keys are "
+            "['edges', 'name', 'vertices']",
+            field,
+        )
     graph = LabeledGraph(name=name)
     for index, pair in enumerate(vertices):
-        _require(isinstance(pair, (list, tuple)) and len(pair) == 2,
-                 f"{field}.vertices[{index}]={pair!r} is not valid; expected "
-                 "an [id, label] pair",
-                 code="invalid_graph", field=f"{field}.vertices[{index}]")
+        if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
+            raise _invalid_graph(
+                f"{field}.vertices[{index}]={pair!r} is not valid; expected "
+                "an [id, label] pair",
+                f"{field}.vertices[{index}]",
+            )
         vertex, label = pair
-        _require(not graph.has_vertex(vertex),
-                 f"{field}.vertices[{index}] repeats vertex id {vertex!r}",
-                 code="invalid_graph", field=f"{field}.vertices[{index}]")
+        if graph.has_vertex(vertex):
+            raise _invalid_graph(
+                f"{field}.vertices[{index}] repeats vertex id {vertex!r}",
+                f"{field}.vertices[{index}]",
+            )
         graph.add_vertex(vertex, label)
     for index, triple in enumerate(edges):
-        _require(isinstance(triple, (list, tuple)) and len(triple) in (2, 3),
-                 f"{field}.edges[{index}]={triple!r} is not valid; expected "
-                 "a [u, v, label] triple",
-                 code="invalid_graph", field=f"{field}.edges[{index}]")
+        if not (isinstance(triple, (list, tuple)) and len(triple) in (2, 3)):
+            raise _invalid_graph(
+                f"{field}.edges[{index}]={triple!r} is not valid; expected "
+                "a [u, v, label] triple",
+                f"{field}.edges[{index}]",
+            )
         u, v = triple[0], triple[1]
         label = triple[2] if len(triple) == 3 else None
-        _require(graph.has_vertex(u) and graph.has_vertex(v) and u != v
-                 and not graph.has_edge(u, v),
-                 f"{field}.edges[{index}]=[{u!r}, {v!r}] is not valid; edges "
-                 "must connect two distinct declared vertices exactly once",
-                 code="invalid_graph", field=f"{field}.edges[{index}]")
+        if not (graph.has_vertex(u) and graph.has_vertex(v) and u != v
+                and not graph.has_edge(u, v)):
+            raise _invalid_graph(
+                f"{field}.edges[{index}]=[{u!r}, {v!r}] is not valid; edges "
+                "must connect two distinct declared vertices exactly once",
+                f"{field}.edges[{index}]",
+            )
         graph.add_edge(u, v, label)
     return graph
 
@@ -159,19 +179,28 @@ def graph_from_dict(data: Any, *, field: str = "graph") -> LabeledGraph:
 # ----------------------------------------------------------------------
 # Results
 # ----------------------------------------------------------------------
-def _sorted_ids(values) -> list:
-    """Deterministic JSON ordering for a set of dataset-graph ids."""
+def _wire_ids(values) -> list:
+    """Deterministic JSON ordering for a set of dataset-graph ids.
+
+    An engine result's :class:`~repro.graphs.bitset.CandidateBitmap` lists
+    its ids in :class:`~repro.graphs.bitset.GraphIdSpace` position order,
+    which is already deterministic; any other set is sorted by ``repr``.
+    """
+    if isinstance(values, CandidateBitmap):
+        return values.space.to_ids(values.mask)
     return sorted(values, key=repr)
 
 
 def result_to_dict(result) -> dict:
-    """Serialise a query result (plain or iGQ-enriched) to its wire form."""
+    """Serialise a query result (plain or iGQ-enriched) to its wire form.
+
+    The wire carries the answers and the scalar §4 counters only; the
+    candidate-level sets (``candidates``, ``guaranteed_answers``,
+    ``pruned_candidates``) stay with embedded callers.
+    """
     return {
         "query_name": result.query_name,
-        "answers": _sorted_ids(result.answers),
-        "candidates": _sorted_ids(result.candidates),
-        "guaranteed_answers": _sorted_ids(getattr(result, "guaranteed_answers", ())),
-        "pruned_candidates": _sorted_ids(getattr(result, "pruned_candidates", ())),
+        "answers": _wire_ids(result.answers),
         "num_isomorphism_tests": result.num_isomorphism_tests,
         "num_sub_hits": getattr(result, "num_sub_hits", 0),
         "num_super_hits": getattr(result, "num_super_hits", 0),
@@ -184,29 +213,33 @@ def result_to_dict(result) -> dict:
 
 
 _RESULT_KEYS = {
-    "query_name", "answers", "candidates", "guaranteed_answers",
-    "pruned_candidates", "num_isomorphism_tests", "num_sub_hits",
+    "query_name", "answers", "num_isomorphism_tests", "num_sub_hits",
     "num_super_hits", "exact_hit", "verification_skipped",
     "filter_seconds", "igq_seconds", "verify_seconds",
 }
 
 
 def result_from_dict(data: Any, *, field: str = "result") -> IGQQueryResult:
-    """Rebuild a :func:`result_to_dict` payload into an :class:`IGQQueryResult`."""
-    _require(isinstance(data, dict),
-             f"{field}={data!r} is not valid; expected a result object",
-             code="invalid_result", field=field)
+    """Rebuild a :func:`result_to_dict` payload into an :class:`IGQQueryResult`.
+
+    The answers and counters are restored; the candidate-level sets keep
+    their empty defaults.
+    """
+    if not isinstance(data, dict):
+        raise ProtocolError(
+            f"{field}={data!r} is not valid; expected a result object",
+            code="invalid_result", field=field,
+        )
     unknown = sorted(set(data) - _RESULT_KEYS)
-    _require(not unknown,
-             f"{field} has unknown key(s) {unknown}",
-             code="invalid_result", field=field)
+    if unknown:
+        raise ProtocolError(
+            f"{field} has unknown key(s) {unknown}",
+            code="invalid_result", field=field,
+        )
     try:
         return IGQQueryResult(
             query_name=data.get("query_name"),
             answers=set(data.get("answers", ())),
-            candidates=set(data.get("candidates", ())),
-            guaranteed_answers=set(data.get("guaranteed_answers", ())),
-            pruned_candidates=set(data.get("pruned_candidates", ())),
             num_isomorphism_tests=int(data.get("num_isomorphism_tests", 0)),
             num_sub_hits=int(data.get("num_sub_hits", 0)),
             num_super_hits=int(data.get("num_super_hits", 0)),
@@ -263,36 +296,50 @@ def encode_request(op: str, *, request_id: int, tenant: str = "default",
 
 def _check_version(data: dict, field: str) -> None:
     version = data.get("protocol_version")
-    _require(
-        version == PROTOCOL_VERSION,
-        f"{field}.protocol_version={version!r} is not supported; this "
-        f"endpoint speaks version {PROTOCOL_VERSION}",
-        code="unsupported_version", field=f"{field}.protocol_version",
-    )
+    if version != PROTOCOL_VERSION:
+        raise ProtocolError(
+            f"{field}.protocol_version={version!r} is not supported; this "
+            f"endpoint speaks version {PROTOCOL_VERSION}",
+            code="unsupported_version", field=f"{field}.protocol_version",
+        )
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def decode_request(data: Any) -> Request:
     """Validate and decode a request envelope (the server side)."""
-    _require(isinstance(data, dict),
-             f"request={data!r} is not valid; expected a JSON object",
-             code="invalid_request", field="request")
+    if not isinstance(data, dict):
+        raise ProtocolError(
+            f"request={data!r} is not valid; expected a JSON object",
+            code="invalid_request", field="request",
+        )
     _check_version(data, "request")
     op = data.get("op")
-    _require(op in OPS,
-             f"request.op={op!r} is not valid; expected one of {OPS}",
-             code="invalid_request", field="request.op")
+    if op not in OPS:
+        raise ProtocolError(
+            f"request.op={op!r} is not valid; expected one of {OPS}",
+            code="invalid_request", field="request.op",
+        )
     request_id = data.get("id")
-    _require(isinstance(request_id, int) and not isinstance(request_id, bool),
-             f"request.id={request_id!r} is not valid; expected an integer",
-             code="invalid_request", field="request.id")
+    if not _is_int(request_id):
+        raise ProtocolError(
+            f"request.id={request_id!r} is not valid; expected an integer",
+            code="invalid_request", field="request.id",
+        )
     tenant = data.get("tenant", "default")
-    _require(isinstance(tenant, str) and tenant,
-             f"request.tenant={tenant!r} is not valid; expected a non-empty string",
-             code="invalid_request", field="request.tenant")
+    if not (isinstance(tenant, str) and tenant):
+        raise ProtocolError(
+            f"request.tenant={tenant!r} is not valid; expected a non-empty string",
+            code="invalid_request", field="request.tenant",
+        )
     payload = data.get("payload", {})
-    _require(isinstance(payload, dict),
-             f"request.payload={payload!r} is not valid; expected an object",
-             code="invalid_request", field="request.payload")
+    if not isinstance(payload, dict):
+        raise ProtocolError(
+            f"request.payload={payload!r} is not valid; expected an object",
+            code="invalid_request", field="request.payload",
+        )
     return Request(op=op, request_id=request_id, tenant=tenant, payload=payload)
 
 
@@ -311,26 +358,34 @@ def encode_response(request_id: int | None, *, result: dict | None = None,
 
 def decode_response(data: Any) -> Response:
     """Validate and decode a response envelope (the client side)."""
-    _require(isinstance(data, dict),
-             f"response={data!r} is not valid; expected a JSON object",
-             code="invalid_response", field="response")
+    if not isinstance(data, dict):
+        raise ProtocolError(
+            f"response={data!r} is not valid; expected a JSON object",
+            code="invalid_response", field="response",
+        )
     _check_version(data, "response")
     request_id = data.get("id")
-    _require(request_id is None
-             or (isinstance(request_id, int) and not isinstance(request_id, bool)),
-             f"response.id={request_id!r} is not valid; expected an integer or null",
-             code="invalid_response", field="response.id")
+    if not (request_id is None or _is_int(request_id)):
+        raise ProtocolError(
+            f"response.id={request_id!r} is not valid; expected an integer or null",
+            code="invalid_response", field="response.id",
+        )
     error = data.get("error")
     result = data.get("result")
-    _require((result is None) != (error is None),
-             "response must carry exactly one of 'result' / 'error'",
-             code="invalid_response", field="response")
-    if error is not None:
-        _require(isinstance(error, dict) and isinstance(error.get("code"), str)
-                 and isinstance(error.get("message"), str),
-                 f"response.error={error!r} is not valid; expected "
-                 "{'code', 'message', 'field'}",
-                 code="invalid_response", field="response.error")
+    if (result is None) == (error is None):
+        raise ProtocolError(
+            "response must carry exactly one of 'result' / 'error'",
+            code="invalid_response", field="response",
+        )
+    if error is not None and not (
+        isinstance(error, dict) and isinstance(error.get("code"), str)
+        and isinstance(error.get("message"), str)
+    ):
+        raise ProtocolError(
+            f"response.error={error!r} is not valid; expected "
+            "{'code', 'message', 'field'}",
+            code="invalid_response", field="response.error",
+        )
     return Response(request_id=request_id, result=result, error=error)
 
 

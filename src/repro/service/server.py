@@ -13,7 +13,11 @@ bridges it onto an open :class:`~repro.service.service.GraphQueryService`:
   stalling the connection (and everyone behind it);
 * responses are written **as results complete**, matched to requests by
   envelope ``id``, so one connection can keep many queries in flight and a
-  slow query never blocks the reply to a fast one.
+  slow query never blocks the reply to a fast one;
+* a query's response carries its answers and scalar counters only
+  (:func:`~repro.service.protocol.result_to_dict`); it is encoded in the
+  future's done-callback, normally on the engine's driver thread, so every
+  byte of it costs serial engine time.
 
 The asyncio event loop runs on a background daemon thread — callers get a
 plain synchronous :class:`ServiceServer` handle (``with serve(service) as

@@ -8,9 +8,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core import IGQ
 from repro.core.config import ConfigError
 from repro.core.engine import IGQQueryResult
+from repro.graphs import GraphDatabase
+from repro.graphs.bitset import CandidateBitmap
 from repro.graphs.graph import LabeledGraph
+from repro.methods import create_method
 from repro.service.protocol import (
     PROTOCOL_VERSION,
     ProtocolError,
@@ -27,7 +31,13 @@ from repro.service.protocol import (
     result_to_dict,
 )
 
-from .conftest import labeled_graphs
+from .conftest import (
+    engine_config,
+    labeled_graphs,
+    make_clique,
+    make_cycle_graph,
+    make_path_graph,
+)
 
 
 def wire_round_trip(envelope):
@@ -80,32 +90,67 @@ class TestGraphRoundTrip:
         assert fragment in str(excinfo.value)
 
 
+#: the documented version-2 result object (docs/service.md)
+V2_RESULT_KEYS = {
+    "query_name", "answers", "num_isomorphism_tests", "num_sub_hits",
+    "num_super_hits", "exact_hit", "verification_skipped",
+    "filter_seconds", "igq_seconds", "verify_seconds",
+}
+COUNTERS = sorted(V2_RESULT_KEYS - {"query_name", "answers"})
+
+
 class TestResultRoundTrip:
     @given(
         st.sets(st.text(min_size=1, max_size=4), max_size=6),
         st.sets(st.text(min_size=1, max_size=4), max_size=6),
         st.integers(min_value=0, max_value=99),
+        st.integers(min_value=0, max_value=9),
+        st.integers(min_value=0, max_value=9),
         st.booleans(),
+        st.booleans(),
+        st.floats(min_value=0.0, max_value=10.0),
     )
-    def test_round_trip(self, answers, guaranteed, tests, exact):
+    def test_round_trip(self, answers, guaranteed, tests, sub_hits, super_hits,
+                        exact, skipped, seconds):
         result = IGQQueryResult(
             query_name="q",
             answers=answers,
             candidates=answers | guaranteed,
             guaranteed_answers=guaranteed,
+            pruned_candidates=guaranteed - answers,
             num_isomorphism_tests=tests,
-            num_sub_hits=1,
+            num_sub_hits=sub_hits,
+            num_super_hits=super_hits,
             exact_hit=exact,
-            filter_seconds=0.25,
+            verification_skipped=skipped,
+            filter_seconds=seconds,
+            igq_seconds=seconds / 2,
+            verify_seconds=seconds * 2,
         )
-        restored = result_from_dict(wire_round_trip(result_to_dict(result)))
+        payload = result_to_dict(result)
+        assert set(payload) == V2_RESULT_KEYS
+        restored = result_from_dict(wire_round_trip(payload))
+        assert restored.query_name == "q"
         assert restored.answers == result.answers
-        assert restored.candidates == result.candidates
-        assert restored.guaranteed_answers == result.guaranteed_answers
-        assert restored.num_isomorphism_tests == tests
-        assert restored.num_sub_hits == 1
-        assert restored.exact_hit is exact
-        assert restored.filter_seconds == 0.25
+        for counter in COUNTERS:
+            assert getattr(restored, counter) == getattr(result, counter), counter
+        assert restored.candidates == set()
+        assert restored.guaranteed_answers == set()
+        assert restored.pruned_candidates == set()
+
+    def test_engine_answers_serialise_in_id_space_order(self):
+        # insertion order (the id space's positions) is not repr order
+        database = GraphDatabase()
+        database.add("z_k4", make_clique("ABCD"))
+        database.add("a_ab", make_path_graph("AB"))
+        database.add("m_tri", make_cycle_graph("ABC"))
+        engine = IGQ(create_method("ggsx"), engine_config())
+        engine.build_index(database)
+        result = engine.query(make_path_graph("AB", name="q"))
+        assert isinstance(result.answers, CandidateBitmap)
+        answers = result_to_dict(result)["answers"]
+        assert answers == ["z_k4", "a_ab", "m_tri"]
+        assert answers != sorted(answers, key=repr)
 
     def test_answers_are_serialised_deterministically(self):
         result = IGQQueryResult(query_name="q", answers={"b", "a", "c"})
@@ -151,7 +196,7 @@ class TestEnvelopes:
         with pytest.raises(ProtocolError, match="exactly one"):
             decode_response({"protocol_version": PROTOCOL_VERSION, "id": 1})
 
-    @pytest.mark.parametrize("version", [0, 2, "1", None])
+    @pytest.mark.parametrize("version", [0, 1, 3, "2", None])
     def test_version_mismatch_rejected_both_directions(self, version):
         request = encode_request("ping", request_id=1)
         request["protocol_version"] = version

@@ -29,7 +29,7 @@ from repro.service import (
     connect,
     serve,
 )
-from repro.service.protocol import PROTOCOL_VERSION, ProtocolError
+from repro.service.protocol import PROTOCOL_VERSION, ProtocolError, graph_to_dict
 
 from .test_service import (
     database,  # noqa: F401 - fixture re-export
@@ -97,6 +97,22 @@ class TestProtocolSurface:
         assert response["protocol_version"] == PROTOCOL_VERSION
         assert response["id"] == 5
         assert response["result"] == {"pong": True}
+
+    def test_query_response_omits_candidate_lists(self, endpoint, mixed_stream):  # noqa: F811
+        query, mode = mixed_stream[0]
+        response = self.raw_exchange(
+            endpoint,
+            {
+                "protocol_version": PROTOCOL_VERSION,
+                "id": 6,
+                "op": "query",
+                "payload": {"graph": graph_to_dict(query), "mode": mode},
+            },
+        )
+        result = response["result"]
+        assert "answers" in result and "num_isomorphism_tests" in result
+        for key in ("candidates", "guaranteed_answers", "pruned_candidates"):
+            assert key not in result
 
     def test_version_mismatch_is_a_typed_error(self, endpoint):
         response = self.raw_exchange(
