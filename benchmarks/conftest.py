@@ -6,8 +6,8 @@ printed to stdout in the same shape the paper reports — with the wall-clock
 time of the whole experiment as the benchmarked quantity.
 
 The ``QUICK`` overrides keep the full suite to a few minutes on a laptop;
-pass larger values through the figure functions (see EXPERIMENTS.md) for
-closer-to-paper runs.
+pass larger values through the figure functions
+(``src/repro/experiments/figures.py``) for closer-to-paper runs.
 """
 
 from __future__ import annotations

@@ -30,10 +30,10 @@ from repro.experiments import StreamMetrics, speedup
 
 def main() -> None:
     # 1. The dataset: a synthetic stand-in for the PDBS biomolecule
-    #    collection — few, large, sparse graphs (see DESIGN.md for the
-    #    substitution rationale).  Large dataset graphs make each avoided
-    #    isomorphism test worth the query-index overhead, which is exactly
-    #    the regime the paper targets.
+    #    collection — few, large, sparse graphs (the repro.datasets.synthetic
+    #    docstring gives the substitution rationale).  Large dataset graphs
+    #    make each avoided isomorphism test worth the query-index overhead,
+    #    which is exactly the regime the paper targets.
     database = load_dataset("pdbs")
     print(f"dataset: {len(database)} graphs, {database.num_labels} vertex labels")
 

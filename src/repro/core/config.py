@@ -28,7 +28,8 @@ experiment grids can ship one config object.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
+import warnings
+from dataclasses import InitVar, asdict, dataclass, field, fields
 from typing import Any
 
 __all__ = [
@@ -93,17 +94,23 @@ _MOVED_IN_2_0 = {
     "num_workers": "EngineConfig.batch.num_workers",
 }
 
+#: the hot-key placement knobs 4.0 removed (accepted, with a
+#: ``DeprecationWarning``, by the ``ShardConfig`` constructor for one release)
+_HOT_KEY_FIELDS = ("hot_threshold", "rebalance_interval", "replication_factor")
+
 
 def _removed_hint(key: str) -> str | None:
-    """What to write instead of a name repro 2.0 removed (``None`` = never valid)."""
+    """What to write instead of a removed name (``None`` = never valid)."""
     if key == "precheck" or key.endswith("compiled"):
         # the verifier A/B switches: ``compiled`` and its ``igq_`` twin
         return (
-            f"{key}: inject Verifier(compiled=False) via igq_verifier= / "
-            "create_method(verifier=)"
+            f"removed in 2.0 — {key}: inject Verifier(compiled=False) via "
+            "igq_verifier= / create_method(verifier=)"
         )
     if key in _MOVED_IN_2_0:
-        return f"{key}: use {_MOVED_IN_2_0[key]}"
+        return f"removed in 2.0 — {key}: use {_MOVED_IN_2_0[key]}"
+    if key in _HOT_KEY_FIELDS:
+        return f"removed in 4.0 — {key}: hot-key placement is gone, drop the key"
     return None
 
 
@@ -156,7 +163,7 @@ def _from_dict(cls, data: Any, section: str):
     _require(
         not unknown,
         f"{section} has unknown key(s) {unknown}; valid keys are {sorted(known)}"
-        + (f" (removed in 2.0 — {'; '.join(removed)})" if removed else ""),
+        + (f" ({'; '.join(removed)})" if removed else ""),
     )
     return cls(**data)
 
@@ -245,7 +252,14 @@ class BatchConfig:
 
 @dataclass(frozen=True)
 class ShardConfig:
-    """The sharded query index (delta-replicated cache partitions)."""
+    """The sharded query index (delta-replicated cache partitions).
+
+    Every entry lives on the one shard its canonical form hashes to.  The
+    hot-key placement knobs of 3.x (``hot_threshold``,
+    ``rebalance_interval``, ``replication_factor``) are still accepted as
+    constructor arguments for one release: passing one warns and does
+    nothing — it is not stored, serialised or compared.
+    """
 
     #: number of cache partitions (1 = one inline replica holds the index)
     shards: int = 1
@@ -254,38 +268,25 @@ class ShardConfig:
     backend: str = "auto"
     #: compact the delta log above this many records (``None`` = never)
     compact_threshold: int | None = 1024
-    #: replicate an entry onto other shards once it has been hit by this
-    #: many probes (``None`` = hot-key replication and probe-side pruning
-    #: off — the static-partition behaviour)
-    hot_threshold: int | None = None
-    #: rebalance cold entries between partitions every this many window
-    #: flushes (``None`` = partitions stay at their canonical-hash homes)
-    rebalance_interval: int | None = None
-    #: shards holding each hot entry (``None`` = all of them; otherwise
-    #: ``2 <= replication_factor <= shards``)
-    replication_factor: int | None = None
+    hot_threshold: InitVar[int | None] = None
+    rebalance_interval: InitVar[int | None] = None
+    replication_factor: InitVar[int | None] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, *hot_key_values) -> None:
         _require_positive_int("shard", "shards", self.shards)
         _require_choice("shard", "backend", self.backend, _SHARD_BACKENDS)
         if self.compact_threshold is not None:
             _require_positive_int("shard", "compact_threshold", self.compact_threshold)
-        if self.hot_threshold is not None:
-            _require_positive_int("shard", "hot_threshold", self.hot_threshold)
-        if self.rebalance_interval is not None:
-            _require_positive_int("shard", "rebalance_interval", self.rebalance_interval)
-        if self.replication_factor is not None:
-            _require_positive_int("shard", "replication_factor", self.replication_factor)
-            _require(
-                self.replication_factor >= 2,
-                f"shard.replication_factor={self.replication_factor} is not "
-                "valid; expected >= 2 (one copy is just the home shard — use "
-                "None for full replication)",
-            )
-            _require(
-                self.replication_factor <= self.shards,
-                f"shard.replication_factor={self.replication_factor} cannot "
-                f"exceed shard.shards={self.shards}",
+        passed = [
+            name for name, value in zip(_HOT_KEY_FIELDS, hot_key_values) if value is not None
+        ]
+        if passed:
+            warnings.warn(
+                f"ShardConfig ignores {', '.join(passed)}: hot-key placement "
+                "was removed in 4.0 (every entry lives on its canonical-hash "
+                "shard)",
+                DeprecationWarning,
+                stacklevel=3,
             )
 
 

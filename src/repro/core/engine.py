@@ -203,7 +203,7 @@ class IGQ:
         self.compact_threshold = config.shard.compact_threshold
         self._records_folded = 0
         self.num_shards = config.shard.shards
-        self.placement = Placement(config.shard, config.cache.window)
+        self.placement = Placement(self.num_shards)
         #: which components the probes consult (the replicas own the index
         #: structures)
         self.probe_isub = config.enable_isub
@@ -305,10 +305,10 @@ class IGQ:
         :meth:`persist_state` capture.  Compiled payloads ride in
         on the shard entries, so nothing recompiles.  The recovered
         placement goes into the (empty) delta log as one bootstrap flush —
-        an ``insert`` per home entry, a ``replicate`` per hot entry — so
-        every reader — the replicas that hold the component indexes
-        included — ends up exactly where the persisted engine had it, with
-        freshly numbered versions consistent with the new on-disk segment.
+        an ``insert`` per entry at its ``entry_shard`` home — so every
+        reader — the replicas that hold the component indexes included —
+        ends up exactly where the persisted engine had it, with freshly
+        numbered versions consistent with the new on-disk segment.
         """
         cache = self.cache
         stats = state.get("entry_stats", {})
@@ -333,17 +333,12 @@ class IGQ:
         placement, log = self.placement, self.delta_log
         placement.restore(state, cache)
         for entry in cache.entries():
-            payload = self._make_shard_entry(entry)
-            if entry.entry_id in placement.replica_targets:
-                log.append_replicate(
-                    payload, targets=placement.replica_targets[entry.entry_id]
-                )
-            else:
-                log.append_insert(placement.entry_shard[entry.entry_id], payload)
+            log.append_insert(
+                placement.entry_shard[entry.entry_id], self._make_shard_entry(entry)
+            )
         if entries:
             log.append_flush()
             self._sync_readers()
-        placement.rebuild_prune_state(cache)
 
     @property
     def igq_verifier(self) -> Verifier:
@@ -553,25 +548,16 @@ class IGQ:
         ``shards=1``).  ``compiled`` is where the probes leave the query's
         plan and target for the later stages.
         """
-        placement = self.placement
-        want_sub, want_super = self.probe_isub, self.probe_isuper
-        directives = (
-            placement.probe_directives(query, features, want_sub, want_super)
-            if placement.hot
-            else None
-        )
         sub_ids, super_ids = self.shard_runtime.probe(
-            query, features, want_sub, want_super, directives, compiled
+            query, features, self.probe_isub, self.probe_isuper, compiled
         )
         # Each index reports its hits in ascending entry id — cache
-        # insertion order, ids being monotonic; merging the partitions (and
-        # the replica stores) back into it gives exact-repeat detection and
-        # crediting the same sequence for every shard count.
+        # insertion order, ids being monotonic; merging the partitions back
+        # into it gives exact-repeat detection and crediting the same
+        # sequence for every shard count.
         cache = self.cache
         sub_hits = [cache.get(entry_id) for entry_id in sorted(sub_ids)]
         super_hits = [cache.get(entry_id) for entry_id in sorted(super_ids)]
-        if placement.track_hits:
-            placement.note_hits(sub_hits + super_hits)
         return sub_hits, super_hits
 
     def apply_plan_credits(self, plan: QueryPlan) -> None:
@@ -782,38 +768,21 @@ class IGQ:
         self._sync_readers()
         if self.compact_threshold is not None and len(log) > self.compact_threshold:
             self._records_folded += log.compact(self.shard_runtime.progress())
-        self.placement.rebuild_prune_state(self.cache)
         return report
 
     def _log_flush(self, report: MaintenanceReport) -> None:
         """Turn one flush report into the delta records every reader replays.
 
-        An ``evict`` per victim and an ``insert`` per new entry, addressed
-        by the placement; under hot-key placement also a ``replicate`` per
-        entry that went (or was born) hot and a ``move`` per rebalanced
-        one; the ``flush`` marker closes the epoch.  Consumes the report's
-        entry lists (see :class:`MaintenanceReport`).
+        An ``evict`` per victim and an ``insert`` per new entry, each
+        addressed to the entry's home shard, then the ``flush`` marker that
+        closes the epoch.  Consumes the report's entry lists (see
+        :class:`MaintenanceReport`).
         """
-        log, placement, cache = self.delta_log, self.placement, self.cache
+        log, placement = self.delta_log, self.placement
         for entry in report.evicted_entries:
-            shard_id, targets = placement.evicted(entry)
-            log.append_evict(shard_id, entry.entry_id, targets=targets)
+            log.append_evict(placement.evicted(entry), entry.entry_id)
         for entry in report.inserted_entries:
-            shard_id = placement.inserted(entry)
-            payload = self._make_shard_entry(entry)
-            if placement.born_hot(entry):
-                log.append_replicate(payload, targets=placement.replicate(entry))
-            else:
-                log.append_insert(shard_id, payload)
-        for entry_id in placement.take_pending_hot():
-            entry = cache.get(entry_id)
-            log.append_replicate(
-                self._make_shard_entry(entry), targets=placement.replicate(entry)
-            )
-        for entry_id, src_shard, dst_shard in placement.rebalance():
-            log.append_move(
-                self._make_shard_entry(cache.get(entry_id)), src_shard, dst_shard
-            )
+            log.append_insert(placement.inserted(entry), self._make_shard_entry(entry))
         log.append_flush()
         report.evicted_entries.clear()
         report.inserted_entries.clear()
@@ -909,10 +878,9 @@ class IGQ:
         return total
 
     def shard_stats(self) -> dict:
-        """Hot-key/rebalance and delta-log health snapshot (service layer)."""
+        """Shard-worker kernels and delta-log health (service layer)."""
         log = self.delta_log
         return {
-            **self.placement.stats(),
             "worker_kernels": self.shard_runtime.worker_kernels(),
             "delta_log": {
                 "length": len(log),
@@ -922,15 +890,6 @@ class IGQ:
                 "bytes_reclaimed": log.compact_stats()["bytes_reclaimed"],
             },
         }
-
-    def reset_stats(self) -> None:
-        """Zero the hot-key counters and the folded-records count.
-
-        Placement itself is untouched (see :meth:`Placement.reset_stats
-        <repro.core.placement.Placement.reset_stats>`).
-        """
-        self.placement.reset_stats()
-        self._records_folded = 0
 
     def __repr__(self) -> str:
         return (

@@ -84,7 +84,7 @@ class SubgraphQueryIndex(ContainmentIndex):
         possible (formula (1)).  ``compiled`` carries the query's shared
         compiled state (its plan is built here if a candidate survives);
         ``restrict_ids`` limits the lookup to a subset of the indexed
-        entries (the sharded runtime's per-probe replica assignment).
+        entries.
         """
         return self._hits(query, features, compiled, restrict_ids)
 

@@ -101,8 +101,7 @@ class SupergraphQueryIndex(ContainmentIndex):
 
         ``compiled`` carries the query's shared compiled state (its target
         is built here if a candidate survives); ``restrict_ids`` limits the
-        lookup to a subset of the indexed entries (the sharded runtime's
-        per-probe replica assignment).
+        lookup to a subset of the indexed entries.
         """
         return self._hits(query, features, compiled, restrict_ids)
 

@@ -8,15 +8,13 @@ everything else is a reader of ``delta_log.since(cursor)``: the durable
 store (:mod:`repro.persist`), the shard runtimes
 (:mod:`repro.core.shard_runtime`) and remote followers.
 
-* **Records** — ``insert`` / ``evict`` / ``flush``, plus ``replicate`` and
-  ``move`` when hot-key placement (:mod:`repro.core.placement`) is on.
-  Insert-like records carry the *already compiled*
-  ``CompiledTarget``/``CompiledQueryPlan`` payloads built once in the
-  parent, so a replica never recompiles an entry; ``flush`` markers carry a
-  monotonically increasing *epoch* (one per window flush), so a replica
-  that missed any number of flushes replays the log tail instead of being
-  re-snapshotted.  WAL segments pickle these classes under this module's
-  path: they must stay importable from here.
+* **Records** — ``insert`` / ``evict`` / ``flush``.  Inserts carry the
+  *already compiled* ``CompiledTarget``/``CompiledQueryPlan`` payloads
+  built once in the parent, so a replica never recompiles an entry;
+  ``flush`` markers carry a monotonically increasing *epoch* (one per
+  window flush), so a replica that missed any number of flushes replays
+  the log tail instead of being re-snapshotted.  WAL segments pickle these
+  classes under this module's path: they must stay importable from here.
 
 * **Net state** — :func:`fold_deltas` is the one definition of what a
   record sequence amounts to (``entry_id -> record``).  Log compaction,
@@ -55,8 +53,6 @@ __all__ = [
     "DELTA_INSERT",
     "DELTA_EVICT",
     "DELTA_FLUSH",
-    "DELTA_REPLICATE",
-    "DELTA_MOVE",
     "CacheDelta",
     "DeltaLog",
     "DeltaLogTruncated",
@@ -71,19 +67,13 @@ logger = logging.getLogger(__name__)
 DELTA_INSERT = "insert"
 DELTA_EVICT = "evict"
 DELTA_FLUSH = "flush"
-#: install a hot entry's compiled payload on shards beyond its home
-DELTA_REPLICATE = "replicate"
-#: transfer a (non-replicated) entry from one home partition to another
-DELTA_MOVE = "move"
+#: ops that only WALs written before 4.0 contain (hot-key replication and
+#: rebalancing); :func:`fold_deltas` still reads them, nothing writes them
+_LEGACY_REPLICATE = "replicate"
+_LEGACY_MOVE = "move"
 
-#: ``CacheDelta.shard`` value of records addressing every shard (flush
-#: markers, replicate records, and evictions of replicated entries —
-#: optionally narrowed by ``CacheDelta.targets``)
+#: ``CacheDelta.shard`` of records addressing every shard (flush markers)
 BROADCAST = -1
-
-#: the probe directive of an unpruned fan-out: both home lookups, no
-#: replica cover
-FULL_PROBE = (True, True, None, None)
 
 
 def shard_of_key(key: tuple, num_shards: int) -> int:
@@ -141,21 +131,12 @@ class CacheDelta:
     #: window-flush generation the record belongs to
     epoch: int
     #: one of :data:`DELTA_INSERT` / :data:`DELTA_EVICT` / :data:`DELTA_FLUSH`
-    #: / :data:`DELTA_REPLICATE` / :data:`DELTA_MOVE`
     op: str
-    #: addressed shard — the owning shard for inserts/evicts, the
-    #: *destination* shard for moves, or :data:`BROADCAST`
+    #: addressed shard — the home shard for inserts/evicts, or
+    #: :data:`BROADCAST` for flush markers
     shard: int
     entry_id: int | None = None
     entry: ShardEntry | None = None
-    #: the shard a ``move`` record transfers the entry away from (the
-    #: record addresses both ``src_shard`` and ``shard``)
-    src_shard: int | None = None
-    #: for :data:`BROADCAST` records, the shards actually addressed
-    #: (``None`` = all of them); a ``replication_factor`` below the shard
-    #: count narrows replicate records (and the matching evictions) to the
-    #: entry's holder group
-    targets: tuple[int, ...] | None = None
 
 
 def record_size_bytes(record: CacheDelta) -> int:
@@ -171,8 +152,6 @@ def record_size_bytes(record: CacheDelta) -> int:
         graph = entry.graph
         size += 80 + 56 * graph.num_vertices + 48 * graph.num_edges
         size += 40 + 24 * len(entry.features.counts)
-    if record.targets is not None:
-        size += 8 * len(record.targets)
     return size
 
 
@@ -181,25 +160,25 @@ def fold_deltas(live: dict[int, CacheDelta], records) -> dict[int, CacheDelta]:
 
     The one definition of what a record sequence amounts to — log
     compaction, WAL replay and the snapshot writer all call it.  An
-    ``insert`` or ``replicate`` becomes the entry's live record (a
-    replicate supersedes the insert: replaying it alone reinstalls the
-    entry in every holder's replica store, which *is* the net state of a
-    hot entry); an ``evict`` drops it; a ``move`` rewrites the live
-    insert's home shard and payload (the move's payload, because the
-    source replica released the original instance's compiled pointers on
-    transfer) and keeps its version; ``flush`` markers fold away.
+    ``insert`` becomes the entry's live record, an ``evict`` drops it, and
+    ``flush`` markers fold away.  A WAL written before 4.0 may also hold
+    ``replicate`` records (a hot entry's copy — live like an insert, the
+    only record of an entry that was born hot) and ``move`` records (a
+    re-homing: the live record takes the move's shard and payload, keeping
+    its version); a recovered entry then lives at the home the committed
+    state names.
     """
     for record in records:
         op = record.op
-        if op == DELTA_INSERT or op == DELTA_REPLICATE:
+        if op == DELTA_INSERT or op == _LEGACY_REPLICATE:
             live[record.entry_id] = record
         elif op == DELTA_EVICT:
             live.pop(record.entry_id, None)
-        elif op == DELTA_MOVE:
-            insert = live.get(record.entry_id)
-            if insert is not None and insert.op == DELTA_INSERT:
+        elif op == _LEGACY_MOVE:
+            moved = live.get(record.entry_id)
+            if moved is not None:
                 live[record.entry_id] = dataclass_replace(
-                    insert, shard=record.shard, entry=record.entry
+                    moved, shard=record.shard, entry=record.entry
                 )
         elif op != DELTA_FLUSH:
             raise ValueError(f"unknown delta op {op!r}")
@@ -262,55 +241,18 @@ class DeltaLog:
         """Record that ``entry`` entered the cache, owned by ``shard``."""
         return self._append(DELTA_INSERT, shard, entry.entry_id, entry)
 
-    def append_evict(
-        self, shard: int, entry_id: int, targets: tuple[int, ...] | None = None
-    ) -> CacheDelta:
-        """Record that the entry ``entry_id`` left the cache.
-
-        ``shard`` is the entry's home shard, or :data:`BROADCAST` for a
-        replicated entry (every holder drops its copy; ``targets`` narrows
-        the broadcast to the holder group when the entry was replicated
-        with a factor below the shard count).
-        """
-        return self._append(DELTA_EVICT, shard, entry_id, None, None, targets)
-
-    def append_replicate(
-        self, entry: ShardEntry, targets: tuple[int, ...] | None = None
-    ) -> CacheDelta:
-        """Record that ``entry`` went hot: install it on the target shards.
-
-        The payload carries the compiled state built once in the parent, so
-        no holder recompiles; on the entry's home shard the record also
-        retires the home-partition copy (the entry is served from the
-        replica store everywhere from now on, by exactly one covering shard
-        per probe).
-        """
-        return self._append(DELTA_REPLICATE, BROADCAST, entry.entry_id, entry, None, targets)
-
-    def append_move(
-        self, entry: ShardEntry, src_shard: int, dst_shard: int
-    ) -> CacheDelta:
-        """Record a rebalance transfer of ``entry`` between home partitions.
-
-        Addresses both sides: ``src_shard`` drops its copy, ``dst_shard``
-        installs the carried payload.  The payload keeps bootstrap-from-0
-        replays compile-free even after the source copy released its
-        instance pointers.
-        """
-        return self._append(DELTA_MOVE, dst_shard, entry.entry_id, entry, src_shard)
+    def append_evict(self, shard: int, entry_id: int) -> CacheDelta:
+        """Record that the entry ``entry_id`` left its home ``shard``."""
+        return self._append(DELTA_EVICT, shard, entry_id)
 
     def append_flush(self) -> CacheDelta:
         """Close the current flush generation with an epoch marker."""
         self._epoch += 1
         return self._append(DELTA_FLUSH, BROADCAST)
 
-    def _append(
-        self, op, shard, entry_id=None, entry=None, src_shard=None, targets=None
-    ) -> CacheDelta:
+    def _append(self, op, shard, entry_id=None, entry=None) -> CacheDelta:
         self._version += 1
-        record = CacheDelta(
-            self._version, self._epoch, op, shard, entry_id, entry, src_shard, targets
-        )
+        record = CacheDelta(self._version, self._epoch, op, shard, entry_id, entry)
         self._records.append(record)
         if entry is not None:
             self._payloads[entry_id] = entry
@@ -327,15 +269,13 @@ class DeltaLog:
         """Records after ``version``, oldest first.
 
         ``shard`` filters to the records addressing that shard: its own
-        inserts/evicts, moves it is the source or destination of, broadcast
-        records whose ``targets`` include it (or are unrestricted), and
-        every flush marker (markers are broadcast so each replica tracks
-        the epoch).  ``version=0`` always means "bootstrap from scratch"
-        and is valid on a compacted log — the retained prefix is the net
-        state.  Any other version below the compaction floor raises
-        :class:`DeltaLogTruncated` (the subscriber may hold entries whose
-        eviction records were folded away, so replaying the tail cannot
-        repair it).
+        inserts/evicts and every flush marker (markers are broadcast so
+        each replica tracks the epoch).  ``version=0`` always means
+        "bootstrap from scratch" and is valid on a compacted log — the
+        retained prefix is the net state.  Any other version below the
+        compaction floor raises :class:`DeltaLogTruncated` (the subscriber
+        may hold entries whose eviction records were folded away, so
+        replaying the tail cannot repair it).
         """
         if 0 < version < self._floor_version:
             raise DeltaLogTruncated(
@@ -351,18 +291,10 @@ class DeltaLog:
         records = self._records[start:]
         if shard is None:
             return records
-        return [record for record in records if self._addresses(record, shard)]
-
-    @staticmethod
-    def _addresses(record: CacheDelta, shard: int) -> bool:
-        """Does ``record`` address ``shard``? (the ``since`` filter)"""
-        if record.op == DELTA_FLUSH:
-            return True
-        if record.src_shard == shard:
-            return True
-        if record.shard == BROADCAST:
-            return record.targets is None or shard in record.targets
-        return record.shard == shard
+        return [
+            record for record in records
+            if record.shard == shard or record.op == DELTA_FLUSH
+        ]
 
     # ------------------------------------------------------------------
     # Compaction
@@ -415,75 +347,16 @@ class DeltaLog:
         }
 
 
-class _EntryStore:
-    """A set of shard entries plus the containment index pair over them."""
-
-    def __init__(
-        self, verifier: Verifier, enable_isub: bool = True, enable_isuper: bool = True
-    ) -> None:
-        self.entries: dict[int, ShardEntry] = {}
-        self.isub = SubgraphQueryIndex(verifier) if enable_isub else None
-        self.isuper = SupergraphQueryIndex(verifier) if enable_isuper else None
-        self._indexes = [index for index in (self.isub, self.isuper) if index is not None]
-
-    def add(self, entry: ShardEntry) -> None:
-        self.entries[entry.entry_id] = entry
-        for index in self._indexes:
-            index.add(entry)
-
-    def remove(self, entry_id: int) -> ShardEntry | None:
-        """Drop ``entry_id`` if held; absence is fine (lenient replays)."""
-        entry = self.entries.pop(entry_id, None)
-        if entry is not None:
-            for index in self._indexes:
-                index.remove(entry_id)
-            # A disabled index would leave its direction unreleased.  Only
-            # this instance's pointers drop — the compiled objects stay
-            # alive on the parent cache entry and any newer payload.
-            entry.release_compiled()
-        return entry
-
-    def clear(self) -> None:
-        """Drop every entry *in place* (references to the store stay valid)."""
-        for entry_id in list(self.entries):
-            self.remove(entry_id)
-
-    def estimated_size_bytes(self) -> int:
-        return sum(index.estimated_size_bytes() for index in self._indexes)
-
-
-class ReplicaGroup(_EntryStore):
-    """One physical copy of the replicated-entry indexes, shared by shards.
-
-    Replicated entries are by definition identical on every holder, so
-    co-resident shards (the inline backend) would otherwise maintain
-    ``num_shards`` copies of every hot entry's index state — and pay
-    ``num_shards`` index insertions per replicate record.  Shards attached
-    to a group use it as their replica store;
-    :meth:`QueryIndexShard.apply` installs a replicate record only for the
-    first member that sees it and removal is lenient, so replay stays
-    correct record-by-record.  Clearing is idempotent: a reset wave hits
-    every member in turn, and each member's replay from version 0
-    reinstalls the same replicate records.  Cross-process shards cannot
-    share memory and simply run without a group (one copy per worker).
-    """
-
-    #: the member that accounts for the shared structures (sizes)
-    owner: int | None = None
-
-
 class QueryIndexShard:
     """One replica: a partition of the query index, driven by the delta log.
 
     Holds the two containment indexes (``Isub``/``Isuper``) over the
     entries routed to this shard — all of them when the engine has one
     shard — plus the replication cursor (``applied_version``/``epoch``).
-    Replicated (hot) entries live in a *second* index pair — the replica
-    store, optionally shared with co-resident shards through a
-    :class:`ReplicaGroup` — so home-partition probes never walk them and a
-    covering probe can be restricted to exactly the replicas assigned to
-    this shard.  Lives in the parent process (inline backend), inside a
-    dedicated worker process, or on a remote follower.
+    Lives in the parent process (inline backend), inside a dedicated worker
+    process, or on a remote follower.  The probes look :attr:`isub` /
+    :attr:`isuper` up on every call, so a wrapper installed on the
+    instance's ``find_supergraphs`` sees every lookup.
     """
 
     def __init__(
@@ -492,18 +365,17 @@ class QueryIndexShard:
         verifier: Verifier | None = None,
         enable_isub: bool = True,
         enable_isuper: bool = True,
-        replica_group: ReplicaGroup | None = None,
     ) -> None:
         self.shard_id = shard_id
         self.verifier = verifier if verifier is not None else Verifier()
         self.applied_version = 0
         self.epoch = 0
-        self._home = _EntryStore(self.verifier, enable_isub, enable_isuper)
-        if replica_group is None:
-            replica_group = ReplicaGroup(self.verifier, enable_isub, enable_isuper)
-        if replica_group.owner is None:
-            replica_group.owner = shard_id
-        self._replica = replica_group
+        self._entries: dict[int, ShardEntry] = {}
+        #: the ``Isub`` / ``Isuper`` index over this partition (``None`` when
+        #: the component is disabled)
+        self.isub = SubgraphQueryIndex(self.verifier) if enable_isub else None
+        self.isuper = SupergraphQueryIndex(self.verifier) if enable_isuper else None
+        self._indexes = [index for index in (self.isub, self.isuper) if index is not None]
 
     # ------------------------------------------------------------------
     # Replication
@@ -517,56 +389,37 @@ class QueryIndexShard:
             )
         if delta.op == DELTA_FLUSH:
             self.epoch = delta.epoch
-        elif delta.op == DELTA_INSERT:
-            if delta.shard != self.shard_id:
-                raise ValueError(
-                    f"delta for shard {delta.shard} misrouted to shard {self.shard_id}"
-                )
-            self._home.add(delta.entry)
-        elif delta.op == DELTA_EVICT:
-            removed = self._home.remove(delta.entry_id)
-            if delta.shard == BROADCAST:
-                # Replicated-entry eviction: drop whichever copy this
-                # holder has (home copy too, for a pre-compaction replay
-                # where the original insert precedes the replicate).
-                # Absence is fine — targets may over-approximate after a
-                # reset, and non-holding shards simply no-op.
-                self._replica.remove(delta.entry_id)
-            elif removed is None:
-                raise ValueError(
-                    f"shard {self.shard_id} cannot evict unknown entry {delta.entry_id}"
-                )
-        elif delta.op == DELTA_REPLICATE:
-            if delta.targets is not None and self.shard_id not in delta.targets:
-                raise ValueError(
-                    f"replicate delta for shards {delta.targets} misrouted "
-                    f"to shard {self.shard_id}"
-                )
-            # The home copy (if this is the entry's home shard) retires:
-            # the entry is served from the replica stores only, by exactly
-            # one covering shard per probe.
-            self._home.remove(delta.entry_id)
-            # With a shared ReplicaGroup another member may have installed
-            # this very record already; one physical copy is the point.
-            if delta.entry_id not in self._replica.entries:
-                self._replica.add(delta.entry)
-        elif delta.op == DELTA_MOVE:
-            if delta.src_shard == self.shard_id:
-                if self._home.remove(delta.entry_id) is None:
-                    raise ValueError(
-                        f"shard {self.shard_id} cannot move out unknown entry "
-                        f"{delta.entry_id}"
-                    )
-            elif delta.shard == self.shard_id:
-                self._home.add(delta.entry)
-            else:
-                raise ValueError(
-                    f"move delta {delta.src_shard}->{delta.shard} misrouted "
-                    f"to shard {self.shard_id}"
-                )
-        else:
+        elif delta.op not in (DELTA_INSERT, DELTA_EVICT):
             raise ValueError(f"unknown delta op {delta.op!r}")
+        elif delta.shard != self.shard_id:
+            raise ValueError(
+                f"delta for shard {delta.shard} misrouted to shard {self.shard_id}"
+            )
+        elif delta.op == DELTA_INSERT:
+            self._add(delta.entry)
+        elif not self._remove(delta.entry_id):
+            raise ValueError(
+                f"shard {self.shard_id} cannot evict unknown entry {delta.entry_id}"
+            )
         self.applied_version = delta.version
+
+    def _add(self, entry: ShardEntry) -> None:
+        self._entries[entry.entry_id] = entry
+        for index in self._indexes:
+            index.add(entry)
+
+    def _remove(self, entry_id: int) -> bool:
+        """Drop ``entry_id``; ``False`` when this replica does not hold it."""
+        entry = self._entries.pop(entry_id, None)
+        if entry is None:
+            return False
+        for index in self._indexes:
+            index.remove(entry_id)
+        # A disabled index would leave its direction unreleased.  Only
+        # this instance's pointers drop — the compiled objects stay alive
+        # on the parent cache entry and any newer payload.
+        entry.release_compiled()
+        return True
 
     def catch_up(self, log: DeltaLog) -> int:
         """Replay every missed record; returns the number applied.
@@ -587,83 +440,39 @@ class QueryIndexShard:
 
     def reset(self) -> None:
         """Drop all replica state (compiled payloads released)."""
-        self._home.clear()
-        self._replica.clear()
+        for entry_id in list(self._entries):
+            self._remove(entry_id)
         self.applied_version = 0
         self.epoch = 0
 
     # ------------------------------------------------------------------
     # Probes
     # ------------------------------------------------------------------
-    @property
-    def isub(self) -> SubgraphQueryIndex | None:
-        """The home partition's ``Isub`` index (``None`` when disabled).
-
-        The probes below look it up on every call, so a wrapper installed
-        on the instance's ``find_supergraphs`` sees every home lookup.
-        """
-        return self._home.isub
-
-    @property
-    def isuper(self) -> SupergraphQueryIndex | None:
-        """The home partition's ``Isuper`` index (``None`` when disabled)."""
-        return self._home.isuper
-
     def find_supergraph_ids(
         self,
         query: LabeledGraph,
         features: GraphFeatures,
         compiled: CompiledQuery | None = None,
-        home: bool = True,
-        cover=None,
     ) -> list[int]:
-        """Entry ids of this shard's ``Isub`` hits (local order).
+        """Entry ids of this shard's ``Isub`` hits (ascending).
 
         ``compiled`` is the query's shared compiled state (one plan across
-        the home and replica lookups of every shard); ``home`` gates the
-        home-partition lookup (a pruned probe skips it); ``cover`` asks for
-        the replicated entries this shard answers for on this probe —
-        ``True`` for all of them, a sequence of entry ids for a subset,
-        ``None`` for none.
+        the lookups of every shard).
         """
-        if self._home.isub is None:
+        if self.isub is None:
             return []
-        return self._hit_ids(
-            self._home.isub.find_supergraphs, self._replica.isub.find_supergraphs,
-            query, features, compiled, home, cover,
-        )
+        return [entry.entry_id for entry in self.isub.find_supergraphs(query, features, compiled)]
 
     def find_subgraph_ids(
         self,
         query: LabeledGraph,
         features: GraphFeatures,
         compiled: CompiledQuery | None = None,
-        home: bool = True,
-        cover=None,
     ) -> list[int]:
-        """Entry ids of this shard's ``Isuper`` hits (local order).
-
-        ``compiled``, ``home`` and ``cover`` behave as in
-        :meth:`find_supergraph_ids`.
-        """
-        if self._home.isuper is None:
+        """Entry ids of this shard's ``Isuper`` hits (ascending)."""
+        if self.isuper is None:
             return []
-        return self._hit_ids(
-            self._home.isuper.find_subgraphs, self._replica.isuper.find_subgraphs,
-            query, features, compiled, home, cover,
-        )
-
-    def _hit_ids(self, find_home, find_replica, query, features, compiled, home, cover):
-        ids: list[int] = []
-        if home and self._home.entries:
-            ids.extend(entry.entry_id for entry in find_home(query, features, compiled))
-        if cover is not None and self._replica.entries:
-            restrict = None if cover is True else cover
-            ids.extend(
-                entry.entry_id
-                for entry in find_replica(query, features, compiled, restrict_ids=restrict)
-            )
-        return ids
+        return [entry.entry_id for entry in self.isuper.find_subgraphs(query, features, compiled)]
 
     def probe(
         self,
@@ -672,45 +481,25 @@ class QueryIndexShard:
         compiled: CompiledQuery | None,
         want_sub: bool,
         want_super: bool,
-        directive=FULL_PROBE,
     ) -> tuple[list[int], list[int]]:
-        """Both lookups under one ``(home_sub, home_super, cover_sub,
-        cover_super)`` directive (see :meth:`Placement.probe_directives
-        <repro.core.placement.Placement.probe_directives>`)."""
-        home_sub, home_super, cover_sub, cover_super = directive
-        sub_ids: list[int] = []
-        super_ids: list[int] = []
-        if want_sub and (home_sub or cover_sub is not None):
-            sub_ids = self.find_supergraph_ids(query, features, compiled, home_sub, cover_sub)
-        if want_super and (home_super or cover_super is not None):
-            super_ids = self.find_subgraph_ids(query, features, compiled, home_super, cover_super)
+        """Both lookups: ``(Isub hit ids, Isuper hit ids)``, each only if wanted."""
+        sub_ids = self.find_supergraph_ids(query, features, compiled) if want_sub else []
+        super_ids = self.find_subgraph_ids(query, features, compiled) if want_super else []
         return sub_ids, super_ids
 
     def entry_ids(self) -> list[int]:
-        """Ids of the home-partition entries this replica currently serves."""
-        return sorted(self._home.entries)
-
-    def replica_ids(self) -> list[int]:
-        """Ids of the replicated (hot) entries this shard holds."""
-        return sorted(self._replica.entries)
+        """Ids of the entries this replica currently serves."""
+        return sorted(self._entries)
 
     def estimated_size_bytes(self) -> int:
-        """Approximate index-structure size of this shard (Figure 18).
-
-        A shared (group) replica store is counted by its owning member
-        only, so a runtime-wide sum sees each byte once.
-        """
-        total = self._home.estimated_size_bytes()
-        if self._replica.owner == self.shard_id:
-            total += self._replica.estimated_size_bytes()
-        return total
+        """Approximate index-structure size of this shard (Figure 18)."""
+        return sum(index.estimated_size_bytes() for index in self._indexes)
 
     def __len__(self) -> int:
-        return len(self._home.entries) + len(self._replica.entries)
+        return len(self._entries)
 
     def __repr__(self) -> str:
         return (
-            f"<QueryIndexShard id={self.shard_id} entries={len(self._home.entries)} "
-            f"replicas={len(self._replica.entries)} "
+            f"<QueryIndexShard id={self.shard_id} entries={len(self._entries)} "
             f"version={self.applied_version} epoch={self.epoch}>"
         )

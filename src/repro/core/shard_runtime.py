@@ -22,14 +22,7 @@ from ..features.extractor import GraphFeatures
 from ..graphs.graph import LabeledGraph
 from ..isomorphism.compiled import CompiledQuery
 from .batch import _init_worker, _init_worker_shared, effective_cpu_count
-from .shard import (
-    CacheDelta,
-    DeltaLog,
-    FULL_PROBE,
-    DeltaLogTruncated,
-    QueryIndexShard,
-    ReplicaGroup,
-)
+from .shard import CacheDelta, DeltaLog, DeltaLogTruncated, QueryIndexShard
 
 __all__ = ["ShardVerifyPool", "create_shard_runtime"]
 
@@ -81,12 +74,9 @@ def _shard_probe(
     features: GraphFeatures,
     want_sub: bool,
     want_super: bool,
-    directive,
 ) -> tuple[list[int], list[int], int, int, float, str]:
     """Worker entry point: catch up on the log tail, then probe.
 
-    ``directive`` is the parent's probe directive for this shard (pruning
-    flags and replica assignment; see :meth:`QueryIndexShard.probe`).
     Returns the two hit-id lists plus the verifier-stat deltas of the probe
     (positives, negatives, seconds — folded back by the parent so the §4
     containment-test accounting stays byte-identical to the inline path)
@@ -103,9 +93,7 @@ def _shard_probe(
     stats = shard.verifier.stats
     positives, negatives, seconds = stats.positives, stats.negatives, stats.total_seconds
     compiled = CompiledQuery(query)  # the parent's does not cross the pipe
-    sub_ids, super_ids = shard.probe(
-        query, features, compiled, want_sub, want_super, directive
-    )
+    sub_ids, super_ids = shard.probe(query, features, compiled, want_sub, want_super)
     return (
         sub_ids,
         super_ids,
@@ -201,21 +189,12 @@ class _InlineShardRuntime:
     backend = "inline"
 
     def __init__(self, engine) -> None:
-        # Co-resident shards share one physical replica store: a replicate
-        # record installs (and an evict removes) one index row, not
-        # ``num_shards`` of them.
-        group = ReplicaGroup(
-            engine.igq_verifier,
-            enable_isub=engine.probe_isub,
-            enable_isuper=engine.probe_isuper,
-        )
         self.shards = [
             QueryIndexShard(
                 shard_id,
                 verifier=engine.igq_verifier,
                 enable_isub=engine.probe_isub,
                 enable_isuper=engine.probe_isuper,
-                replica_group=group,
             )
             for shard_id in range(engine.num_shards)
         ]
@@ -226,7 +205,6 @@ class _InlineShardRuntime:
         features: GraphFeatures,
         want_sub: bool,
         want_super: bool,
-        directives=None,
         compiled: CompiledQuery | None = None,
     ) -> tuple[list[int], list[int]]:
         sub_ids: list[int] = []
@@ -238,12 +216,7 @@ class _InlineShardRuntime:
         if compiled is None:
             compiled = CompiledQuery(query)
         for shard in self.shards:
-            directive = FULL_PROBE if directives is None else directives[shard.shard_id]
-            if directive is None:
-                continue
-            shard_sub, shard_super = shard.probe(
-                query, features, compiled, want_sub, want_super, directive
-            )
+            shard_sub, shard_super = shard.probe(query, features, compiled, want_sub, want_super)
             sub_ids += shard_sub
             super_ids += shard_super
         return sub_ids, super_ids
@@ -346,7 +319,6 @@ class _ProcessShardRuntime:
         features: GraphFeatures,
         want_sub: bool,
         want_super: bool,
-        directives=None,
         compiled: CompiledQuery | None = None,
     ) -> tuple[list[int], list[int]]:
         # ``compiled`` stays in the parent: each worker compiles the query
@@ -354,7 +326,6 @@ class _ProcessShardRuntime:
         pools = self._ensure_pools()
         log = self._engine.delta_log
         futures = []
-        probed_shards: list[int] = []
         for shard_id, pool in enumerate(pools):
             reset = self._needs_reset[shard_id]
             try:
@@ -362,31 +333,21 @@ class _ProcessShardRuntime:
             except DeltaLogTruncated:
                 reset = True
                 deltas = log.since(0, shard=shard_id)
-            directive = FULL_PROBE if directives is None else directives[shard_id]
-            if directive is None:
-                if not deltas and not reset:
-                    # Pruned and current: skip the round-trip entirely.
-                    continue
-                # Pruned but lagging: ship the log tail with a no-op probe
-                # so the replica stays current (and the log can keep
-                # compacting past its position).
-                directive = (False, False, None, None)
             self._shipped[shard_id] = log.version
             self._needs_reset[shard_id] = False
             self._tracker.acquire(shard_id)
             future = pool.submit(
-                _shard_probe, deltas, reset, query, features, want_sub, want_super, directive
+                _shard_probe, deltas, reset, query, features, want_sub, want_super
             )
             future.add_done_callback(
                 lambda _, i=shard_id: self._tracker.release(i)
             )
             futures.append(future)
-            probed_shards.append(shard_id)
         sub_ids: list[int] = []
         super_ids: list[int] = []
         stats = self._engine.igq_verifier.stats
         try:
-            for shard_id, future in zip(probed_shards, futures):
+            for shard_id, future in enumerate(futures):
                 shard_sub, shard_super, positives, negatives, seconds, kernel = (
                     future.result()
                 )

@@ -124,7 +124,7 @@ def load_dataset(name: str, scale: float = 1.0, seed: int | None = None) -> Grap
         One of :func:`available_datasets`.
     scale:
         Multiplier on the number of graphs (``0 < scale``); ``1.0`` is the
-        quick default configuration documented in DESIGN.md.
+        quick default configuration (the spec's ``default_*`` fields).
     seed:
         Override the dataset's default random seed.
     """

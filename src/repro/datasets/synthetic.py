@@ -19,8 +19,7 @@ Every generator therefore works in two steps:
    edges and optionally adding extra random edges to reach the target
    density.
 
-Generation is deterministic given the seed.  See DESIGN.md ("Substitutions")
-for the fidelity argument.
+Generation is deterministic given the seed.
 """
 
 from __future__ import annotations

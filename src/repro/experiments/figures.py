@@ -7,8 +7,7 @@ returns a structured result::
     {"figure": "7", "title": ..., "params": {...}, "rows": [ {...}, ... ]}
 
 The benchmark suite (``benchmarks/bench_fig*.py``) calls these functions and
-prints their rows; EXPERIMENTS.md records a reference run side by side with
-the paper's reported numbers.  All sizes are parameters, so closer-to-paper
+prints their rows.  All sizes are parameters, so closer-to-paper
 configurations only require larger arguments (and more patience).
 """
 
@@ -482,7 +481,7 @@ def figure18_index_sizes(dataset: str = "aids", **overrides) -> dict:
 
 
 # ----------------------------------------------------------------------
-# Ablations (design choices called out in DESIGN.md)
+# Ablations (the design choices of §4.2 and §5.1)
 # ----------------------------------------------------------------------
 def ablation_components(
     dataset: str = "aids", method: str = "ggsx", workload: str = "zipf-zipf", **overrides

@@ -1,9 +1,9 @@
 """Plain-text rendering of experiment results.
 
 The figure drivers return structured dictionaries; this module turns them
-into aligned text tables so the benchmark harness (and EXPERIMENTS.md) can
-present them the way the paper presents its figures — as the series of
-per-configuration values underlying each plot.
+into aligned text tables so the benchmark drivers can present them the way
+the paper presents its figures — as the series of per-configuration values
+underlying each plot.
 """
 
 from __future__ import annotations

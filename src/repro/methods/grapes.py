@@ -10,8 +10,7 @@ regions instead of the full graph.  The original system additionally
 parallelises index construction and verification over several threads; the
 ``num_workers`` parameter mirrors that configuration knob (Grapes(1) vs
 Grapes(6) in the paper) — in this pure-Python reproduction it only controls
-the deterministic partitioning of the work, not true parallel execution (see
-DESIGN.md, substitutions).
+the deterministic partitioning of the work, not true parallel execution.
 """
 
 from __future__ import annotations

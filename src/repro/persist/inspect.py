@@ -24,10 +24,6 @@ def _describe_record(record) -> str:
         parts = [f"delta v{payload.version} {payload.op} shard={payload.shard}"]
         if payload.entry_id is not None:
             parts.append(f"entry={payload.entry_id}")
-        if payload.src_shard is not None:
-            parts.append(f"src={payload.src_shard}")
-        if payload.targets is not None:
-            parts.append(f"targets={list(payload.targets)}")
         if payload.entry is not None:
             graph = payload.entry.graph
             parts.append(f"graph={graph.num_vertices}v/{graph.num_edges}e")

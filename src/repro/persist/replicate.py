@@ -10,11 +10,10 @@ in-process shards use (:meth:`~repro.core.shard.QueryIndexShard.catch_up`):
 drop everything, refetch from version 0 — the compacted net state.
 
 Wire records are *normalised to a single shard*: the follower mirrors the
-whole cache, so home-shard assignments collapse to shard 0, replicate
-records broadcast unrestricted, and ``move`` records (a pure re-homing
-between leader partitions) are membership-neutral and skipped outright —
-legal because shards only require strictly increasing record versions,
-not consecutive ones.
+whole cache, so home-shard assignments collapse to shard 0.  The wire
+carries ``insert``, ``evict`` and ``flush`` records; any other op (the
+``replicate`` / ``move`` records of a pre-4.0 leader included) is an
+``invalid_record`` error.
 
 Compiled payloads never cross the wire; the follower extracts features
 locally and its indexes compile on insertion.  Any feature extractor
@@ -33,8 +32,6 @@ from ..core.shard import (
     DELTA_EVICT,
     DELTA_FLUSH,
     DELTA_INSERT,
-    DELTA_MOVE,
-    DELTA_REPLICATE,
     CacheDelta,
     QueryIndexShard,
     ShardEntry,
@@ -68,22 +65,14 @@ def delta_to_wire(record: CacheDelta) -> dict:
     }
     if record.entry_id is not None:
         data["entry_id"] = record.entry_id
-    if record.src_shard is not None:
-        data["src_shard"] = record.src_shard
-    if record.targets is not None:
-        data["targets"] = list(record.targets)
     if record.entry is not None:
         data["graph"] = protocol.graph_to_dict(record.entry.graph)
     return data
 
 
-def delta_from_wire(data, extractor: FeatureExtractor) -> CacheDelta | None:
-    """Rebuild a wire record as a follower-shard delta (``None`` = skip).
-
-    Normalisation for the single follower shard: inserts re-home to shard
-    0, targeted broadcasts widen to unrestricted (the lenient single-holder
-    case), and ``move`` records are dropped.
-    """
+def delta_from_wire(data, extractor: FeatureExtractor) -> CacheDelta:
+    """Rebuild a wire record as a follower-shard delta (inserts and
+    evicts re-home to shard 0, the one follower shard)."""
     if not isinstance(data, dict):
         raise protocol.ProtocolError(
             f"log record {data!r} is not valid; expected an object",
@@ -100,8 +89,6 @@ def delta_from_wire(data, extractor: FeatureExtractor) -> CacheDelta | None:
             code="invalid_record",
             field="record.version",
         )
-    if op == DELTA_MOVE:
-        return None
     entry = None
     if data.get("graph") is not None:
         graph = protocol.graph_from_dict(data["graph"], field="record.graph")
@@ -113,22 +100,15 @@ def delta_from_wire(data, extractor: FeatureExtractor) -> CacheDelta | None:
             version=version, epoch=epoch, op=op, shard=0,
             entry_id=data["entry_id"], entry=entry,
         )
-    if op == DELTA_REPLICATE:
-        return CacheDelta(
-            version=version, epoch=epoch, op=op, shard=BROADCAST,
-            entry_id=data["entry_id"], entry=entry,
-        )
     if op == DELTA_EVICT:
-        shard = BROADCAST if data.get("shard") == BROADCAST else 0
         return CacheDelta(
-            version=version, epoch=epoch, op=op, shard=shard,
-            entry_id=data["entry_id"],
+            version=version, epoch=epoch, op=op, shard=0, entry_id=data["entry_id"]
         )
     if op == DELTA_FLUSH:
         return CacheDelta(version=version, epoch=epoch, op=op, shard=BROADCAST)
     raise protocol.ProtocolError(
         f"log record op={op!r} is not valid; expected one of "
-        f"{[DELTA_INSERT, DELTA_EVICT, DELTA_FLUSH, DELTA_REPLICATE, DELTA_MOVE]}",
+        f"{[DELTA_INSERT, DELTA_EVICT, DELTA_FLUSH]}",
         code="invalid_record",
         field="record.op",
     )
@@ -212,10 +192,7 @@ class CacheFollower:
             reply = self.client.log_since(0)
         applied = 0
         for data in reply.get("records", []):
-            record = delta_from_wire(data, self.extractor)
-            if record is None:
-                continue
-            self.shard.apply(record)
+            self.shard.apply(delta_from_wire(data, self.extractor))
             applied += 1
         self.version = reply.get("version", self.shard.applied_version)
         self.epoch = reply.get("epoch", self.shard.epoch)
@@ -224,22 +201,19 @@ class CacheFollower:
     def probe(self, query, features=None) -> tuple[list[int], list[int]]:
         """Read-only containment probe: ``(Isub hits, Isuper hits)`` ids.
 
-        Both lists are ascending and deduplicated; features are extracted
-        locally when not supplied.
+        Both lists are ascending; features are extracted locally when not
+        supplied.
         """
         if features is None:
             features = self.extractor.extract(query)
-        sub_ids = sorted(
-            set(self.shard.find_supergraph_ids(query, features, cover=True))
+        return (
+            self.shard.find_supergraph_ids(query, features),
+            self.shard.find_subgraph_ids(query, features),
         )
-        super_ids = sorted(
-            set(self.shard.find_subgraph_ids(query, features, cover=True))
-        )
-        return sub_ids, super_ids
 
     def entry_ids(self) -> list[int]:
-        """Every entry id this follower serves (home + replicated)."""
-        return sorted(set(self.shard.entry_ids()) | set(self.shard.replica_ids()))
+        """Every entry id this follower serves."""
+        return self.shard.entry_ids()
 
     def close(self) -> None:
         """Release the follower's connection (when it owns one)."""
@@ -267,16 +241,11 @@ class CacheFollower:
 
 
 def leader_probe_ids(engine, query, features=None) -> tuple[list[int], list[int]]:
-    """The leader-side hit ids a caught-up follower probe must reproduce.
-
-    Probes every partition *and* every replica holder (deduplicated), so
-    replicated entries are seen exactly once regardless of cover routing;
-    side-effect-free with respect to the engine's replication counters.
-    """
+    """The leader-side hit ids a caught-up follower probe must reproduce:
+    every partition probed, each list ascending."""
     if features is None:
         features = engine.method.extract_query_features(query)
-    directives = [(True, True, True, True)] * engine.num_shards
     sub_ids, super_ids = engine.shard_runtime.probe(
-        query, features, engine.probe_isub, engine.probe_isuper, directives
+        query, features, engine.probe_isub, engine.probe_isuper
     )
-    return sorted(set(sub_ids)), sorted(set(super_ids))
+    return sorted(sub_ids), sorted(super_ids)

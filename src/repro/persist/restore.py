@@ -27,15 +27,7 @@ import logging
 from pathlib import Path
 
 from ..core.config import ConfigError, PersistConfig
-from ..core.shard import (
-    BROADCAST,
-    DELTA_EVICT,
-    DELTA_INSERT,
-    DELTA_REPLICATE,
-    CacheDelta,
-    ShardEntry,
-    fold_deltas,
-)
+from ..core.shard import DELTA_EVICT, DELTA_INSERT, CacheDelta, ShardEntry, fold_deltas
 from . import snapshot, wal
 
 logger = logging.getLogger(__name__)
@@ -45,9 +37,10 @@ __all__ = ["CachePersister", "RecoveredState", "attach_persistence", "recover_di
 #: bump on any incompatible change to the record/state schema
 FORMAT_VERSION = 1
 
-#: live-entry kinds inside snapshots and recovered state
+#: the kind every live-entry ``(kind, entry, targets)`` tuple of a snapshot
+#: is written with; a 3.x snapshot may also hold ``"replica"`` tuples (hot
+#: entries), which load as home entries like the rest
 KIND_HOME = "home"
-KIND_REPLICA = "replica"
 
 
 class RecoveredState:
@@ -69,21 +62,6 @@ class RecoveredState:
         ]
 
 
-def _live_tuple(record: CacheDelta) -> tuple[str, ShardEntry, tuple | None]:
-    """A net-state record in the snapshot's ``(kind, entry, targets)`` form."""
-    if record.op == DELTA_REPLICATE:
-        return KIND_REPLICA, record.entry, record.targets
-    return KIND_HOME, record.entry, None
-
-
-def _live_record(entry_id: int, kind: str, entry: ShardEntry, targets) -> CacheDelta:
-    """Inverse of :func:`_live_tuple` (a snapshot does not keep home shards;
-    the committed ``state`` record does)."""
-    if kind == KIND_REPLICA:
-        return CacheDelta(0, 0, DELTA_REPLICATE, BROADCAST, entry_id, entry, targets=targets)
-    return CacheDelta(0, 0, DELTA_INSERT, 0, entry_id, entry)
-
-
 def recover_dir(path: Path) -> RecoveredState | None:
     """Rebuild the last committed cache state from ``path`` (or ``None``).
 
@@ -99,9 +77,11 @@ def recover_dir(path: Path) -> RecoveredState | None:
     loaded = snapshot.load_latest_snapshot(path)
     if loaded is not None:
         snap_version, payload = loaded
+        # A snapshot does not keep home shards (the committed ``state``
+        # record does), so every live entry loads as a shard-0 insert.
         live = {
-            entry_id: _live_record(entry_id, *fields)
-            for entry_id, fields in payload.get("live", {}).items()
+            entry_id: CacheDelta(0, 0, DELTA_INSERT, 0, entry_id, entry)
+            for entry_id, (_, entry, _) in payload.get("live", {}).items()
         }
         meta = dict(payload.get("meta", {}))
         state = payload.get("state")
@@ -243,7 +223,7 @@ class CachePersister:
         log = engine.delta_log
         version = log.version
         live = {
-            entry_id: _live_tuple(record)
+            entry_id: (KIND_HOME, record.entry, None)
             for entry_id, record in fold_deltas({}, log.since(0)).items()
         }
         payload = {

@@ -199,9 +199,8 @@ class ServiceReport:
     sequential_verifications: int
     pipelined_plans: int
     pipeline_replans: int
-    #: hot-key replication / rebalancing state (zeros on 1-shard engines)
-    shard_probe_load: list[int] = field(default_factory=list)
-    replica_counts: list[int] = field(default_factory=list)
+    #: always 0: hot-key replication and rebalancing were removed in 4.0
+    #: (kept one release for readers of the 3.x report)
     replicas_live: int = 0
     moves_applied: int = 0
     #: delta-log health: length, version, last-compaction floor, records
@@ -233,8 +232,6 @@ class ServiceReport:
                 "count": self.shards,
                 "backend": self.shard_backend,
                 "balance": self.shard_balance,
-                "probe_load": self.shard_probe_load,
-                "replica_counts": self.replica_counts,
                 "replicas_live": self.replicas_live,
                 "moves_applied": self.moves_applied,
             },
@@ -674,10 +671,6 @@ class GraphQueryService:
             ),
             pipelined_plans=executor_stats.pipelined_plans if executor_stats else 0,
             pipeline_replans=executor_stats.pipeline_replans if executor_stats else 0,
-            shard_probe_load=shard_stats["probe_load"],
-            replica_counts=shard_stats["replica_counts"],
-            replicas_live=shard_stats["replicas_live"],
-            moves_applied=shard_stats["moves_applied"],
             delta_log=shard_stats["delta_log"],
             kernel_resolved={
                 "configured": self.config.verifier.kernel,
@@ -686,15 +679,6 @@ class GraphQueryService:
                 "shards": dict(shard_stats["worker_kernels"]),
             },
         )
-
-    def reset_engine_stats(self) -> None:
-        """Zero the engine's hot-key/rebalance counters.
-
-        Useful at workload phase changes: replication and placement stay as
-        they are, but future hotness decisions start from a clean slate.
-        Session accounting is untouched — it belongs to the service layer.
-        """
-        self.engine.reset_stats()
 
     # ------------------------------------------------------------------
     # Driver internals

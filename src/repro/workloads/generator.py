@@ -43,7 +43,7 @@ class WorkloadSpec:
     moves from ``alpha`` to ``alpha_end`` over ``drift_steps`` graph draws,
     and/or the hot set rotates by ``rotate_stride`` ranks every
     ``rotate_every`` draws — the skewed, non-stationary traffic that
-    exercises hot-key replication and rebalancing.  They are ignored by the
+    exercises cache replacement under churn.  They are ignored by the
     static distributions (node sampling always uses the static form, since
     per-graph node samplers are drawn from far too rarely to drift).
     """

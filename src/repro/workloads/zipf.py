@@ -86,10 +86,8 @@ class DriftingZipfSampler(RankSampler):
 
     Models the non-stationary workloads of the paper's skew studies taken
     one step further: real query traffic is Zipf-like *and* its popular set
-    changes over time, which is exactly the regime hot-key replication and
-    adaptive rebalancing (``shard.hot_threshold`` / ``rebalance_interval``)
-    are built for — a static popularity ranking would let a one-shot
-    placement win forever.
+    changes over time, so the cache must keep replacing entries (§5) — a
+    static popularity ranking would let one early cache fill win forever.
 
     Two independent axes, both optional:
 

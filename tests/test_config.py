@@ -8,8 +8,10 @@ Three contracts:
   unknown keys, W > C, both components off) raise :class:`ConfigError`
   with a message naming the field and the accepted values.
 * **One construction path** — engines take an ``EngineConfig`` and nothing
-  else: the 1.x flat kwargs are rejected, and names 2.0 removed fail with
-  a message saying what to write instead.
+  else: the 1.x flat kwargs are rejected, and names 2.0 or 4.0 removed fail
+  with a message saying what to write instead.  The three hot-key
+  arguments 4.0 removed still construct a ``ShardConfig`` for one release:
+  they warn and change nothing.
 """
 
 from __future__ import annotations
@@ -35,6 +37,14 @@ from repro.workloads.generator import QueryGenerator, WorkloadSpec
 @pytest.fixture(scope="module")
 def database():
     return load_dataset("synthetic", scale=0.12)
+
+
+def hot_key_shard(**fields) -> ShardConfig:
+    """A 3.x hot-key shard section, built through the deprecation shim."""
+    with pytest.warns(DeprecationWarning, match="hot-key placement was removed in 4.0"):
+        return ShardConfig(
+            shards=4, hot_threshold=2, rebalance_interval=10, replication_factor=2, **fields
+        )
 
 
 # ----------------------------------------------------------------------
@@ -67,20 +77,17 @@ class TestRoundTrip:
         assert restored == config
 
     def test_hot_key_fields_round_trip(self):
-        config = EngineConfig(
-            shard=ShardConfig(
-                shards=4,
-                backend="inline",
-                hot_threshold=3,
-                rebalance_interval=5,
-                replication_factor=2,
-            ),
-        )
+        """The 3.x hot-key arguments warn and are dropped: not stored, not
+        serialised, not compared."""
+        shard = hot_key_shard()
+        assert shard == ShardConfig(shards=4)
+        assert hash(shard) == hash(ShardConfig(shards=4))
+        config = EngineConfig(shard=shard)
+        assert config.to_dict()["shard"] == {
+            "shards": 4, "backend": "auto", "compact_threshold": 1024,
+        }
         restored = EngineConfig.from_dict(json.loads(json.dumps(config.to_dict())))
-        assert restored == config
-        assert restored.shard.hot_threshold == 3
-        assert restored.shard.rebalance_interval == 5
-        assert restored.shard.replication_factor == 2
+        assert restored == config == EngineConfig(shard=ShardConfig(shards=4))
 
     def test_partial_dict_fills_defaults(self):
         config = EngineConfig.from_dict({"cache": {"size": 7, "window": 3}})
@@ -133,24 +140,6 @@ class TestValidation:
     def test_unknown_shard_backend(self):
         with pytest.raises(ConfigError, match=r"shard\.backend='remote'.*one of"):
             ShardConfig(backend="remote")
-
-    def test_zero_hot_threshold(self):
-        with pytest.raises(ConfigError, match=r"shard\.hot_threshold=0"):
-            ShardConfig(shards=2, hot_threshold=0)
-
-    def test_negative_rebalance_interval(self):
-        with pytest.raises(ConfigError, match=r"shard\.rebalance_interval=-1"):
-            ShardConfig(shards=2, rebalance_interval=-1)
-
-    def test_replication_factor_of_one(self):
-        with pytest.raises(ConfigError, match=r"replication_factor=1.*>= 2"):
-            ShardConfig(shards=4, replication_factor=1)
-
-    def test_replication_factor_above_shard_count(self):
-        with pytest.raises(
-            ConfigError, match=r"replication_factor=3 cannot exceed shard\.shards=2"
-        ):
-            ShardConfig(shards=2, replication_factor=3)
 
     def test_unknown_algorithm(self):
         with pytest.raises(ConfigError, match=r"verifier\.algorithm='vf3'"):
@@ -304,3 +293,44 @@ class TestLegacyShims:
         engine = IGQ(method)
         assert engine.config == EngineConfig()
         assert not recwarn.list
+
+
+# ----------------------------------------------------------------------
+# Hot-key placement removal (4.0)
+# ----------------------------------------------------------------------
+class TestHotKeyRemoval:
+    def test_hot_key_arguments_build_a_static_engine(self, database):
+        """Answers, H/R/C and the delta log equal a static 4-shard engine's."""
+        spec = WorkloadSpec(
+            name="zipf", graph_distribution="zipf", node_distribution="zipf",
+            alpha=1.4, seed=5,
+        )
+        pool = QueryGenerator(database, spec).generate(8)
+        stream = [pool[(index * index) % len(pool)] for index in range(30)]
+
+        def run(shard: ShardConfig):
+            method = create_method("ggsx", max_path_length=3)
+            config = EngineConfig(cache=CacheConfig(size=10, window=3), shard=shard)
+            with IGQ(method, config) as engine:
+                engine.build_index(database)
+                answers = [sorted(map(repr, engine.query(query).answers)) for query in stream]
+                credits = [
+                    (entry.entry_id, entry.hits, entry.removed, entry.alleviated_cost.hex())
+                    for entry in engine.cache.entries()
+                ]
+                records = [
+                    (record.version, record.epoch, record.op, record.shard, record.entry_id)
+                    for record in engine.delta_log.since(0)
+                ]
+            return answers, credits, records
+
+        hot = run(hot_key_shard(backend="inline"))
+        assert hot == run(ShardConfig(shards=4, backend="inline"))
+        assert {op for _, _, op, _, _ in hot[2]} == {"insert", "evict", "flush"}
+
+    def test_from_dict_names_the_removal(self):
+        with pytest.raises(
+            ConfigError,
+            match=r"unknown key\(s\) \['hot_threshold'\].*removed in 4\.0 — hot_threshold",
+        ):
+            EngineConfig.from_dict({"shard": {"hot_threshold": 2}})

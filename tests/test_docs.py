@@ -139,6 +139,31 @@ class TestPackageVersion:
         assert not re.search(r'^version\s*=\s*"', pyproject, re.MULTILINE)
         assert re.fullmatch(r"\d+\.\d+\.\d+", repro.__version__)
 
+    def test_the_current_major_has_upgrade_notes(self):
+        """A major version bump ships its "Upgrading to N.0" section."""
+        import repro
+
+        major = repro.__version__.split(".")[0]
+        text = CONFIGURATION_MD.read_text(encoding="utf-8")
+        assert f"\n## Upgrading to {major}.0\n" in text
+
+
+class TestNamedDocuments:
+    def test_every_markdown_file_the_code_names_exists(self):
+        """A ``*.md`` named in ``src/``, ``examples/`` or ``benchmarks/``
+        (``docs/performance.md``, ``README.md``) is a path from the
+        repository root to a file that exists."""
+        missing = []
+        for folder in ("src", "examples", "benchmarks"):
+            for source in sorted((REPO_ROOT / folder).rglob("*")):
+                if source.suffix not in (".py", ".c"):
+                    continue
+                text = source.read_text(encoding="utf-8")
+                for name in sorted(set(re.findall(r"[\w./-]*\w\.md\b", text))):
+                    if not (REPO_ROOT / name).is_file():
+                        missing.append(f"{source.relative_to(REPO_ROOT)} names {name}")
+        assert not missing, f"dangling document references: {missing}"
+
 
 class TestHandbookStructure:
     PAGES = (

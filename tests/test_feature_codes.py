@@ -24,8 +24,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import IGQ, BatchExecutor, CacheConfig, EngineConfig, ShardConfig
-from repro.features import FeatureExtractor, GraphFeatures, ThresholdBitmapIndex
+from repro.core import IGQ, BatchExecutor, CacheConfig, EngineConfig
+from repro.features import FeatureExtractor, ThresholdBitmapIndex
 from repro.features import extractor as extractor_module
 from repro.features import paths as paths_module
 from repro.features.paths import encode_path_keys
@@ -274,34 +274,3 @@ class TestPreparedOnce:
         )
         if engine.persister is None:
             assert decoded == []
-
-
-class TestShardRouting:
-    def test_routing_does_not_depend_on_the_key_domain(self, tiny_database):
-        """The hot placement's prune summaries route a tuple-keyed copy of a
-        coded query's features exactly as the coded table: a query whose
-        labels did not fit the label table meets coded entries there."""
-        engine = IGQ(
-            create_method("ggsx", max_path_length=3),
-            EngineConfig(
-                cache=CacheConfig(size=8, window=4),
-                shard=ShardConfig(shards=2, backend="inline", hot_threshold=1),
-            ),
-        )
-        engine.build_index(tiny_database)
-        queries = TestPreparedOnce.stream()
-        for query in queries + queries:
-            engine.query(query)
-        placement = engine.placement
-        assert placement.hot
-        routed = 0
-        for query in queries:
-            features = engine.prepare(query)[0]
-            assert features.coded
-            loads = list(placement._shard_probe_load)
-            coded = placement.probe_directives(query, features, True, True)
-            placement._shard_probe_load[:] = loads
-            keyed = GraphFeatures(features.key_counts())
-            assert placement.probe_directives(query, keyed, True, True) == coded
-            routed += sum(directive is not None for directive in coded)
-        assert routed

@@ -305,7 +305,7 @@ class TestPersistConfig:
 # ----------------------------------------------------------------------
 # Warm restart
 # ----------------------------------------------------------------------
-SHARDED = ShardConfig(shards=3, backend="inline", hot_threshold=2)
+SHARDED = ShardConfig(shards=3, backend="inline")
 
 
 def engine_config(tmp_path=None, shard=None):
@@ -346,22 +346,10 @@ class TestWarmRestart:
         first = build_engine(database, durable)
         for query in queries[:80]:
             first.query(query)
-        placement = (
-            dict(first.placement.entry_shard),
-            dict(first.placement.replica_targets),
-            first.placement.flush_count,
-            first.placement.moves_applied,
-            first.placement.replicas_created,
-        )
+        placement = dict(first.placement.entry_shard)
         first.close()
         reopened = build_engine(database, durable)
-        assert placement == (
-            dict(reopened.placement.entry_shard),
-            dict(reopened.placement.replica_targets),
-            reopened.placement.flush_count,
-            reopened.placement.moves_applied,
-            reopened.placement.replicas_created,
-        )
+        assert placement == reopened.placement.entry_shard
         reopened.close()
 
     def test_restart_without_state_is_cold(self, tmp_path, database):
@@ -403,7 +391,6 @@ def record_key(record):
     """A delta record's identity, comparable across a pickle round trip."""
     return (
         record.version, record.epoch, record.op, record.shard, record.entry_id,
-        record.src_shard, record.targets,
         record.entry.graph.name if record.entry is not None else None,
     )
 
@@ -418,15 +405,14 @@ def wal_delta_keys(state_dir):
 
 
 class TestOneWritePath:
-    @pytest.mark.parametrize("hot_threshold", [None, 2])
     @pytest.mark.parametrize("persisted", [False, True], ids=["memory", "durable"])
     @pytest.mark.parametrize("shards", [1, 4])
     def test_every_reader_sees_the_flush_the_log_recorded(
-        self, tmp_path, database, queries, shards, persisted, hot_threshold
+        self, tmp_path, database, queries, shards, persisted
     ):
         config = EngineConfig(
             cache=CACHE,
-            shard=ShardConfig(shards=shards, backend="inline", hot_threshold=hot_threshold),
+            shard=ShardConfig(shards=shards, backend="inline"),
             # one segment for the whole stream: no snapshot rotation in between
             persist=persist_config(tmp_path, fsync="never", snapshot_interval=10_000)
             if persisted
@@ -454,19 +440,14 @@ class TestOneWritePath:
         extractor = FeatureExtractor(max_path_length=3)
         reader = QueryIndexShard(0, verifier=Verifier())
         for record in log.since(0):
-            delta = replicate.delta_from_wire(replicate.delta_to_wire(record), extractor)
-            if delta is not None:
-                reader.apply(delta)
-        held = sorted(set(reader.entry_ids()) | set(reader.replica_ids()))
-        assert held == sorted(engine.cache.entry_ids())
+            reader.apply(replicate.delta_from_wire(replicate.delta_to_wire(record), extractor))
+        assert reader.entry_ids() == sorted(engine.cache.entry_ids())
         for query in queries[60:80]:
             features = extractor.extract(query)
             assert (
-                sorted(set(reader.find_supergraph_ids(query, features, cover=True))),
-                sorted(set(reader.find_subgraph_ids(query, features, cover=True))),
+                reader.find_supergraph_ids(query, features),
+                reader.find_subgraph_ids(query, features),
             ) == replicate.leader_probe_ids(engine, query, features)
-        if shards > 1 and hot_threshold is not None:
-            assert engine.shard_stats()["replicas_live"] > 0  # replicate records were in play
         engine.close()
 
 
@@ -579,7 +560,7 @@ class TestParentWrittenDirectories:
         "name, shard",
         [
             ("single", ShardConfig()),
-            ("sharded", ShardConfig(shards=4, backend="inline", hot_threshold=2)),
+            ("sharded", ShardConfig(shards=4, backend="inline")),
         ],
     )
     def test_warm_start_reaches_the_recorded_fingerprint(self, tmp_path, database, name, shard):
@@ -597,8 +578,17 @@ class TestParentWrittenDirectories:
         assert engine.persister.restored
         assert cache_fingerprint(engine) == fixture["fingerprint"]
         assert len(engine.delta_log) == len(engine.cache) + 1  # one bootstrap flush
-        if name == "sharded":
-            assert engine.shard_stats()["replicas_live"] == 1
+        # Every recovered entry sits in exactly one home partition, the one
+        # the recovered state names (the sharded writer's replicated entry
+        # included).
+        held = {
+            entry_id: shard.shard_id
+            for shard in engine.shard_runtime.shards
+            for entry_id in shard.entry_ids()
+        }
+        assert sum(map(len, engine.shard_runtime.shards)) == len(held)
+        assert held == engine.placement.entry_shard
+        assert sorted(held) == sorted(engine.cache.entry_ids())
         engine.close()
 
 
@@ -901,9 +891,7 @@ class TestFollower:
             create_method("ggsx", max_path_length=3),
             EngineConfig(
                 cache=CACHE,
-                shard=ShardConfig(
-                    shards=3, backend="inline", hot_threshold=2, compact_threshold=4
-                ),
+                shard=ShardConfig(shards=3, backend="inline", compact_threshold=4),
             ),
             database=database,
         )
@@ -932,11 +920,13 @@ class TestFollower:
         with pytest.raises(ConfigError, match="persist.follow"):
             CacheFollower.from_config(EngineConfig())
 
-    def test_move_records_are_skipped(self):
-        graph = make_path_graph("AB")
-        data = {"version": 3, "epoch": 1, "op": "move", "shard": 1,
-                "entry_id": 7, "src_shard": 0}
-        assert replicate.delta_from_wire(data, FeatureExtractor()) is None
+    @pytest.mark.parametrize("op", ["replicate", "move"])
+    def test_retired_hot_key_ops_are_invalid_records(self, op):
+        """A pre-4.0 leader's hot-key records are not part of the wire any more."""
+        data = {"version": 3, "epoch": 1, "op": op, "shard": 1, "entry_id": 7}
+        with pytest.raises(ProtocolError, match=r"op='(replicate|move)'") as excinfo:
+            replicate.delta_from_wire(data, FeatureExtractor())
+        assert excinfo.value.code == "invalid_record"
 
     def test_bad_wire_records_are_typed_errors(self):
         extractor = FeatureExtractor()

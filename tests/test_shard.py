@@ -26,14 +26,13 @@ import pytest
 
 from repro.core import (
     IGQ,
-    CacheConfig,
     DeltaLog,
     DeltaLogTruncated,
     EngineConfig,
     QueryIndexShard,
     ShardConfig,
 )
-from repro.core.shard import BROADCAST, ShardEntry, shard_of_key
+from repro.core.shard import BROADCAST, CacheDelta, ShardEntry, fold_deltas, shard_of_key
 from repro.datasets.registry import load_dataset
 from repro.features import FeatureExtractor
 from repro.features.canonical import canonical_graph_key
@@ -172,6 +171,11 @@ def make_entry(entry_id: int, name: str = "g") -> ShardEntry:
     return ShardEntry(entry_id=entry_id, graph=graph, features=EXTRACTOR.extract(graph))
 
 
+def legacy_record(version: int, op: str, shard: int, entry: ShardEntry) -> CacheDelta:
+    """A ``replicate`` / ``move`` record as a pre-4.0 WAL holds it."""
+    return CacheDelta(version, 0, op, shard, entry.entry_id, entry)
+
+
 class TestDeltaLog:
     def test_versions_and_epochs_are_monotonic(self):
         log = DeltaLog()
@@ -209,77 +213,53 @@ class TestDeltaLog:
         replayed = [(r.op, r.entry_id) for r in log.since(0)]
         assert replayed == [("insert", 2), ("insert", 3)]
 
+    # A WAL written before 4.0 may hold the ``replicate`` / ``move`` records
+    # of hot-key placement; nothing appends them any more, but the fold
+    # that WAL replay runs must still read them.
     def test_compact_folds_move_into_rewritten_insert(self):
         log = DeltaLog()
         log.append_insert(0, make_entry(1))
-        original = make_entry(2)
-        log.append_insert(1, original)
+        log.append_insert(1, make_entry(2))
         log.append_flush()
         moved = make_entry(2)
-        log.append_move(moved, src_shard=1, dst_shard=0)
-        log.append_flush()
-        removed = log.compact(5)
-        assert removed == 3  # the move and both markers fold away
-        replayed = [(r.op, r.entry_id, r.shard) for r in log.since(0)]
-        assert replayed == [("insert", 1, 0), ("insert", 2, 0)]
-        # The retained insert carries the move's payload (the source shard
-        # released the original instance's compiled pointers on transfer)
-        # but keeps its original version, so the order is stable.
-        rewritten = log.since(0)[1]
+        live = fold_deltas({}, log.since(0) + [legacy_record(4, "move", 0, moved)])
+        # The live insert takes the move's shard and payload but keeps its
+        # version, so the replay order is stable.
+        rewritten = live[2]
+        assert (rewritten.op, rewritten.shard, rewritten.version) == ("insert", 0, 2)
         assert rewritten.entry is moved
-        assert rewritten.version == 2
-        # A fresh shard 0 bootstrapping from the folded prefix holds both.
         shard = QueryIndexShard(0)
-        shard.catch_up(log)
+        for record in sorted(live.values(), key=lambda record: record.version):
+            shard.apply(record)
         assert shard.entry_ids() == [1, 2]
-        # ...and shard 1 (the move's source) sees nothing to install.
-        other = QueryIndexShard(1)
-        other.catch_up(log)
-        assert other.entry_ids() == []
 
     def test_compact_replicate_supersedes_insert(self):
         log = DeltaLog()
         log.append_insert(0, make_entry(1))
         log.append_insert(1, make_entry(2))
-        log.append_replicate(make_entry(1))
-        log.append_flush()
-        removed = log.compact(4)
-        assert removed == 2  # insert(1) and the marker fold away
-        replayed = [(r.op, r.entry_id, r.shard) for r in log.since(0)]
-        assert replayed == [("insert", 2, 1), ("replicate", 1, BROADCAST)]
-        # Replaying the replicate alone IS the net state of a hot entry:
-        # every holder installs it in its replica store, no home copy.
-        for shard_id in (0, 1):
-            shard = QueryIndexShard(shard_id)
-            shard.catch_up(log)
-            assert shard.replica_ids() == [1]
-            assert shard.entry_ids() == ([2] if shard_id == 1 else [])
+        records = log.since(0) + [
+            legacy_record(3, "replicate", BROADCAST, make_entry(1)),
+            CacheDelta(4, 1, "flush", BROADCAST),
+        ]
+        live = fold_deltas({}, records)
+        assert [(r.op, r.entry_id) for r in sorted(live.values(), key=lambda r: r.version)] == [
+            ("insert", 2),
+            ("replicate", 1),
+        ]
 
     def test_compact_retains_standalone_replicate(self):
-        # Born-hot entries enter the log as a replicate with no prior
-        # insert; compaction must retain the record and a bootstrap must
-        # still install it on exactly its holder group.
-        log = DeltaLog()
-        log.append_replicate(make_entry(7), targets=(0, 1))
-        log.append_flush()
-        removed = log.compact(2)
-        assert removed == 1  # only the marker folds
-        holder = QueryIndexShard(0)
-        holder.catch_up(log)
-        assert holder.replica_ids() == [7]
-        assert holder.entry_ids() == []
-        outsider = QueryIndexShard(2)
-        outsider.catch_up(log)
-        assert outsider.replica_ids() == []
+        # A born-hot entry's only record was its replicate: it stays live.
+        record = legacy_record(1, "replicate", BROADCAST, make_entry(7))
+        assert fold_deltas({}, [record]) == {7: record}
 
     def test_compact_drops_evicted_replicated_entry(self):
         log = DeltaLog()
         log.append_insert(0, make_entry(1))
-        log.append_replicate(make_entry(1))
-        log.append_evict(BROADCAST, 1)
-        log.append_flush()
-        log.compact(4)
-        assert log.since(0) == []
+        records = log.since(0) + [
+            legacy_record(2, "replicate", BROADCAST, make_entry(1)),
+            CacheDelta(3, 0, "evict", BROADCAST, 1),
+        ]
+        assert fold_deltas({}, records) == {}
 
     def test_subscriber_below_floor_is_rejected(self):
         log = DeltaLog()
@@ -411,195 +391,6 @@ class TestReplication:
         # whole prefix: live inserts plus at most the tail of one window.
         assert len(engine.delta_log) <= 8 + len(engine.cache)
         assert engine.delta_log.floor_version > 0
-        engine.close()
-
-
-# ----------------------------------------------------------------------
-# Hot-key replication and adaptive rebalancing
-# ----------------------------------------------------------------------
-class TestHotReplication:
-    @pytest.mark.parametrize(
-        "shard_fields",
-        [
-            {"shards": 3, "hot_threshold": 2, "rebalance_interval": 2},
-            {"shards": 3, "hot_threshold": 1, "replication_factor": 2},
-            {"shards": 4, "rebalance_interval": 1},
-            {"shards": 2, "hot_threshold": 2, "rebalance_interval": 1},
-        ],
-    )
-    def test_hot_configurations_match_single_shard(
-        self, shard_fields, small_synthetic, zipf_stream
-    ):
-        _, baseline = run_engine(small_synthetic, zipf_stream, shards=1)
-        engine, sharded = run_engine(
-            small_synthetic, zipf_stream, backend="inline", **shard_fields
-        )
-        assert sharded == baseline
-        stats = engine.shard_stats()
-        if "hot_threshold" in shard_fields:
-            assert stats["replicas_live"] > 0  # replication actually fired
-        if shard_fields.get("rebalance_interval") == 1:
-            assert stats["moves_applied"] > 0  # rebalancing actually fired
-        engine.close()
-
-    def test_process_shard_skipping_flushes_catches_up(
-        self, small_synthetic, zipf_stream
-    ):
-        """Pruned-away process shards miss whole flush epochs, then replay.
-
-        With probe pruning on, a shard can go unprobed across one or more
-        window flushes; the parent ships it the accumulated log tail with
-        its next probe.  The run must observe such a lag actually happening
-        and still end byte-identical to the single-shard engine.
-        """
-        stream = zipf_stream[:30]
-        _, baseline = run_engine(small_synthetic, stream, shards=1)
-        method = create_method("ggsx", max_path_length=3)
-        engine = IGQ(
-            method,
-            EngineConfig(
-                cache=CacheConfig(size=10, window=3),
-                shard=ShardConfig(
-                    shards=2, backend="process", hot_threshold=1, rebalance_interval=2
-                ),
-            ),
-        )
-        engine.build_index(small_synthetic)
-        lagged = False
-        results = []
-        for query in stream:
-            results.append(engine.query(query))
-            if engine.shard_runtime._pools is not None:
-                behind = min(engine.shard_runtime._shipped)
-                if any(r.op == "flush" for r in engine.delta_log.since(behind)):
-                    lagged = True
-        assert lagged
-        assert engine_fingerprint(engine, results) == baseline
-        engine.close()
-
-    def test_replication_factor_limits_holder_group(
-        self, small_synthetic, zipf_stream
-    ):
-        engine, _ = run_engine(
-            small_synthetic,
-            zipf_stream,
-            shards=3,
-            backend="inline",
-            hot_threshold=1,
-            replication_factor=2,
-        )
-        stats = engine.shard_stats()
-        assert stats["replicas_live"] > 0
-        # Every replicate record names exactly its 2-shard holder group,
-        # and the group contains the entry's home shard.
-        replicates = [
-            record for record in engine.delta_log.since(0) if record.op == "replicate"
-        ]
-        assert replicates
-        for record in replicates:
-            assert record.targets is not None and len(record.targets) == 2
-        # Live holders: each hot entry counted once per holder, nowhere else
-        # (the inline backend's shards share one physical replica store, so
-        # the holder narrowing lives in this parent-side accounting and in
-        # the per-probe cover directives, not in the store itself).
-        assert sum(engine.placement.replica_counts()) == 2 * stats["replicas_live"]
-        for entry_id, targets in engine.placement.replica_targets.items():
-            assert engine.placement.entry_shard[entry_id] in targets
-        engine.close()
-
-    def test_born_hot_replacement_skips_home_install(
-        self, small_synthetic, zipf_stream
-    ):
-        """A churned-out hot entry's re-insertion is replicated directly.
-
-        The replacement enters the log as a standalone ``replicate`` record
-        — no home insert/retire round-trip — which is exactly the record
-        shape the compaction test pins down as bootstrap-valid.
-        """
-        engine, _ = run_engine(
-            small_synthetic, zipf_stream, shards=3, backend="inline", hot_threshold=1
-        )
-        records = engine.delta_log.since(0)
-        assert engine.delta_log.floor_version == 0  # full history retained
-        inserted = {r.entry_id for r in records if r.op == "insert"}
-        born_hot = [
-            r.entry_id
-            for r in records
-            if r.op == "replicate" and r.entry_id not in inserted
-        ]
-        assert born_hot
-        engine.close()
-
-    def test_straggler_missing_rebalance_epoch_resets_and_replays(
-        self, small_synthetic, zipf_stream
-    ):
-        method = create_method("ggsx", max_path_length=3)
-        engine = IGQ(
-            method,
-            EngineConfig(
-                cache=CacheConfig(size=10, window=3),
-                shard=ShardConfig(
-                    shards=2, backend="inline", hot_threshold=2, rebalance_interval=1
-                ),
-            ),
-        )
-        engine.build_index(small_synthetic)
-        half = len(zipf_stream) // 2
-        for query in zipf_stream[:half]:
-            engine.query(query)
-        straggler = QueryIndexShard(0, verifier=Verifier())
-        straggler.catch_up(engine.delta_log)
-        moves_before = engine.shard_stats()["moves_applied"]
-        for query in zipf_stream[half:]:
-            engine.query(query)
-        # The missed tail contains at least one rebalance epoch (moves) and
-        # replicate traffic; compacting past the straggler's cursor makes a
-        # plain tail replay unsound, so catch_up must reset and bootstrap.
-        assert engine.shard_stats()["moves_applied"] > moves_before
-        engine.delta_log.compact(engine.delta_log.version)
-        assert straggler.applied_version < engine.delta_log.floor_version
-        straggler.catch_up(engine.delta_log)
-        live = engine.shard_runtime.shards[0]
-        assert straggler.entry_ids() == live.entry_ids()
-        assert straggler.replica_ids() == live.replica_ids()
-        # Probing home + full replica cover agrees with the live shard.
-        for query in zipf_stream[:6]:
-            features = EXTRACTOR.extract(query)
-            assert sorted(
-                straggler.find_supergraph_ids(query, features, cover=True)
-            ) == sorted(live.find_supergraph_ids(query, features, cover=True))
-            assert sorted(
-                straggler.find_subgraph_ids(query, features, cover=True)
-            ) == sorted(live.find_subgraph_ids(query, features, cover=True))
-        engine.close()
-
-    def test_reset_stats_clears_counters_not_placement(
-        self, small_synthetic, zipf_stream
-    ):
-        engine, _ = run_engine(
-            small_synthetic,
-            zipf_stream,
-            shards=3,
-            backend="inline",
-            hot_threshold=2,
-            rebalance_interval=2,
-        )
-        stats = engine.shard_stats()
-        assert stats["replicas_live"] > 0
-        assert sum(stats["probe_load"]) > 0
-        replicas_before = engine.placement.replica_counts()
-        engine.reset_stats()
-        stats = engine.shard_stats()
-        assert stats["probe_load"] == [0, 0, 0]
-        assert stats["moves_applied"] == 0
-        assert stats["replicas_created"] == 0
-        assert stats["delta_log"]["records_folded"] == 0
-        # Placement survives: replicas stay replicated, entries stay put.
-        assert stats["replicas_live"] > 0
-        assert engine.placement.replica_counts() == replicas_before
-        # The engine keeps serving queries (fresh hotness slate).
-        result = engine.query(zipf_stream[0])
-        assert result is not None
         engine.close()
 
 
