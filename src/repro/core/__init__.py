@@ -36,7 +36,6 @@ from .shard import (
     DeltaLogTruncated,
     QueryIndexShard,
     ShardEntry,
-    shard_of_key,
 )
 
 __all__ = [
@@ -56,7 +55,6 @@ __all__ = [
     "DeltaLogTruncated",
     "QueryIndexShard",
     "ShardEntry",
-    "shard_of_key",
     "BatchExecutor",
     "BatchStats",
     "FeatureMemo",

@@ -149,7 +149,7 @@ _MIN_PARALLEL_CANDIDATES = 4
 
 #: a service keeps one executor (and its feature memo) for its lifetime;
 #: the memo is cleared when it reaches this many distinct queries — the
-#: rule ``IGQ._prepared`` and ``Placement._shard_memo`` use
+#: rule ``IGQ._prepared`` uses
 _FEATURE_MEMO_CAPACITY = 8192
 
 

@@ -254,7 +254,7 @@ class BatchConfig:
 class ShardConfig:
     """The sharded query index (delta-replicated cache partitions).
 
-    Every entry lives on the one shard its canonical form hashes to.  The
+    Every entry lives on the one shard its feature counts hash to.  The
     hot-key placement knobs of 3.x (``hot_threshold``,
     ``rebalance_interval``, ``replication_factor``) are still accepted as
     constructor arguments for one release: passing one warns and does
@@ -283,7 +283,7 @@ class ShardConfig:
         if passed:
             warnings.warn(
                 f"ShardConfig ignores {', '.join(passed)}: hot-key placement "
-                "was removed in 4.0 (every entry lives on its canonical-hash "
+                "was removed in 4.0 (every entry lives on its feature-hash "
                 "shard)",
                 DeprecationWarning,
                 stacklevel=3,
@@ -407,10 +407,11 @@ class PersistConfig:
     #: needs its own directory; segments and snapshots inside it are
     #: managed by the persister.
     dir: str | None = None
-    #: fsync discipline: ``"flush"`` (default) fsyncs once per window-flush
-    #: batch — a crash loses at most the un-flushed window; ``"always"``
-    #: fsyncs every record; ``"never"`` leaves flushing to the OS (fastest,
-    #: weakest — survives process crash but not power loss)
+    #: fsync discipline: ``"flush"`` (default) fsyncs once per window flush
+    #: — a crash loses at most the un-flushed window; ``"never"`` leaves
+    #: flushing to the OS (fastest, weakest — survives process crash but
+    #: not power loss); ``"always"`` is a deprecated alias of ``"flush"``
+    #: (a flush is one WAL record since 5.0)
     fsync: str = "flush"
     #: write a compacted snapshot and rotate the WAL segment once this many
     #: records have accumulated since the last snapshot
@@ -428,6 +429,13 @@ class PersistConfig:
                 "path string (or None to disable persistence)",
             )
         _require_choice("persist", "fsync", self.fsync, _FSYNC_MODES)
+        if self.fsync == "always":
+            warnings.warn(
+                'persist.fsync="always" now means "flush": since 5.0 a window '
+                "flush is one WAL record with one fsync",
+                DeprecationWarning,
+                stacklevel=3,
+            )
         _require_positive_int("persist", "snapshot_interval", self.snapshot_interval)
         if self.follow is not None:
             _require(

@@ -176,10 +176,9 @@ class ContainmentIndex:
     def _entry_removed(self, entry: CacheEntry, bit: int) -> None:
         """Undo :meth:`_entry_added` for the entry leaving slot ``bit``."""
 
-    def candidate_mask(self, features: GraphFeatures, universe: int | None = None) -> int:
-        """Python filter: the slots of ``universe`` (default: every live
-        slot) whose entries pass the direction's feature condition against
-        ``features``."""
+    def candidate_mask(self, features: GraphFeatures) -> int:
+        """Python filter: the live slots whose entries pass the direction's
+        feature condition against ``features``."""
         raise NotImplementedError
 
     # ------------------------------------------------------------------
@@ -201,18 +200,6 @@ class ContainmentIndex:
     # ------------------------------------------------------------------
     # The probe
     # ------------------------------------------------------------------
-    def _universe(self, restrict_ids) -> int:
-        """Slots of the indexed entries among ``restrict_ids`` (all live
-        slots for ``None``)."""
-        if restrict_ids is None:
-            return self._live_mask
-        entries, bit = self._entries, self._slots.bit
-        universe = 0
-        for entry_id in restrict_ids:
-            if entry_id in entries:
-                universe |= bit(entry_id)
-        return universe
-
     def candidate_ids(self, features: GraphFeatures) -> list[int]:
         """Entry ids passing the direction's feature filter alone.
 
@@ -235,22 +222,16 @@ class ContainmentIndex:
         query: LabeledGraph,
         features: GraphFeatures,
         compiled: CompiledQuery | None,
-        restrict_ids,
     ) -> list[CacheEntry]:
         """The verified hits of ``query``, in ascending ``entry_id``."""
         if not self._entries:
             return []
-        universe = self._universe(restrict_ids)
-        if not universe:
-            return []
         if self._table is not None:
             codes = features.feature_codes()
             if codes is not None:
-                return self._table_hits(
-                    query, codes, compiled, None if restrict_ids is None else universe
-                )
+                return self._table_hits(query, codes, compiled)
             self._leave_table()
-        candidate_mask = self.candidate_mask(features, universe)
+        candidate_mask = self.candidate_mask(features)
         if not candidate_mask:
             return []
         return self._verified_hits(query, candidate_mask, compiled)
@@ -260,7 +241,6 @@ class ContainmentIndex:
         query: LabeledGraph,
         codes,
         compiled: CompiledQuery | None,
-        universe: int | None,
     ) -> list[CacheEntry]:
         """The probe in the kernel: filter and size pre-checks in one call,
         the containment tests of the survivors in a second.  The query's
@@ -268,7 +248,7 @@ class ContainmentIndex:
         for never pays for it; the tests are folded into the verifier's
         statistics as :meth:`Verifier.verify_pairs` folds them."""
         table = self._table
-        slots, count = table.filter(codes, query.num_vertices, query.num_edges, universe)
+        slots, count = table.filter(codes, query.num_vertices, query.num_edges)
         if not count:
             return []
         if compiled is None:

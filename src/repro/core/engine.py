@@ -194,8 +194,7 @@ class IGQ:
         #: repeat-heavy streams reuse the same graph objects (workload
         #: pools, batch inputs), and preparation is a pure function of the
         #: graph, so repeats skip the flattening and the path enumeration.
-        #: The graph reference pins the object alive, keeping the id stable
-        #: (same scheme as the placement's routing memo).
+        #: The graph reference pins the object alive, keeping the id stable.
         self._prepared: dict[int, tuple[LabeledGraph, GraphFeatures, FlatGraph]] = {}
         #: the ordered record of every flush; the durable store, the shard
         #: runtime and remote followers all read ``delta_log.since(cursor)``

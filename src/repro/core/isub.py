@@ -56,14 +56,11 @@ class SubgraphQueryIndex(ContainmentIndex):
     def _entry_removed(self, entry: CacheEntry, bit: int) -> None:
         self._index.remove(bit, entry.features.key_counts())
 
-    def candidate_mask(self, features: GraphFeatures, universe: int | None = None) -> int:
-        """The dominance filter by threshold bitmaps: the slots of
-        ``universe`` whose entries hold every feature of ``features`` at
-        least as often.  (Off the native table only: on it the bitmaps are
-        not maintained.)"""
-        return self._index.at_least(
-            features.key_counts(), self._live_mask if universe is None else universe
-        )
+    def candidate_mask(self, features: GraphFeatures) -> int:
+        """The dominance filter by threshold bitmaps: the live slots whose
+        entries hold every feature of ``features`` at least as often.  (Off
+        the native table only: on it the bitmaps are not maintained.)"""
+        return self._index.at_least(features.key_counts(), self._live_mask)
 
     # ------------------------------------------------------------------
     # Query
@@ -73,7 +70,6 @@ class SubgraphQueryIndex(ContainmentIndex):
         query: LabeledGraph,
         features: GraphFeatures,
         compiled: CompiledQuery | None = None,
-        restrict_ids=None,
     ) -> list[CacheEntry]:
         """Return the cached entries ``G`` with ``query ⊆ G`` (``Isub(g)``).
 
@@ -82,11 +78,9 @@ class SubgraphQueryIndex(ContainmentIndex):
         dual of the dataset-side filtering).  Each surviving candidate is
         verified with a subgraph isomorphism test, so no false positives are
         possible (formula (1)).  ``compiled`` carries the query's shared
-        compiled state (its plan is built here if a candidate survives);
-        ``restrict_ids`` limits the lookup to a subset of the indexed
-        entries.
+        compiled state (its plan is built here if a candidate survives).
         """
-        return self._hits(query, features, compiled, restrict_ids)
+        return self._hits(query, features, compiled)
 
     def estimated_size_bytes(self) -> int:
         """Entry store, native rows and — off the native table — the

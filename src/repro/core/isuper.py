@@ -59,21 +59,15 @@ class SupergraphQueryIndex(ContainmentIndex):
     # ------------------------------------------------------------------
     # Query (Algorithm 2)
     # ------------------------------------------------------------------
-    def candidate_mask(self, features: GraphFeatures, universe: int | None = None) -> int:
-        """Algorithm 2's candidates by the Python loop: the slots of
-        ``universe`` whose entries hold no feature more often than
-        ``features`` does."""
-        entries = self._entries
-        if universe is None or universe == self._live_mask:
-            considered = entries.values()
-        else:
-            considered = map(entries.__getitem__, self._slots.keys_of(universe))
+    def candidate_mask(self, features: GraphFeatures) -> int:
+        """Algorithm 2's candidates by the Python loop: the live slots
+        whose entries hold no feature more often than ``features`` does."""
         available = features.key_counts()
         have = available.get
         num_available = len(available)
         bit = self._slots.bit
         mask = 0
-        for entry in considered:
+        for entry in self._entries.values():
             counts = entry.features.key_counts()
             if len(counts) > num_available:
                 continue  # NF[g_i] exceeds g's distinct features: some key is missing
@@ -95,15 +89,13 @@ class SupergraphQueryIndex(ContainmentIndex):
         query: LabeledGraph,
         features: GraphFeatures,
         compiled: CompiledQuery | None = None,
-        restrict_ids=None,
     ) -> list[CacheEntry]:
         """Return the cached entries ``G`` with ``G ⊆ query`` (``Isuper(g)``).
 
         ``compiled`` carries the query's shared compiled state (its target
-        is built here if a candidate survives); ``restrict_ids`` limits the
-        lookup to a subset of the indexed entries.
+        is built here if a candidate survives).
         """
-        return self._hits(query, features, compiled, restrict_ids)
+        return self._hits(query, features, compiled)
 
     # ------------------------------------------------------------------
     def num_features(self, entry_id: int) -> int:

@@ -1,20 +1,42 @@
-"""Where each cached query lives: its canonical-hash home shard.
+"""Where each cached query lives: its feature-hash home shard.
 
 One :class:`Placement` per engine names the shard every delta record of a
 window flush addresses (:meth:`IGQ._log_flush
-<repro.core.engine.IGQ._log_flush>`).  An entry's home is a pure function
-of its graph (:func:`~repro.core.shard.shard_of_key` over the canonical
-form), so it never changes while the entry is live.
+<repro.core.engine.IGQ._log_flush>`).  Every probe asks every shard and
+merges the hits in entry-id order, so placement only has to be
+deterministic and recorded: an entry's home (:func:`home_shard`) is
+computed once, when it enters the cache, kept in :attr:`Placement.entry_shard`
+and in the durable ``state``, and never recomputed.
 """
 
 from __future__ import annotations
 
-from ..features.canonical import canonical_graph_key
-from ..graphs.graph import LabeledGraph
-from .cache import CacheEntry, QueryCache
-from .shard import shard_of_key
+import hashlib
 
-__all__ = ["Placement"]
+from ..features.extractor import GraphFeatures
+from .cache import CacheEntry, QueryCache
+
+__all__ = ["Placement", "home_shard"]
+
+
+def home_shard(features: GraphFeatures, num_shards: int) -> int:
+    """The home shard of a graph with ``features``: a BLAKE2 digest of its
+    feature counts.
+
+    Isomorphic copies have equal counts, so duplicates of a hot query share
+    a home.  The digest reads the ``(code, count)`` pairs when the features
+    are coded and the sorted tuple-keyed counts otherwise; neither depends
+    on ``PYTHONHASHSEED``.
+    """
+    if num_shards < 2:
+        return 0
+    codes = features.feature_codes()
+    if codes is not None:
+        data = codes.tobytes()
+    else:
+        data = repr(sorted(features.key_counts().items())).encode("utf-8")
+    digest = hashlib.blake2b(data, digest_size=8).digest()
+    return int.from_bytes(digest, "big") % num_shards
 
 
 class Placement:
@@ -24,32 +46,10 @@ class Placement:
         self.num_shards = num_shards
         #: live entry -> home shard
         self.entry_shard: dict[int, int] = {}
-        #: id(graph) -> (graph, shard) routing memo (see :meth:`shard_of`)
-        self._shard_memo: dict[int, tuple[LabeledGraph, int]] = {}
-
-    def shard_of(self, graph: LabeledGraph) -> int:
-        """Owning shard of a query graph (stable canonical-key hash).
-
-        Memoized by object identity: repeat-heavy streams re-insert the same
-        query objects, and the canonical form is the most expensive step of
-        a multi-shard flush.  The memo pins each keyed graph, so an ``id``
-        cannot be recycled while memoized; the bound caps the pinned memory.
-        """
-        if self.num_shards < 2:
-            return 0
-        memo = self._shard_memo
-        cached = memo.get(id(graph))
-        if cached is not None and cached[0] is graph:
-            return cached[1]
-        shard_id = shard_of_key(canonical_graph_key(graph), self.num_shards)
-        if len(memo) >= 8192:
-            memo.clear()
-        memo[id(graph)] = (graph, shard_id)
-        return shard_id
 
     def inserted(self, entry: CacheEntry) -> int:
         """Route a newly cached entry; returns its home shard."""
-        shard_id = self.shard_of(entry.graph)
+        shard_id = home_shard(entry.features, self.num_shards)
         self.entry_shard[entry.entry_id] = shard_id
         return shard_id
 

@@ -96,33 +96,22 @@ class ProbeTable:
     # ------------------------------------------------------------------
     # Probe
     # ------------------------------------------------------------------
-    def filter(
-        self,
-        codes: array,
-        num_vertices: int,
-        num_edges: int,
-        universe: int | None = None,
-    ) -> tuple[array, int]:
+    def filter(self, codes: array, num_vertices: int, num_edges: int) -> tuple[array, int]:
         """Slots surviving the feature filter and the size pre-checks.
 
-        ``universe`` restricts the lookup to the slots of a bitmask (all
-        live slots when ``None``).  Returns an ``array("q")`` and how many
-        leading items of it are slots, ascending.
+        Returns an ``array("q")`` and how many leading items of it are
+        slots, ascending.  (The kernel also takes a slot bitmask to restrict
+        the lookup to; nothing passes one.)
         """
         slots = array("q", bytes(8 * self._num_slots))
-        if universe is None:
-            universe_rows, universe_words = None, 0
-        else:
-            universe_words = (self._num_slots + 63) // 64
-            universe_rows = universe.to_bytes(8 * universe_words, "little")
         count = self._library.ck_probe_filter(
             self._address,
             codes.buffer_info()[0],
             len(codes) // 2,
             num_vertices,
             num_edges,
-            universe_rows,
-            universe_words,
+            None,
+            0,
             slots.buffer_info()[0],
         )
         return slots, count

@@ -23,9 +23,9 @@ store (:mod:`repro.persist`), the shard runtimes
   0 — the only case that degenerates to a rebuild.
 
 * **Partitioning** — the cached queries are split across ``N`` shards by a
-  stable hash of their canonical form (:func:`shard_of_key`), so an entry's
-  owning shard is a pure function of its graph: routing never changes under
-  insert/evict churn and is identical in every process that computes it.
+  hash of their feature counts
+  (:func:`~repro.core.placement.home_shard`), computed once at insert and
+  carried on the records, so an entry never moves while it is live.
 
 * **Replica** — :class:`QueryIndexShard` holds the two containment indexes
   restricted to the records addressed to it; it lives in the parent
@@ -36,7 +36,6 @@ store (:mod:`repro.persist`), the shard runtimes
 
 from __future__ import annotations
 
-import hashlib
 import logging
 from bisect import bisect_right
 from dataclasses import dataclass, replace as dataclass_replace
@@ -59,7 +58,6 @@ __all__ = [
     "ShardEntry",
     "QueryIndexShard",
     "fold_deltas",
-    "shard_of_key",
 ]
 
 logger = logging.getLogger(__name__)
@@ -74,17 +72,6 @@ _LEGACY_MOVE = "move"
 
 #: ``CacheDelta.shard`` of records addressing every shard (flush markers)
 BROADCAST = -1
-
-
-def shard_of_key(key: tuple, num_shards: int) -> int:
-    """Owning shard of a canonical graph key — stable across processes.
-
-    Built-in ``hash`` is salted per interpreter, so replicas in different
-    processes could disagree; a keyed-less BLAKE2 digest of the key's
-    canonical repr is deterministic everywhere.
-    """
-    digest = hashlib.blake2b(repr(key).encode("utf-8"), digest_size=8).digest()
-    return int.from_bytes(digest, "big") % num_shards
 
 
 @dataclass

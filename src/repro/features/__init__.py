@@ -3,7 +3,6 @@
 from .bitmaps import ThresholdBitmapIndex
 from .canonical import (
     canonical_cycle_code,
-    canonical_graph_key,
     canonical_path_code,
     canonical_path_key,
     canonical_tree_code,
@@ -33,7 +32,6 @@ __all__ = [
     "ThresholdBitmapIndex",
     "PathOccurrences",
     "canonical_cycle_code",
-    "canonical_graph_key",
     "canonical_path_code",
     "canonical_path_key",
     "canonical_tree_code",

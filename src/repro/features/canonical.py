@@ -28,7 +28,6 @@ __all__ = [
     "canonical_path_code",
     "canonical_cycle_code",
     "canonical_tree_code",
-    "canonical_graph_key",
     "exact_graph_signature",
     "tree_code_of_subtree",
 ]
@@ -100,59 +99,12 @@ def tree_code_of_subtree(graph: LabeledGraph, vertices: Sequence[Hashable]) -> s
     return canonical_tree_code(graph.subgraph(vertices))
 
 
-# ----------------------------------------------------------------------
-# Whole-graph canonical form (shard-placement key)
-# ----------------------------------------------------------------------
-
-#: above this vertex count (or refinement-leaf budget) the canonical search
-#: falls back to an exact vertex-id key — correctness is unaffected, only
-#: the "isomorphic repeats share a key" optimisation is skipped
-_CANON_MAX_VERTICES = 64
-_CANON_MAX_LEAVES = 4096
-
-
-class _TooSymmetric(Exception):
-    """Raised when the canonical search exceeds its leaf budget."""
-
-
-def canonical_graph_key(graph: LabeledGraph) -> tuple:
-    """An exact, hashable key equal for two graphs iff they are isomorphic.
-
-    Query graphs are small, so an exact canonical form is affordable: colour
-    refinement (labels first, then iterated neighbour-colour multisets)
-    followed by individualisation of the first non-singleton colour class,
-    taking the lexicographically smallest certificate over all branches.
-    Highly symmetric graphs beyond the leaf budget — and graphs above
-    ``_CANON_MAX_VERTICES`` — fall back to an exact vertex-id key: such
-    twins simply get different keys instead of ever colliding.  The fallback is
-    itself isomorphism-invariant in *when* it triggers (the search tree
-    shape only depends on the isomorphism class), so two isomorphic graphs
-    always agree on which kind of key they produce.
-    """
-    if graph.num_vertices > _CANON_MAX_VERTICES:
-        return _exact_vertex_key(graph)
-    vertices = list(graph.vertices())
-    adjacency = {vertex: list(graph.neighbors(vertex)) for vertex in vertices}
-    label_order = {
-        label: index
-        for index, label in enumerate(sorted(set(map(repr, (graph.label(v) for v in vertices)))))
-    }
-    colors = {vertex: label_order[repr(graph.label(vertex))] for vertex in vertices}
-    state = {"leaves": 0, "best": None}
-    try:
-        _canon_search(graph, vertices, adjacency, _canon_refine(colors, adjacency), state)
-    except _TooSymmetric:
-        return _exact_vertex_key(graph)
-    return ("canon", graph.num_vertices, graph.num_edges, state["best"])
-
-
 def exact_graph_signature(graph: LabeledGraph) -> tuple:
     """A hashable, exact (vertex-id sensitive) signature of a labeled graph.
 
     Two graphs with the same vertex ids, labels and edges share the
-    signature — the batch feature memo's key, and the fallback
-    of :func:`canonical_graph_key`.  ``repr`` keys keep mixed-type vertex
-    ids sortable.
+    signature — the batch feature memo's key.  ``repr`` keys keep
+    mixed-type vertex ids sortable.
     """
     vertices = tuple(
         sorted(((vertex, graph.label(vertex)) for vertex in graph.vertices()), key=repr)
@@ -161,62 +113,6 @@ def exact_graph_signature(graph: LabeledGraph) -> tuple:
         sorted((tuple(sorted(edge, key=repr)) for edge in graph.edges()), key=repr)
     )
     return vertices, edges
-
-
-def _exact_vertex_key(graph: LabeledGraph) -> tuple:
-    return ("exact",) + exact_graph_signature(graph)
-
-
-def _canon_refine(colors: dict, adjacency: dict) -> dict:
-    """Iterated neighbour-colour refinement to a stable partition."""
-    num_colors = len(set(colors.values()))
-    while True:
-        signatures = {
-            vertex: (colors[vertex], tuple(sorted(colors[n] for n in adjacency[vertex])))
-            for vertex in colors
-        }
-        palette = {
-            signature: index
-            for index, signature in enumerate(sorted(set(signatures.values())))
-        }
-        colors = {vertex: palette[signatures[vertex]] for vertex in colors}
-        if len(palette) == num_colors:
-            return colors
-        num_colors = len(palette)
-
-
-def _canon_search(graph, vertices, adjacency, colors: dict, state: dict) -> None:
-    cells: dict[int, list] = {}
-    for vertex, color in colors.items():
-        cells.setdefault(color, []).append(vertex)
-    target_cell = None
-    for color in sorted(cells):
-        if len(cells[color]) > 1:
-            target_cell = cells[color]
-            break
-    if target_cell is None:
-        state["leaves"] += 1
-        if state["leaves"] > _CANON_MAX_LEAVES:
-            raise _TooSymmetric
-        position = {vertex: colors[vertex] for vertex in vertices}
-        labels = [None] * len(vertices)
-        for vertex in vertices:
-            labels[position[vertex]] = repr(graph.label(vertex))
-        edges = tuple(
-            sorted(
-                (min(position[u], position[v]), max(position[u], position[v]))
-                for u, v in graph.edges()
-            )
-        )
-        certificate = (tuple(labels), edges)
-        if state["best"] is None or certificate < state["best"]:
-            state["best"] = certificate
-        return
-    fresh = len(vertices)  # strictly larger than any current color id
-    for vertex in target_cell:
-        branched = dict(colors)
-        branched[vertex] = fresh
-        _canon_search(graph, vertices, adjacency, _canon_refine(branched, adjacency), state)
 
 
 def _rooted_code(tree: LabeledGraph, vertex: Hashable, parent: Hashable | None) -> str:

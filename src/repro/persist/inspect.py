@@ -2,7 +2,8 @@
 
 Read-only by default — the dump never repairs a torn tail, so it is safe
 to point at the live directory of a running engine.  ``--records`` prints
-one line per WAL record; the summary always reports, per segment, how
+one line per WAL record (a ``flush`` record: its version range, inserts,
+evicts and query counter); the summary always reports, per segment, how
 many records decode cleanly and where (and why) a torn tail begins.
 """
 
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 from pathlib import Path
 
+from ..core.shard import DELTA_EVICT, DELTA_INSERT
 from . import snapshot, wal
 
 __all__ = ["main"]
@@ -20,6 +22,14 @@ def _describe_record(record) -> str:
     if not (isinstance(record, tuple) and len(record) == 2):
         return f"?? {record!r:.60}"
     kind, payload = record
+    if kind == "flush":
+        records, _, state = payload
+        ops = [delta.op for delta in records]
+        return (
+            f"flush v{records[0].version}-{records[-1].version} "
+            f"inserts={ops.count(DELTA_INSERT)} evicts={ops.count(DELTA_EVICT)} "
+            f"queries={state.get('query_counter')}"
+        )
     if kind == "delta":
         parts = [f"delta v{payload.version} {payload.op} shard={payload.shard}"]
         if payload.entry_id is not None:

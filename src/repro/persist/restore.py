@@ -2,18 +2,22 @@
 
 :class:`CachePersister` is attached by the engine when
 ``EngineConfig.persist.dir`` is set.  It turns every window flush into one
-durable WAL batch — the flush's delta records, a ``meta`` record carrying
-the immutable extras of the entries that entered the cache, and a
-``state`` record with the engine's small mutable state (the batch's commit
-marker) — and periodically folds everything into an atomic snapshot,
-rotating the WAL segment at the same version.
+framed WAL record, ``("flush", (records, meta, state))``: the flush's
+delta records, the immutable extras of the entries that entered the
+cache, and the engine's small mutable state — one pickle, one checksum,
+one write and (unless ``fsync="never"``) one fsync.  It periodically folds
+everything into an atomic snapshot, rotating the WAL segment at the same
+version.
 
 Recovery inverts that: load the newest valid snapshot, replay the
-segments at or above its version, and *commit* only at ``state`` records.
-A crash mid-batch therefore lands on the previous flush boundary — the
-engine restarts exactly as if the queries after that flush were never
-submitted, which is the strongest prefix-consistency a window-flushed
-cache can offer (and what the fault-injection tests assert).
+segments at or above its version, and *commit* at every ``flush`` record.
+The record's checksum makes it atomic, so a crash mid-append drops
+exactly that flush — the engine restarts exactly as if the queries after
+the previous flush were never submitted, which is the strongest
+prefix-consistency a window-flushed cache can offer (and what the
+fault-injection tests assert).  Format-1 directories (4.x) journal a
+flush as ``delta`` / ``meta`` records closed by a ``state`` record, the
+commit marker; recovery still folds them.
 
 The persister is a plain reader of the engine's
 :class:`~repro.core.shard.DeltaLog`: each flush it serialises
@@ -27,15 +31,17 @@ import logging
 from pathlib import Path
 
 from ..core.config import ConfigError, PersistConfig
-from ..core.shard import DELTA_EVICT, DELTA_INSERT, CacheDelta, ShardEntry, fold_deltas
+from ..core.shard import DELTA_INSERT, CacheDelta, ShardEntry, fold_deltas
 from . import snapshot, wal
 
 logger = logging.getLogger(__name__)
 
 __all__ = ["CachePersister", "RecoveredState", "attach_persistence", "recover_dir"]
 
-#: bump on any incompatible change to the record/state schema
-FORMAT_VERSION = 1
+#: bump on any incompatible change to the record/state schema; this build
+#: reads every format from 1 up to it (format 1 wrote ``delta`` / ``meta``
+#: / ``state`` records, format 2 one ``flush`` record per window flush)
+FORMAT_VERSION = 2
 
 #: the kind every live-entry ``(kind, entry, targets)`` tuple of a snapshot
 #: is written with; a 3.x snapshot may also hold ``"replica"`` tuples (hot
@@ -95,15 +101,22 @@ def recover_dir(path: Path) -> RecoveredState | None:
         scan = wal.read_segment(segment, repair=True)
         for record in scan.records:
             if not (isinstance(record, tuple) and len(record) == 2):
-                continue
+                raise ValueError(f"{segment.name} holds a malformed WAL record {record!r:.60}")
             kind, payload = record
-            if kind == "delta":
+            if kind == "flush":
+                records, fresh_meta, state = payload
+                fold_deltas(live, records)
+                meta.update(fresh_meta)
+                committed = (dict(live), dict(meta), state)
+            elif kind == "delta":
                 fold_deltas(live, (payload,))
             elif kind == "meta":
                 meta.update(payload)
             elif kind == "state":
                 state = payload
                 committed = (dict(live), dict(meta), state)
+            else:
+                raise ValueError(f"{segment.name} holds an unknown WAL record kind {kind!r}")
         if not scan.clean:
             discarded = [later.name for _, later in segments[index + 1 :]]
             if discarded:
@@ -134,9 +147,6 @@ class CachePersister:
         self.snapshot_interval = config.snapshot_interval
         self._closed = False
         self._writer: wal.WalWriter | None = None
-        #: entry ids whose immutable extras already have a ``meta`` record
-        #: in the current segment
-        self._meta_written: set[int] = set()
         self._records_since_snapshot = 0
         #: whether this open actually rebuilt state from disk
         self.restored = False
@@ -162,10 +172,10 @@ class CachePersister:
     # ------------------------------------------------------------------
     @staticmethod
     def _check_compatible(engine, state: dict) -> None:
-        if state.get("format") != FORMAT_VERSION:
+        if state.get("format") not in range(1, FORMAT_VERSION + 1):
             raise ConfigError(
                 f"persist.dir holds format {state.get('format')!r} state; "
-                f"this build reads format {FORMAT_VERSION} (use a fresh "
+                f"this build reads formats 1 to {FORMAT_VERSION} (use a fresh "
                 "directory)"
             )
         if state.get("mode") != engine.mode or state.get("shards") != engine.num_shards:
@@ -186,31 +196,28 @@ class CachePersister:
     # Per-flush append path
     # ------------------------------------------------------------------
     def record_flush(self, engine) -> None:
-        """Persist one window flush: its deltas, new-entry meta, and state."""
+        """Persist one window flush as one ``flush`` record: its deltas, the
+        meta of the entries it inserted, and the engine state."""
         if self._closed:
             return
         log = engine.delta_log
         records = log.since(self._last_version)
         if not records:
             return
+        fresh_meta = {
+            record.entry_id: engine.persist_entry_meta(record.entry_id)
+            for record in records
+            if record.op == DELTA_INSERT
+        }
         writer = self._writer
-        always = self.fsync == "always"
-        fresh_meta: dict = {}
-        for record in records:
-            if record.op == DELTA_EVICT:
-                self._meta_written.discard(record.entry_id)
-            elif record.entry is not None and record.entry_id not in self._meta_written:
-                fresh_meta[record.entry_id] = engine.persist_entry_meta(record.entry_id)
-                self._meta_written.add(record.entry_id)
-            writer.append(("delta", record), sync=always)
-        if fresh_meta:
-            writer.append(("meta", fresh_meta), sync=always)
-        writer.append(("state", self._state_record(engine)), sync=always)
-        if self.fsync == "flush":
-            writer.sync()
-        elif self.fsync == "never":
+        writer.append(("flush", (records, fresh_meta, self._state_record(engine))))
+        if self.fsync == "never":
             writer.flush()
+        else:
+            writer.sync()
         self._last_version = log.version
+        # the record count a format-1 batch had (deltas + meta + state), so
+        # the snapshot cadence is unchanged
         self._records_since_snapshot += len(records) + 2
         if self._records_since_snapshot >= self.snapshot_interval:
             self._checkpoint(engine)
@@ -242,7 +249,6 @@ class CachePersister:
         # incarnation may have used this version before crashing).
         segment_path.unlink(missing_ok=True)
         self._writer = wal.WalWriter(segment_path, fsync_mode=self.fsync)
-        self._meta_written = set(live)
         self._records_since_snapshot = 0
         if wipe:
             for other_version, other in snapshot.list_snapshots(self.path):

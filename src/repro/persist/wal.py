@@ -3,11 +3,14 @@
 The on-disk form of the engine's :class:`~repro.core.shard.DeltaLog`:
 each segment file starts with an 8-byte magic and carries a sequence of
 length-prefixed, CRC32-checksummed pickle records.  A record is a
-``(kind, payload)`` tuple — ``"delta"`` (one :class:`~repro.core.shard.CacheDelta`
-including its compiled :class:`~repro.core.shard.ShardEntry` payload),
-``"meta"`` (immutable per-entry extras: answer set, tags, insertion
-counter) or ``"state"`` (the engine's small mutable state, written once
-per window flush as the batch commit marker).
+``(kind, payload)`` tuple.  Format 2 writes one kind, ``"flush"``, once
+per window flush: ``(records, meta, state)`` — the flush's
+:class:`~repro.core.shard.CacheDelta` records (inserts carry their
+compiled :class:`~repro.core.shard.ShardEntry` payloads), the immutable
+extras of the entries it inserted (answer set, tags, insertion counter)
+and the engine's small mutable state.  Format 1 wrote the same flush as
+one ``"delta"`` record per delta, a ``"meta"`` record and a closing
+``"state"`` record; :mod:`repro.persist.restore` still reads those.
 
 Segments are named by the log version they start *after*
 (``wal-<version>.seg``) and rotate when a snapshot is written, so recovery
@@ -95,9 +98,9 @@ class WalWriter:
     """Appends framed records to one segment file.
 
     ``fsync_mode`` mirrors ``PersistConfig.fsync``: the writer itself only
-    ever fsyncs when :meth:`sync` is called (or ``sync=True`` is passed to
-    :meth:`append`) — the persister decides the cadence, so ``"never"``
-    engines simply never call it.
+    ever fsyncs when :meth:`sync` is called — the persister decides the
+    cadence (once per window flush), so ``"never"`` engines simply never
+    call it.
     """
 
     def __init__(self, path: Path, fsync_mode: str = "flush") -> None:
@@ -107,12 +110,10 @@ class WalWriter:
         if self._file.tell() == 0:
             self._file.write(MAGIC)
 
-    def append(self, obj, sync: bool = False) -> int:
+    def append(self, obj) -> int:
         """Append one record; returns its framed size in bytes."""
         frame = encode_record(obj)
         self._file.write(frame)
-        if sync:
-            self.sync()
         return len(frame)
 
     def flush(self) -> None:

@@ -8,19 +8,12 @@ from hypothesis import strategies as st
 
 from repro.features import (
     canonical_cycle_code,
-    canonical_graph_key,
     canonical_path_code,
     canonical_tree_code,
 )
 from repro.graphs import GraphError, LabeledGraph
 
-from .conftest import (
-    make_clique,
-    make_cycle_graph,
-    make_path_graph,
-    make_star_graph,
-    random_labeled_graph,
-)
+from .conftest import make_cycle_graph, make_path_graph, make_star_graph
 
 
 class TestPathCode:
@@ -126,82 +119,3 @@ class TestTreeCode:
         forward = make_path_graph("".join(labels))
         backward = make_path_graph("".join(reversed(labels)))
         assert canonical_tree_code(forward) == canonical_tree_code(backward)
-
-
-class TestGraphKey:
-    """Whole-graph canonical keys (the batch feature-memo key)."""
-
-    def test_relabeling_invariance(self):
-        import random
-
-        rng = random.Random(17)
-        for _ in range(60):
-            graph = random_labeled_graph(rng, rng.randint(1, 9), 0.4, connected=False)
-            vertices = list(graph.vertices())
-            shuffled = list(vertices)
-            rng.shuffle(shuffled)
-            mapping = {old: new + 50 for old, new in zip(vertices, range(len(shuffled)))}
-            twin = LabeledGraph()
-            for old in shuffled:
-                twin.add_vertex(mapping[old], graph.label(old))
-            for u, v in graph.edges():
-                twin.add_edge(mapping[u], mapping[v])
-            assert canonical_graph_key(graph) == canonical_graph_key(twin)
-
-    def test_distinguishes_same_invariants(self):
-        """C6 and two triangles share every degree/label invariant but are
-        not isomorphic — the key must separate them."""
-        hexagon = make_cycle_graph("AAAAAA")
-        triangles = LabeledGraph()
-        for vertex in range(6):
-            triangles.add_vertex(vertex, "A")
-        for base in (0, 3):
-            triangles.add_edge(base, base + 1)
-            triangles.add_edge(base + 1, base + 2)
-            triangles.add_edge(base + 2, base)
-        assert canonical_graph_key(hexagon) != canonical_graph_key(triangles)
-
-    def test_distinguishes_labels(self):
-        assert canonical_graph_key(make_path_graph("ABC")) != canonical_graph_key(
-            make_path_graph("ACB")
-        )
-
-    def test_key_agrees_with_isomorphism_oracle(self):
-        import random
-
-        from repro.isomorphism import are_isomorphic
-
-        rng = random.Random(23)
-        graphs = [
-            random_labeled_graph(rng, rng.randint(2, 6), 0.5, labels="AB", connected=False)
-            for _ in range(40)
-        ]
-        for first in graphs:
-            for second in graphs:
-                same_key = canonical_graph_key(first) == canonical_graph_key(second)
-                assert same_key == are_isomorphic(first, second)
-
-    def test_symmetric_graph_within_budget(self):
-        # A same-label 6-clique explores 6! = 720 leaves, inside the budget:
-        # the canonical path must still produce one key for all relabelings.
-        clique = make_clique("A" * 6)
-        key = canonical_graph_key(clique)
-        assert key[0] == "canon"
-        assert key == canonical_graph_key(clique.relabeled())
-
-    def test_too_symmetric_graph_falls_back(self):
-        # A same-label 8-clique blows the leaf budget (8! leaves); the exact
-        # fallback is deterministic and still never collides across classes.
-        clique = make_clique("A" * 8)
-        key = canonical_graph_key(clique)
-        assert key[0] == "exact"
-
-    def test_oversized_graph_falls_back_to_exact_key(self):
-        big = LabeledGraph()
-        for vertex in range(70):
-            big.add_vertex(vertex, "A")
-        for vertex in range(69):
-            big.add_edge(vertex, vertex + 1)
-        key = canonical_graph_key(big)
-        assert key[0] == "exact"
-        assert key == canonical_graph_key(big)

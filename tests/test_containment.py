@@ -361,8 +361,8 @@ class TestLifecycleRegression:
         compiled objects stays bounded by the cache capacity no matter how
         many entries were handed to (and taken back from) the shards.
         """
-        from repro.core.shard import DeltaLog, QueryIndexShard, ShardEntry, shard_of_key
-        from repro.features.canonical import canonical_graph_key
+        from repro.core.placement import home_shard
+        from repro.core.shard import DeltaLog, QueryIndexShard, ShardEntry
         from repro.isomorphism.compiled import compile_query_plan, compile_target
 
         capacity = 8
@@ -379,7 +379,7 @@ class TestLifecycleRegression:
             entry = cache.add(graph, EXTRACTOR.extract(graph), frozenset())
             entry.compiled_target = compile_target(graph)
             entry.compiled_plan = compile_query_plan(graph)
-            shard_id = shard_of_key(canonical_graph_key(graph), num_shards)
+            shard_id = home_shard(entry.features, num_shards)
             owners[entry.entry_id] = shard_id
             log.append_insert(
                 shard_id,

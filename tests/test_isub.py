@@ -78,17 +78,18 @@ class TestFindSupergraphs:
             }
             assert found == expected
 
-    def test_restrict_ids_limits_the_lookup(self):
-        cache, index = build_index(
-            [make_cycle_graph("ABCD"), make_path_graph("ABC"), make_path_graph("ABCD")]
-        )
+    def test_a_partition_finds_its_share_of_the_hits(self):
+        """Each hit is decided by its own entry: an index over a subset of
+        the entries (one shard's partition) finds exactly the whole index's
+        hits among them."""
+        graphs = [make_cycle_graph("ABCD"), make_path_graph("ABC"), make_path_graph("ABCD")]
         query = make_path_graph("ABC")
         features = EXTRACTOR.extract(query)
-        ids = [entry.entry_id for entry in index.find_supergraphs(query, features)]
-        assert ids == cache.entry_ids()
-        for subset in ([], ids[:1], ids[1:], [ids[2], 999]):
-            hits = index.find_supergraphs(query, features, restrict_ids=subset)
-            assert [entry.entry_id for entry in hits] == [i for i in ids if i in subset]
+        whole = [entry.graph for entry in build_index(graphs)[1].find_supergraphs(query, features)]
+        assert whole == graphs
+        for subset in ([], graphs[:1], graphs[1:], graphs[2:]):
+            _, part = build_index(subset)
+            assert [entry.graph for entry in part.find_supergraphs(query, features)] == subset
 
     @settings(max_examples=25, deadline=None)
     @given(labeled_graphs(max_vertices=5), labeled_graphs(max_vertices=6))

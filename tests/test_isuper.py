@@ -79,17 +79,17 @@ class TestAlgorithm2:
         features = EXTRACTOR.extract(query)
         assert index.candidate_subgraphs(features) == []
 
-    def test_restrict_ids_limits_the_lookup(self):
-        cache, index = build_index(
-            [make_path_graph("AB"), make_path_graph("ABC"), make_path_graph("BC")]
-        )
+    def test_a_partition_finds_its_share_of_the_hits(self):
+        """An index over a subset of the entries (one shard's partition)
+        finds exactly the whole index's hits among them."""
+        graphs = [make_path_graph("AB"), make_path_graph("ABC"), make_path_graph("BC")]
         query = make_cycle_graph("ABCD")
         features = EXTRACTOR.extract(query)
-        ids = [entry.entry_id for entry in index.find_subgraphs(query, features)]
-        assert ids == cache.entry_ids()
-        for subset in ([], ids[:1], ids[1:], [ids[2], 999]):
-            hits = index.find_subgraphs(query, features, restrict_ids=subset)
-            assert [entry.entry_id for entry in hits] == [i for i in ids if i in subset]
+        whole = [entry.graph for entry in build_index(graphs)[1].find_subgraphs(query, features)]
+        assert whole == graphs
+        for subset in ([], graphs[:1], graphs[1:], graphs[2:]):
+            _, part = build_index(subset)
+            assert [entry.graph for entry in part.find_subgraphs(query, features)] == subset
 
     def test_find_subgraphs_verifies_candidates(self):
         cache, index = build_index(

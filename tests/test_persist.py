@@ -31,6 +31,7 @@ import signal
 import subprocess
 import sys
 import threading
+import warnings
 import zlib
 from pathlib import Path
 
@@ -289,17 +290,24 @@ class TestPersistConfig:
 
 
     def test_format_mismatch_rejected(self, tmp_path, database, queries, monkeypatch):
-        """One constant stamps the state and gates the restore."""
+        """One constant stamps the state and gates the restore: a build
+        reads formats 1 up to its own, so a format-1 build (4.x) refuses
+        a format-2 directory loudly."""
         config = EngineConfig(cache=CACHE, persist=persist_config(tmp_path))
         engine = build_engine(database, config)
         for query in queries[:WINDOW]:
             engine.query(query)
         engine.close()
         recovered = restore.recover_dir(tmp_path / "state")
-        assert recovered.state["format"] == restore.FORMAT_VERSION == 1
-        monkeypatch.setattr(restore, "FORMAT_VERSION", 2)
-        with pytest.raises(ConfigError, match=r"holds format 1 state.*reads format 2"):
+        assert recovered.state["format"] == restore.FORMAT_VERSION == 2
+        monkeypatch.setattr(restore, "FORMAT_VERSION", 1)
+        with pytest.raises(ConfigError, match=r"holds format 2 state.*reads formats 1 to 1"):
             build_engine(database, config)
+
+    def test_fsync_always_is_a_deprecated_alias(self, tmp_path):
+        with pytest.warns(DeprecationWarning, match='fsync="always" now means "flush"'):
+            config = PersistConfig(dir=str(tmp_path), fsync="always")
+        assert config.fsync == "always"
 
 
 # ----------------------------------------------------------------------
@@ -341,15 +349,25 @@ class TestWarmRestart:
         reopened.close()
         reference.close()
 
-    def test_sharded_placement_survives(self, tmp_path, database, queries):
+    def test_sharded_placement_survives(self, tmp_path, database, queries, monkeypatch):
+        """The recorded homes come back as written: a restart never
+        recomputes the routing hash (here it would put everything on 0)."""
         durable = engine_config(tmp_path, SHARDED)
         first = build_engine(database, durable)
         for query in queries[:80]:
             first.query(query)
         placement = dict(first.placement.entry_shard)
+        assert len(set(placement.values())) > 1
         first.close()
+        monkeypatch.setattr("repro.core.placement.home_shard", lambda features, shards: 0)
         reopened = build_engine(database, durable)
         assert placement == reopened.placement.entry_shard
+        held = {
+            entry_id: shard.shard_id
+            for shard in reopened.shard_runtime.shards
+            for entry_id in shard.entry_ids()
+        }
+        assert held == placement
         reopened.close()
 
     def test_restart_without_state_is_cold(self, tmp_path, database):
@@ -395,12 +413,21 @@ def record_key(record):
     )
 
 
+def wal_flushes(state_dir):
+    """The ``(records, meta, state)`` payload of every ``flush`` record."""
+    flushes = []
+    for _, segment in wal.list_segments(state_dir):
+        for kind, payload in wal.read_segment(segment).records:
+            assert kind == "flush"
+            flushes.append(payload)
+    return flushes
+
+
 def wal_delta_keys(state_dir):
     return [
-        record_key(payload)
-        for _, segment in wal.list_segments(state_dir)
-        for kind, payload in wal.read_segment(segment).records
-        if kind == "delta"
+        record_key(record)
+        for records, _, _ in wal_flushes(state_dir)
+        for record in records
     ]
 
 
@@ -431,6 +458,15 @@ class TestOneWritePath:
             tail = log.since(cursor)
             assert tail[-1].op == "flush" and tail[-1].epoch == flushes
             if persisted:
+                # one record per flush: its deltas, its inserts' meta, and
+                # the state this flush left behind
+                written = wal_flushes(tmp_path / "state")
+                assert len(written) == flushes
+                records, fresh_meta, state = written[-1]
+                assert [record_key(r) for r in records] == [record_key(r) for r in tail]
+                assert sorted(fresh_meta) == [r.entry_id for r in tail if r.op == "insert"]
+                assert state["query_counter"] == engine.cache.query_counter
+                assert state["entry_shard"] == engine.placement.entry_shard
                 on_disk = wal_delta_keys(tmp_path / "state")
                 assert on_disk[len(journaled):] == [record_key(r) for r in tail]
                 journaled = on_disk
@@ -449,6 +485,68 @@ class TestOneWritePath:
                 reader.find_subgraph_ids(query, features),
             ) == replicate.leader_probe_ids(engine, query, features)
         engine.close()
+
+
+class TestFlushRecord:
+    def stream_until_flush(self, engine, queries):
+        """Query until the stream's first window flush has run; returns the
+        index of the query that flushed."""
+        for index, query in enumerate(queries):
+            if engine.query(query).maintenance is not None:
+                return index
+        raise AssertionError("the stream never flushed")
+
+    def test_a_flush_is_one_record_and_one_fsync(self, tmp_path, database, queries, monkeypatch):
+        config = EngineConfig(
+            cache=CACHE,
+            shard=ShardConfig(shards=4, backend="inline"),
+            persist=persist_config(tmp_path, snapshot_interval=10_000),
+        )
+        engine = build_engine(database, config)
+        first = self.stream_until_flush(engine, queries)
+        appended, fsyncs = [], []
+        real_append, real_fsync = wal.WalWriter.append, os.fsync
+
+        def counting_append(writer, obj):
+            appended.append(obj[0])
+            return real_append(writer, obj)
+
+        def counting_fsync(fd):
+            fsyncs.append(fd)
+            real_fsync(fd)
+
+        monkeypatch.setattr(wal.WalWriter, "append", counting_append)
+        monkeypatch.setattr(os, "fsync", counting_fsync)
+        second = first + 1 + self.stream_until_flush(engine, queries[first + 1 :])
+        assert second - first == WINDOW
+        assert appended == ["flush"]
+        assert len(fsyncs) == 1
+        assert len(wal_flushes(tmp_path / "state")) == 2
+        engine.close()
+
+    def test_fsync_always_writes_the_flush_segments_byte_for_byte(
+        self, tmp_path, database, queries
+    ):
+        files = {}
+        for fsync in ("flush", "always"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", DeprecationWarning)
+                persist = persist_config(tmp_path / fsync, fsync=fsync, snapshot_interval=10_000)
+            engine = build_engine(
+                database,
+                EngineConfig(
+                    cache=CACHE, shard=ShardConfig(shards=4, backend="inline"), persist=persist
+                ),
+            )
+            for query in queries[:75]:
+                engine.query(query)
+            engine.close()
+            files[fsync] = {
+                path.name: path.read_bytes() for path in (tmp_path / fsync / "state").iterdir()
+            }
+        (segment,) = [name for name in files["flush"] if name.startswith("wal-")]
+        assert len(wal.read_segment(tmp_path / "flush" / "state" / segment).records) == 7
+        assert files["always"] == files["flush"]
 
 
 #: two persist directories written by the commit before every engine owned
@@ -801,6 +899,48 @@ class TestRecoverDir:
         assert len(messages) == 1
         assert wal.segment_name(7) in messages[0] and "torn record header" in messages[0]
 
+    def test_a_format_2_flush_commits_as_one_record(self, tmp_path):
+        log = DeltaLog()
+        graph = make_path_graph("AB", name="g1")
+        features = FeatureExtractor().extract(graph)
+        meta = {1: {"answer": [], "tags": (), "added_at": 1}}
+        insert = log.append_insert(2, ShardEntry(1, graph, features))
+        writer = wal.WalWriter(tmp_path / wal.segment_name(0))
+        first = ([insert, log.append_flush()], meta, {"format": 2, "query_counter": 10})
+        writer.append(("flush", first))
+        evict = log.append_evict(2, 1)
+        second = ([evict, log.append_flush()], {}, {"format": 2, "query_counter": 20})
+        writer.append(("flush", second))
+        writer.close()
+        whole = tmp_path / wal.segment_name(0)
+        data = whole.read_bytes()
+        recovered = restore.recover_dir(tmp_path)
+        assert (recovered.state["query_counter"], list(recovered.live)) == (20, [])
+        # A torn second record drops exactly that flush.
+        whole.write_bytes(data[:-1])
+        recovered = restore.recover_dir(tmp_path)
+        assert (recovered.state["query_counter"], list(recovered.live)) == (10, [1])
+        assert recovered.live[1].shard == 2 and recovered.meta == meta
+
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            (("bogus", {}), "unknown WAL record kind 'bogus'"),
+            (("delta", "too", "long"), "malformed WAL record"),
+            ("flush", "malformed WAL record"),
+        ],
+    )
+    def test_an_unreadable_record_is_a_typed_error(self, tmp_path, record, message):
+        """A checksum-valid record recovery cannot interpret fails loudly
+        instead of being skipped (which would lose what it journaled)."""
+        writer = wal.WalWriter(tmp_path / wal.segment_name(0))
+        writer.append(("state", {"format": 1, "query_counter": 10}))
+        writer.append(record)
+        writer.close()
+        with pytest.raises(ValueError, match=message) as excinfo:
+            restore.recover_dir(tmp_path)
+        assert wal.segment_name(0) in str(excinfo.value)
+
     def test_unknown_op_in_wal_replay_is_a_typed_error(self, tmp_path):
         record = DeltaLog().append_flush()
         object.__setattr__(record, "op", "melt")
@@ -952,6 +1092,32 @@ class TestInspect:
         out = capsys.readouterr().out
         assert status == 0
         assert "snap-" in out and "wal-" in out
+
+    def test_prints_one_line_per_flush_record(self, tmp_path, database, queries, capsys):
+        config = EngineConfig(
+            cache=CACHE, persist=persist_config(tmp_path, snapshot_interval=10_000)
+        )
+        engine = build_engine(database, config)
+        for query in queries[:30]:
+            engine.query(query)
+        engine.close()
+        status = persist_inspect.main([str(tmp_path / "state"), "--records"])
+        lines = [
+            line.strip()
+            for line in capsys.readouterr().out.splitlines()
+            if line.strip().startswith("flush ")
+        ]
+        assert status == 0
+        expected = []
+        for records, _, state in wal_flushes(tmp_path / "state"):
+            ops = [record.op for record in records]
+            expected.append(
+                f"flush v{records[0].version}-{records[-1].version} "
+                f"inserts={ops.count('insert')} evicts={ops.count('evict')} "
+                f"queries={state['query_counter']}"
+            )
+        assert lines == expected
+        assert [line.split()[-1] for line in lines] == ["queries=10", "queries=20", "queries=30"]
 
     def test_flags_torn_segments(self, tmp_path, database, queries, capsys):
         durable = engine_config(tmp_path)

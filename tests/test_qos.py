@@ -240,37 +240,63 @@ def qos_service(database, **service_kwargs) -> GraphQueryService:
 
 
 class TestServiceQoS:
-    def test_flooding_tenant_does_not_starve_fast_tenant(self, database, query_pool):
+    def test_flooding_tenant_does_not_starve_fast_tenant(
+        self, database, query_pool, monkeypatch
+    ):
+        """The whole backlog is queued before the driver dispatches any of
+        it (a first query holds the driver until then), so the completion
+        order is exactly the weighted DRR order — no thread race."""
         hog_backlog, fast_count = 20, 5
-        with qos_service(
-            database,
-            tenants=(
-                TenantConfig(name="hog", weight=1),
-                TenantConfig(name="fast", weight=4),
-            ),
-        ) as service:
-            hog = service.session("hog")
-            fast = service.session("fast")
-            hog_futures = [
-                hog.submit(query_pool[index % len(query_pool)])
-                for index in range(hog_backlog)
-            ]
-            fast_futures = [
-                fast.submit(query_pool[index]) for index in range(fast_count)
-            ]
-            for future in fast_futures:
+        tenants = (TenantConfig(name="hog", weight=1), TenantConfig(name="fast", weight=4))
+        with qos_service(database, tenants=tenants) as service:
+            gate_query = query_pool[0].relabeled()
+            entered, release = threading.Event(), threading.Event()
+            plan_query = service.engine.plan_query
+
+            def gated_plan_query(query, *args, **kwargs):
+                if query is gate_query:
+                    entered.set()
+                    assert release.wait(60)
+                return plan_query(query, *args, **kwargs)
+
+            monkeypatch.setattr(service.engine, "plan_query", gated_plan_query)
+            completed: list[tuple[str, int]] = []
+
+            def submit(session, tag, query):
+                future = session.submit(query)
+                future.add_done_callback(lambda _: completed.append((session.name, tag)))
+                return future
+
+            gate = submit(service.session("gate"), 0, gate_query)
+            assert entered.wait(60)
+            hog, fast = service.session("hog"), service.session("fast")
+            futures = [
+                submit(hog, tag, query_pool[tag % len(query_pool)])
+                for tag in range(hog_backlog)
+            ] + [submit(fast, tag, query_pool[tag]) for tag in range(fast_count)]
+            release.set()
+            for future in [gate, *futures]:
                 future.result(timeout=120)
+
+            # The same submissions through a bare scheduler give the order.
+            scheduler = make_scheduler(tenants=tenants)
+            scheduler.submit(task_for("gate", 0))
+            scheduler.finish(scheduler.next(block=False))
+            for tag in range(hog_backlog):
+                scheduler.submit(task_for("hog", tag))
+            for tag in range(fast_count):
+                scheduler.submit(task_for("fast", tag))
+            assert completed == [("gate", 0), *drain_tags(scheduler)]
             # The weighted scheduler interleaved the light tenant ahead of
-            # the flood: a chunk of the hog's backlog must still be waiting
-            # when the fast tenant's last answer arrives.
-            hog_unfinished = sum(not future.done() for future in hog_futures)
+            # the flood: a chunk of the hog's backlog was still waiting when
+            # the fast tenant's last answer arrived.
+            last_fast = max(i for i, (tenant, _) in enumerate(completed) if tenant == "fast")
+            hog_unfinished = sum(tenant == "hog" for tenant, _ in completed[last_fast + 1 :])
             assert hog_unfinished >= 5
-            for future in hog_futures:
-                future.result(timeout=120)
             report = service.stats()
             assert report.sessions["hog"].queries == hog_backlog
             assert report.sessions["fast"].queries == fast_count
-            assert report.totals.queries == hog_backlog + fast_count
+            assert report.totals.queries == hog_backlog + fast_count + 1
 
     def test_cancel_before_dispatch_removes_from_queue(self, database, query_pool):
         # rate_limit < 1 gives a single-token burst: the second submission

@@ -7,9 +7,10 @@ Four contracts:
   state a from-scratch replay (or the live replica) has; compaction folds
   the log without changing what a bootstrap sees, and a replica behind the
   compaction floor falls back to reset-and-replay.
-* **Routing** — an entry's owning shard is a pure function of its graph's
-  canonical form: stable across processes and insert/evict churn, and
-  shared by isomorphic (relabeled) copies.
+* **Routing** — an entry's home shard is a hash of its feature counts,
+  computed once at insert: deterministic (independent of
+  ``PYTHONHASHSEED``), stable under insert/evict churn, and shared by
+  isomorphic (relabeled) copies.
 * **Equivalence** — ``shards>1`` — inline or process-backed — is
   byte-identical to ``shards=1`` (one inline replica of the same log): answers,
   per-query accounting, containment-test statistics, cache contents and
@@ -20,7 +21,11 @@ Four contracts:
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -32,10 +37,11 @@ from repro.core import (
     QueryIndexShard,
     ShardConfig,
 )
-from repro.core.shard import BROADCAST, CacheDelta, ShardEntry, fold_deltas, shard_of_key
+from repro.core.placement import home_shard
+from repro.core.shard import BROADCAST, CacheDelta, ShardEntry, fold_deltas
 from repro.datasets.registry import load_dataset
 from repro.features import FeatureExtractor
-from repro.features.canonical import canonical_graph_key
+from repro.graphs import LabeledGraph
 from repro.isomorphism import Verifier
 from repro.methods import create_method
 from repro.workloads.generator import QueryGenerator, WorkloadSpec
@@ -116,42 +122,96 @@ def run_engine(database, stream, **shard_fields):
 # ----------------------------------------------------------------------
 # Routing
 # ----------------------------------------------------------------------
+#: the trees-and-cycles extractor's features are tuple-keyed (never coded)
+TREE_EXTRACTOR = FeatureExtractor(kind="trees_cycles", tree_max_size=3, cycle_max_length=4)
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+_ROUTING_CHILD = """
+import random
+from repro.core.placement import home_shard
+from repro.features import FeatureExtractor
+from tests.conftest import random_labeled_graph
+rng = random.Random(5)
+graphs = [random_labeled_graph(rng, rng.randint(2, 7), 0.4) for _ in range(40)]
+for extractor in (FeatureExtractor(max_path_length=3), FeatureExtractor(kind="trees_cycles")):
+    print([home_shard(extractor.extract(graph), 7) for graph in graphs])
+"""
+
+
+def shuffled_twin(graph, rng):
+    """An isomorphic copy with fresh vertex ids inserted in another order."""
+    vertices = list(graph.vertices())
+    rng.shuffle(vertices)
+    mapping = {old: f"t{new}" for new, old in enumerate(vertices)}
+    twin = LabeledGraph()
+    for old in vertices:
+        twin.add_vertex(mapping[old], graph.label(old))
+    for u, v in graph.edges():
+        twin.add_edge(mapping[u], mapping[v])
+    return twin
+
+
 class TestRouting:
     def test_stable_and_in_range(self):
         rng = random.Random(7)
         graphs = [random_labeled_graph(rng, rng.randint(2, 6), 0.4) for _ in range(50)]
-        for num_shards in (1, 2, 3, 8):
-            shards = [
-                shard_of_key(canonical_graph_key(graph), num_shards) for graph in graphs
-            ]
-            assert all(0 <= shard < num_shards for shard in shards)
-            # Pure function of the graph: recomputing never moves an entry.
-            assert shards == [
-                shard_of_key(canonical_graph_key(graph), num_shards) for graph in graphs
-            ]
+        for extractor in (EXTRACTOR, TREE_EXTRACTOR):
+            assert extractor.extract(graphs[0]).coded == (extractor is EXTRACTOR)
+            for num_shards in (1, 2, 3, 8):
+                shards = [home_shard(extractor.extract(graph), num_shards) for graph in graphs]
+                assert all(0 <= shard < num_shards for shard in shards)
+                # A function of the features: recomputing never moves an entry.
+                assert shards == [
+                    home_shard(extractor.extract(graph), num_shards) for graph in graphs
+                ]
 
     def test_distributes_over_shards(self):
         rng = random.Random(11)
         graphs = [random_labeled_graph(rng, rng.randint(2, 7), 0.4) for _ in range(200)]
-        hit_shards = {shard_of_key(canonical_graph_key(g), 4) for g in graphs}
+        hit_shards = {home_shard(EXTRACTOR.extract(g), 4) for g in graphs}
         assert hit_shards == {0, 1, 2, 3}
 
     def test_isomorphic_copies_share_a_shard(self):
-        graph = make_path_graph("ABCA")
-        relabeled = make_path_graph("ABCA")  # structural copy
-        assert shard_of_key(canonical_graph_key(graph), 8) == shard_of_key(
-            canonical_graph_key(relabeled), 8
-        )
+        rng = random.Random(13)
+        for _ in range(40):
+            graph = random_labeled_graph(rng, rng.randint(1, 8), 0.4, connected=False)
+            twin = shuffled_twin(graph, rng)
+            for extractor in (EXTRACTOR, TREE_EXTRACTOR):
+                assert home_shard(extractor.extract(graph), 8) == home_shard(
+                    extractor.extract(twin), 8
+                )
+
+    def test_independent_of_the_hash_seed(self):
+        """Two interpreters with different string-hash salts route alike."""
+        outputs = []
+        for seed in ("0", "4242"):
+            outputs.append(
+                subprocess.run(
+                    [sys.executable, "-c", _ROUTING_CHILD],
+                    capture_output=True,
+                    text=True,
+                    check=True,
+                    cwd=REPO_ROOT,
+                    env={
+                        **os.environ,
+                        "PYTHONHASHSEED": seed,
+                        "PYTHONPATH": os.pathsep.join([str(REPO_ROOT / "src"), str(REPO_ROOT)]),
+                    },
+                ).stdout
+            )
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0].splitlines()) == 2
 
     def test_routing_stable_under_churn(self, small_synthetic, zipf_stream):
         engine, _ = run_engine(
             small_synthetic, zipf_stream, shards=3, backend="inline"
         )
         # After arbitrary insert/evict churn, every live entry sits exactly
-        # where re-running the router would put it, and the replicas hold
-        # exactly their routed entries.
+        # where its features hash to, and the replicas hold exactly their
+        # routed entries.
         for entry in engine.cache.entries():
-            assert engine.placement.entry_shard[entry.entry_id] == engine.placement.shard_of(entry.graph)
+            assert engine.placement.entry_shard[entry.entry_id] == home_shard(entry.features, 3)
         for shard in engine.shard_runtime.shards:
             expected = sorted(
                 entry_id
