@@ -1,12 +1,6 @@
 """iGQ core: query cache, component indexes, replacement policy, engine."""
 
-from .batch import (
-    BatchExecutor,
-    BatchStats,
-    FeatureMemo,
-    default_num_workers,
-    effective_cpu_count,
-)
+from .batch import BatchExecutor, BatchStats, FeatureMemo
 from .cache import CacheEntry, QueryCache
 from .config import (
     BatchConfig,
@@ -58,8 +52,6 @@ __all__ = [
     "BatchExecutor",
     "BatchStats",
     "FeatureMemo",
-    "default_num_workers",
-    "effective_cpu_count",
     "CacheEntry",
     "QueryCache",
     "ContainmentIndex",

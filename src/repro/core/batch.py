@@ -1,15 +1,14 @@
-"""Batched (and optionally parallel) query execution.
+"""Batched (and optionally thread-parallel) query execution.
 
 The sequential engine processes one query at a time: extract features,
 filter, prune with the iGQ components, verify, maintain the cache.  Under
 load two of those stages dominate and neither needs to be sequential:
 
 * **verification** — the surviving candidates of one query are independent
-  isomorphism tests, so :class:`BatchExecutor` can fan them out to a
-  :mod:`concurrent.futures` worker pool (``batch.backend``: threads — the
-  native kernel releases the interpreter lock — or processes; ``"auto"``
-  picks processes only for more than one worker on more than one CPU and
-  otherwise verifies in-process, one kernel call per query);
+  isomorphism tests, so with ``batch.num_workers > 1`` :class:`BatchExecutor`
+  fans them out to a thread pool (the native kernel releases the
+  interpreter lock); with one worker it verifies in-process, one kernel
+  call per query;
 * **feature extraction** — real workloads repeat query fragments heavily
   (that is the premise of the paper), so extraction is memoised across the
   batch under the query's exact, insertion-ordered key: a copy of an earlier
@@ -35,12 +34,10 @@ sequential path as ground truth.
 from __future__ import annotations
 
 import copy
-import os
-import pickle
 import time
 from collections.abc import Hashable, Iterable, Iterator
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import dataclass, field
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 
 from ..features.extractor import GraphFeatures
 from ..graphs.graph import LabeledGraph
@@ -57,13 +54,10 @@ from .engine import IGQ, IGQQueryResult, QueryPlan
 
 __all__ = [
     "ABORTED",
-    "BACKENDS",
     "DRAIN",
     "BatchStats",
     "FeatureMemo",
     "BatchExecutor",
-    "default_num_workers",
-    "effective_cpu_count",
 ]
 
 
@@ -107,42 +101,6 @@ class _Aborted:
 
 ABORTED = _Aborted()
 
-#: accepted ``backend`` values; ``"auto"`` resolves to ``"process"`` when
-#: more than one worker is requested *and* the machine can actually run them
-#: (see :func:`effective_cpu_count`), and to ``"sequential"`` otherwise
-BACKENDS = ("auto", "sequential", "thread", "process")
-
-
-def _cgroup_cpu_quota() -> int | None:
-    """CPU limit from a cgroup-v2 quota (``docker --cpus=N``), if any."""
-    try:
-        with open("/sys/fs/cgroup/cpu.max", encoding="ascii") as handle:
-            quota, _, period = handle.read().partition(" ")
-        if quota.strip() == "max":
-            return None
-        return max(1, int(int(quota) / int(period)))
-    except (OSError, ValueError):
-        return None
-
-
-def effective_cpu_count() -> int:
-    """CPUs this process may actually use.
-
-    Honours both the scheduler affinity mask and (on cgroup-v2 systems) a
-    CPU quota — a ``--cpus=1`` container on an 8-core host reports 1, so
-    the ``auto`` backend does not spawn a pool the kernel would serialise.
-    """
-    count = os.cpu_count() or 1
-    if hasattr(os, "sched_getaffinity"):
-        try:
-            count = len(os.sched_getaffinity(0)) or 1
-        except OSError:  # pragma: no cover - exotic platforms
-            pass
-    quota = _cgroup_cpu_quota()
-    if quota is not None:
-        count = min(count, quota)
-    return count
-
 #: below this many surviving candidates a parallel round-trip costs more
 #: than it saves, so the executor verifies in-process
 _MIN_PARALLEL_CANDIDATES = 4
@@ -168,12 +126,6 @@ class BatchStats:
     #: speculative plans discarded because the previous query's completion
     #: flushed the query window (the plan is simply recomputed)
     pipeline_replans: int = 0
-    #: kernel backend each worker actually resolved, folded back per chunk
-    #: (name -> chunk count).  Kernel resolution is per process, so a worker
-    #: that could not load the native library quietly runs ``"bigint"``
-    #: while its parent runs ``"native"`` — this counter is how that
-    #: divergence becomes visible (see ``ServiceReport.kernel_resolved``).
-    worker_kernels: dict = field(default_factory=dict)
 
 
 class FeatureMemo:
@@ -217,91 +169,33 @@ class FeatureMemo:
         return len(self._features)
 
 
-# ----------------------------------------------------------------------
-# Worker-side verification
-# ----------------------------------------------------------------------
-#: per-process snapshot of the base method, installed by the pool initializer
-_WORKER_METHOD: SubgraphQueryMethod | None = None
-
-
-def _init_worker(payload: bytes) -> None:
-    global _WORKER_METHOD
-    _WORKER_METHOD = pickle.loads(payload)
-
-
-def _init_worker_shared(handle) -> None:
-    """Pool initializer attaching to a published shared-memory snapshot.
-
-    ``handle`` is a :class:`~repro.core.shm.SnapshotHandle`: only the
-    segment name and size cross the pipe; the snapshot itself is read from
-    the one segment the parent published.
-    """
-    global _WORKER_METHOD
-    _WORKER_METHOD = handle.load()
-
-
-def _run_verify_chunk(
+def _verify_chunk(
     method: SubgraphQueryMethod,
     query: LabeledGraph,
     candidate_ids: list,
     supergraph: bool,
     features: GraphFeatures | None,
-) -> tuple[list, int, int, float, str]:
-    """Verify one chunk against ``method``.
-
-    Returns the answers plus the verifier-stat deltas the chunk produced —
-    positives, negatives (their sum is the test count) and seconds — which
-    the parent folds back so the :class:`VerifierStats` invariants hold
-    after a batch.  The final element names the kernel backend this worker
-    process actually resolved — answers are backend-independent, but a
-    worker that fell back to ``"bigint"`` (native library unloadable in the
-    fresh process) must be *visible* in the folded statistics, not silently
-    slower.
-    """
-    stats = method.verifier.stats
-    positives, negatives, seconds = stats.positives, stats.negatives, stats.total_seconds
-    if supergraph:
-        answers = method.verify_supergraph(query, candidate_ids, features=features)
-    else:
-        answers = method.verify(query, candidate_ids, features=features)
-    return (
-        list(answers),
-        stats.positives - positives,
-        stats.negatives - negatives,
-        stats.total_seconds - seconds,
-        method.verifier.resolved_kernel_name(),
-    )
-
-
-def _process_verify_chunk(
-    query: LabeledGraph,
-    candidate_ids: list,
-    supergraph: bool,
-    features: GraphFeatures | None,
-) -> tuple[list, int, int, float, str]:
-    """Process-pool entry point: verify against the worker's method snapshot."""
-    return _run_verify_chunk(_WORKER_METHOD, query, candidate_ids, supergraph, features)
-
-
-def _thread_verify_chunk(
-    method: SubgraphQueryMethod,
-    query: LabeledGraph,
-    candidate_ids: list,
-    supergraph: bool,
-    features: GraphFeatures | None,
-) -> tuple[list, int, int, float, str]:
-    """Thread-pool entry point.
+) -> tuple[list, int, int, float]:
+    """Thread-pool entry point: verify one chunk of a query's candidates.
 
     Threads share the index structures (read-only during querying) but each
     call gets a private :class:`Verifier` carrying the parent's full
     configuration — algorithm, induced semantics *and* the
     ``compiled``/``precheck`` fast-path flags, so A/B baselines keep their
     meaning on the pool — with zeroed statistics, so the shared counters are
-    never raced; the deltas are merged by the parent deterministically.
+    never raced.  Returns the answers plus the verifier-stat deltas the
+    chunk produced — positives, negatives (their sum is the test count) and
+    seconds — which the parent folds back deterministically so the
+    :class:`VerifierStats` invariants hold after a batch.
     """
     clone = copy.copy(method)
     clone.verifier = method.verifier.fresh_clone()
-    return _run_verify_chunk(clone, query, candidate_ids, supergraph, features)
+    stats = clone.verifier.stats
+    if supergraph:
+        answers = clone.verify_supergraph(query, candidate_ids, features=features)
+    else:
+        answers = clone.verify(query, candidate_ids, features=features)
+    return list(answers), stats.positives, stats.negatives, stats.total_seconds
 
 
 @dataclass
@@ -357,12 +251,8 @@ class BatchExecutor:
         decides the query type) or a plain
         :class:`~repro.methods.base.SubgraphQueryMethod`.
     num_workers:
-        Worker-pool size for the verification stage.  ``1`` selects the
-        deterministic sequential fallback (no pool is ever created).
-    backend:
-        One of :data:`BACKENDS`.  ``"process"`` (the ``"auto"`` default for
-        ``num_workers > 1``) ships a pickled snapshot of the base method to
-        each worker once, then only candidate-id chunks per query.
+        Thread-pool size for the verification stage.  ``1`` verifies
+        in-process (no pool is ever created).
     chunk_size:
         Candidates per worker task; defaults to an even split over the
         workers.
@@ -389,7 +279,6 @@ class BatchExecutor:
         self,
         target: IGQ | SubgraphQueryMethod,
         num_workers: int = 1,
-        backend: str = "auto",
         chunk_size: int | None = None,
         memoize_features: bool = True,
         pipeline: bool = True,
@@ -397,12 +286,9 @@ class BatchExecutor:
     ) -> None:
         if config is not None:
             num_workers = config.num_workers
-            backend = config.backend
             chunk_size = config.chunk_size
             memoize_features = config.memoize_features
             pipeline = config.pipeline
-        if backend not in BACKENDS:
-            raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
         if num_workers < 1:
             raise ValueError("num_workers must be at least 1")
         if chunk_size is not None and chunk_size < 1:
@@ -412,82 +298,25 @@ class BatchExecutor:
         if self.method.database is None:
             raise RuntimeError("the target's dataset index must be built first")
         self.num_workers = num_workers
-        if backend == "auto":
-            # A worker pool only pays off when the hardware can actually run
-            # the workers concurrently; on a single-CPU machine the batch
-            # still wins through feature memoisation, but verification stays
-            # in-process (an explicit backend overrides this).
-            backend = (
-                "process" if num_workers > 1 and effective_cpu_count() > 1 else "sequential"
-            )
-        self.backend = backend
         self.chunk_size = chunk_size
         self.pipeline = pipeline
         self.stats = BatchStats()
         self._memo = FeatureMemo(self.method.extractor) if memoize_features else None
-        self._pool: Executor | None = None
-        self._owns_pool = True
-        self._shared_mode: str | None = None
+        self._pool: ThreadPoolExecutor | None = None
 
     # ------------------------------------------------------------------
     # Pool lifecycle
     # ------------------------------------------------------------------
-    def _ensure_pool(self, supergraph: bool = False) -> Executor:
+    def _ensure_pool(self) -> ThreadPoolExecutor:
         if self._pool is None:
-            if self.backend == "process":
-                # A sharded engine with process-backed shards already keeps
-                # one long-lived worker per shard, each initialised with the
-                # method snapshot and subscribed to the cache delta log —
-                # verification chunks ride on those instead of a second pool.
-                engine = self.engine
-                shared = engine.shard_runtime.verify_pool() if engine is not None else None
-                if shared is not None:
-                    self._pool = shared
-                    self._owns_pool = False
-                    return self._pool
-                if self.engine is not None:
-                    mode = self.engine.mode
-                else:
-                    # A bare method has no configured mode; precompile for
-                    # the direction of the chunk that forced pool creation
-                    # (a later plain stream mixing both directions falls
-                    # back to lazy per-worker compilation of the other one).
-                    mode = SUPERGRAPH_MODE if supergraph else SUBGRAPH_MODE
-                handle = self.method.acquire_shared_payload(mode=mode)
-                if handle is not None:
-                    # Publish-once: workers attach to the one shared-memory
-                    # segment instead of each receiving the snapshot pickle.
-                    self._shared_mode = mode
-                    self._pool = ProcessPoolExecutor(
-                        max_workers=self.num_workers,
-                        initializer=_init_worker_shared,
-                        initargs=(handle,),
-                    )
-                else:
-                    payload = self.method.verification_payload(mode=mode)
-                    self._pool = ProcessPoolExecutor(
-                        max_workers=self.num_workers,
-                        initializer=_init_worker,
-                        initargs=(payload,),
-                    )
-            else:
-                self._pool = ThreadPoolExecutor(max_workers=self.num_workers)
+            self._pool = ThreadPoolExecutor(max_workers=self.num_workers)
         return self._pool
 
     def close(self) -> None:
-        """Shut the worker pool down (idempotent).
-
-        A pool borrowed from the engine's shard runtime is left running —
-        its lifetime belongs to the engine.
-        """
+        """Shut the worker pool down (idempotent)."""
         if self._pool is not None:
-            if self._owns_pool:
-                self._pool.shutdown(wait=True)
+            self._pool.shutdown(wait=True)
             self._pool = None
-            self._owns_pool = True
-        if self._shared_mode is not None:
-            self.method.release_shared_payload(self._shared_mode)
-            self._shared_mode = None
 
     def __enter__(self) -> "BatchExecutor":
         return self
@@ -513,7 +342,7 @@ class BatchExecutor:
         be bare graphs or ``(query, mode)`` pairs; :data:`DRAIN` items make
         a live source flush the in-flight query (see :class:`_Drain`).
         """
-        if self.engine is not None and self.pipeline and self._pool_enabled():
+        if self.engine is not None and self.pipeline and self.num_workers > 1:
             yield from self._run_stream_pipelined(queries)
             return
         for item in queries:
@@ -524,9 +353,6 @@ class BatchExecutor:
                 yield ABORTED
                 continue
             yield self._run_item(query, supergraph)
-
-    def _pool_enabled(self) -> bool:
-        return self.backend != "sequential" and self.num_workers > 1
 
     def _task_of(self, item) -> tuple[LabeledGraph, bool, object]:
         """Normalise a stream item to ``(query, supergraph, abort)``.
@@ -727,11 +553,7 @@ class BatchExecutor:
 
     # ------------------------------------------------------------------
     def _use_pool(self, candidate_ids: list) -> bool:
-        return (
-            self.backend != "sequential"
-            and self.num_workers > 1
-            and len(candidate_ids) >= _MIN_PARALLEL_CANDIDATES
-        )
+        return self.num_workers > 1 and len(candidate_ids) >= _MIN_PARALLEL_CANDIDATES
 
     def _chunks(self, candidate_ids: list) -> list[list]:
         size = self.chunk_size
@@ -767,42 +589,27 @@ class BatchExecutor:
         features: GraphFeatures | None,
     ) -> list:
         """Submit one query's verification chunks; return the futures."""
-        pool = self._ensure_pool(supergraph)
+        pool = self._ensure_pool()
         self.stats.parallel_verifications += 1
         futures = []
         for chunk in self._chunks(candidate_ids):
             self.stats.chunks_dispatched += 1
-            if self.backend == "process":
-                futures.append(
-                    pool.submit(_process_verify_chunk, query, chunk, supergraph, features)
-                )
-            else:
-                futures.append(
-                    pool.submit(
-                        _thread_verify_chunk, self.method, query, chunk, supergraph, features
-                    )
-                )
+            futures.append(
+                pool.submit(_verify_chunk, self.method, query, chunk, supergraph, features)
+            )
         return futures
 
     def _collect_chunks(self, futures: list) -> set:
         """Merge chunk results and fold the worker stats into the parent."""
         merged: set = set()
-        worker_kernels = self.stats.worker_kernels
         stats = self.method.verifier.stats
         # collect everything first: a failed chunk must not leave the
         # statistics half-folded
-        for answers, positives, negatives, seconds, kernel in [
-            future.result() for future in futures
-        ]:
+        for answers, positives, negatives, seconds in [future.result() for future in futures]:
             merged.update(answers)
             stats.tests += positives + negatives
             stats.positives += positives
             stats.negatives += negatives
             stats.total_seconds += seconds
-            worker_kernels[kernel] = worker_kernels.get(kernel, 0) + 1
         return merged
 
-
-def default_num_workers() -> int:
-    """A safe default worker count for this machine (at most 4)."""
-    return max(2, min(4, effective_cpu_count()))

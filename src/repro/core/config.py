@@ -5,7 +5,7 @@ A small tree of frozen dataclasses:
 * :class:`CacheConfig` — the query cache (``C``, ``W``, replacement policy);
 * :class:`VerifierConfig` — the isomorphism verifier (algorithm, semantics,
   compiled-kernel backend);
-* :class:`BatchConfig` — the batch executor (workers, backend, pipelining);
+* :class:`BatchConfig` — the batch executor (thread workers, pipelining);
 * :class:`ShardConfig` — the sharded query index;
 * :class:`ServiceConfig` / :class:`TenantConfig` — the service front door:
   per-tenant fairness weights, ``max_in_flight`` admission quotas, rate
@@ -22,8 +22,8 @@ Every config is frozen (hashable, shareable), validates eagerly at
 construction with actionable errors (:class:`ConfigError` names the field,
 the offending value and the accepted ones), and round-trips losslessly
 through :meth:`EngineConfig.to_dict` / :meth:`EngineConfig.from_dict` — the
-dict form is JSON-serialisable, so process shards, worker snapshots and
-experiment grids can ship one config object.
+dict form is JSON-serialisable, so experiment grids and stored results can
+carry one config object.
 """
 
 from __future__ import annotations
@@ -74,8 +74,7 @@ def validate_query_mode(mode: str) -> str:
 _ALGORITHMS = ("vf2", "ullmann")
 _KERNELS = ("auto", "bigint", "native")
 _POLICIES = ("utility", "hit_rate", "fifo")
-_BATCH_BACKENDS = ("auto", "sequential", "thread", "process")
-_SHARD_BACKENDS = ("auto", "inline", "process")
+_SHARD_BACKENDS = ("auto", "inline")
 _FSYNC_MODES = ("always", "flush", "never")
 
 
@@ -111,6 +110,11 @@ def _removed_hint(key: str) -> str | None:
         return f"removed in 2.0 — {key}: use {_MOVED_IN_2_0[key]}"
     if key in _HOT_KEY_FIELDS:
         return f"removed in 4.0 — {key}: hot-key placement is gone, drop the key"
+    if key == "backend":
+        return (
+            "removed in 6.0 — batch.backend: verification runs on a thread pool "
+            "when batch.num_workers > 1 and in-process otherwise, drop the key"
+        )
     return None
 
 
@@ -228,12 +232,10 @@ class VerifierConfig:
 
 @dataclass(frozen=True)
 class BatchConfig:
-    """The batch executor: verification pool and pipelined planning."""
+    """The batch executor: verification thread pool and pipelined planning."""
 
-    #: worker-pool size for the verification stage (1 = sequential)
+    #: thread-pool size for the verification stage (1 = in-process, no pool)
     num_workers: int = 1
-    #: pool backend (``"auto"`` | ``"sequential"`` | ``"thread"`` | ``"process"``)
-    backend: str = "auto"
     #: candidates per worker task (``None`` = even split over the workers)
     chunk_size: int | None = None
     #: plan query *i+1* while query *i* verifies on the pool
@@ -243,7 +245,6 @@ class BatchConfig:
 
     def __post_init__(self) -> None:
         _require_positive_int("batch", "num_workers", self.num_workers)
-        _require_choice("batch", "backend", self.backend, _BATCH_BACKENDS)
         if self.chunk_size is not None:
             _require_positive_int("batch", "chunk_size", self.chunk_size)
         _require_bool("batch", "pipeline", self.pipeline)
@@ -263,8 +264,8 @@ class ShardConfig:
 
     #: number of cache partitions (1 = one inline replica holds the index)
     shards: int = 1
-    #: shard runtime (``"auto"`` | ``"inline"`` | ``"process"``); only more
-    #: than one shard forks, a single replica is always inline
+    #: shard runtime (``"auto"`` | ``"inline"``); both mean in-process
+    #: replicas (process shards were removed in 6.0)
     backend: str = "auto"
     #: compact the delta log above this many records (``None`` = never)
     compact_threshold: int | None = 1024
@@ -274,6 +275,11 @@ class ShardConfig:
 
     def __post_init__(self, *hot_key_values) -> None:
         _require_positive_int("shard", "shards", self.shards)
+        _require(
+            self.backend != "process",
+            "shard.backend='process' was removed in 6.0: process shards are "
+            'gone, every replica lives in the engine process; use "inline"',
+        )
         _require_choice("shard", "backend", self.backend, _SHARD_BACKENDS)
         if self.compact_threshold is not None:
             _require_positive_int("shard", "compact_threshold", self.compact_threshold)
@@ -455,8 +461,8 @@ class EngineConfig:
     """Everything needed to construct (and drive) an iGQ engine.
 
     Build one, pass it to :class:`repro.core.engine.IGQ` or
-    :class:`repro.service.GraphQueryService`; ship it across processes or
-    store it next to experiment results via :meth:`to_dict`.
+    :class:`repro.service.GraphQueryService`; store it next to experiment
+    results via :meth:`to_dict`.
     """
 
     #: query type the engine serves; ``"mixed"`` engines dispatch per query
@@ -518,9 +524,9 @@ class EngineConfig:
         """One-line human summary (used by reprs and service reports)."""
         parts = [f"mode={self.mode}", f"cache={self.cache.size}/{self.cache.window}"]
         if self.shard.shards > 1:
-            parts.append(f"shards={self.shard.shards}({self.shard.backend})")
+            parts.append(f"shards={self.shard.shards}")
         if self.batch.num_workers > 1:
-            parts.append(f"workers={self.batch.num_workers}({self.batch.backend})")
+            parts.append(f"workers={self.batch.num_workers}")
         return " ".join(parts)
 
 

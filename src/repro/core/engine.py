@@ -55,6 +55,7 @@ from .placement import Placement
 from .probe import mask_sums
 from .replacement import create_policy
 from .shard import DeltaLog, ShardEntry
+from .shard_runtime import ShardRuntime
 
 __all__ = ["IGQQueryResult", "QueryPlan", "IGQ"]
 
@@ -90,7 +91,7 @@ class QueryPlan:
     :meth:`IGQ.complete_query` after the surviving candidates — exposed as
     the set-like :attr:`remaining` — have been verified.  Splitting the
     pipeline here is what lets the batch executor fan the verification stage
-    out to a worker pool while the planning and maintenance stages stay
+    out to a thread pool while the planning and maintenance stages stay
     strictly sequential (and therefore deterministic).
 
     All candidate bookkeeping is held as integer bitmasks over the engine's
@@ -144,10 +145,9 @@ class IGQ:
         ``config.cache`` sizes the query cache, ``config.verifier`` picks
         the containment verifier, ``config.batch`` drives :meth:`run_batch`.
         ``config.shard`` partitions the query index: the two components
-        live in delta-fed shard replicas — one inline replica at
-        ``shards=1``, one per partition otherwise, inline or one worker
-        process each (see :mod:`repro.core.shard_runtime`).  ``None`` means
-        all defaults.
+        live in delta-fed shard replicas in the engine's process — one
+        replica at ``shards=1``, one per partition otherwise (see
+        :mod:`repro.core.shard_runtime`).  ``None`` means all defaults.
     igq_verifier:
         Injection point for a pre-configured containment verifier — tests
         pass ``Verifier(compiled=False)`` to run the dict-based matcher as
@@ -207,21 +207,14 @@ class IGQ:
         #: structures)
         self.probe_isub = config.enable_isub
         self.probe_isuper = config.enable_isuper
-        from .shard_runtime import create_shard_runtime
-
         #: the log readers that own the component indexes — the only place
         #: an index changes is a replica replaying the log
-        self.shard_runtime = create_shard_runtime(self, config.shard.backend)
+        self.shard_runtime = ShardRuntime(self)
         #: durable WAL/snapshot store (:mod:`repro.persist`), attached when
         #: ``config.persist.dir`` is set (last: a warm restart replays into
         #: the log, the runtime and the placement maps above)
         self.persister = None
         self._attach_persistence()
-
-    @property
-    def shard_backend(self) -> str:
-        """Where the shard replicas live (``"inline"`` | ``"process"``)."""
-        return self.shard_runtime.backend
 
     @property
     def isub(self):
@@ -585,7 +578,7 @@ class IGQ:
 
         ``verified`` is the answer subset of ``plan.remaining`` (any iterable
         of graph ids — a plain set from :meth:`verify_plan` or the merged
-        union of worker-pool chunks).
+        union of thread-pool chunks).
         """
         space = plan.space
         answers = CandidateBitmap(
@@ -841,18 +834,13 @@ class IGQ:
 
         Order matters: the durable store (when configured) flushes and
         fsyncs its WAL tail *first* — a close must never lose a persisted
-        flush to teardown — then the shard runtime shuts its long-lived
-        worker pools down and releases its reference on the published
-        snapshot segment, then any shared-memory snapshot segments the
-        method still holds (e.g. because an executor crashed before its own
-        ``close``) are force-unlinked as a safety net.  Verification pools
-        belong to the :class:`~repro.core.batch.BatchExecutor` driving the
-        engine and shut down with it.
+        flush to teardown — then the shard runtime closes.  Verification
+        pools belong to the :class:`~repro.core.batch.BatchExecutor` driving
+        the engine and shut down with it.
         """
         if self.persister is not None:
             self.persister.close()
         self.shard_runtime.close()
-        self.method.release_shared_payloads()
 
     def __enter__(self) -> "IGQ":
         return self
@@ -877,10 +865,9 @@ class IGQ:
         return total
 
     def shard_stats(self) -> dict:
-        """Shard-worker kernels and delta-log health (service layer)."""
+        """Delta-log health (service layer)."""
         log = self.delta_log
         return {
-            "worker_kernels": self.shard_runtime.worker_kernels(),
             "delta_log": {
                 "length": len(log),
                 "version": log.version,
@@ -893,6 +880,6 @@ class IGQ:
     def __repr__(self) -> str:
         return (
             f"<IGQ method={self.method.name!r} mode={self.mode!r} "
-            f"shards={self.num_shards} backend={self.shard_backend!r} "
+            f"shards={self.num_shards} "
             f"cached={len(self.cache)}>"
         )

@@ -100,8 +100,7 @@ class ProbeTable:
         """Slots surviving the feature filter and the size pre-checks.
 
         Returns an ``array("q")`` and how many leading items of it are
-        slots, ascending.  (The kernel also takes a slot bitmask to restrict
-        the lookup to; nothing passes one.)
+        slots, ascending.  Every live slot is considered.
         """
         slots = array("q", bytes(8 * self._num_slots))
         count = self._library.ck_probe_filter(
@@ -110,8 +109,6 @@ class ProbeTable:
             len(codes) // 2,
             num_vertices,
             num_edges,
-            None,
-            0,
             slots.buffer_info()[0],
         )
         return slots, count

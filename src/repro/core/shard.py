@@ -28,8 +28,9 @@ store (:mod:`repro.persist`), the shard runtimes
   carried on the records, so an entry never moves while it is live.
 
 * **Replica** — :class:`QueryIndexShard` holds the two containment indexes
-  restricted to the records addressed to it; it lives in the parent
-  (inline runtime), in a worker process, or on a remote follower.
+  restricted to the records addressed to it; it lives in the engine's
+  process (:class:`~repro.core.shard_runtime.ShardRuntime`) or on a remote
+  follower.
   Answers, hit/miss accounting and replacement state are byte-identical
   across all of these configurations.
 """
@@ -340,8 +341,8 @@ class QueryIndexShard:
     Holds the two containment indexes (``Isub``/``Isuper``) over the
     entries routed to this shard — all of them when the engine has one
     shard — plus the replication cursor (``applied_version``/``epoch``).
-    Lives in the parent process (inline backend), inside a dedicated worker
-    process, or on a remote follower.  The probes look :attr:`isub` /
+    Lives in the engine's process (the shard runtime) or on a remote
+    follower.  The probes look :attr:`isub` /
     :attr:`isuper` up on every call, so a wrapper installed on the
     instance's ``find_supergraphs`` sees every lookup.
     """

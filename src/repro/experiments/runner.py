@@ -78,8 +78,6 @@ class ExperimentConfig:
     #: worker-pool size for the verification stage of both streams
     #: (1 = the deterministic sequential path)
     num_workers: int = 1
-    #: batch-executor backend ("auto" | "sequential" | "thread" | "process")
-    batch_backend: str = "auto"
     #: memoise feature extraction across each stream; off by default so the
     #: measured baseline keeps the paper's per-occurrence extraction cost
     memoize_features: bool = False
@@ -129,7 +127,6 @@ class ExperimentConfig:
             enable_isuper=resolved.enable_isuper,
             batch=BatchConfig(
                 num_workers=resolved.num_workers,
-                backend=resolved.batch_backend,
                 memoize_features=resolved.memoize_features,
             ),
         )
@@ -268,24 +265,19 @@ def run_base_stream(
     warmup: int,
     label: str = "base",
     num_workers: int = 1,
-    backend: str = "auto",
     memoize_features: bool = False,
 ) -> StreamMetrics:
     """Run the plain method over the measured part of the stream.
 
     The stream is driven by a :class:`~repro.core.batch.BatchExecutor`;
     with the default ``num_workers=1`` that is the deterministic sequential
-    path, with more workers the verification stage runs on a pool.
+    path, with more workers the verification stage runs on a thread pool.
     Feature memoisation is off by default so the baseline keeps the paper's
     per-occurrence extraction cost on repeated-query workloads.
     """
     metrics = StreamMetrics(label=label)
     measured = queries[warmup:]
-    batch = BatchConfig(
-        num_workers=num_workers,
-        backend=backend,
-        memoize_features=memoize_features,
-    )
+    batch = BatchConfig(num_workers=num_workers, memoize_features=memoize_features)
     with BatchExecutor(method, config=batch) as executor:
         for query, result in zip(measured, executor.run_stream(measured)):
             metrics.add(result, query)
@@ -325,7 +317,6 @@ def run_speedup_experiment(config: ExperimentConfig) -> SpeedupOutcome:
         warmup=config.window_size,
         label=f"{config.method}",
         num_workers=config.num_workers,
-        backend=config.batch_backend,
         memoize_features=config.memoize_features,
     )
     igq_metrics, engine = run_igq_stream(

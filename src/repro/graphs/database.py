@@ -106,8 +106,8 @@ class GraphDatabase:
         — the bigint state of a dataset graph is then never allocated.
         Otherwise it is the bigint state, plus (for ``targets``) the batched
         pre-reject's stacked arrays.  Neither crosses a pickle on the native
-        path: a form pickles as its graph there, and a worker process
-        compiles each graph on arrival.
+        path: a form pickles as its graph there and compiles again on
+        arrival.
         """
         from ..isomorphism._ckernel_loader import native_kernel_available
 

@@ -133,8 +133,6 @@
  *     a `ck_target` when the entries play the target role (`Isub`), a
  *     `ck_plan` when they play the pattern role (`Isuper`).  The compiled
  *     form belongs to Python, which keeps it alive until the row is cleared;
- *   - `universe` (optional) is a bitmap over the slots, `universe_words`
- *     words long; slots beyond it are outside the universe;
  *   - a probe reads the table and writes only its caller's output buffers,
  *     so it needs no scratch of its own; `set` / `clear` / probe of one
  *     table are serialised by the caller (they are driver-thread operations).
@@ -147,7 +145,7 @@
 /* The ABI version is checked by the loader after dlopen so a stale build
  * of an older layout can never be driven with new-layout pointers.  Bump
  * it whenever a struct or signature below changes. */
-#define CK_ABI_VERSION 6
+#define CK_ABI_VERSION 7
 
 #if defined(_WIN32)
 #define CK_EXPORT __declspec(dllexport)
@@ -1266,43 +1264,32 @@ ck_pairs_dominate(const uint64_t *have, int64_t num_have,
  * rows (`Isub`) survive when they hold every pair of the query at least as
  * often and are no smaller than (num_vertices, num_edges); pattern rows
  * (`Isuper`, Algorithm 2's condition) when the query holds every pair of
- * theirs at least as often and they are no larger.  Considers the live
- * slots of `universe` (all live slots when NULL); writes the surviving
- * slots ascending to `out_slots` (room for num_slots) and returns how many. */
+ * theirs at least as often and they are no larger.  Considers every live
+ * slot; writes the surviving slots ascending to `out_slots` (room for
+ * num_slots) and returns how many. */
 CK_EXPORT int64_t
 ck_probe_filter(const ck_table *table, const uint64_t *pairs,
                 int64_t num_pairs, int64_t num_vertices, int64_t num_edges,
-                const uint64_t *universe, int64_t universe_words,
                 int64_t *out_slots)
 {
-    const int64_t table_words = (table->num_slots + 63) / 64;
-    const int64_t words = universe != NULL && universe_words < table_words
-                              ? universe_words : table_words;
     int64_t found = 0;
-    for (int64_t w = 0; w < words; ++w) {
-        uint64_t bits = universe != NULL ? universe[w] : ~(uint64_t)0;
-        while (bits) {
-            const int64_t slot = (w << 6) + ck_ctz64(bits);
-            bits &= bits - 1;
-            if (slot >= table->num_slots)
-                break;
-            const ck_row *row = table->rows + slot;
-            if (row->num_features < 0)
+    for (int64_t slot = 0; slot < table->num_slots; ++slot) {
+        const ck_row *row = table->rows + slot;
+        if (row->num_features < 0)
+            continue;
+        if (table->entries_are_targets) {
+            if (row->num_vertices < num_vertices ||
+                row->num_edges < num_edges ||
+                !ck_pairs_dominate(row->features, row->num_features,
+                                   pairs, num_pairs))
                 continue;
-            if (table->entries_are_targets) {
-                if (row->num_vertices < num_vertices ||
-                    row->num_edges < num_edges ||
-                    !ck_pairs_dominate(row->features, row->num_features,
-                                       pairs, num_pairs))
-                    continue;
-            } else if (row->num_vertices > num_vertices ||
-                       row->num_edges > num_edges ||
-                       !ck_pairs_dominate(pairs, num_pairs, row->features,
-                                          row->num_features)) {
-                continue;
-            }
-            out_slots[found++] = slot;
+        } else if (row->num_vertices > num_vertices ||
+                   row->num_edges > num_edges ||
+                   !ck_pairs_dominate(pairs, num_pairs, row->features,
+                                      row->num_features)) {
+            continue;
         }
+        out_slots[found++] = slot;
     }
     return found;
 }

@@ -2,8 +2,7 @@
 
 The native backend must never be a hard dependency: the engine has to keep
 working on hosts with no C compiler, no prebuilt extension and no writable
-cache directory, and a worker process on a different host than its parent
-must be free to fall back independently.  This module therefore resolves
+cache directory.  This module therefore resolves
 the shared object through a chain of progressively weaker options and
 reports plain unavailability (``None``) when every link fails:
 
@@ -20,7 +19,7 @@ reports plain unavailability (``None``) when every link fails:
    platform, the ABI version and the extra flags, so editing
    ``_ckernel.c`` (or upgrading the repo) can never pick up a stale
    binary, a sanitised build never collides with the ``-O3`` one, and
-   concurrent builders (e.g. a freshly spawned worker pool) race benignly
+   concurrent builders (e.g. test processes on a cold cache) race benignly
    through an atomic rename.
 3. **Fallback** — anything failing above (no compiler, read-only home,
    unloadable artifact, ABI mismatch) disables the backend for this
@@ -28,7 +27,8 @@ reports plain unavailability (``None``) when every link fails:
 
 Setting ``REPRO_DISABLE_NATIVE=1`` in the environment forces option 3 —
 the switch the test suite and CI use to keep the pure-Python path honest.
-The variable is inherited by worker processes, so a forced-fallback run is
+The variable is inherited by child processes (the benchmark's workload
+runs, the persistence tests' crash child), so a forced-fallback run is
 forced everywhere.
 """
 
@@ -52,7 +52,7 @@ __all__ = [
 ]
 
 #: must match CK_ABI_VERSION in _ckernel.c; the loader refuses mismatches
-ABI_VERSION = 6
+ABI_VERSION = 7
 
 _SOURCE = Path(__file__).with_name("_ckernel.c")
 
@@ -100,7 +100,7 @@ def _source_key(source: bytes) -> str:
 def _compile_cached() -> Path:
     """Compile the C source into the user cache (once per source hash).
 
-    Concurrent callers (a worker pool spawning on a cold cache) may compile
+    Concurrent callers (processes starting on a cold cache) may compile
     in parallel; each writes to a private temporary name and the final
     ``os.replace`` is atomic, so every racer ends up loading an identical,
     fully written artifact.
@@ -177,12 +177,10 @@ def _configure(library: ctypes.CDLL) -> ctypes.CDLL | None:
     # (table*, slot, header[5]*)
     library.ck_table_row.restype = None
     library.ck_table_row.argtypes = (pointer, integer, pointer)
-    # (table*, pairs*, num_pairs, num_vertices, num_edges, universe*,
-    # universe_words, out_slots*) -> number of surviving slots
+    # (table*, pairs*, num_pairs, num_vertices, num_edges, out_slots*)
+    # -> number of surviving slots
     library.ck_probe_filter.restype = integer
-    library.ck_probe_filter.argtypes = (
-        pointer, pointer, integer, integer, integer, pointer, integer, pointer
-    )
+    library.ck_probe_filter.argtypes = (pointer, pointer, integer, integer, integer, pointer)
     # (table*, query_side*, slots*, num_slots, out_hit_ids*) -> hits / -1
     library.ck_probe_verify.restype = integer
     library.ck_probe_verify.argtypes = (pointer, pointer, pointer, integer, pointer)
@@ -235,7 +233,7 @@ def reset_for_testing() -> None:
     """Forget the cached resolution so tests can re-drive the loader.
 
     Production code never calls this: per-process resolution is stable by
-    design (a worker that failed to load the kernel stays on bigint for
+    design (a process that failed to load the kernel stays on bigint for
     its lifetime and reports so — see ``kernel_resolved`` in service
     stats).
     """

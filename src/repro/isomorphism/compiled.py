@@ -161,9 +161,8 @@ def resolve_kernel(kernel: str) -> str:
 
     ``"bigint"`` always resolves to itself; ``"native"`` and ``"auto"``
     resolve to the C kernel when :func:`native_kernel_available` and to
-    ``"bigint"`` otherwise.  Resolution is per *process*: a worker without
-    a C compiler resolves ``"native"`` to ``"bigint"`` locally, regardless
-    of its parent.
+    ``"bigint"`` otherwise.  Resolution is per process: a host without a C
+    compiler resolves ``"native"`` to ``"bigint"``.
     """
     if kernel == "bigint":
         return "bigint"
@@ -507,7 +506,7 @@ class CompiledTarget(_LazyForm):
         every later verification against this target; callers must first
         check :func:`native_kernel_available`.  The cache is dropped when
         the target is pickled (raw addresses are meaningless in another
-        process; workers compile on demand).
+        process; an unpickled target compiles on demand).
         """
         native = self._native
         if native is None:

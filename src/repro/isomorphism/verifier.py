@@ -115,12 +115,6 @@ class Verifier:
         self.precheck = precheck
         self.kernel = kernel
         self.stats = VerifierStats()
-        #: what the *parent* process resolved ``kernel`` to, stamped onto
-        #: worker-bound verifier clones by ``verification_snapshot`` (the
-        #: worker still re-resolves locally — the native library present in
-        #: the parent may be unloadable in a fresh process; comparing the
-        #: two names is how a silent fallback is detected)
-        self.parent_resolved_kernel: str | None = None
         # id(graph) -> (graph, num_vertices, num_edges, compiled) memos for
         # compile_pattern / compile_target: workload streams repeat queries
         # (Zipf by design), and the compiled forms depend only on the graph.
@@ -205,16 +199,13 @@ class Verifier:
         )
 
     def resolved_kernel_name(self) -> str:
-        """The kernel backend this verifier runs *in this process*.
+        """The kernel backend this verifier runs.
 
         ``"uncompiled"`` when the configuration bypasses the compiled
         kernel entirely; otherwise the target-independent
-        :func:`resolve_kernel` answer for the configured ``kernel``.
-        Resolution is per process — a worker whose native library failed to
-        load reports ``"bigint"`` here while its parent reports
-        ``"native"`` — and the ``kernel_resolved`` block of the service
-        report folds these names back from every worker precisely so that
-        such a silent fallback is visible.
+        :func:`resolve_kernel` answer for the configured ``kernel`` (the
+        ``kernel_resolved`` block of the service report shows it, so a
+        native library that failed to load is visible).
         """
         if not self.supports_compiled():
             return "uncompiled"
@@ -317,11 +308,10 @@ class Verifier:
     def fresh_clone(self) -> "Verifier":
         """A new verifier with the same configuration and zeroed statistics.
 
-        Worker-side verification (process snapshots, per-chunk thread
-        clones) must run under the *same* algorithm and fast-path flags as
-        the parent — otherwise an A/B run with ``compiled=False`` would
-        silently re-enable the fast path on the pool — but must not inherit
-        the parent's accumulated counters.
+        Per-chunk thread clones must run under the *same* algorithm and
+        fast-path flags as the parent — otherwise an A/B run with
+        ``compiled=False`` would silently re-enable the fast path on the
+        pool — but must not inherit the parent's accumulated counters.
         """
         return Verifier(
             algorithm=self.algorithm,

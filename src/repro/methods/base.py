@@ -20,8 +20,6 @@ least as often.
 
 from __future__ import annotations
 
-import copy
-import pickle
 import time
 from abc import ABC, abstractmethod
 from collections.abc import Hashable, Iterable
@@ -114,7 +112,7 @@ class SubgraphQueryMethod(ABC):
         self._graph_features: dict[Hashable, GraphFeatures] = {}
         #: occurrence thresholds of the per-graph feature tables over
         #: ``id_space`` positions — what both filtering directions read;
-        #: ``None`` until built (lazily for the scan baseline and snapshots)
+        #: ``None`` until built (lazily for the scan baseline)
         self._feature_index: ThresholdBitmapIndex | None = None
         #: the key domain of the dataset-side tables, picked once when they
         #: are built: feature codes when every graph's features are coded,
@@ -123,8 +121,6 @@ class SubgraphQueryMethod(ABC):
         #: graphs with at most n vertices / edges, indexed by n
         self._vertices_at_most: list[int] = [0]
         self._edges_at_most: list[int] = [0]
-        #: mode -> [SharedSnapshot, refcount] of published worker snapshots
-        self._shared_payloads: dict[str, list] = {}
 
     # ------------------------------------------------------------------
     # Index construction
@@ -150,7 +146,7 @@ class SubgraphQueryMethod(ABC):
         """The threshold index over the dataset's feature tables.
 
         Built on first use when :meth:`build_index` did not build it (the
-        scan baseline, worker snapshots).
+        scan baseline).
         """
         if self._feature_index is None:
             self._require_index()
@@ -394,127 +390,6 @@ class SubgraphQueryMethod(ABC):
             filter_seconds=filter_seconds,
             verify_seconds=verify_seconds,
         )
-
-    # ------------------------------------------------------------------
-    def verification_snapshot(
-        self, supergraph: bool = False, mode: str | None = None
-    ) -> "SubgraphQueryMethod":
-        """A shallow copy carrying only what the verification stage needs.
-
-        The batch executor ships this snapshot to its worker processes, so
-        the (potentially large) filtering index must not ride along.  The
-        base verification needs the dataset graphs and the verifier but not
-        the per-graph feature tables; methods whose ``verify`` consults
-        extra state override this (Grapes keeps its location tables).
-
-        The compiled representation the served query direction consumes —
-        bitset targets for subgraph queries, matching plans for supergraph
-        queries (dataset graphs play the pattern role there), both for a
-        ``"mixed"`` engine — is materialised first so the snapshot carries
-        it: compilation then happens once in the parent instead of once per
-        worker process.  ``mode`` (``"subgraph"`` / ``"supergraph"`` /
-        ``"mixed"``) supersedes the legacy boolean ``supergraph`` flag.
-
-        The snapshot gets a fresh verifier with the parent's configuration:
-        workers report statistic *deltas*, so the parent's accumulated
-        counters stay behind — while the configuration must ride along so
-        an A/B run (``compiled=False`` / ``precheck=False``) keeps its
-        meaning on the pool.
-        """
-        if mode is None:
-            mode = "supergraph" if supergraph else "subgraph"
-        if self.database is not None and self.verifier.supports_compiled():
-            self.database.precompile(
-                targets=mode in ("subgraph", "mixed"),
-                plans=mode in ("supergraph", "mixed"),
-            )
-        clone = copy.copy(self)
-        clone._graph_features = {}
-        clone._feature_index = None
-        # Published segments belong to the parent: the clone must neither
-        # pickle their OS handles nor share the refcounts.
-        clone._shared_payloads = {}
-        clone.verifier = self.verifier.fresh_clone()
-        # Ship what this process resolved the kernel to.  The worker always
-        # re-resolves locally (the native library may be unloadable in a
-        # fresh process), and reports its own resolution with every chunk;
-        # carrying the parent's name lets it be compared against.
-        clone.verifier.parent_resolved_kernel = self.verifier.resolved_kernel_name()
-        return clone
-
-    def verification_payload(
-        self, supergraph: bool = False, mode: str | None = None
-    ) -> bytes:
-        """Pickled :meth:`verification_snapshot`, ready to ship to a worker.
-
-        One serialisation serves every long-lived worker process holding the
-        dataset-side verification state — the batch executor's verification
-        pool and the sharded engine's per-shard workers both initialise from
-        these bytes.  Only the *dataset* state travels this way; query-index
-        state reaches shard workers through the ordered delta log instead
-        (see :mod:`repro.core.shard`), so it is never re-snapshotted.
-        """
-        return pickle.dumps(
-            self.verification_snapshot(supergraph=supergraph, mode=mode),
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
-
-    # ------------------------------------------------------------------
-    # Shared-memory snapshot publication (refcounted)
-    # ------------------------------------------------------------------
-    def acquire_shared_payload(self, mode: str | None = None):
-        """Publish (or re-use) the shared-memory snapshot for ``mode``.
-
-        Returns the :class:`~repro.core.shm.SnapshotHandle` workers attach
-        to, or ``None`` when shared memory is unavailable — callers then
-        fall back to :meth:`verification_payload` bytes.  The snapshot is
-        published once per mode and refcounted: every acquire must be paired
-        with a :meth:`release_shared_payload`, and the segment is unlinked
-        when the count drops to zero (or force-released by
-        :meth:`release_shared_payloads` at engine close).
-        """
-        from ..core import shm
-
-        if mode is None:
-            mode = "subgraph"
-        entry = self._shared_payloads.get(mode)
-        if entry is None:
-            snapshot = shm.publish(self.verification_snapshot(mode=mode))
-            if snapshot is None:
-                return None
-            entry = [snapshot, 0]
-            self._shared_payloads[mode] = entry
-        entry[1] += 1
-        return entry[0].handle
-
-    def release_shared_payload(self, mode: str | None = None) -> None:
-        """Drop one reference to ``mode``'s published snapshot.
-
-        Unlinks the segment when the last reference drops.  Releasing a
-        mode that is not currently published is a no-op (the engine-close
-        safety net may already have force-released it).
-        """
-        if mode is None:
-            mode = "subgraph"
-        entry = self._shared_payloads.get(mode)
-        if entry is None:
-            return
-        entry[1] -= 1
-        if entry[1] <= 0:
-            del self._shared_payloads[mode]
-            entry[0].close()
-
-    def release_shared_payloads(self) -> None:
-        """Force-unlink every published snapshot regardless of refcount.
-
-        Safety net called from :meth:`repro.core.engine.IGQ.close` so a
-        leaked executor cannot leave segments behind; pool workers that
-        already attached are unaffected (the mapping survives the unlink
-        until they detach).
-        """
-        payloads, self._shared_payloads = self._shared_payloads, {}
-        for snapshot, _refs in payloads.values():
-            snapshot.close()
 
     # ------------------------------------------------------------------
     def graph_features(self, graph_id: Hashable) -> GraphFeatures:

@@ -106,14 +106,6 @@ class CTIndexMethod(SubgraphQueryMethod):
                 break
         return CandidateBitmap(space, mask)
 
-    def verification_snapshot(
-        self, supergraph: bool = False, mode: str | None = None
-    ) -> "CTIndexMethod":
-        """Worker-side copy without the fingerprint table."""
-        clone = super().verification_snapshot(supergraph=supergraph, mode=mode)
-        clone._graphs_with_bit = {}
-        return clone
-
     def graph_bitmap(self, graph_id: Hashable) -> int:
         """The fingerprint of an indexed graph."""
         self._require_index()

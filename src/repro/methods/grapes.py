@@ -163,16 +163,3 @@ class GrapesMethod(SubgraphQueryMethod):
             by_component=True,
         )
         return set(compress(candidates, matched))
-
-    def verification_snapshot(
-        self, supergraph: bool = False, mode: str | None = None
-    ) -> "GrapesMethod":
-        """Worker-side copy without the path index, keeping the location tables —
-        component-restricted verification reads them.  The base snapshot
-        precompiles and ships the compiled representation the direction
-        consumes (whole-graph bitset targets for subgraph verification —
-        region-masked matching restricts them per component — and matching
-        plans for the supergraph direction)."""
-        clone = super().verification_snapshot(supergraph=supergraph, mode=mode)
-        clone._graph_features = self._graph_features
-        return clone

@@ -269,7 +269,7 @@ class CachePersister:
     def close(self) -> None:
         """Flush (and, unless ``fsync="never"``, fsync) the WAL tail.
 
-        Called by the engine *before* it shuts worker pools down, so a
+        Called by the engine *before* it closes its shard runtime, so a
         clean close never races durability against teardown; idempotent.
         """
         if self._closed:

@@ -2,16 +2,15 @@
 
 The engine layer grew four generations of execution machinery — batch
 executor, compiled verification, unified containment, sharded cache — each
-reachable through its own flags and each owning long-lived resources
-(verification pools, per-shard worker processes) with no single place that
-opens and closes them.  :class:`GraphQueryService` packages all of it behind
-a session object:
+reachable through its own flags and some owning long-lived resources (the
+verification thread pool) with no single place that opens and closes them.
+:class:`GraphQueryService` packages all of it behind a session object:
 
 * **Lifecycle** — ``with GraphQueryService(method, config, database=db) as
   service:`` builds the :class:`~repro.core.engine.IGQ` engine the config
   describes (any ``shard.shards``), indexes the dataset, starts the
-  execution driver, and on exit deterministically shuts down every worker
-  pool (the batch executor's and the shard runtime's).
+  execution driver, and on exit deterministically shuts down the batch
+  executor's thread pool and the engine.
 
 * **One endpoint** — :meth:`GraphQueryService.query` serves *both* query
   types (``mode="subgraph"`` / ``"supergraph"``) against one shared engine;
@@ -190,7 +189,6 @@ class ServiceReport:
     queries_seen: int
     #: cache partitions and their live-entry balance
     shards: int
-    shard_backend: str
     shard_balance: list[int]
     #: batch-executor counters (feature memo, pool usage, pipelining)
     feature_memo_hits: int
@@ -206,14 +204,11 @@ class ServiceReport:
     #: delta-log health: length, version, last-compaction floor, records
     #: folded away by compaction so far
     delta_log: dict = field(default_factory=dict)
-    #: which kernel backend actually ran, per stage: ``configured`` (the
-    #: requested ``verifier.kernel``), ``parent`` (what this process
-    #: resolved it to), ``workers`` (backend -> chunk count folded back from
-    #: the batch pool) and ``shards`` (shard id -> backend from the last
-    #: probe round).  Kernel resolution is per *process*, so a worker that
-    #: could not load the native library runs ``"bigint"`` while the parent
-    #: runs ``"native"`` — this block makes that fallback visible instead
-    #: of silently slower.
+    #: which kernel backend actually runs: ``configured`` (the requested
+    #: ``verifier.kernel``) and ``parent`` (what the service's process
+    #: resolved it to — every stage runs in that process).  A native
+    #: library that could not be loaded shows as ``"bigint"`` here instead
+    #: of running silently slower.
     kernel_resolved: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
@@ -230,7 +225,6 @@ class ServiceReport:
             },
             "shards": {
                 "count": self.shards,
-                "backend": self.shard_backend,
                 "balance": self.shard_balance,
                 "replicas_live": self.replicas_live,
                 "moves_applied": self.moves_applied,
@@ -426,11 +420,12 @@ class GraphQueryService:
         return self
 
     def close(self) -> None:
-        """Drain submitted work, then shut every worker pool down (idempotent).
+        """Drain submitted work, then shut the executor and engine down
+        (idempotent).
 
         Queries already submitted are completed (their futures resolve);
-        afterwards the batch executor's verification pool and the engine's
-        shard worker pools are terminated and joined.
+        afterwards the batch executor's verification pool is joined and the
+        engine is closed.
         """
         with self._state_lock:
             if self._closed:
@@ -659,7 +654,6 @@ class GraphQueryService:
             cache_capacity=engine.maintenance.cache_size,
             queries_seen=engine.cache.query_counter,
             shards=engine.num_shards,
-            shard_backend=engine.shard_backend,
             shard_balance=engine.placement.shard_balance(),
             feature_memo_hits=executor_stats.feature_memo_hits if executor_stats else 0,
             feature_memo_misses=executor_stats.feature_memo_misses if executor_stats else 0,
@@ -675,8 +669,6 @@ class GraphQueryService:
             kernel_resolved={
                 "configured": self.config.verifier.kernel,
                 "parent": engine.method.verifier.resolved_kernel_name(),
-                "workers": dict(executor_stats.worker_kernels) if executor_stats else {},
-                "shards": dict(shard_stats["worker_kernels"]),
             },
         )
 

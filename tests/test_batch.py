@@ -1,15 +1,18 @@
 """Tests for the batched parallel query execution subsystem.
 
-The contract under test: for every backend and worker count the batch
-executor must be *indistinguishable* from the sequential engine loop —
-same answers, same per-query accounting, same cache and replacement state
-afterwards.  Parallelism is an implementation detail of the verification
-stage, never of the semantics.
+The contract under test: for every worker count — one verifies
+in-process, more fan out to a thread pool — the batch executor must be
+*indistinguishable* from the sequential engine loop: same answers, same
+per-query accounting, same cache and replacement state afterwards.
+Parallelism is an implementation detail of the verification stage, never
+of the semantics.
 """
 
 from __future__ import annotations
 
+import os
 import random
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -68,9 +71,11 @@ def cache_state(engine: IGQ):
 
 class TestConstruction:
     def test_rejects_unknown_backend(self):
+        """The pool kind follows from ``num_workers``; there is no backend
+        argument to pass (repro 6.0)."""
         engine = fresh_engine(build_database())
-        with pytest.raises(ValueError):
-            BatchExecutor(engine, backend="gpu")
+        with pytest.raises(TypeError, match=r"backend"):
+            BatchExecutor(engine, backend="thread")
 
     def test_rejects_bad_worker_count(self):
         engine = fresh_engine(build_database())
@@ -81,6 +86,17 @@ class TestConstruction:
         engine = IGQ(GGSXMethod(max_path_length=2))
         with pytest.raises(RuntimeError):
             BatchExecutor(engine)
+
+    def test_two_workers_verify_on_threads_whatever_the_cpu_count(self, monkeypatch):
+        """More than one worker always means the thread pool, however many
+        CPUs the machine reports."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        engine = fresh_engine(build_database(count=24))
+        with BatchExecutor(engine, num_workers=2) as executor:
+            executor.run_batch(make_stream(total=20))
+            assert isinstance(executor._pool, ThreadPoolExecutor)
+            assert executor.stats.parallel_verifications > 0
 
 
 class TestSequentialEquivalence:
@@ -99,14 +115,16 @@ class TestSequentialEquivalence:
         assert result.num_isomorphism_tests == expected.num_isomorphism_tests
         assert cache_state(batch_engine) == cache_state(loop_engine)
 
-    @pytest.mark.parametrize("backend", ["sequential", "thread", "process"])
-    def test_backends_identical_to_sequential_loop(self, backend):
+    @pytest.mark.parametrize(
+        "num_workers", [pytest.param(1, id="sequential"), pytest.param(2, id="thread")]
+    )
+    def test_backends_identical_to_sequential_loop(self, num_workers):
         database = build_database()
         stream = make_stream()
         loop_engine = fresh_engine(database)
         expected = [loop_engine.query(query) for query in stream]
 
-        batch_engine = fresh_engine(database, num_workers=2, backend=backend)
+        batch_engine = fresh_engine(database, num_workers=num_workers)
         results = batch_engine.run_batch(stream)
 
         assert len(results) == len(expected)
@@ -118,13 +136,15 @@ class TestSequentialEquivalence:
         assert cache_state(batch_engine) == cache_state(loop_engine)
         assert len(batch_engine.cache) == len(loop_engine.cache)
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_verifier_stats_invariant_after_parallel_batch(self, backend):
+    @pytest.mark.parametrize(
+        "num_workers", [pytest.param(2, id="thread"), pytest.param(3, id="thread3")]
+    )
+    def test_verifier_stats_invariant_after_parallel_batch(self, num_workers):
         """Worker-side tests fold back into the parent verifier completely:
         the counters stay consistent and equal the sequential run's."""
         database = build_database()
         stream = make_stream(total=20)
-        engine = fresh_engine(database, num_workers=2, backend=backend)
+        engine = fresh_engine(database, num_workers=num_workers)
         results = engine.run_batch(stream)
         stats = engine.method.verifier.stats
         assert stats.tests == sum(result.num_isomorphism_tests for result in results) > 0
@@ -136,14 +156,14 @@ class TestSequentialEquivalence:
         assert (stats.tests, stats.positives) == (want.tests, want.positives)
 
     def test_grapes_parallel_verification_matches(self):
-        """Grapes verifies through location regions; the worker-side snapshot
-        must carry them."""
+        """Grapes verifies through location regions; the per-chunk method
+        clones on the thread pool must read them."""
         database = build_database()
         stream = make_stream(total=15)
         loop_engine = fresh_engine(database, lambda: GrapesMethod(max_path_length=3))
         expected = [loop_engine.query(query) for query in stream]
         batch_engine = fresh_engine(
-            database, lambda: GrapesMethod(max_path_length=3), num_workers=2, backend="process"
+            database, lambda: GrapesMethod(max_path_length=3), num_workers=2
         )
         results = batch_engine.run_batch(stream)
         for got, want in zip(results, expected):
@@ -157,7 +177,7 @@ class TestSequentialEquivalence:
         method = ScanMethod()
         method.build_index(database)
         expected = [method.query(query) for query in stream]
-        with BatchExecutor(method, num_workers=2, backend="thread") as executor:
+        with BatchExecutor(method, num_workers=2) as executor:
             results = executor.run_batch(stream)
         for got, want in zip(results, expected):
             assert set(got.answers) == set(want.answers)
@@ -170,15 +190,17 @@ class TestPipelinedPlanner:
     iGQ verifier — identical to the sequential loop, including across window
     flushes (which force speculative plans to be discarded and redone)."""
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_pipelined_identical_to_sequential_loop(self, backend):
+    @pytest.mark.parametrize(
+        "num_workers", [pytest.param(2, id="thread"), pytest.param(3, id="thread3")]
+    )
+    def test_pipelined_identical_to_sequential_loop(self, num_workers):
         database = build_database()
         stream = make_stream(total=40)
         loop_engine = fresh_engine(database)
         expected = [loop_engine.query(query) for query in stream]
 
         engine = fresh_engine(database)
-        with BatchExecutor(engine, num_workers=2, backend=backend, pipeline=True) as executor:
+        with BatchExecutor(engine, num_workers=num_workers, pipeline=True) as executor:
             results = executor.run_batch(stream)
             # The small window (3) flushes repeatedly mid-batch, so the
             # replan path must actually have been exercised.
@@ -205,9 +227,7 @@ class TestPipelinedPlanner:
         engines = {}
         for pipeline in (False, True):
             engine = fresh_engine(database)
-            with BatchExecutor(
-                engine, num_workers=2, backend="thread", pipeline=pipeline
-            ) as executor:
+            with BatchExecutor(engine, num_workers=2, pipeline=pipeline) as executor:
                 engines[pipeline] = (engine, executor.run_batch(stream))
         engine_off, results_off = engines[False]
         engine_on, results_on = engines[True]
@@ -235,7 +255,7 @@ class TestPipelinedPlanner:
         database = build_database()
         stream = make_stream(total=12)
         engine = fresh_engine(database)
-        with BatchExecutor(engine, num_workers=2, backend="thread") as executor:
+        with BatchExecutor(engine, num_workers=2) as executor:
             names = [result.query_name for result in executor.run_stream(stream)]
         assert names == [query.name for query in stream]
 

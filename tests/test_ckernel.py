@@ -7,12 +7,11 @@ the bigint kernel on every (plan, target, mask) triple — cross-validated on
 four corpora (random pairs, the supergraph direction, multi-word targets
 past 64 vertices, region-masked runs; ``test_verify_pairs.py`` adds the
 batch and component-decomposition property) — and the engine built on top
-must produce identical answers, accounting and cache state in every
-configuration, including shards=4 process replicas.  The backend must
-also *degrade*: with the extension force-disabled
+must produce identical answers, accounting and cache state.  The backend
+must also *degrade*: with the extension force-disabled
 (``REPRO_DISABLE_NATIVE=1``) everything falls back to bigint with no
-behaviour change beyond speed, and the fallback is visible in the folded
-worker statistics rather than silent.
+behaviour change beyond speed, and the fallback is visible in the service
+report's ``kernel_resolved`` block rather than silent.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ import random
 import pytest
 
 from repro.core import IGQ
-from repro.core.batch import BatchExecutor
 from repro.core.config import (
     BatchConfig,
     CacheConfig,
@@ -95,7 +93,7 @@ class TestLoader:
     @needs_native
     def test_stale_abi_rejected(self, monkeypatch):
         """An artifact built for another struct layout must never be driven."""
-        assert _ckernel_loader.ABI_VERSION == 6
+        assert _ckernel_loader.ABI_VERSION == 7
         library = ctypes.CDLL(str(_ckernel_loader.native_kernel_path()))
         assert _ckernel_loader._configure(library) is library
         monkeypatch.setattr(_ckernel_loader, "ABI_VERSION", 2)
@@ -226,7 +224,7 @@ class TestKernelResolution:
 
 
 # ----------------------------------------------------------------------
-# Pickling (worker snapshots)
+# Pickling (compiled forms ride in WAL records)
 # ----------------------------------------------------------------------
 @needs_native
 class TestPickling:
@@ -249,17 +247,6 @@ class TestPickling:
         assert clone._native is None
         assert clone.steps == plan.steps
         assert compiled_has_embedding(clone, compile_target(make_clique("ABCD")), kernel="native")
-
-    def test_snapshot_ships_parent_resolution(self, small_db):
-        method = create_method("ggsx", max_path_length=3, verifier=Verifier(kernel="native"))
-        method.build_index(small_db)
-        snapshot = method.verification_snapshot()
-        assert snapshot.verifier.parent_resolved_kernel == "native"
-        # the clone itself has not resolved anything yet: workers do that
-        # locally, where the library may or may not load
-        assert snapshot.verifier.kernel == "native"
-        clone = pickle.loads(pickle.dumps(snapshot))
-        assert clone.verifier.parent_resolved_kernel == "native"
 
 
 # ----------------------------------------------------------------------
@@ -306,7 +293,7 @@ class TestForcedFallback:
 
 
 # ----------------------------------------------------------------------
-# Engine-level byte-identity (process pools, shards=4)
+# Engine-level byte-identity
 # ----------------------------------------------------------------------
 @needs_native
 class TestEngineByteIdentity:
@@ -329,39 +316,6 @@ class TestEngineByteIdentity:
         engine.close()
         assert fingerprint == baseline
 
-    def test_process_pool_matches_bigint(self, small_db, queries):
-        baseline = self.bigint_baseline(small_db, queries)
-        method = create_method("ggsx", max_path_length=3, verifier=Verifier(kernel="native"))
-        engine = IGQ(method, engine_config(10, 3))
-        engine.build_index(small_db)
-        with BatchExecutor(engine, num_workers=2, backend="process") as executor:
-            results = executor.run_batch(queries)
-            worker_kernels = dict(executor.stats.worker_kernels)
-        fingerprint = engine_fingerprint(engine, results)
-        engine.close()
-        assert fingerprint == baseline
-        # satellite: the folded stats say which backend each chunk ran on
-        assert worker_kernels  # at least one parallel chunk
-        assert set(worker_kernels) <= {"native", "bigint"}
-
-    def test_native_process_shards_byte_identical(self, small_db, queries):
-        """shards=4, process backend, kernel="native": the full acceptance
-        configuration must match the inline bigint single-shard run."""
-        baseline = self.bigint_baseline(small_db, queries)
-        verifier = Verifier(kernel="native")
-        method = create_method("ggsx", max_path_length=3, verifier=verifier)
-        engine = IGQ(
-            method, engine_config(10, 3, shard=ShardConfig(shards=4, backend="process"))
-        )
-        engine.build_index(small_db)
-        results = [engine.query(query) for query in queries]
-        fingerprint = engine_fingerprint(engine, results)
-        worker_kernels = engine.shard_stats()["worker_kernels"]
-        engine.close()
-        assert fingerprint == baseline
-        assert set(worker_kernels) == {0, 1, 2, 3}
-        assert set(worker_kernels.values()) <= {"native", "bigint"}
-
     def test_default_auto_engine_matches_bigint(self, small_db, queries):
         """The default configuration now runs the native kernel — its
         results must stay identical to the pre-native bigint engine."""
@@ -379,16 +333,14 @@ class TestServiceVisibility:
         method = create_method("ggsx", max_path_length=3)
         config = EngineConfig(
             cache=CacheConfig(size=10, window=3),
-            shard=ShardConfig(shards=2, backend="process"),
-            batch=BatchConfig(),
+            shard=ShardConfig(shards=2, backend="inline"),
+            batch=BatchConfig(num_workers=2),
         )
         with GraphQueryService(method, config, database=small_db) as service:
             for query in queries[:4]:
                 service.query(query)
             report = service.stats()
+        # every stage runs in the service's process: one resolution to show
         resolved = report.kernel_resolved
-        assert resolved["configured"] == "auto"
-        assert resolved["parent"] == "native"
-        assert set(resolved["shards"]) <= {0, 1}
-        assert set(resolved["shards"].values()) <= {"native", "bigint"}
+        assert resolved == {"configured": "auto", "parent": "native"}
         assert resolved == report.as_dict()["kernel_resolved"]

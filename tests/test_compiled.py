@@ -9,7 +9,6 @@ early-fail signature pre-check never rejects a pair that actually matches.
 
 from __future__ import annotations
 
-import pickle
 import random
 
 import networkx as nx
@@ -202,31 +201,6 @@ class TestDatabaseCaching:
         assert all(
             tiny_database.compiled_target(graph_id) is not None
             for graph_id in tiny_database.ids()
-        )
-
-    def test_snapshot_carries_compiled_targets(self, tiny_database):
-        method = ScanMethod()
-        method.build_index(tiny_database)
-        snapshot = method.verification_snapshot()
-        payload = pickle.dumps(snapshot)
-        clone = pickle.loads(payload)
-        # The compiled cache travelled with the pickle: verification on the
-        # worker side finds every target prebuilt.
-        assert set(clone.database._compiled_targets) == set(tiny_database.ids())
-        assert clone.verify(make_path_graph("AB"), clone.database.ids()) == method.verify(
-            make_path_graph("AB"), tiny_database.ids()
-        )
-
-    def test_supergraph_snapshot_carries_compiled_plans(self, tiny_database):
-        """In supergraph mode the dataset graphs play the pattern role, so
-        the snapshot precompiles their matching plans, not bitset targets."""
-        method = ScanMethod()
-        method.build_index(tiny_database)
-        clone = pickle.loads(pickle.dumps(method.verification_snapshot(supergraph=True)))
-        assert set(clone.database._compiled_plans) == set(tiny_database.ids())
-        query = make_clique("ABCD")
-        assert clone.verify_supergraph(query, clone.database.ids()) == (
-            method.verify_supergraph(query, tiny_database.ids())
         )
 
 

@@ -11,7 +11,8 @@ Three contracts:
   else: the 1.x flat kwargs are rejected, and names 2.0 or 4.0 removed fail
   with a message saying what to write instead.  The three hot-key
   arguments 4.0 removed still construct a ``ShardConfig`` for one release:
-  they warn and change nothing.
+  they warn and change nothing.  6.0 removed the process backends:
+  ``batch.backend`` is gone and ``shard.backend="process"`` is rejected.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ class TestRoundTrip:
             enable_isuper=False,
             cache=CacheConfig(size=64, window=16, policy="hit_rate"),
             verifier=VerifierConfig(algorithm="ullmann", induced=True, kernel="bigint"),
-            batch=BatchConfig(num_workers=4, backend="thread", chunk_size=8,
+            batch=BatchConfig(num_workers=4, chunk_size=8,
                               pipeline=False, memoize_features=False),
             shard=ShardConfig(shards=4, backend="inline", compact_threshold=None),
         )
@@ -71,7 +72,7 @@ class TestRoundTrip:
         config = EngineConfig(
             mode="supergraph",
             cache=CacheConfig(size=10, window=5),
-            shard=ShardConfig(shards=2, backend="process"),
+            shard=ShardConfig(shards=2, backend="inline"),
         )
         restored = EngineConfig.from_dict(json.loads(json.dumps(config.to_dict())))
         assert restored == config
@@ -134,8 +135,14 @@ class TestValidation:
             CacheConfig(policy="lru")
 
     def test_unknown_batch_backend(self):
-        with pytest.raises(ConfigError, match=r"batch\.backend='gpu'.*one of"):
-            BatchConfig(backend="gpu")
+        """6.0 removed the key: verification runs on threads whenever
+        ``batch.num_workers > 1``."""
+        with pytest.raises(
+            ConfigError,
+            match=r"unknown key\(s\) \['backend'\].*removed in 6\.0 — batch\.backend: "
+            r"verification runs on a thread pool when batch\.num_workers > 1",
+        ):
+            EngineConfig.from_dict({"batch": {"backend": "thread"}})
 
     def test_unknown_shard_backend(self):
         with pytest.raises(ConfigError, match=r"shard\.backend='remote'.*one of"):
@@ -243,24 +250,24 @@ class TestFromConfig:
         with IGQ(method, config) as engine:
             assert type(engine) is IGQ
             assert engine.num_shards == 4
-            assert engine.shard_backend == "inline"
+            assert len(engine.shard_runtime.shards) == 4
 
     def test_single_shard_stays_plain_path(self, database):
         method = create_method("ggsx", max_path_length=3)
         engine = IGQ(method, EngineConfig())
         assert engine.num_shards == 1
-        # one inline replica holds the index pair, whatever the backend says
-        assert engine.shard_backend == "inline"
+        # one in-process replica holds the index pair
         (replica,) = engine.shard_runtime.shards
         assert engine.isub is replica.isub and engine.isuper is replica.isuper
         assert engine.isub is not None and engine.isuper is not None
 
     def test_single_shard_never_forks(self, database):
+        """``"auto"`` and ``"inline"`` both mean in-process replicas."""
         method = create_method("ggsx", max_path_length=3)
-        config = EngineConfig(shard=ShardConfig(backend="process"))
-        with IGQ(method, config) as engine:
-            assert engine.shard_backend == "inline"
-            assert engine.shard_runtime.verify_pool() is None
+        for backend in ("auto", "inline"):
+            with IGQ(method, EngineConfig(shard=ShardConfig(backend=backend))) as engine:
+                (replica,) = engine.shard_runtime.shards
+                assert engine.isub is replica.isub
 
     def test_verifier_config_applied(self, database):
         method = create_method("ggsx", max_path_length=3)
@@ -275,7 +282,7 @@ class TestFromConfig:
         method = create_method("ggsx", max_path_length=3)
         config = EngineConfig(
             cache=CacheConfig(size=8, window=4),
-            batch=BatchConfig(num_workers=2, backend="thread"),
+            batch=BatchConfig(num_workers=2),
         )
         engine = IGQ(method, config)
         engine.build_index(database)
@@ -334,3 +341,24 @@ class TestHotKeyRemoval:
             match=r"unknown key\(s\) \['hot_threshold'\].*removed in 4\.0 — hot_threshold",
         ):
             EngineConfig.from_dict({"shard": {"hot_threshold": 2}})
+
+
+# ----------------------------------------------------------------------
+# Process backend removal (6.0)
+# ----------------------------------------------------------------------
+class TestProcessBackendRemoval:
+    def test_batch_config_has_no_backend(self):
+        with pytest.raises(TypeError, match=r"backend"):
+            BatchConfig(backend="thread")
+
+    def test_process_shards_name_the_removal(self):
+        with pytest.raises(ConfigError, match=r"shard\.backend='process' was removed in 6\.0"):
+            ShardConfig(backend="process")
+        with pytest.raises(ConfigError, match=r"removed in 6\.0"):
+            EngineConfig.from_dict({"shard": {"shards": 2, "backend": "process"}})
+
+    def test_describe_names_no_backend(self):
+        config = EngineConfig(
+            shard=ShardConfig(shards=4, backend="inline"), batch=BatchConfig(num_workers=2)
+        )
+        assert config.describe() == "mode=subgraph cache=500/100 shards=4 workers=2"

@@ -72,7 +72,7 @@ class Pair:
         for cache, index in zip(self.caches, (self.native, self.oracle)):
             entry = cache.add(graph, EXTRACTOR.extract(graph), frozenset())
             if self.restored:
-                # what a warm restart or a process-backend shard delta adds:
+                # what a warm restart or a follower's delta adds:
                 # a copy that crossed a pickle boundary as tuple keys and
                 # was re-encoded on arrival (its pairs are rebuilt on demand)
                 entry = pickle.loads(pickle.dumps(entry))

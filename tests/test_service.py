@@ -6,10 +6,10 @@ Four contracts:
   ``submit()``/``stream()`` yields byte-identical answers, hit/miss
   accounting, cache contents and replacement state to the legacy
   sequential ``engine.query()`` loop, across sequential, pipelined and
-  ``shards=4`` inline/process configurations.
+  ``shards=4`` configurations.
 * **Lifecycle** — ``close()`` verifiably terminates the batch executor's
-  verification pool and the engine's shard worker processes; the service
-  and the standalone engine are context managers.
+  verification pool; the service and the standalone engine are context
+  managers.
 * **Semantics of mixed mode** — subgraph- and supergraph-typed cached
   answers never cross-pollinate (a cached subgraph answer set is not used
   to prune a supergraph query), while both types share one cache.
@@ -121,7 +121,7 @@ class TestMixedStreamEquivalence:
         [
             pytest.param(BatchConfig(), ShardConfig(), id="sequential"),
             pytest.param(
-                BatchConfig(num_workers=2, backend="thread", pipeline=True),
+                BatchConfig(num_workers=2, pipeline=True),
                 ShardConfig(),
                 id="pipelined-threads",
             ),
@@ -129,11 +129,6 @@ class TestMixedStreamEquivalence:
                 BatchConfig(),
                 ShardConfig(shards=4, backend="inline"),
                 id="shards4-inline",
-            ),
-            pytest.param(
-                BatchConfig(),
-                ShardConfig(shards=4, backend="process"),
-                id="shards4-process",
             ),
         ],
     )
@@ -149,7 +144,7 @@ class TestMixedStreamEquivalence:
     def test_submit_futures_match_sequential_loop(self, database, mixed_stream):
         baseline = sequential_baseline(database, mixed_stream)
         method = create_method("ggsx", max_path_length=3)
-        config = mixed_config(batch=BatchConfig(num_workers=2, backend="thread"))
+        config = mixed_config(batch=BatchConfig(num_workers=2))
         with GraphQueryService(method, config, database=database, max_in_flight=8) as service:
             futures = [service.submit(query, mode) for query, mode in mixed_stream[:8]]
             futures += [service.submit(query, mode) for query, mode in mixed_stream[8:]]
@@ -214,47 +209,14 @@ class TestMixedModeSemantics:
 # Lifecycle
 # ----------------------------------------------------------------------
 class TestLifecycle:
-    def test_close_terminates_shard_worker_pools(self, database, mixed_stream):
-        method = create_method("ggsx", max_path_length=3)
-        config = mixed_config(shard=ShardConfig(shards=2, backend="process"))
-        service = GraphQueryService(method, config, database=database).open()
-        list(service.stream(mixed_stream[:8]))
-        runtime = service.engine.shard_runtime
-        pools = runtime._pools
-        assert pools is not None
-        workers = [proc for pool in pools for proc in pool._processes.values()]
-        assert workers and all(proc.is_alive() for proc in workers)
-        service.close()
-        assert runtime._pools is None
-        for proc in workers:
-            proc.join(timeout=10)
-        assert all(not proc.is_alive() for proc in workers)
-
     def test_close_terminates_executor_pool(self, database, mixed_stream):
         method = create_method("ggsx", max_path_length=3)
-        config = mixed_config(batch=BatchConfig(num_workers=2, backend="thread"))
+        config = mixed_config(batch=BatchConfig(num_workers=2))
         service = GraphQueryService(method, config, database=database).open()
         list(service.stream(mixed_stream[:6]))
         executor = service._executor
         service.close()
         assert executor._pool is None
-
-    def test_standalone_engine_context_manager_closes_pools(self, database):
-        method = create_method("ggsx", max_path_length=3)
-        config = EngineConfig(cache=CACHE, shard=ShardConfig(shards=2, backend="process"))
-        queries = QueryGenerator(database, WorkloadSpec(name="uni", seed=7)).generate(6)
-        with IGQ(method, config) as engine:
-            assert engine.shard_backend == "process"
-            engine.build_index(database)
-            for query in queries:
-                engine.query(query)
-            pools = engine.shard_runtime._pools
-            workers = [proc for pool in pools for proc in pool._processes.values()]
-            assert workers
-        assert engine.shard_runtime._pools is None
-        for proc in workers:
-            proc.join(timeout=10)
-        assert all(not proc.is_alive() for proc in workers)
 
     def test_plain_engine_close_is_noop_and_idempotent(self, database):
         method = create_method("ggsx", max_path_length=3)

@@ -11,8 +11,8 @@ Four contracts:
   computed once at insert: deterministic (independent of
   ``PYTHONHASHSEED``), stable under insert/evict churn, and shared by
   isomorphic (relabeled) copies.
-* **Equivalence** — ``shards>1`` — inline or process-backed — is
-  byte-identical to ``shards=1`` (one inline replica of the same log): answers,
+* **Equivalence** — ``shards>1`` is byte-identical to ``shards=1`` (one
+  replica of the same log): answers,
   per-query accounting, containment-test statistics, cache contents and
   replacement metadata.
 * **Lifecycle** — compiled payloads ship through deltas (shards never
@@ -481,13 +481,6 @@ class TestShardedEngineEquivalence:
         assert sharded == baseline
         engine.close()
 
-    def test_process_shards_match_single_shard(self, small_synthetic, zipf_stream):
-        stream = zipf_stream[:30]
-        _, baseline = run_engine(small_synthetic, stream, shards=1)
-        engine, sharded = run_engine(small_synthetic, stream, shards=2, backend="process")
-        assert sharded == baseline
-        engine.close()
-
     def test_supergraph_mode_inline_shards(self, small_synthetic, zipf_stream):
         stream = zipf_stream[:30]
 
@@ -511,30 +504,6 @@ class TestShardedEngineEquivalence:
         engine = IGQ(method, config(shards=2, backend="inline"))
         engine.build_index(small_synthetic)
         results = engine.run_batch(list(stream))
-        assert engine_fingerprint(engine, results) == baseline
-        engine.close()
-
-    def test_batch_executor_borrows_process_shard_pools(
-        self, small_synthetic, zipf_stream
-    ):
-        """Verification chunks ride on the long-lived shard workers.
-
-        With process-backed shards the batch executor must not spawn a
-        second pool: its ``process`` backend borrows the shard pools (whose
-        workers hold the method snapshot *and* the delta-fed replica), and
-        the pipelined run stays byte-identical to the single-shard engine.
-        """
-        from repro.core.batch import BatchExecutor
-
-        stream = zipf_stream[:24]
-        _, baseline = run_engine(small_synthetic, stream, shards=1)
-        method = create_method("ggsx", max_path_length=3)
-        engine = IGQ(method, config(shards=2, backend="process"))
-        engine.build_index(small_synthetic)
-        with BatchExecutor(engine, num_workers=2, backend="process") as executor:
-            results = executor.run_batch(stream)
-            executor._ensure_pool()
-            assert not executor._owns_pool  # borrowed, not spawned
         assert engine_fingerprint(engine, results) == baseline
         engine.close()
 
