@@ -9,13 +9,13 @@ install path::
 
 All project metadata lives in ``pyproject.toml``.
 
-The native VF2 kernel (``src/repro/isomorphism/_ckernel.c``) is declared as
-an **optional** extension: a build without a C toolchain still succeeds and
-the package falls back to the pure-Python bigint kernel.  The extension is a
-plain C99 shared object consumed through ctypes — ``CKERNEL_PYMODULE`` only
-adds the module init stub setuptools requires — and when it is absent at
-runtime :mod:`repro.isomorphism._ckernel_loader` compiles the same source
-on demand into a user cache instead.
+The C kernel (``src/repro/isomorphism/_ckernel.c``) is the only
+verification kernel, so the extension is required: a build needs a C
+toolchain.  The extension is a plain C99 shared object consumed through
+ctypes — ``CKERNEL_PYMODULE`` only adds the module init stub setuptools
+requires — and when it is absent at runtime (a plain checkout, the legacy
+editable install) :mod:`repro.isomorphism._ckernel_loader` compiles the same
+source on demand into a user cache instead.
 """
 
 from setuptools import Extension, setup
@@ -26,7 +26,6 @@ setup(
             "repro.isomorphism._ckernel",
             sources=["src/repro/isomorphism/_ckernel.c"],
             define_macros=[("CKERNEL_PYMODULE", "1")],
-            optional=True,
         )
     ]
 )

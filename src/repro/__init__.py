@@ -9,8 +9,8 @@ Public API overview
 -------------------
 
 * :mod:`repro.graphs` — the labeled-graph substrate (graphs, databases, I/O).
-* :mod:`repro.isomorphism` — VF2 / Ullmann subgraph isomorphism and the
-  cost model used by iGQ's replacement policy.
+* :mod:`repro.isomorphism` — VF2 subgraph isomorphism (the C kernel and the
+  dict-based matcher) and the cost model used by iGQ's replacement policy.
 * :mod:`repro.features` — path / tree / cycle feature extraction and the
   threshold-bitmap feature index.
 * :mod:`repro.methods` — the filter-then-verify base methods: GraphGrepSX,
@@ -51,7 +51,6 @@ from .core.config import (
     ServiceConfig,
     ShardConfig,
     TenantConfig,
-    VerifierConfig,
 )
 from .core.engine import IGQ, IGQQueryResult
 from .datasets.registry import available_datasets, load_dataset
@@ -74,14 +73,13 @@ from .service.client import ServiceClient, connect
 from .service.server import ServiceServer, serve
 from .workloads.generator import QueryGenerator, WorkloadSpec, standard_workloads
 
-__version__ = "6.0.0"
+__version__ = "7.0.0"
 
 __all__ = [
     "IGQ",
     "IGQQueryResult",
     "EngineConfig",
     "CacheConfig",
-    "VerifierConfig",
     "BatchConfig",
     "ShardConfig",
     "ServiceConfig",

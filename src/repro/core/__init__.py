@@ -10,7 +10,6 @@ from .config import (
     ServiceConfig,
     ShardConfig,
     TenantConfig,
-    VerifierConfig,
 )
 from .containment import ContainmentIndex
 from .engine import IGQ, IGQQueryResult, QueryPlan
@@ -38,7 +37,6 @@ __all__ = [
     "QueryPlan",
     "EngineConfig",
     "CacheConfig",
-    "VerifierConfig",
     "BatchConfig",
     "ShardConfig",
     "ServiceConfig",

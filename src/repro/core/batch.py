@@ -179,10 +179,9 @@ def _verify_chunk(
     """Thread-pool entry point: verify one chunk of a query's candidates.
 
     Threads share the index structures (read-only during querying) but each
-    call gets a private :class:`Verifier` carrying the parent's full
-    configuration — algorithm, induced semantics *and* the
-    ``compiled``/``precheck`` fast-path flags, so A/B baselines keep their
-    meaning on the pool — with zeroed statistics, so the shared counters are
+    call gets a private :class:`Verifier` carrying the parent's
+    ``compiled``/``precheck`` flags, so A/B baselines keep their meaning on
+    the pool, with zeroed statistics, so the shared counters are
     never raced.  Returns the answers plus the verifier-stat deltas the
     chunk produced — positives, negatives (their sum is the test count) and
     seconds — which the parent folds back deterministically so the

@@ -3,8 +3,6 @@
 A small tree of frozen dataclasses:
 
 * :class:`CacheConfig` — the query cache (``C``, ``W``, replacement policy);
-* :class:`VerifierConfig` — the isomorphism verifier (algorithm, semantics,
-  compiled-kernel backend);
 * :class:`BatchConfig` — the batch executor (thread workers, pipelining);
 * :class:`ShardConfig` — the sharded query index;
 * :class:`ServiceConfig` / :class:`TenantConfig` — the service front door:
@@ -40,7 +38,6 @@ __all__ = [
     "MIXED_MODE",
     "ConfigError",
     "CacheConfig",
-    "VerifierConfig",
     "BatchConfig",
     "ShardConfig",
     "TenantConfig",
@@ -71,8 +68,6 @@ def validate_query_mode(mode: str) -> str:
         )
     return mode
 
-_ALGORITHMS = ("vf2", "ullmann")
-_KERNELS = ("auto", "bigint", "native")
 _POLICIES = ("utility", "hit_rate", "fifo")
 _SHARD_BACKENDS = ("auto", "inline")
 _FSYNC_MODES = ("always", "flush", "never")
@@ -97,6 +92,18 @@ _MOVED_IN_2_0 = {
 #: ``DeprecationWarning``, by the ``ShardConfig`` constructor for one release)
 _HOT_KEY_FIELDS = ("hot_threshold", "rebalance_interval", "replication_factor")
 
+#: the ``verifier`` section 7.0 removed, and its three keys -> what now
+_REMOVED_IN_7_0 = {
+    "verifier": (
+        "the section is gone, verification always runs VF2 in the C kernel; drop "
+        "it, or inject Verifier(compiled=False) via igq_verifier= / "
+        "create_method(verifier=) for the dict-based matcher"
+    ),
+    "algorithm": "VF2 is the only matching algorithm, drop the key",
+    "induced": "verification is non-induced only, drop the key",
+    "kernel": "the C kernel is the only verification kernel, drop the key",
+}
+
 
 def _removed_hint(key: str) -> str | None:
     """What to write instead of a removed name (``None`` = never valid)."""
@@ -115,6 +122,8 @@ def _removed_hint(key: str) -> str | None:
             "removed in 6.0 — batch.backend: verification runs on a thread pool "
             "when batch.num_workers > 1 and in-process otherwise, drop the key"
         )
+    if key in _REMOVED_IN_7_0:
+        return f"removed in 7.0 — {key}: {_REMOVED_IN_7_0[key]}"
     return None
 
 
@@ -164,6 +173,10 @@ def _from_dict(cls, data: Any, section: str):
     known = {f.name for f in fields(cls)}
     unknown = sorted(set(data) - known)
     removed = list(filter(None, map(_removed_hint, unknown)))
+    for key in unknown:
+        # a removed section's keys say what became of them too
+        if isinstance(data[key], dict):
+            removed += filter(None, map(_removed_hint, data[key]))
     _require(
         not unknown,
         f"{section} has unknown key(s) {unknown}; valid keys are {sorted(known)}"
@@ -192,42 +205,6 @@ class CacheConfig:
             "(the paper requires W <= C)",
         )
         _require_choice("cache", "policy", self.policy, _POLICIES)
-
-
-@dataclass(frozen=True)
-class VerifierConfig:
-    """The isomorphism verifier: algorithm, semantics and kernel backend.
-
-    The compiled bitset kernel runs whenever the algorithm admits it
-    (``"vf2"``, non-induced); ``"ullmann"`` and ``induced=True`` run on the
-    dict-based matcher.
-    """
-
-    #: matching algorithm (``"vf2"`` | ``"ullmann"``)
-    algorithm: str = "vf2"
-    #: induced-subgraph semantics (not used by the paper's setup)
-    induced: bool = False
-    #: compiled-kernel backend (``"auto"`` | ``"bigint"`` | ``"native"``):
-    #: ``"bigint"`` is the pure-Python bitmask loop, ``"native"`` the C
-    #: kernel, one call per query (bigint fallback when the shared library
-    #: cannot be built or loaded), ``"auto"`` native when loadable and
-    #: bigint otherwise; answers are identical under every choice
-    kernel: str = "auto"
-
-    def __post_init__(self) -> None:
-        _require_choice("verifier", "algorithm", self.algorithm, _ALGORITHMS)
-        _require_choice("verifier", "kernel", self.kernel, _KERNELS)
-        _require_bool("verifier", "induced", self.induced)
-
-    def build(self):
-        """Instantiate the configured :class:`~repro.isomorphism.verifier.Verifier`."""
-        from ..isomorphism.verifier import Verifier
-
-        return Verifier(
-            algorithm=self.algorithm,
-            induced=self.induced,
-            kernel=self.kernel,
-        )
 
 
 @dataclass(frozen=True)
@@ -472,7 +449,6 @@ class EngineConfig:
     #: enable the ``Isuper`` component (cached subgraphs of the new query)
     enable_isuper: bool = True
     cache: CacheConfig = field(default_factory=CacheConfig)
-    verifier: VerifierConfig = field(default_factory=VerifierConfig)
     batch: BatchConfig = field(default_factory=BatchConfig)
     shard: ShardConfig = field(default_factory=ShardConfig)
     service: ServiceConfig = field(default_factory=ServiceConfig)
@@ -533,7 +509,6 @@ class EngineConfig:
 #: section name -> dataclass, used when sections arrive as plain dicts
 _SECTIONS = {
     "cache": CacheConfig,
-    "verifier": VerifierConfig,
     "batch": BatchConfig,
     "shard": ShardConfig,
     "service": ServiceConfig,

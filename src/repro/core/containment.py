@@ -24,20 +24,19 @@ factors out everything the two directions share:
   survive every window flush untouched and eviction releases them;
 * **the probe** — candidate filter, size pre-checks (not counted as tests)
   and one counted containment test per survivor, hits in ascending entry
-  id.  With the native kernel resolved, all of it runs in the kernel over a
+  id.  With the compiled path on, all of it runs in the kernel over a
   slot-aligned table of the entries' feature codes, sizes and compiled
   addresses (:class:`~repro.core.probe.ProbeTable`): ``add`` writes the
   slot's row, ``remove`` clears it, and a probe is one filter call plus —
   only when something survives, which is when the query's compiled side is
   built — one containment call.  The table *is* the index then; nothing
   else is maintained per direction.
-* **the fallback and oracle** — without the kernel (``REPRO_DISABLE_NATIVE``,
-  ``kernel="bigint"``), with a verifier that does not admit it
-  (``"ullmann"``, induced semantics, the ``Verifier(compiled=False)``
-  reference the tests inject) or with features that do not pack into codes
-  (CT-Index's trees and cycles, a full process-wide label table — the index
-  then leaves the table for good, re-adding its entries to the Python
-  filter), the direction's Python filter picks the candidates and
+* **the Python filter** — with features that do not pack into codes
+  (CT-Index's trees and cycles, paths longer than 7 edges, a full
+  process-wide label table — the index then leaves the table for good,
+  re-adding its entries to the Python filter) or behind the
+  ``Verifier(compiled=False)`` reference the tests inject, the direction's
+  Python filter picks the candidates and
   :meth:`ContainmentIndex._verified_hits` verifies them: one
   :meth:`Verifier.verify_pairs` call, or :meth:`Verifier.is_subgraph` pair
   by pair.  Every route counts one test per surviving pair, so the paper's
@@ -100,7 +99,7 @@ class ContainmentIndex:
         #: the kernel-side rows, one per live slot, while the probe runs
         #: natively; ``None`` on the Python filter (see :meth:`_leave_table`)
         self._table: ProbeTable | None = None
-        if self.verifier.resolved_kernel_name() == "native":
+        if self.verifier.supports_compiled():
             self._table = ProbeTable(_ckernel_loader.kernel(), self.entry_is_target)
 
     # ------------------------------------------------------------------

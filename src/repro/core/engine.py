@@ -142,8 +142,8 @@ class IGQ:
         An :class:`~repro.core.config.EngineConfig` — the one public way to
         configure the engine.  ``config.mode`` selects the query type
         (``"subgraph"``, ``"supergraph"`` or ``"mixed"``: per-call dispatch),
-        ``config.cache`` sizes the query cache, ``config.verifier`` picks
-        the containment verifier, ``config.batch`` drives :meth:`run_batch`.
+        ``config.cache`` sizes the query cache, ``config.batch`` drives
+        :meth:`run_batch`.
         ``config.shard`` partitions the query index: the two components
         live in delta-fed shard replicas in the engine's process — one
         replica at ``shards=1``, one per partition otherwise (see
@@ -151,7 +151,7 @@ class IGQ:
     igq_verifier:
         Injection point for a pre-configured containment verifier — tests
         pass ``Verifier(compiled=False)`` to run the dict-based matcher as
-        the reference; overrides ``config.verifier``'s constructed one.
+        the reference; the default is a ``Verifier()`` (the C kernel).
     """
 
     def __init__(
@@ -172,9 +172,7 @@ class IGQ:
         self.method = method
         self.mode = config.mode
         self.name = f"igq_{method.name}"
-        self._igq_verifier = (
-            igq_verifier if igq_verifier is not None else config.verifier.build()
-        )
+        self._igq_verifier = igq_verifier if igq_verifier is not None else Verifier()
         self.cache = QueryCache()
         self.maintenance = IndexMaintenance(
             cache_size=config.cache.size,

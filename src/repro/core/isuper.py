@@ -22,14 +22,15 @@ The tally reaches ``NF[g_i]`` exactly when every feature of ``g_i`` occurs in
 cached query, from the feature counts stored with the entry (Algorithm 1's
 ``{g_i, o}`` pairs, kept by entry instead of by feature), stopping at the
 first feature ``g`` lacks — most cached queries fail on their first or
-second feature.  With the native kernel the walk is a sorted merge over the
+second feature.  In the C kernel the walk is a sorted merge over the
 entry's and the query's feature codes, inside the kernel, over the rows
 :class:`~repro.core.containment.ContainmentIndex` keeps in its native table
 (42 µs a query as the Python loop below against 5 µs as the kernel call, on
 the 100-entry cache of the benchmark's ``cold_filter`` — see
 ``docs/performance.md``, "The cache-side probe").
-:meth:`SupergraphQueryIndex.candidate_mask` is the Python form: the fallback
-when the table is unavailable and the oracle it is tested against.  It
+:meth:`SupergraphQueryIndex.candidate_mask` is the Python form: the route
+for features that do not pack into codes and the oracle it is tested
+against.  It
 reads the entries' own feature tables — their tuple-keyed view, so coded
 and uncoded tables compare exactly — and has nothing to maintain on
 insertion and eviction.

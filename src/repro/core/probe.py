@@ -1,4 +1,4 @@
-"""ctypes binding of the kernel's cache-side probe (``_ckernel.c``, ABI 4).
+"""ctypes binding of the kernel's cache-side probe (``_ckernel.c``, ABI 7).
 
 :class:`ProbeTable` is the slot-aligned native table behind a
 :class:`~repro.core.containment.ContainmentIndex`: per live slot the cached
@@ -24,7 +24,6 @@ import weakref
 from array import array
 from collections.abc import Sequence
 
-from ..graphs.bitset import iter_bits
 from ..isomorphism import _ckernel_loader
 
 __all__ = ["ProbeTable", "mask_sums"]
@@ -151,19 +150,14 @@ def mask_sums(costs: array, masks: Sequence[int]) -> list[float]:
     """Per mask of ``masks``, the sum of ``costs`` over its set bits.
 
     ``costs`` is an ``array("d")`` by bit position.  Each total is added up
-    from ``0.0`` in ascending position order, natively (``ck_mask_sums``)
-    or by the loop below, so both give the same doubles: the totals feed
-    ``C(g)``, which the replacement policy and the WAL compare bit for bit.
+    by ``ck_mask_sums`` from ``0.0`` in ascending position order, so a
+    total does not depend on the word size it was computed at: the totals
+    feed ``C(g)``, which the replacement policy and the WAL compare bit for
+    bit.
     """
+    if not masks:
+        return []
     library = _ckernel_loader.kernel()
-    if library is None or not masks:
-        totals = []
-        for mask in masks:
-            total = 0.0
-            for position in iter_bits(mask):
-                total += costs[position]
-            totals.append(total)
-        return totals
     row_bytes = 8 * ((len(costs) + 63) // 64)
     rows = b"".join([mask.to_bytes(row_bytes, "little") for mask in masks])
     totals = array("d", bytes(8 * len(masks)))

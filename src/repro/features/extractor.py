@@ -12,11 +12,11 @@ Two feature families are provided, matching the reproduced methods:
 ``paths``
     Every simple path up to ``max_path_length`` edges (GGSX, Grapes, and the
     default for the iGQ ``Isub``/``Isuper`` indexes).  Extracted by the C
-    kernel when it is loadable (:func:`~repro.features.paths.native_path_features`),
-    by the Python enumeration otherwise; either way the features are keyed
-    by their cross-graph codes (``coded``) whenever they pack — paths of at
-    most 7 edges over labels the process-wide table holds — in the same
-    (ascending key) order.  A query is extracted from the
+    kernel (:func:`~repro.features.paths.native_path_features`) whenever the
+    features pack into cross-graph codes (``coded``) — paths of at most 7
+    edges over at most 255 label strings the process-wide table holds — and
+    by the Python enumeration otherwise, in the same (ascending key) order.
+    A query is extracted from the
     :class:`~repro.isomorphism.compiled.FlatGraph` its compiles read, so it
     is flattened once.
 
@@ -223,8 +223,8 @@ class FeatureExtractor:
         self, graph: LabeledGraph, locations: bool, flat: FlatGraph | None
     ) -> GraphFeatures:
         """Path features, coded and in ascending key order: one kernel call,
-        or (kernel unavailable, features that do not pack) the Python
-        enumeration, coded afterwards when the keys pack."""
+        or (features that do not pack) the Python enumeration, coded
+        afterwards when the keys pack."""
         native = native_path_features(graph, self.max_path_length, locations, flat)
         if native is not None:
             return GraphFeatures(*native, coded=True)

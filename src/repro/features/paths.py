@@ -19,9 +19,9 @@ hands the graph to the C kernel (``ck_path_features`` in
 :class:`~repro.isomorphism.compiled.FlatGraph` — the buffer the graph's
 compiles read too — and gets the distinct features back as codes;
 :func:`path_features` over :func:`enumerate_simple_paths` is the pure-Python
-form, keyed by tuple — the fallback when the kernel is unavailable or a
-graph's features do not pack into codes, and the oracle the native one is
-tested against.
+form, keyed by tuple — the route for a graph whose features do not pack
+into codes (more than 255 label strings, paths longer than 7 edges, a full
+label table), and the oracle the native one is tested against.
 
 **Feature codes.**  A feature's code is its canonical label sequence spelt
 with one process-wide byte per label text, most significant byte first, in
@@ -295,19 +295,15 @@ def native_path_features(
     is decoded: :func:`decode_path_codes` turns the codes back into keys
     for whoever needs them.
 
-    The whole result is ``None`` when the kernel is unavailable in this
-    process, or when the features do not pack into codes — more than 255
-    distinct label strings in the graph, ``max_length`` above 7, or labels
-    the process-wide table cannot take — and the caller runs the Python
-    enumeration.  ``flat`` is the graph's :class:`FlatGraph` when the
-    caller compiles the graph from the same arrays.
+    The whole result is ``None`` when the features do not pack into codes —
+    more than 255 distinct label strings in the graph, ``max_length`` above
+    7, or labels the process-wide table cannot take — and the caller runs
+    the Python enumeration.  ``flat`` is the graph's :class:`FlatGraph`
+    when the caller compiles the graph from the same arrays.
 
     One call per graph, the interpreter lock released for its duration; all
     buffers are per call, so concurrent extractions do not interfere.
     """
-    library = _ckernel_loader.kernel()
-    if library is None:
-        return None
     if flat is None:
         flat = FlatGraph(graph)
     texts = list(map(str, flat.labels))
@@ -323,6 +319,7 @@ def native_path_features(
     buffer, (ranks_address, bytes_address) = _packed(
         [rank_of[text] for text in texts], label_bytes
     )
+    library = _ckernel_loader.kernel()
     block = library.ck_path_features(
         num_vertices, *flat.csr(), ranks_address, max_length, locations, bytes_address
     )

@@ -1,6 +1,6 @@
 """Graph substrate: labeled graphs, traversal, statistics and I/O."""
 
-from .bitset import CandidateBitmap, GraphIdSpace, VertexIdSpace, iter_bits
+from .bitset import CandidateBitmap, GraphIdSpace, iter_bits
 from .database import GraphDatabase
 from .graph import GraphError, LabeledGraph
 from .io import (
@@ -31,7 +31,6 @@ __all__ = [
     "GraphDatabase",
     "GraphError",
     "GraphIdSpace",
-    "VertexIdSpace",
     "LabeledGraph",
     "iter_bits",
     "DatasetStatistics",

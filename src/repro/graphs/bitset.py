@@ -14,12 +14,6 @@ cached answer sets) collapses to single CPython big-int operations.
 
 ``iter_bits`` is shared with the two component indexes, which use raw masks
 keyed by cache-entry id for their own candidate bookkeeping.
-
-:class:`GraphIdSpace` is deliberately agnostic about what its ids denote:
-the compiled verification kernel
-(:mod:`repro.isomorphism.compiled`) instantiates it over the *vertex* ids of
-a single graph to get dense bit positions for neighbourhood bitsets —
-:data:`VertexIdSpace` is the alias used in that role.
 """
 
 from __future__ import annotations
@@ -29,7 +23,6 @@ from collections.abc import Hashable, Iterable, Iterator, Set
 __all__ = [
     "DensePositions",
     "GraphIdSpace",
-    "VertexIdSpace",
     "CandidateBitmap",
     "iter_bits",
 ]
@@ -161,11 +154,6 @@ class GraphIdSpace:
 
     def __repr__(self) -> str:
         return f"<GraphIdSpace ids={len(self._ids)}>"
-
-
-#: the same frozen id ↔ bit-position mapping, used over the vertex ids of a
-#: single graph (compiled verification) instead of over dataset-graph ids
-VertexIdSpace = GraphIdSpace
 
 
 class CandidateBitmap(Set):

@@ -34,7 +34,6 @@ class GraphDatabase:
         self._labels: set = set()
         self._compiled_targets: dict[Hashable, object] = {}
         self._compiled_plans: dict[Hashable, object] = {}
-        self._signatures: object | None = None
 
     # ------------------------------------------------------------------
     @classmethod
@@ -58,9 +57,6 @@ class GraphDatabase:
             raise GraphError(f"duplicate graph id {graph_id!r}")
         self._graphs[graph_id] = graph
         self._labels.update(graph.labels())
-        # The stacked signature arrays are aligned over the full id set, so
-        # any insert invalidates them (per-graph compiled caches stay valid).
-        self._signatures = None
 
     # ------------------------------------------------------------------
     # Compiled verification representations
@@ -96,52 +92,17 @@ class GraphDatabase:
     def precompile(self, targets: bool = True, plans: bool = False) -> None:
         """Eagerly compile the chosen representation of every stored graph.
 
-        Moves the one-time compilation out of the first verification call
-        and into set-up.  Subgraph verification consumes ``targets``;
-        supergraph verification (dataset graphs as patterns) consumes
-        ``plans``.
-
-        Only what the kernel resolved in this process reads is built.  With
-        the native C kernel loadable that is each form's ``native()`` block
-        — the bigint state of a dataset graph is then never allocated.
-        Otherwise it is the bigint state, plus (for ``targets``) the batched
-        pre-reject's stacked arrays.  Neither crosses a pickle on the native
-        path: a form pickles as its graph there and compiles again on
-        arrival.
+        Moves the one-time compilation — each form's kernel block — out of
+        the first verification call and into set-up.  Subgraph verification
+        consumes ``targets``; supergraph verification (dataset graphs as
+        patterns) consumes ``plans``.  A block never crosses a pickle: a
+        form pickles as its graph and compiles again on arrival.
         """
-        from ..isomorphism._ckernel_loader import native_kernel_available
-
-        native = native_kernel_available()
         for graph_id in self._graphs:
-            compiled = []
             if targets:
-                compiled.append(self.compiled_target(graph_id))
+                self.compiled_target(graph_id).native()
             if plans:
-                compiled.append(self.compiled_plan(graph_id))
-            for side in compiled:
-                if native:
-                    side.native()
-                else:
-                    side.build_state()
-        if targets and not native:
-            # derived data too (None when numpy is unavailable)
-            self.dataset_signatures()
-
-    def dataset_signatures(self):
-        """Stacked per-graph signature arrays for the batched pre-reject.
-
-        Returns the database-wide
-        :class:`~repro.isomorphism.compiled.DatasetSignatures` (built lazily
-        on first request, invalidated when a graph is added) or ``None``
-        when numpy is unavailable on this host.
-        """
-        from ..isomorphism.compiled import DatasetSignatures, numpy_available
-
-        if not numpy_available():
-            return None
-        if self._signatures is None:
-            self._signatures = DatasetSignatures(self._graphs)
-        return self._signatures
+                self.compiled_plan(graph_id).native()
 
     # ------------------------------------------------------------------
     def get(self, graph_id: Hashable) -> LabeledGraph:

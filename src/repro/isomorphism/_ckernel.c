@@ -4,26 +4,25 @@
  * containment call per query and direction).
  *
  * `ck_verify_many` answers every (pattern, target) pair of one query in a
- * single ctypes call, in candidate order, with the interpreter lock
- * released once.  Per pair it runs what the Python fallback
- * (`match_pairs` in src/repro/isomorphism/compiled.py) runs per pair:
+ * single ctypes call (`match_pairs` in src/repro/isomorphism/compiled.py),
+ * in candidate order, with the interpreter lock released once.  It is the
+ * only verification kernel; the pure-Python bigint kernel it was
+ * transliterated from is its oracle in tests/kernel_oracle.py.  Per pair:
  *
  *   1. the signature prereject — vertex/edge counts, label histogram and
- *      per-label degree dominance, the same boolean as
- *      `CompiledQueryPlan.prereject`;
- *   2. the VF2 depth-first search, a line-for-line transliteration of
- *      `_bigint_has_embedding` from Python bigint bitmasks onto uint64 word
- *      arrays: identical matching order, identical ascending candidate
- *      order, identical degree / look-ahead / region predicates evaluated
- *      against the identical `used` state;
+ *      per-label degree dominance (`prereject` in the oracle);
+ *   2. the VF2 depth-first search on uint64 word arrays, the oracle's
+ *      `bigint_has_embedding` on Python int bitmasks: identical matching
+ *      order, identical ascending candidate order, identical degree /
+ *      look-ahead / region predicates evaluated against the identical
+ *      `used` state;
  *   3. with `by_component`, Grapes' component-restricted verification:
  *      region -> connected components -> (-size, rank) order -> size and
  *      edge-count pre-checks -> one counted test per surviving component ->
- *      stop at the first match (`masked_components` / `masked_edge_count`
- *      and the loop in `_match_by_component` are the Python oracle).
+ *      stop at the first match (the oracle's `match_by_component`).
  *
  * Flags and per-pair test counts are therefore byte-identical to the
- * bigint path on every input, which is what the repository's accounting
+ * oracle's on every input, which is what the repository's accounting
  * contract (the paper's Figs. 7-11 count isomorphism tests) requires.
  *
  * `ck_path_features` enumerates the simple paths of one graph (the GGSX /
@@ -31,13 +30,13 @@
  * label sequences with their occurrence counts and, on request, the vertex
  * positions their occurrences cover.  `path_features` in
  * src/repro/features/paths.py is the Python oracle it is tested against
- * and the fallback when this library is unavailable.
+ * and the route for features that do not pack into codes.
  *
  * The file is deliberately dependency-free C99 so it can be built two ways:
  *
- *   1. by setuptools as an optional extension module (setup.py defines
+ *   1. by setuptools as an extension module (setup.py defines
  *      CKERNEL_PYMODULE and links against Python for the no-op PyInit);
- *   2. by the runtime fallback loader (`_ckernel_loader.py`) with nothing
+ *   2. by the loader's runtime compile (`_ckernel_loader.py`) with nothing
  *      but `cc -O3 -shared -fPIC` — no Python headers required; all entry
  *      points use a plain C ABI consumed through ctypes.
  *
@@ -47,9 +46,10 @@
  * with the same prereject + search as every other pair.  `ck_mask_sums` adds
  * up the section 5.1 credits of one query's hits.  The Python loops they
  * replace (`candidate_mask` in src/repro/core/isuper.py,
- * `ThresholdBitmapIndex.at_least`, `_verified_hits` in
- * src/repro/core/containment.py, `mask_sums` in src/repro/core/probe.py)
- * stay as the fallback and as the oracle of tests/test_native_probe.py.
+ * `ThresholdBitmapIndex.at_least` and `_verified_hits` in
+ * src/repro/core/containment.py, which stay as the route for features that
+ * do not pack into codes; `mask_sums` in tests/kernel_oracle.py) are the
+ * oracles of tests/test_native_probe.py.
  *
  * Data layout, ABI 6.  A `ck_target` / `ck_plan` is built once per graph
  * and role by `ck_compile_target` / `ck_compile_plan` (new in ABI 5) from
@@ -57,9 +57,9 @@
  * in `neighbors()` order, per vertex its interned label id and its rank in
  * the repr order of the vertex ids; `FlatGraph` in compiled.py — as one
  * malloc'd block that Python owns and releases with `ck_free`.
- * `_marshal_target` / `_marshal_plan` in compiled.py build the same structs
- * from the Python compiled forms: the fallback for graphs whose vertex reprs
- * collide, and the oracle the two entry points are tested against.
+ * `marshal_target` / `marshal_plan` in tests/kernel_oracle.py build the same
+ * structs from the bigint state: the oracle the two entry points are tested
+ * against.
  *
  *
  *   - adjacency:      n x num_words row-major uint64 neighbour bitsets;
@@ -220,7 +220,7 @@ ck_popcount_row(const uint64_t *row, int64_t W)
 }
 
 /* Row of v's label-partitioned adjacency for `label`, or NULL when no
- * neighbour of v carries the label (the bigint `.get(label, 0)`). */
+ * neighbour of v carries the label (the oracle's `.get(label, 0)`). */
 static inline const uint64_t *
 ck_label_row(const ck_target *t, int64_t vertex, int64_t label)
 {
@@ -236,7 +236,7 @@ ck_label_row(const ck_target *t, int64_t vertex, int64_t label)
     return NULL;
 }
 
-/* `CompiledQueryPlan.prereject`: 1 when cheap invariants already prove the
+/* The oracle's `prereject`: 1 when cheap invariants already prove the
  * pattern cannot embed into the (whole) target. */
 static int
 ck_prereject(const ck_target *t, const ck_plan *p)
@@ -889,8 +889,8 @@ ck_degree_signature(int64_t n, const int64_t *offsets,
 /* Compile a graph, given as the CSR of `FlatGraph` in compiled.py, into the
  * `ck_target` the search runs against: one malloc'd block, the struct first
  * and its arrays behind it, released with `ck_free`; NULL on allocation
- * failure.  Field for field what `_marshal_target` builds from the Python
- * state of a `CompiledTarget` (the oracle of tests/test_native_compile.py). */
+ * failure.  Field for field what `marshal_target` in tests/kernel_oracle.py
+ * builds from the bigint state (tests/test_native_compile.py). */
 CK_EXPORT ck_target *
 ck_compile_target(int64_t n, const int64_t *offsets, const int64_t *neighbours,
                   const int64_t *label_ids, const int64_t *ranks)
@@ -996,12 +996,12 @@ ck_compile_target(int64_t n, const int64_t *offsets, const int64_t *neighbours,
 
 /* Compile the same CSR into the `ck_plan` of the graph as a pattern: one
  * block like ck_compile_target's; NULL on allocation failure.  The matching
- * order is `CompiledQueryPlan._matching_order`: a component starts at its
+ * order is the oracle's `matching_order`: a component starts at its
  * vertex of highest degree, then the frontier vertex with most placed
  * neighbours, then highest degree, is placed next; every tie goes to the
- * smaller rank.  `ranks` is a permutation of 0..n-1 (distinct reprs; the
- * caller compiles in Python otherwise), so the order is the one Python
- * finds and `_marshal_plan` the oracle, field for field. */
+ * smaller rank.  `ranks` is a permutation of 0..n-1 (repr order, equal
+ * reprs by position), so every tie is decided, and `marshal_plan` is the
+ * oracle, field for field. */
 CK_EXPORT ck_plan *
 ck_compile_plan(int64_t n, const int64_t *offsets, const int64_t *neighbours,
                 const int64_t *label_ids, const int64_t *ranks)

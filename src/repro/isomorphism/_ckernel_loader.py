@@ -1,35 +1,29 @@
 """Locate, build and load the native kernel (`_ckernel.c`).
 
-The native backend must never be a hard dependency: the engine has to keep
-working on hosts with no C compiler, no prebuilt extension and no writable
-cache directory.  This module therefore resolves
-the shared object through a chain of progressively weaker options and
-reports plain unavailability (``None``) when every link fails:
+The C kernel is the only verification kernel, so this module either returns
+a configured library or raises :class:`ImportError` saying how to get one.
+The shared object is resolved through two options:
 
 1. **Installed extension** — ``setup.py`` builds ``_ckernel.c`` as an
-   *optional* extension module next to this file.  An extension module is
-   an ordinary shared object, so its exported C symbols are consumed
-   directly through :mod:`ctypes` (the module body is a stub; nothing is
-   imported).
+   extension module next to this file.  An extension module is an ordinary
+   shared object, so its exported C symbols are consumed directly through
+   :mod:`ctypes` (the module body is a stub; nothing is imported).
 2. **Runtime compile cache** — under the legacy editable install (or a
    plain checkout) no extension is ever built, so the loader compiles the
-   C source itself with ``cc -O3 -shared -fPIC`` (plus any ``CFLAGS``,
-   which is how CI builds the ASan/UBSan variant) into a per-user cache
-   directory.  The artifact name is keyed on a hash of the C source, the
-   platform, the ABI version and the extra flags, so editing
-   ``_ckernel.c`` (or upgrading the repo) can never pick up a stale
-   binary, a sanitised build never collides with the ``-O3`` one, and
-   concurrent builders (e.g. test processes on a cold cache) race benignly
-   through an atomic rename.
-3. **Fallback** — anything failing above (no compiler, read-only home,
-   unloadable artifact, ABI mismatch) disables the backend for this
-   process; callers then resolve ``kernel="native"`` to ``"bigint"``.
+   C source itself with ``cc -O3 -shared -fPIC`` (``$CC`` picks another
+   compiler; any ``CFLAGS`` are appended, which is how CI builds the
+   ASan/UBSan variant) into a per-user cache directory.  The artifact name
+   is keyed on a hash of the C source, the platform, the ABI version and
+   the extra flags, so editing ``_ckernel.c`` (or upgrading the repo) can
+   never pick up a stale binary, a sanitised build never collides with the
+   ``-O3`` one, and concurrent builders (e.g. test processes on a cold
+   cache) race benignly through an atomic rename.
 
-Setting ``REPRO_DISABLE_NATIVE=1`` in the environment forces option 3 —
-the switch the test suite and CI use to keep the pure-Python path honest.
-The variable is inherited by child processes (the benchmark's workload
-runs, the persistence tests' crash child), so a forced-fallback run is
-forced everywhere.
+When both fail (no compiler, read-only home, unloadable artifact, ABI
+mismatch) the first :func:`kernel` call raises an :class:`ImportError`
+naming the C source, the compiler command and the tail of its error output;
+the error is kept and raised again by every later call, so a process never
+retries a failed build.
 """
 
 from __future__ import annotations
@@ -45,8 +39,6 @@ from pathlib import Path
 __all__ = [
     "ABI_VERSION",
     "kernel",
-    "native_kernel_available",
-    "native_disabled",
     "native_kernel_path",
     "reset_for_testing",
 ]
@@ -56,14 +48,11 @@ ABI_VERSION = 7
 
 _SOURCE = Path(__file__).with_name("_ckernel.c")
 
-#: resolved state: ``False`` = not resolved yet, ``None`` = unavailable
-_kernel = False
+#: the loaded library and where it came from, once resolved
+_kernel: ctypes.CDLL | None = None
 _kernel_path: Path | None = None
-
-
-def native_disabled() -> bool:
-    """True when ``REPRO_DISABLE_NATIVE`` forces the pure-Python fallback."""
-    return os.environ.get("REPRO_DISABLE_NATIVE", "").strip() not in ("", "0")
+#: the ImportError a failed resolution raised, raised again on every call
+_error: ImportError | None = None
 
 
 def _installed_extension() -> Path | None:
@@ -190,41 +179,56 @@ def _configure(library: ctypes.CDLL) -> ctypes.CDLL | None:
     return library
 
 
-def kernel():
-    """The configured :class:`ctypes.CDLL`, or ``None`` when unavailable.
+def _import_error(error: Exception) -> ImportError:
+    """The error :func:`kernel` raises for a failed build or load."""
+    detail = f"{type(error).__name__}: {error}"
+    command = getattr(error, "cmd", None)
+    if command is not None:  # the compiler ran and failed, or timed out
+        stderr = getattr(error, "stderr", None) or b""
+        if isinstance(stderr, bytes):
+            stderr = stderr.decode(errors="replace")
+        tail = "\n".join(stderr.strip().splitlines()[-12:])
+        detail = f"`{' '.join(map(str, command))}` failed" + (f":\n{tail}" if tail else "")
+    return ImportError(
+        f"repro needs its C kernel, built from {_SOURCE}, and could not build "
+        f"or load it: {detail}\nInstall a C toolchain and run `pip install -e .`, "
+        "or set CC to a working C compiler."
+    )
 
-    Resolution happens once per process and is cached, including the
-    negative outcome — a host without a compiler must not retry the build
-    on every verification call.
+
+def kernel() -> ctypes.CDLL:
+    """The configured :class:`ctypes.CDLL` of the C kernel.
+
+    Resolution happens once per process.  A failure raises
+    :class:`ImportError` (see :func:`_import_error`), and the same error is
+    raised again by every later call: a host without a compiler does not
+    retry the build on every verification call.
     """
-    global _kernel, _kernel_path
-    if _kernel is not False:
+    if _kernel is not None:
         return _kernel
-    _kernel = None
-    _kernel_path = None
-    if native_disabled():
-        return None
-    try:
-        path = _installed_extension()
-        if path is None:
-            path = _compile_cached()
-        library = _configure(ctypes.CDLL(str(path)))
-        if library is not None:
-            _kernel = library
-            _kernel_path = path
-    except Exception:  # noqa: BLE001 - any failure means "unavailable"
-        _kernel = None
-    return _kernel
+    return _load()
 
 
-def native_kernel_available() -> bool:
-    """True if the native kernel backend can run in this process."""
-    return kernel() is not None
+def _load() -> ctypes.CDLL:
+    """Resolve the library, or raise (and keep) the :class:`ImportError`."""
+    global _kernel, _kernel_path, _error
+    if _error is None:
+        try:
+            path = _installed_extension() or _compile_cached()
+            library = _configure(ctypes.CDLL(str(path)))
+            if library is None:
+                raise OSError(f"{path} was built for another kernel ABI (expected {ABI_VERSION})")
+        except Exception as error:  # noqa: BLE001 - every failure is reported the same way
+            _error = _import_error(error)
+            _error.__cause__ = error
+        else:
+            _kernel, _kernel_path = library, path
+            return library
+    raise _error
 
 
-def native_kernel_path() -> Path | None:
-    """Where the loaded shared object came from (diagnostics; ``None`` if
-    the native backend is unavailable)."""
+def native_kernel_path() -> Path:
+    """Where the loaded shared object came from (diagnostics)."""
     kernel()
     return _kernel_path
 
@@ -233,10 +237,7 @@ def reset_for_testing() -> None:
     """Forget the cached resolution so tests can re-drive the loader.
 
     Production code never calls this: per-process resolution is stable by
-    design (a process that failed to load the kernel stays on bigint for
-    its lifetime and reports so — see ``kernel_resolved`` in service
-    stats).
+    design.
     """
-    global _kernel, _kernel_path
-    _kernel = False
-    _kernel_path = None
+    global _kernel, _kernel_path, _error
+    _kernel = _kernel_path = _error = None

@@ -1,17 +1,17 @@
 """Verification engine: instrumented wrapper around the matching algorithms.
 
 Every filter-then-verify method performs its verification stage through a
-:class:`Verifier`.  The wrapper serves three purposes:
+:class:`Verifier`.  The wrapper serves two purposes:
 
-* algorithm selection — VF2 (default, as in the paper's three base methods)
-  or Ullmann (baseline for the verifier ablation benchmark);
-* fast-path dispatch — when the configured algorithm admits it (VF2,
-  non-induced), callers holding precompiled representations
-  (:mod:`repro.isomorphism.compiled`) verify all pairs of a query through
-  the bitset kernel with one :meth:`Verifier.verify_pairs` call
+* dispatch — callers holding precompiled representations
+  (:mod:`repro.isomorphism.compiled`) verify all pairs of a query in the C
+  kernel with one :meth:`Verifier.verify_pairs` call
   (:meth:`Verifier.is_subgraph_compiled` is its one-pair form); the
-  graph-based entry points keep working unchanged and apply the same
-  early-fail signature pre-check;
+  graph-based entry points run VF2 (as in the paper's three base methods)
+  on the dict-based :class:`~repro.isomorphism.vf2.VF2Matcher` behind the
+  same early-fail signature pre-check.  ``Verifier(compiled=False)`` takes
+  the graph-based path everywhere: the independent reference the tests
+  compare the kernel against;
 * instrumentation — the number of subgraph isomorphism tests and the time
   spent in them is the primary metric of the paper's evaluation (Figures 1,
   7–11), so the verifier counts every test and accumulates wall-clock time.
@@ -28,23 +28,17 @@ from dataclasses import dataclass
 
 from ..graphs.graph import LabeledGraph
 from .compiled import (
-    KERNELS,
     CompiledQuery,
     CompiledQueryPlan,
     CompiledTarget,
     compile_query_plan,
     compile_target,
     match_pairs,
-    numpy_available,
-    resolve_kernel,
     signature_prereject,
 )
-from .ullmann import UllmannMatcher
 from .vf2 import VF2Matcher
 
 __all__ = ["VerifierStats", "Verifier"]
-
-_ALGORITHMS = ("vf2", "ullmann")
 
 #: entries kept by the per-verifier compile memos (queries in flight at any
 #: moment are few; the memo only needs to cover a working set of repeats)
@@ -73,47 +67,20 @@ class Verifier:
 
     Parameters
     ----------
-    algorithm:
-        ``"vf2"`` (default) or ``"ullmann"``.
-    induced:
-        Use induced-subgraph semantics (not needed by the paper's setup).
     compiled:
-        Allow the compiled bitset kernel when callers provide precompiled
-        representations (default).  ``False`` restores the pure dict-based
-        matcher on every path — the reference the tests compare against.
+        Verify in the C kernel when callers provide precompiled
+        representations (default).  ``False`` runs the dict-based matcher on
+        every path — the reference the tests compare against.
     precheck:
         Apply the label-histogram / degree-signature early-fail check before
         running a matcher on the graph-based path (default).  The check is a
         necessary condition for a match, so answers never change; ``False``
         reproduces the pre-optimisation behaviour exactly.
-    kernel:
-        Compiled-kernel backend: ``"bigint"`` (pure-Python bitmask loop),
-        ``"native"`` (hand-written C kernel, one call per query; bigint
-        fallback when the shared library cannot be loaded) or ``"auto"``
-        (default; native when loadable, else bigint).  Both backends
-        explore the identical search tree, so answers and accounting never
-        depend on the choice.
     """
 
-    def __init__(
-        self,
-        algorithm: str = "vf2",
-        induced: bool = False,
-        compiled: bool = True,
-        precheck: bool = True,
-        kernel: str = "auto",
-    ) -> None:
-        if algorithm not in _ALGORITHMS:
-            raise ValueError(
-                f"unknown algorithm {algorithm!r}; expected one of {_ALGORITHMS}"
-            )
-        if kernel not in KERNELS:
-            raise ValueError(f"unknown kernel {kernel!r}; expected one of {KERNELS}")
-        self.algorithm = algorithm
-        self.induced = induced
+    def __init__(self, compiled: bool = True, precheck: bool = True) -> None:
         self.compiled = compiled
         self.precheck = precheck
-        self.kernel = kernel
         self.stats = VerifierStats()
         # id(graph) -> (graph, num_vertices, num_edges, compiled) memos for
         # compile_pattern / compile_target: workload streams repeat queries
@@ -130,7 +97,7 @@ class Verifier:
     # ------------------------------------------------------------------
     def supports_compiled(self) -> bool:
         """True if this verifier may dispatch to the compiled kernel."""
-        return self.compiled and self.algorithm == "vf2" and not self.induced
+        return self.compiled
 
     @staticmethod
     def _memoised(memo: dict, graph: LabeledGraph, compile_fn):
@@ -150,8 +117,8 @@ class Verifier:
     def compile_pattern(
         self, pattern: LabeledGraph, compiled: CompiledQuery | None = None
     ) -> CompiledQueryPlan | None:
-        """Compile ``pattern`` into a reusable plan, or ``None`` when the
-        configured algorithm requires the graph-based path.
+        """Compile ``pattern`` into a reusable plan, or ``None`` for a
+        ``compiled=False`` verifier (the graph-based path).
 
         ``compiled`` is the query's shared :class:`CompiledQuery` when the
         caller (the iGQ engine) carries one: its plan is used, and built
@@ -160,7 +127,7 @@ class Verifier:
         the matching order (plans are immutable and deterministic, so
         sharing never changes answers or accounting).
         """
-        if not self.supports_compiled():
+        if not self.compiled:
             return None
         if compiled is not None:
             return compiled.compiled_plan()
@@ -169,47 +136,24 @@ class Verifier:
     def compile_target(
         self, target: LabeledGraph, compiled: CompiledQuery | None = None
     ) -> CompiledTarget | None:
-        """Compile ``target`` for repeated verification, or ``None`` when the
-        configured algorithm requires the graph-based path.
+        """Compile ``target`` for repeated verification, or ``None`` for a
+        ``compiled=False`` verifier (the graph-based path).
 
         Shared through ``compiled`` or memoised like :meth:`compile_pattern`
         (supergraph streams repeat query graphs in the target role the same
         way).
         """
-        if not self.supports_compiled():
+        if not self.compiled:
             return None
         if compiled is not None:
             return compiled.compiled_target()
         return self._memoised(self._target_memo, target, compile_target)
 
-    def batched_prereject_enabled(self) -> bool:
-        """True if callers should run the vectorised batched pre-reject.
-
-        The batched pass computes exactly the scalar per-pair signature
-        check, so it is sound under any configuration.  It serves the
-        bigint loop when that is a *fallback*: it is skipped when the C
-        kernel runs (which pre-rejects per pair itself), for a forced
-        ``kernel="bigint"`` (the pure-Python baseline must not touch numpy)
-        and when numpy is unavailable.
-        """
-        return (
-            self.kernel != "bigint"
-            and resolve_kernel(self.kernel) == "bigint"
-            and numpy_available()
-        )
-
     def resolved_kernel_name(self) -> str:
-        """The kernel backend this verifier runs.
-
-        ``"uncompiled"`` when the configuration bypasses the compiled
-        kernel entirely; otherwise the target-independent
-        :func:`resolve_kernel` answer for the configured ``kernel`` (the
-        ``kernel_resolved`` block of the service report shows it, so a
-        native library that failed to load is visible).
-        """
-        if not self.supports_compiled():
-            return "uncompiled"
-        return resolve_kernel(self.kernel)
+        """``"native"``, or ``"uncompiled"`` when this verifier bypasses the
+        C kernel entirely (the ``kernel_resolved`` block of the service
+        report shows it)."""
+        return "native" if self.compiled else "uncompiled"
 
     def verify_pairs(
         self,
@@ -217,9 +161,8 @@ class Verifier:
         candidates: Sequence,
         regions: Sequence[int] | None = None,
         by_component: bool = False,
-        prerejected: Sequence[bool] | None = None,
     ) -> list[bool]:
-        """Test every pair of one query through the bitset kernel.
+        """Test every pair of one query in the C kernel.
 
         The batch form of :meth:`is_subgraph`: ``query_side`` is the
         compiled side the pairs share — the query's plan against each
@@ -227,8 +170,7 @@ class Verifier:
         or the query's target against each candidate
         :class:`CompiledQueryPlan` (supergraph verification, ``Isuper``) —
         obtained from :meth:`compile_pattern` / :meth:`compile_target` or
-        the database caches.  ``regions`` / ``by_component`` /
-        ``prerejected`` are passed to
+        the database caches.  ``regions`` / ``by_component`` are passed to
         :func:`~repro.isomorphism.compiled.match_pairs`.  Returns the match
         flag per candidate and folds the batch into the statistics once:
         one test per pair — a region-restricted run is still one counted
@@ -238,14 +180,7 @@ class Verifier:
         accounted.
         """
         start = time.perf_counter()
-        matched, tests = match_pairs(
-            query_side,
-            candidates,
-            regions,
-            by_component=by_component,
-            kernel=self.kernel,
-            prerejected=prerejected,
-        )
+        matched, tests = match_pairs(query_side, candidates, regions, by_component=by_component)
         self.record_batch(sum(tests), sum(matched), time.perf_counter() - start)
         return matched
 
@@ -274,17 +209,15 @@ class Verifier:
     # Graph-based path
     # ------------------------------------------------------------------
     def is_subgraph(self, pattern: LabeledGraph, target: LabeledGraph) -> bool:
-        """Test ``pattern ⊆ target``, updating the statistics."""
+        """Test ``pattern ⊆ target`` with VF2, updating the statistics."""
         start = time.perf_counter()
         if self.precheck and signature_prereject(pattern, target):
-            # The signature check is a necessary condition for any (induced
-            # or non-induced) subgraph isomorphism: a reject here is a test
-            # whose matcher run is provably pointless.
+            # The signature check is a necessary condition for a subgraph
+            # isomorphism: a reject here is a test whose matcher run is
+            # provably pointless.
             result = False
-        elif self.algorithm == "vf2":
-            result = VF2Matcher(pattern, target, induced=self.induced).has_match()
         else:
-            result = UllmannMatcher(pattern, target).has_match()
+            result = VF2Matcher(pattern, target).has_match()
         self._record(result, time.perf_counter() - start)
         return result
 
@@ -308,15 +241,9 @@ class Verifier:
     def fresh_clone(self) -> "Verifier":
         """A new verifier with the same configuration and zeroed statistics.
 
-        Per-chunk thread clones must run under the *same* algorithm and
-        fast-path flags as the parent — otherwise an A/B run with
-        ``compiled=False`` would silently re-enable the fast path on the
-        pool — but must not inherit the parent's accumulated counters.
+        Per-chunk thread clones must run under the *same* fast-path flags as
+        the parent — otherwise an A/B run with ``compiled=False`` would
+        silently re-enable the kernel on the pool — but must not inherit
+        the parent's accumulated counters.
         """
-        return Verifier(
-            algorithm=self.algorithm,
-            induced=self.induced,
-            compiled=self.compiled,
-            precheck=self.precheck,
-            kernel=self.kernel,
-        )
+        return Verifier(compiled=self.compiled, precheck=self.precheck)

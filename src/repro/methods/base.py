@@ -267,11 +267,8 @@ class SubgraphQueryMethod(ABC):
         When the verifier admits the compiled fast path the query is
         compiled into a matching plan *once* and tested against the
         database's cached :class:`CompiledTarget` of every candidate in one
-        :meth:`Verifier.verify_pairs` call (one C call on the native
-        kernel; on the bigint fallback a vectorised batched pre-reject
-        settles every certain negative in one array pass first).  Otherwise
-        every candidate pair goes through the graph-based matcher exactly
-        as before.
+        :meth:`Verifier.verify_pairs` call (one C call).  Otherwise every
+        candidate pair goes through the graph-based matcher.
         """
         self._require_index()
         verifier = self.verifier
@@ -282,11 +279,7 @@ class SubgraphQueryMethod(ABC):
                 graph_id for graph_id in candidate_ids if verifier.is_subgraph(query, get(graph_id))
             }
         candidates = list(candidate_ids)
-        matched = verifier.verify_pairs(
-            plan,
-            list(map(self.database.compiled_target, candidates)),
-            prerejected=self._batched_prereject(candidates, plan=plan),
-        )
+        matched = verifier.verify_pairs(plan, list(map(self.database.compiled_target, candidates)))
         return set(compress(candidates, matched))
 
     def verify_supergraph(
@@ -313,30 +306,8 @@ class SubgraphQueryMethod(ABC):
                 graph_id for graph_id in candidate_ids if verifier.is_subgraph(get(graph_id), query)
             }
         candidates = list(candidate_ids)
-        matched = verifier.verify_pairs(
-            target,
-            list(map(self.database.compiled_plan, candidates)),
-            prerejected=self._batched_prereject(candidates, target=target),
-        )
+        matched = verifier.verify_pairs(target, list(map(self.database.compiled_plan, candidates)))
         return set(compress(candidates, matched))
-
-    def _batched_prereject(self, candidates, plan=None, target=None):
-        """One vectorised signature pass over all candidates of a query.
-
-        Returns a boolean reject array aligned with ``candidates`` (entry
-        ``i`` is exactly the scalar pre-reject verdict of pair ``i``), or
-        ``None`` when batching is off — the C kernel runs (it pre-rejects
-        per pair itself), ``kernel="bigint"`` is forced, numpy is
-        unavailable, or the batch is too small to benefit.
-        """
-        if len(candidates) < 2 or not self.verifier.batched_prereject_enabled():
-            return None
-        signatures = self.database.dataset_signatures()
-        if signatures is None:
-            return None
-        if plan is not None:
-            return signatures.prereject_targets(plan, candidates)
-        return signatures.prereject_patterns(target, candidates)
 
     # ------------------------------------------------------------------
     # End-to-end query processing

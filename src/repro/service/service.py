@@ -204,11 +204,9 @@ class ServiceReport:
     #: delta-log health: length, version, last-compaction floor, records
     #: folded away by compaction so far
     delta_log: dict = field(default_factory=dict)
-    #: which kernel backend actually runs: ``configured`` (the requested
-    #: ``verifier.kernel``) and ``parent`` (what the service's process
-    #: resolved it to — every stage runs in that process).  A native
-    #: library that could not be loaded shows as ``"bigint"`` here instead
-    #: of running silently slower.
+    #: ``{"parent": ...}``: the kernel the base method's verifier runs in
+    #: the service's process — ``"native"``, or ``"uncompiled"`` for an
+    #: injected ``Verifier(compiled=False)``
     kernel_resolved: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
@@ -666,10 +664,7 @@ class GraphQueryService:
             pipelined_plans=executor_stats.pipelined_plans if executor_stats else 0,
             pipeline_replans=executor_stats.pipeline_replans if executor_stats else 0,
             delta_log=shard_stats["delta_log"],
-            kernel_resolved={
-                "configured": self.config.verifier.kernel,
-                "parent": engine.method.verifier.resolved_kernel_name(),
-            },
+            kernel_resolved={"parent": engine.method.verifier.resolved_kernel_name()},
         )
 
     # ------------------------------------------------------------------

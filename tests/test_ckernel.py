@@ -1,49 +1,45 @@
-"""Tests for the native C kernel backend (``kernel="native"``).
+"""Tests for the C kernel, the only verification kernel.
 
-The contract is the repository-wide byte-identity guarantee extended to the
-second backend: the C kernel (``_ckernel.c``, loaded through
-:mod:`repro.isomorphism._ckernel_loader`) must return the same boolean as
-the bigint kernel on every (plan, target, mask) triple — cross-validated on
-four corpora (random pairs, the supergraph direction, multi-word targets
-past 64 vertices, region-masked runs; ``test_verify_pairs.py`` adds the
-batch and component-decomposition property) — and the engine built on top
-must produce identical answers, accounting and cache state.  The backend
-must also *degrade*: with the extension force-disabled
-(``REPRO_DISABLE_NATIVE=1``) everything falls back to bigint with no
-behaviour change beyond speed, and the fallback is visible in the service
-report's ``kernel_resolved`` block rather than silent.
+The contract is the repository-wide byte-identity guarantee: the C kernel
+(``_ckernel.c``, loaded through :mod:`repro.isomorphism._ckernel_loader`)
+must return the same boolean as the pure-Python bigint kernel of
+``tests/kernel_oracle.py`` on every (plan, target, mask) triple —
+cross-validated on four corpora (random pairs, the supergraph direction,
+multi-word targets past 64 vertices, region-masked runs;
+``test_verify_pairs.py`` adds the batch and component-decomposition
+property) — and the engine built on top must produce the answers,
+accounting and cache state of the dict-based ``Verifier(compiled=False)``.
+A host that cannot build the kernel gets an ``ImportError`` that says how
+to fix it, not a slower engine.
 """
 
 from __future__ import annotations
 
 import ctypes
+import os
 import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.core import IGQ
-from repro.core.config import (
-    BatchConfig,
-    CacheConfig,
-    EngineConfig,
-    ShardConfig,
-    VerifierConfig,
-)
+from repro.core.config import BatchConfig, CacheConfig, EngineConfig, ShardConfig
 from repro.graphs import GraphDatabase, LabeledGraph
 from repro.isomorphism import (
-    KERNELS,
     Verifier,
     compile_query_plan,
     compile_target,
     compiled_has_embedding,
-    native_kernel_available,
-    resolve_kernel,
 )
 from repro.isomorphism import _ckernel_loader
 from repro.methods import create_method
 from repro.service import GraphQueryService
 
+from . import kernel_oracle
 from .conftest import (
     engine_config,
     make_clique,
@@ -54,11 +50,6 @@ from .conftest import (
 )
 from .test_compiled import mask_of_vertices, random_pair
 from .test_shard import engine_fingerprint, run_engine
-
-needs_native = pytest.mark.skipif(
-    not native_kernel_available(),
-    reason="native kernel unavailable (no compiler / REPRO_DISABLE_NATIVE)",
-)
 
 
 @pytest.fixture
@@ -78,19 +69,43 @@ def queries():
 # Loader
 # ----------------------------------------------------------------------
 class TestLoader:
-    def test_kernel_listed(self):
-        assert "native" in KERNELS
-
-    @needs_native
     def test_loaded_artifact_reported(self):
         path = _ckernel_loader.native_kernel_path()
         assert path is not None and path.is_file()
 
-    @needs_native
     def test_resolution_is_cached(self):
         assert _ckernel_loader.kernel() is _ckernel_loader.kernel()
 
-    @needs_native
+    def test_a_failed_build_raises_import_error_and_keeps_it(self, monkeypatch):
+        """No compiler: the first call and every later one raise an
+        ``ImportError`` naming the source, the failed command with the tail
+        of its output, and the fix."""
+        monkeypatch.setattr(_ckernel_loader, "_installed_extension", lambda: None)
+        command = ["cc", "-O3", "-shared", "-fPIC", "-o", "out.so", "_ckernel.c"]
+
+        def failing_compile():
+            failing_compile.calls += 1
+            raise subprocess.CalledProcessError(
+                1, command, stderr=b"line 1\n_ckernel.c:1: error: no toolchain\n"
+            )
+
+        failing_compile.calls = 0
+        monkeypatch.setattr(_ckernel_loader, "_compile_cached", failing_compile)
+        _ckernel_loader.reset_for_testing()
+        try:
+            messages = []
+            for _ in range(2):
+                with pytest.raises(ImportError) as raised:
+                    _ckernel_loader.kernel()
+                messages.append(str(raised.value))
+            assert failing_compile.calls == 1  # the failure is kept, not retried
+            for message in messages:
+                assert "_ckernel.c" in message and "cc -O3 -shared -fPIC" in message
+                assert "error: no toolchain" in message
+                assert "CC" in message and "pip install -e ." in message
+        finally:
+            _ckernel_loader.reset_for_testing()
+
     def test_stale_abi_rejected(self, monkeypatch):
         """An artifact built for another struct layout must never be driven."""
         assert _ckernel_loader.ABI_VERSION == 7
@@ -107,18 +122,38 @@ class TestLoader:
         assert _ckernel_loader._source_key(b"source") != plain
 
 
+class TestRuntimeDependencies:
+    def test_import_repro_leaves_numpy_out(self):
+        """Nothing but the C kernel backs verification: ``import repro``
+        (and a verified query) loads no numpy."""
+        source = Path(repro.__file__).resolve().parent.parent
+        script = (
+            "import sys, repro\n"
+            "from repro.isomorphism import compile_query_plan, compile_target, "
+            "compiled_has_embedding\n"
+            "graph = repro.LabeledGraph.from_edges({0: 'A', 1: 'B'}, [(0, 1)])\n"
+            "assert compiled_has_embedding(compile_query_plan(graph), compile_target(graph))\n"
+            "print(sorted(name for name in sys.modules if name.split('.')[0] == 'numpy'))\n"
+        )
+        environment = dict(os.environ, PYTHONPATH=str(source))
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=environment, capture_output=True, text=True,
+            check=True,
+        )
+        assert done.stdout.strip() == "[]"
+
+
 # ----------------------------------------------------------------------
 # Kernel parity (the four corpora)
 # ----------------------------------------------------------------------
-@needs_native
 class TestNativeKernelParity:
-    """``kernel="native"`` must be observationally identical to the bigint
-    loop — same boolean on every (plan, target, mask) triple, since the
-    engine's byte-identity guarantee rides on the kernels agreeing."""
+    """The C kernel must be observationally identical to the bigint oracle —
+    same boolean on every (plan, target, mask) triple, since the engine's
+    byte-identity guarantee rides on the kernel being right."""
 
     def both_kernels(self, plan, target, mask=None) -> bool:
-        bigint = compiled_has_embedding(plan, target, mask, kernel="bigint")
-        native = compiled_has_embedding(plan, target, mask, kernel="native")
+        bigint = kernel_oracle.has_embedding(plan, target, mask)
+        native = compiled_has_embedding(plan, target, mask)
         assert native == bigint
         return bigint
 
@@ -178,55 +213,31 @@ class TestNativeKernelParity:
             )
 
     def test_verifier_accounting_identical_across_kernels(self, tiny_database):
+        """The verifier folds the kernel's counts: one test a pair, the
+        positives the oracle finds."""
         query = make_path_graph("ABC")
-        verifiers = {name: Verifier(kernel=name) for name in ("bigint", "native", "auto")}
-        answers = {}
-        for name, verifier in verifiers.items():
-            plan = verifier.compile_pattern(query)
-            answers[name] = [
-                verifier.is_subgraph_compiled(plan, compile_target(tiny_database.get(gid)))
-                for gid in tiny_database.ids()
-            ]
-        assert answers["bigint"] == answers["native"] == answers["auto"]
-        reference = verifiers["bigint"].stats
-        for name in ("native", "auto"):
-            stats = verifiers[name].stats
-            assert stats.tests == reference.tests
-            assert stats.positives == reference.positives
-            assert stats.negatives == reference.negatives
+        verifier = Verifier()
+        plan = verifier.compile_pattern(query)
+        targets = [compile_target(tiny_database.get(gid)) for gid in tiny_database.ids()]
+        answers = [verifier.is_subgraph_compiled(plan, target) for target in targets]
+        assert answers == kernel_oracle.match_pairs(plan, targets)[0]
+        stats = verifier.stats
+        assert stats.tests == len(targets)
+        assert stats.positives == sum(answers) and stats.negatives == len(targets) - sum(answers)
 
 
 # ----------------------------------------------------------------------
-# Resolution and the hoisted dispatch
+# Resolution
 # ----------------------------------------------------------------------
-@needs_native
 class TestKernelResolution:
-    def test_native_and_auto_resolve_to_native(self):
-        assert KERNELS == ("auto", "bigint", "native")
-        assert resolve_kernel("native") == "native"
-        assert resolve_kernel("auto") == "native"
-        assert resolve_kernel("bigint") == "bigint"
-        with pytest.raises(ValueError, match="kernel"):
-            resolve_kernel("numpy")
-
     def test_verifier_reports_resolved_name(self):
-        assert Verifier(kernel="native").resolved_kernel_name() == "native"
-        assert Verifier(kernel="auto").resolved_kernel_name() == "native"
-        assert Verifier(kernel="bigint").resolved_kernel_name() == "bigint"
+        assert Verifier().resolved_kernel_name() == "native"
         assert Verifier(compiled=False).resolved_kernel_name() == "uncompiled"
-        assert Verifier(algorithm="ullmann").resolved_kernel_name() == "uncompiled"
-
-    def test_config_accepts_native(self):
-        verifier = VerifierConfig(kernel="native").build()
-        assert verifier.kernel == "native"
-        with pytest.raises(ValueError, match="kernel"):
-            VerifierConfig(kernel="simd").build()
 
 
 # ----------------------------------------------------------------------
 # Pickling (compiled forms ride in WAL records)
 # ----------------------------------------------------------------------
-@needs_native
 class TestPickling:
     def test_target_native_cache_excluded_from_pickles(self):
         target = compile_target(make_clique("ABCD"))
@@ -235,9 +246,7 @@ class TestPickling:
         assert target.native() is native  # cached
         clone = pickle.loads(pickle.dumps(target))
         assert clone._native is None  # raw addresses never cross processes
-        assert compiled_has_embedding(
-            compile_query_plan(make_cycle_graph("ABC")), clone, kernel="native"
-        )
+        assert compiled_has_embedding(compile_query_plan(make_cycle_graph("ABC")), clone)
 
     def test_plan_native_cache_excluded_from_pickles(self):
         plan = compile_query_plan(make_cycle_graph("ABC"))
@@ -245,61 +254,18 @@ class TestPickling:
         assert plan._native is not None
         clone = pickle.loads(pickle.dumps(plan))
         assert clone._native is None
-        assert clone.steps == plan.steps
-        assert compiled_has_embedding(clone, compile_target(make_clique("ABCD")), kernel="native")
-
-
-# ----------------------------------------------------------------------
-# Forced fallback (no hard dependency on a compiler)
-# ----------------------------------------------------------------------
-class TestForcedFallback:
-    def test_env_gate_disables_native(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DISABLE_NATIVE", "1")
-        _ckernel_loader.reset_for_testing()
-        try:
-            assert _ckernel_loader.native_disabled()
-            assert not native_kernel_available()
-            assert resolve_kernel("native") == "bigint"
-            assert resolve_kernel("auto") == "bigint"
-            target = compile_target(make_cycle_graph("ABC"))
-            # a forced-native verifier still answers correctly (on bigint)
-            verifier = Verifier(kernel="native")
-            plan = verifier.compile_pattern(make_path_graph("AB"))
-            assert verifier.is_subgraph_compiled(plan, target)
-            assert verifier.stats.tests == 1
-        finally:
-            _ckernel_loader.reset_for_testing()
-
-    @needs_native
-    def test_fallback_answers_identical(self, monkeypatch):
-        rng = random.Random(171)
-        corpus = [random_pair(rng) for _ in range(60)]
-        native_answers = [
-            compiled_has_embedding(compile_query_plan(p), compile_target(t), kernel="native")
-            for p, t in corpus
-        ]
-        monkeypatch.setenv("REPRO_DISABLE_NATIVE", "1")
-        _ckernel_loader.reset_for_testing()
-        try:
-            fallback_answers = [
-                compiled_has_embedding(
-                    compile_query_plan(p), compile_target(t), kernel="native"
-                )
-                for p, t in corpus
-            ]
-        finally:
-            _ckernel_loader.reset_for_testing()
-        assert fallback_answers == native_answers
+        assert clone.pattern == plan.pattern
+        assert compiled_has_embedding(clone, compile_target(make_clique("ABCD")))
 
 
 # ----------------------------------------------------------------------
 # Engine-level byte-identity
 # ----------------------------------------------------------------------
-@needs_native
 class TestEngineByteIdentity:
-    def bigint_baseline(self, small_db, queries):
-        method = create_method("ggsx", max_path_length=3, verifier=Verifier(kernel="bigint"))
-        engine = IGQ(method, engine_config(10, 3))
+    def uncompiled_baseline(self, small_db, queries):
+        """The engine on the dict-based matcher, base method and probes."""
+        method = create_method("ggsx", max_path_length=3, verifier=Verifier(compiled=False))
+        engine = IGQ(method, engine_config(10, 3), igq_verifier=Verifier(compiled=False))
         engine.build_index(small_db)
         results = [engine.query(query) for query in queries]
         fingerprint = engine_fingerprint(engine, results)
@@ -307,8 +273,8 @@ class TestEngineByteIdentity:
         return fingerprint
 
     def test_sequential_engine_matches_bigint(self, small_db, queries):
-        baseline = self.bigint_baseline(small_db, queries)
-        method = create_method("ggsx", max_path_length=3, verifier=Verifier(kernel="native"))
+        baseline = self.uncompiled_baseline(small_db, queries)
+        method = create_method("ggsx", max_path_length=3, verifier=Verifier())
         engine = IGQ(method, engine_config(10, 3))
         engine.build_index(small_db)
         results = [engine.query(query) for query in queries]
@@ -317,9 +283,9 @@ class TestEngineByteIdentity:
         assert fingerprint == baseline
 
     def test_default_auto_engine_matches_bigint(self, small_db, queries):
-        """The default configuration now runs the native kernel — its
-        results must stay identical to the pre-native bigint engine."""
-        baseline = self.bigint_baseline(small_db, queries)
+        """The default configuration runs the C kernel — its results must
+        stay identical to the dict-based engine."""
+        baseline = self.uncompiled_baseline(small_db, queries)
         _, fingerprint = run_engine(small_db, queries)
         assert fingerprint == baseline
 
@@ -327,7 +293,6 @@ class TestEngineByteIdentity:
 # ----------------------------------------------------------------------
 # Service report visibility
 # ----------------------------------------------------------------------
-@needs_native
 class TestServiceVisibility:
     def test_report_carries_kernel_resolution(self, small_db, queries):
         method = create_method("ggsx", max_path_length=3)
@@ -342,5 +307,5 @@ class TestServiceVisibility:
             report = service.stats()
         # every stage runs in the service's process: one resolution to show
         resolved = report.kernel_resolved
-        assert resolved == {"configured": "auto", "parent": "native"}
+        assert resolved == {"parent": "native"}
         assert resolved == report.as_dict()["kernel_resolved"]

@@ -13,6 +13,7 @@ Three contracts:
   arguments 4.0 removed still construct a ``ShardConfig`` for one release:
   they warn and change nothing.  6.0 removed the process backends:
   ``batch.backend`` is gone and ``shard.backend="process"`` is rejected.
+  7.0 removed the ``verifier`` section: the C kernel is the only kernel.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from repro.core import (
     ConfigError,
     EngineConfig,
     ShardConfig,
-    VerifierConfig,
 )
 from repro.datasets.registry import load_dataset
 from repro.methods import create_method
@@ -61,7 +61,6 @@ class TestRoundTrip:
             mode="mixed",
             enable_isuper=False,
             cache=CacheConfig(size=64, window=16, policy="hit_rate"),
-            verifier=VerifierConfig(algorithm="ullmann", induced=True, kernel="bigint"),
             batch=BatchConfig(num_workers=4, chunk_size=8,
                               pipeline=False, memoize_features=False),
             shard=ShardConfig(shards=4, backend="inline", compact_threshold=None),
@@ -149,8 +148,10 @@ class TestValidation:
             ShardConfig(backend="remote")
 
     def test_unknown_algorithm(self):
-        with pytest.raises(ConfigError, match=r"verifier\.algorithm='vf3'"):
-            VerifierConfig(algorithm="vf3")
+        with pytest.raises(
+            ConfigError, match=r"removed in 7\.0 — algorithm: VF2 is the only matching algorithm"
+        ):
+            EngineConfig.from_dict({"verifier": {"algorithm": "vf3"}})
 
     def test_unknown_mode(self):
         with pytest.raises(ConfigError, match=r"engine\.mode='bidirectional'"):
@@ -269,15 +270,6 @@ class TestFromConfig:
                 (replica,) = engine.shard_runtime.shards
                 assert engine.isub is replica.isub
 
-    def test_verifier_config_applied(self, database):
-        method = create_method("ggsx", max_path_length=3)
-        config = EngineConfig(verifier=VerifierConfig(algorithm="ullmann", kernel="bigint"))
-        engine = IGQ(method, config)
-        assert engine.igq_verifier.algorithm == "ullmann"
-        assert engine.igq_verifier.kernel == "bigint"
-        # ullmann runs on the dict-based matcher: nothing compiles
-        assert not engine.igq_verifier.supports_compiled()
-
     def test_run_batch_defaults_come_from_config(self, database):
         method = create_method("ggsx", max_path_length=3)
         config = EngineConfig(
@@ -362,3 +354,34 @@ class TestProcessBackendRemoval:
             shard=ShardConfig(shards=4, backend="inline"), batch=BatchConfig(num_workers=2)
         )
         assert config.describe() == "mode=subgraph cache=500/100 shards=4 workers=2"
+
+
+# ----------------------------------------------------------------------
+# Verifier section removal (7.0)
+# ----------------------------------------------------------------------
+class TestVerifierSectionRemoval:
+    def test_the_section_names_the_removal(self):
+        with pytest.raises(
+            ConfigError,
+            match=r"unknown key\(s\) \['verifier'\].*removed in 7\.0 — verifier: the section "
+            r"is gone.*Verifier\(compiled=False\) via igq_verifier=",
+        ):
+            EngineConfig.from_dict({"verifier": {}})
+
+    def test_a_kernel_choice_names_the_removal(self):
+        with pytest.raises(
+            ConfigError,
+            match=r"removed in 7\.0 — verifier: .*removed in 7\.0 — kernel: the C kernel "
+            r"is the only verification kernel",
+        ):
+            EngineConfig.from_dict({"verifier": {"kernel": "bigint"}})
+
+    def test_no_verifier_section_or_constructor_argument(self):
+        assert "verifier" not in EngineConfig().to_dict()
+        with pytest.raises(TypeError, match="verifier"):
+            EngineConfig(verifier={})
+
+    def test_the_engine_builds_the_kernel_verifier(self):
+        with IGQ(create_method("ggsx", max_path_length=3)) as engine:
+            assert engine.igq_verifier.supports_compiled()
+            assert engine.igq_verifier.resolved_kernel_name() == "native"

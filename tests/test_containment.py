@@ -39,7 +39,6 @@ from repro.datasets.registry import load_dataset
 from repro.features import FeatureExtractor
 from repro.isomorphism import CompiledQueryPlan, CompiledTarget, Verifier
 from repro.isomorphism import compiled as compiled_module
-from repro.isomorphism.compiled import native_kernel_available
 from repro.methods import create_method
 from repro.workloads.generator import QueryGenerator, WorkloadSpec
 from repro.workloads.zipf import create_sampler
@@ -247,27 +246,15 @@ class TestCompileOncePerQuery:
     def test_at_most_one_plan_target_and_native_target(self, shards, method_name, monkeypatch):
         """A query is probed by ``Isub`` (plan) and ``Isuper`` (target),
         verified (plan) and, at the flush, indexed by both (target, plan):
-        five uses, at most one compile of each form.  What is counted is
-        what costs something: kernel compiles and bigint-state builds.  On
-        the native path nothing — query, cache entry or dataset graph —
-        ever builds its bigint state; without the kernel nothing compiles
-        natively."""
+        five uses, at most one compile of each form — a kernel compile is
+        what costs something."""
         kernel_compiles = {"ck_compile_plan": [], "ck_compile_target": []}
-        state_builds = {CompiledQueryPlan: [], CompiledTarget: []}
 
-        def counting_native_form(entry_point, flat, marshal, compiled, _form=compiled_module._native_form):
+        def counting_native_form(entry_point, flat, _form=compiled_module._native_form):
             kernel_compiles[entry_point].append(flat.graph.name)
-            return _form(entry_point, flat, marshal, compiled)
+            return _form(entry_point, flat)
 
         monkeypatch.setattr(compiled_module, "_native_form", counting_native_form)
-        for cls in state_builds:
-
-            def counting_build(self, _build=cls.build_state, _built=state_builds[cls]):
-                if not self._built:
-                    _built.append(getattr(self, "graph", None) or self.pattern)
-                _build(self)
-
-            monkeypatch.setattr(cls, "build_state", counting_build)
 
         database = load_dataset("synthetic", scale=0.03)
         method = create_method(method_name, max_path_length=3)
@@ -286,23 +273,15 @@ class TestCompileOncePerQuery:
             for query in stream:
                 engine.query(query)
             assert len(engine.cache) == 12  # flushes inserted and evicted
-        if native_kernel_available():
-            assert state_builds == {CompiledQueryPlan: [], CompiledTarget: []}
-            for names in kernel_compiles.values():
-                for_queries = [name for name in names if name.startswith("query")]
-                assert 0 < len(for_queries) <= len(stream)
-            # every dataset graph once, as a target: subgraph mode never
-            # compiles one as a plan
-            assert sorted(set(kernel_compiles["ck_compile_target"]) - {q.name for q in pool}) == (
-                sorted(graph.name for graph in database.graphs())
-            )
-            assert all(name.startswith("query") for name in kernel_compiles["ck_compile_plan"])
-        else:
-            assert kernel_compiles == {"ck_compile_plan": [], "ck_compile_target": []}
-            for graphs in state_builds.values():
-                for_queries = [graph for graph in graphs if graph.name.startswith("query")]
-                assert 0 < len(for_queries) <= len(stream)
-            assert all(graph.name.startswith("query") for graph in state_builds[CompiledQueryPlan])
+        for names in kernel_compiles.values():
+            for_queries = [name for name in names if name.startswith("query")]
+            assert 0 < len(for_queries) <= len(stream)
+        # every dataset graph once, as a target: subgraph mode never
+        # compiles one as a plan
+        assert sorted(set(kernel_compiles["ck_compile_target"]) - {q.name for q in pool}) == (
+            sorted(graph.name for graph in database.graphs())
+        )
+        assert all(name.startswith("query") for name in kernel_compiles["ck_compile_plan"])
 
 
 def live_compiled_counts() -> tuple[int, int]:

@@ -68,8 +68,7 @@ class TestConfigurationReference:
         from repro.core import config as config_module
 
         text = CONFIGURATION_MD.read_text(encoding="utf-8")
-        for tuple_name in ("MODES", "_KERNELS", "_POLICIES", "_SHARD_BACKENDS",
-                           "_ALGORITHMS"):
+        for tuple_name in ("MODES", "_POLICIES", "_SHARD_BACKENDS"):
             for choice in getattr(config_module, tuple_name):
                 assert f'"{choice}"' in text, (
                     f"accepted value {choice!r} ({tuple_name}) is not mentioned "

@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from repro.datasets.registry import load_dataset
 from repro.features import FeatureExtractor, canonical_path_code, enumerate_simple_paths
 from repro.features import extractor as extractor_module
-from repro.isomorphism import native_kernel_available
 
 from .conftest import (
     contains_all_of,
@@ -108,8 +107,6 @@ class TestPathFeatures:
         """WAL records, snapshots, shard deltas and answer digests iterate
         the feature dicts: the native and the Python extractor must return
         the same keys in the same (ascending) order."""
-        if not native_kernel_available():
-            pytest.skip("native kernel unavailable: only one extractor to compare")
         extractor = FeatureExtractor(max_path_length=4)
         graphs = [graph for _, graph in load_dataset("aids", scale=0.05).items()][:8]
         graphs.append(make_star_graph("B", "ACA"))

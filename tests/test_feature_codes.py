@@ -30,15 +30,9 @@ from repro.features import extractor as extractor_module
 from repro.features import paths as paths_module
 from repro.features.paths import encode_path_keys
 from repro.graphs import GraphDatabase, LabeledGraph
-from repro.isomorphism import native_kernel_available
 from repro.methods import CTIndexMethod, GGSXMethod, GrapesMethod, create_method
 
 from .conftest import labeled_graphs, random_labeled_graph
-
-needs_native = pytest.mark.skipif(
-    not native_kernel_available(),
-    reason="native kernel unavailable (no compiler / REPRO_DISABLE_NATIVE)",
-)
 
 
 def build(factory, graphs, **kwargs):
@@ -202,7 +196,6 @@ def _engine(method_name: str, database) -> IGQ:
     return engine
 
 
-@needs_native
 class TestPreparedOnce:
     @pytest.fixture
     def counters(self, monkeypatch):

@@ -48,11 +48,11 @@ class TestAlgorithm1:
 class TestAlgorithm2:
     def test_candidate_generation_no_false_negatives(self):
         """The filter the default verifier selects: the kernel's sorted
-        merge over the native table when the C kernel loads."""
+        merge over the native table."""
         self.assert_no_false_negatives(None)
 
     def test_candidate_generation_no_false_negatives_on_the_python_loop(self):
-        self.assert_no_false_negatives(Verifier(kernel="bigint"))
+        self.assert_no_false_negatives(Verifier(compiled=False))
 
     @staticmethod
     def assert_no_false_negatives(verifier):

@@ -1,12 +1,11 @@
-"""Graph compilation in the kernel against the Python marshalling it replaces.
+"""Graph compilation in the kernel against the Python marshalling it replaced.
 
-With the C kernel resolved, :meth:`CompiledTarget.native` and
-:meth:`CompiledQueryPlan.native` flatten the graph (:class:`FlatGraph`) and
-get a ``ck_target`` / ``ck_plan`` block back from ``ck_compile_target`` /
-``ck_compile_plan``; the bigint state of the form is never built.
-``_marshal_target`` / ``_marshal_plan`` — the structs built from the bigint
-state, which is all there was before — are the oracle: every scalar and
-every array equal, field by field, so the DFS tree, the test counts and the
+:meth:`CompiledTarget.native` and :meth:`CompiledQueryPlan.native` flatten
+the graph (:class:`FlatGraph`) and get a ``ck_target`` / ``ck_plan`` block
+back from ``ck_compile_target`` / ``ck_compile_plan``.
+``kernel_oracle.marshal_target`` / ``marshal_plan`` — the structs built from
+the bigint state in the test tree — are the oracle: every scalar and every
+array equal, field by field, so the DFS tree, the test counts and the
 answers are the same by construction.  The same arrangement
 ``ck_path_features`` has with ``path_features``
 (``tests/test_native_extract.py``); this file is on the ASan leg's pytest
@@ -30,28 +29,19 @@ from hypothesis import strategies as st
 from repro.core import QueryCache, SubgraphQueryIndex, SupergraphQueryIndex
 from repro.features import FeatureExtractor
 from repro.graphs import GraphDatabase, LabeledGraph
-from repro.isomorphism import Verifier, _ckernel_loader, native_kernel_available
+from repro.isomorphism import VF2Matcher, Verifier, _ckernel_loader
 from repro.isomorphism import compiled as compiled_module
 from repro.isomorphism.compiled import (
     CompiledQuery,
     CompiledQueryPlan,
     CompiledTarget,
-    FlatGraph,
-    _CkPlan,
-    _CkTarget,
     _KernelBlock,
-    _marshal_plan,
-    _marshal_target,
     compiled_has_embedding,
-    numpy_available,
+    match_pairs,
 )
 
+from . import kernel_oracle
 from .conftest import make_cycle_graph, make_path_graph, random_labeled_graph
-
-needs_native = pytest.mark.skipif(
-    not native_kernel_available(),
-    reason="native kernel unavailable (no compiler / REPRO_DISABLE_NATIVE)",
-)
 
 EXTRACTOR = FeatureExtractor(max_path_length=3)
 
@@ -66,7 +56,7 @@ def _column(kind, address: int, count: int) -> list[int]:
 
 def read_target(address: int) -> dict:
     """Every field of the ``ck_target`` at ``address``, arrays by value."""
-    struct = _CkTarget.from_address(address)
+    struct = kernel_oracle.CkTarget.from_address(address)
     n, words, rows = struct.n, struct.num_words, struct.num_labels
     ladj_indptr = _column(ctypes.c_int64, struct.ladj_indptr, n + 1)
     entries = ladj_indptr[-1]
@@ -91,7 +81,7 @@ def read_target(address: int) -> dict:
 
 def read_plan(address: int) -> dict:
     """Every field of the ``ck_plan`` at ``address``, arrays by value."""
-    struct = _CkPlan.from_address(address)
+    struct = kernel_oracle.CkPlan.from_address(address)
     steps, rows = struct.num_steps, struct.num_sig_labels
     anchor_indptr = _column(ctypes.c_int64, struct.anchor_indptr, steps + 1)
     return {
@@ -113,12 +103,10 @@ def assert_kernel_equals_marshalled(graph: LabeledGraph) -> None:
     """Both forms of ``graph``: the kernel's block ≡ the Python marshalling."""
     target, plan = CompiledTarget(graph), CompiledQueryPlan(graph)
     native_target, plan_address = target.native(), plan.native()
-    assert isinstance(native_target._buffers, _KernelBlock)
-    assert isinstance(plan._native[1], _KernelBlock)
-    assert not target._built and not plan._built
-    # the oracle reads the bigint state, which builds here
-    oracle_target, keep_target = _marshal_target(target)
-    oracle_plan, keep_plan = _marshal_plan(plan)
+    assert isinstance(native_target._block, _KernelBlock)
+    assert isinstance(plan._native, _KernelBlock)
+    oracle_target, keep_target = kernel_oracle.marshal_target(graph)
+    oracle_plan, keep_plan = kernel_oracle.marshal_plan(graph)
     assert read_target(native_target.address) == read_target(oracle_target)
     assert read_plan(plan_address) == read_plan(oracle_plan)
     assert native_target.row_bytes == 8 * read_target(oracle_target)["num_words"]
@@ -159,7 +147,6 @@ def styled_graph(rng: random.Random, n: int, density: float, num_labels: int, mi
     return graph
 
 
-@needs_native
 class TestKernelEqualsMarshalled:
     @settings(max_examples=120, deadline=None)
     @given(
@@ -188,8 +175,8 @@ class TestKernelEqualsMarshalled:
             graph.add_vertex(vertex, "A")
         for u, v in ((2, 10), (10, 9), (9, 100), (100, 2)):
             graph.add_edge(u, v)
-        assert CompiledTarget(graph).vertex_ranks() == [2, 0, 3, 1]
-        assert CompiledQueryPlan._matching_order(graph) == [10, 2, 100, 9]
+        assert kernel_oracle.repr_ranks(graph) == [2, 0, 3, 1]
+        assert kernel_oracle.matching_order(graph) == [10, 2, 100, 9]
         assert_kernel_equals_marshalled(graph)
 
     def test_three_hundred_labels(self):
@@ -217,10 +204,8 @@ class TestKernelEqualsMarshalled:
         plan = CompiledQueryPlan(pattern)
         plan.native()
         assert compiled_module._LABEL_IDS[late] >= read_target(native.address)["label_map_len"]
-        assert not compiled_has_embedding(plan, target, kernel="native")
-        assert compiled_has_embedding(
-            CompiledQueryPlan(make_path_graph("AB")), target, kernel="native"
-        )
+        assert not compiled_has_embedding(plan, target)
+        assert compiled_has_embedding(CompiledQueryPlan(make_path_graph("AB")), target)
         # and the map is as long as the oracle makes it, late label or not
         assert_kernel_equals_marshalled(make_cycle_graph("ABC"))
         assert_kernel_equals_marshalled(pattern)
@@ -247,12 +232,24 @@ class _SameRepr:
         return "same"
 
 
-@needs_native
-class TestCollidingReprsFallBack:
-    def test_the_python_compile_runs_instead(self):
-        """``min`` over tied ``repr`` keys follows set order, which the
-        kernel cannot know: such a graph is marshalled from its bigint
-        state, as every graph was before."""
+def same_repr_graph(rng: random.Random, n: int, density: float, labels: str) -> LabeledGraph:
+    """A random graph whose vertices all print as ``same``."""
+    vertices = [_SameRepr() for _ in range(n)]
+    graph = LabeledGraph()
+    for vertex in vertices:
+        graph.add_vertex(vertex, rng.choice(labels))
+    for index, u in enumerate(vertices):
+        for v in vertices[index + 1 :]:
+            if rng.random() < density:
+                graph.add_edge(u, v)
+    return graph
+
+
+class TestCollidingReprs:
+    """Vertices that print alike rank by position, so the ranks stay a
+    permutation and such graphs compile in the kernel like any other."""
+
+    def test_both_forms_compile_in_the_kernel(self):
         rng = random.Random(11)
         twins = [_SameRepr() for _ in range(5)]
         graph = LabeledGraph()
@@ -260,26 +257,36 @@ class TestCollidingReprsFallBack:
             graph.add_vertex(vertex, rng.choice("AB"))
         for vertex in twins[1:]:
             graph.add_edge(vertex, twins[0])
-        assert FlatGraph(graph).arguments() is None
         target, plan = CompiledTarget(graph), CompiledQueryPlan(graph)
-        assert not isinstance(target.native()._buffers, _KernelBlock)
+        assert isinstance(target.native()._block, _KernelBlock)
         plan.native()
-        assert not isinstance(plan._native[1], _KernelBlock)
-        assert target._built and plan._built
-        for kernel in ("native", "bigint"):
-            assert compiled_has_embedding(plan, target, kernel=kernel)
-            assert not compiled_has_embedding(
-                CompiledQueryPlan(make_cycle_graph("ABA")), target, kernel=kernel
-            )
+        assert isinstance(plan._native, _KernelBlock)
+        assert compiled_has_embedding(plan, target)
+        assert not compiled_has_embedding(CompiledQueryPlan(make_cycle_graph("ABA")), target)
+        assert_kernel_equals_marshalled(graph)
+
+    def test_random_pairs_answer_as_vf2(self):
+        rng = random.Random(29)
+        positives = 0
+        for _ in range(200):
+            pattern = same_repr_graph(rng, rng.randint(1, 5), rng.random() * 0.8, "AB")
+            target_graph = same_repr_graph(rng, rng.randint(1, 9), rng.random() * 0.6, "AB")
+            expected = VF2Matcher(pattern, target_graph).has_match()
+            plan, target = CompiledQueryPlan(pattern), CompiledTarget(target_graph)
+            assert match_pairs(plan, [target]) == ([expected], [1])
+            assert match_pairs(target, [plan]) == ([expected], [1])
+            positives += expected
+        assert 20 < positives < 180  # both outcomes exercised
 
 
 # ----------------------------------------------------------------------
-# Lazy state and pickles (both legs: nothing here needs the kernel)
+# Lazy forms and pickles
 # ----------------------------------------------------------------------
 #: three ``CacheEntry`` objects (a square, an edge, a "house") pickled at the
 #: commit before compilation moved into the kernel, zlib + base64: every
 #: slot of both compiled forms is in there (bitmask lists, steps, sizes,
-#: ``_ranks``) — the layout every WAL record and snapshot written until then has
+#: ``_ranks``) — the layout every WAL record and snapshot written until then
+#: has; 7.0 drops all but the graph on arrival
 PARENT_LAYOUT_ENTRIES = """
 eNqVVW1vG0UQ9r3YzmtTiiKf+wUkvjhCssQvqNqUhrLFQAEJIQVrfd56TGyfudtNG1Ak+JCAxCJSsfyfit/Aj+Ej
 M7t7ZztJq9DKud2Z2dmdmWee+Sn+65+Nmv13aDr6di7medZNs1x0U56CMHpjn74fzmR+Yv40ez+bU7RbE7Tvj4eG
@@ -307,31 +314,15 @@ class TestPickleRoundTrips:
     def test_a_form_never_built_pickles_as_its_graph_alone(self):
         graph = make_cycle_graph("ABCA")
         target, plan = CompiledTarget(graph), CompiledQueryPlan(graph)
-        if native_kernel_available():  # the native form is per process
-            target.native()
-            plan.native()
+        target.native()  # the native form is per process
+        plan.native()
         assert target.__getstate__() == {"graph": graph}
         assert plan.__getstate__() == {"pattern": graph}
         for form in (target, plan):
             clone = pickle.loads(pickle.dumps(form))
-            assert not clone._built and clone._native is None
+            assert clone._native is None
             assert (clone.num_vertices, clone.num_edges) == (4, 4)
         assert len(pickle.dumps(target)) < len(pickle.dumps(graph)) + 100
-
-    def test_a_built_form_pickles_its_state_and_does_not_rebuild(self, monkeypatch):
-        graph = make_cycle_graph("ABCA")
-        target, plan = CompiledTarget(graph), CompiledQueryPlan(graph)
-        target.build_state()
-        plan.build_state()
-        assert set(target.__getstate__()) == {"graph", *CompiledTarget.STATE}
-        assert set(plan.__getstate__()) == {"pattern", *CompiledQueryPlan.STATE}
-        clones = pickle.loads(pickle.dumps((target, plan)))
-        for cls in (CompiledTarget, CompiledQueryPlan):
-            monkeypatch.setattr(cls, "build_state", None)  # a rebuild would raise
-        assert clones[0].adjacency_masks == target.adjacency_masks
-        assert clones[0].label_degrees == target.label_degrees
-        assert clones[1].steps == plan.steps
-        assert compiled_has_embedding(clones[1], clones[0], kernel="bigint")
 
     def test_an_entry_pickled_in_the_parent_layout_restores_and_probes_identically(self):
         restored = pickle.loads(zlib.decompress(base64.b64decode(PARENT_LAYOUT_ENTRIES)))
@@ -346,11 +337,10 @@ class TestPickleRoundTrips:
                 new.entry_id, new.answer, 1, 3, 1.5
             )
             assert old.features.counts == new.features.counts
-            # the eager layout arrives built; nothing is recomputed
-            assert old.compiled_target._built and old.compiled_plan._built
+            # the eager layout's search state is dropped; the graph stays
+            assert old.compiled_target.__getstate__() == {"graph": old.graph}
+            assert old.compiled_plan.__getstate__() == {"pattern": old.graph}
             assert old.compiled_target.num_vertices == old.graph.num_vertices
-            assert old.compiled_plan.steps == CompiledQueryPlan(old.graph).steps
-            assert old.compiled_target.adjacency_masks == CompiledTarget(old.graph).adjacency_masks
         queries = [entry.graph for entry in restored] + [
             make_path_graph("ABC"),
             make_path_graph("BA"),
@@ -378,15 +368,14 @@ class TestPickleRoundTrips:
             assert any(outcomes[0][: len(queries)])
 
     def test_state_builds_on_first_read_only(self):
+        """A form compiles in the kernel on its first use, not before."""
         target = CompiledTarget(make_path_graph("ABC"))
-        assert not target._built
+        plan = CompiledQueryPlan(make_path_graph("AB"))
         with pytest.raises(AttributeError):
-            getattr(target, "no_such_attribute")
-        assert not target._built
-        assert target.degrees == [1, 2, 1]
-        assert target._built
-        plan = CompiledQueryPlan(make_path_graph("ABC"))
-        assert not plan._built and plan.prereject(target) is False and plan._built
+            getattr(target, "degrees")  # no Python search state
+        assert target._native is None and plan._native is None
+        assert compiled_has_embedding(plan, target)
+        assert target._native is not None and plan._native is not None
 
 
 class TestPrecompile:
@@ -396,23 +385,12 @@ class TestPrecompile:
             random_labeled_graph(rng, rng.randint(3, 9), 0.3) for _ in range(6)
         )
 
-    @needs_native
     def test_natively_only_the_blocks_are_built(self):
         database = self.database()
         database.precompile(targets=True, plans=True)
         for graph_id in database:
             for side in (database.compiled_target(graph_id), database.compiled_plan(graph_id)):
-                assert side._native is not None and not side._built
-        assert database._signatures is None
-
-    def test_on_bigint_the_python_state_and_the_signatures(self, monkeypatch):
-        monkeypatch.setattr(_ckernel_loader, "native_kernel_available", lambda: False)
-        database = self.database()
-        database.precompile(targets=True, plans=True)
-        for graph_id in database:
-            for side in (database.compiled_target(graph_id), database.compiled_plan(graph_id)):
-                assert side._native is None and side._built
-        assert (database._signatures is not None) == numpy_available()
+                assert isinstance(side._native, (_KernelBlock, compiled_module.NativeTarget))
 
 
 # ----------------------------------------------------------------------
@@ -433,7 +411,6 @@ class _CountingLibrary:
         self._library.ck_free(address)
 
 
-@needs_native
 class TestBlockLifetime:
     @pytest.fixture
     def library(self, monkeypatch):

@@ -7,7 +7,7 @@ their cross-graph codes), same counts, same location masks, keys ascending —
 because every index, WAL record and candidate set downstream is built from
 whichever of the two ran.  The Python
 enumeration is the oracle, the same arrangement ``match_pairs`` has with the
-bigint loop (``tests/test_verify_pairs.py``).
+bigint loop of ``tests/kernel_oracle.py`` (``tests/test_verify_pairs.py``).
 """
 
 from __future__ import annotations
@@ -32,16 +32,10 @@ from repro.features.paths import (
     native_path_features,
 )
 from repro.graphs import LabeledGraph
-from repro.isomorphism import native_kernel_available
 from repro.methods import GGSXMethod, GrapesMethod
 from repro.workloads.generator import QueryGenerator, WorkloadSpec
 
 from .conftest import make_clique, make_cycle_graph, make_path_graph, make_star_graph
-
-needs_native = pytest.mark.skipif(
-    not native_kernel_available(),
-    reason="native kernel unavailable (no compiler / REPRO_DISABLE_NATIVE)",
-)
 
 #: labels whose ``str()`` collide (``1`` / ``"1"``, ``2.0`` / ``"2.0"``)
 #: next to ordinary ones: the key is the label *string*
@@ -113,7 +107,6 @@ def sparse_graph(seed: int, num_vertices: int, labels=_LABELS, mixed_ids: bool =
     return graph
 
 
-@needs_native
 class TestDifferential:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -175,7 +168,6 @@ class TestDifferential:
             assert_native_equals_oracle(graph, 4)
 
 
-@needs_native
 class TestCodeOverflowFallback:
     """A path packs into one 64-bit code at a byte per vertex; beyond that
     the extractor runs the Python enumeration — same features either way."""
@@ -223,7 +215,6 @@ def force_python_extractor(monkeypatch) -> None:
     monkeypatch.setattr(extractor_module, "native_path_features", lambda *args: None)
 
 
-@needs_native
 class TestBuildIndexUnderBothExtractors:
     @pytest.mark.parametrize(
         "dataset, factory",
@@ -264,12 +255,7 @@ class TestBuildIndexUnderBothExtractors:
 
 
 class TestWhicheverExtractorRuns:
-    """Not gated on the kernel: under ``REPRO_DISABLE_NATIVE=1`` these are
-    the Python fallback end to end, otherwise the native path."""
-
-    def test_unavailable_kernel_means_python(self):
-        if not native_kernel_available():
-            assert native_path_features(make_path_graph("ABC"), 2) is None
+    """The extractor and ``build_index`` end to end against the oracle."""
 
     def test_extract_equals_oracle(self):
         extractor = FeatureExtractor(max_path_length=4)

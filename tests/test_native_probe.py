@@ -1,13 +1,14 @@
 """The native cache-side probe against the Python loops it replaces.
 
-With the C kernel resolved, a :class:`~repro.core.containment.ContainmentIndex`
-keeps its entries in a kernel-side table (:class:`~repro.core.probe.ProbeTable`)
-and answers a probe with ``ck_probe_filter`` + ``ck_probe_verify``; the
-engine sums the §5.1 credits of the hits with ``ck_mask_sums``.  The Python
-forms — ``SupergraphQueryIndex.candidate_mask``, ``ThresholdBitmapIndex.at_least``
-and ``ContainmentIndex._verified_hits`` behind a ``Verifier(kernel="bigint")``,
-and the ``iter_bits`` loop of ``mask_sums`` — are the oracle: identical hit
-lists *in order*, identical verifier accounting, identical doubles.  The same
+A :class:`~repro.core.containment.ContainmentIndex` keeps its entries in a
+kernel-side table (:class:`~repro.core.probe.ProbeTable`) and answers a
+probe with ``ck_probe_filter`` + ``ck_probe_verify``; the engine sums the
+§5.1 credits of the hits with ``ck_mask_sums``.  The Python forms —
+``SupergraphQueryIndex.candidate_mask``, ``ThresholdBitmapIndex.at_least``
+and ``ContainmentIndex._verified_hits`` behind a ``Verifier(compiled=False)``,
+and the ``iter_bits`` loop of ``kernel_oracle.mask_sums`` — are the oracle:
+identical hit lists *in order*, identical verifier accounting, identical
+doubles.  The same
 arrangement ``ck_path_features`` has with ``path_features``
 (``tests/test_native_extract.py``); this file is on the ASan leg's pytest
 line, where a row outliving its entry's compiled form would be a
@@ -26,27 +27,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import IGQ, QueryCache, SubgraphQueryIndex, SupergraphQueryIndex
-from repro.core import probe as probe_module
 from repro.core.probe import mask_sums
 from repro.features import FeatureExtractor
 from repro.features import paths as paths_module
 from repro.features.paths import encode_path_keys
 from repro.graphs import LabeledGraph
-from repro.graphs.bitset import iter_bits
-from repro.isomorphism import Verifier, native_kernel_available
+from repro.isomorphism import Verifier
 from repro.methods import create_method
 
+from . import kernel_oracle
 from .conftest import (
     engine_config,
     index_state,
     labeled_graphs,
     make_path_graph,
     random_labeled_graph,
-)
-
-pytestmark = pytest.mark.skipif(
-    not native_kernel_available(),
-    reason="native kernel unavailable (no compiler / REPRO_DISABLE_NATIVE)",
 )
 
 EXTRACTOR = FeatureExtractor(max_path_length=3)
@@ -62,7 +57,7 @@ class Pair:
 
     def __init__(self, kind, restored: bool = False) -> None:
         self.native = kind(Verifier())
-        self.oracle = kind(Verifier(kernel="bigint"))
+        self.oracle = kind(Verifier(compiled=False))
         assert self.native._table is not None and self.oracle._table is None
         self.caches = (QueryCache(), QueryCache())
         self.restored = restored
@@ -243,7 +238,7 @@ def test_engine_is_identical_on_both_probes(mode, tiny_database):
         rng.choice(["subgraph", "supergraph"]) if mode == "mixed" else mode for _ in stream
     ]
     engines = []
-    for igq_verifier in (None, Verifier(kernel="bigint")):
+    for igq_verifier in (None, Verifier(compiled=False)):
         method = create_method("ggsx", max_path_length=3)
         engine = IGQ(
             method,
@@ -276,16 +271,49 @@ def test_engine_is_identical_on_both_probes(mode, tiny_database):
     assert any(entry.alleviated_cost for entry in native.cache.entries())
 
 
+@pytest.mark.parametrize(
+    "method_name, options",
+    [("ggsx", {"max_path_length": 8}), ("ctindex", {})],
+    ids=["ggsx-L8", "ctindex"],
+)
+def test_uncoded_features_take_the_python_routes_identically(method_name, options, tiny_database):
+    """Features that do not pack into codes — paths past seven vertices,
+    CT-Index's trees and cycles — take the Python extractor and the Python
+    containment filter, with the C kernel verifying.  Answers, H/R/C (bit
+    for bit) and test counts equal the engine on the dict-based matcher."""
+    rng = random.Random(8)
+    pool = [random_labeled_graph(rng, rng.randint(2, 6), 0.3, labels="ABC") for _ in range(20)]
+    stream = [rng.choice(pool) for _ in range(80)]
+    modes = [rng.choice(["subgraph", "supergraph"]) for _ in stream]
+    runs = []
+    for compiled in (True, False):
+        method = create_method(method_name, verifier=Verifier(compiled=compiled), **options)
+        engine = IGQ(
+            method, engine_config(10, 3, mode="mixed"), igq_verifier=Verifier(compiled=compiled)
+        )
+        engine.build_index(tiny_database)
+        assert method._coded is False
+        results = [engine.query(query, mode=mode) for query, mode in zip(stream, modes)]
+        assert engine.isub._table is None and engine.isuper._table is None
+        runs.append(
+            (
+                [sorted(result.answers, key=repr) for result in results],
+                [result.num_isomorphism_tests for result in results],
+                [(result.num_sub_hits, result.num_super_hits) for result in results],
+                [
+                    (entry.entry_id, entry.hits, entry.removed, entry.alleviated_cost.hex())
+                    for entry in engine.cache.entries()
+                ],
+            )
+        )
+        engine.close()
+    assert runs[0] == runs[1]
+    assert any(sub or sup for sub, sup in runs[0][2])
+
+
 # ----------------------------------------------------------------------
 # ck_mask_sums
 # ----------------------------------------------------------------------
-def python_mask_sum(costs, mask: int) -> float:
-    total = 0.0
-    for position in iter_bits(mask):
-        total += costs[position]
-    return total
-
-
 class TestMaskSums:
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -310,16 +338,17 @@ class TestMaskSums:
         masks += [0, (1 << size) - 1, 1 << (size - 1)]
         totals = mask_sums(costs, masks)
         assert [total.hex() for total in totals] == [
-            python_mask_sum(costs, mask).hex() for mask in masks
+            total.hex() for total in kernel_oracle.mask_sums(costs, masks)
         ]
 
-    def test_the_fallback_is_the_same_loop(self, monkeypatch):
+    def test_the_fallback_is_the_same_loop(self):
+        """Costs of magnitudes where the summation order shows, over two
+        words and a partial third: the oracle loop's doubles exactly."""
         rng = random.Random(2)
         costs = array("d", [rng.random() * 10 ** rng.randint(-8, 12) for _ in range(130)])
         masks = [rng.getrandbits(130) for _ in range(10)] + [0]
         native = mask_sums(costs, masks)
-        monkeypatch.setattr(probe_module._ckernel_loader, "kernel", lambda: None)
-        assert [t.hex() for t in mask_sums(costs, masks)] == [t.hex() for t in native]
+        assert [t.hex() for t in kernel_oracle.mask_sums(costs, masks)] == [t.hex() for t in native]
         assert mask_sums(costs, []) == []
 
 

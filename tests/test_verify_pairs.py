@@ -1,8 +1,9 @@
 """Differential tests for the batch verification entry point.
 
 ``Verifier.verify_pairs`` / ``match_pairs`` answer every pair of one query in
-one call — natively one ``ck_verify_many`` — and must agree, pair for pair,
-with the per-pair bigint loop and with the dict-based ``VF2Matcher`` on the
+one ``ck_verify_many`` call and must agree, pair for pair, with the
+per-pair bigint loop of ``tests/kernel_oracle.py`` and with the dict-based
+``VF2Matcher`` on the
 match flags *and* on how many isomorphism tests were counted (the paper's
 Figs. 7–11 metric), including Grapes' component-restricted mode where a pair
 may count zero or several tests.  The oracles here share no code with the
@@ -10,9 +11,7 @@ fast paths: ``VF2Matcher`` on materialised (region / component) subgraphs,
 ``connected_components`` for the decomposition order, and the posting-walk
 filters of ``conftest``.
 
-With ``REPRO_DISABLE_NATIVE=1`` the ``"native"`` requests below resolve to
-bigint and every comparison still has to hold; the ASan/UBSan CI job runs
-this file against the sanitised kernel.
+The ASan/UBSan CI job runs this file against the sanitised kernel.
 """
 
 from __future__ import annotations
@@ -38,6 +37,7 @@ from repro.isomorphism import (
 from repro.methods import create_method
 from repro.workloads.generator import QueryGenerator, WorkloadSpec
 
+from . import kernel_oracle
 from .conftest import (
     make_cycle_graph,
     make_path_graph,
@@ -101,17 +101,16 @@ def check_batch(patterns, target_graphs, regions, by_component) -> None:
     masks = None
     if regions is not None:
         masks = [mask_of_vertices(target, region) for target, region in zip(targets, regions)]
-    for kernel in ("native", "bigint"):
-        matched, tests = match_pairs(
-            query_side, candidates, masks, by_component=by_component, kernel=kernel
-        )
-        assert list(zip(matched, tests)) == expected, kernel
-        verifier = Verifier(kernel=kernel)
-        assert verifier.verify_pairs(query_side, candidates, masks, by_component) == matched
-        stats = verifier.stats
-        assert stats.tests == sum(tests for _, tests in expected)
-        assert stats.positives == sum(flag for flag, _ in expected)
-        assert stats.negatives == stats.tests - stats.positives
+    matched, tests = match_pairs(query_side, candidates, masks, by_component=by_component)
+    assert list(zip(matched, tests)) == expected
+    bigint = kernel_oracle.match_pairs(query_side, candidates, masks, by_component)
+    assert list(zip(*bigint)) == expected
+    verifier = Verifier()
+    assert verifier.verify_pairs(query_side, candidates, masks, by_component) == matched
+    stats = verifier.stats
+    assert stats.tests == sum(tests for _, tests in expected)
+    assert stats.positives == sum(flag for flag, _ in expected)
+    assert stats.negatives == stats.tests - stats.positives
 
 
 class _Fresh:
@@ -174,16 +173,15 @@ class TestDifferential:
         check_batch(*batch)
 
     def test_empty_candidate_list(self):
-        for kernel in ("native", "bigint"):
-            verifier = Verifier(kernel=kernel)
-            assert verifier.verify_pairs(compile_query_plan(make_path_graph("AB")), []) == []
-            assert verifier.verify_pairs(compile_target(make_path_graph("AB")), []) == []
-            assert verifier.stats.tests == 0
+        verifier = Verifier()
+        assert verifier.verify_pairs(compile_query_plan(make_path_graph("AB")), []) == []
+        assert verifier.verify_pairs(compile_target(make_path_graph("AB")), []) == []
+        assert verifier.stats.tests == 0
 
     def test_label_interned_after_the_target_was_marshalled(self):
         target_graph = make_cycle_graph("ABAB")
         target = compile_target(target_graph)
-        match_pairs(compile_query_plan(make_path_graph("AB")), [target], kernel="native")
+        match_pairs(compile_query_plan(make_path_graph("AB")), [target])
         pattern = LabeledGraph()
         pattern.add_vertex(0, "A")
         pattern.add_vertex(1, _Fresh())
@@ -224,8 +222,8 @@ class TestDifferential:
         plans = [compile_query_plan(embedded), compile_query_plan(closed)]
         region = (1 << size) - 1 & ~(1 << 650)
         for masks, by_component in ((None, False), ([region] * 2, False), ([region] * 2, True)):
-            native = match_pairs(target, plans, masks, by_component=by_component, kernel="native")
-            bigint = match_pairs(target, plans, masks, by_component=by_component, kernel="bigint")
+            native = match_pairs(target, plans, masks, by_component=by_component)
+            bigint = kernel_oracle.match_pairs(target, plans, masks, by_component)
             assert native == bigint
             assert native[0] == [True, False]
         assert native[1] == [1, 2]  # both halves of the cut path host the long path's tests
@@ -259,7 +257,9 @@ class TestGrapesCompiledPath:
 
     @pytest.mark.parametrize("kernel", ["native", "bigint"])
     def test_answers_and_test_counts_equal_the_dict_path(self, database, queries, kernel):
-        fast = create_method("grapes", max_path_length=3, verifier=Verifier(kernel=kernel))
+        """The C kernel, and the bigint oracle in its place."""
+        verifier = Verifier() if kernel == "native" else kernel_oracle.OracleVerifier()
+        fast = create_method("grapes", max_path_length=3, verifier=verifier)
         slow = create_method("grapes", max_path_length=3, verifier=Verifier(compiled=False))
         fast.build_index(database)
         slow.build_index(database)
