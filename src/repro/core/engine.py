@@ -8,7 +8,9 @@ index: for every incoming query it
    supergraphs of ``g``) and ``Isuper`` (previous queries that are subgraphs
    of ``g``) — and prunes ``CS(g)`` with formulae (3) and (5),
 3. short-circuits entirely on the two optimal cases of §4.3 (exact query
-   repeat; a contained previous query with an empty answer),
+   repeat; a contained previous query with an empty answer) — and replays
+   the whole plan of a query isomorphic to one planned since the last
+   window flush,
 4. verifies only the surviving candidates, assembles the final answer with
    formula (4), and
 5. updates the replacement-policy metadata and the query window (§5).
@@ -117,6 +119,12 @@ class QueryPlan:
     tests_before: int
     filter_seconds: float
     igq_seconds: float
+    #: the §5.1 increments ``(entry, removed, cost)`` per hit, in credit
+    #: order (what :meth:`IGQ.apply_plan_credits` applies)
+    credits: list
+    #: the plan is an earlier isomorphic query's, replayed (see
+    #: :meth:`IGQ.plan_query`)
+    replayed: bool = False
 
     @property
     def remaining(self) -> CandidateBitmap:
@@ -194,6 +202,13 @@ class IGQ:
         #: graph, so repeats skip the flattening and the path enumeration.
         #: The graph reference pins the object alive, keeping the id stable.
         self._prepared: dict[int, tuple[LabeledGraph, GraphFeatures, FlatGraph]] = {}
+        #: ``(feature codes, |V|, |E|, supergraph) -> plan`` of the queries
+        #: planned since the last window flush: a flush is the only write to
+        #: the live set, so until the next one an isomorphic query's plan is
+        #: this query's plan (cleared by :meth:`_flush_window`)
+        self._plans: dict[tuple, QueryPlan] = {}
+        #: completed queries whose plan was replayed
+        self.plans_replayed = 0
         #: the ordered record of every flush; the durable store, the shard
         #: runtime and remote followers all read ``delta_log.since(cursor)``
         self.delta_log = DeltaLog()
@@ -368,6 +383,7 @@ class IGQ:
             database.get(graph_id).num_vertices for graph_id in space.to_ids(space.full_mask)
         ]
         self._cost_vectors = {}
+        self._plans.clear()
 
     # ------------------------------------------------------------------
     # Query processing
@@ -455,6 +471,14 @@ class IGQ:
         *i* still verifies; deferring the (only) state mutation of the
         planning stage keeps the replacement metadata byte-identical to the
         sequential order even when the speculative plan must be discarded.
+
+        Plan replay: a query planned since the last window flush with the
+        same feature codes and sizes, confirmed isomorphic to this one by
+        one counted containment test, lends this query its plan — the live
+        set has not changed since, so candidates, hits, the exact entry and
+        the §5.1 increments are exactly what planning afresh would compute.
+        Only the credits are applied again.  A plan whose probes ran no
+        containment test is not kept: its replay would cost more tests.
         """
         if self.database is None:
             raise RuntimeError("IGQ.build_index() must be called before querying")
@@ -466,6 +490,28 @@ class IGQ:
         start = time.perf_counter()
         if features is None:
             features, flat = self.prepare(query)
+        compiled = CompiledQuery(query, flat)
+        codes = features.feature_codes()
+        key = None
+        if codes is not None:
+            key = (codes.tobytes(), query.num_vertices, query.num_edges, supergraph)
+            earlier = self._plans.get(key)
+            if earlier is not None:
+                prepared = time.perf_counter()
+                if self._confirms_repeat(compiled, earlier):
+                    plan = replace(
+                        earlier,
+                        query=query,
+                        features=features,
+                        compiled=compiled,
+                        tests_before=tests_before,
+                        filter_seconds=prepared - start,
+                        replayed=True,
+                    )
+                    if credit:
+                        self.apply_plan_credits(plan)
+                    plan.igq_seconds = time.perf_counter() - prepared
+                    return plan
         if supergraph:
             candidates = method.filter_supergraph_candidates(query, features=features)
         else:
@@ -475,8 +521,9 @@ class IGQ:
 
         # Stage 2 — the two iGQ components (Figure 6, threads 2 and 3).
         start = time.perf_counter()
-        compiled = CompiledQuery(query, flat)
+        probe_tests = self.igq_verifier.stats.tests
         sub_hits, super_hits = self._component_hits(query, features, compiled)
+        probe_tests = self.igq_verifier.stats.tests - probe_tests
         if self.mode == MIXED_MODE:
             # A mixed-mode cache holds subgraph- and supergraph-typed answer
             # sets side by side; a hit only carries meaning for a query of
@@ -505,11 +552,7 @@ class IGQ:
         else:
             cache_answer_mask = guaranteed
 
-        if credit:
-            self._credit_hits(query, candidate_mask, sub_hits, super_hits, supergraph)
-        igq_seconds = time.perf_counter() - start
-
-        return QueryPlan(
+        plan = QueryPlan(
             query=query,
             features=features,
             compiled=compiled,
@@ -526,8 +569,25 @@ class IGQ:
             cache_answer_mask=cache_answer_mask,
             tests_before=tests_before,
             filter_seconds=filter_seconds,
-            igq_seconds=igq_seconds,
+            igq_seconds=0.0,
+            credits=self._hit_credits(query, candidate_mask, sub_hits, super_hits, supergraph),
         )
+        if credit:
+            self.apply_plan_credits(plan)
+        plan.igq_seconds = time.perf_counter() - start
+        if key is not None and probe_tests:
+            self._plans[key] = plan
+        return plan
+
+    def _confirms_repeat(self, compiled: CompiledQuery, earlier: QueryPlan) -> bool:
+        """One counted containment test: the query ⊆ an earlier query of
+        equal size — that is, the two are isomorphic.  Both compiled forms
+        are the ones the flush caches the two queries with."""
+        verifier = self.igq_verifier
+        if not verifier.supports_compiled():
+            return verifier.is_subgraph(compiled.graph, earlier.query)
+        target = earlier.compiled.compiled_target()
+        return verifier.verify_pairs(compiled.compiled_plan(), [target])[0]
 
     def _component_hits(
         self, query: LabeledGraph, features: GraphFeatures, compiled: CompiledQuery
@@ -551,16 +611,15 @@ class IGQ:
         return sub_hits, super_hits
 
     def apply_plan_credits(self, plan: QueryPlan) -> None:
-        """Apply the deferred §5.1 metadata update of a ``credit=False`` plan.
+        """Apply a plan's §5.1 metadata update (deferred by ``credit=False``).
 
         Must run after the *previous* query has been completed (its window
         maintenance may have flushed the cache) and before this plan's own
         :meth:`complete_query`, mirroring the position the update occupies in
         the sequential order.
         """
-        self._credit_hits(
-            plan.query, plan.candidate_mask, plan.sub_hits, plan.super_hits, plan.supergraph
-        )
+        for entry, removed, cost in plan.credits:
+            entry.record_hit(removed, cost)
 
     def verify_plan(self, plan: QueryPlan) -> set:
         """Stage 3 — verify the plan's surviving candidates in-process."""
@@ -583,6 +642,7 @@ class IGQ:
             space, space.mask_of(verified) | plan.cache_answer_mask
         )
         report = self._record_query(plan, answers)
+        self.plans_replayed += plan.replayed
         return IGQQueryResult(
             query_name=plan.query.name,
             answers=answers,
@@ -663,19 +723,20 @@ class IGQ:
     # ------------------------------------------------------------------
     # Metadata updates (§5.1)
     # ------------------------------------------------------------------
-    def _credit_hits(
+    def _hit_credits(
         self,
         query: LabeledGraph,
         candidate_mask: int,
         sub_hits: list[CacheEntry],
         super_hits: list[CacheEntry],
         supergraph: bool,
-    ) -> None:
-        """Update H, R and C for every cache entry that was hit."""
+    ) -> list[tuple[CacheEntry, int, float]]:
+        """The H, R and C increments ``(entry, removed, cost)`` of every
+        cache entry that was hit (applied by :meth:`apply_plan_credits`)."""
         guaranteed_hits = super_hits if supergraph else sub_hits
         restricting_hits = sub_hits if supergraph else super_hits
         if not (guaranteed_hits or restricting_hits):
-            return
+            return []
         answer_mask = self._answer_mask
         removable = [answer_mask(entry) & candidate_mask for entry in guaranteed_hits]
         removable += [candidate_mask & ~answer_mask(entry) for entry in restricting_hits]
@@ -684,8 +745,10 @@ class IGQ:
         cost_of = dict(
             zip(distinct, mask_sums(self._cost_vector(query.num_vertices, supergraph), distinct))
         )
-        for entry, mask in zip(guaranteed_hits + restricting_hits, removable):
-            entry.record_hit(mask.bit_count(), cost_of[mask])
+        return [
+            (entry, mask.bit_count(), cost_of[mask])
+            for entry, mask in zip(guaranteed_hits + restricting_hits, removable)
+        ]
 
     def _cost_vector(self, query_size: int, supergraph: bool) -> array:
         """Estimated cost of testing a query of ``query_size`` vertices
@@ -749,6 +812,7 @@ class IGQ:
         compaction last, down to the slowest replica's position.
         """
         report = self.maintenance.flush(self.cache)
+        self._plans.clear()
         if not report.inserted:
             return report
         log = self.delta_log

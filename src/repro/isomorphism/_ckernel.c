@@ -51,7 +51,8 @@
  * do not pack into codes; `mask_sums` in tests/kernel_oracle.py) are the
  * oracles of tests/test_native_probe.py.
  *
- * Data layout, ABI 6.  A `ck_target` / `ck_plan` is built once per graph
+ * Data layout, ABI 7 (ABI 6's layout; 7 dropped `ck_probe_filter`'s
+ * `universe` argument).  A `ck_target` / `ck_plan` is built once per graph
  * and role by `ck_compile_target` / `ck_compile_plan` (new in ABI 5) from
  * the graph's CSR — vertex positions in `graph.vertices()` order, neighbours
  * in `neighbors()` order, per vertex its interned label id and its rank in

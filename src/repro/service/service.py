@@ -197,6 +197,9 @@ class ServiceReport:
     sequential_verifications: int
     pipelined_plans: int
     pipeline_replans: int
+    #: queries whose plan was replayed from an isomorphic query planned
+    #: earlier in the same window (the engine's ``plans_replayed``)
+    plans_replayed: int
     #: always 0: hot-key replication and rebalancing were removed in 4.0
     #: (kept one release for readers of the 3.x report)
     replicas_live: int = 0
@@ -236,6 +239,7 @@ class ServiceReport:
                 "sequential_verifications": self.sequential_verifications,
                 "pipelined_plans": self.pipelined_plans,
                 "pipeline_replans": self.pipeline_replans,
+                "plans_replayed": self.plans_replayed,
             },
         }
 
@@ -663,6 +667,7 @@ class GraphQueryService:
             ),
             pipelined_plans=executor_stats.pipelined_plans if executor_stats else 0,
             pipeline_replans=executor_stats.pipeline_replans if executor_stats else 0,
+            plans_replayed=engine.plans_replayed,
             delta_log=shard_stats["delta_log"],
             kernel_resolved={"parent": engine.method.verifier.resolved_kernel_name()},
         )

@@ -195,17 +195,34 @@ class TestPipelinedPlanner:
     )
     def test_pipelined_identical_to_sequential_loop(self, num_workers):
         database = build_database()
-        stream = make_stream(total=40)
+        # few distinct queries: repeats within a window replay their plans
+        stream = make_stream(distinct=6, total=40)
         loop_engine = fresh_engine(database)
         expected = [loop_engine.query(query) for query in stream]
 
         engine = fresh_engine(database)
+        planned, completed = [], set()
+        plan_query, complete_query = engine.plan_query, engine.complete_query
+
+        def record_plan(*args, **kwargs):
+            planned.append(plan_query(*args, **kwargs))
+            return planned[-1]
+
+        def record_completion(plan, *args):
+            completed.add(id(plan))
+            return complete_query(plan, *args)
+
+        engine.plan_query, engine.complete_query = record_plan, record_completion
         with BatchExecutor(engine, num_workers=num_workers, pipeline=True) as executor:
             results = executor.run_batch(stream)
             # The small window (3) flushes repeatedly mid-batch, so the
             # replan path must actually have been exercised.
             assert executor.stats.pipelined_plans > 0
             assert executor.stats.pipeline_replans > 0
+        # ... among them a replayed speculative plan (a flush ends replay)
+        discarded = [plan for plan in planned if id(plan) not in completed]
+        assert any(plan.replayed for plan in discarded)
+        assert engine.plans_replayed == loop_engine.plans_replayed > 0
 
         for got, want in zip(results, expected):
             assert set(got.answers) == set(want.answers), got.query_name

@@ -313,6 +313,8 @@ class TestSessionsAndStats:
         assert restored["config"]["shard"]["shards"] == 3
         assert restored["cache"]["capacity"] == CACHE.size
         assert restored["totals"]["queries"] == len(mixed_stream)
+        assert restored["executor"]["plans_replayed"] == report.plans_replayed
+        assert report.plans_replayed == service.engine.plans_replayed > 0
 
     def test_stats_report_hot_key_and_delta_log_health(self, database, mixed_stream):
         method = create_method("ggsx", max_path_length=3)

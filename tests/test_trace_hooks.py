@@ -53,8 +53,9 @@ def sharded_hooks(engine) -> dict:
     return hooks
 
 
-def fired_hooks(database, stream, shard: ShardConfig, hooks_of) -> tuple[set, Counter]:
-    """Wrap ``hooks_of(engine)`` on each instance, run ``stream``, count calls."""
+def fired_hooks(database, stream, shard: ShardConfig, hooks_of) -> tuple[set, Counter, int]:
+    """Wrap ``hooks_of(engine)`` on each instance, run ``stream``, count
+    calls; also return how many plans the engine replayed."""
     config = EngineConfig(cache=CacheConfig(size=8, window=3), shard=shard)
     method = create_method("ggsx", max_path_length=3)
     calls: Counter = Counter()
@@ -70,17 +71,18 @@ def fired_hooks(database, stream, shard: ShardConfig, hooks_of) -> tuple[set, Co
             setattr(owner, attribute, counted)
         for query in stream:
             service.query(query)
-    return set(hooks), calls
+    return set(hooks), calls, service.engine.plans_replayed
 
 
 def test_single_shard_hooks_fire(database, stream):
-    hooks, calls = fired_hooks(database, stream, ShardConfig(), single_shard_hooks)
+    hooks, calls, _ = fired_hooks(database, stream, ShardConfig(), single_shard_hooks)
     assert set(calls) == hooks
     assert calls["maintenance.flush"] == calls["maintenance.rebuild"] == len(stream) // 3
 
 
 def test_inline_shard_hooks_fire(database, stream):
     shard = ShardConfig(shards=4, backend="inline")
-    hooks, calls = fired_hooks(database, stream, shard, sharded_hooks)
+    hooks, calls, replayed = fired_hooks(database, stream, shard, sharded_hooks)
     assert set(calls) == hooks
-    assert calls["shard.probe"] == len(stream)
+    # a repeat within a window replays its plan instead of probing
+    assert calls["shard.probe"] == len(stream) - replayed
