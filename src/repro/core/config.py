@@ -3,7 +3,7 @@
 A small tree of frozen dataclasses:
 
 * :class:`CacheConfig` — the query cache (``C``, ``W``, replacement policy);
-* :class:`BatchConfig` — the batch executor (thread workers, pipelining);
+* :class:`BatchConfig` — the batch executor (verification thread workers);
 * :class:`ShardConfig` — the sharded query index;
 * :class:`ServiceConfig` / :class:`TenantConfig` — the service front door:
   per-tenant fairness weights, ``max_in_flight`` admission quotas, rate
@@ -105,6 +105,10 @@ _REMOVED_IN_7_0 = {
 }
 
 
+#: the batch executor knobs 8.0 removed with its overlapped planning
+_REMOVED_IN_8_0 = ("pipeline", "chunk_size")
+
+
 def _removed_hint(key: str) -> str | None:
     """What to write instead of a removed name (``None`` = never valid)."""
     if key == "precheck" or key.endswith("compiled"):
@@ -124,6 +128,11 @@ def _removed_hint(key: str) -> str | None:
         )
     if key in _REMOVED_IN_7_0:
         return f"removed in 7.0 — {key}: {_REMOVED_IN_7_0[key]}"
+    if key in _REMOVED_IN_8_0:
+        return (
+            f"removed in 8.0 — batch.{key}: verification fans out evenly over the "
+            "thread pool when batch.num_workers > 1, drop the key"
+        )
     return None
 
 
@@ -209,22 +218,16 @@ class CacheConfig:
 
 @dataclass(frozen=True)
 class BatchConfig:
-    """The batch executor: verification thread pool and pipelined planning."""
+    """The batch executor: verification thread pool and feature memo."""
 
-    #: thread-pool size for the verification stage (1 = in-process, no pool)
+    #: thread-pool size for the verification stage (1 = in-process, no pool;
+    #: more split each query's candidates evenly over the workers)
     num_workers: int = 1
-    #: candidates per worker task (``None`` = even split over the workers)
-    chunk_size: int | None = None
-    #: plan query *i+1* while query *i* verifies on the pool
-    pipeline: bool = True
     #: memoise query feature extraction across the batch
     memoize_features: bool = True
 
     def __post_init__(self) -> None:
         _require_positive_int("batch", "num_workers", self.num_workers)
-        if self.chunk_size is not None:
-            _require_positive_int("batch", "chunk_size", self.chunk_size)
-        _require_bool("batch", "pipeline", self.pipeline)
         _require_bool("batch", "memoize_features", self.memoize_features)
 
 

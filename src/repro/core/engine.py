@@ -92,7 +92,7 @@ class QueryPlan:
     filtering plus the two iGQ components) and consumed by
     :meth:`IGQ.complete_query` after the surviving candidates — exposed as
     the set-like :attr:`remaining` — have been verified.  Splitting the
-    pipeline here is what lets the batch executor fan the verification stage
+    query here is what lets the batch executor fan the verification stage
     out to a thread pool while the planning and maintenance stages stay
     strictly sequential (and therefore deterministic).
 
@@ -350,9 +350,7 @@ class IGQ:
         """The verifier used for query-vs-cached-query containment tests.
 
         Kept separate from the base method's verifier so the paper's
-        "isomorphism tests against dataset graphs" metric is not polluted;
-        the pipelined executor snapshots its statistics around speculative
-        planning.
+        "isomorphism tests against dataset graphs" metric is not polluted.
         """
         return self._igq_verifier
 
@@ -455,7 +453,6 @@ class IGQ:
         query: LabeledGraph,
         supergraph: bool = False,
         features: GraphFeatures | None = None,
-        credit: bool = True,
         flat: FlatGraph | None = None,
     ) -> QueryPlan:
         """Run stages 1–2 (filtering and iGQ pruning) and return the plan.
@@ -463,14 +460,9 @@ class IGQ:
         ``features`` may carry the query's pre-extracted features and
         ``flat`` the arrays they were extracted from (the batch executor
         memoises preparation across repeated queries); when ``features`` is
-        omitted the query is prepared here (:meth:`prepare`).
-
-        ``credit=False`` defers the §5.1 metadata update (H/R/C of the hit
-        cache entries) to a later :meth:`apply_plan_credits` call.  The
-        pipelined batch executor plans query *i+1* speculatively while query
-        *i* still verifies; deferring the (only) state mutation of the
-        planning stage keeps the replacement metadata byte-identical to the
-        sequential order even when the speculative plan must be discarded.
+        omitted the query is prepared here (:meth:`prepare`).  Planning's
+        one state write, the §5.1 metadata update (H/R/C of the hit cache
+        entries), is applied before the plan is returned.
 
         Plan replay: a query planned since the last window flush with the
         same feature codes and sizes, confirmed isomorphic to this one by
@@ -508,8 +500,7 @@ class IGQ:
                         filter_seconds=prepared - start,
                         replayed=True,
                     )
-                    if credit:
-                        self.apply_plan_credits(plan)
+                    self.apply_plan_credits(plan)
                     plan.igq_seconds = time.perf_counter() - prepared
                     return plan
         if supergraph:
@@ -572,8 +563,7 @@ class IGQ:
             igq_seconds=0.0,
             credits=self._hit_credits(query, candidate_mask, sub_hits, super_hits, supergraph),
         )
-        if credit:
-            self.apply_plan_credits(plan)
+        self.apply_plan_credits(plan)
         plan.igq_seconds = time.perf_counter() - start
         if key is not None and probe_tests:
             self._plans[key] = plan
@@ -611,13 +601,9 @@ class IGQ:
         return sub_hits, super_hits
 
     def apply_plan_credits(self, plan: QueryPlan) -> None:
-        """Apply a plan's §5.1 metadata update (deferred by ``credit=False``).
-
-        Must run after the *previous* query has been completed (its window
-        maintenance may have flushed the cache) and before this plan's own
-        :meth:`complete_query`, mirroring the position the update occupies in
-        the sequential order.
-        """
+        """Apply a plan's §5.1 metadata update: one hit per entry in
+        ``plan.credits`` — what planning afresh and plan replay both end
+        with."""
         for entry, removed, cost in plan.credits:
             entry.record_hit(removed, cost)
 
@@ -878,8 +864,7 @@ class IGQ:
         deterministic sequential path, exactly equivalent to calling
         :meth:`query` once per query; with workers configured the
         verification stage of each query fans out to a
-        :mod:`concurrent.futures` pool and (unless pipelining is off) the
-        next query is planned while the pool works.  Answers, cache contents
+        :mod:`concurrent.futures` pool.  Answers, cache contents
         and replacement metadata are identical in every configuration.  See
         :class:`repro.core.batch.BatchExecutor` for the streaming API.
         """

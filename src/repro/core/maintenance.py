@@ -19,10 +19,9 @@ per windowed query — one inline replica at ``shards=1``).  The paper builds
 a *shadow* index and swaps it in so that concurrent readers are never
 blocked; replaying the window in place costs O(``W`` x entry features), not
 O(``C``), and is equivalent to the swap because planning, completion and the
-flush all run on the one driver thread: no lookup can observe a
-half-applied window (the pipelined planner re-plans its speculative query
-after a flush), and the resulting index contents are exactly those a
-rebuild over the updated cache would produce.
+flush all run on the one driver thread, one query after the other: no
+lookup can observe a half-applied window, and the resulting index contents
+are exactly those a rebuild over the updated cache would produce.
 
 Compiled-state lifecycle: an entry's compiled representations
 (``CompiledTarget`` / ``CompiledQueryPlan``) are the ones its query was

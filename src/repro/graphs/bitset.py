@@ -1,8 +1,8 @@
 """Integer-bitmask candidate sets over dataset-graph ids.
 
-The filter-then-verify pipeline shuffles *candidate sets* between its layers:
-the base method produces one, the two iGQ components prune it, the verifier
-consumes what is left.  The seed implementation used plain ``set`` objects;
+The filter-then-verify query path shuffles *candidate sets* between its
+layers: the base method produces one, the two iGQ components prune it, the
+verifier consumes what is left.  The seed implementation used plain ``set`` objects;
 every pruning step therefore paid per-element hashing.  This module replaces
 that bookkeeping with arbitrary-precision integer bitmasks: a
 :class:`GraphIdSpace` fixes a bit position for every dataset-graph id, and a

@@ -56,7 +56,7 @@ from collections.abc import Iterable, Iterator
 from concurrent.futures import Future, InvalidStateError
 from dataclasses import dataclass, field, replace as dataclass_replace
 
-from ..core.batch import ABORTED, DRAIN, BatchExecutor
+from ..core.batch import ABORTED, BatchExecutor
 from ..core.config import (
     MIXED_MODE,
     SUPERGRAPH_MODE,
@@ -190,16 +190,18 @@ class ServiceReport:
     #: cache partitions and their live-entry balance
     shards: int
     shard_balance: list[int]
-    #: batch-executor counters (feature memo, pool usage, pipelining)
+    #: batch-executor counters (feature memo, pool usage)
     feature_memo_hits: int
     feature_memo_misses: int
     parallel_verifications: int
     sequential_verifications: int
-    pipelined_plans: int
-    pipeline_replans: int
     #: queries whose plan was replayed from an isomorphic query planned
     #: earlier in the same window (the engine's ``plans_replayed``)
     plans_replayed: int
+    #: always 0: overlapped planning was removed in 8.0 (kept until the
+    #: benchmark harness stops reading them)
+    pipelined_plans: int = 0
+    pipeline_replans: int = 0
     #: always 0: hot-key replication and rebalancing were removed in 4.0
     #: (kept one release for readers of the 3.x report)
     replicas_live: int = 0
@@ -237,8 +239,6 @@ class ServiceReport:
                 "feature_memo_misses": self.feature_memo_misses,
                 "parallel_verifications": self.parallel_verifications,
                 "sequential_verifications": self.sequential_verifications,
-                "pipelined_plans": self.pipelined_plans,
-                "pipeline_replans": self.pipeline_replans,
                 "plans_replayed": self.plans_replayed,
             },
         }
@@ -383,7 +383,6 @@ class GraphQueryService:
         self._scheduler = FairScheduler(service_config)
         self._driver: threading.Thread | None = None
         self._pending: deque[_Task] = deque()
-        self._inflight = 0
         self._opened = False
         self._closed = False
         self._error: BaseException | None = None
@@ -568,8 +567,8 @@ class GraphQueryService:
 
         Items are query graphs or ``(query, mode)`` pairs (mixed streams).
         At most ``max_in_flight`` queries are outstanding at once — the
-        streaming backpressure bound — while the executor plans ahead and
-        verifies on its pool within that window.
+        streaming backpressure bound — so the driver can take the next
+        query as soon as it finishes one.
         """
         limit = max_in_flight if max_in_flight is not None else self.max_in_flight
         if limit < 1:
@@ -665,8 +664,6 @@ class GraphQueryService:
             sequential_verifications=(
                 executor_stats.sequential_verifications if executor_stats else 0
             ),
-            pipelined_plans=executor_stats.pipelined_plans if executor_stats else 0,
-            pipeline_replans=executor_stats.pipeline_replans if executor_stats else 0,
             plans_replayed=engine.plans_replayed,
             delta_log=shard_stats["delta_log"],
             kernel_resolved={"parent": engine.method.verifier.resolved_kernel_name()},
@@ -689,23 +686,14 @@ class GraphQueryService:
     def _task_source(self) -> Iterator:
         """Yield executor stream items dequeued by the fair scheduler.
 
-        The executor asks for the next item *before* completing the one in
-        flight (that is what lets it plan ahead); a caller waiting on the
-        in-flight future may never submit again, so when no task is
-        dispatchable while something is in flight this yields :data:`DRAIN`,
-        telling the executor to finish and emit the pending query instead of
-        blocking.  Each dispatched item carries ``future.done`` as its abort
-        hook — a query that times out between dispatch and execution is
-        skipped by the executor instead of burning a verification.
+        The executor resolves each item before it asks for the next, so the
+        source simply blocks until a task is dispatchable.  Each dispatched
+        item carries ``future.done`` as its abort hook — a query that times
+        out between dispatch and execution is skipped by the executor
+        instead of burning a verification.
         """
         while True:
-            if self._inflight:
-                task = self._scheduler.next(block=False)
-                if task is None:
-                    yield DRAIN
-                    continue
-            else:
-                task = self._scheduler.next(block=True)
+            task = self._scheduler.next(block=True)
             if task is CLOSED:
                 return
             try:
@@ -720,12 +708,10 @@ class GraphQueryService:
                 self._finalize(task)
                 continue
             self._pending.append(task)
-            self._inflight += 1
             yield (task.query, task.mode, task.future.done)
 
     def _resolve(self, result: IGQQueryResult) -> None:
         task = self._pending.popleft()
-        self._inflight -= 1
         with self._stats_lock:
             supergraph = task.mode == SUPERGRAPH_MODE
             self.totals.record(result, supergraph)
@@ -747,7 +733,6 @@ class GraphQueryService:
     def _resolve_aborted(self) -> None:
         """The executor skipped the head-of-line task (its future was done)."""
         task = self._pending.popleft()
-        self._inflight -= 1
         self._finalize(task)
 
     def _finalize(self, task: _Task) -> None:
@@ -791,7 +776,6 @@ class GraphQueryService:
         self._scheduler.close()
         while self._pending:
             task = self._pending.popleft()
-            self._inflight -= 1
             self._finalize(task)
             try:
                 task.future.set_exception(exc)

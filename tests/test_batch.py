@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import os
 import random
+import sys
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -19,6 +21,7 @@ import pytest
 from repro.core import IGQ, BatchConfig, BatchExecutor
 from repro.core.batch import FeatureMemo
 from repro.graphs import GraphDatabase, LabeledGraph
+from repro.isomorphism import compiled as compiled_module
 from repro.methods import GGSXMethod, GrapesMethod, ScanMethod
 
 from .conftest import engine_config, make_cycle_graph, make_path_graph, random_labeled_graph
@@ -184,97 +187,50 @@ class TestSequentialEquivalence:
             assert set(got.candidates) == set(want.candidates)
 
 
-class TestPipelinedPlanner:
-    """The pipelined planner must be invisible: answers, accounting, cache
-    and replacement state — and even the containment-test statistics of the
-    iGQ verifier — identical to the sequential loop, including across window
-    flushes (which force speculative plans to be discarded and redone)."""
+class TestPoolCompilesOnce:
+    @pytest.mark.parametrize("num_workers", [2, 5])
+    @pytest.mark.parametrize("target", ["engine", "method"])
+    def test_one_plan_compile_per_query(self, target, num_workers, monkeypatch):
+        """The chunks of a pool-verified query share the plan the driver
+        compiled before submitting them: one ``ck_compile_plan`` per query,
+        however many chunks verify it.  A chunk that built the plan's
+        kernel form itself — the lazy build is unlocked — would count a
+        second compile; five workers and a short switch interval give such
+        a race its chances."""
+        plan_compiles = Counter()
 
-    @pytest.mark.parametrize(
-        "num_workers", [pytest.param(2, id="thread"), pytest.param(3, id="thread3")]
-    )
-    def test_pipelined_identical_to_sequential_loop(self, num_workers):
-        database = build_database()
-        # few distinct queries: repeats within a window replay their plans
-        stream = make_stream(distinct=6, total=40)
-        loop_engine = fresh_engine(database)
-        expected = [loop_engine.query(query) for query in stream]
+        def counting_native_form(entry_point, flat, _form=compiled_module._native_form):
+            if entry_point == "ck_compile_plan":
+                plan_compiles[flat.graph.name] += 1
+            return _form(entry_point, flat)
 
-        engine = fresh_engine(database)
-        planned, completed = [], set()
-        plan_query, complete_query = engine.plan_query, engine.complete_query
-
-        def record_plan(*args, **kwargs):
-            planned.append(plan_query(*args, **kwargs))
-            return planned[-1]
-
-        def record_completion(plan, *args):
-            completed.add(id(plan))
-            return complete_query(plan, *args)
-
-        engine.plan_query, engine.complete_query = record_plan, record_completion
-        with BatchExecutor(engine, num_workers=num_workers, pipeline=True) as executor:
-            results = executor.run_batch(stream)
-            # The small window (3) flushes repeatedly mid-batch, so the
-            # replan path must actually have been exercised.
-            assert executor.stats.pipelined_plans > 0
-            assert executor.stats.pipeline_replans > 0
-        # ... among them a replayed speculative plan (a flush ends replay)
-        discarded = [plan for plan in planned if id(plan) not in completed]
-        assert any(plan.replayed for plan in discarded)
-        assert engine.plans_replayed == loop_engine.plans_replayed > 0
-
-        for got, want in zip(results, expected):
-            assert set(got.answers) == set(want.answers), got.query_name
-            assert set(got.candidates) == set(want.candidates)
-            assert got.num_isomorphism_tests == want.num_isomorphism_tests
-            assert got.exact_hit == want.exact_hit
-            assert got.verification_skipped == want.verification_skipped
-        assert cache_state(engine) == cache_state(loop_engine)
-        got_stats = engine.igq_verifier.stats
-        want_stats = loop_engine.igq_verifier.stats
-        assert got_stats.tests == want_stats.tests
-        assert got_stats.positives == want_stats.positives
-        assert got_stats.negatives == want_stats.negatives
-        assert got_stats.positives + got_stats.negatives == got_stats.tests
-
-    def test_pipeline_flag_off_matches_on(self):
-        database = build_database()
-        stream = make_stream(total=25)
-        engines = {}
-        for pipeline in (False, True):
-            engine = fresh_engine(database)
-            with BatchExecutor(engine, num_workers=2, pipeline=pipeline) as executor:
-                engines[pipeline] = (engine, executor.run_batch(stream))
-        engine_off, results_off = engines[False]
-        engine_on, results_on = engines[True]
-        for got, want in zip(results_on, results_off):
-            assert set(got.answers) == set(want.answers)
-            assert got.num_isomorphism_tests == want.num_isomorphism_tests
-        assert cache_state(engine_on) == cache_state(engine_off)
-
-    def test_pipeline_inactive_without_pool(self):
-        """With one worker the stream takes the plain path; results and
-        state still match the sequential loop."""
-        database = build_database()
-        stream = make_stream(total=10)
-        loop_engine = fresh_engine(database)
-        expected = [loop_engine.query(query) for query in stream]
-        engine = fresh_engine(database)
-        with BatchExecutor(engine, num_workers=1, pipeline=True) as executor:
-            assert executor.stats.pipelined_plans == 0
-            results = executor.run_batch(stream)
-        for got, want in zip(results, expected):
-            assert set(got.answers) == set(want.answers)
-        assert cache_state(engine) == cache_state(loop_engine)
-
-    def test_pipelined_stream_yields_in_order(self):
-        database = build_database()
-        stream = make_stream(total=12)
-        engine = fresh_engine(database)
-        with BatchExecutor(engine, num_workers=2) as executor:
-            names = [result.query_name for result in executor.run_stream(stream)]
-        assert names == [query.name for query in stream]
+        monkeypatch.setattr(compiled_module, "_native_form", counting_native_form)
+        database = build_database(count=24)
+        rng = random.Random(11)
+        stream = [
+            random_labeled_graph(rng, rng.randint(2, 4), 0.4, labels="ABC", name=f"q{i}")
+            for i in range(20)
+        ]
+        if target == "engine":
+            runner = fresh_engine(database)
+        else:
+            runner = GGSXMethod(max_path_length=3)
+            runner.build_index(database)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            # no feature memo: every query keeps its own flattening, which
+            # is what the compiles are counted by
+            with BatchExecutor(
+                runner, num_workers=num_workers, memoize_features=False
+            ) as executor:
+                executor.run_batch(stream)
+                pooled = executor.stats.parallel_verifications
+        finally:
+            sys.setswitchinterval(interval)
+        assert pooled >= 5
+        assert len(plan_compiles) >= pooled
+        assert set(plan_compiles.values()) == {1}
 
 
 class TestStreaming:

@@ -14,6 +14,8 @@ Three contracts:
   they warn and change nothing.  6.0 removed the process backends:
   ``batch.backend`` is gone and ``shard.backend="process"`` is rejected.
   7.0 removed the ``verifier`` section: the C kernel is the only kernel.
+  8.0 removed ``batch.pipeline`` and ``batch.chunk_size``: verification
+  fans out evenly over the thread pool when ``batch.num_workers > 1``.
 """
 
 from __future__ import annotations
@@ -61,8 +63,7 @@ class TestRoundTrip:
             mode="mixed",
             enable_isuper=False,
             cache=CacheConfig(size=64, window=16, policy="hit_rate"),
-            batch=BatchConfig(num_workers=4, chunk_size=8,
-                              pipeline=False, memoize_features=False),
+            batch=BatchConfig(num_workers=4, memoize_features=False),
             shard=ShardConfig(shards=4, backend="inline", compact_threshold=None),
         )
         assert EngineConfig.from_dict(config.to_dict()) == config
@@ -135,13 +136,22 @@ class TestValidation:
 
     def test_unknown_batch_backend(self):
         """6.0 removed the key: verification runs on threads whenever
-        ``batch.num_workers > 1``."""
+        ``batch.num_workers > 1``; 8.0 removed the two keys that shaped the
+        fan-out."""
         with pytest.raises(
             ConfigError,
             match=r"unknown key\(s\) \['backend'\].*removed in 6\.0 — batch\.backend: "
             r"verification runs on a thread pool when batch\.num_workers > 1",
         ):
             EngineConfig.from_dict({"batch": {"backend": "thread"}})
+        for key, value in (("pipeline", False), ("chunk_size", 8)):
+            with pytest.raises(
+                ConfigError,
+                match=rf"unknown key\(s\) \['{key}'\].*removed in 8\.0 — batch\.{key}: "
+                r"verification fans out evenly over the thread pool when "
+                r"batch\.num_workers > 1, drop the key",
+            ):
+                EngineConfig.from_dict({"batch": {key: value}})
 
     def test_unknown_shard_backend(self):
         with pytest.raises(ConfigError, match=r"shard\.backend='remote'.*one of"):
@@ -174,8 +184,8 @@ class TestValidation:
             EngineConfig(cache=42)
 
     def test_non_bool_flag(self):
-        with pytest.raises(ConfigError, match=r"batch\.pipeline=1.*expected a bool"):
-            BatchConfig(pipeline=1)
+        with pytest.raises(ConfigError, match=r"batch\.memoize_features=1.*expected a bool"):
+            BatchConfig(memoize_features=1)
 
     def test_plain_igq_accepts_sharded_config(self, database):
         """One engine class for every ``shard.shards`` (3.0)."""
@@ -340,8 +350,9 @@ class TestHotKeyRemoval:
 # ----------------------------------------------------------------------
 class TestProcessBackendRemoval:
     def test_batch_config_has_no_backend(self):
-        with pytest.raises(TypeError, match=r"backend"):
-            BatchConfig(backend="thread")
+        for key, value in (("backend", "thread"), ("pipeline", False), ("chunk_size", 8)):
+            with pytest.raises(TypeError, match=key):
+                BatchConfig(**{key: value})
 
     def test_process_shards_name_the_removal(self):
         with pytest.raises(ConfigError, match=r"shard\.backend='process' was removed in 6\.0"):

@@ -213,7 +213,11 @@ class TestComponentsAndMetadata:
         num_labels = max(database.num_labels, 1)
         credited = 0
         for query in make_queries(count=40) * 2:
-            plan = engine.plan_query(query, supergraph=supergraph, credit=False)
+            before = {
+                entry.entry_id: (entry.hits, entry.removed, entry.alleviated_cost)
+                for entry in engine.cache.entries()
+            }
+            plan = engine.plan_query(query, supergraph=supergraph)
             candidates = set(engine.method.id_space.to_ids(plan.candidate_mask))
             expected = {}
             guaranteed, restricting = plan.sub_hits, plan.super_hits
@@ -232,15 +236,13 @@ class TestComponentsAndMetadata:
                             cost += isomorphism_test_cost(size, query.num_vertices, num_labels)
                         else:
                             cost += isomorphism_test_cost(query.num_vertices, size, num_labels)
-                hits, removed, total = expected.get(
-                    entry.entry_id, (entry.hits, entry.removed, entry.alleviated_cost)
-                )
+                hits, removed, total = expected.get(entry.entry_id, before[entry.entry_id])
                 expected[entry.entry_id] = (hits + 1, removed + len(freed), total + cost)
-            engine.apply_plan_credits(plan)
-            for entry_id, triple in expected.items():
+            for entry_id, triple in before.items():
                 entry = engine.cache.get(entry_id)
-                assert (entry.hits, entry.removed, entry.alleviated_cost) == triple
-                credited += triple[1] > 0
+                got = (entry.hits, entry.removed, entry.alleviated_cost)
+                assert got == expected.get(entry_id, triple)
+                credited += entry_id in expected and got[1] > 0
             engine.complete_query(plan, engine.verify_plan(plan), 0.0)
         assert credited
 

@@ -5,7 +5,7 @@ Four contracts:
 * **Equivalence** — a mixed subgraph+supergraph stream through
   ``submit()``/``stream()`` yields byte-identical answers, hit/miss
   accounting, cache contents and replacement state to the legacy
-  sequential ``engine.query()`` loop, across sequential, pipelined and
+  sequential ``engine.query()`` loop, across sequential, thread-pool and
   ``shards=4`` configurations.
 * **Lifecycle** — ``close()`` verifiably terminates the batch executor's
   verification pool; the service and the standalone engine are context
@@ -121,9 +121,9 @@ class TestMixedStreamEquivalence:
         [
             pytest.param(BatchConfig(), ShardConfig(), id="sequential"),
             pytest.param(
-                BatchConfig(num_workers=2, pipeline=True),
+                BatchConfig(num_workers=2),
                 ShardConfig(),
-                id="pipelined-threads",
+                id="threads",
             ),
             pytest.param(
                 BatchConfig(),
