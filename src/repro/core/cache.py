@@ -35,10 +35,12 @@ class CacheEntry:
     graph: LabeledGraph
     features: GraphFeatures
     #: ``Answer(g)``: a :class:`~repro.graphs.bitset.CandidateBitmap` over
-    #: the dataset-graph id space as the engine records it, a frozenset of
-    #: ids as restored from disk or added by hand (the engine turns it into
-    #: a bitmap on first use); :attr:`answer` is the frozenset view
-    answers: CandidateBitmap | frozenset
+    #: the dataset-graph id space as the engine records it; a frozenset of
+    #: ids as added by hand or restored from a format-2 journal, or the
+    #: bare ``int`` mask a format-3 journal restores — the engine turns
+    #: both into bitmaps when it attaches its id space (a hand-added
+    #: frozenset: on first use); :attr:`answer` is the frozenset view
+    answers: CandidateBitmap | frozenset | int
     #: value of the cache's global query counter when the entry was added
     added_at: int
     #: H(g): number of times this entry pruned (or answered) a new query
@@ -64,10 +66,9 @@ class CacheEntry:
 
     @property
     def answer(self) -> frozenset:
-        """``Answer(g)`` as a frozenset of graph ids, decoded on first read:
-        the durable store reads it when the entry is journalled and again at
-        every snapshot, and the oracles read it; the engine reads
-        :attr:`answers`."""
+        """``Answer(g)`` as a frozenset of graph ids, decoded on first read
+        (the oracles read it; the engine and the durable store read
+        :attr:`answers`)."""
         if self._answer is None:
             self._answer = frozenset(self.answers)
         return self._answer
@@ -117,10 +118,11 @@ class CacheEntry:
         self.release_compiled_plan()
 
 
-def _stored(answer) -> CandidateBitmap | frozenset:
-    """An answer set as an entry keeps it: bitmaps as they are (immutable
-    by convention), anything else as a frozenset."""
-    return answer if isinstance(answer, CandidateBitmap) else frozenset(answer)
+def _stored(answer) -> CandidateBitmap | frozenset | int:
+    """An answer set as an entry keeps it: bitmaps (immutable by
+    convention) and restored masks as they are, anything else as a
+    frozenset."""
+    return answer if isinstance(answer, (CandidateBitmap, int)) else frozenset(answer)
 
 
 class QueryCache:
@@ -170,7 +172,7 @@ class QueryCache:
         entry_id: int,
         graph: LabeledGraph,
         features: GraphFeatures,
-        answer: Set,
+        answer: Set | int,
         added_at: int,
         tags: dict | None = None,
         *,

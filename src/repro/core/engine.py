@@ -227,6 +227,12 @@ class IGQ:
         #: ``config.persist.dir`` is set (last: a warm restart replays into
         #: the log, the runtime and the placement maps above)
         self.persister = None
+        #: restored answers waiting for :meth:`_attach` (see
+        #: :meth:`_adopt_answers`), the fingerprint of the id space they
+        #: index (``None`` for a format-2 journal) and where they came from
+        self._answers_pending = False
+        self._restored_space: str | None = None
+        self._restored_from = ""
         self._attach_persistence()
 
     @property
@@ -276,47 +282,65 @@ class IGQ:
 
         Everything the warm restart cannot rebuild from the delta records
         themselves: the global query counter, the id allocator, the
-        per-entry §5.1 replacement statistics and the placement state.  (The
-        durable store stamps its format version on top.)
+        per-entry §5.1 replacement statistics (as the columns ``(ids, H, R,
+        C)``, in cache order), the placement state, and the fingerprint of
+        the id space the journalled answer masks index.  (The durable store
+        stamps its format version on top.)
         """
         cache = self.cache
+        entries = list(cache.entries())
         return {
             "mode": self.mode,
             "shards": self.num_shards,
             "query_counter": cache.query_counter,
             "next_id": cache.next_entry_id,
-            "entry_stats": {
-                entry.entry_id: (entry.hits, entry.removed, entry.alleviated_cost)
-                for entry in cache.entries()
-            },
+            "id_space": (
+                self._restored_space if self._id_space is None else self._id_space.fingerprint()
+            ),
+            "entry_stats": (
+                [entry.entry_id for entry in entries],
+                [entry.hits for entry in entries],
+                [entry.removed for entry in entries],
+                [entry.alleviated_cost for entry in entries],
+            ),
             **self.placement.persist_state(),
             "records_folded": self._records_folded,
         }
 
-    def persist_entry_meta(self, entry_id: int) -> dict:
-        """An entry's immutable extras that delta records do not carry."""
-        entry = self.cache.get(entry_id)
-        return {
-            "answer": entry.answer,
-            "tags": dict(entry.tags),
-            "added_at": entry.added_at,
-        }
+    def persist_answer(self, entry: CacheEntry) -> int | frozenset:
+        """An entry's answer set as the durable store journals it: its mask
+        over the id space :meth:`persist_state` names.  Before the engine
+        attaches a dataset, a restored answer is journalled as it was read
+        (a mask, or a format-2 frozenset)."""
+        if self._id_space is None:
+            return entry.answers
+        return self._answer_mask(entry)
 
-    def apply_persist_state(self, entries, state: dict) -> None:
+    def apply_persist_state(self, entries, state: dict, source: str = "") -> None:
         """Warm-start: restore the cache, then replay it into the fresh log.
 
         ``entries`` is the recovered live set — ``(shard_entry, meta)``
         pairs in ascending id order; ``state`` is the matching
-        :meth:`persist_state` capture.  Compiled payloads ride in
-        on the shard entries, so nothing recompiles.  The recovered
-        placement goes into the (empty) delta log as one bootstrap flush —
-        an ``insert`` per entry at its ``entry_shard`` home — so every
-        reader — the replicas that hold the component indexes included —
-        ends up exactly where the persisted engine had it, with freshly
-        numbered versions consistent with the new on-disk segment.
+        :meth:`persist_state` capture (a format-1/2 state keys the §5.1
+        statistics by entry id instead); ``source`` names the directory
+        for errors.  A format-3 entry carries no compiled payloads: it
+        compiles as it is replayed into the log.  The recovered placement goes into the (empty) delta log as one
+        bootstrap flush — an ``insert`` per entry at its ``entry_shard``
+        home — so every reader — the replicas that hold the component
+        indexes included — ends up exactly where the persisted engine had
+        it, with freshly numbered versions consistent with the new on-disk
+        segment.  Restored answers become bitmaps when the engine attaches
+        its dataset (now, if it already has one): see :meth:`_adopt_answers`.
         """
+        self._restored_space = state.get("id_space")
+        self._restored_from = source
+        if self._id_space is not None:
+            self._check_answer_space()
         cache = self.cache
         stats = state.get("entry_stats", {})
+        if isinstance(stats, tuple):  # format 3: columns
+            ids, *columns = stats
+            stats = dict(zip(ids, zip(*columns)))
         for shard_entry, meta in entries:
             hits, removed, cost = stats.get(shard_entry.entry_id, (0, 0, 0.0))
             cache.restore_entry(
@@ -332,6 +356,9 @@ class IGQ:
                 compiled_target=shard_entry.compiled_target,
                 compiled_plan=shard_entry.compiled_plan,
             )
+        self._answers_pending = bool(entries)
+        if self._id_space is not None:
+            self._adopt_answers()
         cache.query_counter = state.get("query_counter", 0)
         cache.reserve_ids(state.get("next_id", 0))
         self._records_folded = state.get("records_folded", 0)
@@ -344,6 +371,42 @@ class IGQ:
         if entries:
             log.append_flush()
             self._sync_readers()
+
+    def _check_answer_space(self) -> None:
+        """Refuse restored answer masks over a dataset other than the
+        attached one (they would silently answer for the wrong graphs)."""
+        expected = self._restored_space
+        if expected is not None and expected != self._id_space.fingerprint():
+            raise ConfigError(
+                f"persist.dir {self._restored_from!r} journals answer sets over "
+                f"another dataset (id space {expected}, the attached one is "
+                f"{self._id_space.fingerprint()}); attach the dataset it was "
+                "written for, or point persist.dir at a fresh directory"
+            )
+
+    def _adopt_answers(self) -> None:
+        """Turn the restored answers into bitmaps over the attached id
+        space: a mask as it is, a format-2 frozenset by its ids."""
+        if not self._answers_pending:
+            return
+        self._check_answer_space()
+        space = self._id_space
+        for entry in self.cache.entries():
+            answers = entry.answers
+            if answers.__class__ is int:
+                entry.answers = CandidateBitmap(space, answers)
+            elif answers.__class__ is frozenset:
+                try:
+                    entry.answers = CandidateBitmap.from_ids(space, answers)
+                except KeyError as missing:
+                    raise ConfigError(
+                        f"persist.dir {self._restored_from!r} holds answers naming "
+                        f"graph {missing} the attached dataset does not have; attach "
+                        "the dataset it was written for, or point persist.dir at a "
+                        "fresh directory"
+                    ) from None
+        self._answers_pending = False
+        self._restored_space = None
 
     @property
     def igq_verifier(self) -> Verifier:
@@ -377,6 +440,7 @@ class IGQ:
     def _attach(self, database: GraphDatabase) -> None:
         self.database = database
         space = self._id_space = self.method.id_space
+        self._adopt_answers()
         self._target_sizes = [
             database.get(graph_id).num_vertices for graph_id in space.to_ids(space.full_mask)
         ]
@@ -650,8 +714,8 @@ class IGQ:
     # Candidate-set combination (formulae (3), (4), (5) and §4.4)
     # ------------------------------------------------------------------
     def _answer_mask(self, entry: CacheEntry) -> int:
-        """Answer set of a cached entry as a bitmask over the id space (an
-        entry restored from disk gets its bitmap on first use)."""
+        """Answer set of a cached entry as a bitmask over the id space (a
+        hand-added frozenset gets its bitmap on first use)."""
         answers = entry.answers
         if answers.__class__ is not CandidateBitmap or answers.space is not self._id_space:
             answers = entry.answers = CandidateBitmap.from_ids(self._id_space, answers)

@@ -32,7 +32,7 @@ oracles.
 from __future__ import annotations
 
 from array import array
-from collections.abc import Hashable
+from collections.abc import Hashable, Iterable
 from dataclasses import dataclass, field
 
 from ..graphs.graph import LabeledGraph
@@ -81,7 +81,8 @@ class GraphFeatures:
     the native probe table filters on — read it through
     :meth:`feature_codes`.  Codes are spelt with a per-process label table,
     so they are never pickled: a copy pickles its tuple keys and re-encodes
-    them on arrival.
+    them on arrival.  (The durable journal stores the codes themselves,
+    with the label table's spelling; :meth:`from_codes` reads them back.)
     """
 
     counts: dict[FeatureKey | int, int] = field(default_factory=dict)
@@ -107,6 +108,14 @@ class GraphFeatures:
             coded=True,
         )
 
+    @classmethod
+    def from_codes(cls, codes: Iterable[int], counts: Iterable[int]) -> "GraphFeatures":
+        """Coded features given as a code column and a count column spelt
+        with this process's label table (how the durable journal stores a
+        cached query's features); no locations.  ``counts`` keeps the
+        columns' order, and :meth:`feature_codes` sorts them."""
+        return cls(dict(zip(codes, counts)), coded=True)
+
     def feature_codes(self) -> array | None:
         """The features as ``(code, count)`` pairs, or ``None`` when they are
         not coded."""
@@ -115,7 +124,8 @@ class GraphFeatures:
         return self.codes
 
     def key_counts(self) -> dict[FeatureKey, int]:
-        """``counts`` keyed by tuple key, in ascending key order."""
+        """``counts`` keyed by tuple key, in the order of ``counts`` (ascending
+        key order for an extraction)."""
         if not self.coded:
             return self.counts
         if self._keys is None:

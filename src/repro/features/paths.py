@@ -36,7 +36,10 @@ back into keys (pickling, introspection, oracles) and
 :func:`codes_where_known` re-keys a tuple-keyed table as far as the table
 knows its labels.  The byte table is append-only and per process, holds at
 most 254 labels and never takes a graph's labels unless it can take them
-all; codes are never pickled.
+all.  A pickle carries tuple keys, never codes; the durable journal
+(:mod:`repro.persist.restore`) stores codes together with the table's
+:func:`label_spelling`, and a process whose table differs maps them onto
+its own with one ``bytes.translate`` (:func:`respelling`).
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from __future__ import annotations
 import ctypes
 import threading
 from array import array
-from collections.abc import Collection, Hashable, Iterable, Iterator, Mapping
+from collections.abc import Collection, Hashable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -61,8 +64,10 @@ __all__ = [
     "encode_path_codes",
     "encode_path_keys",
     "enumerate_simple_paths",
+    "label_spelling",
     "native_path_features",
     "path_features",
+    "respelling",
 ]
 
 
@@ -155,17 +160,44 @@ def code_pairs(items: Iterable[tuple[int, int]]) -> array:
     return array("Q", chain.from_iterable(sorted(items)))
 
 
-def decode_path_codes(codes: Iterable[int]) -> list[tuple[str, ...]]:
+def decode_path_codes(
+    codes: Iterable[int], spelling: Sequence[str] | None = None
+) -> list[tuple[str, ...]]:
     """The label-path key of each of ``codes`` (the inverse of
-    :func:`encode_path_codes`): for pickling, introspection and oracles."""
+    :func:`encode_path_codes`): for pickling, introspection and oracles.
+    ``spelling`` reads codes another table spelt (a :func:`label_spelling`)."""
     spelt = array("Q", codes)
     spelt.byteswap()
     data = spelt.tobytes()
-    text_of = _label_texts().__getitem__
+    text_of = (_label_texts() if spelling is None else [None, *spelling]).__getitem__
     return [
         tuple(map(text_of, data[start : start + 8].rstrip(b"\0")))
         for start in range(0, len(data), 8)
     ]
+
+
+def label_spelling() -> tuple[str, ...]:
+    """The label table as the texts of bytes 1, 2, ...: what a journal
+    stores next to codes so that a process with another table can read
+    them (:func:`respelling`)."""
+    return tuple(_label_texts()[1:])
+
+
+def respelling(spelling: Sequence[str]) -> bytes | None:
+    """The ``bytes.translate`` table taking the bytes of codes spelt with
+    ``spelling`` (a :func:`label_spelling`) to this process's spelling.
+
+    Byte 0 (a code's unused tail) maps to itself, so the table applies to
+    the raw bytes of a code array.  Labels this table has not seen yet are
+    added; ``None`` when it cannot take them all.  A re-spelt set of codes
+    sorts differently: whoever needs them in code order sorts them again.
+    """
+    spelt = _label_bytes(list(spelling))
+    if spelt is None:
+        return None
+    table = bytearray(range(256))
+    table[1 : len(spelt) + 1] = bytes(spelt)
+    return bytes(table)
 
 
 def codes_where_known(counts: Mapping[tuple[str, ...], int]) -> dict:

@@ -18,6 +18,7 @@ keyed by cache-entry id for their own candidate bookkeeping.
 
 from __future__ import annotations
 
+import hashlib
 from collections.abc import Hashable, Iterable, Iterator, Set
 
 __all__ = [
@@ -100,13 +101,24 @@ class DensePositions:
 class GraphIdSpace:
     """A frozen id ↔ bit-position mapping over a collection of graph ids."""
 
-    __slots__ = ("_ids", "_positions")
+    __slots__ = ("_ids", "_positions", "_fingerprint")
 
     def __init__(self, ids: Iterable[Hashable]) -> None:
         self._ids = tuple(ids)
         self._positions = {graph_id: index for index, graph_id in enumerate(self._ids)}
         if len(self._positions) != len(self._ids):
             raise ValueError("graph ids must be unique")
+        self._fingerprint: str | None = None
+
+    def fingerprint(self) -> str:
+        """A digest of the ids in position order: two spaces give every
+        mask the same meaning exactly when their fingerprints are equal
+        (stable across processes, so a journalled mask can be checked
+        against the dataset it is read with)."""
+        if self._fingerprint is None:
+            data = repr(self._ids).encode("utf-8")
+            self._fingerprint = hashlib.blake2b(data, digest_size=16).hexdigest()
+        return self._fingerprint
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:

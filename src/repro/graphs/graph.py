@@ -364,6 +364,33 @@ class LabeledGraph:
     def __hash__(self) -> int:  # pragma: no cover - identity hashing only
         return id(self)
 
+    def __getstate__(self) -> tuple:
+        """Pickle the name, the label and adjacency dicts and the edge count:
+        the label index and counts are derived, and rebuilt on load."""
+        return (self.name, self._labels, self._adjacency, self._num_edges)
+
+    @classmethod
+    def from_state(cls, state: tuple) -> "LabeledGraph":
+        """The graph a :meth:`__getstate__` tuple describes (the durable
+        journal stores graphs as their state: plain dicts that unpickle
+        without looking up this class)."""
+        graph = cls.__new__(cls)
+        graph.__setstate__(state)
+        return graph
+
+    def __setstate__(self, state) -> None:
+        """Restore a lean pickle, or one of the default slot layout that
+        also carried the derived structures."""
+        if len(state) == 2:  # ``(None, slots)``: the layout before the lean state
+            state = state[1]
+            state = (state["name"], state["_labels"], state["_adjacency"], state["_num_edges"])
+        self.name, self._labels, self._adjacency, self._num_edges = state
+        index: dict[Hashable, set[Hashable]] = {}
+        for vertex, label in self._labels.items():
+            index.setdefault(label, set()).add(vertex)
+        self._label_index = index
+        self._label_counts = Counter(self._labels.values())
+
     def __len__(self) -> int:
         return len(self._labels)
 

@@ -2,9 +2,11 @@
 
 Read-only by default — the dump never repairs a torn tail, so it is safe
 to point at the live directory of a running engine.  ``--records`` prints
-one line per WAL record (a ``flush`` record: its version range, inserts,
-evicts and query counter); the summary always reports, per segment, how
-many records decode cleanly and where (and why) a torn tail begins.
+one line per WAL record (a ``flush`` record: its version range, the ids it
+inserted and evicted, its framed size and the query counter); the summary
+always reports, per segment, how many records decode cleanly and where
+(and why) a torn tail begins.  Directories of every format this build
+restores (1 to 3) can be read.
 """
 
 from __future__ import annotations
@@ -14,20 +16,22 @@ from pathlib import Path
 
 from ..core.shard import DELTA_EVICT, DELTA_INSERT
 from . import snapshot, wal
+from .restore import read_flush
 
 __all__ = ["main"]
 
 
-def _describe_record(record) -> str:
+def _describe_record(record, size: int) -> str:
     if not (isinstance(record, tuple) and len(record) == 2):
         return f"?? {record!r:.60}"
     kind, payload = record
     if kind == "flush":
-        records, _, state = payload
-        ops = [delta.op for delta in records]
+        records, _, state = read_flush(payload)
+        inserted = [delta.entry_id for delta in records if delta.op == DELTA_INSERT]
+        evicted = [delta.entry_id for delta in records if delta.op == DELTA_EVICT]
         return (
             f"flush v{records[0].version}-{records[-1].version} "
-            f"inserts={ops.count(DELTA_INSERT)} evicts={ops.count(DELTA_EVICT)} "
+            f"inserted={inserted} evicted={evicted} bytes={size} "
             f"queries={state.get('query_counter')}"
         )
     if kind == "delta":
@@ -73,7 +77,7 @@ def main(argv: list[str] | None = None) -> int:
             continue
         print(
             f"  {snapshot_path.name}  {size} bytes  version={version} "
-            f"live_entries={len(payload.get('live', {}))} "
+            f"live_entries={len(payload.get('ids', payload.get('live', ())))} "
             f"queries={payload.get('state', {}).get('query_counter')}"
         )
 
@@ -94,8 +98,8 @@ def main(argv: list[str] | None = None) -> int:
                 f"({scan.total_bytes - scan.valid_bytes} torn tail bytes)"
             )
         if args.records:
-            for record in scan.records:
-                print(f"    {_describe_record(record)}")
+            for record, size in zip(scan.records, scan.sizes):
+                print(f"    {_describe_record(record, size)}")
     return 1 if torn else 0
 
 

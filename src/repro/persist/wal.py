@@ -3,14 +3,13 @@
 The on-disk form of the engine's :class:`~repro.core.shard.DeltaLog`:
 each segment file starts with an 8-byte magic and carries a sequence of
 length-prefixed, CRC32-checksummed pickle records.  A record is a
-``(kind, payload)`` tuple.  Format 2 writes one kind, ``"flush"``, once
-per window flush: ``(records, meta, state)`` — the flush's
-:class:`~repro.core.shard.CacheDelta` records (inserts carry their
-compiled :class:`~repro.core.shard.ShardEntry` payloads), the immutable
-extras of the entries it inserted (answer set, tags, insertion counter)
-and the engine's small mutable state.  Format 1 wrote the same flush as
-one ``"delta"`` record per delta, a ``"meta"`` record and a closing
-``"state"`` record; :mod:`repro.persist.restore` still reads those.
+``(kind, payload)`` tuple.  Formats 2 and 3 write one kind, ``"flush"``,
+once per window flush: the flush's delta records, the entries it inserted
+and the engine's small mutable state (format 3 in the engine's native
+form, format 2 as pickled :class:`~repro.core.shard.CacheDelta` records
+and dicts — see :mod:`repro.persist.restore`, which reads both).  Format
+1 wrote the same flush as one ``"delta"`` record per delta, a ``"meta"``
+record and a closing ``"state"`` record; recovery still reads those.
 
 Segments are named by the log version they start *after*
 (``wal-<version>.seg``) and rotate when a snapshot is written, so recovery
@@ -147,6 +146,8 @@ class SegmentScan:
 
     #: decoded ``(kind, payload)`` records of the intact prefix
     records: list = field(default_factory=list)
+    #: framed byte size of each of :attr:`records`
+    sizes: list = field(default_factory=list)
     #: the whole file decoded — nothing was torn or corrupt
     clean: bool = True
     #: byte length of the intact prefix (magic included)
@@ -196,6 +197,7 @@ def read_segment(path: Path, repair: bool = False) -> SegmentScan:
                 scan.reason = "undecodable record payload"
                 break
             scan.records.append(record)
+            scan.sizes.append(end - offset)
             offset = end
         scan.valid_bytes = offset
         scan.clean = scan.reason is None

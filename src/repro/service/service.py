@@ -51,10 +51,12 @@ from __future__ import annotations
 import itertools
 import threading
 import time
+import weakref
 from collections import deque
 from collections.abc import Iterable, Iterator
 from concurrent.futures import Future, InvalidStateError
 from dataclasses import dataclass, field, replace as dataclass_replace
+from functools import partial
 
 from ..core.batch import ABORTED, BatchExecutor
 from ..core.config import (
@@ -263,6 +265,20 @@ class _Task:
     timer: threading.Timer | None = None
     #: slot-release latch, owned by :meth:`FairScheduler.finish`
     finalized: bool = False
+
+
+def _call_weakly(method: str, service_ref, task_ref, *args) -> None:
+    """``service.<method>(task, *args)``, if both are still alive.
+
+    A submission's done-callback and expiry timer hold its service and
+    task weakly: the caller keeps the future, which keeps its callbacks,
+    and a cancelled timer's thread keeps its arguments until it exits —
+    strong references would tie every completed future, its task and the
+    service (engine, replicas, kernel blocks) into cycles only the cycle
+    collector frees."""
+    service, task = service_ref(), task_ref()
+    if service is not None and task is not None:
+        getattr(service, method)(task, *args)
 
 
 class ServiceSession:
@@ -520,7 +536,11 @@ class GraphQueryService:
         # quota can expire while still blocked here.
         if effective_timeout is not None:
             task.deadline = time.monotonic() + effective_timeout
-            task.timer = threading.Timer(effective_timeout, self._expire, (task,))
+            task.timer = threading.Timer(
+                effective_timeout,
+                _call_weakly,
+                ("_expire", weakref.ref(self), weakref.ref(task)),
+            )
             task.timer.daemon = True
             task.timer.start()
         try:
@@ -540,7 +560,9 @@ class GraphQueryService:
             if task.timer is not None:
                 task.timer.cancel()
             raise
-        future.add_done_callback(lambda done_future: self._on_done(task, done_future))
+        future.add_done_callback(
+            partial(_call_weakly, "_on_done", weakref.ref(self), weakref.ref(task))
+        )
         return future
 
     def query(

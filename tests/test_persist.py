@@ -48,7 +48,10 @@ from repro.core.config import (
 from repro.core.engine import IGQ
 from repro.core.shard import DeltaLog, QueryIndexShard, ShardEntry
 from repro.datasets import load_dataset
+from repro.features import paths as paths_module
 from repro.features.extractor import FeatureExtractor
+from repro.features.paths import encode_path_keys
+from repro.graphs.bitset import CandidateBitmap
 from repro.isomorphism import Verifier
 from repro.methods import create_method
 from repro.persist import CacheFollower, attach_persistence
@@ -291,17 +294,17 @@ class TestPersistConfig:
 
     def test_format_mismatch_rejected(self, tmp_path, database, queries, monkeypatch):
         """One constant stamps the state and gates the restore: a build
-        reads formats 1 up to its own, so a format-1 build (4.x) refuses
-        a format-2 directory loudly."""
+        reads formats 1 up to its own, so a format-2 build (repro 5.0 to 8.0)
+        refuses a format-3 directory loudly."""
         config = EngineConfig(cache=CACHE, persist=persist_config(tmp_path))
         engine = build_engine(database, config)
         for query in queries[:WINDOW]:
             engine.query(query)
         engine.close()
         recovered = restore.recover_dir(tmp_path / "state")
-        assert recovered.state["format"] == restore.FORMAT_VERSION == 2
-        monkeypatch.setattr(restore, "FORMAT_VERSION", 1)
-        with pytest.raises(ConfigError, match=r"holds format 2 state.*reads formats 1 to 1"):
+        assert recovered.state["format"] == restore.FORMAT_VERSION == 3
+        monkeypatch.setattr(restore, "FORMAT_VERSION", 2)
+        with pytest.raises(ConfigError, match=r"holds format 3 state.*reads formats 1 to 2"):
             build_engine(database, config)
 
     def test_fsync_always_is_a_deprecated_alias(self, tmp_path):
@@ -414,12 +417,13 @@ def record_key(record):
 
 
 def wal_flushes(state_dir):
-    """The ``(records, meta, state)`` payload of every ``flush`` record."""
+    """Every ``flush`` record (all of format 3), read back as
+    ``(records, meta, state)``."""
     flushes = []
     for _, segment in wal.list_segments(state_dir):
         for kind, payload in wal.read_segment(segment).records:
-            assert kind == "flush"
-            flushes.append(payload)
+            assert kind == "flush" and payload[-1]["format"] == 3
+            flushes.append(restore.read_flush(payload))
     return flushes
 
 
@@ -690,6 +694,275 @@ class TestParentWrittenDirectories:
         engine.close()
 
 
+#: a 4-shard persist directory the last format-2 build wrote (a snapshot
+#: after query 20 and two ``flush`` records, queries 24 and 28), with the
+#: ``cache_fingerprint`` it had at close — pickle + zlib + base64
+FORMAT_2_DIR = """
+eNrNPGtzI8dxxAIE3zzeUyfJThynbCxIPAgsHgvCjinJtmKvimX5XHH5g8PweJD26DviRAKy5EgVJfGRToKq0JVV5TPu9QtSiWPn
+VU6q7A/54g88VqXyheD3PH5BMtPd09u74OPupKhyKmi7Z3t6enp6u3t6Z/lB6sPv/e4I/Hs/sHujb9y81doONHj1+2u38ouRf069
+sN16M3jZaoyMfO3V17/90muLpVl7ZOS/vjl95YPRD5M2MlJcbnW3/eC7isvcVuvOVruw3t5qFbb9ta0bQW/ylbV1v/Xl1q3OWvAX
+QfYPYbSxt1tb2zfbm4H3+d5o60573Q+80Z7VvhMo9O2b6x11xf5eojfe2uxsvbt6UyHT6rZGgpXudT+FzPwxL+OPe6P+hD/pT3mW
+P+3N+DNRAlsQjCiC2ThBNkZwLk4wjwS99M3N7dZWJ1B0SUV3yZ/xrd7kNS3rV0AyM0d9szf65tbaHT/oXUC9ALZdoMbp19aut261
+brwKKPRb0cpJba7dbgW9sbfKi6utUlmpcHXtxsbaemtz/V3N2dNr5yVWPGvFS654qRVvdMVLr3hjK974ijex4k2udL0EENKtrme9
+Hyhs20vSNUXXUSJLKJq0gMfo/jhdJ+g6iddub2z1lpZ+GwXqJV9Tgqq1Sr626AaepfFq4CU1Xgu8lL4u6iVWV9We1tdS4I3payPw
+xn3Xm9B9FM2kvlaCbm8aR1i9uXmj9Q5otPzneqw939HXxJ5f0Vdrz6/qa3LPr+lras+v6+vonu/q67iX3vMbGhrb85f0dWLPb+rr
+5F5XqXaze3u1deNN9Rgo65qhMdfb3c3OdtCbWm/futVa7yhTVdjYK7q5taXWCsTxEr6jfhX1q6pfTf3q6ucqG2yo65L6Nb1E927w
+zaC7E1zvjb/RWut0t9RQvatoEKah0Hqns7W23mlvBb0ZsIevGlJ+ZtIklB66djfQA/rlHbr67q5Su42g73RMc101J7C5LpqruwZy
+QgLHdzsCqTN1g6mXGGoyVAHIVRJZemiQyNX9kTOAfrljmsthc9kMiEhdIlWJNCSyJJGmRCo0iNaKlgW1ArdDrbikFQubUStIrbWC
+kBMSoCKwucEESww1GaoAVIelqaMibA3omx1qNNOvy0nW5STrcpJ1Ocm6mGQdl143hlOr88rWzcoC1GBoiaEmQ7h+VRC7athWQ7aI
+GOupMucqc64y5ypzrjJnBziDFnDuDuqyI5AliTQlgtMFEzK967J3Xfauy9510RufE4cldlhihyV2WOIGSNygXg2mbTBtg2mXgHaJ
+aJeYYokpykCh2nfwWoFrE1qbTFXReLc3cau9vobu5n0VA9fbN5QLWOlN3Fnr+Kvfa727Hfyoe713br19+44K3TdWO2tbb7ZUtHwB
+/cnN7fbt9tYd/+b27YKhCXqzrxD4LaQml+K/6P/69vXeDDO7c2ttM/D/vnfe0L/ebW29+w3dSl16Y0oQ5QEVmeravR4JkQsUQ6+o
+2JhQ4e+yio1XORheVsP9GoU4/zd0dCup6FYL/N88K6SFwQximze14k2veDMr3uyKd053gfDGoeuYEAfXNF2PC20JCm36OkXXabrO
+0HWWrufw2vUXYVBw+9rl1yDclVQ4S6kwMKpcf1pdx1RoGNftKixOqHAxqcLGlKKdVr8ZHf6cQGUjrko4jrr+F8C3Q5TzLG/Km6YY
+lvBm9/xDinIQ3VI6qjUpzlUpug0g3lF8VFGujFHOP9LXGe/cXtf/bW/O/5r/Goyj5NRyH0LYsnSogjA2oLCmw9uRZ3H48l/3v0Wr
++W0Tg1IqAtQoBtXCGKRAv6YevZRBtJ/nO0fyjiPvlMHTahg8NEAmVNU45NT8AUOHBLk7KIwaV7WkbQTBdTOivW3SIE2JDCRyqBGU
+etcwPdrVSQrIy21lguo7KGqV9NCk64CuhzscH20YAMVihCNdjcRiZCCRQ4peRjcu68Zl3bisG5d144JugI0rh3bl0K4c2pVDu2Jo
+1IMFkGOYo1/W93aiGQB6xCOc9xEPnjJItSPuNCUykMgh2MQRDZ4ACMIzQGWOuZaOhcKi6sKi6qS1BEAY5uukNYQGDB0CBOFQR76a
+DIM1DuVV1nmVdV5lnTt3OYLVZDhjvTpCrxwZMVLYEHm5W1l2K4tuJoCY0Zs8+gDuDBg/hNDi/0R5/J+u+D9TAcT/O/8fTQj41+3r
+/s/9f0H0FxqNufWccOt6y3Ml4tavDLn18mqrvPgEbj2+U7GMZx8HLw/+XXp23XhO930iF08su9rNc2gQuxjDVJM8ice3Qo+vvXYZ
+VKztXfsK5QcqSkc15fFryuM3la9wlLev4mZGeXj0+K7amNaUt68rb19Gb7+xmRgZoW3NgLY14PIt7fwhFCS9US+tgsEMbXhS5PjH
+yNGPUwCY2NtoE7NJihKzFAPQ818izw9jkqPHwDUKe5gmOX4VBIATbWfKYgtzXAxQ8waOO+A2AQQnzIh2o9q7EgZPkMBhrGgTe2eD
+DzqCX1UydyLMnQglcJb3oQGCUawpwr8ZYdlEeoNW5OCDCOUAYl5a4G4Mr3ei9E4UZ01Q9NBRZQC6hHiC8chGELqY2Dkwns7cbMdu
+NimwDqCbCdMDUm8nildjuBPFo8xJSTG8YsbjQD4weyoAWXro0o7I1I7JpPGQnvaZxuISBJpQGBqFjl7SKMxNMxrfDy2A+zcls4pE
+BhHOA97AyhWWuBPFje7C+IhrJUCzQtCLGzhUiyZnuKk53FQZbjJzbUdm1I7NCHGjeUlSj+FmY92kyN+UcyAszDWaUekJZ80IkkoM
+J7np2XDpiQAK8UQYHCO1udmO3WwaXuKJcGNPgBt7AtzhJ8CNPQFu9Alw+QlwwyfAjT4BbuQJcOMWD4CO4Ow+d0MkNGbZgIpiXyro
+abUZo6UMcSeKs9pILzsMOgKMcHViXJ04FzZ4W/pkWq1IU3O4aRBlI0eOWmekyQmn0AxH1q5dDqvx0E5CEqHNSjjrgWA0iDEaDDNi
+m2NPsSsQRyC8plxKGphSj7Dqesyq6+EIgEQeuro0ZIFH+0dcSF0aMgjBBSUhoUmTZWgXuOBflaFd4vhQVyOOuxp13NW4464OOe6q
+dNxV6birEcddjTnm6pBjNrl7bErO8JSc2JSc6JScuNTOkNSOlNqRUjsRqZ1hKY1RONIonJhRONIonOFFd2KL7kQX3ZFLHW5O4lzK
+HDZjeCWG46TL0m0xFt4kdZTZWyEYOpE2OUSbnIIcPNJUGW4aMAf2jO2IZwyjpCtZRpZWNjmCpVhNGYBj+CAclXxIO+IgbBl5j2uq
+hPs/G3yWVHYzMlObfRrptxlqtRmdE8flKB7pLC20KWaD1Uvbr8RYVmIsK0MsK5LL4LSN6sZ3FGFkr0otse1qXmxX9bvA5yLb1eeG
+tqvOs1QhLWjkWmRab1efuAopX7Ix/JTVSK4+ulil8w/VrmFJ16PU5MtqH9rAl2sVermm2ifVb0pt7qbVvRlYAyo4ulhwHKdCYYJK
+jRa9LjMv1ia8Sb33LFPREV6pTXvpvY2uhbvOMdqIToUb0ZloyVHvNo90RYLejtWU0LrM2FBpjuYS2XyeuulMUs0vwYW6BBfqEljJ
+O4LtmEUI8O+Im1WJNCRl6Nnw5iG9CHOBBw8AGBQzcehGOHRDNC+xbGWGDkPSQyY9oh3fEe/4jsKK6pEsoh7R4AIPZ6CRJYmUJXJI
+m64jMxe8g3NxzU0qkWmoYfacCgwJOGGFG4ehlIdEY14HujuydEgVRbkYrlwMVy6GG1sMVyyGG1kMN7oYbrgYrlgMlxdDVi15MVyx
+GFjMTLCopsLJBdcjfhV4FEZIl1SRIHF2QpBnT1i4nSPczJlwOW1DYmbeINEaoUobMZU2pEobxJ4ppUobgvFSpHDrmsK11ooZ6DA2
+0KEc6FCu3aEYCIrACTZbLuM2GFpiqMwQqvKIVWmzmZrpML4Uw8sxHGd4RCX6I1AhFJgb4ZOUIJyZAVKWCLEJd+xHqCMbDT/C6VCI
+CciSRIAt0GMiQ3IaZYY46pNxsatgkkPmZVTKapFIWSJo88ayjKQhvhTDyzFcjEkPBRuyfi6kFcubh5FNgxiZkCWJlCVySFV38+BV
+5YNXZdYNfBHQYN0lCBFG3xB+pMG212Dba4Q+oSG9aUN604bwpg2SKsFP165pxpcJSzjhpZggS0KQJR5+iU1fvA44iqbb3K1siONJ
+cbhIhD7Bq4CN61Y8w8KWWIZVUBlWWmVYI/7U1/9H/fOnV+C0VEtnJJfgqMra5vb3W1v6LNP2u5ul4MdBL9VZexPeaadut2+0gt74
+dvc6noPa7o2v3bjRurG6puS92vUu6xJ1NjkyYm/Mq///ONjIJfVxtY2CumwU1f+2NxbV/zXtFaaFkRaDs7s8F+3iBKdRd2E2b7S3
+bq9BLYYpemk4nratzzbNvKVfk+OZITVp72pvbLP1TgcOrF3tTeHpte3OGp7d8ea8hDfy6gj9U8tyPt5wQWVjkYaL8YZL8YbL8YYr
+8YbnYg1dlgzO2aFkSSVMUo1vwZCXFHxZCXdFXZ/zrG5vdqu13lazXn2jfUutmMpYu7vBTlD497mRkd/7y5//9wejH/5q7uM4FVjk
+U4Hp408FJuWpwLnjTwUukp1O0our8/EzfSVBoLcKF+IEZUGgTwVejBM4SCBPBWpGV087FXj1I50KTL9Vrqy23Kc7FAh7F9henHIO
+8LRDEqed9ytpF1fCs36LdNavSmf9GnjWT5/rG8NzfXAYYrF27Pm+RXoRVsIzDxZtNpL0oitFL8DMiYc0bUzG6G3XePw83/jTnedb
+VA6ypOZywrm+/4tzfOZs0CKdDVr0SxAxNOTsmrY6QxWGqgzhbqEECXcJOMEVOCUAwtflJeKEUIWhKkM1gMx5rUU6M2XGd3h8h8d3
+eHxTq8RedaatM22daaFa4FeItsIUFaYwp9GQosrti9C+aM6c/L85M/X+s56ZqpCHMS/Xn49UK54fqlZUn7BawUelwrLFNJCZY1OR
+I8FchXiaM1PiODBUKUae5MxUgd+gV8h9OGDvUAhIqd+o31cK6WP1wtXVi7I3oR7LSTpSPKXgaX2vHngzCp6lt/HwRt3VeupjOWNU
++4d7VNAo4yv1pJfyxr1ze/598hslLGzAy/UH9Ob8IRQ29vxH+Aa967/szfmv+F8F3krOe/BOfNS/D+4i6T9Q14fq90iWLDx/hVbx
+dfOcj6qn9d4OPt33zGlGAP0+JXP3+PG/5z9iqI/bawAh/xwzSAnP0yDSl8j9jujzoGNYPSSmfTguVdb88LgUgP49ePms4RIceNLQ
+vV1i29fidQTySCIPO4Zjn7ve3zVtDwAqQeGmBFpQcy+JuZdoxgj1d5kAJ2kZpC+R+x1B9oD5PCQ+/R2iNVOzADZ+EadGBDgbRh4y
+dR8lp9lg2wOAHoEvemRm80jM5lE4h0dS7EdS7EdC7Ecs9j3gCqyQwT1UKjJAhBggggzuwWwTOBiId49ExrYHBD0Eqv5dOHfQR5sA
+Bn2WoG8U1xeq6BNfuE2q6LMqVAvy9R/A9SHuXB7K6T4U070Pk7zPcj3Abck7yr/+YMX/fb0tec//A+Nwe2pP8kf+DxHd1WjMiVaF
+E9Vp2gsRJ/pC1ImqBKqmE6gnrPh+pKyJ3B1nFjVycxVyc2VvTGUa436VXFc0AaL0htMg7dDMCaA+JUKOLLyOg7MaN84KR8X8paxG
+1/lMPzzjc6qzsigpwVSkvDucnvQjiYrF6YnF6YnF6YkFj36C0hNMSvqR9CTBSUmCk5IEJyVosdq+FsnOTK8+9+pzrz73Gk5lTk5g
+Pt6k5ARb3pjBlxihOVNLzKJrMYt+MWLRLw5ZdH21VTnBos+0YrZSh6xUB7WKfpVAVukMpeWV6Ac32upSxuoMlwpa3olWZhJWhxJW
+hx2zw8mpE0tJK7SOqGmzYo4pmJ+q+e8Maf7Y10d1pfmxk4obV4eLG07w1DWOT3W953UR4o8TpghR1kWI3QQUIf5EvyH7Uy3axp/p
+9yCK+gWm3vhhAsobJ9O+GOW8GGzcPaNLvMbBFKfVOD4lahyfGq5xXFJ2knj1pc//23tbhf5/PlN9wrsab3g+3vBCvOHFs2scsZqG
+GsVSjJPAS3U/ucah9gvbm2t3jvlGUrUGL7c/Cx9JXlt56RulVQW/+sE3f/DB6Iff+mz4tWWoY1Hp+Jz4/jF16+bbLZByupfy23q7
+f1zp5JiyQuwbyY/01WGpDHuMZ/jqEN+GhjuOMdhuTOu73aeJoce9FOW2Y7YcfM+8HB2uVugqRcLPwJeJesuRpGqE/DJRf7qR9rPq
+8V/AKoXabkzQtmOSqhlTvg3bj1JJbz+Kx1UxMrj/UOHbxl3H1J6f5QA+TwF8AQK4Dt05OsSbp682CrQPKeIL1pl4VWPu6aoaas5K
+ZkvNy/LnlQ4W1DWnrnn1K6hfUXzi8TFWNubBOc/7mR26+hnMZwH0i5jPIpLviDsLHdPBBt+vodyuaSswVAzZFf0Md8pyp3xIkBcE
+C7s88gI1ZyAUZUjWDA+d4aEzPHSGhk4ClGW6PEMLdNfewZYccS3QtbiD94tGIwD6NmoEkVxH3ClIpCiRrOyTl8hCBwfJkhB5cw0H
+zctB83LQvBw0T4MmDZKVfcw4CzSphZD/guS/IPkvSP4Lkv+C5L8gJ7XApmHjOx6b7ShlECK22Y4sgG1YOJsWE9sKDBUZysJWz+bF
+tGkxU34O9zM5abo5abo5Ybo5tpWcMVOA0FZyxjIBAmP0C8i+INkXJPuCYF9gpgVmWmCmBWZaRDUVmWnCIFnUWZFHSBpEjzCKZgbc
+ijxCkUZIonWBVrI4QlbqPit0n6XeCYBQp1nuncdJ57lDEg0KBllA1gti3gt085Mu+M34548p+P3tkxX8zuv8cmVXxwqVznMCP6O4
+zpkE/qJK4EsObEkvfwJb0s9hsj8f/Vi/DI+vWpaMMoB5FQbnVRjMYBgsB3jaCGMXVdb2aYv6mLaoGYxwKR3RDsxmVH8I8wX/S9BX
+8d9Xy/gYwnDSP5Bbgy/7r5Juvm5iR1J56Pkd9OXqP3L78+Be0gAd7Jq7+ww9Nt5/BzkcUPTZp+vjHePvtbNCbggdMLTP0GOADiCS
+HdAdhB4DtA939hl/jBuQv1JW89cr/t/oDchP/J8ZM/qF2n38g/9PiP6zRtE0ZiOmMTtkGhXY211+xr1duNxK5TryK7WoZZ6PLmlS
+pyQHtKQ5XFK9fCm5fAfaaT3jsoWLlSPILA2Gx1DJGHBzp6lyI4l7uVCb1IIKPRdR6LmoQlV+SzX0y0914i95zKfHH72G/kzfHdOS
+ZiGJU64ZniwVpNSTm1HPho2v2nTtfONLeos3oXK+SUU2RX+NY5rK7zNqVWfV7xxbQ5Z2+nmyhCImsJP0uCfJNlL0uI9Sipveg4Hw
+r22MUW47sbexTI1TexsvEThNGfCMNwtfpTW9OWNiWUpKVUIKniIHnkIFbi+B87DUPBLAVF1ewg/UlF2eaY95cgZ5sEeAoDsjywLB
+x99GEEIlNheZIBsSZCGBZMSWSE4i+xIpCgRm1kGXljep411MFLOUMGYpg9FQjqF9k2cpEPMEgItMkA8JcL4dgS9HcRCQkaJEFgxr
+EBUTo7uYUKGANotlh2LZQiybxbJDseyYWHZMLFuKZUuxbCGWLcQCZvChjAZg1Q1oVtjgJCVjsM58sygpsxHKLCWxIb4fw4tR3Kyv
+ZVoWQvemMkDUYC7UW07oLcd6y4V6y8X0lJN6ykk95YSeclJPy0ZPy6GeliN6WY7qZVnqZTmil+WYHpZjelge0sOy1IOJoKiHfZ7w
+fjjhfTmnfTGnfWmS+zgPfWUWRkgEQxZSHEBRFkiYVXqb3aFcOVyJYihOUYpTFOIUpThFFEdTsBoBzu5ysxCiyEJk72K+vG/Gy6KE
+HWzGSWZDcuAB8Zbz6X3JOS+lysM2Db0pJNgA8RwsQk2HBKThJ0fh+aEoPC+i8FwkCs8NpTW1Tzrj1elLFmILpEAYSEZVyEljeBlT
+reMcCg8oFGYpFO5TnjuPUS6p4hzHtxRFzNEwDqaj2S+OnYC4pkIWBTEd7nDss5OqA5PRchA7kHHrgNJWDWUZyjPplwwpJVrQFzMv
+So4P6CE8ICM7MKaViDkMHIqRrETyAgnNyDzlRAxQ3kAhmbF9czMrb4J5K0MNm4wZn2ygvxoy0F8JAz0fMdDzQwZa/zjy7sew6OrR
+w4qjPh/lZ8jEHpOJma1UHk1s49P0PUWS0qxUNBV/THakjefT+NFE5hQDMtkEbX38x7SNURB0N4hZEVqrx+ROBdG+IYKmuwZAUgKJ
+C+yENLbDa3fiKl204qt00QpX6UJklS4MJfMu/Im8s/3IMQdiPo4/HHTMIZiIw8ng2uutNTkczFzTKpcdU8uoHI7Kz22Vn89jfl4P
+Yg4og2/dkqF9hG6H0+pRSrrNxnyMHdUk5egqHb9mmXRc29O09E0oZjy5XmCPZUEWfs0601WZnZ3FrioBUAZPkQCItSKATYn3wCTk
+lnRsiFyzQoS3+ugjLOSI5V1sxuKXqegeUNnzICxLGgESAJtCrxAgIwXISAEyLEAmFCDDAiBHEoBMX1dJD8KK6wHsEQwSycrzNKzE
+r1kRPMzSNYI5gdk4mwLgAdSdE8R8J+7sgWXM75O/x+QAk3udZYeKskP1ILIskWtWiJBvsdmH26SRBGfnlBszd0JjKXrI1pDvSyQv
+kYVdGaRsE4sM/+UYv+OCmIxbxO8af5yhIcGP0P1dgeQlIlJbG2Kd0WMk7hGZKIOaJc3zzdPzr5eHHOfLwnFejDjOi0PhrfFJ5185
+9CToY5KY92DVQtcbM8od2viX0hzjAnNYnEqRM0voBMs4PyvMtUycTJOrU5nZL8nVxYqQOXgHZhk3h6kXFxl++WTuLUfuLcfuLQfe
+BdtshkyhKyfdWQ5GYYRTcxOlzcuiHO/5c7znz4XPXSZkhAjnSWZvnqO9eY735jn52Irutuyeu4svKXK0MRWdcrJTLtIpdDBIQuAJ
+CWTIxuCc0v3SJBYakDfOzPV+OvQw/DR8GLq91O1WZw1frQ+f4Vh8isMbc/CW2d4YjX5BMo5fkEzq70Om4AuSaf0FiaKejVKXg41Z
+/f2Ihivm7MhGGr9aOZnLOeZyNu1clHbj0qkdLnW982GHM2kvhLQXzqK9GBNET3zj4pOI1O2N6sMkcBjCT6gnlklOO5RySRxKuTR8
+KGU6flxkJt4wG284F2+Yizecjzec+fHOMYdSppVvm/EsGF8PGfsQ59hDKd2C5vTGzc03W1t3tm5u6oNF3w1sW8184QvyjMdn9MGO
+L2bor0lnPvPe77z3xVLpM+99RV3KvxX00hltg5lAP17hoZ3/oOfgbtBRAl4+iSf8DU/iWUOetShPOXl/GtldOYkd/O24CLvyomG3
+mAn57hzP97mT+DpCzEpMTOdEMa/27OPZ6S9wkFsDmLliysz0BBmfP0nG6imqLJ8o4wsnyVg7ScaT5/viSbz0Vhh5VYFX5YnXpLUT
+dAv/C8Lj7DE=
+"""
+
+
+def plant(tmp_path, fixture):
+    """Write a fixture's files into ``tmp_path / "state"``."""
+    state_dir = tmp_path / "state"
+    state_dir.mkdir()
+    for file_name, data in fixture["files"].items():
+        (state_dir / file_name).write_bytes(data)
+    return state_dir
+
+
+class TestFormat2Directory:
+    def test_warm_start_converts_its_answers_at_attach(self, tmp_path, database, capsys):
+        fixture = pickle.loads(zlib.decompress(base64.b64decode(FORMAT_2_DIR)))
+        state_dir = plant(tmp_path, fixture)
+        config = EngineConfig(
+            cache=CacheConfig(size=8, window=4),
+            shard=ShardConfig(shards=4, backend="inline"),
+            persist=persist_config(tmp_path, fsync="never"),
+        )
+        # the read-only probe reads the format-2 flush records as they are
+        assert persist_inspect.main([str(state_dir), "--records"]) == 0
+        lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+        flushes = [line for line in lines if line[0] == "flush"]
+        assert [line[-1] for line in flushes] == ["queries=24", "queries=28"]
+        engine = IGQ(create_method("ggsx", max_path_length=3), config)
+        assert engine.persister.restored
+        assert {entry.answers.__class__ for entry in engine.cache.entries()} == {frozenset}
+        engine.build_index(database)
+        assert {entry.answers.__class__ for entry in engine.cache.entries()} == {CandidateBitmap}
+        assert cache_fingerprint(engine) == fixture["fingerprint"]
+        held = {
+            entry_id: shard.shard_id
+            for shard in engine.shard_runtime.shards
+            for entry_id in shard.entry_ids()
+        }
+        assert held == engine.placement.entry_shard
+        engine.close()
+
+
+# ----------------------------------------------------------------------
+# Format 3: native entries, the answers' dataset, label-table spelling
+# ----------------------------------------------------------------------
+class TestFormat3:
+    def test_the_state_names_the_answers_id_space(self, tmp_path, database, queries):
+        engine = build_engine(database, engine_config(tmp_path))
+        for query in queries[:WINDOW]:
+            engine.query(query)
+        engine.close()
+        (_, _, state), = wal_flushes(tmp_path / "state")
+        assert state["id_space"] == engine.method.id_space.fingerprint()
+        entry = next(engine.cache.entries())
+        _, meta = restore.recover_dir(tmp_path / "state").entries()[0]
+        assert meta["answer"] == entry.answers.mask
+
+    def test_a_snapshot_copies_what_each_insert_journalled(
+        self, tmp_path, database, queries, monkeypatch
+    ):
+        journalled = {}
+        real_append = wal.WalWriter.append
+
+        def recording_append(writer, obj):
+            _, (_, deltas, entries, _) = obj
+            inserted = [i for op, i in zip(deltas[2].replace("f", ""), deltas[4]) if op == "i"]
+            journalled.update(zip(inserted, entries))
+            return real_append(writer, obj)
+
+        monkeypatch.setattr(wal.WalWriter, "append", recording_append)
+        engine = build_engine(
+            database, EngineConfig(cache=CACHE, persist=persist_config(tmp_path, snapshot_interval=30))
+        )
+        for query in queries[:60]:
+            engine.query(query)
+        engine.close()
+        assert engine.persister.stats()["snapshots"] == 1
+        (_, newest), = snapshot.list_snapshots(tmp_path / "state")
+        payload = snapshot.load_snapshot(newest)
+        assert payload["version"] > len(engine.cache)  # written mid-stream
+        snapshotted = dict(zip(payload["ids"], payload["entries"]))
+        assert len(snapshotted) == CACHE.size
+        assert snapshotted.items() <= journalled.items()
+
+    def test_a_warm_start_on_another_dataset_is_refused(self, tmp_path, database, queries):
+        config = engine_config(tmp_path)
+        engine = build_engine(database, config)
+        for query in queries[:30]:
+            engine.query(query)
+        engine.close()
+        other = load_dataset("synthetic", scale=0.2)
+        assert other.ids() != database.ids()
+        with pytest.raises(ConfigError, match=r"persist\.dir '.*state' journals answer sets over another dataset"):
+            build_engine(other, config)
+        attached = build_engine(other, engine_config(None))
+        with pytest.raises(ConfigError, match="persist.dir"):
+            attach_persistence(attached, config.persist)
+        assert len(attached.cache) == 0  # refused before anything was restored
+        # the directory itself is intact: its own dataset still warm-starts
+        reopened = build_engine(database, config)
+        assert cache_fingerprint(reopened) == cache_fingerprint(engine)
+        reopened.close()
+
+    @pytest.mark.parametrize("shard", [None, SHARDED], ids=["single", "sharded"])
+    def test_recovery_respells_another_label_table(
+        self, tmp_path, database, queries, shard, monkeypatch
+    ):
+        """Codes are spelt with a per-process label table: a directory
+        written under one table and recovered under a table filled in
+        another order answers, probes and accounts exactly alike."""
+        config = engine_config(tmp_path, shard)
+        monkeypatch.setattr(paths_module, "_LABEL_BYTES", {})
+        writer = build_engine(database, config)
+        for query in queries[:60]:
+            writer.query(query)
+        written = cache_fingerprint(writer)
+        written_keys = {e.entry_id: e.features.key_counts() for e in writer.cache.entries()}
+        written_codes = {e.entry_id: set(e.features.counts) for e in writer.cache.entries()}
+        writer.close()
+        labels = sorted(paths_module._LABEL_BYTES)
+        respelt = ["other", *reversed(labels)]
+        monkeypatch.setattr(
+            paths_module, "_LABEL_BYTES", {text: byte for byte, text in enumerate(respelt, 1)}
+        )
+        reader = build_engine(database, config)
+        assert cache_fingerprint(reader) == written
+        for entry in reader.cache.entries():
+            features = entry.features
+            assert features.coded and features.key_counts() == written_keys[entry.entry_id]
+            assert set(features.counts) != written_codes[entry.entry_id]
+            assert features.feature_codes() == encode_path_keys(features.key_counts())
+        reference = build_engine(database, engine_config(None, shard))
+        for query in queries[:60]:
+            reference.query(query)
+        tail = queries[60:90]
+        assert result_fingerprint([reader.query(q) for q in tail]) == result_fingerprint(
+            [reference.query(q) for q in tail]
+        )
+        assert cache_fingerprint(reader) == cache_fingerprint(reference)
+        reader.close()
+        reference.close()
+
+    def test_a_full_label_table_restores_tuple_keys(
+        self, tmp_path, database, queries, monkeypatch
+    ):
+        """A table that cannot take the journal's labels keeps the restored
+        features by tuple key; the answers are the same."""
+        config = engine_config(tmp_path)
+        monkeypatch.setattr(paths_module, "_LABEL_BYTES", {})
+        writer = build_engine(database, config)
+        for query in queries[:40]:
+            writer.query(query)
+        written = cache_fingerprint(writer)
+        writer.close()
+        full = {f"fill{n:03d}": n + 1 for n in range(paths_module._MAX_LABEL_BYTES)}
+        monkeypatch.setattr(paths_module, "_LABEL_BYTES", full)
+        reader = build_engine(database, config)
+        assert cache_fingerprint(reader) == written
+        assert not any(entry.features.coded for entry in reader.cache.entries())
+        reference = build_engine(database, engine_config(None))
+        for query in queries[:40]:
+            reference.query(query)
+        tail = queries[40:60]
+        assert result_fingerprint([reader.query(q) for q in tail]) == result_fingerprint(
+            [reference.query(q) for q in tail]
+        )
+        reader.close()
+        reference.close()
+
+
 # ----------------------------------------------------------------------
 # Crash recovery (kill -9 semantics) and fault injection
 # ----------------------------------------------------------------------
@@ -796,7 +1069,7 @@ class TestCrashRecovery:
         victim.persister.close()
         state_dir = tmp_path / "state"
         segments = wal.list_segments(state_dir)
-        assert segments
+        assert segments and wal_flushes(state_dir)  # format-3 flush records
         newest = segments[-1][1]
         pristine = newest.read_bytes()
 
@@ -1109,15 +1382,27 @@ class TestInspect:
         ]
         assert status == 0
         expected = []
-        for records, _, state in wal_flushes(tmp_path / "state"):
-            ops = [record.op for record in records]
+        (segment,) = wal.list_segments(tmp_path / "state")
+        scan = wal.read_segment(segment[1])
+        assert sum(scan.sizes) + len(wal.MAGIC) == scan.total_bytes
+        for (_, payload), size in zip(scan.records, scan.sizes):
+            records, _, state = restore.read_flush(payload)
             expected.append(
                 f"flush v{records[0].version}-{records[-1].version} "
-                f"inserts={ops.count('insert')} evicts={ops.count('evict')} "
-                f"queries={state['query_counter']}"
+                f"inserted={[r.entry_id for r in records if r.op == 'insert']} "
+                f"evicted={[r.entry_id for r in records if r.op == 'evict']} "
+                f"bytes={size} queries={state['query_counter']}"
             )
         assert lines == expected
         assert [line.split()[-1] for line in lines] == ["queries=10", "queries=20", "queries=30"]
+        assert "evicted=[]" in lines[0] and "evicted=[]" not in lines[-1]
+
+    def test_reads_a_format_1_directory(self, tmp_path, capsys):
+        fixture = pickle.loads(zlib.decompress(base64.b64decode(PARENT_PERSIST_DIRS)))["single"]
+        state_dir = plant(tmp_path, fixture)
+        assert persist_inspect.main([str(state_dir), "--records"]) == 0
+        kinds = [line.split()[0] for line in capsys.readouterr().out.splitlines()[4:]]
+        assert kinds == ["delta"] * 9 + ["meta", "state"]
 
     def test_flags_torn_segments(self, tmp_path, database, queries, capsys):
         durable = engine_config(tmp_path)

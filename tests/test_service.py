@@ -20,8 +20,10 @@ Four contracts:
 
 from __future__ import annotations
 
+import gc
 import json
 import random
+import weakref
 
 import pytest
 
@@ -251,6 +253,28 @@ class TestLifecycle:
         assert [f.result().query_name for f in futures] == [
             q.name for q, _ in mixed_stream[:10]
         ]
+
+    def test_a_closed_service_is_freed_by_reference_counting(self, database, mixed_stream):
+        """A closed, dropped service and its engine (the replicas and their
+        kernel blocks with it) die at once: the futures a caller keeps, and
+        their completed tasks, do not hold them in a reference cycle."""
+        method = create_method("ggsx", max_path_length=3)
+        config = mixed_config(batch=BatchConfig(num_workers=2))
+        gc.collect()
+        gc.disable()
+        try:
+            with GraphQueryService(method, config, database=database) as service:
+                futures = [
+                    service.submit(query, mode, timeout=60 if index % 2 else None)
+                    for index, (query, mode) in enumerate(mixed_stream[:10])
+                ]
+                results = [future.result() for future in futures]
+            alive = weakref.ref(service), weakref.ref(service.engine)
+            del service
+            assert [ref() for ref in alive] == [None, None]
+        finally:
+            gc.enable()
+        assert len(results) == len(futures) == 10
 
     def test_close_is_idempotent_and_reopen_rejected(self, database):
         method = create_method("ggsx", max_path_length=3)
