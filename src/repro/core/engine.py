@@ -23,8 +23,6 @@ candidate set from above.
 
 from __future__ import annotations
 
-import os
-import tempfile
 import time
 from array import array
 from dataclasses import dataclass, field, replace
@@ -228,12 +226,15 @@ class IGQ:
         #: the log, the runtime and the placement maps above)
         self.persister = None
         #: restored answers waiting for :meth:`_attach` (see
-        #: :meth:`_adopt_answers`), the fingerprint of the id space they
-        #: index (``None`` for a format-2 journal) and where they came from
+        #: :func:`repro.persist.engine_state.adopt_answers`), the fingerprint
+        #: of the id space they index (``None`` for a format-2 journal) and
+        #: where they came from
         self._answers_pending = False
         self._restored_space: str | None = None
         self._restored_from = ""
-        self._attach_persistence()
+        from ..persist.engine_state import attach_configured_persister
+
+        attach_configured_persister(self)
 
     @property
     def isub(self):
@@ -251,162 +252,12 @@ class IGQ:
         (``None`` otherwise; see :attr:`isub`)."""
         return self.shard_runtime.shards[0].isuper if self.num_shards == 1 else None
 
-    def _attach_persistence(self) -> None:
-        """Attach (and possibly warm-start from) the configured persister.
-
-        ``REPRO_FORCE_PERSIST_DIR`` force-enables write-only persistence
-        into a fresh private directory under the named path for engines
-        with no ``persist`` section — the CI lever that runs the whole
-        suite with the durability path exercised.
-        """
-        persist = self.config.persist
-        if not persist.enabled:
-            forced = os.environ.get("REPRO_FORCE_PERSIST_DIR")
-            if not forced:
-                return
-            os.makedirs(forced, exist_ok=True)
-            persist = replace(
-                persist,
-                dir=tempfile.mkdtemp(prefix="engine-", dir=forced),
-                fsync="never",
-            )
-        from ..persist.restore import attach_persistence
-
-        self.persister = attach_persistence(self, persist)
-
-    # ------------------------------------------------------------------
-    # Persistence state capture / restore (see :mod:`repro.persist.restore`)
-    # ------------------------------------------------------------------
     def persist_state(self) -> dict:
-        """The engine's small mutable state, captured at a flush boundary.
+        """The engine's small mutable state at a flush boundary (see
+        :func:`repro.persist.engine_state.persist_state`)."""
+        from ..persist.engine_state import persist_state
 
-        Everything the warm restart cannot rebuild from the delta records
-        themselves: the global query counter, the id allocator, the
-        per-entry §5.1 replacement statistics (as the columns ``(ids, H, R,
-        C)``, in cache order), the placement state, and the fingerprint of
-        the id space the journalled answer masks index.  (The durable store
-        stamps its format version on top.)
-        """
-        cache = self.cache
-        entries = list(cache.entries())
-        return {
-            "mode": self.mode,
-            "shards": self.num_shards,
-            "query_counter": cache.query_counter,
-            "next_id": cache.next_entry_id,
-            "id_space": (
-                self._restored_space if self._id_space is None else self._id_space.fingerprint()
-            ),
-            "entry_stats": (
-                [entry.entry_id for entry in entries],
-                [entry.hits for entry in entries],
-                [entry.removed for entry in entries],
-                [entry.alleviated_cost for entry in entries],
-            ),
-            **self.placement.persist_state(),
-            "records_folded": self._records_folded,
-        }
-
-    def persist_answer(self, entry: CacheEntry) -> int | frozenset:
-        """An entry's answer set as the durable store journals it: its mask
-        over the id space :meth:`persist_state` names.  Before the engine
-        attaches a dataset, a restored answer is journalled as it was read
-        (a mask, or a format-2 frozenset)."""
-        if self._id_space is None:
-            return entry.answers
-        return self._answer_mask(entry)
-
-    def apply_persist_state(self, entries, state: dict, source: str = "") -> None:
-        """Warm-start: restore the cache, then replay it into the fresh log.
-
-        ``entries`` is the recovered live set — ``(shard_entry, meta)``
-        pairs in ascending id order; ``state`` is the matching
-        :meth:`persist_state` capture (a format-1/2 state keys the §5.1
-        statistics by entry id instead); ``source`` names the directory
-        for errors.  A format-3 entry carries no compiled payloads: it
-        compiles as it is replayed into the log.  The recovered placement goes into the (empty) delta log as one
-        bootstrap flush — an ``insert`` per entry at its ``entry_shard``
-        home — so every reader — the replicas that hold the component
-        indexes included — ends up exactly where the persisted engine had
-        it, with freshly numbered versions consistent with the new on-disk
-        segment.  Restored answers become bitmaps when the engine attaches
-        its dataset (now, if it already has one): see :meth:`_adopt_answers`.
-        """
-        self._restored_space = state.get("id_space")
-        self._restored_from = source
-        if self._id_space is not None:
-            self._check_answer_space()
-        cache = self.cache
-        stats = state.get("entry_stats", {})
-        if isinstance(stats, tuple):  # format 3: columns
-            ids, *columns = stats
-            stats = dict(zip(ids, zip(*columns)))
-        for shard_entry, meta in entries:
-            hits, removed, cost = stats.get(shard_entry.entry_id, (0, 0, 0.0))
-            cache.restore_entry(
-                shard_entry.entry_id,
-                shard_entry.graph,
-                shard_entry.features,
-                meta["answer"],
-                meta["added_at"],
-                meta["tags"],
-                hits=hits,
-                removed=removed,
-                alleviated_cost=cost,
-                compiled_target=shard_entry.compiled_target,
-                compiled_plan=shard_entry.compiled_plan,
-            )
-        self._answers_pending = bool(entries)
-        if self._id_space is not None:
-            self._adopt_answers()
-        cache.query_counter = state.get("query_counter", 0)
-        cache.reserve_ids(state.get("next_id", 0))
-        self._records_folded = state.get("records_folded", 0)
-        placement, log = self.placement, self.delta_log
-        placement.restore(state, cache)
-        for entry in cache.entries():
-            log.append_insert(
-                placement.entry_shard[entry.entry_id], self._make_shard_entry(entry)
-            )
-        if entries:
-            log.append_flush()
-            self._sync_readers()
-
-    def _check_answer_space(self) -> None:
-        """Refuse restored answer masks over a dataset other than the
-        attached one (they would silently answer for the wrong graphs)."""
-        expected = self._restored_space
-        if expected is not None and expected != self._id_space.fingerprint():
-            raise ConfigError(
-                f"persist.dir {self._restored_from!r} journals answer sets over "
-                f"another dataset (id space {expected}, the attached one is "
-                f"{self._id_space.fingerprint()}); attach the dataset it was "
-                "written for, or point persist.dir at a fresh directory"
-            )
-
-    def _adopt_answers(self) -> None:
-        """Turn the restored answers into bitmaps over the attached id
-        space: a mask as it is, a format-2 frozenset by its ids."""
-        if not self._answers_pending:
-            return
-        self._check_answer_space()
-        space = self._id_space
-        for entry in self.cache.entries():
-            answers = entry.answers
-            if answers.__class__ is int:
-                entry.answers = CandidateBitmap(space, answers)
-            elif answers.__class__ is frozenset:
-                try:
-                    entry.answers = CandidateBitmap.from_ids(space, answers)
-                except KeyError as missing:
-                    raise ConfigError(
-                        f"persist.dir {self._restored_from!r} holds answers naming "
-                        f"graph {missing} the attached dataset does not have; attach "
-                        "the dataset it was written for, or point persist.dir at a "
-                        "fresh directory"
-                    ) from None
-        self._answers_pending = False
-        self._restored_space = None
+        return persist_state(self)
 
     @property
     def igq_verifier(self) -> Verifier:
@@ -440,7 +291,10 @@ class IGQ:
     def _attach(self, database: GraphDatabase) -> None:
         self.database = database
         space = self._id_space = self.method.id_space
-        self._adopt_answers()
+        if self._answers_pending:
+            from ..persist.engine_state import adopt_answers
+
+            adopt_answers(self)
         self._target_sizes = [
             database.get(graph_id).num_vertices for graph_id in space.to_ids(space.full_mask)
         ]

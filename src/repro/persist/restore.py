@@ -71,6 +71,7 @@ from ..features.extractor import GraphFeatures
 from ..features.paths import decode_path_codes, label_spelling, respelling
 from ..graphs.graph import LabeledGraph
 from . import snapshot, wal
+from .engine_state import apply_persist_state, persist_answer, persist_state
 
 logger = logging.getLogger(__name__)
 
@@ -140,7 +141,7 @@ def _entry_form(engine, entry_id: int) -> bytes:
     if pairs is not None and not features.locations:
         features = _code_columns(pairs)
     graph = entry.graph.__getstate__()
-    form = (graph, features, engine.persist_answer(entry), entry.tags, entry.added_at)
+    form = (graph, features, persist_answer(engine, entry), entry.tags, entry.added_at)
     return pickle.dumps(form, protocol=pickle.HIGHEST_PROTOCOL)
 
 
@@ -341,7 +342,7 @@ class CachePersister:
         if recovered is not None:
             self._check_compatible(engine, recovered.state)
             entries = recovered.entries()
-            engine.apply_persist_state(entries, recovered.state, str(self.path))
+            apply_persist_state(engine, entries, recovered.state, str(self.path))
             self.restored = bool(entries) or recovered.state.get("query_counter", 0) > 0
 
         #: log version of the last record on disk (this reader's cursor)
@@ -377,7 +378,7 @@ class CachePersister:
     def _state_record(engine) -> dict:
         """The engine's flush-boundary state, stamped with the format
         version, its statistics columns packed narrow."""
-        state = engine.persist_state()
+        state = persist_state(engine)
         ids, hits, removed, costs = state["entry_stats"]
         state["entry_stats"] = (_narrow(ids), _narrow(hits), _narrow(removed), array("d", costs))
         return {"format": FORMAT_VERSION, **state}
