@@ -47,33 +47,11 @@ from .config import (
 from .engine import IGQ, IGQQueryResult
 
 __all__ = [
-    "ABORTED",
     "BatchStats",
     "FeatureMemo",
     "BatchExecutor",
 ]
 
-
-class _Aborted:
-    """Sentinel result: a stream item's abort hook fired before execution.
-
-    Stream items may carry a third element — a zero-argument ``abort``
-    callable (the service passes the task future's ``done`` method).  The
-    executor calls it at the last moment before engine work starts; a truthy
-    return skips the query entirely (no planning, no cache writes, no stats)
-    and this sentinel is yielded in the item's position so a live driver can
-    keep its pending-task bookkeeping aligned with the result stream.  This
-    is what makes a timed-out-but-not-yet-executed submission free: the
-    engine never spends a verification on a future nobody can observe.
-    """
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "<ABORTED>"
-
-
-ABORTED = _Aborted()
 
 #: below this many surviving candidates a parallel round-trip costs more
 #: than it saves, so the executor verifies in-process
@@ -244,32 +222,22 @@ class BatchExecutor:
     def run_stream(self, queries: Iterable) -> Iterator[QueryResult]:
         """Streaming form of :meth:`run_batch`: yield results as they finish.
 
-        Each query is completed — verified and folded into the cache — and
-        yielded before the next item is pulled, so results arrive in input
-        order and a live source is never asked for a successor while a
-        query is outstanding.  Items may be bare graphs, ``(query, mode)``
-        pairs or ``(query, mode, abort)`` triples (see :meth:`_task_of`).
+        Each query is completed — verified, folded into the cache and, when
+        it flushed a window of a durable engine, journalled — and yielded
+        before the next item is pulled, so results arrive in input order
+        and a live source is never asked for a successor while a query is
+        outstanding.  Items are bare graphs or ``(query, mode)`` pairs.
         """
         for item in queries:
-            query, supergraph, abort = self._task_of(item)
-            if abort is not None and abort():
-                yield ABORTED
-                continue
-            yield self._run_item(query, supergraph)
+            result = self.execute(*self._task_of(item))
+            if self.engine is not None:
+                self.engine.await_commit()
+            yield result
 
-    def _task_of(self, item) -> tuple[LabeledGraph, bool, object]:
-        """Normalise a stream item to ``(query, supergraph, abort)``.
-
-        Items are bare graphs, ``(query, mode)`` pairs, or ``(query, mode,
-        abort)`` triples with ``abort`` a zero-argument cancellation hook
-        (see :class:`_Aborted`).
-        """
-        abort = None
+    def _task_of(self, item) -> tuple[LabeledGraph, bool]:
+        """Normalise a stream item to ``(query, supergraph)``."""
         if isinstance(item, tuple):
-            if len(item) == 3:
-                query, mode, abort = item
-            else:
-                query, mode = item
+            query, mode = item
         else:
             query, mode = item, None
         if mode is None:
@@ -283,9 +251,15 @@ class BatchExecutor:
         validate_query_mode(mode)
         if self.engine is not None:
             self.engine._require_mode(mode)
-        return query, mode == SUPERGRAPH_MODE, abort
+        return query, mode == SUPERGRAPH_MODE
 
-    def _run_item(self, query: LabeledGraph, supergraph: bool) -> QueryResult:
+    def execute(self, query: LabeledGraph, supergraph: bool) -> QueryResult:
+        """Run one query: prepare, plan, verify, complete.
+
+        Does not wait for the journal: a caller that acknowledges the
+        result itself owns the engine's :meth:`~repro.core.engine.IGQ.take_commit`
+        (the service does; :meth:`run_stream` waits).
+        """
         self.stats.queries += 1
         # Extraction happens outside plan/filter, so its cost is folded back
         # into filter_seconds below — the per-query accounting must match the

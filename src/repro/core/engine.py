@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import time
 from array import array
+from concurrent.futures import Future
 from dataclasses import dataclass, field, replace
 from itertools import chain
 
@@ -225,6 +226,9 @@ class IGQ:
         #: ``config.persist.dir`` is set (last: a warm restart replays into
         #: the log, the runtime and the placement maps above)
         self.persister = None
+        #: the commit future of the newest flush record not yet claimed
+        #: (:meth:`take_commit`)
+        self._commit: Future | None = None
         #: restored answers waiting for :meth:`_attach` (see
         #: :func:`repro.persist.engine_state.adopt_answers`), the fingerprint
         #: of the id space they index (``None`` for a format-2 journal) and
@@ -351,7 +355,27 @@ class IGQ:
         verified = self.verify_plan(plan)
         verify_seconds = time.perf_counter() - start
 
-        return self.complete_query(plan, verified, verify_seconds)
+        result = self.complete_query(plan, verified, verify_seconds)
+        self.await_commit()
+        return result
+
+    def take_commit(self) -> Future | None:
+        """The commit future of the newest window flush's journal record,
+        handed out once (``None`` without an unclaimed one).
+
+        No result computed after that flush may be acknowledged before the
+        commit resolves (the durability contract); the journal commits in
+        order, so the newest commit covers every earlier one.
+        """
+        commit, self._commit = self._commit, None
+        return commit
+
+    def await_commit(self) -> None:
+        """Wait until the newest window flush is durable (see
+        :meth:`take_commit`); raises what the journal writer raised."""
+        commit = self.take_commit()
+        if commit is not None:
+            commit.result()
 
     def prepare(self, query: LabeledGraph) -> tuple[GraphFeatures, FlatGraph]:
         """The query flattened once and its features extracted from that
@@ -713,7 +737,9 @@ class IGQ:
         always lands on a state some flush produced, and it needs the raw
         tail, so the compaction floor never passes what was just persisted),
         the shard replicas next (they own the component indexes), and
-        compaction last, down to the slowest replica's position.
+        compaction last, down to the slowest replica's position.  The
+        store's commit future is kept for :meth:`take_commit`: the journal
+        writer makes the record durable while this thread goes on.
         """
         report = self.maintenance.flush(self.cache)
         self._plans.clear()
@@ -722,7 +748,7 @@ class IGQ:
         log = self.delta_log
         self._log_flush(report)
         if self.persister is not None:
-            self.persister.record_flush(self)
+            self._commit = self.persister.record_flush(self) or self._commit
         self._sync_readers()
         if self.compact_threshold is not None and len(log) > self.compact_threshold:
             self._records_folded += log.compact(self.shard_runtime.progress())

@@ -54,7 +54,12 @@ from __future__ import annotations
 
 import logging
 import pickle
+import queue
+import threading
+import weakref
 from array import array
+from concurrent.futures import Future
+from functools import partial
 from pathlib import Path
 
 from ..core.config import ConfigError, PersistConfig
@@ -318,8 +323,101 @@ def attach_persistence(engine, config: PersistConfig) -> "CachePersister":
     return CachePersister(engine, config)
 
 
+class _Journal:
+    """The open WAL segment of one persist directory and the I/O on it.
+
+    Every method runs on the persister's journal writer thread (inline
+    with ``fsync="never"``), one job after the other, so nothing here is
+    locked.
+    """
+
+    def __init__(self, path: Path, fsync: str) -> None:
+        self.path = path
+        self.fsync = fsync
+        self.wal: wal.WalWriter | None = None
+
+    def append(self, payload: tuple) -> None:
+        """Append one ``flush`` record and make it durable (or, with
+        ``fsync="never"``, hand it to the OS)."""
+        self.wal.append(("flush", payload))
+        if self.fsync == "never":
+            self.wal.flush()
+        else:
+            self.wal.sync()
+
+    def checkpoint(self, version: int, payload: dict, wipe: bool) -> None:
+        """Publish the snapshot at ``version``, rotate the segment to start
+        there, and drop what the snapshot supersedes (with ``wipe``, every
+        other artifact)."""
+        snapshot.write_snapshot(self.path, version, payload, fsync=self.fsync != "never")
+        if self.wal is not None:
+            self.wal.close()
+        segment_path = self.path / wal.segment_name(version)
+        # Never append behind a leftover segment of the same name (a prior
+        # incarnation may have used this version before crashing).
+        segment_path.unlink(missing_ok=True)
+        self.wal = wal.WalWriter(segment_path, fsync_mode=self.fsync)
+        if wipe:
+            for other_version, other in snapshot.list_snapshots(self.path):
+                if other_version != version:
+                    other.unlink(missing_ok=True)
+            for other_version, other in wal.list_segments(self.path):
+                if other_version != version:
+                    other.unlink(missing_ok=True)
+            for stray in self.path.glob("*.tmp"):
+                stray.unlink(missing_ok=True)
+        else:
+            snapshot.prune_snapshots(self.path, version)
+            wal.prune_segments(self.path, version)
+
+    def close(self, sync: bool) -> None:
+        """Flush (and with ``sync``, fsync) the segment tail, then close it."""
+        if self.wal is not None:
+            if sync:
+                self.wal.sync()
+            self.wal.close()
+            self.wal = None
+
+
+def _write_journal(jobs: queue.SimpleQueue) -> None:
+    """The journal writer thread: run ``(job, commit)`` pairs in order.
+
+    A job's commit future resolves once it has run.  The first failure
+    fails its commit and every later one without running them: the
+    segment may end in a torn record, and nothing may be appended behind
+    it.  ``None`` stops the thread.  The thread holds the queue only, so a
+    persister that is dropped unclosed still dies (its finalizer sends
+    the ``None``).
+    """
+    failure: BaseException | None = None
+    while True:
+        item = jobs.get()
+        if item is None:
+            return
+        job, commit = item
+        if failure is None:
+            try:
+                job()
+            except BaseException as exc:  # noqa: BLE001 - must reach the commit
+                failure = exc
+        if failure is None:
+            commit.set_result(None)
+        else:
+            commit.set_exception(failure)
+
+
 class CachePersister:
-    """Durable WAL + snapshot store behind one engine (see module docs)."""
+    """Durable WAL + snapshot store behind one engine (see module docs).
+
+    The records and snapshots are built on the caller at the flush
+    boundary.  Their durable I/O runs on one journal writer thread,
+    started at the first flush: the record's
+    :meth:`~repro.persist.wal.WalWriter.append` and fsync, and a
+    checkpoint's snapshot write, segment rotation and pruning.
+    :meth:`record_flush` returns the flush's commit future, which resolves
+    once the record is durable.  With ``fsync="never"`` nothing waits for
+    the disk: the I/O runs inline and no thread is started.
+    """
 
     def __init__(self, engine, config: PersistConfig) -> None:
         self.config = config
@@ -328,7 +426,14 @@ class CachePersister:
         self.fsync = config.fsync
         self.snapshot_interval = config.snapshot_interval
         self._closed = False
-        self._writer: wal.WalWriter | None = None
+        self._journal = _Journal(self.path, self.fsync)
+        #: the journal writer's queue and thread (``None`` until the first
+        #: job that waits for the disk), the finalizer that stops the
+        #: thread, and the commit of the last job queued
+        self._jobs: queue.SimpleQueue | None = None
+        self._thread: threading.Thread | None = None
+        self._stop = None
+        self._last_commit: Future | None = None
         self._records_since_snapshot = 0
         #: ``entry_id -> format-3 form`` of the entries journalled since
         #: the last snapshot or live at it, and the fingerprint of the id
@@ -399,37 +504,64 @@ class CachePersister:
     # ------------------------------------------------------------------
     # Per-flush append path
     # ------------------------------------------------------------------
-    def record_flush(self, engine) -> None:
+    def record_flush(self, engine) -> Future | None:
         """Persist one window flush as one ``flush`` record: its deltas, the
-        entries it inserted, and the engine state."""
+        entries it inserted, and the engine state.
+
+        Returns the record's commit future, or ``None`` when nothing was
+        recorded or with ``fsync="never"`` (the record is then written
+        before this returns).  No result computed after this flush may be
+        acknowledged before the commit resolves.  A failed write fails
+        this commit and every later one.
+        """
         if self._closed:
-            return
+            return None
         log = engine.delta_log
         records = log.since(self._last_version)
         if not records:
-            return
+            return None
         state = self._state_record(engine)
         inserted = [record.entry_id for record in records if record.op == DELTA_INSERT]
         entries = self._entry_forms(engine, inserted, state)
         payload = (label_spelling(), _deltas_form(records), entries, state)
-        writer = self._writer
-        writer.append(("flush", payload))
-        if self.fsync == "never":
-            writer.flush()
-        else:
-            writer.sync()
+        commit = self._submit(partial(self._journal.append, payload))
         self._last_version = log.version
         # the record count a format-1 batch had (deltas + meta + state), so
         # the snapshot cadence is unchanged
         self._records_since_snapshot += len(records) + 2
         if self._records_since_snapshot >= self.snapshot_interval:
             self._checkpoint(engine)
+        return commit
+
+    def _submit(self, job) -> Future | None:
+        """Queue ``job`` behind every earlier one; returns its commit.
+
+        With ``fsync="never"`` the job runs here and ``None`` is returned.
+        """
+        if self.fsync == "never":
+            job()
+            return None
+        if self._jobs is None:
+            self._jobs = queue.SimpleQueue()
+            self._thread = threading.Thread(
+                target=_write_journal, args=(self._jobs,), name="journal-writer", daemon=True
+            )
+            self._thread.start()
+            self._stop = weakref.finalize(self, self._jobs.put, None)
+        commit: Future = Future()
+        self._jobs.put((job, commit))
+        self._last_commit = commit
+        return commit
 
     # ------------------------------------------------------------------
     # Snapshot + segment rotation
     # ------------------------------------------------------------------
     def _checkpoint(self, engine, wipe: bool = False) -> None:
-        """Fold the log into a snapshot of its net state; rotate the WAL."""
+        """Fold the log into a snapshot of its net state; rotate the WAL.
+
+        The payload is built here and written by the journal after every
+        record queued before it (inline with ``wipe``, at open).
+        """
         log = engine.delta_log
         version = log.version
         live = sorted(fold_deltas({}, log.since(0)))
@@ -445,45 +577,33 @@ class CachePersister:
             "entries": entries,
             "state": state,
         }
-        snapshot.write_snapshot(self.path, version, payload, fsync=self.fsync != "never")
-        if self._writer is not None:
-            self._writer.close()
-        segment_path = self.path / wal.segment_name(version)
-        # Never append behind a leftover segment of the same name (a prior
-        # incarnation may have used this version before crashing).
-        segment_path.unlink(missing_ok=True)
-        self._writer = wal.WalWriter(segment_path, fsync_mode=self.fsync)
         self._records_since_snapshot = 0
+        job = partial(self._journal.checkpoint, version, payload, wipe)
         if wipe:
-            for other_version, other in snapshot.list_snapshots(self.path):
-                if other_version != version:
-                    other.unlink(missing_ok=True)
-            for other_version, other in wal.list_segments(self.path):
-                if other_version != version:
-                    other.unlink(missing_ok=True)
-            for stray in self.path.glob("*.tmp"):
-                stray.unlink(missing_ok=True)
+            job()
         else:
-            snapshot.prune_snapshots(self.path, version)
-            wal.prune_segments(self.path, version)
+            self._submit(job)
 
     # ------------------------------------------------------------------
     # Lifecycle / introspection
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Flush (and, unless ``fsync="never"``, fsync) the WAL tail.
+        """Write every queued job, flush (and, unless ``fsync="never"``,
+        fsync) the WAL tail, and stop the journal writer.
 
         Called by the engine *before* it closes its shard runtime, so a
         clean close never races durability against teardown; idempotent.
+        After a failed write the tail is closed without an fsync, and the
+        failure is not raised again: the commits carry it.
         """
         if self._closed:
             return
         self._closed = True
-        if self._writer is not None:
-            if self.fsync != "never":
-                self._writer.sync()
-            self._writer.close()
-            self._writer = None
+        if self._thread is not None:
+            self._stop()  # the writer finishes every job queued before this
+            self._thread.join()
+        failed = self._last_commit is not None and self._last_commit.exception() is not None
+        self._journal.close(sync=self.fsync != "never" and not failed)
 
     @property
     def closed(self) -> bool:

@@ -17,13 +17,14 @@ Admission control happens at the edges:
   network server turns the quota into a typed ``overloaded`` error via
   :class:`AdmissionError`);
 * ``next()`` enforces the tenant's token-bucket ``rate_limit`` — a tenant
-  over its rate leaves its queue untouched while others are served, and a
-  blocking ``next()`` sleeps exactly until the earliest token refill.
+  over its rate leaves its queue untouched while others are served, and
+  ``poll()`` tells the caller how long until the earliest token refill.
 
-The scheduler owns no threads; the service's driver thread calls ``next()``
-and submitters call ``submit()`` / ``discard()`` / ``finish()`` — all state
-lives behind one lock.  Draining (after :meth:`close`) ignores rate limits
-so shutdown never waits on a token bucket.
+The scheduler owns no threads and never waits for work: the service's
+combiner (whichever submitting thread runs the queue) calls ``next()`` and
+``poll()``, submitters call ``submit()`` / ``discard()`` / ``finish()`` —
+all state lives behind one lock.  Draining (after :meth:`close`) ignores
+rate limits so shutdown never waits on a token bucket.
 """
 
 from __future__ import annotations
@@ -123,8 +124,6 @@ class FairScheduler:
         self._config = config
         self._clock = clock
         self._lock = threading.Lock()
-        #: signalled when a task is queued or the scheduler closes
-        self._ready = threading.Condition(self._lock)
         #: signalled when an in-flight slot frees up
         self._space = threading.Condition(self._lock)
         self._tenants: dict[str, _TenantState] = {}
@@ -166,13 +165,12 @@ class FairScheduler:
             task.finalized = False
             state.queue.append(task)
             self._queued += 1
-            self._ready.notify()
 
     def discard(self, task) -> bool:
         """Remove a not-yet-dispatched task from its tenant queue.
 
         Returns True when the task was still queued (the caller then owns
-        its finalisation); False when the driver already dequeued it.
+        its finalisation); False when the combiner already dequeued it.
         """
         with self._lock:
             state = self._tenants.get(task.tenant)
@@ -197,37 +195,47 @@ class FairScheduler:
     # ------------------------------------------------------------------
     # Dispatch side
     # ------------------------------------------------------------------
-    def next(self, *, block: bool = True):
+    def next(self):
         """Dequeue the next task the DRR discipline selects.
 
-        Returns a task; or ``None`` when nothing is dispatchable and
-        ``block=False``; or :data:`CLOSED` once the scheduler is closed and
-        every queue has drained.  The blocking form sleeps until a task
-        arrives or — when queued tenants are merely rate-limited — until
-        the earliest token refill.
+        Returns a task; or ``None`` when nothing is dispatchable right now
+        (every queue is empty, or its tenant is rate-limited); or
+        :data:`CLOSED` once the scheduler is closed and every queue has
+        drained.
         """
         with self._lock:
-            while True:
-                now = self._clock()
-                task, ready_at = self._pick(now)
-                if task is not None:
-                    return task
-                if self._closed:
-                    return CLOSED
-                if not block:
-                    return None
-                if ready_at is None:
-                    self._ready.wait()
-                else:
-                    self._ready.wait(timeout=max(0.0, ready_at - now))
+            task = self._pick(self._clock())
+            if task is None and self._closed:
+                return CLOSED
+            return task
+
+    def poll(self) -> float | None:
+        """Seconds until :meth:`next` can return a queued task: ``0.0`` when
+        one is dispatchable now, the wait for the earliest token refill
+        when only rate-limited tenants have work, ``None`` when nothing is
+        queued."""
+        with self._lock:
+            if self._queued == 0:
+                return None
+            if self._closed:
+                return 0.0
+            now = self._clock()
+            wait = None
+            for state in self._ring:
+                if state.queue:
+                    if state.ready(now):
+                        return 0.0
+                    tenant_wait = state.ready_at(now) - now
+                    if wait is None or tenant_wait < wait:
+                        wait = tenant_wait
+            return wait
 
     def _pick(self, now: float):
-        """One DRR scan: the chosen task, or the earliest token-refill time."""
+        """One DRR scan: the chosen task, or ``None``."""
         if self._queued == 0:
-            return None, None
+            return None
         ring = self._ring
         size = len(ring)
-        ready_at = None
         # Two sweeps bound the scan: a backlogged, dispatchable tenant is
         # served by its second visit at the latest (the first may only
         # replenish its deficit).
@@ -240,9 +248,6 @@ class FairScheduler:
                 self._cursor = (self._cursor + 1) % size
                 continue
             if not self._closed and not state.ready(now):
-                tenant_ready = state.ready_at(now)
-                if ready_at is None or tenant_ready < ready_at:
-                    ready_at = tenant_ready
                 self._cursor = (self._cursor + 1) % size
                 continue
             if state.deficit < 1:
@@ -257,8 +262,8 @@ class FairScheduler:
                 self._cursor = (self._cursor + 1) % size
             elif state.deficit < 1:
                 self._cursor = (self._cursor + 1) % size
-            return task, None
-        return None, ready_at
+            return task
+        return None
 
     # ------------------------------------------------------------------
     # Lifecycle and introspection
@@ -267,7 +272,6 @@ class FairScheduler:
         """Stop admissions; ``next()`` drains the backlog, then reports CLOSED."""
         with self._lock:
             self._closed = True
-            self._ready.notify_all()
             self._space.notify_all()
 
     @property

@@ -16,13 +16,18 @@ bridges it onto an open :class:`~repro.service.service.GraphQueryService`:
   slow query never blocks the reply to a fast one;
 * a query's response carries its answers and scalar counters only
   (:func:`~repro.service.protocol.result_to_dict`); it is encoded in the
-  future's done-callback, normally on the engine's driver thread, so every
+  future's done-callback, normally on the loop thread itself, so every
   byte of it costs serial engine time.
 
 The asyncio event loop runs on a background daemon thread — callers get a
 plain synchronous :class:`ServiceServer` handle (``with serve(service) as
-server: ...``) and the engine's own driver thread remains the only place
-queries execute, preserving the engine's sequential semantics.
+server: ...``).  The service is caller-runs, so a wire query normally
+executes on the loop thread, inside the ``submit`` that dispatches it, and
+its response is queued there directly; a query that another thread runs
+(an embedded caller holding the combiner, or a result released by the
+journal writer) is handed back to the loop with ``call_soon_threadsafe``.
+One query runs at a time whichever thread runs it, which preserves the
+engine's sequential semantics.
 """
 
 from __future__ import annotations
@@ -73,6 +78,8 @@ class ServiceServer:
         self.port = port
         self._thread: threading.Thread | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
+        #: ``threading.get_ident()`` of the loop thread
+        self._loop_ident: int | None = None
         self._stop: asyncio.Event | None = None
         self._ready = threading.Event()
         self._startup_error: BaseException | None = None
@@ -106,6 +113,7 @@ class ServiceServer:
 
     async def _main(self) -> None:
         self._loop = asyncio.get_running_loop()
+        self._loop_ident = threading.get_ident()
         self._stop = asyncio.Event()
         server = await asyncio.start_server(
             self._handle_connection, self.host, self.port, limit=MAX_FRAME_BYTES
@@ -293,6 +301,11 @@ class ServiceServer:
                 envelope = protocol.encode_response(
                     request_id, result=protocol.result_to_dict(result)
                 )
+            if threading.get_ident() == self._loop_ident:
+                # completed on the loop thread (the usual case: this
+                # submit ran it) — no self-pipe write, no extra loop turn
+                self._deliver(connection, envelope)
+                return
             try:
                 loop.call_soon_threadsafe(self._deliver, connection, envelope)
             except RuntimeError:

@@ -8,9 +8,9 @@ verification thread pool) with no single place that opens and closes them.
 
 * **Lifecycle** — ``with GraphQueryService(method, config, database=db) as
   service:`` builds the :class:`~repro.core.engine.IGQ` engine the config
-  describes (any ``shard.shards``), indexes the dataset, starts the
-  execution driver, and on exit deterministically shuts down the batch
-  executor's thread pool and the engine.
+  describes (any ``shard.shards``) and indexes the dataset; on exit it
+  drains the queue, waits for the journal, and deterministically shuts
+  down the batch executor's thread pool and the engine.
 
 * **One endpoint** — :meth:`GraphQueryService.query` serves *both* query
   types (``mode="subgraph"`` / ``"supergraph"``) against one shared engine;
@@ -20,11 +20,20 @@ verification thread pool) with no single place that opens and closes them.
 * **Asynchrony with sequential semantics** — :meth:`submit` enqueues a query
   and returns a :class:`~concurrent.futures.Future`; :meth:`stream` pipes an
   iterable through with bounded in-flight backpressure, yielding results in
-  submission order.  Execution happens on a single driver thread feeding the
-  deterministic :class:`~repro.core.batch.BatchExecutor`, so answers,
-  accounting, cache contents and replacement state are byte-identical to a
-  plain sequential ``engine.query()`` loop — whatever the batch/shard
-  configuration.
+  submission order.  Execution is *caller-runs* (flat combining): the
+  submitting thread — the embedded caller, or the server's event-loop
+  thread for wire requests — takes a combiner lock and runs queued tasks
+  one after the other through the deterministic
+  :class:`~repro.core.batch.BatchExecutor` until none is dispatchable; a
+  submitter that finds the lock held leaves its task to the thread that
+  holds it.  One query runs at a time, so answers, accounting, cache
+  contents and replacement state are byte-identical to a plain sequential
+  ``engine.query()`` loop — whatever the batch/shard configuration.  The
+  service starts no thread of its own: a durable engine's journal writer
+  makes each window flush durable, and a result computed after a flush is
+  held until that flush's commit (acknowledgement order is durability
+  order); a ``threading.Timer`` restarts the queue when only rate-limited
+  work is left.
 
 * **Multi-tenant QoS** — sessions double as *tenants*: each session's
   submissions land in that tenant's queue of a
@@ -32,12 +41,12 @@ verification thread pool) with no single place that opens and closes them.
   per-tenant ``weight`` / ``max_in_flight`` / ``rate_limit`` from
   :class:`~repro.core.config.ServiceConfig`), so one tenant's backlog cannot
   starve another.  A lone tenant degenerates to plain FIFO — which is what
-  keeps single-stream answers and accounting byte-identical to the original
-  driver loop.
+  keeps single-stream answers and accounting byte-identical to a
+  sequential loop.
 
 * **Cancellation and timeouts** — ``Future.cancel()`` on a not-yet-started
-  submission removes it from its queue immediately (the driver never
-  executes it, its quota slot frees at once); ``submit(timeout=...)`` (or
+  submission removes it from its queue immediately (it never executes,
+  its quota slot frees at once); ``submit(timeout=...)`` (or
   ``ServiceConfig.default_timeout_seconds``) expires a submission with
   :class:`QueryTimeout` whether it is still queued or already dispatched.
 
@@ -54,11 +63,11 @@ import time
 import weakref
 from collections import deque
 from collections.abc import Iterable, Iterator
-from concurrent.futures import Future, InvalidStateError
+from concurrent.futures import Future, InvalidStateError, wait
 from dataclasses import dataclass, field, replace as dataclass_replace
 from functools import partial
 
-from ..core.batch import ABORTED, BatchExecutor
+from ..core.batch import BatchExecutor
 from ..core.config import (
     MIXED_MODE,
     SUPERGRAPH_MODE,
@@ -86,7 +95,7 @@ DEFAULT_TENANT = "default"
 
 
 class ServiceClosed(RuntimeError):
-    """The service is not open (never opened, closed, or driver failed)."""
+    """The service is not open (never opened, closed, or failed)."""
 
 
 class QueryTimeout(TimeoutError):
@@ -248,7 +257,7 @@ class ServiceReport:
 
 @dataclass
 class _Task:
-    """One submitted query travelling from :meth:`submit` to the driver."""
+    """One submitted query travelling from :meth:`submit` to the combiner."""
 
     query: LabeledGraph
     mode: str
@@ -267,17 +276,25 @@ class _Task:
     finalized: bool = False
 
 
-def _call_weakly(method: str, service_ref, task_ref, *args) -> None:
-    """``service.<method>(task, *args)``, if both are still alive.
+def _call_weakly(method: str, service_ref, task_ref=None, *args) -> None:
+    """``service.<method>(task, *args)`` — or ``service.<method>(*args)``
+    when ``task_ref`` is ``None`` — if they are still alive.
 
-    A submission's done-callback and expiry timer hold its service and
-    task weakly: the caller keeps the future, which keeps its callbacks,
-    and a cancelled timer's thread keeps its arguments until it exits —
-    strong references would tie every completed future, its task and the
-    service (engine, replicas, kernel blocks) into cycles only the cycle
-    collector frees."""
-    service, task = service_ref(), task_ref()
-    if service is not None and task is not None:
+    A submission's done-callback and expiry timer, a commit's callback and
+    the wake timer hold the service (and task) weakly: the caller keeps the
+    future, which keeps its callbacks, the engine's persister keeps its
+    commits, and a cancelled timer's thread keeps its arguments until it
+    exits — strong references would tie every completed future, its task
+    and the service (engine, persister, replicas, kernel blocks) into
+    cycles only the cycle collector frees."""
+    service = service_ref()
+    if service is None:
+        return
+    if task_ref is None:
+        getattr(service, method)(*args)
+        return
+    task = task_ref()
+    if task is not None:
         getattr(service, method)(task, *args)
 
 
@@ -397,8 +414,17 @@ class GraphQueryService:
         self._database = database
         self._executor: BatchExecutor | None = None
         self._scheduler = FairScheduler(service_config)
-        self._driver: threading.Thread | None = None
-        self._pending: deque[_Task] = deque()
+        #: held by the thread running the queue (the combiner)
+        self._combiner = threading.Lock()
+        #: restarts the queue when only rate-limited work is left
+        self._wake: threading.Timer | None = None
+        #: results waiting for their flush's commit, in completion order,
+        #: as ``(task, result, commit)``; the newest commit handed out.
+        #: Results are delivered under the lock, and a done-callback may
+        #: submit (and run) more queries: hence reentrant.
+        self._held: deque[tuple] = deque()
+        self._held_lock = threading.RLock()
+        self._barrier: Future | None = None
         self._opened = False
         self._closed = False
         self._error: BaseException | None = None
@@ -412,7 +438,8 @@ class GraphQueryService:
     # Lifecycle
     # ------------------------------------------------------------------
     def open(self) -> "GraphQueryService":
-        """Build/attach the dataset index and start the execution driver."""
+        """Build/attach the dataset index; queries then run on the threads
+        that submit them."""
         with self._state_lock:
             if self._opened and not self._closed:
                 return self
@@ -429,18 +456,15 @@ class GraphQueryService:
                         "build the method's index before opening"
                     )
             self._executor = BatchExecutor(self.engine, config=self.config.batch)
-            self._driver = threading.Thread(
-                target=self._drive, name="graph-query-service", daemon=True
-            )
             self._opened = True
-        self._driver.start()
         return self
 
     def close(self) -> None:
         """Drain submitted work, then shut the executor and engine down
         (idempotent).
 
-        Queries already submitted are completed (their futures resolve);
+        Queries already submitted are completed on the closing thread
+        (their futures resolve, once the journal holds their flushes);
         afterwards the batch executor's verification pool is joined and the
         engine is closed.
         """
@@ -448,25 +472,21 @@ class GraphQueryService:
             if self._closed:
                 return
             self._closed = True
-            started = self._driver is not None
-        # Closing the scheduler rejects new submissions; the driver keeps
-        # dequeuing (drain mode ignores rate limits) until every queue is
-        # empty, then its task source sees CLOSED and ends the stream.
+            opened = self._opened
+            if self._wake is not None:
+                self._wake.cancel()
+        # Closing the scheduler rejects new submissions and lifts the rate
+        # limits; this thread then runs the backlog as the combiner, once a
+        # combiner running elsewhere is done.
         self._scheduler.close()
-        if started:
-            self._driver.join()
+        if opened:
+            with self._combiner:
+                self._run_queue()
+            barrier = self._barrier
+            if barrier is not None:
+                wait([barrier])
+                self._release(barrier)
             self._executor.close()
-        # Fail anything left queued (a service that was never opened, or a
-        # driver that died before draining).
-        while True:
-            task = self._scheduler.next(block=False)
-            if task is None or task is CLOSED:
-                break
-            self._finalize(task)
-            try:
-                task.future.set_exception(ServiceClosed("service closed"))
-            except InvalidStateError:
-                pass
         self.engine.close()
 
     @property
@@ -496,8 +516,12 @@ class GraphQueryService:
 
         Within a tenant, queries execute strictly in submission order; the
         fair scheduler interleaves *across* tenants (weighted deficit
-        round-robin), so a single-tenant service behaves exactly like the
-        original FIFO driver.  Blocks while the tenant's ``max_in_flight``
+        round-robin), so a single-tenant service behaves exactly like a
+        FIFO queue.  The query runs before this returns when no other
+        thread is running the queue (the caller becomes the combiner; see
+        the module docstring), so the future is then already done — unless
+        it waits for a window flush to become durable.  Blocks while the
+        tenant's ``max_in_flight``
         submissions are outstanding — per-tenant backpressure —
         or, with ``block=False``, raises
         :class:`~repro.service.scheduler.AdmissionError` instead (what the
@@ -514,7 +538,7 @@ class GraphQueryService:
             )
         if not self.is_open:
             if self._error is not None:
-                raise ServiceClosed("the service driver failed") from self._error
+                raise ServiceClosed("the service failed and closed") from self._error
             raise ServiceClosed("the service is not open; use it as a context manager")
         tenant = session.name if session is not None else DEFAULT_TENANT
         effective_timeout = (
@@ -531,7 +555,7 @@ class GraphQueryService:
             timeout=effective_timeout,
         )
         # Arm the expiry timer before the task can be dequeued, so the
-        # driver always observes a fully-formed task.  The deadline covers
+        # combiner always observes a fully-formed task.  The deadline covers
         # admission waiting too: a submission stuck behind its tenant's
         # quota can expire while still blocked here.
         if effective_timeout is not None:
@@ -545,14 +569,14 @@ class GraphQueryService:
             task.timer.start()
         try:
             # The scheduler atomically checks closed-ness with the enqueue:
-            # a task either lands in a queue the driver is still draining,
-            # or the submission fails fast — never enqueued and orphaned.
+            # a task either lands in a queue that is still drained, or the
+            # submission fails fast — never enqueued and orphaned.
             self._scheduler.submit(task, block=block)
         except SchedulerClosed:
             if task.timer is not None:
                 task.timer.cancel()
             if self._error is not None:
-                raise ServiceClosed("the service driver failed") from self._error
+                raise ServiceClosed("the service failed and closed") from self._error
             raise ServiceClosed(
                 "the service closed while the submission waited"
             ) from None
@@ -563,6 +587,7 @@ class GraphQueryService:
         future.add_done_callback(
             partial(_call_weakly, "_on_done", weakref.ref(self), weakref.ref(task))
         )
+        self._drain()
         return future
 
     def query(
@@ -589,8 +614,7 @@ class GraphQueryService:
 
         Items are query graphs or ``(query, mode)`` pairs (mixed streams).
         At most ``max_in_flight`` queries are outstanding at once — the
-        streaming backpressure bound — so the driver can take the next
-        query as soon as it finishes one.
+        streaming backpressure bound.
         """
         limit = max_in_flight if max_in_flight is not None else self.max_in_flight
         if limit < 1:
@@ -692,53 +716,121 @@ class GraphQueryService:
         )
 
     # ------------------------------------------------------------------
-    # Driver internals
+    # Execution: the combiner
     # ------------------------------------------------------------------
-    def _drive(self) -> None:
-        """Single driver thread: feed the executor, resolve futures in order."""
-        try:
-            for result in self._executor.run_stream(self._task_source()):
-                if result is ABORTED:
-                    self._resolve_aborted()
-                else:
-                    self._resolve(result)
-        except BaseException as exc:  # noqa: BLE001 - must reach the futures
-            self._fail(exc)
+    def _drain(self) -> None:
+        """Run the queue on this thread unless another thread already does.
 
-    def _task_source(self) -> Iterator:
-        """Yield executor stream items dequeued by the fair scheduler.
-
-        The executor resolves each item before it asks for the next, so the
-        source simply blocks until a task is dispatchable.  Each dispatched
-        item carries ``future.done`` as its abort hook — a query that times
-        out between dispatch and execution is skipped by the executor
-        instead of burning a verification.
+        A submitter that finds the combiner lock held leaves its task to
+        the holder: the holder polls the scheduler again after releasing
+        the lock, so a task queued after its last ``next()`` is run by
+        the next round, here or on the thread that takes the lock.
         """
-        while True:
-            task = self._scheduler.next(block=True)
-            if task is CLOSED:
-                return
+        while self._combiner.acquire(blocking=False):
             try:
-                started = task.future.set_running_or_notify_cancel()
-            except RuntimeError:
-                # The expiry timer beat the dispatch; the future already
-                # carries QueryTimeout (a finished future makes
-                # set_running_or_notify_cancel raise a plain RuntimeError).
-                started = False
-            if not started:
-                # Cancelled or expired before execution; hand its slot back.
-                self._finalize(task)
-                continue
-            self._pending.append(task)
-            yield (task.query, task.mode, task.future.done)
+                self._run_queue()
+            finally:
+                self._combiner.release()
+            if not self._rearm():
+                return
 
-    def _resolve(self, result: IGQQueryResult) -> None:
-        task = self._pending.popleft()
+    def _run_queue(self) -> None:
+        """Run dispatchable tasks in DRR order until none is left (the
+        caller holds the combiner lock)."""
+        scheduler = self._scheduler
+        while True:
+            task = scheduler.next()
+            if task is None or task is CLOSED:
+                return
+            self._run(task)
+
+    def _rearm(self) -> bool:
+        """After a drain: True when a task is dispatchable now (drain
+        again); otherwise (re-)arm the wake timer for the earliest token
+        refill of rate-limited work."""
+        with self._state_lock:
+            wait_seconds = self._scheduler.poll()
+            if wait_seconds == 0.0:
+                return True
+            if self._wake is not None:
+                self._wake.cancel()
+                self._wake = None
+            if wait_seconds is not None and not self._closed:
+                self._wake = threading.Timer(
+                    wait_seconds, _call_weakly, ("_drain", weakref.ref(self))
+                )
+                self._wake.daemon = True
+                self._wake.start()
+        return False
+
+    def _run(self, task: _Task) -> None:
+        """Execute one dequeued task; settle or fail its future."""
+        try:
+            started = task.future.set_running_or_notify_cancel()
+        except RuntimeError:
+            # The expiry timer beat the dispatch; the future already
+            # carries QueryTimeout (a finished future makes
+            # set_running_or_notify_cancel raise a plain RuntimeError).
+            started = False
+        if not started:
+            # Cancelled or expired before execution; hand its slot back.
+            self._finalize(task)
+            return
+        supergraph = task.mode == SUPERGRAPH_MODE
+        try:
+            result = self._executor.execute(task.query, supergraph)
+        except BaseException as exc:  # noqa: BLE001 - must reach the futures
+            self._reject(task, exc)
+            self._fail(exc)
+            return
         with self._stats_lock:
-            supergraph = task.mode == SUPERGRAPH_MODE
             self.totals.record(result, supergraph)
             if task.session is not None:
                 task.session.record(result, supergraph)
+        self._settle(task, result, self.engine.take_commit())
+
+    def _settle(self, task: _Task, result: IGQQueryResult, commit: Future | None) -> None:
+        """Deliver a result, or hold it until the newest flush is durable.
+
+        ``commit`` is the commit of the flush this query ran, if it ran
+        one.  A result computed after a flush whose commit is still
+        pending — and any result behind a held one — joins the FIFO that
+        :meth:`_release` empties when commits resolve, so results are
+        acknowledged in the order they were computed.
+        """
+        with self._held_lock:
+            if commit is not None:
+                self._barrier = commit
+            barrier = self._barrier
+            hold = barrier is not None and (self._held or not barrier.done())
+            if hold:
+                self._held.append((task, result, barrier))
+        if not hold:
+            self._deliver(task, result, barrier)
+        elif commit is not None:
+            commit.add_done_callback(
+                partial(_call_weakly, "_release", weakref.ref(self), None)
+            )
+
+    def _release(self, commit: Future) -> None:
+        """Commit callback: deliver the held results whose commits have
+        resolved, in order; a failed commit fails the service (before any
+        caller sees the failure on a future)."""
+        error = commit.exception()
+        if error is not None:
+            self._fail(error)
+        with self._held_lock:
+            held = self._held
+            while held and held[0][2].done():
+                self._deliver(*held.popleft())
+
+    def _deliver(self, task: _Task, result: IGQQueryResult, commit: Future | None) -> None:
+        """Resolve a task's future with its result (or the error of the
+        commit it waited for)."""
+        error = commit.exception() if commit is not None else None
+        if error is not None:
+            self._reject(task, error)
+            return
         self._finalize(task)
         try:
             if task.deadline is not None and time.monotonic() >= task.deadline:
@@ -749,19 +841,22 @@ class GraphQueryService:
                 task.future.set_result(result)
         except InvalidStateError:
             # Expired mid-execution: the engine state advanced (and was
-            # accounted above), but the caller already saw QueryTimeout.
+            # accounted), but the caller already saw QueryTimeout.
             pass
-
-    def _resolve_aborted(self) -> None:
-        """The executor skipped the head-of-line task (its future was done)."""
-        task = self._pending.popleft()
-        self._finalize(task)
 
     def _finalize(self, task: _Task) -> None:
         """Release the task's expiry timer and tenant slot (idempotent)."""
         if task.timer is not None:
             task.timer.cancel()
         self._scheduler.finish(task)
+
+    def _reject(self, task: _Task, error: BaseException) -> None:
+        """Finalise a task and fail its future with ``error``."""
+        self._finalize(task)
+        try:
+            task.future.set_exception(error)
+        except InvalidStateError:
+            pass
 
     @staticmethod
     def _timeout_error(task: _Task) -> QueryTimeout:
@@ -788,30 +883,21 @@ class GraphQueryService:
             self._finalize(task)
 
     def _fail(self, exc: BaseException) -> None:
-        """Driver died: surface the error on every outstanding future."""
+        """A query or the journal writer failed: surface the error on every
+        queued future and close the service to new submissions."""
         # Publish the error before closing the scheduler: a submitter that
         # races past is_open either lands its task in a queue this drain
         # still empties, or SchedulerClosed makes its submit() raise — it
         # can never be enqueued and orphaned.
         with self._state_lock:
-            self._error = exc
+            if self._error is None:
+                self._error = exc
         self._scheduler.close()
-        while self._pending:
-            task = self._pending.popleft()
-            self._finalize(task)
-            try:
-                task.future.set_exception(exc)
-            except InvalidStateError:
-                pass
         while True:
-            task = self._scheduler.next(block=False)
+            task = self._scheduler.next()
             if task is None or task is CLOSED:
-                break
-            self._finalize(task)
-            try:
-                task.future.set_exception(exc)
-            except InvalidStateError:
-                pass
+                return
+            self._reject(task, exc)
 
     def __repr__(self) -> str:
         state = "open" if self.is_open else ("closed" if self._closed else "new")

@@ -57,7 +57,7 @@ from repro.methods import create_method
 from repro.persist import CacheFollower, attach_persistence
 from repro.persist import inspect as persist_inspect
 from repro.persist import replicate, restore, snapshot, wal
-from repro.service import GraphQueryService, serve
+from repro.service import GraphQueryService, ServiceClosed, serve
 from repro.service.protocol import ProtocolError
 from repro.workloads import QueryGenerator, WorkloadSpec
 
@@ -1450,3 +1450,84 @@ class TestCacheRestore:
         assert persister.restored
         assert bare.persist_state() == state
         persister.close()
+
+
+# ----------------------------------------------------------------------
+# The journal writer behind a service
+# ----------------------------------------------------------------------
+class TestJournalWriter:
+    """A flush's WAL append and fsync run on the persister's journal writer
+    thread, and the service acknowledges no result computed after a flush
+    before that flush is durable."""
+
+    @staticmethod
+    def open_service(tmp_path, database) -> GraphQueryService:
+        return GraphQueryService(
+            create_method("ggsx", max_path_length=3), engine_config(tmp_path), database=database
+        ).open()
+
+    def test_acknowledgement_order_is_durability_order(
+        self, tmp_path, database, queries, monkeypatch
+    ):
+        entered, release = threading.Event(), threading.Event()
+        real_sync = wal.WalWriter.sync
+
+        def blocked_sync(writer):
+            entered.set()
+            assert release.wait(60)
+            real_sync(writer)
+
+        monkeypatch.setattr(wal.WalWriter, "sync", blocked_sync)
+        service = self.open_service(tmp_path, database)
+        resolved = []
+        try:
+            before = [service.submit(query) for query in queries[: WINDOW - 1]]
+            assert all(future.done() for future in before)
+            flushing = service.submit(queries[WINDOW - 1])
+            assert entered.wait(60)
+            pending = [flushing] + [service.submit(query) for query in queries[WINDOW : WINDOW + 5]]
+            for index, future in enumerate(pending):
+                future.add_done_callback(lambda _, index=index: resolved.append(index))
+            assert not any(future.done() for future in pending)
+        finally:
+            release.set()
+        results = [future.result(timeout=60) for future in pending]
+        service.close()
+        assert resolved == list(range(len(pending)))
+        assert [result.query_name for result in results] == [
+            query.name for query in queries[WINDOW - 1 : WINDOW + 5]
+        ]
+
+    def test_a_failed_write_reaches_every_pending_future(
+        self, tmp_path, database, queries, monkeypatch
+    ):
+        release = threading.Event()
+
+        def failing_sync(writer):
+            assert release.wait(60)
+            raise OSError(5, "simulated I/O error")
+
+        monkeypatch.setattr(wal.WalWriter, "sync", failing_sync)
+        service = self.open_service(tmp_path, database)
+        try:
+            futures = [service.submit(query) for query in queries[: WINDOW + 3]]
+        finally:
+            release.set()
+        assert all(future.result(timeout=60) for future in futures[: WINDOW - 1])
+        error = futures[WINDOW - 1].exception(timeout=60)
+        assert isinstance(error, OSError) and "simulated" in str(error)
+        assert [future.exception(timeout=60) for future in futures[WINDOW:]] == [error] * 3
+        with pytest.raises(ServiceClosed, match="failed") as closed:
+            service.submit(queries[0])
+        assert closed.value.__cause__ is error
+        service.close()
+
+    def test_an_acknowledged_flush_is_already_in_the_journal(self, tmp_path, database, queries):
+        service = self.open_service(tmp_path, database)
+        for query in queries[: WINDOW - 1]:
+            service.submit(query).result(timeout=60)
+        assert wal_flushes(tmp_path / "state") == []
+        service.submit(queries[WINDOW - 1]).result(timeout=60)
+        ((_, _, state),) = wal_flushes(tmp_path / "state")
+        assert state["query_counter"] == WINDOW
+        service.close()

@@ -57,7 +57,7 @@ def task_for(tenant: str, tag: int = 0) -> SimpleNamespace:
 def drain_tags(scheduler: FairScheduler) -> list[tuple[str, int]]:
     order = []
     while True:
-        task = scheduler.next(block=False)
+        task = scheduler.next()
         if task is None or task is CLOSED:
             return order
         order.append((task.tenant, task.tag))
@@ -92,7 +92,7 @@ class TestFairScheduler:
         scheduler.submit(task_for("fast", 0))
         served_before_fast = 0
         while True:
-            task = scheduler.next(block=False)
+            task = scheduler.next()
             if task.tenant == "fast":
                 break
             served_before_fast += 1
@@ -108,14 +108,14 @@ class TestFairScheduler:
         for tag in range(4):
             scheduler.submit(task_for("metered", tag))
         # burst of max(1, rate)=2 tokens, then the bucket is dry
-        assert scheduler.next(block=False).tag == 0
-        assert scheduler.next(block=False).tag == 1
-        assert scheduler.next(block=False) is None
+        assert scheduler.next().tag == 0
+        assert scheduler.next().tag == 1
+        assert scheduler.next() is None
         clock.advance(0.5)  # one token at 2/sec
-        assert scheduler.next(block=False).tag == 2
-        assert scheduler.next(block=False) is None
+        assert scheduler.next().tag == 2
+        assert scheduler.next() is None
         clock.advance(10.0)
-        assert scheduler.next(block=False).tag == 3
+        assert scheduler.next().tag == 3
 
     def test_rate_limited_tenant_does_not_block_others(self):
         clock = FakeClock()
@@ -126,11 +126,11 @@ class TestFairScheduler:
             scheduler.submit(task_for("metered", tag))
         scheduler.submit(task_for("free", 0))
         scheduler.submit(task_for("free", 1))
-        assert scheduler.next(block=False).tenant == "metered"  # burst token
+        assert scheduler.next().tenant == "metered"  # burst token
         # metered is dry now; the free tenant keeps being served
-        assert scheduler.next(block=False).tenant == "free"
-        assert scheduler.next(block=False).tenant == "free"
-        assert scheduler.next(block=False) is None
+        assert scheduler.next().tenant == "free"
+        assert scheduler.next().tenant == "free"
+        assert scheduler.next() is None
 
     def test_quota_admission_blocking_and_not(self):
         scheduler = make_scheduler(tenants=({"name": "t", "max_in_flight": 2},))
@@ -140,7 +140,7 @@ class TestFairScheduler:
         with pytest.raises(AdmissionError, match="max_in_flight=2"):
             scheduler.submit(task_for("t", 2), block=False)
         # the quota releases on finish(), not on dequeue
-        assert scheduler.next(block=False) is first
+        assert scheduler.next() is first
         with pytest.raises(AdmissionError):
             scheduler.submit(task_for("t", 2), block=False)
         scheduler.finish(first)
@@ -159,7 +159,7 @@ class TestFairScheduler:
         thread = threading.Thread(target=blocked_submit)
         thread.start()
         assert not submitted.wait(0.1)
-        assert scheduler.next(block=False) is first
+        assert scheduler.next() is first
         scheduler.finish(first)
         assert submitted.wait(5.0)
         thread.join()
@@ -168,7 +168,7 @@ class TestFairScheduler:
         scheduler = make_scheduler(tenants=({"name": "t", "max_in_flight": 1},))
         task = scheduler_task = task_for("t")
         scheduler.submit(scheduler_task)
-        assert scheduler.next(block=False) is task
+        assert scheduler.next() is task
         scheduler.finish(task)
         scheduler.finish(task)
         assert scheduler.snapshot()["t"]["in_flight"] == 0
@@ -180,10 +180,10 @@ class TestFairScheduler:
         scheduler.submit(second)
         assert scheduler.discard(second) is True
         assert scheduler.discard(second) is False  # already gone
-        dequeued = scheduler.next(block=False)
+        dequeued = scheduler.next()
         assert dequeued is first
         assert scheduler.discard(first) is False  # already dispatched
-        assert scheduler.next(block=False) is None
+        assert scheduler.next() is None
 
     def test_close_drains_ignoring_rate_limits_then_reports_closed(self):
         clock = FakeClock()
@@ -192,11 +192,11 @@ class TestFairScheduler:
         )
         scheduler.submit(task_for("metered", 0))
         scheduler.submit(task_for("metered", 1))
-        assert scheduler.next(block=False).tag == 0  # the burst token
-        assert scheduler.next(block=False) is None  # rate-blocked
+        assert scheduler.next().tag == 0  # the burst token
+        assert scheduler.next() is None  # rate-blocked
         scheduler.close()
-        assert scheduler.next(block=False).tag == 1  # drain ignores the bucket
-        assert scheduler.next(block=False) is CLOSED
+        assert scheduler.next().tag == 1  # drain ignores the bucket
+        assert scheduler.next() is CLOSED
         with pytest.raises(SchedulerClosed):
             scheduler.submit(task_for("metered", 2))
 
@@ -243,31 +243,46 @@ class TestServiceQoS:
     def test_flooding_tenant_does_not_starve_fast_tenant(
         self, database, query_pool, monkeypatch
     ):
-        """The whole backlog is queued before the driver dispatches any of
-        it (a first query holds the driver until then), so the completion
-        order is exactly the weighted DRR order — no thread race."""
+        """The whole backlog is queued before any of it is dispatched: a
+        first query, submitted from a helper thread, makes that thread the
+        combiner and holds it in ``plan_query`` until then, so the
+        completion order is exactly the weighted DRR order — no thread
+        race."""
         hog_backlog, fast_count = 20, 5
         tenants = (TenantConfig(name="hog", weight=1), TenantConfig(name="fast", weight=4))
         with qos_service(database, tenants=tenants) as service:
             gate_query = query_pool[0].relabeled()
             entered, release = threading.Event(), threading.Event()
             plan_query = service.engine.plan_query
+            completed: list[tuple[str, int]] = []
 
             def gated_plan_query(query, *args, **kwargs):
-                if query is gate_query:
-                    entered.set()
-                    assert release.wait(60)
-                return plan_query(query, *args, **kwargs)
+                if query is not gate_query:
+                    return plan_query(query, *args, **kwargs)
+                entered.set()
+                assert release.wait(60)
+                plan = plan_query(query, *args, **kwargs)
+                # The combiner completes the gate before it dispatches
+                # anything else; its future only gets callbacks once the
+                # helper's submit has run the whole backlog.
+                completed.append(("gate", 0))
+                return plan
 
             monkeypatch.setattr(service.engine, "plan_query", gated_plan_query)
-            completed: list[tuple[str, int]] = []
 
             def submit(session, tag, query):
                 future = session.submit(query)
                 future.add_done_callback(lambda _: completed.append((session.name, tag)))
                 return future
 
-            gate = submit(service.session("gate"), 0, gate_query)
+            # The helper becomes the combiner and runs the backlog queued
+            # behind the gate; submitted inline, the gate would block this
+            # thread in plan_query.
+            gate_session, gated = service.session("gate"), []
+            helper = threading.Thread(
+                target=lambda: gated.append(gate_session.submit(gate_query))
+            )
+            helper.start()
             assert entered.wait(60)
             hog, fast = service.session("hog"), service.session("fast")
             futures = [
@@ -275,13 +290,14 @@ class TestServiceQoS:
                 for tag in range(hog_backlog)
             ] + [submit(fast, tag, query_pool[tag]) for tag in range(fast_count)]
             release.set()
-            for future in [gate, *futures]:
+            helper.join(60)
+            for future in [*gated, *futures]:
                 future.result(timeout=120)
 
             # The same submissions through a bare scheduler give the order.
             scheduler = make_scheduler(tenants=tenants)
             scheduler.submit(task_for("gate", 0))
-            scheduler.finish(scheduler.next(block=False))
+            scheduler.finish(scheduler.next())
             for tag in range(hog_backlog):
                 scheduler.submit(task_for("hog", tag))
             for tag in range(fast_count):

@@ -23,6 +23,7 @@ from __future__ import annotations
 import gc
 import json
 import random
+import threading
 import weakref
 
 import pytest
@@ -34,6 +35,7 @@ from repro.core import (
     EngineConfig,
     ShardConfig,
 )
+from repro.core.config import PersistConfig
 from repro.datasets.registry import load_dataset
 from repro.methods import create_method
 from repro.service import GraphQueryService, ServiceClosed, ServiceReport
@@ -254,12 +256,17 @@ class TestLifecycle:
             q.name for q, _ in mixed_stream[:10]
         ]
 
-    def test_a_closed_service_is_freed_by_reference_counting(self, database, mixed_stream):
+    @pytest.mark.parametrize("durable", [False, True], ids=["memory", "durable"])
+    def test_a_closed_service_is_freed_by_reference_counting(
+        self, database, mixed_stream, tmp_path, durable
+    ):
         """A closed, dropped service and its engine (the replicas and their
         kernel blocks with it) die at once: the futures a caller keeps, and
-        their completed tasks, do not hold them in a reference cycle."""
+        their completed tasks, do not hold them in a reference cycle — nor
+        do the journal's commits and their callbacks on a durable engine."""
         method = create_method("ggsx", max_path_length=3)
-        config = mixed_config(batch=BatchConfig(num_workers=2))
+        persist = PersistConfig(dir=str(tmp_path / "state")) if durable else PersistConfig()
+        config = mixed_config(batch=BatchConfig(num_workers=2), persist=persist)
         gc.collect()
         gc.disable()
         try:
@@ -275,6 +282,25 @@ class TestLifecycle:
         finally:
             gc.enable()
         assert len(results) == len(futures) == 10
+
+    def test_a_submission_to_an_idle_service_is_done_on_return(self, database, mixed_stream):
+        """Caller-runs: the submitting thread runs its own query."""
+        method = create_method("ggsx", max_path_length=3)
+        with GraphQueryService(method, mixed_config(), database=database) as service:
+            futures = [service.submit(query, mode) for query, mode in mixed_stream[:8]]
+            assert all(future.done() for future in futures)
+
+    @pytest.mark.parametrize("durable", [False, True], ids=["memory", "durable"])
+    def test_an_embedded_service_starts_no_thread_but_the_journal_writer(
+        self, database, mixed_stream, tmp_path, durable
+    ):
+        method = create_method("ggsx", max_path_length=3)
+        persist = PersistConfig(dir=str(tmp_path / "state")) if durable else PersistConfig()
+        before = set(threading.enumerate())
+        with GraphQueryService(method, mixed_config(persist=persist), database=database) as service:
+            list(service.stream(mixed_stream))
+            started = {thread.name for thread in set(threading.enumerate()) - before}
+        assert started == ({"journal-writer"} if durable else set())
 
     def test_close_is_idempotent_and_reopen_rejected(self, database):
         method = create_method("ggsx", max_path_length=3)
