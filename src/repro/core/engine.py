@@ -23,6 +23,7 @@ candidate set from above.
 
 from __future__ import annotations
 
+import os
 import time
 from array import array
 from concurrent.futures import Future
@@ -236,9 +237,13 @@ class IGQ:
         self._answers_pending = False
         self._restored_space: str | None = None
         self._restored_from = ""
-        from ..persist.engine_state import attach_configured_persister
+        # (importing repro.persist costs a fresh process ~20 ms: only a
+        # durable engine pays it)
+        forced = os.environ.get("REPRO_FORCE_PERSIST_DIR")
+        if config.persist.enabled or forced:
+            from ..persist.engine_state import attach_configured_persister
 
-        attach_configured_persister(self)
+            attach_configured_persister(self, forced)
 
     @property
     def isub(self):

@@ -26,19 +26,16 @@ __all__ = [
 ]
 
 
-def attach_configured_persister(engine) -> None:
+def attach_configured_persister(engine, forced: str | None) -> None:
     """Attach (and possibly warm-start from) the configured persister.
 
-    ``REPRO_FORCE_PERSIST_DIR`` force-enables write-only persistence
-    into a fresh private directory under the named path for engines
-    with no ``persist`` section — the CI lever that runs the whole
+    An engine with no ``persist`` section gets write-only persistence into
+    a fresh private directory under ``forced`` — the path
+    ``REPRO_FORCE_PERSIST_DIR`` names, the CI lever that runs the whole
     suite with the durability path exercised.
     """
     persist = engine.config.persist
     if not persist.enabled:
-        forced = os.environ.get("REPRO_FORCE_PERSIST_DIR")
-        if not forced:
-            return
         os.makedirs(forced, exist_ok=True)
         persist = replace(
             persist,
