@@ -12,7 +12,11 @@ workload through a cold miss storm:
 * :mod:`repro.persist.restore` — :class:`~repro.persist.restore.CachePersister`,
   attached by the engine when ``EngineConfig.persist.dir`` is set: one
   durable batch per window flush, snapshot at a configurable record
-  budget, recovery to the last committed flush boundary;
+  budget, recovery to the last committed flush boundary; its journal
+  writer thread does the durable I/O;
+* :mod:`repro.persist.engine_state` — the engine side: attaching the
+  configured persister, the flush-boundary state capture and the
+  warm-start replay;
 * :mod:`repro.persist.replicate` — :class:`~repro.persist.replicate.CacheFollower`,
   a remote read-only replica streaming the leader's delta log over the
   wire protocol (reset-and-replay below the compaction floor);

@@ -7,7 +7,10 @@ flush's delta records as columns, the entries it inserted in their native
 form, and the engine's small mutable state — one pickle, one checksum, one
 write and (unless ``fsync="never"``) one fsync.  It periodically folds
 everything into an atomic snapshot, rotating the WAL segment at the same
-version.
+version.  The record and the snapshot are built on the engine's thread;
+writing them is the job of the persister's journal writer thread, and
+:meth:`CachePersister.record_flush` returns the commit future that
+resolves once the record is durable.
 
 **Format 3** (this build) journals a cache entry the way the engine holds
 it, as one pickled ``(graph, features, answer, tags, added_at)`` tuple of

@@ -99,10 +99,10 @@ class _TenantState:
         self._refill(now)
         return self.tokens >= 1.0
 
-    def ready_at(self, now: float) -> float:
-        """Earliest time the next token becomes available."""
+    def wait(self, now: float) -> float:
+        """Seconds until the next token becomes available."""
         self._refill(now)
-        return now + max(0.0, (1.0 - self.tokens) / self.rate)
+        return max(0.0, (1.0 - self.tokens) / self.rate)
 
     def consume(self, now: float) -> None:
         """Spend one rate token for a dispatch."""
@@ -220,15 +220,13 @@ class FairScheduler:
             if self._closed:
                 return 0.0
             now = self._clock()
-            wait = None
+            waits = []
             for state in self._ring:
                 if state.queue:
                     if state.ready(now):
                         return 0.0
-                    tenant_wait = state.ready_at(now) - now
-                    if wait is None or tenant_wait < wait:
-                        wait = tenant_wait
-            return wait
+                    waits.append(state.wait(now))
+            return min(waits)
 
     def _pick(self, now: float):
         """One DRR scan: the chosen task, or ``None``."""

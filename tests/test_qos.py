@@ -200,6 +200,22 @@ class TestFairScheduler:
         with pytest.raises(SchedulerClosed):
             scheduler.submit(task_for("metered", 2))
 
+    def test_poll_reports_the_wait_for_a_token(self):
+        clock = FakeClock()
+        scheduler = make_scheduler(
+            clock, tenants=({"name": "metered", "rate_limit": 0.5},)
+        )
+        assert scheduler.poll() is None  # nothing queued
+        scheduler.submit(task_for("metered", 0))
+        scheduler.submit(task_for("metered", 1))
+        assert scheduler.poll() == 0.0  # the burst token
+        scheduler.next()
+        assert scheduler.poll() == pytest.approx(2.0)
+        clock.advance(1.5)
+        assert scheduler.poll() == pytest.approx(0.5)
+        scheduler.close()
+        assert scheduler.poll() == 0.0  # draining ignores the bucket
+
     def test_snapshot_reports_qos_knobs(self):
         scheduler = make_scheduler(
             default_weight=2,
@@ -313,6 +329,18 @@ class TestServiceQoS:
             assert report.sessions["hog"].queries == hog_backlog
             assert report.sessions["fast"].queries == fast_count
             assert report.totals.queries == hog_backlog + fast_count + 1
+
+    def test_rate_limited_work_runs_when_its_token_refills(self, database, query_pool):
+        """No caller is left to run a queued, rate-limited query: the
+        service's wake timer runs it once a token has refilled."""
+        with qos_service(
+            database, tenants=(TenantConfig(name="metered", rate_limit=4.0),)
+        ) as service:
+            session = service.session("metered")
+            futures = [session.submit(query) for query in query_pool[:5]]
+            assert all(future.done() for future in futures[:4])  # the burst
+            assert not futures[4].done()
+            assert futures[4].result(timeout=30).query_name == query_pool[4].name
 
     def test_cancel_before_dispatch_removes_from_queue(self, database, query_pool):
         # rate_limit < 1 gives a single-token burst: the second submission
