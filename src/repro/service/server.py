@@ -22,12 +22,17 @@ bridges it onto an open :class:`~repro.service.service.GraphQueryService`:
 The asyncio event loop runs on a background daemon thread — callers get a
 plain synchronous :class:`ServiceServer` handle (``with serve(service) as
 server: ...``).  The service is caller-runs, so a wire query normally
-executes on the loop thread, inside the ``submit`` that dispatches it, and
-its response is queued there directly; a query that another thread runs
-(an embedded caller holding the combiner, or a result released by the
-journal writer) is handed back to the loop with ``call_soon_threadsafe``.
-One query runs at a time whichever thread runs it, which preserves the
-engine's sequential semantics.
+executes on the loop thread.  Reading a request only enqueues it; the
+loop then runs the queue one task per loop turn (``run_pending(1)``), so
+every connection with a request ready is read, and its tenant queued,
+between two queries: the scheduler picks among all of them, and the
+response of a finished query is written before the next query starts.  A
+response computed on the loop thread is queued there directly; a query
+that another thread runs (an embedded caller holding the combiner, the
+rate limit's wake timer, or a result released by the journal writer) is
+handed back to the loop with ``call_soon_threadsafe``.  One query runs at
+a time whichever thread runs it, which preserves the engine's sequential
+semantics.
 """
 
 from __future__ import annotations
@@ -86,6 +91,8 @@ class ServiceServer:
         self._closed = False
         self._handler_tasks: set = set()
         self._client_writers: set = set()
+        #: a :meth:`_run_pending` callback is scheduled (loop thread only)
+        self._run_scheduled = False
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -285,7 +292,9 @@ class ServiceServer:
         session = self.service.session(request.tenant, exist_ok=True)
         # Non-blocking: quota pressure becomes an "overloaded" response
         # instead of stalling every tenant multiplexed on this connection.
-        future = session.submit(graph, mode, timeout=timeout, block=False)
+        # Only enqueued: the query runs in a later loop turn.
+        future = session.submit(graph, mode, timeout=timeout, block=False, run=False)
+        self._schedule_run()
         connection.outstanding += 1
         loop = self._loop
         request_id = request.request_id
@@ -302,8 +311,8 @@ class ServiceServer:
                     request_id, result=protocol.result_to_dict(result)
                 )
             if threading.get_ident() == self._loop_ident:
-                # completed on the loop thread (the usual case: this
-                # submit ran it) — no self-pipe write, no extra loop turn
+                # completed on the loop thread (the usual case) — no
+                # self-pipe write, no extra loop turn
                 self._deliver(connection, envelope)
                 return
             try:
@@ -312,6 +321,18 @@ class ServiceServer:
                 pass  # server torn down before the result came back
 
         future.add_done_callback(deliver)
+
+    def _schedule_run(self) -> None:
+        if not self._run_scheduled:
+            self._run_scheduled = True
+            self._loop.call_soon(self._run_pending)
+
+    def _run_pending(self) -> None:
+        """Run one queued query, then yield the loop to reads and writes
+        (requests read meanwhile join the scheduler's choice)."""
+        self._run_scheduled = False
+        if self.service.run_pending(1):
+            self._schedule_run()
 
     def _deliver(self, connection: _Connection, envelope: dict) -> None:
         """Loop-thread completion: enqueue a query response for the writer."""

@@ -92,6 +92,8 @@ __all__ = [
 
 #: the tenant anonymous (session-less) submissions are accounted to
 DEFAULT_TENANT = "default"
+#: how much later than needed an armed wake timer may fire and be kept
+_WAKE_SLACK_SECONDS = 0.001
 
 
 class ServiceClosed(RuntimeError):
@@ -324,10 +326,12 @@ class ServiceSession:
         *,
         timeout: float | None = None,
         block: bool = True,
+        run: bool = True,
     ) -> Future:
-        """Enqueue a query under this session's accounting and QoS tenant."""
+        """Enqueue a query under this session's accounting and QoS tenant
+        (see :meth:`GraphQueryService.submit`)."""
         return self._service.submit(
-            query, mode, session=self.stats, timeout=timeout, block=block
+            query, mode, session=self.stats, timeout=timeout, block=block, run=run
         )
 
     def query(self, query: LabeledGraph, mode: str | None = None) -> IGQQueryResult:
@@ -416,8 +420,10 @@ class GraphQueryService:
         self._scheduler = FairScheduler(service_config)
         #: held by the thread running the queue (the combiner)
         self._combiner = threading.Lock()
-        #: restarts the queue when only rate-limited work is left
+        #: restarts the queue when only rate-limited work is left, and the
+        #: ``time.monotonic()`` it fires at
         self._wake: threading.Timer | None = None
+        self._wake_at = 0.0
         #: results waiting for their flush's commit, in completion order,
         #: as ``(task, result, commit)``; the newest commit handed out.
         #: Results are delivered under the lock, and a done-callback may
@@ -511,6 +517,7 @@ class GraphQueryService:
         session: SessionStats | None = None,
         timeout: float | None = None,
         block: bool = True,
+        run: bool = True,
     ) -> Future:
         """Enqueue one query; returns a future resolving to its result.
 
@@ -520,10 +527,12 @@ class GraphQueryService:
         FIFO queue.  The query runs before this returns when no other
         thread is running the queue (the caller becomes the combiner; see
         the module docstring), so the future is then already done — unless
-        it waits for a window flush to become durable.  Blocks while the
-        tenant's ``max_in_flight``
-        submissions are outstanding — per-tenant backpressure —
-        or, with ``block=False``, raises
+        it waits for a window flush to become durable.  ``run=False`` only
+        enqueues: the caller then owes a :meth:`run_pending` call (the
+        network server reads every ready connection before it runs
+        anything, so the scheduler sees every tenant's requests).  Blocks
+        while the tenant's ``max_in_flight`` submissions are outstanding —
+        per-tenant backpressure — or, with ``block=False``, raises
         :class:`~repro.service.scheduler.AdmissionError` instead (what the
         network server turns into an ``overloaded`` response).
 
@@ -587,7 +596,8 @@ class GraphQueryService:
         future.add_done_callback(
             partial(_call_weakly, "_on_done", weakref.ref(self), weakref.ref(task))
         )
-        self._drain()
+        if run:
+            self.run_pending()
         return future
 
     def query(
@@ -718,50 +728,76 @@ class GraphQueryService:
     # ------------------------------------------------------------------
     # Execution: the combiner
     # ------------------------------------------------------------------
-    def _drain(self) -> None:
-        """Run the queue on this thread unless another thread already does.
+    def run_pending(self, limit: int | None = None) -> bool:
+        """Run queued tasks on this thread unless another thread already does.
 
-        A submitter that finds the combiner lock held leaves its task to
-        the holder: the holder polls the scheduler again after releasing
-        the lock, so a task queued after its last ``next()`` is run by
-        the next round, here or on the thread that takes the lock.
+        Runs dispatchable tasks in DRR order until none is left, or at most
+        ``limit`` of them; returns True when ``limit`` stopped it with a
+        task still dispatchable (the caller then calls again).  A thread
+        that finds the combiner lock held leaves the queue to the holder:
+        the holder polls the scheduler again after releasing the lock, so
+        a task queued after its last ``next()`` is run by the next round,
+        here or on the thread that takes the lock.
         """
         while self._combiner.acquire(blocking=False):
             try:
-                self._run_queue()
+                self._run_queue(limit)
             finally:
                 self._combiner.release()
             if not self._rearm():
-                return
+                return False
+            if limit is not None:
+                return True
+        return False
 
-    def _run_queue(self) -> None:
-        """Run dispatchable tasks in DRR order until none is left (the
-        caller holds the combiner lock)."""
+    def _run_queue(self, limit: int | None = None) -> None:
+        """Run dispatchable tasks in DRR order until none is left or
+        ``limit`` have run (the caller holds the combiner lock)."""
         scheduler = self._scheduler
-        while True:
+        remaining = limit
+        while remaining is None or remaining > 0:
             task = scheduler.next()
             if task is None or task is CLOSED:
                 return
             self._run(task)
+            if remaining is not None:
+                remaining -= 1
 
     def _rearm(self) -> bool:
         """After a drain: True when a task is dispatchable now (drain
-        again); otherwise (re-)arm the wake timer for the earliest token
-        refill of rate-limited work."""
+        again); otherwise make sure the wake timer fires by the earliest
+        token refill of rate-limited work.  An armed timer that fires in
+        time is kept, so a drain does not start a thread."""
         with self._state_lock:
             wait_seconds = self._scheduler.poll()
             if wait_seconds == 0.0:
                 return True
-            if self._wake is not None:
-                self._wake.cancel()
-                self._wake = None
-            if wait_seconds is not None and not self._closed:
-                self._wake = threading.Timer(
-                    wait_seconds, _call_weakly, ("_drain", weakref.ref(self))
-                )
-                self._wake.daemon = True
-                self._wake.start()
+            wake = self._wake
+            if wait_seconds is None or self._closed:
+                if wake is not None:
+                    wake.cancel()
+                    self._wake = None
+                return False
+            due = time.monotonic() + wait_seconds
+            # (the same refill computed twice differs by the clock reads)
+            if wake is not None and self._wake_at <= due + _WAKE_SLACK_SECONDS:
+                return False
+            if wake is not None:
+                wake.cancel()
+            self._wake = threading.Timer(
+                wait_seconds, _call_weakly, ("_on_wake", weakref.ref(self))
+            )
+            self._wake.daemon = True
+            self._wake_at = due
+            self._wake.start()
         return False
+
+    def _on_wake(self) -> None:
+        """Wake timer callback: forget the timer that fired, then drain."""
+        with self._state_lock:
+            if self._wake is threading.current_thread():
+                self._wake = None
+        self.run_pending()
 
     def _run(self, task: _Task) -> None:
         """Execute one dequeued task; settle or fail its future."""

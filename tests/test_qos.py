@@ -342,6 +342,33 @@ class TestServiceQoS:
             assert not futures[4].done()
             assert futures[4].result(timeout=30).query_name == query_pool[4].name
 
+    def test_other_tenants_drains_keep_the_armed_wake_timer(
+        self, database, query_pool, monkeypatch
+    ):
+        """While a rate-limited query waits for its token, every other
+        tenant's submission drains the queue: the wake timer armed for the
+        waiting query fires in time, so it is kept and no drain starts a
+        thread."""
+        started = []
+
+        class CountingTimer(threading.Timer):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(threading, "Timer", CountingTimer)
+        with qos_service(
+            database, tenants=(TenantConfig(name="metered", rate_limit=0.5),)
+        ) as service:
+            metered, other = service.session("metered"), service.session("other")
+            metered.submit(query_pool[0])  # spends the one burst token
+            waiting = metered.submit(query_pool[1])  # queued for ~2 s
+            assert len(started) == 1
+            for query in query_pool[2:10]:
+                assert other.submit(query).done()
+            assert len(started) == 1
+            assert waiting.cancel()
+
     def test_cancel_before_dispatch_removes_from_queue(self, database, query_pool):
         # rate_limit < 1 gives a single-token burst: the second submission
         # is deterministically still queued when we cancel it.

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import json
 import socket
+import threading
+import time
 
 import pytest
 
@@ -186,6 +188,57 @@ class TestMultiTenant:
         assert stats["sessions"]["guest"]["queries"] == 4
         assert stats["totals"]["queries"] == 12
         assert stats["scheduler"]["vip"]["weight"] == 4
+
+    def test_a_pipelining_tenant_does_not_starve_a_weighted_one(
+        self, database, mixed_stream, monkeypatch  # noqa: F811
+    ):
+        """A request is queued when it is read, and the loop runs one query
+        per turn: a request the vip sends while the hog's first query runs
+        is read before the next query starts, and the weighted scheduler
+        serves it within the hog's next few.  (Running each request as it
+        is read would run the hog's whole pipelined backlog first.)"""
+        hog_backlog = 20
+        service = serve_mixed(
+            database,
+            tenants=(TenantConfig(name="hog", weight=1), TenantConfig(name="vip", weight=4)),
+        )
+        with service, serve(service) as server:
+            with connect(server.host, server.port, tenant="hog") as hog, connect(
+                server.host, server.port, tenant="vip"
+            ) as vip:
+                hog.ping(), vip.ping()  # both connection handlers are running
+                order: list[str] = []
+                entered, release = threading.Event(), threading.Event()
+                execute = service._executor.execute
+
+                def recording_execute(query, supergraph):
+                    order.append(query.name)
+                    if len(order) == 1:
+                        entered.set()
+                        assert release.wait(60)
+                    return execute(query, supergraph)
+
+                monkeypatch.setattr(service._executor, "execute", recording_execute)
+                # Hold the loop while the hog pipelines its backlog, so the
+                # whole backlog is read in one turn.
+                loop_free = threading.Event()
+                server._loop.call_soon_threadsafe(loop_free.wait, 60)
+                hog_futures = [
+                    hog.submit(query.copy(name=f"hog-{index}"), mode)
+                    for index, (query, mode) in enumerate(mixed_stream[:hog_backlog])
+                ]
+                time.sleep(0.1)
+                loop_free.set()
+                assert entered.wait(60)
+                query, mode = mixed_stream[hog_backlog]
+                vip_future = vip.submit(query.copy(name="vip-0"), mode)
+                time.sleep(0.1)  # the request reaches the server's socket
+                release.set()
+                vip_future.result(timeout=120)
+                for future in hog_futures:
+                    future.result(timeout=120)
+        assert order[0] == "hog-0"
+        assert order.index("vip-0") <= 4, order
 
     def test_quota_pressure_is_an_overloaded_error(self, database, mixed_stream):  # noqa: F811
         # One burst token, then queued: with max_in_flight=2 the third
