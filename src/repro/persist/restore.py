@@ -329,9 +329,9 @@ def attach_persistence(engine, config: PersistConfig) -> "CachePersister":
 class _Journal:
     """The open WAL segment of one persist directory and the I/O on it.
 
-    Every method runs on the persister's journal writer thread (inline
-    with ``fsync="never"``), one job after the other, so nothing here is
-    locked.
+    Every method runs on the persister's journal writer thread, one job
+    after the other (a directory's first checkpoint runs at open, before
+    the thread exists), so nothing here is locked.
     """
 
     def __init__(self, path: Path, fsync: str) -> None:
@@ -418,8 +418,8 @@ class CachePersister:
     :meth:`~repro.persist.wal.WalWriter.append` and fsync, and a
     checkpoint's snapshot write, segment rotation and pruning.
     :meth:`record_flush` returns the flush's commit future, which resolves
-    once the record is durable.  With ``fsync="never"`` nothing waits for
-    the disk: the I/O runs inline and no thread is started.
+    once the record is durable — with ``fsync="never"``, once the writer
+    has handed it to the OS.
     """
 
     def __init__(self, engine, config: PersistConfig) -> None:
@@ -431,8 +431,8 @@ class CachePersister:
         self._closed = False
         self._journal = _Journal(self.path, self.fsync)
         #: the journal writer's queue and thread (``None`` until the first
-        #: job that waits for the disk), the finalizer that stops the
-        #: thread, and the commit of the last job queued
+        #: flush), the finalizer that stops the thread, and the commit of
+        #: the last job queued
         self._jobs: queue.SimpleQueue | None = None
         self._thread: threading.Thread | None = None
         self._stop = None
@@ -512,8 +512,7 @@ class CachePersister:
         entries it inserted, and the engine state.
 
         Returns the record's commit future, or ``None`` when nothing was
-        recorded or with ``fsync="never"`` (the record is then written
-        before this returns).  No result computed after this flush may be
+        recorded.  No result computed after this flush may be
         acknowledged before the commit resolves.  A failed write fails
         this commit and every later one.
         """
@@ -536,14 +535,8 @@ class CachePersister:
             self._checkpoint(engine)
         return commit
 
-    def _submit(self, job) -> Future | None:
-        """Queue ``job`` behind every earlier one; returns its commit.
-
-        With ``fsync="never"`` the job runs here and ``None`` is returned.
-        """
-        if self.fsync == "never":
-            job()
-            return None
+    def _submit(self, job) -> Future:
+        """Queue ``job`` behind every earlier one; returns its commit."""
         if self._jobs is None:
             self._jobs = queue.SimpleQueue()
             self._thread = threading.Thread(

@@ -287,8 +287,13 @@ class TestLifecycle:
         """Caller-runs: the submitting thread runs its own query."""
         method = create_method("ggsx", max_path_length=3)
         with GraphQueryService(method, mixed_config(), database=database) as service:
-            futures = [service.submit(query, mode) for query, mode in mixed_stream[:8]]
-            assert all(future.done() for future in futures)
+            # (REPRO_FORCE_PERSIST_DIR makes the engine durable: a result
+            # may then wait for its flush's commit after it has run)
+            durable = service.engine.persister is not None
+            for count, (query, mode) in enumerate(mixed_stream[:8], start=1):
+                future = service.submit(query, mode)
+                assert service.stats().totals.queries == count
+                assert future.done() or durable
 
     @pytest.mark.parametrize("durable", [False, True], ids=["memory", "durable"])
     def test_an_embedded_service_starts_no_thread_but_the_journal_writer(
@@ -300,6 +305,8 @@ class TestLifecycle:
         with GraphQueryService(method, mixed_config(persist=persist), database=database) as service:
             list(service.stream(mixed_stream))
             started = {thread.name for thread in set(threading.enumerate()) - before}
+            # (REPRO_FORCE_PERSIST_DIR makes the in-memory engine durable too)
+            durable = service.engine.persister is not None
         assert started == ({"journal-writer"} if durable else set())
 
     def test_close_is_idempotent_and_reopen_rejected(self, database):
