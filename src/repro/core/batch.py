@@ -126,8 +126,9 @@ def _verify_chunk(
     """Thread-pool entry point: verify one chunk of a query's candidates.
 
     Threads share the index structures (read-only during querying) and the
-    query's ``compiled`` forms, whose kernel structs the driver built before
-    submitting — the kernel only reads them, its scratch is per call.  Each
+    query's ``compiled`` forms, whose kernel structs the querying thread
+    built before submitting — the kernel only reads them, its scratch is
+    per call.  Each
     call gets a private :class:`Verifier` carrying the parent's
     ``compiled``/``precheck`` flags, so A/B baselines keep their meaning on
     the pool, with zeroed statistics, so the shared counters are
