@@ -128,8 +128,7 @@ def _verify_chunk(
     Threads share the index structures (read-only during querying) and the
     query's ``compiled`` forms, whose kernel structs the querying thread
     built before submitting — the kernel only reads them, its scratch is
-    per call.  Each
-    call gets a private :class:`Verifier` carrying the parent's
+    per call.  Each call gets a private :class:`Verifier` carrying the parent's
     ``compiled``/``precheck`` flags, so A/B baselines keep their meaning on
     the pool, with zeroed statistics, so the shared counters are
     never raced.  Returns the answers plus the verifier-stat deltas the
