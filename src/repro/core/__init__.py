@@ -23,13 +23,7 @@ from .replacement import (
     UtilityReplacementPolicy,
     create_policy,
 )
-from .shard import (
-    CacheDelta,
-    DeltaLog,
-    DeltaLogTruncated,
-    QueryIndexShard,
-    ShardEntry,
-)
+from .shard import QueryIndexShard
 
 __all__ = [
     "IGQ",
@@ -42,11 +36,7 @@ __all__ = [
     "ServiceConfig",
     "TenantConfig",
     "ConfigError",
-    "CacheDelta",
-    "DeltaLog",
-    "DeltaLogTruncated",
     "QueryIndexShard",
-    "ShardEntry",
     "BatchExecutor",
     "BatchStats",
     "FeatureMemo",

@@ -108,11 +108,11 @@ class CacheEntry:
         entries); releasing here keeps the steady-state number of live
         compiled objects bounded by the cache capacity.  Every path an entry
         can leave service by funnels through these helpers — cache eviction
-        (:meth:`QueryCache.remove`), per-index removal
-        (:meth:`~repro.core.containment.ContainmentIndex.remove`) and
-        shard-replica evictions
-        (:meth:`~repro.core.shard.QueryIndexShard.apply`) — so a released
-        payload can never leak and releasing twice is a no-op.
+        (:meth:`QueryCache.remove`) and per-index removal
+        (:meth:`~repro.core.containment.ContainmentIndex.remove`, which a
+        replica's :meth:`~repro.core.shard.QueryIndexShard.remove` runs) —
+        so a released payload can never leak and releasing twice is a
+        no-op.
         """
         self.release_compiled_target()
         self.release_compiled_plan()

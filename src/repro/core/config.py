@@ -10,8 +10,7 @@ A small tree of frozen dataclasses:
   limits and query timeouts consumed by the multi-tenant scheduler and the
   network server;
 * :class:`PersistConfig` — durable cache state: the WAL/snapshot directory,
-  fsync discipline and snapshot budget consumed by :mod:`repro.persist`,
-  plus the leader address for read-only followers;
+  fsync discipline and snapshot budget consumed by :mod:`repro.persist`;
 * :class:`EngineConfig` — the composition of the sections plus the query mode,
   which is what :class:`~repro.core.engine.IGQ`, the experiment
   runner and :class:`~repro.service.GraphQueryService` consume.
@@ -84,7 +83,6 @@ _MOVED_IN_2_0 = {
     "policy": "EngineConfig.cache.policy",
     "shards": "EngineConfig.shard.shards",
     "shard_backend": "EngineConfig.shard.backend",
-    "compact_threshold": "EngineConfig.shard.compact_threshold",
     "num_workers": "EngineConfig.batch.num_workers",
 }
 
@@ -107,6 +105,15 @@ _REMOVED_IN_7_0 = {
 
 #: the batch executor knobs 8.0 removed with its overlapped planning
 _REMOVED_IN_8_0 = ("pipeline", "chunk_size")
+
+#: the keys 11.0 removed with the in-memory delta log -> what now
+_REMOVED_IN_11_0 = {
+    "compact_threshold": (
+        "shard.compact_threshold: the in-memory delta log is gone (a window "
+        "flush updates the replicas directly), drop the key"
+    ),
+    "follow": "persist.follow: followers are gone, drop the key",
+}
 
 
 def _removed_hint(key: str) -> str | None:
@@ -133,6 +140,8 @@ def _removed_hint(key: str) -> str | None:
             f"removed in 8.0 — batch.{key}: verification fans out evenly over the "
             "thread pool when batch.num_workers > 1, drop the key"
         )
+    if key in _REMOVED_IN_11_0:
+        return f"removed in 11.0 — {_REMOVED_IN_11_0[key]}"
     return None
 
 
@@ -233,7 +242,7 @@ class BatchConfig:
 
 @dataclass(frozen=True)
 class ShardConfig:
-    """The sharded query index (delta-replicated cache partitions).
+    """The sharded query index (cache partitions, one replica each).
 
     Every entry lives on the one shard its feature counts hash to.  The
     hot-key placement knobs of 3.x (``hot_threshold``,
@@ -247,8 +256,6 @@ class ShardConfig:
     #: shard runtime (``"auto"`` | ``"inline"``); both mean in-process
     #: replicas (process shards were removed in 6.0)
     backend: str = "auto"
-    #: compact the delta log above this many records (``None`` = never)
-    compact_threshold: int | None = 1024
     hot_threshold: InitVar[int | None] = None
     rebalance_interval: InitVar[int | None] = None
     replication_factor: InitVar[int | None] = None
@@ -261,8 +268,6 @@ class ShardConfig:
             'gone, every replica lives in the engine process; use "inline"',
         )
         _require_choice("shard", "backend", self.backend, _SHARD_BACKENDS)
-        if self.compact_threshold is not None:
-            _require_positive_int("shard", "compact_threshold", self.compact_threshold)
         passed = [
             name for name, value in zip(_HOT_KEY_FIELDS, hot_key_values) if value is not None
         ]
@@ -399,13 +404,9 @@ class PersistConfig:
     #: not power loss); ``"always"`` is a deprecated alias of ``"flush"``
     #: (a flush is one WAL record since 5.0)
     fsync: str = "flush"
-    #: write a compacted snapshot and rotate the WAL segment once this many
+    #: write a snapshot of the live cache and rotate the WAL segment once this many
     #: records have accumulated since the last snapshot
     snapshot_interval: int = 256
-    #: leader address (``"host:port"``) for follower mode: instead of
-    #: serving queries, the engine's shard state mirrors a remote leader's
-    #: delta log over the wire protocol (read-only probes)
-    follow: str | None = None
 
     def __post_init__(self) -> None:
         if self.dir is not None:
@@ -423,12 +424,6 @@ class PersistConfig:
                 stacklevel=3,
             )
         _require_positive_int("persist", "snapshot_interval", self.snapshot_interval)
-        if self.follow is not None:
-            _require(
-                isinstance(self.follow, str) and ":" in self.follow,
-                f"persist.follow={self.follow!r} is not valid; expected a "
-                "'host:port' leader address (or None)",
-            )
 
     @property
     def enabled(self) -> bool:

@@ -110,11 +110,11 @@ class ContainmentIndex:
 
         Compilation happens here — on insertion — because the entry will be
         containment-tested against every incoming query until it is evicted;
-        an entry that already carries compiled state (a warm restart or a
-        shard delta shipping the parent's payloads) keeps it.  Its row of
-        the native table is written here too; an entry restored from the
-        WAL or shipped in a shard delta re-encodes its feature codes from
-        its keys first (:meth:`GraphFeatures.feature_codes`).
+        an entry that already carries compiled state (the forms its query
+        was probed and verified with) keeps it.  Its row of the native
+        table is written here too; an entry restored from the WAL
+        re-encodes its feature codes from its keys first
+        (:meth:`GraphFeatures.feature_codes`).
         """
         codes = None
         if self._table is not None:

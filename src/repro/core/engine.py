@@ -34,12 +34,7 @@ from ..features.extractor import GraphFeatures
 from ..graphs.bitset import CandidateBitmap, GraphIdSpace
 from ..graphs.database import GraphDatabase
 from ..graphs.graph import LabeledGraph
-from ..isomorphism.compiled import (
-    CompiledQuery,
-    FlatGraph,
-    compile_query_plan,
-    compile_target,
-)
+from ..isomorphism.compiled import CompiledQuery, FlatGraph
 from ..isomorphism.cost import isomorphism_test_cost
 from ..isomorphism.verifier import Verifier
 from ..methods.base import QueryResult, SubgraphQueryMethod
@@ -56,7 +51,6 @@ from .maintenance import IndexMaintenance, MaintenanceReport, PendingQuery
 from .placement import Placement
 from .probe import mask_sums
 from .replacement import create_policy
-from .shard import DeltaLog, ShardEntry
 from .shard_runtime import ShardRuntime
 
 __all__ = ["IGQQueryResult", "QueryPlan", "IGQ"]
@@ -153,8 +147,8 @@ class IGQ:
         ``config.cache`` sizes the query cache, ``config.batch`` drives
         :meth:`run_batch`.
         ``config.shard`` partitions the query index: the two components
-        live in delta-fed shard replicas in the engine's process — one
-        replica at ``shards=1``, one per partition otherwise (see
+        live in shard replicas in the engine's process — one replica at
+        ``shards=1``, one per partition otherwise (see
         :mod:`repro.core.shard_runtime`).  ``None`` means all defaults.
     igq_verifier:
         Injection point for a pre-configured containment verifier — tests
@@ -209,23 +203,19 @@ class IGQ:
         self._plans: dict[tuple, QueryPlan] = {}
         #: completed queries whose plan was replayed
         self.plans_replayed = 0
-        #: the ordered record of every flush; the durable store, the shard
-        #: runtime and remote followers all read ``delta_log.since(cursor)``
-        self.delta_log = DeltaLog()
-        self.compact_threshold = config.shard.compact_threshold
-        self._records_folded = 0
         self.num_shards = config.shard.shards
         self.placement = Placement(self.num_shards)
         #: which components the probes consult (the replicas own the index
         #: structures)
         self.probe_isub = config.enable_isub
         self.probe_isuper = config.enable_isuper
-        #: the log readers that own the component indexes — the only place
-        #: an index changes is a replica replaying the log
+        #: the replicas that own the component indexes — the only place an
+        #: index changes is a window flush (:meth:`_flush_window`) or a warm
+        #: start
         self.shard_runtime = ShardRuntime(self)
         #: durable WAL/snapshot store (:mod:`repro.persist`), attached when
-        #: ``config.persist.dir`` is set (last: a warm restart replays into
-        #: the log, the runtime and the placement maps above)
+        #: ``config.persist.dir`` is set (last: a warm restart fills the
+        #: cache, the placement map and the replicas above)
         self.persister = None
         #: the commit future of the newest flush record not yet claimed
         #: (:meth:`take_commit`)
@@ -250,8 +240,8 @@ class IGQ:
         """The ``Isub`` index of a single-shard engine's one replica.
 
         ``None`` with more than one shard (each partition holds its own) or
-        with ``Isub`` disabled.  Read it, do not write it: the delta log is
-        the only way an index changes.
+        with ``Isub`` disabled.  Read it, do not write it: a window flush
+        is the only way an index changes.
         """
         return self.shard_runtime.shards[0].isub if self.num_shards == 1 else None
 
@@ -733,74 +723,30 @@ class IGQ:
         return self._flush_window()
 
     def _flush_window(self) -> MaintenanceReport:
-        """Apply a full query window (§5.2): one flush, one log, then readers.
+        """Apply a full query window (§5.2): one flush, one report, then
+        the journal and the replicas.
 
         :class:`IndexMaintenance` picks the victims and mutates the cache
-        (nothing else); the report it returns becomes this flush's delta
-        records; then the readers catch up in a fixed order — the durable
-        store first (the flush boundary is where it commits: crash recovery
-        always lands on a state some flush produced, and it needs the raw
-        tail, so the compaction floor never passes what was just persisted),
-        the shard replicas next (they own the component indexes), and
-        compaction last, down to the slowest replica's position.  The
-        store's commit future is kept for :meth:`take_commit`: the journal
-        writer makes the record durable while this thread goes on.
+        (nothing else); the placement gives each victim and each new entry
+        its home; the durable store journals the report as one record, and
+        the shard replicas apply it (each victim leaves its home, each new
+        entry joins its home).  The journal goes first: its writer thread
+        makes the record durable while this thread updates the replicas,
+        and the commit future is kept for :meth:`take_commit`.
         """
         report = self.maintenance.flush(self.cache)
         self._plans.clear()
         if not report.inserted:
             return report
-        log = self.delta_log
-        self._log_flush(report)
+        homes = self.placement.apply(report)
         if self.persister is not None:
-            self._commit = self.persister.record_flush(self) or self._commit
-        self._sync_readers()
-        if self.compact_threshold is not None and len(log) > self.compact_threshold:
-            self._records_folded += log.compact(self.shard_runtime.progress())
-        return report
-
-    def _log_flush(self, report: MaintenanceReport) -> None:
-        """Turn one flush report into the delta records every reader replays.
-
-        An ``evict`` per victim and an ``insert`` per new entry, each
-        addressed to the entry's home shard, then the ``flush`` marker that
-        closes the epoch.  Consumes the report's entry lists (see
-        :class:`MaintenanceReport`).
-        """
-        log, placement = self.delta_log, self.placement
-        for entry in report.evicted_entries:
-            log.append_evict(placement.evicted(entry), entry.entry_id)
-        for entry in report.inserted_entries:
-            log.append_insert(placement.inserted(entry), self._make_shard_entry(entry))
-        log.append_flush()
+            self._commit = self.persister.record_flush(self, report, homes) or self._commit
+        self.shard_runtime.sync(report, homes)
+        # the report lives on with its query's result: it must not keep
+        # evicted graphs, features and answer sets alive
         report.evicted_entries.clear()
         report.inserted_entries.clear()
-
-    def _make_shard_entry(self, entry: CacheEntry) -> ShardEntry:
-        """Build an entry's log payload, compiling each direction at most once.
-
-        Compilation happens here — in the parent, when the entry enters the
-        log — because the entry will be containment-tested against every
-        future query, by whichever replica holds it.  The compiled objects
-        are stored on the cache entry too (released on eviction), so no
-        reader ever recompiles them.
-        """
-        if self.igq_verifier.supports_compiled():
-            if self.probe_isub and entry.compiled_target is None:
-                entry.compiled_target = compile_target(entry.graph)
-            if self.probe_isuper and entry.compiled_plan is None:
-                entry.compiled_plan = compile_query_plan(entry.graph)
-        return ShardEntry(
-            entry_id=entry.entry_id,
-            graph=entry.graph,
-            features=entry.features,
-            compiled_target=entry.compiled_target,
-            compiled_plan=entry.compiled_plan,
-        )
-
-    def _sync_readers(self) -> None:
-        """Let the in-process readers of the log (the shard replicas) catch up."""
-        self.shard_runtime.sync(self.delta_log)
+        return report
 
     # ------------------------------------------------------------------
     # Batched execution
@@ -828,15 +774,13 @@ class IGQ:
     def close(self) -> None:
         """Release engine-owned execution resources (idempotent).
 
-        Order matters: the durable store (when configured) flushes and
-        fsyncs its WAL tail *first* — a close must never lose a persisted
-        flush to teardown — then the shard runtime closes.  Verification
-        pools belong to the :class:`~repro.core.batch.BatchExecutor` driving
-        the engine and shut down with it.
+        The durable store (when configured) writes every queued job and
+        flushes and fsyncs its WAL tail.  Verification pools belong to the
+        :class:`~repro.core.batch.BatchExecutor` driving the engine and shut
+        down with it.
         """
         if self.persister is not None:
             self.persister.close()
-        self.shard_runtime.close()
 
     def __enter__(self) -> "IGQ":
         return self
@@ -859,19 +803,6 @@ class IGQ:
             total += 80 + 56 * graph.num_vertices + 48 * graph.num_edges
             total += 40 + 8 * self._answer_mask(entry).bit_count()
         return total
-
-    def shard_stats(self) -> dict:
-        """Delta-log health (service layer)."""
-        log = self.delta_log
-        return {
-            "delta_log": {
-                "length": len(log),
-                "version": log.version,
-                "floor_version": log.floor_version,
-                "records_folded": self._records_folded,
-                "bytes_reclaimed": log.compact_stats()["bytes_reclaimed"],
-            },
-        }
 
     def __repr__(self) -> str:
         return (

@@ -12,10 +12,11 @@ window fills up the maintenance step
 so index updates stay batched per window and never interleave with a query.
 :meth:`IndexMaintenance.flush` is that step, and it touches the
 :class:`~repro.core.cache.QueryCache` only.  Its :class:`MaintenanceReport`
-names the victims and the new entries; the engine writes them to its
-:class:`~repro.core.shard.DeltaLog`, and the two component indexes change
-only when a replica replays those records (``remove`` per victim, ``add``
-per windowed query — one inline replica at ``shards=1``).  The paper builds
+names the victims and the new entries; the engine applies it to the
+shard replicas that hold the two component indexes (``remove`` per victim
+on its home replica, ``add`` per windowed query on its home — one inline
+replica at ``shards=1``) and the durable store journals it as one record.
+The paper builds
 a *shadow* index and swaps it in so that concurrent readers are never
 blocked; replaying the window in place costs O(``W`` x entry features), not
 O(``C``), and is equivalent to the swap because planning, completion and the
@@ -26,13 +27,13 @@ are exactly those a rebuild over the updated cache would produce.
 Compiled-state lifecycle: an entry's compiled representations
 (``CompiledTarget`` / ``CompiledQueryPlan``) are the ones its query was
 probed and verified with, carried through the window on the
-:class:`PendingQuery`; a form no stage needed is built when the engine
-writes the entry to the log.  They are kept untouched while the entry
+:class:`PendingQuery`; a form no stage needed is built onto the entry when
+it joins a replica's index.  They are kept untouched while the entry
 survives later flushes and released when it is evicted (the cache entry's
-pointers by :meth:`QueryCache.remove`, the delta log's payload copy by the
-``evict`` record) — so each query is compiled at most once per direction,
-and the number of live compiled objects stays bounded by the cache capacity
-plus one window.
+pointers by :meth:`QueryCache.remove`; a native probe row keeps its form
+alive until the replica clears the row) — so each query is compiled at
+most once per direction, and the number of live compiled objects stays
+bounded by the cache capacity plus one window.
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ class MaintenanceReport:
     cache_size_after: int = 0
     #: the victims (already removed, compiled state released) in eviction
     #: order and the windowed queries as cache entries in window order: the
-    #: engine turns them into the flush's delta-log records, so nothing
+    #: engine applies them to the replicas and the journal, so nothing
     #: downstream rediscovers what left and what arrived — and then empties
     #: both lists, because a report lives on with its query's result and
     #: must not keep evicted graphs, features and answer sets alive
@@ -132,8 +133,8 @@ class IndexMaintenance:
         Evicts exactly as many lowest-utility entries as needed to keep the
         cache within its capacity after the insertions (during warm-up, when
         the cache is not yet full, nothing is evicted).  The indexes are not
-        touched: the engine derives the flush's delta records from the
-        returned report, and the replicas replay them.
+        touched: the engine applies the returned report to the replicas
+        and the journal.
         """
         report = MaintenanceReport()
         window, self._window = self._window, []

@@ -1,8 +1,10 @@
 """Where each cached query lives: its feature-hash home shard.
 
-One :class:`Placement` per engine names the shard every delta record of a
-window flush addresses (:meth:`IGQ._log_flush
-<repro.core.engine.IGQ._log_flush>`).  Every probe asks every shard and
+One :class:`Placement` per engine names the replica each cached query
+lives on: :meth:`Placement.apply` turns a window flush into the homes the
+replicas (:meth:`ShardRuntime.sync
+<repro.core.shard_runtime.ShardRuntime.sync>`) and the journal's flush
+record both read.  Every probe asks every shard and
 merges the hits in entry-id order, so placement only has to be
 deterministic and recorded: an entry's home (:func:`home_shard`) is
 computed once, when it enters the cache, kept in :attr:`Placement.entry_shard`
@@ -14,7 +16,8 @@ from __future__ import annotations
 import hashlib
 
 from ..features.extractor import GraphFeatures
-from .cache import CacheEntry, QueryCache
+from .cache import QueryCache
+from .maintenance import MaintenanceReport
 
 __all__ = ["Placement", "home_shard"]
 
@@ -47,15 +50,16 @@ class Placement:
         #: live entry -> home shard
         self.entry_shard: dict[int, int] = {}
 
-    def inserted(self, entry: CacheEntry) -> int:
-        """Route a newly cached entry; returns its home shard."""
-        shard_id = home_shard(entry.features, self.num_shards)
-        self.entry_shard[entry.entry_id] = shard_id
-        return shard_id
-
-    def evicted(self, entry: CacheEntry) -> int:
-        """Forget an evicted entry; returns the home shard it left."""
-        return self.entry_shard.pop(entry.entry_id)
+    def apply(self, report: MaintenanceReport) -> list[int]:
+        """Apply one window flush: forget each victim and home each new
+        entry.  Returns the home of each, victims first — the order the
+        flush's journal record lists them in."""
+        entry_shard = self.entry_shard
+        homes = [entry_shard.pop(entry.entry_id) for entry in report.evicted_entries]
+        for entry in report.inserted_entries:
+            home = entry_shard[entry.entry_id] = home_shard(entry.features, self.num_shards)
+            homes.append(home)
+        return homes
 
     def persist_state(self) -> dict:
         """The assignment, as the durable ``state`` record carries it."""

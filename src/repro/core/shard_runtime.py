@@ -1,18 +1,22 @@
 """The shard runtime: where the replicas that hold an engine's indexes live.
 
-A :class:`ShardRuntime` is a reader of the engine's
-:class:`~repro.core.shard.DeltaLog` that owns one
-:class:`~repro.core.shard.QueryIndexShard` per partition, in the engine's
-process, and fans every probe out across them; the replicas catch up at the
-end of each flush.  Every engine has one.
+A :class:`ShardRuntime` owns one :class:`~repro.core.shard.QueryIndexShard`
+per partition, in the engine's process, and fans every probe out across
+them.  A window flush reaches the replicas through :meth:`ShardRuntime.sync`,
+straight from the flush's report; a warm start through
+:meth:`ShardRuntime.restore`.  Every engine has one.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 from ..features.extractor import GraphFeatures
 from ..graphs.graph import LabeledGraph
 from ..isomorphism.compiled import CompiledQuery
-from .shard import DeltaLog, QueryIndexShard
+from .cache import CacheEntry
+from .maintenance import MaintenanceReport
+from .shard import QueryIndexShard
 
 __all__ = ["ShardRuntime"]
 
@@ -21,8 +25,8 @@ class ShardRuntime:
     """Shard replicas living in the engine's process.
 
     Probes run serially and count on the engine's iGQ verifier directly;
-    replication is synchronous (replicas catch up at the end of each
-    flush).
+    the engine's :class:`~repro.core.placement.Placement` names the replica
+    each entry lives on.
     """
 
     def __init__(self, engine) -> None:
@@ -58,15 +62,22 @@ class ShardRuntime:
             super_ids += shard_super
         return sub_ids, super_ids
 
-    def sync(self, log: DeltaLog) -> None:
-        for shard in self.shards:
-            shard.catch_up(log)
+    def sync(self, report: MaintenanceReport, homes: list[int]) -> None:
+        """Apply one window flush: each victim leaves its home replica,
+        then each new entry joins its home (``homes`` as
+        :meth:`Placement.apply <repro.core.placement.Placement.apply>`
+        returned them, victims first)."""
+        shards, evicted = self.shards, report.evicted_entries
+        for entry, home in zip(evicted, homes):
+            shards[home].remove(entry.entry_id)
+        for entry, home in zip(report.inserted_entries, homes[len(evicted) :]):
+            shards[home].add(entry)
 
-    def progress(self) -> int:
-        return min(shard.applied_version for shard in self.shards)
+    def restore(self, entries: Iterable[CacheEntry], homes: dict[int, int]) -> None:
+        """Warm start: add restored entries to the homes ``homes``
+        (``entry_id -> shard``, as the journal recorded them) names."""
+        for entry in entries:
+            self.shards[homes[entry.entry_id]].add(entry)
 
     def estimated_size_bytes(self) -> int:
         return sum(shard.estimated_size_bytes() for shard in self.shards)
-
-    def close(self) -> None:
-        """Nothing to release for in-process replicas."""

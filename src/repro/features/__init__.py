@@ -6,7 +6,6 @@ from .canonical import (
     canonical_path_code,
     canonical_path_key,
     canonical_tree_code,
-    exact_graph_signature,
     tree_code_of_subtree,
 )
 from .cycles import cycle_feature_codes, cycle_feature_counts, enumerate_simple_cycles
@@ -35,7 +34,6 @@ __all__ = [
     "canonical_path_code",
     "canonical_path_key",
     "canonical_tree_code",
-    "exact_graph_signature",
     "tree_code_of_subtree",
     "cycle_feature_codes",
     "cycle_feature_counts",

@@ -28,7 +28,6 @@ __all__ = [
     "canonical_path_code",
     "canonical_cycle_code",
     "canonical_tree_code",
-    "exact_graph_signature",
     "tree_code_of_subtree",
 ]
 
@@ -97,22 +96,6 @@ def tree_code_of_subtree(graph: LabeledGraph, vertices: Sequence[Hashable]) -> s
     The induced subgraph must be a tree (checked by :func:`canonical_tree_code`).
     """
     return canonical_tree_code(graph.subgraph(vertices))
-
-
-def exact_graph_signature(graph: LabeledGraph) -> tuple:
-    """A hashable, exact (vertex-id sensitive) signature of a labeled graph.
-
-    Two graphs with the same vertex ids, labels and edges share the
-    signature — the batch feature memo's key.  ``repr`` keys keep
-    mixed-type vertex ids sortable.
-    """
-    vertices = tuple(
-        sorted(((vertex, graph.label(vertex)) for vertex in graph.vertices()), key=repr)
-    )
-    edges = tuple(
-        sorted((tuple(sorted(edge, key=repr)) for edge in graph.edges()), key=repr)
-    )
-    return vertices, edges
 
 
 def _rooted_code(tree: LabeledGraph, vertex: Hashable, parent: Hashable | None) -> str:

@@ -318,11 +318,9 @@ class LabeledGraph:
         The vertices with their labels, every vertex's neighbours and the
         edge labels, each in the order they were added.  Equal keys mean
         equal graphs; equal graphs built in a different order get different
-        keys, so this suits a memo where a miss is merely a recomputation —
-        it costs a fifth of the order-free
-        :func:`~repro.features.canonical.exact_graph_signature`, which has
-        to sort.  (Flat on purpose: a memo keeps its keys, and a tuple per
-        edge end would double their size.)
+        keys, so this suits a memo where a miss is merely a recomputation
+        and nothing has to be sorted.  (Flat on purpose: a memo keeps its
+        keys, and a tuple per edge end would double their size.)
         """
         adjacency = self._adjacency.values()
         return (

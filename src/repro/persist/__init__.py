@@ -1,25 +1,22 @@
-"""Durable cache persistence: WAL, snapshots, warm restart, followers.
+"""Durable cache persistence: WAL, snapshots, warm restart.
 
-The engine's :class:`~repro.core.shard.DeltaLog` is a replication
-WAL in all but name; this package gives it a disk-backed form so a
-restarted engine warm-starts its learned cache instead of relearning the
-workload through a cold miss storm:
+A window flush reaches disk as one journal record, built from the flush's
+report; a restarted engine warm-starts its learned cache from the journal
+instead of relearning the workload through a cold miss storm:
 
 * :mod:`repro.persist.wal` — append-only, checksummed, fsync-disciplined
-  log segments with torn-tail truncation on recovery;
-* :mod:`repro.persist.snapshot` — atomically published compacted
-  snapshots (temp + rename), pruned with their superseded segments;
+  log segments with torn-tail truncation on recovery, and the one loader
+  every journalled pickle goes through;
+* :mod:`repro.persist.snapshot` — atomically published snapshots of the
+  live cache (temp + rename), pruned with their superseded segments;
 * :mod:`repro.persist.restore` — :class:`~repro.persist.restore.CachePersister`,
   attached by the engine when ``EngineConfig.persist.dir`` is set: one
-  durable batch per window flush, snapshot at a configurable record
+  durable record per window flush, snapshot at a configurable record
   budget, recovery to the last committed flush boundary; its journal
   writer thread does the durable I/O;
 * :mod:`repro.persist.engine_state` — the engine side: attaching the
   configured persister, the flush-boundary state capture and the
-  warm-start replay;
-* :mod:`repro.persist.replicate` — :class:`~repro.persist.replicate.CacheFollower`,
-  a remote read-only replica streaming the leader's delta log over the
-  wire protocol (reset-and-replay below the compaction floor);
+  warm start;
 * :mod:`repro.persist.inspect` — the ``python -m repro.persist.inspect``
   dump tool for operators.
 
@@ -28,7 +25,6 @@ never touch the disk, mirroring the write-time-reconciliation design the
 ROADMAP's durability item calls for.
 """
 
-from .replicate import CacheFollower
 from .restore import CachePersister, attach_persistence
 
-__all__ = ["CacheFollower", "CachePersister", "attach_persistence"]
+__all__ = ["CachePersister", "attach_persistence"]

@@ -50,7 +50,7 @@ def attach_configured_persister(engine, forced: str | None) -> None:
 def persist_state(engine) -> dict:
     """The engine's small mutable state, captured at a flush boundary.
 
-    Everything the warm restart cannot rebuild from the delta records
+    Everything the warm restart cannot rebuild from the journalled entries
     themselves: the global query counter, the id allocator, the
     per-entry §5.1 replacement statistics (as the columns ``(ids, H, R,
     C)``, in cache order), the placement state, and the fingerprint of
@@ -76,7 +76,6 @@ def persist_state(engine) -> dict:
             [entry.alleviated_cost for entry in entries],
         ),
         **engine.placement.persist_state(),
-        "records_folded": engine._records_folded,
     }
 
 
@@ -91,20 +90,18 @@ def persist_answer(engine, entry) -> int | frozenset:
 
 
 def apply_persist_state(engine, entries, state: dict, source: str = "") -> None:
-    """Warm-start: restore the cache, then replay it into the fresh log.
+    """Warm-start: restore the cache, the placement and the replicas.
 
-    ``entries`` is the recovered live set — ``(shard_entry, meta)``
-    pairs in ascending id order; ``state`` is the matching
-    :func:`persist_state` capture (a format-1/2 state keys the §5.1
-    statistics by entry id instead); ``source`` names the directory
-    for errors.  A format-3 entry carries no compiled payloads: it
-    compiles as it is replayed into the log.  The recovered placement goes into the (empty) delta log as one
-    bootstrap flush — an ``insert`` per entry at its ``entry_shard``
-    home — so every reader — the replicas that hold the component
-    indexes included — ends up exactly where the persisted engine had
-    it, with freshly numbered versions consistent with the new on-disk
-    segment.  Restored answers become bitmaps when the engine attaches
-    its dataset (now, if it already has one): see :func:`adopt_answers`.
+    ``entries`` is the recovered live set — ``(entry, meta)`` pairs in
+    ascending id order; ``state`` is the matching :func:`persist_state`
+    capture (a format-1/2 state keys the §5.1 statistics by entry id
+    instead); ``source`` names the directory for errors.  Each restored
+    cache entry joins the replica its recorded ``entry_shard`` home names,
+    so the component indexes end up exactly where the persisted engine
+    had them; a format-3 entry carries no compiled payloads and compiles
+    as it joins.  Restored answers become bitmaps when the engine
+    attaches its dataset (now, if it already has one): see
+    :func:`adopt_answers`.
     """
     engine._restored_space = state.get("id_space")
     engine._restored_from = source
@@ -115,36 +112,28 @@ def apply_persist_state(engine, entries, state: dict, source: str = "") -> None:
     if isinstance(stats, tuple):  # format 3: columns
         ids, *columns = stats
         stats = dict(zip(ids, zip(*columns)))
-    for shard_entry, meta in entries:
-        hits, removed, cost = stats.get(shard_entry.entry_id, (0, 0, 0.0))
+    for entry, meta in entries:
+        hits, removed, cost = stats.get(entry.entry_id, (0, 0, 0.0))
         cache.restore_entry(
-            shard_entry.entry_id,
-            shard_entry.graph,
-            shard_entry.features,
+            entry.entry_id,
+            entry.graph,
+            entry.features,
             meta["answer"],
             meta["added_at"],
             meta["tags"],
             hits=hits,
             removed=removed,
             alleviated_cost=cost,
-            compiled_target=shard_entry.compiled_target,
-            compiled_plan=shard_entry.compiled_plan,
+            compiled_target=entry.compiled_target,
+            compiled_plan=entry.compiled_plan,
         )
     engine._answers_pending = bool(entries)
     if engine._id_space is not None:
         adopt_answers(engine)
     cache.query_counter = state.get("query_counter", 0)
     cache.reserve_ids(state.get("next_id", 0))
-    engine._records_folded = state.get("records_folded", 0)
-    placement, log = engine.placement, engine.delta_log
-    placement.restore(state, cache)
-    for entry in cache.entries():
-        log.append_insert(
-            placement.entry_shard[entry.entry_id], engine._make_shard_entry(entry)
-        )
-    if entries:
-        log.append_flush()
-        engine._sync_readers()
+    engine.placement.restore(state, cache)
+    engine.shard_runtime.restore(cache.entries(), engine.placement.entry_shard)
 
 
 def _check_answer_space(engine) -> None:

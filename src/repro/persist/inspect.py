@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 from pathlib import Path
 
-from ..core.shard import DELTA_EVICT, DELTA_INSERT
 from . import snapshot, wal
 from .restore import read_flush
 
@@ -27,8 +26,8 @@ def _describe_record(record, size: int) -> str:
     kind, payload = record
     if kind == "flush":
         records, _, state = read_flush(payload)
-        inserted = [delta.entry_id for delta in records if delta.op == DELTA_INSERT]
-        evicted = [delta.entry_id for delta in records if delta.op == DELTA_EVICT]
+        inserted = [delta.entry_id for delta in records if delta.op == "insert"]
+        evicted = [delta.entry_id for delta in records if delta.op == "evict"]
         return (
             f"flush v{records[0].version}-{records[-1].version} "
             f"inserted={inserted} evicted={evicted} bytes={size} "

@@ -2,15 +2,15 @@
 
 :class:`CachePersister` is attached by the engine when
 ``EngineConfig.persist.dir`` is set.  It turns every window flush into one
-framed WAL record, ``("flush", (spelling, deltas, entries, state))``: the
-flush's delta records as columns, the entries it inserted in their native
-form, and the engine's small mutable state — one pickle, one checksum, one
-write and (unless ``fsync="never"``) one fsync.  It periodically folds
-everything into an atomic snapshot, rotating the WAL segment at the same
-version.  The record and the snapshot are built on the engine's thread;
-writing them is the job of the persister's journal writer thread, and
-:meth:`CachePersister.record_flush` returns the commit future that
-resolves once the record is durable.
+framed WAL record, ``("flush", (spelling, changes, entries, state))``: the
+flush report's evictions and inserts as columns, the entries it inserted
+in their native form, and the engine's small mutable state — one pickle,
+one checksum, one write and (unless ``fsync="never"``) one fsync.  It
+periodically writes the live cache as an atomic snapshot, rotating the WAL
+segment at the same version.  The record and the snapshot are built on the
+engine's thread; writing them is the job of the persister's journal writer
+thread, and :meth:`CachePersister.record_flush` returns the commit future
+that resolves once the record is durable.
 
 **Format 3** (this build) journals a cache entry the way the engine holds
 it, as one pickled ``(graph, features, answer, tags, added_at)`` tuple of
@@ -31,9 +31,14 @@ those bytes:
   :class:`~repro.features.extractor.GraphFeatures`;
 * the graph as its lean state (its name, label and adjacency dicts and
   edge count; :meth:`~repro.graphs.graph.LabeledGraph.from_state`);
-* no compiled payloads: the engine compiles an entry when the restored
-  cache is replayed into its log;
+* no compiled payloads: a restored entry compiles as it joins its replica;
 * the §5.1 statistics of the state as columns ``(ids, H, R, C)``.
+
+The ``changes`` are ``(first version, epoch before, ops, shards, entry
+ids)``: one op letter per change — ``e`` per eviction, then ``i`` per
+insert, then the ``f`` that closes the flush — and each change's home
+shard and entry id.  The persister numbers changes itself: versions are
+dense, and each flush adds one epoch.
 
 Recovery inverts that: load the newest valid snapshot, replay the
 segments at or above its version, and *commit* at every ``flush`` record.
@@ -42,15 +47,10 @@ exactly that flush — the engine restarts exactly as if the queries after
 the previous flush were never submitted, which is the strongest
 prefix-consistency a window-flushed cache can offer (and what the
 fault-injection tests assert).  Older directories still restore: format 2
-journals a flush as ``("flush", (records, meta, state))`` — pickled
-:class:`~repro.core.shard.CacheDelta` records, a meta dict and a state
+journals a flush as ``("flush", (records, meta, state))`` — pickled delta
+records (:class:`~repro.persist.wal.Delta`), a meta dict and a state
 dict — and format 1 (4.x) as ``delta`` / ``meta`` records closed by a
 ``state`` record, the commit marker.
-
-The persister is a plain reader of the engine's
-:class:`~repro.core.shard.DeltaLog`: each flush it serialises
-``delta_log.since(cursor)``; a snapshot is the
-:func:`~repro.core.shard.fold_deltas` net state of the whole log.
 """
 
 from __future__ import annotations
@@ -62,24 +62,17 @@ import threading
 import weakref
 from array import array
 from concurrent.futures import Future
+from dataclasses import replace as dataclass_replace
 from functools import partial
 from pathlib import Path
 
 from ..core.config import ConfigError, PersistConfig
-from ..core.shard import (
-    BROADCAST,
-    DELTA_EVICT,
-    DELTA_FLUSH,
-    DELTA_INSERT,
-    CacheDelta,
-    ShardEntry,
-    fold_deltas,
-)
 from ..features.extractor import GraphFeatures
 from ..features.paths import decode_path_codes, label_spelling, respelling
 from ..graphs.graph import LabeledGraph
 from . import snapshot, wal
 from .engine_state import apply_persist_state, persist_answer, persist_state
+from .wal import Delta, Entry
 
 logger = logging.getLogger(__name__)
 
@@ -97,8 +90,8 @@ __all__ = [
 #: flush, format 3 that record with its entries in native form)
 FORMAT_VERSION = 3
 
-#: one character per delta record in a format-3 flush record
-_OP_LETTERS = {DELTA_INSERT: "i", DELTA_EVICT: "e", DELTA_FLUSH: "f"}
+#: a change's op by its letter in a format-3 flush record
+_OPS = {"i": "insert", "e": "evict", "f": "flush"}
 
 #: unsigned array typecode by item width
 _UNSIGNED = {array(code).itemsize: code for code in "QIHB"}
@@ -108,7 +101,7 @@ class RecoveredState:
     """What recovery found on disk: live entries plus the committed state."""
 
     def __init__(self, live: dict, meta: dict, state: dict) -> None:
-        #: ``entry_id -> CacheDelta`` net state at the last commit
+        #: ``entry_id -> Delta`` (its insert) net state at the last commit
         self.live = live
         #: ``entry_id -> {"answer", "tags", "added_at"}`` (the answer as
         #: journalled: a mask, or a format-1/2 frozenset of graph ids)
@@ -116,7 +109,7 @@ class RecoveredState:
         #: the last committed ``state`` record (flush-boundary engine state)
         self.state = state
 
-    def entries(self) -> list[tuple[ShardEntry, dict]]:
+    def entries(self) -> list[tuple[Entry, dict]]:
         """The live entries' payloads in ascending id order, with their meta."""
         return [
             (self.live[entry_id].entry, self.meta[entry_id])
@@ -178,7 +171,7 @@ def _codes_from_columns(width: int, codes: bytes) -> bytearray:
 
 
 def _read_entry(entry_id: int, form: bytes, spelling: tuple, table: bytes | None):
-    """Inverse of :func:`_entry_form`: ``(shard entry, meta)``.  ``table``
+    """Inverse of :func:`_entry_form`: ``(entry, meta)``.  ``table``
     is the record's :func:`~repro.features.paths.respelling` (``None``
     when this process's label table cannot take the record's labels: the
     features then keep tuple keys)."""
@@ -197,48 +190,57 @@ def _read_entry(entry_id: int, form: bytes, spelling: tuple, table: bytes | None
             codes.frombytes(raw.translate(table))
             features = GraphFeatures.from_codes(codes, counts)
     meta = {"answer": answer, "tags": tags, "added_at": added_at}
-    return ShardEntry(entry_id, graph, features), meta
+    return Entry(entry_id, graph, features), meta
 
 
-def _deltas_form(records: list[CacheDelta]) -> tuple:
-    """A flush's delta records as ``(first version, epoch before, ops,
-    shards, entry ids)``: the log's versions are dense and its epoch grows
-    by one at each flush marker, so only the first record's are kept; the
-    last two columns skip the flush markers."""
-    first = records[0]
-    addressed = [record for record in records if record.op != DELTA_FLUSH]
-    return (
-        first.version,
-        first.epoch - (first.op == DELTA_FLUSH),
-        "".join([_OP_LETTERS[record.op] for record in records]),
-        _narrow([record.shard for record in addressed]),
-        _narrow([record.entry_id for record in addressed]),
-    )
-
-
-def read_flush(payload: tuple) -> tuple[list[CacheDelta], dict, dict]:
-    """A ``flush`` record's payload as ``(delta records, meta of the
-    entries they insert, state)``, whichever format wrote it."""
+def read_flush(payload: tuple) -> tuple[list[Delta], dict, dict]:
+    """A ``flush`` record's payload as ``(changes, meta of the entries
+    they insert, state)``, whichever format wrote it."""
     if len(payload) == 3:  # format 2 pickled exactly that
         return payload
     spelling, (first, epoch, ops, shards, entry_ids), entries, state = payload
     table = respelling(spelling)
-    records: list[CacheDelta] = []
+    records: list[Delta] = []
     meta: dict = {}
     addressed = zip(shards, entry_ids)
     inserted = iter(entries)
     for version, letter in enumerate(ops, first):
         if letter == "f":
             epoch += 1
-            records.append(CacheDelta(version, epoch, DELTA_FLUSH, BROADCAST))
+            records.append(Delta(version, epoch, "flush", -1))
             continue
         shard, entry_id = next(addressed)
-        if letter == "e":
-            records.append(CacheDelta(version, epoch, DELTA_EVICT, shard, entry_id))
-            continue
-        entry, meta[entry_id] = _read_entry(entry_id, next(inserted), spelling, table)
-        records.append(CacheDelta(version, epoch, DELTA_INSERT, shard, entry_id, entry))
+        entry = None
+        if letter == "i":
+            entry, meta[entry_id] = _read_entry(entry_id, next(inserted), spelling, table)
+        records.append(Delta(version, epoch, _OPS[letter], shard, entry_id, entry))
     return records, meta, state
+
+
+def _fold(live: dict[int, Delta], records) -> dict[int, Delta]:
+    """Fold ``records`` (oldest first) into the net state ``entry_id ->
+    insert``: an ``insert`` becomes the entry's live record, an ``evict``
+    drops it, and ``flush`` markers fold away.  A WAL written before 4.0
+    may also hold ``replicate`` records (a hot entry's copy — live like an
+    insert, the only record of an entry that was born hot) and ``move``
+    records (a re-homing: the live record takes the move's shard and
+    payload, keeping its version); a recovered entry then lives at the
+    home the committed state names."""
+    for record in records:
+        op = record.op
+        if op == "insert" or op == "replicate":
+            live[record.entry_id] = record
+        elif op == "evict":
+            live.pop(record.entry_id, None)
+        elif op == "move":
+            moved = live.get(record.entry_id)
+            if moved is not None:
+                live[record.entry_id] = dataclass_replace(
+                    moved, shard=record.shard, entry=record.entry
+                )
+        elif op != "flush":
+            raise ValueError(f"unknown delta op {op!r}")
+    return live
 
 
 def _read_snapshot(payload: dict) -> tuple[dict, dict]:
@@ -253,12 +255,12 @@ def _read_snapshot(payload: dict) -> tuple[dict, dict]:
         table = respelling(spelling)
         for entry_id, form in zip(payload["ids"], payload["entries"]):
             entry, meta[entry_id] = _read_entry(entry_id, form, spelling, table)
-            live[entry_id] = CacheDelta(0, 0, DELTA_INSERT, 0, entry_id, entry)
+            live[entry_id] = Delta(0, 0, "insert", 0, entry_id, entry)
         return live, meta
     # formats 1 and 2: ``(kind, entry, targets)`` tuples by id (a 3.x
     # snapshot also holds hot ``replica`` tuples; they load like the rest)
     live = {
-        entry_id: CacheDelta(0, 0, DELTA_INSERT, 0, entry_id, entry)
+        entry_id: Delta(0, 0, "insert", 0, entry_id, entry)
         for entry_id, (_, entry, _) in payload.get("live", {}).items()
     }
     return live, dict(payload.get("meta", {}))
@@ -295,11 +297,11 @@ def recover_dir(path: Path) -> RecoveredState | None:
             kind, payload = record
             if kind == "flush":
                 records, fresh_meta, state = read_flush(payload)
-                fold_deltas(live, records)
+                _fold(live, records)
                 meta.update(fresh_meta)
                 committed = (dict(live), dict(meta), state)
             elif kind == "delta":
-                fold_deltas(live, (payload,))
+                _fold(live, (payload,))
             elif kind == "meta":
                 meta.update(payload)
             elif kind == "state":
@@ -407,6 +409,9 @@ def _write_journal(jobs: queue.SimpleQueue) -> None:
             commit.set_result(None)
         else:
             commit.set_exception(failure)
+        # hold nothing while waiting: the last job would keep the journal
+        # (and its open segment) alive after its persister is dropped
+        del item, job, commit
 
 
 class CachePersister:
@@ -453,15 +458,17 @@ class CachePersister:
             apply_persist_state(engine, entries, recovered.state, str(self.path))
             self.restored = bool(entries) or recovered.state.get("query_counter", 0) > 0
 
-        #: log version of the last record on disk (this reader's cursor)
-        self._last_version = engine.delta_log.version
-        # Fresh on-disk base: fold whatever we just restored (or the empty
-        # state) into a snapshot and start a clean segment at its version,
-        # so the rebuilt log's version numbering matches the disk layout.
-        # ``wipe`` drops every other artifact: the rebuilt log restarts
-        # version numbering from the live-entry count, so the previous
-        # incarnation's higher-versioned files would otherwise outrank the
-        # new snapshot at the next recovery.
+        # The journal's numbering restarts as if the live cache had been
+        # inserted by one flush: a change per entry and its flush marker.
+        live = len(engine.cache)
+        #: version of the newest change on disk and the flush generation
+        self._version = live + 1 if live else 0
+        self._epoch = 1 if live else 0
+        # Fresh on-disk base: the restored (or empty) cache as a snapshot
+        # and a clean segment at its version.  ``wipe`` drops every other
+        # artifact: the numbering restarted from the live-entry count, so
+        # the previous incarnation's higher-versioned files would otherwise
+        # outrank the new snapshot at the next recovery.
         self._checkpoint(engine, wipe=True)
 
     # ------------------------------------------------------------------
@@ -507,30 +514,33 @@ class CachePersister:
     # ------------------------------------------------------------------
     # Per-flush append path
     # ------------------------------------------------------------------
-    def record_flush(self, engine) -> Future | None:
-        """Persist one window flush as one ``flush`` record: its deltas, the
-        entries it inserted, and the engine state.
+    def record_flush(self, engine, report, homes: list[int]) -> Future | None:
+        """Persist one window flush as one ``flush`` record: the report's
+        evictions and inserts with their ``homes`` (as
+        :meth:`Placement.apply <repro.core.placement.Placement.apply>`
+        returned them), the entries it inserted, and the engine state the
+        flush left behind.
 
-        Returns the record's commit future, or ``None`` when nothing was
-        recorded.  No result computed after this flush may be
-        acknowledged before the commit resolves.  A failed write fails
-        this commit and every later one.
+        Returns the record's commit future, or ``None`` once closed.  No
+        result computed after this flush may be acknowledged before the
+        commit resolves.  A failed write fails this commit and every later
+        one.
         """
         if self._closed:
             return None
-        log = engine.delta_log
-        records = log.since(self._last_version)
-        if not records:
-            return None
+        evicted = [entry.entry_id for entry in report.evicted_entries]
+        inserted = [entry.entry_id for entry in report.inserted_entries]
         state = self._state_record(engine)
-        inserted = [record.entry_id for record in records if record.op == DELTA_INSERT]
+        ops = "e" * len(evicted) + "i" * len(inserted) + "f"
+        changes = (self._version + 1, self._epoch, ops, _narrow(homes), _narrow(evicted + inserted))
         entries = self._entry_forms(engine, inserted, state)
-        payload = (label_spelling(), _deltas_form(records), entries, state)
+        payload = (label_spelling(), changes, entries, state)
         commit = self._submit(partial(self._journal.append, payload))
-        self._last_version = log.version
-        # the record count a format-1 batch had (deltas + meta + state), so
+        self._version += len(ops)
+        self._epoch += 1
+        # the record count a format-1 batch had (changes + meta + state), so
         # the snapshot cadence is unchanged
-        self._records_since_snapshot += len(records) + 2
+        self._records_since_snapshot += len(ops) + 2
         if self._records_since_snapshot >= self.snapshot_interval:
             self._checkpoint(engine)
         return commit
@@ -553,21 +563,20 @@ class CachePersister:
     # Snapshot + segment rotation
     # ------------------------------------------------------------------
     def _checkpoint(self, engine, wipe: bool = False) -> None:
-        """Fold the log into a snapshot of its net state; rotate the WAL.
+        """Snapshot the live cache at the current version; rotate the WAL.
 
         The payload is built here and written by the journal after every
         record queued before it (inline with ``wipe``, at open).
         """
-        log = engine.delta_log
-        version = log.version
-        live = sorted(fold_deltas({}, log.since(0)))
+        version = self._version
+        live = sorted(engine.cache.entry_ids())
         state = self._state_record(engine)
         entries = self._entry_forms(engine, live, state)
         self._forms = dict(zip(live, entries))  # forget the evicted entries
         payload = {
             "format": FORMAT_VERSION,
             "version": version,
-            "epoch": log.epoch,
+            "epoch": self._epoch,
             "spelling": label_spelling(),
             "ids": _narrow(live),
             "entries": entries,
@@ -587,10 +596,8 @@ class CachePersister:
         """Write every queued job, flush (and, unless ``fsync="never"``,
         fsync) the WAL tail, and stop the journal writer.
 
-        Called by the engine *before* it closes its shard runtime, so a
-        clean close never races durability against teardown; idempotent.
-        After a failed write the tail is closed without an fsync, and the
-        failure is not raised again: the commits carry it.
+        Idempotent.  After a failed write the tail is closed without an
+        fsync, and the failure is not raised again: the commits carry it.
         """
         if self._closed:
             return
@@ -613,7 +620,7 @@ class CachePersister:
             "dir": str(self.path),
             "segments": len(segments),
             "snapshots": len(snapshots),
-            "last_version": self._last_version,
+            "last_version": self._version,
             "records_since_snapshot": self._records_since_snapshot,
             "restored": self.restored,
         }

@@ -1,9 +1,10 @@
-"""Atomic compacted snapshots of the durable query cache.
+"""Atomic snapshots of the durable query cache.
 
-A snapshot is the folded net state of the cache at one WAL version: every
-live entry (graph, features, compiled payloads, answer set, replacement
-metadata) plus the engine's small mutable state, written as a single
-checksummed record behind the same framing :mod:`repro.persist.wal` uses.
+A snapshot is the live cache at one journal version: every live entry
+(graph, features, answer set, tags) plus the engine's small mutable state,
+written as a single checksummed record behind the same framing
+:mod:`repro.persist.wal` uses, and loaded through
+:func:`~repro.persist.wal.loads`.
 
 Durability relies on the classic temp-file dance: write to a ``.tmp``
 sibling, flush + fsync it, :func:`os.replace` onto the final name, fsync
@@ -16,7 +17,6 @@ filesystem without atomic replace degrades to "use the older snapshot".
 from __future__ import annotations
 
 import os
-import pickle
 import zlib
 from pathlib import Path
 
@@ -96,7 +96,7 @@ def load_snapshot(path: Path) -> dict | None:
     if len(payload) != length or zlib.crc32(payload) != crc:
         return None
     try:
-        record = pickle.loads(payload)
+        record = wal.loads(payload)
     except Exception:  # noqa: BLE001 - a corrupt snapshot is just skipped
         return None
     return record if isinstance(record, dict) else None

@@ -1,17 +1,21 @@
 """Append-only write-ahead log segments for the durable query cache.
 
-The on-disk form of the engine's :class:`~repro.core.shard.DeltaLog`:
-each segment file starts with an 8-byte magic and carries a sequence of
+Each segment file starts with an 8-byte magic and carries a sequence of
 length-prefixed, CRC32-checksummed pickle records.  A record is a
 ``(kind, payload)`` tuple.  Formats 2 and 3 write one kind, ``"flush"``,
-once per window flush: the flush's delta records, the entries it inserted
-and the engine's small mutable state (format 3 in the engine's native
-form, format 2 as pickled :class:`~repro.core.shard.CacheDelta` records
-and dicts — see :mod:`repro.persist.restore`, which reads both).  Format
-1 wrote the same flush as one ``"delta"`` record per delta, a ``"meta"``
-record and a closing ``"state"`` record; recovery still reads those.
+once per window flush: the cache changes of the flush, the entries it
+inserted and the engine's small mutable state (format 3 in the engine's
+native form, format 2 as pickled delta records and dicts — see
+:mod:`repro.persist.restore`, which reads both).  Format 1 wrote the same
+flush as one ``"delta"`` record per change, a ``"meta"`` record and a
+closing ``"state"`` record; recovery still reads those.
 
-Segments are named by the log version they start *after*
+Every pickle this package reads — a segment's records and a snapshot —
+loads through :func:`loads`, which maps the two classes format-1/2 pickles
+name in ``repro.core.shard`` (removed in 11.0) onto :class:`Delta` and
+:class:`Entry` here.
+
+Segments are named by the journal version they start *after*
 (``wal-<version>.seg``) and rotate when a snapshot is written, so recovery
 is always "newest valid snapshot + the segments at or above its version".
 A torn tail — a record cut short by a crash mid-append, or one whose
@@ -22,6 +26,7 @@ prefix in place, restoring the append invariant for the next writer.
 
 from __future__ import annotations
 
+import io
 import logging
 import os
 import pickle
@@ -34,10 +39,13 @@ logger = logging.getLogger(__name__)
 
 __all__ = [
     "MAGIC",
+    "Delta",
+    "Entry",
     "SegmentScan",
     "WalWriter",
     "encode_record",
     "list_segments",
+    "loads",
     "prune_segments",
     "read_segment",
     "segment_name",
@@ -51,8 +59,60 @@ MAGIC = b"IGQWAL01"
 _HEADER = struct.Struct("<II")
 
 
+@dataclass
+class Entry:
+    """A journalled cache entry as a format-1/2 record pickled it (named
+    ``repro.core.shard.ShardEntry`` there) and as
+    :func:`repro.persist.restore.read_flush` returns one: the graph, its
+    features and any compiled forms the record carried."""
+
+    entry_id: int
+    graph: object
+    features: object
+    compiled_target: object | None = None
+    compiled_plan: object | None = None
+
+
+@dataclass(frozen=True)
+class Delta:
+    """One cache change of a journalled flush (named
+    ``repro.core.shard.CacheDelta`` in format-1/2 pickles).
+
+    ``version`` is the change's journal number (dense, 1-based), ``epoch``
+    the flush generation it belongs to; ``op`` is ``"insert"`` (with its
+    :class:`Entry`), ``"evict"`` or the ``"flush"`` marker that closes a
+    flush, and ``shard`` the entry's home (``-1`` on a marker).  A 3.x
+    journal may also hold ``"replicate"`` / ``"move"`` changes.
+    """
+
+    version: int
+    epoch: int
+    op: str
+    shard: int
+    entry_id: int | None = None
+    entry: Entry | None = None
+
+
+#: ``(module, name)`` a format-1/2 pickle names -> the class it loads as
+_RENAMED = {
+    ("repro.core.shard", "CacheDelta"): Delta,
+    ("repro.core.shard", "ShardEntry"): Entry,
+}
+
+
+class _Unpickler(pickle.Unpickler):
+    def find_class(self, module: str, name: str):
+        renamed = _RENAMED.get((module, name))
+        return renamed if renamed is not None else super().find_class(module, name)
+
+
+def loads(data: bytes):
+    """Unpickle one record or snapshot payload (see the module docs)."""
+    return _Unpickler(io.BytesIO(data)).load()
+
+
 def segment_name(version: int) -> str:
-    """File name of the segment holding records after log ``version``."""
+    """File name of the segment holding records after journal ``version``."""
     return f"wal-{version:016d}.seg"
 
 
@@ -192,7 +252,7 @@ def read_segment(path: Path, repair: bool = False) -> SegmentScan:
                 scan.reason = "record checksum mismatch"
                 break
             try:
-                record = pickle.loads(payload)
+                record = loads(payload)
             except Exception:  # noqa: BLE001 - any undecodable record is torn
                 scan.reason = "undecodable record payload"
                 break

@@ -157,17 +157,6 @@ class ServiceClient:
         """The server's :meth:`ServiceReport.as_dict` snapshot (+ scheduler)."""
         return self._send("stats").result()
 
-    def log_since(self, version: int = 0) -> dict:
-        """The leader's delta-log tail after ``version`` (follower feed).
-
-        Returns ``{"records": [...], "version": ..., "floor_version": ...,
-        "epoch": ...}``; a cursor below the leader's compaction floor
-        raises a :class:`~repro.service.protocol.ProtocolError` with
-        ``code="log_truncated"`` — reset and refetch from 0 (what
-        :meth:`repro.persist.replicate.CacheFollower.poll` automates).
-        """
-        return self._send("log_since", {"version": version}).result()
-
     # ------------------------------------------------------------------
     # Response reader (background thread)
     # ------------------------------------------------------------------

@@ -60,9 +60,8 @@ __all__ = [
 #: wire protocol version; bumped on any incompatible change to the schema
 PROTOCOL_VERSION = 2
 
-#: operations a request may carry — ``log_since`` streams the engine's
-#: delta-log tail to remote followers (:mod:`repro.persist.replicate`)
-OPS = ("ping", "query", "stats", "log_since")
+#: operations a request may carry
+OPS = ("ping", "query", "stats")
 
 
 class ProtocolError(ValueError):

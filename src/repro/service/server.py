@@ -208,57 +208,12 @@ class ServiceServer:
                 report = self.service.stats().as_dict()
                 report["scheduler"] = self.service.scheduler_snapshot()
                 self._respond(connection, request.request_id, report)
-            elif request.op == "log_since":
-                self._respond(
-                    connection, request.request_id, self._serve_log_since(request)
-                )
             else:
                 self._serve_query(request, connection)
         except BaseException as exc:  # noqa: BLE001 - becomes a typed payload
             connection.outbox.put_nowait(
                 protocol.encode_response(request_id, error=protocol.error_to_dict(exc))
             )
-
-    def _serve_log_since(self, request: protocol.Request) -> dict:
-        """Serve a follower's delta-log tail request (``op="log_since"``).
-
-        A cursor below the engine's delta-log compaction floor becomes a
-        typed ``log_truncated`` error, which the follower answers with
-        reset-and-replay from version 0.
-        """
-        from ..core.shard import DeltaLogTruncated
-        from ..persist import replicate
-
-        payload = request.payload
-        unknown = sorted(set(payload) - {"version"})
-        if unknown:
-            raise protocol.ProtocolError(
-                f"request.payload has unknown key(s) {unknown}; valid keys "
-                "are ['version']",
-                code="invalid_request",
-                field="request.payload",
-            )
-        version = payload.get("version", 0)
-        if isinstance(version, bool) or not isinstance(version, int) or version < 0:
-            raise protocol.ProtocolError(
-                f"request.payload.version={version!r} is not valid; expected "
-                "a non-negative integer",
-                code="invalid_request",
-                field="request.payload.version",
-            )
-        log = self.service.engine.delta_log
-        try:
-            records = log.since(version)
-        except DeltaLogTruncated as exc:
-            raise protocol.ProtocolError(
-                str(exc), code="log_truncated"
-            ) from exc
-        return {
-            "records": [replicate.delta_to_wire(record) for record in records],
-            "version": log.version,
-            "floor_version": log.floor_version,
-            "epoch": log.epoch,
-        }
 
     def _serve_query(self, request: protocol.Request, connection: _Connection) -> None:
         payload = request.payload

@@ -219,8 +219,8 @@ class ServiceReport:
     #: (kept one release for readers of the 3.x report)
     replicas_live: int = 0
     moves_applied: int = 0
-    #: delta-log health: length, version, last-compaction floor, records
-    #: folded away by compaction so far
+    #: always empty: the in-memory delta log was removed in 11.0 (kept
+    #: until the benchmark harness stops reading it)
     delta_log: dict = field(default_factory=dict)
     #: ``{"parent": ...}``: the kernel the base method's verifier runs in
     #: the service's process — ``"native"``, or ``"uncompiled"`` for an
@@ -245,7 +245,6 @@ class ServiceReport:
                 "replicas_live": self.replicas_live,
                 "moves_applied": self.moves_applied,
             },
-            "delta_log": dict(self.delta_log),
             "kernel_resolved": dict(self.kernel_resolved),
             "executor": {
                 "feature_memo_hits": self.feature_memo_hits,
@@ -697,7 +696,6 @@ class GraphQueryService:
         """A structured snapshot of cache, executor and session state."""
         engine = self.engine
         executor_stats = self._executor.stats if self._executor is not None else None
-        shard_stats = engine.shard_stats()
         with self._stats_lock:
             totals = dataclass_replace(self.totals)
             sessions = {
@@ -721,7 +719,6 @@ class GraphQueryService:
                 executor_stats.sequential_verifications if executor_stats else 0
             ),
             plans_replayed=engine.plans_replayed,
-            delta_log=shard_stats["delta_log"],
             kernel_resolved={"parent": engine.method.verifier.resolved_kernel_name()},
         )
 

@@ -16,6 +16,8 @@ Three contracts:
   7.0 removed the ``verifier`` section: the C kernel is the only kernel.
   8.0 removed ``batch.pipeline`` and ``batch.chunk_size``: verification
   fans out evenly over the thread pool when ``batch.num_workers > 1``.
+  11.0 removed ``shard.compact_threshold`` and ``persist.follow`` with the
+  in-memory delta log and its followers.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ class TestRoundTrip:
             enable_isuper=False,
             cache=CacheConfig(size=64, window=16, policy="hit_rate"),
             batch=BatchConfig(num_workers=4, memoize_features=False),
-            shard=ShardConfig(shards=4, backend="inline", compact_threshold=None),
+            shard=ShardConfig(shards=4, backend="inline"),
         )
         assert EngineConfig.from_dict(config.to_dict()) == config
 
@@ -84,9 +86,7 @@ class TestRoundTrip:
         assert shard == ShardConfig(shards=4)
         assert hash(shard) == hash(ShardConfig(shards=4))
         config = EngineConfig(shard=shard)
-        assert config.to_dict()["shard"] == {
-            "shards": 4, "backend": "auto", "compact_threshold": 1024,
-        }
+        assert config.to_dict()["shard"] == {"shards": 4, "backend": "auto"}
         restored = EngineConfig.from_dict(json.loads(json.dumps(config.to_dict())))
         assert restored == config == EngineConfig(shard=ShardConfig(shards=4))
 
@@ -309,7 +309,7 @@ class TestLegacyShims:
 # ----------------------------------------------------------------------
 class TestHotKeyRemoval:
     def test_hot_key_arguments_build_a_static_engine(self, database):
-        """Answers, H/R/C and the delta log equal a static 4-shard engine's."""
+        """Answers, H/R/C, homes and replicas equal a static 4-shard engine's."""
         spec = WorkloadSpec(
             name="zipf", graph_distribution="zipf", node_distribution="zipf",
             alpha=1.4, seed=5,
@@ -327,15 +327,18 @@ class TestHotKeyRemoval:
                     (entry.entry_id, entry.hits, entry.removed, entry.alleviated_cost.hex())
                     for entry in engine.cache.entries()
                 ]
-                records = [
-                    (record.version, record.epoch, record.op, record.shard, record.entry_id)
-                    for record in engine.delta_log.since(0)
-                ]
-            return answers, credits, records
+                homes = sorted(engine.placement.entry_shard.items())
+                replicas = [shard.entry_ids() for shard in engine.shard_runtime.shards]
+            return answers, credits, homes, replicas
 
         hot = run(hot_key_shard(backend="inline"))
         assert hot == run(ShardConfig(shards=4, backend="inline"))
-        assert {op for _, _, op, _, _ in hot[2]} == {"insert", "evict", "flush"}
+        # every live entry sits on exactly one replica, its home
+        assert sorted(
+            (entry_id, shard_id)
+            for shard_id, entry_ids in enumerate(hot[3])
+            for entry_id in entry_ids
+        ) == hot[2]
 
     def test_from_dict_names_the_removal(self):
         with pytest.raises(
@@ -343,6 +346,17 @@ class TestHotKeyRemoval:
             match=r"unknown key\(s\) \['hot_threshold'\].*removed in 4\.0 — hot_threshold",
         ):
             EngineConfig.from_dict({"shard": {"hot_threshold": 2}})
+        # 11.0 removed the delta log's compaction and its followers
+        for data, key, field in (
+            ({"shard": {"compact_threshold": 8}}, "compact_threshold", "shard.compact_threshold"),
+            ({"compact_threshold": 8}, "compact_threshold", "shard.compact_threshold"),
+            ({"persist": {"follow": "leader:7000"}}, "follow", "persist.follow"),
+        ):
+            with pytest.raises(
+                ConfigError,
+                match=rf"unknown key\(s\) \['{key}'\].*removed in 11\.0 — {field}: ",
+            ):
+                EngineConfig.from_dict(data)
 
 
 # ----------------------------------------------------------------------

@@ -333,22 +333,22 @@ class TestLifecycleRegression:
         assert plans_after - plans_before <= capacity
 
     def test_steady_state_across_1k_shard_handoffs(self):
-        """The same 1k churn routed through delta-fed shard replicas.
+        """The same 1k churn routed through shard replicas.
 
-        Every insert delta carries the compiled payloads and every evict
-        delta must release them on the replica, so the number of live
-        compiled objects stays bounded by the cache capacity no matter how
-        many entries were handed to (and taken back from) the shards.
+        Every insert hands the cache entry itself, compiled forms and all,
+        to its home replica, and every eviction releases them on the cache
+        and clears the replica's rows, so the number of live compiled
+        objects stays bounded by the cache capacity no matter how many
+        entries were handed to (and taken back from) the shards.
         """
         from repro.core.placement import home_shard
-        from repro.core.shard import DeltaLog, QueryIndexShard, ShardEntry
+        from repro.core.shard import QueryIndexShard
         from repro.isomorphism.compiled import compile_query_plan, compile_target
 
         capacity = 8
         num_shards = 3
         targets_before, plans_before = live_compiled_counts()
         cache = QueryCache()
-        log = DeltaLog()
         shards = [QueryIndexShard(shard_id) for shard_id in range(num_shards)]
         owners: dict[int, int] = {}
         rng = random.Random(41)
@@ -360,34 +360,16 @@ class TestLifecycleRegression:
             entry.compiled_plan = compile_query_plan(graph)
             shard_id = home_shard(entry.features, num_shards)
             owners[entry.entry_id] = shard_id
-            log.append_insert(
-                shard_id,
-                ShardEntry(
-                    entry_id=entry.entry_id,
-                    graph=graph,
-                    features=entry.features,
-                    compiled_target=entry.compiled_target,
-                    compiled_plan=entry.compiled_plan,
-                ),
-            )
+            shards[shard_id].add(entry)
             live.append(entry.entry_id)
             if len(live) > capacity:
                 victim = live.pop(0)
                 cache.remove(victim)
-                log.append_evict(owners.pop(victim), victim)
-            for shard in shards:
-                shard.catch_up(log)
-            if cycle % 100 == 99:
-                log.append_flush()
-                log.compact(min(shard.applied_version for shard in shards))
-        # Final sync: once every replica acknowledged the whole log, the
-        # compacted log is exactly the live entries.
-        log.append_flush()
-        for shard in shards:
-            shard.catch_up(log)
-        log.compact(min(shard.applied_version for shard in shards))
+                shards[owners.pop(victim)].remove(victim)
         assert sum(len(shard) for shard in shards) == len(cache) == capacity
-        assert len(log) <= capacity
+        assert sorted(
+            entry_id for shard in shards for entry_id in shard.entry_ids()
+        ) == sorted(cache.entry_ids())
         targets_after, plans_after = live_compiled_counts()
         assert targets_after - targets_before <= capacity
         assert plans_after - plans_before <= capacity

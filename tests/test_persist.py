@@ -15,9 +15,11 @@ The contracts:
   ``SIGKILL`` mid-stream, WAL torn at an arbitrary byte offset), recovery
   lands exactly on some window flush boundary: the state equals a fresh
   engine fed that query prefix.
-* **Follower identity** — a remote replica streaming the delta log over
-  the wire probes the same entry ids as the leader, including across a
-  compaction-floor reset.
+* **One write path** — each window flush's report reaches the replicas
+  and the journal: the flush record names exactly the report's evictions
+  and inserts with their homes, every replica holds exactly the live
+  entries homed on it, and a replica built fresh over the cache probes
+  the same entry ids.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from repro.core.config import (
     ShardConfig,
 )
 from repro.core.engine import IGQ
-from repro.core.shard import DeltaLog, QueryIndexShard, ShardEntry
+from repro.core.shard import QueryIndexShard
 from repro.datasets import load_dataset
 from repro.features import paths as paths_module
 from repro.features.extractor import FeatureExtractor
@@ -54,11 +56,10 @@ from repro.features.paths import encode_path_keys
 from repro.graphs.bitset import CandidateBitmap
 from repro.isomorphism import Verifier
 from repro.methods import create_method
-from repro.persist import CacheFollower, attach_persistence
+from repro.persist import attach_persistence
 from repro.persist import inspect as persist_inspect
-from repro.persist import replicate, restore, snapshot, wal
-from repro.service import GraphQueryService, ServiceClosed, serve
-from repro.service.protocol import ProtocolError
+from repro.persist import restore, snapshot, wal
+from repro.service import GraphQueryService, ServiceClosed
 from repro.workloads import QueryGenerator, WorkloadSpec
 
 from .conftest import make_path_graph
@@ -273,7 +274,7 @@ class TestPersistConfig:
 
     def test_round_trips_through_dict(self, tmp_path):
         config = EngineConfig(
-            persist=PersistConfig(dir=str(tmp_path), fsync="never", follow="h:1")
+            persist=PersistConfig(dir=str(tmp_path), fsync="never", snapshot_interval=64)
         )
         assert EngineConfig.from_dict(config.to_dict()) == config
 
@@ -406,16 +407,8 @@ class TestWarmRestart:
 
 
 # ----------------------------------------------------------------------
-# One write path: flush report -> delta log -> every reader
+# One write path: flush report -> replicas + one journal record
 # ----------------------------------------------------------------------
-def record_key(record):
-    """A delta record's identity, comparable across a pickle round trip."""
-    return (
-        record.version, record.epoch, record.op, record.shard, record.entry_id,
-        record.entry.graph.name if record.entry is not None else None,
-    )
-
-
 def wal_flushes(state_dir):
     """Every ``flush`` record (all of format 3), read back as
     ``(records, meta, state)``."""
@@ -425,14 +418,6 @@ def wal_flushes(state_dir):
             assert kind == "flush" and payload[-1]["format"] == 3
             flushes.append(restore.read_flush(payload))
     return flushes
-
-
-def wal_delta_keys(state_dir):
-    return [
-        record_key(record)
-        for records, _, _ in wal_flushes(state_dir)
-        for record in records
-    ]
 
 
 class TestOneWritePath:
@@ -450,44 +435,61 @@ class TestOneWritePath:
             else PersistConfig(),
         )
         engine = build_engine(database, config)
-        log = engine.delta_log
-        journaled = []
-        flushes = 0
+        placement, runtime = engine.placement, engine.shard_runtime
+        flushes = version = 0
         for query in queries[:60]:
-            cursor = log.version
-            if engine.query(query).maintenance is None:
-                assert log.version == cursor  # only a flush writes the log
+            homes_before = dict(placement.entry_shard)
+            ids_before = engine.cache.entry_ids()
+            report = engine.query(query).maintenance
+            if report is None:
+                assert placement.entry_shard == homes_before  # only a flush moves
                 continue
             flushes += 1
-            tail = log.since(cursor)
-            assert tail[-1].op == "flush" and tail[-1].epoch == flushes
+            evicted = report.evicted_entry_ids
+            inserted = [i for i in engine.cache.entry_ids() if i not in ids_before]
+            assert len(inserted) == report.inserted
+            homes = placement.entry_shard
+            assert sorted(homes) == sorted(engine.cache.entry_ids())
+            # every replica holds exactly the live entries homed on it
+            for shard in runtime.shards:
+                assert shard.entry_ids() == sorted(
+                    entry_id for entry_id, home in homes.items() if home == shard.shard_id
+                )
             if persisted:
-                # one record per flush: its deltas, its inserts' meta, and
-                # the state this flush left behind
+                # one record per flush: the report's evictions and inserts
+                # with their homes, the inserts' meta, and the state this
+                # flush left behind
                 written = wal_flushes(tmp_path / "state")
                 assert len(written) == flushes
                 records, fresh_meta, state = written[-1]
-                assert [record_key(r) for r in records] == [record_key(r) for r in tail]
-                assert sorted(fresh_meta) == [r.entry_id for r in tail if r.op == "insert"]
+                assert [(r.op, r.entry_id, r.shard) for r in records] == (
+                    [("evict", entry_id, homes_before[entry_id]) for entry_id in evicted]
+                    + [("insert", entry_id, homes[entry_id]) for entry_id in inserted]
+                    + [("flush", None, -1)]
+                )
+                assert [r.version for r in records] == list(
+                    range(version + 1, version + 1 + len(records))
+                )
+                assert records[-1].epoch == flushes
+                version = records[-1].version
+                assert sorted(fresh_meta) == inserted
                 assert state["query_counter"] == engine.cache.query_counter
-                assert state["entry_shard"] == engine.placement.entry_shard
-                on_disk = wal_delta_keys(tmp_path / "state")
-                assert on_disk[len(journaled):] == [record_key(r) for r in tail]
-                journaled = on_disk
+                assert state["entry_shard"] == homes
         assert flushes == 60 // WINDOW
 
-        # A fresh single-shard reader of the whole log is the whole cache.
-        extractor = FeatureExtractor(max_path_length=3)
+        # A fresh single replica over the whole cache probes what the
+        # engine's replicas probe.
         reader = QueryIndexShard(0, verifier=Verifier())
-        for record in log.since(0):
-            reader.apply(replicate.delta_from_wire(replicate.delta_to_wire(record), extractor))
+        for entry in engine.cache.entries():
+            reader.add(entry)
         assert reader.entry_ids() == sorted(engine.cache.entry_ids())
         for query in queries[60:80]:
-            features = extractor.extract(query)
+            features, _ = engine.prepare(query)
+            sub_ids, super_ids = runtime.probe(query, features, True, True)
             assert (
                 reader.find_supergraph_ids(query, features),
                 reader.find_subgraph_ids(query, features),
-            ) == replicate.leader_probe_ids(engine, query, features)
+            ) == (sorted(sub_ids), sorted(super_ids))
         engine.close()
 
 
@@ -679,7 +681,6 @@ class TestParentWrittenDirectories:
         engine = build_engine(database, config)
         assert engine.persister.restored
         assert cache_fingerprint(engine) == fixture["fingerprint"]
-        assert len(engine.delta_log) == len(engine.cache) + 1  # one bootstrap flush
         # Every recovered entry sits in exactly one home partition, the one
         # the recovered state names (the sharded writer's replicated entry
         # included).
@@ -1126,16 +1127,14 @@ class TestRecoverDir:
 
     def test_uncommitted_tail_is_ignored(self, tmp_path):
         """Delta records after the last ``state`` marker do not apply."""
-        log = DeltaLog()
         graph = make_path_graph("AB", name="g1")
         features = FeatureExtractor().extract(graph)
-        entry = ShardEntry(entry_id=1, graph=graph, features=features)
-        committed = log.append_insert(0, entry)
+        committed = wal.Delta(1, 0, "insert", 0, 1, wal.Entry(1, graph, features))
         writer = wal.WalWriter(tmp_path / wal.segment_name(0))
         writer.append(("delta", committed))
         writer.append(("meta", {1: {"answer": [], "tags": (), "added_at": 1}}))
         writer.append(("state", {"format": 1, "query_counter": 10}))
-        orphan = log.append_insert(0, ShardEntry(entry_id=2, graph=graph, features=features))
+        orphan = wal.Delta(2, 0, "insert", 0, 2, wal.Entry(2, graph, features))
         writer.append(("delta", orphan))  # no closing state marker
         writer.sync()
         writer.close()
@@ -1146,16 +1145,15 @@ class TestRecoverDir:
 
     def test_segments_after_an_unclean_one_are_discarded_loudly(self, tmp_path, caplog):
         """A torn record invalidates every later segment — and says so."""
-        log = DeltaLog()
         graph = make_path_graph("AB", name="g1")
         features = FeatureExtractor().extract(graph)
         first = wal.WalWriter(tmp_path / wal.segment_name(0))
-        first.append(("delta", log.append_insert(0, ShardEntry(1, graph, features))))
+        first.append(("delta", wal.Delta(1, 0, "insert", 0, 1, wal.Entry(1, graph, features))))
         first.append(("meta", {1: {"answer": [], "tags": (), "added_at": 1}}))
         first.append(("state", {"format": 1, "query_counter": 10}))
         first.close()
         later = wal.WalWriter(tmp_path / wal.segment_name(7))
-        later.append(("delta", log.append_evict(0, 1)))
+        later.append(("delta", wal.Delta(2, 0, "evict", 0, 1)))
         later.append(("state", {"format": 1, "query_counter": 20}))
         later.close()
         torn = tmp_path / wal.segment_name(0)
@@ -1173,16 +1171,15 @@ class TestRecoverDir:
         assert wal.segment_name(7) in messages[0] and "torn record header" in messages[0]
 
     def test_a_format_2_flush_commits_as_one_record(self, tmp_path):
-        log = DeltaLog()
         graph = make_path_graph("AB", name="g1")
         features = FeatureExtractor().extract(graph)
         meta = {1: {"answer": [], "tags": (), "added_at": 1}}
-        insert = log.append_insert(2, ShardEntry(1, graph, features))
+        insert = wal.Delta(1, 0, "insert", 2, 1, wal.Entry(1, graph, features))
         writer = wal.WalWriter(tmp_path / wal.segment_name(0))
-        first = ([insert, log.append_flush()], meta, {"format": 2, "query_counter": 10})
+        first = ([insert, wal.Delta(2, 1, "flush", -1)], meta, {"format": 2, "query_counter": 10})
         writer.append(("flush", first))
-        evict = log.append_evict(2, 1)
-        second = ([evict, log.append_flush()], {}, {"format": 2, "query_counter": 20})
+        evict = wal.Delta(3, 1, "evict", 2, 1)
+        second = ([evict, wal.Delta(4, 2, "flush", -1)], {}, {"format": 2, "query_counter": 20})
         writer.append(("flush", second))
         writer.close()
         whole = tmp_path / wal.segment_name(0)
@@ -1215,8 +1212,7 @@ class TestRecoverDir:
         assert wal.segment_name(0) in str(excinfo.value)
 
     def test_unknown_op_in_wal_replay_is_a_typed_error(self, tmp_path):
-        record = DeltaLog().append_flush()
-        object.__setattr__(record, "op", "melt")
+        record = wal.Delta(1, 1, "melt", -1)
         writer = wal.WalWriter(tmp_path / wal.segment_name(0))
         writer.append(("delta", record))
         writer.close()
@@ -1225,130 +1221,61 @@ class TestRecoverDir:
 
 
 # ----------------------------------------------------------------------
-# Compaction accounting (ServiceReport surface)
+# The 3.x hot-key changes a format-1/2 journal may hold
 # ----------------------------------------------------------------------
-class TestCompactStats:
-    def test_delta_log_accumulates(self):
-        log = DeltaLog()
-        graph = make_path_graph("ABC")
-        features = FeatureExtractor().extract(graph)
-        for entry_id in range(4):
-            log.append_insert(0, ShardEntry(entry_id=entry_id, graph=graph, features=features))
-        for entry_id in range(4):
-            log.append_evict(0, entry_id)
-        log.append_flush()
-        folded = log.compact(log.version)
-        stats = log.compact_stats()
-        assert stats["records_folded"] == folded > 0
-        assert stats["bytes_reclaimed"] > 0
-        assert stats["floor_version"] == log.version
-        # Totals accumulate across compactions instead of resetting.
-        log.append_flush()
-        log.compact(log.version)
-        assert log.compact_stats()["records_folded"] >= stats["records_folded"]
-
-    def test_service_report_surfaces_reclaimed_bytes(self, database, queries):
-        config = EngineConfig(
-            cache=CACHE,
-            shard=ShardConfig(shards=3, backend="inline", compact_threshold=4),
-        )
-        service = GraphQueryService(
-            create_method("ggsx", max_path_length=3), config, database=database
-        )
-        with service:
-            for query in queries[:60]:
-                service.query(query)
-            report = service.stats().as_dict()
-        delta_log = report["delta_log"]
-        assert delta_log["records_folded"] > 0
-        assert delta_log["bytes_reclaimed"] > 0
-        assert delta_log["floor_version"] > 0
+def legacy_entry(entry_id: int) -> wal.Entry:
+    graph = make_path_graph("AB", name=f"g{entry_id}")
+    return wal.Entry(entry_id, graph, FeatureExtractor(max_path_length=3).extract(graph))
 
 
-# ----------------------------------------------------------------------
-# Remote followers
-# ----------------------------------------------------------------------
-def follower_matches_leader(service, follower, probes):
-    engine = service.engine
-    assert follower.entry_ids() == sorted(engine.cache.entry_ids())
-    for query in probes:
-        features = engine.method.extract_query_features(query)
-        assert follower.probe(query, features) == replicate.leader_probe_ids(
-            engine, query, features
-        )
+def legacy_change(version: int, op: str, shard: int, entry: wal.Entry) -> wal.Delta:
+    """A ``replicate`` / ``move`` change as a pre-4.0 WAL holds it."""
+    return wal.Delta(version, 0, op, shard, entry.entry_id, entry)
 
 
-class TestFollower:
-    @pytest.mark.parametrize("sharded", [False, True], ids=["single", "sharded"])
-    def test_probe_ids_match_leader(self, database, queries, sharded):
-        """Every leader has a log to follow, persisted or not."""
-        kwargs = {"cache": CACHE}
-        if sharded:
-            kwargs["shard"] = SHARDED
-        service = GraphQueryService(
-            create_method("ggsx", max_path_length=3), EngineConfig(**kwargs),
-            database=database,
-        )
-        with service, serve(service) as server:
-            with CacheFollower(server.host, server.port) as follower:
-                for index, query in enumerate(queries[:60]):
-                    service.query(query)
-                    if index % 20 == 19:
-                        follower.poll()
-                follower.poll()
-                follower_matches_leader(service, follower, queries[60:80])
-                assert follower.resets == 0
+class TestLegacyFold:
+    """Nothing writes ``replicate`` / ``move`` any more, but the fold WAL
+    replay runs must still read them."""
 
-    def test_truncated_follower_resets_and_replays(self, database, queries, caplog):
-        service = GraphQueryService(
-            create_method("ggsx", max_path_length=3),
-            EngineConfig(
-                cache=CACHE,
-                shard=ShardConfig(shards=3, backend="inline", compact_threshold=4),
-            ),
-            database=database,
-        )
-        with service, serve(service) as server:
-            with CacheFollower(server.host, server.port) as follower:
-                for query in queries[:WINDOW]:
-                    service.query(query)
-                follower.poll()
-                for query in queries[WINDOW:60]:
-                    service.query(query)
-                # The aggressive compaction budget pushed the floor far
-                # past this follower's cursor while it slept.
-                assert service.engine.delta_log.floor_version > follower.version > 0
-                stale = follower.version
-                with caplog.at_level(logging.WARNING, logger="repro.persist"):
-                    follower.poll()
-                assert follower.resets == 1
-                (record,) = [
-                    r for r in caplog.records if r.name == "repro.persist.replicate"
-                ]
-                assert f"version {stale}" in record.getMessage()
-                assert "resetting" in record.getMessage()
-                follower_matches_leader(service, follower, queries[60:80])
+    def inserts(self):
+        return [
+            wal.Delta(1, 0, "insert", 0, 1, legacy_entry(1)),
+            wal.Delta(2, 0, "insert", 1, 2, legacy_entry(2)),
+        ]
 
-    def test_from_config_needs_follow_address(self):
-        with pytest.raises(ConfigError, match="persist.follow"):
-            CacheFollower.from_config(EngineConfig())
+    def test_move_rewrites_the_live_insert(self):
+        moved = legacy_entry(2)
+        records = self.inserts() + [wal.Delta(3, 1, "flush", -1)]
+        live = restore._fold({}, records + [legacy_change(4, "move", 0, moved)])
+        # The live insert takes the move's shard and payload but keeps its
+        # version, so the replay order is stable.
+        rewritten = live[2]
+        assert (rewritten.op, rewritten.shard, rewritten.version) == ("insert", 0, 2)
+        assert rewritten.entry is moved
+        assert sorted(live) == [1, 2]
 
-    @pytest.mark.parametrize("op", ["replicate", "move"])
-    def test_retired_hot_key_ops_are_invalid_records(self, op):
-        """A pre-4.0 leader's hot-key records are not part of the wire any more."""
-        data = {"version": 3, "epoch": 1, "op": op, "shard": 1, "entry_id": 7}
-        with pytest.raises(ProtocolError, match=r"op='(replicate|move)'") as excinfo:
-            replicate.delta_from_wire(data, FeatureExtractor())
-        assert excinfo.value.code == "invalid_record"
+    def test_replicate_supersedes_insert(self):
+        records = self.inserts() + [
+            legacy_change(3, "replicate", -1, legacy_entry(1)),
+            wal.Delta(4, 1, "flush", -1),
+        ]
+        live = restore._fold({}, records)
+        assert [(r.op, r.entry_id) for r in sorted(live.values(), key=lambda r: r.version)] == [
+            ("insert", 2),
+            ("replicate", 1),
+        ]
 
-    def test_bad_wire_records_are_typed_errors(self):
-        extractor = FeatureExtractor()
-        with pytest.raises(ProtocolError):
-            replicate.delta_from_wire("not-a-dict", extractor)
-        with pytest.raises(ProtocolError):
-            replicate.delta_from_wire({"op": "insert", "version": 0}, extractor)
-        with pytest.raises(ProtocolError):
-            replicate.delta_from_wire({"op": "melt", "version": 1}, extractor)
+    def test_standalone_replicate_stays_live(self):
+        # A born-hot entry's only record was its replicate: it stays live.
+        record = legacy_change(1, "replicate", -1, legacy_entry(7))
+        assert restore._fold({}, [record]) == {7: record}
+
+    def test_evict_drops_a_replicated_entry(self):
+        records = self.inserts()[:1] + [
+            legacy_change(2, "replicate", -1, legacy_entry(1)),
+            wal.Delta(3, 0, "evict", -1, 1),
+        ]
+        assert restore._fold({}, records) == {}
 
 
 # ----------------------------------------------------------------------

@@ -216,6 +216,7 @@ class TestEnvelopes:
             ({"id": True}, "request.id"),
             ({"tenant": ""}, "request.tenant"),
             ({"payload": []}, "request.payload"),
+            ({"op": "log_since"}, "request.op"),
         ],
     )
     def test_malformed_request_names_offending_field(self, mutation, field):
