@@ -288,11 +288,10 @@ class BatchExecutor:
     ) -> IGQQueryResult:
         engine = self.engine
         plan = engine.plan_query(query, supergraph=supergraph, features=features, flat=flat)
-        candidate_ids = list(plan.remaining)
         start = time.perf_counter()
-        if self._use_pool(candidate_ids):
+        if self._use_pool(plan.remaining_mask.bit_count()):
             verified = self._verify_parallel(
-                query, candidate_ids, supergraph, features, plan.compiled
+                query, list(plan.remaining), supergraph, features, plan.compiled
             )
         else:
             self.stats.sequential_verifications += 1
@@ -311,11 +310,10 @@ class BatchExecutor:
         else:
             candidates = method.filter_candidates(query, features=features)
         filter_seconds = time.perf_counter() - start
-        candidate_ids = list(candidates)
         start = time.perf_counter()
-        if self._use_pool(candidate_ids):
+        if self._use_pool(len(candidates)):
             answers = self._verify_parallel(
-                query, candidate_ids, supergraph, features, CompiledQuery(query, flat)
+                query, list(candidates), supergraph, features, CompiledQuery(query, flat)
             )
         elif supergraph:
             self.stats.sequential_verifications += 1
@@ -334,8 +332,8 @@ class BatchExecutor:
         )
 
     # ------------------------------------------------------------------
-    def _use_pool(self, candidate_ids: list) -> bool:
-        return self.num_workers > 1 and len(candidate_ids) >= _MIN_PARALLEL_CANDIDATES
+    def _use_pool(self, num_candidates: int) -> bool:
+        return self.num_workers > 1 and num_candidates >= _MIN_PARALLEL_CANDIDATES
 
     def _verify_parallel(
         self,

@@ -1,4 +1,4 @@
-"""ctypes binding of the kernel's cache-side probe (``_ckernel.c``, ABI 7).
+"""ctypes binding of the kernel's cache-side probe (``_ckernel.c``, ABI 8).
 
 :class:`ProbeTable` is the slot-aligned native table behind a
 :class:`~repro.core.containment.ContainmentIndex`: per live slot the cached

@@ -17,9 +17,13 @@
  *      look-ahead / region predicates evaluated against the identical
  *      `used` state;
  *   3. with `by_component`, Grapes' component-restricted verification:
- *      region -> connected components -> (-size, rank) order -> size and
- *      edge-count pre-checks -> one counted test per surviving component ->
- *      stop at the first match (the oracle's `match_by_component`).
+ *      the pair's region is the target's vertices that carry a label of
+ *      the pattern (the OR of the target's `label_members` rows over the
+ *      plan's `sig_labels`; Grapes' location union, see `region_mask` in
+ *      src/repro/methods/grapes.py) -> connected components -> (-size,
+ *      rank) order -> size and edge-count pre-checks -> one counted test
+ *      per surviving component -> stop at the first match (the oracle's
+ *      `match_by_component`).
  *
  * Flags and per-pair test counts are therefore byte-identical to the
  * oracle's on every input, which is what the repository's accounting
@@ -51,13 +55,15 @@
  * do not pack into codes; `mask_sums` in tests/kernel_oracle.py) are the
  * oracles of tests/test_native_probe.py.
  *
- * Data layout, ABI 7 (ABI 6's layout; 7 dropped `ck_probe_filter`'s
- * `universe` argument).  A `ck_target` / `ck_plan` is built once per graph
- * and role by `ck_compile_target` / `ck_compile_plan` (new in ABI 5) from
- * the graph's CSR — vertex positions in `graph.vertices()` order, neighbours
- * in `neighbors()` order, per vertex its interned label id and its rank in
- * the repr order of the vertex ids; `FlatGraph` in compiled.py — as one
- * malloc'd block that Python owns and releases with `ck_free`.
+ * Data layout, ABI 8 (ABI 6's layout; 7 dropped `ck_probe_filter`'s
+ * `universe` argument, 8 made `ck_verify_many`'s `by_component` mode
+ * compute its regions instead of reading them).  A `ck_target` /
+ * `ck_plan` is built once per graph and role by `ck_compile_target` /
+ * `ck_compile_plan` (new in ABI 5) from the graph's CSR — vertex positions
+ * in `graph.vertices()` order, neighbours in `neighbors()` order, per
+ * vertex its interned label id and its rank in the repr order of the
+ * vertex ids; `FlatGraph` in compiled.py — as one malloc'd block that
+ * Python owns and releases with `ck_free`.
  * `marshal_target` / `marshal_plan` in tests/kernel_oracle.py build the same
  * structs from the bigint state: the oracle the two entry points are tested
  * against.
@@ -88,7 +94,10 @@
  *   - step_labels:    the plan's per-step interned label id (the plan owns
  *                     them: nothing is marshalled per pair);
  *   - regions:        optional vertex masks, one row of the pair's target
- *                     width per pair, back to back (NULL = unmasked).
+ *                     width per pair, back to back (NULL = unmasked); each
+ *                     restricts the pair's one test.  `by_component` takes
+ *                     none: it builds each pair's region in a per-call
+ *                     buffer sized to the widest target.
  *
  * Bits at positions >= n in the last word are never set by any of the
  * above, so word-wise AND chains never need a trailing-word trim.
@@ -146,7 +155,7 @@
 /* The ABI version is checked by the loader after dlopen so a stale build
  * of an older layout can never be driven with new-layout pointers.  Bump
  * it whenever a struct or signature below changes. */
-#define CK_ABI_VERSION 7
+#define CK_ABI_VERSION 8
 
 #if defined(_WIN32)
 #define CK_EXPORT __declspec(dllexport)
@@ -559,16 +568,34 @@ ck_match_by_component(const ck_target *t, const ck_plan *p,
     return 0;
 }
 
+/* Grapes' region of one pair: the target's vertices whose label occurs in
+ * the pattern, the OR of their `label_members` rows (a pattern label the
+ * target lacks adds nothing).  Writes t->num_words words to `region`. */
+static void
+ck_label_region(const ck_target *t, const ck_plan *p, uint64_t *region)
+{
+    const int64_t W = t->num_words;
+    memset(region, 0, (size_t)W * sizeof(uint64_t));
+    for (int64_t j = 0; j < p->num_sig_labels; ++j) {
+        const int64_t row = ck_local_label(t, p->sig_labels[j]);
+        if (row < 0)
+            continue;
+        const uint64_t *members = t->label_members + row * W;
+        for (int64_t w = 0; w < W; ++w)
+            region[w] |= members[w];
+    }
+}
+
 /* Verify n = max(num_targets, num_plans) pairs in order; a side given as a
  * single element is shared by every pair (one plan against many targets
  * for subgraph verification and Isub, many plans against one target for
  * supergraph verification and Isuper).  `regions` (optional) holds pair
- * i's vertex mask as the next targets[i]->num_words words; with
- * `by_component` each region is decomposed and tested component by
- * component, otherwise it restricts one test.  Writes per pair the match
- * flag and the number of counted tests; returns 0, or -1 on allocation
- * failure (the Python wrapper raises MemoryError and never reads the
- * outputs). */
+ * i's vertex mask as the next targets[i]->num_words words and restricts
+ * the pair's one test.  With `by_component` (`regions` must be NULL) each
+ * pair's region is its label region (`ck_label_region`), decomposed and
+ * tested component by component.  Writes per pair the match flag and the
+ * number of counted tests; returns 0, or -1 on allocation failure (the
+ * Python wrapper raises MemoryError and never reads the outputs). */
 CK_EXPORT int64_t
 ck_verify_many(const ck_target *const *targets, int64_t num_targets,
                const ck_plan *const *plans, int64_t num_plans,
@@ -577,6 +604,18 @@ ck_verify_many(const ck_target *const *targets, int64_t num_targets,
 {
     const int64_t n = num_targets > num_plans ? num_targets : num_plans;
     ck_scratch scratch = {NULL, 0};
+    uint64_t *label_region = NULL;
+    if (by_component && n > 0) {
+        /* one buffer for the call, as wide as the widest target; not part
+         * of `scratch`, which ck_reserve may move while a region is read */
+        int64_t widest = 0;
+        for (int64_t k = 0; k < num_targets; ++k)
+            if (targets[k]->num_words > widest)
+                widest = targets[k]->num_words;
+        label_region = (uint64_t *)malloc((size_t)widest * sizeof(uint64_t));
+        if (label_region == NULL)
+            return -1;
+    }
     int64_t status = 0;
     for (int64_t i = 0; i < n; ++i) {
         const ck_target *t = targets[num_targets == 1 ? 0 : i];
@@ -584,11 +623,13 @@ ck_verify_many(const ck_target *const *targets, int64_t num_targets,
         const int prerejected = ck_prereject(t, p);
         int64_t matched;
         int64_t tests = 1;
-        if (regions != NULL && by_component)
-            matched = ck_match_by_component(t, p, regions, prerejected,
+        if (by_component) {
+            ck_label_region(t, p, label_region);
+            matched = ck_match_by_component(t, p, label_region, prerejected,
                                             &scratch, &tests);
-        else
+        } else {
             matched = ck_match_one(t, p, regions, prerejected);
+        }
         if (matched < 0) {
             status = -1;
             break;
@@ -598,6 +639,7 @@ ck_verify_many(const ck_target *const *targets, int64_t num_targets,
         if (regions != NULL)
             regions += t->num_words;
     }
+    free(label_region);
     free(scratch.words);
     return status;
 }

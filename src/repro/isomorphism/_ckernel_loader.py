@@ -44,7 +44,7 @@ __all__ = [
 ]
 
 #: must match CK_ABI_VERSION in _ckernel.c; the loader refuses mismatches
-ABI_VERSION = 7
+ABI_VERSION = 8
 
 _SOURCE = Path(__file__).with_name("_ckernel.c")
 

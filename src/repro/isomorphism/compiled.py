@@ -43,12 +43,18 @@ case.
 over the target's vertex positions) restricting candidate generation to the
 masked vertices.  A masked run answers "does the pattern embed with its image
 entirely inside the mask?", which for a vertex-induced region is exactly the
-question of matching against the materialised region subgraph.  With
-``by_component`` the region is decomposed first — Grapes'
-component-restricted verification: connected components in decreasing size
-(ties by the smallest vertex ``repr``), size and edge-count pre-checks, one
-counted test per surviving component, stop at the first match — all against
-the *whole-graph* compiled target, no subgraph is materialised.
+question of matching against the materialised region subgraph.
+
+**Component-by-component matching** — with ``by_component`` the kernel
+builds each pair's region itself: the target's vertices that carry a label of
+the pattern (the OR of the target's label-member rows over the plan's
+labels), which is Grapes' region (see
+:meth:`~repro.methods.grapes.GrapesMethod.region_mask`).  It then decomposes
+it — Grapes' component-restricted verification: connected components in
+decreasing size (ties by the smallest vertex ``repr``), size and edge-count
+pre-checks, one counted test per surviving component, stop at the first
+match — all against the *whole-graph* compiled target; no region is
+marshalled and no subgraph is materialised.
 
 :func:`signature_prereject` is the graph-based early-fail check (vertex/edge
 counts, label-histogram dominance, per-label degree-signature dominance) the
@@ -449,16 +455,19 @@ def match_pairs(
     pair) restricts pair ``i``'s embedding to the masked target vertices —
     equivalently, to the vertex-induced subgraph the mask denotes; the
     whole-graph signature pre-reject stays sound (the region's invariants
-    are dominated by the full target's).  With ``by_component`` the region
-    is decomposed and tested component by component (see the module
-    docstring), which may count zero or several tests for the pair;
-    otherwise every pair counts exactly one.
+    are dominated by the full target's).  Every such pair counts exactly
+    one test.  ``by_component`` takes no ``regions``: the kernel tests each
+    pair component by component inside the target's vertices that carry a
+    pattern label (see the module docstring), which may count zero or
+    several tests for the pair.
 
     One ``ck_verify_many`` call: both sides are compiled once per object
     (:meth:`CompiledTarget.native` / :meth:`CompiledQueryPlan.native`); per
-    call only the two pointer arrays, the region rows and the output
-    buffers are built.
+    call only the two pointer arrays, the region rows (when given) and the
+    output buffers are built.
     """
+    if by_component and regions is not None:
+        raise ValueError("by_component computes its own regions; pass no regions")
     count = len(candidates)
     if not count:
         return [], []

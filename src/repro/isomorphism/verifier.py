@@ -170,7 +170,9 @@ class Verifier:
         or the query's target against each candidate
         :class:`CompiledQueryPlan` (supergraph verification, ``Isuper``) —
         obtained from :meth:`compile_pattern` / :meth:`compile_target` or
-        the database caches.  ``regions`` / ``by_component`` are passed to
+        the database caches.  ``regions`` (one restricted test per pair)
+        or ``by_component`` (Grapes' label-region decomposition, no
+        ``regions``) are passed to
         :func:`~repro.isomorphism.compiled.match_pairs`.  Returns the match
         flag per candidate and folds the batch into the statistics once:
         one test per pair — a region-restricted run is still one counted

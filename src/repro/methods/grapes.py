@@ -9,8 +9,9 @@ host an embedding; the subgraph isomorphism test is then run against those
 regions instead of the full graph.  The original system additionally
 parallelises index construction and verification over several threads; the
 ``num_workers`` parameter mirrors that configuration knob (Grapes(1) vs
-Grapes(6) in the paper) — in this pure-Python reproduction it only controls
-the deterministic partitioning of the work, not true parallel execution.
+Grapes(6) in the paper) only in the method's name (``grapes6``): it runs
+nothing in parallel.  Verification threads are the batch executor's
+``batch.num_workers``.
 """
 
 from __future__ import annotations
@@ -83,6 +84,19 @@ class GrapesMethod(SubgraphQueryMethod):
         query vertex belongs to some query path feature, and the image of
         that path is an occurrence of the same feature in the dataset graph,
         whose vertices were recorded in the location table.
+
+        The region is exactly the graph's vertices whose label occurs in the
+        query: (⊇) every label ``L`` of the query is a single-vertex feature
+        of both extractor kinds, whose locations in the graph are all of its
+        ``L`` vertices; (⊆) every vertex of an occurrence of a query feature
+        carries one of that feature's labels, all of which are query labels.
+        The compiled path therefore never reads the location table: the
+        kernel ORs the target's label rows instead
+        (:meth:`~repro.isomorphism.verifier.Verifier.verify_pairs` with
+        ``by_component``); this dict-path union is its independent oracle.
+        Precondition: two labels are equal exactly when their ``str()`` is —
+        features key on ``str(label)`` while the kernel interns label
+        values.  Every shipped dataset meets it.
         """
         located = self._graph_features[graph_id].locations.get
         region = 0
@@ -111,21 +125,23 @@ class GrapesMethod(SubgraphQueryMethod):
 
         On the compiled path the query plan is compiled once and all
         candidates go through one :meth:`Verifier.verify_pairs` call: each
-        candidate's database-cached whole-graph :class:`CompiledTarget`
-        with its region mask, decomposed and tested component by component
-        inside the kernel — no region subgraph is ever materialised.
+        candidate's database-cached whole-graph :class:`CompiledTarget`,
+        whose region — its vertices carrying a query label, equal to
+        :meth:`region_mask` — the kernel builds from its label rows,
+        decomposes and tests component by component; no region is
+        marshalled and no region subgraph is ever materialised.
         Component order, the size/edge pre-checks and the
         one-test-per-component accounting replicate the dict-based path
         below exactly (``Verifier(compiled=False)`` selects it; it is the
         oracle the compiled path is tested against).
         """
         self._require_index()
-        if features is None:
-            features = self.extract_query_features(query)
         query_connected = is_connected(query)
         plan = self.verifier.compile_pattern(query, compiled)
         if plan is not None:
-            return self._verify_compiled(list(candidate_ids), features, query_connected, plan)
+            return self._verify_compiled(list(candidate_ids), query_connected, plan)
+        if features is None:
+            features = self.extract_query_features(query)
         answers = set()
         for graph_id in candidate_ids:
             graph = self.database.get(graph_id)
@@ -151,15 +167,12 @@ class GrapesMethod(SubgraphQueryMethod):
                 answers.add(graph_id)
         return answers
 
-    def _verify_compiled(self, candidates: list, features, query_connected: bool, plan) -> set:
-        """Region-decomposed verification of all candidates in one kernel call."""
-        regions = None
-        if query_connected:
-            regions = [self.region_mask(features, graph_id) for graph_id in candidates]
+    def _verify_compiled(self, candidates: list, query_connected: bool, plan) -> set:
+        """Region-decomposed verification of all candidates in one kernel call
+        (a disconnected query: one whole-graph test per candidate)."""
         matched = self.verifier.verify_pairs(
             plan,
             list(map(self.database.compiled_target, candidates)),
-            regions,
-            by_component=True,
+            by_component=query_connected,
         )
         return set(compress(candidates, matched))

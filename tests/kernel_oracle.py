@@ -9,8 +9,9 @@ differentials compare against:
   (``graph.vertices()`` order), :func:`bigint_has_embedding` is the
   depth-first search ``ck_verify_many`` transliterates, and
   :func:`match_pairs` its per-pair loop (signature pre-reject, region masks,
-  Grapes' component-by-component mode with :func:`masked_components` /
-  :func:`masked_edge_count`): same flags, same test counts.
+  Grapes' component-by-component mode over :func:`label_region` with
+  :func:`masked_components` / :func:`masked_edge_count`): same flags, same
+  test counts.
   :class:`OracleVerifier` is a ``Verifier`` that runs its compiled pairs
   there, to put a base method on the bigint kernel;
 * the *marshalling* — :func:`marshal_target` / :func:`marshal_plan` build
@@ -295,11 +296,22 @@ def match_by_component(plan: BigintPlan, target: BigintTarget, region: int) -> t
     return False, tests
 
 
+def label_region(plan: BigintPlan, target: BigintTarget) -> int:
+    """The target's vertices that carry a label of the pattern: the region
+    ``by_component`` decomposes."""
+    region = 0
+    for label in plan.label_histogram:
+        region |= target.label_masks.get(label, 0)
+    return region
+
+
 def match_pairs(
     query_side, candidates: Sequence, regions: Sequence[int] | None = None, by_component=False
 ) -> tuple[list[bool], list[int]]:
     """``repro.isomorphism.compiled.match_pairs`` on the bigint kernel:
     the same compiled-form arguments, the same flags and test counts."""
+    if by_component and regions is not None:
+        raise ValueError("by_component computes its own regions; pass no regions")
     if isinstance(query_side, CompiledQueryPlan):
         shared = BigintPlan(query_side.pattern)
         pairs = [(shared, BigintTarget(target.graph)) for target in candidates]
@@ -310,8 +322,8 @@ def match_pairs(
     for index, (plan, target) in enumerate(pairs):
         full = (1 << target.num_vertices) - 1
         region = None if regions is None else regions[index] & full
-        if by_component and region is not None:
-            flag, count = match_by_component(plan, target, region)
+        if by_component:
+            flag, count = match_by_component(plan, target, label_region(plan, target))
         else:
             flag, count = match_one(plan, target, region), 1
         matched.append(flag)

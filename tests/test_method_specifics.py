@@ -3,12 +3,32 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.features import FeatureExtractor
 from repro.graphs import GraphDatabase
 from repro.methods import CTIndexMethod, GGSXMethod, GrapesMethod, ScanMethod
 
-from .conftest import make_clique, make_cycle_graph, make_path_graph, make_star_graph
+from .conftest import (
+    make_clique,
+    make_cycle_graph,
+    make_path_graph,
+    make_star_graph,
+    random_labeled_graph,
+)
+
+#: string labels, some longer than one character
+LABELS = ["C", "N", "O", "Cl", "Br"]
+
+extractors = st.one_of(
+    st.builds(
+        FeatureExtractor,
+        kind=st.just(FeatureExtractor.PATHS),
+        max_path_length=st.integers(min_value=1, max_value=4),
+    ),
+    st.just(FeatureExtractor(kind=FeatureExtractor.TREES_CYCLES)),
+)
 
 
 def containment_database() -> GraphDatabase:
@@ -102,6 +122,34 @@ class TestGrapes:
             if graph.vertices_with_label("A") and graph.vertices_with_label("C")
         }
         assert result.answers == expected
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=list(HealthCheck))
+    @given(extractor=extractors, rng=st.randoms(use_true_random=False))
+    def test_location_union_is_the_query_label_region(self, extractor, rng):
+        """The OR of a graph's locations over the query's features is the
+        mask of the graph's vertices whose label occurs in the query — the
+        region the kernel builds from its label rows."""
+
+        def graph(sizes):
+            labels = rng.sample(LABELS, rng.randint(1, len(LABELS)))
+            return random_labeled_graph(
+                rng, rng.choice(sizes), rng.random() * 0.5, labels, connected=rng.random() < 0.7
+            )
+
+        targets = [graph((1, 3, 5, 8)) for _ in range(3)]
+        method = GrapesMethod(extractor=extractor)
+        method.build_index(GraphDatabase.from_graphs(targets))
+        for _ in range(3):
+            query = graph((0, 1, 2, 4, 6))
+            features = method.extract_query_features(query)
+            labels = query.labels()
+            for graph_id, target in method.database.items():
+                expected = sum(
+                    1 << position
+                    for position, vertex in enumerate(target.vertices())
+                    if target.label(vertex) in labels
+                )
+                assert method.region_mask(features, graph_id) == expected
 
     def test_index_size_includes_locations(self):
         plain = GGSXMethod(max_path_length=2)

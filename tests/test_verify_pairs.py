@@ -56,10 +56,12 @@ TARGET_SIZES = (1, 3, 6, 9, 12, 63, 64, 65, 128, 129)
 
 def oracle_pair(pattern, target_graph, region, by_component) -> tuple[bool, int]:
     """(matched, counted tests) of one pair by the dict-based matcher."""
-    if region is None:
-        return VF2Matcher(pattern, target_graph).has_match(), 1
     if not by_component:
-        return VF2Matcher(pattern, target_graph.subgraph(region)).has_match(), 1
+        graph = target_graph if region is None else target_graph.subgraph(region)
+        return VF2Matcher(pattern, graph).has_match(), 1
+    # the label region: the target's vertices carrying a pattern label
+    labels = pattern.labels()
+    region = [v for v in target_graph.vertices() if target_graph.label(v) in labels]
     # Grapes' dict-based loop (methods/grapes.py), verbatim.
     tests = 0
     if len(region) < pattern.num_vertices:
@@ -156,14 +158,17 @@ def batches(draw):
     else:
         patterns, target_graphs = [pattern() for _ in range(count)], target()
         region_graphs = [target_graphs] * count
+    # by_component builds its own (label) regions; explicit ones restrict
+    # one test
+    by_component = draw(st.booleans())
     regions = None
-    if draw(st.booleans()):
+    if not by_component and draw(st.booleans()):
         keep = draw(st.sampled_from((0.1, 0.5, 0.8, 1.0)))  # 0.1: smaller than the pattern
         regions = [
             [vertex for vertex in graph.vertices() if rng.random() < keep]
             for graph in region_graphs
         ]
-    return patterns, target_graphs, regions, draw(st.booleans())
+    return patterns, target_graphs, regions, by_component
 
 
 class TestDifferential:
@@ -177,6 +182,11 @@ class TestDifferential:
         assert verifier.verify_pairs(compile_query_plan(make_path_graph("AB")), []) == []
         assert verifier.verify_pairs(compile_target(make_path_graph("AB")), []) == []
         assert verifier.stats.tests == 0
+        # by_component computes its own regions: explicit ones are refused
+        plan = compile_query_plan(make_path_graph("AB"))
+        for run in (match_pairs, kernel_oracle.match_pairs):
+            with pytest.raises(ValueError, match="by_component"):
+                run(plan, [], [1], by_component=True)
 
     def test_label_interned_after_the_target_was_marshalled(self):
         target_graph = make_cycle_graph("ABAB")
@@ -190,7 +200,7 @@ class TestDifferential:
         # the search's empty candidate base both have to see "absent"
         for graph in (pattern, pattern.subgraph([1])):
             check_batch(graph, [target_graph], None, False)
-            check_batch(graph, [target_graph], [list(target_graph.vertices())], True)
+            check_batch(graph, [target_graph], None, True)
 
     @pytest.mark.parametrize("host, tests", [(9, 1), (100, 2), (12, 3), (3, 4)])
     def test_equal_sized_components_are_visited_in_repr_order(self, host, tests):
@@ -204,24 +214,26 @@ class TestDifferential:
             target_graph.add_edge(start, start + 1)
             target_graph.add_edge(start + 1, start + 2)
         pattern = make_path_graph("ABC")
-        region = list(target_graph.vertices())
-        assert oracle_pair(pattern, target_graph, region, True) == (True, tests)
-        check_batch(pattern, [target_graph], [region], True)
+        assert oracle_pair(pattern, target_graph, None, True) == (True, tests)
+        check_batch(pattern, [target_graph], None, True)
 
     def test_plans_and_rows_beyond_the_kernel_stack_buffers(self):
         """``(steps + 1) * W > 2048`` words and ``4 * steps > 256``: the
         search spills its scratch to the heap, and so does the component
-        decomposition of a 21-word region."""
+        decomposition of a 21-word region.  Vertex 650 carries a label no
+        pattern has, so it cuts the label region as the explicit mask
+        does."""
         period = "ABCDEFG"
         size = 1300
-        target_graph = make_path_graph((period * (size // len(period) + 1))[:size])
+        labels = (period * (size // len(period) + 1))[:size]
+        target_graph = make_path_graph(labels[:650] + "Z" + labels[651:])
         embedded = make_path_graph((period * 15)[:100])
         closed = make_cycle_graph(period * 14)  # 98 vertices, never closes in a path
         assert (embedded.num_vertices + 1) * ((size + 63) // 64) > 2048
         target = compile_target(target_graph)
         plans = [compile_query_plan(embedded), compile_query_plan(closed)]
         region = (1 << size) - 1 & ~(1 << 650)
-        for masks, by_component in ((None, False), ([region] * 2, False), ([region] * 2, True)):
+        for masks, by_component in ((None, False), ([region] * 2, False), (None, True)):
             native = match_pairs(target, plans, masks, by_component=by_component)
             bigint = kernel_oracle.match_pairs(target, plans, masks, by_component)
             assert native == bigint
