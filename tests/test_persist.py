@@ -659,6 +659,66 @@ UGm6fw3JleHtn2Nanmc/8nXkO/E15FD3ryEnT/A1JAfbCSZPF2BHoawMsHUG2DqngK1Ty/0/BgKNtg==
 """
 
 
+#: one single-shard and one 4-shard persist directory the last format-3
+#: build wrote (``CacheConfig(size=8, window=4)``, 44 queries of the shared
+#: stream, ``snapshot_interval=44``: a snapshot at version 73 and a WAL tail
+#: of two ``flush`` records whose feature codes are spelt with that
+#: process's label table), with the ``cache_fingerprint`` each had at
+#: close — pickle + zlib + base64
+PARENT_FORMAT_3_DIRS = """
+eNrtW01sJEcVru7pv7HnZz0yUkKyibO72Z1kfzTj8XrXgqCsLbQJFY2ASCwHkPHa4x1Ljr3r8QArbaRIkHAZiUM6R8QhHBFCCgiJ
+0x44ARKIRBwjpBw4wAkORBwQ7716VV090zO2d50QhS57qqqrqqvr571X33vd7zXvrc/dFBRejeuDoLe1c2u7E2Pe39za7vQo+9ne
+ztrti41UuNK6hKXx8h9nhXjx+ldebl/7cvM+5B//9Z9feM1/65ezVrebu3uvrO3HsjAIv93Z623t7sTyxYHfub273o1lcRD1bne2
+t+HZ0LjwUqMRY9ykeJ7iFsULFF+meJHiqxQvYdyku5p0V5PuatJdTbqrSXc16a4m3dWkuxpXKH8l3od0a6MXD/y1vb21u/FgdpUy
+q3ud9d2d3v5ef31/dy9+E1eGW3D6ZjxwlmMpVqLZk088OffUqdPQ2VfjQdjZ2d/bgiWsL//HFQLW5J+uWpN6fRDemW+sdmCcsD5S
+qCFLR01JumrAsFw0UempRZG+mr4M1PLIUE1eRt0IFpGWQE6pKfepX4yctnTbstCWXlv6bRm0ZdiWUVsW23Kq3ZcONeSqvnRfhZm0
+e7LAqcepz80caBNY+ZDrI06LnE6ptC9LsO3e8j2HJh7Bn3ADtQqiBNmwOFWpckWgi1VhxM1EpHNUrG7ICq4bBGEURapFEJQ46ApV
+7urCUBcEKlMygZ9BkXoYRCU7wJhMyCw3BdYgXBxHwOMSOsInlISTCu6YEAyHUIdoKBQxTEGAJ1Qq1XhlFXq1n5DOmyc4DxriH8RI
+PAPvld2NTgwc3b95a2/tdjfuyUf240vx8g8LxAPfL9g8sAQ8sJjwQJN5YJF5YIF54CrzANT7XZfoH/kjVGys6L8bEO2DqJDTzC8l
+5o9yd1pWusXD8ETCEFNtOU2FpbYst2XlQP6gdAxvmDKbPxxIpzktcVrmtKLSvjxB/HPf0TQeTVeqNTENfxC8IuQhhPBHnGJXCl1U
+0xWCm0OwG3JhDaicsjX4w3/oflqFarUG166iNLiVLnWtutLPxqBi6BuaU2kxaQhXYUiDwUGHId5TCzESYSpwJzqka4V5NoaaCiKj
+LWRVmRo012I07UzkOS8VwqyQZjYV0oOuYNBDjFdu41MU66kILjxPPxC5zzNZbpeKrWvXMQ1dq0a3JpZWTOlkM+UcMuXK+8CR7wrD
+kcGdFpxKC6OH0pJiSGSqAjOfN+GgIS4iOh/DL33pIRxYuQg0OSJlh6QiLquWYtXDSx2a4PIfHJI6v3HsOTZXO1fNHAFVqDk203M0
+B29LHbwoaAIQPqE6hCcIk0SGhGoxMhbBCARLcFAaasaPkPFX7iMbBoKBgx9q/lVZdWIGnHIlES9V+xBEkoVuMB+4wMnYFCq5xlct
+MfjcEoMqdqkM7nBd4YtshrFYxfRHxxNQfePAs8Md3VRv0qb+Sm3qT1ObOp/a1IbaVCRUl1FTgTfZY4LWJwlucNh1x21ospsBlYdq
+Q80GTjgJSJIPbejPmdAdDzfN8XDDgiIXYpm6EEVBLAFHfhHlB1RjhMsDjVQhXgYg04UjAq5Ty4nIoKhEY5WLBecpEuP2wdpMghfA
+ecB0FwpZ+zUGK+DmFbI378wYkdOyRQ7ulKPA+zh2fGiR44Vl4JYyjqCMQDHAFQ2wJFBLwwsQhuVskfPYhAkubyuwv2aD/dZCCuxr
+mWPIc54nmchVBfYbKHNCBXQWEegUAOiECugsKqADcunIYJ+wzaHAjJFJY0C+YYNpTeYK8HsasCAZs2BKcrXhuhoeASewoKaiE6qR
+UwgQLVSxLsmJKt+oSyoYgcgBDIE5jHzq3U+CJegQNqsb7TrFLuYS+vdTjFIwwbdlXBqHh8mRD/2fAPF3Td8VwM/JPM0zT/nkOJ9w
+iiuK+4eC1n+1oXXrcgpaI4R2+BRzGWqnBCKrl6AbK3i9EOuTTkZMqcWuryhvgSE29FUCiiyDIK10pw5JhYiqSxYtRtSSEHaKIg1l
+HYIqM+G1YHgtGF6L8fC65NpkiVA3qo5e+0ERYORMDTVTQ8dYUbPykVJOKeHmQoFqRdyc1gytUwP+wRGrHgK31Qhyp68N4qyS3mpq
+4CLJ07VQiW4uXK4Wrk45maFuoQEA8ahaE0N65PB1zQpiXENEDzQeHne6tUinQncr6M4ocpzDKcMGoQwzI4YoK4yg9ErFZlcYLYQa
+QfXvDXOja2nJnoP/2aq0fZfrWrX6EPXMtFKpeoDDcJ7ig/h+Px74vf21fbLXdR3g55GWg6DXXdvb6CHzl+/0O3t3V9d3+zv7nb1Y
+nhmEO53v7q9ubWA+2tpY7d1eW4fb51rNVmd+aWHjSmNzc/Pq5aXFhdb8zY3LG631Zmvx6uZaPJhG29bdVXx6D559st6d6z41YgKz
+yvkwFAeXDxwYz4mV53/3zj3ngw/PXhMPGKjH/WSouA4kDmelkCfh9wT8noTfHPxgLPIU/E5L0e/3L8WDR76ztp1h8ezcipdvPEoG
+zxvXQHj+C8DajccuxiB9/65wmxj4m9v9Xjeu/w9NmXX5JVkcFDsQtiBsPpRVM7Wg3Ufr3ce7J7Ecd/rM02fP8ULXM5DdYgrZNYYU
+rUU+ghaOD9mRUcQPQTtCi4iLWYfwrmDQy/gWjvdsZFfM5rf6GOh6JTVBNl/h2Zky4bZ4ggvHM0EfdGP4R30BszAjVM1cYcA7yMKj
+ass0weX3FXR9NwVdr2baqfUkDT5nGx1O2mdbdMC7bAMJXKRid0oBCQAQ013vyPCV7HIPBF8nAgULvn5DwdeKWgfH1dbqqDhVTcqx
+WJdVNJtU0mklVVhlOzXZniu0ecZAnJQbW7SwrNQ65UTFSAk4tiH7dCUJIqNYDFunhZ0oGwx27ZaEM1lVzLZODxnIisYYPcWjANq8
+4Q6r/dZ5yLZo93jt0IrG/6Zo/C8pGl9Kq2cMlhtDjIzg2TYJIS0HzAMpGl9CGvfkVDcC+g7IDg3dH0jnCYWnkPLDqGnOeFuzpvVv
+OZrKvcAYiL2SecmSZE19aegNjH1NeWymmnrmjUiVLUmqEytr6k2Jfo7vY0b1DgqaQqqAFlOKnZ+NQsVIvdDPMQ2KDHiFUvqiw5C7
+NxKG8KdF9EjuZP2NV75+CGI+Kr27B2iHdYUSh17BHgkk1i2QWH84kJggh1kAiAY5WOXuGKQxWv6xgEQLFMoz8Hsafmfhdw5B4n78
+RnzpBaDMazu/L4E8ea76SYJ/L8P5+hHDP9zD+jPPntfwb/miEqynbMG6kH7JbSCgtkJAWui6aTu7fsF9Fc2yoYxAgBrLQzNWAnW8
+uXYSaCgdj83LBgxDwnTlPZalWiC6XlSt2Ye/TqpJYU21Q2MrNVXMXSXhSWWcqJjf4zm2wdczqi3UssHXTtDwi7niYSy/npdIsCpL
+r8sF1kktVZhPaqX0evQyysEY2xQonmALvkBn8c88Ipm3PZtkmqud+UZCMi0mmctDeLNpmUqBPAI4b0MgpQjydPayMcsYqtimXO4W
+ZIVxafUg7JmyUqkzOWRK4nfCVettwBSVh6rwEPTFYBQe2ycyc9Jndl3XWaRmyoYMWbKa1PXlLJ3rA9cc6xWKw2J5Rr0s8iADRXa5
+IlbCqagsCSqf4bTMtwQiae4xpoUOK9Qrds51Gu6WZ8ozleRyRpRVvkI/iGeop+SFA4ZyGUoVWafKabBYAA/BJlxsUqFuSZpzW+gM
+ctxrUsdjJZMMXPPIce4eZnG+3owH9wQik2u8rJD+OqPMYYaDGNtcjPZqTdtJrq25C3UfRJ4nnGMK401t3oQQBNlfpqAIoRUAzD8T
+r7ztWRYuJ2UY8wqOW3DIRo5BvRn3rK9SUpbyglIPkmBb01SFk1TxrPRL8YP1h2iSzLqnjO13bGP7wnz6OxZ+h4WyKjnmPG0EULoD
+GtpBFoUsi+jVDss7oxuzfCuBvlxmGVhh431VycAjGd21lV0LtSqWHO+ROGRsN/p2hcuqacP7T7Tu4fmg6NKnKubzMHU6en6ga6yK
+JKsrDxeMpZeOw6TvILBqhJM809E5XakrOFExRfoH57n9oVbVDik+tUcz0iJdIZJY6B+M6ZB8nPV23s/+ksxSXrSBHD9eiVe2CraK
+jhyqX2sFqcdmZEcs3VaieJtZ1PEweyBquKuA5k4KaLYyX7ASagBUYH+0YrT3eeuDjiZr7o1YfUkJ3EfaO3NnqRsentMSBit9RNxl
+ae+RY30AOZQrAFdVD8kbIH6BHQJqb3L69ShxIdakE2Q/hUhrY161mvMtXcOJfgZ+iZJ+1zp6/Oi3qCN07DP1Ek5dVoLfGzk2EtpN
+HSPO6DePE74+ufDw+vQFS5++cGz6NOjSRhX75OrTlv4sgT3kM/B7Fn7njT4d9wfTm1s7tzp7t/e2dmB1L3wTFGk5Ozj/+ZfWbna2
+OxvXcYXndtZe6Tx3jj+hPjd372v3nms25+59EZL5L8D6n+vd3Wmei18H5pfu9WtnP/zAuffOb3mnXicN+elBPbNPMumrLi9Tjwvp
+DoUU1/VsuxXV19kx41Omcx7ffOb4sro7N667Jau71lB3jbHd1cd0t9CY3J0Z5hvZ/T4zrl9S4LjfRep3vqH7bY0d5rPjuiNslequ
+uXiEYZ4f129rwvTnxwyz8waQaEhk3SHC7haO7CDxox//6b3cQSJ3kMgdJHIHidxBIneQyB0kcgeJ3EEid5DIHSRyB4ncQSJ3kMgd
+JHIHidxBIneQyB0kPlYHCS93kDC2+oI8KV35BPyehLxykCjIU9KRp6V7ZAeJ9c/84vlPs4OE6xZA/3ByB4ncQSJ3kMgdJHIHidxB
+IneQ+HQ6SHi5g4QFEi1QKM/AT33g4Qw5SJy+8+93P80OEgUgfkRPuYNE7iCRO0jkDhK5g0TuIJE7SOQOErmDRO4gkTtI5A4SuYPE
+UfTp/18HiYKtP7ODhMMOEo5xkOgWj9cpQn8mn/tD5P4QD+YP0b/0X2Ebt0s=
+"""
+
+
 class TestParentWrittenDirectories:
     @pytest.mark.parametrize(
         "name, shard",
@@ -692,6 +752,35 @@ class TestParentWrittenDirectories:
         assert sum(map(len, engine.shard_runtime.shards)) == len(held)
         assert held == engine.placement.entry_shard
         assert sorted(held) == sorted(engine.cache.entry_ids())
+        engine.close()
+
+    @pytest.mark.parametrize(
+        "name, shard",
+        [
+            ("single", ShardConfig()),
+            ("sharded", ShardConfig(shards=4, backend="inline")),
+        ],
+    )
+    def test_format_3_warm_start_codes_features_like_an_extraction(
+        self, tmp_path, database, queries, name, shard
+    ):
+        fixture = pickle.loads(zlib.decompress(base64.b64decode(PARENT_FORMAT_3_DIRS)))[name]
+        plant(tmp_path, fixture)
+        config = EngineConfig(
+            cache=CacheConfig(size=8, window=4),
+            shard=shard,
+            persist=persist_config(tmp_path, fsync="never"),
+        )
+        engine = build_engine(database, config)
+        assert engine.persister.restored
+        assert cache_fingerprint(engine) == fixture["fingerprint"]
+        extractor = engine.method.extractor
+        for entry in engine.cache.entries():
+            assert entry.features.feature_codes() == extractor.extract(entry.graph).feature_codes()
+        scan = create_method("scan")
+        scan.build_index(database)
+        for query in queries[44:84]:
+            assert set(engine.query(query).answers) == scan.query(query).answers
         engine.close()
 
 
