@@ -73,7 +73,7 @@ from .service.client import ServiceClient, connect
 from .service.server import ServiceServer, serve
 from .workloads.generator import QueryGenerator, WorkloadSpec, standard_workloads
 
-__version__ = "11.0.0"
+__version__ = "12.0.0"
 
 __all__ = [
     "IGQ",

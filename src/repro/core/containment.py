@@ -7,8 +7,8 @@ were near-duplicate filter-plus-verify loops that rebuilt dict-based VF2 state
 for every ``(new query, cached query)`` pair.  :class:`ContainmentIndex`
 factors out everything the two directions share:
 
-* **lifecycle** — the entry store and dense bit positions
-  (:class:`~repro.graphs.bitset.DensePositions`) for candidate bitmasks,
+* **lifecycle** — the entry store and the dense slots
+  (:class:`~repro.graphs.bitset.DensePositions`) of the table's rows,
   with ``add`` / ``remove`` maintained in one place;
 * **compilation at most once** — the whole point of the iGQ cache is that a
   cached query is containment-tested against *every* new query until it is
@@ -24,35 +24,31 @@ factors out everything the two directions share:
   survive every window flush untouched and eviction releases them;
 * **the probe** — candidate filter, size pre-checks (not counted as tests)
   and one counted containment test per survivor, hits in ascending entry
-  id.  With the compiled path on, all of it runs in the kernel over a
-  slot-aligned table of the entries' feature codes, sizes and compiled
-  addresses (:class:`~repro.core.probe.ProbeTable`): ``add`` writes the
-  slot's row, ``remove`` clears it, and a probe is one filter call plus —
-  only when something survives, which is when the query's compiled side is
-  built — one containment call.  The table *is* the index then; nothing
-  else is maintained per direction.
-* **the Python filter** — with features that do not pack into codes
-  (CT-Index's trees and cycles, paths longer than 7 edges, a full
-  process-wide label table — the index then leaves the table for good,
-  re-adding its entries to the Python filter) or behind the
-  ``Verifier(compiled=False)`` reference the tests inject, the direction's
-  Python filter picks the candidates and
-  :meth:`ContainmentIndex._verified_hits` verifies them: one
-  :meth:`Verifier.verify_pairs` call, or :meth:`Verifier.is_subgraph` pair
-  by pair.  Every route counts one test per surviving pair, so the paper's
-  metrics are path-independent.
+  id.  All of it runs in the kernel over a slot-aligned table of the
+  entries' feature codes, sizes and compiled addresses
+  (:class:`~repro.core.probe.ProbeTable`): ``add`` writes the slot's row,
+  ``remove`` clears it, and a probe is one filter call plus — only when
+  something survives, which is when the query's compiled side is built —
+  one containment call.  Every feature is coded
+  (:class:`~repro.features.extractor.GraphFeatures`), so the table *is*
+  the index, for every method and feature class; nothing else is
+  maintained per direction.  Behind the ``Verifier(compiled=False)``
+  reference the tests inject, the table still filters, and the survivors
+  are verified pair by pair through :meth:`Verifier.is_subgraph`.  Every
+  route counts one test per surviving pair, so the paper's metrics are
+  path-independent.
 
-The subclasses only keep what is genuinely direction-specific: the Python
-*filtering* rule — ``Isub`` asks a threshold-bitmap index which entries
-dominate the query's feature counts, ``Isuper`` checks Algorithm 2's
-condition per entry with an early exit.
+The subclasses only keep what is genuinely direction-specific: which role
+the cached entry plays and the public names of the probe.  The Python
+forms of the two filters — ``Isub``'s dominance by threshold bitmaps,
+``Isuper``'s Algorithm 2 loop — are the kernel's oracles in
+``tests/kernel_oracle.py``.
 """
 
 from __future__ import annotations
 
 import sys
 import time
-from itertools import compress
 from operator import attrgetter
 
 from ..features.extractor import GraphFeatures
@@ -91,16 +87,11 @@ class ContainmentIndex:
     def __init__(self, verifier: Verifier | None = None) -> None:
         self.verifier = verifier if verifier is not None else Verifier()
         self._entries: dict[int, CacheEntry] = {}
-        #: dense bit positions for candidate bitmasks (raw entry ids are
-        #: monotonic, so masks keyed by them would grow without bound)
+        #: dense slots of the table's rows (raw entry ids are monotonic, so
+        #: rows keyed by them would grow without bound)
         self._slots = DensePositions()
-        #: mask covering the slot of every indexed entry
-        self._live_mask = 0
-        #: the kernel-side rows, one per live slot, while the probe runs
-        #: natively; ``None`` on the Python filter (see :meth:`_leave_table`)
-        self._table: ProbeTable | None = None
-        if self.verifier.supports_compiled():
-            self._table = ProbeTable(_ckernel_loader.kernel(), self.entry_is_target)
+        #: the kernel-side rows, one per live slot
+        self._table = ProbeTable(_ckernel_loader.kernel(), self.entry_is_target)
 
     # ------------------------------------------------------------------
     # Maintenance
@@ -112,32 +103,29 @@ class ContainmentIndex:
         containment-tested against every incoming query until it is evicted;
         an entry that already carries compiled state (the forms its query
         was probed and verified with) keeps it.  Its row of the native
-        table is written here too; an entry restored from the WAL
-        re-encodes its feature codes from its keys first
-        (:meth:`GraphFeatures.feature_codes`).
+        table is written here too (without a compiled address behind the
+        ``Verifier(compiled=False)`` reference).
         """
-        codes = None
-        if self._table is not None:
-            codes = entry.features.feature_codes()
-            if codes is None:
-                self._leave_table()
         self._entries[entry.entry_id] = entry
         slot = self._slots.add(entry.entry_id)
-        self._live_mask |= 1 << slot
+        address = owner = None
         if self.verifier.supports_compiled():
             self._compile_entry(entry)
-        if codes is None:
-            self._entry_added(entry, 1 << slot)
-            return
+            if self.entry_is_target:
+                owner = entry.compiled_target.native()
+                address = owner.address
+            else:
+                owner = entry.compiled_plan
+                address = owner.native()
         graph = entry.graph
-        if self.entry_is_target:
-            owner = entry.compiled_target.native()
-            address = owner.address
-        else:
-            owner = entry.compiled_plan
-            address = owner.native()
         self._table.set(
-            slot, entry.entry_id, codes, graph.num_vertices, graph.num_edges, address, owner
+            slot,
+            entry.entry_id,
+            entry.features.feature_codes(),
+            graph.num_vertices,
+            graph.num_edges,
+            address,
+            owner,
         )
 
     def remove(self, entry_id: int) -> None:
@@ -146,39 +134,8 @@ class ContainmentIndex:
         entry = self._entries.pop(entry_id, None)
         if entry is None:
             return
-        bit = self._slots.bit(entry_id)
-        self._slots.remove(entry_id)
-        self._live_mask &= ~bit
-        if self._table is not None:
-            self._table.clear(bit.bit_length() - 1)
-        else:
-            self._entry_removed(entry, bit)
+        self._table.clear(self._slots.remove(entry_id))
         self._release_entry(entry)
-
-    def _leave_table(self) -> None:
-        """Switch to the Python filter, for good: something this index must
-        hold or answer does not pack into feature codes.  The rows are
-        freed and every indexed entry goes through :meth:`_entry_added`."""
-        self._table.close()
-        self._table = None
-        bit = self._slots.bit
-        for entry in self._entries.values():
-            self._entry_added(entry, bit(entry.entry_id))
-
-    # ------------------------------------------------------------------
-    # Direction-specific hooks
-    # ------------------------------------------------------------------
-    def _entry_added(self, entry: CacheEntry, bit: int) -> None:
-        """Python filter: index the entry now occupying slot ``bit``
-        (default: nothing)."""
-
-    def _entry_removed(self, entry: CacheEntry, bit: int) -> None:
-        """Undo :meth:`_entry_added` for the entry leaving slot ``bit``."""
-
-    def candidate_mask(self, features: GraphFeatures) -> int:
-        """Python filter: the live slots whose entries pass the direction's
-        feature condition against ``features``."""
-        raise NotImplementedError
 
     # ------------------------------------------------------------------
     # Compiled-state lifecycle
@@ -203,18 +160,12 @@ class ContainmentIndex:
         """Entry ids passing the direction's feature filter alone.
 
         No size pre-check and no isomorphism test: exposed so the filter's
-        no-false-negative property can be tested in isolation, on whichever
-        of the two paths the index is on.
+        no-false-negative property can be tested in isolation.
         """
-        if self._table is not None:
-            codes = features.feature_codes()
-            if codes is not None:
-                # a size every row passes the direction's pre-check against
-                any_size = 0 if self.entry_is_target else 1 << 62
-                slots, count = self._table.filter(codes, any_size, any_size)
-                return [self._slots.key_at(slot) for slot in slots[:count]]
-            self._leave_table()
-        return list(self._slots.keys_of(self.candidate_mask(features)))
+        # a size every row passes the direction's pre-check against
+        any_size = 0 if self.entry_is_target else 1 << 62
+        slots, count = self._table.filter(features.feature_codes(), any_size, any_size)
+        return [self._slots.key_at(slot) for slot in slots[:count]]
 
     def _hits(
         self,
@@ -222,34 +173,23 @@ class ContainmentIndex:
         features: GraphFeatures,
         compiled: CompiledQuery | None,
     ) -> list[CacheEntry]:
-        """The verified hits of ``query``, in ascending ``entry_id``."""
+        """The verified hits of ``query``, in ascending ``entry_id``.
+
+        Filter and size pre-checks are one kernel call, the containment
+        tests of the survivors a second.  The query's compiled side is
+        built between the two, so a query nothing survives for never pays
+        for it; the tests are folded into the verifier's statistics as
+        :meth:`Verifier.verify_pairs` folds them.
+        """
         if not self._entries:
             return []
-        if self._table is not None:
-            codes = features.feature_codes()
-            if codes is not None:
-                return self._table_hits(query, codes, compiled)
-            self._leave_table()
-        candidate_mask = self.candidate_mask(features)
-        if not candidate_mask:
-            return []
-        return self._verified_hits(query, candidate_mask, compiled)
-
-    def _table_hits(
-        self,
-        query: LabeledGraph,
-        codes,
-        compiled: CompiledQuery | None,
-    ) -> list[CacheEntry]:
-        """The probe in the kernel: filter and size pre-checks in one call,
-        the containment tests of the survivors in a second.  The query's
-        compiled side is built between the two, so a query nothing survives
-        for never pays for it; the tests are folded into the verifier's
-        statistics as :meth:`Verifier.verify_pairs` folds them."""
         table = self._table
-        slots, count = table.filter(codes, query.num_vertices, query.num_edges)
+        slots, count = table.filter(features.feature_codes(), query.num_vertices, query.num_edges)
         if not count:
             return []
+        verifier = self.verifier
+        if not verifier.supports_compiled():
+            return self._matched_hits(query, slots[:count])
         if compiled is None:
             compiled = CompiledQuery(query)
         if self.entry_is_target:
@@ -261,64 +201,19 @@ class ContainmentIndex:
             start = time.perf_counter()
             query_side = target.native().address
         hit_ids = table.verify(query_side, slots, count)
-        self.verifier.record_batch(count, len(hit_ids), time.perf_counter() - start)
+        verifier.record_batch(count, len(hit_ids), time.perf_counter() - start)
         return list(map(self._entries.__getitem__, hit_ids))
 
-    def _verified_hits(
-        self,
-        query: LabeledGraph,
-        candidate_mask: int,
-        compiled: CompiledQuery | None = None,
-    ) -> list[CacheEntry]:
-        """Verify the candidates of ``candidate_mask`` against ``query`` —
-        the Python form of the probe's second half.
-
-        Applies the direction's size pre-checks (not counted as tests, as
-        before), then one counted containment test per surviving pair —
-        all pairs in one kernel call when the compiled path is enabled, pair
-        by pair through the graph-based matcher otherwise.  The query-side
-        compiled representation (plan for ``Isub``, target for ``Isuper``)
-        is built only when a pair survives, and taken from ``compiled`` —
-        the query's shared :class:`CompiledQuery` — when the caller carries
-        one: the engine passes the same object to both probes, every shard
-        partition, the dataset verification and the cache entry the query
-        becomes, so each form is compiled once per query.  Hits come back
-        in ascending ``entry_id`` — cache insertion
-        order — whatever slots the entries occupy: recycled slots make
-        position order meaningless, and exact-repeat detection, the §5.1
-        credits and the sharded merge all depend on the sequence.
-        """
-        verifier = self.verifier
-        query_num_vertices = query.num_vertices
-        query_num_edges = query.num_edges
-        entry_is_target = self.entry_is_target
-        survivors = []
-        for entry_id in self._slots.keys_of(candidate_mask):
-            entry = self._entries[entry_id]
-            graph = entry.graph
-            if entry_is_target:
-                if graph.num_vertices < query_num_vertices or graph.num_edges < query_num_edges:
-                    continue
-            elif graph.num_vertices > query_num_vertices or graph.num_edges > query_num_edges:
-                continue
-            survivors.append(entry)
-        if not survivors:
-            return []
-        if verifier.supports_compiled():
-            if compiled is None:
-                compiled = CompiledQuery(query)
-            query_side = (
-                compiled.compiled_plan() if entry_is_target else compiled.compiled_target()
-            )
-            compiled_side = attrgetter("compiled_target" if entry_is_target else "compiled_plan")
-            matched = verifier.verify_pairs(query_side, list(map(compiled_side, survivors)))
-        elif entry_is_target:
-            matched = [verifier.is_subgraph(query, entry.graph) for entry in survivors]
-        else:
-            matched = [verifier.is_subgraph(entry.graph, query) for entry in survivors]
-        results = list(compress(survivors, matched))
-        results.sort(key=_ENTRY_ID)
-        return results
+    def _matched_hits(self, query: LabeledGraph, slots) -> list[CacheEntry]:
+        """The survivors of ``slots`` that pass the graph-based matcher, one
+        counted test each (the ``Verifier(compiled=False)`` reference).
+        Hits come back in ascending ``entry_id`` — cache insertion order —
+        whatever slots the entries occupy, like the kernel's."""
+        is_subgraph = self.verifier.is_subgraph
+        entries = sorted((self._entries[self._slots.key_at(slot)] for slot in slots), key=_ENTRY_ID)
+        if self.entry_is_target:
+            return [entry for entry in entries if is_subgraph(query, entry.graph)]
+        return [entry for entry in entries if is_subgraph(entry.graph, query)]
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -327,21 +222,18 @@ class ContainmentIndex:
     def estimated_size_bytes(self) -> int:
         """In-memory size of the index structure (Figure 18).
 
-        Here the entry store and the native table's rows; a direction adds
-        what its Python filter keeps.  The cached graphs and answers are accounted for with the
-        cache (:meth:`repro.core.engine.IGQ.index_size_bytes`); the feature
+        Here the entry store and the native table's rows.  The cached graphs
+        and answers are accounted for with the cache
+        (:meth:`repro.core.engine.IGQ.index_size_bytes`); the feature
         tables the entries carry are not counted (they never were), and the
         compiled per-entry state is a performance cache, excluded for parity
         with the dataset-side compiled caches (which Figure 18's index-size
         comparison also excludes).
         """
-        total = sys.getsizeof(self._entries)
-        if self._table is not None:
-            total += self._table.size_bytes()
-        return total
+        return sys.getsizeof(self._entries) + self._table.size_bytes()
 
     def __repr__(self) -> str:
         return (
             f"<{type(self).__name__} entries={len(self._entries)} "
-            f"compiled={self.verifier.supports_compiled()} native={self._table is not None}>"
+            f"compiled={self.verifier.supports_compiled()}>"
         )

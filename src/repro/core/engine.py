@@ -420,26 +420,23 @@ class IGQ:
         if features is None:
             features, flat = self.prepare(query)
         compiled = CompiledQuery(query, flat)
-        codes = features.feature_codes()
-        key = None
-        if codes is not None:
-            key = (codes.tobytes(), query.num_vertices, query.num_edges, supergraph)
-            earlier = self._plans.get(key)
-            if earlier is not None:
-                prepared = time.perf_counter()
-                if self._confirms_repeat(compiled, earlier):
-                    plan = replace(
-                        earlier,
-                        query=query,
-                        features=features,
-                        compiled=compiled,
-                        tests_before=tests_before,
-                        filter_seconds=prepared - start,
-                        replayed=True,
-                    )
-                    self.apply_plan_credits(plan)
-                    plan.igq_seconds = time.perf_counter() - prepared
-                    return plan
+        key = (features.feature_codes().tobytes(), query.num_vertices, query.num_edges, supergraph)
+        earlier = self._plans.get(key)
+        if earlier is not None:
+            prepared = time.perf_counter()
+            if self._confirms_repeat(compiled, earlier):
+                plan = replace(
+                    earlier,
+                    query=query,
+                    features=features,
+                    compiled=compiled,
+                    tests_before=tests_before,
+                    filter_seconds=prepared - start,
+                    replayed=True,
+                )
+                self.apply_plan_credits(plan)
+                plan.igq_seconds = time.perf_counter() - prepared
+                return plan
         if supergraph:
             candidates = method.filter_supergraph_candidates(query, features=features)
         else:
@@ -502,7 +499,7 @@ class IGQ:
         )
         self.apply_plan_credits(plan)
         plan.igq_seconds = time.perf_counter() - start
-        if key is not None and probe_tests:
+        if probe_tests:
             self._plans[key] = plan
         return plan
 

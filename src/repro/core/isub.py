@@ -14,18 +14,16 @@ The lifecycle, the probe and the verification machinery are shared with
 ``Isuper`` through :class:`~repro.core.containment.ContainmentIndex`:
 cached graphs are kept as bitset targets and every containment test runs on
 the compiled kernel (against the new query's plan, compiled once per
-query).  With the native kernel the dominance filter is a sorted merge over
-the entries' feature codes inside the kernel; what lives here is its Python
-form — a :class:`~repro.features.bitmaps.ThresholdBitmapIndex` over the
-entries' slots, one AND per query feature — which the index maintains only
-while it is off the native table.  It reads the tuple-keyed view of the
-features (:meth:`~repro.features.extractor.GraphFeatures.key_counts`), so
-coded and uncoded entries and queries compare exactly.
+query).  The dominance filter is a sorted merge over the entries' and the
+query's feature codes inside the kernel, for every feature class: the
+codes of :class:`~repro.features.extractor.GraphFeatures` are one key
+domain.  Its Python form — a threshold-bitmap walk over the entries'
+counts — is the kernel's oracle, ``isub_candidate_ids`` in
+``tests/kernel_oracle.py``.
 """
 
 from __future__ import annotations
 
-from ..features.bitmaps import ThresholdBitmapIndex
 from ..features.extractor import GraphFeatures
 from ..graphs.graph import LabeledGraph
 from ..isomorphism.compiled import CompiledQuery
@@ -44,23 +42,6 @@ class SubgraphQueryIndex(ContainmentIndex):
     """
 
     entry_is_target = True
-
-    def __init__(self, *args, **kwargs) -> None:
-        #: the Python filter's structure; stays empty on the native table
-        self._index = ThresholdBitmapIndex()
-        super().__init__(*args, **kwargs)
-
-    def _entry_added(self, entry: CacheEntry, bit: int) -> None:
-        self._index.add(bit, entry.features.key_counts())
-
-    def _entry_removed(self, entry: CacheEntry, bit: int) -> None:
-        self._index.remove(bit, entry.features.key_counts())
-
-    def candidate_mask(self, features: GraphFeatures) -> int:
-        """The dominance filter by threshold bitmaps: the live slots whose
-        entries hold every feature of ``features`` at least as often.  (Off
-        the native table only: on it the bitmaps are not maintained.)"""
-        return self._index.at_least(features.key_counts(), self._live_mask)
 
     # ------------------------------------------------------------------
     # Query
@@ -81,11 +62,3 @@ class SubgraphQueryIndex(ContainmentIndex):
         compiled state (its plan is built here if a candidate survives).
         """
         return self._hits(query, features, compiled)
-
-    def estimated_size_bytes(self) -> int:
-        """Entry store, native rows and — off the native table — the
-        threshold-bitmap index (Figure 18)."""
-        total = super().estimated_size_bytes()
-        if self._table is None:
-            total += self._index.size_bytes()
-        return total

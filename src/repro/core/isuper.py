@@ -22,18 +22,14 @@ The tally reaches ``NF[g_i]`` exactly when every feature of ``g_i`` occurs in
 cached query, from the feature counts stored with the entry (Algorithm 1's
 ``{g_i, o}`` pairs, kept by entry instead of by feature), stopping at the
 first feature ``g`` lacks — most cached queries fail on their first or
-second feature.  In the C kernel the walk is a sorted merge over the
-entry's and the query's feature codes, inside the kernel, over the rows
+second feature.  The walk is a sorted merge over the entry's and the
+query's feature codes inside the C kernel, over the rows
 :class:`~repro.core.containment.ContainmentIndex` keeps in its native table
-(42 µs a query as the Python loop below against 5 µs as the kernel call, on
-the 100-entry cache of the benchmark's ``cold_filter`` — see
-``docs/performance.md``, "The cache-side probe").
-:meth:`SupergraphQueryIndex.candidate_mask` is the Python form: the route
-for features that do not pack into codes and the oracle it is tested
-against.  It
-reads the entries' own feature tables — their tuple-keyed view, so coded
-and uncoded tables compare exactly — and has nothing to maintain on
-insertion and eviction.
+(42 µs a query as a Python loop against 5 µs as the kernel call, on the
+100-entry cache of the benchmark's ``cold_filter`` — see
+``docs/performance.md``, "The cache-side probe").  Every feature class is
+coded alike, so the kernel serves every method; the Python loop is its
+oracle, ``isuper_candidate_ids`` in ``tests/kernel_oracle.py``.
 
 The lifecycle, the probe and the verification machinery are shared with
 ``Isub`` through :class:`~repro.core.containment.ContainmentIndex`: here
@@ -60,25 +56,6 @@ class SupergraphQueryIndex(ContainmentIndex):
     # ------------------------------------------------------------------
     # Query (Algorithm 2)
     # ------------------------------------------------------------------
-    def candidate_mask(self, features: GraphFeatures) -> int:
-        """Algorithm 2's candidates by the Python loop: the live slots
-        whose entries hold no feature more often than ``features`` does."""
-        available = features.key_counts()
-        have = available.get
-        num_available = len(available)
-        bit = self._slots.bit
-        mask = 0
-        for entry in self._entries.values():
-            counts = entry.features.key_counts()
-            if len(counts) > num_available:
-                continue  # NF[g_i] exceeds g's distinct features: some key is missing
-            for key, occurrences in counts.items():
-                if have(key, 0) < occurrences:
-                    break
-            else:
-                mask |= bit(entry.entry_id)
-        return mask
-
     def candidate_subgraphs(self, features: GraphFeatures) -> list[int]:
         """Candidate cached-entry ids that may be subgraphs of the new query:
         :meth:`~ContainmentIndex.candidate_ids`, the pure filtering step of

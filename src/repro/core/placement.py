@@ -27,18 +27,12 @@ def home_shard(features: GraphFeatures, num_shards: int) -> int:
     feature counts.
 
     Isomorphic copies have equal counts, so duplicates of a hot query share
-    a home.  The digest reads the ``(code, count)`` pairs when the features
-    are coded and the sorted tuple-keyed counts otherwise; neither depends
-    on ``PYTHONHASHSEED``.
+    a home.  The digest reads the ``(code, count)`` pairs, which do not
+    depend on ``PYTHONHASHSEED``.
     """
     if num_shards < 2:
         return 0
-    codes = features.feature_codes()
-    if codes is not None:
-        data = codes.tobytes()
-    else:
-        data = repr(sorted(features.key_counts().items())).encode("utf-8")
-    digest = hashlib.blake2b(data, digest_size=8).digest()
+    digest = hashlib.blake2b(features.feature_codes().tobytes(), digest_size=8).digest()
     return int.from_bytes(digest, "big") % num_shards
 
 

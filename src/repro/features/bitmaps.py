@@ -1,23 +1,23 @@
 """Threshold-bitmap feature index: occurrence-count filtering as big-int ANDs.
 
-Every filter in the system asks one of two questions about a collection of
-feature tables ``{key: occurrences}``: *which members contain every feature
-of the query at least as often* (subgraph filtering of GGSX/Grapes, and the
-iGQ ``Isub`` probe over cached queries) or *which members contain no feature
-more often than the query does* (supergraph filtering).  Both are answered
-here from ``key -> [mask(count >= 1), mask(count >= 2), ...]``: one Python
-integer per occurrence threshold, over bit positions the caller owns (the
-frozen :class:`~repro.graphs.bitset.GraphIdSpace` of the dataset graphs, or
-the recycled :class:`~repro.graphs.bitset.DensePositions` slots of cache
-entries).  The counts are reconciled into thresholds once, on the write path
-(:meth:`add` / :meth:`remove`), so a read is one dictionary look-up and one
-bitwise operation per feature and never touches a member.
+The dataset-side filters ask one of two questions about a collection of
+feature tables ``{code: occurrences}``: *which members contain every feature
+of the query at least as often* (subgraph filtering of GGSX/Grapes) or
+*which members contain no feature more often than the query does*
+(supergraph filtering).  Both are answered here from ``key -> [mask(count
+>= 1), mask(count >= 2), ...]``: one Python integer per occurrence
+threshold, over bit positions the caller owns (the frozen
+:class:`~repro.graphs.bitset.GraphIdSpace` of the dataset graphs).  The
+counts are reconciled into thresholds once, when a member is added, so a
+read is one dictionary look-up and one bitwise operation per feature and
+never touches a member.  (The iGQ cache side asks the same questions of
+the kernel's probe table, :mod:`repro.core.probe`.)
 """
 
 from __future__ import annotations
 
 import sys
-from collections.abc import Mapping
+from collections.abc import Hashable, Mapping
 
 __all__ = ["ThresholdBitmapIndex"]
 
@@ -28,12 +28,12 @@ class ThresholdBitmapIndex:
     __slots__ = ("_levels",)
 
     def __init__(self) -> None:
-        self._levels: dict[tuple, list[int]] = {}
+        self._levels: dict[Hashable, list[int]] = {}
 
     # ------------------------------------------------------------------
     # Updates
     # ------------------------------------------------------------------
-    def add(self, bit: int, counts: Mapping[tuple, int]) -> None:
+    def add(self, bit: int, counts: Mapping[Hashable, int]) -> None:
         """Record a member (the single-bit mask ``bit``) with feature ``counts``."""
         levels_of = self._levels
         for key, count in counts.items():
@@ -47,27 +47,10 @@ class ThresholdBitmapIndex:
             if count > known:
                 levels.extend([bit] * (count - known))
 
-    def remove(self, bit: int, counts: Mapping[tuple, int]) -> None:
-        """Forget a member; ``counts`` must be what it was added with.
-
-        Thresholds nobody reaches any more are trimmed and an emptied key is
-        dropped, so the footprint follows the live members.
-        """
-        levels_of = self._levels
-        clear = ~bit
-        for key, count in counts.items():
-            levels = levels_of[key]
-            for level in range(count):
-                levels[level] &= clear
-            while levels and not levels[-1]:
-                levels.pop()
-            if not levels:
-                del levels_of[key]
-
     # ------------------------------------------------------------------
     # Reads
     # ------------------------------------------------------------------
-    def at_least(self, counts: Mapping[tuple, int], universe: int) -> int:
+    def at_least(self, counts: Mapping[Hashable, int], universe: int) -> int:
         """Members of ``universe`` holding every key of ``counts`` at least
         as often (``counts`` values are positive; no keys keeps ``universe``)."""
         levels_of = self._levels
@@ -81,7 +64,7 @@ class ThresholdBitmapIndex:
                 return 0
         return mask
 
-    def at_most(self, counts: Mapping[tuple, int], universe: int) -> int:
+    def at_most(self, counts: Mapping[Hashable, int], universe: int) -> int:
         """Members of ``universe`` holding no key more often than ``counts``.
 
         A member is excluded by any of its keys that ``counts`` lacks or has
@@ -106,7 +89,7 @@ class ThresholdBitmapIndex:
     def size_bytes(self) -> int:
         """In-memory footprint of the structure (the Figure 18 quantity).
 
-        The dictionary, one key tuple and one threshold list per feature,
+        The dictionary, one key and one threshold list per feature,
         and every distinct mask object (a run of equal thresholds written
         by one ``add`` shares a single integer).  The label strings inside
         the keys belong to the graphs and are not counted.

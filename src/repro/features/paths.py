@@ -13,206 +13,91 @@ Location information — the set of vertices participating in at least one
 occurrence of the feature — is kept as well, because Grapes uses it to
 restrict verification to the relevant region of a candidate graph.
 
+**Feature codes.**  Every index of the process — the dataset-side
+threshold index, Grapes' locations, the iGQ probe table of
+:mod:`repro.core.probe`, the durable journal — names a feature by its
+*code*, :func:`path_code` of its key: the 64-bit BLAKE2 hash of each label
+text (:func:`label_hash`), folded in key order into a 60-bit code.  A code
+is a pure function of the key, the same in every process, so it is
+computed, compared, pickled and journalled as it is.  Two keys may share
+a code; their counts (and locations) then merge, which can only let more
+candidates through a filter — a false positive verification removes,
+never a false negative.
+
 Two implementations produce the same features.  :func:`native_path_features`
 hands the graph to the C kernel (``ck_path_features`` in
 ``isomorphism/_ckernel.c``) as the CSR of its
 :class:`~repro.isomorphism.compiled.FlatGraph` — the buffer the graph's
-compiles read too — and gets the distinct features back as codes;
-:func:`path_features` over :func:`enumerate_simple_paths` is the pure-Python
-form, keyed by tuple — the route for a graph whose features do not pack
-into codes (more than 255 label strings, paths longer than 7 edges, a full
-label table), and the oracle the native one is tested against.
-
-**Feature codes.**  A feature's code is its canonical label sequence spelt
-with one process-wide byte per label text, most significant byte first, in
-a ``uint64``: two graphs share a code exactly when they share the key.
-Codes are the primary form — the kernel returns nothing else, and every
-index of the process (the dataset-side threshold index, Grapes' locations,
-the iGQ probe table of :mod:`repro.core.probe`) is keyed by them — so the
-query path never builds a tuple.  :func:`encode_path_codes` /
-:func:`encode_path_keys` turn tuple keys into codes (the Python extractor's
-output, a copy that crossed a pickle), :func:`decode_path_codes` turns codes
-back into keys (pickling, introspection, oracles) and
-:func:`codes_where_known` re-keys a tuple-keyed table as far as the table
-knows its labels.  The byte table is append-only and per process, holds at
-most 254 labels and never takes a graph's labels unless it can take them
-all.  A pickle carries tuple keys, never codes; the durable journal
-(:mod:`repro.persist.restore`) stores codes together with the table's
-:func:`label_spelling`, and a process whose table differs maps them onto
-its own with one ``bytes.translate`` (:func:`respelling`).
+compiles read too — with the hash of each of its labels, and gets the
+``(code, count)`` pairs back; :func:`path_features` over
+:func:`enumerate_simple_paths` is the pure-Python form, keyed by tuple —
+the route for a graph with more than 255 label strings or paths longer
+than 7 edges, and the oracle the native one is tested against.
 """
 
 from __future__ import annotations
 
 import ctypes
-import threading
+import hashlib
 from array import array
-from collections.abc import Collection, Hashable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Hashable, Iterable, Iterator
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import chain
 
 from ..graphs.graph import LabeledGraph
 from ..isomorphism import _ckernel_loader
-from ..isomorphism.compiled import FlatGraph, _packed
+from ..isomorphism.compiled import FlatGraph
 from .canonical import canonical_path_key
 
 __all__ = [
     "PathOccurrences",
     "code_pairs",
-    "codes_where_known",
-    "decode_path_codes",
-    "encode_path_codes",
-    "encode_path_keys",
     "enumerate_simple_paths",
-    "label_spelling",
+    "label_hash",
     "native_path_features",
+    "path_code",
     "path_features",
-    "respelling",
 ]
 
 
-#: a native path code spends one byte per vertex on ``rank + 1``
+#: a graph-local path code (the kernel's) spends one byte per vertex on
+#: ``rank + 1``
 _MAX_CODE_LABELS = 255
 _MAX_CODE_LENGTH = 7
 
-#: process-wide label text -> byte of the cross-graph feature codes, assigned
-#: on first sight from 1 (0 marks the end of a path); append-only, so a code
-#: stays valid for the life of the process
-_LABEL_BYTES: dict[str, int] = {}
-_LABEL_BYTES_LOCK = threading.Lock()
-_MAX_LABEL_BYTES = 254
+#: where every code's fold starts (``CK_PATH_SEED`` in the kernel)
+_PATH_SEED = 0x9E3779B97F4A7C15
+_WORD = (1 << 64) - 1
 
 
-def _label_bytes(texts: list[str]) -> list[int] | None:
-    """The process-wide byte of each of ``texts``; ``None`` once they no
-    longer all fit the table (none of them is assigned then, so one
-    wide-alphabet graph cannot use up the table for everybody else)."""
-    table = _LABEL_BYTES
-    try:
-        return [table[text] for text in texts]
-    except KeyError:
-        pass
-    with _LABEL_BYTES_LOCK:
-        unseen = {text for text in texts if text not in table}
-        if len(table) + len(unseen) > _MAX_LABEL_BYTES:
-            return None
-        for text in sorted(unseen):
-            table[text] = len(table) + 1
-    return [table[text] for text in texts]
+@lru_cache(maxsize=1 << 16)
+def label_hash(text: str) -> int:
+    """The 64-bit BLAKE2 hash of one label text (or of a CT-Index tree or
+    cycle's canonical string); memoised, as every extraction hashes its
+    graph's labels."""
+    return int.from_bytes(hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest(), "little")
 
 
-def _label_texts() -> list:
-    """The inverse of the label table: ``texts[byte]`` is the label text
-    spelt with that byte (``texts[0]`` unused).  Rebuilt only after the
-    table grew (or was swapped, as tests do)."""
-    global _LABEL_TEXTS
-    table = _LABEL_BYTES
-    cached_table, texts = _LABEL_TEXTS
-    if cached_table is not table or len(texts) != len(table) + 1:
-        texts = [None] * (len(table) + 1)
-        for text, byte in list(table.items()):
-            texts[byte] = text
-        _LABEL_TEXTS = (table, texts)
-    return texts
-
-
-#: ``(table, texts)``: the :func:`_label_texts` of ``table``
-_LABEL_TEXTS: tuple[dict | None, list] = (None, [])
-
-
-def encode_path_codes(keys: Collection[tuple[str, ...]]) -> array | None:
-    """The code of each of ``keys``, in order, as one ``array("Q")``.
-
-    ``None`` when a key is longer than a code or the label table cannot
-    take every label of ``keys``.  Labels not yet in the table are added.
-    A Python loop over the features: for key tables that come from the
-    Python extractor or lost their codes to pickling, not for the query
-    path.
-    """
-    texts = sorted({text for key in keys for text in key})
-    if _label_bytes(texts) is None or any(len(key) > _MAX_CODE_LENGTH + 1 for key in keys):
-        return None
-    byte_of = _LABEL_BYTES.__getitem__
-    # a code reads its key's bytes from the most significant end down
-    # (little-endian host, as everywhere in the native binding)
-    codes = array("Q")
-    codes.frombytes(b"".join([bytes(map(byte_of, key)).ljust(8, b"\0") for key in keys]))
-    codes.byteswap()
-    return codes
-
-
-def encode_path_keys(counts: Mapping[tuple[str, ...], int]) -> array | None:
-    """``counts`` as the ``(code, count)`` pairs the kernel returns.
-
-    One ``array("Q")`` holding the pairs back to back, code ascending; equal
-    to the third element of :func:`native_path_features` for the graph the
-    keys came from.  ``None`` when :func:`encode_path_codes` is.
-    """
-    codes = encode_path_codes(counts)
-    if codes is None:
-        return None
-    return code_pairs(zip(codes, counts.values()))
+def path_code(key: Iterable[str]) -> int:
+    """The code of the feature ``key``: each element's :func:`label_hash`
+    folded in order through the splitmix64 finaliser — what the kernel
+    computes for the same label sequence.  The top 60 bits are kept: a
+    code below ``2**60`` is a two-digit Python int (32 bytes, where a full
+    64-bit value takes 36), and the dataset tables hold one per feature."""
+    code = _PATH_SEED
+    for text in key:
+        z = code ^ label_hash(text)
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _WORD
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _WORD
+        code = z ^ (z >> 31)
+    return code >> 4
 
 
 def code_pairs(items: Iterable[tuple[int, int]]) -> array:
     """``(code, count)`` items as the flat, code-ascending pairs array the
     probe table reads."""
     return array("Q", chain.from_iterable(sorted(items)))
-
-
-def decode_path_codes(
-    codes: Iterable[int], spelling: Sequence[str] | None = None
-) -> list[tuple[str, ...]]:
-    """The label-path key of each of ``codes`` (the inverse of
-    :func:`encode_path_codes`): for pickling, introspection and oracles.
-    ``spelling`` reads codes another table spelt (a :func:`label_spelling`)."""
-    spelt = array("Q", codes)
-    spelt.byteswap()
-    data = spelt.tobytes()
-    text_of = (_label_texts() if spelling is None else [None, *spelling]).__getitem__
-    return [
-        tuple(map(text_of, data[start : start + 8].rstrip(b"\0")))
-        for start in range(0, len(data), 8)
-    ]
-
-
-def label_spelling() -> tuple[str, ...]:
-    """The label table as the texts of bytes 1, 2, ...: what a journal
-    stores next to codes so that a process with another table can read
-    them (:func:`respelling`)."""
-    return tuple(_label_texts()[1:])
-
-
-def respelling(spelling: Sequence[str]) -> bytes | None:
-    """The ``bytes.translate`` table taking the bytes of codes spelt with
-    ``spelling`` (a :func:`label_spelling`) to this process's spelling.
-
-    Byte 0 (a code's unused tail) maps to itself, so the table applies to
-    the raw bytes of a code array.  Labels this table has not seen yet are
-    added; ``None`` when it cannot take them all.  A re-spelt set of codes
-    sorts differently: whoever needs them in code order sorts them again.
-    """
-    spelt = _label_bytes(list(spelling))
-    if spelt is None:
-        return None
-    table = bytearray(range(256))
-    table[1 : len(spelt) + 1] = bytes(spelt)
-    return bytes(table)
-
-
-def codes_where_known(counts: Mapping[tuple[str, ...], int]) -> dict:
-    """``counts`` with every key re-keyed by its code if it has one now,
-    kept as it is otherwise.  The label table is only read: a key keeps its
-    tuple exactly when one of its labels was never coded, so no coded
-    feature table can hold it either — which is what lets a tuple-keyed
-    query filter against a code-keyed index."""
-    table = _LABEL_BYTES
-    recoded = {}
-    for key, count in counts.items():
-        if len(key) <= _MAX_CODE_LENGTH + 1 and all(text in table for text in key):
-            key = int.from_bytes(bytes(map(table.__getitem__, key)).ljust(8, b"\0"), "big")
-        recoded[key] = count
-    return recoded
 
 
 @dataclass
@@ -319,19 +204,16 @@ def native_path_features(
     code.
 
     Returns ``(counts, location masks, pairs)``: the first two keyed by the
-    features' cross-graph codes (:func:`encode_path_codes`), in ascending
-    order of the label-path keys — the order :func:`path_features` keys
-    sort in; a mask covers the positions of ``graph.vertices()`` (empty
-    dict unless ``locations``); ``pairs`` is ``counts`` as the flat
-    ``(code, count)`` array, code ascending (:func:`code_pairs`).  Nothing
-    is decoded: :func:`decode_path_codes` turns the codes back into keys
-    for whoever needs them.
+    features' codes (:func:`path_code`), code ascending; a mask covers the
+    positions of ``graph.vertices()`` (empty dict unless ``locations``);
+    ``pairs`` is ``counts`` as the flat ``(code, count)`` array
+    (:func:`code_pairs`).
 
-    The whole result is ``None`` when the features do not pack into codes —
-    more than 255 distinct label strings in the graph, ``max_length`` above
-    7, or labels the process-wide table cannot take — and the caller runs
-    the Python enumeration.  ``flat`` is the graph's :class:`FlatGraph`
-    when the caller compiles the graph from the same arrays.
+    ``None`` when the graph's paths do not fit the kernel's graph-local
+    codes — more than 255 distinct label strings, or ``max_length`` above
+    7 — and the caller runs the Python enumeration.  ``flat`` is the
+    graph's :class:`FlatGraph` when the caller compiles the graph from the
+    same arrays.
 
     One call per graph, the interpreter lock released for its duration; all
     buffers are per call, so concurrent extractions do not interfere.
@@ -342,37 +224,31 @@ def native_path_features(
     names = sorted(set(texts))
     if len(names) > _MAX_CODE_LABELS or max_length > _MAX_CODE_LENGTH:
         return None
-    label_bytes = _label_bytes(names)
-    if label_bytes is None:
-        return None
     num_vertices = graph.num_vertices
     rank_of = {text: rank for rank, text in enumerate(names)}
-    # ``buffer`` owns the label columns for the duration of the call
-    buffer, (ranks_address, bytes_address) = _packed(
-        [rank_of[text] for text in texts], label_bytes
-    )
+    # ``ranks`` and ``hashes`` own the columns for the duration of the call
+    ranks = array("q", [rank_of[text] for text in texts])
+    hashes = array("Q", map(label_hash, names))
     library = _ckernel_loader.kernel()
     block = library.ck_path_features(
-        num_vertices, *flat.csr(), ranks_address, max_length, locations, bytes_address
+        num_vertices, *flat.csr(), ranks.buffer_info()[0], max_length, locations,
+        hashes.buffer_info()[0],
     )
     if not block:  # pragma: no cover - allocation failure inside the kernel
         raise MemoryError("native path extraction could not allocate its result")
     try:
         distinct = ctypes.c_uint64.from_address(block).value
         row_bytes = 8 * ((num_vertices + 63) // 64) if locations else 0
-        pairs_start = distinct * (16 + row_bytes)
-        payload = ctypes.string_at(block + 8, pairs_start + 16 * distinct)
+        payload = ctypes.string_at(block + 8, distinct * (16 + row_bytes))
     finally:
         library.ck_free(block)
-    words = array("Q")
-    words.frombytes(payload[: 16 * distinct])
     pairs = array("Q")
-    pairs.frombytes(payload[pairs_start:])
-    codes = words[:distinct]
-    counts = dict(zip(codes, words[distinct:]))
+    pairs.frombytes(payload[: 16 * distinct])
+    codes = pairs[0::2]
+    counts = dict(zip(codes, pairs[1::2]))
     masks = {}
     if row_bytes:
-        rows = range(16 * distinct, pairs_start, row_bytes)
+        rows = range(16 * distinct, len(payload), row_bytes)
         masks = {
             code: int.from_bytes(payload[start : start + row_bytes], "little")
             for code, start in zip(codes, rows)

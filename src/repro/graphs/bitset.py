@@ -38,12 +38,13 @@ def iter_bits(mask: int) -> Iterator[int]:
 
 
 class DensePositions:
-    """A growable key → dense-bit-position allocator for bitmask bookkeeping.
+    """A growable key → dense-position allocator (the slots of a component
+    index's probe table).
 
     Unlike the frozen :class:`GraphIdSpace`, keys arrive over time (the iGQ
     component indexes add cache entries whose monotonically assigned ids are
-    never reused, so using the ids as bit positions directly would let the
-    masks grow without bound over a long query stream).  :meth:`remove`
+    never reused, so using the ids as positions directly would let the
+    table grow without bound over a long query stream).  :meth:`remove`
     releases the key's position onto a free list and :meth:`add` reuses
     freed positions before growing, so a churny add/remove stream keeps the
     allocator's footprint proportional to the number of *live* keys.  The
@@ -70,29 +71,16 @@ class DensePositions:
         self._positions[key] = position
         return position
 
-    def remove(self, key: Hashable) -> None:
-        """Forget ``key`` and release its position for reuse."""
+    def remove(self, key: Hashable) -> int:
+        """Forget ``key`` and release (and return) its position for reuse."""
         position = self._positions.pop(key)
         self._order[position] = None
         self._free.append(position)
-
-    def bit(self, key: Hashable) -> int:
-        """Single-bit mask of ``key``."""
-        return 1 << self._positions[key]
+        return position
 
     def key_at(self, position: int) -> Hashable:
         """Key assigned to ``position``."""
         return self._order[position]
-
-    def keys_of(self, mask: int) -> Iterator[Hashable]:
-        """Keys covered by ``mask``, in position order.
-
-        Position order equals insertion order only until a freed position
-        is recycled by :meth:`add`; after that, a recycled key sorts where
-        its predecessor did.
-        """
-        order = self._order
-        return (order[position] for position in iter_bits(mask))
 
     def __len__(self) -> int:
         return len(self._positions)

@@ -6,7 +6,6 @@ from .compiled import (
     CompiledTarget,
     compile_query_plan,
     compile_target,
-    compiled_has_embedding,
     match_pairs,
     signature_prereject,
 )
@@ -31,7 +30,6 @@ __all__ = [
     "CompiledTarget",
     "compile_query_plan",
     "compile_target",
-    "compiled_has_embedding",
     "match_pairs",
     "signature_prereject",
     "VF2Matcher",

@@ -30,11 +30,12 @@
  * contract (the paper's Figs. 7-11 count isomorphism tests) requires.
  *
  * `ck_path_features` enumerates the simple paths of one graph (the GGSX /
- * Grapes / Isub / Isuper feature class) and returns the distinct canonical
- * label sequences with their occurrence counts and, on request, the vertex
- * positions their occurrences cover.  `path_features` in
- * src/repro/features/paths.py is the Python oracle it is tested against
- * and the route for features that do not pack into codes.
+ * Grapes / Isub / Isuper feature class) and returns the distinct features
+ * as 60-bit feature codes with their occurrence counts and, on request, the
+ * vertex positions their occurrences cover.  `path_features` +
+ * `path_code` in src/repro/features/paths.py are the Python oracle it is
+ * tested against and the route for graphs whose paths do not fit a
+ * graph-local code (more than 255 labels or 7 edges).
  *
  * The file is deliberately dependency-free C99 so it can be built two ways:
  *
@@ -49,15 +50,13 @@
  * sizes and compiled forms, filtered by sorted-merge dominance and verified
  * with the same prereject + search as every other pair.  `ck_mask_sums` adds
  * up the section 5.1 credits of one query's hits.  The Python loops they
- * replace (`candidate_mask` in src/repro/core/isuper.py,
- * `ThresholdBitmapIndex.at_least` and `_verified_hits` in
- * src/repro/core/containment.py, which stay as the route for features that
- * do not pack into codes; `mask_sums` in tests/kernel_oracle.py) are the
- * oracles of tests/test_native_probe.py.
+ * replace (`isub_candidate_ids`, `isuper_candidate_ids` and `mask_sums` in
+ * tests/kernel_oracle.py) are the oracles of tests/test_native_probe.py.
  *
- * Data layout, ABI 8 (ABI 6's layout; 7 dropped `ck_probe_filter`'s
+ * Data layout, ABI 9 (ABI 6's layout; 7 dropped `ck_probe_filter`'s
  * `universe` argument, 8 made `ck_verify_many`'s `by_component` mode
- * compute its regions instead of reading them).  A `ck_target` /
+ * compute its regions instead of reading them, 9 made `ck_path_features`
+ * return hashed feature codes).  A `ck_target` /
  * `ck_plan` is built once per graph and role by `ck_compile_target` /
  * `ck_compile_plan` (new in ABI 5) from the graph's CSR — vertex positions
  * in `graph.vertices()` order, neighbours in `neighbors()` order, per
@@ -111,38 +110,44 @@
  *                     graph's distinct label strings in ascending order;
  *                     the caller guarantees fewer than 256 of them and
  *                     max_length <= 7, and falls back to Python otherwise;
- *   - path code:      one uint64 per canonical label sequence: element i
- *                     is stored as rank + 1 in byte i counted from the most
- *                     significant end, unused bytes are 0, so comparing two
- *                     codes as integers compares the label-string tuples
- *                     they stand for (a prefix sorts before its extensions);
- *   - global_bytes:   per rank the label's *process-wide* byte (1..254,
- *                     assigned by `_label_bytes` in paths.py): the same
- *                     features spelt so that codes of different graphs
- *                     compare.  The canonical direction of a path is decided
- *                     on the graph's own ranks (label-text order, so the
- *                     keys stay those of `canonical_path_key`); the chosen
- *                     sequence is then re-spelt byte by byte;
+ *   - local code:     one uint64 per canonical label sequence of the graph:
+ *                     element i is stored as rank + 1 in byte i counted
+ *                     from the most significant end, unused bytes are 0, so
+ *                     comparing two codes as integers compares the
+ *                     label-string tuples they stand for.  The canonical
+ *                     direction of a path and the deduplication of its
+ *                     occurrences are decided on these codes, so the keys
+ *                     stay those of `canonical_path_key`;
+ *   - label_hashes:   per rank the label's 64-bit BLAKE2 hash
+ *                     (`label_hash` in paths.py);
+ *   - feature code:   a local code's labels folded in path order,
+ *                     code = mix(code ^ label_hash) from CK_PATH_SEED, mix
+ *                     the splitmix64 finaliser, and its top 60 bits kept
+ *                     (`path_code` in paths.py): a pure function of the
+ *                     key, equal in every process.
+ *                     Two keys of one graph may hash alike; their features
+ *                     then merge (counts add up, location rows OR), which
+ *                     only widens a filter;
  *   - result block:   malloc'd, released with `ck_free`: word 0 holds the
- *                     number of distinct codes D, then the D global codes
- *                     in ascending order of their graph-local codes (that
- *                     is, of the label-string tuples), then their D
- *                     occurrence counts, then (want_locations) D rows of
- *                     ceil(n / 64) mask words over the vertex positions,
- *                     then the D (global code, count) pairs again, global
- *                     code ascending (ABI 6: before it the first D words
- *                     held the graph-local codes and the pairs were
- *                     optional).
+ *                     number of distinct feature codes D, then the D
+ *                     (feature code, count) pairs, code ascending, then
+ *                     (want_locations) D rows of ceil(n / 64) mask words
+ *                     over the vertex positions, one per pair (ABI 9: up to
+ *                     8 the codes spelt labels with a process-wide byte
+ *                     table).
  *
  * The probe table (new in ABI 4; driven by `ProbeTable` in
  * src/repro/core/probe.py):
  *
  *   - one row per slot of the owning index's `DensePositions`: the entry's
- *     id, vertex and edge counts, its (global code, count) pairs — a
+ *     id, vertex and edge counts, its (feature code, count) pairs — a
  *     malloc'd copy, code ascending — and the address of its compiled form:
  *     a `ck_target` when the entries play the target role (`Isub`), a
- *     `ck_plan` when they play the pattern role (`Isuper`).  The compiled
- *     form belongs to Python, which keeps it alive until the row is cleared;
+ *     `ck_plan` when they play the pattern role (`Isuper`), NULL when the
+ *     index verifies its survivors in Python (`Verifier(compiled=False)`:
+ *     such a table is filtered, never passed to `ck_probe_verify`).  The
+ *     compiled form belongs to Python, which keeps it alive until the row
+ *     is cleared;
  *   - a probe reads the table and writes only its caller's output buffers,
  *     so it needs no scratch of its own; `set` / `clear` / probe of one
  *     table are serialised by the caller (they are driver-thread operations).
@@ -155,7 +160,7 @@
 /* The ABI version is checked by the loader after dlopen so a stale build
  * of an older layout can never be driven with new-layout pointers.  Bump
  * it whenever a struct or signature below changes. */
-#define CK_ABI_VERSION 8
+#define CK_ABI_VERSION 9
 
 #if defined(_WIN32)
 #define CK_EXPORT __declspec(dllexport)
@@ -648,8 +653,11 @@ ck_verify_many(const ck_target *const *targets, int64_t num_targets,
  * Path-feature extraction
  * ------------------------------------------------------------------- */
 
-/* A path code spends one byte per vertex. */
+/* A graph-local path code spends one byte per vertex. */
 #define CK_MAX_PATH_VERTICES 8
+
+/* Where every feature code's fold starts (`_PATH_SEED` in paths.py). */
+#define CK_PATH_SEED 0x9e3779b97f4a7c15ULL
 
 /* Grow-only list of path codes; graphs of query size never leave the
  * inline buffer. */
@@ -772,72 +780,122 @@ ck_walk_paths(int64_t n, const int64_t *offsets, const int64_t *neighbours,
     return 0;
 }
 
+/* The splitmix64 finaliser: a bijection of the 64-bit words. */
+static inline uint64_t
+ck_mix(uint64_t z)
+{
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+}
+
+/* A graph-local path code as its feature code: the labels' hashes folded
+ * in path order, top 60 bits (`path_code` in src/repro/features/paths.py). */
+static uint64_t
+ck_feature_code(uint64_t local, const uint64_t *label_hashes)
+{
+    uint64_t code = CK_PATH_SEED;
+    for (int shift = 56; shift >= 0; shift -= 8) {
+        const uint64_t slot = local >> shift & 0xff;
+        if (!slot)
+            break;
+        code = ck_mix(code ^ label_hashes[slot - 1]);
+    }
+    return code >> 4;
+}
+
+/* A feature code and the row of its graph-local code. */
+typedef struct {
+    uint64_t code;
+    int64_t row;
+} ck_coded_row;
+
+static int
+ck_compare_coded_rows(const void *left, const void *right)
+{
+    const ck_coded_row *a = (const ck_coded_row *)left;
+    const ck_coded_row *b = (const ck_coded_row *)right;
+    if (a->code != b->code)
+        return (a->code > b->code) - (a->code < b->code);
+    return (a->row > b->row) - (a->row < b->row);
+}
+
 /* Path features of one graph (see the header for the argument and result
  * layout).  Returns the malloc'd result block, to be released with
  * `ck_free`, or NULL on allocation failure. */
-/* A graph-local path code re-spelt with the process-wide label bytes. */
-static uint64_t
-ck_global_code(uint64_t code, const int64_t *global_bytes)
-{
-    uint64_t spelt = 0;
-    for (int shift = 56; shift >= 0; shift -= 8) {
-        const uint64_t slot = code >> shift & 0xff;
-        if (!slot)
-            break;
-        spelt |= (uint64_t)global_bytes[slot - 1] << shift;
-    }
-    return spelt;
-}
-
 CK_EXPORT uint64_t *
 ck_path_features(int64_t n, const int64_t *offsets, const int64_t *neighbours,
                  const int64_t *ranks, int64_t max_length,
-                 int64_t want_locations, const int64_t *global_bytes)
+                 int64_t want_locations, const uint64_t *label_hashes)
 {
     ck_code_list found;
     found.items = found.inline_items;
     found.size = 0;
     found.capacity = (int64_t)(sizeof(found.inline_items) / sizeof(uint64_t));
     ck_path_sink sink = {&found, NULL, 0, NULL, 0};
-    uint64_t *block = NULL;
+    uint64_t *local = NULL, *block = NULL;
+    ck_coded_row *order = NULL;
 
-    if (ck_walk_paths(n, offsets, neighbours, ranks, max_length, &sink) == 0) {
-        qsort(found.items, (size_t)found.size, sizeof(uint64_t), ck_compare_codes);
-        int64_t distinct = 0;
-        for (int64_t i = 0; i < found.size; ++i)
-            distinct += i == 0 || found.items[i] != found.items[i - 1];
-        const int64_t num_words = (n + 63) / 64;
-        const int64_t mask_words = want_locations ? distinct * num_words : 0;
-        block = (uint64_t *)calloc(
-            (size_t)(1 + 4 * distinct + mask_words), sizeof(uint64_t));
-        if (block != NULL) {
-            uint64_t *codes = block + 1;
-            uint64_t *counts = codes + distinct;
-            int64_t row = -1;
-            block[0] = (uint64_t)distinct;
-            for (int64_t i = 0; i < found.size; ++i) {
-                if (i == 0 || found.items[i] != found.items[i - 1])
-                    codes[++row] = found.items[i];
-                ++counts[row];
-            }
-            if (mask_words) {
-                sink.codes = codes;
-                sink.num_codes = distinct;
-                sink.masks = counts + distinct;
-                sink.num_words = num_words;
-                ck_walk_paths(n, offsets, neighbours, ranks, max_length, &sink);
-            }
-            /* re-spelling is injective, so the pairs stay distinct; a pair
-             * sorts by its leading word, the code */
-            uint64_t *pairs = counts + distinct + mask_words;
-            for (int64_t i = 0; i < distinct; ++i) {
-                codes[i] = ck_global_code(codes[i], global_bytes);
-                pairs[2 * i] = codes[i];
-                pairs[2 * i + 1] = counts[i];
-            }
-            qsort(pairs, (size_t)distinct, 2 * sizeof(uint64_t), ck_compare_codes);
+    if (ck_walk_paths(n, offsets, neighbours, ranks, max_length, &sink) < 0)
+        goto done;
+    qsort(found.items, (size_t)found.size, sizeof(uint64_t), ck_compare_codes);
+    int64_t distinct = 0;
+    for (int64_t i = 0; i < found.size; ++i)
+        distinct += i == 0 || found.items[i] != found.items[i - 1];
+    const int64_t num_words = (n + 63) / 64;
+    const int64_t mask_words = want_locations ? distinct * num_words : 0;
+    /* the graph-local codes, their counts and mask rows */
+    local = (uint64_t *)calloc((size_t)(2 * distinct + mask_words + 1), sizeof(uint64_t));
+    order = (ck_coded_row *)malloc((size_t)(distinct + 1) * sizeof(ck_coded_row));
+    block = (uint64_t *)calloc((size_t)(1 + 2 * distinct + mask_words), sizeof(uint64_t));
+    if (local == NULL || order == NULL || block == NULL) {
+        free(block);
+        block = NULL;
+        goto done;
+    }
+    uint64_t *counts = local + distinct;
+    int64_t row = -1;
+    for (int64_t i = 0; i < found.size; ++i) {
+        if (i == 0 || found.items[i] != found.items[i - 1])
+            local[++row] = found.items[i];
+        ++counts[row];
+    }
+    if (mask_words) {
+        sink.codes = local;
+        sink.num_codes = distinct;
+        sink.masks = counts + distinct;
+        sink.num_words = num_words;
+        ck_walk_paths(n, offsets, neighbours, ranks, max_length, &sink);
+    }
+    for (int64_t i = 0; i < distinct; ++i) {
+        order[i].code = ck_feature_code(local[i], label_hashes);
+        order[i].row = i;
+    }
+    qsort(order, (size_t)distinct, sizeof(ck_coded_row), ck_compare_coded_rows);
+    /* equal feature codes (a hash collision) merge: counts add up,
+     * location rows OR together */
+    uint64_t *pairs = block + 1;
+    uint64_t *masks = pairs + 2 * distinct;
+    int64_t merged = -1;
+    for (int64_t i = 0; i < distinct; ++i) {
+        if (i == 0 || order[i].code != order[i - 1].code) {
+            ++merged;
+            pairs[2 * merged] = order[i].code;
+        }
+        pairs[2 * merged + 1] += counts[order[i].row];
+        if (mask_words) {
+            const uint64_t *from = counts + distinct + order[i].row * num_words;
+            uint64_t *into = masks + merged * num_words;
+            for (int64_t w = 0; w < num_words; ++w)
+                into[w] |= from[w];
         }
     }
+    block[0] = (uint64_t)(merged + 1);
+    if (mask_words && merged + 1 < distinct)
+        memmove(pairs + 2 * (merged + 1), masks, (size_t)((merged + 1) * num_words) * sizeof(uint64_t));
+done:
+    free(order);
+    free(local);
     if (found.items != found.inline_items)
         free(found.items);
     return block;
@@ -1014,7 +1072,8 @@ ck_compile_target(int64_t n, const int64_t *offsets, const int64_t *neighbours,
         }
     }
     memcpy(block_map, label_map, (size_t)map_len * sizeof(int64_t));
-    memcpy(block_ranks, ranks, (size_t)n * sizeof(int64_t));
+    if (n > 0) /* an empty graph passes no rank column */
+        memcpy(block_ranks, ranks, (size_t)n * sizeof(int64_t));
     ck_degree_signature(n, offsets, vertex_rows, num_rows, sig_indptr,
                         sig_degrees);
     free(scratch);

@@ -44,7 +44,7 @@ __all__ = [
 ]
 
 #: must match CK_ABI_VERSION in _ckernel.c; the loader refuses mismatches
-ABI_VERSION = 8
+ABI_VERSION = 9
 
 _SOURCE = Path(__file__).with_name("_ckernel.c")
 
@@ -141,7 +141,7 @@ def _configure(library: ctypes.CDLL) -> ctypes.CDLL | None:
         fn.argtypes = (integer, pointer, pointer, pointer, pointer)
     fn = library.ck_path_features
     # (n, offsets*, neighbours*, ranks*, max_length, want_locations,
-    # global_bytes*) -> malloc'd result block (NULL on allocation failure),
+    # label_hashes*) -> malloc'd result block (NULL on allocation failure),
     # released with ck_free; marshalled by repro.features.paths.
     fn.restype = pointer
     fn.argtypes = (integer, pointer, pointer, pointer, integer, integer, pointer)

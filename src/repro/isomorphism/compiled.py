@@ -36,8 +36,7 @@ many targets (subgraph verification, ``Isub``) or many plans against a shared
 target (supergraph verification, ``Isuper``).  It explores the same
 non-induced VF2 state space as :class:`VF2Matcher` — the test suite
 cross-validates the two, and the kernel against the pure-Python oracle in
-``tests/kernel_oracle.py``.  :func:`compiled_has_embedding` is its ``n = 1``
-case.
+``tests/kernel_oracle.py``.
 
 **Region-masked matching** — a pair may carry a region (an ``int`` bitmask
 over the target's vertex positions) restricting candidate generation to the
@@ -80,7 +79,6 @@ __all__ = [
     "NativeTarget",
     "compile_target",
     "compile_query_plan",
-    "compiled_has_embedding",
     "match_pairs",
     "signature_prereject",
     "degree_signature_dominates",
@@ -505,15 +503,3 @@ def match_pairs(
     if status < 0:  # pragma: no cover - allocation failure inside the kernel
         raise MemoryError("native kernel scratch allocation failed")
     return list(map(bool, matched)), tests.tolist()
-
-
-def compiled_has_embedding(
-    plan: CompiledQueryPlan,
-    target: CompiledTarget,
-    vertex_mask: int | None = None,
-) -> bool:
-    """True if the plan's pattern has a (non-induced) embedding in ``target``
-    — inside ``vertex_mask`` when one is given.  The ``n = 1`` case of
-    :func:`match_pairs`."""
-    regions = None if vertex_mask is None else [vertex_mask]
-    return match_pairs(plan, [target], regions)[0][0]

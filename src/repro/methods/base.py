@@ -28,7 +28,6 @@ from itertools import compress
 
 from ..features.bitmaps import ThresholdBitmapIndex
 from ..features.extractor import FeatureExtractor, GraphFeatures
-from ..features.paths import codes_where_known
 from ..graphs.bitset import CandidateBitmap, GraphIdSpace
 from ..graphs.database import GraphDatabase
 from ..graphs.graph import LabeledGraph
@@ -114,10 +113,6 @@ class SubgraphQueryMethod(ABC):
         #: ``id_space`` positions — what both filtering directions read;
         #: ``None`` until built (lazily for the scan baseline)
         self._feature_index: ThresholdBitmapIndex | None = None
-        #: the key domain of the dataset-side tables, picked once when they
-        #: are built: feature codes when every graph's features are coded,
-        #: tuple keys otherwise (see :meth:`index_counts`)
-        self._coded = False
         #: graphs with at most n vertices / edges, indexed by n
         self._vertices_at_most: list[int] = [0]
         self._edges_at_most: list[int] = [0]
@@ -162,34 +157,10 @@ class SubgraphQueryMethod(ABC):
                 # feature); the dataset tables are the counts themselves
                 features.codes = None
                 features_of[graph_id] = features
-        # one key domain for every table: codes when they all have them
-        coded = self._coded = all(features.coded for features in features_of.values())
-        if not coded:
-            for graph_id, features in features_of.items():
-                if features.coded:
-                    features_of[graph_id] = GraphFeatures(
-                        features.key_counts(), features.key_locations()
-                    )
         index = self._feature_index = ThresholdBitmapIndex()
         bit = self.id_space.bit
         for graph_id, features in features_of.items():
             index.add(bit(graph_id), features.counts)
-
-    def index_counts(self, features: GraphFeatures) -> dict:
-        """A query's ``counts`` in the key domain of the dataset index.
-
-        Usually the counts themselves: queries and dataset graphs are coded
-        alike.  A coded query against a tuple-keyed index is decoded; a
-        tuple-keyed query (labels the process-wide table could not take)
-        against a coded index keeps the keys that have no code — keys no
-        dataset graph holds, which is exactly how the tuple-keyed filter
-        treats them in both directions.
-        """
-        if features.coded == self._coded:
-            return features.counts
-        if features.coded:
-            return features.key_counts()
-        return codes_where_known(features.counts)
 
     @abstractmethod
     def index_size_bytes(self) -> int:
@@ -220,7 +191,7 @@ class SubgraphQueryMethod(ABC):
         the published GGSX/Grapes condition; no features keeps every graph."""
         space = self.id_space
         index = self.feature_index
-        return CandidateBitmap(space, index.at_least(self.index_counts(features), space.full_mask))
+        return CandidateBitmap(space, index.at_least(features.counts, space.full_mask))
 
     def filter_supergraph_candidates(
         self, query: LabeledGraph, features: GraphFeatures | None = None
@@ -242,7 +213,7 @@ class SubgraphQueryMethod(ABC):
         )
         if fitting:
             index = self.feature_index
-            fitting = index.at_most(self.index_counts(features), fitting)
+            fitting = index.at_most(features.counts, fitting)
         return CandidateBitmap(self.id_space, fitting)
 
     # ------------------------------------------------------------------

@@ -16,7 +16,6 @@ fingerprint design.
 
 from __future__ import annotations
 
-import zlib
 from collections.abc import Hashable
 
 from ..features.extractor import FeatureExtractor, GraphFeatures
@@ -60,16 +59,13 @@ class CTIndexMethod(SubgraphQueryMethod):
     # ------------------------------------------------------------------
     # Fingerprinting
     # ------------------------------------------------------------------
-    def _hash_feature(self, key: tuple) -> int:
-        """Deterministically map a feature key to a bit position."""
-        text = "\x1e".join(str(element) for element in key)
-        return zlib.crc32(text.encode("utf-8")) % self.bitmap_bits
-
     def fingerprint(self, features: GraphFeatures) -> int:
-        """Bitmap fingerprint of a feature set."""
+        """Bitmap fingerprint of a feature set: a feature's code (already a
+        hash of its canonical string) modulo the width is its bit."""
+        bits = self.bitmap_bits
         bitmap = 0
-        for key in features.counts:
-            bitmap |= 1 << self._hash_feature(key)
+        for code in features.counts:
+            bitmap |= 1 << code % bits
         return bitmap
 
     # ------------------------------------------------------------------

@@ -100,8 +100,8 @@ class GrapesMethod(SubgraphQueryMethod):
         """
         located = self._graph_features[graph_id].locations.get
         region = 0
-        for key in self.index_counts(query_features):
-            region |= located(key, 0)
+        for code in query_features.counts:
+            region |= located(code, 0)
         return region
 
     def candidate_regions(self, query_features: GraphFeatures, graph_id: Hashable) -> set:

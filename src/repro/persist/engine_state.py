@@ -98,7 +98,7 @@ def apply_persist_state(engine, entries, state: dict, source: str = "") -> None:
     instead); ``source`` names the directory for errors.  Each restored
     cache entry joins the replica its recorded ``entry_shard`` home names,
     so the component indexes end up exactly where the persisted engine
-    had them; a format-3 entry carries no compiled payloads and compiles
+    had them; a format-3/4 entry carries no compiled payloads and compiles
     as it joins.  Restored answers become bitmaps when the engine
     attaches its dataset (now, if it already has one): see
     :func:`adopt_answers`.
@@ -109,7 +109,7 @@ def apply_persist_state(engine, entries, state: dict, source: str = "") -> None:
         _check_answer_space(engine)
     cache = engine.cache
     stats = state.get("entry_stats", {})
-    if isinstance(stats, tuple):  # format 3: columns
+    if isinstance(stats, tuple):  # formats 3 and 4: columns
         ids, *columns = stats
         stats = dict(zip(ids, zip(*columns)))
     for entry, meta in entries:

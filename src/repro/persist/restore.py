@@ -12,7 +12,7 @@ engine's thread; writing them is the job of the persister's journal writer
 thread, and :meth:`CachePersister.record_flush` returns the commit future
 that resolves once the record is durable.
 
-**Format 3** (this build) journals a cache entry the way the engine holds
+**Format 4** (this build) journals a cache entry the way the engine holds
 it, as one pickled ``(graph, features, answer, tags, added_at)`` tuple of
 plain values encoded once, when the entry is inserted — a snapshot copies
 those bytes:
@@ -23,12 +23,8 @@ those bytes:
 * the features as ``(width, codes, counts)``: the entry's ``(code,
   count)`` pairs, the codes' bytes column by column without the low
   columns no code uses, the counts in the narrowest unsigned width that
-  holds them.  The record's ``spelling`` names the label table the codes
-  were spelt with (:func:`~repro.features.paths.label_spelling`); a
-  process whose table differs re-spells them with one ``bytes.translate``
-  (:func:`~repro.features.paths.respelling`) and re-sorts them.  Features
-  that are not coded go in as a
-  :class:`~repro.features.extractor.GraphFeatures`;
+  holds them.  A code (:func:`~repro.features.paths.path_code`) is the
+  same in every process, so it is stored and read back as it is;
 * the graph as its lean state (its name, label and adjacency dicts and
   edge count; :meth:`~repro.graphs.graph.LabeledGraph.from_state`);
 * no compiled payloads: a restored entry compiles as it joins its replica;
@@ -38,7 +34,10 @@ The ``changes`` are ``(first version, epoch before, ops, shards, entry
 ids)``: one op letter per change — ``e`` per eviction, then ``i`` per
 insert, then the ``f`` that closes the flush — and each change's home
 shard and entry id.  The persister numbers changes itself: versions are
-dense, and each flush adds one epoch.
+dense, and each flush adds one epoch.  The record's first field (and a
+snapshot's ``spelling``) is empty: format 3 named the label table its
+codes spelt there, and keeping the slot lets a format-3 build read a
+format-4 directory far enough to refuse it by its state's format.
 
 Recovery inverts that: load the newest valid snapshot, replay the
 segments at or above its version, and *commit* at every ``flush`` record.
@@ -46,11 +45,14 @@ The record's checksum makes it atomic, so a crash mid-append drops
 exactly that flush — the engine restarts exactly as if the queries after
 the previous flush were never submitted, which is the strongest
 prefix-consistency a window-flushed cache can offer (and what the
-fault-injection tests assert).  Older directories still restore: format 2
-journals a flush as ``("flush", (records, meta, state))`` — pickled delta
-records (:class:`~repro.persist.wal.Delta`), a meta dict and a state
-dict — and format 1 (4.x) as ``delta`` / ``meta`` records closed by a
-``state`` record, the commit marker.
+fault-injection tests assert).  Older directories still restore, their
+features re-coded through :func:`~repro.features.paths.path_code`: format
+3 spelt a feature's code with one byte per label of a per-process table
+whose texts the record names; format 2 journals a flush as ``("flush",
+(records, meta, state))`` — pickled delta records
+(:class:`~repro.persist.wal.Delta`), a meta dict and a state dict — and
+format 1 (4.x) as ``delta`` / ``meta`` records closed by a ``state``
+record, the commit marker; both pickle features by tuple key.
 """
 
 from __future__ import annotations
@@ -68,7 +70,6 @@ from pathlib import Path
 
 from ..core.config import ConfigError, PersistConfig
 from ..features.extractor import GraphFeatures
-from ..features.paths import decode_path_codes, label_spelling, respelling
 from ..graphs.graph import LabeledGraph
 from . import snapshot, wal
 from .engine_state import apply_persist_state, persist_answer, persist_state
@@ -87,8 +88,9 @@ __all__ = [
 #: bump on any incompatible change to the record/state schema; this build
 #: reads every format from 1 up to it (format 1 wrote ``delta`` / ``meta``
 #: / ``state`` records, format 2 one pickled ``flush`` record per window
-#: flush, format 3 that record with its entries in native form)
-FORMAT_VERSION = 3
+#: flush, format 3 that record with its entries in native form, format 4
+#: with hashed feature codes)
+FORMAT_VERSION = 4
 
 #: a change's op by its letter in a format-3 flush record
 _OPS = {"i": "insert", "e": "evict", "f": "flush"}
@@ -118,7 +120,7 @@ class RecoveredState:
 
 
 # ----------------------------------------------------------------------
-# Format 3: cache entries in native form
+# Formats 3 and 4: cache entries in native form
 # ----------------------------------------------------------------------
 def _narrow(values: list[int]) -> array:
     """Non-negative ints in the narrowest unsigned array that holds them."""
@@ -132,15 +134,12 @@ def _narrow(values: list[int]) -> array:
 
 
 def _entry_form(engine, entry_id: int) -> bytes:
-    """One cached entry as a format-3 record carries it: the pickle of
+    """One cached entry as a format-4 record carries it: the pickle of
     ``(graph state, features, answer, tags, added_at)`` — plain values
     only, so that no class is looked up to read it — which a snapshot
     copies instead of pickling the entry again."""
     entry = engine.cache.get(entry_id)
-    features = entry.features
-    pairs = features.feature_codes()
-    if pairs is not None and not features.locations:
-        features = _code_columns(pairs)
+    features = _code_columns(entry.features.feature_codes())
     graph = entry.graph.__getstate__()
     form = (graph, features, persist_answer(engine, entry), entry.tags, entry.added_at)
     return pickle.dumps(form, protocol=pickle.HIGHEST_PROTOCOL)
@@ -148,10 +147,8 @@ def _entry_form(engine, entry_id: int) -> bytes:
 
 def _code_columns(pairs: array) -> tuple[int, bytes, bytes]:
     """``(code, count)`` pairs as ``(width, codes, counts)``: the codes'
-    bytes column by column, without the low columns no code uses (a code
-    spends its high bytes on its labels, so ``width`` is the longest
-    feature's label count), and the counts in the narrowest width that
-    holds them."""
+    bytes column by column, without the low columns no code uses, and the
+    counts in the narrowest width that holds them."""
     raw = pairs[0::2].tobytes()
     zero = bytes(len(raw) // 8)
     low = 0
@@ -170,25 +167,31 @@ def _codes_from_columns(width: int, codes: bytes) -> bytearray:
     return raw
 
 
-def _read_entry(entry_id: int, form: bytes, spelling: tuple, table: bytes | None):
-    """Inverse of :func:`_entry_form`: ``(entry, meta)``.  ``table``
-    is the record's :func:`~repro.features.paths.respelling` (``None``
-    when this process's label table cannot take the record's labels: the
-    features then keep tuple keys)."""
+def _spelt_keys(codes: array, spelling: tuple) -> list[tuple[str, ...]]:
+    """The label-path keys format-3 ``codes`` spell: a code's bytes, most
+    significant first, are labels of the record's ``spelling`` (byte ``b``
+    is ``spelling[b - 1]``, 0 ends the path)."""
+    texts = [None, *spelling]
+    return [tuple(texts[b] for b in code.to_bytes(8, "big").rstrip(b"\0")) for code in codes]
+
+
+def _read_entry(entry_id: int, form: bytes, spelling: tuple | None):
+    """Inverse of :func:`_entry_form`: ``(entry, meta)``.  ``spelling`` is
+    a format-3 record's label table (its codes are re-coded through their
+    keys), ``None`` for format 4."""
     graph, features, answer, tags, added_at = pickle.loads(form)
     graph = LabeledGraph.from_state(graph)
-    if not isinstance(features, GraphFeatures):
+    if not isinstance(features, GraphFeatures):  # else a pickle, coded on load
         width, code_columns, counts_bytes = features
         raw = _codes_from_columns(width, code_columns)
         codes = array("Q")
+        codes.frombytes(raw)
         counts = array(_UNSIGNED[len(counts_bytes) * 8 // len(raw)] if raw else "B")
         counts.frombytes(counts_bytes)
-        if table is None:
-            codes.frombytes(raw)
-            features = GraphFeatures(dict(zip(decode_path_codes(codes, spelling), counts)))
+        if spelling is None:
+            features = GraphFeatures(dict(zip(codes, counts)))
         else:
-            codes.frombytes(raw.translate(table))
-            features = GraphFeatures.from_codes(codes, counts)
+            features = GraphFeatures.from_keys(dict(zip(_spelt_keys(codes, spelling), counts)))
     meta = {"answer": answer, "tags": tags, "added_at": added_at}
     return Entry(entry_id, graph, features), meta
 
@@ -196,10 +199,12 @@ def _read_entry(entry_id: int, form: bytes, spelling: tuple, table: bytes | None
 def read_flush(payload: tuple) -> tuple[list[Delta], dict, dict]:
     """A ``flush`` record's payload as ``(changes, meta of the entries
     they insert, state)``, whichever format wrote it."""
-    if len(payload) == 3:  # format 2 pickled exactly that
+    state = payload[-1]
+    if state["format"] == 2:  # format 2 pickled exactly that
         return payload
     spelling, (first, epoch, ops, shards, entry_ids), entries, state = payload
-    table = respelling(spelling)
+    if state["format"] != 3:
+        spelling = None
     records: list[Delta] = []
     meta: dict = {}
     addressed = zip(shards, entry_ids)
@@ -212,7 +217,7 @@ def read_flush(payload: tuple) -> tuple[list[Delta], dict, dict]:
         shard, entry_id = next(addressed)
         entry = None
         if letter == "i":
-            entry, meta[entry_id] = _read_entry(entry_id, next(inserted), spelling, table)
+            entry, meta[entry_id] = _read_entry(entry_id, next(inserted), spelling)
         records.append(Delta(version, epoch, _OPS[letter], shard, entry_id, entry))
     return records, meta, state
 
@@ -250,11 +255,10 @@ def _read_snapshot(payload: dict) -> tuple[dict, dict]:
     does), so every live entry loads as a shard-0 insert.
     """
     live, meta = {}, {}
-    if "entries" in payload:  # format 3
-        spelling = payload["spelling"]
-        table = respelling(spelling)
+    if "entries" in payload:  # formats 3 and 4
+        spelling = payload["spelling"] if payload["format"] == 3 else None
         for entry_id, form in zip(payload["ids"], payload["entries"]):
-            entry, meta[entry_id] = _read_entry(entry_id, form, spelling, table)
+            entry, meta[entry_id] = _read_entry(entry_id, form, spelling)
             live[entry_id] = Delta(0, 0, "insert", 0, entry_id, entry)
         return live, meta
     # formats 1 and 2: ``(kind, entry, targets)`` tuples by id (a 3.x
@@ -443,7 +447,7 @@ class CachePersister:
         self._stop = None
         self._last_commit: Future | None = None
         self._records_since_snapshot = 0
-        #: ``entry_id -> format-3 form`` of the entries journalled since
+        #: ``entry_id -> format-4 form`` of the entries journalled since
         #: the last snapshot or live at it, and the fingerprint of the id
         #: space their answer masks index
         self._forms: dict[int, bytes] = {}
@@ -499,7 +503,7 @@ class CachePersister:
         return {"format": FORMAT_VERSION, **state}
 
     def _entry_forms(self, engine, entry_ids: list[int], state: dict) -> tuple:
-        """The format-3 forms of ``entry_ids``.  A cached entry never
+        """The format-4 forms of ``entry_ids``.  A cached entry never
         changes, so each is encoded once, at its insert, and a snapshot
         copies those bytes; the memo starts over when the answers' id
         space (the ``state``'s) is not the one its masks index."""
@@ -534,7 +538,7 @@ class CachePersister:
         ops = "e" * len(evicted) + "i" * len(inserted) + "f"
         changes = (self._version + 1, self._epoch, ops, _narrow(homes), _narrow(evicted + inserted))
         entries = self._entry_forms(engine, inserted, state)
-        payload = (label_spelling(), changes, entries, state)
+        payload = ((), changes, entries, state)
         commit = self._submit(partial(self._journal.append, payload))
         self._version += len(ops)
         self._epoch += 1
@@ -577,7 +581,7 @@ class CachePersister:
             "format": FORMAT_VERSION,
             "version": version,
             "epoch": self._epoch,
-            "spelling": label_spelling(),
+            "spelling": (),
             "ids": _narrow(live),
             "entries": entries,
             "state": state,

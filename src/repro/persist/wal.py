@@ -2,11 +2,11 @@
 
 Each segment file starts with an 8-byte magic and carries a sequence of
 length-prefixed, CRC32-checksummed pickle records.  A record is a
-``(kind, payload)`` tuple.  Formats 2 and 3 write one kind, ``"flush"``,
+``(kind, payload)`` tuple.  Formats 2 to 4 write one kind, ``"flush"``,
 once per window flush: the cache changes of the flush, the entries it
-inserted and the engine's small mutable state (format 3 in the engine's
-native form, format 2 as pickled delta records and dicts — see
-:mod:`repro.persist.restore`, which reads both).  Format 1 wrote the same
+inserted and the engine's small mutable state (formats 3 and 4 in the
+engine's native form, format 2 as pickled delta records and dicts — see
+:mod:`repro.persist.restore`, which reads them all).  Format 1 wrote the same
 flush as one ``"delta"`` record per change, a ``"meta"`` record and a
 closing ``"state"`` record; recovery still reads those.
 

@@ -83,38 +83,20 @@ def random_labeled_graph(
 
 
 def index_state(index) -> dict:
-    """Observable contents of a component index (order-free, comparable).
-
-    The threshold masks of ``Isub`` are decoded back into ``{key: {entry id:
-    occurrences}}`` and the native table's rows are read back by entry id,
-    so an index whose slots were recycled compares equal to one built from
-    scratch.  On the native table the thresholds must be empty; off it
-    there are no rows.
-    """
-    postings = {}
-    thresholds = getattr(index, "_index", None)
-    if thresholds is not None:
-        for key, levels in thresholds._levels.items():
-            assert levels and levels[-1], "trailing empty threshold not trimmed"
-            per_entry = postings[key] = {}
-            for mask in levels:
-                for entry_id in index._slots.keys_of(mask):
-                    per_entry[entry_id] = per_entry.get(entry_id, 0) + 1
+    """Observable contents of a component index (order-free, comparable):
+    the native table's rows read back by entry id, so an index whose slots
+    were recycled compares equal to one built from scratch."""
     rows = {}
-    if index._table is not None:
-        assert not postings, "thresholds maintained next to the native table"
-        for slot, entry_id in enumerate(index._slots._order):
-            row = index._table.row(slot)
-            if entry_id is None:
-                assert row is None, "row of a freed slot not cleared"
-                continue
-            assert row[0] == entry_id
-            rows[entry_id] = (row[1], row[2], row[3].tolist())
+    for slot, entry_id in enumerate(index._slots._order):
+        row = index._table.row(slot)
+        if entry_id is None:
+            assert row is None, "row of a freed slot not cleared"
+            continue
+        assert row[0] == entry_id
+        rows[entry_id] = (row[1], row[2], row[3].tolist())
     return {
-        "postings": postings,
         "rows": rows,
         "entries": sorted(index._entries),
-        "live": sorted(index._slots.keys_of(index._live_mask)),
         "slots": len(index._slots),
     }
 
@@ -125,23 +107,20 @@ def index_state(index) -> dict:
 
 
 def feature_keys(features) -> set:
-    """The distinct tuple keys of a :class:`GraphFeatures`, whatever form
-    it holds them in."""
-    return set(features.key_counts())
+    """The distinct feature codes of a :class:`GraphFeatures`."""
+    return set(features.counts)
 
 
 def contains_all_of(have, other) -> bool:
-    """Every feature of ``other`` also appears in ``have`` (set-wise), by
-    tuple key."""
-    keys = have.key_counts()
-    return all(key in keys for key in other.key_counts())
+    """Every feature of ``other`` also appears in ``have`` (set-wise)."""
+    return all(code in have.counts for code in other.counts)
 
 
 def covers_counts_of(have, other) -> bool:
-    """Every feature of ``other`` appears in ``have`` at least as often, by
-    tuple key: the condition both filtering directions implement."""
-    counts = have.key_counts()
-    return all(counts.get(key, 0) >= count for key, count in other.key_counts().items())
+    """Every feature of ``other`` appears in ``have`` at least as often:
+    the condition both filtering directions implement."""
+    counts = have.counts
+    return all(counts.get(code, 0) >= count for code, count in other.counts.items())
 
 
 def posting_lists(feature_tables) -> dict:

@@ -17,7 +17,12 @@ differentials compare against:
 * the *marshalling* — :func:`marshal_target` / :func:`marshal_plan` build
   the ``ck_target`` / ``ck_plan`` structs from that state, field for field
   what ``ck_compile_target`` / ``ck_compile_plan`` build from the CSR;
-* :func:`mask_sums`, the loop ``ck_mask_sums`` replaces;
+* :func:`mask_sums`, the loop ``ck_mask_sums`` replaces, and
+  :func:`isub_candidate_ids` / :func:`isuper_candidate_ids`, the Python
+  filters ``ck_probe_filter`` replaces (``Isub``'s dominance, ``Isuper``'s
+  Algorithm 2);
+* :func:`compiled_has_embedding`, one native pair: the single-pair entry
+  point the tests drive the kernel through;
 * :class:`UllmannMatcher`, Ullmann's [1976] backtracking matcher, a second
   independent subgraph-monomorphism oracle next to ``VF2Matcher``.
 
@@ -35,13 +40,14 @@ from collections.abc import Hashable, Iterator, Sequence
 
 from repro.graphs import LabeledGraph
 from repro.graphs.bitset import iter_bits
-from repro.isomorphism import Verifier
+from repro.isomorphism import Verifier, VF2Matcher
 from repro.isomorphism.compiled import (
     CompiledQueryPlan,
     _intern_label,
     _packed,
     degree_signature_dominates,
 )
+from repro.isomorphism.compiled import match_pairs as native_match_pairs
 
 
 def repr_ranks(graph: LabeledGraph) -> list[int]:
@@ -604,3 +610,63 @@ class UllmannMatcher:
 def ullmann_is_subgraph_isomorphic(pattern: LabeledGraph, target: LabeledGraph) -> bool:
     """True if ``pattern`` is subgraph-isomorphic to ``target`` (Ullmann)."""
     return UllmannMatcher(pattern, target).has_match()
+
+
+# ----------------------------------------------------------------------
+# The one-pair entry point and the cache-side filters
+# ----------------------------------------------------------------------
+def compiled_has_embedding(plan, target, vertex_mask: int | None = None) -> bool:
+    """True if the plan's pattern has a (non-induced) embedding in ``target``
+    — inside ``vertex_mask`` when one is given: the ``n = 1`` case of
+    :func:`repro.isomorphism.compiled.match_pairs`, the native kernel."""
+    regions = None if vertex_mask is None else [vertex_mask]
+    return native_match_pairs(plan, [target], regions)[0][0]
+
+
+def _dominates(have: dict, wanted: dict) -> bool:
+    """``have`` holds every feature of ``wanted`` at least as often."""
+    return all(have.get(code, 0) >= count for code, count in wanted.items())
+
+
+def isub_candidate_ids(index, features) -> list[int]:
+    """``Isub``'s filter as a Python loop: the ids, ascending, of the
+    entries of ``index`` holding every feature of ``features`` at least as
+    often (what ``ck_probe_filter`` keeps for a table of targets, before
+    its size pre-check)."""
+    wanted = features.counts
+    return sorted(
+        entry_id
+        for entry_id, entry in index._entries.items()
+        if _dominates(entry.features.counts, wanted)
+    )
+
+
+def isuper_candidate_ids(index, features) -> list[int]:
+    """Algorithm 2 as a Python loop: the ids, ascending, of the entries of
+    ``index`` holding no feature more often than ``features`` does."""
+    available = features.counts
+    return sorted(
+        entry_id
+        for entry_id, entry in index._entries.items()
+        if _dominates(available, entry.features.counts)
+    )
+
+
+def probe_hits(index, query, features) -> tuple[list[int], int]:
+    """A containment index's probe as Python loops: ``(hit ids ascending,
+    tests)`` — the direction's filter, the size pre-checks (no test) and
+    one ``VF2Matcher`` test per survivor."""
+    if index.entry_is_target:
+        candidates = isub_candidate_ids(index, features)
+    else:
+        candidates = isuper_candidate_ids(index, features)
+    hits, tests = [], 0
+    for entry_id in candidates:
+        graph = index._entries[entry_id].graph
+        pattern, target = (query, graph) if index.entry_is_target else (graph, query)
+        if pattern.num_vertices > target.num_vertices or pattern.num_edges > target.num_edges:
+            continue
+        tests += 1
+        if VF2Matcher(pattern, target).has_match():
+            hits.append(entry_id)
+    return hits, tests

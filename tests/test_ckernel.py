@@ -33,13 +33,13 @@ from repro.isomorphism import (
     Verifier,
     compile_query_plan,
     compile_target,
-    compiled_has_embedding,
 )
 from repro.isomorphism import _ckernel_loader
 from repro.methods import create_method
 from repro.service import GraphQueryService
 
 from . import kernel_oracle
+from .kernel_oracle import compiled_has_embedding
 from .conftest import (
     engine_config,
     make_clique,
@@ -108,7 +108,7 @@ class TestLoader:
 
     def test_stale_abi_rejected(self, monkeypatch):
         """An artifact built for another struct layout must never be driven."""
-        assert _ckernel_loader.ABI_VERSION == 8
+        assert _ckernel_loader.ABI_VERSION == 9
         library = ctypes.CDLL(str(_ckernel_loader.native_kernel_path()))
         assert _ckernel_loader._configure(library) is library
         monkeypatch.setattr(_ckernel_loader, "ABI_VERSION", 2)
@@ -129,10 +129,9 @@ class TestRuntimeDependencies:
         source = Path(repro.__file__).resolve().parent.parent
         script = (
             "import sys, repro\n"
-            "from repro.isomorphism import compile_query_plan, compile_target, "
-            "compiled_has_embedding\n"
+            "from repro.isomorphism import compile_query_plan, compile_target, match_pairs\n"
             "graph = repro.LabeledGraph.from_edges({0: 'A', 1: 'B'}, [(0, 1)])\n"
-            "assert compiled_has_embedding(compile_query_plan(graph), compile_target(graph))\n"
+            "assert match_pairs(compile_query_plan(graph), [compile_target(graph)])[0][0]\n"
             "print(sorted(name for name in sys.modules if name.split('.')[0] == 'numpy'))\n"
         )
         environment = dict(os.environ, PYTHONPATH=str(source))

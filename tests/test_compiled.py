@@ -22,12 +22,12 @@ from repro.isomorphism import (
     Verifier,
     compile_query_plan,
     compile_target,
-    compiled_has_embedding,
     signature_prereject,
 )
 from repro.methods import ScanMethod
 
 from . import kernel_oracle
+from .kernel_oracle import compiled_has_embedding
 from .conftest import (
     make_clique,
     make_cycle_graph,

@@ -13,8 +13,17 @@ import pytest
 from hypothesis import given, settings
 
 from repro.datasets.registry import load_dataset
-from repro.features import FeatureExtractor, canonical_path_code, enumerate_simple_paths
+from repro.features import (
+    FeatureExtractor,
+    GraphFeatures,
+    canonical_cycle_code,
+    canonical_path_code,
+    canonical_tree_code,
+    enumerate_simple_paths,
+    enumerate_tree_subgraphs,
+)
 from repro.features import extractor as extractor_module
+from repro.features.paths import path_code
 
 from .conftest import (
     contains_all_of,
@@ -57,15 +66,15 @@ class TestPathFeatures:
         extractor = FeatureExtractor(max_path_length=2)
         graph = make_star_graph("A", "BB")
         features = extractor.extract(graph, locations=True)
-        counts, located = features.key_counts(), features.key_locations()
-        assert counts[("A",)] == 1
-        assert counts[("B",)] == 2
-        assert counts[("A", "B")] == 2
-        assert counts[("B", "A", "B")] == 1
+        counts, located = features.counts, features.locations
+        assert counts[path_code(("A",))] == 1
+        assert counts[path_code(("B",))] == 2
+        assert counts[path_code(("A", "B"))] == 2
+        assert counts[path_code(("B", "A", "B"))] == 1
         # a bitmask over the positions of graph.vertices()
         assert list(graph.vertices()) == [0, 1, 2]
-        assert located[("A", "B")] == 0b111
-        assert located[("A",)] == 0b001
+        assert located[path_code(("A", "B"))] == 0b111
+        assert located[path_code(("A",))] == 0b001
         assert features.num_distinct == 4
 
     def test_locations_only_on_request(self):
@@ -77,12 +86,12 @@ class TestPathFeatures:
     def test_keys_helper(self):
         extractor = FeatureExtractor(max_path_length=1)
         features = extractor.extract(make_path_graph("AB"))
-        assert feature_keys(features) == {("A",), ("B",), ("A", "B")}
+        assert feature_keys(features) == set(map(path_code, [("A",), ("B",), ("A", "B")]))
 
     @pytest.mark.parametrize("dataset", ["aids", "pdbs"])
     def test_keys_equal_the_string_code_round_trip(self, dataset):
-        """The tuple keys are what splitting ``canonical_path_code`` gave:
-        same keys, counts and locations, in ascending key order — and the
+        """The features are the keys splitting ``canonical_path_code`` gave,
+        coded: same counts and locations, in ascending code order — and the
         Python enumeration walks every path in the direction whose full
         vertex-repr sequence is the smaller one (the endpoint shortcut
         decides the same)."""
@@ -97,16 +106,17 @@ class TestPathFeatures:
                 key = tuple(code.split("\x1f"))
                 counts[key] = counts.get(key, 0) + 1
                 locations[key] = locations.get(key, 0) | sum(1 << position[v] for v in path)
+            expected = GraphFeatures.from_keys(counts, locations)
             features = extractor.extract(graph, locations=True)
-            assert list(features.key_counts().items()) == sorted(counts.items())
-            assert list(features.key_locations().items()) == sorted(locations.items())
-            assert list(extractor.extract(graph).key_counts().items()) == sorted(counts.items())
+            assert list(features.counts.items()) == list(expected.counts.items())
+            assert list(features.locations.items()) == list(expected.locations.items())
+            assert list(extractor.extract(graph).counts.items()) == list(expected.counts.items())
 
     @pytest.mark.parametrize("locations", [False, True])
     def test_key_order_does_not_depend_on_the_extractor(self, locations, monkeypatch):
         """WAL records, snapshots, shard deltas and answer digests iterate
         the feature dicts: the native and the Python extractor must return
-        the same keys in the same (ascending) order."""
+        the same codes in the same (ascending) order."""
         extractor = FeatureExtractor(max_path_length=4)
         graphs = [graph for _, graph in load_dataset("aids", scale=0.05).items()][:8]
         graphs.append(make_star_graph("B", "ACA"))
@@ -114,26 +124,26 @@ class TestPathFeatures:
         monkeypatch.setattr(extractor_module, "native_path_features", lambda *args: None)
         for graph, fast in zip(graphs, native):
             slow = extractor.extract(graph, locations=locations)
-            assert fast.coded and slow.coded
             assert list(fast.counts.items()) == list(slow.counts.items())
             assert list(fast.locations.items()) == list(slow.locations.items())
-            keys = list(fast.key_counts())
-            assert keys == sorted(keys)
-            assert list(fast.key_locations()) == (keys if locations else [])
+            codes = list(fast.counts)
+            assert codes == sorted(codes)
+            assert list(fast.locations) == (codes if locations else [])
 
 
 class TestTreeCycleFeatures:
     def test_cycle_feature_present(self):
         extractor = FeatureExtractor(kind=FeatureExtractor.TREES_CYCLES, cycle_max_length=4)
         features = extractor.extract(make_cycle_graph("ABC"))
-        cycle_keys = [key for key in features.counts if key[0].startswith("cycle:")]
-        assert len(cycle_keys) == 1
+        assert path_code((canonical_cycle_code(list("ABC")),)) in features.counts
 
     def test_tree_features_present(self):
         extractor = FeatureExtractor(kind=FeatureExtractor.TREES_CYCLES, tree_max_size=3)
-        features = extractor.extract(make_path_graph("ABC"))
-        tree_keys = [key for key in features.counts if key[0].startswith("tree:")]
+        graph = make_path_graph("ABC")
+        features = extractor.extract(graph)
+        tree_keys = {(canonical_tree_code(tree),) for tree in enumerate_tree_subgraphs(graph, 3)}
         assert len(tree_keys) >= 3  # singletons and edges at minimum
+        assert set(map(path_code, tree_keys)) == set(features.counts)
 
     def test_locations_populated(self):
         extractor = FeatureExtractor(kind=FeatureExtractor.TREES_CYCLES, tree_max_size=2)

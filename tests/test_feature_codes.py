@@ -1,34 +1,44 @@
-"""Feature codes as the primary key domain, against the tuple-keyed oracle.
+"""Feature codes as the one key domain, against the tuple-keyed oracle.
 
-Path features are keyed by their process-wide ``uint64`` codes end to end:
-the extractor returns them, the dataset index and Grapes' location tables
-are keyed by them, the cache-side probe filters on them.  Tuple keys are
-the oracle form — what :meth:`GraphFeatures.key_counts` decodes — and what
-the threshold index held before.  Every filter must answer exactly as a
-:class:`ThresholdBitmapIndex` over tuple keys does, in both directions,
-whichever domain a method picked at ``build_index``: codes when every
-dataset graph's features are coded, tuple keys otherwise (a full label
-table, ``max_path_length`` above 7, CT-Index's trees and cycles).
+Every feature is keyed by its ``uint64`` code end to end: the extractor
+returns codes (:func:`~repro.features.paths.path_code` of the key, for
+paths, trees and cycles alike), the dataset index and Grapes' location
+tables are keyed by them, the cache-side probe filters on them, pickles
+and the journal carry them.  Tuple keys are the oracle form — the Python
+enumeration, uncoded — and what the threshold index held before.  Every
+filter must answer exactly as a :class:`ThresholdBitmapIndex` over tuple
+keys does, in both directions, for every method and extractor setting.
 
 The second half checks that a query is prepared once: one flattening
-(``LabeledGraph.csr``) shared by extraction and both compiles, and no key
-decode on the query path.
+(``LabeledGraph.csr``) shared by extraction and both compiles.
 """
 
 from __future__ import annotations
 
+import os
 import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.core import IGQ, BatchExecutor, CacheConfig, EngineConfig
-from repro.features import FeatureExtractor, ThresholdBitmapIndex
-from repro.features import extractor as extractor_module
-from repro.features import paths as paths_module
-from repro.features.paths import encode_path_keys
+from repro.features import (
+    FeatureExtractor,
+    GraphFeatures,
+    ThresholdBitmapIndex,
+    canonical_cycle_code,
+    canonical_tree_code,
+    enumerate_simple_cycles,
+    enumerate_tree_subgraphs,
+    path_features,
+)
+from repro.features.paths import path_code
 from repro.graphs import GraphDatabase, LabeledGraph
 from repro.methods import CTIndexMethod, GGSXMethod, GrapesMethod, create_method
 
@@ -44,30 +54,48 @@ def build(factory, graphs, **kwargs):
     return method
 
 
-def tuple_index(method) -> ThresholdBitmapIndex:
-    """The oracle: the dataset's features by tuple key, as the index was."""
-    index = ThresholdBitmapIndex()
-    for graph_id in method.database.ids():
-        index.add(method.id_space.bit(graph_id), method.graph_features(graph_id).key_counts())
-    return index
+def tuple_features(extractor: FeatureExtractor, graph: LabeledGraph):
+    """``(counts, locations)`` of ``graph`` keyed by tuple: the Python
+    enumeration of ``extractor``'s feature class, uncoded."""
+    bit = {vertex: 1 << position for position, vertex in enumerate(graph.vertices())}
+    counts: dict = {}
+    located: dict = {}
+
+    def record(key, vertices, count=1) -> None:
+        counts[key] = counts.get(key, 0) + count
+        located[key] = located.get(key, 0) | sum(bit[vertex] for vertex in vertices)
+
+    if extractor.kind == FeatureExtractor.PATHS:
+        for key, found in path_features(graph, extractor.max_path_length).items():
+            record(key, found.vertices, found.count)
+    else:
+        for tree in enumerate_tree_subgraphs(graph, extractor.tree_max_size):
+            record((canonical_tree_code(tree),), tree.vertices())
+        for cycle in enumerate_simple_cycles(graph, extractor.cycle_max_length):
+            record((canonical_cycle_code([graph.label(vertex) for vertex in cycle]),), cycle)
+    return counts, located
 
 
 def assert_filters_match_oracle(method, query: LabeledGraph) -> None:
-    """``at_least`` / ``at_most`` through the method's key domain, and
-    Grapes' region of every dataset graph, equal the tuple-keyed oracle."""
-    oracle = tuple_index(method)
+    """``at_least`` / ``at_most`` over the coded index, and Grapes' region
+    of every dataset graph, equal the tuple-keyed oracle."""
+    oracle = ThresholdBitmapIndex()
+    located_of = {}
+    for graph_id, graph in method.database.items():
+        counts, located_of[graph_id] = tuple_features(method.extractor, graph)
+        oracle.add(method.id_space.bit(graph_id), counts)
+    keys, _ = tuple_features(method.extractor, query)
     features = method.extract_query_features(query)
-    keys = features.key_counts()
+    assert features.counts == GraphFeatures.from_keys(keys).counts
     full = method.id_space.full_mask
     index = method.feature_index
-    assert index.at_least(method.index_counts(features), full) == oracle.at_least(keys, full)
-    assert index.at_most(method.index_counts(features), full) == oracle.at_most(keys, full)
+    assert index.at_least(features.counts, full) == oracle.at_least(keys, full)
+    assert index.at_most(features.counts, full) == oracle.at_most(keys, full)
     if isinstance(method, GrapesMethod):
         for graph_id in method.database.ids():
-            located = method.graph_features(graph_id).key_locations()
             region = 0
             for key in keys:
-                region |= located.get(key, 0)
+                region |= located_of[graph_id].get(key, 0)
             assert method.region_mask(features, graph_id) == region
 
 
@@ -82,66 +110,45 @@ class TestCodedIndexEqualsTupleOracle:
     @given(graphs=dataset_graphs, queries=query_graphs)
     def test_random_datasets_and_queries(self, factory, graphs, queries):
         method = build(factory, graphs, max_path_length=3)
-        assert method._coded
-        assert all(method.graph_features(g).coded for g in method.database.ids())
         for query in queries:
             assert_filters_match_oracle(method, query)
 
     @pytest.mark.parametrize("factory", [GGSXMethod, GrapesMethod])
-    def test_full_label_table_and_an_unseen_label(self, factory, monkeypatch):
-        """The table filled to its 254 entries after the index was built; a
-        query with a label it cannot take stays tuple-keyed and still
-        filters exactly — nothing dominates it, and its coded keys decide
-        which graphs it may contain."""
-        monkeypatch.setattr(paths_module, "_LABEL_BYTES", {})
+    def test_full_label_table_and_an_unseen_label(self, factory):
+        """More label texts than the old 254-entry process-wide table held,
+        and a query with a label no dataset graph has: nothing dominates
+        it, and its other features decide which graphs it may contain."""
         rng = random.Random(7)
-        graphs = [random_labeled_graph(rng, rng.randint(1, 4), 0.3, labels="ABC") for _ in range(12)]
+        alphabet = [f"L{n:03d}" for n in range(300)]
+        graphs = [
+            random_labeled_graph(rng, 6, 0.3, labels=alphabet[3 * n : 3 * n + 3])
+            for n in range(100)
+        ]
+        graphs += [LabeledGraph.from_edges({0: label}, []) for label in alphabet[:3]]
         method = build(factory, graphs, max_path_length=3)
-        assert method._coded
-        table = paths_module._LABEL_BYTES
-        assert paths_module._label_bytes([f"fill{n:03d}" for n in range(254 - len(table))])
-        assert len(table) == 254
+        assert len({graph.label(v) for graph in graphs for v in graph.vertices()}) > 254
         for seed in range(8):
-            query = random_labeled_graph(random.Random(seed), 6, 0.4, labels="ABC")
+            query = random_labeled_graph(random.Random(seed), 6, 0.4, labels=alphabet[:3])
             query.add_vertex("unseen", "Z")
             query.add_edge("unseen", 0)
             features = method.extract_query_features(query)
-            assert not features.coded and features.feature_codes() is None
             assert_filters_match_oracle(method, query)
             assert method.filter_candidates(query, features=features) == set()
             assert method.filter_supergraph_candidates(query, features=features)
-        assert len(table) == 254
-
-    def test_an_uncoded_dataset_graph_puts_the_index_on_tuple_keys(self, monkeypatch):
-        """One dataset graph whose labels did not fit: the whole index is
-        keyed by tuple, and coded queries are decoded to meet it."""
-        monkeypatch.setattr(paths_module, "_LABEL_BYTES", {})
-        monkeypatch.setattr(paths_module, "_MAX_LABEL_BYTES", 3)
-        rng = random.Random(3)
-        graphs = [random_labeled_graph(rng, rng.randint(1, 4), 0.3, labels="ABC") for _ in range(8)]
-        graphs.append(random_labeled_graph(rng, 4, 0.3, labels="D"))
-        method = build(GrapesMethod, graphs, max_path_length=3)
-        assert not method._coded
-        assert not any(method.graph_features(g).coded for g in method.database.ids())
-        for seed in range(8):
-            query = random_labeled_graph(random.Random(seed), 3, 0.4, labels="ABC")
-            assert method.extract_query_features(query).coded
-            assert_filters_match_oracle(method, query)
 
     @settings(max_examples=15, deadline=None)
     @given(graphs=dataset_graphs, queries=query_graphs)
-    def test_paths_longer_than_a_code_keep_tuple_keys(self, graphs, queries):
+    def test_paths_longer_than_a_local_code(self, graphs, queries):
+        """Paths past the kernel's seven edges: the Python enumeration, the
+        same codes."""
         method = build(GGSXMethod, graphs, max_path_length=8)
-        assert not method._coded
         for query in queries:
-            assert not method.extract_query_features(query).coded
             assert_filters_match_oracle(method, query)
 
     @settings(max_examples=15, deadline=None)
     @given(graphs=dataset_graphs, queries=query_graphs)
-    def test_ctindex_keeps_tuple_keys(self, graphs, queries):
+    def test_ctindex_codes_trees_and_cycles(self, graphs, queries):
         method = build(CTIndexMethod, graphs, tree_max_size=3, cycle_max_length=4)
-        assert not method._coded
         for query in queries:
             assert_filters_match_oracle(method, query)
 
@@ -150,37 +157,56 @@ class TestPickledFeatures:
     @settings(max_examples=40, deadline=None)
     @given(graph=labeled_graphs(max_vertices=7, labels="ABCD"), locations=st.booleans())
     def test_round_trip_keeps_keys_and_reencodes_codes(self, graph, locations):
+        """A copy carries the codes themselves (the feature keys) and
+        rebuilds its ``(code, count)`` pairs on demand."""
         features = FeatureExtractor(max_path_length=3).extract(graph, locations=locations)
         copy = pickle.loads(pickle.dumps(features))
-        assert copy.coded and copy.codes is None
-        assert copy.key_counts() == features.key_counts()
-        assert list(copy.key_locations().items()) == list(features.key_locations().items())
+        assert copy.codes is None
         assert list(copy.counts.items()) == list(features.counts.items())
-        assert copy.feature_codes() == features.feature_codes() == encode_path_keys(
-            features.key_counts()
-        )
+        assert list(copy.locations.items()) == list(features.locations.items())
+        assert copy.feature_codes() == features.feature_codes()
 
-    def test_another_process_table_gives_other_codes_for_the_same_keys(self):
-        """Codes are per process: a copy loaded under a different label
-        table spells the same keys with that table's bytes."""
+    def test_another_process_gives_the_same_codes(self):
+        """A code is a pure function of the key: another process, with
+        another hash seed and nothing extracted before, computes the same
+        pairs."""
+        graph = "LabeledGraph.from_edges({0: 'A', 1: 'B', 2: 'C'}, [(0, 1), (1, 2)])"
+        script = (
+            "from repro.features import FeatureExtractor\n"
+            "from repro.graphs import LabeledGraph\n"
+            f"graph = {graph}\n"
+            "print(FeatureExtractor(max_path_length=3).extract(graph).feature_codes().tolist())\n"
+        )
+        source = Path(repro.__file__).resolve().parent.parent
+        environment = dict(os.environ, PYTHONPATH=str(source), PYTHONHASHSEED="12345")
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=environment, capture_output=True, text=True,
+            check=True,
+        )
         features = FeatureExtractor(max_path_length=3).extract(
-            LabeledGraph.from_edges({0: "A", 1: "B", 2: "C"}, [(0, 1), (1, 2)]), locations=True
+            LabeledGraph.from_edges({0: "A", 1: "B", 2: "C"}, [(0, 1), (1, 2)])
         )
-        data = pickle.dumps(features)
-        keys, located = features.key_counts(), features.key_locations()
-        with pytest.MonkeyPatch.context() as patched:
-            patched.setattr(paths_module, "_LABEL_BYTES", {"C": 1, "B": 2, "A": 3})
-            copy = pickle.loads(data)
-            assert copy.coded and copy.key_counts() == keys
-            assert copy.key_locations() == located
-            assert copy.feature_codes() == encode_path_keys(keys)
-        assert set(copy.counts) != set(features.counts)
+        assert done.stdout.strip() == str(features.feature_codes().tolist())
+        assert path_code(("A", "B", "C")) in features.counts
 
-    def test_uncoded_features_stay_uncoded(self):
-        extractor = FeatureExtractor(kind=FeatureExtractor.TREES_CYCLES, tree_max_size=3)
-        features = extractor.extract(LabeledGraph.from_edges({0: "A", 1: "B"}, [(0, 1)]))
-        copy = pickle.loads(pickle.dumps(features))
-        assert not copy.coded and copy.counts == features.counts and copy == features
+    def test_a_pre_code_pickle_is_coded_on_load(self):
+        """A pickle written before features were coded holds tuple keys —
+        label paths, or CT-Index's wrapped canonical strings: loading one
+        codes its keys, so it meets a fresh extraction."""
+        graph = LabeledGraph.from_edges({0: "A", 1: "B", 2: "A"}, [(0, 1), (1, 2)])
+        for extractor in (
+            FeatureExtractor(max_path_length=3),
+            FeatureExtractor(kind=FeatureExtractor.TREES_CYCLES, tree_max_size=3),
+        ):
+            keys, located = tuple_features(extractor, graph)
+            old = GraphFeatures.__new__(GraphFeatures)
+            old.__setstate__(
+                {"counts": keys, "locations": located, "codes": None, "path_keys": True}
+            )
+            fresh = extractor.extract(graph, locations=True)
+            assert list(old.counts.items()) == list(fresh.counts.items())
+            assert old.locations == fresh.locations
+            assert old.feature_codes() == fresh.feature_codes()
 
 
 # ----------------------------------------------------------------------
@@ -198,24 +224,16 @@ def _engine(method_name: str, database) -> IGQ:
 
 class TestPreparedOnce:
     @pytest.fixture
-    def counters(self, monkeypatch):
+    def flattened(self, monkeypatch):
         flattened: list = []
-        decoded: list = []
         csr = LabeledGraph.csr
-        decode = paths_module.decode_path_codes
 
         def counting_csr(graph):
             flattened.append(graph.name)
             return csr(graph)
 
-        def counting_decode(codes):
-            decoded.append(codes)
-            return decode(codes)
-
         monkeypatch.setattr(LabeledGraph, "csr", counting_csr)
-        monkeypatch.setattr(paths_module, "decode_path_codes", counting_decode)
-        monkeypatch.setattr(extractor_module, "decode_path_codes", counting_decode)
-        return flattened, decoded
+        return flattened
 
     @staticmethod
     def stream():
@@ -227,12 +245,12 @@ class TestPreparedOnce:
 
     @pytest.mark.parametrize("method_name", ["ggsx", "grapes"])
     def test_engine_query_flattens_once_and_never_decodes(
-        self, method_name, tiny_database, counters
+        self, method_name, tiny_database, flattened
     ):
         """Extraction, both probes' compiles, verification and the window
         flush that indexes the query all read one flattening; the repeats
-        (memoised) read it again and flatten nothing."""
-        flattened, decoded = counters
+        (memoised) read it again and flatten nothing.  (Nothing is decoded:
+        a code has no spelling to decode.)"""
         engine = _engine(method_name, tiny_database)
         queries = self.stream()
         del flattened[:]
@@ -244,18 +262,13 @@ class TestPreparedOnce:
         assert [name for name in flattened if name.startswith("query")] == [
             query.name for query in queries
         ]
-        if engine.persister is None:
-            # (a forced persistence directory pickles the flushed entries'
-            # features, which is where tuple keys are decoded)
-            assert decoded == []
 
     def test_service_repeats_of_equal_copies_reuse_the_preparation(
-        self, tiny_database, counters
+        self, tiny_database, flattened
     ):
         """The batch executor's memo hands the flattening out with the
         features, so an equal copy built in the same order (what a decoded
         wire repeat is) is not flattened again."""
-        flattened, decoded = counters
         engine = _engine("ggsx", tiny_database)
         queries = self.stream()
         del flattened[:]
@@ -265,5 +278,3 @@ class TestPreparedOnce:
         assert sorted(name for name in flattened if name.startswith("query")) == sorted(
             query.name for query in queries
         )
-        if engine.persister is None:
-            assert decoded == []

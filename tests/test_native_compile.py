@@ -36,11 +36,11 @@ from repro.isomorphism.compiled import (
     CompiledQueryPlan,
     CompiledTarget,
     _KernelBlock,
-    compiled_has_embedding,
     match_pairs,
 )
 
 from . import kernel_oracle
+from .kernel_oracle import compiled_has_embedding
 from .conftest import make_cycle_graph, make_path_graph, random_labeled_graph
 
 EXTRACTOR = FeatureExtractor(max_path_length=3)

@@ -2,10 +2,10 @@
 
 ``ck_path_features`` (``isomorphism/_ckernel.c``, driven by
 :func:`repro.features.paths.native_path_features`) must return exactly what
-:func:`repro.features.paths.path_features` returns — same keys (spelt as
-their cross-graph codes), same counts, same location masks, keys ascending —
-because every index, WAL record and candidate set downstream is built from
-whichever of the two ran.  The Python
+:func:`repro.features.paths.path_features` returns, coded by
+:func:`repro.features.paths.path_code` — same ``(code, count)`` pairs, same
+location masks, code ascending — because every index, WAL record and
+candidate set downstream is built from whichever of the two ran.  The Python
 enumeration is the oracle, the same arrangement ``match_pairs`` has with the
 bigint loop of ``tests/kernel_oracle.py`` (``tests/test_verify_pairs.py``).
 """
@@ -24,13 +24,7 @@ from hypothesis import strategies as st
 from repro.datasets.registry import load_dataset
 from repro.features import FeatureExtractor, GraphFeatures, path_features
 from repro.features import extractor as extractor_module
-from repro.features import paths as paths_module
-from repro.features.paths import (
-    decode_path_codes,
-    encode_path_codes,
-    encode_path_keys,
-    native_path_features,
-)
+from repro.features.paths import code_pairs, native_path_features, path_code
 from repro.graphs import LabeledGraph
 from repro.methods import GGSXMethod, GrapesMethod
 from repro.workloads.generator import QueryGenerator, WorkloadSpec
@@ -43,31 +37,28 @@ _LABELS = (1, "1", "A", "B", 2.0, "2.0", "C", None)
 
 
 def oracle(graph: LabeledGraph, max_length: int):
-    """``(counts, location masks)`` from the Python enumeration, keys ascending."""
+    """``(counts, location masks)`` from the Python enumeration, coded,
+    code ascending."""
     occurrences = path_features(graph, max_length, locations=True)
     bit = {vertex: 1 << position for position, vertex in enumerate(graph.vertices())}
-    keys = sorted(occurrences)
-    return (
-        {key: occurrences[key].count for key in keys},
-        {key: sum(bit[vertex] for vertex in occurrences[key].vertices) for key in keys},
+    features = GraphFeatures.from_keys(
+        {key: found.count for key, found in occurrences.items()},
+        {key: sum(bit[vertex] for vertex in found.vertices) for key, found in occurrences.items()},
     )
+    assert len(features.counts) == len(occurrences)  # no two keys share a code
+    return features.counts, features.locations
 
 
 def assert_native_equals_oracle(graph: LabeledGraph, max_length: int) -> None:
     counts, masks = oracle(graph, max_length)
     with_masks = native_path_features(graph, max_length, locations=True)
     assert with_masks is not None
-    # keyed by the cross-graph codes of the oracle's keys (the keys spelt
-    # with the process-wide bytes), in the oracle's ascending key order
-    codes = list(encode_path_codes(counts))
-    assert list(with_masks[0]) == codes
-    assert decode_path_codes(codes) == list(counts)
-    assert list(with_masks[0].values()) == list(counts.values())
-    assert list(with_masks[1].items()) == list(zip(codes, masks.values()))
+    assert list(with_masks[0].items()) == list(counts.items())
+    assert list(with_masks[1].items()) == list(masks.items())
     without = native_path_features(graph, max_length)
-    assert list(without[0].items()) == list(with_masks[0].items())
+    assert list(without[0].items()) == list(counts.items())
     assert without[1] == {}
-    assert with_masks[2] == without[2] == encode_path_keys(counts)
+    assert with_masks[2] == without[2] == code_pairs(counts.items())
 
 
 def _vertex_id(rng: random.Random, index: int):
@@ -156,10 +147,10 @@ class TestDifferential:
 
     def test_colliding_label_strings_share_a_key(self):
         graph = LabeledGraph.from_edges({0: 1, 1: "1", 2: "A"}, [(0, 1), (1, 2)])
-        features = GraphFeatures(*native_path_features(graph, 2, locations=True), coded=True)
-        counts, masks = features.key_counts(), features.key_locations()
-        assert counts[("1",)] == 2 and counts[("1", "1")] == 1
-        assert masks[("1",)] == 0b011
+        features = GraphFeatures(*native_path_features(graph, 2, locations=True))
+        counts, masks = features.counts, features.locations
+        assert counts[path_code(("1",))] == 2 and counts[path_code(("1", "1"))] == 1
+        assert masks[path_code(("1",))] == 0b011
         assert_native_equals_oracle(graph, 2)
 
     @pytest.mark.parametrize("dataset", ["aids", "pdbs"])
@@ -169,8 +160,9 @@ class TestDifferential:
 
 
 class TestCodeOverflowFallback:
-    """A path packs into one 64-bit code at a byte per vertex; beyond that
-    the extractor runs the Python enumeration — same features either way."""
+    """The kernel packs a path into one graph-local code at a byte per
+    vertex; beyond that the extractor runs the Python enumeration — same
+    features either way."""
 
     def wide_alphabet_graph(self, num_labels: int) -> LabeledGraph:
         graph = LabeledGraph()
@@ -180,20 +172,10 @@ class TestCodeOverflowFallback:
             graph.add_edge(vertex, vertex + 1)
         return graph
 
-    def test_255_labels_fit(self, monkeypatch):
-        """255 labels fit a graph's own ranks but not the process-wide table
-        (254 bytes): no codes, so the Python enumeration runs and the
-        features stay tuple-keyed — and none of the labels is left behind in
-        the table.  254 labels are native."""
-        table: dict = {}
-        monkeypatch.setattr(paths_module, "_LABEL_BYTES", table)
-        graph = self.wide_alphabet_graph(255)
-        assert native_path_features(graph, 3) is None and not table
-        features = FeatureExtractor(max_path_length=3).extract(graph)
-        assert not features.coded and features.feature_codes() is None and not table
-        assert list(features.counts.items()) == list(oracle(graph, 3)[0].items())
-        assert_native_equals_oracle(self.wide_alphabet_graph(254), 3)
-        assert len(table) == 254
+    def test_255_labels_fit(self):
+        """255 labels fit the kernel's graph-local codes (a byte per vertex
+        on ``rank + 1``): the kernel runs."""
+        assert_native_equals_oracle(self.wide_alphabet_graph(255), 3)
 
     def test_256_labels_fall_back(self):
         graph = self.wide_alphabet_graph(256)
@@ -263,9 +245,8 @@ class TestWhicheverExtractorRuns:
             graph = sparse_graph(seed, 10 + 6 * seed)
             counts, masks = oracle(graph, 4)
             features = extractor.extract(graph, locations=True)
-            assert features.coded
-            assert list(features.key_counts().items()) == list(counts.items())
-            assert list(features.key_locations().items()) == list(masks.items())
+            assert list(features.counts.items()) == list(counts.items())
+            assert list(features.locations.items()) == list(masks.items())
             assert extractor.extract(graph).locations == {}
 
     def test_build_index_tables_equal_oracle(self):
@@ -275,8 +256,8 @@ class TestWhicheverExtractorRuns:
         for graph_id, graph in database.items():
             counts, masks = oracle(graph, 3)
             stored = method.graph_features(graph_id)
-            assert list(stored.key_counts().items()) == list(counts.items())
-            assert list(stored.key_locations().items()) == list(masks.items())
+            assert list(stored.counts.items()) == list(counts.items())
+            assert list(stored.locations.items()) == list(masks.items())
 
 
 class TestConcurrentExtraction:
@@ -294,7 +275,7 @@ class TestConcurrentExtraction:
                 for _ in range(20):
                     for index in range(offset, len(graphs), 2):
                         features = extractor.extract(graphs[index], locations=True)
-                        found = (features.key_counts(), features.key_locations())
+                        found = (features.counts, features.locations)
                         if found != expected[index]:
                             failures.append(index)
             except Exception as error:  # noqa: BLE001 - reported by the main thread

@@ -3,16 +3,19 @@
 A :class:`~repro.core.containment.ContainmentIndex` keeps its entries in a
 kernel-side table (:class:`~repro.core.probe.ProbeTable`) and answers a
 probe with ``ck_probe_filter`` + ``ck_probe_verify``; the engine sums the
-§5.1 credits of the hits with ``ck_mask_sums``.  The Python forms —
-``SupergraphQueryIndex.candidate_mask``, ``ThresholdBitmapIndex.at_least``
-and ``ContainmentIndex._verified_hits`` behind a ``Verifier(compiled=False)``,
-and the ``iter_bits`` loop of ``kernel_oracle.mask_sums`` — are the oracle:
-identical hit lists *in order*, identical verifier accounting, identical
-doubles.  The same
-arrangement ``ck_path_features`` has with ``path_features``
-(``tests/test_native_extract.py``); this file is on the ASan leg's pytest
-line, where a row outliving its entry's compiled form would be a
-use-after-free.
+§5.1 credits of the hits with ``ck_mask_sums``.  Every feature is coded, so
+every index — any method, any feature class, any verifier — probes the
+table.  The Python forms in ``tests/kernel_oracle.py`` are the oracle:
+``isub_candidate_ids`` / ``isuper_candidate_ids`` (the filters),
+``probe_hits`` (filter, size pre-checks and a ``VF2Matcher`` test per
+survivor) and the ``iter_bits`` loop of ``mask_sums`` — identical hit lists
+*in order*, identical test counts, identical doubles.  An index behind
+``Verifier(compiled=False)`` filters on the table too and verifies its
+survivors with the dict-based matcher: it must answer and account as the
+native one does.  The same arrangement ``ck_path_features`` has with
+``path_features`` (``tests/test_native_extract.py``); this file is on the
+ASan leg's pytest line, where a row outliving its entry's compiled form
+would be a use-after-free.
 """
 
 from __future__ import annotations
@@ -28,10 +31,9 @@ from hypothesis import strategies as st
 
 from repro.core import IGQ, QueryCache, SubgraphQueryIndex, SupergraphQueryIndex
 from repro.core.probe import mask_sums
-from repro.features import FeatureExtractor
-from repro.features import paths as paths_module
-from repro.features.paths import encode_path_keys
-from repro.graphs import LabeledGraph
+from repro.features import FeatureExtractor, path_features
+from repro.features.paths import path_code
+from repro.graphs import GraphDatabase, LabeledGraph
 from repro.isomorphism import Verifier
 from repro.methods import create_method
 
@@ -48,67 +50,74 @@ EXTRACTOR = FeatureExtractor(max_path_length=3)
 
 
 class Pair:
-    """One direction twice: on the native table and on the Python filter.
+    """One direction twice over the same graphs under the same ids: on the
+    compiled kernel and behind ``Verifier(compiled=False)``.
 
-    Both indexes hold entries of their own over the same graphs under the
-    same ids, so releasing compiled state on one side never shows on the
-    other.
+    Both indexes hold entries of their own, so releasing compiled state on
+    one side never shows on the other.
     """
 
-    def __init__(self, kind, restored: bool = False) -> None:
+    def __init__(self, kind, restored: bool = False, extractor=EXTRACTOR) -> None:
         self.native = kind(Verifier())
-        self.oracle = kind(Verifier(compiled=False))
-        assert self.native._table is not None and self.oracle._table is None
+        self.matcher = kind(Verifier(compiled=False))
         self.caches = (QueryCache(), QueryCache())
         self.restored = restored
+        self.extractor = extractor
         self.find = "find_supergraphs" if kind is SubgraphQueryIndex else "find_subgraphs"
 
     def add(self, graph: LabeledGraph) -> int:
-        for cache, index in zip(self.caches, (self.native, self.oracle)):
-            entry = cache.add(graph, EXTRACTOR.extract(graph), frozenset())
+        for cache, index in zip(self.caches, (self.native, self.matcher)):
+            entry = cache.add(graph, self.extractor.extract(graph), frozenset())
             if self.restored:
-                # what a warm restart or a follower's delta adds:
-                # a copy that crossed a pickle boundary as tuple keys and
-                # was re-encoded on arrival (its pairs are rebuilt on demand)
+                # what a warm restart adds: a copy that crossed a pickle
+                # boundary (its pairs are rebuilt on demand)
                 entry = pickle.loads(pickle.dumps(entry))
-                assert entry.features.codes is None and entry.features.coded
+                assert entry.features.codes is None
             index.add(entry)
         return entry.entry_id
 
     def remove(self, entry_id: int) -> None:
-        for cache, index in zip(self.caches, (self.native, self.oracle)):
+        for cache, index in zip(self.caches, (self.native, self.matcher)):
             index.remove(entry_id)
             cache.remove(entry_id)
 
     def assert_same_probe(self, query: LabeledGraph) -> list[int]:
+        features = self.extractor.extract(query)
         outcomes = []
-        for index in (self.native, self.oracle):
+        for index in (self.native, self.matcher):
             stats = index.verifier.stats
             before = (stats.tests, stats.positives, stats.negatives)
-            hits = getattr(index, self.find)(query, EXTRACTOR.extract(query))
+            hits = getattr(index, self.find)(query, features)
             delta = tuple(
                 now - then
                 for now, then in zip((stats.tests, stats.positives, stats.negatives), before)
             )
             outcomes.append(([entry.entry_id for entry in hits], delta))
         assert outcomes[0] == outcomes[1]
-        ids = outcomes[0][0]
-        assert ids == sorted(ids)
+        ids, (tests, positives, _) = outcomes[0]
+        assert kernel_oracle.probe_hits(self.native, query, features) == (ids, tests)
+        assert positives == len(ids)
         return ids
 
     def assert_same_candidates(self, query: LabeledGraph) -> None:
-        features = EXTRACTOR.extract(query)
-        # both in slot order, and both indexes recycled the same slots
-        assert self.native.candidate_ids(features) == self.oracle.candidate_ids(features)
+        features = self.extractor.extract(query)
+        if self.native.entry_is_target:
+            expected = kernel_oracle.isub_candidate_ids(self.native, features)
+        else:
+            expected = kernel_oracle.isuper_candidate_ids(self.native, features)
+        # in slot order, and both indexes recycled the same slots
+        assert self.native.candidate_ids(features) == self.matcher.candidate_ids(features)
+        assert sorted(self.native.candidate_ids(features)) == expected
 
     def assert_rows_are_the_entries(self) -> None:
         """The table holds exactly the live entries: codes, sizes and id."""
         rows = index_state(self.native)["rows"]
+        assert rows == index_state(self.matcher)["rows"]
         assert rows == {
             entry.entry_id: (
                 entry.graph.num_vertices,
                 entry.graph.num_edges,
-                encode_path_keys(entry.features.key_counts()).tolist(),
+                self.extractor.extract(entry.graph).feature_codes().tolist(),
             )
             for entry in self.caches[0].entries()
         }
@@ -150,7 +159,6 @@ class TestProbeDifferential:
                 pair.assert_same_probe(operation[1])
                 pair.assert_same_candidates(operation[1])
         pair.assert_rows_are_the_entries()
-        assert index_state(pair.native)["live"] == index_state(pair.oracle)["live"]
 
     def test_a_row_outlives_whoever_releases_the_entry_first(self, kind):
         """The cache may release an evicted entry's compiled state before
@@ -174,8 +182,6 @@ class TestProbeDifferential:
         full = pair.native.estimated_size_bytes()
         # three rows of 6, 6 and 5 (code, count) pairs
         assert full - empty >= 16 * 17
-        # the one filter structure: no threshold bitmaps next to the table
-        assert index_state(pair.native)["postings"] == {}
         held = pair.native._table.size_bytes()
         for entry_id in ids:
             pair.remove(entry_id)
@@ -184,44 +190,48 @@ class TestProbeDifferential:
         pair.add(make_path_graph("CC"))  # into a recycled slot
         pair.assert_rows_are_the_entries()
 
-    def test_label_table_overflow_switches_to_the_python_filter(self, kind, monkeypatch):
-        """A label that no longer fits the process-wide table has no code:
-        the index leaves the native table for good, live entries and all,
-        and keeps answering — by the loop that is otherwise the oracle."""
-        monkeypatch.setattr(paths_module, "_LABEL_BYTES", {})
-        monkeypatch.setattr(paths_module, "_MAX_LABEL_BYTES", 3)
+    def test_a_wide_alphabet_stays_on_the_table(self, kind):
+        """Entries and queries over 300 label texts — more than the old
+        254-entry process-wide label table held, and more than the
+        kernel's 255 graph-local ranks for the widest ones, which the
+        Python enumeration extracts — are probed on the table."""
         rng = random.Random(5)
+        alphabet = [f"L{n:03d}" for n in range(300)]
         pair = Pair(kind)
-        for _ in range(10):
-            pair.add(random_labeled_graph(rng, rng.randint(2, 5), 0.4, labels="ABC"))
-        pair.assert_same_probe(random_labeled_graph(rng, 5, 0.4, labels="ABC"))
-        assert pair.native._table is not None
-        wide = random_labeled_graph(rng, 5, 0.4, labels="ABCD")
-        while "D" not in {wide.label(vertex) for vertex in wide.vertices()}:
-            wide = random_labeled_graph(rng, 5, 0.4, labels="ABCD")
-        assert EXTRACTOR.extract(wide).feature_codes() is None
-        pair.assert_same_probe(wide)
-        assert pair.native._table is None
-        # the one-time rebuild: the Python filter now holds every live entry
-        assert index_state(pair.native) == index_state(pair.oracle)
+        wide = LabeledGraph()
+        for vertex, label in enumerate(alphabet):
+            wide.add_vertex(vertex, label)
+            if vertex:
+                wide.add_edge(vertex, vertex - 1)
         pair.add(wide)
-        for _ in range(10):
-            pair.assert_same_probe(random_labeled_graph(rng, rng.randint(3, 6), 0.4, labels="ABCD"))
-        pair.remove(0)
+        for n in range(40):
+            labels = alphabet[(7 * n) % 297 : (7 * n) % 297 + 3]
+            pair.add(random_labeled_graph(rng, rng.randint(2, 5), 0.4, labels=labels))
+        hits = 0
+        for n in range(40):
+            labels = alphabet[(7 * n) % 297 : (7 * n) % 297 + 3]
+            query = random_labeled_graph(rng, rng.randint(1, 4), 0.4, labels=labels)
+            hits += len(pair.assert_same_probe(query))
+            pair.assert_same_candidates(query)
         pair.assert_same_probe(wide)
+        assert hits
+        pair.assert_rows_are_the_entries()
 
-    def test_an_uncoded_entry_switches_on_add(self, kind):
-        """CT-Index's tree/cycle features do not pack: the first such entry
-        takes the index off the table."""
-        pair = Pair(kind)
-        pair.add(make_path_graph("AB"))
-        extractor = FeatureExtractor(kind=FeatureExtractor.TREES_CYCLES)
-        graph = make_path_graph("ABC")
-        features = extractor.extract(graph)
-        assert features.feature_codes() is None
-        pair.native.add(pair.caches[0].add(graph, features, frozenset()))
-        assert pair.native._table is None
-        assert len(pair.native) == 2
+    def test_a_tree_and_cycle_entry_stays_on_the_table(self, kind):
+        """CT-Index's tree/cycle features are coded like paths: its entries
+        and queries probe the table, against the Python oracle."""
+        extractor = FeatureExtractor(kind=FeatureExtractor.TREES_CYCLES, tree_max_size=3)
+        pair = Pair(kind, extractor=extractor)
+        rng = random.Random(6)
+        for _ in range(12):
+            pair.add(random_labeled_graph(rng, rng.randint(2, 5), 0.4))
+        hits = 0
+        for _ in range(20):
+            query = random_labeled_graph(rng, rng.randint(2, 6), 0.4)
+            hits += len(pair.assert_same_probe(query))
+            pair.assert_same_candidates(query)
+        assert hits
+        pair.assert_rows_are_the_entries()
 
 
 # ----------------------------------------------------------------------
@@ -248,7 +258,6 @@ def test_engine_is_identical_on_both_probes(mode, tiny_database):
         engine.build_index(tiny_database)
         engines.append(engine)
     native, python = engines
-    assert native.isub._table is not None and python.isub._table is None
     for query, query_mode in zip(stream, modes):
         results = [engine.query(query, mode=query_mode) for engine in engines]
         first, second = (
@@ -267,37 +276,71 @@ def test_engine_is_identical_on_both_probes(mode, tiny_database):
         assert left.alleviated_cost.hex() == right.alleviated_cost.hex()
     for name in ("tests", "positives", "negatives"):
         assert getattr(native.igq_verifier.stats, name) == getattr(python.igq_verifier.stats, name)
-    assert native.isub._table is not None and native.igq_verifier.stats.tests > 0
+    assert native.igq_verifier.stats.tests > 0
     assert any(entry.alleviated_cost for entry in native.cache.entries())
 
 
+def wide_database() -> GraphDatabase:
+    """Sixty graphs over 300 label texts (three a graph, neighbours
+    overlapping), so that queries drawn from one graph's labels hit."""
+    rng = random.Random(12)
+    alphabet = [f"L{n:03d}" for n in range(300)]
+    graphs = [
+        random_labeled_graph(rng, 6, 0.3, labels=alphabet[5 * n : 5 * n + 3], name=f"w{n}")
+        for n in range(60)
+    ]
+    return GraphDatabase.from_graphs(graphs, name="wide")
+
+
 @pytest.mark.parametrize(
-    "method_name, options",
-    [("ggsx", {"max_path_length": 8}), ("ctindex", {})],
-    ids=["ggsx-L8", "ctindex"],
+    "method_name, options, wide",
+    [("ggsx", {"max_path_length": 8}, False), ("ctindex", {}, False), ("ggsx", {}, True)],
+    ids=["ggsx-L8", "ctindex", "ggsx-300-labels"],
 )
-def test_uncoded_features_take_the_python_routes_identically(method_name, options, tiny_database):
-    """Features that do not pack into codes — paths past seven vertices,
-    CT-Index's trees and cycles — take the Python extractor and the Python
-    containment filter, with the C kernel verifying.  Answers, H/R/C (bit
-    for bit) and test counts equal the engine on the dict-based matcher."""
+def test_every_feature_class_stays_on_the_probe_table(
+    method_name, options, wide, tiny_database
+):
+    """Paths past seven edges and CT-Index's trees and cycles (the Python
+    extractor's features), and a 300-label dataset: both containment
+    indexes hold every live entry as a table row for the whole stream,
+    and answers equal ``ScanMethod``'s — on the compiled kernel and behind
+    the dict-based matcher, with equal H/R/C (bit for bit) and tests."""
+    database = wide_database() if wide else tiny_database
     rng = random.Random(8)
-    pool = [random_labeled_graph(rng, rng.randint(2, 6), 0.3, labels="ABC") for _ in range(20)]
+    if wide:
+        pool = [
+            database.get(graph_id).subgraph(list(database.get(graph_id).vertices())[:size])
+            for graph_id, size in zip(rng.sample(database.ids(), 20), [2, 3, 4, 5] * 5)
+        ]
+    else:
+        pool = [random_labeled_graph(rng, rng.randint(2, 6), 0.3, labels="ABC") for _ in range(20)]
     stream = [rng.choice(pool) for _ in range(80)]
     modes = [rng.choice(["subgraph", "supergraph"]) for _ in stream]
+    scan = create_method("scan")
+    scan.build_index(database)
+    expected = [
+        sorted(
+            (scan.query(query) if mode == "subgraph" else scan.supergraph_query(query)).answers,
+            key=repr,
+        )
+        for query, mode in zip(stream, modes)
+    ]
     runs = []
     for compiled in (True, False):
         method = create_method(method_name, verifier=Verifier(compiled=compiled), **options)
         engine = IGQ(
             method, engine_config(10, 3, mode="mixed"), igq_verifier=Verifier(compiled=compiled)
         )
-        engine.build_index(tiny_database)
-        assert method._coded is False
-        results = [engine.query(query, mode=mode) for query, mode in zip(stream, modes)]
-        assert engine.isub._table is None and engine.isuper._table is None
+        engine.build_index(database)
+        results = []
+        for query, mode in zip(stream, modes):
+            results.append(engine.query(query, mode=mode))
+            live = sorted(engine.cache.entry_ids())
+            assert sorted(index_state(engine.isub)["rows"]) == live
+            assert sorted(index_state(engine.isuper)["rows"]) == live
+        assert [sorted(result.answers, key=repr) for result in results] == expected
         runs.append(
             (
-                [sorted(result.answers, key=repr) for result in results],
                 [result.num_isomorphism_tests for result in results],
                 [(result.num_sub_hits, result.num_super_hits) for result in results],
                 [
@@ -308,7 +351,7 @@ def test_uncoded_features_take_the_python_routes_identically(method_name, option
         )
         engine.close()
     assert runs[0] == runs[1]
-    assert any(sub or sup for sub, sup in runs[0][2])
+    assert any(sub or sup for sub, sup in runs[0][1])
 
 
 # ----------------------------------------------------------------------
@@ -371,23 +414,22 @@ def test_global_codes_are_the_keys(left, right):
         assert pairs == features.codes and len(pairs) == 2 * len(features.counts)
         codes = pairs[0::2]
         assert list(codes) == sorted(codes)
-        assert sorted(features.counts.items()) == list(zip(codes, pairs[1::2]))
-        assert pairs == encode_path_keys(features.key_counts())
+        assert list(features.counts.items()) == list(zip(codes, pairs[1::2]))
         by_code = {}
-        for key, count in features.key_counts().items():
-            code = encode_path_keys({key: count})[0]
+        for key, found in path_features(graph, 3).items():
+            code = path_code(key)
             assert code_of.setdefault(key, code) == code
-            by_code[code] = count
-        assert dict(zip(codes, pairs[1::2])) == by_code
+            by_code[code] = found.count
+        assert features.counts == by_code
     assert len(set(code_of.values())) == len(code_of)
 
 
-def test_codes_are_never_pickled():
-    """A pickle carries the tuple keys; the copy re-encodes them."""
+def test_codes_pickle_as_they_are():
+    """A code is the same in every process, so a pickle carries the codes
+    and the copy rebuilds only its pairs array."""
     features = EXTRACTOR.extract(make_path_graph("ABCA"))
-    assert features.codes is not None and features.coded
-    assert features.__getstate__()["counts"] == features.key_counts()
+    assert features.codes is not None
     copy = pickle.loads(pickle.dumps(features))
-    assert copy == features and copy.codes is None and copy.coded
-    assert copy.counts == features.counts
+    assert copy == features and copy.codes is None
+    assert list(copy.counts.items()) == list(features.counts.items())
     assert copy.feature_codes() == features.codes

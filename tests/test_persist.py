@@ -50,9 +50,7 @@ from repro.core.config import (
 from repro.core.engine import IGQ
 from repro.core.shard import QueryIndexShard
 from repro.datasets import load_dataset
-from repro.features import paths as paths_module
 from repro.features.extractor import FeatureExtractor
-from repro.features.paths import encode_path_keys
 from repro.graphs.bitset import CandidateBitmap
 from repro.isomorphism import Verifier
 from repro.methods import create_method
@@ -295,17 +293,17 @@ class TestPersistConfig:
 
     def test_format_mismatch_rejected(self, tmp_path, database, queries, monkeypatch):
         """One constant stamps the state and gates the restore: a build
-        reads formats 1 up to its own, so a format-2 build (repro 5.0 to 8.0)
-        refuses a format-3 directory loudly."""
+        reads formats 1 up to its own, so a format-3 build (repro 9.0 to
+        11.0) refuses a format-4 directory loudly."""
         config = EngineConfig(cache=CACHE, persist=persist_config(tmp_path))
         engine = build_engine(database, config)
         for query in queries[:WINDOW]:
             engine.query(query)
         engine.close()
         recovered = restore.recover_dir(tmp_path / "state")
-        assert recovered.state["format"] == restore.FORMAT_VERSION == 3
-        monkeypatch.setattr(restore, "FORMAT_VERSION", 2)
-        with pytest.raises(ConfigError, match=r"holds format 3 state.*reads formats 1 to 2"):
+        assert recovered.state["format"] == restore.FORMAT_VERSION == 4
+        monkeypatch.setattr(restore, "FORMAT_VERSION", 3)
+        with pytest.raises(ConfigError, match=r"holds format 4 state.*reads formats 1 to 3"):
             build_engine(database, config)
 
     def test_fsync_always_is_a_deprecated_alias(self, tmp_path):
@@ -410,12 +408,12 @@ class TestWarmRestart:
 # One write path: flush report -> replicas + one journal record
 # ----------------------------------------------------------------------
 def wal_flushes(state_dir):
-    """Every ``flush`` record (all of format 3), read back as
+    """Every ``flush`` record (all of format 4), read back as
     ``(records, meta, state)``."""
     flushes = []
     for _, segment in wal.list_segments(state_dir):
         for kind, payload in wal.read_segment(segment).records:
-            assert kind == "flush" and payload[-1]["format"] == 3
+            assert kind == "flush" and payload[-1]["format"] == 4
             flushes.append(restore.read_flush(payload))
     return flushes
 
@@ -926,7 +924,7 @@ class TestFormat2Directory:
 
 
 # ----------------------------------------------------------------------
-# Format 3: native entries, the answers' dataset, label-table spelling
+# Formats 3 and 4: native entries, the answers' dataset, format-3 spelling
 # ----------------------------------------------------------------------
 class TestFormat3:
     def test_the_state_names_the_answers_id_space(self, tmp_path, database, queries):
@@ -986,69 +984,37 @@ class TestFormat3:
         assert cache_fingerprint(reopened) == cache_fingerprint(engine)
         reopened.close()
 
-    @pytest.mark.parametrize("shard", [None, SHARDED], ids=["single", "sharded"])
-    def test_recovery_respells_another_label_table(
-        self, tmp_path, database, queries, shard, monkeypatch
-    ):
-        """Codes are spelt with a per-process label table: a directory
-        written under one table and recovered under a table filled in
-        another order answers, probes and accounts exactly alike."""
-        config = engine_config(tmp_path, shard)
-        monkeypatch.setattr(paths_module, "_LABEL_BYTES", {})
-        writer = build_engine(database, config)
-        for query in queries[:60]:
-            writer.query(query)
-        written = cache_fingerprint(writer)
-        written_keys = {e.entry_id: e.features.key_counts() for e in writer.cache.entries()}
-        written_codes = {e.entry_id: set(e.features.counts) for e in writer.cache.entries()}
-        writer.close()
-        labels = sorted(paths_module._LABEL_BYTES)
-        respelt = ["other", *reversed(labels)]
-        monkeypatch.setattr(
-            paths_module, "_LABEL_BYTES", {text: byte for byte, text in enumerate(respelt, 1)}
+    @pytest.mark.parametrize("name", ["single", "sharded"])
+    def test_recovery_respells_another_label_table(self, tmp_path, database, queries, name):
+        """A format-3 directory spelt its codes with the writing process's
+        label table, which its records name; recovery reads each code back
+        as its key and codes that, so the restarted engine holds the codes
+        a fresh extraction gives and answers, probes and accounts exactly
+        like an engine that never restarted."""
+        fixture = pickle.loads(zlib.decompress(base64.b64decode(PARENT_FORMAT_3_DIRS)))[name]
+        state_dir = plant(tmp_path, fixture)
+        (_, segment), = wal.list_segments(state_dir)
+        spelling, *_ = wal.read_segment(segment).records[0][1]
+        assert spelling  # the writer's label table, named in the record
+        shard = ShardConfig() if name == "single" else ShardConfig(shards=4, backend="inline")
+        cache = CacheConfig(size=8, window=4)
+        reader = build_engine(
+            database,
+            EngineConfig(
+                cache=cache, shard=shard, persist=persist_config(tmp_path, fsync="never")
+            ),
         )
-        reader = build_engine(database, config)
-        assert cache_fingerprint(reader) == written
-        for entry in reader.cache.entries():
-            features = entry.features
-            assert features.coded and features.key_counts() == written_keys[entry.entry_id]
-            assert set(features.counts) != written_codes[entry.entry_id]
-            assert features.feature_codes() == encode_path_keys(features.key_counts())
-        reference = build_engine(database, engine_config(None, shard))
-        for query in queries[:60]:
+        reference = build_engine(database, EngineConfig(cache=cache, shard=shard))
+        for query in queries[:44]:
             reference.query(query)
-        tail = queries[60:90]
+        assert cache_fingerprint(reader) == cache_fingerprint(reference) == fixture["fingerprint"]
+        codes = {e.entry_id: e.features.feature_codes() for e in reference.cache.entries()}
+        assert {e.entry_id: e.features.feature_codes() for e in reader.cache.entries()} == codes
+        tail = queries[44:74]
         assert result_fingerprint([reader.query(q) for q in tail]) == result_fingerprint(
             [reference.query(q) for q in tail]
         )
         assert cache_fingerprint(reader) == cache_fingerprint(reference)
-        reader.close()
-        reference.close()
-
-    def test_a_full_label_table_restores_tuple_keys(
-        self, tmp_path, database, queries, monkeypatch
-    ):
-        """A table that cannot take the journal's labels keeps the restored
-        features by tuple key; the answers are the same."""
-        config = engine_config(tmp_path)
-        monkeypatch.setattr(paths_module, "_LABEL_BYTES", {})
-        writer = build_engine(database, config)
-        for query in queries[:40]:
-            writer.query(query)
-        written = cache_fingerprint(writer)
-        writer.close()
-        full = {f"fill{n:03d}": n + 1 for n in range(paths_module._MAX_LABEL_BYTES)}
-        monkeypatch.setattr(paths_module, "_LABEL_BYTES", full)
-        reader = build_engine(database, config)
-        assert cache_fingerprint(reader) == written
-        assert not any(entry.features.coded for entry in reader.cache.entries())
-        reference = build_engine(database, engine_config(None))
-        for query in queries[:40]:
-            reference.query(query)
-        tail = queries[40:60]
-        assert result_fingerprint([reader.query(q) for q in tail]) == result_fingerprint(
-            [reference.query(q) for q in tail]
-        )
         reader.close()
         reference.close()
 

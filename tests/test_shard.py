@@ -110,7 +110,7 @@ def run_engine(database, stream, **shard_fields):
 # ----------------------------------------------------------------------
 # Routing
 # ----------------------------------------------------------------------
-#: the trees-and-cycles extractor's features are tuple-keyed (never coded)
+#: CT-Index's feature class: trees and cycles, coded like paths
 TREE_EXTRACTOR = FeatureExtractor(kind="trees_cycles", tree_max_size=3, cycle_max_length=4)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -145,7 +145,6 @@ class TestRouting:
         rng = random.Random(7)
         graphs = [random_labeled_graph(rng, rng.randint(2, 6), 0.4) for _ in range(50)]
         for extractor in (EXTRACTOR, TREE_EXTRACTOR):
-            assert extractor.extract(graphs[0]).coded == (extractor is EXTRACTOR)
             for num_shards in (1, 2, 3, 8):
                 shards = [home_shard(extractor.extract(graph), num_shards) for graph in graphs]
                 assert all(0 <= shard < num_shards for shard in shards)
