@@ -40,8 +40,8 @@ factors out everything the two directions share:
 
 The subclasses only keep what is genuinely direction-specific: which role
 the cached entry plays and the public names of the probe.  The Python
-forms of the two filters — ``Isub``'s dominance by threshold bitmaps,
-``Isuper``'s Algorithm 2 loop — are the kernel's oracles in
+forms of the two filters — ``Isub``'s dominance check and ``Isuper``'s
+Algorithm 2, each a loop over the entries — are the kernel's oracles in
 ``tests/kernel_oracle.py``.
 """
 

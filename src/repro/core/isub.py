@@ -17,9 +17,8 @@ the compiled kernel (against the new query's plan, compiled once per
 query).  The dominance filter is a sorted merge over the entries' and the
 query's feature codes inside the kernel, for every feature class: the
 codes of :class:`~repro.features.extractor.GraphFeatures` are one key
-domain.  Its Python form — a threshold-bitmap walk over the entries'
-counts — is the kernel's oracle, ``isub_candidate_ids`` in
-``tests/kernel_oracle.py``.
+domain.  Its Python form — a dominance check per entry — is the
+kernel's oracle, ``isub_candidate_ids`` in ``tests/kernel_oracle.py``.
 """
 
 from __future__ import annotations
