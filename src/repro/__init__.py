@@ -9,8 +9,9 @@ Public API overview
 -------------------
 
 * :mod:`repro.graphs` — the labeled-graph substrate (graphs, databases, I/O).
-* :mod:`repro.isomorphism` — VF2 subgraph isomorphism (the C kernel and the
-  dict-based matcher) and the cost model used by iGQ's replacement policy.
+* :mod:`repro.isomorphism` — VF2 subgraph isomorphism (the C kernel, which
+  runs every verification, and the dict-based matcher behind the embedding
+  API) and the cost model used by iGQ's replacement policy.
 * :mod:`repro.features` — path / tree / cycle feature extraction and the
   threshold-bitmap feature index.
 * :mod:`repro.methods` — the filter-then-verify base methods: GraphGrepSX,
@@ -73,7 +74,7 @@ from .service.client import ServiceClient, connect
 from .service.server import ServiceServer, serve
 from .workloads.generator import QueryGenerator, WorkloadSpec, standard_workloads
 
-__version__ = "12.0.0"
+__version__ = "13.0.0"
 
 __all__ = [
     "IGQ",

@@ -59,7 +59,7 @@ _MIN_PARALLEL_CANDIDATES = 4
 
 #: a service keeps one executor (and its feature memo) for its lifetime;
 #: the memo is cleared when it reaches this many distinct queries — the
-#: rule ``IGQ._prepared`` uses
+#: rule of ``IGQ.prepare``'s memo
 _FEATURE_MEMO_CAPACITY = 8192
 
 
@@ -128,13 +128,12 @@ def _verify_chunk(
     Threads share the index structures (read-only during querying) and the
     query's ``compiled`` forms, whose kernel structs the querying thread
     built before submitting — the kernel only reads them, its scratch is
-    per call.  Each call gets a private :class:`Verifier` carrying the parent's
-    ``compiled``/``precheck`` flags, so A/B baselines keep their meaning on
-    the pool, with zeroed statistics, so the shared counters are
-    never raced.  Returns the answers plus the verifier-stat deltas the
-    chunk produced — positives, negatives (their sum is the test count) and
-    seconds — which the parent folds back deterministically so the
-    :class:`VerifierStats` invariants hold after a batch.
+    per call.  Each call gets a private verifier of the parent's class
+    (:meth:`Verifier.fresh_clone`) with zeroed statistics, so the shared
+    counters are never raced.  Returns the answers plus the verifier-stat
+    deltas the chunk produced — positives, negatives (their sum is the test
+    count) and seconds — which the parent folds back deterministically so
+    the :class:`VerifierStats` invariants hold after a batch.
     """
     clone = copy.copy(method)
     clone.verifier = method.verifier.fresh_clone()
@@ -358,8 +357,7 @@ class BatchExecutor:
             query_side = verifier.compile_target(query, compiled)
         else:
             query_side = verifier.compile_pattern(query, compiled)
-        if query_side is not None:
-            query_side.native()
+        query_side.native()
         pool = self._ensure_pool()
         self.stats.parallel_verifications += 1
         size = -(-len(candidate_ids) // self.num_workers)

@@ -93,9 +93,7 @@ _HOT_KEY_FIELDS = ("hot_threshold", "rebalance_interval", "replication_factor")
 #: the ``verifier`` section 7.0 removed, and its three keys -> what now
 _REMOVED_IN_7_0 = {
     "verifier": (
-        "the section is gone, verification always runs VF2 in the C kernel; drop "
-        "it, or inject Verifier(compiled=False) via igq_verifier= / "
-        "create_method(verifier=) for the dict-based matcher"
+        "the section is gone, verification always runs VF2 in the C kernel; drop it"
     ),
     "algorithm": "VF2 is the only matching algorithm, drop the key",
     "induced": "verification is non-induced only, drop the key",
@@ -121,8 +119,8 @@ def _removed_hint(key: str) -> str | None:
     if key == "precheck" or key.endswith("compiled"):
         # the verifier A/B switches: ``compiled`` and its ``igq_`` twin
         return (
-            f"removed in 2.0 — {key}: inject Verifier(compiled=False) via "
-            "igq_verifier= / create_method(verifier=)"
+            f"removed in 2.0 — {key}: verification always runs in the C kernel "
+            "(13.0 removed the Verifier's own switch too), drop the key"
         )
     if key in _MOVED_IN_2_0:
         return f"removed in 2.0 — {key}: use {_MOVED_IN_2_0[key]}"

@@ -32,24 +32,21 @@ factors out everything the two directions share:
   one containment call.  Every feature is coded
   (:class:`~repro.features.extractor.GraphFeatures`), so the table *is*
   the index, for every method and feature class; nothing else is
-  maintained per direction.  Behind the ``Verifier(compiled=False)``
-  reference the tests inject, the table still filters, and the survivors
-  are verified pair by pair through :meth:`Verifier.is_subgraph`.  Every
-  route counts one test per surviving pair, so the paper's metrics are
-  path-independent.
+  maintained per direction.  A probe counts one test per surviving pair,
+  as the base method's verification does.
 
 The subclasses only keep what is genuinely direction-specific: which role
 the cached entry plays and the public names of the probe.  The Python
-forms of the two filters — ``Isub``'s dominance check and ``Isuper``'s
-Algorithm 2, each a loop over the entries — are the kernel's oracles in
-``tests/kernel_oracle.py``.
+form of the whole probe — ``Isub``'s dominance check and ``Isuper``'s
+Algorithm 2, each a loop over the entries, then a ``VF2Matcher`` test per
+survivor — is the kernel's oracle in ``tests/kernel_oracle.py``
+(``probe_hits``).
 """
 
 from __future__ import annotations
 
 import sys
 import time
-from operator import attrgetter
 
 from ..features.extractor import GraphFeatures
 from ..graphs.bitset import DensePositions
@@ -62,8 +59,6 @@ from .probe import ProbeTable
 
 __all__ = ["ContainmentIndex"]
 
-_ENTRY_ID = attrgetter("entry_id")
-
 
 class ContainmentIndex:
     """Shared machinery of the two iGQ containment (component) indexes.
@@ -74,9 +69,7 @@ class ContainmentIndex:
         The verifier used for the (small) query-vs-query containment tests;
         kept separate from the base method's verifier so the paper's "number
         of subgraph isomorphism tests" metric (tests against dataset graphs)
-        is not polluted.  It alone decides the dispatch: the compiled
-        kernel when ``verifier.supports_compiled()``, the dict-based matcher
-        otherwise.
+        is not polluted.
     """
 
     #: does the cached entry play the *target* role in this direction
@@ -103,20 +96,20 @@ class ContainmentIndex:
         containment-tested against every incoming query until it is evicted;
         an entry that already carries compiled state (the forms its query
         was probed and verified with) keeps it.  Its row of the native
-        table is written here too (without a compiled address behind the
-        ``Verifier(compiled=False)`` reference).
+        table, which points at that compiled form, is written here too.
         """
         self._entries[entry.entry_id] = entry
         slot = self._slots.add(entry.entry_id)
-        address = owner = None
-        if self.verifier.supports_compiled():
-            self._compile_entry(entry)
-            if self.entry_is_target:
-                owner = entry.compiled_target.native()
-                address = owner.address
-            else:
-                owner = entry.compiled_plan
-                address = owner.native()
+        if self.entry_is_target:
+            if entry.compiled_target is None:
+                entry.compiled_target = compile_target(entry.graph)
+            owner = entry.compiled_target.native()
+            address = owner.address
+        else:
+            if entry.compiled_plan is None:
+                entry.compiled_plan = compile_query_plan(entry.graph)
+            owner = entry.compiled_plan
+            address = owner.native()
         graph = entry.graph
         self._table.set(
             slot,
@@ -136,16 +129,6 @@ class ContainmentIndex:
             return
         self._table.clear(self._slots.remove(entry_id))
         self._release_entry(entry)
-
-    # ------------------------------------------------------------------
-    # Compiled-state lifecycle
-    # ------------------------------------------------------------------
-    def _compile_entry(self, entry: CacheEntry) -> None:
-        if self.entry_is_target:
-            if entry.compiled_target is None:
-                entry.compiled_target = compile_target(entry.graph)
-        elif entry.compiled_plan is None:
-            entry.compiled_plan = compile_query_plan(entry.graph)
 
     def _release_entry(self, entry: CacheEntry) -> None:
         if self.entry_is_target:
@@ -187,9 +170,6 @@ class ContainmentIndex:
         slots, count = table.filter(features.feature_codes(), query.num_vertices, query.num_edges)
         if not count:
             return []
-        verifier = self.verifier
-        if not verifier.supports_compiled():
-            return self._matched_hits(query, slots[:count])
         if compiled is None:
             compiled = CompiledQuery(query)
         if self.entry_is_target:
@@ -201,19 +181,8 @@ class ContainmentIndex:
             start = time.perf_counter()
             query_side = target.native().address
         hit_ids = table.verify(query_side, slots, count)
-        verifier.record_batch(count, len(hit_ids), time.perf_counter() - start)
+        self.verifier.record_batch(count, len(hit_ids), time.perf_counter() - start)
         return list(map(self._entries.__getitem__, hit_ids))
-
-    def _matched_hits(self, query: LabeledGraph, slots) -> list[CacheEntry]:
-        """The survivors of ``slots`` that pass the graph-based matcher, one
-        counted test each (the ``Verifier(compiled=False)`` reference).
-        Hits come back in ascending ``entry_id`` — cache insertion order —
-        whatever slots the entries occupy, like the kernel's."""
-        is_subgraph = self.verifier.is_subgraph
-        entries = sorted((self._entries[self._slots.key_at(slot)] for slot in slots), key=_ENTRY_ID)
-        if self.entry_is_target:
-            return [entry for entry in entries if is_subgraph(query, entry.graph)]
-        return [entry for entry in entries if is_subgraph(entry.graph, query)]
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -233,7 +202,4 @@ class ContainmentIndex:
         return sys.getsizeof(self._entries) + self._table.size_bytes()
 
     def __repr__(self) -> str:
-        return (
-            f"<{type(self).__name__} entries={len(self._entries)} "
-            f"compiled={self.verifier.supports_compiled()}>"
-        )
+        return f"<{type(self).__name__} entries={len(self._entries)}>"

@@ -33,7 +33,7 @@ from itertools import chain
 from ..features.extractor import GraphFeatures
 from ..graphs.bitset import CandidateBitmap, GraphIdSpace
 from ..graphs.database import GraphDatabase
-from ..graphs.graph import LabeledGraph
+from ..graphs.graph import GraphMemo, LabeledGraph
 from ..isomorphism.compiled import CompiledQuery, FlatGraph
 from ..isomorphism.cost import isomorphism_test_cost
 from ..isomorphism.verifier import Verifier
@@ -151,9 +151,8 @@ class IGQ:
         ``shards=1``, one per partition otherwise (see
         :mod:`repro.core.shard_runtime`).  ``None`` means all defaults.
     igq_verifier:
-        Injection point for a pre-configured containment verifier — tests
-        pass ``Verifier(compiled=False)`` to run the dict-based matcher as
-        the reference; the default is a ``Verifier()`` (the C kernel).
+        Injection point for the containment verifier (the probes' and plan
+        replay's test counter); the default is a ``Verifier()``.
     """
 
     def __init__(
@@ -190,12 +189,11 @@ class IGQ:
         #: test against each dataset graph, by ``_id_space`` position (the
         #: model is a pure function of the two sizes and the label count)
         self._cost_vectors: dict[tuple[int, bool], array] = {}
-        #: ``id(query) -> (query, features, flat)``: the prepared query —
+        #: the prepared query ``(features, flat)`` per graph object —
         #: repeat-heavy streams reuse the same graph objects (workload
         #: pools, batch inputs), and preparation is a pure function of the
-        #: graph, so repeats skip the flattening and the path enumeration.
-        #: The graph reference pins the object alive, keeping the id stable.
-        self._prepared: dict[int, tuple[LabeledGraph, GraphFeatures, FlatGraph]] = {}
+        #: graph, so repeats skip the flattening and the path enumeration
+        self._prepared = GraphMemo(8192)
         #: ``(feature codes, |V|, |E|, supergraph) -> plan`` of the queries
         #: planned since the last window flush: a flush is the only write to
         #: the live set, so until the next one an isomorphic query's plan is
@@ -374,16 +372,12 @@ class IGQ:
 
     def prepare(self, query: LabeledGraph) -> tuple[GraphFeatures, FlatGraph]:
         """The query flattened once and its features extracted from that
-        (memoised per graph object): what every later stage reads."""
-        prepared = self._prepared.get(id(query))
-        if prepared is not None and prepared[0] is query:
-            return prepared[1], prepared[2]
+        (memoised per graph object and size): what every later stage reads."""
+        return self._prepared.get(query, self._prepare)
+
+    def _prepare(self, query: LabeledGraph) -> tuple[GraphFeatures, FlatGraph]:
         flat = FlatGraph(query)
-        features = self.method.extract_query_features(query, flat)
-        if len(self._prepared) >= 8192:
-            self._prepared.clear()
-        self._prepared[id(query)] = (query, features, flat)
-        return features, flat
+        return self.method.extract_query_features(query, flat), flat
 
     def plan_query(
         self,
@@ -507,11 +501,8 @@ class IGQ:
         """One counted containment test: the query ⊆ an earlier query of
         equal size — that is, the two are isomorphic.  Both compiled forms
         are the ones the flush caches the two queries with."""
-        verifier = self.igq_verifier
-        if not verifier.supports_compiled():
-            return verifier.is_subgraph(compiled.graph, earlier.query)
         target = earlier.compiled.compiled_target()
-        return verifier.verify_pairs(compiled.compiled_plan(), [target])[0]
+        return self.igq_verifier.verify_pairs(compiled.compiled_plan(), [target])[0]
 
     def _component_hits(
         self, query: LabeledGraph, features: GraphFeatures, compiled: CompiledQuery
@@ -698,13 +689,12 @@ class IGQ:
         # tell its two answer-set flavours apart.
         mode = SUPERGRAPH_MODE if plan.supergraph else SUBGRAPH_MODE
         compiled = plan.compiled
-        if self.igq_verifier.supports_compiled():
-            # the forms the entry will need, created (not compiled) now so
-            # that they compile from the query's one flattening
-            if self.probe_isub:
-                compiled.compiled_target()
-            if self.probe_isuper:
-                compiled.compiled_plan()
+        # the forms the entry will need, created (not compiled) now so that
+        # they compile from the query's one flattening
+        if self.probe_isub:
+            compiled.compiled_target()
+        if self.probe_isuper:
+            compiled.compiled_plan()
         window_full = self.maintenance.submit(
             PendingQuery(
                 graph=plan.query,

@@ -2,8 +2,7 @@
 
 :class:`ProbeTable` is the slot-aligned native table behind a
 :class:`~repro.core.containment.ContainmentIndex`: per live slot the cached
-query's feature codes, its size and the address of its compiled form
-(none behind ``Verifier(compiled=False)``: such a table only filters),
+query's feature codes, its size and the address of its compiled form,
 reconciled on the write path (``set`` on ``add``, ``clear`` on ``remove``)
 so that a probe — :meth:`ProbeTable.filter`, then :meth:`ProbeTable.verify`
 on the survivors — is two kernel calls that never touch a Python entry
@@ -67,12 +66,11 @@ class ProbeTable:
         codes: array,
         num_vertices: int,
         num_edges: int,
-        compiled_address: int | None,
+        compiled_address: int,
         owner: object,
     ) -> None:
         """Write the row of ``slot``; ``owner`` keeps ``compiled_address``
-        valid and is held until the row is cleared (``None`` and ``None``
-        for a row that is only filtered)."""
+        valid and is held until the row is cleared."""
         status = self._library.ck_table_set(
             self._address,
             slot,

@@ -23,7 +23,7 @@ from collections import Counter
 from collections.abc import Hashable, Iterable, Iterator, Mapping
 from typing import Any
 
-__all__ = ["GraphError", "LabeledGraph"]
+__all__ = ["GraphError", "GraphMemo", "LabeledGraph"]
 
 
 class GraphError(Exception):
@@ -120,29 +120,6 @@ class LabeledGraph:
         self._adjacency[u][v] = label
         self._adjacency[v][u] = label
         self._num_edges += 1
-
-    def remove_edge(self, u: Hashable, v: Hashable) -> None:
-        """Remove the edge between ``u`` and ``v`` (it must exist)."""
-        if not self.has_edge(u, v):
-            raise GraphError(f"edge ({u!r}, {v!r}) does not exist")
-        del self._adjacency[u][v]
-        del self._adjacency[v][u]
-        self._num_edges -= 1
-
-    def remove_vertex(self, vertex: Hashable) -> None:
-        """Remove ``vertex`` and all its incident edges."""
-        if vertex not in self._labels:
-            raise GraphError(f"unknown vertex {vertex!r}")
-        for neighbor in list(self._adjacency[vertex]):
-            self.remove_edge(vertex, neighbor)
-        label = self._labels.pop(vertex)
-        self._label_index[label].discard(vertex)
-        self._label_counts[label] -= 1
-        if not self._label_counts[label]:
-            del self._label_counts[label]
-        if not self._label_index[label]:
-            del self._label_index[label]
-        del self._adjacency[vertex]
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -400,3 +377,38 @@ class LabeledGraph:
         return (
             f"<LabeledGraph{label} |V|={self.num_vertices} |E|={self.num_edges}>"
         )
+
+
+class GraphMemo:
+    """Values derived from a graph, memoised per graph object.
+
+    An entry holds its graph — so a live entry's id cannot be reused by a
+    new object — and the graph's vertex and edge counts when the value was
+    derived.  :meth:`LabeledGraph.add_vertex` and
+    :meth:`LabeledGraph.add_edge` are the only mutators and each strictly
+    grows a count when it changes anything, so equal counts mean an
+    unchanged graph and a graph grown in place is derived again.  The memo
+    is cleared when it reaches ``capacity`` entries.
+    """
+
+    __slots__ = ("_entries", "_capacity")
+
+    def __init__(self, capacity: int) -> None:
+        self._entries: dict[int, tuple] = {}
+        self._capacity = capacity
+
+    def get(self, graph: LabeledGraph, derive):
+        """``derive(graph)``, memoised for this graph object at its size."""
+        entry = self._entries.get(id(graph))
+        if (
+            entry is not None
+            and entry[0] is graph
+            and entry[1] == graph.num_vertices
+            and entry[2] == graph.num_edges
+        ):
+            return entry[3]
+        value = derive(graph)
+        if len(self._entries) >= self._capacity:
+            self._entries.clear()
+        self._entries[id(graph)] = (graph, graph.num_vertices, graph.num_edges, value)
+        return value

@@ -7,7 +7,6 @@ from .compiled import (
     compile_query_plan,
     compile_target,
     match_pairs,
-    signature_prereject,
 )
 from .cost import (
     falling_factorial,
@@ -31,7 +30,6 @@ __all__ = [
     "compile_query_plan",
     "compile_target",
     "match_pairs",
-    "signature_prereject",
     "VF2Matcher",
     "Verifier",
     "VerifierStats",

@@ -19,8 +19,8 @@
  *   3. with `by_component`, Grapes' component-restricted verification:
  *      the pair's region is the target's vertices that carry a label of
  *      the pattern (the OR of the target's `label_members` rows over the
- *      plan's `sig_labels`; Grapes' location union, see `region_mask` in
- *      src/repro/methods/grapes.py) -> connected components -> (-size,
+ *      plan's `sig_labels`; Grapes' location union, see `GrapesMethod.verify`
+ *      in src/repro/methods/grapes.py) -> connected components -> (-size,
  *      rank) order -> size and edge-count pre-checks -> one counted test
  *      per surviving component -> stop at the first match (the oracle's
  *      `match_by_component`).
@@ -143,9 +143,7 @@
  *     id, vertex and edge counts, its (feature code, count) pairs — a
  *     malloc'd copy, code ascending — and the address of its compiled form:
  *     a `ck_target` when the entries play the target role (`Isub`), a
- *     `ck_plan` when they play the pattern role (`Isuper`), NULL when the
- *     index verifies its survivors in Python (`Verifier(compiled=False)`:
- *     such a table is filtered, never passed to `ck_probe_verify`).  The
+ *     `ck_plan` when they play the pattern role (`Isuper`).  The
  *     compiled form belongs to Python, which keeps it alive until the row
  *     is cleared;
  *   - a probe reads the table and writes only its caller's output buffers,

@@ -1,10 +1,8 @@
 """Compiled verification: graphs compiled once, verified in the C kernel.
 
-The verification stage dominates filter-then-verify query processing, and the
-dict-based :class:`~repro.isomorphism.vf2.VF2Matcher` rebuilds all of its
-state — target label histogram, matching order, adjacency bookkeeping — for
-every ``(query, candidate graph)`` pair.  Almost all of that state is a
-property of *one* side of the pair:
+The verification stage dominates filter-then-verify query processing, and
+almost all of a pair's matching state is a property of *one* side of the
+pair:
 
 * :class:`CompiledTarget` is a dataset graph in the target role: dense
   vertex positions (``graph.vertices()`` order), neighbour bitsets,
@@ -33,10 +31,10 @@ the block is per process and compiled again on arrival.
 in **one** ``ck_verify_many`` call (signature pre-reject and search per pair,
 in candidate order, interpreter lock released once): a shared plan against
 many targets (subgraph verification, ``Isub``) or many plans against a shared
-target (supergraph verification, ``Isuper``).  It explores the same
-non-induced VF2 state space as :class:`VF2Matcher` — the test suite
-cross-validates the two, and the kernel against the pure-Python oracle in
-``tests/kernel_oracle.py``.
+target (supergraph verification, ``Isuper``).  It is the package's only
+matcher: the test suite cross-validates it against the non-induced VF2 of
+:class:`~repro.isomorphism.vf2.VF2Matcher` and against the pure-Python
+bigint kernel in ``tests/kernel_oracle.py``.
 
 **Region-masked matching** — a pair may carry a region (an ``int`` bitmask
 over the target's vertex positions) restricting candidate generation to the
@@ -47,18 +45,17 @@ question of matching against the materialised region subgraph.
 **Component-by-component matching** — with ``by_component`` the kernel
 builds each pair's region itself: the target's vertices that carry a label of
 the pattern (the OR of the target's label-member rows over the plan's
-labels), which is Grapes' region (see
-:meth:`~repro.methods.grapes.GrapesMethod.region_mask`).  It then decomposes
+labels), which is Grapes' region (the oracle is ``label_region`` in
+``tests/kernel_oracle.py``).  It then decomposes
 it — Grapes' component-restricted verification: connected components in
 decreasing size (ties by the smallest vertex ``repr``), size and edge-count
 pre-checks, one counted test per surviving component, stop at the first
 match — all against the *whole-graph* compiled target; no region is
 marshalled and no subgraph is materialised.
 
-:func:`signature_prereject` is the graph-based early-fail check (vertex/edge
-counts, label-histogram dominance, per-label degree-signature dominance) the
-:class:`~repro.isomorphism.verifier.Verifier` applies on its uncompiled path;
-the kernel runs the same check per pair.
+Per pair the kernel first runs the signature pre-reject (vertex/edge counts,
+label-histogram dominance, per-label degree-signature dominance); the
+check's graph-based form is a test oracle in ``tests/kernel_oracle.py``.
 """
 
 from __future__ import annotations
@@ -80,8 +77,6 @@ __all__ = [
     "compile_target",
     "compile_query_plan",
     "match_pairs",
-    "signature_prereject",
-    "degree_signature_dominates",
 ]
 
 #: process-wide label interner: label -> append-only dense id.  Ids are
@@ -111,60 +106,6 @@ def _packed(*columns: Sequence[int]) -> tuple[array, list[int]]:
     buffer = array("q", flat)
     base = buffer.buffer_info()[0]
     return buffer, [base + 8 * start for start in starts]
-
-
-def degree_signature_dominates(
-    pattern_degrees: dict[Hashable, list[int]],
-    target_degrees: dict[Hashable, list[int]],
-) -> bool:
-    """Hall-style degree-signature check, per label.
-
-    A pattern vertex of label ``L`` and degree ``d`` can only map to a target
-    vertex of label ``L`` with degree ``>= d``; because that compatibility
-    relation is a threshold on sorted degrees, a label class admits an
-    injective assignment exactly when the k-th largest pattern degree is
-    bounded by the k-th largest target degree for every ``k``.  Both inputs
-    map labels to descending degree lists.
-    """
-    for label, p_degrees in pattern_degrees.items():
-        t_degrees = target_degrees.get(label)
-        if t_degrees is None or len(t_degrees) < len(p_degrees):
-            return False
-        for p_degree, t_degree in zip(p_degrees, t_degrees):
-            if p_degree > t_degree:
-                return False
-    return True
-
-
-def _label_degree_lists(graph: LabeledGraph) -> dict[Hashable, list[int]]:
-    """Per-label descending degree lists of ``graph``."""
-    by_label: dict[Hashable, list[int]] = {}
-    for vertex in graph.vertices():
-        by_label.setdefault(graph.label(vertex), []).append(graph.degree(vertex))
-    for degrees in by_label.values():
-        degrees.sort(reverse=True)
-    return by_label
-
-
-def signature_prereject(pattern: LabeledGraph, target: LabeledGraph) -> bool:
-    """True if cheap invariants already prove ``pattern ⊄ target``.
-
-    Checks vertex/edge counts, label-histogram dominance and the per-label
-    degree-signature condition — all necessary for a (non-induced or
-    induced) subgraph isomorphism, so a ``True`` here is always safe to
-    report as "no match" without running a matcher.
-    """
-    if pattern.num_vertices > target.num_vertices:
-        return True
-    if pattern.num_edges > target.num_edges:
-        return True
-    target_hist = target.label_histogram()
-    for label, count in pattern.label_histogram().items():
-        if target_hist.get(label, 0) < count:
-            return True
-    return not degree_signature_dominates(
-        _label_degree_lists(pattern), _label_degree_lists(target)
-    )
 
 
 def _repr_ranks(graph: LabeledGraph) -> list[int]:

@@ -4,8 +4,12 @@ The paper's Definition 2 asks for an *injection* from the query graph's
 vertices into a dataset graph's vertices such that every query edge maps onto
 an edge of the dataset graph and vertex labels are preserved.  This is the
 non-induced variant (subgraph monomorphism) that VF2 [Cordella et al., 2004]
-computes when only pattern edges are required to be present, and is the test
-performed during the verification stage of every filter-then-verify method.
+computes when only pattern edges are required to be present — the test the
+verification stage of every filter-then-verify method performs.  The stage
+itself runs in the C kernel (:mod:`repro.isomorphism.compiled`); this module
+is the public embedding API (:func:`find_subgraph_embedding`,
+:func:`is_subgraph_isomorphic`) and the independent matcher the test suite
+checks the kernel against.
 
 The matcher follows the VF2 state-space exploration:
 

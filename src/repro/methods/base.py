@@ -235,20 +235,13 @@ class SubgraphQueryMethod(ABC):
         compiled state when the caller carries one (the iGQ engine: its
         ``Isub`` probe usually compiled the plan already).
 
-        When the verifier admits the compiled fast path the query is
-        compiled into a matching plan *once* and tested against the
-        database's cached :class:`CompiledTarget` of every candidate in one
-        :meth:`Verifier.verify_pairs` call (one C call).  Otherwise every
-        candidate pair goes through the graph-based matcher.
+        The query is compiled into a matching plan *once* and tested
+        against the database's cached :class:`CompiledTarget` of every
+        candidate in one :meth:`Verifier.verify_pairs` call (one C call).
         """
         self._require_index()
         verifier = self.verifier
         plan = verifier.compile_pattern(query, compiled)
-        if plan is None:
-            get = self.database.get
-            return {
-                graph_id for graph_id in candidate_ids if verifier.is_subgraph(query, get(graph_id))
-            }
         candidates = list(candidate_ids)
         matched = verifier.verify_pairs(plan, list(map(self.database.compiled_target, candidates)))
         return set(compress(candidates, matched))
@@ -262,20 +255,14 @@ class SubgraphQueryMethod(ABC):
     ) -> set:
         """Verify candidates for a supergraph query (``G_i ⊆ query``).
 
-        Mirror image of :meth:`verify` on the compiled path: the query is
-        compiled once as the *target*, and each candidate contributes its
-        database-cached matching plan (dataset graphs play the pattern
-        role here, so their plans are reusable across every supergraph
-        query).
+        Mirror image of :meth:`verify`: the query is compiled once as the
+        *target*, and each candidate contributes its database-cached
+        matching plan (dataset graphs play the pattern role here, so their
+        plans are reusable across every supergraph query).
         """
         self._require_index()
         verifier = self.verifier
         target = verifier.compile_target(query, compiled)
-        if target is None:
-            get = self.database.get
-            return {
-                graph_id for graph_id in candidate_ids if verifier.is_subgraph(get(graph_id), query)
-            }
         candidates = list(candidate_ids)
         matched = verifier.verify_pairs(target, list(map(self.database.compiled_plan, candidates)))
         return set(compress(candidates, matched))

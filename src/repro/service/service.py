@@ -222,10 +222,9 @@ class ServiceReport:
     #: always empty: the in-memory delta log was removed in 11.0 (kept
     #: until the benchmark harness stops reading it)
     delta_log: dict = field(default_factory=dict)
-    #: ``{"parent": ...}``: the kernel the base method's verifier runs in
-    #: the service's process — ``"native"``, or ``"uncompiled"`` for an
-    #: injected ``Verifier(compiled=False)``
-    kernel_resolved: dict = field(default_factory=dict)
+    #: always ``{"parent": "native"}``: the C kernel is the only matcher
+    #: (kept until the benchmark harness stops reading it)
+    kernel_resolved: dict = field(default_factory=lambda: {"parent": "native"})
 
     def as_dict(self) -> dict:
         """JSON-serialisable form (dashboards, experiment archives)."""
@@ -719,7 +718,6 @@ class GraphQueryService:
                 executor_stats.sequential_verifications if executor_stats else 0
             ),
             plans_replayed=engine.plans_replayed,
-            kernel_resolved={"parent": engine.method.verifier.resolved_kernel_name()},
         )
 
     # ------------------------------------------------------------------

@@ -9,7 +9,10 @@ import pytest
 from hypothesis import strategies as st
 
 from repro.core import CacheConfig, EngineConfig
+from repro.core.containment import ContainmentIndex
 from repro.graphs import GraphDatabase, LabeledGraph
+
+from .kernel_oracle import OracleVerifier, oracle_hits
 
 
 def engine_config(size: int = 500, window: int = 100, **engine_fields) -> EngineConfig:
@@ -202,6 +205,22 @@ def oracle_index(live, cache):
     for entry in cache.entries():
         oracle.add(entry)
     return oracle
+
+
+@pytest.fixture
+def oracle_probes(monkeypatch):
+    """Probes of an index on an ``OracleVerifier`` run the Python probe
+    (``kernel_oracle.oracle_hits``); every other index keeps the kernel's.
+    With it, ``kernel_oracle.oracle_engine`` shares no verification code
+    with the kernel."""
+    native_hits = ContainmentIndex._hits
+
+    def hits(index, query, features, compiled):
+        if isinstance(index.verifier, OracleVerifier):
+            return oracle_hits(index, query, features)
+        return native_hits(index, query, features, compiled)
+
+    monkeypatch.setattr(ContainmentIndex, "_hits", hits)
 
 
 @pytest.fixture

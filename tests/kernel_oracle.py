@@ -14,6 +14,13 @@ differentials compare against:
   test counts.
   :class:`OracleVerifier` is a ``Verifier`` that runs its compiled pairs
   there, to put a base method on the bigint kernel;
+* the *oracle engine* — :func:`oracle_engine`, an ``IGQ`` on
+  :class:`OracleVerifier` s whose probes run :func:`oracle_hits` under the
+  ``oracle_probes`` fixture of ``conftest``: no verification code shared
+  with the kernel;
+* :func:`signature_prereject` (the pre-reject on two graphs) and
+  :func:`grapes_region_verify` (Grapes on region subgraphs cut from the
+  location table, :func:`location_union`, tested with ``VF2Matcher``);
 * the *marshalling* — :func:`marshal_target` / :func:`marshal_plan` build
   the ``ck_target`` / ``ck_plan`` structs from that state, field for field
   what ``ck_compile_target`` / ``ck_compile_plan`` build from the CSR;
@@ -38,16 +45,14 @@ import time
 from array import array
 from collections.abc import Hashable, Iterator, Sequence
 
+from repro.core import IGQ
 from repro.graphs import LabeledGraph
 from repro.graphs.bitset import iter_bits
+from repro.graphs.traversal import connected_components, is_connected
 from repro.isomorphism import Verifier, VF2Matcher
-from repro.isomorphism.compiled import (
-    CompiledQueryPlan,
-    _intern_label,
-    _packed,
-    degree_signature_dominates,
-)
+from repro.isomorphism.compiled import CompiledQueryPlan, _intern_label, _packed
 from repro.isomorphism.compiled import match_pairs as native_match_pairs
+from repro.methods import create_method
 
 
 def repr_ranks(graph: LabeledGraph) -> list[int]:
@@ -172,6 +177,29 @@ class BigintPlan:
             )
 
 
+def degree_signature_dominates(
+    pattern_degrees: dict[Hashable, list[int]],
+    target_degrees: dict[Hashable, list[int]],
+) -> bool:
+    """Hall-style degree-signature check, per label.
+
+    A pattern vertex of label ``L`` and degree ``d`` can only map to a target
+    vertex of label ``L`` with degree ``>= d``; because that compatibility
+    relation is a threshold on sorted degrees, a label class admits an
+    injective assignment exactly when the k-th largest pattern degree is
+    bounded by the k-th largest target degree for every ``k``.  Both inputs
+    map labels to descending degree lists.
+    """
+    for label, p_degrees in pattern_degrees.items():
+        t_degrees = target_degrees.get(label)
+        if t_degrees is None or len(t_degrees) < len(p_degrees):
+            return False
+        for p_degree, t_degree in zip(p_degrees, t_degrees):
+            if p_degree > t_degree:
+                return False
+    return True
+
+
 def prereject(plan: BigintPlan, target: BigintTarget) -> bool:
     """The signature pre-reject: cheap invariants prove no embedding."""
     if plan.num_vertices > target.num_vertices or plan.num_edges > target.num_edges:
@@ -180,6 +208,13 @@ def prereject(plan: BigintPlan, target: BigintTarget) -> bool:
         if target.label_histogram.get(label, 0) < count:
             return True
     return not degree_signature_dominates(plan.label_degrees, target.label_degrees)
+
+
+def signature_prereject(pattern: LabeledGraph, target: LabeledGraph) -> bool:
+    """True if cheap invariants already prove ``pattern ⊄ target``: vertex
+    and edge counts, label-histogram and per-label degree-signature
+    dominance — :func:`prereject` on two graphs."""
+    return prereject(BigintPlan(pattern), BigintTarget(target))
 
 
 # ----------------------------------------------------------------------
@@ -352,9 +387,6 @@ class OracleVerifier(Verifier):
         matched, tests = match_pairs(query_side, candidates, regions, by_component)
         self.record_batch(sum(tests), sum(matched), time.perf_counter() - start)
         return matched
-
-    def fresh_clone(self) -> "OracleVerifier":
-        return OracleVerifier(precheck=self.precheck)
 
 
 # ----------------------------------------------------------------------
@@ -670,3 +702,82 @@ def probe_hits(index, query, features) -> tuple[list[int], int]:
         if VF2Matcher(pattern, target).has_match():
             hits.append(entry_id)
     return hits, tests
+
+
+# ----------------------------------------------------------------------
+# The oracle engine
+# ----------------------------------------------------------------------
+def oracle_hits(index, query, features) -> list:
+    """A containment index's hits from :func:`probe_hits`, its tests folded
+    into the index's verifier as the native probe folds them — what the
+    ``oracle_probes`` fixture puts in place of ``ContainmentIndex._hits``
+    for an index on an :class:`OracleVerifier`."""
+    start = time.perf_counter()
+    hit_ids, tests = probe_hits(index, query, features)
+    index.verifier.record_batch(tests, len(hit_ids), time.perf_counter() - start)
+    return [index._entries[entry_id] for entry_id in hit_ids]
+
+
+def oracle_engine(method_name: str, config, **method_options) -> IGQ:
+    """An ``IGQ`` on the oracles: the base method verifies on the bigint
+    kernel, and so does plan replay's confirming test; the probes are
+    :func:`oracle_hits` under the ``oracle_probes`` fixture."""
+    method = create_method(method_name, verifier=OracleVerifier(), **method_options)
+    return IGQ(method, config, igq_verifier=OracleVerifier())
+
+
+# ----------------------------------------------------------------------
+# Grapes on region subgraphs
+# ----------------------------------------------------------------------
+def location_union(method, features, graph_id) -> int:
+    """Vertices of ``graph_id`` (a mask over its positions) covered by an
+    occurrence of a feature of ``features``: the union of the location
+    table's rows Grapes indexed."""
+    located = method.graph_features(graph_id).locations.get
+    region = 0
+    for code in features.counts:
+        region |= located(code, 0)
+    return region
+
+
+def match_region_subgraph(pattern, graph, region) -> tuple[bool, int]:
+    """Grapes' dict-based loop for one pair: ``(matched, tests)`` of
+    ``pattern`` against the subgraph of ``graph`` induced by the vertices
+    ``region`` — its connected components largest first, size and edge
+    pre-checks, one ``VF2Matcher`` test per surviving component up to the
+    first match."""
+    tests = 0
+    if len(region) < pattern.num_vertices:
+        return False, tests
+    region_graph = graph.subgraph(region)
+    for component in connected_components(region_graph):
+        if len(component) < pattern.num_vertices:
+            continue
+        component_graph = region_graph.subgraph(component)
+        if component_graph.num_edges < pattern.num_edges:
+            continue
+        tests += 1
+        if VF2Matcher(pattern, component_graph).has_match():
+            return True, tests
+    return False, tests
+
+
+def grapes_region_verify(method, query, candidate_ids, features) -> tuple[set, int]:
+    """Grapes' verification on materialised graphs: ``(answers, tests)`` —
+    per candidate :func:`match_region_subgraph` inside
+    :func:`location_union`; a disconnected query is one whole-graph test."""
+    answers, tests = set(), 0
+    for graph_id in candidate_ids:
+        graph = method.database.get(graph_id)
+        if is_connected(query):
+            vertices = list(graph.vertices())
+            region = location_union(method, features, graph_id)
+            matched, count = match_region_subgraph(
+                query, graph, [vertices[position] for position in iter_bits(region)]
+            )
+        else:
+            matched, count = VF2Matcher(query, graph).has_match(), 1
+        tests += count
+        if matched:
+            answers.add(graph_id)
+    return answers, tests

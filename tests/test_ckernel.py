@@ -8,7 +8,9 @@ cross-validated on four corpora (random pairs, the supergraph direction,
 multi-word targets past 64 vertices, region-masked runs;
 ``test_verify_pairs.py`` adds the batch and component-decomposition
 property) — and the engine built on top must produce the answers,
-accounting and cache state of the dict-based ``Verifier(compiled=False)``.
+accounting and cache state of the oracle engine
+(``kernel_oracle.oracle_engine``: the bigint kernel for the base method,
+``VF2Matcher`` behind the Python filters for the probes).
 A host that cannot build the kernel gets an ``ImportError`` that says how
 to fix it, not a slower engine.
 """
@@ -226,15 +228,6 @@ class TestNativeKernelParity:
 
 
 # ----------------------------------------------------------------------
-# Resolution
-# ----------------------------------------------------------------------
-class TestKernelResolution:
-    def test_verifier_reports_resolved_name(self):
-        assert Verifier().resolved_kernel_name() == "native"
-        assert Verifier(compiled=False).resolved_kernel_name() == "uncompiled"
-
-
-# ----------------------------------------------------------------------
 # Pickling (compiled forms ride in WAL records)
 # ----------------------------------------------------------------------
 class TestPickling:
@@ -260,11 +253,11 @@ class TestPickling:
 # ----------------------------------------------------------------------
 # Engine-level byte-identity
 # ----------------------------------------------------------------------
+@pytest.mark.usefixtures("oracle_probes")
 class TestEngineByteIdentity:
-    def uncompiled_baseline(self, small_db, queries):
-        """The engine on the dict-based matcher, base method and probes."""
-        method = create_method("ggsx", max_path_length=3, verifier=Verifier(compiled=False))
-        engine = IGQ(method, engine_config(10, 3), igq_verifier=Verifier(compiled=False))
+    def oracle_baseline(self, small_db, queries):
+        """The oracle engine: base method, probes and replay on the oracles."""
+        engine = kernel_oracle.oracle_engine("ggsx", engine_config(10, 3), max_path_length=3)
         engine.build_index(small_db)
         results = [engine.query(query) for query in queries]
         fingerprint = engine_fingerprint(engine, results)
@@ -272,7 +265,7 @@ class TestEngineByteIdentity:
         return fingerprint
 
     def test_sequential_engine_matches_bigint(self, small_db, queries):
-        baseline = self.uncompiled_baseline(small_db, queries)
+        baseline = self.oracle_baseline(small_db, queries)
         method = create_method("ggsx", max_path_length=3, verifier=Verifier())
         engine = IGQ(method, engine_config(10, 3))
         engine.build_index(small_db)
@@ -283,8 +276,8 @@ class TestEngineByteIdentity:
 
     def test_default_auto_engine_matches_bigint(self, small_db, queries):
         """The default configuration runs the C kernel — its results must
-        stay identical to the dict-based engine."""
-        baseline = self.uncompiled_baseline(small_db, queries)
+        stay identical to the oracle engine."""
+        baseline = self.oracle_baseline(small_db, queries)
         _, fingerprint = run_engine(small_db, queries)
         assert fingerprint == baseline
 

@@ -17,17 +17,17 @@ import pytest
 from repro.graphs import LabeledGraph
 from repro.graphs.traversal import connected_components
 from repro.isomorphism import (
+    CompiledQuery,
     CompiledTarget,
     VF2Matcher,
     Verifier,
     compile_query_plan,
     compile_target,
-    signature_prereject,
 )
 from repro.methods import ScanMethod
 
 from . import kernel_oracle
-from .kernel_oracle import compiled_has_embedding
+from .kernel_oracle import OracleVerifier, compiled_has_embedding, signature_prereject
 from .conftest import (
     make_clique,
     make_cycle_graph,
@@ -203,10 +203,18 @@ class TestDatabaseCaching:
 
 
 class TestVerifierDispatch:
-    def test_compile_pattern_gated_by_configuration(self):
-        query = make_path_graph("AB")
-        assert Verifier().compile_pattern(query) is not None
-        assert Verifier(compiled=False).compile_pattern(query) is None
+    def test_compiled_forms_follow_in_place_growth(self):
+        """The compile memos are per graph object and size: a repeat reuses
+        its forms, a graph grown in place is compiled again."""
+        verifier = Verifier()
+        query = make_path_graph("ABC")
+        plan, target = verifier.compile_pattern(query), verifier.compile_target(query)
+        assert verifier.compile_pattern(query) is plan
+        assert verifier.compile_target(query) is target
+        query.add_edge(2, 0)
+        assert verifier.compile_pattern(query) is not plan
+        assert verifier.compile_pattern(query).num_edges == 3
+        assert verifier.compile_target(query).num_edges == 3
 
     def test_unknown_kernel_rejected(self):
         """The C kernel is the only one: there is no ``kernel=`` to pick
@@ -220,19 +228,19 @@ class TestVerifierDispatch:
                 )
             with pytest.raises(TypeError, match="kernel"):
                 Verifier(kernel=kernel)
-        for removed in ("algorithm", "induced"):
+        for removed in ("algorithm", "induced", "compiled", "precheck"):
             with pytest.raises(TypeError, match=removed):
                 Verifier(**{removed: None})
 
     def test_compiled_and_plain_paths_count_identically(self, tiny_database):
+        """Pair by pair, the kernel and the bigint oracle count alike."""
         query = make_path_graph("ABC")
-        fast = Verifier()
+        fast, slow = Verifier(), OracleVerifier()
         plan = fast.compile_pattern(query)
-        slow = Verifier(compiled=False, precheck=False)
         for graph_id in tiny_database.ids():
-            graph = tiny_database.get(graph_id)
-            assert fast.is_subgraph_compiled(plan, compile_target(graph)) == slow.is_subgraph(
-                query, graph
+            target = compile_target(tiny_database.get(graph_id))
+            assert fast.is_subgraph_compiled(plan, target) == slow.is_subgraph_compiled(
+                plan, target
             )
         assert fast.stats.tests == slow.stats.tests == len(tiny_database)
         assert fast.stats.positives == slow.stats.positives
@@ -240,29 +248,37 @@ class TestVerifierDispatch:
         assert fast.stats.total_seconds > 0.0
 
     def test_precheck_does_not_change_answers(self):
+        """The kernel's pre-reject answers as ``VF2Matcher`` does, and a
+        pre-rejected pair is still one counted test."""
         rng = random.Random(404)
-        with_precheck = Verifier(compiled=False, precheck=True)
-        without = Verifier(compiled=False, precheck=False)
+        verifier = Verifier()
+        rejected = 0
         for _ in range(300):
             pattern, target = random_pair(rng)
-            assert with_precheck.is_subgraph(pattern, target) == without.is_subgraph(
-                pattern, target
-            )
-        assert with_precheck.stats.tests == without.stats.tests
+            rejected += signature_prereject(pattern, target)
+            assert verifier.verify_pairs(
+                compile_query_plan(pattern), [compile_target(target)]
+            ) == [VF2Matcher(pattern, target).has_match()]
+        assert verifier.stats.tests == 300
+        assert rejected > 0
 
     @pytest.mark.parametrize("compiled", [True, False])
     def test_method_verify_equivalent(self, tiny_database, compiled):
-        method = ScanMethod(verifier=Verifier(compiled=compiled))
+        """The kernel against the bigint oracle, with the query's forms
+        shared by the caller (``compiled``) or compiled by the verifier."""
+        method = ScanMethod()
         method.build_index(tiny_database)
-        reference = ScanMethod(verifier=Verifier(compiled=False, precheck=False))
+        reference = ScanMethod(verifier=OracleVerifier())
         reference.build_index(tiny_database)
         for query in (make_path_graph("AB"), make_cycle_graph("ABC"), make_clique("ABCD")):
-            assert method.verify(query, tiny_database.ids()) == reference.verify(
-                query, tiny_database.ids()
+            shared = CompiledQuery(query) if compiled else None
+            assert method.verify(query, tiny_database.ids(), compiled=shared) == (
+                reference.verify(query, tiny_database.ids())
             )
-            assert method.verify_supergraph(query, tiny_database.ids()) == (
+            assert method.verify_supergraph(query, tiny_database.ids(), compiled=shared) == (
                 reference.verify_supergraph(query, tiny_database.ids())
             )
+        assert method.verifier.stats.tests == reference.verifier.stats.tests
 
 
 def mask_of_vertices(target, vertices) -> int:

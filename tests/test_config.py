@@ -35,6 +35,7 @@ from repro.core import (
     ShardConfig,
 )
 from repro.datasets.registry import load_dataset
+from repro.isomorphism import Verifier
 from repro.methods import create_method
 from repro.workloads.generator import QueryGenerator, WorkloadSpec
 
@@ -218,10 +219,11 @@ class TestValidation:
         ],
     )
     def test_removed_verifier_switch_says_inject_a_verifier(self, data):
+        """(The hint named ``Verifier(compiled=False)`` until 13.0 removed
+        it; it now says to drop the key.)"""
         with pytest.raises(
             ConfigError,
-            match=r"removed in 2\.0.*Verifier\(compiled=False\).*igq_verifier=.*"
-            r"create_method\(verifier=\)",
+            match=r"removed in 2\.0.*always runs in the C kernel.*drop the key",
         ):
             EngineConfig.from_dict(data)
 
@@ -389,7 +391,7 @@ class TestVerifierSectionRemoval:
         with pytest.raises(
             ConfigError,
             match=r"unknown key\(s\) \['verifier'\].*removed in 7\.0 — verifier: the section "
-            r"is gone.*Verifier\(compiled=False\) via igq_verifier=",
+            r"is gone, verification always runs VF2 in the C kernel; drop it",
         ):
             EngineConfig.from_dict({"verifier": {}})
 
@@ -408,5 +410,4 @@ class TestVerifierSectionRemoval:
 
     def test_the_engine_builds_the_kernel_verifier(self):
         with IGQ(create_method("ggsx", max_path_length=3)) as engine:
-            assert engine.igq_verifier.supports_compiled()
-            assert engine.igq_verifier.resolved_kernel_name() == "native"
+            assert type(engine.igq_verifier) is Verifier

@@ -2,11 +2,11 @@
 
 Three contracts:
 
-* **Equivalence** — with the compiled path on (the default), the two
-  component indexes and Grapes' region-masked verification return exactly
-  the answers, hit lists and verifier accounting of the dict-based path
-  (an injected ``Verifier(compiled=False)``), at the index level and
-  end-to-end through the engine.
+* **Equivalence** — the two component indexes and Grapes' region-masked
+  verification return exactly the answers, hit lists and verifier
+  accounting of the oracles (indexes on an ``OracleVerifier`` under the
+  ``oracle_probes`` fixture, and ``kernel_oracle.oracle_engine``), at the
+  index level and end-to-end through the engine.
 * **Compile-on-insertion** — cached entries carry their ``CompiledTarget`` /
   ``CompiledQueryPlan`` from the moment they are indexed, window flushes
   leave the survivors' objects alone (never recompile), and eviction
@@ -43,6 +43,7 @@ from repro.methods import create_method
 from repro.workloads.generator import QueryGenerator, WorkloadSpec
 from repro.workloads.zipf import create_sampler
 
+from . import kernel_oracle
 from .conftest import (
     apply_report,
     engine_config,
@@ -79,12 +80,13 @@ def random_query_pool(rng: random.Random, count: int, lo: int = 2, hi: int = 7):
     ]
 
 
+@pytest.mark.usefixtures("oracle_probes")
 class TestCompiledDictEquivalence:
     def test_index_answers_and_accounting_match(self):
         rng = random.Random(23)
         cached = random_query_pool(rng, 25)
         fast_verifier = Verifier()
-        slow_verifier = Verifier(compiled=False)
+        slow_verifier = kernel_oracle.OracleVerifier()
         _, fast_isub, fast_isuper = build_indexes(cached, fast_verifier)
         _, slow_isub, slow_isuper = build_indexes(cached, slow_verifier)
         for _ in range(40):
@@ -114,15 +116,15 @@ class TestCompiledDictEquivalence:
         sampler = create_sampler("zipf", len(pool), alpha=1.2)
         stream = [pool[sampler.sample(rng)] for _ in range(40)]
 
-        def run(compiled: bool):
-            method = create_method(
-                method_name,
-                max_path_length=3,
-                verifier=Verifier(compiled=compiled),
-            )
-            engine = IGQ(
-                method, engine_config(12, 4), igq_verifier=Verifier(compiled=compiled)
-            )
+        def run(oracle: bool):
+            if oracle:
+                engine = kernel_oracle.oracle_engine(
+                    method_name, engine_config(12, 4), max_path_length=3
+                )
+            else:
+                method = create_method(method_name, max_path_length=3)
+                engine = IGQ(method, engine_config(12, 4))
+            method = engine.method
             engine.build_index(database)
             results = [engine.query(query) for query in stream]
             answers = [tuple(sorted(map(repr, result.answers))) for result in results]
@@ -161,7 +163,7 @@ class TestCompiledDictEquivalence:
                 ),
             )
 
-        assert run(True) == run(False)
+        assert run(False) == run(True)
 
 
 class TestCompileOnInsertion:
@@ -172,10 +174,15 @@ class TestCompileOnInsertion:
             assert isinstance(entry.compiled_target, CompiledTarget)
             assert isinstance(entry.compiled_plan, CompiledQueryPlan)
 
-    def test_dict_mode_compiles_nothing(self):
-        cache, isub, isuper = build_indexes([make_cycle_graph("ABC")], Verifier(compiled=False))
+    def test_every_row_points_at_a_compiled_form(self):
+        """Whatever verifier an index counts on, its rows carry the entry's
+        compiled form (there is no filter-only row)."""
+        cache, isub, isuper = build_indexes(
+            [make_cycle_graph("ABC")], kernel_oracle.OracleVerifier()
+        )
         entry = next(cache.entries())
-        assert entry.compiled_target is None and entry.compiled_plan is None
+        assert isub._table._pinned[0] is entry.compiled_target.native()
+        assert isuper._table._pinned[0] is entry.compiled_plan
 
     def test_flush_reuses_survivors_compiled_state(self):
         cache, isub, isuper = build_indexes([make_cycle_graph("ABCD")])

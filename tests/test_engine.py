@@ -118,6 +118,24 @@ class TestCorrectness:
                 assert result.answers == truth
 
 
+class TestPreparedQueries:
+    def test_a_query_grown_in_place_is_prepared_again(self):
+        """``IGQ.prepare`` memoises per graph object and size: a query
+        object grown after its first run is flattened and extracted again,
+        not answered with its old features."""
+        database = GraphDatabase.from_graphs(
+            [make_path_graph("ABC", name="p"), make_cycle_graph("ABC", name="c")]
+        )
+        engine = IGQ(GGSXMethod(max_path_length=3), engine_config(10, 3))
+        engine.build_index(database)
+        scan = ScanMethod()
+        scan.build_index(database)
+        query = make_path_graph("ABC")
+        assert engine.query(query).answers == scan.query(query).answers == {"c", "p"}
+        query.add_edge(2, 0)
+        assert engine.query(query).answers == scan.query(query).answers == {"c"}
+
+
 class TestOptimalCases:
     def test_exact_repeat_skips_verification(self):
         database = build_database()

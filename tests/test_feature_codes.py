@@ -42,6 +42,7 @@ from repro.features.paths import path_code
 from repro.graphs import GraphDatabase, LabeledGraph
 from repro.methods import CTIndexMethod, GGSXMethod, GrapesMethod, create_method
 
+from . import kernel_oracle
 from .conftest import labeled_graphs, random_labeled_graph
 
 
@@ -96,7 +97,7 @@ def assert_filters_match_oracle(method, query: LabeledGraph) -> None:
             region = 0
             for key in keys:
                 region |= located_of[graph_id].get(key, 0)
-            assert method.region_mask(features, graph_id) == region
+            assert kernel_oracle.location_union(method, features, graph_id) == region
 
 
 dataset_graphs = st.lists(labeled_graphs(max_vertices=6, labels="ABCD"), min_size=1, max_size=6)

@@ -73,34 +73,22 @@ class TestConstruction:
         assert graph.num_edges == 2
 
 
-class TestRemoval:
-    def test_remove_edge(self):
-        graph = make_cycle_graph("ABC")
-        graph.remove_edge(0, 1)
-        assert graph.num_edges == 2
-        assert not graph.has_edge(0, 1)
-
-    def test_remove_missing_edge_fails(self):
-        graph = make_path_graph("AB")
-        with pytest.raises(GraphError):
-            graph.remove_edge(0, 5)
-
-    def test_remove_vertex_removes_incident_edges(self):
-        graph = make_star_graph("A", "BBB")
-        graph.remove_vertex(0)
-        assert graph.num_vertices == 3
-        assert graph.num_edges == 0
-        assert "A" not in graph.labels()
-
-    def test_remove_unknown_vertex_fails(self):
-        graph = LabeledGraph()
-        with pytest.raises(GraphError):
-            graph.remove_vertex(3)
-
-    def test_label_histogram_updates_on_removal(self):
-        graph = make_path_graph("AAB")
-        graph.remove_vertex(0)
-        assert graph.label_histogram() == {"A": 1, "B": 1}
+class TestGrowOnly:
+    def test_a_changed_graph_has_a_new_size(self):
+        """``add_vertex`` / ``add_edge`` are the only mutators, and each grows
+        a count when it changes anything: the per-object memos (the
+        verifier's compiles, ``IGQ.prepare``) guard on the object and its
+        ``|V|``, ``|E|``.  A removal could move an edge and keep both counts
+        (a ``remove_edge(1, 2); add_edge(0, 2)`` path answered from its old
+        plan), so there is none."""
+        assert not hasattr(LabeledGraph, "remove_edge")
+        assert not hasattr(LabeledGraph, "remove_vertex")
+        graph = make_path_graph("ABC")
+        graph.add_edge(0, 1)  # existing: a no-op
+        graph.add_vertex(0, "A")  # existing: a no-op
+        assert (graph.num_vertices, graph.num_edges) == (3, 2)
+        graph.add_edge(2, 0)
+        assert graph.num_edges == 3
 
 
 class TestAccessors:
@@ -146,9 +134,10 @@ class TestAccessors:
 class TestDerivedGraphs:
     def test_copy_is_independent(self, triangle):
         clone = triangle.copy()
-        clone.remove_edge(0, 1)
-        assert triangle.num_edges == 3
-        assert clone.num_edges == 2
+        clone.add_vertex(3, "D")
+        clone.add_edge(0, 3)
+        assert (triangle.num_vertices, triangle.num_edges) == (3, 3)
+        assert (clone.num_vertices, clone.num_edges) == (4, 4)
 
     def test_subgraph_induced(self):
         graph = make_cycle_graph("ABCD")

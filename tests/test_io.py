@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 
 from repro.graphs import (
+    LabeledGraph,
     GraphError,
     graph_from_dict,
     graph_to_dict,
@@ -82,9 +83,9 @@ class TestJSONL:
         assert restored == graph
 
     def test_dict_round_trip_with_edge_labels(self):
-        graph = make_path_graph("AB", name="e")
-        labeled = graph.copy()
-        labeled.remove_edge(0, 1)
+        labeled = LabeledGraph(name="e")
+        labeled.add_vertex(0, "A")
+        labeled.add_vertex(1, "B")
         labeled.add_edge(0, 1, label="double")
         restored = graph_from_dict(graph_to_dict(labeled))
         assert restored.edge_label(0, 1) == "double"

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 
 from repro.features import FeatureExtractor
 from repro.graphs import GraphDatabase
+from repro.isomorphism import VF2Matcher
 from repro.methods import CTIndexMethod, GGSXMethod, GrapesMethod, ScanMethod
 
+from . import kernel_oracle
 from .conftest import (
     make_clique,
     make_cycle_graph,
@@ -89,11 +91,15 @@ class TestGrapes:
         method.build_index(database)
         query = make_path_graph("ABC")
         features = method.extract_query_features(query)
-        region = method.candidate_regions(features, "square")
-        # Any embedding of the query into the square lies inside the region.
         square = database.get("square")
-        assert region <= set(square.vertices())
-        assert len(region) >= query.num_vertices
+        vertices = list(square.vertices())
+        region = kernel_oracle.location_union(method, features, "square")
+        # Any embedding of the query into the square lies inside the region.
+        embeddings = list(VF2Matcher(query, square).iter_matches())
+        assert embeddings
+        for embedding in embeddings:
+            for image in embedding.values():
+                assert region >> vertices.index(image) & 1
 
     def test_verification_restricted_to_components(self):
         method = GrapesMethod(max_path_length=2)
@@ -149,7 +155,7 @@ class TestGrapes:
                     for position, vertex in enumerate(target.vertices())
                     if target.label(vertex) in labels
                 )
-                assert method.region_mask(features, graph_id) == expected
+                assert kernel_oracle.location_union(method, features, graph_id) == expected
 
     def test_index_size_includes_locations(self):
         plain = GGSXMethod(max_path_length=2)

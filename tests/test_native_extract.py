@@ -29,6 +29,7 @@ from repro.graphs import LabeledGraph
 from repro.methods import GGSXMethod, GrapesMethod
 from repro.workloads.generator import QueryGenerator, WorkloadSpec
 
+from . import kernel_oracle
 from .conftest import make_clique, make_cycle_graph, make_path_graph, make_star_graph
 
 #: labels whose ``str()`` collide (``1`` / ``"1"``, ``2.0`` / ``"2.0"``)
@@ -231,9 +232,9 @@ class TestBuildIndexUnderBothExtractors:
             assert set(candidates) == set(python.filter_candidates(query, features=slow_features))
             if isinstance(native, GrapesMethod):
                 for graph_id in candidates:
-                    assert native.region_mask(query_features, graph_id) == python.region_mask(
-                        slow_features, graph_id
-                    )
+                    assert kernel_oracle.location_union(
+                        native, query_features, graph_id
+                    ) == kernel_oracle.location_union(python, slow_features, graph_id)
 
 
 class TestWhicheverExtractorRuns:

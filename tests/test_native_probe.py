@@ -9,9 +9,9 @@ table.  The Python forms in ``tests/kernel_oracle.py`` are the oracle:
 ``isub_candidate_ids`` / ``isuper_candidate_ids`` (the filters),
 ``probe_hits`` (filter, size pre-checks and a ``VF2Matcher`` test per
 survivor) and the ``iter_bits`` loop of ``mask_sums`` — identical hit lists
-*in order*, identical test counts, identical doubles.  An index behind
-``Verifier(compiled=False)`` filters on the table too and verifies its
-survivors with the dict-based matcher: it must answer and account as the
+*in order*, identical test counts, identical doubles.  An index on an
+``OracleVerifier`` probes with ``probe_hits`` under the ``oracle_probes``
+fixture (the oracle engine's probe): it must answer and account as the
 native one does.  The same arrangement ``ck_path_features`` has with
 ``path_features`` (``tests/test_native_extract.py``); this file is on the
 ASan leg's pytest line, where a row outliving its entry's compiled form
@@ -26,7 +26,7 @@ import random
 from array import array
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import IGQ, QueryCache, SubgraphQueryIndex, SupergraphQueryIndex
@@ -51,7 +51,7 @@ EXTRACTOR = FeatureExtractor(max_path_length=3)
 
 class Pair:
     """One direction twice over the same graphs under the same ids: on the
-    compiled kernel and behind ``Verifier(compiled=False)``.
+    kernel and on the oracle's probe (needs the ``oracle_probes`` fixture).
 
     Both indexes hold entries of their own, so releasing compiled state on
     one side never shows on the other.
@@ -59,7 +59,7 @@ class Pair:
 
     def __init__(self, kind, restored: bool = False, extractor=EXTRACTOR) -> None:
         self.native = kind(Verifier())
-        self.matcher = kind(Verifier(compiled=False))
+        self.matcher = kind(kernel_oracle.OracleVerifier())
         self.caches = (QueryCache(), QueryCache())
         self.restored = restored
         self.extractor = extractor
@@ -139,9 +139,12 @@ operations = st.lists(
 )
 
 
+@pytest.mark.usefixtures("oracle_probes")
 @pytest.mark.parametrize("kind", [SubgraphQueryIndex, SupergraphQueryIndex])
 class TestProbeDifferential:
-    @settings(max_examples=60, deadline=None)
+    @settings(
+        max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
     @given(operations=operations, restored=st.booleans())
     def test_random_caches_and_queries(self, kind, operations, restored):
         """Adds, removes (so slots recycle) and probes in any order, from
@@ -238,25 +241,21 @@ class TestProbeDifferential:
 # End to end: every engine mode, native probe against the Python probe
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("mode", ["subgraph", "supergraph", "mixed"])
-def test_engine_is_identical_on_both_probes(mode, tiny_database):
+def test_engine_is_identical_on_both_probes(mode, tiny_database, oracle_probes):
     """Answers, hits, containment-test accounting and the H/R/C the credits
-    produce (bit for bit) do not depend on which probe ran."""
+    produce (bit for bit) are the oracle engine's."""
     rng = random.Random(3)
     pool = [random_labeled_graph(rng, rng.randint(2, 6), 0.3, labels="ABC") for _ in range(25)]
     stream = [rng.choice(pool) for _ in range(150)]
     modes = [
         rng.choice(["subgraph", "supergraph"]) if mode == "mixed" else mode for _ in stream
     ]
-    engines = []
-    for igq_verifier in (None, Verifier(compiled=False)):
-        method = create_method("ggsx", max_path_length=3)
-        engine = IGQ(
-            method,
-            engine_config(12, 4, mode=mode),
-            igq_verifier=igq_verifier,
-        )
+    engines = [
+        IGQ(create_method("ggsx", max_path_length=3), engine_config(12, 4, mode=mode)),
+        kernel_oracle.oracle_engine("ggsx", engine_config(12, 4, mode=mode), max_path_length=3),
+    ]
+    for engine in engines:
         engine.build_index(tiny_database)
-        engines.append(engine)
     native, python = engines
     for query, query_mode in zip(stream, modes):
         results = [engine.query(query, mode=query_mode) for engine in engines]
@@ -298,13 +297,13 @@ def wide_database() -> GraphDatabase:
     ids=["ggsx-L8", "ctindex", "ggsx-300-labels"],
 )
 def test_every_feature_class_stays_on_the_probe_table(
-    method_name, options, wide, tiny_database
+    method_name, options, wide, tiny_database, oracle_probes
 ):
     """Paths past seven edges and CT-Index's trees and cycles (the Python
     extractor's features), and a 300-label dataset: both containment
     indexes hold every live entry as a table row for the whole stream,
-    and answers equal ``ScanMethod``'s — on the compiled kernel and behind
-    the dict-based matcher, with equal H/R/C (bit for bit) and tests."""
+    and answers equal ``ScanMethod``'s — on the kernel engine and on the
+    oracle engine, with equal H/R/C (bit for bit) and tests."""
     database = wide_database() if wide else tiny_database
     rng = random.Random(8)
     if wide:
@@ -326,11 +325,12 @@ def test_every_feature_class_stays_on_the_probe_table(
         for query, mode in zip(stream, modes)
     ]
     runs = []
-    for compiled in (True, False):
-        method = create_method(method_name, verifier=Verifier(compiled=compiled), **options)
-        engine = IGQ(
-            method, engine_config(10, 3, mode="mixed"), igq_verifier=Verifier(compiled=compiled)
-        )
+    for oracle in (False, True):
+        config = engine_config(10, 3, mode="mixed")
+        if oracle:
+            engine = kernel_oracle.oracle_engine(method_name, config, **options)
+        else:
+            engine = IGQ(create_method(method_name, **options), config)
         engine.build_index(database)
         results = []
         for query, mode in zip(stream, modes):

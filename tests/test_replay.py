@@ -5,7 +5,8 @@ isomorphic to one planned earlier in the window gets that query's plan
 back after one confirming containment test.  The contract: everything but
 the containment-test count and the probe time is exactly what planning
 afresh computes — answers, candidates, §4 dataset-test accounting, hit
-lists and the §5.1 H/R/C credits, bit for bit.
+lists and the §5.1 H/R/C credits, bit for bit — also against the oracle
+engine (``kernel_oracle``), which plans afresh on the oracles.
 """
 
 from __future__ import annotations
@@ -22,10 +23,17 @@ from repro.isomorphism.verifier import Verifier
 from repro.methods import GGSXMethod
 
 from .conftest import engine_config, labeled_graphs, make_cycle_graph, make_path_graph
+from .kernel_oracle import OracleVerifier
 
-VERIFIERS = [
-    pytest.param(lambda: Verifier(), id="kernel"),
-    pytest.param(lambda: Verifier(compiled=False), id="uncompiled"),
+#: the verifiers of the engine planning afresh: the kernel's, or the oracle
+#: engine's, which verifies nothing in the kernel (its probes need the
+#: ``oracle_probes`` fixture)
+TWINS = [
+    pytest.param(dict, id="kernel"),
+    pytest.param(
+        lambda: {"verifier": OracleVerifier(), "method_verifier": OracleVerifier()},
+        id="uncompiled",
+    ),
 ]
 
 
@@ -104,9 +112,9 @@ def repeat_streams(draw):
     return database, stream, mode, size, window
 
 
-def build_engine(database, mode, size, window, verifier) -> IGQ:
+def build_engine(database, mode, size, window, verifier=None, method_verifier=None) -> IGQ:
     engine = IGQ(
-        GGSXMethod(max_path_length=2),
+        GGSXMethod(max_path_length=2, verifier=method_verifier),
         engine_config(size, window, mode=mode),
         igq_verifier=verifier,
     )
@@ -114,14 +122,19 @@ def build_engine(database, mode, size, window, verifier) -> IGQ:
     return engine
 
 
+@pytest.mark.usefixtures("oracle_probes")
 class TestReplayEqualsFreshPlan:
-    @pytest.mark.parametrize("make_verifier", VERIFIERS)
-    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @pytest.mark.parametrize("twin_verifiers", TWINS)
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+    )
     @given(payload=repeat_streams())
-    def test_replay_is_invisible(self, make_verifier, payload):
+    def test_replay_is_invisible(self, twin_verifiers, payload):
         database, stream, mode, size, window = payload
-        engine = build_engine(database, mode, size, window, make_verifier())
-        twin = build_engine(database, mode, size, window, make_verifier())
+        engine = build_engine(database, mode, size, window)
+        twin = build_engine(database, mode, size, window, **twin_verifiers())
         for query, kind in stream:
             twin._plans.clear()  # the twin plans every query afresh
             got = engine.query(query, mode=kind)

@@ -30,11 +30,11 @@ from repro.core.placement import home_shard
 from repro.datasets.registry import load_dataset
 from repro.features import FeatureExtractor
 from repro.graphs import LabeledGraph
-from repro.isomorphism import Verifier
 from repro.methods import create_method
 from repro.workloads.generator import QueryGenerator, WorkloadSpec
 from repro.workloads.zipf import create_sampler
 
+from . import kernel_oracle
 from .conftest import engine_config, random_labeled_graph
 
 EXTRACTOR = FeatureExtractor(max_path_length=3)
@@ -278,30 +278,31 @@ class TestShardedEngineEquivalence:
 
             assert run(2) == run(1)
 
-    def test_dict_path_configuration(self, small_synthetic, zipf_stream):
+    def test_dict_path_configuration(self, small_synthetic, zipf_stream, oracle_probes):
+        """The oracle engine (its probes verify with the dict-based
+        ``VF2Matcher``, its base method on the bigint kernel) holds on every
+        replica, and sharded or not it matches the kernel engine."""
         stream = zipf_stream[:24]
 
         def run(shards):
-            method = create_method(
-                "ggsx", max_path_length=3, verifier=Verifier(compiled=False)
-            )
-            engine = IGQ(
-                method,
-                config(shards=shards, backend="inline"),
-                igq_verifier=Verifier(compiled=False),
+            engine = kernel_oracle.oracle_engine(
+                "ggsx", config(shards=shards, backend="inline"), max_path_length=3
             )
             engine.build_index(small_synthetic)
             results = [engine.query(query) for query in stream]
             fingerprint = engine_fingerprint(engine, results)
-            # The injected dict-path verifier must hold on the shards too:
-            # nothing the replicas index is compiled.
-            for entry in engine.cache.entries():
-                assert entry.compiled_target is None
-                assert entry.compiled_plan is None
+            assert engine.igq_verifier.stats.tests > 0
             engine.close()
             return fingerprint
 
-        assert run(2) == run(1)
+        oracle = run(1)
+        assert run(2) == oracle
+        method = create_method("ggsx", max_path_length=3)
+        engine = IGQ(method, config(shards=2, backend="inline"))
+        engine.build_index(small_synthetic)
+        results = [engine.query(query) for query in stream]
+        assert engine_fingerprint(engine, results) == oracle
+        engine.close()
 
 
 class TestValidation:
