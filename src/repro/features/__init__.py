@@ -11,9 +11,9 @@ from .canonical import (
 from .cycles import cycle_feature_codes, cycle_feature_counts, enumerate_simple_cycles
 from .extractor import FeatureExtractor, FeatureKey, GraphFeatures
 from .paths import (
-    PathOccurrences,
     enumerate_simple_paths,
     native_path_features,
+    path_coverage,
     path_features,
 )
 from .trees import (
@@ -29,7 +29,6 @@ __all__ = [
     "FeatureKey",
     "GraphFeatures",
     "ThresholdBitmapIndex",
-    "PathOccurrences",
     "canonical_cycle_code",
     "canonical_path_code",
     "canonical_path_key",
@@ -43,6 +42,7 @@ __all__ = [
     "enumerate_spanning_trees",
     "enumerate_tree_subgraphs",
     "native_path_features",
+    "path_coverage",
     "path_features",
     "tree_feature_codes",
     "tree_feature_counts",

@@ -1,9 +1,9 @@
 """Feature-extraction facade shared by the indexing methods and by iGQ.
 
 A :class:`FeatureExtractor` turns a graph into a :class:`GraphFeatures`
-record: a multiset of features plus, on request, the location information
-Grapes stores.  The same extractor object must be used for the dataset
-graphs and for the queries of a given index, which is why the methods
+record: a multiset of features, their occurrence counts, and nothing else.
+The same extractor object must be used for the dataset graphs and for the
+queries of a given index, which is why the methods
 expose their extractor and iGQ simply reuses it (the framework of §4.2
 obtains "the features of the query graph" from the base method).
 
@@ -32,8 +32,10 @@ filters every graph in one key domain.
 from __future__ import annotations
 
 from array import array
+from collections import Counter
 from collections.abc import Hashable, Mapping
 from dataclasses import dataclass, field
+from itertools import chain
 
 from ..graphs.graph import LabeledGraph
 from ..isomorphism.compiled import FlatGraph
@@ -51,17 +53,11 @@ FeatureKey = tuple
 
 @dataclass
 class GraphFeatures:
-    """Features of one graph: occurrence counts and (optional) locations.
+    """Features of one graph: their occurrence counts.
 
     ``counts`` maps a feature's code (:func:`~repro.features.paths.path_code`
     of its key) to its number of occurrences, code ascending.  Codes are
     the same in every process, so a copy pickles them as they are.
-
-    ``locations`` maps a feature's code to the vertices its occurrences
-    cover, as a bitmask over the positions of ``graph.vertices()`` — the
-    dense vertex id space :func:`~repro.isomorphism.compiled.compile_target`
-    assigns, so a union of locations is directly a region mask of the
-    compiled target.  Empty unless the extraction asked for locations.
 
     ``codes`` is ``counts`` once more, as the flat ``(code, count)`` pairs
     the native probe table filters on — read it through
@@ -69,25 +65,18 @@ class GraphFeatures:
     """
 
     counts: dict[int, int] = field(default_factory=dict)
-    locations: dict[int, int] = field(default_factory=dict)
     codes: array | None = field(default=None, repr=False, compare=False)
 
     @classmethod
-    def from_keys(
-        cls, counts: Mapping[FeatureKey, int], locations: Mapping[FeatureKey, int] = {}
-    ) -> "GraphFeatures":
+    def from_keys(cls, counts: Mapping[FeatureKey, int]) -> "GraphFeatures":
         """Features given by tuple key (the Python extractors' output, a
         pickle written before features were coded), coded.  Keys that share
-        a code merge: their counts add up and their locations OR together."""
+        a code merge: their counts add up."""
         coded: dict[int, int] = {}
         for key, count in counts.items():
             code = path_code(key)
             coded[code] = coded.get(code, 0) + count
-        located: dict[int, int] = {}
-        for key, mask in locations.items():
-            code = path_code(key)
-            located[code] = located.get(code, 0) | mask
-        return cls(dict(sorted(coded.items())), dict(sorted(located.items())))
+        return cls(dict(sorted(coded.items())))
 
     def feature_codes(self) -> array:
         """The features as ``(code, count)`` pairs, code ascending."""
@@ -96,13 +85,15 @@ class GraphFeatures:
         return self.codes
 
     def __setstate__(self, state: dict) -> None:
-        """Restore a pickle of this layout, or of one written before
-        features were coded (keyed by tuple: its keys are coded here)."""
-        counts, locations = state["counts"], state["locations"]
+        """Restore a pickle of this layout, or of an older one: keyed by
+        tuple (written before features were coded: its keys are coded
+        here), or carrying the per-feature location table older builds
+        kept (dropped)."""
+        counts = state["counts"]
         if isinstance(next(iter(counts), None), tuple):
-            self.__dict__.update(GraphFeatures.from_keys(counts, locations).__dict__)
+            self.__dict__.update(GraphFeatures.from_keys(counts).__dict__)
         else:
-            self.__init__(counts, locations)
+            self.__init__(counts)
 
     @property
     def num_distinct(self) -> int:
@@ -151,19 +142,15 @@ class FeatureExtractor:
         self.cycle_max_length = cycle_max_length
 
     # ------------------------------------------------------------------
-    def extract(
-        self, graph: LabeledGraph, locations: bool = False, flat: FlatGraph | None = None
-    ) -> GraphFeatures:
+    def extract(self, graph: LabeledGraph, flat: FlatGraph | None = None) -> GraphFeatures:
         """Return the features of ``graph`` under this extractor's config.
 
-        ``locations=True`` also records where each feature occurs (only
-        Grapes' dataset-side index reads that; queries never need it).
         ``flat`` is the graph's :class:`~repro.isomorphism.compiled.FlatGraph`
         when the caller will compile the graph from the same arrays.
         """
         if self.kind == self.PATHS:
-            return self._extract_paths(graph, locations, flat)
-        return self._extract_trees_cycles(graph, locations)
+            return self._extract_paths(graph, flat)
+        return self._extract_trees_cycles(graph)
 
     def describe(self) -> dict[str, Hashable]:
         """A JSON-friendly description of the configuration."""
@@ -176,40 +163,18 @@ class FeatureExtractor:
         }
 
     # ------------------------------------------------------------------
-    def _extract_paths(
-        self, graph: LabeledGraph, locations: bool, flat: FlatGraph | None
-    ) -> GraphFeatures:
+    def _extract_paths(self, graph: LabeledGraph, flat: FlatGraph | None) -> GraphFeatures:
         """Path features: one kernel call, or (more than 255 labels or 7
         edges) the Python enumeration, coded afterwards."""
-        native = native_path_features(graph, self.max_path_length, locations, flat)
+        native = native_path_features(graph, self.max_path_length, flat)
         if native is not None:
             return GraphFeatures(*native)
-        occurrences = path_features(graph, self.max_path_length, locations=locations)
-        counts = {key: found.count for key, found in occurrences.items()}
-        located = {}
-        if locations:
-            bit_of = _vertex_bits(graph).__getitem__
-            # distinct single bits: their sum is their union
-            located = {key: sum(map(bit_of, found.vertices)) for key, found in occurrences.items()}
-        return GraphFeatures.from_keys(counts, located)
+        return GraphFeatures.from_keys(path_features(graph, self.max_path_length))
 
-    def _extract_trees_cycles(self, graph: LabeledGraph, locations: bool) -> GraphFeatures:
-        counts: dict[FeatureKey, int] = {}
-        covered: dict[FeatureKey, int] = {}
-        bit_of = _vertex_bits(graph).__getitem__ if locations else None
-
-        def record(key: FeatureKey, vertices) -> None:
-            counts[key] = counts.get(key, 0) + 1
-            if locations:
-                covered[key] = covered.get(key, 0) | sum(map(bit_of, vertices))
-
-        for tree in enumerate_tree_subgraphs(graph, self.tree_max_size):
-            record((canonical_tree_code(tree),), tree.vertices())
-        for cycle in enumerate_simple_cycles(graph, self.cycle_max_length):
-            record((canonical_cycle_code([graph.label(vertex) for vertex in cycle]),), cycle)
-        return GraphFeatures.from_keys(counts, covered)
-
-
-def _vertex_bits(graph: LabeledGraph) -> dict[Hashable, int]:
-    """Single-bit mask per vertex, by position in ``graph.vertices()``."""
-    return {vertex: 1 << position for position, vertex in enumerate(graph.vertices())}
+    def _extract_trees_cycles(self, graph: LabeledGraph) -> GraphFeatures:
+        trees = map(canonical_tree_code, enumerate_tree_subgraphs(graph, self.tree_max_size))
+        cycles = (
+            canonical_cycle_code([graph.label(vertex) for vertex in cycle])
+            for cycle in enumerate_simple_cycles(graph, self.cycle_max_length)
+        )
+        return GraphFeatures.from_keys(Counter((code,) for code in chain(trees, cycles)))

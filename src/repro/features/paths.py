@@ -9,20 +9,20 @@ of occurrences.
 Every undirected path is counted exactly once (a path and its reverse are the
 same occurrence); the canonical label tuple of the path (see
 :func:`repro.features.canonical.canonical_path_key`) is the feature key.
-Location information — the set of vertices participating in at least one
-occurrence of the feature — is kept as well, because Grapes uses it to
-restrict verification to the relevant region of a candidate graph.
+Extraction yields occurrence counts only.  Grapes' per-feature *locations*
+— the vertices a feature's occurrences cover — are not kept: its regions
+come from the kernel's label rows, and Figure 18's byte count needs only
+their total size, :func:`path_coverage`.
 
 **Feature codes.**  Every index of the process — the dataset-side
-threshold index, Grapes' locations, the iGQ probe table of
-:mod:`repro.core.probe`, the durable journal — names a feature by its
-*code*, :func:`path_code` of its key: the 64-bit BLAKE2 hash of each label
-text (:func:`label_hash`), folded in key order into a 60-bit code.  A code
-is a pure function of the key, the same in every process, so it is
-computed, compared, pickled and journalled as it is.  Two keys may share
-a code; their counts (and locations) then merge, which can only let more
-candidates through a filter — a false positive verification removes,
-never a false negative.
+threshold index, the iGQ probe table of :mod:`repro.core.probe`, the
+durable journal — names a feature by its *code*, :func:`path_code` of its
+key: the 64-bit BLAKE2 hash of each label text (:func:`label_hash`),
+folded in key order into a 60-bit code.  A code is a pure function of the
+key, the same in every process, so it is computed, compared, pickled and
+journalled as it is.  Two keys may share a code; their counts then merge,
+which can only let more candidates through a filter — a false positive
+verification removes, never a false negative.
 
 Two implementations produce the same features.  :func:`native_path_features`
 hands the graph to the C kernel (``ck_path_features`` in
@@ -33,6 +33,7 @@ compiles read too — with the hash of each of its labels, and gets the
 :func:`enumerate_simple_paths` is the pure-Python form, keyed by tuple —
 the route for a graph with more than 255 label strings or paths longer
 than 7 edges, and the oracle the native one is tested against.
+:func:`path_coverage` takes the same two routes.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ from __future__ import annotations
 import ctypes
 import hashlib
 from array import array
+from collections import Counter
 from collections.abc import Hashable, Iterable, Iterator
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain
 
@@ -51,12 +52,12 @@ from ..isomorphism.compiled import FlatGraph
 from .canonical import canonical_path_key
 
 __all__ = [
-    "PathOccurrences",
     "code_pairs",
     "enumerate_simple_paths",
     "label_hash",
     "native_path_features",
     "path_code",
+    "path_coverage",
     "path_features",
 ]
 
@@ -98,19 +99,6 @@ def code_pairs(items: Iterable[tuple[int, int]]) -> array:
     """``(code, count)`` items as the flat, code-ascending pairs array the
     probe table reads."""
     return array("Q", chain.from_iterable(sorted(items)))
-
-
-@dataclass
-class PathOccurrences:
-    """Aggregate information about one path feature within one graph."""
-
-    count: int = 0
-    vertices: set = field(default_factory=set)
-
-    def record(self, path: tuple[Hashable, ...]) -> None:
-        """Record one more occurrence along the vertex sequence ``path``."""
-        self.count += 1
-        self.vertices.update(path)
 
 
 def enumerate_simple_paths(
@@ -169,45 +157,45 @@ def _is_canonical_direction(path: list[Hashable], reprs: dict[Hashable, str]) ->
     return forward <= forward[::-1]
 
 
-def path_features(
-    graph: LabeledGraph,
-    max_length: int,
-    min_length: int = 0,
-    locations: bool = True,
-) -> dict[tuple[str, ...], PathOccurrences]:
-    """Return the path features of ``graph``.
-
-    The result maps the canonical label tuple of each path feature (the
-    value of :func:`~repro.features.canonical.canonical_path_key`) to a
-    :class:`PathOccurrences` record with the occurrence count and the set of
-    vertices covered by its occurrences (left empty with
-    ``locations=False`` — only Grapes' dataset index reads it).
-    """
+def _keyed_paths(
+    graph: LabeledGraph, max_length: int
+) -> Iterator[tuple[tuple[str, ...], tuple[Hashable, ...]]]:
+    """Every path of :func:`enumerate_simple_paths` with its feature key."""
     text = {vertex: str(graph.label(vertex)) for vertex in graph.vertices()}
-    features: dict[tuple[str, ...], PathOccurrences] = {}
-    for path in enumerate_simple_paths(graph, max_length, min_length=min_length):
-        key = canonical_path_key([text[vertex] for vertex in path])
-        occurrences = features.get(key)
-        if occurrences is None:
-            occurrences = features[key] = PathOccurrences()
-        if locations:
-            occurrences.record(path)
-        else:
-            occurrences.count += 1
-    return features
+    for path in enumerate_simple_paths(graph, max_length):
+        yield canonical_path_key([text[vertex] for vertex in path]), path
+
+
+def path_features(graph: LabeledGraph, max_length: int) -> dict[tuple[str, ...], int]:
+    """Return the path features of ``graph``: the canonical label tuple of
+    each path feature (the value of
+    :func:`~repro.features.canonical.canonical_path_key`) mapped to its
+    number of occurrences."""
+    return Counter(key for key, _ in _keyed_paths(graph, max_length))
+
+
+def _label_ranks(flat: FlatGraph, max_length: int) -> tuple[list[str], array] | None:
+    """The kernel's graph-local alphabet: the graph's distinct label strings
+    in ascending order, and per vertex position the rank of its own.
+    ``None`` when the graph's paths do not fit a graph-local code — more
+    than 255 label strings, or ``max_length`` above 7."""
+    texts = list(map(str, flat.labels))
+    names = sorted(set(texts))
+    if len(names) > _MAX_CODE_LABELS or max_length > _MAX_CODE_LENGTH:
+        return None
+    rank_of = {text: rank for rank, text in enumerate(names)}
+    return names, array("q", [rank_of[text] for text in texts])
 
 
 def native_path_features(
-    graph: LabeledGraph, max_length: int, locations: bool = False, flat: FlatGraph | None = None
-) -> tuple[dict[int, int], dict[int, int], array] | None:
+    graph: LabeledGraph, max_length: int, flat: FlatGraph | None = None
+) -> tuple[dict[int, int], array] | None:
     """:func:`path_features` of ``graph`` computed by the C kernel, keyed by
     code.
 
-    Returns ``(counts, location masks, pairs)``: the first two keyed by the
-    features' codes (:func:`path_code`), code ascending; a mask covers the
-    positions of ``graph.vertices()`` (empty dict unless ``locations``);
-    ``pairs`` is ``counts`` as the flat ``(code, count)`` array
-    (:func:`code_pairs`).
+    Returns ``(counts, pairs)``: ``counts`` keyed by the features' codes
+    (:func:`path_code`), code ascending, and ``pairs`` the same as the flat
+    ``(code, count)`` array (:func:`code_pairs`).
 
     ``None`` when the graph's paths do not fit the kernel's graph-local
     codes — more than 255 distinct label strings, or ``max_length`` above
@@ -220,37 +208,49 @@ def native_path_features(
     """
     if flat is None:
         flat = FlatGraph(graph)
-    texts = list(map(str, flat.labels))
-    names = sorted(set(texts))
-    if len(names) > _MAX_CODE_LABELS or max_length > _MAX_CODE_LENGTH:
+    alphabet = _label_ranks(flat, max_length)
+    if alphabet is None:
         return None
-    num_vertices = graph.num_vertices
-    rank_of = {text: rank for rank, text in enumerate(names)}
+    names, ranks = alphabet
     # ``ranks`` and ``hashes`` own the columns for the duration of the call
-    ranks = array("q", [rank_of[text] for text in texts])
     hashes = array("Q", map(label_hash, names))
     library = _ckernel_loader.kernel()
     block = library.ck_path_features(
-        num_vertices, *flat.csr(), ranks.buffer_info()[0], max_length, locations,
+        graph.num_vertices, *flat.csr(), ranks.buffer_info()[0], max_length,
         hashes.buffer_info()[0],
     )
     if not block:  # pragma: no cover - allocation failure inside the kernel
         raise MemoryError("native path extraction could not allocate its result")
     try:
         distinct = ctypes.c_uint64.from_address(block).value
-        row_bytes = 8 * ((num_vertices + 63) // 64) if locations else 0
-        payload = ctypes.string_at(block + 8, distinct * (16 + row_bytes))
+        payload = ctypes.string_at(block + 8, 16 * distinct)
     finally:
         library.ck_free(block)
     pairs = array("Q")
-    pairs.frombytes(payload[: 16 * distinct])
-    codes = pairs[0::2]
-    counts = dict(zip(codes, pairs[1::2]))
-    masks = {}
-    if row_bytes:
-        rows = range(16 * distinct, len(payload), row_bytes)
-        masks = {
-            code: int.from_bytes(payload[start : start + row_bytes], "little")
-            for code, start in zip(codes, rows)
-        }
-    return counts, masks, pairs
+    pairs.frombytes(payload)
+    return dict(zip(pairs[0::2], pairs[1::2])), pairs
+
+
+def path_coverage(graph: LabeledGraph, max_length: int) -> int:
+    """The number of vertices each path key's occurrences cover in
+    ``graph``, summed over its distinct keys: the vertex ids Grapes'
+    location lists hold for the graph.
+
+    Counted per key, before coding, so two keys sharing a code count
+    apart.  One ``ck_path_coverage`` call, or the Python enumeration when
+    the graph's paths do not fit the kernel's graph-local codes.
+    """
+    flat = FlatGraph(graph)
+    alphabet = _label_ranks(flat, max_length)
+    if alphabet is None:
+        covered: dict[tuple[str, ...], set] = {}
+        for key, path in _keyed_paths(graph, max_length):
+            covered.setdefault(key, set()).update(path)
+        return sum(map(len, covered.values()))
+    ranks = alphabet[1]
+    total = _ckernel_loader.kernel().ck_path_coverage(
+        graph.num_vertices, *flat.csr(), ranks.buffer_info()[0], max_length
+    )
+    if total < 0:  # pragma: no cover - allocation failure inside the kernel
+        raise MemoryError("native path coverage could not allocate its scratch")
+    return total

@@ -14,17 +14,7 @@ from .io import (
     write_jsonl,
 )
 from .statistics import DatasetStatistics, summarize_dataset
-from .traversal import (
-    bfs_distances,
-    bfs_edges,
-    bfs_order,
-    connected_components,
-    dfs_order,
-    is_connected,
-    largest_connected_component,
-    shortest_path_length,
-    vertices_within_distance,
-)
+from .traversal import bfs_order, is_connected
 
 __all__ = [
     "CandidateBitmap",
@@ -35,15 +25,8 @@ __all__ = [
     "iter_bits",
     "DatasetStatistics",
     "summarize_dataset",
-    "bfs_distances",
-    "bfs_edges",
     "bfs_order",
-    "connected_components",
-    "dfs_order",
     "is_connected",
-    "largest_connected_component",
-    "shortest_path_length",
-    "vertices_within_distance",
     "graph_from_dict",
     "graph_to_dict",
     "graphs_from_gfu",

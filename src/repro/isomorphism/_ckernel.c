@@ -19,8 +19,9 @@
  *   3. with `by_component`, Grapes' component-restricted verification:
  *      the pair's region is the target's vertices that carry a label of
  *      the pattern (the OR of the target's `label_members` rows over the
- *      plan's `sig_labels`; Grapes' location union, see `GrapesMethod.verify`
- *      in src/repro/methods/grapes.py) -> connected components -> (-size,
+ *      plan's `sig_labels`, which equals Grapes' location union, see
+ *      `GrapesMethod.verify` in src/repro/methods/grapes.py) -> connected
+ *      components -> (-size,
  *      rank) order -> size and edge-count pre-checks -> one counted test
  *      per surviving component -> stop at the first match (the oracle's
  *      `match_by_component`).
@@ -31,11 +32,14 @@
  *
  * `ck_path_features` enumerates the simple paths of one graph (the GGSX /
  * Grapes / Isub / Isuper feature class) and returns the distinct features
- * as 60-bit feature codes with their occurrence counts and, on request, the
- * vertex positions their occurrences cover.  `path_features` +
+ * as 60-bit feature codes with their occurrence counts.  `path_features` +
  * `path_code` in src/repro/features/paths.py are the Python oracle it is
  * tested against and the route for graphs whose paths do not fit a
- * graph-local code (more than 255 labels or 7 edges).
+ * graph-local code (more than 255 labels or 7 edges).  `ck_path_coverage`
+ * walks the same paths once more and returns one number, the vertices the
+ * occurrences of each key cover summed over the keys: what Grapes'
+ * location lists would hold (Fig. 18's byte count, `path_coverage` in
+ * paths.py).
  *
  * The file is deliberately dependency-free C99 so it can be built two ways:
  *
@@ -53,10 +57,11 @@
  * replace (`isub_candidate_ids`, `isuper_candidate_ids` and `mask_sums` in
  * tests/kernel_oracle.py) are the oracles of tests/test_native_probe.py.
  *
- * Data layout, ABI 9 (ABI 6's layout; 7 dropped `ck_probe_filter`'s
+ * Data layout, ABI 10 (ABI 6's layout; 7 dropped `ck_probe_filter`'s
  * `universe` argument, 8 made `ck_verify_many`'s `by_component` mode
  * compute its regions instead of reading them, 9 made `ck_path_features`
- * return hashed feature codes).  A `ck_target` /
+ * return hashed feature codes, 10 dropped its location rows and added
+ * `ck_path_coverage`).  A `ck_target` /
  * `ck_plan` is built once per graph and role by `ck_compile_target` /
  * `ck_compile_plan` (new in ABI 5) from the graph's CSR — vertex positions
  * in `graph.vertices()` order, neighbours in `neighbors()` order, per
@@ -101,8 +106,9 @@
  * Bits at positions >= n in the last word are never set by any of the
  * above, so word-wise AND chains never need a trailing-word trim.
  *
- * `ck_path_features` (marshalled per graph by
- * `native_path_features` in src/repro/features/paths.py):
+ * `ck_path_features` (marshalled per graph by `native_path_features` in
+ * src/repro/features/paths.py; `ck_path_coverage` takes the same first five
+ * arguments):
  *
  *   - offsets / neighbours: CSR adjacency over the vertex positions of
  *                     `graph.vertices()` (offsets has n + 1 entries);
@@ -126,15 +132,18 @@
  *                     (`path_code` in paths.py): a pure function of the
  *                     key, equal in every process.
  *                     Two keys of one graph may hash alike; their features
- *                     then merge (counts add up, location rows OR), which
- *                     only widens a filter;
+ *                     then merge (counts add up), which only widens a
+ *                     filter;
  *   - result block:   malloc'd, released with `ck_free`: word 0 holds the
  *                     number of distinct feature codes D, then the D
- *                     (feature code, count) pairs, code ascending, then
- *                     (want_locations) D rows of ceil(n / 64) mask words
- *                     over the vertex positions, one per pair (ABI 9: up to
- *                     8 the codes spelt labels with a process-wide byte
- *                     table).
+ *                     (feature code, count) pairs, code ascending (up to
+ *                     ABI 8 the codes spelt labels with a process-wide byte
+ *                     table; up to ABI 9 D vertex-mask rows followed);
+ *   - coverage:       per graph-local code, a ceil(n / 64)-word mask row of
+ *                     the vertex positions its occurrences cover, OR-ed on
+ *                     a second walk into scratch freed before the return;
+ *                     the result is the rows' total popcount.  It is per
+ *                     key: colliding feature codes do not shrink it.
  *
  * The probe table (new in ABI 4; driven by `ProbeTable` in
  * src/repro/core/probe.py):
@@ -158,7 +167,7 @@
 /* The ABI version is checked by the loader after dlopen so a stale build
  * of an older layout can never be driven with new-layout pointers.  Bump
  * it whenever a struct or signature below changes. */
-#define CK_ABI_VERSION 9
+#define CK_ABI_VERSION 10
 
 #if defined(_WIN32)
 #define CK_EXPORT __declspec(dllexport)
@@ -692,10 +701,10 @@ ck_compare_codes(const void *left, const void *right)
     return (a > b) - (a < b);
 }
 
-/* Where ck_walk_paths reports an occurrence.  First pass (`masks` NULL):
- * its code is appended to `found`.  Second pass: its vertices are OR-ed
- * into the mask row of its code, located by bisection in the ascending
- * distinct `codes` (every reported code is among them). */
+/* Where ck_walk_paths reports an occurrence.  Counting walk (`masks`
+ * NULL): its code is appended to `found`.  Coverage walk: its vertices are
+ * OR-ed into the mask row of its code, located by bisection in the
+ * ascending distinct `codes` (every reported code is among them). */
 typedef struct {
     ck_code_list *found;
     const uint64_t *codes;
@@ -729,7 +738,7 @@ ck_report_path(const ck_path_sink *sink, uint64_t code, const int64_t *path,
  * undirected path are walked; the occurrence is the one whose code is
  * smaller — on a palindrome, the one starting at the smaller vertex — so
  * each path is reported once, under its canonical label sequence.  Returns
- * 0, or -1 on allocation failure (first pass only). */
+ * 0, or -1 on allocation failure (counting walk only). */
 static int
 ck_walk_paths(int64_t n, const int64_t *offsets, const int64_t *neighbours,
               const int64_t *ranks, int64_t max_length,
@@ -802,20 +811,28 @@ ck_feature_code(uint64_t local, const uint64_t *label_hashes)
     return code >> 4;
 }
 
-/* A feature code and the row of its graph-local code. */
+/* A feature code and the occurrence count of its graph-local code; the
+ * code comes first, so `ck_compare_codes` orders these by it. */
 typedef struct {
     uint64_t code;
-    int64_t row;
-} ck_coded_row;
+    uint64_t count;
+} ck_coded_count;
 
+/* Every occurrence's graph-local code into `found` (initialised here;
+ * the caller frees `found.items` when it is not the inline buffer),
+ * ascending.  Returns 0, or -1 on allocation failure. */
 static int
-ck_compare_coded_rows(const void *left, const void *right)
+ck_collect_paths(int64_t n, const int64_t *offsets, const int64_t *neighbours,
+                 const int64_t *ranks, int64_t max_length, ck_code_list *found)
 {
-    const ck_coded_row *a = (const ck_coded_row *)left;
-    const ck_coded_row *b = (const ck_coded_row *)right;
-    if (a->code != b->code)
-        return (a->code > b->code) - (a->code < b->code);
-    return (a->row > b->row) - (a->row < b->row);
+    found->items = found->inline_items;
+    found->size = 0;
+    found->capacity = (int64_t)(sizeof(found->inline_items) / sizeof(uint64_t));
+    const ck_path_sink sink = {found, NULL, 0, NULL, 0};
+    if (ck_walk_paths(n, offsets, neighbours, ranks, max_length, &sink) < 0)
+        return -1;
+    qsort(found->items, (size_t)found->size, sizeof(uint64_t), ck_compare_codes);
+    return 0;
 }
 
 /* Path features of one graph (see the header for the argument and result
@@ -824,79 +841,84 @@ ck_compare_coded_rows(const void *left, const void *right)
 CK_EXPORT uint64_t *
 ck_path_features(int64_t n, const int64_t *offsets, const int64_t *neighbours,
                  const int64_t *ranks, int64_t max_length,
-                 int64_t want_locations, const uint64_t *label_hashes)
+                 const uint64_t *label_hashes)
 {
     ck_code_list found;
-    found.items = found.inline_items;
-    found.size = 0;
-    found.capacity = (int64_t)(sizeof(found.inline_items) / sizeof(uint64_t));
-    ck_path_sink sink = {&found, NULL, 0, NULL, 0};
-    uint64_t *local = NULL, *block = NULL;
-    ck_coded_row *order = NULL;
+    uint64_t *block = NULL;
+    ck_coded_count *order = NULL;
 
-    if (ck_walk_paths(n, offsets, neighbours, ranks, max_length, &sink) < 0)
+    if (ck_collect_paths(n, offsets, neighbours, ranks, max_length, &found) < 0)
         goto done;
-    qsort(found.items, (size_t)found.size, sizeof(uint64_t), ck_compare_codes);
     int64_t distinct = 0;
     for (int64_t i = 0; i < found.size; ++i)
         distinct += i == 0 || found.items[i] != found.items[i - 1];
-    const int64_t num_words = (n + 63) / 64;
-    const int64_t mask_words = want_locations ? distinct * num_words : 0;
-    /* the graph-local codes, their counts and mask rows */
-    local = (uint64_t *)calloc((size_t)(2 * distinct + mask_words + 1), sizeof(uint64_t));
-    order = (ck_coded_row *)malloc((size_t)(distinct + 1) * sizeof(ck_coded_row));
-    block = (uint64_t *)calloc((size_t)(1 + 2 * distinct + mask_words), sizeof(uint64_t));
-    if (local == NULL || order == NULL || block == NULL) {
+    order = (ck_coded_count *)malloc((size_t)(distinct + 1) * sizeof(ck_coded_count));
+    block = (uint64_t *)calloc((size_t)(1 + 2 * distinct), sizeof(uint64_t));
+    if (order == NULL || block == NULL) {
         free(block);
         block = NULL;
         goto done;
     }
-    uint64_t *counts = local + distinct;
     int64_t row = -1;
     for (int64_t i = 0; i < found.size; ++i) {
-        if (i == 0 || found.items[i] != found.items[i - 1])
-            local[++row] = found.items[i];
-        ++counts[row];
+        if (i == 0 || found.items[i] != found.items[i - 1]) {
+            order[++row].code = ck_feature_code(found.items[i], label_hashes);
+            order[row].count = 0;
+        }
+        ++order[row].count;
     }
-    if (mask_words) {
-        sink.codes = local;
-        sink.num_codes = distinct;
-        sink.masks = counts + distinct;
-        sink.num_words = num_words;
-        ck_walk_paths(n, offsets, neighbours, ranks, max_length, &sink);
-    }
-    for (int64_t i = 0; i < distinct; ++i) {
-        order[i].code = ck_feature_code(local[i], label_hashes);
-        order[i].row = i;
-    }
-    qsort(order, (size_t)distinct, sizeof(ck_coded_row), ck_compare_coded_rows);
-    /* equal feature codes (a hash collision) merge: counts add up,
-     * location rows OR together */
+    qsort(order, (size_t)distinct, sizeof(ck_coded_count), ck_compare_codes);
+    /* equal feature codes (a hash collision) merge: counts add up */
     uint64_t *pairs = block + 1;
-    uint64_t *masks = pairs + 2 * distinct;
     int64_t merged = -1;
     for (int64_t i = 0; i < distinct; ++i) {
         if (i == 0 || order[i].code != order[i - 1].code) {
             ++merged;
             pairs[2 * merged] = order[i].code;
         }
-        pairs[2 * merged + 1] += counts[order[i].row];
-        if (mask_words) {
-            const uint64_t *from = counts + distinct + order[i].row * num_words;
-            uint64_t *into = masks + merged * num_words;
-            for (int64_t w = 0; w < num_words; ++w)
-                into[w] |= from[w];
-        }
+        pairs[2 * merged + 1] += order[i].count;
     }
     block[0] = (uint64_t)(merged + 1);
-    if (mask_words && merged + 1 < distinct)
-        memmove(pairs + 2 * (merged + 1), masks, (size_t)((merged + 1) * num_words) * sizeof(uint64_t));
 done:
     free(order);
-    free(local);
     if (found.items != found.inline_items)
         free(found.items);
     return block;
+}
+
+/* Location coverage of one graph (arguments as `ck_path_features`'): the
+ * sum over its distinct path keys of the number of vertices the key's
+ * occurrences cover, counted per graph-local code, so before any feature
+ * codes merge.  The mask rows live only for the call.  Returns the sum,
+ * or -1 on allocation failure. */
+CK_EXPORT int64_t
+ck_path_coverage(int64_t n, const int64_t *offsets, const int64_t *neighbours,
+                 const int64_t *ranks, int64_t max_length)
+{
+    ck_code_list found;
+    uint64_t *masks = NULL;
+    int64_t covered = -1;
+
+    if (ck_collect_paths(n, offsets, neighbours, ranks, max_length, &found) < 0)
+        goto done;
+    int64_t distinct = 0;
+    for (int64_t i = 0; i < found.size; ++i)
+        if (i == 0 || found.items[i] != found.items[distinct - 1])
+            found.items[distinct++] = found.items[i];
+    const int64_t num_words = (n + 63) / 64;
+    masks = (uint64_t *)calloc((size_t)(distinct * num_words + 1), sizeof(uint64_t));
+    if (masks == NULL)
+        goto done;
+    const ck_path_sink sink = {&found, found.items, distinct, masks, num_words};
+    ck_walk_paths(n, offsets, neighbours, ranks, max_length, &sink);
+    covered = 0;
+    for (int64_t w = 0; w < distinct * num_words; ++w)
+        covered += ck_popcount64(masks[w]);
+done:
+    free(masks);
+    if (found.items != found.inline_items)
+        free(found.items);
+    return covered;
 }
 
 CK_EXPORT void

@@ -44,7 +44,7 @@ __all__ = [
 ]
 
 #: must match CK_ABI_VERSION in _ckernel.c; the loader refuses mismatches
-ABI_VERSION = 9
+ABI_VERSION = 10
 
 _SOURCE = Path(__file__).with_name("_ckernel.c")
 
@@ -140,11 +140,16 @@ def _configure(library: ctypes.CDLL) -> ctypes.CDLL | None:
         fn.restype = pointer
         fn.argtypes = (integer, pointer, pointer, pointer, pointer)
     fn = library.ck_path_features
-    # (n, offsets*, neighbours*, ranks*, max_length, want_locations,
-    # label_hashes*) -> malloc'd result block (NULL on allocation failure),
-    # released with ck_free; marshalled by repro.features.paths.
+    # (n, offsets*, neighbours*, ranks*, max_length, label_hashes*) ->
+    # malloc'd result block (NULL on allocation failure), released with
+    # ck_free; marshalled by repro.features.paths.
     fn.restype = pointer
-    fn.argtypes = (integer, pointer, pointer, pointer, integer, integer, pointer)
+    fn.argtypes = (integer, pointer, pointer, pointer, integer, pointer)
+    fn = library.ck_path_coverage
+    # (n, offsets*, neighbours*, ranks*, max_length) -> covered vertices
+    # summed over the path keys (-1 on allocation failure).
+    fn.restype = integer
+    fn.argtypes = (integer, pointer, pointer, pointer, integer)
     library.ck_free.restype = None
     library.ck_free.argtypes = (pointer,)
     # The cache-side probe table and the credit sums; driven by

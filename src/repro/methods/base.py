@@ -97,10 +97,6 @@ class SubgraphQueryMethod(ABC):
     #: indexing time; the tables are then built lazily if ever needed.
     needs_graph_features: bool = True
 
-    #: methods whose verification reads *where* features occur in the
-    #: dataset graphs (Grapes) set this so indexing extracts the locations
-    needs_feature_locations: bool = False
-
     def __init__(self, extractor: FeatureExtractor, verifier: Verifier | None = None) -> None:
         self.extractor = extractor
         self.verifier = verifier if verifier is not None else Verifier()
@@ -152,7 +148,7 @@ class SubgraphQueryMethod(ABC):
         features_of = self._graph_features
         if not features_of:
             for graph_id, graph in self.database.items():
-                features = self.extractor.extract(graph, locations=self.needs_feature_locations)
+                features = self.extractor.extract(graph)
                 # only cached *queries* are probed by code pairs (16 bytes a
                 # feature); the dataset tables are the counts themselves
                 features.codes = None

@@ -8,8 +8,10 @@ candidate graph, the (typically small) connected regions that could possibly
 host an embedding; the subgraph isomorphism test is then run against those
 regions instead of the full graph.  Here that region is computed in the C
 kernel from the candidate's label rows, which provably equal the location
-union (see :meth:`GrapesMethod.verify`); the location table is still
-built, because Figure 18 compares the index sizes with it.  The original
+union (see :meth:`GrapesMethod.verify`), so no location table is kept:
+Figure 18's byte count sizes the one Grapes would store from the kernel's
+coverage count (:meth:`GrapesMethod.index_size_bytes`), and a build does
+nothing a GGSX build does not.  The original
 system additionally parallelises index construction and verification over
 several threads; the ``num_workers`` parameter mirrors that configuration
 knob (Grapes(1) vs Grapes(6) in the paper) only in the method's name
@@ -19,10 +21,10 @@ knob (Grapes(1) vs Grapes(6) in the paper) only in the method's name
 
 from __future__ import annotations
 
-import sys
 from itertools import compress
 
 from ..features.extractor import FeatureExtractor, GraphFeatures
+from ..features.paths import path_coverage
 from ..graphs.bitset import CandidateBitmap
 from ..graphs.graph import LabeledGraph
 from ..graphs.traversal import is_connected
@@ -34,10 +36,16 @@ __all__ = ["GrapesMethod"]
 
 
 class GrapesMethod(SubgraphQueryMethod):
-    """Grapes: path index + location info + component-restricted verification."""
+    """Grapes: path index + component-restricted verification; its location
+    lists are sized for Figure 18, not kept."""
 
     name = "grapes"
-    needs_feature_locations = True
+
+    #: Grapes' location lists as its paper stores them, per dataset graph:
+    #: one list header per distinct feature and one vertex id per
+    #: (feature, vertex) a feature's occurrences cover
+    LIST_HEADER_BYTES = 8
+    VERTEX_ID_BYTES = 4
 
     def __init__(
         self,
@@ -60,12 +68,17 @@ class GrapesMethod(SubgraphQueryMethod):
 
     # ------------------------------------------------------------------
     def index_size_bytes(self) -> int:
-        location_bytes = sum(
-            sys.getsizeof(mask)
-            for features in self._graph_features.values()
-            for mask in features.locations.values()
+        """The threshold index plus the location lists Grapes would store,
+        sized on call: per graph ``LIST_HEADER_BYTES * features +
+        VERTEX_ID_BYTES * covered``, where ``features`` is the number of
+        its distinct features and ``covered`` its :func:`path_coverage`
+        (the vertices each path key's occurrences cover, summed over the
+        keys)."""
+        return self.feature_index.size_bytes() + sum(
+            self.LIST_HEADER_BYTES * len(self._graph_features[graph_id].counts)
+            + self.VERTEX_ID_BYTES * path_coverage(graph, self.max_path_length)
+            for graph_id, graph in self.database.items()
         )
-        return self.feature_index.size_bytes() + location_bytes
 
     # ------------------------------------------------------------------
     def filter_candidates(

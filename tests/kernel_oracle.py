@@ -21,6 +21,9 @@ differentials compare against:
 * :func:`signature_prereject` (the pre-reject on two graphs) and
   :func:`grapes_region_verify` (Grapes on region subgraphs cut from the
   location table, :func:`location_union`, tested with ``VF2Matcher``);
+* Grapes' location table, which the package does not keep:
+  :func:`tuple_features` (per key its count and covered vertices) and
+  :func:`coverage` (what ``ck_path_coverage`` counts);
 * the *marshalling* — :func:`marshal_target` / :func:`marshal_plan` build
   the ``ck_target`` / ``ck_plan`` structs from that state, field for field
   what ``ck_compile_target`` / ``ck_compile_plan`` build from the CSR;
@@ -44,11 +47,16 @@ import ctypes
 import time
 from array import array
 from collections.abc import Hashable, Iterator, Sequence
+from itertools import chain
 
 from repro.core import IGQ
 from repro.graphs import LabeledGraph
 from repro.graphs.bitset import iter_bits
-from repro.graphs.traversal import connected_components, is_connected
+from repro.features import FeatureExtractor, enumerate_simple_paths
+from repro.features.canonical import canonical_cycle_code, canonical_path_key, canonical_tree_code
+from repro.features.cycles import enumerate_simple_cycles
+from repro.features.trees import enumerate_tree_subgraphs
+from repro.graphs.traversal import bfs_order, is_connected
 from repro.isomorphism import Verifier, VF2Matcher
 from repro.isomorphism.compiled import CompiledQueryPlan, _intern_label, _packed
 from repro.isomorphism.compiled import match_pairs as native_match_pairs
@@ -729,14 +737,73 @@ def oracle_engine(method_name: str, config, **method_options) -> IGQ:
 # ----------------------------------------------------------------------
 # Grapes on region subgraphs
 # ----------------------------------------------------------------------
-def location_union(method, features, graph_id) -> int:
+def connected_components(graph: LabeledGraph) -> list[set]:
+    """The connected components of ``graph`` as vertex sets, largest first,
+    ties by the smallest vertex ``repr`` they hold."""
+    remaining = set(graph.vertices())
+    components: list[set] = []
+    while remaining:
+        component = set(bfs_order(graph, next(iter(remaining))))
+        components.append(component)
+        remaining -= component
+    components.sort(key=lambda comp: (-len(comp), min(map(repr, comp))))
+    return components
+
+
+def path_occurrences(graph: LabeledGraph, max_length: int) -> Iterator[tuple[tuple, tuple]]:
+    """``(key, path)`` for every simple path of ``graph`` up to
+    ``max_length`` edges: ``enumerate_simple_paths`` keyed by
+    ``canonical_path_key`` of the label strings."""
+    text = {vertex: str(graph.label(vertex)) for vertex in graph.vertices()}
+    for path in enumerate_simple_paths(graph, max_length):
+        yield canonical_path_key([text[vertex] for vertex in path]), path
+
+
+def tally(graph: LabeledGraph, occurrences) -> tuple[dict, dict]:
+    """``(counts, locations)`` of ``(key, vertices)`` occurrences: per key
+    their number and the mask (over the positions of ``graph.vertices()``)
+    of the vertices they cover — Grapes' location table."""
+    bit = {vertex: 1 << position for position, vertex in enumerate(graph.vertices())}
+    counts: dict = {}
+    located: dict = {}
+    for key, vertices in occurrences:
+        counts[key] = counts.get(key, 0) + 1
+        located[key] = located.get(key, 0) | sum(bit[vertex] for vertex in vertices)
+    return counts, located
+
+
+def tuple_features(extractor: FeatureExtractor, graph: LabeledGraph) -> tuple[dict, dict]:
+    """:func:`tally` of the Python enumeration of ``extractor``'s feature
+    class: ``(counts, locations)`` keyed by tuple, uncoded."""
+    if extractor.kind == FeatureExtractor.PATHS:
+        return tally(graph, path_occurrences(graph, extractor.max_path_length))
+    trees = (
+        ((canonical_tree_code(tree),), tree.vertices())
+        for tree in enumerate_tree_subgraphs(graph, extractor.tree_max_size)
+    )
+    cycles = (
+        ((canonical_cycle_code([graph.label(vertex) for vertex in cycle]),), cycle)
+        for cycle in enumerate_simple_cycles(graph, extractor.cycle_max_length)
+    )
+    return tally(graph, chain(trees, cycles))
+
+
+def coverage(graph: LabeledGraph, max_length: int) -> int:
+    """The vertices each path key's occurrences cover, summed over the keys
+    of the location table :func:`tally` builds."""
+    located = tally(graph, path_occurrences(graph, max_length))[1]
+    return sum(mask.bit_count() for mask in located.values())
+
+
+def location_union(method, query: LabeledGraph, graph_id) -> int:
     """Vertices of ``graph_id`` (a mask over its positions) covered by an
-    occurrence of a feature of ``features``: the union of the location
-    table's rows Grapes indexed."""
-    located = method.graph_features(graph_id).locations.get
+    occurrence of a feature key of ``query``: the union of the location
+    lists Grapes would index, built here from :func:`tuple_features`."""
+    keys, _ = tuple_features(method.extractor, query)
+    _, located = tuple_features(method.extractor, method.database.get(graph_id))
     region = 0
-    for code in features.counts:
-        region |= located(code, 0)
+    for key in keys:
+        region |= located.get(key, 0)
     return region
 
 
@@ -762,7 +829,7 @@ def match_region_subgraph(pattern, graph, region) -> tuple[bool, int]:
     return False, tests
 
 
-def grapes_region_verify(method, query, candidate_ids, features) -> tuple[set, int]:
+def grapes_region_verify(method, query, candidate_ids) -> tuple[set, int]:
     """Grapes' verification on materialised graphs: ``(answers, tests)`` —
     per candidate :func:`match_region_subgraph` inside
     :func:`location_union`; a disconnected query is one whole-graph test."""
@@ -771,7 +838,7 @@ def grapes_region_verify(method, query, candidate_ids, features) -> tuple[set, i
         graph = method.database.get(graph_id)
         if is_connected(query):
             vertices = list(graph.vertices())
-            region = location_union(method, features, graph_id)
+            region = location_union(method, query, graph_id)
             matched, count = match_region_subgraph(
                 query, graph, [vertices[position] for position in iter_bits(region)]
             )

@@ -110,7 +110,7 @@ class TestLoader:
 
     def test_stale_abi_rejected(self, monkeypatch):
         """An artifact built for another struct layout must never be driven."""
-        assert _ckernel_loader.ABI_VERSION == 9
+        assert _ckernel_loader.ABI_VERSION == 10
         library = ctypes.CDLL(str(_ckernel_loader.native_kernel_path()))
         assert _ckernel_loader._configure(library) is library
         monkeypatch.setattr(_ckernel_loader, "ABI_VERSION", 2)

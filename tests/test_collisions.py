@@ -2,8 +2,7 @@
 
 A feature's code is a 64-bit hash of its key
 (:func:`repro.features.paths.path_code`), so two keys may share one.  The
-extractors then merge them — counts add up, location rows OR together —
-and every filter compares sums of counts where it compared counts: a
+extractors then merge them — counts add up — and every filter compares sums of counts where it compared counts: a
 graph that held every feature of a query at least as often still does,
 so a collision can only let more candidates through.  Verification
 removes those, so answers stay exact.
@@ -23,12 +22,13 @@ import random
 import pytest
 
 from repro.core import IGQ, QueryCache, SubgraphQueryIndex, SupergraphQueryIndex
-from repro.features import FeatureExtractor, GraphFeatures, path_features
+from repro.features import FeatureExtractor, GraphFeatures
 from repro.features import paths as paths_module
-from repro.features.paths import native_path_features
+from repro.features.paths import native_path_features, path_coverage
 from repro.graphs import GraphDatabase
 from repro.methods import create_method
 
+from . import kernel_oracle
 from .conftest import engine_config, random_labeled_graph
 from .test_native_extract import sparse_graph
 from .test_native_probe import Pair
@@ -162,19 +162,17 @@ def test_cache_entries_are_indexed_with_merged_codes(monkeypatch):
 @pytest.mark.parametrize("buckets", [1, 2, 3])
 def test_the_kernel_merges_like_the_python_extractor(buckets, monkeypatch):
     """``ck_path_features`` merges equal codes as ``GraphFeatures.from_keys``
-    does: counts summed, location rows OR-ed (over several mask words), the
-    pairs distinct and ascending."""
+    does: counts summed, the pairs distinct and ascending.  Coverage is
+    per key (over several mask words): merged codes do not shrink it."""
     squeeze_label_hash(monkeypatch, buckets)
     for seed in range(6):
         graph = sparse_graph(seed, 70 + 10 * seed)
-        occurrences = path_features(graph, 3, locations=True)
-        bit = {vertex: 1 << position for position, vertex in enumerate(graph.vertices())}
-        expected = GraphFeatures.from_keys(
-            {key: found.count for key, found in occurrences.items()},
-            {key: sum(bit[v] for v in found.vertices) for key, found in occurrences.items()},
-        )
-        assert len(expected.counts) < len(occurrences)
-        counts, masks, pairs = native_path_features(graph, 3, locations=True)
+        keys, located = kernel_oracle.tally(graph, kernel_oracle.path_occurrences(graph, 3))
+        expected = GraphFeatures.from_keys(keys)
+        assert len(expected.counts) < len(keys)
+        counts, pairs = native_path_features(graph, 3)
         assert list(counts.items()) == list(expected.counts.items())
-        assert list(masks.items()) == list(expected.locations.items())
         assert pairs == expected.feature_codes()
+        assert path_coverage(graph, 3) == kernel_oracle.coverage(graph, 3) == sum(
+            mask.bit_count() for mask in located.values()
+        )

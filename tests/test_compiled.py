@@ -15,7 +15,6 @@ import networkx as nx
 import pytest
 
 from repro.graphs import LabeledGraph
-from repro.graphs.traversal import connected_components
 from repro.isomorphism import (
     CompiledQuery,
     CompiledTarget,
@@ -27,7 +26,12 @@ from repro.isomorphism import (
 from repro.methods import ScanMethod
 
 from . import kernel_oracle
-from .kernel_oracle import OracleVerifier, compiled_has_embedding, signature_prereject
+from .kernel_oracle import (
+    OracleVerifier,
+    compiled_has_embedding,
+    connected_components,
+    signature_prereject,
+)
 from .conftest import (
     make_clique,
     make_cycle_graph,

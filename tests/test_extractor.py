@@ -23,8 +23,10 @@ from repro.features import (
     enumerate_tree_subgraphs,
 )
 from repro.features import extractor as extractor_module
-from repro.features.paths import path_code
+from repro.features.paths import path_code, path_coverage
+from repro.isomorphism.compiled import FlatGraph
 
+from . import kernel_oracle
 from .conftest import (
     contains_all_of,
     covers_counts_of,
@@ -63,25 +65,19 @@ class TestConfiguration:
 
 class TestPathFeatures:
     def test_counts_and_locations(self):
+        """Counts are extracted; locations only as their size, the
+        coverage Figure 18 charges Grapes for."""
         extractor = FeatureExtractor(max_path_length=2)
         graph = make_star_graph("A", "BB")
-        features = extractor.extract(graph, locations=True)
-        counts, located = features.counts, features.locations
+        features = extractor.extract(graph)
+        counts = features.counts
         assert counts[path_code(("A",))] == 1
         assert counts[path_code(("B",))] == 2
         assert counts[path_code(("A", "B"))] == 2
         assert counts[path_code(("B", "A", "B"))] == 1
-        # a bitmask over the positions of graph.vertices()
-        assert list(graph.vertices()) == [0, 1, 2]
-        assert located[path_code(("A", "B"))] == 0b111
-        assert located[path_code(("A",))] == 0b001
         assert features.num_distinct == 4
-
-    def test_locations_only_on_request(self):
-        extractor = FeatureExtractor(max_path_length=2)
-        graph = make_star_graph("A", "BB")
-        assert extractor.extract(graph).locations == {}
-        assert extractor.extract(graph).counts == extractor.extract(graph, locations=True).counts
+        # A covers the centre, B both leaves, A-B and B-A-B all three
+        assert path_coverage(graph, 2) == kernel_oracle.coverage(graph, 2) == 1 + 2 + 3 + 3
 
     def test_keys_helper(self):
         extractor = FeatureExtractor(max_path_length=1)
@@ -91,44 +87,42 @@ class TestPathFeatures:
     @pytest.mark.parametrize("dataset", ["aids", "pdbs"])
     def test_keys_equal_the_string_code_round_trip(self, dataset):
         """The features are the keys splitting ``canonical_path_code`` gave,
-        coded: same counts and locations, in ascending code order — and the
-        Python enumeration walks every path in the direction whose full
-        vertex-repr sequence is the smaller one (the endpoint shortcut
-        decides the same)."""
+        coded: same counts, in ascending code order — and the Python
+        enumeration walks every path in the direction whose full vertex-repr
+        sequence is the smaller one (the endpoint shortcut decides the
+        same)."""
         extractor = FeatureExtractor(max_path_length=3)
         for _, graph in list(load_dataset(dataset, scale=0.05).items())[:6]:
-            position = {vertex: index for index, vertex in enumerate(graph.vertices())}
-            counts, locations = {}, {}
+            counts = {}
             for path in enumerate_simple_paths(graph, extractor.max_path_length):
                 reprs = tuple(map(repr, path))
                 assert reprs <= reprs[::-1]
                 code = canonical_path_code([graph.label(vertex) for vertex in path])
                 key = tuple(code.split("\x1f"))
                 counts[key] = counts.get(key, 0) + 1
-                locations[key] = locations.get(key, 0) | sum(1 << position[v] for v in path)
-            expected = GraphFeatures.from_keys(counts, locations)
-            features = extractor.extract(graph, locations=True)
-            assert list(features.counts.items()) == list(expected.counts.items())
-            assert list(features.locations.items()) == list(expected.locations.items())
+            expected = GraphFeatures.from_keys(counts)
             assert list(extractor.extract(graph).counts.items()) == list(expected.counts.items())
 
-    @pytest.mark.parametrize("locations", [False, True])
-    def test_key_order_does_not_depend_on_the_extractor(self, locations, monkeypatch):
+    @pytest.mark.parametrize("shared_flat", [False, True])
+    def test_key_order_does_not_depend_on_the_extractor(self, shared_flat, monkeypatch):
         """WAL records, snapshots, shard deltas and answer digests iterate
         the feature dicts: the native and the Python extractor must return
-        the same codes in the same (ascending) order."""
+        the same codes in the same (ascending) order, whether or not the
+        caller hands over the graph's flattened arrays."""
         extractor = FeatureExtractor(max_path_length=4)
         graphs = [graph for _, graph in load_dataset("aids", scale=0.05).items()][:8]
         graphs.append(make_star_graph("B", "ACA"))
-        native = [extractor.extract(graph, locations=locations) for graph in graphs]
+
+        def extract(graph):
+            return extractor.extract(graph, flat=FlatGraph(graph) if shared_flat else None)
+
+        native = list(map(extract, graphs))
         monkeypatch.setattr(extractor_module, "native_path_features", lambda *args: None)
         for graph, fast in zip(graphs, native):
-            slow = extractor.extract(graph, locations=locations)
+            slow = extract(graph)
             assert list(fast.counts.items()) == list(slow.counts.items())
-            assert list(fast.locations.items()) == list(slow.locations.items())
             codes = list(fast.counts)
             assert codes == sorted(codes)
-            assert list(fast.locations) == (codes if locations else [])
 
 
 class TestTreeCycleFeatures:
@@ -144,13 +138,6 @@ class TestTreeCycleFeatures:
         tree_keys = {(canonical_tree_code(tree),) for tree in enumerate_tree_subgraphs(graph, 3)}
         assert len(tree_keys) >= 3  # singletons and edges at minimum
         assert set(map(path_code, tree_keys)) == set(features.counts)
-
-    def test_locations_populated(self):
-        extractor = FeatureExtractor(kind=FeatureExtractor.TREES_CYCLES, tree_max_size=2)
-        features = extractor.extract(make_path_graph("AB"), locations=True)
-        assert set(features.locations) == set(features.counts)
-        for mask in features.locations.values():
-            assert 0 < mask <= 0b11
 
 
 class TestContainmentHelpers:

@@ -2,9 +2,8 @@
 
 Every feature is keyed by its ``uint64`` code end to end: the extractor
 returns codes (:func:`~repro.features.paths.path_code` of the key, for
-paths, trees and cycles alike), the dataset index and Grapes' location
-tables are keyed by them, the cache-side probe filters on them, pickles
-and the journal carry them.  Tuple keys are the oracle form — the Python
+paths, trees and cycles alike), the dataset index is keyed by them, the
+cache-side probe filters on them, pickles and the journal carry them.  Tuple keys are the oracle form — the Python
 enumeration, uncoded — and what the threshold index held before.  Every
 filter must answer exactly as a :class:`ThresholdBitmapIndex` over tuple
 keys does, in both directions, for every method and extractor setting.
@@ -28,18 +27,10 @@ from hypothesis import strategies as st
 
 import repro
 from repro.core import IGQ, BatchExecutor, CacheConfig, EngineConfig
-from repro.features import (
-    FeatureExtractor,
-    GraphFeatures,
-    ThresholdBitmapIndex,
-    canonical_cycle_code,
-    canonical_tree_code,
-    enumerate_simple_cycles,
-    enumerate_tree_subgraphs,
-    path_features,
-)
+from repro.features import FeatureExtractor, GraphFeatures, ThresholdBitmapIndex
 from repro.features.paths import path_code
 from repro.graphs import GraphDatabase, LabeledGraph
+from repro.isomorphism.compiled import FlatGraph
 from repro.methods import CTIndexMethod, GGSXMethod, GrapesMethod, create_method
 
 from . import kernel_oracle
@@ -55,37 +46,15 @@ def build(factory, graphs, **kwargs):
     return method
 
 
-def tuple_features(extractor: FeatureExtractor, graph: LabeledGraph):
-    """``(counts, locations)`` of ``graph`` keyed by tuple: the Python
-    enumeration of ``extractor``'s feature class, uncoded."""
-    bit = {vertex: 1 << position for position, vertex in enumerate(graph.vertices())}
-    counts: dict = {}
-    located: dict = {}
-
-    def record(key, vertices, count=1) -> None:
-        counts[key] = counts.get(key, 0) + count
-        located[key] = located.get(key, 0) | sum(bit[vertex] for vertex in vertices)
-
-    if extractor.kind == FeatureExtractor.PATHS:
-        for key, found in path_features(graph, extractor.max_path_length).items():
-            record(key, found.vertices, found.count)
-    else:
-        for tree in enumerate_tree_subgraphs(graph, extractor.tree_max_size):
-            record((canonical_tree_code(tree),), tree.vertices())
-        for cycle in enumerate_simple_cycles(graph, extractor.cycle_max_length):
-            record((canonical_cycle_code([graph.label(vertex) for vertex in cycle]),), cycle)
-    return counts, located
-
-
 def assert_filters_match_oracle(method, query: LabeledGraph) -> None:
-    """``at_least`` / ``at_most`` over the coded index, and Grapes' region
-    of every dataset graph, equal the tuple-keyed oracle."""
+    """``at_least`` / ``at_most`` over the coded index equal the
+    tuple-keyed oracle; for Grapes, the union of a dataset graph's location
+    lists over the query's keys is the label region the kernel builds."""
     oracle = ThresholdBitmapIndex()
-    located_of = {}
     for graph_id, graph in method.database.items():
-        counts, located_of[graph_id] = tuple_features(method.extractor, graph)
+        counts, _ = kernel_oracle.tuple_features(method.extractor, graph)
         oracle.add(method.id_space.bit(graph_id), counts)
-    keys, _ = tuple_features(method.extractor, query)
+    keys, _ = kernel_oracle.tuple_features(method.extractor, query)
     features = method.extract_query_features(query)
     assert features.counts == GraphFeatures.from_keys(keys).counts
     full = method.id_space.full_mask
@@ -93,11 +62,10 @@ def assert_filters_match_oracle(method, query: LabeledGraph) -> None:
     assert index.at_least(features.counts, full) == oracle.at_least(keys, full)
     assert index.at_most(features.counts, full) == oracle.at_most(keys, full)
     if isinstance(method, GrapesMethod):
-        for graph_id in method.database.ids():
-            region = 0
-            for key in keys:
-                region |= located_of[graph_id].get(key, 0)
-            assert kernel_oracle.location_union(method, features, graph_id) == region
+        plan = kernel_oracle.BigintPlan(query)
+        for graph_id, graph in method.database.items():
+            region = kernel_oracle.label_region(plan, kernel_oracle.BigintTarget(graph))
+            assert kernel_oracle.location_union(method, query, graph_id) == region
 
 
 dataset_graphs = st.lists(labeled_graphs(max_vertices=6, labels="ABCD"), min_size=1, max_size=6)
@@ -156,15 +124,15 @@ class TestCodedIndexEqualsTupleOracle:
 
 class TestPickledFeatures:
     @settings(max_examples=40, deadline=None)
-    @given(graph=labeled_graphs(max_vertices=7, labels="ABCD"), locations=st.booleans())
-    def test_round_trip_keeps_keys_and_reencodes_codes(self, graph, locations):
+    @given(graph=labeled_graphs(max_vertices=7, labels="ABCD"), shared_flat=st.booleans())
+    def test_round_trip_keeps_keys_and_reencodes_codes(self, graph, shared_flat):
         """A copy carries the codes themselves (the feature keys) and
         rebuilds its ``(code, count)`` pairs on demand."""
-        features = FeatureExtractor(max_path_length=3).extract(graph, locations=locations)
+        flat = FlatGraph(graph) if shared_flat else None
+        features = FeatureExtractor(max_path_length=3).extract(graph, flat=flat)
         copy = pickle.loads(pickle.dumps(features))
         assert copy.codes is None
         assert list(copy.counts.items()) == list(features.counts.items())
-        assert list(copy.locations.items()) == list(features.locations.items())
         assert copy.feature_codes() == features.feature_codes()
 
     def test_another_process_gives_the_same_codes(self):
@@ -192,22 +160,39 @@ class TestPickledFeatures:
 
     def test_a_pre_code_pickle_is_coded_on_load(self):
         """A pickle written before features were coded holds tuple keys —
-        label paths, or CT-Index's wrapped canonical strings: loading one
-        codes its keys, so it meets a fresh extraction."""
+        label paths, or CT-Index's wrapped canonical strings — and, for
+        Grapes, a non-empty ``locations`` table: loading one codes its keys
+        and drops the table, so it meets a fresh extraction."""
         graph = LabeledGraph.from_edges({0: "A", 1: "B", 2: "A"}, [(0, 1), (1, 2)])
         for extractor in (
             FeatureExtractor(max_path_length=3),
             FeatureExtractor(kind=FeatureExtractor.TREES_CYCLES, tree_max_size=3),
         ):
-            keys, located = tuple_features(extractor, graph)
+            keys, located = kernel_oracle.tuple_features(extractor, graph)
+            assert located and all(located.values())
             old = GraphFeatures.__new__(GraphFeatures)
             old.__setstate__(
                 {"counts": keys, "locations": located, "codes": None, "path_keys": True}
             )
-            fresh = extractor.extract(graph, locations=True)
+            fresh = extractor.extract(graph)
             assert list(old.counts.items()) == list(fresh.counts.items())
-            assert old.locations == fresh.locations
             assert old.feature_codes() == fresh.feature_codes()
+            assert not hasattr(old, "locations")
+
+    def test_a_parent_layout_pickle_drops_its_locations(self):
+        """A code-keyed pickle of the layout that still had a ``locations``
+        field (Grapes' rows, non-empty) loads with equal counts and no
+        rows."""
+        graph = LabeledGraph.from_edges({0: "A", 1: "B", 2: "A"}, [(0, 1), (1, 2)])
+        fresh = FeatureExtractor(max_path_length=3).extract(graph)
+        _, located = kernel_oracle.tuple_features(FeatureExtractor(max_path_length=3), graph)
+        rows = {path_code(key): mask for key, mask in located.items()}
+        assert set(rows) == set(fresh.counts) and all(rows.values())
+        old = GraphFeatures.__new__(GraphFeatures)
+        old.__setstate__({"counts": dict(fresh.counts), "locations": rows, "codes": None})
+        assert old == fresh and list(old.counts.items()) == list(fresh.counts.items())
+        assert old.feature_codes() == fresh.feature_codes()
+        assert not hasattr(old, "locations")
 
 
 # ----------------------------------------------------------------------

@@ -90,10 +90,9 @@ class TestGrapes:
         database = containment_database()
         method.build_index(database)
         query = make_path_graph("ABC")
-        features = method.extract_query_features(query)
         square = database.get("square")
         vertices = list(square.vertices())
-        region = kernel_oracle.location_union(method, features, "square")
+        region = kernel_oracle.location_union(method, query, "square")
         # Any embedding of the query into the square lies inside the region.
         embeddings = list(VF2Matcher(query, square).iter_matches())
         assert embeddings
@@ -132,9 +131,9 @@ class TestGrapes:
     @settings(max_examples=60, deadline=None, suppress_health_check=list(HealthCheck))
     @given(extractor=extractors, rng=st.randoms(use_true_random=False))
     def test_location_union_is_the_query_label_region(self, extractor, rng):
-        """The OR of a graph's locations over the query's features is the
-        mask of the graph's vertices whose label occurs in the query — the
-        region the kernel builds from its label rows."""
+        """The OR of a graph's locations over the query's feature keys is
+        the mask of the graph's vertices whose label occurs in the query —
+        the region the kernel builds from its label rows."""
 
         def graph(sizes):
             labels = rng.sample(LABELS, rng.randint(1, len(LABELS)))
@@ -147,7 +146,6 @@ class TestGrapes:
         method.build_index(GraphDatabase.from_graphs(targets))
         for _ in range(3):
             query = graph((0, 1, 2, 4, 6))
-            features = method.extract_query_features(query)
             labels = query.labels()
             for graph_id, target in method.database.items():
                 expected = sum(
@@ -155,7 +153,7 @@ class TestGrapes:
                     for position, vertex in enumerate(target.vertices())
                     if target.label(vertex) in labels
                 )
-                assert kernel_oracle.location_union(method, features, graph_id) == expected
+                assert kernel_oracle.location_union(method, query, graph_id) == expected
 
     def test_index_size_includes_locations(self):
         plain = GGSXMethod(max_path_length=2)
@@ -164,6 +162,21 @@ class TestGrapes:
         plain.build_index(database)
         located.build_index(database)
         assert located.index_size_bytes() > plain.index_size_bytes()
+
+    def test_index_size_is_the_documented_formula(self):
+        """Per graph an 8-byte list header per distinct feature and a 4-byte
+        vertex id per vertex a feature key's occurrences cover, on top of
+        the threshold index GGSX has too."""
+        plain = GGSXMethod(max_path_length=3)
+        method = GrapesMethod(max_path_length=3)
+        database = containment_database()
+        plain.build_index(database)
+        method.build_index(database)
+        expected = plain.index_size_bytes()
+        for graph_id, graph in database.items():
+            features = method.graph_features(graph_id)
+            expected += 8 * len(features.counts) + 4 * kernel_oracle.coverage(graph, 3)
+        assert method.index_size_bytes() == expected
 
 
 class TestCTIndex:

@@ -3,11 +3,13 @@
 ``ck_path_features`` (``isomorphism/_ckernel.c``, driven by
 :func:`repro.features.paths.native_path_features`) must return exactly what
 :func:`repro.features.paths.path_features` returns, coded by
-:func:`repro.features.paths.path_code` — same ``(code, count)`` pairs, same
-location masks, code ascending — because every index, WAL record and
-candidate set downstream is built from whichever of the two ran.  The Python
-enumeration is the oracle, the same arrangement ``match_pairs`` has with the
-bigint loop of ``tests/kernel_oracle.py`` (``tests/test_verify_pairs.py``).
+:func:`repro.features.paths.path_code` — same ``(code, count)`` pairs, code
+ascending — because every index, WAL record and candidate set downstream is
+built from whichever of the two ran.  ``ck_path_coverage`` (driven by
+:func:`repro.features.paths.path_coverage`) must count what the location
+table of ``kernel_oracle.tally`` covers.  The Python enumeration is the
+oracle, the same arrangement ``match_pairs`` has with the bigint loop of
+``tests/kernel_oracle.py`` (``tests/test_verify_pairs.py``).
 """
 
 from __future__ import annotations
@@ -22,9 +24,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.datasets.registry import load_dataset
-from repro.features import FeatureExtractor, GraphFeatures, path_features
+from repro.features import FeatureExtractor, GraphFeatures
 from repro.features import extractor as extractor_module
-from repro.features.paths import code_pairs, native_path_features, path_code
+from repro.features import paths as paths_module
+from repro.features.paths import code_pairs, native_path_features, path_code, path_coverage
 from repro.graphs import LabeledGraph
 from repro.methods import GGSXMethod, GrapesMethod
 from repro.workloads.generator import QueryGenerator, WorkloadSpec
@@ -37,29 +40,22 @@ from .conftest import make_clique, make_cycle_graph, make_path_graph, make_star_
 _LABELS = (1, "1", "A", "B", 2.0, "2.0", "C", None)
 
 
-def oracle(graph: LabeledGraph, max_length: int):
-    """``(counts, location masks)`` from the Python enumeration, coded,
-    code ascending."""
-    occurrences = path_features(graph, max_length, locations=True)
-    bit = {vertex: 1 << position for position, vertex in enumerate(graph.vertices())}
-    features = GraphFeatures.from_keys(
-        {key: found.count for key, found in occurrences.items()},
-        {key: sum(bit[vertex] for vertex in found.vertices) for key, found in occurrences.items()},
-    )
-    assert len(features.counts) == len(occurrences)  # no two keys share a code
-    return features.counts, features.locations
+def oracle(graph: LabeledGraph, max_length: int) -> tuple[dict, int]:
+    """``(counts, coverage)`` from one Python enumeration: the counts coded,
+    code ascending; the coverage summed over the keys' location masks."""
+    keys, located = kernel_oracle.tally(graph, kernel_oracle.path_occurrences(graph, max_length))
+    counts = GraphFeatures.from_keys(keys).counts
+    assert len(counts) == len(keys)  # no two keys share a code
+    return counts, sum(mask.bit_count() for mask in located.values())
 
 
 def assert_native_equals_oracle(graph: LabeledGraph, max_length: int) -> None:
-    counts, masks = oracle(graph, max_length)
-    with_masks = native_path_features(graph, max_length, locations=True)
-    assert with_masks is not None
-    assert list(with_masks[0].items()) == list(counts.items())
-    assert list(with_masks[1].items()) == list(masks.items())
-    without = native_path_features(graph, max_length)
-    assert list(without[0].items()) == list(counts.items())
-    assert without[1] == {}
-    assert with_masks[2] == without[2] == code_pairs(counts.items())
+    counts, covered = oracle(graph, max_length)
+    native = native_path_features(graph, max_length)
+    assert native is not None
+    assert list(native[0].items()) == list(counts.items())
+    assert native[1] == code_pairs(counts.items())
+    assert path_coverage(graph, max_length) == covered
 
 
 def _vertex_id(rng: random.Random, index: int):
@@ -109,9 +105,10 @@ class TestDifferential:
         max_length=st.integers(1, 6),
     )
     def test_random_graphs(self, seed, num_vertices, max_length):
-        """Counts and (multi-word) location masks on graphs of 1..200
-        vertices, disconnected, with isolated vertices, cycles, colliding
-        label strings and mixed-type vertex ids."""
+        """Counts, and the coverage ``ck_path_coverage`` sums over
+        (multi-word) mask rows, on graphs of 1..200 vertices, disconnected,
+        with isolated vertices, cycles, colliding label strings and
+        mixed-type vertex ids."""
         if num_vertices > 40:
             max_length = min(max_length, 4)  # keep the oracle quick
         assert_native_equals_oracle(sparse_graph(seed, num_vertices), max_length)
@@ -144,14 +141,16 @@ class TestDifferential:
             assert_native_equals_oracle(graph, max_length)
 
     def test_empty_graph(self):
-        assert native_path_features(LabeledGraph(), 4, locations=True) == ({}, {}, array("Q"))
+        assert native_path_features(LabeledGraph(), 4) == ({}, array("Q"))
+        assert path_coverage(LabeledGraph(), 4) == 0
 
     def test_colliding_label_strings_share_a_key(self):
         graph = LabeledGraph.from_edges({0: 1, 1: "1", 2: "A"}, [(0, 1), (1, 2)])
-        features = GraphFeatures(*native_path_features(graph, 2, locations=True))
-        counts, masks = features.counts, features.locations
+        counts = GraphFeatures(*native_path_features(graph, 2)).counts
         assert counts[path_code(("1",))] == 2 and counts[path_code(("1", "1"))] == 1
-        assert masks[path_code(("1",))] == 0b011
+        # ("1",) and ("1", "1") cover 2 vertices each, ("A",) 1, ("1", "A") 2,
+        # ("1", "1", "A") 3
+        assert path_coverage(graph, 2) == 10
         assert_native_equals_oracle(graph, 2)
 
     @pytest.mark.parametrize("dataset", ["aids", "pdbs"])
@@ -179,19 +178,25 @@ class TestCodeOverflowFallback:
         assert_native_equals_oracle(self.wide_alphabet_graph(255), 3)
 
     def test_256_labels_fall_back(self):
+        """Features and coverage both take the Python route, and get what
+        the kernel gets on the 255-label graph plus one vertex's share."""
         graph = self.wide_alphabet_graph(256)
         assert native_path_features(graph, 3) is None
-        features = FeatureExtractor(max_path_length=3).extract(graph, locations=True)
-        counts, masks = oracle(graph, 3)
+        features = FeatureExtractor(max_path_length=3).extract(graph)
+        counts, covered = oracle(graph, 3)
         assert list(features.counts.items()) == list(counts.items())
-        assert list(features.locations.items()) == list(masks.items())
+        assert path_coverage(graph, 3) == covered
+        # a path of n vertices has n - k paths of k edges, k + 1 vertices each
+        assert covered == sum((256 - k) * (k + 1) for k in range(4))
 
     def test_paths_longer_than_a_code_fall_back(self):
         graph = make_path_graph("ABCABCABCABC")
         assert native_path_features(graph, 8) is None
         assert_native_equals_oracle(graph, 7)
         features = FeatureExtractor(max_path_length=8).extract(graph)
-        assert list(features.counts.items()) == list(oracle(graph, 8)[0].items())
+        counts, covered = oracle(graph, 8)
+        assert list(features.counts.items()) == list(counts.items())
+        assert path_coverage(graph, 8) == covered
 
 
 def force_python_extractor(monkeypatch) -> None:
@@ -204,6 +209,9 @@ class TestBuildIndexUnderBothExtractors:
         [("aids", GGSXMethod), ("pdbs", GrapesMethod)],
     )
     def test_identical_index_and_regions(self, dataset, factory, monkeypatch):
+        """Tables, index size (for Grapes with the coverage on the Python
+        route too) and query results, tests counted in each candidate's
+        region, do not depend on which extractor ran."""
         database = load_dataset(dataset, scale=0.15)
         native = factory(max_path_length=4)
         native.build_index(database)
@@ -211,14 +219,15 @@ class TestBuildIndexUnderBothExtractors:
             force_python_extractor(patched)
             python = factory(max_path_length=4)
             python.build_index(database)
+            patched.setattr(paths_module, "_label_ranks", lambda *args: None)
+            python_bytes = python.index_size_bytes()
         assert list(native.feature_index._levels.items()) == list(
             python.feature_index._levels.items()
         )
-        assert native.index_size_bytes() == python.index_size_bytes()
+        assert native.index_size_bytes() == python_bytes
         for graph_id in database.ids():
             fast, slow = native.graph_features(graph_id), python.graph_features(graph_id)
             assert list(fast.counts.items()) == list(slow.counts.items())
-            assert list(fast.locations.items()) == list(slow.locations.items())
         queries = QueryGenerator(
             database, WorkloadSpec(name="stream", seed=11, query_sizes=(4, 8))
         ).generate(12)
@@ -230,11 +239,9 @@ class TestBuildIndexUnderBothExtractors:
             assert list(query_features.counts.items()) == list(slow_features.counts.items())
             candidates = native.filter_candidates(query, features=query_features)
             assert set(candidates) == set(python.filter_candidates(query, features=slow_features))
-            if isinstance(native, GrapesMethod):
-                for graph_id in candidates:
-                    assert kernel_oracle.location_union(
-                        native, query_features, graph_id
-                    ) == kernel_oracle.location_union(python, slow_features, graph_id)
+            fast_result, slow_result = native.query(query), python.query(query)
+            assert fast_result.answers == slow_result.answers
+            assert fast_result.num_isomorphism_tests == slow_result.num_isomorphism_tests
 
 
 class TestWhicheverExtractorRuns:
@@ -244,21 +251,18 @@ class TestWhicheverExtractorRuns:
         extractor = FeatureExtractor(max_path_length=4)
         for seed in range(12):
             graph = sparse_graph(seed, 10 + 6 * seed)
-            counts, masks = oracle(graph, 4)
-            features = extractor.extract(graph, locations=True)
+            counts, _ = oracle(graph, 4)
+            features = extractor.extract(graph)
             assert list(features.counts.items()) == list(counts.items())
-            assert list(features.locations.items()) == list(masks.items())
-            assert extractor.extract(graph).locations == {}
 
     def test_build_index_tables_equal_oracle(self):
         database = load_dataset("pdbs", scale=0.1)
         method = GrapesMethod(max_path_length=3)
         method.build_index(database)
         for graph_id, graph in database.items():
-            counts, masks = oracle(graph, 3)
+            counts, _ = oracle(graph, 3)
             stored = method.graph_features(graph_id)
             assert list(stored.counts.items()) == list(counts.items())
-            assert list(stored.locations.items()) == list(masks.items())
 
 
 class TestConcurrentExtraction:
@@ -268,16 +272,14 @@ class TestConcurrentExtraction:
         features."""
         extractor = FeatureExtractor(max_path_length=4)
         graphs = [sparse_graph(seed, 30 + seed % 40) for seed in range(24)]
-        expected = [oracle(graph, 4) for graph in graphs]
+        expected = [oracle(graph, 4)[0] for graph in graphs]
         failures: list = []
 
         def work(offset: int) -> None:
             try:
                 for _ in range(20):
                     for index in range(offset, len(graphs), 2):
-                        features = extractor.extract(graphs[index], locations=True)
-                        found = (features.counts, features.locations)
-                        if found != expected[index]:
+                        if extractor.extract(graphs[index]).counts != expected[index]:
                             failures.append(index)
             except Exception as error:  # noqa: BLE001 - reported by the main thread
                 failures.append(error)

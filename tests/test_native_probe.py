@@ -416,10 +416,10 @@ def test_global_codes_are_the_keys(left, right):
         assert list(codes) == sorted(codes)
         assert list(features.counts.items()) == list(zip(codes, pairs[1::2]))
         by_code = {}
-        for key, found in path_features(graph, 3).items():
+        for key, count in path_features(graph, 3).items():
             code = path_code(key)
             assert code_of.setdefault(key, code) == code
-            by_code[code] = found.count
+            by_code[code] = count
         assert features.counts == by_code
     assert len(set(code_of.values())) == len(code_of)
 

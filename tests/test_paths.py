@@ -5,8 +5,9 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 
-from repro.features import enumerate_simple_paths, path_features
+from repro.features import enumerate_simple_paths, path_coverage, path_features
 
+from . import kernel_oracle
 from .conftest import labeled_graphs, make_clique, make_cycle_graph, make_path_graph, make_star_graph
 
 
@@ -66,30 +67,33 @@ class TestEnumeration:
 class TestPathFeatures:
     def test_counts_on_known_graph(self):
         features = path_features(make_path_graph("ABA"), max_length=2)
-        by_key = {key: info.count for key, info in features.items()}
         # Features: single labels A (x2), B (x1); edges A-B (x2); path A-B-A (x1).
-        assert by_key == {("A",): 2, ("B",): 1, ("A", "B"): 2, ("A", "B", "A"): 1}
+        assert features == {("A",): 2, ("B",): 1, ("A", "B"): 2, ("A", "B", "A"): 1}
 
     def test_locations_cover_occurrence_vertices(self):
-        features = path_features(make_star_graph("A", "BB"), max_length=1)
-        info = features[("A", "B")]
-        assert info.count == 2
-        assert info.vertices == {0, 1, 2}
+        """The coverage counts, per key, the vertices its occurrences
+        cover: A the centre, B both leaves, A-B all three."""
+        graph = make_star_graph("A", "BB")
+        assert path_features(graph, max_length=1)[("A", "B")] == 2
+        assert path_coverage(graph, 1) == 1 + 2 + 3
 
     def test_clique_feature_counts(self):
         features = path_features(make_clique("AAA"), max_length=1)
-        assert features[("A",)].count == 3
-        assert features[("A", "A")].count == 3
+        assert features[("A",)] == 3
+        assert features[("A", "A")] == 3
 
     @settings(max_examples=25, deadline=None)
     @given(labeled_graphs(max_vertices=6))
     def test_feature_counts_match_enumeration(self, graph):
         features = path_features(graph, max_length=2)
-        total = sum(info.count for info in features.values())
-        assert total == count_paths(graph, 2)
+        assert sum(features.values()) == count_paths(graph, 2)
 
     @settings(max_examples=25, deadline=None)
     @given(labeled_graphs(max_vertices=6))
     def test_locations_are_subsets_of_vertices(self, graph):
-        for info in path_features(graph, max_length=2).values():
-            assert info.vertices <= set(graph.vertices())
+        """Each key covers at least one and at most all of the graph's
+        vertices, and the kernel's count is the oracle's."""
+        keys = len(path_features(graph, max_length=2))
+        covered = path_coverage(graph, 2)
+        assert covered == kernel_oracle.coverage(graph, 2)
+        assert keys <= covered <= keys * graph.num_vertices

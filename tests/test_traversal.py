@@ -1,25 +1,16 @@
-"""Unit tests for BFS/DFS traversal, components and distances."""
+"""Unit tests for BFS order and connectivity, and for the test tree's
+``connected_components`` (``kernel_oracle``)."""
 
 from __future__ import annotations
 
+import networkx as nx
 import pytest
 from hypothesis import given
 
-from repro.graphs import (
-    GraphError,
-    LabeledGraph,
-    bfs_distances,
-    bfs_edges,
-    bfs_order,
-    connected_components,
-    dfs_order,
-    is_connected,
-    largest_connected_component,
-    shortest_path_length,
-    vertices_within_distance,
-)
+from repro.graphs import GraphError, LabeledGraph, bfs_order, is_connected
 
 from .conftest import labeled_graphs, make_cycle_graph, make_path_graph
+from .kernel_oracle import connected_components
 
 
 def two_component_graph() -> LabeledGraph:
@@ -41,37 +32,14 @@ class TestBFS:
         with pytest.raises(GraphError):
             list(bfs_order(graph, 99))
 
-    def test_bfs_edges_form_spanning_tree(self):
-        graph = make_cycle_graph("ABCD")
-        edges = list(bfs_edges(graph, 0))
-        assert len(edges) == 3  # |V| - 1 tree edges
-
-    def test_bfs_distances(self):
-        graph = make_path_graph("ABCDE")
-        distances = bfs_distances(graph, 0)
-        assert distances == {0: 0, 1: 1, 2: 2, 3: 3, 4: 4}
-
-    def test_bfs_distances_ignore_other_component(self):
-        graph = two_component_graph()
-        distances = bfs_distances(graph, 0)
-        assert 10 not in distances
-
     @given(labeled_graphs(max_vertices=7))
     def test_bfs_visits_whole_component(self, graph):
         source = next(graph.vertices())
         visited = set(bfs_order(graph, source))
-        assert visited == set(bfs_distances(graph, source))
-
-
-class TestDFS:
-    def test_dfs_covers_component(self):
-        graph = make_cycle_graph("ABCD")
-        assert set(dfs_order(graph, 0)) == {0, 1, 2, 3}
-
-    def test_dfs_unknown_source(self):
-        graph = make_path_graph("AB")
-        with pytest.raises(GraphError):
-            list(dfs_order(graph, 7))
+        other = nx.Graph()
+        other.add_nodes_from(graph.vertices())
+        other.add_edges_from(graph.edges())
+        assert visited == nx.node_connected_component(other, source)
 
 
 class TestComponents:
@@ -91,12 +59,6 @@ class TestComponents:
         assert not is_connected(two_component_graph())
         assert is_connected(LabeledGraph())
 
-    def test_largest_connected_component(self):
-        graph = two_component_graph()
-        largest = largest_connected_component(graph)
-        assert largest.num_vertices == 3
-        assert set(largest.vertices()) == {0, 1, 2}
-
     @given(labeled_graphs(max_vertices=7, connected=False))
     def test_components_partition_vertices(self, graph):
         components = connected_components(graph)
@@ -107,38 +69,3 @@ class TestComponents:
             total += len(component)
         assert union == set(graph.vertices())
         assert total == graph.num_vertices
-
-
-class TestDistances:
-    def test_shortest_path_length(self):
-        graph = make_cycle_graph("ABCDEF")
-        assert shortest_path_length(graph, 0, 3) == 3
-        assert shortest_path_length(graph, 0, 5) == 1
-
-    def test_shortest_path_disconnected(self):
-        graph = two_component_graph()
-        assert shortest_path_length(graph, 0, 10) is None
-
-    def test_shortest_path_unknown_target(self):
-        graph = make_path_graph("AB")
-        with pytest.raises(GraphError):
-            shortest_path_length(graph, 0, 77)
-
-    def test_vertices_within_distance(self):
-        graph = make_path_graph("ABCDE")
-        assert vertices_within_distance(graph, [0], 2) == {0, 1, 2}
-        assert vertices_within_distance(graph, [0, 4], 1) == {0, 1, 3, 4}
-
-    def test_vertices_within_distance_zero(self):
-        graph = make_path_graph("ABC")
-        assert vertices_within_distance(graph, [1], 0) == {1}
-
-    def test_vertices_within_negative_radius(self):
-        graph = make_path_graph("AB")
-        with pytest.raises(ValueError):
-            vertices_within_distance(graph, [0], -1)
-
-    def test_vertices_within_distance_unknown_source(self):
-        graph = make_path_graph("AB")
-        with pytest.raises(GraphError):
-            vertices_within_distance(graph, [9], 1)

@@ -266,7 +266,7 @@ class TestGrapesCompiledPath:
             got = fast.query(query)
             features = fast.extract_query_features(query)
             candidates = fast.filter_candidates(query, features)
-            answers, tests = kernel_oracle.grapes_region_verify(fast, query, candidates, features)
+            answers, tests = kernel_oracle.grapes_region_verify(fast, query, candidates)
             assert set(got.answers) == answers
             assert set(got.candidates) == set(candidates)
             assert got.num_isomorphism_tests == tests
