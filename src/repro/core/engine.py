@@ -292,9 +292,7 @@ class IGQ:
             from ..persist.engine_state import adopt_answers
 
             adopt_answers(self)
-        self._target_sizes = [
-            database.get(graph_id).num_vertices for graph_id in space.to_ids(space.full_mask)
-        ]
+        self._target_sizes = [database.get(graph_id).num_vertices for graph_id in space.ids]
         self._cost_vectors = {}
         self._plans.clear()
 

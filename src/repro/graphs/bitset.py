@@ -108,6 +108,11 @@ class GraphIdSpace:
             self._fingerprint = hashlib.blake2b(data, digest_size=16).hexdigest()
         return self._fingerprint
 
+    @property
+    def ids(self) -> tuple:
+        """The graph ids in bit-position order."""
+        return self._ids
+
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return len(self._ids)

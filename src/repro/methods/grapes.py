@@ -26,6 +26,7 @@ from itertools import compress
 from ..features.extractor import FeatureExtractor, GraphFeatures
 from ..features.paths import path_coverage
 from ..graphs.bitset import CandidateBitmap
+from ..graphs.database import GraphDatabase
 from ..graphs.graph import LabeledGraph
 from ..graphs.traversal import is_connected
 from ..isomorphism.compiled import CompiledQuery
@@ -65,20 +66,32 @@ class GrapesMethod(SubgraphQueryMethod):
         self.num_workers = num_workers
         if num_workers > 1:
             self.name = f"grapes{num_workers}"
+        #: bytes of the location lists, sized on the first
+        #: :meth:`index_size_bytes` after a build (``None`` until then)
+        self._location_bytes: int | None = None
+
+    def build_index(self, database: GraphDatabase) -> None:
+        """Index every graph of ``database``; the location lists are sized
+        again on the next :meth:`index_size_bytes`."""
+        self._location_bytes = None
+        super().build_index(database)
 
     # ------------------------------------------------------------------
     def index_size_bytes(self) -> int:
-        """The threshold index plus the location lists Grapes would store,
-        sized on call: per graph ``LIST_HEADER_BYTES * features +
-        VERTEX_ID_BYTES * covered``, where ``features`` is the number of
-        its distinct features and ``covered`` its :func:`path_coverage`
-        (the vertices each path key's occurrences cover, summed over the
-        keys)."""
-        return self.feature_index.size_bytes() + sum(
-            self.LIST_HEADER_BYTES * len(self._graph_features[graph_id].counts)
-            + self.VERTEX_ID_BYTES * path_coverage(graph, self.max_path_length)
-            for graph_id, graph in self.database.items()
-        )
+        """The threshold index plus the location lists Grapes would store:
+        per graph ``LIST_HEADER_BYTES * features + VERTEX_ID_BYTES *
+        covered``, where ``features`` is the number of its distinct
+        features and ``covered`` its :func:`path_coverage` (the vertices
+        each path key's occurrences cover, summed over the keys).  The
+        lists' bytes are computed on the first call after a build, not at
+        build time (a build that is never sized pays nothing), and kept."""
+        if self._location_bytes is None:
+            self._location_bytes = sum(
+                self.LIST_HEADER_BYTES * len(self._graph_features[graph_id].counts)
+                + self.VERTEX_ID_BYTES * path_coverage(graph, self.max_path_length)
+                for graph_id, graph in self.database.items()
+            )
+        return self.feature_index.size_bytes() + self._location_bytes
 
     # ------------------------------------------------------------------
     def filter_candidates(

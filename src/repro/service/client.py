@@ -1,7 +1,8 @@
 """Synchronous client for the network front door (:mod:`repro.service.server`).
 
 :func:`connect` opens one TCP connection speaking the versioned NDJSON
-protocol and returns a :class:`ServiceClient`:
+protocol, reads the dataset's id space from the server (the ``hello``
+handshake, once per connection) and returns a :class:`ServiceClient`:
 
 * :meth:`~ServiceClient.submit` sends a query and returns a
   :class:`concurrent.futures.Future` — many queries can be in flight on one
@@ -11,9 +12,11 @@ protocol and returns a :class:`ServiceClient`:
 * :meth:`~ServiceClient.query` is the blocking convenience form, returning
   an :class:`~repro.core.engine.IGQQueryResult` whose answers and scalar
   counters equal the embedded service's (the engine behind the socket is
-  the same code path); the candidate-level sets (``candidates``,
-  ``guaranteed_answers``, ``pruned_candidates``) are not sent and stay
-  empty;
+  the same code path); its answers are a
+  :class:`~repro.graphs.bitset.CandidateBitmap` over the connection's id
+  space, as an embedded result's are; the candidate-level sets
+  (``candidates``, ``guaranteed_answers``, ``pruned_candidates``) are not
+  sent and stay empty;
 * typed server errors are raised as their local exception types
   (``timeout`` → :class:`~repro.service.service.QueryTimeout`,
   ``overloaded`` → :class:`~repro.service.scheduler.AdmissionError`,
@@ -30,6 +33,7 @@ from concurrent.futures import Future
 
 from ..core.config import ConfigError
 from ..core.engine import IGQQueryResult
+from ..graphs.bitset import GraphIdSpace
 from ..graphs.graph import LabeledGraph
 from . import protocol
 from .scheduler import AdmissionError
@@ -74,24 +78,60 @@ class ServiceClient:
         self._reader = self._sock.makefile("rb")
         self._write_lock = threading.Lock()
         self._pending_lock = threading.Lock()
-        self._pending: dict[int, Future] = {}
+        #: request id -> (future, decoder of its result payload or None)
+        self._pending: dict[int, tuple] = {}
         self._request_ids = itertools.count(1)
         self._closed = False
+        try:
+            #: the dataset's id space, read once by the ``hello`` handshake
+            self.id_space = self._hello()
+        except BaseException:
+            self._reader.close()
+            self._sock.close()
+            raise
         self._reader_thread = threading.Thread(
             target=self._read_responses, name="graph-query-client", daemon=True
         )
         self._reader_thread.start()
 
+    def _hello(self) -> GraphIdSpace:
+        """Send ``hello`` and read its reply before any other traffic (the
+        reader thread is not running yet).  A refusal raises
+        :class:`~repro.service.protocol.ProtocolError` whatever its code."""
+        request_id = next(self._request_ids)
+        envelope = protocol.encode_request(
+            "hello", request_id=request_id, tenant=self.tenant
+        )
+        self._sock.sendall(protocol.encode_frame(envelope))
+        line = self._reader.readline()
+        if not line:
+            raise ConnectionError("the server closed the connection during hello")
+        response = protocol.decode_response(protocol.decode_frame(line))
+        if response.error is not None:
+            raise protocol.ProtocolError(
+                f"hello was refused: {response.error['message']}",
+                code=response.error["code"], field=response.error.get("field"),
+            )
+        if response.request_id != request_id:
+            raise protocol.ProtocolError(
+                f"response.id={response.request_id!r} is not valid; expected "
+                f"the hello's id {request_id}",
+                code="invalid_response", field="response.id",
+            )
+        return protocol.id_space_from_dict(response.result)
+
     # ------------------------------------------------------------------
     # Requests
     # ------------------------------------------------------------------
-    def _send(self, op: str, payload: dict | None = None) -> Future:
+    def _send(self, op: str, payload: dict | None = None, decode=None) -> Future:
+        """Send one request; its future resolves to the response's result
+        payload, passed through ``decode`` on the reader thread if given."""
         if self._closed:
             raise ServiceClosed("the client is closed")
         request_id = next(self._request_ids)
         future: Future = Future()
         with self._pending_lock:
-            self._pending[request_id] = future
+            self._pending[request_id] = (future, decode)
         envelope = protocol.encode_request(
             op, request_id=request_id, tenant=self.tenant, payload=payload
         )
@@ -127,21 +167,10 @@ class ServiceClient:
             payload["mode"] = mode
         if timeout is not None:
             payload["timeout"] = timeout
-        raw = self._send("query", payload)
-        future: Future = Future()
+        return self._send("query", payload, self._decode_result)
 
-        def decode(done_future) -> None:
-            if not future.set_running_or_notify_cancel():
-                return
-            try:
-                future.set_result(
-                    protocol.result_from_dict(done_future.result())
-                )
-            except BaseException as exc:  # noqa: BLE001 - relayed to the caller
-                future.set_exception(exc)
-
-        raw.add_done_callback(decode)
-        return future
+    def _decode_result(self, payload: dict) -> IGQQueryResult:
+        return protocol.result_from_dict(payload, self.id_space)
 
     def query(
         self,
@@ -180,18 +209,26 @@ class ServiceClient:
             # future fails when the connection dies, if it ever existed).
             return
         with self._pending_lock:
-            future = self._pending.pop(response.request_id, None)
-        if future is None:
+            entry = self._pending.pop(response.request_id, None)
+        if entry is None:
             return
+        future, decode = entry
+        if not future.set_running_or_notify_cancel():
+            return  # cancelled by its caller
         if response.error is not None:
             future.set_exception(_exception_for(response.error))
+            return
+        try:
+            result = response.result if decode is None else decode(response.result)
+        except Exception as exc:  # noqa: BLE001 - relayed to the caller
+            future.set_exception(exc)
         else:
-            future.set_result(response.result)
+            future.set_result(result)
 
     def _fail_pending(self, exc: BaseException) -> None:
         with self._pending_lock:
             pending, self._pending = dict(self._pending), {}
-        for future in pending.values():
+        for future, _ in pending.values():
             try:
                 future.set_exception(exc)
             except Exception:  # noqa: BLE001 - already resolved

@@ -5,20 +5,27 @@ client (:mod:`repro.service.client`) exchange is defined here, so the wire
 format has exactly one source of truth:
 
 * **Graphs** — :func:`graph_to_dict` / :func:`graph_from_dict` serialise a
-  :class:`~repro.graphs.graph.LabeledGraph` losslessly (vertex order,
-  labels, optional edge labels); the round-trip preserves structural
-  equality *and* vertex iteration order, which downstream planning relies
-  on for determinism.
+  :class:`~repro.graphs.graph.LabeledGraph` as position arrays (vertex ids
+  and labels in order, edges as a flat list of vertex-position pairs,
+  optional edge labels); the round-trip preserves structural equality
+  *and* vertex and adjacency order, which downstream planning relies on
+  for determinism.
+* **The id space** — a ``hello`` request, sent once per connection,
+  returns :func:`id_space_to_dict`: the dataset's graph ids in the bit
+  positions of the engine's :class:`~repro.graphs.bitset.GraphIdSpace`,
+  and its fingerprint.  :func:`id_space_from_dict` rebuilds that space on
+  the client, and every answer mask of the connection is read over it.
 * **Envelopes** — every request and response carries
   :data:`PROTOCOL_VERSION`; :func:`decode_request` /
   :func:`decode_response` reject any other version with a typed
   :class:`ProtocolError` instead of mis-parsing a future format.
 * **Results** — :func:`result_to_dict` / :func:`result_from_dict` carry
-  what the byte-identity gates compare: the answers and the scalar iGQ
-  counters of an :class:`~repro.core.engine.IGQQueryResult`.  Since
-  version 2 the candidate-level sets (``candidates``,
-  ``guaranteed_answers``, ``pruned_candidates``) are not sent; they stay
-  on the embedded result, and the service-wide totals are in ``stats``.
+  what the byte-identity gates compare: the answers, as the lowercase hex
+  of their mask over the id space, and the scalar iGQ counters of an
+  :class:`~repro.core.engine.IGQQueryResult`.  The candidate-level sets
+  (``candidates``, ``guaranteed_answers``, ``pruned_candidates``) are not
+  sent; they stay on the embedded result, and the service-wide totals
+  are in ``stats``.
 * **Errors** — :func:`error_to_dict` maps service exceptions onto typed
   payloads ``{"code", "message", "field"}``, reusing the
   :class:`~repro.core.config.ConfigError` convention of naming the
@@ -31,12 +38,14 @@ UTF-8): :func:`encode_frame` / :func:`decode_frame`.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Any
 
 from ..core.config import ConfigError
 from ..core.engine import IGQQueryResult
-from ..graphs.bitset import CandidateBitmap
+from ..graphs.bitset import CandidateBitmap, GraphIdSpace
 from ..graphs.graph import LabeledGraph
 
 __all__ = [
@@ -46,6 +55,8 @@ __all__ = [
     "Response",
     "graph_to_dict",
     "graph_from_dict",
+    "id_space_to_dict",
+    "id_space_from_dict",
     "result_to_dict",
     "result_from_dict",
     "encode_request",
@@ -58,10 +69,10 @@ __all__ = [
 ]
 
 #: wire protocol version; bumped on any incompatible change to the schema
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 #: operations a request may carry
-OPS = ("ping", "query", "stats")
+OPS = ("hello", "ping", "query", "stats")
 
 
 class ProtocolError(ValueError):
@@ -83,18 +94,39 @@ class ProtocolError(ValueError):
 # ----------------------------------------------------------------------
 # Graphs
 # ----------------------------------------------------------------------
+_GRAPH_KEYS = frozenset({"name", "ids", "labels", "edges", "edge_labels"})
+
+
 def graph_to_dict(graph: LabeledGraph) -> dict:
     """Serialise a labeled graph to its wire form.
 
-    Vertices are emitted in iteration order as ``[id, label]`` pairs and
-    edges as ``[u, v, label]`` triples (``label`` is ``null`` for the
-    unlabeled edges the paper's datasets use).  Ids and labels must be
-    JSON-representable (ints and strings in every shipped dataset).
+    ``ids`` and ``labels`` list the vertices and their labels in iteration
+    order.  ``edges`` is one flat list of vertex-position pairs ``p, q``
+    with ``p < q``, in the order :meth:`LabeledGraph.edges` reports the
+    edges, read off the adjacency without building that iterator's
+    per-edge sets.  ``edge_labels`` lists the edges' labels in the same
+    order, or is ``null`` when no edge has one (the paper's datasets).
+    Ids and labels must be JSON-representable (ints and strings in every
+    shipped dataset).
     """
+    labels = graph._labels
+    position = {vertex: index for index, vertex in enumerate(labels)}
+    edges: list[int] = []
+    edge_labels: list = []
+    for p, neighbours in enumerate(graph._adjacency.values()):
+        for neighbour, label in neighbours.items():
+            q = position[neighbour]
+            if p < q:
+                edges += (p, q)
+                edge_labels.append(label)
     return {
         "name": graph.name,
-        "vertices": [[vertex, graph.label(vertex)] for vertex in graph.vertices()],
-        "edges": [[u, v, graph.edge_label(u, v)] for u, v in graph.edges()],
+        "ids": list(labels),
+        "labels": list(labels.values()),
+        "edges": edges,
+        "edge_labels": (
+            edge_labels if any(label is not None for label in edge_labels) else None
+        ),
     }
 
 
@@ -102,18 +134,53 @@ def _invalid_graph(message: str, field: str) -> ProtocolError:
     return ProtocolError(message, code="invalid_graph", field=field)
 
 
+def _first_unhashable(values: list) -> int:
+    for index, value in enumerate(values):
+        try:
+            hash(value)
+        except TypeError:
+            return index
+    raise AssertionError("every value is hashable")
+
+
+def _edge_defect(edges: list, field: str) -> ProtocolError:
+    """The error naming the first edge that is a loop or a repeat."""
+    seen: set = set()
+    for index in range(0, len(edges), 2):
+        p, q = edges[index], edges[index + 1]
+        pair = (p, q) if p < q else (q, p)
+        if p == q or pair in seen:
+            return _invalid_graph(
+                f"{field}.edges[{index}:{index + 2}]=[{p}, {q}] is not valid; "
+                "an edge must join two distinct vertices and appear once",
+                f"{field}.edges[{index}]",
+            )
+        seen.add(pair)
+    raise AssertionError("no edge is a loop or a repeat")
+
+
 def graph_from_dict(data: Any, *, field: str = "graph") -> LabeledGraph:
     """Rebuild a :func:`graph_to_dict` payload into a :class:`LabeledGraph`.
 
-    The reconstruction preserves vertex insertion order, so a round-tripped
-    graph is structurally equal to the original *and* plans identically.
-    Malformed payloads raise :class:`ProtocolError` naming the offending
-    field; the message is only formatted once a check has failed, so a
-    valid graph pays for no ``repr`` of its vertices and edges.
+    The graph is built from its state (:meth:`LabeledGraph.from_state`):
+    its vertex order is ``ids`` and every adjacency lists the neighbours
+    in the order of ``edges``, which is the order a graph rebuilt edge by
+    edge has, so a round-tripped graph is structurally equal to the
+    original *and* plans identically.  Malformed payloads raise
+    :class:`ProtocolError` naming the offending field; the checks run
+    over whole lists, and an error's message is only formatted once one
+    has failed, so a valid graph pays for no ``repr`` of its parts.
     """
     if not isinstance(data, dict):
         raise _invalid_graph(
             f"{field}={data!r} is not valid; expected a graph object", field
+        )
+    unknown = data.keys() - _GRAPH_KEYS
+    if unknown:
+        raise _invalid_graph(
+            f"{field} has unknown key(s) {sorted(unknown, key=repr)}; valid keys "
+            f"are {sorted(_GRAPH_KEYS)}",
+            field,
         )
     name = data.get("name")
     if not (name is None or isinstance(name, str)):
@@ -121,85 +188,164 @@ def graph_from_dict(data: Any, *, field: str = "graph") -> LabeledGraph:
             f"{field}.name={name!r} is not valid; expected a string or null",
             f"{field}.name",
         )
-    vertices = data.get("vertices")
-    if not isinstance(vertices, list):
+    ids = data.get("ids")
+    if not isinstance(ids, list):
         raise _invalid_graph(
-            f"{field}.vertices is not valid; expected a list of [id, label] pairs",
-            f"{field}.vertices",
+            f"{field}.ids is not valid; expected a list of vertex ids", f"{field}.ids"
+        )
+    labels = data.get("labels")
+    if not (isinstance(labels, list) and len(labels) == len(ids)):
+        raise _invalid_graph(
+            f"{field}.labels is not valid; expected a list of one label per "
+            f"vertex id ({len(ids)})",
+            f"{field}.labels",
         )
     edges = data.get("edges")
-    if not isinstance(edges, list):
+    if not (isinstance(edges, list) and len(edges) % 2 == 0):
         raise _invalid_graph(
-            f"{field}.edges is not valid; expected a list of [u, v, label] triples",
+            f"{field}.edges is not valid; expected a flat list of "
+            "vertex-position pairs",
             f"{field}.edges",
         )
-    unknown = sorted(set(data) - {"name", "vertices", "edges"})
-    if unknown:
+    edge_labels = data.get("edge_labels")
+    if not (edge_labels is None or (
+        isinstance(edge_labels, list) and 2 * len(edge_labels) == len(edges)
+    )):
         raise _invalid_graph(
-            f"{field} has unknown key(s) {unknown}; valid keys are "
-            "['edges', 'name', 'vertices']",
-            field,
+            f"{field}.edge_labels is not valid; expected null or one label per "
+            f"edge ({len(edges) // 2})",
+            f"{field}.edge_labels",
         )
-    graph = LabeledGraph(name=name)
-    for index, pair in enumerate(vertices):
-        if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
-            raise _invalid_graph(
-                f"{field}.vertices[{index}]={pair!r} is not valid; expected "
-                "an [id, label] pair",
-                f"{field}.vertices[{index}]",
-            )
-        vertex, label = pair
-        if graph.has_vertex(vertex):
-            raise _invalid_graph(
-                f"{field}.vertices[{index}] repeats vertex id {vertex!r}",
-                f"{field}.vertices[{index}]",
-            )
-        graph.add_vertex(vertex, label)
-    for index, triple in enumerate(edges):
-        if not (isinstance(triple, (list, tuple)) and len(triple) in (2, 3)):
-            raise _invalid_graph(
-                f"{field}.edges[{index}]={triple!r} is not valid; expected "
-                "a [u, v, label] triple",
-                f"{field}.edges[{index}]",
-            )
-        u, v = triple[0], triple[1]
-        label = triple[2] if len(triple) == 3 else None
-        if not (graph.has_vertex(u) and graph.has_vertex(v) and u != v
-                and not graph.has_edge(u, v)):
-            raise _invalid_graph(
-                f"{field}.edges[{index}]=[{u!r}, {v!r}] is not valid; edges "
-                "must connect two distinct declared vertices exactly once",
-                f"{field}.edges[{index}]",
-            )
-        graph.add_edge(u, v, label)
-    return graph
+    try:
+        label_of = dict(zip(ids, labels))
+    except TypeError:
+        index = _first_unhashable(ids)
+        raise _invalid_graph(
+            f"{field}.ids[{index}]={ids[index]!r} is not valid; a vertex id "
+            "must be hashable",
+            f"{field}.ids[{index}]",
+        ) from None
+    count = len(ids)
+    if len(label_of) != count:
+        seen: set = set()
+        for index, vertex in enumerate(ids):
+            if vertex in seen:
+                break
+            seen.add(vertex)
+        raise _invalid_graph(
+            f"{field}.ids[{index}] repeats vertex id {ids[index]!r}",
+            f"{field}.ids[{index}]",
+        )
+    if edges and not (
+        set(map(type, edges)) <= {int} and min(edges) >= 0 and max(edges) < count
+    ):
+        index = next(
+            i for i, end in enumerate(edges) if not (type(end) is int and 0 <= end < count)
+        )
+        raise _invalid_graph(
+            f"{field}.edges[{index}]={edges[index]!r} is not valid; expected a "
+            f"vertex position in [0, {count})",
+            f"{field}.edges[{index}]",
+        )
+    adjacency: dict = {vertex: {} for vertex in ids}
+    ends = iter(edges)
+    for (p, q), label in zip(zip(ends, ends), edge_labels or repeat(None)):
+        u, v = ids[p], ids[q]
+        adjacency[u][v] = label
+        adjacency[v][u] = label
+    num_edges = len(edges) // 2
+    # a loop adds one adjacency item instead of two, a repeat none
+    if sum(map(len, adjacency.values())) != 2 * num_edges:
+        raise _edge_defect(edges, field)
+    try:
+        return LabeledGraph.from_state((name, label_of, adjacency, num_edges))
+    except TypeError:
+        index = _first_unhashable(labels)
+        raise _invalid_graph(
+            f"{field}.labels[{index}]={labels[index]!r} is not valid; a label "
+            "must be hashable",
+            f"{field}.labels[{index}]",
+        ) from None
+
+
+# ----------------------------------------------------------------------
+# The id space
+# ----------------------------------------------------------------------
+def id_space_to_dict(space: GraphIdSpace) -> dict:
+    """The ``hello`` reply: the dataset's graph ids in bit-position order
+    and the space's fingerprint."""
+    return {"id_space": space.fingerprint(), "ids": list(space.ids)}
+
+
+def id_space_from_dict(data: Any, *, field: str = "hello") -> GraphIdSpace:
+    """Rebuild the :class:`GraphIdSpace` a ``hello`` reply describes.
+
+    The rebuilt space must reproduce the fingerprint the server sent: ids
+    that JSON does not carry unchanged (tuples, say) are refused here
+    instead of giving answer masks another meaning.
+    """
+    if not (isinstance(data, dict) and data.keys() == {"id_space", "ids"}):
+        raise ProtocolError(
+            f"{field}={data!r} is not valid; expected {{'id_space', 'ids'}}",
+            code="invalid_response", field=field,
+        )
+    ids = data["ids"]
+    try:
+        if not isinstance(ids, list):
+            raise TypeError
+        space = GraphIdSpace(ids)
+    except (TypeError, ValueError):
+        raise ProtocolError(
+            f"{field}.ids is not valid; expected a list of unique graph ids",
+            code="invalid_response", field=f"{field}.ids",
+        ) from None
+    if space.fingerprint() != data["id_space"]:
+        raise ProtocolError(
+            f"{field}.id_space={data['id_space']!r} does not match its ids "
+            f"(they give {space.fingerprint()!r})",
+            code="invalid_response", field=f"{field}.id_space",
+        )
+    return space
 
 
 # ----------------------------------------------------------------------
 # Results
 # ----------------------------------------------------------------------
-def _wire_ids(values) -> list:
-    """Deterministic JSON ordering for a set of dataset-graph ids.
-
-    An engine result's :class:`~repro.graphs.bitset.CandidateBitmap` lists
-    its ids in :class:`~repro.graphs.bitset.GraphIdSpace` position order,
-    which is already deterministic; any other set is sorted by ``repr``.
-    """
-    if isinstance(values, CandidateBitmap):
-        return values.space.to_ids(values.mask)
-    return sorted(values, key=repr)
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
-def result_to_dict(result) -> dict:
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+#: a result's scalar counters: the check each value passes, and its type
+_COUNTERS = {
+    "num_isomorphism_tests": (_is_int, "an integer"),
+    "num_sub_hits": (_is_int, "an integer"),
+    "num_super_hits": (_is_int, "an integer"),
+    "exact_hit": (lambda value: isinstance(value, bool), "a boolean"),
+    "verification_skipped": (lambda value: isinstance(value, bool), "a boolean"),
+    "filter_seconds": (_is_number, "a number"),
+    "igq_seconds": (_is_number, "a number"),
+    "verify_seconds": (_is_number, "a number"),
+}
+_RESULT_KEYS = frozenset(("query_name", "answers", *_COUNTERS))
+_HEX = re.compile("[0-9a-f]+")
+
+
+def result_to_dict(result, space: GraphIdSpace) -> dict:
     """Serialise a query result (plain or iGQ-enriched) to its wire form.
 
-    The wire carries the answers and the scalar §4 counters only; the
-    candidate-level sets (``candidates``, ``guaranteed_answers``,
-    ``pruned_candidates``) stay with embedded callers.
+    ``answers`` is the lowercase hex of the answer mask over ``space``
+    (the engine's result already holds that mask).  The wire carries the
+    answers and the scalar §4 counters only; the candidate-level sets
+    (``candidates``, ``guaranteed_answers``, ``pruned_candidates``) stay
+    with embedded callers.
     """
     return {
         "query_name": result.query_name,
-        "answers": _wire_ids(result.answers),
+        "answers": format(space.mask_of(result.answers), "x"),
         "num_isomorphism_tests": result.num_isomorphism_tests,
         "num_sub_hits": getattr(result, "num_sub_hits", 0),
         "num_super_hits": getattr(result, "num_super_hits", 0),
@@ -211,47 +357,63 @@ def result_to_dict(result) -> dict:
     }
 
 
-_RESULT_KEYS = {
-    "query_name", "answers", "num_isomorphism_tests", "num_sub_hits",
-    "num_super_hits", "exact_hit", "verification_skipped",
-    "filter_seconds", "igq_seconds", "verify_seconds",
-}
+def _invalid_result(message: str, field: str) -> ProtocolError:
+    return ProtocolError(message, code="invalid_result", field=field)
 
 
-def result_from_dict(data: Any, *, field: str = "result") -> IGQQueryResult:
+def result_from_dict(data: Any, space: GraphIdSpace, *,
+                     field: str = "result") -> IGQQueryResult:
     """Rebuild a :func:`result_to_dict` payload into an :class:`IGQQueryResult`.
 
-    The answers and counters are restored; the candidate-level sets keep
-    their empty defaults.
+    The answers become a :class:`CandidateBitmap` over ``space`` (the
+    connection's id space), the type an embedded result's answers have;
+    the counters are restored and the candidate-level sets keep their
+    empty defaults.
     """
     if not isinstance(data, dict):
-        raise ProtocolError(
-            f"{field}={data!r} is not valid; expected a result object",
-            code="invalid_result", field=field,
+        raise _invalid_result(
+            f"{field}={data!r} is not valid; expected a result object", field
         )
-    unknown = sorted(set(data) - _RESULT_KEYS)
-    if unknown:
-        raise ProtocolError(
-            f"{field} has unknown key(s) {unknown}",
-            code="invalid_result", field=field,
+    if data.keys() != _RESULT_KEYS:
+        unknown = data.keys() - _RESULT_KEYS
+        if unknown:
+            raise _invalid_result(
+                f"{field} has unknown key(s) {sorted(unknown, key=repr)}", field
+            )
+        raise _invalid_result(
+            f"{field} lacks key(s) {sorted(_RESULT_KEYS - data.keys())}", field
         )
-    try:
-        return IGQQueryResult(
-            query_name=data.get("query_name"),
-            answers=set(data.get("answers", ())),
-            num_isomorphism_tests=int(data.get("num_isomorphism_tests", 0)),
-            num_sub_hits=int(data.get("num_sub_hits", 0)),
-            num_super_hits=int(data.get("num_super_hits", 0)),
-            exact_hit=bool(data.get("exact_hit", False)),
-            verification_skipped=bool(data.get("verification_skipped", False)),
-            filter_seconds=float(data.get("filter_seconds", 0.0)),
-            igq_seconds=float(data.get("igq_seconds", 0.0)),
-            verify_seconds=float(data.get("verify_seconds", 0.0)),
+    name = data["query_name"]
+    if not (name is None or isinstance(name, str)):
+        raise _invalid_result(
+            f"{field}.query_name={name!r} is not valid; expected a string or null",
+            f"{field}.query_name",
         )
-    except (TypeError, ValueError) as exc:
-        raise ProtocolError(
-            f"{field} is not valid: {exc}", code="invalid_result", field=field
-        ) from None
+    answers = data["answers"]
+    if not (isinstance(answers, str) and _HEX.fullmatch(answers)):
+        raise _invalid_result(
+            f"{field}.answers={answers!r} is not valid; expected the lowercase "
+            "hex of an answer mask",
+            f"{field}.answers",
+        )
+    mask = int(answers, 16)
+    if mask.bit_length() > len(space):
+        raise _invalid_result(
+            f"{field}.answers sets bit {mask.bit_length() - 1}, past the "
+            f"{len(space)} graphs of the connection's id space",
+            f"{field}.answers",
+        )
+    for key, (valid, expected) in _COUNTERS.items():
+        if not valid(data[key]):
+            raise _invalid_result(
+                f"{field}.{key}={data[key]!r} is not valid; expected {expected}",
+                f"{field}.{key}",
+            )
+    return IGQQueryResult(
+        query_name=name,
+        answers=CandidateBitmap(space, mask),
+        **{key: data[key] for key in _COUNTERS},
+    )
 
 
 # ----------------------------------------------------------------------
@@ -301,10 +463,6 @@ def _check_version(data: dict, field: str) -> None:
             f"endpoint speaks version {PROTOCOL_VERSION}",
             code="unsupported_version", field=f"{field}.protocol_version",
         )
-
-
-def _is_int(value: Any) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def decode_request(data: Any) -> Request:
@@ -419,9 +577,14 @@ def error_to_dict(exc: BaseException) -> dict:
 # ----------------------------------------------------------------------
 # Framing
 # ----------------------------------------------------------------------
+#: compact JSON; built once (``json.dumps`` builds an encoder per call
+#: when given ``separators``)
+_encode_json = json.JSONEncoder(separators=(",", ":")).encode
+
+
 def encode_frame(envelope: dict) -> bytes:
     """One compact JSON document plus the newline terminator (UTF-8)."""
-    return json.dumps(envelope, separators=(",", ":")).encode("utf-8") + b"\n"
+    return _encode_json(envelope).encode("utf-8") + b"\n"
 
 
 def decode_frame(line: bytes) -> Any:

@@ -14,7 +14,9 @@ bridges it onto an open :class:`~repro.service.service.GraphQueryService`:
 * responses are written **as results complete**, matched to requests by
   envelope ``id``, so one connection can keep many queries in flight and a
   slow query never blocks the reply to a fast one;
-* a query's response carries its answers and scalar counters only
+* a ``hello`` request returns the dataset's id space (its graph ids in
+  bit-position order); a query's response carries its answers, as a hex
+  mask over that space, and its scalar counters only
   (:func:`~repro.service.protocol.result_to_dict`); it is encoded in the
   future's done-callback, normally on the loop thread itself, so every
   byte of it costs serial engine time.
@@ -202,7 +204,12 @@ class ServiceServer:
                 if isinstance(raw_id, int) and not isinstance(raw_id, bool):
                     request_id = raw_id
             request = protocol.decode_request(envelope)
-            if request.op == "ping":
+            if request.op == "hello":
+                self._respond(
+                    connection, request.request_id,
+                    protocol.id_space_to_dict(self.service.engine.method.id_space),
+                )
+            elif request.op == "ping":
                 self._respond(connection, request.request_id, {"pong": True})
             elif request.op == "stats":
                 report = self.service.stats().as_dict()
@@ -253,6 +260,7 @@ class ServiceServer:
         connection.outstanding += 1
         loop = self._loop
         request_id = request.request_id
+        space = self.service.engine.method.id_space
 
         def deliver(done_future) -> None:
             try:
@@ -263,7 +271,7 @@ class ServiceServer:
                 )
             else:
                 envelope = protocol.encode_response(
-                    request_id, result=protocol.result_to_dict(result)
+                    request_id, result=protocol.result_to_dict(result, space)
                 )
             if threading.get_ident() == self._loop_ident:
                 # completed on the loop thread (the usual case) — no

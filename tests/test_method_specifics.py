@@ -178,6 +178,31 @@ class TestGrapes:
             expected += 8 * len(features.counts) + 4 * kernel_oracle.coverage(graph, 3)
         assert method.index_size_bytes() == expected
 
+    def test_index_size_walks_the_paths_once_per_build(self, monkeypatch):
+        """The location bytes are computed by the first call after a build
+        and kept: a second call walks no path, a rebuild walks them again."""
+        from repro.methods import grapes as grapes_module
+
+        walked: list = []
+        coverage = grapes_module.path_coverage
+
+        def counting_coverage(graph, max_length):
+            walked.append(graph.name)
+            return coverage(graph, max_length)
+
+        monkeypatch.setattr(grapes_module, "path_coverage", counting_coverage)
+        database = containment_database()
+        method = GrapesMethod(max_path_length=3)
+        method.build_index(database)
+        assert walked == []  # the build sizes nothing
+        first = method.index_size_bytes()
+        assert len(walked) == len(database)
+        assert method.index_size_bytes() == first
+        assert len(walked) == len(database)
+        method.build_index(database)
+        assert method.index_size_bytes() == first
+        assert len(walked) == 2 * len(database)
+
 
 class TestCTIndex:
     def test_bitmap_is_deterministic(self):

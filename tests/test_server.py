@@ -17,6 +17,7 @@ The contracts:
 from __future__ import annotations
 
 import json
+import re
 import socket
 import threading
 import time
@@ -24,6 +25,7 @@ import time
 import pytest
 
 from repro.core.config import ServiceConfig, TenantConfig
+from repro.graphs.bitset import CandidateBitmap
 from repro.methods import create_method
 from repro.service import (
     AdmissionError,
@@ -112,9 +114,13 @@ class TestProtocolSurface:
             },
         )
         result = response["result"]
-        assert "answers" in result and "num_isomorphism_tests" in result
+        assert re.fullmatch("[0-9a-f]+", result["answers"])
+        assert "num_isomorphism_tests" in result
         for key in ("candidates", "guaranteed_answers", "pruned_candidates"):
             assert key not in result
+        # the mask's bits are positions of the id space hello sends
+        space = endpoint.service.engine.method.id_space
+        assert int(result["answers"], 16) >> len(space) == 0
 
     def test_version_mismatch_is_a_typed_error(self, endpoint):
         response = self.raw_exchange(
@@ -122,6 +128,56 @@ class TestProtocolSurface:
         )
         assert response["error"]["code"] == "unsupported_version"
         assert "protocol_version=99" in response["error"]["message"]
+
+    @pytest.mark.parametrize("op", ["hello", "query"])
+    def test_a_version_2_peer_is_refused(self, endpoint, mixed_stream, op):  # noqa: F811
+        query, mode = mixed_stream[0]
+        payload = {"graph": graph_to_dict(query), "mode": mode} if op == "query" else {}
+        response = self.raw_exchange(
+            endpoint, {"protocol_version": 2, "id": 1, "op": op, "payload": payload}
+        )
+        assert response["error"]["code"] == "unsupported_version"
+        assert response["error"]["field"] == "request.protocol_version"
+
+    def test_hello_sends_the_id_space(self, endpoint):
+        response = self.raw_exchange(
+            endpoint, {"protocol_version": PROTOCOL_VERSION, "id": 1, "op": "hello"}
+        )
+        space = endpoint.service.engine.method.id_space
+        assert response["result"] == {
+            "id_space": space.fingerprint(), "ids": list(space.ids),
+        }
+        with connect(endpoint.host, endpoint.port) as client:
+            assert client.id_space.ids == space.ids
+            assert client.id_space.fingerprint() == space.fingerprint()
+
+    def test_wire_answers_equal_the_embedded_answers(self, endpoint, mixed_stream):  # noqa: F811
+        """A wire result's answers are a bitmap over the connection's id
+        space that equals the embedded result's answers as a set and by
+        ``repr``."""
+        service = endpoint.service
+        with connect(endpoint.host, endpoint.port) as client:
+            for query, mode in mixed_stream[:6]:
+                embedded = service.submit(query, mode).result(timeout=60)
+                wire = client.query(query, mode)
+                assert isinstance(wire.answers, CandidateBitmap)
+                assert wire.answers.space is client.id_space
+                assert wire.answers == embedded.answers
+                assert embedded.answers == wire.answers
+                assert sorted(map(repr, wire.answers)) == sorted(map(repr, embedded.answers))
+
+
+    def test_a_cancelled_submission_leaves_the_connection_working(
+        self, endpoint, mixed_stream  # noqa: F811
+    ):
+        """The caller may cancel a wire future before its response arrives:
+        the reader drops that response and keeps serving the others."""
+        query, mode = mixed_stream[0]
+        with connect(endpoint.host, endpoint.port) as client:
+            abandoned = client.submit(query, mode)
+            abandoned.cancel()
+            assert client.query(query, mode).answers == client.query(query, mode).answers
+            assert client.ping() == {"pong": True}
 
     def test_malformed_json_is_a_typed_error(self, endpoint):
         with socket.create_connection((endpoint.host, endpoint.port)) as sock:
@@ -142,11 +198,11 @@ class TestProtocolSurface:
                 "protocol_version": PROTOCOL_VERSION,
                 "id": 3,
                 "op": "query",
-                "payload": {"graph": {"vertices": "nope", "edges": []}},
+                "payload": {"graph": {"ids": "nope", "labels": [], "edges": []}},
             },
         )
         assert bad_graph["error"]["code"] == "invalid_graph"
-        assert bad_graph["error"]["field"] == "request.payload.graph.vertices"
+        assert bad_graph["error"]["field"] == "request.payload.graph.ids"
 
     def test_client_raises_local_exception_types(self, endpoint, mixed_stream):  # noqa: F811
         query = mixed_stream[0][0]
@@ -164,6 +220,79 @@ class TestProtocolSurface:
         assert stats["sessions"]["acct"]["queries"] == 1
         assert stats["scheduler"]["acct"]["in_flight"] == 0
         assert stats["config"]["mode"] == "mixed"
+
+
+class TestHandshake:
+    """``connect()`` against a stub server that answers ``hello`` badly."""
+
+    def stub_connect(self, reply):
+        """Run ``connect()`` against a one-connection server that answers
+        the first frame with ``reply(request)`` and then stays silent;
+        return what ``connect()`` raised."""
+        listener = socket.create_server(("127.0.0.1", 0))
+        served = threading.Event()
+
+        def stub():
+            conn, _ = listener.accept()
+            with conn:
+                request = json.loads(conn.makefile("rb").readline())
+                conn.sendall(json.dumps(reply(request)).encode() + b"\n")
+                served.wait(30)  # keep the connection open: no EOF rescues connect()
+
+        server = threading.Thread(target=stub, daemon=True)
+        server.start()
+        outcome: list = []
+
+        def client():
+            try:
+                connect("127.0.0.1", listener.getsockname()[1])
+            except BaseException as exc:  # noqa: BLE001 - the outcome under test
+                outcome.append(exc)
+
+        caller = threading.Thread(target=client, daemon=True)
+        caller.start()
+        caller.join(timeout=10)
+        hung = caller.is_alive()
+        served.set()
+        server.join(timeout=10)
+        listener.close()
+        assert not hung, "connect() hung on the hello reply"
+        assert not server.is_alive()
+        assert len(outcome) == 1
+        return outcome[0]
+
+    @pytest.mark.parametrize("code", ["internal", "closed", "invalid_request"])
+    def test_an_error_reply_raises_protocol_error(self, code):
+        exc = self.stub_connect(
+            lambda request: {
+                "protocol_version": PROTOCOL_VERSION,
+                "id": request["id"],
+                "error": {"code": code, "message": "no hello here", "field": None},
+            }
+        )
+        assert isinstance(exc, ProtocolError)
+        assert exc.code == code
+        assert "no hello here" in str(exc)
+
+    def test_a_version_2_reply_is_refused(self):
+        exc = self.stub_connect(
+            lambda request: {"protocol_version": 2, "id": request["id"], "result": {}}
+        )
+        assert isinstance(exc, ProtocolError)
+        assert exc.code == "unsupported_version"
+
+    def test_a_hello_frame_is_the_first_frame(self):
+        seen: list = []
+
+        def reply(request):
+            seen.append(request)
+            return {"protocol_version": PROTOCOL_VERSION, "id": request["id"],
+                    "result": {"id_space": "0", "ids": ["g"]}}
+
+        exc = self.stub_connect(reply)
+        assert isinstance(exc, ProtocolError) and exc.field == "hello.id_space"
+        assert seen[0]["op"] == "hello"
+        assert seen[0]["protocol_version"] == PROTOCOL_VERSION
 
 
 class TestMultiTenant:
