@@ -74,7 +74,7 @@ from .service.client import ServiceClient, connect
 from .service.server import ServiceServer, serve
 from .workloads.generator import QueryGenerator, WorkloadSpec, standard_workloads
 
-__version__ = "15.0.0"
+__version__ = "16.0.0"
 
 __all__ = [
     "IGQ",

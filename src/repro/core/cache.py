@@ -13,18 +13,54 @@ previously executed query graphs together with
 :class:`QueryCache` is that store ("Igraphs" plus "Stat(iGQ Graph)" in the
 paper's Figure 6); the component indexes :class:`~repro.core.isub.SubgraphQueryIndex`
 and :class:`~repro.core.isuper.SupergraphQueryIndex` are built over it.
+"Stat(iGQ Graph)" and the answer sets live in the cache's native
+:class:`~repro.core.probe.ColumnBlock`, a row per live entry: the engine
+plans a query over those columns in one kernel call, and an entry's
+``hits`` / ``removed`` / ``alleviated_cost`` read its row while it is
+cached (and keep their last values once it leaves).
 """
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterator, Set
+from array import array
+from collections.abc import Hashable, Iterable, Iterator, Set
 from dataclasses import dataclass, field
 
 from ..features.extractor import GraphFeatures
-from ..graphs.bitset import CandidateBitmap
+from ..graphs.bitset import CandidateBitmap, GraphIdSpace
 from ..graphs.graph import LabeledGraph
+from ..isomorphism import _ckernel_loader
+from .probe import ColumnBlock
 
 __all__ = ["CacheEntry", "QueryCache"]
+
+#: the statistics an entry keeps in its column-block row, in the order
+#: :meth:`ColumnBlock.stats <repro.core.probe.ColumnBlock.stats>` reads them
+_STATISTICS = ("hits", "removed", "alleviated_cost")
+
+
+class _Statistic:
+    """H(g), R(g) or C(g) of an entry: its row of the cache's column block
+    while the entry is cached, the entry's own ``_stats`` otherwise."""
+
+    def __set_name__(self, owner, name: str) -> None:
+        self._position = _STATISTICS.index(name)
+
+    def __get__(self, entry, owner=None):
+        if entry is None:
+            return self
+        columns = entry._columns
+        stats = entry._stats if columns is None else columns.stats(entry.entry_id)
+        return stats[self._position]
+
+    def __set__(self, entry, value) -> None:
+        columns = entry._columns
+        stats = list(entry._stats if columns is None else columns.stats(entry.entry_id))
+        stats[self._position] = value
+        if columns is None:
+            entry._stats = tuple(stats)
+        else:
+            columns.set_stats(entry.entry_id, *stats)
 
 
 @dataclass
@@ -43,12 +79,6 @@ class CacheEntry:
     answers: CandidateBitmap | frozenset | int
     #: value of the cache's global query counter when the entry was added
     added_at: int
-    #: H(g): number of times this entry pruned (or answered) a new query
-    hits: int = 0
-    #: R(g): total number of candidate graphs removed thanks to this entry
-    removed: int = 0
-    #: C(g): total estimated cost of the isomorphism tests alleviated
-    alleviated_cost: float = 0.0
     #: free-form annotations (e.g. the query's workload group)
     tags: dict = field(default_factory=dict)
     #: compiled (bitset) target representation of :attr:`graph`, read by
@@ -63,6 +93,18 @@ class CacheEntry:
     compiled_plan: object | None = field(default=None, repr=False, compare=False)
     #: :attr:`answer` once decoded
     _answer: frozenset | None = field(default=None, init=False, repr=False, compare=False)
+    #: the column block holding this entry's statistics while it is cached
+    _columns: ColumnBlock | None = field(default=None, init=False, repr=False, compare=False)
+    #: ``(H, R, C)`` while the entry is not cached (its last values after
+    #: it leaves the cache)
+    _stats: tuple = field(default=(0, 0, 0.0), init=False, repr=False, compare=False)
+
+    #: H(g): number of times this entry pruned (or answered) a new query
+    hits = _Statistic()
+    #: R(g): total number of candidate graphs removed thanks to this entry
+    removed = _Statistic()
+    #: C(g): total estimated cost of the isomorphism tests alleviated
+    alleviated_cost = _Statistic()
 
     @property
     def answer(self) -> frozenset:
@@ -73,23 +115,30 @@ class CacheEntry:
             self._answer = frozenset(self.answers)
         return self._answer
 
+    def __getstate__(self) -> dict:
+        """A pickle carries the statistics' values, not the column block."""
+        return dict(
+            self.__dict__,
+            _columns=None,
+            _stats=(self.hits, self.removed, self.alleviated_cost),
+        )
+
     def __setstate__(self, state: dict) -> None:
         """Restore a pickle, including one from before answers were kept as
-        bitmaps (it names the frozenset ``answer``)."""
+        bitmaps (it names the frozenset ``answer``) or before the
+        statistics moved to the cache's column block (it names ``hits`` /
+        ``removed`` / ``alleviated_cost``)."""
+        state = dict(state)
         if "answer" in state:
-            state = dict(state, answers=state["answer"])
-            del state["answer"]
+            state["answers"] = state.pop("answer")
+        if "hits" in state:
+            state["_stats"] = tuple(state.pop(name) for name in _STATISTICS)
+        state["_columns"] = None
         self.__dict__.update(state)
 
     def queries_since_added(self, current_counter: int) -> int:
         """M(g): queries processed since this entry entered the cache."""
         return max(current_counter - self.added_at, 0)
-
-    def record_hit(self, removed: int, alleviated_cost: float) -> None:
-        """Account one hit that removed ``removed`` candidates."""
-        self.hits += 1
-        self.removed += removed
-        self.alleviated_cost += alleviated_cost
 
     def release_compiled_target(self) -> None:
         """Drop the compiled target representation (idempotent)."""
@@ -133,6 +182,50 @@ class QueryCache:
         self._next_id = 0
         #: total number of queries processed by the engine (drives M(g))
         self.query_counter = 0
+        #: the live entries' statistics and answer masks, a row per entry
+        self.columns = ColumnBlock(_ckernel_loader.kernel())
+        #: the id space the answer rows are masks over (:meth:`attach_space`)
+        self._space: GraphIdSpace | None = None
+
+    def _enter(self, entries: list[CacheEntry]) -> list[CacheEntry]:
+        """Store ``entries`` and give them their column-block rows (one
+        kernel call)."""
+        columns = self.columns
+        rows, costs = array("q"), array("d")
+        for entry in entries:
+            graph = entry.graph
+            hits, removed, cost = entry._stats
+            rows.extend(
+                (entry.entry_id, graph.num_vertices, graph.num_edges, entry.added_at, hits, removed)
+            )
+            costs.append(cost)
+        answers = None
+        if self._space is not None:
+            answers = columns.answer_bytes(map(self._answer_mask, entries))
+        columns.add(rows, costs, answers)
+        for entry in entries:
+            entry._columns = columns
+            self._entries[entry.entry_id] = entry
+        return entries
+
+    def _answer_mask(self, entry: CacheEntry) -> int:
+        """The entry's answer as a mask over the attached space; an answer
+        that is not a bitmap over it becomes one (a restored mask, a
+        hand-added frozenset)."""
+        answers = entry.answers
+        if answers.__class__ is int:  # a restored mask over this space
+            answers = entry.answers = CandidateBitmap(self._space, answers)
+        elif answers.__class__ is not CandidateBitmap or answers.space is not self._space:
+            answers = entry.answers = CandidateBitmap.from_ids(self._space, answers)
+        return answers.mask
+
+    def attach_space(self, space: GraphIdSpace) -> None:
+        """Keep the answer rows as masks over ``space`` (the engine's
+        dataset-graph ids), rewriting every live entry's row."""
+        self._space = space
+        self.columns.set_width(len(space))
+        entries = self._entries.values()
+        self.columns.set_answers(list(self._entries), map(self._answer_mask, entries))
 
     # ------------------------------------------------------------------
     def add(
@@ -153,6 +246,33 @@ class QueryCache:
         compile from its one flattening), if any; the component indexes
         compile whichever is missing when the entry reaches them.
         """
+        return self._enter(
+            [self._new_entry(graph, features, answer, tags, compiled_target, compiled_plan)]
+        )[0]
+
+    def add_many(self, queries: Iterable) -> list[CacheEntry]:
+        """Insert one entry per item of ``queries`` — objects with the
+        arguments of :meth:`add` as attributes (``graph``, ``features``,
+        ``answer``, ``tags``, ``compiled_target``, ``compiled_plan``: a
+        :class:`~repro.core.maintenance.PendingQuery`) — in order, and
+        return them: a window flush's insertions, in one kernel call."""
+        return self._enter(
+            [
+                self._new_entry(
+                    query.graph,
+                    query.features,
+                    query.answer,
+                    query.tags,
+                    query.compiled_target,
+                    query.compiled_plan,
+                )
+                for query in queries
+            ]
+        )
+
+    def _new_entry(
+        self, graph, features, answer, tags, compiled_target, compiled_plan
+    ) -> CacheEntry:
         entry = CacheEntry(
             entry_id=self._next_id,
             graph=graph,
@@ -163,7 +283,6 @@ class QueryCache:
             compiled_target=compiled_target,
             compiled_plan=compiled_plan,
         )
-        self._entries[entry.entry_id] = entry
         self._next_id += 1
         return entry
 
@@ -199,16 +318,13 @@ class QueryCache:
             features=features,
             answers=_stored(answer),
             added_at=added_at,
-            hits=hits,
-            removed=removed,
-            alleviated_cost=alleviated_cost,
             tags=dict(tags or {}),
             compiled_target=compiled_target,
             compiled_plan=compiled_plan,
         )
-        self._entries[entry.entry_id] = entry
+        entry._stats = (hits, removed, alleviated_cost)
         self._next_id = max(self._next_id, entry_id + 1)
-        return entry
+        return self._enter([entry])[0]
 
     @property
     def next_entry_id(self) -> int:
@@ -225,14 +341,25 @@ class QueryCache:
         The entry's compiled representations are released: an evicted entry
         may stay referenced (maintenance reports, replacement bookkeeping,
         tests), but its compiled state is only meaningful while the entry is
-        served by the component indexes.
+        served by the component indexes.  Its statistics leave the column
+        block with their last values.
         """
+        return self.remove_many([entry_id])[0]
+
+    def remove_many(self, entry_ids: list[int]) -> list[CacheEntry]:
+        """:meth:`remove` each of ``entry_ids`` (distinct), in order: a
+        window flush's evictions, in one kernel call."""
         try:
-            entry = self._entries.pop(entry_id)
-        except KeyError:
-            raise KeyError(f"unknown cache entry {entry_id!r}") from None
-        entry.release_compiled()
-        return entry
+            entries = [self._entries[entry_id] for entry_id in entry_ids]
+        except KeyError as missing:
+            raise KeyError(f"unknown cache entry {missing.args[0]!r}") from None
+        columns = self.columns.remove(entry_ids)
+        for entry, stats in zip(entries, zip(*columns)):
+            del self._entries[entry.entry_id]
+            entry._columns = None
+            entry._stats = stats
+            entry.release_compiled()
+        return entries
 
     def get(self, entry_id: int) -> CacheEntry:
         """Return the entry with ``entry_id``."""

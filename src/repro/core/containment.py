@@ -23,9 +23,11 @@ factors out everything the two directions share:
   objects live on the :class:`~repro.core.cache.CacheEntry` itself, so they
   survive every window flush untouched and eviction releases them;
 * **the probe** — candidate filter, size pre-checks (not counted as tests)
-  and one counted containment test per survivor, hits in ascending entry
-  id.  All of it runs in the kernel over a slot-aligned table of the
-  entries' feature codes, sizes and compiled addresses
+  and one counted containment test per survivor, hits as entry ids in
+  ascending order (the engine plans on the cache's column block by id, so
+  a hit never becomes an entry object on the query path).  All of it runs
+  in the kernel over a slot-aligned table of the entries' feature codes,
+  sizes and compiled addresses
   (:class:`~repro.core.probe.ProbeTable`): ``add`` writes the slot's row,
   ``remove`` clears it, and a probe is one filter call plus — only when
   something survives, which is when the query's compiled side is built —
@@ -155,8 +157,8 @@ class ContainmentIndex:
         query: LabeledGraph,
         features: GraphFeatures,
         compiled: CompiledQuery | None,
-    ) -> list[CacheEntry]:
-        """The verified hits of ``query``, in ascending ``entry_id``.
+    ) -> list[int]:
+        """The entry ids of the verified hits of ``query``, ascending.
 
         Filter and size pre-checks are one kernel call, the containment
         tests of the survivors a second.  The query's compiled side is
@@ -182,7 +184,7 @@ class ContainmentIndex:
             query_side = target.native().address
         hit_ids = table.verify(query_side, slots, count)
         self.verifier.record_batch(count, len(hit_ids), time.perf_counter() - start)
-        return list(map(self._entries.__getitem__, hit_ids))
+        return hit_ids
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:

@@ -28,7 +28,6 @@ import time
 from array import array
 from concurrent.futures import Future
 from dataclasses import dataclass, field, replace
-from itertools import chain
 
 from ..features.extractor import GraphFeatures
 from ..graphs.bitset import CandidateBitmap, GraphIdSpace
@@ -38,7 +37,7 @@ from ..isomorphism.compiled import CompiledQuery, FlatGraph
 from ..isomorphism.cost import isomorphism_test_cost
 from ..isomorphism.verifier import Verifier
 from ..methods.base import QueryResult, SubgraphQueryMethod
-from .cache import CacheEntry, QueryCache
+from .cache import QueryCache
 from .config import (
     MIXED_MODE,
     SUBGRAPH_MODE,
@@ -49,7 +48,6 @@ from .config import (
 )
 from .maintenance import IndexMaintenance, MaintenanceReport, PendingQuery
 from .placement import Placement
-from .probe import mask_sums
 from .replacement import create_policy
 from .shard_runtime import ShardRuntime
 
@@ -102,9 +100,11 @@ class QueryPlan:
     supergraph: bool
     space: GraphIdSpace
     candidate_mask: int
+    #: the entry ids of the ``Isub`` / ``Isuper`` hits, each ascending
     sub_hits: list
     super_hits: list
-    exact_entry: CacheEntry | None
+    #: the id of the hit the query repeats exactly (§4.3 case 1), if any
+    exact_id: int | None
     guaranteed_mask: int
     pruned_mask: int
     remaining_mask: int
@@ -113,9 +113,11 @@ class QueryPlan:
     tests_before: int
     filter_seconds: float
     igq_seconds: float
-    #: the §5.1 increments ``(entry, removed, cost)`` per hit, in credit
-    #: order (what :meth:`IGQ.apply_plan_credits` applies)
-    credits: list
+    #: the §5.1 increments of the hits, in credit order, as the planning
+    #: kernel call returned them: ``(rows, removed, costs)`` arrays over
+    #: the cache's column block (``None`` without hits); what
+    #: :meth:`IGQ.apply_plan_credits` applies again on a replay
+    credits: tuple | None
     #: the plan is an earlier isomorphic query's, replayed (see
     #: :meth:`IGQ.plan_query`)
     replayed: bool = False
@@ -292,6 +294,7 @@ class IGQ:
             from ..persist.engine_state import adopt_answers
 
             adopt_answers(self)
+        self.cache.attach_space(space)
         self._target_sizes = [database.get(graph_id).num_vertices for graph_id in space.ids]
         self._cost_vectors = {}
         self._plans.clear()
@@ -397,9 +400,10 @@ class IGQ:
         same feature codes and sizes, confirmed isomorphic to this one by
         one counted containment test, lends this query its plan — the live
         set has not changed since, so candidates, hits, the exact entry and
-        the §5.1 increments are exactly what planning afresh would compute.
-        Only the credits are applied again.  A plan whose probes ran no
-        containment test is not kept: its replay would cost more tests.
+        the §5.1 increments (and the column rows they credit) are exactly
+        what planning afresh would compute.  Only the credits are applied
+        again.  A plan whose probes ran no containment test is not kept:
+        its replay would cost more tests.
         """
         if self.database is None:
             raise RuntimeError("IGQ.build_index() must be called before querying")
@@ -439,31 +443,20 @@ class IGQ:
         # Stage 2 — the two iGQ components (Figure 6, threads 2 and 3).
         start = time.perf_counter()
         probe_tests = self.igq_verifier.stats.tests
-        sub_hits, super_hits = self._component_hits(query, features, compiled)
+        sub_hits, super_hits = self._component_hits(query, features, compiled, supergraph)
         probe_tests = self.igq_verifier.stats.tests - probe_tests
-        if self.mode == MIXED_MODE:
-            # A mixed-mode cache holds subgraph- and supergraph-typed answer
-            # sets side by side; a hit only carries meaning for a query of
-            # the same type (a subgraph answer set says nothing about which
-            # dataset graphs a supergraph query contains), so restrict the
-            # hit lists before the exact-repeat check and the §5.1 credits.
-            # Fixed-mode engines skip this: every entry shares their mode.
-            mode = SUPERGRAPH_MODE if supergraph else SUBGRAPH_MODE
-            sub_hits = [e for e in sub_hits if e.tags.get("mode") == mode]
-            super_hits = [e for e in super_hits if e.tags.get("mode") == mode]
-        exact_entry = self._find_exact(query, sub_hits, super_hits)
-
+        # For subgraph queries the guaranteeing component is ``Isub`` and
+        # the restricting one ``Isuper``; for supergraph queries (§4.4) the
+        # roles are mirrored.
         if supergraph:
-            guaranteed, pruned, remaining, skip_all = self._combine(
-                candidate_mask, guaranteed_hits=super_hits, restricting_hits=sub_hits
-            )
+            guaranteeing, restricting = super_hits, sub_hits
         else:
-            guaranteed, pruned, remaining, skip_all = self._combine(
-                candidate_mask, guaranteed_hits=sub_hits, restricting_hits=super_hits
-            )
-
-        if exact_entry is not None:
-            cache_answer_mask = self._answer_mask(exact_entry)
+            guaranteeing, restricting = sub_hits, super_hits
+        guaranteed, pruned, remaining, skip_all, exact_id, exact_answer, credits = (
+            self._plan_hits(query, candidate_mask, guaranteeing, restricting, supergraph)
+        )
+        if exact_id is not None:
+            cache_answer_mask = exact_answer
             remaining = 0
             skip_all = True
         else:
@@ -478,7 +471,7 @@ class IGQ:
             candidate_mask=candidate_mask,
             sub_hits=sub_hits,
             super_hits=super_hits,
-            exact_entry=exact_entry,
+            exact_id=exact_id,
             guaranteed_mask=guaranteed,
             pruned_mask=pruned,
             remaining_mask=remaining,
@@ -487,9 +480,8 @@ class IGQ:
             tests_before=tests_before,
             filter_seconds=filter_seconds,
             igq_seconds=0.0,
-            credits=self._hit_credits(query, candidate_mask, sub_hits, super_hits, supergraph),
+            credits=credits,
         )
-        self.apply_plan_credits(plan)
         plan.igq_seconds = time.perf_counter() - start
         if probe_tests:
             self._plans[key] = plan
@@ -503,9 +495,14 @@ class IGQ:
         return self.igq_verifier.verify_pairs(compiled.compiled_plan(), [target])[0]
 
     def _component_hits(
-        self, query: LabeledGraph, features: GraphFeatures, compiled: CompiledQuery
-    ) -> tuple[list[CacheEntry], list[CacheEntry]]:
-        """Stage-2 component lookups: ``(Isub(g), Isuper(g))`` hit lists.
+        self,
+        query: LabeledGraph,
+        features: GraphFeatures,
+        compiled: CompiledQuery,
+        supergraph: bool,
+    ) -> tuple[list[int], list[int]]:
+        """Stage-2 component lookups: the entry ids of the ``(Isub(g),
+        Isuper(g))`` hits, each ascending.
 
         The probe fans out across the runtime's replicas (one of them at
         ``shards=1``).  ``compiled`` is where the probes leave the query's
@@ -518,17 +515,69 @@ class IGQ:
         # insertion order, ids being monotonic; merging the partitions back
         # into it gives exact-repeat detection and crediting the same
         # sequence for every shard count.
-        cache = self.cache
-        sub_hits = [cache.get(entry_id) for entry_id in sorted(sub_ids)]
-        super_hits = [cache.get(entry_id) for entry_id in sorted(super_ids)]
-        return sub_hits, super_hits
+        sub_ids.sort()
+        super_ids.sort()
+        if self.mode == MIXED_MODE:
+            # A mixed-mode cache holds subgraph- and supergraph-typed answer
+            # sets side by side; a hit only carries meaning for a query of
+            # the same type (a subgraph answer set says nothing about which
+            # dataset graphs a supergraph query contains), so restrict the
+            # hit lists before the exact-repeat check and the §5.1 credits.
+            # Fixed-mode engines skip this: every entry shares their mode.
+            mode = SUPERGRAPH_MODE if supergraph else SUBGRAPH_MODE
+            get = self.cache.get
+            sub_ids = [i for i in sub_ids if get(i).tags.get("mode") == mode]
+            super_ids = [i for i in super_ids if get(i).tags.get("mode") == mode]
+        return sub_ids, super_ids
+
+    # ------------------------------------------------------------------
+    # Candidate-set combination (formulae (3), (4), (5), §4.3 and §4.4)
+    # and the metadata updates (§5.1)
+    # ------------------------------------------------------------------
+    def _plan_hits(
+        self,
+        query: LabeledGraph,
+        candidate_mask: int,
+        guaranteeing: list[int],
+        restricting: list[int],
+        supergraph: bool,
+    ) -> tuple[int, int, int, bool, int | None, int, tuple | None]:
+        """Prune a candidate bitmask with the hits and credit the hits.
+
+        One kernel call over the cache's column block
+        (:meth:`ColumnBlock.plan <repro.core.probe.ColumnBlock.plan>`): the
+        guaranteeing hits' answers are OR-ed into the guaranteed answers,
+        the restricting hits' answers AND-ed into what may remain, a
+        restricting hit with no answers prunes everything not guaranteed
+        (§4.3 case 2), and the first hit of the query's size is an exact
+        repeat (§4.3 case 1: it is isomorphic to the query, so any such
+        hit's answer is the query's).  Each hit is credited in place, one
+        H, the candidates it frees as R and their test costs as C.
+        Returns ``(guaranteed, pruned, remaining, skip_all, exact id,
+        exact answer, credits)``.
+        """
+        if not (guaranteeing or restricting):
+            return 0, 0, candidate_mask, False, None, 0, None
+        hit_ids = array("q", guaranteeing)
+        hit_ids.extend(restricting)
+        guaranteed, pruned, remaining, skip_all, exact, exact_answer, credits = (
+            self.cache.columns.plan(
+                hit_ids,
+                len(guaranteeing),
+                candidate_mask,
+                self._cost_vector(query.num_vertices, supergraph),
+                query.num_vertices,
+                query.num_edges,
+            )
+        )
+        exact_id = hit_ids[exact] if exact >= 0 else None
+        return guaranteed, pruned, remaining, skip_all, exact_id, exact_answer, credits
 
     def apply_plan_credits(self, plan: QueryPlan) -> None:
-        """Apply a plan's §5.1 metadata update: one hit per entry in
-        ``plan.credits`` — what planning afresh and plan replay both end
-        with."""
-        for entry, removed, cost in plan.credits:
-            entry.record_hit(removed, cost)
+        """Apply a replayed plan's §5.1 metadata update again: one hit per
+        credit of ``plan.credits``, in one kernel call."""
+        if plan.credits is not None:
+            self.cache.columns.credit(plan.credits)
 
     def verify_plan(self, plan: QueryPlan) -> set:
         """Stage 3 — verify the plan's surviving candidates in-process."""
@@ -564,100 +613,10 @@ class IGQ:
             pruned_candidates=CandidateBitmap(space, plan.pruned_mask),
             num_sub_hits=len(plan.sub_hits),
             num_super_hits=len(plan.super_hits),
-            exact_hit=plan.exact_entry is not None,
+            exact_hit=plan.exact_id is not None,
             verification_skipped=plan.skip_all or not plan.remaining_mask,
             maintenance=report,
         )
-
-    # ------------------------------------------------------------------
-    # Candidate-set combination (formulae (3), (4), (5) and §4.4)
-    # ------------------------------------------------------------------
-    def _answer_mask(self, entry: CacheEntry) -> int:
-        """Answer set of a cached entry as a bitmask over the id space (a
-        hand-added frozenset gets its bitmap on first use)."""
-        answers = entry.answers
-        if answers.__class__ is not CandidateBitmap or answers.space is not self._id_space:
-            answers = entry.answers = CandidateBitmap.from_ids(self._id_space, answers)
-        return answers.mask
-
-    def _combine(
-        self,
-        candidate_mask: int,
-        guaranteed_hits: list[CacheEntry],
-        restricting_hits: list[CacheEntry],
-    ) -> tuple[int, int, int, bool]:
-        """Apply the pruning rules to a candidate bitmask.
-
-        For subgraph queries the guaranteeing component is ``Isub`` and the
-        restricting one ``Isuper``; for supergraph queries (§4.4) the roles
-        are mirrored.  Returns ``(guaranteed answers, pruned candidates,
-        remaining candidates, skip_all)``, all but the flag as bitmasks.
-        """
-        guaranteed = 0
-        for entry in guaranteed_hits:
-            guaranteed |= self._answer_mask(entry)
-        remaining = candidate_mask & ~guaranteed
-
-        skip_all = False
-        pruned_by_restriction = 0
-        if restricting_hits:
-            masks = list(map(self._answer_mask, restricting_hits))
-            if not all(masks):
-                # §4.3 optimal case 2 (and its §4.4 mirror): a restricting
-                # previous query had no answers, so the new query cannot
-                # have any beyond the guaranteed ones either.
-                pruned_by_restriction = remaining
-                remaining = 0
-                skip_all = True
-            else:
-                allowed = -1
-                for mask in masks:
-                    allowed &= mask
-                pruned_by_restriction = remaining & ~allowed
-                remaining &= allowed
-        pruned = (candidate_mask & guaranteed) | pruned_by_restriction
-        return guaranteed, pruned, remaining, skip_all
-
-    @staticmethod
-    def _find_exact(
-        query: LabeledGraph, sub_hits: list[CacheEntry], super_hits: list[CacheEntry]
-    ) -> CacheEntry | None:
-        """§4.3 optimal case 1: a containment hit of identical size is the
-        same query, so its stored answer can be returned directly."""
-        for entry in chain(sub_hits, super_hits):
-            if entry.graph.same_size(query):
-                return entry
-        return None
-
-    # ------------------------------------------------------------------
-    # Metadata updates (§5.1)
-    # ------------------------------------------------------------------
-    def _hit_credits(
-        self,
-        query: LabeledGraph,
-        candidate_mask: int,
-        sub_hits: list[CacheEntry],
-        super_hits: list[CacheEntry],
-        supergraph: bool,
-    ) -> list[tuple[CacheEntry, int, float]]:
-        """The H, R and C increments ``(entry, removed, cost)`` of every
-        cache entry that was hit (applied by :meth:`apply_plan_credits`)."""
-        guaranteed_hits = super_hits if supergraph else sub_hits
-        restricting_hits = sub_hits if supergraph else super_hits
-        if not (guaranteed_hits or restricting_hits):
-            return []
-        answer_mask = self._answer_mask
-        removable = [answer_mask(entry) & candidate_mask for entry in guaranteed_hits]
-        removable += [candidate_mask & ~answer_mask(entry) for entry in restricting_hits]
-        # Hits of one query mostly free the same few candidate sets.
-        distinct = list(dict.fromkeys(removable))
-        cost_of = dict(
-            zip(distinct, mask_sums(self._cost_vector(query.num_vertices, supergraph), distinct))
-        )
-        return [
-            (entry, mask.bit_count(), cost_of[mask])
-            for entry, mask in zip(guaranteed_hits + restricting_hits, removable)
-        ]
 
     def _cost_vector(self, query_size: int, supergraph: bool) -> array:
         """Estimated cost of testing a query of ``query_size`` vertices
@@ -786,7 +745,7 @@ class IGQ:
         for entry in self.cache.entries():
             graph = entry.graph
             total += 80 + 56 * graph.num_vertices + 48 * graph.num_edges
-            total += 40 + 8 * self._answer_mask(entry).bit_count()
+            total += 40 + 8 * len(entry.answers)
         return total
 
     def __repr__(self) -> str:

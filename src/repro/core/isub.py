@@ -26,7 +26,6 @@ from __future__ import annotations
 from ..features.extractor import GraphFeatures
 from ..graphs.graph import LabeledGraph
 from ..isomorphism.compiled import CompiledQuery
-from .cache import CacheEntry
 from .containment import ContainmentIndex
 
 __all__ = ["SubgraphQueryIndex"]
@@ -50,8 +49,9 @@ class SubgraphQueryIndex(ContainmentIndex):
         query: LabeledGraph,
         features: GraphFeatures,
         compiled: CompiledQuery | None = None,
-    ) -> list[CacheEntry]:
-        """Return the cached entries ``G`` with ``query ⊆ G`` (``Isub(g)``).
+    ) -> list[int]:
+        """Return the ids, ascending, of the cached entries ``G`` with
+        ``query ⊆ G`` (``Isub(g)``).
 
         Filtering: a cached query can only be a supergraph of ``query`` if it
         contains every feature of ``query`` at least as often (the exact

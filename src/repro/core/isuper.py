@@ -42,7 +42,6 @@ from __future__ import annotations
 from ..features.extractor import GraphFeatures
 from ..graphs.graph import LabeledGraph
 from ..isomorphism.compiled import CompiledQuery
-from .cache import CacheEntry
 from .containment import ContainmentIndex
 
 __all__ = ["SupergraphQueryIndex"]
@@ -67,8 +66,9 @@ class SupergraphQueryIndex(ContainmentIndex):
         query: LabeledGraph,
         features: GraphFeatures,
         compiled: CompiledQuery | None = None,
-    ) -> list[CacheEntry]:
-        """Return the cached entries ``G`` with ``G ⊆ query`` (``Isuper(g)``).
+    ) -> list[int]:
+        """Return the ids, ascending, of the cached entries ``G`` with
+        ``G ⊆ query`` (``Isuper(g)``).
 
         ``compiled`` carries the query's shared compiled state (its target
         is built here if a candidate survives).

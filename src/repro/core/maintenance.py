@@ -65,17 +65,6 @@ class PendingQuery:
     compiled_target: object | None = None
     compiled_plan: object | None = None
 
-    def add_to(self, cache: QueryCache):
-        """Insert this query into ``cache``; returns the new entry."""
-        return cache.add(
-            self.graph,
-            self.features,
-            self.answer,
-            tags=self.tags,
-            compiled_target=self.compiled_target,
-            compiled_plan=self.compiled_plan,
-        )
-
 
 @dataclass
 class MaintenanceReport:
@@ -140,11 +129,9 @@ class IndexMaintenance:
         window, self._window = self._window, []
         overflow = len(cache) + len(window) - self.cache_size
         if window and overflow > 0:
-            for entry_id in self.policy.select_victims(cache, overflow):
-                report.evicted_entries.append(cache.remove(entry_id))
-                report.evicted_entry_ids.append(entry_id)
-        for pending in window:
-            report.inserted_entries.append(pending.add_to(cache))
+            report.evicted_entry_ids = self.policy.select_victims(cache, overflow)
+            report.evicted_entries = cache.remove_many(report.evicted_entry_ids)
+        report.inserted_entries = cache.add_many(window)
         report.inserted = len(window)
         report.evicted = len(report.evicted_entry_ids)
         report.cache_size_after = len(cache)

@@ -1,4 +1,4 @@
-"""ctypes binding of the kernel's cache-side probe (``_ckernel.c``, ABI 10).
+"""ctypes binding of the kernel's cache-side structures (``_ckernel.c``, ABI 11).
 
 :class:`ProbeTable` is the slot-aligned native table behind a
 :class:`~repro.core.containment.ContainmentIndex`: per live slot the cached
@@ -6,15 +6,25 @@ query's feature codes, its size and the address of its compiled form,
 reconciled on the write path (``set`` on ``add``, ``clear`` on ``remove``)
 so that a probe — :meth:`ProbeTable.filter`, then :meth:`ProbeTable.verify`
 on the survivors — is two kernel calls that never touch a Python entry
-object.  :func:`mask_sums` is the §5.1 credit sum of one query's hits.
+object.  Its hits are entry ids.
+
+:class:`ColumnBlock` is the engine-wide block of the cache's columns, a row
+per live entry (its answer mask, sizes, insertion counter and the §5.1
+statistics H/R/C), owned by the :class:`~repro.core.cache.QueryCache` and
+written when an entry joins it and freed when it leaves.  After the probes
+of every replica, :meth:`ColumnBlock.plan` takes the hit ids and returns
+the combined masks while crediting each hit's row in place; the
+replacement policy and the durable store read the statistics back as
+columns (:meth:`ColumnBlock.read`).
 
 Ownership: the kernel owns the rows (malloc'd copies of the feature pairs,
-freed on ``clear`` / ``close``); the compiled forms the rows point at belong
-to Python, and the table pins each one from ``set`` until the row is
-cleared, whatever the entry's own ``release_compiled_*`` does meanwhile.
-The calls release the interpreter lock; the table keeps no scratch between
-them (the output buffers are per call), and ``set`` / ``clear`` / probe of
-one table are driver-thread operations, like the index they serve.
+freed on ``clear`` / ``close``; the block's columns, freed with the block);
+the compiled forms the table's rows point at belong to Python, and the
+table pins each one from ``set`` until the row is cleared, whatever the
+entry's own ``release_compiled_*`` does meanwhile.  The calls release the
+interpreter lock; neither structure keeps scratch between calls (the
+output buffers are per call), and every call on them is a driver-thread
+operation, like the index and the cache they serve.
 """
 
 from __future__ import annotations
@@ -22,11 +32,10 @@ from __future__ import annotations
 import ctypes
 import weakref
 from array import array
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
-from ..isomorphism import _ckernel_loader
 
-__all__ = ["ProbeTable", "mask_sums"]
+__all__ = ["ColumnBlock", "ProbeTable"]
 
 
 class ProbeTable:
@@ -146,23 +155,220 @@ class ProbeTable:
         return entry_id, num_vertices, num_edges, codes
 
 
-def mask_sums(costs: array, masks: Sequence[int]) -> list[float]:
-    """Per mask of ``masks``, the sum of ``costs`` over its set bits.
+class ColumnBlock:
+    """The kernel-side columns of a :class:`~repro.core.cache.QueryCache`.
 
-    ``costs`` is an ``array("d")`` by bit position.  Each total is added up
-    by ``ck_mask_sums`` from ``0.0`` in ascending position order, so a
-    total does not depend on the word size it was computed at: the totals
-    feed ``C(g)``, which the replacement policy and the WAL compare bit for
-    bit.
+    One row per live cache entry: its id, |V|, |E|, the query counter at
+    its insertion, H(g), R(g), C(g) and its answer mask over the engine's
+    id space (:meth:`set_width` bits).  Rows are found by entry id.
+    :meth:`plan` combines one query's component hits and credits them in
+    one call; :meth:`credit` replays a plan's credits.
     """
-    if not masks:
-        return []
-    library = _ckernel_loader.kernel()
-    row_bytes = 8 * ((len(costs) + 63) // 64)
-    rows = b"".join([mask.to_bytes(row_bytes, "little") for mask in masks])
-    totals = array("d", bytes(8 * len(masks)))
-    library.ck_mask_sums(
-        costs.buffer_info()[0], len(costs), rows, len(masks), row_bytes // 8,
-        totals.buffer_info()[0],
+
+    __slots__ = (
+        "_library", "_address", "_words", "_live", "_counts", "_cost", "_flags", "_masks",
+        "_release", "__weakref__",
     )
-    return totals.tolist()
+
+    def __init__(self, library: ctypes.CDLL) -> None:
+        self._library = library
+        self._address = library.ck_block_new()
+        if not self._address:  # pragma: no cover - allocation failure
+            raise MemoryError("native column block could not be allocated")
+        #: uint64 words of an answer row (0 until :meth:`set_width`)
+        self._words = 0
+        #: live rows
+        self._live = 0
+        # output buffers reused by every call (driver-thread only)
+        self._counts = array("q", bytes(16))
+        self._cost = array("d", bytes(8))
+        self._flags = array("q", bytes(16))
+        self._masks = array("Q")
+        self._release = weakref.finalize(self, library.ck_block_free, self._address)
+
+    # ------------------------------------------------------------------
+    # Write path
+    # ------------------------------------------------------------------
+    def add(self, rows: array, costs: array, answers: bytes | None = None) -> None:
+        """Give entries their rows, in one kernel call: ``rows`` is an
+        ``array("q")`` of six fields an entry — id, |V|, |E|, insertion
+        counter, H, R — ``costs`` an ``array("d")`` of their C, and
+        ``answers`` (once a width is set) their answer masks as
+        :meth:`answer_bytes` lays them out (empty without it)."""
+        count = len(costs)
+        if len(rows) != 6 * count:
+            raise ValueError(f"{len(rows)} row fields for {count} entries; expected six each")
+        if answers is not None and len(answers) != 8 * self._words * count:
+            raise ValueError(f"{len(answers)} answer bytes for {count} entries")
+        status = self._library.ck_block_add(
+            self._address, count, rows.buffer_info()[0], costs.buffer_info()[0], answers
+        )
+        if status == -2:
+            raise ValueError(f"an entry of {rows[0::6].tolist()} already has a row (or repeats)")
+        if status < 0:  # pragma: no cover - allocation failure inside the kernel
+            raise MemoryError("native column block could not grow")
+        self._live += count
+
+    def answer_bytes(self, masks: Iterable[int]) -> bytes:
+        """Answer masks as :meth:`add` takes them: one row of the width
+        each, little-endian, back to back."""
+        width = 8 * self._words
+        return b"".join([mask.to_bytes(width, "little") for mask in masks])
+
+    def remove(self, entry_ids: Sequence[int]) -> tuple[array, array, array]:
+        """Free the rows of ``entry_ids``; returns their final ``(H, R, C)``
+        columns.  One kernel call."""
+        ids = array("q", entry_ids)
+        hits, removed = array("q", bytes(8 * len(ids))), array("q", bytes(8 * len(ids)))
+        costs = array("d", bytes(8 * len(ids)))
+        if self._library.ck_block_remove(
+            self._address,
+            len(ids),
+            ids.buffer_info()[0],
+            hits.buffer_info()[0],
+            removed.buffer_info()[0],
+            costs.buffer_info()[0],
+        ) < 0:
+            raise KeyError(f"an entry of {ids.tolist()} has no column row (or repeats)")
+        self._live -= len(ids)
+        return hits, removed, costs
+
+    def set_width(self, num_positions: int) -> None:
+        """Size the answer rows for masks of ``num_positions`` bits; every
+        row reads empty until :meth:`set_answers` writes it again."""
+        words = max((num_positions + 63) // 64, 1)
+        if self._library.ck_block_set_width(self._address, words) < 0:
+            raise MemoryError("native column block could not grow")  # pragma: no cover
+        self._words = words
+        self._masks = array("Q", bytes(32 * words))
+
+    def set_answers(self, entry_ids: Sequence[int], masks: Iterable[int]) -> None:
+        """Write the answer rows of ``entry_ids``, one mask each (one
+        kernel call)."""
+        ids = array("q", entry_ids)
+        answers = self.answer_bytes(masks)
+        if len(answers) != 8 * self._words * len(ids):
+            raise ValueError(f"{len(answers)} answer bytes for {len(ids)} entries")
+        if self._library.ck_block_set_answers(
+            self._address, len(ids), ids.buffer_info()[0], answers
+        ) < 0:
+            raise KeyError(f"an entry of {ids.tolist()} has no column row (or no width is set)")
+
+    # ------------------------------------------------------------------
+    # Statistics
+    # ------------------------------------------------------------------
+    def stats(self, entry_id: int) -> tuple[int, int, float]:
+        """``(H, R, C)`` of ``entry_id``."""
+        counts, cost = self._counts, self._cost
+        if self._library.ck_block_stats(
+            self._address, entry_id, 0, counts.buffer_info()[0], cost.buffer_info()[0]
+        ) < 0:
+            raise KeyError(f"no column row for cache entry {entry_id!r}")
+        return counts[0], counts[1], cost[0]
+
+    def set_stats(self, entry_id: int, hits: int, removed: int, cost: float) -> None:
+        """Overwrite the H, R and C of ``entry_id``."""
+        counts, total = self._counts, self._cost
+        counts[0], counts[1], total[0] = hits, removed, cost
+        if self._library.ck_block_stats(
+            self._address, entry_id, 1, counts.buffer_info()[0], total.buffer_info()[0]
+        ) < 0:
+            raise KeyError(f"no column row for cache entry {entry_id!r}")
+
+    def read(self) -> tuple[array, array, array, array, array]:
+        """``(ids, added_at, H, R, C)`` of every live row, by ascending
+        entry id (one kernel call)."""
+        size = 8 * self._live
+        ids, added, hits, removed = (array("q", bytes(size)) for _ in range(4))
+        costs = array("d", bytes(size))
+        self._library.ck_block_columns(
+            self._address,
+            *(column.buffer_info()[0] for column in (ids, added, hits, removed, costs)),
+        )
+        return ids, added, hits, removed, costs
+
+    # ------------------------------------------------------------------
+    # Planning
+    # ------------------------------------------------------------------
+    def plan(
+        self,
+        hit_ids: array,
+        num_guaranteeing: int,
+        candidate_mask: int,
+        costs: array,
+        num_vertices: int,
+        num_edges: int,
+    ) -> tuple[int, int, int, bool, int, int, tuple[array, array, array]]:
+        """Formulae (3)–(5) (§4.4 mirrored) over one query's hits, with
+        their §5.1 credits applied to the rows.
+
+        ``hit_ids`` (``array("q")``) are the guaranteeing component's hits,
+        then the restricting component's, each in ascending entry id;
+        ``costs`` (``array("d")``) the cost of one test per id-space
+        position; ``num_vertices`` / ``num_edges`` the query's size.
+        Returns ``(guaranteed, pruned, remaining, empty_restriction,
+        exact, exact_answer, credits)``: three masks; whether a
+        restricting hit's answer is empty (§4.3 case 2); the position in
+        ``hit_ids`` of the first hit of the query's size (§4.3 case 1, -1
+        without one) and its answer mask; and the ``(rows, removed,
+        costs)`` arrays :meth:`credit` replays.  Each hit's C(g) grows by
+        its freed candidates' costs added from ``0.0`` in ascending
+        position order, so it is the double the Python sum gives.
+        """
+        span = 8 * self._words
+        count = len(hit_ids)
+        if not 0 <= num_guaranteeing <= count:
+            raise ValueError(f"num_guaranteeing={num_guaranteeing} is not within 0..{count}")
+        masks, flags = self._masks, self._flags
+        rows, removed = array("q", bytes(8 * count)), array("q", bytes(8 * count))
+        credited = array("d", bytes(8 * count))
+        status = self._library.ck_block_plan(
+            self._address,
+            hit_ids.buffer_info()[0],
+            count,
+            num_guaranteeing,
+            candidate_mask.to_bytes(span, "little"),
+            costs.buffer_info()[0],
+            len(costs),
+            num_vertices,
+            num_edges,
+            masks.buffer_info()[0],
+            rows.buffer_info()[0],
+            removed.buffer_info()[0],
+            credited.buffer_info()[0],
+            flags.buffer_info()[0],
+        )
+        if status < 0:
+            raise KeyError(f"a hit of {hit_ids.tolist()} has no column row (or no width)")
+        raw = masks.tobytes()
+        exact = flags[1]
+        return (
+            int.from_bytes(raw[:span], "little"),
+            int.from_bytes(raw[span : 2 * span], "little"),
+            int.from_bytes(raw[2 * span : 3 * span], "little"),
+            bool(flags[0]),
+            exact,
+            int.from_bytes(raw[3 * span :], "little") if exact >= 0 else 0,
+            (rows, removed, credited),
+        )
+
+    def credit(self, credits: tuple[array, array, array]) -> None:
+        """Apply ``(rows, removed, costs)`` as :meth:`plan` returned them
+        again: one hit per row, in order (plan replay; the rows must be
+        the ones the plan was made on)."""
+        rows, removed, costs = credits
+        if not len(rows) == len(removed) == len(costs):
+            raise ValueError("credits need one row, removed count and cost each")
+        if rows:
+            self._library.ck_block_credit(
+                self._address,
+                rows.buffer_info()[0],
+                removed.buffer_info()[0],
+                costs.buffer_info()[0],
+                len(rows),
+            )
+
+    # ------------------------------------------------------------------
+    def size_bytes(self) -> int:
+        """Heap bytes the kernel holds for the block."""
+        return self._library.ck_block_bytes(self._address)

@@ -19,6 +19,7 @@ paper's first principle without the cost-aware refinement.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from collections.abc import Sequence
 
 from .cache import CacheEntry, QueryCache
 
@@ -30,6 +31,9 @@ __all__ = [
     "create_policy",
 ]
 
+#: the score of an entry no query has come by yet (never evicted first)
+_NEVER = float("inf")
+
 
 class ReplacementPolicy(ABC):
     """Strategy deciding which cache entries to evict."""
@@ -37,22 +41,41 @@ class ReplacementPolicy(ABC):
     name: str = "abstract"
 
     @abstractmethod
+    def scores(
+        self,
+        counter: int,
+        added_at: Sequence[int],
+        hits: Sequence[int],
+        removed: Sequence[int],
+        costs: Sequence[float],
+    ) -> list[float]:
+        """Score entries from their statistics, given as columns (the
+        insertion counter, H(g), R(g) and C(g) of each) and the cache's
+        query ``counter``; *lower* scores are evicted first."""
+
     def score(self, entry: CacheEntry, cache: QueryCache) -> float:
-        """Score an entry; *lower* scores are evicted first."""
+        """Score one entry; *lower* scores are evicted first."""
+        return self.scores(
+            cache.query_counter,
+            [entry.added_at],
+            [entry.hits],
+            [entry.removed],
+            [entry.alleviated_cost],
+        )[0]
 
     def select_victims(self, cache: QueryCache, count: int) -> list[int]:
         """Return the ids of the ``count`` entries to evict (lowest scores).
 
+        The statistics are read as the cache's columns, in one kernel call.
         Ties are broken by insertion order (older entries evicted first) so
         the policy is fully deterministic.
         """
         if count <= 0:
             return []
-        ranked = sorted(
-            cache.entries(),
-            key=lambda entry: (self.score(entry, cache), entry.added_at, entry.entry_id),
-        )
-        return [entry.entry_id for entry in ranked[:count]]
+        ids, added, hits, removed, costs = cache.columns.read()
+        scores = self.scores(cache.query_counter, added, hits, removed, costs)
+        ranked = sorted(zip(scores, added, ids))
+        return [entry_id for _, _, entry_id in ranked[:count]]
 
 
 class UtilityReplacementPolicy(ReplacementPolicy):
@@ -60,14 +83,14 @@ class UtilityReplacementPolicy(ReplacementPolicy):
 
     name = "utility"
 
-    def score(self, entry: CacheEntry, cache: QueryCache) -> float:
-        queries = entry.queries_since_added(cache.query_counter)
-        if queries == 0:
-            # Entries from the current window have not had a chance to be
-            # useful yet; treat them as maximally valuable so they are not
-            # evicted the moment they are cached.
-            return float("inf")
-        return entry.alleviated_cost / queries
+    def scores(self, counter, added_at, hits, removed, costs) -> list[float]:
+        # M(g) = counter - added_at.  Entries from the current window (M = 0)
+        # have not had a chance to be useful yet; treat them as maximally
+        # valuable so they are not evicted the moment they are cached.
+        return [
+            cost / (counter - added) if counter > added else _NEVER
+            for added, cost in zip(added_at, costs)
+        ]
 
 
 class HitRateReplacementPolicy(ReplacementPolicy):
@@ -75,11 +98,11 @@ class HitRateReplacementPolicy(ReplacementPolicy):
 
     name = "hit_rate"
 
-    def score(self, entry: CacheEntry, cache: QueryCache) -> float:
-        queries = entry.queries_since_added(cache.query_counter)
-        if queries == 0:
-            return float("inf")
-        return entry.hits / queries
+    def scores(self, counter, added_at, hits, removed, costs) -> list[float]:
+        return [
+            count / (counter - added) if counter > added else _NEVER
+            for added, count in zip(added_at, hits)
+        ]
 
 
 class LeastRecentlyAddedPolicy(ReplacementPolicy):
@@ -87,8 +110,8 @@ class LeastRecentlyAddedPolicy(ReplacementPolicy):
 
     name = "fifo"
 
-    def score(self, entry: CacheEntry, cache: QueryCache) -> float:
-        return float(entry.added_at)
+    def scores(self, counter, added_at, hits, removed, costs) -> list[float]:
+        return [float(added) for added in added_at]
 
 
 _POLICIES = {

@@ -23,8 +23,11 @@ journal recorded.
   is compiled at most once per entry and shared with the cache; a native
   probe table pins the compiled form each row points at, so a victim whose
   forms the cache released stays probe-safe until its row is cleared.
-  Answers, hit/miss accounting and replacement state are byte-identical for
-  every shard count.
+  A probe reports entry ids.  The answers and the replacement statistics
+  are not per replica: every replica's hits are planned and credited on
+  the cache's one column block (:class:`~repro.core.probe.ColumnBlock`),
+  so answers, hit/miss accounting and replacement state are
+  byte-identical for every shard count.
 """
 
 from __future__ import annotations
@@ -97,7 +100,7 @@ class QueryIndexShard:
         """
         if self.isub is None:
             return []
-        return [entry.entry_id for entry in self.isub.find_supergraphs(query, features, compiled)]
+        return self.isub.find_supergraphs(query, features, compiled)
 
     def find_subgraph_ids(
         self,
@@ -108,7 +111,7 @@ class QueryIndexShard:
         """Entry ids of this shard's ``Isuper`` hits (ascending)."""
         if self.isuper is None:
             return []
-        return [entry.entry_id for entry in self.isuper.find_subgraphs(query, features, compiled)]
+        return self.isuper.find_subgraphs(query, features, compiled)
 
     def probe(
         self,

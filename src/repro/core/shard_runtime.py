@@ -48,6 +48,8 @@ class ShardRuntime:
         want_super: bool,
         compiled: CompiledQuery | None = None,
     ) -> tuple[list[int], list[int]]:
+        """Every replica's hits: ``(Isub hit ids, Isuper hit ids)``, each in
+        replica order (the engine sorts the merged lists)."""
         sub_ids: list[int] = []
         super_ids: list[int] = []
         # The query-side compiled form (plan for Isub, target for Isuper) is

@@ -33,9 +33,8 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter
-from collections.abc import Hashable, Mapping
+from collections.abc import Hashable, Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
-from itertools import chain
 
 from ..graphs.graph import LabeledGraph
 from ..isomorphism.compiled import FlatGraph
@@ -171,10 +170,23 @@ class FeatureExtractor:
             return GraphFeatures(*native)
         return GraphFeatures.from_keys(path_features(graph, self.max_path_length))
 
+    def _tree_cycle_occurrences(self, graph: LabeledGraph) -> Iterator[tuple[str, Iterable]]:
+        """``(code, vertices)`` of every tree subgraph and simple cycle of
+        ``graph`` this extractor enumerates."""
+        for tree in enumerate_tree_subgraphs(graph, self.tree_max_size):
+            yield canonical_tree_code(tree), tree.vertices()
+        for cycle in enumerate_simple_cycles(graph, self.cycle_max_length):
+            yield canonical_cycle_code([graph.label(vertex) for vertex in cycle]), cycle
+
     def _extract_trees_cycles(self, graph: LabeledGraph) -> GraphFeatures:
-        trees = map(canonical_tree_code, enumerate_tree_subgraphs(graph, self.tree_max_size))
-        cycles = (
-            canonical_cycle_code([graph.label(vertex) for vertex in cycle])
-            for cycle in enumerate_simple_cycles(graph, self.cycle_max_length)
-        )
-        return GraphFeatures.from_keys(Counter((code,) for code in chain(trees, cycles)))
+        occurrences = self._tree_cycle_occurrences(graph)
+        return GraphFeatures.from_keys(Counter((code,) for code, _ in occurrences))
+
+    def tree_cycle_coverage(self, graph: LabeledGraph) -> int:
+        """The vertices each tree or cycle key's occurrences cover in
+        ``graph``, summed over its distinct keys (the ``trees_cycles``
+        counterpart of :func:`~repro.features.paths.path_coverage`)."""
+        covered: dict[str, set] = {}
+        for code, vertices in self._tree_cycle_occurrences(graph):
+            covered.setdefault(code, set()).update(vertices)
+        return sum(map(len, covered.values()))

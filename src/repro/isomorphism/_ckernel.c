@@ -52,16 +52,22 @@
  * `ck_table_*` / `ck_probe_filter` / `ck_probe_verify` are the iGQ component
  * indexes' probe: a slot-aligned table of the cached queries' feature codes,
  * sizes and compiled forms, filtered by sorted-merge dominance and verified
- * with the same prereject + search as every other pair.  `ck_mask_sums` adds
- * up the section 5.1 credits of one query's hits.  The Python loops they
- * replace (`isub_candidate_ids`, `isuper_candidate_ids` and `mask_sums` in
+ * with the same prereject + search as every other pair.  The Python loops
+ * they replace (`isub_candidate_ids`, `isuper_candidate_ids` in
  * tests/kernel_oracle.py) are the oracles of tests/test_native_probe.py.
+ * `ck_block_*` is the cache's column block: `ck_block_plan` combines one
+ * query's hits by formulae (3)-(5) and credits them (section 5.1) in one
+ * call, `ck_block_credit` replays a plan's credits; the Python loops over
+ * the entries they replace (`combine`, `hit_credits`, `record_hit` and the
+ * `mask_sums` credit sum) are the oracle engine of
+ * tests/test_plan_columns.py.
  *
- * Data layout, ABI 10 (ABI 6's layout; 7 dropped `ck_probe_filter`'s
+ * Data layout, ABI 11 (ABI 6's layout; 7 dropped `ck_probe_filter`'s
  * `universe` argument, 8 made `ck_verify_many`'s `by_component` mode
  * compute its regions instead of reading them, 9 made `ck_path_features`
  * return hashed feature codes, 10 dropped its location rows and added
- * `ck_path_coverage`).  A `ck_target` /
+ * `ck_path_coverage`, 11 replaced `ck_mask_sums` with the column block).
+ * A `ck_target` /
  * `ck_plan` is built once per graph and role by `ck_compile_target` /
  * `ck_compile_plan` (new in ABI 5) from the graph's CSR — vertex positions
  * in `graph.vertices()` order, neighbours in `neighbors()` order, per
@@ -158,6 +164,29 @@
  *   - a probe reads the table and writes only its caller's output buffers,
  *     so it needs no scratch of its own; `set` / `clear` / probe of one
  *     table are serialised by the caller (they are driver-thread operations).
+ *
+ * The column block (new in ABI 11; driven by `ColumnBlock` in
+ * src/repro/core/probe.py, owned by the engine's `QueryCache`, one per
+ * engine whatever its shard count):
+ *
+ *   - one row per live cache entry, in columns of `capacity` items: entry
+ *     id (-1 marks a free row), |V|, |E|, the query counter at insertion,
+ *     H(g), R(g) (int64) and C(g) (double), and an answer row of
+ *     `mask_words` uint64 words (the entry's answer set as a mask over the
+ *     engine's dataset id space, bit i = id-space position i);
+ *   - rows are written when entries join the cache (`ck_block_add`, a
+ *     flush's insertions in one call) and freed when they leave
+ *     (`ck_block_remove`, which hands back the final H/R/C); freed rows are
+ *     reused, and `order` keeps the live rows by ascending entry id, so a
+ *     row is found by id with a binary search and `ck_block_columns` reads
+ *     the statistics in cache order;
+ *   - the kernel owns every column (malloc'd, grown by doubling, freed
+ *     with the block); Python holds no pointer into them — it passes ids
+ *     and reads results through per-call output buffers.  A plan's
+ *     credits name rows, valid until the next add or remove (a window
+ *     flush, which also drops every stored plan);
+ *   - C(g) grows by sums added from 0.0 in ascending position order, the
+ *     order of the Python loop it replaces, so it is the same double.
  */
 
 #include <stdint.h>
@@ -167,7 +196,7 @@
 /* The ABI version is checked by the loader after dlopen so a stale build
  * of an older layout can never be driven with new-layout pointers.  Bump
  * it whenever a struct or signature below changes. */
-#define CK_ABI_VERSION 10
+#define CK_ABI_VERSION 11
 
 #if defined(_WIN32)
 #define CK_EXPORT __declspec(dllexport)
@@ -1447,19 +1476,376 @@ ck_probe_verify(const ck_table *table, const void *query_side,
     return hits;
 }
 
-/* Per mask (mask_words words each, back to back) the sum of `costs` over
- * its set bits, added in ascending position order from 0.0 — the order of
- * the Python loop it replaces, so the totals are the same doubles. */
+/* ---------------------------------------------------------------------
+ * The cache's column block
+ * ------------------------------------------------------------------- */
+
+typedef struct {
+    int64_t capacity;      /* rows allocated                               */
+    int64_t mask_words;    /* uint64 words of each answer row              */
+    int64_t live;          /* live rows                                    */
+    int64_t free_count;    /* free rows below `top`, stacked in free_rows  */
+    int64_t top;           /* rows ever handed out (one past the highest)  */
+    int64_t *entry_ids;    /* capacity; -1 marks a free row                */
+    int64_t *num_vertices;
+    int64_t *num_edges;
+    int64_t *added_at;
+    int64_t *hits;         /* H(g)                                         */
+    int64_t *removed;      /* R(g)                                         */
+    double *costs;         /* C(g)                                         */
+    int64_t *order;        /* live rows by ascending entry id              */
+    int64_t *free_rows;    /* capacity                                     */
+    uint64_t *answers;     /* capacity * mask_words                        */
+} ck_block;
+
 CK_EXPORT void
-ck_mask_sums(const double *costs, int64_t num_positions,
-             const uint64_t *masks, int64_t num_masks, int64_t mask_words,
-             double *out_totals)
+ck_block_free(ck_block *block)
 {
-    for (int64_t m = 0; m < num_masks; ++m) {
-        const uint64_t *mask = masks + m * mask_words;
+    if (block == NULL)
+        return;
+    free(block->entry_ids);
+    free(block->num_vertices);
+    free(block->num_edges);
+    free(block->added_at);
+    free(block->hits);
+    free(block->removed);
+    free(block->costs);
+    free(block->order);
+    free(block->free_rows);
+    free(block->answers);
+    free(block);
+}
+
+CK_EXPORT ck_block *
+ck_block_new(void)
+{
+    return (ck_block *)calloc(1, sizeof(ck_block));
+}
+
+/* realloc `*column` to `capacity` items of `size` bytes; 0 or -1. */
+static int
+ck_grow_column(void **column, int64_t capacity, size_t size)
+{
+    void *grown = realloc(*column, (size_t)capacity * size);
+    if (grown == NULL)
+        return -1;
+    *column = grown;
+    return 0;
+}
+
+static int
+ck_block_reserve(ck_block *block, int64_t want)
+{
+    if (want <= block->capacity)
+        return 0;
+    int64_t capacity = block->capacity ? 2 * block->capacity : 16;
+    if (capacity < want)
+        capacity = want;
+    /* each column grows on its own: a failure leaves the grown ones larger
+     * than `capacity` says, which is harmless */
+    if (ck_grow_column((void **)&block->entry_ids, capacity, sizeof(int64_t)) ||
+        ck_grow_column((void **)&block->num_vertices, capacity, sizeof(int64_t)) ||
+        ck_grow_column((void **)&block->num_edges, capacity, sizeof(int64_t)) ||
+        ck_grow_column((void **)&block->added_at, capacity, sizeof(int64_t)) ||
+        ck_grow_column((void **)&block->hits, capacity, sizeof(int64_t)) ||
+        ck_grow_column((void **)&block->removed, capacity, sizeof(int64_t)) ||
+        ck_grow_column((void **)&block->costs, capacity, sizeof(double)) ||
+        ck_grow_column((void **)&block->order, capacity, sizeof(int64_t)) ||
+        ck_grow_column((void **)&block->free_rows, capacity, sizeof(int64_t)))
+        return -1;
+    if (block->mask_words > 0 &&
+        ck_grow_column((void **)&block->answers, capacity,
+                       (size_t)block->mask_words * sizeof(uint64_t)))
+        return -1;
+    block->capacity = capacity;
+    return 0;
+}
+
+/* Where `entry_id` is or would go in `order`: the first position whose id
+ * is not below it. */
+static int64_t
+ck_block_seek(const ck_block *block, int64_t entry_id)
+{
+    int64_t low = 0, high = block->live;
+    while (low < high) {
+        const int64_t middle = low + (high - low) / 2;
+        if (block->entry_ids[block->order[middle]] < entry_id)
+            low = middle + 1;
+        else
+            high = middle;
+    }
+    return low;
+}
+
+/* The row of `entry_id`, -1 when it has none. */
+static int64_t
+ck_block_find(const ck_block *block, int64_t entry_id)
+{
+    const int64_t at = ck_block_seek(block, entry_id);
+    if (at == block->live || block->entry_ids[block->order[at]] != entry_id)
+        return -1;
+    return block->order[at];
+}
+
+/* Give each of `count` entries a row.  `rows` holds CK_BLOCK_FIELDS int64
+ * per entry, row-major: entry id, |V|, |E|, insertion counter, H, R;
+ * `costs` its C; `answers` its answer row (`count` rows of the block's
+ * width back to back; NULL leaves the answers empty).  Returns 0, -1 on
+ * allocation failure or -2 when an id already has a row or repeats; a
+ * failure leaves the block as it was. */
+#define CK_BLOCK_FIELDS 6
+CK_EXPORT int64_t
+ck_block_add(ck_block *block, int64_t count, const int64_t *rows,
+             const double *costs, const uint64_t *answers)
+{
+    for (int64_t i = 0; i < count; ++i) {
+        const int64_t entry_id = rows[i * CK_BLOCK_FIELDS];
+        if (ck_block_find(block, entry_id) >= 0)
+            return -2;
+        for (int64_t j = 0; j < i; ++j)
+            if (rows[j * CK_BLOCK_FIELDS] == entry_id)
+                return -2;
+    }
+    if (ck_block_reserve(block, block->live + count))
+        return -1;
+    const int64_t W = block->mask_words;
+    for (int64_t i = 0; i < count; ++i) {
+        const int64_t *fields = rows + i * CK_BLOCK_FIELDS;
+        const int64_t row = block->free_count
+                                ? block->free_rows[--block->free_count]
+                                : block->top++;
+        block->entry_ids[row] = fields[0];
+        block->num_vertices[row] = fields[1];
+        block->num_edges[row] = fields[2];
+        block->added_at[row] = fields[3];
+        block->hits[row] = fields[4];
+        block->removed[row] = fields[5];
+        block->costs[row] = costs[i];
+        if (W > 0) {
+            if (answers != NULL)
+                memcpy(block->answers + row * W, answers + i * W,
+                       (size_t)W * sizeof(uint64_t));
+            else
+                memset(block->answers + row * W, 0, (size_t)W * sizeof(uint64_t));
+        }
+        const int64_t at = ck_block_seek(block, fields[0]);
+        memmove(block->order + at + 1, block->order + at,
+                (size_t)(block->live - at) * sizeof(int64_t));
+        block->order[at] = row;
+        ++block->live;
+    }
+    return 0;
+}
+
+/* Free the rows of `count` entries, writing each one's final H, R and C
+ * to the outputs.  Returns 0, or -1 when an id has no row or repeats
+ * (nothing is freed then). */
+CK_EXPORT int64_t
+ck_block_remove(ck_block *block, int64_t count, const int64_t *entry_ids,
+                int64_t *out_hits, int64_t *out_removed, double *out_costs)
+{
+    for (int64_t i = 0; i < count; ++i) {
+        if (ck_block_find(block, entry_ids[i]) < 0)
+            return -1;
+        for (int64_t j = 0; j < i; ++j)
+            if (entry_ids[j] == entry_ids[i])
+                return -1;
+    }
+    for (int64_t i = 0; i < count; ++i) {
+        const int64_t at = ck_block_seek(block, entry_ids[i]);
+        const int64_t row = block->order[at];
+        out_hits[i] = block->hits[row];
+        out_removed[i] = block->removed[row];
+        out_costs[i] = block->costs[row];
+        block->entry_ids[row] = -1;
+        block->free_rows[block->free_count++] = row;
+        --block->live;
+        memmove(block->order + at, block->order + at + 1,
+                (size_t)(block->live - at) * sizeof(int64_t));
+    }
+    return 0;
+}
+
+/* Set the answer width to `mask_words` (at least 1) words; every answer
+ * row reads empty until it is written again.  0, or -1 on a width below 1
+ * or an allocation failure (the old width stays). */
+CK_EXPORT int64_t
+ck_block_set_width(ck_block *block, int64_t mask_words)
+{
+    uint64_t *answers = NULL;
+    if (mask_words < 1)
+        return -1;
+    if (block->capacity > 0) {
+        answers = (uint64_t *)calloc((size_t)(block->capacity * mask_words),
+                                     sizeof(uint64_t));
+        if (answers == NULL)
+            return -1;
+    }
+    free(block->answers);
+    block->answers = answers;
+    block->mask_words = mask_words;
+    return 0;
+}
+
+/* Copy answer row i of `masks` (`count` rows of the block's width back to
+ * back) into the row of entry_ids[i]; 0, or -1 when an id has no row or no
+ * width is set (nothing is written then). */
+CK_EXPORT int64_t
+ck_block_set_answers(ck_block *block, int64_t count, const int64_t *entry_ids,
+                     const uint64_t *masks)
+{
+    const int64_t W = block->mask_words;
+    if (W == 0)
+        return -1;
+    for (int64_t i = 0; i < count; ++i)
+        if (ck_block_find(block, entry_ids[i]) < 0)
+            return -1;
+    for (int64_t i = 0; i < count; ++i)
+        memcpy(block->answers + ck_block_find(block, entry_ids[i]) * W,
+               masks + i * W, (size_t)W * sizeof(uint64_t));
+    return 0;
+}
+
+/* Read (`write` 0) or overwrite the H, R and C of `entry_id`: counts[0..1]
+ * are H and R, *cost is C.  0, or -1 when the id has no row. */
+CK_EXPORT int64_t
+ck_block_stats(ck_block *block, int64_t entry_id, int64_t write,
+               int64_t *counts, double *cost)
+{
+    const int64_t row = ck_block_find(block, entry_id);
+    if (row < 0)
+        return -1;
+    if (write) {
+        block->hits[row] = counts[0];
+        block->removed[row] = counts[1];
+        block->costs[row] = *cost;
+    } else {
+        counts[0] = block->hits[row];
+        counts[1] = block->removed[row];
+        *cost = block->costs[row];
+    }
+    return 0;
+}
+
+/* The live rows' columns by ascending entry id (each output has room for
+ * the live count, which is returned; NULL outputs only count). */
+CK_EXPORT int64_t
+ck_block_columns(const ck_block *block, int64_t *out_ids, int64_t *out_added,
+                 int64_t *out_hits, int64_t *out_removed, double *out_costs)
+{
+    if (out_ids == NULL || out_added == NULL || out_hits == NULL ||
+        out_removed == NULL || out_costs == NULL)
+        return block->live;
+    for (int64_t at = 0; at < block->live; ++at) {
+        const int64_t row = block->order[at];
+        out_ids[at] = block->entry_ids[row];
+        out_added[at] = block->added_at[row];
+        out_hits[at] = block->hits[row];
+        out_removed[at] = block->removed[row];
+        out_costs[at] = block->costs[row];
+    }
+    return block->live;
+}
+
+/* Heap bytes held by the block. */
+CK_EXPORT int64_t
+ck_block_bytes(const ck_block *block)
+{
+    return (int64_t)sizeof(ck_block) +
+           block->capacity * (int64_t)(9 * sizeof(int64_t)) +
+           (block->answers == NULL ? 0 : block->capacity * block->mask_words *
+                                         (int64_t)sizeof(uint64_t));
+}
+
+/* One hit's section 5.1 credit: H += 1, R += `removed`, C += `cost`. */
+static inline void
+ck_block_credit_row(ck_block *block, int64_t row, int64_t removed, double cost)
+{
+    block->hits[row] += 1;
+    block->removed[row] += removed;
+    block->costs[row] += cost;
+}
+
+/* Formulae (3)-(5) and the section 4.4 mirror over one query's hits, and
+ * their section 5.1 credits.
+ *
+ * `hit_ids` are the guaranteeing component's hits (the first
+ * `num_guaranteeing`), then the restricting component's, each ascending.
+ * `candidates` is CS(g) and `costs` the cost of one test per position
+ * (`num_positions` of them).  Writes four masks of the block's width to
+ * `out_masks`: the guaranteed OR, the pruned candidates, the remaining
+ * candidates and the answer of the first hit whose |V| and |E| equal
+ * (`query_vertices`, `query_edges`) — an isomorphic earlier query,
+ * section 4.3 case 1 — with its position in `hit_ids` as out_flags[1] (-1
+ * and an empty mask without one).  out_flags[0] is 1 when a restricting
+ * hit's answer is empty (section 4.3 case 2: everything not guaranteed is
+ * pruned).
+ *
+ * Each hit's credit is the candidates it frees (guaranteeing: its answer
+ * AND CS(g); restricting: CS(g) AND NOT its answer): R adds their count, C
+ * their costs added from 0.0 in ascending position order.  The credits are
+ * applied in hit order and also written out per hit (row, removed, cost)
+ * for a replay (ck_block_credit).  Returns 0, or -1 when an id has no row
+ * or no width is set (nothing is written or credited then). */
+CK_EXPORT int64_t
+ck_block_plan(ck_block *block, const int64_t *hit_ids, int64_t num_hits,
+              int64_t num_guaranteeing, const uint64_t *candidates,
+              const double *costs, int64_t num_positions,
+              int64_t query_vertices, int64_t query_edges,
+              uint64_t *out_masks, int64_t *out_rows, int64_t *out_removed,
+              double *out_costs, int64_t *out_flags)
+{
+    const int64_t W = block->mask_words;
+    if (W == 0)
+        return -1;
+    for (int64_t i = 0; i < num_hits; ++i) {
+        out_rows[i] = ck_block_find(block, hit_ids[i]);
+        if (out_rows[i] < 0)
+            return -1;
+    }
+    uint64_t *guaranteed = out_masks, *pruned = out_masks + W,
+             *remaining = out_masks + 2 * W, *exact = out_masks + 3 * W;
+    memset(out_masks, 0, (size_t)(4 * W) * sizeof(uint64_t));
+    out_flags[0] = 0;
+    out_flags[1] = -1;
+    for (int64_t i = 0; i < num_hits; ++i) {
+        const int64_t row = out_rows[i];
+        if (block->num_vertices[row] == query_vertices &&
+            block->num_edges[row] == query_edges) {
+            out_flags[1] = i;
+            memcpy(exact, block->answers + row * W, (size_t)W * sizeof(uint64_t));
+            break;
+        }
+    }
+    int any_empty = 0;
+    for (int64_t i = num_guaranteeing; i < num_hits && !any_empty; ++i) {
+        const uint64_t *answer = block->answers + out_rows[i] * W;
+        any_empty = 1;
+        for (int64_t w = 0; w < W && any_empty; ++w)
+            any_empty = answer[w] == 0;
+    }
+    out_flags[0] = any_empty;
+    for (int64_t w = 0; w < W; ++w) {
+        uint64_t ored = 0, allowed = ~(uint64_t)0;
+        for (int64_t i = 0; i < num_guaranteeing; ++i)
+            ored |= block->answers[out_rows[i] * W + w];
+        for (int64_t i = num_guaranteeing; i < num_hits; ++i)
+            allowed &= block->answers[out_rows[i] * W + w];
+        const uint64_t left = candidates[w] & ~ored;
+        const uint64_t kept = left & allowed;  /* 0 with an empty answer */
+        guaranteed[w] = ored;
+        remaining[w] = kept;
+        pruned[w] = (candidates[w] & ored) | (left & ~kept);
+    }
+    for (int64_t i = 0; i < num_hits; ++i) {
+        const int64_t row = out_rows[i];
+        const uint64_t *answer = block->answers + row * W;
+        int64_t count = 0;
         double total = 0.0;
-        for (int64_t w = 0; w < mask_words; ++w) {
-            uint64_t bits = mask[w];
+        for (int64_t w = 0; w < W; ++w) {
+            uint64_t bits = i < num_guaranteeing ? answer[w] & candidates[w]
+                                                 : candidates[w] & ~answer[w];
+            count += ck_popcount64(bits);
             while (bits) {
                 const int64_t position = (w << 6) + ck_ctz64(bits);
                 bits &= bits - 1;
@@ -1467,7 +1853,24 @@ ck_mask_sums(const double *costs, int64_t num_positions,
                     total += costs[position];
             }
         }
-        out_totals[m] = total;
+        out_removed[i] = count;
+        out_costs[i] = total;
+        ck_block_credit_row(block, row, count, total);
+    }
+    return 0;
+}
+
+/* Re-apply a plan's credits, (rows[i], removed[i], costs[i]) in order, as
+ * ck_block_plan wrote them.  The caller replays only while the live set is
+ * the one the plan was made on; a row that is not live is skipped. */
+CK_EXPORT void
+ck_block_credit(ck_block *block, const int64_t *rows, const int64_t *removed,
+                const double *costs, int64_t num_credits)
+{
+    for (int64_t i = 0; i < num_credits; ++i) {
+        const int64_t row = rows[i];
+        if (row >= 0 && row < block->top && block->entry_ids[row] >= 0)
+            ck_block_credit_row(block, row, removed[i], costs[i]);
     }
 }
 

@@ -44,7 +44,7 @@ __all__ = [
 ]
 
 #: must match CK_ABI_VERSION in _ckernel.c; the loader refuses mismatches
-ABI_VERSION = 10
+ABI_VERSION = 11
 
 _SOURCE = Path(__file__).with_name("_ckernel.c")
 
@@ -152,7 +152,7 @@ def _configure(library: ctypes.CDLL) -> ctypes.CDLL | None:
     fn.argtypes = (integer, pointer, pointer, pointer, integer)
     library.ck_free.restype = None
     library.ck_free.argtypes = (pointer,)
-    # The cache-side probe table and the credit sums; driven by
+    # The cache-side probe table and the cache's column block; driven by
     # repro.core.probe.  (entries_are_targets) -> ck_table*
     library.ck_table_new.restype = pointer
     library.ck_table_new.argtypes = (integer,)
@@ -178,9 +178,45 @@ def _configure(library: ctypes.CDLL) -> ctypes.CDLL | None:
     # (table*, query_side*, slots*, num_slots, out_hit_ids*) -> hits / -1
     library.ck_probe_verify.restype = integer
     library.ck_probe_verify.argtypes = (pointer, pointer, pointer, integer, pointer)
-    # (costs*, num_positions, masks*, num_masks, mask_words, out_totals*)
-    library.ck_mask_sums.restype = None
-    library.ck_mask_sums.argtypes = (pointer, integer, pointer, integer, integer, pointer)
+    # () -> ck_block*; (block*) -> None
+    library.ck_block_new.restype = pointer
+    library.ck_block_new.argtypes = ()
+    library.ck_block_free.restype = None
+    library.ck_block_free.argtypes = (pointer,)
+    # (block*, count, rows* (count x 6: id, |V|, |E|, added_at, H, R),
+    # costs*, answers*) -> 0 / -1 (allocation) / -2 (an id has a row or
+    # repeats)
+    library.ck_block_add.restype = integer
+    library.ck_block_add.argtypes = (pointer, integer, pointer, pointer, pointer)
+    # (block*, count, entry_ids*, out_hits*, out_removed*, out_costs*) -> 0 / -1
+    library.ck_block_remove.restype = integer
+    library.ck_block_remove.argtypes = (pointer, integer, pointer, pointer, pointer, pointer)
+    # (block*, mask_words) -> 0 / -1
+    library.ck_block_set_width.restype = integer
+    library.ck_block_set_width.argtypes = (pointer, integer)
+    # (block*, count, entry_ids*, masks*) -> 0 / -1
+    library.ck_block_set_answers.restype = integer
+    library.ck_block_set_answers.argtypes = (pointer, integer, pointer, pointer)
+    # (block*, entry_id, write, counts[2]*, cost*) -> 0 / -1
+    library.ck_block_stats.restype = integer
+    library.ck_block_stats.argtypes = (pointer, integer, integer, pointer, pointer)
+    # (block*, out_ids*, out_added*, out_hits*, out_removed*, out_costs*)
+    # -> live rows
+    library.ck_block_columns.restype = integer
+    library.ck_block_columns.argtypes = (pointer, pointer, pointer, pointer, pointer, pointer)
+    library.ck_block_bytes.restype = integer
+    library.ck_block_bytes.argtypes = (pointer,)
+    # (block*, hit_ids*, num_hits, num_guaranteeing, candidates*, costs*,
+    # num_positions, query_vertices, query_edges, out_masks*, out_rows*,
+    # out_removed*, out_costs*, out_flags*) -> 0 / -1
+    library.ck_block_plan.restype = integer
+    library.ck_block_plan.argtypes = (
+        pointer, pointer, integer, integer, pointer, pointer, integer, integer, integer,
+        pointer, pointer, pointer, pointer, pointer,
+    )
+    # (block*, rows*, removed*, costs*, num_credits)
+    library.ck_block_credit.restype = None
+    library.ck_block_credit.argtypes = (pointer, pointer, pointer, pointer, integer)
     return library
 
 

@@ -21,6 +21,7 @@ knob (Grapes(1) vs Grapes(6) in the paper) only in the method's name
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import compress
 
 from ..features.extractor import FeatureExtractor, GraphFeatures
@@ -81,14 +82,21 @@ class GrapesMethod(SubgraphQueryMethod):
         """The threshold index plus the location lists Grapes would store:
         per graph ``LIST_HEADER_BYTES * features + VERTEX_ID_BYTES *
         covered``, where ``features`` is the number of its distinct
-        features and ``covered`` its :func:`path_coverage` (the vertices
-        each path key's occurrences cover, summed over the keys).  The
-        lists' bytes are computed on the first call after a build, not at
-        build time (a build that is never sized pays nothing), and kept."""
+        features and ``covered`` the vertices each of its feature keys'
+        occurrences cover, summed over the keys — :func:`path_coverage`
+        for path features, :meth:`FeatureExtractor.tree_cycle_coverage
+        <repro.features.extractor.FeatureExtractor.tree_cycle_coverage>`
+        for a ``trees_cycles`` extractor's.  The lists' bytes are computed
+        on the first call after a build, not at build time (a build that is
+        never sized pays nothing), and kept."""
         if self._location_bytes is None:
+            if self.extractor.kind == FeatureExtractor.PATHS:
+                covered = partial(path_coverage, max_length=self.max_path_length)
+            else:
+                covered = self.extractor.tree_cycle_coverage
             self._location_bytes = sum(
                 self.LIST_HEADER_BYTES * len(self._graph_features[graph_id].counts)
-                + self.VERTEX_ID_BYTES * path_coverage(graph, self.max_path_length)
+                + self.VERTEX_ID_BYTES * covered(graph)
                 for graph_id, graph in self.database.items()
             )
         return self.feature_index.size_bytes() + self._location_bytes

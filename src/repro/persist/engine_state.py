@@ -52,13 +52,13 @@ def persist_state(engine) -> dict:
 
     Everything the warm restart cannot rebuild from the journalled entries
     themselves: the global query counter, the id allocator, the
-    per-entry §5.1 replacement statistics (as the columns ``(ids, H, R,
-    C)``, in cache order), the placement state, and the fingerprint of
-    the id space the journalled answer masks index.  (The durable store
-    stamps its format version on top.)
+    per-entry §5.1 replacement statistics (the cache's columns ``(ids, H,
+    R, C)``, by ascending entry id — cache order), the placement state,
+    and the fingerprint of the id space the journalled answer masks
+    index.  (The durable store stamps its format version on top.)
     """
     cache = engine.cache
-    entries = list(cache.entries())
+    ids, _, hits, removed, costs = cache.columns.read()
     return {
         "mode": engine.mode,
         "shards": engine.num_shards,
@@ -69,12 +69,7 @@ def persist_state(engine) -> dict:
             if engine._id_space is None
             else engine._id_space.fingerprint()
         ),
-        "entry_stats": (
-            [entry.entry_id for entry in entries],
-            [entry.hits for entry in entries],
-            [entry.removed for entry in entries],
-            [entry.alleviated_cost for entry in entries],
-        ),
+        "entry_stats": (ids.tolist(), hits.tolist(), removed.tolist(), costs.tolist()),
         **engine.placement.persist_state(),
     }
 
@@ -86,7 +81,7 @@ def persist_answer(engine, entry) -> int | frozenset:
     (a mask, or a format-2 frozenset)."""
     if engine._id_space is None:
         return entry.answers
-    return engine._answer_mask(entry)
+    return entry.answers.mask
 
 
 def apply_persist_state(engine, entries, state: dict, source: str = "") -> None:

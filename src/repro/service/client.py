@@ -39,7 +39,12 @@ from . import protocol
 from .scheduler import AdmissionError
 from .service import QueryTimeout, ServiceClosed
 
-__all__ = ["ServiceClient", "connect"]
+__all__ = ["HELLO_TIMEOUT_S", "ServiceClient", "connect"]
+
+#: seconds :func:`connect` waits for the ``hello`` reply before giving up
+#: with a :class:`ConnectionError` (a server that accepts and never answers
+#: would otherwise block it forever)
+HELLO_TIMEOUT_S = 10.0
 
 
 def _exception_for(error: dict) -> BaseException:
@@ -96,14 +101,24 @@ class ServiceClient:
 
     def _hello(self) -> GraphIdSpace:
         """Send ``hello`` and read its reply before any other traffic (the
-        reader thread is not running yet).  A refusal raises
-        :class:`~repro.service.protocol.ProtocolError` whatever its code."""
+        reader thread is not running yet), within :data:`HELLO_TIMEOUT_S`.
+        A refusal raises :class:`~repro.service.protocol.ProtocolError`
+        whatever its code; no reply in time raises :class:`ConnectionError`."""
         request_id = next(self._request_ids)
         envelope = protocol.encode_request(
             "hello", request_id=request_id, tenant=self.tenant
         )
-        self._sock.sendall(protocol.encode_frame(envelope))
-        line = self._reader.readline()
+        self._sock.settimeout(HELLO_TIMEOUT_S)
+        try:
+            self._sock.sendall(protocol.encode_frame(envelope))
+            line = self._reader.readline()
+        except TimeoutError:
+            raise ConnectionError(
+                f"the server sent no hello reply within {HELLO_TIMEOUT_S} s"
+            ) from None
+        finally:
+            # the reader thread blocks on the socket for as long as it lives
+            self._sock.settimeout(None)
         if not line:
             raise ConnectionError("the server closed the connection during hello")
         response = protocol.decode_response(protocol.decode_frame(line))

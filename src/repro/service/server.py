@@ -180,12 +180,21 @@ class ServiceServer:
         writer_task = asyncio.ensure_future(self._write_responses(writer, connection))
         try:
             while True:
-                line = await reader.readline()
-                if not line:
+                try:
+                    line = await reader.readuntil(b"\n")
+                except asyncio.IncompleteReadError as end:
+                    if end.partial:  # a last frame without its newline
+                        self._serve_request(end.partial, connection)
                     break
                 self._serve_request(line, connection)
-        except (asyncio.IncompleteReadError, ConnectionError, ValueError):
-            pass  # client vanished or overran the frame limit; just drop it
+        except asyncio.LimitOverrunError:
+            # a frame over MAX_FRAME_BYTES (the reader's limit): answer it
+            # with a typed error, read past it (closing on unread input would
+            # reset the connection and lose the answer), then close
+            connection.outbox.put_nowait(_FRAME_TOO_LARGE)
+            await _skip_frame(reader)
+        except ConnectionError:
+            pass  # client vanished
         finally:
             connection.eof = True
             if connection.outstanding == 0:
@@ -324,6 +333,33 @@ class ServiceServer:
                 await writer.wait_closed()
             except (ConnectionError, RuntimeError):
                 pass
+
+
+#: the response to a frame over :data:`MAX_FRAME_BYTES` (no request id
+#: could be read from it)
+_FRAME_TOO_LARGE = protocol.encode_response(
+    None,
+    error=protocol.error_to_dict(
+        protocol.ProtocolError(
+            f"frame exceeds MAX_FRAME_BYTES ({MAX_FRAME_BYTES} bytes); the "
+            "connection is closed",
+            code="frame_too_large",
+        )
+    ),
+)
+
+
+async def _skip_frame(reader) -> None:
+    """Read and drop the rest of an oversized frame: up to its newline, or
+    to the end of the stream."""
+    while True:
+        try:
+            await reader.readuntil(b"\n")
+            return
+        except asyncio.LimitOverrunError as overrun:
+            await reader.readexactly(overrun.consumed)
+        except (asyncio.IncompleteReadError, ConnectionError):
+            return
 
 
 def serve(

@@ -14,10 +14,13 @@ differentials compare against:
   test counts.
   :class:`OracleVerifier` is a ``Verifier`` that runs its compiled pairs
   there, to put a base method on the bigint kernel;
-* the *oracle engine* — :func:`oracle_engine`, an ``IGQ`` on
+* the *oracle engine* — :func:`oracle_engine`, an :class:`OracleIGQ` on
   :class:`OracleVerifier` s whose probes run :func:`oracle_hits` under the
-  ``oracle_probes`` fixture of ``conftest``: no verification code shared
-  with the kernel;
+  ``oracle_probes`` fixture of ``conftest`` and whose plans combine the
+  hits and apply the §5.1 credits as Python loops over the entries
+  (:func:`combine`, :func:`hit_credits`, :func:`record_hit` — what
+  ``ck_block_plan`` / ``ck_block_credit`` replace): no verification or
+  planning code shared with the kernel;
 * :func:`signature_prereject` (the pre-reject on two graphs) and
   :func:`grapes_region_verify` (Grapes on region subgraphs cut from the
   location table, :func:`location_union`, tested with ``VF2Matcher``);
@@ -27,7 +30,7 @@ differentials compare against:
 * the *marshalling* — :func:`marshal_target` / :func:`marshal_plan` build
   the ``ck_target`` / ``ck_plan`` structs from that state, field for field
   what ``ck_compile_target`` / ``ck_compile_plan`` build from the CSR;
-* :func:`mask_sums`, the loop ``ck_mask_sums`` replaces, and
+* :func:`mask_sums`, the credit sums ``ck_block_plan`` adds up, and
   :func:`isub_candidate_ids` / :func:`isuper_candidate_ids`, the Python
   filters ``ck_probe_filter`` replaces (``Isub``'s dominance, ``Isuper``'s
   Algorithm 2);
@@ -535,7 +538,7 @@ def marshal_plan(pattern: LabeledGraph) -> tuple[int, tuple]:
 # ----------------------------------------------------------------------
 def mask_sums(costs: array, masks: Sequence[int]) -> list[float]:
     """Per mask, ``costs`` over its set bits added from ``0.0`` in ascending
-    position order — the doubles ``ck_mask_sums`` must return."""
+    position order — the C(g) increments ``ck_block_plan`` must add."""
     totals = []
     for mask in masks:
         total = 0.0
@@ -715,23 +718,105 @@ def probe_hits(index, query, features) -> tuple[list[int], int]:
 # ----------------------------------------------------------------------
 # The oracle engine
 # ----------------------------------------------------------------------
-def oracle_hits(index, query, features) -> list:
-    """A containment index's hits from :func:`probe_hits`, its tests folded
-    into the index's verifier as the native probe folds them — what the
-    ``oracle_probes`` fixture puts in place of ``ContainmentIndex._hits``
-    for an index on an :class:`OracleVerifier`."""
+def oracle_hits(index, query, features) -> list[int]:
+    """A containment index's hit ids from :func:`probe_hits`, its tests
+    folded into the index's verifier as the native probe folds them — what
+    the ``oracle_probes`` fixture puts in place of
+    ``ContainmentIndex._hits`` for an index on an :class:`OracleVerifier`."""
     start = time.perf_counter()
     hit_ids, tests = probe_hits(index, query, features)
     index.verifier.record_batch(tests, len(hit_ids), time.perf_counter() - start)
-    return [index._entries[entry_id] for entry_id in hit_ids]
+    return hit_ids
+
+
+def answer_mask(engine: IGQ, entry) -> int:
+    """A cached entry's answer set as a mask over the engine's id space."""
+    return engine.method.id_space.mask_of(entry.answer)
+
+
+def combine(candidate_mask: int, guaranteed: list[int], restricting: list[int]):
+    """Formulae (3)–(5) (and the §4.4 mirror) over answer masks as Python
+    loops: ``(guaranteed answers, pruned, remaining, skip_all)``."""
+    ored = 0
+    for mask in guaranteed:
+        ored |= mask
+    remaining = candidate_mask & ~ored
+    skip_all = False
+    pruned_by_restriction = 0
+    if restricting:
+        if not all(restricting):
+            # §4.3 optimal case 2: a restricting previous query had no
+            # answers, so nothing beyond the guaranteed ones can be one
+            pruned_by_restriction = remaining
+            remaining = 0
+            skip_all = True
+        else:
+            allowed = -1
+            for mask in restricting:
+                allowed &= mask
+            pruned_by_restriction = remaining & ~allowed
+            remaining &= allowed
+    pruned = (candidate_mask & ored) | pruned_by_restriction
+    return ored, pruned, remaining, skip_all
+
+
+def hit_credits(costs: array, candidate_mask: int, guaranteed, restricting):
+    """The §5.1 increments ``(removed, cost)`` of each hit, guaranteeing
+    hits first: the candidates a hit frees, counted and their costs summed
+    by :func:`mask_sums`."""
+    freed = [mask & candidate_mask for mask in guaranteed]
+    freed += [candidate_mask & ~mask for mask in restricting]
+    return list(zip((mask.bit_count() for mask in freed), mask_sums(costs, freed)))
+
+
+def record_hit(entry, removed: int, cost: float) -> None:
+    """Account one hit of ``entry`` that removed ``removed`` candidates."""
+    entry.hits += 1
+    entry.removed += removed
+    entry.alleviated_cost += cost
+
+
+class OracleIGQ(IGQ):
+    """An engine whose plans combine the hits and credit them in Python,
+    entry by entry (:func:`combine`, :func:`hit_credits`,
+    :func:`record_hit`), instead of in one ``ck_block_plan`` call."""
+
+    def _plan_hits(self, query, candidate_mask, guaranteeing, restricting, supergraph):
+        if not (guaranteeing or restricting):
+            return 0, 0, candidate_mask, False, None, 0, None
+        get = self.cache.get
+        g_masks = [answer_mask(self, get(entry_id)) for entry_id in guaranteeing]
+        r_masks = [answer_mask(self, get(entry_id)) for entry_id in restricting]
+        guaranteed, pruned, remaining, skip_all = combine(candidate_mask, g_masks, r_masks)
+        hit_ids = guaranteeing + restricting
+        exact_id, exact_answer = None, 0
+        for entry_id, mask in zip(hit_ids, g_masks + r_masks):
+            if get(entry_id).graph.same_size(query):
+                exact_id, exact_answer = entry_id, mask
+                break
+        costs = self._cost_vector(query.num_vertices, supergraph)
+        credits = [
+            (entry_id, removed, cost)
+            for entry_id, (removed, cost) in zip(
+                hit_ids, hit_credits(costs, candidate_mask, g_masks, r_masks)
+            )
+        ]
+        for entry_id, removed, cost in credits:
+            record_hit(get(entry_id), removed, cost)
+        return guaranteed, pruned, remaining, skip_all, exact_id, exact_answer, credits
+
+    def apply_plan_credits(self, plan) -> None:
+        for entry_id, removed, cost in plan.credits or ():
+            record_hit(self.cache.get(entry_id), removed, cost)
 
 
 def oracle_engine(method_name: str, config, **method_options) -> IGQ:
-    """An ``IGQ`` on the oracles: the base method verifies on the bigint
+    """An engine on the oracles: the base method verifies on the bigint
     kernel, and so does plan replay's confirming test; the probes are
-    :func:`oracle_hits` under the ``oracle_probes`` fixture."""
+    :func:`oracle_hits` under the ``oracle_probes`` fixture, the plans
+    :class:`OracleIGQ`'s loops."""
     method = create_method(method_name, verifier=OracleVerifier(), **method_options)
-    return IGQ(method, config, igq_verifier=OracleVerifier())
+    return OracleIGQ(method, config, igq_verifier=OracleVerifier())
 
 
 # ----------------------------------------------------------------------

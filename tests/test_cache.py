@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from array import array
+
 import pytest
 
 from repro.core import QueryCache
@@ -74,13 +76,19 @@ class TestQueryCache:
 
 class TestCacheEntryMetadata:
     def test_record_hit_accumulates(self):
+        """A hit's credit lands in the entry's column row; a replay adds
+        it again; the totals stay with the entry when it leaves."""
         cache = QueryCache()
         entry = add_entry(cache, make_path_graph("AB"))
-        entry.record_hit(removed=3, alleviated_cost=10.0)
-        entry.record_hit(removed=2, alleviated_cost=5.0)
-        assert entry.hits == 2
-        assert entry.removed == 5
-        assert entry.alleviated_cost == pytest.approx(15.0)
+        cache.columns.set_width(5)
+        cache.columns.set_answers([entry.entry_id], [0b00111])
+        costs = array("d", [1.0, 2.0, 4.0, 8.0, 16.0])
+        *_, credits = cache.columns.plan(array("q", [entry.entry_id]), 1, 0b01101, costs, 0, 0)
+        assert (entry.hits, entry.removed, entry.alleviated_cost) == (1, 2, 5.0)
+        cache.columns.credit(credits)
+        assert (entry.hits, entry.removed, entry.alleviated_cost) == (2, 4, 10.0)
+        cache.remove(entry.entry_id)
+        assert (entry.hits, entry.removed, entry.alleviated_cost) == (2, 4, 10.0)
 
     def test_queries_since_added_never_negative(self):
         cache = QueryCache()

@@ -241,8 +241,8 @@ class TestComponentsAndMetadata:
             guaranteed, restricting = plan.sub_hits, plan.super_hits
             if supergraph:
                 guaranteed, restricting = restricting, guaranteed
-            roles = [(entry, True) for entry in guaranteed]
-            roles += [(entry, False) for entry in restricting]
+            roles = [(engine.cache.get(entry_id), True) for entry_id in guaranteed]
+            roles += [(engine.cache.get(entry_id), False) for entry_id in restricting]
             for entry, guarantees in roles:
                 answer = set(entry.answer)
                 freed = candidates & answer if guarantees else candidates - answer

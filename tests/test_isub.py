@@ -39,7 +39,7 @@ class TestFindSupergraphs:
         query = make_path_graph("ABC")
         hits = index.find_supergraphs(query, EXTRACTOR.extract(query))
         assert len(hits) == 1
-        assert hits[0].graph.num_vertices == 4
+        assert cache.get(hits[0]).graph.num_vertices == 4
 
     def test_no_hits_for_unrelated_query(self):
         cache, index = build_index([make_path_graph("AB")])
@@ -60,8 +60,8 @@ class TestFindSupergraphs:
         for _ in range(10):
             query = random_labeled_graph(rng, rng.randint(2, 5), 0.3)
             features = EXTRACTOR.extract(query)
-            for entry in index.find_supergraphs(query, features):
-                assert is_subgraph_isomorphic(query, entry.graph)
+            for entry_id in index.find_supergraphs(query, features):
+                assert is_subgraph_isomorphic(query, cache.get(entry_id).graph)
 
     def test_no_false_negatives(self):
         rng = random.Random(11)
@@ -72,7 +72,7 @@ class TestFindSupergraphs:
         for _ in range(10):
             query = random_labeled_graph(rng, rng.randint(2, 4), 0.4)
             features = EXTRACTOR.extract(query)
-            found = {id(entry.graph) for entry in index.find_supergraphs(query, features)}
+            found = {id(cache.get(i).graph) for i in index.find_supergraphs(query, features)}
             expected = {
                 id(graph) for graph in cached if is_subgraph_isomorphic(query, graph)
             }
@@ -85,11 +85,11 @@ class TestFindSupergraphs:
         graphs = [make_cycle_graph("ABCD"), make_path_graph("ABC"), make_path_graph("ABCD")]
         query = make_path_graph("ABC")
         features = EXTRACTOR.extract(query)
-        whole = [entry.graph for entry in build_index(graphs)[1].find_supergraphs(query, features)]
-        assert whole == graphs
+        cache, whole = build_index(graphs)
+        assert [cache.get(i).graph for i in whole.find_supergraphs(query, features)] == graphs
         for subset in ([], graphs[:1], graphs[1:], graphs[2:]):
-            _, part = build_index(subset)
-            assert [entry.graph for entry in part.find_supergraphs(query, features)] == subset
+            cache, part = build_index(subset)
+            assert [cache.get(i).graph for i in part.find_supergraphs(query, features)] == subset
 
     @settings(max_examples=25, deadline=None)
     @given(labeled_graphs(max_vertices=5), labeled_graphs(max_vertices=6))
@@ -107,7 +107,7 @@ class TestMaintenance:
         assert len(index) == 1
         query = make_cycle_graph("ABC")
         hits = index.find_supergraphs(query, EXTRACTOR.extract(query))
-        assert all(entry.entry_id != entry_id for entry in hits)
+        assert entry_id not in hits
 
     def test_remove_unknown_is_noop(self):
         cache, index = build_index([make_path_graph("AB")])

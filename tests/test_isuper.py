@@ -85,11 +85,11 @@ class TestAlgorithm2:
         graphs = [make_path_graph("AB"), make_path_graph("ABC"), make_path_graph("BC")]
         query = make_cycle_graph("ABCD")
         features = EXTRACTOR.extract(query)
-        whole = [entry.graph for entry in build_index(graphs)[1].find_subgraphs(query, features)]
-        assert whole == graphs
+        cache, whole = build_index(graphs)
+        assert [cache.get(i).graph for i in whole.find_subgraphs(query, features)] == graphs
         for subset in ([], graphs[:1], graphs[1:], graphs[2:]):
-            _, part = build_index(subset)
-            assert [entry.graph for entry in part.find_subgraphs(query, features)] == subset
+            cache, part = build_index(subset)
+            assert [cache.get(i).graph for i in part.find_subgraphs(query, features)] == subset
 
     def test_find_subgraphs_verifies_candidates(self):
         cache, index = build_index(
@@ -97,7 +97,7 @@ class TestAlgorithm2:
         )
         query = make_cycle_graph("ABC")
         hits = index.find_subgraphs(query, EXTRACTOR.extract(query))
-        names = sorted(entry.graph.num_vertices for entry in hits)
+        names = sorted(cache.get(entry_id).graph.num_vertices for entry_id in hits)
         # The A-B edge and the ABC triangle are subgraphs; K4 is not.
         assert names == [2, 3]
 
@@ -115,8 +115,8 @@ class TestAlgorithm2:
         for _ in range(10):
             query = random_labeled_graph(rng, rng.randint(3, 7), 0.3)
             features = EXTRACTOR.extract(query)
-            for entry in index.find_subgraphs(query, features):
-                assert is_subgraph_isomorphic(entry.graph, query)
+            for entry_id in index.find_subgraphs(query, features):
+                assert is_subgraph_isomorphic(cache.get(entry_id).graph, query)
 
     @settings(max_examples=25, deadline=None)
     @given(labeled_graphs(max_vertices=5), labeled_graphs(max_vertices=6))
@@ -134,7 +134,7 @@ class TestMaintenance:
         assert len(index) == 1
         query = make_cycle_graph("ABCD")
         hits = index.find_subgraphs(query, EXTRACTOR.extract(query))
-        assert all(entry.entry_id != victim for entry in hits)
+        assert victim not in hits
 
     def test_remove_unknown_is_noop(self):
         cache, index = build_index([make_path_graph("AB")])

@@ -221,9 +221,8 @@ class TestIncrementalFlushProperties:
                         isuper_oracle.find_subgraphs(probe, features),
                     ),
                 ):
-                    ids = [entry.entry_id for entry in hits]
-                    assert ids == sorted(ids)
-                    assert ids == [entry.entry_id for entry in oracle_hits]
+                    assert hits == sorted(hits)
+                    assert hits == oracle_hits
         assert flushes == scenario["length"] // scenario["window_size"]
 
     def test_steady_state_across_1k_flushes(self):

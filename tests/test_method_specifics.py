@@ -178,6 +178,23 @@ class TestGrapes:
             expected += 8 * len(features.counts) + 4 * kernel_oracle.coverage(graph, 3)
         assert method.index_size_bytes() == expected
 
+    def test_index_size_charges_tree_and_cycle_keys(self):
+        """With a ``trees_cycles`` extractor the location lists hold the
+        vertices each tree or cycle key covers: the location table of
+        ``kernel_oracle.tuple_features``, not the graph's paths."""
+        extractor = FeatureExtractor(kind="trees_cycles", tree_max_size=3, cycle_max_length=4)
+        method = GrapesMethod(extractor=extractor)
+        database = containment_database()
+        method.build_index(database)
+        expected = method.feature_index.size_bytes()
+        paths = expected
+        for graph_id, graph in database.items():
+            counts, located = kernel_oracle.tuple_features(extractor, graph)
+            assert len(counts) == len(method.graph_features(graph_id).counts)
+            expected += 8 * len(counts) + 4 * sum(mask.bit_count() for mask in located.values())
+            paths += 8 * len(counts) + 4 * kernel_oracle.coverage(graph, method.max_path_length)
+        assert method.index_size_bytes() == expected != paths
+
     def test_index_size_walks_the_paths_once_per_build(self, monkeypatch):
         """The location bytes are computed by the first call after a build
         and kept: a second call walks no path, a rebuild walks them again."""

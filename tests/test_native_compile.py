@@ -359,7 +359,7 @@ class TestPickleRoundTrips:
                     index.add(entry)
                 outcomes.append(
                     [
-                        [hit.entry_id for hit in getattr(index, find)(q, EXTRACTOR.extract(q))]
+                        getattr(index, find)(q, EXTRACTOR.extract(q))
                         for q in queries
                     ]
                     + [index.verifier.stats.tests, index.verifier.stats.positives]
@@ -454,7 +454,7 @@ class TestBlockLifetime:
         entry.release_compiled()
         gc.collect()
         assert library.freed.count(address) == before
-        assert [hit.entry_id for hit in find(query, EXTRACTOR.extract(query))] == [entry.entry_id]
+        assert find(query, EXTRACTOR.extract(query)) == [entry.entry_id]
         index.remove(entry.entry_id)
         gc.collect()
         assert library.freed.count(address) == before + 1

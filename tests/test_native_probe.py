@@ -3,7 +3,7 @@
 A :class:`~repro.core.containment.ContainmentIndex` keeps its entries in a
 kernel-side table (:class:`~repro.core.probe.ProbeTable`) and answers a
 probe with ``ck_probe_filter`` + ``ck_probe_verify``; the engine sums the
-§5.1 credits of the hits with ``ck_mask_sums``.  Every feature is coded, so
+§5.1 credits of the hits in ``ck_block_plan``.  Every feature is coded, so
 every index — any method, any feature class, any verifier — probes the
 table.  The Python forms in ``tests/kernel_oracle.py`` are the oracle:
 ``isub_candidate_ids`` / ``isuper_candidate_ids`` (the filters),
@@ -30,11 +30,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import IGQ, QueryCache, SubgraphQueryIndex, SupergraphQueryIndex
-from repro.core.probe import mask_sums
+from repro.core.probe import ColumnBlock
 from repro.features import FeatureExtractor, path_features
 from repro.features.paths import path_code
 from repro.graphs import GraphDatabase, LabeledGraph
-from repro.isomorphism import Verifier
+from repro.isomorphism import Verifier, _ckernel_loader
 from repro.methods import create_method
 
 from . import kernel_oracle
@@ -92,7 +92,7 @@ class Pair:
                 now - then
                 for now, then in zip((stats.tests, stats.positives, stats.negatives), before)
             )
-            outcomes.append(([entry.entry_id for entry in hits], delta))
+            outcomes.append((hits, delta))
         assert outcomes[0] == outcomes[1]
         ids, (tests, positives, _) = outcomes[0]
         assert kernel_oracle.probe_hits(self.native, query, features) == (ids, tests)
@@ -355,8 +355,26 @@ def test_every_feature_class_stays_on_the_probe_table(
 
 
 # ----------------------------------------------------------------------
-# ck_mask_sums
+# The credit sums of ck_block_plan
 # ----------------------------------------------------------------------
+def credited_costs(costs: array, masks: list[int]) -> list[float]:
+    """C(g) of one fresh row per mask after one ``ck_block_plan`` call
+    that credits each row as a guaranteeing hit of an all-candidates
+    query: the sum of ``costs`` over the mask's bits, as the kernel adds
+    it (also as the call returns it for a replay)."""
+    block = ColumnBlock(_ckernel_loader.kernel())
+    block.set_width(len(costs))
+    rows = array("q", [field for entry_id in range(len(masks)) for field in (entry_id, 1, 1, 0, 0, 0)])
+    block.add(rows, array("d", bytes(8 * len(masks))), block.answer_bytes(masks))
+    hit_ids = array("q", range(len(masks)))
+    everything = (1 << len(costs)) - 1
+    *_, (_, removed, credited) = block.plan(hit_ids, len(masks), everything, costs, 0, 0)
+    assert removed.tolist() == [mask.bit_count() for mask in masks]
+    totals = [block.stats(entry_id)[2] for entry_id in range(len(masks))]
+    assert [total.hex() for total in totals] == [total.hex() for total in credited]
+    return totals
+
+
 class TestMaskSums:
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -379,7 +397,7 @@ class TestMaskSums:
             st.lists(st.integers(min_value=0, max_value=(1 << size) - 1), max_size=6)
         )
         masks += [0, (1 << size) - 1, 1 << (size - 1)]
-        totals = mask_sums(costs, masks)
+        totals = credited_costs(costs, masks)
         assert [total.hex() for total in totals] == [
             total.hex() for total in kernel_oracle.mask_sums(costs, masks)
         ]
@@ -390,9 +408,8 @@ class TestMaskSums:
         rng = random.Random(2)
         costs = array("d", [rng.random() * 10 ** rng.randint(-8, 12) for _ in range(130)])
         masks = [rng.getrandbits(130) for _ in range(10)] + [0]
-        native = mask_sums(costs, masks)
+        native = credited_costs(costs, masks)
         assert [t.hex() for t in kernel_oracle.mask_sums(costs, masks)] == [t.hex() for t in native]
-        assert mask_sums(costs, []) == []
 
 
 # ----------------------------------------------------------------------

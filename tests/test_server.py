@@ -30,10 +30,12 @@ from repro.methods import create_method
 from repro.service import (
     AdmissionError,
     GraphQueryService,
+    client as client_module,
     connect,
     serve,
 )
 from repro.service.protocol import PROTOCOL_VERSION, ProtocolError, graph_to_dict
+from repro.service.server import MAX_FRAME_BYTES
 
 from .test_service import (
     database,  # noqa: F401 - fixture re-export
@@ -150,6 +152,8 @@ class TestProtocolSurface:
         with connect(endpoint.host, endpoint.port) as client:
             assert client.id_space.ids == space.ids
             assert client.id_space.fingerprint() == space.fingerprint()
+            # the hello's deadline is gone before the reader thread reads
+            assert client._sock.gettimeout() is None
 
     def test_wire_answers_equal_the_embedded_answers(self, endpoint, mixed_stream):  # noqa: F811
         """A wire result's answers are a bitmap over the connection's id
@@ -177,6 +181,26 @@ class TestProtocolSurface:
             abandoned = client.submit(query, mode)
             abandoned.cancel()
             assert client.query(query, mode).answers == client.query(query, mode).answers
+            assert client.ping() == {"pong": True}
+
+    def test_an_oversized_frame_is_answered_then_closed(self, endpoint):
+        """A ``ping`` frame ``MAX_FRAME_BYTES + 50`` bytes long gets a typed
+        error (no id could be read from it), then the server closes."""
+        head = json.dumps(
+            {"protocol_version": PROTOCOL_VERSION, "id": 1, "op": "ping", "payload": {"pad": ""}}
+        ).encode()
+        pad = MAX_FRAME_BYTES + 50 - len(head) - 1
+        frame = head[:-3] + b"x" * pad + head[-3:] + b"\n"
+        assert len(frame) == MAX_FRAME_BYTES + 50
+        with socket.create_connection((endpoint.host, endpoint.port), timeout=60) as sock:
+            sock.sendall(frame)
+            reader = sock.makefile("rb")
+            response = json.loads(reader.readline())
+            assert reader.readline() == b""
+        assert response["id"] is None
+        assert response["error"]["code"] == "frame_too_large"
+        assert str(MAX_FRAME_BYTES) in response["error"]["message"]
+        with connect(endpoint.host, endpoint.port) as client:  # the server serves on
             assert client.ping() == {"pong": True}
 
     def test_malformed_json_is_a_typed_error(self, endpoint):
@@ -280,6 +304,23 @@ class TestHandshake:
         )
         assert isinstance(exc, ProtocolError)
         assert exc.code == "unsupported_version"
+
+    def test_a_silent_server_times_the_hello_out(self, monkeypatch):
+        """A server that accepts and never answers: ``connect()`` raises a
+        ``ConnectionError`` naming ``hello`` after ``HELLO_TIMEOUT_S``."""
+        monkeypatch.setattr(client_module, "HELLO_TIMEOUT_S", 0.5)
+        listener = socket.create_server(("127.0.0.1", 0))
+        accepted = []
+        stub = threading.Thread(target=lambda: accepted.append(listener.accept()), daemon=True)
+        stub.start()
+        started = time.monotonic()
+        with pytest.raises(ConnectionError, match="hello"):
+            connect("127.0.0.1", listener.getsockname()[1])
+        assert time.monotonic() - started < 5
+        stub.join(timeout=10)
+        assert not stub.is_alive()
+        accepted[0][0].close()
+        listener.close()
 
     def test_a_hello_frame_is_the_first_frame(self):
         seen: list = []

@@ -315,8 +315,7 @@ class TestProbesAgainstOracles:
                 if graphs[entry_id].num_vertices >= size[0] and graphs[entry_id].num_edges >= size[1]
             )
             expected = [i for i in tested if VF2Matcher(query, graphs[i]).has_match()]
-            hits = isub.find_supergraphs(query, features)
-            assert [entry.entry_id for entry in hits] == expected
+            assert isub.find_supergraphs(query, features) == expected
             sub_tests += len(tested)
             sub_hits += len(expected)
 
@@ -326,8 +325,7 @@ class TestProbesAgainstOracles:
                 if graphs[entry_id].num_vertices <= size[0] and graphs[entry_id].num_edges <= size[1]
             )
             expected = [i for i in tested if VF2Matcher(graphs[i], query).has_match()]
-            hits = isuper.find_subgraphs(query, features)
-            assert [entry.entry_id for entry in hits] == expected
+            assert isuper.find_subgraphs(query, features) == expected
             super_tests += len(tested)
             super_hits += len(expected)
 
