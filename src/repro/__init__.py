@@ -9,9 +9,11 @@ Public API overview
 -------------------
 
 * :mod:`repro.graphs` — the labeled-graph substrate (graphs, databases, I/O).
-* :mod:`repro.isomorphism` — VF2 subgraph isomorphism (the C kernel, which
-  runs every verification, and the dict-based matcher behind the embedding
-  API) and the cost model used by iGQ's replacement policy.
+* :mod:`repro.isomorphism` — VF2 subgraph isomorphism in the C kernel,
+  which runs every verification and serves the embedding API
+  (:func:`~repro.isomorphism.compiled.is_subgraph_isomorphic`,
+  :func:`~repro.isomorphism.compiled.find_subgraph_embedding`), and the
+  cost model used by iGQ's replacement policy.
 * :mod:`repro.features` — path / tree / cycle feature extraction and the
   threshold-bitmap feature index.
 * :mod:`repro.methods` — the filter-then-verify base methods: GraphGrepSX,
@@ -58,7 +60,7 @@ from .datasets.registry import available_datasets, load_dataset
 from .graphs.database import GraphDatabase
 from .graphs.graph import GraphError, LabeledGraph
 from .isomorphism.verifier import Verifier
-from .isomorphism.vf2 import is_subgraph_isomorphic
+from .isomorphism.compiled import is_subgraph_isomorphic
 from .methods import available_methods, create_method
 from .methods.base import QueryResult, SubgraphQueryMethod
 from .service import (
@@ -74,7 +76,7 @@ from .service.client import ServiceClient, connect
 from .service.server import ServiceServer, serve
 from .workloads.generator import QueryGenerator, WorkloadSpec, standard_workloads
 
-__version__ = "16.0.0"
+__version__ = "17.0.0"
 
 __all__ = [
     "IGQ",

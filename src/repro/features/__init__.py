@@ -10,12 +10,7 @@ from .canonical import (
 )
 from .cycles import cycle_feature_codes, cycle_feature_counts, enumerate_simple_cycles
 from .extractor import FeatureExtractor, FeatureKey, GraphFeatures
-from .paths import (
-    enumerate_simple_paths,
-    native_path_features,
-    path_coverage,
-    path_features,
-)
+from .paths import native_path_features, path_coverage
 from .trees import (
     enumerate_connected_subsets,
     enumerate_spanning_trees,
@@ -37,13 +32,11 @@ __all__ = [
     "cycle_feature_codes",
     "cycle_feature_counts",
     "enumerate_simple_cycles",
-    "enumerate_simple_paths",
     "enumerate_connected_subsets",
     "enumerate_spanning_trees",
     "enumerate_tree_subgraphs",
     "native_path_features",
     "path_coverage",
-    "path_features",
     "tree_feature_codes",
     "tree_feature_counts",
 ]

@@ -12,11 +12,10 @@ Two feature families are provided, matching the reproduced methods:
 ``paths``
     Every simple path up to ``max_path_length`` edges (GGSX, Grapes, and the
     default for the iGQ ``Isub``/``Isuper`` indexes).  Extracted by the C
-    kernel (:func:`~repro.features.paths.native_path_features`) for paths
-    of at most 7 edges over at most 255 label strings, and by the Python
-    enumeration otherwise; both return the same codes.  A query is
-    extracted from the :class:`~repro.isomorphism.compiled.FlatGraph` its
-    compiles read, so it is flattened once.
+    kernel (:func:`~repro.features.paths.native_path_features`), one call
+    per graph, at any label count and path length.  A query is extracted
+    from the :class:`~repro.isomorphism.compiled.FlatGraph` its compiles
+    read, so it is flattened once.
 
 ``trees_cycles``
     Every tree subgraph up to ``tree_max_size`` vertices and every simple
@@ -40,7 +39,7 @@ from ..graphs.graph import LabeledGraph
 from ..isomorphism.compiled import FlatGraph
 from .canonical import canonical_cycle_code, canonical_tree_code
 from .cycles import enumerate_simple_cycles
-from .paths import code_pairs, native_path_features, path_code, path_features
+from .paths import code_pairs, native_path_features, path_code
 from .trees import enumerate_tree_subgraphs
 
 __all__ = ["FeatureKey", "GraphFeatures", "FeatureExtractor"]
@@ -68,9 +67,9 @@ class GraphFeatures:
 
     @classmethod
     def from_keys(cls, counts: Mapping[FeatureKey, int]) -> "GraphFeatures":
-        """Features given by tuple key (the Python extractors' output, a
-        pickle written before features were coded), coded.  Keys that share
-        a code merge: their counts add up."""
+        """Features given by tuple key (the tree and cycle extractor's
+        output, a pickle written before features were coded), coded.  Keys
+        that share a code merge: their counts add up."""
         coded: dict[int, int] = {}
         for key, count in counts.items():
             code = path_code(key)
@@ -163,12 +162,8 @@ class FeatureExtractor:
 
     # ------------------------------------------------------------------
     def _extract_paths(self, graph: LabeledGraph, flat: FlatGraph | None) -> GraphFeatures:
-        """Path features: one kernel call, or (more than 255 labels or 7
-        edges) the Python enumeration, coded afterwards."""
-        native = native_path_features(graph, self.max_path_length, flat)
-        if native is not None:
-            return GraphFeatures(*native)
-        return GraphFeatures.from_keys(path_features(graph, self.max_path_length))
+        """Path features: one kernel call."""
+        return GraphFeatures(*native_path_features(graph, self.max_path_length, flat))
 
     def _tree_cycle_occurrences(self, graph: LabeledGraph) -> Iterator[tuple[str, Iterable]]:
         """``(code, vertices)`` of every tree subgraph and simple cycle of

@@ -24,16 +24,14 @@ journalled as it is.  Two keys may share a code; their counts then merge,
 which can only let more candidates through a filter — a false positive
 verification removes, never a false negative.
 
-Two implementations produce the same features.  :func:`native_path_features`
-hands the graph to the C kernel (``ck_path_features`` in
-``isomorphism/_ckernel.c``) as the CSR of its
-:class:`~repro.isomorphism.compiled.FlatGraph` — the buffer the graph's
-compiles read too — with the hash of each of its labels, and gets the
-``(code, count)`` pairs back; :func:`path_features` over
-:func:`enumerate_simple_paths` is the pure-Python form, keyed by tuple —
-the route for a graph with more than 255 label strings or paths longer
-than 7 edges, and the oracle the native one is tested against.
-:func:`path_coverage` takes the same two routes.
+The C kernel enumerates the paths.  :func:`native_path_features` hands
+it the graph (``ck_path_features`` in ``isomorphism/_ckernel.c``) as the
+CSR of its :class:`~repro.isomorphism.compiled.FlatGraph` — the buffer
+the graph's compiles read too — with the rank and the hash of each of its
+labels, and gets the ``(code, count)`` pairs back, at any number of labels
+and any path length; :func:`path_coverage` is one ``ck_path_coverage``
+call.  The Python enumeration the kernel is tested against lives in the
+test tree (``tests/kernel_oracle.py``).
 """
 
 from __future__ import annotations
@@ -41,31 +39,22 @@ from __future__ import annotations
 import ctypes
 import hashlib
 from array import array
-from collections import Counter
-from collections.abc import Hashable, Iterable, Iterator
+from collections.abc import Iterable
 from functools import lru_cache
 from itertools import chain
 
 from ..graphs.graph import LabeledGraph
 from ..isomorphism import _ckernel_loader
 from ..isomorphism.compiled import FlatGraph
-from .canonical import canonical_path_key
 
 __all__ = [
     "code_pairs",
-    "enumerate_simple_paths",
     "label_hash",
     "native_path_features",
     "path_code",
     "path_coverage",
-    "path_features",
 ]
 
-
-#: a graph-local path code (the kernel's) spends one byte per vertex on
-#: ``rank + 1``
-_MAX_CODE_LABELS = 255
-_MAX_CODE_LENGTH = 7
 
 #: where every code's fold starts (``CK_PATH_SEED`` in the kernel)
 _PATH_SEED = 0x9E3779B97F4A7C15
@@ -101,117 +90,34 @@ def code_pairs(items: Iterable[tuple[int, int]]) -> array:
     return array("Q", chain.from_iterable(sorted(items)))
 
 
-def enumerate_simple_paths(
-    graph: LabeledGraph,
-    max_length: int,
-    min_length: int = 0,
-) -> Iterator[tuple[Hashable, ...]]:
-    """Yield every simple path with ``min_length..max_length`` edges.
-
-    Paths are yielded as vertex tuples; each undirected path is yielded
-    exactly once (in the direction whose vertex-repr sequence is smaller).
-    Zero-length paths are the single vertices.
-    """
-    if max_length < 0:
-        raise ValueError("max_length must be non-negative")
-    if min_length < 0:
-        raise ValueError("min_length must be non-negative")
-
-    if min_length == 0:
-        for vertex in graph.vertices():
-            yield (vertex,)
-
-    if max_length == 0:
-        return
-
-    reprs = {vertex: repr(vertex) for vertex in graph.vertices()}
-
-    def extend(path: list[Hashable], on_path: set) -> Iterator[tuple[Hashable, ...]]:
-        last = path[-1]
-        for neighbor in graph.neighbors(last):
-            if neighbor in on_path:
-                continue
-            path.append(neighbor)
-            on_path.add(neighbor)
-            if len(path) - 1 >= max(min_length, 1) and _is_canonical_direction(path, reprs):
-                yield tuple(path)
-            if len(path) - 1 < max_length:
-                yield from extend(path, on_path)
-            on_path.discard(neighbor)
-            path.pop()
-
-    for vertex in graph.vertices():
-        yield from extend([vertex], {vertex})
-
-
-def _is_canonical_direction(path: list[Hashable], reprs: dict[Hashable, str]) -> bool:
-    """True if the path's vertex-repr sequence is not larger than its reverse.
-
-    The two sequences start with the reprs of the path's two (distinct)
-    endpoints, so those decide unless two vertices share a repr.
-    """
-    first, last = reprs[path[0]], reprs[path[-1]]
-    if first != last:
-        return first < last
-    forward = [reprs[vertex] for vertex in path]
-    return forward <= forward[::-1]
-
-
-def _keyed_paths(
-    graph: LabeledGraph, max_length: int
-) -> Iterator[tuple[tuple[str, ...], tuple[Hashable, ...]]]:
-    """Every path of :func:`enumerate_simple_paths` with its feature key."""
-    text = {vertex: str(graph.label(vertex)) for vertex in graph.vertices()}
-    for path in enumerate_simple_paths(graph, max_length):
-        yield canonical_path_key([text[vertex] for vertex in path]), path
-
-
-def path_features(graph: LabeledGraph, max_length: int) -> dict[tuple[str, ...], int]:
-    """Return the path features of ``graph``: the canonical label tuple of
-    each path feature (the value of
-    :func:`~repro.features.canonical.canonical_path_key`) mapped to its
-    number of occurrences."""
-    return Counter(key for key, _ in _keyed_paths(graph, max_length))
-
-
-def _label_ranks(flat: FlatGraph, max_length: int) -> tuple[list[str], array] | None:
+def _label_ranks(flat: FlatGraph) -> tuple[list[str], array]:
     """The kernel's graph-local alphabet: the graph's distinct label strings
-    in ascending order, and per vertex position the rank of its own.
-    ``None`` when the graph's paths do not fit a graph-local code — more
-    than 255 label strings, or ``max_length`` above 7."""
+    in ascending order, and per vertex position the rank of its own."""
     texts = list(map(str, flat.labels))
     names = sorted(set(texts))
-    if len(names) > _MAX_CODE_LABELS or max_length > _MAX_CODE_LENGTH:
-        return None
     rank_of = {text: rank for rank, text in enumerate(names)}
     return names, array("q", [rank_of[text] for text in texts])
 
 
 def native_path_features(
     graph: LabeledGraph, max_length: int, flat: FlatGraph | None = None
-) -> tuple[dict[int, int], array] | None:
-    """:func:`path_features` of ``graph`` computed by the C kernel, keyed by
-    code.
+) -> tuple[dict[int, int], array]:
+    """The path features of ``graph`` — every simple path of up to
+    ``max_length`` edges, counted once per occurrence under its canonical
+    label sequence — computed by the C kernel, keyed by code.
 
     Returns ``(counts, pairs)``: ``counts`` keyed by the features' codes
     (:func:`path_code`), code ascending, and ``pairs`` the same as the flat
-    ``(code, count)`` array (:func:`code_pairs`).
-
-    ``None`` when the graph's paths do not fit the kernel's graph-local
-    codes — more than 255 distinct label strings, or ``max_length`` above
-    7 — and the caller runs the Python enumeration.  ``flat`` is the
-    graph's :class:`FlatGraph` when the caller compiles the graph from the
-    same arrays.
+    ``(code, count)`` array (:func:`code_pairs`).  ``flat`` is the graph's
+    :class:`FlatGraph` when the caller compiles the graph from the same
+    arrays.
 
     One call per graph, the interpreter lock released for its duration; all
     buffers are per call, so concurrent extractions do not interfere.
     """
     if flat is None:
         flat = FlatGraph(graph)
-    alphabet = _label_ranks(flat, max_length)
-    if alphabet is None:
-        return None
-    names, ranks = alphabet
+    names, ranks = _label_ranks(flat)
     # ``ranks`` and ``hashes`` own the columns for the duration of the call
     hashes = array("Q", map(label_hash, names))
     library = _ckernel_loader.kernel()
@@ -237,17 +143,10 @@ def path_coverage(graph: LabeledGraph, max_length: int) -> int:
     location lists hold for the graph.
 
     Counted per key, before coding, so two keys sharing a code count
-    apart.  One ``ck_path_coverage`` call, or the Python enumeration when
-    the graph's paths do not fit the kernel's graph-local codes.
+    apart.  One ``ck_path_coverage`` call.
     """
     flat = FlatGraph(graph)
-    alphabet = _label_ranks(flat, max_length)
-    if alphabet is None:
-        covered: dict[tuple[str, ...], set] = {}
-        for key, path in _keyed_paths(graph, max_length):
-            covered.setdefault(key, set()).update(path)
-        return sum(map(len, covered.values()))
-    ranks = alphabet[1]
+    ranks = _label_ranks(flat)[1]
     total = _ckernel_loader.kernel().ck_path_coverage(
         graph.num_vertices, *flat.csr(), ranks.buffer_info()[0], max_length
     )

@@ -4,8 +4,11 @@ from .compiled import (
     CompiledQuery,
     CompiledQueryPlan,
     CompiledTarget,
+    are_isomorphic,
     compile_query_plan,
     compile_target,
+    find_subgraph_embedding,
+    is_subgraph_isomorphic,
     match_pairs,
 )
 from .cost import (
@@ -15,13 +18,6 @@ from .cost import (
     log_isomorphism_test_cost,
 )
 from .verifier import Verifier, VerifierStats
-from .vf2 import (
-    VF2Matcher,
-    are_isomorphic,
-    count_subgraph_embeddings,
-    find_subgraph_embedding,
-    is_subgraph_isomorphic,
-)
 
 __all__ = [
     "CompiledQuery",
@@ -30,11 +26,9 @@ __all__ = [
     "compile_query_plan",
     "compile_target",
     "match_pairs",
-    "VF2Matcher",
     "Verifier",
     "VerifierStats",
     "are_isomorphic",
-    "count_subgraph_embeddings",
     "find_subgraph_embedding",
     "is_subgraph_isomorphic",
     "falling_factorial",

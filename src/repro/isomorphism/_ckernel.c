@@ -1,7 +1,8 @@
 /* Native kernel: graph compilation (one call per graph and role),
  * verification (one call per query), path-feature extraction (one call per
- * graph) and the cache-side probe (one filter call and at most one
- * containment call per query and direction).
+ * graph), the cache-side probe (one filter call and at most one
+ * containment call per query and direction) and the public embedding API
+ * (`ck_find_embedding`, the same search writing out its images).
  *
  * `ck_verify_many` answers every (pattern, target) pair of one query in a
  * single ctypes call (`match_pairs` in src/repro/isomorphism/compiled.py),
@@ -31,15 +32,15 @@
  * contract (the paper's Figs. 7-11 count isomorphism tests) requires.
  *
  * `ck_path_features` enumerates the simple paths of one graph (the GGSX /
- * Grapes / Isub / Isuper feature class) and returns the distinct features
- * as 60-bit feature codes with their occurrence counts.  `path_features` +
- * `path_code` in src/repro/features/paths.py are the Python oracle it is
- * tested against and the route for graphs whose paths do not fit a
- * graph-local code (more than 255 labels or 7 edges).  `ck_path_coverage`
- * walks the same paths once more and returns one number, the vertices the
- * occurrences of each key cover summed over the keys: what Grapes'
- * location lists would hold (Fig. 18's byte count, `path_coverage` in
- * paths.py).
+ * Grapes / Isub / Isuper feature class), at any label count and any
+ * length, and returns the distinct features as 60-bit feature codes with
+ * their occurrence counts; the Python enumeration in tests/kernel_oracle.py
+ * (`path_occurrences`, coded by `path_code` in
+ * src/repro/features/paths.py) is the oracle it is tested against.
+ * `ck_path_coverage` walks the same paths and returns one number, the
+ * vertices the occurrences of each key cover summed over the keys: what
+ * Grapes' location lists would hold (Fig. 18's byte count, `path_coverage`
+ * in paths.py).
  *
  * The file is deliberately dependency-free C99 so it can be built two ways:
  *
@@ -62,11 +63,13 @@
  * `mask_sums` credit sum) are the oracle engine of
  * tests/test_plan_columns.py.
  *
- * Data layout, ABI 11 (ABI 6's layout; 7 dropped `ck_probe_filter`'s
+ * Data layout, ABI 12 (ABI 6's layout; 7 dropped `ck_probe_filter`'s
  * `universe` argument, 8 made `ck_verify_many`'s `by_component` mode
  * compute its regions instead of reading them, 9 made `ck_path_features`
  * return hashed feature codes, 10 dropped its location rows and added
- * `ck_path_coverage`, 11 replaced `ck_mask_sums` with the column block).
+ * `ck_path_coverage`, 11 replaced `ck_mask_sums` with the column block,
+ * 12 sized the path walk per call — no label-count or length limit — and
+ * added the plan's `order` and `ck_find_embedding`).
  * A `ck_target` /
  * `ck_plan` is built once per graph and role by `ck_compile_target` /
  * `ck_compile_plan` (new in ABI 5) from the graph's CSR — vertex positions
@@ -103,6 +106,9 @@
  *                     label id;
  *   - step_labels:    the plan's per-step interned label id (the plan owns
  *                     them: nothing is marshalled per pair);
+ *   - order:          the plan's per-step pattern vertex position, through
+ *                     which `ck_find_embedding` writes each image back to
+ *                     its pattern position;
  *   - regions:        optional vertex masks, one row of the pair's target
  *                     width per pair, back to back (NULL = unmasked); each
  *                     restricts the pair's one test.  `by_component` takes
@@ -119,37 +125,40 @@
  *   - offsets / neighbours: CSR adjacency over the vertex positions of
  *                     `graph.vertices()` (offsets has n + 1 entries);
  *   - ranks:          per vertex, the rank of `str(label)` among the
- *                     graph's distinct label strings in ascending order;
- *                     the caller guarantees fewer than 256 of them and
- *                     max_length <= 7, and falls back to Python otherwise;
- *   - local code:     one uint64 per canonical label sequence of the graph:
- *                     element i is stored as rank + 1 in byte i counted
- *                     from the most significant end, unused bytes are 0, so
- *                     comparing two codes as integers compares the
- *                     label-string tuples they stand for.  The canonical
- *                     direction of a path and the deduplication of its
- *                     occurrences are decided on these codes, so the keys
- *                     stay those of `canonical_path_key`;
+ *                     graph's distinct label strings in ascending order
+ *                     (any number of them);
+ *   - path record:    a walk keeps the path's vertex positions, a neighbour
+ *                     cursor per depth and the fold of every prefix, in
+ *                     one buffer sized for the call by min(max_length + 1,
+ *                     n) vertices, so any label count and any length
+ *                     fit.  A path is reported from the end whose rank sequence,
+ *                     compared from both ends, is the smaller — on a
+ *                     palindrome, from the smaller start vertex — so each
+ *                     occurrence counts once under its canonical label
+ *                     sequence, the key of `canonical_path_key`;
  *   - label_hashes:   per rank the label's 64-bit BLAKE2 hash
  *                     (`label_hash` in paths.py);
- *   - feature code:   a local code's labels folded in path order,
+ *   - feature code:   the canonical direction's labels folded in order,
  *                     code = mix(code ^ label_hash) from CK_PATH_SEED, mix
  *                     the splitmix64 finaliser, and its top 60 bits kept
  *                     (`path_code` in paths.py): a pure function of the
- *                     key, equal in every process.
- *                     Two keys of one graph may hash alike; their features
- *                     then merge (counts add up), which only widens a
- *                     filter;
+ *                     key, equal in every process.  Each occurrence's code
+ *                     is collected; one sort and a run count give the
+ *                     counts.  Two keys of one graph may hash alike; their
+ *                     features then merge (counts add up), which only
+ *                     widens a filter;
  *   - result block:   malloc'd, released with `ck_free`: word 0 holds the
  *                     number of distinct feature codes D, then the D
  *                     (feature code, count) pairs, code ascending (up to
  *                     ABI 8 the codes spelt labels with a process-wide byte
  *                     table; up to ABI 9 D vertex-mask rows followed);
- *   - coverage:       per graph-local code, a ceil(n / 64)-word mask row of
- *                     the vertex positions its occurrences cover, OR-ed on
- *                     a second walk into scratch freed before the return;
- *                     the result is the rows' total popcount.  It is per
- *                     key: colliding feature codes do not shrink it.
+ *   - coverage:       per distinct key (a fold of its ranks, its vertex
+ *                     count and its rank sequence, found through an
+ *                     open-addressing table during the one walk), a
+ *                     ceil(n / 64)-word mask row of the vertex positions
+ *                     its occurrences cover, in scratch freed before the
+ *                     return; the result is the rows' total popcount.  It
+ *                     is per key: colliding feature codes do not shrink it.
  *
  * The probe table (new in ABI 4; driven by `ProbeTable` in
  * src/repro/core/probe.py):
@@ -196,7 +205,7 @@
 /* The ABI version is checked by the loader after dlopen so a stale build
  * of an older layout can never be driven with new-layout pointers.  Bump
  * it whenever a struct or signature below changes. */
-#define CK_ABI_VERSION 11
+#define CK_ABI_VERSION 12
 
 #if defined(_WIN32)
 #define CK_EXPORT __declspec(dllexport)
@@ -250,6 +259,7 @@ typedef struct {
     const int64_t *sig_labels;     /* num_sig_labels interned label ids   */
     const int64_t *sig_indptr;     /* num_sig_labels + 1                  */
     const int64_t *sig_degrees;    /* num_steps: descending per label     */
+    const int64_t *order;          /* num_steps: each step's pattern position */
 } ck_plan;
 
 CK_EXPORT int64_t ck_abi_version(void) { return CK_ABI_VERSION; }
@@ -311,10 +321,12 @@ ck_prereject(const ck_target *t, const ck_plan *p)
 }
 
 /* True iff the plan's pattern (at least one step) embeds into the target
- * (image inside `region` when region is non-NULL).  Returns 1 / 0, or -1
- * on allocation failure. */
+ * (image inside `region` when region is non-NULL).  On a match, when
+ * `out_images` is non-NULL, writes per pattern position the target position
+ * of its image there.  Returns 1 / 0, or -1 on allocation failure. */
 static int64_t
-ck_has_embedding(const ck_target *t, const ck_plan *p, const uint64_t *region)
+ck_has_embedding(const ck_target *t, const ck_plan *p, const uint64_t *region,
+                 int64_t *out_images)
 {
     const int64_t W = t->num_words;
     const int64_t depth_count = p->num_steps;
@@ -435,6 +447,9 @@ ck_has_embedding(const ck_target *t, const ck_plan *p, const uint64_t *region)
                 used[w] |= low;
                 ++depth;
                 if (depth == depth_count) {
+                    if (out_images != NULL)
+                        for (int64_t d = 0; d < depth_count; ++d)
+                            out_images[p->order[d]] = images[d];
                     result = 1;
                     goto done;
                 }
@@ -478,7 +493,7 @@ ck_match_one(const ck_target *t, const ck_plan *p, const uint64_t *region,
         return 0;
     if (prerejected)
         return 0;
-    return ck_has_embedding(t, p, region);
+    return ck_has_embedding(t, p, region, NULL);
 }
 
 /* Grow-only scratch shared by every pair of one ck_verify_many call. */
@@ -685,17 +700,38 @@ ck_verify_many(const ck_target *const *targets, int64_t num_targets,
     return status;
 }
 
+/* One embedding of the plan's pattern into the whole target, found by the
+ * search every verification runs (`find_subgraph_embedding` in compiled.py):
+ * on a match, per pattern position the target position of its image into
+ * `out_images` (num_steps entries; nothing for the empty pattern).  Returns
+ * 1 / 0, or -1 on allocation failure. */
+CK_EXPORT int64_t
+ck_find_embedding(const ck_target *t, const ck_plan *p, int64_t *out_images)
+{
+    if (p->num_steps == 0)
+        return 1;
+    if (ck_prereject(t, p))
+        return 0;
+    return ck_has_embedding(t, p, NULL, out_images);
+}
+
 /* ---------------------------------------------------------------------
  * Path-feature extraction
  * ------------------------------------------------------------------- */
 
-/* A graph-local path code spends one byte per vertex. */
-#define CK_MAX_PATH_VERTICES 8
-
 /* Where every feature code's fold starts (`_PATH_SEED` in paths.py). */
 #define CK_PATH_SEED 0x9e3779b97f4a7c15ULL
 
-/* Grow-only list of path codes; graphs of query size never leave the
+/* The splitmix64 finaliser: a bijection of the 64-bit words. */
+static inline uint64_t
+ck_mix(uint64_t z)
+{
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+}
+
+/* Grow-only list of feature codes; graphs of query size never leave the
  * inline buffer. */
 typedef struct {
     uint64_t *items;
@@ -730,62 +766,174 @@ ck_compare_codes(const void *left, const void *right)
     return (a > b) - (a < b);
 }
 
-/* Where ck_walk_paths reports an occurrence.  Counting walk (`masks`
- * NULL): its code is appended to `found`.  Coverage walk: its vertices are
- * OR-ed into the mask row of its code, located by bisection in the
- * ascending distinct `codes` (every reported code is among them). */
+/* The coverage of one graph as it is walked: every distinct path key seen
+ * so far — its fold, vertex count and rank sequence, `key_words` words —
+ * with a mask row of the `num_words`-word vertex set its occurrences
+ * cover, and an open-addressing table (`slots` a power of two, -1 empty)
+ * of the keys' indices, probed from the fold and decided on the whole key.
+ * Keys are label-rank sequences, so two keys that share a feature code
+ * still count apart. */
 typedef struct {
-    ck_code_list *found;
-    const uint64_t *codes;
-    int64_t num_codes;
-    uint64_t *masks;
+    int64_t key_words;
     int64_t num_words;
+    int64_t num_keys;
+    int64_t capacity;   /* keys and mask rows allocated */
+    uint64_t *keys;
+    uint64_t *masks;
+    int64_t slots;
+    int64_t *table;
+} ck_coverage;
+
+/* Double the key and mask storage, or the table (rehashing every key).
+ * Returns 0, or -1 on allocation failure, which leaves `cover` usable. */
+static int
+ck_coverage_grow(ck_coverage *cover)
+{
+    if (cover->num_keys == cover->capacity) {
+        const int64_t capacity = 2 * cover->capacity;
+        uint64_t *keys = (uint64_t *)realloc(
+            cover->keys, (size_t)(capacity * cover->key_words) * sizeof(uint64_t));
+        if (keys == NULL)
+            return -1;
+        cover->keys = keys;
+        uint64_t *masks = (uint64_t *)realloc(
+            cover->masks, (size_t)(capacity * cover->num_words) * sizeof(uint64_t));
+        if (masks == NULL)
+            return -1;
+        memset(masks + cover->capacity * cover->num_words, 0,
+               (size_t)((capacity - cover->capacity) * cover->num_words) * sizeof(uint64_t));
+        cover->masks = masks;
+        cover->capacity = capacity;
+    }
+    if (2 * (cover->num_keys + 1) > cover->slots) {
+        const int64_t slots = 2 * cover->slots;
+        int64_t *table = (int64_t *)malloc((size_t)slots * sizeof(int64_t));
+        if (table == NULL)
+            return -1;
+        for (int64_t at = 0; at < slots; ++at)
+            table[at] = -1;
+        for (int64_t key = 0; key < cover->num_keys; ++key) {
+            uint64_t at = cover->keys[key * cover->key_words] & (uint64_t)(slots - 1);
+            while (table[at] >= 0)
+                at = (at + 1) & (uint64_t)(slots - 1);
+            table[at] = key;
+        }
+        free(cover->table);
+        cover->table = table;
+        cover->slots = slots;
+    }
+    return 0;
+}
+
+/* The mask row of `key` (fold, vertex count, ranks), added on first sight;
+ * NULL on allocation failure. */
+static uint64_t *
+ck_coverage_row(ck_coverage *cover, const uint64_t *key)
+{
+    const size_t key_bytes = (size_t)(2 + key[1]) * sizeof(uint64_t);
+    const uint64_t wrap = (uint64_t)(cover->slots - 1);
+    uint64_t at = key[0] & wrap;
+    for (; cover->table[at] >= 0; at = (at + 1) & wrap) {
+        const int64_t seen = cover->table[at];
+        if (memcmp(cover->keys + seen * cover->key_words, key, key_bytes) == 0)
+            return cover->masks + seen * cover->num_words;
+    }
+    if (2 * (cover->num_keys + 1) > cover->slots || cover->num_keys == cover->capacity) {
+        if (ck_coverage_grow(cover) < 0)
+            return NULL;
+        return ck_coverage_row(cover, key);  /* probe the grown table */
+    }
+    const int64_t added = cover->num_keys++;
+    memcpy(cover->keys + added * cover->key_words, key, key_bytes);
+    cover->table[at] = added;
+    return cover->masks + added * cover->num_words;
+}
+
+/* Where ck_walk_paths reports an occurrence, path[0..last] read in its
+ * canonical direction, with `fold`, its labels' hashes folded in that
+ * order.  Feature walk (`codes`): its feature code, the fold's top 60
+ * bits, is appended.  Coverage walk (`cover`): its key is built in `key`
+ * and its vertices are OR-ed into that key's mask row. */
+typedef struct {
+    ck_code_list *codes;
+    ck_coverage *cover;
 } ck_path_sink;
 
 static inline int
-ck_report_path(const ck_path_sink *sink, uint64_t code, const int64_t *path,
-               int64_t num_vertices)
+ck_report_path(const ck_path_sink *sink, const int64_t *path, int64_t last,
+               const int64_t *ranks, uint64_t fold, uint64_t *key)
 {
-    if (sink->masks == NULL)
-        return ck_push_code(sink->found, code);
-    int64_t lo = 0, hi = sink->num_codes - 1;
-    while (lo < hi) {
-        const int64_t mid = lo + (hi - lo) / 2;
-        if (sink->codes[mid] < code)
-            lo = mid + 1;
-        else
-            hi = mid;
-    }
-    uint64_t *row = sink->masks + lo * sink->num_words;
-    for (int64_t i = 0; i < num_vertices; ++i)
+    if (sink->codes != NULL)
+        return ck_push_code(sink->codes, fold >> 4);
+    key[0] = fold;
+    key[1] = (uint64_t)(last + 1);
+    for (int64_t i = 0; i <= last; ++i)
+        key[2 + i] = (uint64_t)ranks[path[i]];
+    uint64_t *row = ck_coverage_row(sink->cover, key);
+    if (row == NULL)
+        return -1;
+    for (int64_t i = 0; i <= last; ++i)
         row[path[i] >> 6] |= (uint64_t)1 << (path[i] & 63);
     return 0;
 }
 
+/* Vertices of the longest path a walk reports: max_length + 1, at most n. */
+static inline int64_t
+ck_path_slots(int64_t n, int64_t max_length)
+{
+    const int64_t edges = max_length < 0 ? 0 : max_length;
+    return edges < n ? edges + 1 : n;
+}
+
+/* 1 iff path[0..last] read forward is its canonical direction: its label
+ * ranks, compared from both ends, are not larger than read backward (the
+ * endpoints decide unless their labels are equal); on a palindrome, the
+ * direction that starts at the smaller vertex. */
+static inline int
+ck_forward_is_canonical(const int64_t *path, int64_t last, const int64_t *ranks)
+{
+    for (int64_t i = 0, j = last; i < j; ++i, --j) {
+        const int64_t a = ranks[path[i]], b = ranks[path[j]];
+        if (a != b)
+            return a < b;
+    }
+    return path[0] < path[last];
+}
+
 /* Depth-first enumeration of every simple path of 0..max_length edges
- * (`enumerate_simple_paths` is the Python oracle).  Both directions of an
- * undirected path are walked; the occurrence is the one whose code is
- * smaller — on a palindrome, the one starting at the smaller vertex — so
- * each path is reported once, under its canonical label sequence.  Returns
- * 0, or -1 on allocation failure (counting walk only). */
+ * (`enumerate_simple_paths` in tests/kernel_oracle.py is the oracle).  Both
+ * directions of an undirected path are walked and the occurrence is
+ * reported by the walk that reads it in its canonical direction, so each
+ * path is reported once, under its canonical label sequence, with the fold
+ * of its labels' `label_hashes` (per rank).  The path, cursor, fold and
+ * key buffers are sized for this call.
+ * Returns 0, or -1 on allocation failure. */
 static int
 ck_walk_paths(int64_t n, const int64_t *offsets, const int64_t *neighbours,
               const int64_t *ranks, int64_t max_length,
-              const ck_path_sink *sink)
+              const uint64_t *label_hashes, const ck_path_sink *sink)
 {
-    int64_t path[CK_MAX_PATH_VERTICES];
-    int64_t cursor[CK_MAX_PATH_VERTICES];    /* next neighbour to try    */
-    uint64_t forward[CK_MAX_PATH_VERTICES];  /* code of path[0..depth]   */
-    uint64_t backward[CK_MAX_PATH_VERTICES]; /* code of path[depth..0]   */
+    const int64_t slots = ck_path_slots(n, max_length);
+    if (slots == 0)
+        return 0;
+    const int64_t limit = slots - 1;
+    /* path, cursor (next neighbour to try), fold of path[0..depth], key */
+    int64_t *buffer = (int64_t *)calloc((size_t)(4 * slots + 2), sizeof(int64_t));
+    if (buffer == NULL)
+        return -1;
+    int64_t *path = buffer;
+    int64_t *cursor = path + slots;
+    uint64_t *fold = (uint64_t *)(cursor + slots);
+    uint64_t *key = fold + slots;
+    int status = 0;
 
-    for (int64_t start = 0; start < n; ++start) {
+    for (int64_t start = 0; start < n && status == 0; ++start) {
         path[0] = start;
         cursor[0] = offsets[start];
-        forward[0] = backward[0] = (uint64_t)(ranks[start] + 1) << 56;
-        if (ck_report_path(sink, forward[0], path, 1) < 0)
-            return -1;
-        int64_t depth = max_length > 0 ? 0 : -1;
-        while (depth >= 0) {
+        fold[0] = ck_mix(CK_PATH_SEED ^ label_hashes[ranks[start]]);
+        status = ck_report_path(sink, path, 0, ranks, fold[0], key);
+        int64_t depth = limit > 0 ? 0 : -1;
+        while (depth >= 0 && status == 0) {
             const int64_t vertex = path[depth];
             if (cursor[depth] == offsets[vertex + 1]) {
                 --depth;
@@ -798,155 +946,106 @@ ck_walk_paths(int64_t n, const int64_t *offsets, const int64_t *neighbours,
             if (on_path)
                 continue;
             const int64_t deeper = depth + 1;
-            const uint64_t slot = (uint64_t)(ranks[next] + 1);
-            const uint64_t ahead = forward[depth] | slot << (56 - 8 * deeper);
-            const uint64_t behind = backward[depth] >> 8 | slot << 56;
             path[deeper] = next;
-            if ((ahead < behind || (ahead == behind && start < next)) &&
-                ck_report_path(sink, ahead, path, deeper + 1) < 0)
-                return -1;
-            if (deeper < max_length) {
+            fold[deeper] = ck_mix(fold[depth] ^ label_hashes[ranks[next]]);
+            if (ck_forward_is_canonical(path, deeper, ranks))
+                status = ck_report_path(sink, path, deeper, ranks, fold[deeper], key);
+            if (deeper < limit) {
                 cursor[deeper] = offsets[next];
-                forward[deeper] = ahead;
-                backward[deeper] = behind;
                 depth = deeper;
             }
         }
     }
-    return 0;
-}
-
-/* The splitmix64 finaliser: a bijection of the 64-bit words. */
-static inline uint64_t
-ck_mix(uint64_t z)
-{
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-}
-
-/* A graph-local path code as its feature code: the labels' hashes folded
- * in path order, top 60 bits (`path_code` in src/repro/features/paths.py). */
-static uint64_t
-ck_feature_code(uint64_t local, const uint64_t *label_hashes)
-{
-    uint64_t code = CK_PATH_SEED;
-    for (int shift = 56; shift >= 0; shift -= 8) {
-        const uint64_t slot = local >> shift & 0xff;
-        if (!slot)
-            break;
-        code = ck_mix(code ^ label_hashes[slot - 1]);
-    }
-    return code >> 4;
-}
-
-/* A feature code and the occurrence count of its graph-local code; the
- * code comes first, so `ck_compare_codes` orders these by it. */
-typedef struct {
-    uint64_t code;
-    uint64_t count;
-} ck_coded_count;
-
-/* Every occurrence's graph-local code into `found` (initialised here;
- * the caller frees `found.items` when it is not the inline buffer),
- * ascending.  Returns 0, or -1 on allocation failure. */
-static int
-ck_collect_paths(int64_t n, const int64_t *offsets, const int64_t *neighbours,
-                 const int64_t *ranks, int64_t max_length, ck_code_list *found)
-{
-    found->items = found->inline_items;
-    found->size = 0;
-    found->capacity = (int64_t)(sizeof(found->inline_items) / sizeof(uint64_t));
-    const ck_path_sink sink = {found, NULL, 0, NULL, 0};
-    if (ck_walk_paths(n, offsets, neighbours, ranks, max_length, &sink) < 0)
-        return -1;
-    qsort(found->items, (size_t)found->size, sizeof(uint64_t), ck_compare_codes);
-    return 0;
+    free(buffer);
+    return status;
 }
 
 /* Path features of one graph (see the header for the argument and result
- * layout).  Returns the malloc'd result block, to be released with
- * `ck_free`, or NULL on allocation failure. */
+ * layout): every occurrence's feature code, sorted once and counted by
+ * runs, so keys that share a code merge.  Returns the malloc'd result
+ * block, to be released with `ck_free`, or NULL on allocation failure. */
 CK_EXPORT uint64_t *
 ck_path_features(int64_t n, const int64_t *offsets, const int64_t *neighbours,
                  const int64_t *ranks, int64_t max_length,
                  const uint64_t *label_hashes)
 {
     ck_code_list found;
+    found.items = found.inline_items;
+    found.size = 0;
+    found.capacity = (int64_t)(sizeof(found.inline_items) / sizeof(uint64_t));
     uint64_t *block = NULL;
-    ck_coded_count *order = NULL;
+    const ck_path_sink sink = {&found, NULL};
 
-    if (ck_collect_paths(n, offsets, neighbours, ranks, max_length, &found) < 0)
+    if (ck_walk_paths(n, offsets, neighbours, ranks, max_length, label_hashes,
+                      &sink) < 0)
         goto done;
+    qsort(found.items, (size_t)found.size, sizeof(uint64_t), ck_compare_codes);
     int64_t distinct = 0;
     for (int64_t i = 0; i < found.size; ++i)
         distinct += i == 0 || found.items[i] != found.items[i - 1];
-    order = (ck_coded_count *)malloc((size_t)(distinct + 1) * sizeof(ck_coded_count));
-    block = (uint64_t *)calloc((size_t)(1 + 2 * distinct), sizeof(uint64_t));
-    if (order == NULL || block == NULL) {
-        free(block);
-        block = NULL;
+    block = (uint64_t *)malloc((size_t)(1 + 2 * distinct) * sizeof(uint64_t));
+    if (block == NULL)
         goto done;
-    }
+    block[0] = (uint64_t)distinct;
+    uint64_t *pairs = block + 1;
     int64_t row = -1;
     for (int64_t i = 0; i < found.size; ++i) {
         if (i == 0 || found.items[i] != found.items[i - 1]) {
-            order[++row].code = ck_feature_code(found.items[i], label_hashes);
-            order[row].count = 0;
+            ++row;
+            pairs[2 * row] = found.items[i];
+            pairs[2 * row + 1] = 0;
         }
-        ++order[row].count;
+        ++pairs[2 * row + 1];
     }
-    qsort(order, (size_t)distinct, sizeof(ck_coded_count), ck_compare_codes);
-    /* equal feature codes (a hash collision) merge: counts add up */
-    uint64_t *pairs = block + 1;
-    int64_t merged = -1;
-    for (int64_t i = 0; i < distinct; ++i) {
-        if (i == 0 || order[i].code != order[i - 1].code) {
-            ++merged;
-            pairs[2 * merged] = order[i].code;
-        }
-        pairs[2 * merged + 1] += order[i].count;
-    }
-    block[0] = (uint64_t)(merged + 1);
 done:
-    free(order);
     if (found.items != found.inline_items)
         free(found.items);
     return block;
 }
 
-/* Location coverage of one graph (arguments as `ck_path_features`'): the
- * sum over its distinct path keys of the number of vertices the key's
- * occurrences cover, counted per graph-local code, so before any feature
- * codes merge.  The mask rows live only for the call.  Returns the sum,
- * or -1 on allocation failure. */
+/* Location coverage of one graph (arguments as `ck_path_features`', less
+ * the hashes): the sum over its distinct path keys of the number of
+ * vertices the key's occurrences cover, from one walk into a
+ * `ck_coverage` whose folds hash each rank by itself.  Per key, so before
+ * any feature codes merge; the keys and mask rows live only for the call.
+ * Returns the sum, or -1 on allocation failure. */
 CK_EXPORT int64_t
 ck_path_coverage(int64_t n, const int64_t *offsets, const int64_t *neighbours,
                  const int64_t *ranks, int64_t max_length)
 {
-    ck_code_list found;
-    uint64_t *masks = NULL;
+    ck_coverage cover = {ck_path_slots(n, max_length) + 2, (n + 63) / 64,
+                         0, 0, NULL, NULL, 0, NULL};
+    const ck_path_sink sink = {NULL, &cover};
     int64_t covered = -1;
-
-    if (ck_collect_paths(n, offsets, neighbours, ranks, max_length, &found) < 0)
+    int64_t num_ranks = 0;
+    for (int64_t v = 0; v < n; ++v)
+        if (ranks[v] >= num_ranks)
+            num_ranks = ranks[v] + 1;
+    uint64_t *rank_hashes = (uint64_t *)malloc((size_t)(num_ranks + 1) * sizeof(uint64_t));
+    if (rank_hashes == NULL)
         goto done;
-    int64_t distinct = 0;
-    for (int64_t i = 0; i < found.size; ++i)
-        if (i == 0 || found.items[i] != found.items[distinct - 1])
-            found.items[distinct++] = found.items[i];
-    const int64_t num_words = (n + 63) / 64;
-    masks = (uint64_t *)calloc((size_t)(distinct * num_words + 1), sizeof(uint64_t));
-    if (masks == NULL)
+    for (int64_t rank = 0; rank < num_ranks; ++rank)
+        rank_hashes[rank] = ck_mix((uint64_t)rank);
+    cover.capacity = 64;
+    cover.keys = (uint64_t *)malloc((size_t)(64 * cover.key_words) * sizeof(uint64_t));
+    cover.masks = (uint64_t *)calloc((size_t)(64 * cover.num_words + 1), sizeof(uint64_t));
+    cover.slots = 128;
+    cover.table = (int64_t *)malloc(128 * sizeof(int64_t));
+    if (cover.keys == NULL || cover.masks == NULL || cover.table == NULL)
         goto done;
-    const ck_path_sink sink = {&found, found.items, distinct, masks, num_words};
-    ck_walk_paths(n, offsets, neighbours, ranks, max_length, &sink);
+    for (int64_t at = 0; at < cover.slots; ++at)
+        cover.table[at] = -1;
+    if (ck_walk_paths(n, offsets, neighbours, ranks, max_length, rank_hashes,
+                      &sink) < 0)
+        goto done;
     covered = 0;
-    for (int64_t w = 0; w < distinct * num_words; ++w)
-        covered += ck_popcount64(masks[w]);
+    for (int64_t w = 0; w < cover.num_keys * cover.num_words; ++w)
+        covered += ck_popcount64(cover.masks[w]);
 done:
-    free(masks);
-    if (found.items != found.inline_items)
-        free(found.items);
+    free(rank_hashes);
+    free(cover.keys);
+    free(cover.masks);
+    free(cover.table);
     return covered;
 }
 
@@ -1174,7 +1273,7 @@ ck_compile_plan(int64_t n, const int64_t *offsets, const int64_t *neighbours,
     const int64_t num_rows = ck_label_rows(n, label_ids, map_len, label_map,
                                            vertex_rows, row_labels);
 
-    const int64_t num_ints = 5 * n + 2 + num_edges + 2 * num_rows;
+    const int64_t num_ints = 6 * n + 2 + num_edges + 2 * num_rows;
     ck_plan *p = (ck_plan *)calloc(
         1, sizeof(ck_plan) + (size_t)num_ints * sizeof(int64_t));
     if (p == NULL) {
@@ -1189,7 +1288,7 @@ ck_compile_plan(int64_t n, const int64_t *offsets, const int64_t *neighbours,
     int64_t *sig_labels = anchors + num_edges;
     int64_t *sig_indptr = sig_labels + num_rows;
     int64_t *sig_degrees = sig_indptr + num_rows + 1;
-    int64_t *order = sig_degrees;  /* free until the signature is written */
+    int64_t *order = sig_degrees + n;
 
     for (int64_t v = 0; v < n; ++v) {
         starts[v] = (n - 1 - (offsets[v + 1] - offsets[v])) * n + ranks[v];
@@ -1261,6 +1360,7 @@ ck_compile_plan(int64_t n, const int64_t *offsets, const int64_t *neighbours,
     p->sig_labels = sig_labels;
     p->sig_indptr = sig_indptr;
     p->sig_degrees = sig_degrees;
+    p->order = order;
     return p;
 }
 

@@ -44,7 +44,7 @@ __all__ = [
 ]
 
 #: must match CK_ABI_VERSION in _ckernel.c; the loader refuses mismatches
-ABI_VERSION = 11
+ABI_VERSION = 12
 
 _SOURCE = Path(__file__).with_name("_ckernel.c")
 
@@ -139,6 +139,11 @@ def _configure(library: ctypes.CDLL) -> ctypes.CDLL | None:
     for fn in (library.ck_compile_target, library.ck_compile_plan):
         fn.restype = pointer
         fn.argtypes = (integer, pointer, pointer, pointer, pointer)
+    fn = library.ck_find_embedding
+    # (ck_target*, ck_plan*, out_images*) -> 1 / 0 / -1 (allocation);
+    # driven by repro.isomorphism.compiled.find_subgraph_embedding.
+    fn.restype = integer
+    fn.argtypes = (pointer, pointer, pointer)
     fn = library.ck_path_features
     # (n, offsets*, neighbours*, ranks*, max_length, label_hashes*) ->
     # malloc'd result block (NULL on allocation failure), released with

@@ -32,9 +32,16 @@ in **one** ``ck_verify_many`` call (signature pre-reject and search per pair,
 in candidate order, interpreter lock released once): a shared plan against
 many targets (subgraph verification, ``Isub``) or many plans against a shared
 target (supergraph verification, ``Isuper``).  It is the package's only
-matcher: the test suite cross-validates it against the non-induced VF2 of
-:class:`~repro.isomorphism.vf2.VF2Matcher` and against the pure-Python
-bigint kernel in ``tests/kernel_oracle.py``.
+matcher: the test suite cross-validates it against the dict-based VF2, the
+Ullmann matcher and the pure-Python bigint kernel of
+``tests/kernel_oracle.py``.
+
+**The embedding API** — :func:`is_subgraph_isomorphic`,
+:func:`find_subgraph_embedding` and :func:`are_isomorphic` answer one pair
+of graphs on the same compiled forms and the same search; an embedding is
+read back through the plan's step order (``ck_find_embedding``).
+Matching is non-induced (the paper's Definition 2): pattern edges must map
+onto target edges, target edges between images need no pattern edge.
 
 **Region-masked matching** — a pair may carry a region (an ``int`` bitmask
 over the target's vertex positions) restricting candidate generation to the
@@ -74,8 +81,11 @@ __all__ = [
     "CompiledQueryPlan",
     "FlatGraph",
     "NativeTarget",
+    "are_isomorphic",
     "compile_target",
     "compile_query_plan",
+    "find_subgraph_embedding",
+    "is_subgraph_isomorphic",
     "match_pairs",
 ]
 
@@ -387,8 +397,8 @@ def match_pairs(
     ``query_side`` is the side all pairs share: a :class:`CompiledQueryPlan`
     tested against each :class:`CompiledTarget` of ``candidates``, or a
     :class:`CompiledTarget` each :class:`CompiledQueryPlan` of ``candidates``
-    is tested against.  Per pair the semantics are identical to
-    ``VF2Matcher(pattern, target).has_match()``.
+    is tested against.  Per pair the semantics are those of
+    :func:`is_subgraph_isomorphic`.
 
     ``regions`` (optional, one mask over the target's vertex positions per
     pair) restricts pair ``i``'s embedding to the masked target vertices —
@@ -444,3 +454,45 @@ def match_pairs(
     if status < 0:  # pragma: no cover - allocation failure inside the kernel
         raise MemoryError("native kernel scratch allocation failed")
     return list(map(bool, matched)), tests.tolist()
+
+
+def is_subgraph_isomorphic(pattern: LabeledGraph, target: LabeledGraph) -> bool:
+    """True if ``pattern`` is subgraph-isomorphic to ``target`` (g ⊆ G):
+    one :func:`match_pairs` test of their compiled forms."""
+    return match_pairs(CompiledQueryPlan(pattern), [CompiledTarget(target)])[0][0]
+
+
+def find_subgraph_embedding(pattern: LabeledGraph, target: LabeledGraph) -> dict | None:
+    """One embedding of ``pattern`` in ``target`` — pattern vertex → target
+    vertex, injective, label- and edge-preserving — or ``None``.  The
+    empty pattern embeds as ``{}``.
+
+    One ``ck_find_embedding`` call: the search every verification runs,
+    writing each step's image back to its pattern position.
+    """
+    # the forms own the kernel blocks: keep them referenced through the call
+    compiled_target, plan = CompiledTarget(target), CompiledQueryPlan(pattern)
+    images = array("q", bytes(8 * pattern.num_vertices))
+    found = _ckernel_loader.kernel().ck_find_embedding(
+        compiled_target.native().address, plan.native(), images.buffer_info()[0]
+    )
+    if found < 0:  # pragma: no cover - allocation failure inside the kernel
+        raise MemoryError("native kernel scratch allocation failed")
+    if not found:
+        return None
+    vertices = list(target.vertices())
+    return {vertex: vertices[image] for vertex, image in zip(pattern.vertices(), images)}
+
+
+def are_isomorphic(first: LabeledGraph, second: LabeledGraph) -> bool:
+    """Exact isomorphism of two labeled graphs (the §4.3 "same query
+    submitted again" check).
+
+    With equal vertex and edge counts, an embedding of one in the other is
+    a bijection onto every edge, so one kernel test decides.
+    """
+    return (
+        first.num_vertices == second.num_vertices
+        and first.num_edges == second.num_edges
+        and is_subgraph_isomorphic(first, second)
+    )

@@ -23,10 +23,13 @@ differentials compare against:
   planning code shared with the kernel;
 * :func:`signature_prereject` (the pre-reject on two graphs) and
   :func:`grapes_region_verify` (Grapes on region subgraphs cut from the
-  location table, :func:`location_union`, tested with ``VF2Matcher``);
-* Grapes' location table, which the package does not keep:
-  :func:`tuple_features` (per key its count and covered vertices) and
-  :func:`coverage` (what ``ck_path_coverage`` counts);
+  location table, :func:`location_union`, tested with :class:`VF2Matcher`);
+* the path enumeration ``ck_path_features`` / ``ck_path_coverage``
+  replace — :func:`enumerate_simple_paths`, keyed by
+  :func:`path_occurrences`, counted by :func:`path_features` — and Grapes'
+  location table, which the package does not keep: :func:`tuple_features`
+  (per key its count and covered vertices) and :func:`coverage` (what
+  ``ck_path_coverage`` counts);
 * the *marshalling* — :func:`marshal_target` / :func:`marshal_plan` build
   the ``ck_target`` / ``ck_plan`` structs from that state, field for field
   what ``ck_compile_target`` / ``ck_compile_plan`` build from the CSR;
@@ -36,8 +39,9 @@ differentials compare against:
   Algorithm 2);
 * :func:`compiled_has_embedding`, one native pair: the single-pair entry
   point the tests drive the kernel through;
-* :class:`UllmannMatcher`, Ullmann's [1976] backtracking matcher, a second
-  independent subgraph-monomorphism oracle next to ``VF2Matcher``.
+* :class:`VF2Matcher`, a dict-based VF2 (what served the embedding API
+  before the kernel did), and :class:`UllmannMatcher`, Ullmann's [1976]
+  backtracking matcher: two independent subgraph-monomorphism oracles.
 
 Everything here is deliberately slow and obvious.  The matching order breaks
 ties by ``repr`` and then by position — the rank the kernel reads — so the
@@ -49,18 +53,19 @@ from __future__ import annotations
 import ctypes
 import time
 from array import array
+from collections import Counter
 from collections.abc import Hashable, Iterator, Sequence
-from itertools import chain
+from itertools import chain, islice
 
 from repro.core import IGQ
 from repro.graphs import LabeledGraph
 from repro.graphs.bitset import iter_bits
-from repro.features import FeatureExtractor, enumerate_simple_paths
+from repro.features import FeatureExtractor
 from repro.features.canonical import canonical_cycle_code, canonical_path_key, canonical_tree_code
 from repro.features.cycles import enumerate_simple_cycles
 from repro.features.trees import enumerate_tree_subgraphs
 from repro.graphs.traversal import bfs_order, is_connected
-from repro.isomorphism import Verifier, VF2Matcher
+from repro.isomorphism import Verifier
 from repro.isomorphism.compiled import CompiledQueryPlan, _intern_label, _packed
 from repro.isomorphism.compiled import match_pairs as native_match_pairs
 from repro.methods import create_method
@@ -174,6 +179,9 @@ class BigintPlan:
             degrees.sort(reverse=True)
         order = matching_order(pattern)
         order_position = {vertex: index for index, vertex in enumerate(order)}
+        #: per step, the position of its vertex in ``pattern.vertices()``
+        position = positions(pattern)
+        self.order = [position[vertex] for vertex in order]
         self.steps = []
         for index, vertex in enumerate(order):
             anchors = []
@@ -442,6 +450,7 @@ class CkPlan(ctypes.Structure):
             "sig_labels",
             "sig_indptr",
             "sig_degrees",
+            "order",
         )
     ]
 
@@ -504,9 +513,10 @@ def marshal_target(graph: LabeledGraph) -> tuple[int, tuple]:
 
 def marshal_plan(pattern: LabeledGraph) -> tuple[int, tuple]:
     """The ``ck_plan`` of ``pattern`` built from its :class:`BigintPlan`:
-    per-step degrees, look-aheads, interned labels and anchors, plus the
+    per-step degrees, look-aheads, interned labels and anchors, the
     pre-reject signature (distinct interned labels with their descending
-    degree lists); its address and the buffers to keep alive."""
+    degree lists) and per step its pattern position; its address and the
+    buffers to keep alive."""
     plan = BigintPlan(pattern)
     steps = plan.steps
     flat_anchors: list[int] = []
@@ -528,6 +538,7 @@ def marshal_plan(pattern: LabeledGraph) -> tuple[int, tuple]:
         [_intern_label(label) for label in plan.label_degrees],
         sig_indptr,
         sig_degrees,
+        plan.order,
     )
     struct = CkPlan(len(steps), plan.num_edges, len(plan.label_degrees), *addresses)
     return ctypes.addressof(struct), (struct, buffer)
@@ -546,6 +557,215 @@ def mask_sums(costs: array, masks: Sequence[int]) -> list[float]:
             total += costs[position]
         totals.append(total)
     return totals
+
+
+# ----------------------------------------------------------------------
+# The dict-based VF2 matcher
+# ----------------------------------------------------------------------
+class VF2Matcher:
+    """Search for embeddings of ``pattern`` inside ``target``.
+
+    Parameters
+    ----------
+    pattern:
+        The (small) query graph.
+    target:
+        The (larger) dataset graph.
+    induced:
+        When ``True``, also require that non-edges of the pattern map to
+        non-edges of the target (induced subgraph isomorphism).  The paper's
+        experiments only need the default non-induced semantics.
+    """
+
+    def __init__(
+        self,
+        pattern: LabeledGraph,
+        target: LabeledGraph,
+        induced: bool = False,
+    ) -> None:
+        self.pattern = pattern
+        self.target = target
+        self.induced = induced
+        self._order = self._matching_order()
+
+    # ------------------------------------------------------------------
+    # Public API
+    # ------------------------------------------------------------------
+    def has_match(self) -> bool:
+        """True if at least one embedding exists."""
+        return self.find_one() is not None
+
+    def find_one(self) -> dict[Hashable, Hashable] | None:
+        """Return one embedding (pattern vertex -> target vertex) or ``None``."""
+        for mapping in self.iter_matches(limit=1):
+            return mapping
+        return None
+
+    def count_matches(self, limit: int | None = None) -> int:
+        """Count embeddings, optionally stopping after ``limit`` of them."""
+        count = 0
+        for _ in self.iter_matches(limit=limit):
+            count += 1
+        return count
+
+    def iter_matches(self, limit: int | None = None) -> Iterator[dict[Hashable, Hashable]]:
+        """Yield embeddings as dictionaries mapping pattern to target vertices."""
+        matches = self._iter_all_matches()
+        if limit is None:
+            yield from matches
+        else:
+            yield from islice(matches, max(limit, 0))
+
+    def _iter_all_matches(self) -> Iterator[dict[Hashable, Hashable]]:
+        if self.pattern.num_vertices == 0:
+            yield {}
+            return
+        if self.pattern.num_vertices > self.target.num_vertices:
+            return
+        if self.pattern.num_edges > self.target.num_edges:
+            return
+        if not self._labels_compatible():
+            return
+        yield from self._search({}, set(), 0)
+
+    # ------------------------------------------------------------------
+    # Internals
+    # ------------------------------------------------------------------
+    def _labels_compatible(self) -> bool:
+        """Quick rejection: every pattern label must be frequent enough."""
+        target_hist = self.target.label_histogram()
+        for label, count in self.pattern.label_histogram().items():
+            if target_hist.get(label, 0) < count:
+                return False
+        return True
+
+    def _matching_order(self) -> list[Hashable]:
+        """Static matching order: rare labels and high degrees first, then
+        grow the order so that each vertex (when possible) is adjacent to an
+        already-ordered vertex, preferring the most-connected frontier vertex."""
+        pattern = self.pattern
+        if pattern.num_vertices == 0:
+            return []
+        target_hist = self.target.label_histogram()
+        rarity = {
+            vertex: (
+                target_hist.get(pattern.label(vertex), 0),
+                -pattern.degree(vertex),
+                repr(vertex),
+            )
+            for vertex in pattern.vertices()
+        }
+
+        order: list[Hashable] = []
+        placed: set = set()
+        remaining = set(pattern.vertices())
+        #: number of already-placed neighbours, maintained incrementally
+        placed_neighbors = {vertex: 0 for vertex in remaining}
+
+        def place(vertex: Hashable) -> None:
+            order.append(vertex)
+            placed.add(vertex)
+            remaining.discard(vertex)
+            for neighbor in pattern.neighbors(vertex):
+                if neighbor not in placed:
+                    placed_neighbors[neighbor] += 1
+
+        while remaining:
+            # Start (or restart, for disconnected patterns) at the most
+            # constrained vertex.
+            start = min(remaining, key=rarity.__getitem__)
+            place(start)
+            frontier = {
+                neighbor
+                for neighbor in pattern.neighbors(start)
+                if neighbor not in placed
+            }
+            while frontier:
+                nxt = min(
+                    frontier,
+                    key=lambda v: (-placed_neighbors[v],) + rarity[v],
+                )
+                place(nxt)
+                frontier.discard(nxt)
+                frontier.update(
+                    neighbor
+                    for neighbor in pattern.neighbors(nxt)
+                    if neighbor not in placed
+                )
+        return order
+
+    def _candidates(
+        self, vertex: Hashable, mapping: dict[Hashable, Hashable], used: set
+    ) -> list[Hashable]:
+        """Candidate target vertices for the next pattern ``vertex``."""
+        pattern, target = self.pattern, self.target
+        label = pattern.label(vertex)
+        mapped_neighbors = [n for n in pattern.neighbors(vertex) if n in mapping]
+        if mapped_neighbors:
+            # Intersect the target neighbourhoods of the images of the mapped
+            # pattern neighbours: any valid image must be adjacent to all.
+            anchor = min(
+                mapped_neighbors, key=lambda n: target.degree(mapping[n])
+            )
+            candidates = [
+                candidate
+                for candidate in target.neighbors(mapping[anchor])
+                if candidate not in used and target.label(candidate) == label
+            ]
+        else:
+            candidates = [
+                candidate
+                for candidate in target.vertices_with_label(label)
+                if candidate not in used
+            ]
+        return candidates
+
+    def _feasible(
+        self, vertex: Hashable, candidate: Hashable, mapping: dict[Hashable, Hashable]
+    ) -> bool:
+        pattern, target = self.pattern, self.target
+        if pattern.degree(vertex) > target.degree(candidate):
+            return False
+        unmapped_pattern_neighbors = 0
+        for neighbor in pattern.neighbors(vertex):
+            if neighbor in mapping:
+                if not target.has_edge(candidate, mapping[neighbor]):
+                    return False
+            else:
+                unmapped_pattern_neighbors += 1
+        if self.induced:
+            mapped_images = set(mapping.values())
+            for image in target.neighbors(candidate):
+                if image in mapped_images:
+                    # Find the pattern vertex mapped to this image.
+                    for p_vertex, t_vertex in mapping.items():
+                        if t_vertex == image and not pattern.has_edge(vertex, p_vertex):
+                            return False
+        # One-step look-ahead: the candidate must have enough unmatched
+        # neighbours left to host the unmatched pattern neighbours.
+        unmapped_target_neighbors = sum(
+            1 for image in target.neighbors(candidate) if image not in mapping.values()
+        )
+        return unmapped_target_neighbors >= unmapped_pattern_neighbors
+
+    def _search(
+        self,
+        mapping: dict[Hashable, Hashable],
+        used: set,
+        depth: int,
+    ) -> Iterator[dict[Hashable, Hashable]]:
+        if depth == len(self._order):
+            yield dict(mapping)
+            return
+        vertex = self._order[depth]
+        for candidate in self._candidates(vertex, mapping, used):
+            if not self._feasible(vertex, candidate, mapping):
+                continue
+            mapping[vertex] = candidate
+            used.add(candidate)
+            yield from self._search(mapping, used, depth + 1)
+            del mapping[vertex]
+            used.discard(candidate)
 
 
 # ----------------------------------------------------------------------
@@ -835,13 +1055,76 @@ def connected_components(graph: LabeledGraph) -> list[set]:
     return components
 
 
+def enumerate_simple_paths(
+    graph: LabeledGraph,
+    max_length: int,
+    min_length: int = 0,
+) -> Iterator[tuple[Hashable, ...]]:
+    """Yield every simple path with ``min_length..max_length`` edges.
+
+    Paths are yielded as vertex tuples; each undirected path is yielded
+    exactly once (in the direction whose vertex-repr sequence is smaller).
+    Zero-length paths are the single vertices.
+    """
+    if max_length < 0:
+        raise ValueError("max_length must be non-negative")
+    if min_length < 0:
+        raise ValueError("min_length must be non-negative")
+
+    if min_length == 0:
+        for vertex in graph.vertices():
+            yield (vertex,)
+
+    if max_length == 0:
+        return
+
+    reprs = {vertex: repr(vertex) for vertex in graph.vertices()}
+
+    def extend(path: list[Hashable], on_path: set) -> Iterator[tuple[Hashable, ...]]:
+        last = path[-1]
+        for neighbor in graph.neighbors(last):
+            if neighbor in on_path:
+                continue
+            path.append(neighbor)
+            on_path.add(neighbor)
+            if len(path) - 1 >= max(min_length, 1) and _is_canonical_direction(path, reprs):
+                yield tuple(path)
+            if len(path) - 1 < max_length:
+                yield from extend(path, on_path)
+            on_path.discard(neighbor)
+            path.pop()
+
+    for vertex in graph.vertices():
+        yield from extend([vertex], {vertex})
+
+
+def _is_canonical_direction(path: list[Hashable], reprs: dict[Hashable, str]) -> bool:
+    """True if the path's vertex-repr sequence is not larger than its reverse.
+
+    The two sequences start with the reprs of the path's two (distinct)
+    endpoints, so those decide unless two vertices share a repr.
+    """
+    first, last = reprs[path[0]], reprs[path[-1]]
+    if first != last:
+        return first < last
+    forward = [reprs[vertex] for vertex in path]
+    return forward <= forward[::-1]
+
+
 def path_occurrences(graph: LabeledGraph, max_length: int) -> Iterator[tuple[tuple, tuple]]:
     """``(key, path)`` for every simple path of ``graph`` up to
-    ``max_length`` edges: ``enumerate_simple_paths`` keyed by
+    ``max_length`` edges: :func:`enumerate_simple_paths` keyed by
     ``canonical_path_key`` of the label strings."""
     text = {vertex: str(graph.label(vertex)) for vertex in graph.vertices()}
     for path in enumerate_simple_paths(graph, max_length):
         yield canonical_path_key([text[vertex] for vertex in path]), path
+
+
+def path_features(graph: LabeledGraph, max_length: int) -> dict[tuple[str, ...], int]:
+    """The path features of ``graph`` keyed by tuple: the canonical label
+    tuple of each path feature mapped to its number of occurrences (what
+    ``ck_path_features`` counts, before coding)."""
+    return Counter(key for key, _ in path_occurrences(graph, max_length))
 
 
 def tally(graph: LabeledGraph, occurrences) -> tuple[dict, dict]:

@@ -30,7 +30,7 @@ from repro.methods import create_method
 
 from . import kernel_oracle
 from .conftest import engine_config, random_labeled_graph
-from .test_native_extract import sparse_graph
+from .test_native_extract import sparse_graph, wide_graph
 from .test_native_probe import Pair
 
 _REAL_LABEL_HASH = paths_module.label_hash
@@ -163,16 +163,20 @@ def test_cache_entries_are_indexed_with_merged_codes(monkeypatch):
 def test_the_kernel_merges_like_the_python_extractor(buckets, monkeypatch):
     """``ck_path_features`` merges equal codes as ``GraphFeatures.from_keys``
     does: counts summed, the pairs distinct and ascending.  Coverage is
-    per key (over several mask words): merged codes do not shrink it."""
+    per key (over several mask words): merged codes do not shrink it —
+    also past 255 label strings and past seven edges."""
     squeeze_label_hash(monkeypatch, buckets)
-    for seed in range(6):
-        graph = sparse_graph(seed, 70 + 10 * seed)
-        keys, located = kernel_oracle.tally(graph, kernel_oracle.path_occurrences(graph, 3))
+    cases = [(sparse_graph(seed, 70 + 10 * seed), 3) for seed in range(6)]
+    cases += [(wide_graph(5, 260, extra=10), 3), (sparse_graph(11, 14), 9)]
+    for graph, max_length in cases:
+        keys, located = kernel_oracle.tally(
+            graph, kernel_oracle.path_occurrences(graph, max_length)
+        )
         expected = GraphFeatures.from_keys(keys)
         assert len(expected.counts) < len(keys)
-        counts, pairs = native_path_features(graph, 3)
+        counts, pairs = native_path_features(graph, max_length)
         assert list(counts.items()) == list(expected.counts.items())
         assert pairs == expected.feature_codes()
-        assert path_coverage(graph, 3) == kernel_oracle.coverage(graph, 3) == sum(
-            mask.bit_count() for mask in located.values()
-        )
+        assert path_coverage(graph, max_length) == kernel_oracle.coverage(
+            graph, max_length
+        ) == sum(mask.bit_count() for mask in located.values())

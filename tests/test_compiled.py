@@ -18,7 +18,6 @@ from repro.graphs import LabeledGraph
 from repro.isomorphism import (
     CompiledQuery,
     CompiledTarget,
-    VF2Matcher,
     Verifier,
     compile_query_plan,
     compile_target,
@@ -28,6 +27,7 @@ from repro.methods import ScanMethod
 from . import kernel_oracle
 from .kernel_oracle import (
     OracleVerifier,
+    VF2Matcher,
     compiled_has_embedding,
     connected_components,
     signature_prereject,

@@ -19,10 +19,8 @@ from repro.features import (
     canonical_cycle_code,
     canonical_path_code,
     canonical_tree_code,
-    enumerate_simple_paths,
     enumerate_tree_subgraphs,
 )
-from repro.features import extractor as extractor_module
 from repro.features.paths import path_code, path_coverage
 from repro.isomorphism.compiled import FlatGraph
 
@@ -94,7 +92,7 @@ class TestPathFeatures:
         extractor = FeatureExtractor(max_path_length=3)
         for _, graph in list(load_dataset(dataset, scale=0.05).items())[:6]:
             counts = {}
-            for path in enumerate_simple_paths(graph, extractor.max_path_length):
+            for path in kernel_oracle.enumerate_simple_paths(graph, extractor.max_path_length):
                 reprs = tuple(map(repr, path))
                 assert reprs <= reprs[::-1]
                 code = canonical_path_code([graph.label(vertex) for vertex in path])
@@ -104,22 +102,18 @@ class TestPathFeatures:
             assert list(extractor.extract(graph).counts.items()) == list(expected.counts.items())
 
     @pytest.mark.parametrize("shared_flat", [False, True])
-    def test_key_order_does_not_depend_on_the_extractor(self, shared_flat, monkeypatch):
+    def test_key_order_does_not_depend_on_the_extractor(self, shared_flat):
         """WAL records, snapshots, shard deltas and answer digests iterate
-        the feature dicts: the native and the Python extractor must return
-        the same codes in the same (ascending) order, whether or not the
-        caller hands over the graph's flattened arrays."""
+        the feature dicts: the kernel must return the codes the Python
+        enumeration of ``kernel_oracle`` gives, coded, in the same
+        (ascending) order, whether or not the caller hands over the graph's
+        flattened arrays."""
         extractor = FeatureExtractor(max_path_length=4)
         graphs = [graph for _, graph in load_dataset("aids", scale=0.05).items()][:8]
         graphs.append(make_star_graph("B", "ACA"))
-
-        def extract(graph):
-            return extractor.extract(graph, flat=FlatGraph(graph) if shared_flat else None)
-
-        native = list(map(extract, graphs))
-        monkeypatch.setattr(extractor_module, "native_path_features", lambda *args: None)
-        for graph, fast in zip(graphs, native):
-            slow = extract(graph)
+        for graph in graphs:
+            fast = extractor.extract(graph, flat=FlatGraph(graph) if shared_flat else None)
+            slow = GraphFeatures.from_keys(kernel_oracle.path_features(graph, 4))
             assert list(fast.counts.items()) == list(slow.counts.items())
             codes = list(fast.counts)
             assert codes == sorted(codes)

@@ -108,8 +108,7 @@ class TestCodedIndexEqualsTupleOracle:
     @settings(max_examples=15, deadline=None)
     @given(graphs=dataset_graphs, queries=query_graphs)
     def test_paths_longer_than_a_local_code(self, graphs, queries):
-        """Paths past the kernel's seven edges: the Python enumeration, the
-        same codes."""
+        """Paths of eight edges: the same codes as the oracle."""
         method = build(GGSXMethod, graphs, max_path_length=8)
         for query in queries:
             assert_filters_match_oracle(method, query)

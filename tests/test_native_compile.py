@@ -7,7 +7,7 @@ back from ``ck_compile_target`` / ``ck_compile_plan``.
 the bigint state in the test tree — are the oracle: every scalar and every
 array equal, field by field, so the DFS tree, the test counts and the
 answers are the same by construction.  The same arrangement
-``ck_path_features`` has with ``path_features``
+``ck_path_features`` has with ``kernel_oracle.path_features``
 (``tests/test_native_extract.py``); this file is on the ASan leg's pytest
 line, where a block freed while a probe-table row still points at it would
 be a use-after-free and a short ``label_map`` an over-read.
@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 from repro.core import QueryCache, SubgraphQueryIndex, SupergraphQueryIndex
 from repro.features import FeatureExtractor
 from repro.graphs import GraphDatabase, LabeledGraph
-from repro.isomorphism import VF2Matcher, Verifier, _ckernel_loader
+from repro.isomorphism import Verifier, _ckernel_loader
 from repro.isomorphism import compiled as compiled_module
 from repro.isomorphism.compiled import (
     CompiledQuery,
@@ -40,7 +40,7 @@ from repro.isomorphism.compiled import (
 )
 
 from . import kernel_oracle
-from .kernel_oracle import compiled_has_embedding
+from .kernel_oracle import VF2Matcher, compiled_has_embedding
 from .conftest import make_cycle_graph, make_path_graph, random_labeled_graph
 
 EXTRACTOR = FeatureExtractor(max_path_length=3)
@@ -96,6 +96,7 @@ def read_plan(address: int) -> dict:
         "sig_labels": _column(ctypes.c_int64, struct.sig_labels, rows),
         "sig_indptr": _column(ctypes.c_int64, struct.sig_indptr, rows + 1),
         "sig_degrees": _column(ctypes.c_int64, struct.sig_degrees, steps),
+        "order": _column(ctypes.c_int64, struct.order, steps),
     }
 
 

@@ -2,12 +2,12 @@
 
 ``ck_path_features`` (``isomorphism/_ckernel.c``, driven by
 :func:`repro.features.paths.native_path_features`) must return exactly what
-:func:`repro.features.paths.path_features` returns, coded by
-:func:`repro.features.paths.path_code` — same ``(code, count)`` pairs, code
-ascending — because every index, WAL record and candidate set downstream is
-built from whichever of the two ran.  ``ck_path_coverage`` (driven by
-:func:`repro.features.paths.path_coverage`) must count what the location
-table of ``kernel_oracle.tally`` covers.  The Python enumeration is the
+the Python enumeration of ``kernel_oracle`` (``path_features``) returns,
+coded by :func:`repro.features.paths.path_code` — same ``(code, count)``
+pairs, code ascending — at any label count and any path length, because
+every index, WAL record and candidate set downstream is built from them.
+``ck_path_coverage`` (driven by :func:`repro.features.paths.path_coverage`)
+must count what the location table of ``kernel_oracle.tally`` covers.  The Python enumeration is the
 oracle, the same arrangement ``match_pairs`` has with the bigint loop of
 ``tests/kernel_oracle.py`` (``tests/test_verify_pairs.py``).
 """
@@ -26,10 +26,10 @@ from hypothesis import strategies as st
 from repro.datasets.registry import load_dataset
 from repro.features import FeatureExtractor, GraphFeatures
 from repro.features import extractor as extractor_module
-from repro.features import paths as paths_module
 from repro.features.paths import code_pairs, native_path_features, path_code, path_coverage
 from repro.graphs import LabeledGraph
 from repro.methods import GGSXMethod, GrapesMethod
+from repro.methods import grapes as grapes_module
 from repro.workloads.generator import QueryGenerator, WorkloadSpec
 
 from . import kernel_oracle
@@ -52,7 +52,6 @@ def oracle(graph: LabeledGraph, max_length: int) -> tuple[dict, int]:
 def assert_native_equals_oracle(graph: LabeledGraph, max_length: int) -> None:
     counts, covered = oracle(graph, max_length)
     native = native_path_features(graph, max_length)
-    assert native is not None
     assert list(native[0].items()) == list(counts.items())
     assert native[1] == code_pairs(counts.items())
     assert path_coverage(graph, max_length) == covered
@@ -68,17 +67,22 @@ def _vertex_id(rng: random.Random, index: int):
     return (index, "t")
 
 
-def sparse_graph(seed: int, num_vertices: int, labels=_LABELS, mixed_ids: bool = True):
+def sparse_graph(
+    seed: int, num_vertices: int, labels=_LABELS, mixed_ids: bool = True, vertex_labels=None
+):
     """A random graph of bounded degree (the Python oracle is exponential
     in the degree): a forest plus a few chords, some vertices isolated, so
-    components, cycles and isolated vertices all occur."""
+    components, cycles and isolated vertices all occur.  Vertex ``i``
+    carries ``vertex_labels[i]`` when given, else a random one of
+    ``labels``."""
     rng = random.Random(seed)
     ids = [_vertex_id(rng, index) if mixed_ids else index for index in range(num_vertices)]
     order = list(range(num_vertices))
     rng.shuffle(order)  # insertion order != id order
     graph = LabeledGraph(name=f"sparse{seed}")
     for index in order:
-        graph.add_vertex(ids[index], rng.choice(labels))
+        label = rng.choice(labels) if vertex_labels is None else vertex_labels[index]
+        graph.add_vertex(ids[index], label)
     degree = dict.fromkeys(ids, 0)
 
     def connect(u, v) -> None:
@@ -159,10 +163,21 @@ class TestDifferential:
             assert_native_equals_oracle(graph, 4)
 
 
-class TestCodeOverflowFallback:
-    """The kernel packs a path into one graph-local code at a byte per
-    vertex; beyond that the extractor runs the Python enumeration — same
-    features either way."""
+def wide_graph(seed: int, num_labels: int, extra: int = 0) -> LabeledGraph:
+    """A sparse graph of ``num_labels + extra`` vertices carrying
+    ``num_labels`` distinct label strings (each at least once, ``extra``
+    vertices repeating some), in shuffled order."""
+    rng = random.Random(seed)
+    labels = [f"L{index:03d}" for index in range(num_labels)]
+    labels += [rng.choice(labels) for _ in range(extra)]
+    rng.shuffle(labels)
+    return sparse_graph(seed, len(labels), vertex_labels=labels)
+
+
+class TestWideAlphabetsAndLongPaths:
+    """The kernel sizes its path buffers per call: a graph with any number
+    of label strings and paths of any length take the same one call, and
+    match the oracle on counts and coverage."""
 
     def wide_alphabet_graph(self, num_labels: int) -> LabeledGraph:
         graph = LabeledGraph()
@@ -172,35 +187,71 @@ class TestCodeOverflowFallback:
             graph.add_edge(vertex, vertex + 1)
         return graph
 
-    def test_255_labels_fit(self):
-        """255 labels fit the kernel's graph-local codes (a byte per vertex
-        on ``rank + 1``): the kernel runs."""
+    def test_255_labels(self):
         assert_native_equals_oracle(self.wide_alphabet_graph(255), 3)
 
-    def test_256_labels_fall_back(self):
-        """Features and coverage both take the Python route, and get what
-        the kernel gets on the 255-label graph plus one vertex's share."""
-        graph = self.wide_alphabet_graph(256)
-        assert native_path_features(graph, 3) is None
-        features = FeatureExtractor(max_path_length=3).extract(graph)
+    @pytest.mark.parametrize("num_labels", [256, 257, 300])
+    def test_256_to_300_labels(self, num_labels):
+        """A path of distinct labels, through the extractor too."""
+        graph = self.wide_alphabet_graph(num_labels)
+        assert_native_equals_oracle(graph, 3)
         counts, covered = oracle(graph, 3)
+        features = FeatureExtractor(max_path_length=3).extract(graph)
         assert list(features.counts.items()) == list(counts.items())
-        assert path_coverage(graph, 3) == covered
         # a path of n vertices has n - k paths of k edges, k + 1 vertices each
-        assert covered == sum((256 - k) * (k + 1) for k in range(4))
+        assert covered == sum((num_labels - k) * (k + 1) for k in range(4))
 
-    def test_paths_longer_than_a_code_fall_back(self):
+    @pytest.mark.parametrize("max_length", [8, 9, 10])
+    def test_paths_of_8_to_10_edges(self, max_length):
+        graphs = [
+            make_path_graph("ABCABCABCABC"),
+            make_path_graph("ABCDEDCBA"),  # palindromic label paths
+            make_cycle_graph("AAAAAAAAAAA"),
+            make_cycle_graph("ABABABABAB"),
+            make_star_graph("A", "BCBCB"),
+            self.wide_alphabet_graph(300),
+        ]
+        for graph in graphs:
+            assert_native_equals_oracle(graph, max_length)
         graph = make_path_graph("ABCABCABCABC")
-        assert native_path_features(graph, 8) is None
-        assert_native_equals_oracle(graph, 7)
-        features = FeatureExtractor(max_path_length=8).extract(graph)
-        counts, covered = oracle(graph, 8)
+        counts, _ = oracle(graph, max_length)
+        features = FeatureExtractor(max_path_length=max_length).extract(graph)
         assert list(features.counts.items()) == list(counts.items())
-        assert path_coverage(graph, 8) == covered
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        num_vertices=st.integers(1, 14),
+        max_length=st.integers(8, 10),
+    )
+    def test_random_graphs_long_paths(self, seed, num_vertices, max_length):
+        """Paths of 8-10 edges on small graphs with cycles, isolated
+        vertices, colliding label strings and mixed-type vertex ids."""
+        assert_native_equals_oracle(sparse_graph(seed, num_vertices), max_length)
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        num_labels=st.integers(256, 300),
+        extra=st.integers(0, 20),
+        max_length=st.integers(1, 3),
+    )
+    def test_random_graphs_wide_alphabets(self, seed, num_labels, extra, max_length):
+        """256-300 distinct label strings on sparse graphs, some repeated."""
+        assert_native_equals_oracle(wide_graph(seed, num_labels, extra), max_length)
 
 
-def force_python_extractor(monkeypatch) -> None:
-    monkeypatch.setattr(extractor_module, "native_path_features", lambda *args: None)
+def oracle_path_features(graph: LabeledGraph, max_length: int, flat=None) -> tuple:
+    """``native_path_features``' result computed by the Python oracle."""
+    features = GraphFeatures.from_keys(kernel_oracle.path_features(graph, max_length))
+    return features.counts, features.feature_codes()
+
+
+def oracle_extractor(monkeypatch) -> None:
+    """Extraction and Grapes' coverage run the oracles of ``kernel_oracle``
+    instead of the kernel."""
+    monkeypatch.setattr(extractor_module, "native_path_features", oracle_path_features)
+    monkeypatch.setattr(grapes_module, "path_coverage", kernel_oracle.coverage)
 
 
 class TestBuildIndexUnderBothExtractors:
@@ -209,17 +260,16 @@ class TestBuildIndexUnderBothExtractors:
         [("aids", GGSXMethod), ("pdbs", GrapesMethod)],
     )
     def test_identical_index_and_regions(self, dataset, factory, monkeypatch):
-        """Tables, index size (for Grapes with the coverage on the Python
-        route too) and query results, tests counted in each candidate's
-        region, do not depend on which extractor ran."""
+        """Tables, index size (for Grapes, its coverage) and query results,
+        tests counted in each candidate's region, are the same whether the
+        kernel or the Python oracle extracted the features."""
         database = load_dataset(dataset, scale=0.15)
         native = factory(max_path_length=4)
         native.build_index(database)
         with monkeypatch.context() as patched:
-            force_python_extractor(patched)
+            oracle_extractor(patched)
             python = factory(max_path_length=4)
             python.build_index(database)
-            patched.setattr(paths_module, "_label_ranks", lambda *args: None)
             python_bytes = python.index_size_bytes()
         assert list(native.feature_index._levels.items()) == list(
             python.feature_index._levels.items()
@@ -234,7 +284,7 @@ class TestBuildIndexUnderBothExtractors:
         for query in queries:
             query_features = native.extract_query_features(query)
             with monkeypatch.context() as patched:
-                force_python_extractor(patched)
+                oracle_extractor(patched)
                 slow_features = python.extract_query_features(query)
             assert list(query_features.counts.items()) == list(slow_features.counts.items())
             candidates = native.filter_candidates(query, features=query_features)

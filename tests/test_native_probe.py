@@ -13,7 +13,7 @@ survivor) and the ``iter_bits`` loop of ``mask_sums`` — identical hit lists
 ``OracleVerifier`` probes with ``probe_hits`` under the ``oracle_probes``
 fixture (the oracle engine's probe): it must answer and account as the
 native one does.  The same arrangement ``ck_path_features`` has with
-``path_features`` (``tests/test_native_extract.py``); this file is on the
+``kernel_oracle.path_features`` (``tests/test_native_extract.py``); this file is on the
 ASan leg's pytest line, where a row outliving its entry's compiled form
 would be a use-after-free.
 """
@@ -31,7 +31,7 @@ from hypothesis import strategies as st
 
 from repro.core import IGQ, QueryCache, SubgraphQueryIndex, SupergraphQueryIndex
 from repro.core.probe import ColumnBlock
-from repro.features import FeatureExtractor, path_features
+from repro.features import FeatureExtractor
 from repro.features.paths import path_code
 from repro.graphs import GraphDatabase, LabeledGraph
 from repro.isomorphism import Verifier, _ckernel_loader
@@ -433,7 +433,7 @@ def test_global_codes_are_the_keys(left, right):
         assert list(codes) == sorted(codes)
         assert list(features.counts.items()) == list(zip(codes, pairs[1::2]))
         by_code = {}
-        for key, count in path_features(graph, 3).items():
+        for key, count in kernel_oracle.path_features(graph, 3).items():
             code = path_code(key)
             assert code_of.setdefault(key, code) == code
             by_code[code] = count

@@ -1,13 +1,15 @@
-"""Tests for exhaustive simple-path enumeration and path features."""
+"""Tests for the Python path enumeration the kernel is checked against
+(``tests/kernel_oracle.py``) and for the kernel's coverage count."""
 
 from __future__ import annotations
 
 import pytest
 from hypothesis import given, settings
 
-from repro.features import enumerate_simple_paths, path_coverage, path_features
+from repro.features import path_coverage
 
 from . import kernel_oracle
+from .kernel_oracle import enumerate_simple_paths, path_features
 from .conftest import labeled_graphs, make_clique, make_cycle_graph, make_path_graph, make_star_graph
 
 

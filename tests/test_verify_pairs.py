@@ -28,7 +28,6 @@ from repro.features import FeatureExtractor
 from repro.graphs import LabeledGraph
 from repro.graphs.traversal import is_connected
 from repro.isomorphism import (
-    VF2Matcher,
     Verifier,
     compile_query_plan,
     compile_target,
@@ -38,6 +37,7 @@ from repro.methods import create_method
 from repro.workloads.generator import QueryGenerator, WorkloadSpec
 
 from . import kernel_oracle
+from .kernel_oracle import VF2Matcher
 from .conftest import (
     make_cycle_graph,
     make_path_graph,
