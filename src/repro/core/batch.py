@@ -29,11 +29,12 @@ from __future__ import annotations
 
 import copy
 import time
-from collections.abc import Hashable, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from ..features.extractor import GraphFeatures
+from ..graphs.bitset import CandidateBitmap
 from ..graphs.graph import LabeledGraph
 from ..isomorphism.compiled import CompiledQuery, FlatGraph
 from ..methods.base import QueryResult, SubgraphQueryMethod
@@ -115,32 +116,59 @@ class FeatureMemo:
         return len(self._features)
 
 
+def _split_mask(mask: int, parts: int) -> list[int]:
+    """``mask`` cut in position order into at most ``parts`` masks of
+    ``ceil(popcount / parts)`` set bits each (the last may hold fewer):
+    each cut is a binary search over prefix widths, never a walk over the
+    bits."""
+    size = -(-mask.bit_count() // parts)
+    chunks = []
+    while mask.bit_count() > size:
+        low, high = size, mask.bit_length()
+        while low < high:  # the narrowest prefix holding `size` bits
+            middle = (low + high) // 2
+            if (mask & ((1 << middle) - 1)).bit_count() >= size:
+                high = middle
+            else:
+                low = middle + 1
+        head = mask & ((1 << low) - 1)
+        chunks.append(head)
+        mask ^= head
+    if mask:
+        chunks.append(mask)
+    return chunks
+
+
 def _verify_chunk(
     method: SubgraphQueryMethod,
     query: LabeledGraph,
-    candidate_ids: list,
+    mask: int,
     supergraph: bool,
     features: GraphFeatures | None,
     compiled: CompiledQuery,
-) -> tuple[list, int, int, float]:
-    """Thread-pool entry point: verify one chunk of a query's candidates.
+) -> tuple[int, int, int, float]:
+    """Thread-pool entry point: verify the chunk of a query's candidates
+    that ``mask`` names.
 
-    Threads share the index structures (read-only during querying) and the
-    query's ``compiled`` forms, whose kernel structs the querying thread
-    built before submitting — the kernel only reads them, its scratch is
-    per call.  Each call gets a private verifier of the parent's class
-    (:meth:`Verifier.fresh_clone`) with zeroed statistics, so the shared
-    counters are never raced.  Returns the answers plus the verifier-stat
-    deltas the chunk produced — positives, negatives (their sum is the test
-    count) and seconds — which the parent folds back deterministically so
-    the :class:`VerifierStats` invariants hold after a batch.
+    Threads share the index structures and the method's form tables
+    (read-only during querying) and the query's ``compiled`` forms, whose
+    kernel structs the querying thread built before submitting — the
+    kernel only reads them, its scratch is per call.  Each call gets a
+    private verifier of the parent's class (:meth:`Verifier.fresh_clone`)
+    with zeroed statistics, so the shared counters are never raced.
+    Returns the answer mask plus the verifier-stat deltas the chunk
+    produced — positives, negatives (their sum is the test count) and
+    seconds — which the parent folds back deterministically so the
+    :class:`VerifierStats` invariants hold after a batch.
     """
     clone = copy.copy(method)
     clone.verifier = method.verifier.fresh_clone()
     stats = clone.verifier.stats
     verify = clone.verify_supergraph if supergraph else clone.verify
-    answers = verify(query, candidate_ids, features=features, compiled=compiled)
-    return list(answers), stats.positives, stats.negatives, stats.total_seconds
+    answers = verify(
+        query, CandidateBitmap(method.id_space, mask), features=features, compiled=compiled
+    )
+    return answers.mask, stats.positives, stats.negatives, stats.total_seconds
 
 
 class BatchExecutor:
@@ -290,7 +318,7 @@ class BatchExecutor:
         start = time.perf_counter()
         if self._use_pool(plan.remaining_mask.bit_count()):
             verified = self._verify_parallel(
-                query, list(plan.remaining), supergraph, features, plan.compiled
+                query, plan.remaining_mask, supergraph, features, plan.compiled
             )
         else:
             self.stats.sequential_verifications += 1
@@ -312,7 +340,11 @@ class BatchExecutor:
         start = time.perf_counter()
         if self._use_pool(len(candidates)):
             answers = self._verify_parallel(
-                query, list(candidates), supergraph, features, CompiledQuery(query, flat)
+                query,
+                method.id_space.mask_of(candidates),
+                supergraph,
+                features,
+                CompiledQuery(query, flat),
             )
         elif supergraph:
             self.stats.sequential_verifications += 1
@@ -337,50 +369,44 @@ class BatchExecutor:
     def _verify_parallel(
         self,
         query: LabeledGraph,
-        candidate_ids: list[Hashable],
+        mask: int,
         supergraph: bool,
         features: GraphFeatures | None,
         compiled: CompiledQuery,
-    ) -> set:
-        """Fan one query's candidate verification out to the worker pool.
+    ) -> CandidateBitmap:
+        """Fan the verification of the candidates ``mask`` names out to the
+        worker pool.
 
-        The query side is compiled here, once, before any chunk is
-        submitted: a form's kernel struct is built lazily and unlocked, so
-        the chunks may only share one that already exists.  The candidates
-        are split evenly over the workers; the union of the chunk answers is
-        order-independent, and the worker statistics deltas are folded back
-        into the parent verifier so the per-query accounting matches the
-        sequential path exactly.
+        The query side and the candidates' forms are compiled here, once,
+        before any chunk is submitted: a form's kernel struct is built
+        lazily and unlocked, so the chunks may only share ones that already
+        exist.  The mask is split by popcount evenly over the workers; the
+        OR of the chunk answers is order-independent, and the worker
+        statistics deltas are folded back into the parent verifier so the
+        per-query accounting matches the sequential path exactly.
         """
-        verifier = self.method.verifier
+        method = self.method
+        verifier = method.verifier
         if supergraph:
             query_side = verifier.compile_target(query, compiled)
         else:
             query_side = verifier.compile_pattern(query, compiled)
         query_side.native()
+        method.form_table(supergraph).fill(mask)
         pool = self._ensure_pool()
         self.stats.parallel_verifications += 1
-        size = -(-len(candidate_ids) // self.num_workers)
         futures = [
-            pool.submit(
-                _verify_chunk,
-                self.method,
-                query,
-                candidate_ids[start : start + size],
-                supergraph,
-                features,
-                compiled,
-            )
-            for start in range(0, len(candidate_ids), size)
+            pool.submit(_verify_chunk, method, query, chunk, supergraph, features, compiled)
+            for chunk in _split_mask(mask, self.num_workers)
         ]
-        merged: set = set()
+        merged = 0
         stats = verifier.stats
         # collect everything first: a failed chunk must not leave the
         # statistics half-folded
         for answers, positives, negatives, seconds in [future.result() for future in futures]:
-            merged.update(answers)
+            merged |= answers
             stats.tests += positives + negatives
             stats.positives += positives
             stats.negatives += negatives
             stats.total_seconds += seconds
-        return merged
+        return CandidateBitmap(method.id_space, merged)

@@ -579,8 +579,9 @@ class IGQ:
         if plan.credits is not None:
             self.cache.columns.credit(plan.credits)
 
-    def verify_plan(self, plan: QueryPlan) -> set:
-        """Stage 3 — verify the plan's surviving candidates in-process."""
+    def verify_plan(self, plan: QueryPlan) -> CandidateBitmap:
+        """Stage 3 — verify the plan's surviving candidates in-process:
+        the remaining mask in, the answer mask out (one kernel call)."""
         verify = self.method.verify_supergraph if plan.supergraph else self.method.verify
         return verify(
             plan.query, plan.remaining, features=plan.features, compiled=plan.compiled
@@ -591,14 +592,13 @@ class IGQ:
     ) -> IGQQueryResult:
         """Stage 4 — assemble the result and run window maintenance.
 
-        ``verified`` is the answer subset of ``plan.remaining`` (any iterable
-        of graph ids — a plain set from :meth:`verify_plan` or the merged
-        union of thread-pool chunks).
+        ``verified`` is the answer subset of ``plan.remaining``: the
+        bitmap :meth:`verify_plan` returns or the OR of the thread-pool
+        chunks' (any other iterable of graph ids is converted once).  The
+        answers are its mask OR the cache's.
         """
         space = plan.space
-        answers = CandidateBitmap(
-            space, space.mask_of(verified) | plan.cache_answer_mask
-        )
+        answers = CandidateBitmap(space, space.mask_of(verified) | plan.cache_answer_mask)
         report = self._record_query(plan, answers)
         self.plans_replayed += plan.replayed
         return IGQQueryResult(

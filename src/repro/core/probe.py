@@ -1,4 +1,4 @@
-"""ctypes binding of the kernel's cache-side structures (``_ckernel.c``, ABI 11).
+"""ctypes binding of the kernel's cache-side structures (``_ckernel.c``, ABI 13).
 
 :class:`ProbeTable` is the slot-aligned native table behind a
 :class:`~repro.core.containment.ContainmentIndex`: per live slot the cached
@@ -35,7 +35,7 @@ from array import array
 from collections.abc import Iterable, Sequence
 
 
-__all__ = ["ColumnBlock", "ProbeTable"]
+__all__ = ["ColumnBlock", "PlanCall", "ProbeTable"]
 
 
 class ProbeTable:
@@ -155,6 +155,28 @@ class ProbeTable:
         return entry_id, num_vertices, num_edges, codes
 
 
+class PlanCall(ctypes.Structure):
+    """ctypes mirror of ``ck_plan_call`` in ``_ckernel.c``: the arguments
+    of one ``ck_block_plan`` call but the block and CS(g), which a
+    :class:`ColumnBlock` keeps and rewrites per call (one pointer argument
+    converts faster than a dozen scalars)."""
+
+    _fields_ = [
+        ("hit_ids", ctypes.c_void_p),
+        ("num_hits", ctypes.c_int64),
+        ("num_guaranteeing", ctypes.c_int64),
+        ("costs", ctypes.c_void_p),
+        ("num_positions", ctypes.c_int64),
+        ("query_vertices", ctypes.c_int64),
+        ("query_edges", ctypes.c_int64),
+        ("out_masks", ctypes.c_void_p),
+        ("out_rows", ctypes.c_void_p),
+        ("out_removed", ctypes.c_void_p),
+        ("out_costs", ctypes.c_void_p),
+        ("out_flags", ctypes.c_void_p),
+    ]
+
+
 class ColumnBlock:
     """The kernel-side columns of a :class:`~repro.core.cache.QueryCache`.
 
@@ -167,7 +189,7 @@ class ColumnBlock:
 
     __slots__ = (
         "_library", "_address", "_words", "_live", "_counts", "_cost", "_flags", "_masks",
-        "_release", "__weakref__",
+        "_call", "_call_address", "_release", "__weakref__",
     )
 
     def __init__(self, library: ctypes.CDLL) -> None:
@@ -184,6 +206,8 @@ class ColumnBlock:
         self._cost = array("d", bytes(8))
         self._flags = array("q", bytes(16))
         self._masks = array("Q")
+        self._call = PlanCall(out_flags=self._flags.buffer_info()[0])
+        self._call_address = ctypes.addressof(self._call)
         self._release = weakref.finalize(self, library.ck_block_free, self._address)
 
     # ------------------------------------------------------------------
@@ -241,6 +265,7 @@ class ColumnBlock:
             raise MemoryError("native column block could not grow")  # pragma: no cover
         self._words = words
         self._masks = array("Q", bytes(32 * words))
+        self._call.out_masks = self._masks.buffer_info()[0]
 
     def set_answers(self, entry_ids: Sequence[int], masks: Iterable[int]) -> None:
         """Write the answer rows of ``entry_ids``, one mask each (one
@@ -319,28 +344,25 @@ class ColumnBlock:
         count = len(hit_ids)
         if not 0 <= num_guaranteeing <= count:
             raise ValueError(f"num_guaranteeing={num_guaranteeing} is not within 0..{count}")
-        masks, flags = self._masks, self._flags
         rows, removed = array("q", bytes(8 * count)), array("q", bytes(8 * count))
         credited = array("d", bytes(8 * count))
+        call = self._call
+        call.hit_ids = hit_ids.buffer_info()[0]
+        call.num_hits = count
+        call.num_guaranteeing = num_guaranteeing
+        call.costs, call.num_positions = costs.buffer_info()
+        call.query_vertices = num_vertices
+        call.query_edges = num_edges
+        call.out_rows = rows.buffer_info()[0]
+        call.out_removed = removed.buffer_info()[0]
+        call.out_costs = credited.buffer_info()[0]
         status = self._library.ck_block_plan(
-            self._address,
-            hit_ids.buffer_info()[0],
-            count,
-            num_guaranteeing,
-            candidate_mask.to_bytes(span, "little"),
-            costs.buffer_info()[0],
-            len(costs),
-            num_vertices,
-            num_edges,
-            masks.buffer_info()[0],
-            rows.buffer_info()[0],
-            removed.buffer_info()[0],
-            credited.buffer_info()[0],
-            flags.buffer_info()[0],
+            self._address, self._call_address, candidate_mask.to_bytes(span, "little")
         )
         if status < 0:
             raise KeyError(f"a hit of {hit_ids.tolist()} has no column row (or no width)")
-        raw = masks.tobytes()
+        raw = self._masks.tobytes()
+        flags = self._flags
         exact = flags[1]
         return (
             int.from_bytes(raw[:span], "little"),

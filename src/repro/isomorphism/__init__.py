@@ -4,11 +4,13 @@ from .compiled import (
     CompiledQuery,
     CompiledQueryPlan,
     CompiledTarget,
+    FormTable,
     are_isomorphic,
     compile_query_plan,
     compile_target,
     find_subgraph_embedding,
     is_subgraph_isomorphic,
+    match_mask,
     match_pairs,
 )
 from .cost import (
@@ -25,6 +27,8 @@ __all__ = [
     "CompiledTarget",
     "compile_query_plan",
     "compile_target",
+    "FormTable",
+    "match_mask",
     "match_pairs",
     "Verifier",
     "VerifierStats",

@@ -5,10 +5,14 @@
  * (`ck_find_embedding`, the same search writing out its images).
  *
  * `ck_verify_many` answers every (pattern, target) pair of one query in a
- * single ctypes call (`match_pairs` in src/repro/isomorphism/compiled.py),
- * in candidate order, with the interpreter lock released once.  It is the
- * only verification kernel; the pure-Python bigint kernel it was
- * transliterated from is its oracle in tests/kernel_oracle.py.  Per pair:
+ * single ctypes call (`match_mask` in src/repro/isomorphism/compiled.py,
+ * and `match_pairs`, which calls it): it reads the candidates' compiled
+ * forms from a table indexed by dataset position, walks the set bits of
+ * the query's remaining mask in ascending position, writes the answer
+ * mask and returns the tests counted, with the interpreter lock released
+ * once.  It is the only verification loop; the pure-Python bigint kernel
+ * it was transliterated from is its oracle in tests/kernel_oracle.py.
+ * Per pair:
  *
  *   1. the signature prereject — vertex/edge counts, label histogram and
  *      per-label degree dominance (`prereject` in the oracle);
@@ -25,7 +29,8 @@
  *      components -> (-size,
  *      rank) order -> size and edge-count pre-checks -> one counted test
  *      per surviving component -> stop at the first match (the oracle's
- *      `match_by_component`).
+ *      `match_by_component`); a disconnected pattern gets one whole-graph
+ *      test instead (the plan's `connected` flag).
  *
  * Flags and per-pair test counts are therefore byte-identical to the
  * oracle's on every input, which is what the repository's accounting
@@ -63,13 +68,16 @@
  * `mask_sums` credit sum) are the oracle engine of
  * tests/test_plan_columns.py.
  *
- * Data layout, ABI 12 (ABI 6's layout; 7 dropped `ck_probe_filter`'s
+ * Data layout, ABI 13 (ABI 6's layout; 7 dropped `ck_probe_filter`'s
  * `universe` argument, 8 made `ck_verify_many`'s `by_component` mode
  * compute its regions instead of reading them, 9 made `ck_path_features`
  * return hashed feature codes, 10 dropped its location rows and added
  * `ck_path_coverage`, 11 replaced `ck_mask_sums` with the column block,
  * 12 sized the path walk per call — no label-count or length limit — and
- * added the plan's `order` and `ck_find_embedding`).
+ * added the plan's `order` and `ck_find_embedding`, 13 made
+ * `ck_verify_many` read a position table under a mask, write the answer
+ * mask and return the test total, added the plan's `connected` flag and passed
+ * `ck_block_plan`'s arguments in one `ck_plan_call`).
  * A `ck_target` /
  * `ck_plan` is built once per graph and role by `ck_compile_target` /
  * `ck_compile_plan` (new in ABI 5) from the graph's CSR — vertex positions
@@ -205,7 +213,7 @@
 /* The ABI version is checked by the loader after dlopen so a stale build
  * of an older layout can never be driven with new-layout pointers.  Bump
  * it whenever a struct or signature below changes. */
-#define CK_ABI_VERSION 12
+#define CK_ABI_VERSION 13
 
 #if defined(_WIN32)
 #define CK_EXPORT __declspec(dllexport)
@@ -251,6 +259,8 @@ typedef struct {
     int64_t num_steps;
     int64_t num_edges;
     int64_t num_sig_labels;        /* distinct labels of the pattern      */
+    int64_t connected;             /* 1 when the pattern is connected (the
+                                      empty pattern is)                   */
     const int64_t *min_degrees;    /* num_steps                           */
     const int64_t *lookaheads;     /* num_steps                           */
     const int64_t *step_labels;    /* num_steps interned label ids        */
@@ -642,62 +652,80 @@ ck_label_region(const ck_target *t, const ck_plan *p, uint64_t *region)
     }
 }
 
-/* Verify n = max(num_targets, num_plans) pairs in order; a side given as a
- * single element is shared by every pair (one plan against many targets
- * for subgraph verification and Isub, many plans against one target for
- * supergraph verification and Isuper).  `regions` (optional) holds pair
- * i's vertex mask as the next targets[i]->num_words words and restricts
- * the pair's one test.  With `by_component` (`regions` must be NULL) each
- * pair's region is its label region (`ck_label_region`), decomposed and
- * tested component by component.  Writes per pair the match flag and the
- * number of counted tests; returns 0, or -1 on allocation failure (the
- * Python wrapper raises MemoryError and never reads the outputs). */
+/* Verify the pairs of one query named by a mask of table positions.
+ *
+ * `table` holds per position the compiled form of one candidate — a
+ * ck_target when `table_holds_targets` (one plan against many targets:
+ * subgraph verification), a ck_plan otherwise (many plans against one
+ * target: supergraph verification) — and `shared` the query's form of the
+ * other kind.  The pairs are the set bits of `mask` (`mask_words` words),
+ * visited in ascending position; only those positions of `table` are read.
+ * `regions` (optional) holds the next pair's vertex mask as the next
+ * t->num_words words and restricts the pair's one test.  With
+ * `by_component` (`regions` must be NULL) a connected pattern's region is
+ * its label region (`ck_label_region`), decomposed and tested component by
+ * component; a disconnected pattern gets one whole-graph test (the region
+ * only bounds connected embeddings).
+ *
+ * Writes the positions that matched to `out_answer` (`mask_words` words;
+ * the matches are its popcount) and, when `out_tests` is not NULL, each
+ * pair's test count at its position.  Returns the number of tests counted,
+ * or -1 on allocation failure (the Python wrapper raises MemoryError and
+ * never reads the outputs). */
 CK_EXPORT int64_t
-ck_verify_many(const ck_target *const *targets, int64_t num_targets,
-               const ck_plan *const *plans, int64_t num_plans,
-               const uint64_t *regions, int64_t by_component,
-               uint8_t *out_matched, int64_t *out_tests)
+ck_verify_many(const void *const *table, const void *shared,
+               int64_t table_holds_targets, const uint64_t *mask,
+               int64_t mask_words, const uint64_t *regions,
+               int64_t by_component, uint64_t *out_answer,
+               int64_t *out_tests)
 {
-    const int64_t n = num_targets > num_plans ? num_targets : num_plans;
     ck_scratch scratch = {NULL, 0};
-    uint64_t *label_region = NULL;
-    if (by_component && n > 0) {
-        /* one buffer for the call, as wide as the widest target; not part
-         * of `scratch`, which ck_reserve may move while a region is read */
-        int64_t widest = 0;
-        for (int64_t k = 0; k < num_targets; ++k)
-            if (targets[k]->num_words > widest)
-                widest = targets[k]->num_words;
-        label_region = (uint64_t *)malloc((size_t)widest * sizeof(uint64_t));
-        if (label_region == NULL)
-            return -1;
-    }
-    int64_t status = 0;
-    for (int64_t i = 0; i < n; ++i) {
-        const ck_target *t = targets[num_targets == 1 ? 0 : i];
-        const ck_plan *p = plans[num_plans == 1 ? 0 : i];
-        const int prerejected = ck_prereject(t, p);
-        int64_t matched;
-        int64_t tests = 1;
-        if (by_component) {
-            ck_label_region(t, p, label_region);
-            matched = ck_match_by_component(t, p, label_region, prerejected,
-                                            &scratch, &tests);
-        } else {
-            matched = ck_match_one(t, p, regions, prerejected);
+    /* grows to the widest target; apart from `scratch`, which
+     * ck_reserve may move while a region is read */
+    ck_scratch label_region = {NULL, 0};
+    int64_t status = 0, total_tests = 0;
+    memset(out_answer, 0, (size_t)mask_words * sizeof(uint64_t));
+    for (int64_t w = 0; w < mask_words && status == 0; ++w) {
+        uint64_t bits = mask[w];
+        while (bits) {
+            const int64_t position = (w << 6) + ck_ctz64(bits);
+            const uint64_t bit = bits & (~bits + 1);
+            bits ^= bit;
+            const ck_target *t = (const ck_target *)(
+                table_holds_targets ? table[position] : shared);
+            const ck_plan *p = (const ck_plan *)(
+                table_holds_targets ? shared : table[position]);
+            const int prerejected = ck_prereject(t, p);
+            int64_t matched;
+            int64_t tests = 1;
+            if (by_component && p->connected) {
+                uint64_t *region = ck_reserve(&label_region, t->num_words);
+                if (region == NULL) {
+                    status = -1;
+                    break;
+                }
+                ck_label_region(t, p, region);
+                matched = ck_match_by_component(t, p, region, prerejected,
+                                                &scratch, &tests);
+            } else {
+                matched = ck_match_one(t, p, regions, prerejected);
+            }
+            if (matched < 0) {
+                status = -1;
+                break;
+            }
+            if (matched)
+                out_answer[w] |= bit;
+            total_tests += tests;
+            if (out_tests != NULL)
+                out_tests[position] = tests;
+            if (regions != NULL)
+                regions += t->num_words;
         }
-        if (matched < 0) {
-            status = -1;
-            break;
-        }
-        out_matched[i] = (uint8_t)matched;
-        out_tests[i] = tests;
-        if (regions != NULL)
-            regions += t->num_words;
     }
-    free(label_region);
+    free(label_region.words);
     free(scratch.words);
-    return status;
+    return status < 0 ? status : total_tests;
 }
 
 /* One embedding of the plan's pattern into the whole target, found by the
@@ -1299,9 +1327,11 @@ ck_compile_plan(int64_t n, const int64_t *offsets, const int64_t *neighbours,
     qsort(starts, (size_t)n, sizeof(int64_t), ck_compare_int64);
     int64_t next_start = 0;
     int64_t frontier_size = 0;
+    int64_t components = 0;
     for (int64_t placed = 0; placed < n; ++placed) {
         int64_t vertex;
         if (frontier_size == 0) {
+            ++components;  /* the order restarts on a new component */
             do
                 vertex = by_rank[starts[next_start++] % n];
             while (position[vertex] >= 0);
@@ -1352,6 +1382,7 @@ ck_compile_plan(int64_t n, const int64_t *offsets, const int64_t *neighbours,
     p->num_steps = n;
     p->num_edges = num_edges;
     p->num_sig_labels = num_rows;
+    p->connected = components <= 1;
     p->min_degrees = min_degrees;
     p->lookaheads = lookaheads;
     p->step_labels = step_labels;
@@ -1886,15 +1917,43 @@ ck_block_credit_row(ck_block *block, int64_t row, int64_t removed, double cost)
  * their costs added from 0.0 in ascending position order.  The credits are
  * applied in hit order and also written out per hit (row, removed, cost)
  * for a replay (ck_block_credit).  Returns 0, or -1 when an id has no row
- * or no width is set (nothing is written or credited then). */
+ * or no width is set (nothing is written or credited then).
+ *
+ * The arguments but the block and CS(g) travel in one `ck_plan_call`, which
+ * the caller keeps and rewrites per call (`ColumnBlock.plan` in
+ * src/repro/core/probe.py): one pointer converts faster than a dozen
+ * scalars. */
+typedef struct {
+    const int64_t *hit_ids;
+    int64_t num_hits;
+    int64_t num_guaranteeing;
+    const double *costs;
+    int64_t num_positions;
+    int64_t query_vertices;
+    int64_t query_edges;
+    uint64_t *out_masks;
+    int64_t *out_rows;
+    int64_t *out_removed;
+    double *out_costs;
+    int64_t *out_flags;
+} ck_plan_call;
+
 CK_EXPORT int64_t
-ck_block_plan(ck_block *block, const int64_t *hit_ids, int64_t num_hits,
-              int64_t num_guaranteeing, const uint64_t *candidates,
-              const double *costs, int64_t num_positions,
-              int64_t query_vertices, int64_t query_edges,
-              uint64_t *out_masks, int64_t *out_rows, int64_t *out_removed,
-              double *out_costs, int64_t *out_flags)
+ck_block_plan(ck_block *block, const ck_plan_call *call,
+              const uint64_t *candidates)
 {
+    const int64_t *hit_ids = call->hit_ids;
+    const int64_t num_hits = call->num_hits;
+    const int64_t num_guaranteeing = call->num_guaranteeing;
+    const double *costs = call->costs;
+    const int64_t num_positions = call->num_positions;
+    const int64_t query_vertices = call->query_vertices;
+    const int64_t query_edges = call->query_edges;
+    uint64_t *out_masks = call->out_masks;
+    int64_t *out_rows = call->out_rows;
+    int64_t *out_removed = call->out_removed;
+    double *out_costs = call->out_costs;
+    int64_t *out_flags = call->out_flags;
     const int64_t W = block->mask_words;
     if (W == 0)
         return -1;

@@ -44,7 +44,7 @@ __all__ = [
 ]
 
 #: must match CK_ABI_VERSION in _ckernel.c; the loader refuses mismatches
-ABI_VERSION = 12
+ABI_VERSION = 13
 
 _SOURCE = Path(__file__).with_name("_ckernel.c")
 
@@ -127,11 +127,13 @@ def _configure(library: ctypes.CDLL) -> ctypes.CDLL | None:
         return None
     fn = library.ck_verify_many
     fn.restype = ctypes.c_int64
-    # (ck_target**, num_targets, ck_plan**, num_plans, regions*,
-    # by_component, out_matched*, out_tests*) — pointers passed as raw
-    # addresses; the structs are compiled by the two entry points below.
+    # (table*, shared*, table_holds_targets, mask*, mask_words, regions*,
+    # by_component, out_answer*, out_tests*) -> tests counted / -1 —
+    # pointers passed as raw addresses (the mask as bytes); the structs are
+    # compiled by the two entry points below; driven by
+    # repro.isomorphism.compiled.match_mask.
     pointer, integer = ctypes.c_void_p, ctypes.c_int64
-    fn.argtypes = (pointer, integer, pointer, integer, pointer, integer, pointer, pointer)
+    fn.argtypes = (pointer, pointer, integer, pointer, integer, pointer, integer, pointer, pointer)
     # (n, offsets*, neighbours*, label_ids*, ranks*) -> malloc'd ck_target /
     # ck_plan block (NULL on allocation failure), released with ck_free;
     # driven by repro.isomorphism.compiled (FlatGraph, NativeTarget,
@@ -211,14 +213,10 @@ def _configure(library: ctypes.CDLL) -> ctypes.CDLL | None:
     library.ck_block_columns.argtypes = (pointer, pointer, pointer, pointer, pointer, pointer)
     library.ck_block_bytes.restype = integer
     library.ck_block_bytes.argtypes = (pointer,)
-    # (block*, hit_ids*, num_hits, num_guaranteeing, candidates*, costs*,
-    # num_positions, query_vertices, query_edges, out_masks*, out_rows*,
-    # out_removed*, out_costs*, out_flags*) -> 0 / -1
+    # (block*, ck_plan_call*, candidates*) -> 0 / -1; the call struct is
+    # repro.core.probe's PlanCall
     library.ck_block_plan.restype = integer
-    library.ck_block_plan.argtypes = (
-        pointer, pointer, integer, integer, pointer, pointer, integer, integer, integer,
-        pointer, pointer, pointer, pointer, pointer,
-    )
+    library.ck_block_plan.argtypes = (pointer, pointer, pointer)
     # (block*, rows*, removed*, costs*, num_credits)
     library.ck_block_credit.restype = None
     library.ck_block_credit.argtypes = (pointer, pointer, pointer, pointer, integer)

@@ -27,13 +27,18 @@ process (append-only ids), so a plan's step labels belong to the plan and
 each target maps interned id → local label row.  A form pickles as its graph;
 the block is per process and compiled again on arrival.
 
-**Batch entry point** — :func:`match_pairs` verifies every pair of one query
-in **one** ``ck_verify_many`` call (signature pre-reject and search per pair,
-in candidate order, interpreter lock released once): a shared plan against
-many targets (subgraph verification, ``Isub``) or many plans against a shared
-target (supergraph verification, ``Isuper``).  It is the package's only
-matcher: the test suite cross-validates it against the dict-based VF2, the
-Ullmann matcher and the pure-Python bigint kernel of
+**Batch entry point** — :func:`match_mask` verifies every pair of one query
+in **one** ``ck_verify_many`` call: a shared plan against many targets
+(subgraph verification) or many plans against a shared target (supergraph
+verification).  The many side is a :class:`FormTable` — the kernel address
+of each candidate's form by dataset position — and the pairs are the set
+bits of a mask over it: the kernel walks the bits (signature pre-reject and
+search per pair, in ascending position, interpreter lock released once) and
+writes the answer mask, so nothing is done in Python per candidate.
+:func:`match_pairs` is the same call over a table of a list of forms under
+the full mask (plan replay's confirming test, the embedding API).  It is the
+package's only matcher: the test suite cross-validates it against the
+dict-based VF2, the Ullmann matcher and the pure-Python bigint kernel of
 ``tests/kernel_oracle.py``.
 
 **The embedding API** — :func:`is_subgraph_isomorphic`,
@@ -50,7 +55,9 @@ entirely inside the mask?", which for a vertex-induced region is exactly the
 question of matching against the materialised region subgraph.
 
 **Component-by-component matching** — with ``by_component`` the kernel
-builds each pair's region itself: the target's vertices that carry a label of
+builds each pair's region itself when the pattern is connected (the plan
+records whether it is; a disconnected pattern gets one whole-graph test):
+the target's vertices that carry a label of
 the pattern (the OR of the target's label-member rows over the plan's
 labels), which is Grapes' region (the oracle is ``label_region`` in
 ``tests/kernel_oracle.py``).  It then decomposes
@@ -72,6 +79,7 @@ import threading
 from array import array
 from collections.abc import Hashable, Sequence
 
+from ..graphs.bitset import iter_bits
 from ..graphs.graph import LabeledGraph
 from . import _ckernel_loader
 
@@ -80,12 +88,14 @@ __all__ = [
     "CompiledQuery",
     "CompiledQueryPlan",
     "FlatGraph",
+    "FormTable",
     "NativeTarget",
     "are_isomorphic",
     "compile_target",
     "compile_query_plan",
     "find_subgraph_embedding",
     "is_subgraph_isomorphic",
+    "match_mask",
     "match_pairs",
 ]
 
@@ -385,6 +395,147 @@ class NativeTarget:
         self.address = self._block.address
 
 
+class FormTable:
+    """The kernel addresses of a set of compiled forms, by position.
+
+    One per dataset and role on a method (:meth:`SubgraphQueryMethod.verify
+    <repro.methods.base.SubgraphQueryMethod.verify>` reads the targets,
+    ``verify_supergraph`` the plans), or one per :func:`match_pairs` call
+    over its candidates.  ``form_at(position)`` names the form of a
+    position; :meth:`fill` compiles the forms a mask names that are not in
+    the table yet (``ready`` holds the filled positions), so a table of a
+    precompiled dataset is filled without compiling, and a lazily compiled
+    one compiles each form on its first verification.  The table pins the
+    kernel block behind every address it holds, so the addresses stay
+    valid whatever happens to the forms meanwhile.
+    """
+
+    __slots__ = ("addresses", "forms", "ready", "words", "_blank", "_pins", "_form_at", "_lock")
+
+    def __init__(self, size: int, form_at) -> None:
+        #: per position the address of its ``ck_target`` / ``ck_plan``
+        #: (0 until filled) — the table ``ck_verify_many`` reads
+        self.addresses = array("Q", bytes(8 * size))
+        #: per position its compiled form (``None`` until filled)
+        self.forms: list = [None] * size
+        #: mask of the filled positions
+        self.ready = 0
+        #: uint64 words of a mask over the positions
+        self.words = max(1, (size + 63) // 64)
+        #: a zeroed mask buffer, copied for each call's answer
+        self._blank = array("Q", bytes(8 * self.words))
+        self._pins: list = [None] * size
+        self._form_at = form_at
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self.forms)
+
+    def fill(self, mask: int) -> None:
+        """Compile and enter the forms of ``mask``'s positions that are not
+        in the table yet (nothing to do, and no lock taken, when all are)."""
+        if not mask & ~self.ready:
+            return
+        if mask >> len(self.forms):
+            raise ValueError(f"mask has bits beyond the table's {len(self.forms)} positions")
+        with self._lock:
+            missing = mask & ~self.ready
+            addresses, forms, pins = self.addresses, self.forms, self._pins
+            for position in iter_bits(missing):
+                form = self._form_at(position)
+                form.native()
+                # NativeTarget or _KernelBlock: each owns its block
+                pins[position] = form._native
+                addresses[position] = form._native.address
+                forms[position] = form
+            self.ready |= missing
+
+    @classmethod
+    def of(cls, forms: Sequence) -> "FormTable":
+        """A filled table of ``forms``, position ``i`` holding ``forms[i]``."""
+        table = cls(len(forms), forms.__getitem__)
+        table.fill((1 << len(forms)) - 1)
+        return table
+
+
+def match_mask(
+    query_side: "CompiledQueryPlan | CompiledTarget",
+    table: FormTable,
+    mask: int,
+    *,
+    regions: Sequence[int] | None = None,
+    by_component: bool = False,
+    tests: array | None = None,
+) -> tuple[int, int]:
+    """Verify the pairs of one query that ``mask`` names; return the mask of
+    those that matched (its popcount is the matches) and the tests counted.
+
+    ``query_side`` is the side all pairs share: a :class:`CompiledQueryPlan`
+    tested against each :class:`CompiledTarget` of ``table``, or a
+    :class:`CompiledTarget` each :class:`CompiledQueryPlan` of ``table`` is
+    tested against; the pairs are ``mask``'s positions, ascending (forms
+    missing from ``table`` are compiled first, :meth:`FormTable.fill`).  Per
+    pair the semantics are those of :func:`is_subgraph_isomorphic`.
+
+    ``regions`` (optional, one mask over the target's vertex positions per
+    pair) restricts the pair's embedding to the masked target vertices —
+    equivalently, to the vertex-induced subgraph the mask denotes; the
+    whole-graph signature pre-reject stays sound (the region's invariants
+    are dominated by the full target's).  Every such pair counts exactly
+    one test.  ``by_component`` takes no ``regions``: the kernel tests a
+    connected pattern component by component inside the target's vertices
+    that carry a pattern label (see the module docstring), which may count
+    zero or several tests for the pair, and a disconnected one against the
+    whole target.  ``tests`` (optional, an ``array("q")`` as long as the
+    table) receives each pair's test count at its position.
+
+    One ``ck_verify_many`` call, which walks the mask's set bits itself:
+    nothing is built per pair but the region rows, when given.
+    """
+    if by_component and regions is not None:
+        raise ValueError("by_component computes its own regions; pass no regions")
+    if not mask:
+        return 0, 0
+    table.fill(mask)
+    holds_targets = isinstance(query_side, CompiledQueryPlan)
+    if holds_targets:
+        shared = query_side.native()
+    else:
+        shared = query_side.native().address
+    region_rows = None
+    if regions is not None:
+        # the kernel reads pair i's region as the next row of its target's
+        # width, and walks its set bits as vertices: drop bits beyond n
+        if holds_targets:
+            natives = [table.forms[position].native() for position in iter_bits(mask)]
+        else:
+            natives = [query_side.native()] * mask.bit_count()
+        if len(regions) != len(natives):
+            raise ValueError(f"{len(regions)} regions for {len(natives)} pairs")
+        region_rows = b"".join(
+            [
+                (region & native.full_mask).to_bytes(native.row_bytes, "little")
+                for region, native in zip(regions, natives)
+            ]
+        )
+    words = table.words
+    answer = table._blank.__copy__()
+    tested = _ckernel_loader.kernel().ck_verify_many(
+        table.addresses.buffer_info()[0],
+        shared,
+        holds_targets,
+        mask.to_bytes(8 * words, "little"),
+        words,
+        region_rows,
+        by_component,
+        answer.buffer_info()[0],
+        None if tests is None else tests.buffer_info()[0],
+    )
+    if tested < 0:  # pragma: no cover - allocation failure inside the kernel
+        raise MemoryError("native kernel scratch allocation failed")
+    return int.from_bytes(answer.tobytes(), "little"), tested
+
+
 def match_pairs(
     query_side: "CompiledQueryPlan | CompiledTarget",
     candidates: Sequence,
@@ -394,66 +545,21 @@ def match_pairs(
 ) -> tuple[list[bool], list[int]]:
     """Verify every pair of one query; return match flags and test counts.
 
-    ``query_side`` is the side all pairs share: a :class:`CompiledQueryPlan`
-    tested against each :class:`CompiledTarget` of ``candidates``, or a
-    :class:`CompiledTarget` each :class:`CompiledQueryPlan` of ``candidates``
-    is tested against.  Per pair the semantics are those of
-    :func:`is_subgraph_isomorphic`.
-
-    ``regions`` (optional, one mask over the target's vertex positions per
-    pair) restricts pair ``i``'s embedding to the masked target vertices —
-    equivalently, to the vertex-induced subgraph the mask denotes; the
-    whole-graph signature pre-reject stays sound (the region's invariants
-    are dominated by the full target's).  Every such pair counts exactly
-    one test.  ``by_component`` takes no ``regions``: the kernel tests each
-    pair component by component inside the target's vertices that carry a
-    pattern label (see the module docstring), which may count zero or
-    several tests for the pair.
-
-    One ``ck_verify_many`` call: both sides are compiled once per object
-    (:meth:`CompiledTarget.native` / :meth:`CompiledQueryPlan.native`); per
-    call only the two pointer arrays, the region rows (when given) and the
-    output buffers are built.
+    :func:`match_mask` over a :class:`FormTable` of ``candidates`` under the
+    full mask — the same kernel call — with the flags read back from the
+    answer's bits and pair ``i``'s tests from position ``i``.
     """
-    if by_component and regions is not None:
-        raise ValueError("by_component computes its own regions; pass no regions")
     count = len(candidates)
-    if not count:
-        return [], []
-    if isinstance(query_side, CompiledQueryPlan):
-        natives = [target.native() for target in candidates]
-        targets = array("Q", [native.address for native in natives])
-        plans = array("Q", (query_side.native(),))
-    else:
-        natives = [query_side.native()] * count
-        targets = array("Q", (natives[0].address,))
-        plans = array("Q", [plan.native() for plan in candidates])
-    regions_address = None
-    if regions is not None:
-        # the kernel reads pair i's region as the next row of its target's
-        # width, and walks its set bits as vertices: drop bits beyond n
-        region_rows = b"".join(
-            [
-                (region & native.full_mask).to_bytes(native.row_bytes, "little")
-                for region, native in zip(regions, natives)
-            ]
-        )
-        regions_address = ctypes.cast(region_rows, ctypes.c_void_p)
-    matched = array("B", bytes(count))
     tests = array("q", bytes(8 * count))
-    status = _ckernel_loader.kernel().ck_verify_many(
-        targets.buffer_info()[0],
-        len(targets),
-        plans.buffer_info()[0],
-        len(plans),
-        regions_address,
-        by_component,
-        matched.buffer_info()[0],
-        tests.buffer_info()[0],
+    answer, _ = match_mask(
+        query_side,
+        FormTable.of(candidates),
+        (1 << count) - 1,
+        regions=regions,
+        by_component=by_component,
+        tests=tests,
     )
-    if status < 0:  # pragma: no cover - allocation failure inside the kernel
-        raise MemoryError("native kernel scratch allocation failed")
-    return list(map(bool, matched)), tests.tolist()
+    return [bool(answer >> position & 1) for position in range(count)], tests.tolist()
 
 
 def is_subgraph_isomorphic(pattern: LabeledGraph, target: LabeledGraph) -> bool:

@@ -6,10 +6,13 @@ Every filter-then-verify method performs its verification stage through a
 * dispatch — a caller compiles the query side once
   (:meth:`Verifier.compile_pattern` / :meth:`Verifier.compile_target`, see
   :mod:`repro.isomorphism.compiled`) and verifies all pairs of a query in
-  the C kernel with one :meth:`Verifier.verify_pairs` call
-  (:meth:`Verifier.is_subgraph_compiled` is its one-pair form).  The kernel
-  is the only matcher; its independent references — the bigint kernel and
-  ``VF2Matcher`` — are oracles in the test tree;
+  the C kernel with one call: :meth:`Verifier.verify_mask` for the dataset
+  candidates a mask names in a :class:`~repro.isomorphism.compiled.FormTable`
+  (mask in, answer mask out), :meth:`Verifier.verify_pairs` for a list of
+  forms (:meth:`Verifier.is_subgraph_compiled` is its one-pair form); both
+  run the same kernel loop.  The kernel is the only matcher; its
+  independent references — the bigint kernel and ``VF2Matcher`` — are
+  oracles in the test tree;
 * instrumentation — the number of subgraph isomorphism tests and the time
   spent in them is the primary metric of the paper's evaluation (Figures 1,
   7–11), so the verifier counts every test and accumulates wall-clock time.
@@ -28,8 +31,10 @@ from .compiled import (
     CompiledQuery,
     CompiledQueryPlan,
     CompiledTarget,
+    FormTable,
     compile_query_plan,
     compile_target,
+    match_mask,
     match_pairs,
 )
 
@@ -114,7 +119,8 @@ class Verifier:
         :meth:`compile_target` or the database caches.  ``regions`` (one
         restricted test per pair) or ``by_component`` (Grapes' label-region
         decomposition, no ``regions``) are passed to
-        :func:`~repro.isomorphism.compiled.match_pairs`.  Returns the match
+        :func:`~repro.isomorphism.compiled.match_pairs` (the kernel loop
+        :meth:`verify_mask` runs, over a table of ``candidates``).  Returns the match
         flag per candidate and folds the batch into the statistics once:
         one test per pair — a region-restricted run is still one counted
         test, exactly like the region-subgraph test it replaces — or, with
@@ -127,10 +133,34 @@ class Verifier:
         self.record_batch(sum(tests), sum(matched), time.perf_counter() - start)
         return matched
 
+    def verify_mask(
+        self,
+        query_side: CompiledQueryPlan | CompiledTarget,
+        table: FormTable,
+        mask: int,
+        by_component: bool = False,
+    ) -> int:
+        """Test the pairs of one query that ``mask`` names in ``table``
+        (the dataset verification stage); return the mask of those that
+        matched.
+
+        ``query_side`` is the query's plan against the table's targets or
+        its target against the table's plans; ``by_component`` is Grapes'
+        mode (see :func:`~repro.isomorphism.compiled.match_mask`).  One
+        kernel call, which returns the test total; the statistics fold it
+        and the answer's popcount, accounted as :meth:`verify_pairs`
+        accounts.
+        """
+        start = time.perf_counter()
+        answer, tests = match_mask(query_side, table, mask, by_component=by_component)
+        self.record_batch(tests, answer.bit_count(), time.perf_counter() - start)
+        return answer
+
     def record_batch(self, tested: int, positives: int, seconds: float) -> None:
         """Fold ``tested`` tests, ``positives`` of them matches, run in
         ``seconds`` into the statistics — how every batched route accounts
-        (:meth:`verify_pairs`, the containment indexes' native probe)."""
+        (:meth:`verify_mask`, :meth:`verify_pairs`, the containment indexes'
+        native probe)."""
         stats = self.stats
         stats.tests += tested
         stats.positives += positives

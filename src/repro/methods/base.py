@@ -24,14 +24,13 @@ import time
 from abc import ABC, abstractmethod
 from collections.abc import Hashable, Iterable
 from dataclasses import dataclass, field
-from itertools import compress
 
 from ..features.bitmaps import ThresholdBitmapIndex
 from ..features.extractor import FeatureExtractor, GraphFeatures
 from ..graphs.bitset import CandidateBitmap, GraphIdSpace
 from ..graphs.database import GraphDatabase
 from ..graphs.graph import LabeledGraph
-from ..isomorphism.compiled import CompiledQuery, FlatGraph
+from ..isomorphism.compiled import CompiledQuery, FlatGraph, FormTable
 from ..isomorphism.verifier import Verifier
 
 __all__ = ["QueryResult", "SubgraphQueryMethod"]
@@ -112,6 +111,11 @@ class SubgraphQueryMethod(ABC):
         #: graphs with at most n vertices / edges, indexed by n
         self._vertices_at_most: list[int] = [0]
         self._edges_at_most: list[int] = [0]
+        #: the kernel addresses of the dataset graphs' compiled targets
+        #: (``[False]``) and plans (``[True]``) by ``id_space`` position,
+        #: each created on first use after :meth:`build_index`; a list, so
+        #: a shallow copy (a verification thread's clone) shares them
+        self._form_tables: list[FormTable | None] = [None, None]
 
     # ------------------------------------------------------------------
     # Index construction
@@ -129,6 +133,7 @@ class SubgraphQueryMethod(ABC):
         )
         self._graph_features = {}
         self._feature_index = None
+        self._form_tables[:] = (None, None)
         if self.needs_graph_features:
             self._build_feature_index()
 
@@ -215,32 +220,66 @@ class SubgraphQueryMethod(ABC):
     # ------------------------------------------------------------------
     # Verification stage
     # ------------------------------------------------------------------
+    def form_table(self, supergraph: bool = False) -> FormTable:
+        """The position table of the dataset graphs' compiled forms that
+        verification reads: their targets, or (``supergraph``) their plans.
+
+        Created empty on first use after :meth:`build_index`; a
+        verification compiles the forms its mask names that the table
+        lacks (:meth:`FormTable.fill
+        <repro.isomorphism.compiled.FormTable.fill>`), so a database
+        precompiled in that role fills it without compiling.
+        """
+        self._require_index()
+        table = self._form_tables[supergraph]
+        if table is None:
+            database, ids = self.database, self.id_space.ids
+            form_of = database.compiled_plan if supergraph else database.compiled_target
+            table = FormTable(len(ids), lambda position: form_of(ids[position]))
+            self._form_tables[supergraph] = table
+        return table
+
+    def _verify_mask(
+        self, query_side, candidate_ids: Iterable[Hashable], supergraph: bool, by_component=False
+    ) -> CandidateBitmap:
+        """``candidate_ids`` (a bitmap over :attr:`id_space`, or any ids,
+        converted once) verified against ``query_side`` in one
+        :meth:`Verifier.verify_mask` call; the answers as a bitmap."""
+        space = self.id_space
+        answer = self.verifier.verify_mask(
+            query_side,
+            self.form_table(supergraph),
+            space.mask_of(candidate_ids),
+            by_component,
+        )
+        return CandidateBitmap(space, answer)
+
     def verify(
         self,
         query: LabeledGraph,
         candidate_ids: Iterable[Hashable],
         features: GraphFeatures | None = None,
         compiled: CompiledQuery | None = None,
-    ) -> set:
-        """Verify candidates for a subgraph query; return the answer ids.
+    ) -> CandidateBitmap:
+        """Verify candidates for a subgraph query; return the answers.
 
-        ``features`` (the query's extracted features) is accepted so that
-        methods using location information during verification — Grapes —
-        can share the extraction done at filtering time; the base
-        implementation ignores it.  ``compiled`` is the query's shared
-        compiled state when the caller carries one (the iGQ engine: its
-        ``Isub`` probe usually compiled the plan already).
+        ``candidate_ids`` is a :class:`CandidateBitmap` over
+        :attr:`id_space` (any other iterable of ids is converted once), and
+        so are the answers.  ``features`` (the query's extracted features)
+        is accepted so that methods using location information during
+        verification — Grapes — can share the extraction done at filtering
+        time; the base implementation ignores it.  ``compiled`` is the
+        query's shared compiled state when the caller carries one (the iGQ
+        engine: its ``Isub`` probe usually compiled the plan already).
 
         The query is compiled into a matching plan *once* and tested
-        against the database's cached :class:`CompiledTarget` of every
-        candidate in one :meth:`Verifier.verify_pairs` call (one C call).
+        against the compiled target of every candidate in one
+        :meth:`Verifier.verify_mask` call: the kernel walks the mask over
+        the :meth:`form_table` of targets and returns the answer mask.
         """
         self._require_index()
-        verifier = self.verifier
-        plan = verifier.compile_pattern(query, compiled)
-        candidates = list(candidate_ids)
-        matched = verifier.verify_pairs(plan, list(map(self.database.compiled_target, candidates)))
-        return set(compress(candidates, matched))
+        plan = self.verifier.compile_pattern(query, compiled)
+        return self._verify_mask(plan, candidate_ids, supergraph=False)
 
     def verify_supergraph(
         self,
@@ -248,20 +287,18 @@ class SubgraphQueryMethod(ABC):
         candidate_ids: Iterable[Hashable],
         features: GraphFeatures | None = None,
         compiled: CompiledQuery | None = None,
-    ) -> set:
+    ) -> CandidateBitmap:
         """Verify candidates for a supergraph query (``G_i ⊆ query``).
 
         Mirror image of :meth:`verify`: the query is compiled once as the
         *target*, and each candidate contributes its database-cached
         matching plan (dataset graphs play the pattern role here, so their
-        plans are reusable across every supergraph query).
+        plans are reusable across every supergraph query), read from the
+        :meth:`form_table` of plans.
         """
         self._require_index()
-        verifier = self.verifier
-        target = verifier.compile_target(query, compiled)
-        candidates = list(candidate_ids)
-        matched = verifier.verify_pairs(target, list(map(self.database.compiled_plan, candidates)))
-        return set(compress(candidates, matched))
+        target = self.verifier.compile_target(query, compiled)
+        return self._verify_mask(target, candidate_ids, supergraph=True)
 
     # ------------------------------------------------------------------
     # End-to-end query processing

@@ -22,14 +22,12 @@ knob (Grapes(1) vs Grapes(6) in the paper) only in the method's name
 from __future__ import annotations
 
 from functools import partial
-from itertools import compress
 
 from ..features.extractor import FeatureExtractor, GraphFeatures
 from ..features.paths import path_coverage
 from ..graphs.bitset import CandidateBitmap
 from ..graphs.database import GraphDatabase
 from ..graphs.graph import LabeledGraph
-from ..graphs.traversal import is_connected
 from ..isomorphism.compiled import CompiledQuery
 from ..isomorphism.verifier import Verifier
 from .base import SubgraphQueryMethod
@@ -118,7 +116,7 @@ class GrapesMethod(SubgraphQueryMethod):
         candidate_ids,
         features: GraphFeatures | None = None,
         compiled: CompiledQuery | None = None,
-    ) -> set:
+    ) -> CandidateBitmap:
         """Component-restricted verification.
 
         For each candidate, a connected query is tested against the
@@ -129,19 +127,17 @@ class GrapesMethod(SubgraphQueryMethod):
         query label is a single-vertex feature, located at all of the
         graph's vertices of that label; (⊆) every vertex of an occurrence
         carries one of the feature's labels.  So all candidates go through
-        one :meth:`Verifier.verify_pairs` call with ``by_component``: the
+        one :meth:`Verifier.verify_mask` call with ``by_component``: the
         kernel builds each region from the cached target's label rows and
         tests it component by component (size and edge pre-checks, one
-        counted test per tested component, stop at the first match).
+        counted test per tested component, stop at the first match), or
+        — the plan records whether the query is connected — the whole
+        graph once.  Candidates and answers are bitmaps, as for
+        :meth:`SubgraphQueryMethod.verify`.
         Precondition: two labels are equal exactly when their ``str()`` is
         (features key on ``str(label)``, the kernel interns label values);
         every shipped dataset meets it.
         """
         self._require_index()
-        candidates = list(candidate_ids)
-        matched = self.verifier.verify_pairs(
-            self.verifier.compile_pattern(query, compiled),
-            list(map(self.database.compiled_target, candidates)),
-            by_component=is_connected(query),
-        )
-        return set(compress(candidates, matched))
+        plan = self.verifier.compile_pattern(query, compiled)
+        return self._verify_mask(plan, candidate_ids, supergraph=False, by_component=True)

@@ -10,8 +10,8 @@ differentials compare against:
   depth-first search ``ck_verify_many`` transliterates, and
   :func:`match_pairs` its per-pair loop (signature pre-reject, region masks,
   Grapes' component-by-component mode over :func:`label_region` with
-  :func:`masked_components` / :func:`masked_edge_count`): same flags, same
-  test counts.
+  :func:`masked_components` / :func:`masked_edge_count`, a disconnected
+  pattern tested whole): same flags, same test counts.
   :class:`OracleVerifier` is a ``Verifier`` that runs its compiled pairs
   there, to put a base method on the bigint kernel;
 * the *oracle engine* — :func:`oracle_engine`, an :class:`OracleIGQ` on
@@ -33,6 +33,8 @@ differentials compare against:
 * the *marshalling* — :func:`marshal_target` / :func:`marshal_plan` build
   the ``ck_target`` / ``ck_plan`` structs from that state, field for field
   what ``ck_compile_target`` / ``ck_compile_plan`` build from the CSR;
+* :func:`threshold_at_most`, the supergraph read of the threshold index
+  as a visit of every key (what the range-OR table replaces);
 * :func:`mask_sums`, the credit sums ``ck_block_plan`` adds up, and
   :func:`isub_candidate_ids` / :func:`isuper_candidate_ids`, the Python
   filters ``ck_probe_filter`` replaces (``Isub``'s dominance, ``Isuper``'s
@@ -169,6 +171,8 @@ class BigintPlan:
         self.pattern = pattern
         self.num_vertices = pattern.num_vertices
         self.num_edges = pattern.num_edges
+        #: the empty pattern counts as connected
+        self.connected = is_connected(pattern)
         self.label_histogram = dict(pattern.label_histogram())
         self.label_degrees: dict[Hashable, list[int]] = {}
         for vertex in pattern.vertices():
@@ -382,7 +386,7 @@ def match_pairs(
     for index, (plan, target) in enumerate(pairs):
         full = (1 << target.num_vertices) - 1
         region = None if regions is None else regions[index] & full
-        if by_component:
+        if by_component and plan.connected:
             flag, count = match_by_component(plan, target, label_region(plan, target))
         else:
             flag, count = match_one(plan, target, region), 1
@@ -398,14 +402,21 @@ def has_embedding(plan, target, vertex_mask: int | None = None) -> bool:
 
 
 class OracleVerifier(Verifier):
-    """A :class:`Verifier` whose :meth:`verify_pairs` runs on the bigint
-    kernel, accounted exactly as the C kernel's calls are."""
+    """A :class:`Verifier` whose :meth:`verify_pairs` and :meth:`verify_mask`
+    run on the bigint kernel, accounted exactly as the C kernel's calls are."""
 
     def verify_pairs(self, query_side, candidates, regions=None, by_component=False):
         start = time.perf_counter()
         matched, tests = match_pairs(query_side, candidates, regions, by_component)
         self.record_batch(sum(tests), sum(matched), time.perf_counter() - start)
         return matched
+
+    def verify_mask(self, query_side, table, mask, by_component=False):
+        table.fill(mask)
+        positions = list(iter_bits(mask))
+        forms = [table.forms[position] for position in positions]
+        matched = self.verify_pairs(query_side, forms, by_component=by_component)
+        return sum(1 << position for position, flag in zip(positions, matched) if flag)
 
 
 # ----------------------------------------------------------------------
@@ -438,7 +449,8 @@ class CkPlan(ctypes.Structure):
     """ctypes mirror of ``ck_plan`` in ``_ckernel.c``."""
 
     _fields_ = [
-        (name, ctypes.c_int64) for name in ("num_steps", "num_edges", "num_sig_labels")
+        (name, ctypes.c_int64)
+        for name in ("num_steps", "num_edges", "num_sig_labels", "connected")
     ] + [
         (name, ctypes.c_void_p)
         for name in (
@@ -540,8 +552,26 @@ def marshal_plan(pattern: LabeledGraph) -> tuple[int, tuple]:
         sig_degrees,
         plan.order,
     )
-    struct = CkPlan(len(steps), plan.num_edges, len(plan.label_degrees), *addresses)
+    struct = CkPlan(
+        len(steps), plan.num_edges, len(plan.label_degrees), plan.connected, *addresses
+    )
     return ctypes.addressof(struct), (struct, buffer)
+
+
+# ----------------------------------------------------------------------
+# The threshold index's supergraph read
+# ----------------------------------------------------------------------
+def threshold_at_most(index, counts, universe: int) -> int:
+    """``ThresholdBitmapIndex.at_most`` by visiting every indexed key: a
+    member is excluded by any key whose count in ``counts`` (0 when absent)
+    is below its own."""
+    available = counts.get
+    excluded = 0
+    for key, levels in index._levels.items():
+        have = available(key, 0)
+        if have < len(levels):
+            excluded |= levels[have]
+    return universe & ~excluded
 
 
 # ----------------------------------------------------------------------

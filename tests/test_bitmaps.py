@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from repro.features import GraphFeatures, ThresholdBitmapIndex
 
+from . import kernel_oracle
 from .conftest import covers_counts_of
 
 KEYS = [("A",), ("B",), ("A", "B"), ("A", "B", "A"), ("C", "C")]
@@ -24,6 +25,13 @@ query_tables = st.dictionaries(
     st.sampled_from(KEYS + [UNKNOWN]), st.integers(1, 6), max_size=len(KEYS) + 1
 )
 steps = st.lists(count_tables, max_size=24)
+#: feature codes over a vocabulary large enough for several range-table rows
+CODES = st.integers(min_value=0, max_value=150)
+coded_steps = st.lists(
+    st.dictionaries(CODES, st.integers(1, 3), max_size=30), min_size=1, max_size=40
+)
+#: a few codes beyond the vocabulary: keys no member holds
+coded_queries = st.dictionaries(st.integers(0, 160), st.integers(1, 4), max_size=40)
 
 
 def brute_force(members, query, dominated_by_query):
@@ -57,6 +65,21 @@ class TestThresholdBitmapIndex:
             held = {key for counts in members.values() for key in counts}
             assert set(index._levels) == held
             assert all(levels[-1] for levels in index._levels.values())
+
+    @settings(max_examples=100, deadline=None)
+    @given(coded_steps, st.lists(coded_queries, min_size=1, max_size=5), st.data())
+    def test_at_most_equals_visiting_every_key(self, stream, queries, data):
+        """The range-OR read against the key visit it replaced
+        (``kernel_oracle.threshold_at_most``), after every ``add`` — the
+        range table is rebuilt on the first read after one."""
+        index = ThresholdBitmapIndex()
+        for position, counts in enumerate(stream):
+            index.add(1 << position, counts)
+            for query in queries + [{}]:
+                universe = data.draw(st.integers(0, (1 << (position + 1)) - 1))
+                assert index.at_most(query, universe) == kernel_oracle.threshold_at_most(
+                    index, query, universe
+                )
 
     def test_universe_restricts_both_reads(self):
         index = ThresholdBitmapIndex()

@@ -88,6 +88,7 @@ def read_plan(address: int) -> dict:
         "num_steps": steps,
         "num_edges": struct.num_edges,
         "num_sig_labels": rows,
+        "connected": struct.connected,
         "min_degrees": _column(ctypes.c_int64, struct.min_degrees, steps),
         "lookaheads": _column(ctypes.c_int64, struct.lookaheads, steps),
         "step_labels": _column(ctypes.c_int64, struct.step_labels, steps),

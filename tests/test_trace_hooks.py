@@ -86,3 +86,21 @@ def test_inline_shard_hooks_fire(database, stream):
     assert set(calls) == hooks
     # a repeat within a window replays its plan instead of probing
     assert calls["shard.probe"] == len(stream) - replayed
+
+
+def method_hooks(engine) -> dict:
+    """What the tracer wraps on the base method: the dataset filter and the
+    dataset verification (now one kernel call from mask to mask)."""
+    method = engine.method
+    return {
+        "methods.filter": (method, "filter_candidates"),
+        "isomorphism.verify": (method, "verify"),
+    }
+
+
+def test_method_hooks_fire(database, stream):
+    hooks, calls, replayed = fired_hooks(database, stream, ShardConfig(), method_hooks)
+    assert set(calls) == hooks
+    # every query reaches the verification stage, with whatever mask is left
+    assert calls["isomorphism.verify"] == len(stream)
+    assert calls["methods.filter"] == len(stream) - replayed

@@ -56,7 +56,8 @@ TARGET_SIZES = (1, 3, 6, 9, 12, 63, 64, 65, 128, 129)
 
 def oracle_pair(pattern, target_graph, region, by_component) -> tuple[bool, int]:
     """(matched, counted tests) of one pair by the dict-based matcher."""
-    if not by_component:
+    if not by_component or not is_connected(pattern):
+        # a disconnected pattern is tested whole even by_component
         graph = target_graph if region is None else target_graph.subgraph(region)
         return VF2Matcher(pattern, graph).has_match(), 1
     # the label region: the target's vertices carrying a pattern label
