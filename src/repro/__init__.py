@@ -76,7 +76,7 @@ from .service.client import ServiceClient, connect
 from .service.server import ServiceServer, serve
 from .workloads.generator import QueryGenerator, WorkloadSpec, standard_workloads
 
-__version__ = "18.0.0"
+__version__ = "19.0.0"
 
 __all__ = [
     "IGQ",

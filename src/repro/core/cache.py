@@ -81,15 +81,16 @@ class CacheEntry:
     added_at: int
     #: free-form annotations (e.g. the query's workload group)
     tags: dict = field(default_factory=dict)
-    #: compiled (bitset) target representation of :attr:`graph`, read by
-    #: the ``Isub`` component — the cached query plays the *target* role
-    #: there ("is the new query a subgraph of this entry?").  Inherited
-    #: from the query's own processing when a stage compiled it, otherwise
-    #: built on insertion; reused until the entry is evicted
+    #: compiled target form of :attr:`graph` for the ``Isub`` component —
+    #: the cached query plays the *target* role there ("is the new query a
+    #: subgraph of this entry?"): the form its query's processing made (or
+    #: ``None``), handed to the ``Isub`` row when the entry joins its
+    #: replica, which takes the kernel block over (or compiles it) and
+    #: owns it until the entry is evicted; ``None`` from then on
     compiled_target: object | None = field(default=None, repr=False, compare=False)
-    #: compiled matching plan of :attr:`graph`, read by the ``Isuper``
-    #: component — the cached query plays the *pattern* role there ("is
-    #: this entry a subgraph of the new query?"); same lifecycle
+    #: compiled matching plan of :attr:`graph` for the ``Isuper`` component
+    #: — the cached query plays the *pattern* role there ("is this entry a
+    #: subgraph of the new query?"); same hand-over, to the ``Isuper`` row
     compiled_plan: object | None = field(default=None, repr=False, compare=False)
     #: :attr:`answer` once decoded
     _answer: frozenset | None = field(default=None, init=False, repr=False, compare=False)
@@ -140,31 +141,20 @@ class CacheEntry:
         """M(g): queries processed since this entry entered the cache."""
         return max(current_counter - self.added_at, 0)
 
-    def release_compiled_target(self) -> None:
-        """Drop the compiled target representation (idempotent)."""
-        self.compiled_target = None
-
-    def release_compiled_plan(self) -> None:
-        """Drop the compiled matching plan (idempotent)."""
-        self.compiled_plan = None
-
     def release_compiled(self) -> None:
-        """Drop the compiled representations (eviction, index removal).
+        """Drop the compiled representations still on the entry (eviction).
 
-        Long streams with churny caches would otherwise accumulate compiled
-        state on entry objects that outlive their index membership (the
-        replacement policy, reports and tests keep references to evicted
-        entries); releasing here keeps the steady-state number of live
-        compiled objects bounded by the cache capacity.  Every path an entry
-        can leave service by funnels through these helpers — cache eviction
-        (:meth:`QueryCache.remove`) and per-index removal
-        (:meth:`~repro.core.containment.ContainmentIndex.remove`, which a
-        replica's :meth:`~repro.core.shard.QueryIndexShard.remove` runs) —
-        so a released payload can never leak and releasing twice is a
-        no-op.
+        An indexed entry's forms belong to its rows already; what is left
+        here is a form no enabled component took (the target of an entry
+        of an engine without ``Isub``, say).  Long streams with churny
+        caches would otherwise keep it on entry objects that outlive their
+        cache membership (the replacement policy, reports and tests keep
+        references to evicted entries); cache eviction
+        (:meth:`QueryCache.remove`) releases it, so the steady-state number
+        of live compiled objects stays bounded by the cache capacity, and
+        releasing twice is a no-op.
         """
-        self.release_compiled_target()
-        self.release_compiled_plan()
+        self.compiled_target = self.compiled_plan = None
 
 
 def _stored(answer) -> CandidateBitmap | frozenset | int:
@@ -310,21 +300,42 @@ class QueryCache:
         allocator is advanced past the restored id, keeping future
         :meth:`add` ids collision-free.
         """
-        if entry_id in self._entries:
-            raise ValueError(f"cache entry {entry_id!r} already exists")
-        entry = CacheEntry(
-            entry_id=entry_id,
-            graph=graph,
-            features=features,
-            answers=_stored(answer),
-            added_at=added_at,
-            tags=dict(tags or {}),
-            compiled_target=compiled_target,
-            compiled_plan=compiled_plan,
-        )
-        entry._stats = (hits, removed, alleviated_cost)
-        self._next_id = max(self._next_id, entry_id + 1)
-        return self._enter([entry])[0]
+        return self.restore_many(
+            [
+                dict(
+                    entry_id=entry_id, graph=graph, features=features, answer=answer,
+                    added_at=added_at, tags=tags, hits=hits, removed=removed,
+                    alleviated_cost=alleviated_cost, compiled_target=compiled_target,
+                    compiled_plan=compiled_plan,
+                )
+            ]
+        )[0]
+
+    def restore_many(self, items: Iterable[dict]) -> list[CacheEntry]:
+        """:meth:`restore_entry` for each of ``items`` — its arguments by
+        name, in a dict — in order and in one kernel call: a warm start's
+        live set."""
+        entries = []
+        for item in items:
+            entry_id = item["entry_id"]
+            if entry_id in self._entries:
+                raise ValueError(f"cache entry {entry_id!r} already exists")
+            entry = CacheEntry(
+                entry_id=entry_id,
+                graph=item["graph"],
+                features=item["features"],
+                answers=_stored(item["answer"]),
+                added_at=item["added_at"],
+                tags=dict(item.get("tags") or {}),
+                compiled_target=item.get("compiled_target"),
+                compiled_plan=item.get("compiled_plan"),
+            )
+            entry._stats = (
+                item.get("hits", 0), item.get("removed", 0), item.get("alleviated_cost", 0.0)
+            )
+            self._next_id = max(self._next_id, entry_id + 1)
+            entries.append(entry)
+        return self._enter(entries)
 
     @property
     def next_entry_id(self) -> int:

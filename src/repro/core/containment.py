@@ -9,27 +9,29 @@ factors out everything the two directions share:
 
 * **lifecycle** — the entry store and the dense slots
   (:class:`~repro.graphs.bitset.DensePositions`) of the table's rows,
-  with ``add`` / ``remove`` maintained in one place;
+  changed in one place, :meth:`ContainmentIndex.apply`: a window flush's
+  evictions and insertions (or a warm start's entries) in one kernel call;
 * **compilation at most once** — the whole point of the iGQ cache is that a
   cached query is containment-tested against *every* new query until it is
   evicted, so the per-entry side of the compiled kernel
-  (:mod:`repro.isomorphism.compiled`) is kept on the entry: ``Isub`` needs
-  the cached graph as a :class:`CompiledTarget` (the new query is the
-  pattern), ``Isuper`` as a :class:`CompiledQueryPlan` (the cached query is
-  the pattern, run against the new query's target).  An entry usually
-  arrives with both — the forms its query was probed and verified with
-  (:class:`~repro.isomorphism.compiled.CompiledQuery`) — and an index
-  compiles only what is missing when the entry enters it.  The compiled
-  objects live on the :class:`~repro.core.cache.CacheEntry` itself, so they
-  survive every window flush untouched and eviction releases them;
+  (:mod:`repro.isomorphism.compiled`) is kept with the entry's row:
+  ``Isub`` needs the cached graph as a :class:`CompiledTarget` (the new
+  query is the pattern), ``Isuper`` as a :class:`CompiledQueryPlan` (the
+  cached query is the pattern, run against the new query's target).  An
+  entry usually arrives with both — the forms its query was probed and
+  verified with (:class:`~repro.isomorphism.compiled.CompiledQuery`) —
+  and its row takes the kernel block over; a form the query never
+  compiled is compiled in the kernel in the same call.  The row owns the
+  block until it is cleared, so it survives every window flush untouched
+  and eviction frees it;
 * **the probe** — candidate filter, size pre-checks (not counted as tests)
   and one counted containment test per survivor, hits as entry ids in
   ascending order (the engine plans on the cache's column block by id, so
   a hit never becomes an entry object on the query path).  All of it runs
   in the kernel over a slot-aligned table of the entries' feature codes,
   sizes and compiled addresses
-  (:class:`~repro.core.probe.ProbeTable`): ``add`` writes the slot's row,
-  ``remove`` clears it, and a probe is one filter call plus — only when
+  (:class:`~repro.core.probe.ProbeTable`): ``apply`` clears and writes
+  the slots' rows, and a probe is one filter call plus — only when
   something survives, which is when the query's compiled side is built —
   one containment call.  Every feature is coded
   (:class:`~repro.features.extractor.GraphFeatures`), so the table *is*
@@ -49,12 +51,13 @@ from __future__ import annotations
 
 import sys
 import time
+from collections.abc import Iterable
 
 from ..features.extractor import GraphFeatures
 from ..graphs.bitset import DensePositions
 from ..graphs.graph import LabeledGraph
 from ..isomorphism import _ckernel_loader
-from ..isomorphism.compiled import CompiledQuery, compile_query_plan, compile_target
+from ..isomorphism.compiled import CompiledQuery, CompiledQueryPlan, CompiledTarget
 from ..isomorphism.verifier import Verifier
 from .cache import CacheEntry
 from .probe import ProbeTable
@@ -91,52 +94,44 @@ class ContainmentIndex:
     # ------------------------------------------------------------------
     # Maintenance
     # ------------------------------------------------------------------
-    def add(self, entry: CacheEntry) -> None:
-        """Index a cached query entry, compiling its kernel-side state.
+    def apply(self, evicted_ids: Iterable[int], inserted: Iterable[CacheEntry]) -> None:
+        """One window flush of the index — the only way its rows change:
+        the entries of ``evicted_ids`` leave (an id it does not hold is
+        skipped), then ``inserted`` join, in one kernel call.
 
-        Compilation happens here — on insertion — because the entry will be
-        containment-tested against every incoming query until it is evicted;
-        an entry that already carries compiled state (the forms its query
-        was probed and verified with) keeps it.  Its row of the native
-        table, which points at that compiled form, is written here too.
+        A joining entry hands its compiled form of this direction (the
+        one its query compiled, or the form made for it uncompiled) to its
+        row, which owns it from then on; a form that was never compiled is
+        compiled in the same call, from the query's flattened graph.  The
+        evicted rows' forms are freed in that call too.  Freed slots are
+        reused, most recently freed first, before the table grows.
         """
-        self._entries[entry.entry_id] = entry
-        slot = self._slots.add(entry.entry_id)
-        if self.entry_is_target:
-            if entry.compiled_target is None:
-                entry.compiled_target = compile_target(entry.graph)
-            owner = entry.compiled_target.native()
-            address = owner.address
-        else:
-            if entry.compiled_plan is None:
-                entry.compiled_plan = compile_query_plan(entry.graph)
-            owner = entry.compiled_plan
-            address = owner.native()
-        graph = entry.graph
-        self._table.set(
-            slot,
-            entry.entry_id,
-            entry.features.feature_codes(),
-            graph.num_vertices,
-            graph.num_edges,
-            address,
-            owner,
-        )
+        entries, slots = self._entries, self._slots
+        clears = [
+            slots.remove(entry_id)
+            for entry_id in evicted_ids
+            if entries.pop(entry_id, None) is not None
+        ]
+        rows = []
+        for entry in inserted:
+            entry_id = entry.entry_id
+            entries[entry_id] = entry
+            if self.entry_is_target:
+                form = entry.compiled_target or CompiledTarget(entry.graph)
+                entry.compiled_target = None
+            else:
+                form = entry.compiled_plan or CompiledQueryPlan(entry.graph)
+                entry.compiled_plan = None
+            rows.append((slots.add(entry_id), entry_id, entry.features.feature_codes(), form))
+        self._table.apply(clears, rows)
+
+    def add(self, entry: CacheEntry) -> None:
+        """:meth:`apply` of one joining entry."""
+        self.apply((), (entry,))
 
     def remove(self, entry_id: int) -> None:
-        """Remove a cached query entry, releasing its compiled state (its
-        table row goes first: the row holds the compiled form's address)."""
-        entry = self._entries.pop(entry_id, None)
-        if entry is None:
-            return
-        self._table.clear(self._slots.remove(entry_id))
-        self._release_entry(entry)
-
-    def _release_entry(self, entry: CacheEntry) -> None:
-        if self.entry_is_target:
-            entry.release_compiled_target()
-        else:
-            entry.release_compiled_plan()
+        """:meth:`apply` of one leaving entry."""
+        self.apply((entry_id,), ())
 
     # ------------------------------------------------------------------
     # The probe

@@ -1,12 +1,13 @@
-"""ctypes binding of the kernel's cache-side structures (``_ckernel.c``, ABI 13).
+"""ctypes binding of the kernel's cache-side structures (``_ckernel.c``, ABI 14).
 
 :class:`ProbeTable` is the slot-aligned native table behind a
 :class:`~repro.core.containment.ContainmentIndex`: per live slot the cached
-query's feature codes, its size and the address of its compiled form,
-reconciled on the write path (``set`` on ``add``, ``clear`` on ``remove``)
-so that a probe — :meth:`ProbeTable.filter`, then :meth:`ProbeTable.verify`
-on the survivors — is two kernel calls that never touch a Python entry
-object.  Its hits are entry ids.
+query's feature codes, its size and its compiled form.  The rows change in
+one :meth:`ProbeTable.apply` call a window flush, which clears the evicted
+rows and writes the inserted ones, so that a probe —
+:meth:`ProbeTable.filter`, then :meth:`ProbeTable.verify` on the survivors
+— is two kernel calls that never touch a Python entry object.  Its hits
+are entry ids.
 
 :class:`ColumnBlock` is the engine-wide block of the cache's columns, a row
 per live entry (its answer mask, sizes, insertion counter and the §5.1
@@ -17,25 +18,30 @@ the combined masks while crediting each hit's row in place; the
 replacement policy and the durable store read the statistics back as
 columns (:meth:`ColumnBlock.read`).
 
-Ownership: the kernel owns the rows (malloc'd copies of the feature pairs,
-freed on ``clear`` / ``close``; the block's columns, freed with the block);
-the compiled forms the table's rows point at belong to Python, and the
-table pins each one from ``set`` until the row is cleared, whatever the
-entry's own ``release_compiled_*`` does meanwhile.  The calls release the
-interpreter lock; neither structure keeps scratch between calls (the
-output buffers are per call), and every call on them is a driver-thread
-operation, like the index and the cache they serve.
+Ownership: the kernel owns the rows — malloc'd copies of the feature
+pairs and each row's compiled form, taken over from the entry's query or
+compiled in the apply call, all freed when the row is cleared or the
+table closed — and the block's columns, freed with the block.  The calls
+release the interpreter lock; neither structure keeps scratch between
+calls (the output buffers are per call), and every call on them is a
+driver-thread operation, like the index and the cache they serve.
 """
 
 from __future__ import annotations
 
 import ctypes
+import struct
 import weakref
 from array import array
 from collections.abc import Iterable, Sequence
 
 
 __all__ = ["ColumnBlock", "PlanCall", "ProbeTable"]
+
+#: a row of ``ck_table_apply``, ``CK_ROW_FIELDS`` int64s: slot, entry id,
+#: pairs, |V|, |E|, the compiled form's address (or 0), then the graph's
+#: five ``ck_compile_*`` arguments to compile it from when that is 0
+_ROW = struct.Struct("=11q")
 
 
 class ProbeTable:
@@ -47,59 +53,65 @@ class ProbeTable:
     hold ``ck_plan`` addresses, Algorithm 2's condition).
     """
 
-    __slots__ = ("_library", "_address", "_pinned", "_num_slots", "_release", "__weakref__")
+    __slots__ = ("_library", "_address", "_num_slots", "_release", "__weakref__")
 
     def __init__(self, library: ctypes.CDLL, entries_are_targets: bool) -> None:
         self._library = library
         self._address = library.ck_table_new(entries_are_targets)
         if not self._address:  # pragma: no cover - allocation failure
             raise MemoryError("native probe table could not be allocated")
-        #: slot -> the object owning the compiled form its row points at
-        self._pinned: dict[int, object] = {}
         #: one past the highest slot ever written (what the outputs must hold)
         self._num_slots = 0
         self._release = weakref.finalize(self, library.ck_table_free, self._address)
 
     def close(self) -> None:
-        """Free the kernel-side rows (idempotent; also runs on collection)."""
+        """Free the kernel-side rows and their compiled forms (idempotent;
+        also runs on collection)."""
         self._release()
-        self._pinned.clear()
 
     # ------------------------------------------------------------------
     # Write path
     # ------------------------------------------------------------------
-    def set(
-        self,
-        slot: int,
-        entry_id: int,
-        codes: array,
-        num_vertices: int,
-        num_edges: int,
-        compiled_address: int,
-        owner: object,
-    ) -> None:
-        """Write the row of ``slot``; ``owner`` keeps ``compiled_address``
-        valid and is held until the row is cleared."""
-        status = self._library.ck_table_set(
+    def apply(self, clear_slots: Sequence[int], rows: Iterable[tuple]) -> None:
+        """One window flush of the table, in one kernel call: empty the
+        rows of ``clear_slots`` (an empty slot is skipped), then write
+        ``rows``, each ``(slot, entry_id, codes, form)`` — a live slot's
+        row is replaced.  ``form`` is the entry's compiled form of the
+        table's role (its size is the row's); the row takes its kernel
+        block over (:meth:`~repro.isomorphism.compiled._LazyForm.hand_over`),
+        or the kernel compiles it in the same call from the flattened graph
+        when the form never was, and frees it with the row.  A failure
+        leaves the table, and every form, as they were."""
+        packed, codes, taken, flats = [], [], [], []
+        top = self._num_slots - 1
+        for slot, entry_id, row_codes, form in rows:
+            codes.append(row_codes)
+            head = (slot, entry_id, len(row_codes) >> 1, form.num_vertices, form.num_edges)
+            source = form.kernel_source()
+            if source.__class__ is int:
+                packed.append(_ROW.pack(*head, source, 0, 0, 0, 0, 0))
+                taken.append(form)
+            else:
+                flats.append(source)
+                packed.append(_ROW.pack(*head, 0, *source.arguments()))
+            if slot > top:
+                top = slot
+        clears = array("q", clear_slots)
+        status = self._library.ck_table_apply(
             self._address,
-            slot,
-            entry_id,
-            codes.buffer_info()[0],
-            len(codes) // 2,
-            num_vertices,
-            num_edges,
-            compiled_address,
+            clears.buffer_info()[0],
+            len(clears),
+            b"".join(packed),
+            len(packed),
+            b"".join(codes),
         )
+        if status == -2:
+            raise ValueError("a row has a negative slot or pair count")
         if status < 0:  # pragma: no cover - allocation failure inside the kernel
             raise MemoryError("native probe table could not grow")
-        self._pinned[slot] = owner
-        if slot >= self._num_slots:
-            self._num_slots = slot + 1
-
-    def clear(self, slot: int) -> None:
-        """Empty the row of ``slot``, then let go of its compiled form."""
-        self._library.ck_table_clear(self._address, slot)
-        self._pinned.pop(slot, None)
+        for form in taken:
+            form.hand_over()
+        self._num_slots = top + 1
 
     # ------------------------------------------------------------------
     # Probe
@@ -141,18 +153,19 @@ class ProbeTable:
         """Heap bytes the kernel holds for this table (Figure 18)."""
         return self._library.ck_table_bytes(self._address)
 
-    def row(self, slot: int) -> tuple[int, int, int, array] | None:
-        """``(entry_id, num_vertices, num_edges, codes)`` read back from the
-        kernel, ``None`` for an empty slot (tests, diagnostics)."""
-        header = array("q", bytes(40))
+    def row(self, slot: int) -> tuple[int, int, int, array, int] | None:
+        """``(entry_id, num_vertices, num_edges, codes, compiled_address)``
+        read back from the kernel, ``None`` for an empty slot (tests,
+        diagnostics)."""
+        header = array("q", bytes(48))
         self._library.ck_table_row(self._address, slot, header.buffer_info()[0])
-        num_features, num_vertices, num_edges, entry_id, pairs = header
+        num_features, num_vertices, num_edges, entry_id, pairs, compiled = header
         if num_features < 0:
             return None
         codes = array("Q")
         if num_features:
             codes.frombytes(ctypes.string_at(pairs, 16 * num_features))
-        return entry_id, num_vertices, num_edges, codes
+        return entry_id, num_vertices, num_edges, codes, compiled
 
 
 class PlanCall(ctypes.Structure):

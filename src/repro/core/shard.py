@@ -5,10 +5,11 @@ A window flush (§5.2) runs once, in :meth:`IndexMaintenance.flush
 only.  Its :class:`~repro.core.maintenance.MaintenanceReport` names the
 victims and the new entries; the shard runtime
 (:meth:`ShardRuntime.sync <repro.core.shard_runtime.ShardRuntime.sync>`)
-removes each victim from its home replica and adds each new entry to its
-home, and the durable store (:mod:`repro.persist`) journals the same report
-as one record.  A warm start adds the restored entries to the homes the
-journal recorded.
+applies it to each replica in one :meth:`QueryIndexShard.apply` call — the
+victims homed there leave, the new entries homed there join — and the
+durable store (:mod:`repro.persist`) journals the same report as one
+record.  A warm start applies the restored entries to the homes the
+journal recorded the same way.
 
 * **Partitioning** — the cached queries are split across ``N`` shards by a
   hash of their feature counts
@@ -18,11 +19,11 @@ journal recorded.
   while it is live.
 
 * **Replica** — :class:`QueryIndexShard` holds the two containment indexes
-  over the :class:`~repro.core.cache.CacheEntry` objects homed on it.  An
-  index compiles a missing form onto the entry itself, so each direction
-  is compiled at most once per entry and shared with the cache; a native
-  probe table pins the compiled form each row points at, so a victim whose
-  forms the cache released stays probe-safe until its row is cleared.
+  over the :class:`~repro.core.cache.CacheEntry` objects homed on it.  Each
+  index's native probe table takes over the entry's compiled form of its
+  direction (or compiles the missing one in the kernel), so each direction
+  is compiled at most once per entry, and the row owns the form until it
+  is cleared.
   A probe reports entry ids.  The answers and the replacement statistics
   are not per replica: every replica's hits are planned and credited on
   the cache's one column block (:class:`~repro.core.probe.ColumnBlock`),
@@ -31,6 +32,8 @@ journal recorded.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 from ..features.extractor import GraphFeatures
 from ..graphs.graph import LabeledGraph
@@ -72,17 +75,25 @@ class QueryIndexShard:
     # ------------------------------------------------------------------
     # Maintenance
     # ------------------------------------------------------------------
-    def add(self, entry: CacheEntry) -> None:
-        """Index a cache entry homed on this shard."""
-        self._entries[entry.entry_id] = entry
+    def apply(self, evicted_ids: Sequence[int], inserted: Sequence[CacheEntry]) -> None:
+        """One window flush of this replica: the entries of ``evicted_ids``
+        (held here) leave, then ``inserted`` (homed here) join — one
+        :meth:`ContainmentIndex.apply
+        <repro.core.containment.ContainmentIndex.apply>` call per index."""
+        entries = self._entries
+        for entry_id in evicted_ids:
+            del entries[entry_id]
+        entries.update((entry.entry_id, entry) for entry in inserted)
         for index in self._indexes:
-            index.add(entry)
+            index.apply(evicted_ids, inserted)
+
+    def add(self, entry: CacheEntry) -> None:
+        """:meth:`apply` of one entry homed on this shard."""
+        self.apply((), (entry,))
 
     def remove(self, entry_id: int) -> None:
-        """Drop an entry this shard holds (its rows first, then its forms)."""
-        del self._entries[entry_id]
-        for index in self._indexes:
-            index.remove(entry_id)
+        """:meth:`apply` of one entry this shard holds leaving."""
+        self.apply((entry_id,), ())
 
     # ------------------------------------------------------------------
     # Probes

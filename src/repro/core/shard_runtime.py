@@ -4,7 +4,8 @@ A :class:`ShardRuntime` owns one :class:`~repro.core.shard.QueryIndexShard`
 per partition, in the engine's process, and fans every probe out across
 them.  A window flush reaches the replicas through :meth:`ShardRuntime.sync`,
 straight from the flush's report; a warm start through
-:meth:`ShardRuntime.restore`.  Every engine has one.
+:meth:`ShardRuntime.restore`.  Both make one apply call per replica (each
+a kernel call per probe table).  Every engine has one.
 """
 
 from __future__ import annotations
@@ -65,21 +66,36 @@ class ShardRuntime:
         return sub_ids, super_ids
 
     def sync(self, report: MaintenanceReport, homes: list[int]) -> None:
-        """Apply one window flush: each victim leaves its home replica,
-        then each new entry joins its home (``homes`` as
+        """Apply one window flush: one :meth:`QueryIndexShard.apply
+        <repro.core.shard.QueryIndexShard.apply>` per replica it touches,
+        whose victims leave it and whose new entries join it (``homes`` as
         :meth:`Placement.apply <repro.core.placement.Placement.apply>`
         returned them, victims first)."""
-        shards, evicted = self.shards, report.evicted_entries
-        for entry, home in zip(evicted, homes):
-            shards[home].remove(entry.entry_id)
-        for entry, home in zip(report.inserted_entries, homes[len(evicted) :]):
-            shards[home].add(entry)
+        evicted_ids = report.evicted_entry_ids
+        split = len(evicted_ids)
+        self._apply(zip(homes, evicted_ids), zip(homes[split:], report.inserted_entries))
 
     def restore(self, entries: Iterable[CacheEntry], homes: dict[int, int]) -> None:
-        """Warm start: add restored entries to the homes ``homes``
-        (``entry_id -> shard``, as the journal recorded them) names."""
-        for entry in entries:
-            self.shards[homes[entry.entry_id]].add(entry)
+        """Warm start: the restored entries join the homes ``homes``
+        (``entry_id -> shard``, as the journal recorded them) names, one
+        :meth:`QueryIndexShard.apply` per replica."""
+        self._apply((), ((homes[entry.entry_id], entry) for entry in entries))
+
+    def _apply(
+        self, evicted: Iterable[tuple[int, int]], inserted: Iterable[tuple[int, CacheEntry]]
+    ) -> None:
+        """Group ``(home, entry id)`` leavers and ``(home, entry)`` joiners
+        by home, then apply each replica's share, in order, in one call."""
+        shards = self.shards
+        leaving: list[list[int]] = [[] for _ in shards]
+        joining: list[list[CacheEntry]] = [[] for _ in shards]
+        for home, entry_id in evicted:
+            leaving[home].append(entry_id)
+        for home, entry in inserted:
+            joining[home].append(entry)
+        for shard, ids, entries in zip(shards, leaving, joining):
+            if ids or entries:
+                shard.apply(ids, entries)
 
     def estimated_size_bytes(self) -> int:
         return sum(shard.estimated_size_bytes() for shard in self.shards)

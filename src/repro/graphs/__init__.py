@@ -1,4 +1,4 @@
-"""Graph substrate: labeled graphs, traversal, statistics and I/O."""
+"""Graph substrate: labeled graphs, statistics and I/O."""
 
 from .bitset import CandidateBitmap, GraphIdSpace, iter_bits
 from .database import GraphDatabase
@@ -14,7 +14,6 @@ from .io import (
     write_jsonl,
 )
 from .statistics import DatasetStatistics, summarize_dataset
-from .traversal import bfs_order, is_connected
 
 __all__ = [
     "CandidateBitmap",
@@ -25,8 +24,6 @@ __all__ = [
     "iter_bits",
     "DatasetStatistics",
     "summarize_dataset",
-    "bfs_order",
-    "is_connected",
     "graph_from_dict",
     "graph_to_dict",
     "graphs_from_gfu",

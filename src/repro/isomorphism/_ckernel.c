@@ -68,7 +68,7 @@
  * `mask_sums` credit sum) are the oracle engine of
  * tests/test_plan_columns.py.
  *
- * Data layout, ABI 13 (ABI 6's layout; 7 dropped `ck_probe_filter`'s
+ * Data layout, ABI 14 (ABI 6's layout; 7 dropped `ck_probe_filter`'s
  * `universe` argument, 8 made `ck_verify_many`'s `by_component` mode
  * compute its regions instead of reading them, 9 made `ck_path_features`
  * return hashed feature codes, 10 dropped its location rows and added
@@ -77,7 +77,9 @@
  * added the plan's `order` and `ck_find_embedding`, 13 made
  * `ck_verify_many` read a position table under a mask, write the answer
  * mask and return the test total, added the plan's `connected` flag and passed
- * `ck_block_plan`'s arguments in one `ck_plan_call`).
+ * `ck_block_plan`'s arguments in one `ck_plan_call`, 14 replaced
+ * `ck_table_set` / `ck_table_clear` with `ck_table_apply`, one call a
+ * window flush, and made each row own its compiled form).
  * A `ck_target` /
  * `ck_plan` is built once per graph and role by `ck_compile_target` /
  * `ck_compile_plan` (new in ABI 5) from the graph's CSR — vertex positions
@@ -151,10 +153,11 @@
  *                     the splitmix64 finaliser, and its top 60 bits kept
  *                     (`path_code` in paths.py): a pure function of the
  *                     key, equal in every process.  Each occurrence's code
- *                     is collected; one sort and a run count give the
- *                     counts.  Two keys of one graph may hash alike; their
- *                     features then merge (counts add up), which only
- *                     widens a filter;
+ *                     is counted in an open-addressing table during the
+ *                     walk, and only the distinct codes are sorted.  Two
+ *                     keys of one graph may hash alike; their features
+ *                     then merge (counts add up), which only widens a
+ *                     filter;
  *   - result block:   malloc'd, released with `ck_free`: word 0 holds the
  *                     number of distinct feature codes D, then the D
  *                     (feature code, count) pairs, code ascending (up to
@@ -175,12 +178,15 @@
  *     id, vertex and edge counts, its (feature code, count) pairs — a
  *     malloc'd copy, code ascending — and the address of its compiled form:
  *     a `ck_target` when the entries play the target role (`Isub`), a
- *     `ck_plan` when they play the pattern role (`Isuper`).  The
- *     compiled form belongs to Python, which keeps it alive until the row
- *     is cleared;
+ *     `ck_plan` when they play the pattern role (`Isuper`);
+ *   - rows change only through `ck_table_apply`, one call a window flush
+ *     (or a warm start): it clears the evicted rows, then writes the
+ *     inserted ones.  The table owns each row's compiled form: it takes
+ *     over the block the entry's query compiled, or compiles one in the
+ *     same call from the graph's CSR, and frees it with the row;
  *   - a probe reads the table and writes only its caller's output buffers,
- *     so it needs no scratch of its own; `set` / `clear` / probe of one
- *     table are serialised by the caller (they are driver-thread operations).
+ *     so it needs no scratch of its own; apply and probe of one table are
+ *     serialised by the caller (they are driver-thread operations).
  *
  * The column block (new in ABI 11; driven by `ColumnBlock` in
  * src/repro/core/probe.py, owned by the engine's `QueryCache`, one per
@@ -213,7 +219,7 @@
 /* The ABI version is checked by the loader after dlopen so a stale build
  * of an older layout can never be driven with new-layout pointers.  Bump
  * it whenever a struct or signature below changes. */
-#define CK_ABI_VERSION 13
+#define CK_ABI_VERSION 14
 
 #if defined(_WIN32)
 #define CK_EXPORT __declspec(dllexport)
@@ -759,35 +765,73 @@ ck_mix(uint64_t z)
     return z ^ (z >> 31);
 }
 
-/* Grow-only list of feature codes; graphs of query size never leave the
- * inline buffer. */
+/* The occurrence count of each feature code seen so far: an
+ * open-addressing table of (code, count) pairs, `slots` a power of two
+ * kept at least twice the distinct codes, a zero count marking an empty
+ * slot.  Codes are the top bits of a splitmix64 output, so their low bits
+ * index the table directly.  Graphs of query size never leave the inline
+ * table. */
 typedef struct {
-    uint64_t *items;
-    int64_t size;
-    int64_t capacity;
-    uint64_t inline_items[1024];
-} ck_code_list;
+    uint64_t *pairs;
+    int64_t slots;
+    int64_t distinct;
+    uint64_t inline_pairs[2 * 128];
+} ck_code_counts;
 
+/* Double the table, rehashing every code.  Returns 0, or -1 on allocation
+ * failure, which leaves `counts` as it was. */
 static int
-ck_push_code(ck_code_list *list, uint64_t code)
+ck_code_counts_grow(ck_code_counts *counts)
 {
-    if (list->size == list->capacity) {
-        const int64_t capacity = 2 * list->capacity;
-        uint64_t *grown = (uint64_t *)malloc((size_t)capacity * sizeof(uint64_t));
-        if (grown == NULL)
-            return -1;
-        memcpy(grown, list->items, (size_t)list->size * sizeof(uint64_t));
-        if (list->items != list->inline_items)
-            free(list->items);
-        list->items = grown;
-        list->capacity = capacity;
+    const int64_t slots = 2 * counts->slots;
+    const uint64_t wrap = (uint64_t)(slots - 1);
+    uint64_t *pairs = (uint64_t *)calloc((size_t)(2 * slots), sizeof(uint64_t));
+    if (pairs == NULL)
+        return -1;
+    for (int64_t old = 0; old < counts->slots; ++old) {
+        if (counts->pairs[2 * old + 1] == 0)
+            continue;
+        uint64_t at = counts->pairs[2 * old] & wrap;
+        while (pairs[2 * at + 1] != 0)
+            at = (at + 1) & wrap;
+        pairs[2 * at] = counts->pairs[2 * old];
+        pairs[2 * at + 1] = counts->pairs[2 * old + 1];
     }
-    list->items[list->size++] = code;
+    if (counts->pairs != counts->inline_pairs)
+        free(counts->pairs);
+    counts->pairs = pairs;
+    counts->slots = slots;
     return 0;
 }
 
+/* Count one occurrence of `code`.  Returns 0, or -1 on allocation failure. */
 static int
-ck_compare_codes(const void *left, const void *right)
+ck_count_code(ck_code_counts *counts, uint64_t code)
+{
+    uint64_t wrap = (uint64_t)(counts->slots - 1);
+    uint64_t at = code & wrap;
+    for (; counts->pairs[2 * at + 1] != 0; at = (at + 1) & wrap) {
+        if (counts->pairs[2 * at] == code) {
+            ++counts->pairs[2 * at + 1];
+            return 0;
+        }
+    }
+    if (2 * (counts->distinct + 1) > counts->slots) {
+        if (ck_code_counts_grow(counts) < 0)
+            return -1;
+        wrap = (uint64_t)(counts->slots - 1);
+        for (at = code & wrap; counts->pairs[2 * at + 1] != 0; at = (at + 1) & wrap)
+            ;
+    }
+    counts->pairs[2 * at] = code;
+    counts->pairs[2 * at + 1] = 1;
+    ++counts->distinct;
+    return 0;
+}
+
+/* Order (code, count) pairs by code. */
+static int
+ck_compare_pairs(const void *left, const void *right)
 {
     const uint64_t a = *(const uint64_t *)left;
     const uint64_t b = *(const uint64_t *)right;
@@ -880,10 +924,10 @@ ck_coverage_row(ck_coverage *cover, const uint64_t *key)
 /* Where ck_walk_paths reports an occurrence, path[0..last] read in its
  * canonical direction, with `fold`, its labels' hashes folded in that
  * order.  Feature walk (`codes`): its feature code, the fold's top 60
- * bits, is appended.  Coverage walk (`cover`): its key is built in `key`
+ * bits, is counted.  Coverage walk (`cover`): its key is built in `key`
  * and its vertices are OR-ed into that key's mask row. */
 typedef struct {
-    ck_code_list *codes;
+    ck_code_counts *codes;
     ck_coverage *cover;
 } ck_path_sink;
 
@@ -892,7 +936,7 @@ ck_report_path(const ck_path_sink *sink, const int64_t *path, int64_t last,
                const int64_t *ranks, uint64_t fold, uint64_t *key)
 {
     if (sink->codes != NULL)
-        return ck_push_code(sink->codes, fold >> 4);
+        return ck_count_code(sink->codes, fold >> 4);
     key[0] = fold;
     key[1] = (uint64_t)(last + 1);
     for (int64_t i = 0; i <= last; ++i)
@@ -989,45 +1033,43 @@ ck_walk_paths(int64_t n, const int64_t *offsets, const int64_t *neighbours,
 }
 
 /* Path features of one graph (see the header for the argument and result
- * layout): every occurrence's feature code, sorted once and counted by
- * runs, so keys that share a code merge.  Returns the malloc'd result
- * block, to be released with `ck_free`, or NULL on allocation failure. */
+ * layout): every occurrence's feature code counted in a `ck_code_counts`
+ * during the walk, so keys that share a code merge, then only the
+ * distinct codes sorted.  Returns the malloc'd result block, to be
+ * released with `ck_free`, or NULL on allocation failure. */
 CK_EXPORT uint64_t *
 ck_path_features(int64_t n, const int64_t *offsets, const int64_t *neighbours,
                  const int64_t *ranks, int64_t max_length,
                  const uint64_t *label_hashes)
 {
-    ck_code_list found;
-    found.items = found.inline_items;
-    found.size = 0;
-    found.capacity = (int64_t)(sizeof(found.inline_items) / sizeof(uint64_t));
+    ck_code_counts counts;
+    counts.pairs = counts.inline_pairs;
+    counts.slots = (int64_t)(sizeof(counts.inline_pairs) / (2 * sizeof(uint64_t)));
+    counts.distinct = 0;
+    memset(counts.inline_pairs, 0, sizeof(counts.inline_pairs));
     uint64_t *block = NULL;
-    const ck_path_sink sink = {&found, NULL};
+    const ck_path_sink sink = {&counts, NULL};
 
     if (ck_walk_paths(n, offsets, neighbours, ranks, max_length, label_hashes,
                       &sink) < 0)
         goto done;
-    qsort(found.items, (size_t)found.size, sizeof(uint64_t), ck_compare_codes);
-    int64_t distinct = 0;
-    for (int64_t i = 0; i < found.size; ++i)
-        distinct += i == 0 || found.items[i] != found.items[i - 1];
-    block = (uint64_t *)malloc((size_t)(1 + 2 * distinct) * sizeof(uint64_t));
+    block = (uint64_t *)malloc((size_t)(1 + 2 * counts.distinct) * sizeof(uint64_t));
     if (block == NULL)
         goto done;
-    block[0] = (uint64_t)distinct;
+    block[0] = (uint64_t)counts.distinct;
     uint64_t *pairs = block + 1;
-    int64_t row = -1;
-    for (int64_t i = 0; i < found.size; ++i) {
-        if (i == 0 || found.items[i] != found.items[i - 1]) {
+    int64_t row = 0;
+    for (int64_t at = 0; at < counts.slots; ++at) {
+        if (counts.pairs[2 * at + 1] != 0) {
+            pairs[2 * row] = counts.pairs[2 * at];
+            pairs[2 * row + 1] = counts.pairs[2 * at + 1];
             ++row;
-            pairs[2 * row] = found.items[i];
-            pairs[2 * row + 1] = 0;
         }
-        ++pairs[2 * row + 1];
     }
+    qsort(pairs, (size_t)counts.distinct, 2 * sizeof(uint64_t), ck_compare_pairs);
 done:
-    if (found.items != found.inline_items)
-        free(found.items);
+    if (counts.pairs != counts.inline_pairs)
+        free(counts.pairs);
     return block;
 }
 
@@ -1404,7 +1446,7 @@ typedef struct {
     int64_t num_vertices;
     int64_t num_edges;
     int64_t entry_id;
-    const void *compiled;  /* ck_target / ck_plan of the entry, not owned  */
+    void *compiled;        /* ck_target / ck_plan of the entry, owned      */
     uint64_t *features;    /* num_features (code, count) pairs, owned      */
 } ck_row;
 
@@ -1424,7 +1466,9 @@ ck_table_new(int64_t entries_are_targets)
     return table;
 }
 
-CK_EXPORT void
+/* Empty the row of `slot` (out of range or empty: nothing to do), freeing
+ * its pairs and its compiled form. */
+static void
 ck_table_clear(ck_table *table, int64_t slot)
 {
     if (slot < 0 || slot >= table->num_slots)
@@ -1434,6 +1478,7 @@ ck_table_clear(ck_table *table, int64_t slot)
         return;
     table->feature_words -= 2 * row->num_features;
     free(row->features);
+    free(row->compiled);
     row->features = NULL;
     row->compiled = NULL;
     row->num_features = -1;
@@ -1444,54 +1489,117 @@ ck_table_free(ck_table *table)
 {
     if (table == NULL)
         return;
-    for (int64_t slot = 0; slot < table->num_slots; ++slot)
+    for (int64_t slot = 0; slot < table->num_slots; ++slot) {
         free(table->rows[slot].features);
+        free(table->rows[slot].compiled);
+    }
     free(table->rows);
     free(table);
 }
 
-/* Write the row of `slot` (replacing a live one), growing the table to
- * reach it.  `pairs` is copied.  Returns 0, or -1 on allocation failure,
- * which leaves the table as it was. */
+/* The fields of one inserted row of ck_table_apply, CK_ROW_FIELDS int64s
+ * a row: its slot, entry id, number of (code, count) pairs, vertex and
+ * edge counts, then either the address of a compiled form the table takes
+ * over (CK_ROW_COMPILED non-zero) or, with 0 there, the graph's
+ * `ck_compile_*` arguments (n, offsets*, neighbours*, label_ids*, ranks*)
+ * to compile it from. */
+enum {
+    CK_ROW_SLOT, CK_ROW_ENTRY, CK_ROW_PAIRS, CK_ROW_VERTICES, CK_ROW_EDGES,
+    CK_ROW_COMPILED, CK_ROW_GRAPH, CK_ROW_FIELDS = CK_ROW_GRAPH + 5
+};
+
+/* One window flush of a table: empty the rows of the `num_clears` slots
+ * `clears` names (an empty or unknown slot is skipped), then write the
+ * `num_rows` rows `rows` describes (CK_ROW_FIELDS each), a live row's slot
+ * replaced, growing the table to reach every slot.  `pairs` holds the
+ * rows' (code, count) pairs back to back, row order; each row gets a
+ * malloc'd copy.  A row's compiled form becomes the table's: it is freed
+ * when the row is cleared or replaced, or with the table.  Everything is
+ * allocated before anything is committed, so a failure leaves the table
+ * as it was and takes over no form.  Returns 0, -1 on allocation failure
+ * or -2 on a negative slot or pair count. */
 CK_EXPORT int64_t
-ck_table_set(ck_table *table, int64_t slot, int64_t entry_id,
-             const uint64_t *pairs, int64_t num_pairs, int64_t num_vertices,
-             int64_t num_edges, const void *compiled)
+ck_table_apply(ck_table *table, const int64_t *clears, int64_t num_clears,
+               const int64_t *rows, int64_t num_rows, const uint64_t *pairs)
 {
-    uint64_t *features = NULL;
-    if (num_pairs > 0) {
-        features = (uint64_t *)malloc((size_t)num_pairs * 2 * sizeof(uint64_t));
-        if (features == NULL)
-            return -1;
-        memcpy(features, pairs, (size_t)num_pairs * 2 * sizeof(uint64_t));
+    int64_t num_slots = table->num_slots;
+    for (int64_t i = 0; i < num_rows; ++i) {
+        const int64_t *in = rows + i * CK_ROW_FIELDS;
+        if (in[CK_ROW_SLOT] < 0 || in[CK_ROW_PAIRS] < 0)
+            return -2;
+        if (in[CK_ROW_SLOT] >= num_slots)
+            num_slots = in[CK_ROW_SLOT] + 1;
     }
-    if (slot >= table->num_slots) {
-        int64_t num_slots = 2 * table->num_slots;
-        if (num_slots <= slot)
-            num_slots = slot + 1;
-        ck_row *rows = (ck_row *)realloc(table->rows,
-                                         (size_t)num_slots * sizeof(ck_row));
-        if (rows == NULL) {
-            free(features);
-            return -1;
+    /* per row its pairs' copy, then its compiled form (compiled here or
+     * taken over: only the first kind is freed on failure) */
+    void **made = (void **)calloc((size_t)(2 * num_rows + 1), sizeof(void *));
+    if (made == NULL)
+        return -1;
+    const uint64_t *next = pairs;
+    int64_t i = 0;
+    for (; i < num_rows; ++i) {
+        const int64_t *in = rows + i * CK_ROW_FIELDS;
+        const int64_t num_pairs = in[CK_ROW_PAIRS];
+        if (num_pairs > 0) {
+            const size_t size = (size_t)num_pairs * 2 * sizeof(uint64_t);
+            if ((made[2 * i] = malloc(size)) == NULL)
+                break;
+            memcpy(made[2 * i], next, size);
+            next += 2 * num_pairs;
         }
-        for (int64_t fresh = table->num_slots; fresh < num_slots; ++fresh) {
-            rows[fresh].num_features = -1;
-            rows[fresh].features = NULL;
-            rows[fresh].compiled = NULL;
-        }
-        table->rows = rows;
-        table->num_slots = num_slots;
+        if (in[CK_ROW_COMPILED] != 0)
+            continue;
+        const int64_t *g = in + CK_ROW_GRAPH;
+        const int64_t *offsets = (const int64_t *)(intptr_t)g[1];
+        const int64_t *neighbours = (const int64_t *)(intptr_t)g[2];
+        const int64_t *label_ids = (const int64_t *)(intptr_t)g[3];
+        const int64_t *ranks = (const int64_t *)(intptr_t)g[4];
+        made[2 * i + 1] = table->entries_are_targets
+            ? (void *)ck_compile_target(g[0], offsets, neighbours, label_ids, ranks)
+            : (void *)ck_compile_plan(g[0], offsets, neighbours, label_ids, ranks);
+        if (made[2 * i + 1] == NULL)
+            break;
     }
-    ck_table_clear(table, slot);
-    ck_row *row = table->rows + slot;
-    row->num_features = num_pairs;
-    row->num_vertices = num_vertices;
-    row->num_edges = num_edges;
-    row->entry_id = entry_id;
-    row->compiled = compiled;
-    row->features = features;
-    table->feature_words += 2 * num_pairs;
+    if (i == num_rows && num_slots > table->num_slots) {
+        int64_t grown = 2 * table->num_slots;
+        if (grown < num_slots)
+            grown = num_slots;
+        ck_row *bigger = (ck_row *)realloc(table->rows, (size_t)grown * sizeof(ck_row));
+        if (bigger == NULL) {
+            i = -1;
+        } else {
+            for (int64_t fresh = table->num_slots; fresh < grown; ++fresh) {
+                bigger[fresh].num_features = -1;
+                bigger[fresh].features = NULL;
+                bigger[fresh].compiled = NULL;
+            }
+            table->rows = bigger;
+            table->num_slots = grown;
+        }
+    }
+    if (i != num_rows) {
+        for (int64_t j = 0; j < 2 * num_rows; ++j)
+            free(made[j]);
+        free(made);
+        return -1;
+    }
+    for (int64_t c = 0; c < num_clears; ++c)
+        ck_table_clear(table, clears[c]);
+    for (i = 0; i < num_rows; ++i) {
+        const int64_t *in = rows + i * CK_ROW_FIELDS;
+        const int64_t slot = in[CK_ROW_SLOT];
+        ck_table_clear(table, slot);
+        ck_row *row = table->rows + slot;
+        row->num_features = in[CK_ROW_PAIRS];
+        row->num_vertices = in[CK_ROW_VERTICES];
+        row->num_edges = in[CK_ROW_EDGES];
+        row->entry_id = in[CK_ROW_ENTRY];
+        row->compiled = in[CK_ROW_COMPILED] != 0
+            ? (void *)(intptr_t)in[CK_ROW_COMPILED] : made[2 * i + 1];
+        row->features = (uint64_t *)made[2 * i];
+        table->feature_words += 2 * in[CK_ROW_PAIRS];
+    }
+    free(made);
     return 0;
 }
 
@@ -1505,8 +1613,8 @@ ck_table_bytes(const ck_table *table)
 }
 
 /* Read a row back (tests, diagnostics): header receives num_features (-1
- * for an empty or unknown slot), num_vertices, num_edges, entry_id and the
- * address of the pairs. */
+ * for an empty or unknown slot), num_vertices, num_edges, entry_id, the
+ * address of the pairs and that of the compiled form. */
 CK_EXPORT void
 ck_table_row(const ck_table *table, int64_t slot, int64_t *header)
 {
@@ -1519,6 +1627,7 @@ ck_table_row(const ck_table *table, int64_t slot, int64_t *header)
     header[2] = row->num_edges;
     header[3] = row->entry_id;
     header[4] = (int64_t)(intptr_t)row->features;
+    header[5] = (int64_t)(intptr_t)row->compiled;
 }
 
 /* True iff every (code, count) pair of `needed` has its code in `have`

@@ -44,7 +44,7 @@ __all__ = [
 ]
 
 #: must match CK_ABI_VERSION in _ckernel.c; the loader refuses mismatches
-ABI_VERSION = 13
+ABI_VERSION = 14
 
 _SOURCE = Path(__file__).with_name("_ckernel.c")
 
@@ -165,17 +165,14 @@ def _configure(library: ctypes.CDLL) -> ctypes.CDLL | None:
     library.ck_table_new.argtypes = (integer,)
     library.ck_table_free.restype = None
     library.ck_table_free.argtypes = (pointer,)
-    # (table*, slot, entry_id, pairs*, num_pairs, num_vertices, num_edges,
-    # compiled*) -> 0 / -1
-    library.ck_table_set.restype = integer
-    library.ck_table_set.argtypes = (
-        pointer, integer, integer, pointer, integer, integer, integer, pointer
-    )
-    library.ck_table_clear.restype = None
-    library.ck_table_clear.argtypes = (pointer, integer)
+    # (table*, clear_slots*, num_clears, rows* (num_rows x 11: slot,
+    # entry_id, num_pairs, |V|, |E|, compiled* or 0 + the graph's five
+    # ck_compile_* arguments), num_rows, pairs*) -> 0 / -1 / -2
+    library.ck_table_apply.restype = integer
+    library.ck_table_apply.argtypes = (pointer, pointer, integer, pointer, integer, pointer)
     library.ck_table_bytes.restype = integer
     library.ck_table_bytes.argtypes = (pointer,)
-    # (table*, slot, header[5]*)
+    # (table*, slot, header[6]*)
     library.ck_table_row.restype = None
     library.ck_table_row.argtypes = (pointer, integer, pointer)
     # (table*, pairs*, num_pairs, num_vertices, num_edges, out_slots*)

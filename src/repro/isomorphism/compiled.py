@@ -200,7 +200,9 @@ class FlatGraph:
 class _KernelBlock:
     """A block the kernel malloc'd (``ck_compile_*``), released with
     ``ck_free`` when the last reference to this object goes (``__del__``
-    rather than a ``weakref.finalize``: two of these are made per query)."""
+    rather than a ``weakref.finalize``: two of these are made per query),
+    unless it was handed over (:meth:`_LazyForm.hand_over`; the address
+    reads 0 then)."""
 
     __slots__ = ("address", "_library")
 
@@ -209,7 +211,8 @@ class _KernelBlock:
         self._library = library
 
     def __del__(self) -> None:
-        self._library.ck_free(self.address)
+        if self.address:
+            self._library.ck_free(self.address)
 
 
 def _native_form(entry_point: str, flat: FlatGraph) -> _KernelBlock:
@@ -247,6 +250,21 @@ class _LazyForm:
         """The flattened graph to compile natively from, handed over once."""
         flat, self._flat = self._flat, None
         return flat or FlatGraph(getattr(self, self.SOURCE))
+
+    def kernel_source(self) -> "int | FlatGraph":
+        """What a new owner of this form's kernel block starts from: the
+        block's address once compiled, else the flattened graph to compile
+        it from (kept alive by the caller while the kernel reads it)."""
+        native = self._native
+        return self._flattened() if native is None else native.address
+
+    def hand_over(self) -> None:
+        """Give the compiled block to the owner :meth:`kernel_source` named
+        it to (a probe table's row, which frees it): this form forgets it,
+        and a later :meth:`native` call compiles afresh."""
+        native, self._native = self._native, None
+        if native is not None:
+            getattr(native, "_block", native).address = native.address = 0
 
     def __getstate__(self):
         """Pickle the graph alone."""

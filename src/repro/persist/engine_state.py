@@ -16,6 +16,7 @@ from dataclasses import replace
 
 from ..core.config import ConfigError
 from ..graphs.bitset import CandidateBitmap
+from ..isomorphism.compiled import CompiledQuery
 
 __all__ = [
     "adopt_answers",
@@ -93,10 +94,12 @@ def apply_persist_state(engine, entries, state: dict, source: str = "") -> None:
     instead); ``source`` names the directory for errors.  Each restored
     cache entry joins the replica its recorded ``entry_shard`` home names,
     so the component indexes end up exactly where the persisted engine
-    had them; a format-3/4 entry carries no compiled payloads and compiles
-    as it joins.  Restored answers become bitmaps when the engine
-    attaches its dataset (now, if it already has one): see
-    :func:`adopt_answers`.
+    had them; a format-3/4 entry carries no compiled payloads: its two
+    forms share one flattening of its graph, and each probe table compiles
+    its own in the one kernel call that writes the replica's rows.  The
+    cache takes the live set in one kernel call too.  Restored answers
+    become bitmaps when the engine attaches its dataset (now, if it
+    already has one): see :func:`adopt_answers`.
     """
     engine._restored_space = state.get("id_space")
     engine._restored_from = source
@@ -107,21 +110,27 @@ def apply_persist_state(engine, entries, state: dict, source: str = "") -> None:
     if isinstance(stats, tuple):  # formats 3 and 4: columns
         ids, *columns = stats
         stats = dict(zip(ids, zip(*columns)))
+    restored = []
     for entry, meta in entries:
         hits, removed, cost = stats.get(entry.entry_id, (0, 0, 0.0))
-        cache.restore_entry(
-            entry.entry_id,
-            entry.graph,
-            entry.features,
-            meta["answer"],
-            meta["added_at"],
-            meta["tags"],
-            hits=hits,
-            removed=removed,
-            alleviated_cost=cost,
-            compiled_target=entry.compiled_target,
-            compiled_plan=entry.compiled_plan,
+        # both forms over one flattening, compiled as the entry joins
+        compiled = CompiledQuery(entry.graph)
+        restored.append(
+            dict(
+                entry_id=entry.entry_id,
+                graph=entry.graph,
+                features=entry.features,
+                answer=meta["answer"],
+                added_at=meta["added_at"],
+                tags=meta["tags"],
+                hits=hits,
+                removed=removed,
+                alleviated_cost=cost,
+                compiled_target=entry.compiled_target or compiled.compiled_target(),
+                compiled_plan=entry.compiled_plan or compiled.compiled_plan(),
+            )
         )
+    cache.restore_many(restored)
     engine._answers_pending = bool(entries)
     if engine._id_space is not None:
         adopt_answers(engine)

@@ -183,27 +183,22 @@ def oracle_supergraph_candidates(method, query, features) -> set:
 
 def apply_report(report, *indexes):
     """Apply a window flush's report to ``indexes`` the way a replica
-    replays the flush's records: the victims leave, then the window arrives."""
-    for entry in report.evicted_entries:
-        for index in indexes:
-            index.remove(entry.entry_id)
-    for entry in report.inserted_entries:
-        for index in indexes:
-            index.add(entry)
+    does: one ``apply`` each, the victims leaving, then the window arriving."""
+    for index in indexes:
+        index.apply(report.evicted_entry_ids, report.inserted_entries)
 
 
 def oracle_index(live, cache):
-    """A fresh index of ``live``'s kind ``add``-ed from ``cache.entries()``.
+    """A fresh index of ``live``'s kind given ``cache.entries()`` in one
+    ``apply``.
 
     The reference for the incremental window flush: whatever sequence of
-    ``add``/``remove`` calls produced ``live``, its :func:`index_state` must
-    equal that of an index built from scratch over the current cache.  The
-    oracle shares ``live``'s verifier so it never compiles state onto
-    entries the engine under test runs uncompiled.
+    ``apply`` calls produced ``live``, its :func:`index_state` must equal
+    that of an index built from scratch over the current cache.  The
+    oracle shares ``live``'s verifier.
     """
     oracle = type(live)(live.verifier)
-    for entry in cache.entries():
-        oracle.add(entry)
+    oracle.apply((), list(cache.entries()))
     return oracle
 
 

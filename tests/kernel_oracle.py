@@ -55,18 +55,17 @@ from __future__ import annotations
 import ctypes
 import time
 from array import array
-from collections import Counter
+from collections import Counter, deque
 from collections.abc import Hashable, Iterator, Sequence
 from itertools import chain, islice
 
 from repro.core import IGQ
-from repro.graphs import LabeledGraph
+from repro.graphs import GraphError, LabeledGraph
 from repro.graphs.bitset import iter_bits
 from repro.features import FeatureExtractor
 from repro.features.canonical import canonical_cycle_code, canonical_path_key, canonical_tree_code
 from repro.features.cycles import enumerate_simple_cycles
 from repro.features.trees import enumerate_tree_subgraphs
-from repro.graphs.traversal import bfs_order, is_connected
 from repro.isomorphism import Verifier
 from repro.isomorphism.compiled import CompiledQueryPlan, _intern_label, _packed
 from repro.isomorphism.compiled import match_pairs as native_match_pairs
@@ -1072,6 +1071,30 @@ def oracle_engine(method_name: str, config, **method_options) -> IGQ:
 # ----------------------------------------------------------------------
 # Grapes on region subgraphs
 # ----------------------------------------------------------------------
+def bfs_order(graph: LabeledGraph, source: Hashable) -> Iterator[Hashable]:
+    """Yield vertices in breadth-first order starting from ``source``."""
+    if not graph.has_vertex(source):
+        raise GraphError(f"unknown vertex {source!r}")
+    seen = {source}
+    queue: deque = deque([source])
+    while queue:
+        vertex = queue.popleft()
+        yield vertex
+        for neighbor in graph.neighbors(vertex):
+            if neighbor not in seen:
+                seen.add(neighbor)
+                queue.append(neighbor)
+
+
+def is_connected(graph: LabeledGraph) -> bool:
+    """True if the graph is connected (the empty graph counts as connected);
+    the kernel records it on a compiled plan (``ck_plan.connected``)."""
+    if graph.num_vertices == 0:
+        return True
+    source = next(graph.vertices())
+    return len(set(bfs_order(graph, source))) == graph.num_vertices
+
+
 def connected_components(graph: LabeledGraph) -> list[set]:
     """The connected components of ``graph`` as vertex sets, largest first,
     ties by the smallest vertex ``repr`` they hold."""

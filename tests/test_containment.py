@@ -7,10 +7,10 @@ Three contracts:
   accounting of the oracles (indexes on an ``OracleVerifier`` under the
   ``oracle_probes`` fixture, and ``kernel_oracle.oracle_engine``), at the
   index level and end-to-end through the engine.
-* **Compile-on-insertion** — cached entries carry their ``CompiledTarget`` /
-  ``CompiledQueryPlan`` from the moment they are indexed, window flushes
-  leave the survivors' objects alone (never recompile), and eviction
-  releases them.
+* **Compile-on-insertion** — an indexed entry's rows own its compiled
+  target / plan from the moment it joins (the blocks its query compiled,
+  taken over, or compiled in the kernel), window flushes leave the
+  survivors' blocks alone (never recompile), and eviction frees them.
 * **Compile once per query** — the plan and target a query is probed and
   verified with are the ones its cache entry keeps: the engine builds at
   most one of each per query, single-shard or sharded.
@@ -164,28 +164,46 @@ class TestCompiledDictEquivalence:
         assert run(False) == run(True)
 
 
+def row_form(index, entry_id: int) -> int:
+    """The address of the compiled form ``entry_id``'s row owns."""
+    row = index._table.row(index._slots._positions[entry_id])
+    assert row is not None and row[0] == entry_id
+    return row[4]
+
+
 class TestCompileOnInsertion:
     def test_entries_carry_compiled_state(self):
+        """Joining an index hands the entry's forms to its rows (compiled
+        in the kernel when the entry brought none): the entry keeps no
+        compiled state, every row holds a form of its own."""
         cached = [make_cycle_graph("ABCD"), make_path_graph("AB")]
         cache, isub, isuper = build_indexes(cached)
+        addresses = set()
         for entry in cache.entries():
-            assert isinstance(entry.compiled_target, CompiledTarget)
-            assert isinstance(entry.compiled_plan, CompiledQueryPlan)
+            assert entry.compiled_target is None and entry.compiled_plan is None
+            addresses.add(row_form(isub, entry.entry_id))
+            addresses.add(row_form(isuper, entry.entry_id))
+        assert len(addresses) == 4 and 0 not in addresses
 
     def test_every_row_points_at_a_compiled_form(self):
-        """Whatever verifier an index counts on, its rows carry the entry's
-        compiled form (there is no filter-only row)."""
-        cache, isub, isuper = build_indexes(
-            [make_cycle_graph("ABC")], kernel_oracle.OracleVerifier()
-        )
-        entry = next(cache.entries())
-        assert isub._table._pinned[0] is entry.compiled_target.native()
-        assert isuper._table._pinned[0] is entry.compiled_plan
+        """Whatever verifier an index counts on, its rows carry a compiled
+        form (there is no filter-only row): the one the entry's query
+        compiled, taken over as it is."""
+        graph = make_cycle_graph("ABC")
+        cache = QueryCache()
+        entry = cache.add(graph, EXTRACTOR.extract(graph), frozenset())
+        entry.compiled_target, entry.compiled_plan = CompiledTarget(graph), CompiledQueryPlan(graph)
+        compiled = (entry.compiled_target.native().address, entry.compiled_plan.native())
+        verifier = kernel_oracle.OracleVerifier()
+        isub, isuper = SubgraphQueryIndex(verifier), SupergraphQueryIndex(verifier)
+        isub.add(entry)
+        isuper.add(entry)
+        assert (row_form(isub, entry.entry_id), row_form(isuper, entry.entry_id)) == compiled
 
     def test_flush_reuses_survivors_compiled_state(self):
         cache, isub, isuper = build_indexes([make_cycle_graph("ABCD")])
         entry = next(cache.entries())
-        target, plan = entry.compiled_target, entry.compiled_plan
+        forms = row_form(isub, entry.entry_id), row_form(isuper, entry.entry_id)
         maintenance = IndexMaintenance(cache_size=4, window_size=1)
         for labels in ("AB", "BC"):
             graph = make_path_graph(labels)
@@ -193,41 +211,48 @@ class TestCompileOnInsertion:
                 PendingQuery(graph, EXTRACTOR.extract(graph), frozenset())
             )
             apply_report(maintenance.flush(cache), isub, isuper)
-        assert entry.compiled_target is target  # same object — not recompiled
-        assert entry.compiled_plan is plan
-        # Re-adding an entry that already carries compiled state (warm
-        # restart, shard deltas) keeps it too.
+        # the same blocks — not recompiled
+        assert (row_form(isub, entry.entry_id), row_form(isuper, entry.entry_id)) == forms
+        # Re-adding the entry elsewhere (warm restart) compiles that
+        # index's own form and leaves this one's rows alone.
         fresh = oracle_index(isub, cache)
-        assert entry.compiled_target is target
+        assert row_form(isub, entry.entry_id) == forms[0]
+        assert row_form(fresh, entry.entry_id) != forms[0]
         assert index_state(fresh) == index_state(isub)
 
     def test_cache_eviction_releases_compiled_state(self):
-        cache, isub, isuper = build_indexes([make_cycle_graph("ABC")])
-        entry = cache.remove(next(cache.entries()).entry_id)
+        cache = QueryCache()
+        graph = make_cycle_graph("ABC")
+        entry = cache.add(
+            graph, EXTRACTOR.extract(graph), frozenset(),
+            compiled_target=CompiledTarget(graph), compiled_plan=CompiledQueryPlan(graph),
+        )
+        assert cache.remove(entry.entry_id) is entry
         assert entry.compiled_target is None and entry.compiled_plan is None
 
     def test_index_remove_releases_its_direction(self):
         cache, isub, isuper = build_indexes([make_cycle_graph("ABC")])
         entry = next(cache.entries())
         isub.remove(entry.entry_id)
-        assert entry.compiled_target is None
-        assert entry.compiled_plan is not None  # Isuper still serves it
+        assert isub._table.row(0) is None
+        assert row_form(isuper, entry.entry_id)  # Isuper still serves it
         isuper.remove(entry.entry_id)
-        assert entry.compiled_plan is None
+        assert isuper._table.row(0) is None
 
     def test_flush_releases_evicted_entries_in_both_directions(self):
         """An evicting flush must not strand payloads on the victims.
 
-        The flush's ``QueryCache.remove`` releases both directions and each
-        index releases its own when the report is replayed into it, so a
-        victim ends up with no compiled state even when only one component
-        index is enabled.
+        The victim leaves the cache with no compiled state (its forms
+        belong to the rows) and each enabled index clears its row, which
+        frees the form, when the report is applied to it; the survivor's
+        rows keep their forms through the flush.
         """
         for enabled in ((True, True), (True, False), (False, True)):
             cache, isub, isuper = build_indexes(
                 [make_cycle_graph("ABCD"), make_path_graph("AB")]
             )
             victim, kept = list(cache.entries())
+            kept_forms = {index: row_form(index, kept.entry_id) for index in (isub, isuper)}
             kept.alleviated_cost = 100.0  # the policy evicts ``victim``
             cache.query_counter = 10
             maintenance = IndexMaintenance(cache_size=2, window_size=1)
@@ -236,13 +261,14 @@ class TestCompileOnInsertion:
                 PendingQuery(graph, EXTRACTOR.extract(graph), frozenset())
             )
             report = maintenance.flush(cache)
-            apply_report(report, *(index for index, on in zip((isub, isuper), enabled) if on))
+            indexes = [index for index, on in zip((isub, isuper), enabled) if on]
+            apply_report(report, *indexes)
             assert report.evicted_entry_ids == [victim.entry_id]
             assert victim.compiled_target is None
             assert victim.compiled_plan is None
-            # The surviving entry keeps its compiled state through the flush.
-            assert kept.compiled_target is not None
-            assert kept.compiled_plan is not None
+            for index in indexes:
+                assert victim.entry_id not in index._slots._positions
+                assert row_form(index, kept.entry_id) == kept_forms[index]
 
 
 class TestCompileOncePerQuery:

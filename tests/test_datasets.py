@@ -15,7 +15,9 @@ from repro.datasets import (
     table1_row,
 )
 from repro.datasets.synthetic import MotifPool, generate_motif_collection
-from repro.graphs import is_connected, summarize_dataset
+from repro.graphs import summarize_dataset
+
+from .kernel_oracle import is_connected
 
 
 class TestRandomConnectedGraph:

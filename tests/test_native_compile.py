@@ -437,26 +437,32 @@ class TestBlockLifetime:
 
     @pytest.mark.parametrize("kind", [SubgraphQueryIndex, SupergraphQueryIndex])
     def test_a_probe_table_row_keeps_the_block_alive(self, library, kind):
-        """The entry releases its compiled state; the row still points at
-        the block, so the index pins it until the row is cleared."""
+        """The row takes over the block its entry's query compiled: the
+        form lets go of it, dropping every Python reference frees nothing,
+        the probe still runs on it, and clearing the row frees it in the
+        kernel — never through a ``ck_free`` from Python."""
         index = kind(Verifier())
-        assert index._table is not None
         cache = QueryCache()
         graph = make_cycle_graph("ABCA")
         entry = cache.add(graph, EXTRACTOR.extract(graph), frozenset())
-        index.add(entry)
         if kind is SubgraphQueryIndex:
-            address = entry.compiled_target.native().address
+            form = entry.compiled_target = CompiledTarget(graph)
+            address = form.native().address
             query, find = make_path_graph("ABC"), index.find_supergraphs
         else:
-            address = entry.compiled_plan.native()
+            form = entry.compiled_plan = CompiledQueryPlan(graph)
+            address = form.native()
             query, find = make_cycle_graph("ABCAB"), index.find_subgraphs
             query.add_edge(0, 3)
+        index.add(entry)
+        assert index._table.row(0)[4] == address  # taken over, not recompiled
+        assert form._native is None and entry.compiled_target is entry.compiled_plan is None
         before = library.freed.count(address)
-        entry.release_compiled()
+        del form
         gc.collect()
         assert library.freed.count(address) == before
         assert find(query, EXTRACTOR.extract(query)) == [entry.entry_id]
         index.remove(entry.entry_id)
         gc.collect()
-        assert library.freed.count(address) == before + 1
+        assert index._table.row(0) is None
+        assert library.freed.count(address) == before

@@ -14,13 +14,13 @@ survivor) and the ``iter_bits`` loop of ``mask_sums`` — identical hit lists
 fixture (the oracle engine's probe): it must answer and account as the
 native one does.  The same arrangement ``ck_path_features`` has with
 ``kernel_oracle.path_features`` (``tests/test_native_extract.py``); this file is on the
-ASan leg's pytest line, where a row outliving its entry's compiled form
-would be a use-after-free.
+ASan leg's pytest line.  ``tests/test_flush_apply.py`` checks the write
+path itself — ``ProbeTable.apply`` against a dict model, slot reuse, size
+accounting and the rows' ownership of their compiled forms.
 """
 
 from __future__ import annotations
 
-import gc
 import pickle
 import random
 from array import array
@@ -161,36 +161,6 @@ class TestProbeDifferential:
             else:
                 pair.assert_same_probe(operation[1])
                 pair.assert_same_candidates(operation[1])
-        pair.assert_rows_are_the_entries()
-
-    def test_a_row_outlives_whoever_releases_the_entry_first(self, kind):
-        """The cache may release an evicted entry's compiled state before
-        the index hears of it; the row keeps what its address points at."""
-        rng = random.Random(11)
-        pair = Pair(kind)
-        for _ in range(12):
-            pair.add(random_labeled_graph(rng, rng.randint(2, 5), 0.4))
-        for entry in pair.caches[0].entries():
-            entry.release_compiled()
-        gc.collect()
-        hits = 0
-        for _ in range(20):
-            hits += len(pair.assert_same_probe(random_labeled_graph(rng, rng.randint(2, 6), 0.4)))
-        assert hits
-
-    def test_rows_are_freed_on_remove_and_counted_in_the_size(self, kind):
-        pair = Pair(kind)
-        empty = pair.native.estimated_size_bytes()
-        ids = [pair.add(make_path_graph(labels)) for labels in ("ABC", "BCA", "AAB")]
-        full = pair.native.estimated_size_bytes()
-        # three rows of 6, 6 and 5 (code, count) pairs
-        assert full - empty >= 16 * 17
-        held = pair.native._table.size_bytes()
-        for entry_id in ids:
-            pair.remove(entry_id)
-        assert held - pair.native._table.size_bytes() == 16 * 17
-        assert index_state(pair.native)["rows"] == {}
-        pair.add(make_path_graph("CC"))  # into a recycled slot
         pair.assert_rows_are_the_entries()
 
     def test_a_wide_alphabet_stays_on_the_table(self, kind):

@@ -1,5 +1,5 @@
-"""Unit tests for BFS order and connectivity, and for the test tree's
-``connected_components`` (``kernel_oracle``)."""
+"""Unit tests for the test tree's graph traversal oracles
+(``kernel_oracle``): BFS order, connectivity and ``connected_components``."""
 
 from __future__ import annotations
 
@@ -7,10 +7,10 @@ import networkx as nx
 import pytest
 from hypothesis import given
 
-from repro.graphs import GraphError, LabeledGraph, bfs_order, is_connected
+from repro.graphs import GraphError, LabeledGraph
 
 from .conftest import labeled_graphs, make_cycle_graph, make_path_graph
-from .kernel_oracle import connected_components
+from .kernel_oracle import bfs_order, connected_components, is_connected
 
 
 def two_component_graph() -> LabeledGraph:

@@ -26,7 +26,6 @@ from repro.core import QueryCache, SubgraphQueryIndex, SupergraphQueryIndex
 from repro.datasets.registry import load_dataset
 from repro.features import FeatureExtractor
 from repro.graphs import LabeledGraph
-from repro.graphs.traversal import is_connected
 from repro.isomorphism import (
     Verifier,
     compile_query_plan,
@@ -37,7 +36,7 @@ from repro.methods import create_method
 from repro.workloads.generator import QueryGenerator, WorkloadSpec
 
 from . import kernel_oracle
-from .kernel_oracle import VF2Matcher
+from .kernel_oracle import VF2Matcher, is_connected
 from .conftest import (
     make_cycle_graph,
     make_path_graph,

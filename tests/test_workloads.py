@@ -7,7 +7,6 @@ from collections import Counter
 
 import pytest
 
-from repro.graphs import is_connected
 from repro.workloads import (
     DEFAULT_QUERY_SIZES,
     DriftingZipfSampler,
@@ -21,6 +20,7 @@ from repro.workloads import (
 )
 
 from .conftest import make_path_graph
+from .kernel_oracle import is_connected
 from repro.datasets import load_dataset
 
 
