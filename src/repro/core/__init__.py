@@ -1,6 +1,6 @@
 """iGQ core: query cache, component indexes, replacement policy, engine."""
 
-from .batch import BatchExecutor, BatchStats, FeatureMemo
+from .batch import FeatureMemo
 from .cache import CacheEntry, QueryCache
 from .config import (
     BatchConfig,
@@ -37,8 +37,6 @@ __all__ = [
     "TenantConfig",
     "ConfigError",
     "QueryIndexShard",
-    "BatchExecutor",
-    "BatchStats",
     "FeatureMemo",
     "CacheEntry",
     "QueryCache",

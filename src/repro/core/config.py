@@ -3,7 +3,8 @@
 A small tree of frozen dataclasses:
 
 * :class:`CacheConfig` — the query cache (``C``, ``W``, replacement policy);
-* :class:`BatchConfig` — the batch executor (verification thread workers);
+* :class:`BatchConfig` — query execution (verification thread workers,
+  feature memo);
 * :class:`ShardConfig` — the sharded query index;
 * :class:`ServiceConfig` / :class:`TenantConfig` — the service front door:
   per-tenant fairness weights, ``max_in_flight`` admission quotas, rate
@@ -59,7 +60,7 @@ QUERY_MODES = (SUBGRAPH_MODE, SUPERGRAPH_MODE)
 
 
 def validate_query_mode(mode: str) -> str:
-    """Check a per-query mode; shared by engine, executor and service."""
+    """Check a per-query mode (:meth:`IGQ.resolve_mode` calls it)."""
     if mode not in QUERY_MODES:
         raise ValueError(
             f"unknown query mode {mode!r}; expected "
@@ -225,12 +226,14 @@ class CacheConfig:
 
 @dataclass(frozen=True)
 class BatchConfig:
-    """The batch executor: verification thread pool and feature memo."""
+    """How :meth:`IGQ.execute <repro.core.engine.IGQ.execute>` runs a
+    query: verification thread pool and feature memo."""
 
     #: thread-pool size for the verification stage (1 = in-process, no pool;
     #: more split each query's candidates evenly over the workers)
     num_workers: int = 1
-    #: memoise query feature extraction across the batch
+    #: memoise query preparation (flattening and feature extraction) across
+    #: the engine's queries (:meth:`IGQ.prepare <repro.core.engine.IGQ.prepare>`)
     memoize_features: bool = True
 
     def __post_init__(self) -> None:

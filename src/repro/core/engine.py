@@ -26,17 +26,19 @@ from __future__ import annotations
 import os
 import time
 from array import array
-from concurrent.futures import Future
+from collections.abc import Iterable
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 from ..features.extractor import GraphFeatures
 from ..graphs.bitset import CandidateBitmap, GraphIdSpace
 from ..graphs.database import GraphDatabase
-from ..graphs.graph import GraphMemo, LabeledGraph
+from ..graphs.graph import LabeledGraph
 from ..isomorphism.compiled import CompiledQuery, FlatGraph
 from ..isomorphism.cost import isomorphism_test_cost
 from ..isomorphism.verifier import Verifier
 from ..methods.base import QueryResult, SubgraphQueryMethod
+from .batch import FeatureMemo, verify_on_pool
 from .cache import QueryCache
 from .config import (
     MIXED_MODE,
@@ -52,6 +54,11 @@ from .replacement import create_policy
 from .shard_runtime import ShardRuntime
 
 __all__ = ["IGQQueryResult", "QueryPlan", "IGQ"]
+
+#: below this many surviving candidates a parallel round-trip costs more
+#: than it saves, so :meth:`IGQ.execute` verifies in-process
+_MIN_PARALLEL_CANDIDATES = 4
+
 
 @dataclass
 class IGQQueryResult(QueryResult):
@@ -84,7 +91,7 @@ class QueryPlan:
     filtering plus the two iGQ components) and consumed by
     :meth:`IGQ.complete_query` after the surviving candidates — exposed as
     the set-like :attr:`remaining` — have been verified.  Splitting the
-    query here is what lets the batch executor fan the verification stage
+    query here is what lets :meth:`IGQ.execute` fan the verification stage
     out to a thread pool while the planning and maintenance stages stay
     strictly sequential (and therefore deterministic).
 
@@ -146,8 +153,8 @@ class IGQ:
         An :class:`~repro.core.config.EngineConfig` — the one public way to
         configure the engine.  ``config.mode`` selects the query type
         (``"subgraph"``, ``"supergraph"`` or ``"mixed"``: per-call dispatch),
-        ``config.cache`` sizes the query cache, ``config.batch`` drives
-        :meth:`run_batch`.
+        ``config.cache`` sizes the query cache, ``config.batch`` sets the
+        verification pool and the feature memo of :meth:`execute`.
         ``config.shard`` partitions the query index: the two components
         live in shard replicas in the engine's process — one replica at
         ``shards=1``, one per partition otherwise (see
@@ -191,11 +198,20 @@ class IGQ:
         #: test against each dataset graph, by ``_id_space`` position (the
         #: model is a pure function of the two sizes and the label count)
         self._cost_vectors: dict[tuple[int, bool], array] = {}
-        #: the prepared query ``(features, flat)`` per graph object —
-        #: repeat-heavy streams reuse the same graph objects (workload
-        #: pools, batch inputs), and preparation is a pure function of the
-        #: graph, so repeats skip the flattening and the path enumeration
-        self._prepared = GraphMemo(8192)
+        #: the prepared query ``(features, flat)`` per ``ordered_key``
+        #: (``None`` with ``batch.memoize_features`` off): repeats of a
+        #: query, and copies built the same way, skip the flattening and
+        #: the extraction
+        self.feature_memo = (
+            FeatureMemo(method.extractor) if config.batch.memoize_features else None
+        )
+        #: the verification thread pool, created by the first query that
+        #: uses it (``batch.num_workers > 1``) and shut down by :meth:`close`
+        self._workers = config.batch.num_workers
+        self._pool: ThreadPoolExecutor | None = None
+        #: queries whose candidates were verified on the pool / in-process
+        self.parallel_verifications = 0
+        self.sequential_verifications = 0
         #: ``(feature codes, |V|, |E|, supergraph) -> plan`` of the queries
         #: planned since the last window flush: a flush is the only write to
         #: the live set, so until the next one an isomorphic query's plan is
@@ -303,54 +319,87 @@ class IGQ:
     # Query processing
     # ------------------------------------------------------------------
     def query(self, query: LabeledGraph, mode: str | None = None) -> IGQQueryResult:
-        """Process one query — the engine's configured type, or ``mode``.
+        """Process one query — the engine's configured type, or ``mode`` —
+        and wait until the window flush it ran, if any, is durable.
 
         Fixed-mode engines (``"subgraph"`` / ``"supergraph"``) use their
         configured type when ``mode`` is omitted; a mixed-mode engine serves
         both types through this one endpoint and requires ``mode`` per call
         (:class:`~repro.service.GraphQueryService` supplies it).
         """
-        if self.database is None:
-            raise RuntimeError("IGQ.build_index() must be called before querying")
-        if mode is None:
-            if self.mode == MIXED_MODE:
-                raise ValueError(
-                    "a mixed-mode engine needs mode='subgraph' or "
-                    "mode='supergraph' per query (GraphQueryService passes it)"
-                )
-            mode = self.mode
-        validate_query_mode(mode)
-        self._require_mode(mode)
-        return self._process(query, supergraph=mode == SUPERGRAPH_MODE)
+        result = self.execute(query, self.resolve_mode(mode))
+        self.await_commit()
+        return result
 
     def subgraph_query(self, query: LabeledGraph) -> IGQQueryResult:
         """Process ``query`` as a subgraph query (requires subgraph/mixed mode)."""
-        self._require_mode(SUBGRAPH_MODE)
-        return self._process(query, supergraph=False)
+        return self.query(query, SUBGRAPH_MODE)
 
     def supergraph_query(self, query: LabeledGraph) -> IGQQueryResult:
         """Process ``query`` as a supergraph query (requires supergraph/mixed mode)."""
-        self._require_mode(SUPERGRAPH_MODE)
-        return self._process(query, supergraph=True)
+        return self.query(query, SUPERGRAPH_MODE)
 
-    def _require_mode(self, mode: str) -> None:
-        if self.mode != mode and self.mode != MIXED_MODE:
-            raise RuntimeError(
-                f"this IGQ instance is configured for {self.mode!r} queries; "
-                f"create a separate instance for {mode!r} queries"
+    def resolve_mode(self, mode: str | None) -> bool:
+        """Whether a query of ``mode`` is a supergraph query: ``mode``, or
+        the engine's own when omitted.
+
+        Raises :class:`ValueError` for an omitted mode on a mixed-mode
+        engine, a mode that is not a query mode, and a mode the engine does
+        not serve.
+        """
+        if mode is None:
+            if self.mode == MIXED_MODE:
+                raise ValueError(
+                    "a mixed-mode engine (EngineConfig(mode='mixed')) needs "
+                    "mode='subgraph' or mode='supergraph' per query"
+                )
+            return self.mode == SUPERGRAPH_MODE
+        validate_query_mode(mode)
+        if self.mode not in (mode, MIXED_MODE):
+            raise ValueError(
+                f"this engine serves {self.mode!r} queries; configure "
+                f"EngineConfig(mode='mixed') to dispatch both types"
             )
+        return mode == SUPERGRAPH_MODE
 
-    # ------------------------------------------------------------------
-    def _process(self, query: LabeledGraph, supergraph: bool) -> IGQQueryResult:
-        plan = self.plan_query(query, supergraph=supergraph)
+    def execute(self, query: LabeledGraph, supergraph: bool) -> IGQQueryResult:
+        """Run one query: prepare, plan, verify, complete.
 
-        # Stage 3 — verification of the surviving candidates.
+        Every query runs here.  Verification goes to the engine's thread
+        pool when ``batch.num_workers > 1`` and at least
+        ``_MIN_PARALLEL_CANDIDATES`` candidates remain, and runs in-process
+        otherwise.  Does not wait for the journal: a caller that
+        acknowledges the result itself owns :meth:`take_commit` (the
+        service does; :meth:`query` waits).
+        """
+        # Extraction happens outside plan_query, so its cost is folded into
+        # filter_seconds below: it is part of the filtering stage.
         start = time.perf_counter()
-        verified = self.verify_plan(plan)
+        features, flat = self.prepare(query)
+        extract_seconds = time.perf_counter() - start
+        plan = self.plan_query(query, supergraph=supergraph, features=features, flat=flat)
+        workers = self._workers
+        start = time.perf_counter()
+        if workers > 1 and plan.remaining_mask.bit_count() >= _MIN_PARALLEL_CANDIDATES:
+            self.parallel_verifications += 1
+            if self._pool is None:
+                self._pool = ThreadPoolExecutor(max_workers=workers)
+            verified = verify_on_pool(
+                self._pool,
+                workers,
+                self.method,
+                query,
+                plan.remaining_mask,
+                supergraph,
+                features,
+                plan.compiled,
+            )
+        else:
+            self.sequential_verifications += 1
+            verified = self.verify_plan(plan)
         verify_seconds = time.perf_counter() - start
-
         result = self.complete_query(plan, verified, verify_seconds)
-        self.await_commit()
+        result.filter_seconds += extract_seconds
         return result
 
     def take_commit(self) -> Future | None:
@@ -372,11 +421,11 @@ class IGQ:
             commit.result()
 
     def prepare(self, query: LabeledGraph) -> tuple[GraphFeatures, FlatGraph]:
-        """The query flattened once and its features extracted from that
-        (memoised per graph object and size): what every later stage reads."""
-        return self._prepared.get(query, self._prepare)
-
-    def _prepare(self, query: LabeledGraph) -> tuple[GraphFeatures, FlatGraph]:
+        """The query flattened once and its features extracted from that:
+        what every later stage reads (memoised in :attr:`feature_memo`
+        unless ``batch.memoize_features`` is off)."""
+        if self.feature_memo is not None:
+            return self.feature_memo.prepare(query)
         flat = FlatGraph(query)
         return self.method.extract_query_features(query, flat), flat
 
@@ -390,9 +439,9 @@ class IGQ:
         """Run stages 1–2 (filtering and iGQ pruning) and return the plan.
 
         ``features`` may carry the query's pre-extracted features and
-        ``flat`` the arrays they were extracted from (the batch executor
-        memoises preparation across repeated queries); when ``features`` is
-        omitted the query is prepared here (:meth:`prepare`).  Planning's
+        ``flat`` the arrays they were extracted from (what :meth:`execute`
+        passes); when ``features`` is omitted the query is prepared here
+        (:meth:`prepare`).  Planning's
         one state write, the §5.1 metadata update (H/R/C of the hit cache
         entries), is applied before the plan is returned.
 
@@ -695,22 +744,16 @@ class IGQ:
     # ------------------------------------------------------------------
     # Batched execution
     # ------------------------------------------------------------------
-    def run_batch(self, queries: list[LabeledGraph]) -> list[IGQQueryResult]:
-        """Process a batch of queries, optionally verifying in parallel.
+    def run_batch(self, queries: Iterable) -> list[IGQQueryResult]:
+        """:meth:`query` for each item of ``queries``, in order.
 
-        The execution parameters come from ``self.config.batch`` — with the
-        default :class:`~repro.core.config.BatchConfig` this is the
-        deterministic sequential path, exactly equivalent to calling
-        :meth:`query` once per query; with workers configured the
-        verification stage of each query fans out to a
-        :mod:`concurrent.futures` pool.  Answers, cache contents
-        and replacement metadata are identical in every configuration.  See
-        :class:`repro.core.batch.BatchExecutor` for the streaming API.
+        Items are bare query graphs (the engine's configured type) or
+        ``(query, mode)`` pairs, which a mixed-mode engine requires.
         """
-        from .batch import BatchExecutor
-
-        with BatchExecutor(self, config=self.config.batch) as executor:
-            return executor.run_batch(queries)
+        return [
+            self.query(*item) if isinstance(item, tuple) else self.query(item)
+            for item in queries
+        ]
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -718,11 +761,13 @@ class IGQ:
     def close(self) -> None:
         """Release engine-owned execution resources (idempotent).
 
-        The durable store (when configured) writes every queued job and
-        flushes and fsyncs its WAL tail.  Verification pools belong to the
-        :class:`~repro.core.batch.BatchExecutor` driving the engine and shut
-        down with it.
+        First the verification pool is shut down (joining its threads),
+        then the durable store (when configured) writes every queued job
+        and flushes and fsyncs its WAL tail.
         """
+        if self._pool is not None:
+            self._pool.shutdown(wait=True)
+            self._pool = None
         if self.persister is not None:
             self.persister.close()
 

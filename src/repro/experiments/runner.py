@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
-from ..core.batch import BatchExecutor
 from ..core.config import BatchConfig, CacheConfig, EngineConfig
 from ..core.engine import IGQ
 from ..datasets.registry import dataset_spec, load_dataset
@@ -75,12 +74,6 @@ class ExperimentConfig:
     query_seed: int = 5
     enable_isub: bool = True
     enable_isuper: bool = True
-    #: worker-pool size for the verification stage of both streams
-    #: (1 = the deterministic sequential path)
-    num_workers: int = 1
-    #: memoise feature extraction across each stream; off by default so the
-    #: measured baseline keeps the paper's per-occurrence extraction cost
-    memoize_features: bool = False
 
     # ------------------------------------------------------------------
     def resolved(self) -> "ExperimentConfig":
@@ -113,8 +106,9 @@ class ExperimentConfig:
     def engine_config(self) -> EngineConfig:
         """The :class:`EngineConfig` this experiment's iGQ engine runs under.
 
-        The batch section also drives the *base* stream, so both sides of a
-        speedup comparison share one execution configuration.
+        Feature memoisation is off, as on the base stream, so both sides of
+        a speedup comparison pay the paper's per-occurrence extraction
+        cost; verification runs in-process.
         """
         resolved = self.resolved()
         return EngineConfig(
@@ -125,10 +119,7 @@ class ExperimentConfig:
             ),
             enable_isub=resolved.enable_isub,
             enable_isuper=resolved.enable_isuper,
-            batch=BatchConfig(
-                num_workers=resolved.num_workers,
-                memoize_features=resolved.memoize_features,
-            ),
+            batch=BatchConfig(memoize_features=False),
         )
 
     def workload_spec(self) -> WorkloadSpec:
@@ -264,23 +255,13 @@ def run_base_stream(
     queries: tuple[LabeledGraph, ...],
     warmup: int,
     label: str = "base",
-    num_workers: int = 1,
-    memoize_features: bool = False,
 ) -> StreamMetrics:
-    """Run the plain method over the measured part of the stream.
-
-    The stream is driven by a :class:`~repro.core.batch.BatchExecutor`;
-    with the default ``num_workers=1`` that is the deterministic sequential
-    path, with more workers the verification stage runs on a thread pool.
-    Feature memoisation is off by default so the baseline keeps the paper's
-    per-occurrence extraction cost on repeated-query workloads.
-    """
+    """Run the plain method over the measured part of the stream, one
+    :meth:`~repro.methods.base.SubgraphQueryMethod.query` per query (each
+    extracts its features: the paper's per-occurrence cost)."""
     metrics = StreamMetrics(label=label)
-    measured = queries[warmup:]
-    batch = BatchConfig(num_workers=num_workers, memoize_features=memoize_features)
-    with BatchExecutor(method, config=batch) as executor:
-        for query, result in zip(measured, executor.run_stream(measured)):
-            metrics.add(result, query)
+    for query in queries[warmup:]:
+        metrics.add(method.query(query), query)
     return metrics
 
 
@@ -292,16 +273,14 @@ def run_igq_stream(
 ) -> tuple[StreamMetrics, IGQ]:
     """Run iGQ+method over the stream (warm-up excluded from the metrics)."""
     config = config.resolved()
-    engine_config = config.engine_config()
-    engine = IGQ(method, engine_config)
+    engine = IGQ(method, config.engine_config())
     engine.attach_prebuilt()
     metrics = StreamMetrics(label=label)
     warmup = config.window_size
-    with BatchExecutor(engine, config=engine_config.batch) as executor:
-        for _ in executor.run_stream(queries[:warmup]):
-            pass
-        for query, result in zip(queries[warmup:], executor.run_stream(queries[warmup:])):
-            metrics.add(result, query)
+    for query in queries[:warmup]:
+        engine.query(query)
+    for query in queries[warmup:]:
+        metrics.add(engine.query(query), query)
     return metrics, engine
 
 
@@ -316,8 +295,6 @@ def run_speedup_experiment(config: ExperimentConfig) -> SpeedupOutcome:
         queries,
         warmup=config.window_size,
         label=f"{config.method}",
-        num_workers=config.num_workers,
-        memoize_features=config.memoize_features,
     )
     igq_metrics, engine = run_igq_stream(
         method, queries, config, label=f"igq_{config.method}"

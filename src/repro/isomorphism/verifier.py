@@ -184,5 +184,5 @@ class Verifier:
 
     def fresh_clone(self) -> "Verifier":
         """A new verifier of the same class with zeroed statistics (what a
-        per-chunk thread of the batch executor verifies on)."""
+        chunk of the engine's verification pool verifies on)."""
         return type(self)()

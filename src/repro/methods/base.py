@@ -308,41 +308,33 @@ class SubgraphQueryMethod(ABC):
     ) -> QueryResult:
         """Answer a subgraph query: all dataset graphs containing ``query``.
 
-        ``features`` may carry pre-extracted query features (the batch
-        executor memoises extraction across repeated queries).
+        ``features`` may carry pre-extracted query features.
         """
-        self._require_index()
-        tests_before = self.verifier.stats.tests
-        start = time.perf_counter()
-        if features is None:
-            features = self.extract_query_features(query)
-        candidates = self.filter_candidates(query, features=features)
-        filter_seconds = time.perf_counter() - start
-        start = time.perf_counter()
-        answers = self.verify(query, candidates, features=features)
-        verify_seconds = time.perf_counter() - start
-        return QueryResult(
-            query_name=query.name,
-            answers=answers,
-            candidates=set(candidates),
-            num_isomorphism_tests=self.verifier.stats.tests - tests_before,
-            filter_seconds=filter_seconds,
-            verify_seconds=verify_seconds,
-        )
+        return self._answer(query, features, supergraph=False)
 
     def supergraph_query(
         self, query: LabeledGraph, features: GraphFeatures | None = None
     ) -> QueryResult:
         """Answer a supergraph query: all dataset graphs contained in ``query``."""
+        return self._answer(query, features, supergraph=True)
+
+    def _answer(
+        self, query: LabeledGraph, features: GraphFeatures | None, supergraph: bool
+    ) -> QueryResult:
+        """Filter, then verify the candidates (the method alone, no cache)."""
         self._require_index()
         tests_before = self.verifier.stats.tests
         start = time.perf_counter()
         if features is None:
             features = self.extract_query_features(query)
-        candidates = self.filter_supergraph_candidates(query, features=features)
+        if supergraph:
+            candidates = self.filter_supergraph_candidates(query, features=features)
+        else:
+            candidates = self.filter_candidates(query, features=features)
         filter_seconds = time.perf_counter() - start
         start = time.perf_counter()
-        answers = self.verify_supergraph(query, candidates, features=features)
+        verify = self.verify_supergraph if supergraph else self.verify
+        answers = verify(query, candidates, features=features)
         verify_seconds = time.perf_counter() - start
         return QueryResult(
             query_name=query.name,

@@ -15,8 +15,8 @@ nothing a GGSX build does not.  The original
 system additionally parallelises index construction and verification over
 several threads; the ``num_workers`` parameter mirrors that configuration
 knob (Grapes(1) vs Grapes(6) in the paper) only in the method's name
-(``grapes6``): it runs nothing in parallel.  Verification threads are the batch executor's
-``batch.num_workers``.
+(``grapes6``): it runs nothing in parallel.  Verification threads are the
+engine's ``batch.num_workers``.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 :class:`GraphQueryService` is the intended public entry point for
 applications — one context-managed object owning engine construction
 (from a typed :class:`~repro.core.config.EngineConfig`), dataset indexing,
-executor lifecycle, a single ``query()`` endpoint serving subgraph *and*
+engine lifecycle, a single ``query()`` endpoint serving subgraph *and*
 supergraph queries, futures-based submission with bounded backpressure, and
 structured introspection (:class:`ServiceReport`).
 """

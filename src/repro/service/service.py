@@ -1,16 +1,16 @@
 """`GraphQueryService`: the one public front door to the iGQ engine.
 
-The engine layer grew four generations of execution machinery — batch
-executor, compiled verification, unified containment, sharded cache — each
-reachable through its own flags and some owning long-lived resources (the
-verification thread pool) with no single place that opens and closes them.
-:class:`GraphQueryService` packages all of it behind a session object:
+The engine runs every query through one pipeline,
+:meth:`IGQ.execute <repro.core.engine.IGQ.execute>` (prepare → plan →
+verify → complete), and owns the long-lived resources — the verification
+thread pool, the journal.  :class:`GraphQueryService` puts a session object
+in front of it:
 
 * **Lifecycle** — ``with GraphQueryService(method, config, database=db) as
   service:`` builds the :class:`~repro.core.engine.IGQ` engine the config
   describes (any ``shard.shards``) and indexes the dataset; on exit it
-  drains the queue, waits for the journal, and deterministically shuts
-  down the batch executor's thread pool and the engine.
+  drains the queue, waits for the journal, and closes the engine (its
+  verification thread pool, then its journal).
 
 * **One endpoint** — :meth:`GraphQueryService.query` serves *both* query
   types (``mode="subgraph"`` / ``"supergraph"``) against one shared engine;
@@ -23,8 +23,8 @@ verification thread pool) with no single place that opens and closes them.
   submission order.  Execution is *caller-runs* (flat combining): the
   submitting thread — the embedded caller, or the server's event-loop
   thread for wire requests — takes a combiner lock and runs queued tasks
-  one after the other through the deterministic
-  :class:`~repro.core.batch.BatchExecutor` until none is dispatchable; a
+  one after the other through :meth:`IGQ.execute
+  <repro.core.engine.IGQ.execute>` until none is dispatchable; a
   submitter that finds the lock held leaves its task to the thread that
   holds it.  One query runs at a time, so answers, accounting, cache
   contents and replacement state are byte-identical to a plain sequential
@@ -67,14 +67,7 @@ from concurrent.futures import Future, InvalidStateError, wait
 from dataclasses import dataclass, field, replace as dataclass_replace
 from functools import partial
 
-from ..core.batch import BatchExecutor
-from ..core.config import (
-    MIXED_MODE,
-    SUPERGRAPH_MODE,
-    ConfigError,
-    EngineConfig,
-    validate_query_mode,
-)
+from ..core.config import ConfigError, EngineConfig
 from ..core.engine import IGQ, IGQQueryResult
 from ..graphs.database import GraphDatabase
 from ..graphs.graph import LabeledGraph
@@ -203,7 +196,7 @@ class ServiceReport:
     #: cache partitions and their live-entry balance
     shards: int
     shard_balance: list[int]
-    #: batch-executor counters (feature memo, pool usage)
+    #: the engine's feature-memo and verification-pool counters
     feature_memo_hits: int
     feature_memo_misses: int
     parallel_verifications: int
@@ -260,7 +253,7 @@ class _Task:
     """One submitted query travelling from :meth:`submit` to the combiner."""
 
     query: LabeledGraph
-    mode: str
+    supergraph: bool
     future: Future
     session: SessionStats | None
     #: tenant queue this task is scheduled under (session name or "default")
@@ -414,7 +407,6 @@ class GraphQueryService:
         self.service_config = service_config
         self.max_in_flight = service_config.default_max_in_flight
         self._database = database
-        self._executor: BatchExecutor | None = None
         self._scheduler = FairScheduler(service_config)
         #: held by the thread running the queue (the combiner)
         self._combiner = threading.Lock()
@@ -459,18 +451,15 @@ class GraphQueryService:
                         "no dataset to serve: pass database= to the service or "
                         "build the method's index before opening"
                     )
-            self._executor = BatchExecutor(self.engine, config=self.config.batch)
             self._opened = True
         return self
 
     def close(self) -> None:
-        """Drain submitted work, then shut the executor and engine down
-        (idempotent).
+        """Drain submitted work, then close the engine (idempotent).
 
         Queries already submitted are completed on the closing thread
         (their futures resolve, once the journal holds their flushes);
-        afterwards the batch executor's verification pool is joined and the
-        engine is closed.
+        afterwards the engine is closed, which joins its verification pool.
         """
         with self._state_lock:
             if self._closed:
@@ -490,7 +479,6 @@ class GraphQueryService:
             if barrier is not None:
                 wait([barrier])
                 self._release(barrier)
-            self._executor.close()
         self.engine.close()
 
     @property
@@ -538,7 +526,7 @@ class GraphQueryService:
         expires the submission with :class:`QueryTimeout`; ``Future.cancel()``
         on a not-yet-started submission removes it from the queue.
         """
-        mode = self._resolve_mode(mode)
+        supergraph = self.engine.resolve_mode(mode)
         if timeout is not None and timeout <= 0:
             raise ConfigError(
                 f"timeout={timeout!r} is not valid; expected a number > 0"
@@ -555,7 +543,7 @@ class GraphQueryService:
         future: Future = Future()
         task = _Task(
             query=query,
-            mode=mode,
+            supergraph=supergraph,
             future=future,
             session=session,
             tenant=tenant,
@@ -647,22 +635,6 @@ class GraphQueryService:
         """Convenience: :meth:`stream` collected into a list."""
         return list(self.stream(queries, mode))
 
-    def _resolve_mode(self, mode: str | None) -> str:
-        if mode is None:
-            if self.engine.mode == MIXED_MODE:
-                raise ValueError(
-                    "this service runs a mixed-mode engine: pass "
-                    "mode='subgraph' or mode='supergraph' per query"
-                )
-            return self.engine.mode
-        validate_query_mode(mode)
-        if self.engine.mode not in (mode, MIXED_MODE):
-            raise ValueError(
-                f"this service serves {self.engine.mode!r} queries; configure "
-                f"EngineConfig(mode='mixed') to dispatch both types"
-            )
-        return mode
-
     # ------------------------------------------------------------------
     # Sessions and introspection
     # ------------------------------------------------------------------
@@ -692,9 +664,9 @@ class GraphQueryService:
         return self._scheduler.snapshot()
 
     def stats(self) -> ServiceReport:
-        """A structured snapshot of cache, executor and session state."""
+        """A structured snapshot of cache, engine and session state."""
         engine = self.engine
-        executor_stats = self._executor.stats if self._executor is not None else None
+        memo = engine.feature_memo
         with self._stats_lock:
             totals = dataclass_replace(self.totals)
             sessions = {
@@ -709,14 +681,10 @@ class GraphQueryService:
             queries_seen=engine.cache.query_counter,
             shards=engine.num_shards,
             shard_balance=engine.placement.shard_balance(),
-            feature_memo_hits=executor_stats.feature_memo_hits if executor_stats else 0,
-            feature_memo_misses=executor_stats.feature_memo_misses if executor_stats else 0,
-            parallel_verifications=(
-                executor_stats.parallel_verifications if executor_stats else 0
-            ),
-            sequential_verifications=(
-                executor_stats.sequential_verifications if executor_stats else 0
-            ),
+            feature_memo_hits=memo.hits if memo is not None else 0,
+            feature_memo_misses=memo.misses if memo is not None else 0,
+            parallel_verifications=engine.parallel_verifications,
+            sequential_verifications=engine.sequential_verifications,
             plans_replayed=engine.plans_replayed,
         )
 
@@ -807,9 +775,9 @@ class GraphQueryService:
             # Cancelled or expired before execution; hand its slot back.
             self._finalize(task)
             return
-        supergraph = task.mode == SUPERGRAPH_MODE
+        supergraph = task.supergraph
         try:
-            result = self._executor.execute(task.query, supergraph)
+            result = self.engine.execute(task.query, supergraph)
         except BaseException as exc:  # noqa: BLE001 - must reach the futures
             self._reject(task, exc)
             self._fail(exc)

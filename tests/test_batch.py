@@ -1,8 +1,8 @@
-"""Tests for the batched parallel query execution subsystem.
+"""Tests for the engine's verification pool and feature memo.
 
 The contract under test: for every worker count — one verifies
-in-process, more fan out to a thread pool — the batch executor must be
-*indistinguishable* from the sequential engine loop: same answers, same
+in-process, more fan out to the engine's thread pool — a run must be
+*indistinguishable* from the one-worker engine: same answers, same
 per-query accounting, same cache and replacement state afterwards.
 Parallelism is an implementation detail of the verification stage, never
 of the semantics.
@@ -18,11 +18,11 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.core import IGQ, BatchConfig, BatchExecutor
+from repro.core import IGQ, BatchConfig
 from repro.core.batch import FeatureMemo
 from repro.graphs import GraphDatabase, LabeledGraph
 from repro.isomorphism import compiled as compiled_module
-from repro.methods import GGSXMethod, GrapesMethod, ScanMethod
+from repro.methods import GGSXMethod, GrapesMethod
 
 from .conftest import engine_config, make_cycle_graph, make_path_graph, random_labeled_graph
 
@@ -76,30 +76,28 @@ class TestConstruction:
     def test_rejects_unknown_backend(self):
         """The pool kind follows from ``num_workers``; there is no backend
         argument to pass (repro 6.0)."""
-        engine = fresh_engine(build_database())
         with pytest.raises(TypeError, match=r"backend"):
-            BatchExecutor(engine, backend="thread")
+            fresh_engine(build_database(), backend="thread")
 
     def test_rejects_bad_worker_count(self):
-        engine = fresh_engine(build_database())
         with pytest.raises(ValueError):
-            BatchExecutor(engine, num_workers=0)
+            fresh_engine(build_database(), num_workers=0)
 
     def test_requires_built_index(self):
         engine = IGQ(GGSXMethod(max_path_length=2))
         with pytest.raises(RuntimeError):
-            BatchExecutor(engine)
+            engine.execute(make_path_graph("AB"), False)
 
     def test_two_workers_verify_on_threads_whatever_the_cpu_count(self, monkeypatch):
         """More than one worker always means the thread pool, however many
-        CPUs the machine reports."""
+        CPUs the machine reports; closing the engine shuts it down."""
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
-        engine = fresh_engine(build_database(count=24))
-        with BatchExecutor(engine, num_workers=2) as executor:
-            executor.run_batch(make_stream(total=20))
-            assert isinstance(executor._pool, ThreadPoolExecutor)
-            assert executor.stats.parallel_verifications > 0
+        with fresh_engine(build_database(count=24), num_workers=2) as engine:
+            engine.run_batch(make_stream(total=20))
+            assert isinstance(engine._pool, ThreadPoolExecutor)
+            assert engine.parallel_verifications > 0
+        assert engine._pool is None
 
 
 class TestSequentialEquivalence:
@@ -107,20 +105,7 @@ class TestSequentialEquivalence:
         engine = fresh_engine(build_database())
         assert engine.run_batch([]) == []
 
-    def test_single_query_batch_matches_query(self):
-        database = build_database()
-        query = make_path_graph("ABC", name="single")
-        loop_engine = fresh_engine(database)
-        expected = loop_engine.query(query)
-        batch_engine = fresh_engine(database)
-        [result] = batch_engine.run_batch([query])
-        assert set(result.answers) == set(expected.answers)
-        assert result.num_isomorphism_tests == expected.num_isomorphism_tests
-        assert cache_state(batch_engine) == cache_state(loop_engine)
-
-    @pytest.mark.parametrize(
-        "num_workers", [pytest.param(1, id="sequential"), pytest.param(2, id="thread")]
-    )
+    @pytest.mark.parametrize("num_workers", [pytest.param(2, id="thread")])
     def test_backends_identical_to_sequential_loop(self, num_workers):
         database = build_database()
         stream = make_stream()
@@ -130,6 +115,7 @@ class TestSequentialEquivalence:
         batch_engine = fresh_engine(database, num_workers=num_workers)
         results = batch_engine.run_batch(stream)
 
+        assert batch_engine.parallel_verifications > 0
         assert len(results) == len(expected)
         for got, want in zip(results, expected):
             assert set(got.answers) == set(want.answers), got.query_name
@@ -173,25 +159,13 @@ class TestSequentialEquivalence:
             assert set(got.answers) == set(want.answers), got.query_name
             assert got.num_isomorphism_tests == want.num_isomorphism_tests
 
-    def test_plain_method_batch(self):
-        """The executor also drives a bare method (no iGQ index)."""
-        database = build_database()
-        stream = make_stream(total=10)
-        method = ScanMethod()
-        method.build_index(database)
-        expected = [method.query(query) for query in stream]
-        with BatchExecutor(method, num_workers=2) as executor:
-            results = executor.run_batch(stream)
-        for got, want in zip(results, expected):
-            assert set(got.answers) == set(want.answers)
-            assert set(got.candidates) == set(want.candidates)
-
 
 class TestPoolCompilesOnce:
-    @pytest.mark.parametrize("num_workers", [2, 5])
-    @pytest.mark.parametrize("target", ["engine", "method"])
-    def test_one_plan_compile_per_query(self, target, num_workers, monkeypatch):
-        """The chunks of a pool-verified query share the plan the driver
+    @pytest.mark.parametrize(
+        "num_workers", [pytest.param(2, id="engine-2"), pytest.param(5, id="engine-5")]
+    )
+    def test_one_plan_compile_per_query(self, num_workers, monkeypatch):
+        """The chunks of a pool-verified query share the plan the engine
         compiled before submitting them: one ``ck_compile_plan`` per query,
         however many chunks verify it.  A chunk that built the plan's
         kernel form itself — the lazy build is unlocked — would count a
@@ -211,36 +185,20 @@ class TestPoolCompilesOnce:
             random_labeled_graph(rng, rng.randint(2, 4), 0.4, labels="ABC", name=f"q{i}")
             for i in range(20)
         ]
-        if target == "engine":
-            runner = fresh_engine(database)
-        else:
-            runner = GGSXMethod(max_path_length=3)
-            runner.build_index(database)
+        # no feature memo: every query keeps its own flattening, which is
+        # what the compiles are counted by
+        engine = fresh_engine(database, num_workers=num_workers, memoize_features=False)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            # no feature memo: every query keeps its own flattening, which
-            # is what the compiles are counted by
-            with BatchExecutor(
-                runner, num_workers=num_workers, memoize_features=False
-            ) as executor:
-                executor.run_batch(stream)
-                pooled = executor.stats.parallel_verifications
+            with engine:
+                engine.run_batch(stream)
+                pooled = engine.parallel_verifications
         finally:
             sys.setswitchinterval(interval)
         assert pooled >= 5
         assert len(plan_compiles) >= pooled
         assert set(plan_compiles.values()) == {1}
-
-
-class TestStreaming:
-    def test_run_stream_yields_in_order(self):
-        database = build_database()
-        stream = make_stream(total=8)
-        engine = fresh_engine(database)
-        with BatchExecutor(engine) as executor:
-            names = [result.query_name for result in executor.run_stream(stream)]
-        assert names == [query.name for query in stream]
 
 
 def features_of(memo: FeatureMemo, query: LabeledGraph):
@@ -297,7 +255,7 @@ class TestFeatureMemo:
         assert memo.hits == 0 and memo.misses == 2 and len(memo) == 2
 
     def test_memo_stays_bounded_on_a_stream_of_distinct_queries(self):
-        """A service keeps one executor for its lifetime: the memo must not
+        """An engine keeps one memo for its lifetime: the memo must not
         gain one key per distinct query forever."""
 
         class CountingExtractor:
@@ -326,10 +284,12 @@ class TestFeatureMemo:
         assert memo.misses == 2 and memo.hits == 0
 
     def test_executor_counts_memo_hits(self):
+        """The engine's memo counts the repeats of a stream as hits; with
+        ``batch.memoize_features`` off there is no memo."""
         database = build_database()
         stream = make_stream(distinct=4, total=12)
         engine = fresh_engine(database)
-        with BatchExecutor(engine) as executor:
-            executor.run_batch(stream)
-            assert executor.stats.feature_memo_hits >= 8
-            assert executor.stats.feature_memo_misses <= 4
+        engine.run_batch(stream)
+        assert engine.feature_memo.hits >= 8
+        assert engine.feature_memo.misses <= 4
+        assert fresh_engine(database, memoize_features=False).feature_memo is None

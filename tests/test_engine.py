@@ -69,7 +69,7 @@ class TestConstruction:
     def test_mode_guards(self):
         engine = IGQ(GGSXMethod(max_path_length=2), EngineConfig(mode="subgraph"))
         engine.build_index(build_database())
-        with pytest.raises(RuntimeError):
+        with pytest.raises(ValueError, match=r"EngineConfig\(mode='mixed'\)"):
             engine.supergraph_query(make_path_graph("AB"))
 
     def test_attach_prebuilt_requires_built_method(self):
@@ -120,9 +120,9 @@ class TestCorrectness:
 
 class TestPreparedQueries:
     def test_a_query_grown_in_place_is_prepared_again(self):
-        """``IGQ.prepare`` memoises per graph object and size: a query
-        object grown after its first run is flattened and extracted again,
-        not answered with its old features."""
+        """``IGQ.prepare`` memoises under the query's ``ordered_key``: a
+        query object grown after its first run is flattened and extracted
+        again, not answered with its old features."""
         database = GraphDatabase.from_graphs(
             [make_path_graph("ABC", name="p"), make_cycle_graph("ABC", name="c")]
         )

@@ -26,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro.core import IGQ, BatchExecutor, CacheConfig, EngineConfig
+from repro.core import IGQ, CacheConfig, EngineConfig
 from repro.features import FeatureExtractor, GraphFeatures, ThresholdBitmapIndex
 from repro.features.paths import path_code
 from repro.graphs import GraphDatabase, LabeledGraph
@@ -251,15 +251,14 @@ class TestPreparedOnce:
     def test_service_repeats_of_equal_copies_reuse_the_preparation(
         self, tiny_database, flattened
     ):
-        """The batch executor's memo hands the flattening out with the
-        features, so an equal copy built in the same order (what a decoded
-        wire repeat is) is not flattened again."""
+        """The engine's memo hands the flattening out with the features,
+        so an equal copy built in the same order (what a decoded wire
+        repeat is) is not flattened again."""
         engine = _engine("ggsx", tiny_database)
         queries = self.stream()
         del flattened[:]
-        with BatchExecutor(engine) as executor:
-            executor.run_batch(queries)
-            executor.run_batch([pickle.loads(pickle.dumps(query)) for query in queries])
+        engine.run_batch(queries)
+        engine.run_batch([pickle.loads(pickle.dumps(query)) for query in queries])
         assert sorted(name for name in flattened if name.startswith("query")) == sorted(
             query.name for query in queries
         )

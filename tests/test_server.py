@@ -21,9 +21,11 @@ import re
 import socket
 import threading
 import time
+from collections import Counter
 
 import pytest
 
+from repro.core import IGQ
 from repro.core.config import ServiceConfig, TenantConfig
 from repro.graphs.bitset import CandidateBitmap
 from repro.methods import create_method
@@ -76,6 +78,43 @@ class TestWireEquivalence:
                 results = [future.result(timeout=120) for future in futures]
             fingerprint = engine_fingerprint(service.engine, results)
         assert fingerprint == baseline
+
+
+class TestOnePipeline:
+    def test_every_entry_point_executes_once(self, database, mixed_stream, monkeypatch):  # noqa: F811
+        """``IGQ.execute`` is the one place a query runs: each
+        ``IGQ.query``, ``run_batch`` item, ``service.submit`` and wire query
+        calls it exactly once, and nothing but it plans a query."""
+        calls = Counter()
+        execute, plan_query = IGQ.execute, IGQ.plan_query
+
+        def counting_execute(engine, query, supergraph):
+            calls["execute"] += 1
+            return execute(engine, query, supergraph)
+
+        def counting_plan_query(engine, *args, **kwargs):
+            calls["plan_query"] += 1
+            return plan_query(engine, *args, **kwargs)
+
+        monkeypatch.setattr(IGQ, "execute", counting_execute)
+        monkeypatch.setattr(IGQ, "plan_query", counting_plan_query)
+        tasks = mixed_stream[:4]
+        engine = IGQ(create_method("ggsx", max_path_length=3), mixed_config())
+        engine.build_index(database)
+        for query, mode in tasks:
+            engine.query(query, mode)
+        assert calls == {"execute": 4, "plan_query": 4}
+        engine.run_batch(tasks)
+        assert calls == {"execute": 8, "plan_query": 8}
+        service = serve_mixed(database)
+        with service, serve(service) as server:
+            for query, mode in tasks:
+                service.submit(query, mode).result(timeout=120)
+            assert calls == {"execute": 12, "plan_query": 12}
+            with connect(server.host, server.port) as client:
+                for query, mode in tasks:
+                    client.query(query, mode)
+        assert calls == {"execute": 16, "plan_query": 16}
 
 
 class TestProtocolSurface:
@@ -379,7 +418,7 @@ class TestMultiTenant:
                 hog.ping(), vip.ping()  # both connection handlers are running
                 order: list[str] = []
                 entered, release = threading.Event(), threading.Event()
-                execute = service._executor.execute
+                execute = service.engine.execute
 
                 def recording_execute(query, supergraph):
                     order.append(query.name)
@@ -388,7 +427,7 @@ class TestMultiTenant:
                         assert release.wait(60)
                     return execute(query, supergraph)
 
-                monkeypatch.setattr(service._executor, "execute", recording_execute)
+                monkeypatch.setattr(service.engine, "execute", recording_execute)
                 # Hold the loop while the hog pipelines its backlog, so the
                 # whole backlog is read in one turn.
                 loop_free = threading.Event()

@@ -25,6 +25,7 @@ import json
 import random
 import threading
 import weakref
+from collections import Counter
 
 import pytest
 
@@ -37,6 +38,7 @@ from repro.core import (
 )
 from repro.core.config import PersistConfig
 from repro.datasets.registry import load_dataset
+from repro.graphs import LabeledGraph
 from repro.methods import create_method
 from repro.service import GraphQueryService, ServiceClosed, ServiceReport
 from repro.workloads.generator import QueryGenerator, WorkloadSpec
@@ -197,7 +199,7 @@ class TestMixedModeSemantics:
         engine = IGQ(method, EngineConfig(cache=CACHE))
         engine.build_index(database)
         query = QueryGenerator(database, WorkloadSpec(name="uni", seed=5)).generate(1)[0]
-        with pytest.raises(RuntimeError, match="configured for 'subgraph'"):
+        with pytest.raises(ValueError, match=r"serves 'subgraph'.*EngineConfig\(mode='mixed'\)"):
             engine.query(query, "supergraph")
 
     def test_mixed_engine_requires_explicit_mode(self, database):
@@ -217,10 +219,20 @@ class TestLifecycle:
         method = create_method("ggsx", max_path_length=3)
         config = mixed_config(batch=BatchConfig(num_workers=2))
         service = GraphQueryService(method, config, database=database).open()
+        # the label most dataset graphs have, asked first (nothing cached
+        # prunes it): enough candidates for the pool
+        counts = Counter(
+            label
+            for _, graph in database.items()
+            for label in {graph.label(vertex) for vertex in graph.vertices()}
+        )
+        label = max(sorted(counts), key=counts.__getitem__)
+        service.query(LabeledGraph.from_edges({0: label}, []), "subgraph")
         list(service.stream(mixed_stream[:6]))
-        executor = service._executor
+        engine = service.engine
+        assert engine.parallel_verifications and engine._pool is not None
         service.close()
-        assert executor._pool is None
+        assert engine._pool is None
 
     def test_plain_engine_close_is_noop_and_idempotent(self, database):
         method = create_method("ggsx", max_path_length=3)
