@@ -23,8 +23,9 @@ Public API overview
   :class:`~repro.core.engine.IGQ` engine that wraps any base method.
 * :mod:`repro.datasets` / :mod:`repro.workloads` — synthetic stand-ins for
   the paper's datasets and the four query workloads.
-* :mod:`repro.experiments` — drivers that regenerate every figure of the
-  paper's evaluation.
+* :mod:`repro.experiments` — the paper's evaluation as one table
+  (``FIGURES``: Table 1, Figs. 1–18 and two ablations) and the one sweep
+  that regenerates any entry (``run_figure``).
 
 * :mod:`repro.service` — :class:`~repro.service.GraphQueryService`, the
   session façade that owns engine lifecycle and is the intended public
@@ -76,7 +77,7 @@ from .service.client import ServiceClient, connect
 from .service.server import ServiceServer, serve
 from .workloads.generator import QueryGenerator, WorkloadSpec, standard_workloads
 
-__version__ = "20.0.0"
+__version__ = "21.0.0"
 
 __all__ = [
     "IGQ",

@@ -10,8 +10,8 @@ cost of one saved test — which telescopes to the alleviated cost per query
 processed since the entry was cached.  The entry with the smallest utility is
 evicted first.
 
-Two simpler policies are provided for the ablation benchmark
-(``bench_ablation_replacement``): least-recently-hit (an LRU stand-in for
+Two simpler policies are provided for the replacement ablation (the
+``ablation/replacement`` figure): least-recently-hit (an LRU stand-in for
 "popularity only, no cost model") and hit-rate-only (``H/M``), which is the
 paper's first principle without the cost-aware refinement.
 """

@@ -5,7 +5,6 @@ from .registry import (
     available_datasets,
     dataset_spec,
     load_dataset,
-    table1_row,
 )
 from .synthetic import (
     generate_biomolecule_like,
@@ -20,7 +19,6 @@ __all__ = [
     "available_datasets",
     "dataset_spec",
     "load_dataset",
-    "table1_row",
     "generate_biomolecule_like",
     "generate_dense_synthetic",
     "generate_interaction_like",

@@ -13,10 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..graphs.database import GraphDatabase
-from ..graphs.statistics import DatasetStatistics, summarize_dataset
 from . import synthetic
 
-__all__ = ["DatasetSpec", "available_datasets", "dataset_spec", "load_dataset", "table1_row"]
+__all__ = ["DatasetSpec", "available_datasets", "dataset_spec", "load_dataset"]
 
 
 @dataclass(frozen=True)
@@ -25,6 +24,8 @@ class DatasetSpec:
 
     name: str
     description: str
+    #: the paper's published Table 1 values, printed beside the generated
+    #: collection's by repro.experiments' Table 1
     paper_num_graphs: int
     paper_num_labels: int
     paper_avg_nodes: float
@@ -143,25 +144,3 @@ def load_dataset(name: str, scale: float = 1.0, seed: int | None = None) -> Grap
         kwargs["seed"] = seed
     graphs = generator(**kwargs)
     return GraphDatabase.from_graphs(graphs, name=name)
-
-
-def table1_row(name: str, scale: float = 1.0, seed: int | None = None) -> dict:
-    """Reproduce one row of Table 1 for the (scaled) generated dataset.
-
-    Returns the dataset statistics of the generated collection side by side
-    with the paper's published values, so the shape substitution can be
-    inspected (this is what ``benchmarks/bench_table1_datasets.py`` prints).
-    """
-    spec = dataset_spec(name)
-    database = load_dataset(name, scale=scale, seed=seed)
-    stats: DatasetStatistics = summarize_dataset(database.graphs())
-    return {
-        "dataset": name,
-        "paper": {
-            "num_graphs": spec.paper_num_graphs,
-            "num_labels": spec.paper_num_labels,
-            "avg_nodes": spec.paper_avg_nodes,
-            "avg_degree": spec.paper_avg_degree,
-        },
-        "generated": stats.as_row(),
-    }

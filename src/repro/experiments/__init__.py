@@ -1,73 +1,19 @@
-"""Experiment drivers regenerating every table and figure of the paper."""
+"""The paper's evaluation: one table of figures (:data:`FIGURES`), one
+sweep that runs any of them (:func:`run_figure`), and the stream metrics
+and speedups each row reads."""
 
-from .figures import (
-    PAPER_METHODS,
-    PAPER_WORKLOADS,
-    ablation_components,
-    ablation_replacement_policies,
-    figure1_time_breakdown,
-    figure2_filtering_aids,
-    figure3_filtering_pdbs,
-    figure7_iso_speedup_aids,
-    figure8_iso_speedup_pdbs,
-    figure9_zipf_alpha_iso,
-    figure10_query_groups_ppi_iso,
-    figure11_query_groups_synthetic_iso,
-    figure12_time_speedup_aids,
-    figure13_time_speedup_pdbs,
-    figure14_cache_size_time,
-    figure15_zipf_alpha_time,
-    figure16_query_groups_ppi_time,
-    figure17_query_groups_synthetic_time,
-    figure18_index_sizes,
-    table1,
-)
-from .metrics import SpeedupReport, StreamMetrics, speedup
-from .reporting import format_figure, format_rows, print_figure
-from .runner import (
-    ExperimentConfig,
-    SpeedupOutcome,
-    get_database,
-    get_method,
-    get_queries,
-    run_base_stream,
-    run_igq_stream,
-    run_speedup_experiment,
-)
+from .figures import FIGURES, Figure, format_figure, format_rows, run_figure
+from .runner import ExperimentConfig, SpeedupReport, StreamMetrics, run_speedup_experiment, speedup
 
 __all__ = [
-    "PAPER_METHODS",
-    "PAPER_WORKLOADS",
+    "FIGURES",
     "ExperimentConfig",
-    "SpeedupOutcome",
+    "Figure",
     "SpeedupReport",
     "StreamMetrics",
-    "speedup",
     "format_figure",
     "format_rows",
-    "print_figure",
-    "get_database",
-    "get_method",
-    "get_queries",
-    "run_base_stream",
-    "run_igq_stream",
+    "run_figure",
     "run_speedup_experiment",
-    "table1",
-    "figure1_time_breakdown",
-    "figure2_filtering_aids",
-    "figure3_filtering_pdbs",
-    "figure7_iso_speedup_aids",
-    "figure8_iso_speedup_pdbs",
-    "figure9_zipf_alpha_iso",
-    "figure10_query_groups_ppi_iso",
-    "figure11_query_groups_synthetic_iso",
-    "figure12_time_speedup_aids",
-    "figure13_time_speedup_pdbs",
-    "figure14_cache_size_time",
-    "figure15_zipf_alpha_time",
-    "figure16_query_groups_ppi_time",
-    "figure17_query_groups_synthetic_time",
-    "figure18_index_sizes",
-    "ablation_components",
-    "ablation_replacement_policies",
+    "speedup",
 ]

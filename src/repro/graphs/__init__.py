@@ -1,4 +1,4 @@
-"""Graph substrate: labeled graphs, statistics and I/O."""
+"""Graph substrate: labeled graphs, databases and I/O."""
 
 from .bitset import CandidateBitmap, GraphIdSpace, iter_bits
 from .database import GraphDatabase
@@ -13,7 +13,6 @@ from .io import (
     write_gfu,
     write_jsonl,
 )
-from .statistics import DatasetStatistics, summarize_dataset
 
 __all__ = [
     "CandidateBitmap",
@@ -22,8 +21,6 @@ __all__ = [
     "GraphIdSpace",
     "LabeledGraph",
     "iter_bits",
-    "DatasetStatistics",
-    "summarize_dataset",
     "graph_from_dict",
     "graph_to_dict",
     "graphs_from_gfu",

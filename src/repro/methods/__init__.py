@@ -21,13 +21,12 @@ __all__ = [
 ]
 
 #: Method names accepted by :func:`create_method`, mirroring the paper's
-#: algorithm line-up (GGSX, Grapes, Grapes(6), CT-Index) plus the scan
-#: baseline used in tests.
+#: algorithm line-up (GGSX, Grapes, CT-Index; the paper's Grapes(6) is Grapes
+#: under ``BatchConfig(num_workers=6)``) plus the scan baseline used in tests.
 _FACTORY = {
     "scan": lambda **kwargs: ScanMethod(**kwargs),
     "ggsx": lambda **kwargs: GGSXMethod(**kwargs),
-    "grapes": lambda **kwargs: GrapesMethod(num_workers=1, **kwargs),
-    "grapes6": lambda **kwargs: GrapesMethod(num_workers=6, **kwargs),
+    "grapes": lambda **kwargs: GrapesMethod(**kwargs),
     "ctindex": lambda **kwargs: CTIndexMethod(**kwargs),
 }
 
@@ -44,7 +43,7 @@ def create_method(name: str, verifier: Verifier | None = None, **kwargs) -> Subg
     ----------
     name:
         One of :func:`available_methods` (``"ggsx"``, ``"grapes"``,
-        ``"grapes6"``, ``"ctindex"``, ``"scan"``).
+        ``"ctindex"``, ``"scan"``).
     verifier:
         Optional shared :class:`~repro.isomorphism.verifier.Verifier`.
     kwargs:

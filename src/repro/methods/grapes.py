@@ -13,10 +13,11 @@ Figure 18's byte count sizes the one Grapes would store from the kernel's
 coverage count (:meth:`GrapesMethod.index_size_bytes`), and a build does
 nothing a GGSX build does not.  The original
 system additionally parallelises index construction and verification over
-several threads; the ``num_workers`` parameter mirrors that configuration
-knob (Grapes(1) vs Grapes(6) in the paper) only in the method's name
-(``grapes6``): it runs nothing in parallel.  Verification threads are the
-engine's ``batch.num_workers``.
+several threads (Grapes(1) vs Grapes(6) in the paper).  Here the
+verification threads are the engine's ``batch.num_workers``, for any base
+method: the paper's Grapes(6) is this method under
+``BatchConfig(num_workers=6)``, which tests and answers exactly as one
+thread does.
 """
 
 from __future__ import annotations
@@ -50,21 +51,15 @@ class GrapesMethod(SubgraphQueryMethod):
     def __init__(
         self,
         max_path_length: int = 4,
-        num_workers: int = 1,
         verifier: Verifier | None = None,
         extractor: FeatureExtractor | None = None,
     ) -> None:
-        if num_workers < 1:
-            raise ValueError("num_workers must be at least 1")
         if extractor is None:
             extractor = FeatureExtractor(
                 kind=FeatureExtractor.PATHS, max_path_length=max_path_length
             )
         super().__init__(extractor, verifier)
         self.max_path_length = extractor.max_path_length
-        self.num_workers = num_workers
-        if num_workers > 1:
-            self.name = f"grapes{num_workers}"
         #: bytes of the location lists, sized on the first
         #: :meth:`index_size_bytes` after a build (``None`` until then)
         self._location_bytes: int | None = None

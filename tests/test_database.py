@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.graphs import GraphDatabase, GraphError, summarize_dataset
+from repro.experiments.figures import summarize_dataset
+from repro.graphs import GraphDatabase, GraphError
 
 from .conftest import make_cycle_graph, make_path_graph
 

@@ -12,10 +12,9 @@ from repro.datasets import (
     generate_molecule_like,
     load_dataset,
     random_connected_graph,
-    table1_row,
 )
 from repro.datasets.synthetic import MotifPool, generate_motif_collection
-from repro.graphs import summarize_dataset
+from repro.experiments.figures import summarize_dataset, table1_row
 
 from .kernel_oracle import is_connected
 

@@ -1,24 +1,23 @@
-"""Tests for the experiment layer: metrics, runner, figure drivers, reporting."""
+"""Tests for the experiment layer: metrics, runner, the figure table, reporting."""
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import pytest
 
 from repro.experiments import (
+    FIGURES,
     ExperimentConfig,
     StreamMetrics,
-    ablation_components,
-    figure1_time_breakdown,
-    figure14_cache_size_time,
     format_figure,
     format_rows,
-    get_database,
-    get_method,
-    get_queries,
+    run_figure,
     run_speedup_experiment,
     speedup,
-    table1,
 )
+from repro.experiments import figures
+from repro.experiments.runner import building_block
 from repro.methods.base import QueryResult
 
 from .conftest import make_path_graph
@@ -72,7 +71,7 @@ class TestStreamMetrics:
         metrics = StreamMetrics()
         assert metrics.avg_isomorphism_tests == 0.0
         assert metrics.filter_time_fraction == 0.0
-        assert metrics.as_dict()["num_queries"] == 0
+        assert metrics.num_queries == 0
 
     def test_speedup_ratios(self):
         base = StreamMetrics()
@@ -82,7 +81,6 @@ class TestStreamMetrics:
         report = speedup(base, igq)
         assert report.isomorphism_test_speedup == pytest.approx(4.0)
         assert report.time_speedup == pytest.approx(1.0 / 0.3)
-        assert report.as_dict()["iso_test_speedup"] == pytest.approx(4.0)
 
     def test_speedup_with_zero_denominator(self):
         base = StreamMetrics()
@@ -114,11 +112,15 @@ class TestExperimentConfig:
 
 class TestRunner:
     def test_building_blocks_are_cached(self):
-        assert get_database("aids", 0.08) is get_database("aids", 0.08)
         config = ExperimentConfig(**TINY)
-        assert get_method(config) is get_method(config)
-        queries = get_queries(config)
-        assert queries is get_queries(config)
+        assert building_block("dataset", config) is building_block(
+            "dataset", ExperimentConfig(dataset="aids", scale=0.08)
+        )
+        # A block is keyed by the fields it depends on only.
+        method = building_block("method", config)
+        assert method is building_block("method", replace(config, cache_size=99))
+        queries = building_block("queries", config)
+        assert queries is building_block("queries", replace(config, method="grapes"))
         assert len(queries) == TINY["num_queries"] + TINY["window_size"]
 
     def test_speedup_experiment_outcome(self):
@@ -131,7 +133,7 @@ class TestRunner:
             outcome.igq.total_isomorphism_tests <= outcome.base.total_isomorphism_tests
         )
         assert outcome.report.isomorphism_test_speedup >= 1.0
-        assert outcome.as_dict()["dataset"] == "aids"
+        assert outcome.config.dataset == "aids"
 
     def test_component_flags_reach_engine(self):
         config = ExperimentConfig(**TINY, method="ggsx", enable_isuper=False)
@@ -141,8 +143,18 @@ class TestRunner:
 
 
 class TestFigureDrivers:
+    @pytest.mark.parametrize("figure_id", list(FIGURES))
+    def test_every_figure_runs_at_tiny_size(self, figure_id):
+        overrides = {"scale": 0.05} if figure_id == "table1" else TINY_OVERRIDES()
+        result = run_figure(figure_id, **overrides)
+        assert set(result) == {"figure", "title", "params", "rows"}
+        assert result["rows"]
+        assert set(result["params"]) == set(FIGURES[figure_id].params)
+        assert "{" not in result["title"]
+
     def test_table1_structure(self):
-        result = table1(scale=0.05)
+        result = run_figure("table1", scale=0.05)
+        assert result["figure"] == "Table 1"
         assert len(result["rows"]) == 4
         assert {row["dataset"] for row in result["rows"]} == {
             "aids",
@@ -152,28 +164,39 @@ class TestFigureDrivers:
         }
 
     def test_figure1_rows(self):
-        result = figure1_time_breakdown(
-            datasets=("aids",), methods=("ggsx",), **TINY_OVERRIDES()
-        )
+        result = run_figure("1", datasets=("aids",), methods=("ggsx",), **TINY_OVERRIDES())
         assert len(result["rows"]) == 1
         row = result["rows"][0]
         assert 0 <= row["filter_time_pct"] <= 100
         assert 0 <= row["verify_time_pct"] <= 100
 
-    def test_figure14_rows(self):
-        result = figure14_cache_size_time(
-            dataset="aids", method="ggsx", cache_sizes=(6, 10), **TINY_OVERRIDES(cache=False)
-        )
+    def test_figure14_rows(self, monkeypatch):
+        """The cache sweep's window follows W = C / 5 unless overridden."""
+        windows = []
+        run = figures.run_speedup_experiment
+
+        def spy(config):
+            windows.append(config.window_size)
+            return run(config)
+
+        monkeypatch.setattr(figures, "run_speedup_experiment", spy)
+        overrides = TINY_OVERRIDES(cache=False)
+        del overrides["window_size"]
+        result = run_figure("14", dataset="aids", method="ggsx", cache_sizes=(6, 10), **overrides)
         assert [row["cache_size"] for row in result["rows"]] == [6, 10]
         assert all(row["iso_test_speedup"] >= 1.0 for row in result["rows"])
+        assert windows == [1, 2]
+        run_figure("14", dataset="aids", method="ggsx", cache_sizes=(10,), **TINY_OVERRIDES())
+        assert windows[-1] == TINY["window_size"]
 
     def test_ablation_components_rows(self):
-        result = ablation_components(dataset="aids", method="ggsx", **TINY_OVERRIDES())
+        result = run_figure("ablation/components", dataset="aids", method="ggsx", **TINY_OVERRIDES())
         assert [row["components"] for row in result["rows"]] == [
             "isub+isuper",
             "isub only",
             "isuper only",
         ]
+        assert result["params"] == {"dataset": "aids", "method": "ggsx", "workload": "zipf-zipf"}
 
 
 def TINY_OVERRIDES(cache: bool = True) -> dict:

@@ -77,14 +77,6 @@ class TestGGSX:
 
 
 class TestGrapes:
-    def test_name_reflects_workers(self):
-        assert GrapesMethod(num_workers=1).name == "grapes"
-        assert GrapesMethod(num_workers=6).name == "grapes6"
-
-    def test_invalid_workers(self):
-        with pytest.raises(ValueError):
-            GrapesMethod(num_workers=0)
-
     def test_candidate_regions_cover_embeddings(self):
         method = GrapesMethod(max_path_length=2)
         database = containment_database()

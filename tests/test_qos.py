@@ -348,7 +348,9 @@ class TestServiceQoS:
         """While a rate-limited query waits for its token, every other
         tenant's submission drains the queue: the wake timer armed for the
         waiting query fires in time, so it is kept and no drain starts a
-        thread."""
+        thread.  Each result is awaited rather than expected done: a
+        durable engine holds a result computed after a window flush until
+        that flush's journal commit."""
         started = []
 
         class CountingTimer(threading.Timer):
@@ -365,7 +367,7 @@ class TestServiceQoS:
             waiting = metered.submit(query_pool[1])  # queued for ~2 s
             assert len(started) == 1
             for query in query_pool[2:10]:
-                assert other.submit(query).done()
+                assert other.submit(query).result(timeout=30).query_name == query.name
             assert len(started) == 1
             assert waiting.cancel()
 
